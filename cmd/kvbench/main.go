@@ -10,7 +10,6 @@
 //	kvbench -engine adoc -workload seekrandom
 //	kvbench -engine kvaccel-sharded -shards 4 -workload fillrandom
 //	kvbench -engine kvaccel -writers 8 -seed 7 -json out.json
-//	kvbench -engine kvaccel -writers-sweep 1,8
 //	kvbench -engine rocksdb -slowdown=false -trace out.json -trace-summary
 package main
 
@@ -50,10 +49,7 @@ func run() int {
 		shards    = flag.Int("shards", 1, "shard count for kvaccel-sharded")
 		writers   = flag.Int("writers", 0, "concurrent fillrandom writer threads (kvaccel-sharded default: one per shard)")
 		seed      = flag.Int64("seed", 1, "workload RNG seed (writer i uses seed+i*101)")
-		noGroup   = flag.Bool("no-group-commit", false, "disable the group-commit write pipeline and stall failover (A/B baseline)")
 		lingerUS  = flag.Int64("linger-us", 30, "group leader adaptive linger window in unscaled virtual microseconds (multiplied by -scale; 0 disables)")
-		noPipeWAL = flag.Bool("no-pipelined-wal", false, "hold the group-commit critical section across the WAL append (pipelined-WAL A/B baseline)")
-		wSweep    = flag.String("writers-sweep", "", "comma-separated writer counts, e.g. 1,8: rerun fillrandom grouped AND with -no-group-commit per count (overrides single run)")
 		qd        = flag.Int("qd", 0, "NVMe submission-queue depth per queue pair (0 = device default, 32)")
 		ioqueues  = flag.Int("ioqueues", 0, "block-interface I/O queue pairs to stripe over (0 = default, 1)")
 		qdSweep   = flag.String("qdsweep", "", "comma-separated queue depths to sweep, e.g. 1,2,4,8,32 (overrides -qd)")
@@ -174,7 +170,6 @@ func run() int {
 			value:    *value,
 			vthresh:  *vthresh,
 			seed:     *seed,
-			noGroup:  *noGroup,
 			series:   *series,
 			qd:       *qd,
 			ioqueues: *ioqueues,
@@ -200,9 +195,7 @@ func run() int {
 	p.FaultsSeed = *faultSee
 	p.Seed = *seed
 	p.Writers = *writers
-	p.DisableGroupCommit = *noGroup
 	p.LingerMicros = *lingerUS
-	p.NoPipelinedWAL = *noPipeWAL
 	p.ValueThreshold = *vthresh
 	p.ReadPct = *readPct
 	p.ZipfTheta = *zipfT
@@ -264,9 +257,6 @@ func run() int {
 	}
 	if *offloadAB != "" {
 		return runOffloadAB(p, spec, *offloadAB)
-	}
-	if *wSweep != "" {
-		return runWritersSweep(p, spec, *wSweep, *jsonPath)
 	}
 	if *qdSweep != "" {
 		runQDSweep(p, spec, kind, *qdSweep)
@@ -393,13 +383,12 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 // benchJSON is the machine-readable headline of one run — the record
 // appended to the BENCH_*.json perf trajectory.
 type benchJSON struct {
-	Engine      string  `json:"engine"`
-	Workload    string  `json:"workload"`
-	Scale       int     `json:"scale"`
-	Seed        int64   `json:"seed"`
-	Writers     int     `json:"writers"`
-	GroupCommit bool    `json:"group_commit"`
-	DurationS   float64 `json:"duration_s"` // virtual seconds measured
+	Engine    string  `json:"engine"`
+	Workload  string  `json:"workload"`
+	Scale     int     `json:"scale"`
+	Seed      int64   `json:"seed"`
+	Writers   int     `json:"writers"`
+	DurationS float64 `json:"duration_s"` // virtual seconds measured
 
 	Mix string `json:"mix,omitempty"` // resolved mixed-workload preset
 
@@ -539,7 +528,6 @@ func makeBenchJSON(p harness.Params, spec harness.EngineSpec, kind harness.Workl
 		Scale:       p.Scale,
 		Seed:        p.Seed,
 		Writers:     max(p.Writers, 1),
-		GroupCommit: !p.DisableGroupCommit,
 		DurationS:   res.Duration.Seconds(),
 		Writes:      res.Rec.Writes(),
 		WriteKops:   res.WriteKops(),
@@ -776,58 +764,4 @@ func runQDSweep(p harness.Params, spec harness.EngineSpec, kind harness.Workload
 			depth, res.Rec.Writes(), res.WriteKops(),
 			res.Rec.WriteLatency.Quantile(0.99), res.MainStats.StallTime)
 	}
-}
-
-// runWritersSweep is the group-commit A/B harness: for each writer count
-// it runs fillrandom twice — pipeline enabled, then -no-group-commit —
-// and prints one row per run plus the grouped/ungrouped speedup. With
-// -json the per-run headline records are written as a JSON array.
-func runWritersSweep(p harness.Params, spec harness.EngineSpec, list, jsonPath string) int {
-	kind := harness.WorkloadA
-	fmt.Printf("kvbench: %s, %s, scale=%d duration=%v seed=%d — writer sweep (grouped vs -no-group-commit)\n",
-		spec.Name(), kind, p.Scale, p.Duration, p.Seed)
-	fmt.Printf("%7s %6s %10s %9s %9s %12s %12s %9s\n",
-		"writers", "group", "writes", "Kops/s", "mean-grp", "appends/rec", "stall-time", "failover")
-	var records []benchJSON
-	for _, field := range strings.Split(list, ",") {
-		var nw int
-		if _, err := fmt.Sscanf(strings.TrimSpace(field), "%d", &nw); err != nil || nw < 1 {
-			fmt.Fprintf(os.Stderr, "bad writer count %q\n", field)
-			return 2
-		}
-		var kops [2]float64
-		for _, grouped := range []bool{true, false} {
-			q := p
-			q.Writers = nw
-			q.DisableGroupCommit = !grouped
-			res := q.Run(spec, kind)
-			s := res.MainStats
-			fmt.Printf("%7d %6v %10d %9.2f %9.2f %12.3f %12v %9d\n",
-				nw, grouped, res.Rec.Writes(), res.WriteKops(),
-				s.MeanGroupSize(), s.WALAppendsPerRecord(),
-				s.StallTime, res.WouldStallRedirects)
-			if grouped {
-				kops[0] = res.WriteKops()
-			} else {
-				kops[1] = res.WriteKops()
-			}
-			records = append(records, makeBenchJSON(q, spec, kind, res))
-		}
-		if kops[1] > 0 {
-			fmt.Printf("%7d speedup %.2fx grouped over ungrouped\n", nw, kops[0]/kops[1])
-		}
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Printf("json        : %d records -> %s\n", len(records), jsonPath)
-	}
-	return 0
 }

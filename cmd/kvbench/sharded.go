@@ -36,7 +36,6 @@ type shardedRunParams struct {
 	value    int
 	vthresh  int
 	seed     int64
-	noGroup  bool
 	series   bool
 	qd       int
 	ioqueues int
@@ -65,7 +64,6 @@ func runSharded(p shardedRunParams) {
 	opt.Rollback = p.rollback
 	opt.QueueDepth = p.qd
 	opt.IOQueues = p.ioqueues
-	opt.DisableGroupCommit = p.noGroup
 	opt.ValueThreshold = p.vthresh
 	opt.FrontCacheBytes = p.frontCacheBytes
 	opt.FrontCacheNegative = p.frontCacheNegative

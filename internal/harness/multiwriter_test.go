@@ -37,26 +37,6 @@ func TestMultiWriterFillRandomGroups(t *testing.T) {
 	}
 }
 
-// TestMultiWriterDisableGroupCommitAB is the A/B lever: the same
-// multi-writer run with the pipeline disabled must fall back to one WAL
-// append per record and no group accounting.
-func TestMultiWriterDisableGroupCommitAB(t *testing.T) {
-	p := shortWriterParams()
-	p.Writers = 4
-	p.DisableGroupCommit = true
-	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}, WorkloadA)
-	s := res.MainStats
-	if s.GroupCommits != 0 {
-		t.Fatalf("disabled pipeline formed %d groups", s.GroupCommits)
-	}
-	if s.Puts > 0 && s.WALAppends != s.Puts+s.Deletes {
-		t.Fatalf("legacy path: WALAppends=%d records=%d", s.WALAppends, s.Puts+s.Deletes)
-	}
-	if res.WouldStallRedirects != 0 {
-		t.Fatalf("failover fired with group commit disabled: %d", res.WouldStallRedirects)
-	}
-}
-
 // TestMultiWriterWithFaults arms the deterministic device fault plan
 // under 4 writers: the run must complete with grouped WAL records and the
 // controller's retry policy absorbing the injected errors.

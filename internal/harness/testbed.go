@@ -49,19 +49,11 @@ type Params struct {
 	// single-writer setup. Each writer runs the full configured duration
 	// with its own derived seed.
 	Writers int
-	// DisableGroupCommit routes engine writes through the legacy
-	// one-record-one-WAL-append path (and disables the pipeline's
-	// stall-failover admission) — the bench sweep's A/B baseline.
-	DisableGroupCommit bool
 	// LingerMicros is the group leader's adaptive linger window in
 	// unscaled virtual microseconds (kvbench's -linger-us flag); it is
 	// multiplied by Scale like the CPU costs, so -linger-us 30 at scale
 	// 10 opens a 300 µs window. 0 disables lingering.
 	LingerMicros int64
-	// NoPipelinedWAL keeps each group leader's commit critical section
-	// held across its WAL append (kvbench's -no-pipelined-wal flag) —
-	// the pipelined-WAL A/B and equivalence-test baseline.
-	NoPipelinedWAL bool
 	// WriteIntervalMicros, when positive, paces each writer to one put
 	// per this many unscaled virtual microseconds (multiplied by Scale
 	// like the CPU costs) — a fixed offered load per writer instead of an
@@ -299,9 +291,7 @@ func (p Params) lsmOptions(tb *Testbed, threads int, slowdown bool) lsm.Options 
 	// through stall conditions, not through synchronous log writes.
 	opt.WALChunkSize = 256 << 10
 	opt.WALQueueDepth = 512
-	opt.DisableGroupCommit = p.DisableGroupCommit
 	opt.GroupLingerMicros = p.LingerMicros * int64(scale)
-	opt.DisablePipelinedWAL = p.NoPipelinedWAL
 	opt.ValueThreshold = p.ValueThreshold
 	sd := time.Duration(scale)
 	opt.Cost.WriteCPU *= sd
@@ -410,7 +400,7 @@ func (p Params) BuildEngine(tb *Testbed, spec EngineSpec) *Engine {
 		copt := core.DefaultOptions()
 		copt.Rollback = spec.Rollback
 		copt.Trace = p.Trace
-		copt.StallFailover = !p.DisableGroupCommit
+		copt.StallFailover = true // the accelerator is on: would-stall writes redirect
 		copt.FrontCacheBytes = p.FrontCacheBytes
 		copt.FrontCacheNegative = p.FrontCacheNegative
 		copt.FrontCacheDoorkeeper = p.FrontCacheDoorkeeper

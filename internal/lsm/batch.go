@@ -3,7 +3,6 @@ package lsm
 import (
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/memtable"
-	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 )
 
@@ -58,29 +57,13 @@ func (b *Batch) Ops(fn func(kind memtable.Kind, key, value []byte)) {
 	}
 }
 
-// walBatchMarker distinguishes a batch WAL record from single-op records
-// (whose first byte is a memtable.Kind < 16).
+// walBatchMarker opens every WAL record the write path emits. Replay
+// also accepts the marker-less single-op format, whose first byte is a
+// memtable.Kind < 16.
 const walBatchMarker = 0xB7
 
-// encodeOps renders an op list's WAL payload:
-//
-//	marker, uvarint(count), then per op: kind, uvarint(klen), key,
-//	uvarint(vlen), value.
-func encodeOps(ops []batchOp, bytes int) []byte {
-	out := make([]byte, 0, bytes+16)
-	out = append(out, walBatchMarker)
-	out = encoding.PutUvarint(out, uint64(len(ops)))
-	for _, op := range ops {
-		out = append(out, byte(op.kind))
-		out = encoding.PutUvarint(out, uint64(len(op.key)))
-		out = append(out, op.key...)
-		out = encoding.PutUvarint(out, uint64(len(op.value)))
-		out = append(out, op.value...)
-	}
-	return out
-}
-
-// decodeBatch parses an encodeBatch payload, calling fn per operation.
+// decodeBatch parses an encodeGroupPayload record, calling fn per
+// operation.
 func decodeBatch(p []byte, fn func(kind memtable.Kind, key, value []byte) error) error {
 	if len(p) < 2 || p[0] != walBatchMarker {
 		return encoding.ErrCorrupt
@@ -118,11 +101,11 @@ func decodeBatch(p []byte, fn func(kind memtable.Kind, key, value []byte) error)
 	return nil
 }
 
-// Write commits a batch atomically: one write-controller pass, one WAL
-// record, consecutive sequence numbers. With group commit enabled the
-// batch joins the same write group queue as single-record writes, so a
-// group may carry several batches (and loose Puts) under one WAL append
-// while keeping each batch's records contiguous.
+// Write commits a batch atomically: consecutive sequence numbers inside
+// one WAL record, so a crash replays all of it or none. The batch joins
+// the same write group queue as single-record writes, so a group may carry
+// several batches (and loose Puts) under one WAL append while keeping each
+// batch's records contiguous.
 func (db *DB) Write(r *vclock.Runner, b *Batch) error {
 	return db.WriteWith(r, WriteOptions{}, b)
 }
@@ -132,119 +115,5 @@ func (db *DB) WriteWith(r *vclock.Runner, wo WriteOptions, b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	userBytes := int64(b.bytes - 16*len(b.ops))
-	ops, bytes, ptrs, err := db.separateBatchOps(r, wo, b)
-	if err != nil {
-		return err
-	}
-	if db.gcGate != nil {
-		db.gcGate.Acquire(r, 1)
-	}
-	if db.opt.DisableGroupCommit {
-		err = db.writeBatchLegacy(r, wo, ops, bytes, userBytes)
-	} else {
-		w := &groupWriter{ops: ops, bytes: bytes, noStall: wo.NoStallWait, userBytes: userBytes}
-		err = db.commitThroughGroup(r, w)
-	}
-	if db.gcGate != nil {
-		db.gcGate.Release(1)
-	}
-	if err != nil {
-		// The appended values are unreachable garbage; let GC reclaim them.
-		for _, p := range ptrs {
-			db.vlog.MarkDiscard(p.Seg, int64(p.Len))
-		}
-	}
-	return err
-}
-
-// separateBatchOps routes each qualifying staged value to the value log,
-// returning an op list with pointers substituted. The caller's Batch is
-// never mutated — KVACCEL's failover path replays the same Batch against
-// the Dev-LSM, which needs the original values. ptrs collects the
-// appended pointers so a failed commit can discard them.
-func (db *DB) separateBatchOps(r *vclock.Runner, wo WriteOptions, b *Batch) (ops []batchOp, bytes int, ptrs []encoding.ValuePointer, err error) {
-	anySep := false
-	for _, op := range b.ops {
-		if db.separates(op.kind, op.value) {
-			anySep = true
-			break
-		}
-	}
-	if !anySep {
-		return b.ops, b.bytes, nil, nil
-	}
-	if err := db.preSeparateStallCheck(wo); err != nil {
-		return nil, 0, nil, err
-	}
-	ops = make([]batchOp, len(b.ops))
-	for i, op := range b.ops {
-		if !db.separates(op.kind, op.value) {
-			ops[i] = op
-			bytes += len(op.key) + len(op.value) + 16
-			continue
-		}
-		ptr, perr := db.appendVLog(r, op.key, op.value)
-		if perr != nil {
-			for _, p := range ptrs {
-				db.vlog.MarkDiscard(p.Seg, int64(p.Len))
-			}
-			return nil, 0, nil, perr
-		}
-		ptrs = append(ptrs, ptr)
-		ops[i] = batchOp{kind: memtable.KindValuePtr, key: op.key, value: encoding.AppendValuePointer(nil, ptr)}
-		bytes += len(op.key) + encoding.ValuePointerSize + 16
-	}
-	return ops, bytes, ptrs, nil
-}
-
-// writeBatchLegacy is the pre-group-commit batch path (see writeLegacy).
-func (db *DB) writeBatchLegacy(r *vclock.Runner, wo WriteOptions, ops []batchOp, bytes int, userBytes int64) error {
-	tr := db.opt.Trace
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if err := db.makeRoomForWrite(r, bytes, wo.NoStallWait, false); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	firstSeq := db.seq + 1
-	db.seq += uint64(len(ops))
-	mt, lg := db.mem, db.log
-	for _, op := range ops {
-		if op.kind == memtable.KindDelete {
-			db.stats.Deletes++
-		} else {
-			db.stats.Puts++
-		}
-	}
-	db.stats.UserBytes += userBytes
-	if lg != nil {
-		db.stats.WALAppends++
-	}
-	db.beginApplyLocked(mt, 1)
-	db.mu.Unlock()
-
-	if lg != nil {
-		wsp := tr.Begin(r, trace.PhaseWALAppend, "wal-append")
-		err := lg.Append(r, encodeOps(ops, bytes))
-		wsp.EndArg(r, int64(bytes))
-		if err != nil && !db.isClosed() {
-			db.endApply(mt)
-			db.mu.Lock()
-			db.stats.WALErrors++
-			db.mu.Unlock()
-			return err
-		}
-	}
-	msp := tr.Begin(r, trace.PhaseMemtableInsert, "memtable-insert")
-	db.opt.CPU.Run(r, db.opt.Cost.WriteCPU*vclock.Duration(len(ops)))
-	for i, op := range ops {
-		mt.Add(firstSeq+uint64(i), op.kind, op.key, op.value)
-	}
-	msp.EndArg(r, int64(len(ops)))
-	db.endApply(mt)
-	return nil
+	return db.commit(r, &groupWriter{ops: b.ops, noStall: wo.NoStallWait, userBytes: int64(b.bytes - 16*len(b.ops))})
 }

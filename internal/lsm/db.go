@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"kvaccel/internal/encoding"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/sstable"
@@ -241,105 +240,40 @@ func (db *DB) DeleteWith(r *vclock.Runner, wo WriteOptions, key []byte) error {
 }
 
 func (db *DB) write(r *vclock.Runner, wo WriteOptions, kind memtable.Kind, key, value []byte) error {
-	userBytes := int64(len(key) + len(value))
-	sep := db.separates(kind, value)
-	if sep {
-		if err := db.preSeparateStallCheck(wo); err != nil {
-			return err
-		}
-	}
-	var ptr encoding.ValuePointer
-	if sep {
-		var err error
-		if ptr, err = db.appendVLog(r, key, value); err != nil {
-			return err
-		}
-		kind = memtable.KindValuePtr
-		value = encoding.AppendValuePointer(nil, ptr)
-	}
-	if db.gcGate != nil {
-		db.gcGate.Acquire(r, 1)
-	}
-	var err error
-	if db.opt.DisableGroupCommit {
-		err = db.writeLegacy(r, wo, kind, key, value, userBytes, false)
-	} else {
-		w := &groupWriter{bytes: len(key) + len(value) + 16, noStall: wo.NoStallWait, userBytes: userBytes}
-		w.single[0] = batchOp{kind: kind, key: key, value: value}
-		w.ops = w.single[:1]
-		err = db.commitThroughGroup(r, w)
-	}
-	if db.gcGate != nil {
-		db.gcGate.Release(1)
-	}
-	if err != nil && sep {
-		// The appended value is unreachable garbage; let GC reclaim it.
-		db.vlog.MarkDiscard(ptr.Seg, int64(ptr.Len))
-	}
-	return err
+	return db.commit(r, newPointWriter(wo, kind, key, value))
 }
 
-// writeLegacy is the pre-group-commit write path, kept behind
-// Options.DisableGroupCommit for A/B runs: one write-controller pass,
-// one WAL record, and one memtable insert per record, with no
-// cross-writer amortization. A WAL append failure here leaves the
-// already-claimed sequence number unused (other writers may have claimed
-// past it, so it cannot be released); the gap is accounted in
-// Stats.WALErrors, and recovery tolerates it — Reopen renumbers replayed
-// records densely.
-func (db *DB) writeLegacy(r *vclock.Runner, wo WriteOptions, kind memtable.Kind, key, value []byte, userBytes int64, internal bool) error {
-	tr := db.opt.Trace
-	recBytes := len(key) + len(value) + 16
+// newPointWriter stages one record in the writer's own single-op backing
+// store, so a point write allocates nothing beyond the writer itself.
+func newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *groupWriter {
+	w := &groupWriter{noStall: wo.NoStallWait, userBytes: int64(len(key) + len(value))}
+	w.single[0] = batchOp{kind: kind, key: key, value: value}
+	w.ops = w.single[:1]
+	return w
+}
 
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if err := db.makeRoomForWrite(r, recBytes, wo.NoStallWait, false); err != nil {
-		db.mu.Unlock()
+// commit is the one route from a caller to the log and the memtable:
+// Put/Delete, Write, and the value log's GC rewrite all stage their ops in
+// a groupWriter and come through here. It moves large values to the value
+// log, holds one unit of the GC gate across the group commit (a GC
+// rewrite already holds every unit), and on failure hands the values it
+// appended back to the value log as garbage for GC to reclaim.
+func (db *DB) commit(r *vclock.Runner, w *groupWriter) error {
+	if err := db.separateOps(r, w); err != nil {
 		return err
 	}
-	db.seq++
-	seq := db.seq
-	mt, lg := db.mem, db.log
-	if internal {
-		db.stats.VLogGCRewrites++
-		db.stats.VLogGCBytes += userBytes
-	} else if kind == memtable.KindDelete {
-		db.stats.Deletes++
-		db.stats.UserBytes += userBytes
-	} else {
-		db.stats.Puts++
-		db.stats.UserBytes += userBytes
+	gated := db.gcGate != nil && !w.internal
+	if gated {
+		db.gcGate.Acquire(r, 1)
 	}
-	if lg != nil {
-		db.stats.WALAppends++
+	err := db.commitThroughGroup(r, w)
+	if gated {
+		db.gcGate.Release(1)
 	}
-	db.beginApplyLocked(mt, 1)
-	db.mu.Unlock()
-
-	if lg != nil {
-		rec := make([]byte, 0, recBytes)
-		rec = append(rec, byte(kind))
-		rec = appendKV(rec, key, value)
-		wsp := tr.Begin(r, trace.PhaseWALAppend, "wal-append")
-		err := lg.Append(r, rec)
-		wsp.EndArg(r, int64(recBytes))
-		if err != nil && !db.isClosed() {
-			db.endApply(mt)
-			db.mu.Lock()
-			db.stats.WALErrors++
-			db.mu.Unlock()
-			return err
-		}
+	if err != nil {
+		db.discardSeparated(w.ops)
 	}
-	msp := tr.Begin(r, trace.PhaseMemtableInsert, "memtable-insert")
-	db.opt.CPU.Run(r, db.opt.Cost.WriteCPU)
-	mt.Add(seq, kind, key, value)
-	msp.End(r)
-	db.endApply(mt)
-	return nil
+	return err
 }
 
 // beginApplyLocked registers in-flight memtable inserts on mt; the flush
@@ -371,13 +305,6 @@ func (db *DB) releaseApplyLocked(mt *memtable.Table, n int) {
 	}
 }
 
-func appendKV(dst, key, value []byte) []byte {
-	dst = append(dst, byte(len(key)>>8), byte(len(key)))
-	dst = append(dst, key...)
-	dst = append(dst, value...)
-	return dst
-}
-
 func (db *DB) isClosed() bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -388,13 +315,13 @@ func (db *DB) isClosed() bool {
 // (if enabled), then hard stops for the three stall classes, rotating the
 // memtable when it fills. Called and returns with db.mu held.
 //
+// The caller is a group-commit leader admitting its whole queue (itself
+// at the head): the slowdown rate delay covers every queued byte, and a
+// stall ejects queued NoStallWait members before the leader parks.
 // noStall turns the three hard-stop branches into ErrWouldStall returns
-// (the group-commit failover signal); slowdown throttling still applies
-// because it is bounded. group marks the caller as a group-commit leader
-// admitting its whole queue: the slowdown rate delay covers every byte
-// queued behind it, and a stall ejects queued NoStallWait members before
-// the leader parks.
-func (db *DB) makeRoomForWrite(r *vclock.Runner, recBytes int, noStall, group bool) error {
+// for the leader itself (the failover signal); slowdown throttling still
+// applies because it is bounded.
+func (db *DB) makeRoomForWrite(r *vclock.Runner, noStall bool) error {
 	allowDelay := db.opt.EnableSlowdown
 	stallCounted := [numStallReasons]bool{}
 	for {
@@ -406,9 +333,7 @@ func (db *DB) makeRoomForWrite(r *vclock.Runner, recBytes int, noStall, group bo
 		}
 		l0 := len(db.vers.levels[0])
 		stall := func(reason StallReason) error {
-			if group {
-				db.ejectNoStallLocked()
-			}
+			db.ejectNoStallLocked()
 			if noStall {
 				db.stats.WouldStalls++
 				return ErrWouldStall
@@ -421,12 +346,8 @@ func (db *DB) makeRoomForWrite(r *vclock.Runner, recBytes int, noStall, group bo
 			allowDelay = false
 			db.stats.Slowdowns++
 			delay := db.opt.SlowdownSleep
-			bytes := recBytes
-			if group && db.groupBytes > int64(bytes) {
-				bytes = int(db.groupBytes)
-			}
 			if rate := db.opt.DelayedWriteBytesPerSec; rate > 0 {
-				d := time.Duration(float64(bytes) / float64(rate) * float64(time.Second))
+				d := time.Duration(float64(db.groupBytes) / float64(rate) * float64(time.Second))
 				if d > delay {
 					delay = d
 				}
@@ -538,7 +459,7 @@ func (db *DB) get(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, ok
 			db.recordRead(attr)
 			return v, true, nil
 		}
-		val, derr := db.derefPointer(r, v)
+		val, derr := db.derefPointer(r, key, v)
 		if derr == vlog.ErrSegmentGone && attempt == 0 {
 			continue // retry; only the final attempt records attribution
 		}

@@ -49,13 +49,13 @@ type groupWriter struct {
 }
 
 // commitThroughGroup is the single join point of the write pipeline:
-// every Put, Delete, and Write (batch) enters here when group commit is
-// enabled. The first writer to find the queue head free becomes the
-// group leader; it runs the write controller once, claims a contiguous
-// sequence range for every queued writer (bounded by MaxWriteGroupBytes),
-// issues one WAL append for the whole group, and wakes the members. The
-// next group forms behind it while the leader is in the WAL, so groups
-// pipeline back-to-back. Each member — leader included — then applies
+// commit (db.go) is its only caller, so every Put, Delete, Write (batch)
+// and GC rewrite enters here. The first writer to find the queue head
+// free becomes the group leader; it runs the write controller once,
+// claims a contiguous sequence range for every queued writer (bounded by
+// MaxWriteGroupBytes), issues one WAL append for the whole group, and
+// wakes the members. The next group forms behind it while the leader is
+// in the WAL, so groups pipeline back-to-back. Each member — leader included — then applies
 // its own records to the memtable concurrently and returns only after
 // they are visible (read-your-writes).
 func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
@@ -114,7 +114,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		lingered = true
 		db.linger(r, d)
 	}
-	if err := db.makeRoomForWrite(r, w.bytes, w.noStall, true); err != nil {
+	if err := db.makeRoomForWrite(r, w.noStall); err != nil {
 		// The queue behind us fails the same way on its own (each member
 		// re-elects and re-checks), except ErrWouldStall, where blocking
 		// members must proceed: ejectNoStallLocked already failed the
@@ -422,9 +422,13 @@ func (db *DB) removeFromGroupQueueLocked(w *groupWriter) bool {
 }
 
 // encodeGroupPayload renders one WAL record covering every record of
-// every group member, in claim order — the same batch format Reopen
-// already replays with consecutive sequence numbers, so a group commit
-// is crash-equivalent to one large atomic batch.
+// every group member, in claim order:
+//
+//	marker, uvarint(count), then per op: kind, uvarint(klen), key,
+//	uvarint(vlen), value.
+//
+// Reopen replays it with consecutive sequence numbers, all or none, so a
+// group commit is crash-equivalent to one large atomic batch.
 func encodeGroupPayload(group []*groupWriter, totalRecs, totalBytes int) []byte {
 	out := make([]byte, 0, totalBytes+16)
 	out = append(out, walBatchMarker)

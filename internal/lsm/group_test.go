@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 )
 
@@ -201,45 +202,78 @@ func TestNoStallWaitFailsFast(t *testing.T) {
 	}
 }
 
-// TestDisableGroupCommitLegacyPath checks the A/B escape hatch: with
-// group commit off, every record pays its own WAL append and no groups
-// are accounted.
-func TestDisableGroupCommitLegacyPath(t *testing.T) {
-	opt := smallOpts()
-	opt.DisableGroupCommit = true
-	clk, db := newTestDB(0, opt)
-	clk.Go("test", func(r *vclock.Runner) {
-		defer db.Close()
-		for i := 0; i < 200; i++ {
-			if err := db.Put(r, key(i), value(i)); err != nil {
-				t.Errorf("put %d: %v", i, err)
+// TestPointWriteIsOneOpBatch pins the single write path: a writer doing
+// Put/Delete and a twin doing the same ops as one-op Write batches leave
+// byte-identical WAL files and equal counters, with values inline and
+// with values separated into the value log.
+func TestPointWriteIsOneOpBatch(t *testing.T) {
+	run := func(threshold int, batched bool) (map[string][]byte, Stats) {
+		opt := smallOpts()
+		opt.ValueThreshold = threshold
+		opt.MemtableSize = 1 << 20 // no rotation: one WAL holds every record
+		clk := vclock.New()
+		fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
+		release := clk.Hold()
+		db := Open(clk, fsys, opt)
+		clk.Go("writer", func(r *vclock.Runner) {
+			defer db.Close()
+			put := func(k, v []byte) error { return db.Put(r, k, v) }
+			del := func(k []byte) error { return db.Delete(r, k) }
+			if batched {
+				put = func(k, v []byte) error {
+					var b Batch
+					b.Put(k, v)
+					return db.Write(r, &b)
+				}
+				del = func(k []byte) error {
+					var b Batch
+					b.Delete(k)
+					return db.Write(r, &b)
+				}
+			}
+			for i := 0; i < 300; i++ {
+				v := value(i)
+				if i%3 == 0 {
+					v = v[:16] // below any threshold: stays inline
+				}
+				if err := put(key(i), v); err != nil {
+					t.Errorf("put %d: %v", i, err)
+				}
+				if i%7 == 0 {
+					if err := del(key(i / 2)); err != nil {
+						t.Errorf("delete %d: %v", i/2, err)
+					}
+				}
+			}
+			db.mu.Lock()
+			lg := db.log
+			db.mu.Unlock()
+			lg.Sync(r)
+		})
+		release()
+		clk.Wait()
+		return walFiles(fsys), db.Stats()
+	}
+	for _, threshold := range []int{0, 128} {
+		pointWAL, point := run(threshold, false)
+		batchWAL, batch := run(threshold, true)
+		if len(pointWAL) == 0 || len(pointWAL) != len(batchWAL) {
+			t.Fatalf("threshold %d: WAL file count: point %d, batch %d", threshold, len(pointWAL), len(batchWAL))
+		}
+		for name, data := range pointWAL {
+			if !bytes.Equal(data, batchWAL[name]) {
+				t.Errorf("threshold %d: WAL %s differs: point %d bytes, batch %d bytes", threshold, name, len(data), len(batchWAL[name]))
 			}
 		}
-		b := &Batch{}
-		for i := 200; i < 210; i++ {
-			b.Put(key(i), value(i))
+		if point.Puts != batch.Puts || point.Deletes != batch.Deletes ||
+			point.UserBytes != batch.UserBytes || point.WALAppends != batch.WALAppends {
+			t.Errorf("threshold %d: counters differ: point puts=%d deletes=%d user=%d wal=%d, batch puts=%d deletes=%d user=%d wal=%d",
+				threshold, point.Puts, point.Deletes, point.UserBytes, point.WALAppends,
+				batch.Puts, batch.Deletes, batch.UserBytes, batch.WALAppends)
 		}
-		if err := db.Write(r, b); err != nil {
-			t.Errorf("batch: %v", err)
+		if point.Puts != 300 || point.WALAppends != point.Puts+point.Deletes {
+			t.Errorf("threshold %d: puts=%d deletes=%d WALAppends=%d", threshold, point.Puts, point.Deletes, point.WALAppends)
 		}
-		for i := 0; i < 210; i += 11 {
-			v, ok, err := db.Get(r, key(i))
-			if err != nil || !ok || !bytes.Equal(v, value(i)) {
-				t.Errorf("get %d: ok=%v err=%v", i, ok, err)
-			}
-		}
-	})
-	clk.Wait()
-	s := db.Stats()
-	if s.GroupCommits != 0 || s.GroupedRecords != 0 {
-		t.Fatalf("legacy path formed groups: %+v", s)
-	}
-	// 200 point appends plus 1 batch append.
-	if s.WALAppends != 201 {
-		t.Fatalf("WALAppends = %d, want 201", s.WALAppends)
-	}
-	if s.Puts != 210 {
-		t.Fatalf("puts = %d, want 210", s.Puts)
 	}
 }
 

@@ -210,7 +210,7 @@ func (it *Iterator) settle(prev []byte) {
 		if e.Kind == memtable.KindValuePtr {
 			// Open iterators pin segments against punching, so the
 			// dereference cannot race GC; failure here is real corruption.
-			v, err := it.db.derefPointer(it.r, e.Value)
+			v, err := it.db.derefPointer(it.r, e.Key, e.Value)
 			if err != nil {
 				it.err = err
 				it.valid = false

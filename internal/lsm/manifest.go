@@ -562,7 +562,7 @@ func manifestCounterFrom(current string) uint64 {
 	return n
 }
 
-// parseWALRecord decodes the write path's record format:
+// parseWALRecord decodes the marker-less single-op record format:
 // [kind][klen_hi][klen_lo][key][value].
 func parseWALRecord(p []byte) (memtable.Kind, []byte, []byte, error) {
 	if len(p) < 3 {

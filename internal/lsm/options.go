@@ -77,10 +77,6 @@ type Options struct {
 	// max_write_batch_group_size_bytes). Writers beyond the bound wait
 	// for the next group.
 	MaxWriteGroupBytes int64
-	// DisableGroupCommit routes every write through the legacy
-	// one-record-one-WAL-append path — the A/B escape hatch for
-	// measuring what the group-commit pipeline buys.
-	DisableGroupCommit bool
 	// GroupLingerMicros is the leader linger window in virtual
 	// microseconds: a group leader that finds recent groups small parks
 	// for up to this long before claiming, letting concurrent writers
@@ -91,11 +87,12 @@ type Options struct {
 	GroupLingerMicros int64
 	// DisablePipelinedWAL keeps a group leader's commit critical section
 	// held across its WAL append, so group N+1 cannot form until group
-	// N's append returns — the pre-pipelining behaviour, kept for A/B
-	// runs and the byte-equivalence suite. With pipelining on (the
-	// default), the leader releases the critical section after claiming
-	// sequence numbers and appends under a ticket that preserves WAL
-	// record order == sequence order.
+	// N's append returns. It exists for one caller: pipelined_test.go's
+	// byte-equivalence suite runs this serial lane as the reference the
+	// pipelined lane's WAL bytes and recovered state are compared against.
+	// With pipelining on (the default), the leader releases the critical
+	// section after claiming sequence numbers and appends under a ticket
+	// that preserves WAL record order == sequence order.
 	DisablePipelinedWAL bool
 	// ReplayShards is the number of concurrent memtable inserters Reopen
 	// fans WAL replay out over, sharded by key hash; the skiplist's
@@ -195,14 +192,11 @@ type Options struct {
 // hundred MB/s per thread).
 type CostModel struct {
 	// WriteCPU is charged per record on the writing thread (record encode
-	// + memtable insert). The WAL-append half of the old 3 µs per-write
-	// charge now lives in WALAppendCPU, so a group commit pays it once
-	// per group instead of once per record.
+	// + memtable insert).
 	WriteCPU time.Duration
 	// WALAppendCPU is charged per WAL Append call (checksum + log-buffer
-	// copy): once per record on the legacy path, once per group with
-	// group commit. WriteCPU + WALAppendCPU equals the old per-record
-	// write charge, so single-writer behaviour is unchanged.
+	// copy), so a commit group pays it once however many records it
+	// carries; a group of one pays WriteCPU + WALAppendCPU per record.
 	WALAppendCPU time.Duration
 	// ReadCPU is charged per Get before any device time.
 	ReadCPU time.Duration

@@ -37,17 +37,67 @@ func (db *DB) vlogOptions() vlog.Options {
 	}
 }
 
-// separates reports whether a write's value should go to the value log.
-func (db *DB) separates(kind memtable.Kind, value []byte) bool {
-	return db.vlog != nil && db.opt.ValueThreshold > 0 &&
-		kind == memtable.KindPut && len(value) >= db.opt.ValueThreshold
+// separates reports whether w's op should have its value moved to the
+// value log: a Put at or above ValueThreshold, and every GC rewrite (the
+// value lived in the log before, whatever the threshold is now).
+func (db *DB) separates(w *groupWriter, op batchOp) bool {
+	return w.internal || (db.vlog != nil && db.opt.ValueThreshold > 0 &&
+		op.kind == memtable.KindPut && len(op.value) >= db.opt.ValueThreshold)
+}
+
+// separateOps sets w.bytes and swaps each qualifying op of w for a
+// pointer to its value-log copy. A Batch's op slice belongs to the caller
+// — KVACCEL's failover path replays the same Batch against the Dev-LSM,
+// which needs the original values — so it is copied before the first
+// swap; a point write's single-op store is the writer's own.
+func (db *DB) separateOps(r *vclock.Runner, w *groupWriter) error {
+	w.bytes = 0
+	moved := 0
+	for i := range w.ops {
+		op := &w.ops[i]
+		if db.separates(w, *op) {
+			if moved == 0 {
+				if err := db.preSeparateStallCheck(w.noStall); err != nil {
+					return err
+				}
+				if op != &w.single[0] {
+					w.ops = append([]batchOp(nil), w.ops...)
+					op = &w.ops[i]
+				}
+			}
+			ptr, err := db.appendVLog(r, op.key, op.value)
+			if err != nil {
+				db.discardSeparated(w.ops[:i])
+				return err
+			}
+			op.kind, op.value = memtable.KindValuePtr, encoding.AppendValuePointer(nil, ptr)
+			moved++
+		}
+		w.bytes += len(op.key) + len(op.value) + 16
+	}
+	return nil
+}
+
+// discardSeparated marks the value-log copy behind every pointer op as
+// garbage for GC to reclaim: the commit that would have made it reachable
+// failed. Callers stage only Puts and Deletes, so every pointer in ops is
+// one separateOps appended.
+func (db *DB) discardSeparated(ops []batchOp) {
+	for _, op := range ops {
+		if op.kind != memtable.KindValuePtr {
+			continue
+		}
+		if ptr, err := encoding.DecodeValuePointer(op.value); err == nil {
+			db.vlog.MarkDiscard(ptr.Seg, int64(ptr.Len))
+		}
+	}
 }
 
 // preSeparateStallCheck fails a NoStallWait write before it pays the
-// value-log append: the group path would reject it at the queue anyway,
-// and the appended value would be instant garbage.
-func (db *DB) preSeparateStallCheck(wo WriteOptions) error {
-	if !wo.NoStallWait || db.opt.DisableGroupCommit {
+// value-log append: the group queue would reject it anyway, and the
+// appended value would be instant garbage.
+func (db *DB) preSeparateStallCheck(noStall bool) error {
+	if !noStall {
 		return nil
 	}
 	db.mu.Lock()
@@ -67,8 +117,9 @@ func (db *DB) appendVLog(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 	return ptr, err
 }
 
-// derefPointer resolves a KindValuePtr entry's value bytes.
-func (db *DB) derefPointer(r *vclock.Runner, pv []byte) ([]byte, error) {
+// derefPointer resolves the value bytes behind key's KindValuePtr entry;
+// the value log checks the record it finds there is key's own.
+func (db *DB) derefPointer(r *vclock.Runner, key, pv []byte) ([]byte, error) {
 	ptr, err := encoding.DecodeValuePointer(pv)
 	if err != nil {
 		return nil, err
@@ -80,7 +131,7 @@ func (db *DB) derefPointer(r *vclock.Runner, pv []byte) ([]byte, error) {
 	db.stats.VLogDerefs++
 	db.mu.Unlock()
 	sp := db.opt.Trace.Begin(r, trace.PhaseVLogRead, "vlog-read")
-	v, err := db.vlog.ReadValue(r, ptr)
+	v, err := db.vlog.ReadValue(r, ptr, key)
 	sp.EndArg(r, int64(len(v)))
 	return v, err
 }
@@ -269,31 +320,17 @@ func (db *DB) pointerLive(r *vclock.Runner, key []byte, ptr encoding.ValuePointe
 	return derr == nil && cur == ptr, nil
 }
 
-// rewriteForGC re-appends one live value to the head segment and commits
-// the fresh pointer through the write path, bypassing the gate (the GC
-// holds it) and flagged internal so it does not count as a user write.
+// rewriteForGC commits one live value again through the write path:
+// flagged internal, so it is re-appended to the head segment whatever its
+// size, skips the gate (the GC holds it), counts as GC work rather than a
+// user write, and never waits out a stall.
 func (db *DB) rewriteForGC(r *vclock.Runner, key, value []byte) error {
 	if db.testHookGCRewrite != nil {
 		db.testHookGCRewrite(key)
 	}
-	ptr, err := db.appendVLog(r, key, value)
-	if err != nil {
-		return err
-	}
-	pv := encoding.AppendValuePointer(nil, ptr)
-	wo := WriteOptions{NoStallWait: true}
-	if db.opt.DisableGroupCommit {
-		err = db.writeLegacy(r, wo, memtable.KindValuePtr, key, pv, int64(len(value)), true)
-	} else {
-		w := &groupWriter{bytes: len(key) + len(pv) + 16, noStall: true, internal: true, userBytes: int64(len(value))}
-		w.single[0] = batchOp{kind: memtable.KindValuePtr, key: key, value: pv}
-		w.ops = w.single[:1]
-		err = db.commitThroughGroup(r, w)
-	}
-	if err != nil {
-		db.vlog.MarkDiscard(ptr.Seg, int64(ptr.Len))
-	}
-	return err
+	w := newPointWriter(WriteOptions{NoStallWait: true}, memtable.KindPut, key, value)
+	w.internal, w.userBytes = true, int64(len(value))
+	return db.commit(r, w)
 }
 
 // syncForVLogGC makes every rewrite durable: the value log first, then

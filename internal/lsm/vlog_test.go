@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"kvaccel/internal/faults"
 	"kvaccel/internal/fs"
@@ -533,4 +534,83 @@ func TestVLogGCRewriteBatchSortedByKey(t *testing.T) {
 		}
 	})
 	clk.Wait()
+}
+
+// TestVLogConcurrentWritersReadOwnValues is the regression for chunks
+// reaching the write-back queue out of offset order: 8 writers appending
+// 4 KiB values to the same segments, with chunks cut on nearly every
+// append and a queue shallow enough that pushes park. Every key must read
+// back its own value while the bytes are still in memory, once they are
+// durable, and after a Reopen.
+func TestVLogConcurrentWritersReadOwnValues(t *testing.T) {
+	const writers, perWriter = 8, 60
+	opt := smallOpts()
+	opt.ValueThreshold = 1024
+	opt.VLogSegmentSize = 64 << 10 // ~30 segments over the run
+	opt.WALChunkSize = 4 << 10
+	opt.WALQueueDepth = 2
+	wkey := func(w, i int) []byte { return key(w*100000 + i) }
+	wval := func(w, i int) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("w%d#%04d|", w, i)), 512) // 4 KiB, unique per key
+	}
+	checkAll := func(r *vclock.Runner, db *DB, stage string) {
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				v, ok, err := db.Get(r, wkey(w, i))
+				if err != nil || !ok || !bytes.Equal(v, wval(w, i)) {
+					t.Errorf("%s: writer %d key %d: ok=%v err=%v own-value=%v", stage, w, i, ok, err, bytes.Equal(v, wval(w, i)))
+					return
+				}
+			}
+		}
+	}
+
+	clk := vclock.New()
+	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20, perPage: 20 * time.Microsecond})
+	release := clk.Hold()
+	db := Open(clk, fsys, opt)
+	var wg vclock.WaitGroup
+	wg.Add(writers)
+	for w := 0; w < writers; w++ {
+		w := w
+		clk.Go(fmt.Sprintf("writer%d", w), func(r *vclock.Runner) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := db.Put(r, wkey(w, i), wval(w, i)); err != nil {
+					t.Errorf("writer %d put %d: %v", w, i, err)
+					return
+				}
+			}
+		})
+	}
+	clk.Go("checker", func(r *vclock.Runner) {
+		wg.Wait(r)
+		checkAll(r, db, "before flush")
+		if err := db.Flush(r); err != nil {
+			t.Errorf("flush: %v", err)
+		}
+		db.WaitIdle(r)
+		checkAll(r, db, "durable")
+		if n := db.Stats().VLogSegments; n < 4 {
+			t.Errorf("only %d vlog segments; the test wants several", n)
+		}
+		db.Close()
+	})
+	release()
+	clk.Wait()
+	if t.Failed() {
+		return
+	}
+
+	clk2 := vclock.New()
+	clk2.Go("reopen", func(r *vclock.Runner) {
+		db2, err := Reopen(r, clk2, fsys, opt)
+		if err != nil {
+			t.Errorf("reopen: %v", err)
+			return
+		}
+		defer db2.Close()
+		checkAll(r, db2, "after reopen")
+	})
+	clk2.Wait()
 }

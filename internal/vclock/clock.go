@@ -57,9 +57,11 @@ type Clock struct {
 	parked  map[*Runner]string // runners parked on conditions (not timers), with a state label
 	done    chan struct{}      // closed when the last runner exits
 	stopped bool
+	suspect uint64 // deadlock suspicions raised so far (confirmDeadlock)
 
 	// OnDeadlock, if non-nil, is invoked instead of panicking when every
-	// runner is parked on a condition and no timer is pending. Tests use it.
+	// runner has stayed parked on a condition with no timer pending for
+	// deadlockGrace. Tests use it.
 	OnDeadlock func(report string)
 }
 
@@ -288,17 +290,14 @@ func (c *Clock) maybeAdvanceLocked() {
 			if c.total == 0 {
 				return // simulation drained
 			}
-			report := c.deadlockReportLocked()
-			if h := c.OnDeadlock; h != nil {
-				c.stopped = true
-				// Release the lock for the handler? Keep it simple: call
-				// without the lock to let the handler inspect the clock.
-				c.mu.Unlock()
-				h(report)
-				c.mu.Lock()
-				return
-			}
-			panic(report)
+			// Every runner is parked and nothing is due: a deadlock, unless
+			// a goroutine the clock cannot see (a test or main between
+			// Open and its first Go, say) is about to register a runner or
+			// signal one. Give it deadlockGrace of wall time to do so.
+			c.suspect++
+			gen := c.suspect
+			time.AfterFunc(deadlockGrace, func() { c.confirmDeadlock(gen) })
+			return
 		}
 		// Jump to the earliest deadline and wake every timer due at it, in
 		// seq order for determinism. Conditional timers whose runner was
@@ -326,6 +325,32 @@ func (c *Clock) maybeAdvanceLocked() {
 			return
 		}
 	}
+}
+
+// deadlockGrace is how long, in wall time, an all-parked clock with no
+// pending timer may sit before it is reported as deadlocked.
+const deadlockGrace = 200 * time.Millisecond
+
+// confirmDeadlock reports suspicion gen if the clock has not moved since:
+// any later transition to "nothing runnable" raised a newer suspicion
+// (or drained the simulation), and any wake or registration left a
+// runner active.
+func (c *Clock) confirmDeadlock(gen uint64) {
+	c.mu.Lock()
+	if gen != c.suspect || c.active > 0 || c.total == 0 || c.stopped {
+		c.mu.Unlock()
+		return
+	}
+	report := c.deadlockReportLocked()
+	c.stopped = true
+	// Report without the lock: the handler may inspect the clock, and a
+	// panic must not leave c.mu held under goroutines that still need it.
+	c.mu.Unlock()
+	if h := c.OnDeadlock; h != nil {
+		h(report)
+		return
+	}
+	panic(report)
 }
 
 func (c *Clock) deadlockReportLocked() string {

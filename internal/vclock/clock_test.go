@@ -1,6 +1,10 @@
 package vclock
 
 import (
+	"context"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,8 +163,8 @@ func TestDeadlockDetection(t *testing.T) {
 			cond.Wait(r) // nobody will ever signal
 			mu.Unlock()
 		})
-		// The deadlock handler fires from within the runner's park; give
-		// it a moment and then verify.
+		// The deadlock handler fires once the grace period has passed;
+		// give it a moment and then verify.
 		deadline := time.Now().Add(5 * time.Second)
 		for report.Load() == nil && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
@@ -506,5 +510,45 @@ func TestHoldReleaseIdempotent(t *testing.T) {
 	clk.Wait()
 	if now := clk.Now(); now != Time(time.Millisecond) {
 		t.Errorf("clock at %v, want 1ms", now)
+	}
+}
+
+// TestDeadlockPanicFailsFast checks the no-handler path: a deadlocked
+// clock must kill the process within a second with the parked-runner
+// table, not hang until go test's timeout. The panic is not on the test's
+// goroutine, so the deadlock runs in a re-executed copy of the test binary.
+func TestDeadlockPanicFailsFast(t *testing.T) {
+	const childEnv = "VCLOCK_DEADLOCK_CHILD"
+	if os.Getenv(childEnv) == "1" {
+		c := New()
+		var mu sync.Mutex
+		cond := NewCond(&mu, "never-signaled")
+		for _, name := range []string{"stuck-a", "stuck-b"} {
+			c.Go(name, func(r *Runner) {
+				mu.Lock()
+				cond.Wait(r) // nobody will ever signal
+				mu.Unlock()
+			})
+		}
+		c.Wait()
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestDeadlockPanicFailsFast$")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	start := time.Now()
+	out, err := cmd.CombinedOutput()
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatalf("deadlocked child exited cleanly:\n%s", out)
+	}
+	if elapsed >= time.Second {
+		t.Errorf("deadlocked child took %v to die, want < 1s", elapsed)
+	}
+	for _, want := range []string{"vclock: deadlock", "stuck-a: never-signaled", "stuck-b: never-signaled"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("child output lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -178,6 +178,15 @@ type Manager struct {
 	// (segment, offset). Nil when Options.ReadCacheBytes is 0.
 	rcache *sstable.BlockCache
 
+	// Write-back lane: chunks must enter the queue in offset order or the
+	// segment file ends up permuted against the pointers handed out, but
+	// Push can park, so it runs outside m.mu. A caller that cuts chunks
+	// takes pushTail++ in the same critical section and pushes only once
+	// pushHead reaches its ticket (lsm's walHead/walTail idiom).
+	pushTail uint64
+	pushHead uint64
+	pushTurn *vclock.Cond
+
 	queue *vclock.Queue[wbChunk]
 }
 
@@ -189,6 +198,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 		m.rcache = sstable.NewBlockCache(opt.ReadCacheBytes)
 	}
 	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
+	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
 	clk.Go("vlog.writeback", m.writeback)
 	return m
@@ -207,6 +217,7 @@ func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Optio
 		m.rcache = sstable.NewBlockCache(opt.ReadCacheBytes)
 	}
 	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
+	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
 
 	discard := make(map[uint32]int64, len(ms.Segments))
@@ -322,11 +333,31 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 		m.head = nil // next Append opens a fresh segment
 	}
 	ptr := encoding.ValuePointer{Seg: seg.id, Off: uint32(off), Len: uint32(frameLen)}
+	if len(chunks) == 0 {
+		m.mu.Unlock()
+		return ptr, nil
+	}
+	m.pushInOrderLocked(r, chunks...)
+	return ptr, nil
+}
+
+// pushInOrderLocked hands chunks just cut under m.mu to the writeback
+// queue behind every chunk cut before them. Called with m.mu held;
+// returns with it released.
+func (m *Manager) pushInOrderLocked(r *vclock.Runner, chunks ...wbChunk) {
+	ticket := m.pushTail
+	m.pushTail++
+	for m.pushHead != ticket {
+		m.pushTurn.Wait(r)
+	}
 	m.mu.Unlock()
 	for _, c := range chunks {
 		m.queue.Push(r, c)
 	}
-	return ptr, nil
+	m.mu.Lock()
+	m.pushHead++
+	m.mu.Unlock()
+	m.pushTurn.Broadcast()
 }
 
 // Sync flushes the head's partial buffer and parks r until every queued
@@ -339,8 +370,7 @@ func (m *Manager) Sync(r *vclock.Runner) error {
 		chunk := wbChunk{seg: seg.id, data: seg.mem[seg.queued:seg.size]}
 		seg.queued = seg.size
 		m.pending++
-		m.mu.Unlock()
-		m.queue.Push(r, chunk)
+		m.pushInOrderLocked(r, chunk)
 		m.mu.Lock()
 	}
 	for m.pending > 0 {
@@ -351,12 +381,20 @@ func (m *Manager) Sync(r *vclock.Runner) error {
 	return err
 }
 
-// ReadValue dereferences ptr, returning the record's value bytes. Bytes
-// not yet written back are served from the segment's in-memory copy;
-// durable bytes read through the file system (and its page cache).
-func (m *Manager) ReadValue(r *vclock.Runner, ptr encoding.ValuePointer) ([]byte, error) {
-	_, v, err := m.readRecord(r, ptr)
-	return v, err
+// ReadValue dereferences key's pointer, returning the record's value
+// bytes. Bytes not yet written back are served from the segment's
+// in-memory copy; durable bytes read through the file system (and its
+// page cache). A frame that checks out but carries another key is
+// ErrCorrupt: a misplaced record must never read back as key's value.
+func (m *Manager) ReadValue(r *vclock.Runner, ptr encoding.ValuePointer, key []byte) ([]byte, error) {
+	k, v, err := m.readRecord(r, ptr)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(k, key) {
+		return nil, fmt.Errorf("vlog: pointer %d:%d+%d holds key %q, not %q: %w", ptr.Seg, ptr.Off, ptr.Len, k, key, encoding.ErrCorrupt)
+	}
+	return v, nil
 }
 
 // readRecord dereferences ptr into its (key, value) pair.
@@ -473,8 +511,8 @@ func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
 // pointer's bytes never became durable and the replayed record must be
 // dropped, exactly like a torn WAL tail.
 func (m *Manager) VerifyKey(r *vclock.Runner, ptr encoding.ValuePointer, key []byte) bool {
-	k, _, err := m.readRecord(r, ptr)
-	return err == nil && bytes.Equal(k, key)
+	_, err := m.ReadValue(r, ptr, key)
+	return err == nil
 }
 
 // Resolves reports whether ptr dereferences into a live segment's valid

@@ -67,7 +67,7 @@ func TestVLogAppendReadRoundTrip(t *testing.T) {
 		}
 		// Reads before write-back are served from memory.
 		for i, ptr := range ptrs {
-			v, err := m.ReadValue(r, ptr)
+			v, err := m.ReadValue(r, ptr, []byte(fmt.Sprintf("key%04d", i)))
 			if err != nil || len(v) != 200+i || v[0] != byte('a'+i%26) {
 				t.Fatalf("mem read %d: len=%d err=%v", i, len(v), err)
 			}
@@ -77,7 +77,7 @@ func TestVLogAppendReadRoundTrip(t *testing.T) {
 		}
 		// ... and after from the file system.
 		for i, ptr := range ptrs {
-			v, err := m.ReadValue(r, ptr)
+			v, err := m.ReadValue(r, ptr, []byte(fmt.Sprintf("key%04d", i)))
 			if err != nil || len(v) != 200+i {
 				t.Fatalf("fs read %d: len=%d err=%v", i, len(v), err)
 			}
@@ -127,7 +127,7 @@ func TestVLogRotationDiscardPickPunch(t *testing.T) {
 			t.Fatalf("SegmentEntries: n=%d err=%v", len(entries), err)
 		}
 		for _, e := range entries {
-			v, rerr := m.ReadValue(r, e.Ptr)
+			v, rerr := m.ReadValue(r, e.Ptr, e.Key)
 			if rerr != nil || !bytes.Equal(v, e.Value) {
 				t.Fatalf("entry re-read mismatch: %v", rerr)
 			}
@@ -139,7 +139,7 @@ func TestVLogRotationDiscardPickPunch(t *testing.T) {
 		if n := m.Punch(r, tail); n == 0 {
 			t.Fatal("punch reclaimed nothing")
 		}
-		if _, err := m.ReadValue(r, entries[0].Ptr); err != ErrSegmentGone {
+		if _, err := m.ReadValue(r, entries[0].Ptr, entries[0].Key); err != ErrSegmentGone {
 			t.Fatalf("read after punch = %v; want ErrSegmentGone", err)
 		}
 		if fsys.Exists(SegmentName(tail)) {
@@ -214,7 +214,7 @@ func TestVLogTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 			defer m2.Close()
 			// Every Sync-covered record must read back exactly.
 			for i := 0; i < synced; i++ {
-				v, rerr := m2.ReadValue(r, appended[i].ptr)
+				v, rerr := m2.ReadValue(r, appended[i].ptr, []byte(appended[i].key))
 				if rerr != nil || string(v) != appended[i].val {
 					t.Errorf("seed %d: synced record %d lost or corrupt: %v", seed, i, rerr)
 					return
@@ -223,7 +223,7 @@ func TestVLogTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 			// Whatever survives must be exactly what was appended there.
 			survived := 0
 			for _, a := range appended {
-				v, rerr := m2.ReadValue(r, a.ptr)
+				v, rerr := m2.ReadValue(r, a.ptr, []byte(a.key))
 				if rerr == nil {
 					if string(v) != a.val {
 						t.Errorf("seed %d: record at %v surfaced wrong bytes", seed, a.ptr)

@@ -74,14 +74,9 @@ type Options struct {
 	Rollback RollbackScheme
 	// EnableRedirection turns the write accelerator on (true is
 	// KVACCEL; false degrades to plain RocksDB-like behaviour — the
-	// ablation baseline).
+	// ablation baseline). With it on, a write the Main-LSM would park in
+	// a hard stall fails over to the Dev-LSM immediately instead.
 	EnableRedirection bool
-	// DisableGroupCommit routes Main-LSM writes through the legacy
-	// one-record-one-WAL-append path instead of the group-commit write
-	// pipeline — the A/B escape hatch the bench sweep measures against.
-	// It also disables the pipeline's stall-failover admission (a
-	// would-stall write redirecting immediately instead of parking).
-	DisableGroupCommit bool
 	// ValueThreshold enables WiscKey-style value separation in the
 	// Main-LSM: Put values at least this many bytes long live in an
 	// append-only value log and the LSM carries a 13-byte pointer, so
@@ -220,7 +215,6 @@ func (opt Options) engineOptions(pool *cpu.Pool, shards int64) lsm.Options {
 	lopt.L0StopTrigger = 36
 	lopt.CompactionThreads = opt.CompactionThreads
 	lopt.EnableSlowdown = false // KVACCEL redirects instead of throttling
-	lopt.DisableGroupCommit = opt.DisableGroupCommit
 	lopt.ValueThreshold = opt.ValueThreshold
 	lopt.VLogGCDiscardRatio = opt.VLogGCDiscardRatio
 	lopt.WALChunkSize = 256 << 10
@@ -241,9 +235,8 @@ func (opt Options) coreOptions() core.Options {
 	if opt.DetectorPeriod > 0 {
 		copt.DetectorPeriod = opt.DetectorPeriod
 	}
-	// The stall failover rides on the group-commit pipeline's admission
-	// control, and only makes sense when the accelerator is on.
-	copt.StallFailover = opt.EnableRedirection && !opt.DisableGroupCommit
+	// The stall failover only makes sense when the accelerator is on.
+	copt.StallFailover = opt.EnableRedirection
 	copt.FrontCacheBytes = opt.FrontCacheBytes
 	copt.FrontCacheNegative = opt.FrontCacheNegative
 	copt.FrontCacheDoorkeeper = opt.FrontCacheDoorkeeper
