@@ -349,7 +349,7 @@ func (d *DevLSM) Flush(r *vclock.Runner) error {
 	fsp := d.cfg.Trace.Begin(r, trace.PhaseDevLSMFlush, "devlsm-flush")
 	defer func() { fsp.EndArg(r, int64(mem.Count())) }()
 
-	ru, lpns := d.buildRun(r, mem.NewIterator())
+	ru, lpns := d.buildRun(r, mem.NewIterator(), int(mem.ApproximateSize()))
 	if ru == nil {
 		return nil
 	}
@@ -367,8 +367,10 @@ func (d *DevLSM) Flush(r *vclock.Runner) error {
 }
 
 // buildRun packs an iterator's records into page-aligned slabs, returning
-// the run and the LPNs it occupies (already allocated).
-func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator) (*run, []int) {
+// the run and the LPNs it occupies (already allocated). sizeHint is the
+// caller's upper estimate of the run's bytes; the data buffer is allocated
+// at that size when the first page is packed.
+func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (*run, []int) {
 	pageSize := d.f.PageSize()
 	ru := &run{}
 	var all []int
@@ -390,6 +392,9 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator) (*run, []int) {
 			length:   len(page),
 			lpns:     lpns,
 		})
+		if ru.data == nil {
+			ru.data = make([]byte, 0, sizeHint)
+		}
 		ru.data = append(ru.data, page...)
 		all = append(all, lpns...)
 		page = page[:0]
@@ -481,10 +486,12 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 	}
 	// Bulk-read every page of every input run.
 	var lpns []int
+	inputBytes := 0
 	for _, ru := range runs {
 		for _, pm := range ru.pages {
 			lpns = append(lpns, pm.lpns...)
 		}
+		inputBytes += len(ru.data)
 	}
 	_ = d.f.ReadMany(r, ftl.KVRegion, lpns) // firmware-internal: faults retried out of band
 
@@ -494,7 +501,7 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 	}
 	merged := iterkit.NewMerge(children)
 	dedup := &dedupIter{in: merged}
-	ru, newLPNs := d.buildRun(r, dedup)
+	ru, newLPNs := d.buildRun(r, dedup, inputBytes)
 
 	d.mu.Lock()
 	// Free old pages.

@@ -6,8 +6,8 @@ package encoding
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // ErrCorrupt is returned when a record fails structural or checksum
@@ -150,11 +150,16 @@ func DecodeValuePointer(b []byte) (ValuePointer, error) {
 	return p, nil
 }
 
-// FormatKey renders a db_bench-style fixed-width decimal key. width must
-// be at least the number of digits in n.
+// FormatKey appends a db_bench-style decimal key to dst: n zero-padded on
+// the left to width bytes. An n with more than width digits is written in
+// full, as fmt's "%0*d" would.
 func FormatKey(dst []byte, n uint64, width int) []byte {
-	s := fmt.Sprintf("%0*d", width, n)
-	return append(dst, s...)
+	var buf [20]byte // len(strconv.Itoa(math.MaxUint64))
+	digits := strconv.AppendUint(buf[:0], n, 10)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // Key16 returns a 16-byte db_bench key for n (db_bench's default key

@@ -2,6 +2,8 @@ package encoding
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +115,23 @@ func TestFormatKeySortOrder(t *testing.T) {
 			t.Fatalf("Key16 not monotone at %d: %q >= %q", n, prev, cur)
 		}
 		prev = cur
+	}
+}
+
+// TestFormatKeyMatchesSprintf pins FormatKey byte for byte to the
+// fmt.Sprintf("%0*d") it replaced, including the width-too-small case
+// (all digits, no truncation), and checks that it appends to dst.
+func TestFormatKeyMatchesSprintf(t *testing.T) {
+	for width := 1; width <= 20; width++ {
+		for _, n := range []uint64{0, 9, 10, 1 << 63, math.MaxUint64} {
+			want := fmt.Sprintf("%0*d", width, n)
+			if got := FormatKey(nil, n, width); string(got) != want {
+				t.Errorf("FormatKey(nil, %d, %d) = %q, want %q", n, width, got, want)
+			}
+			if got := FormatKey([]byte("user"), n, width); string(got) != "user"+want {
+				t.Errorf("FormatKey(\"user\", %d, %d) = %q, want %q", n, width, got, "user"+want)
+			}
+		}
 	}
 }
 

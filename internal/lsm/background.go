@@ -142,6 +142,9 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (*FileMeta, error) {
 	it := mt.NewIterator()
 	b := sstable.NewBuilder(db.opt.builderOptions())
+	// The memtable counts 32 bytes of node overhead per entry, a data
+	// block 11 of record header: the footprint bounds the blocks.
+	b.SizeHint(int(mt.ApproximateSize()))
 	pendingCPU := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		e := it.Entry()

@@ -53,7 +53,12 @@ func Merge(it iterkit.Iterator, p MergeParams) error {
 	if charge == nil {
 		charge = func(int) {}
 	}
-	b := sstable.NewBuilder(p.Builder)
+	newBuilder := func() *sstable.Builder {
+		b := sstable.NewBuilder(p.Builder)
+		b.SizeHint(int(p.MaxFileSize)) // a table is cut as its data blocks cross it
+		return b
+	}
+	b := newBuilder()
 	emit := func() error {
 		if b.Entries() == 0 {
 			return nil
@@ -65,7 +70,7 @@ func Merge(it iterkit.Iterator, p MergeParams) error {
 		if err := p.Emit(data, meta); err != nil {
 			return err
 		}
-		b = sstable.NewBuilder(p.Builder)
+		b = newBuilder()
 		return nil
 	}
 

@@ -51,6 +51,7 @@ func DefaultBuilderOptions() BuilderOptions {
 type Builder struct {
 	opt        BuilderOptions
 	buf        []byte // file bytes so far (data blocks)
+	sizeHint   int    // expected bytes of data blocks; see SizeHint
 	block      []byte // current data block
 	index      []byte // index block under construction
 	blockFirst []byte
@@ -68,6 +69,13 @@ func NewBuilder(opt BuilderOptions) *Builder {
 	}
 	return &Builder{opt: opt}
 }
+
+// SizeHint tells the builder how many bytes of data blocks (records with
+// their headers) to expect, so the file buffer is allocated once, when
+// the first block is flushed, instead of growing by doubling. The builder
+// adds room for index, filter and footer. A low or missing hint only
+// costs the regrowth.
+func (b *Builder) SizeHint(n int) { b.sizeHint = n }
 
 // Add appends one record. Records must arrive in strictly increasing
 // internal-key order (user key ascending, seq descending within a key).
@@ -111,6 +119,11 @@ func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) 
 func (b *Builder) flushBlock() {
 	if len(b.block) == 0 {
 		return
+	}
+	if b.buf == nil && b.sizeHint > 0 {
+		// Index and filter: about 25 bytes per block and BloomBits per key,
+		// under a sixteenth of the data even for 20-byte records.
+		b.buf = make([]byte, 0, b.sizeHint+b.sizeHint/16+footerSize)
 	}
 	off := len(b.buf)
 	b.buf = append(b.buf, b.block...)

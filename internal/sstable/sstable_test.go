@@ -377,3 +377,40 @@ func TestVersionsStraddlingBlockBoundary(t *testing.T) {
 		}
 	})
 }
+
+// TestSizeHintOnlyPresizes checks that a hint changes nothing but the
+// buffer's allocation: the same bytes come out with no hint, a hint far
+// too low and a sufficient one, and with the sufficient one the buffer
+// allocated up front is the one returned (index, filter and footer fit
+// in the room the builder adds).
+func TestSizeHintOnlyPresizes(t *testing.T) {
+	build := func(hint int) []byte {
+		b := NewBuilder(DefaultBuilderOptions())
+		if hint > 0 {
+			b.SizeHint(hint)
+		}
+		for i := 0; i < 2000; i++ {
+			key := []byte(fmt.Sprintf("key%05d", i))
+			if err := b.Add(key, uint64(i+1), memtable.KindPut, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, _, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain := build(0)
+	if low := build(64); !bytes.Equal(low, plain) {
+		t.Error("a low size hint changed the table's bytes")
+	}
+	const hint = 256 << 10
+	sized := build(hint)
+	if !bytes.Equal(sized, plain) {
+		t.Error("a size hint changed the table's bytes")
+	}
+	if want := hint + hint/16 + footerSize; cap(sized) != want {
+		t.Errorf("table buffer has capacity %d, want the %d allocated up front (it was regrown)", cap(sized), want)
+	}
+}

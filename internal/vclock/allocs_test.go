@@ -1,0 +1,278 @@
+package vclock
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// raceEnabled is set by race_test.go when the race detector is on: its
+// instrumentation allocates, so allocation counts mean nothing.
+var raceEnabled bool
+
+// wantNoAllocs runs cycle repeatedly from a runner of a fresh clock,
+// beside whatever partner runners setup starts, and fails if the process
+// allocates at all in steady state (testing.AllocsPerRun counts every
+// goroutine's allocations, the partners' included). stop, if non-nil,
+// must make the partners return.
+func wantNoAllocs(t *testing.T, setup func(c *Clock, r *Runner) (cycle, stop func())) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c := New()
+	var allocs float64
+	c.Go("measured", func(r *Runner) {
+		cycle, stop := setup(c, r)
+		for i := 0; i < 8; i++ {
+			cycle() // let waiter lists, the timer heap and queues reach their steady size
+		}
+		allocs = testing.AllocsPerRun(200, cycle)
+		if stop != nil {
+			stop()
+		}
+	})
+	c.Wait()
+	if allocs != 0 {
+		t.Errorf("%v allocations per cycle in steady state, want 0", allocs)
+	}
+}
+
+func TestAllocsSleep(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		return func() { r.Sleep(time.Microsecond) }, nil
+	})
+}
+
+func TestAllocsCondPingPong(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		var mu sync.Mutex
+		ping, pong := NewCond(&mu, "ping"), NewCond(&mu, "pong")
+		ball, stopped := false, false // ball: the partner's turn
+		c.Go("partner", func(p *Runner) {
+			for {
+				mu.Lock()
+				for !ball && !stopped {
+					ping.Wait(p)
+				}
+				if stopped {
+					mu.Unlock()
+					return
+				}
+				ball = false
+				mu.Unlock()
+				pong.Signal()
+			}
+		})
+		cycle := func() {
+			mu.Lock()
+			ball = true
+			mu.Unlock()
+			ping.Signal()
+			mu.Lock()
+			for ball {
+				pong.Wait(r)
+			}
+			mu.Unlock()
+		}
+		stop := func() {
+			mu.Lock()
+			stopped = true
+			mu.Unlock()
+			ping.Signal()
+		}
+		return cycle, stop
+	})
+}
+
+func TestAllocsCondBroadcast(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		var mu sync.Mutex
+		cond := NewCond(&mu, "round")
+		round, stopped := 0, false
+		for i := 0; i < 8; i++ {
+			c.Go("waiter", func(w *Runner) {
+				seen := 0
+				for {
+					mu.Lock()
+					for round == seen && !stopped {
+						cond.Wait(w)
+					}
+					seen = round
+					mu.Unlock()
+					if stopped {
+						return
+					}
+				}
+			})
+		}
+		cycle := func() {
+			mu.Lock()
+			round++
+			mu.Unlock()
+			cond.Broadcast()
+			r.Sleep(time.Microsecond) // returns once all eight have parked again
+		}
+		stop := func() {
+			mu.Lock()
+			stopped = true
+			mu.Unlock()
+			cond.Broadcast()
+		}
+		return cycle, stop
+	})
+}
+
+// contended measures what n partner runners allocate while they call use
+// in a loop among themselves; the measured runner only lets virtual time
+// pass. (It must not compete: admission is broadcast-and-recheck, so a
+// particular contender may lose every race.)
+func contended(t *testing.T, n int, use func(i int, p *Runner)) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		var stopped atomic.Bool
+		for i := 0; i < n; i++ {
+			c.Go("partner", func(p *Runner) {
+				for !stopped.Load() {
+					use(i, p)
+				}
+			})
+		}
+		return func() { r.Sleep(10 * time.Microsecond) }, func() { stopped.Store(true) }
+	})
+}
+
+func TestAllocsSemaphoreContended(t *testing.T) {
+	sem := NewSemaphore(1, "sem")
+	contended(t, 4, func(_ int, p *Runner) {
+		sem.Acquire(p, 1)
+		p.Sleep(time.Microsecond)
+		sem.Release(1)
+	})
+}
+
+func TestAllocsResourceUse(t *testing.T) {
+	res := NewResource(1, "res")
+	contended(t, 4, func(_ int, p *Runner) { res.Use(p, time.Microsecond) })
+}
+
+func TestAllocsResourceUseBackground(t *testing.T) {
+	res := NewResource(1, "res")
+	var bgUses atomic.Int64
+	contended(t, 2, func(i int, p *Runner) {
+		if i == 0 {
+			// The foreground caller leaves gaps: background work is
+			// admitted only while no foreground caller is queued.
+			res.Use(p, 2*time.Microsecond)
+			p.Sleep(time.Microsecond)
+			return
+		}
+		res.UseBackground(p, 2*time.Microsecond)
+		bgUses.Add(1)
+	})
+	if !raceEnabled && bgUses.Load() < 100 {
+		t.Errorf("background caller was admitted %d times; the gate did not exercise its wait path", bgUses.Load())
+	}
+}
+
+func TestAllocsEventWaitForTimeout(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		ev := NewEvent("never")
+		return func() {
+			if ev.WaitFor(r, time.Microsecond) {
+				t.Error("unset event reported set")
+			}
+		}, nil
+	})
+}
+
+func TestAllocsQueuePushPop(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		q := NewQueue[int](4, "q")
+		c.Go("consumer", func(p *Runner) {
+			for {
+				if _, ok := q.Pop(p); !ok {
+					return
+				}
+			}
+		})
+		return func() { q.Push(r, 1) }, q.Close
+	})
+}
+
+// TestVacatedSlotsAreCleared is the regression test for exited runners
+// staying reachable from backing arrays: the timer heap, the waiter and
+// item rings and Event's waiter list must zero every slot they give up.
+func TestVacatedSlotsAreCleared(t *testing.T) {
+	r := &Runner{}
+
+	var h timerHeap
+	for i := 0; i < 9; i++ {
+		h.push(timer{at: Time(9 - i), seq: uint64(i), r: r})
+	}
+	for len(h) > 0 {
+		h.pop()
+	}
+	for i, tm := range h[:cap(h)] {
+		if tm.r != nil {
+			t.Errorf("timer heap slot %d still holds a runner after pop", i)
+		}
+	}
+
+	var f fifo[*Runner]
+	for round := 0; round < 3; round++ { // wraps around, then grows
+		for i := 0; i < 3+2*round; i++ {
+			f.push(r)
+		}
+		for f.n > 0 {
+			f.pop()
+		}
+	}
+	for i, p := range f.buf {
+		if p != nil {
+			t.Errorf("fifo slot %d still holds a runner after pop", i)
+		}
+	}
+
+	c := New()
+	ev := NewEvent("never")
+	release := c.Hold()
+	for i := 0; i < 3; i++ {
+		c.Go("waiter", func(w *Runner) { ev.WaitFor(w, time.Microsecond) })
+	}
+	release()
+	c.Wait()
+	for i, p := range ev.waiters[:cap(ev.waiters)] {
+		if p != nil {
+			t.Errorf("event waiter slot %d still holds a runner after its timeout", i)
+		}
+	}
+}
+
+// TestFifoOrderAcrossGrowth checks FIFO order while the ring wraps and
+// grows with its head anywhere.
+func TestFifoOrderAcrossGrowth(t *testing.T) {
+	var f fifo[int]
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 1+round%7; i++ {
+			f.push(next)
+			next++
+		}
+		for i := 0; i < 1+round%5 && f.n > 0; i++ {
+			if got := f.pop(); got != want {
+				t.Fatalf("round %d: popped %d, want %d", round, got, want)
+			}
+			want++
+		}
+	}
+	for f.n > 0 {
+		if got := f.pop(); got != want {
+			t.Fatalf("drain: popped %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d items, pushed %d", want, next)
+	}
+}

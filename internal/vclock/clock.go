@@ -8,8 +8,10 @@
 // earliest pending timer deadline and wakes the runners due at that instant.
 // This lets engine code (flush threads, compaction workers, device channel
 // servers) be written as natural blocking goroutine code while a simulated
-// 600-second experiment completes in real milliseconds, deterministically
-// enough for reproducible experiment shapes.
+// 600-second experiment completes in real milliseconds. When each runner
+// wakes is deterministic; the order in which runners woken at one instant
+// then run is the Go scheduler's (see Semaphore), so a seed reproduces an
+// experiment's shape, not its bytes.
 //
 // The one contract runners must obey: never block indefinitely on a raw Go
 // primitive (channel receive, sync.Mutex held across a park, ...). Short
@@ -20,10 +22,10 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,14 +50,14 @@ func (t Time) String() string { return Duration(t).String() }
 // one with New.
 type Clock struct {
 	mu      sync.Mutex
-	now     Time
-	seq     uint64 // tie-break for deterministic wake ordering
-	nextID  uint64 // runner ids, assigned in registration order
-	active  int    // registered runners currently runnable
-	total   int    // registered runners alive
+	now     atomic.Int64 // Time; stored under mu, loaded without it
+	seq     uint64       // tie-break for deterministic wake ordering
+	nextID  uint64       // runner ids, assigned in registration order
+	active  int          // registered runners currently runnable
+	total   int          // registered runners alive
 	timers  timerHeap
-	parked  map[*Runner]string // runners parked on conditions (not timers), with a state label
-	done    chan struct{}      // closed when the last runner exits
+	runners *Runner       // live runners, linked through Runner.next/prev (deadlock report)
+	done    chan struct{} // closed when the last runner exits
 	stopped bool
 	suspect uint64 // deadlock suspicions raised so far (confirmDeadlock)
 
@@ -67,18 +69,11 @@ type Clock struct {
 
 // New returns a Clock at virtual time zero.
 func New() *Clock {
-	return &Clock{
-		parked: make(map[*Runner]string),
-		done:   make(chan struct{}),
-	}
+	return &Clock{done: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Time { return Time(c.now.Load()) }
 
 // Runner is the handle a simulation goroutine uses to interact with its
 // Clock. Each Runner belongs to exactly one goroutine.
@@ -92,6 +87,12 @@ type Runner struct {
 	// been signalled and parked again, the stale timer's generation no
 	// longer matches and it must not fire.
 	gen uint64
+	// parked is set while the runner is parked on a condition (not a plain
+	// timer) and label says which, for the deadlock report. next and prev
+	// link the clock's live runners. All four are guarded by clock.mu.
+	parked     bool
+	label      string
+	next, prev *Runner
 	// traceCtx is a per-runner scratch slot owned by the tracing layer:
 	// the id of the innermost open trace span on this runner, so child
 	// spans (and cross-runner handoffs such as NVMe commands) can record
@@ -137,11 +138,25 @@ func (c *Clock) register(name string) *Runner {
 	c.total++
 	c.active++
 	c.nextID++
-	return &Runner{clock: c, name: name, id: c.nextID, wake: make(chan struct{}, 1)}
+	r := &Runner{clock: c, name: name, id: c.nextID, wake: make(chan struct{}, 1), next: c.runners}
+	if r.next != nil {
+		r.next.prev = r
+	}
+	c.runners = r
+	return r
 }
 
 func (c *Clock) unregister(r *Runner) {
 	c.mu.Lock()
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		c.runners = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	}
+	r.next, r.prev = nil, nil
 	c.total--
 	c.active--
 	last := c.total == 0
@@ -191,8 +206,14 @@ func (r *Runner) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
+	c.sleepLocked(r, c.Now().Add(d))
+}
+
+// sleepLocked parks r on a plain timer due at at. Called with c.mu held;
+// releases it.
+func (c *Clock) sleepLocked(r *Runner, at Time) {
 	c.seq++
-	heap.Push(&c.timers, timer{at: c.now.Add(d), seq: c.seq, r: r})
+	c.timers.push(timer{at: at, seq: c.seq, r: r})
 	c.active--
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -204,16 +225,10 @@ func (r *Runner) Sleep(d Duration) {
 func (r *Runner) SleepUntil(t Time) {
 	c := r.clock
 	c.mu.Lock()
-	at := t
-	if at < c.now {
-		at = c.now
+	if now := c.Now(); t < now {
+		t = now
 	}
-	c.seq++
-	heap.Push(&c.timers, timer{at: at, seq: c.seq, r: r})
-	c.active--
-	c.maybeAdvanceLocked()
-	c.mu.Unlock()
-	<-r.wake
+	c.sleepLocked(r, t)
 }
 
 // parkOn marks r parked on a condition described by label. The caller must
@@ -221,7 +236,7 @@ func (r *Runner) SleepUntil(t Time) {
 func (c *Clock) parkOn(r *Runner, label string) {
 	c.mu.Lock()
 	r.gen++
-	c.parked[r] = label
+	r.parked, r.label = true, label
 	c.active--
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -230,9 +245,9 @@ func (c *Clock) parkOn(r *Runner, label string) {
 // parkOnTimed is parkOn with a timeout backstop: a conditional timer is
 // pushed alongside the condition park, and whichever fires first wins.
 // The runner is woken exactly once — the timer pop skips runners no
-// longer in the parked map, and wakeParkedIfPresent skips runners the
-// timer already woke. The caller still blocks on <-r.wake itself (so it
-// can interleave its own bookkeeping, as Cond.Wait does with parkOn).
+// longer parked, and wakeParkedIfPresent skips runners the timer already
+// woke. The caller still blocks on <-r.wake itself (so it can interleave
+// its own bookkeeping, as Cond.Wait does with parkOn).
 func (c *Clock) parkOnTimed(r *Runner, label string, d Duration) {
 	c.mu.Lock()
 	if d < 0 {
@@ -240,8 +255,8 @@ func (c *Clock) parkOnTimed(r *Runner, label string, d Duration) {
 	}
 	r.gen++
 	c.seq++
-	heap.Push(&c.timers, timer{at: c.now.Add(d), seq: c.seq, r: r, cond: true, gen: r.gen})
-	c.parked[r] = label
+	c.timers.push(timer{at: c.Now().Add(d), seq: c.seq, r: r, cond: true, gen: r.gen})
+	r.parked, r.label = true, label
 	c.active--
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -251,28 +266,22 @@ func (c *Clock) parkOnTimed(r *Runner, label string, d Duration) {
 // call from any goroutine, runner or not. The target must currently be
 // parked via parkOn.
 func (c *Clock) wakeParked(r *Runner) {
-	c.mu.Lock()
-	if _, ok := c.parked[r]; !ok {
-		c.mu.Unlock()
+	if !c.wakeParkedIfPresent(r) {
 		panic("vclock: wakeParked on runner that is not condition-parked: " + r.name)
 	}
-	delete(c.parked, r)
-	c.active++
-	c.mu.Unlock()
-	r.wake <- struct{}{}
 }
 
 // wakeParkedIfPresent is wakeParked for condition parks that race a
 // timeout: when the runner's conditional timer fired first, the runner is
-// no longer in the parked map and the call is a no-op. It reports whether
-// it woke the runner.
+// no longer parked and the call is a no-op. It reports whether it woke
+// the runner.
 func (c *Clock) wakeParkedIfPresent(r *Runner) bool {
 	c.mu.Lock()
-	if _, ok := c.parked[r]; !ok {
+	if !r.parked {
 		c.mu.Unlock()
 		return false
 	}
-	delete(c.parked, r)
+	r.parked = false
 	c.active++
 	c.mu.Unlock()
 	r.wake <- struct{}{}
@@ -286,7 +295,7 @@ func (c *Clock) maybeAdvanceLocked() {
 		return
 	}
 	for {
-		if c.timers.Len() == 0 {
+		if len(c.timers) == 0 {
 			if c.total == 0 {
 				return // simulation drained
 			}
@@ -304,18 +313,18 @@ func (c *Clock) maybeAdvanceLocked() {
 		// already woken through its condition are stale: drop them without
 		// waking, and keep advancing if the whole batch was stale.
 		at := c.timers[0].at
-		c.now = at
+		c.now.Store(int64(at))
 		woke := 0
-		for c.timers.Len() > 0 && c.timers[0].at == at {
-			t := heap.Pop(&c.timers).(timer)
+		for len(c.timers) > 0 && c.timers[0].at == at {
+			t := c.timers.pop()
 			if t.cond {
-				// Stale if the runner was signalled (left the parked map) or
-				// was signalled and has since parked again (generation moved
-				// on) — either way the timeout lost its race.
-				if _, ok := c.parked[t.r]; !ok || t.r.gen != t.gen {
+				// Stale if the runner was signalled (no longer parked) or was
+				// signalled and has since parked again (generation moved on)
+				// — either way the timeout lost its race.
+				if !t.r.parked || t.r.gen != t.gen {
 					continue
 				}
-				delete(c.parked, t.r)
+				t.r.parked = false
 			}
 			c.active++
 			woke++
@@ -354,10 +363,12 @@ func (c *Clock) confirmDeadlock(gen uint64) {
 }
 
 func (c *Clock) deadlockReportLocked() string {
-	s := fmt.Sprintf("vclock: deadlock at t=%v: all %d runners parked with no pending timer; parked on:", c.now, c.total)
-	labels := make([]string, 0, len(c.parked))
-	for r, l := range c.parked {
-		labels = append(labels, fmt.Sprintf("\n  %s: %s", r.name, l))
+	s := fmt.Sprintf("vclock: deadlock at t=%v: all %d runners parked with no pending timer; parked on:", c.Now(), c.total)
+	var labels []string
+	for r := c.runners; r != nil; r = r.next {
+		if r.parked {
+			labels = append(labels, fmt.Sprintf("\n  %s: %s", r.name, r.label))
+		}
 	}
 	sort.Strings(labels)
 	for _, l := range labels {
@@ -374,21 +385,62 @@ type timer struct {
 	gen  uint64 // park generation the backstop belongs to (cond only)
 }
 
+// before orders timers by (at, seq). seq is unique, so the order is total
+// and the heap's pop order does not depend on its internal layout.
+func (t *timer) before(u *timer) bool {
+	if t.at != u.at {
+		return t.at < u.at
+	}
+	return t.seq < u.seq
+}
+
+// timerHeap is a binary min-heap of timers, earliest first.
 type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *timerHeap) push(t timer) {
+	s := append(*h, t)
+	*h = s
+	// Sift the hole at the end up to where t belongs.
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = t
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// pop removes and returns the earliest timer. The vacated slot is zeroed
+// so the backing array does not keep an exited runner reachable.
+func (h *timerHeap) pop() timer {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = timer{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	// Sift the hole at the root down to where the former last element belongs.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && s[child+1].before(&s[child]) {
+			child++
+		}
+		if !s[child].before(&last) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	s[i] = last
+	return top
 }

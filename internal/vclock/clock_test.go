@@ -53,9 +53,11 @@ func TestConcurrentSleepersWakeInOrder(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	release := c.Hold() // no runner may park, and time move, before all are registered
 	sleep("c", 3*time.Second)
 	sleep("a", 1*time.Second)
 	sleep("b", 2*time.Second)
+	release()
 	c.Wait()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("wake order = %v, want [a b c]", order)
@@ -81,12 +83,14 @@ func TestSleepUntil(t *testing.T) {
 func TestSameInstantWakesAll(t *testing.T) {
 	c := New()
 	var n atomic.Int32
+	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 10; i++ {
 		c.Go("r", func(r *Runner) {
 			r.Sleep(time.Second)
 			n.Add(1)
 		})
 	}
+	release()
 	c.Wait()
 	if n.Load() != 10 {
 		t.Fatalf("woke %d runners, want 10", n.Load())
@@ -183,6 +187,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	c := New()
 	sem := NewSemaphore(2, "sem")
 	var inside, maxInside atomic.Int32
+	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 6; i++ {
 		c.Go("worker", func(r *Runner) {
 			sem.Acquire(r, 1)
@@ -198,6 +203,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 			sem.Release(1)
 		})
 	}
+	release()
 	c.Wait()
 	if maxInside.Load() > 2 {
 		t.Fatalf("max concurrent holders = %d, want <= 2", maxInside.Load())
@@ -287,11 +293,13 @@ func TestQueueBackpressure(t *testing.T) {
 func TestResourceSerializesAndAccountsBusyTime(t *testing.T) {
 	c := New()
 	res := NewResource(1, "link")
+	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 4; i++ {
 		c.Go("xfer", func(r *Runner) {
 			res.Use(r, 250*time.Millisecond)
 		})
 	}
+	release()
 	c.Wait()
 	if c.Now() != Time(time.Second) {
 		t.Fatalf("4 serialized 250ms uses took %v, want 1s", c.Now())
@@ -304,11 +312,13 @@ func TestResourceSerializesAndAccountsBusyTime(t *testing.T) {
 func TestResourceParallelCapacity(t *testing.T) {
 	c := New()
 	res := NewResource(4, "cpu")
+	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 4; i++ {
 		c.Go("task", func(r *Runner) {
 			res.Use(r, time.Second)
 		})
 	}
+	release()
 	c.Wait()
 	if c.Now() != Time(time.Second) {
 		t.Fatalf("4 parallel uses on cap-4 resource took %v, want 1s", c.Now())
@@ -398,6 +408,7 @@ func TestManyRunnersManyEvents(t *testing.T) {
 	const runners = 50
 	const events = 200
 	var n atomic.Int64
+	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < runners; i++ {
 		d := time.Duration(i+1) * time.Millisecond
 		c.Go("r", func(r *Runner) {
@@ -407,6 +418,7 @@ func TestManyRunnersManyEvents(t *testing.T) {
 			}
 		})
 	}
+	release()
 	c.Wait()
 	if n.Load() != runners*events {
 		t.Fatalf("events = %d, want %d", n.Load(), runners*events)

@@ -1,6 +1,9 @@
 package vclock
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Event is a clock-aware, level-triggered flag: once Set, it stays set
 // and every past or future wait returns immediately. Its distinguishing
@@ -63,12 +66,10 @@ func (e *Event) WaitFor(r *Runner, d Duration) bool {
 	<-r.wake
 	e.mu.Lock()
 	// On the timeout path we are still registered; Set removes the
-	// runners it signals.
-	for i, w := range e.waiters {
-		if w == r {
-			e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-			break
-		}
+	// runners it signals. slices.Delete clears the tail slot it vacates, so
+	// the backing array, which the next WaitFor reuses, does not pin r.
+	if i := slices.Index(e.waiters, r); i >= 0 {
+		e.waiters = slices.Delete(e.waiters, i, i+1)
 	}
 	set := e.set
 	e.mu.Unlock()

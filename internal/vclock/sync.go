@@ -2,6 +2,37 @@ package vclock
 
 import "sync"
 
+// fifo is a queue over a ring buffer that grows by doubling and never
+// shrinks, so at a steady depth push and pop allocate nothing. pop zeroes
+// the slot it vacates: a popped *Runner (or queued item) is not kept
+// reachable by the backing array.
+type fifo[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		grown := make([]T, max(4, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+// pop removes and returns the oldest element; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return v
+}
+
 // Cond is a clock-aware condition variable. Unlike sync.Cond, waiting
 // runners are invisible to the Go scheduler but visible to the virtual
 // clock, so time can advance past them.
@@ -12,8 +43,8 @@ type Cond struct {
 	L     sync.Locker
 	label string
 
-	mu      sync.Mutex // protects waiters; ordered before Clock.mu nowhere (never held together)
-	waiters []*Runner
+	mu      sync.Mutex // protects waiters; taken before Clock.mu, never after
+	waiters fifo[*Runner]
 }
 
 // NewCond returns a Cond using locker l. label appears in deadlock reports.
@@ -30,7 +61,7 @@ func (c *Cond) Wait(r *Runner) {
 	// clock does not yet consider parked. Lock order everywhere in this
 	// file: Cond.mu, then Clock.mu.
 	c.mu.Lock()
-	c.waiters = append(c.waiters, r)
+	c.waiters.push(r)
 	r.clock.parkOn(r, c.label)
 	c.mu.Unlock()
 	// The wake channel is buffered, so a signal arriving before we block
@@ -44,10 +75,8 @@ func (c *Cond) Wait(r *Runner) {
 func (c *Cond) Signal() {
 	c.mu.Lock()
 	var r *Runner
-	if len(c.waiters) > 0 {
-		r = c.waiters[0]
-		copy(c.waiters, c.waiters[1:])
-		c.waiters = c.waiters[:len(c.waiters)-1]
+	if c.waiters.n > 0 {
+		r = c.waiters.pop()
 	}
 	c.mu.Unlock()
 	if r != nil {
@@ -55,19 +84,24 @@ func (c *Cond) Signal() {
 	}
 }
 
-// Broadcast wakes all waiting runners.
+// Broadcast wakes all waiting runners, longest-waiting first.
 func (c *Cond) Broadcast() {
+	// The wakes happen under c.mu so the waiter list can be drained in
+	// place and its backing array reused by the next Wait; a woken runner
+	// that waits again simply queues behind this call.
 	c.mu.Lock()
-	ws := c.waiters
-	c.waiters = nil
-	c.mu.Unlock()
-	for _, r := range ws {
+	for c.waiters.n > 0 {
+		r := c.waiters.pop()
 		r.clock.wakeParked(r)
 	}
+	c.mu.Unlock()
 }
 
-// Semaphore is a counting semaphore with FIFO admission, usable as a
-// resource pool (CPU cores, device dies, queue slots).
+// Semaphore is a counting semaphore, usable as a resource pool (CPU cores,
+// device dies, queue slots). Admission is broadcast-and-recheck, not FIFO:
+// Release wakes every waiter and the first to re-take the lock wins the
+// freed units, the rest park again. Which one that is depends on the Go
+// scheduler (on one P, usually the waiter woken last).
 type Semaphore struct {
 	mu    sync.Mutex
 	avail int
@@ -130,7 +164,7 @@ func (s *Semaphore) InUse() int {
 // are not needed by the simulator and complicate the kernel).
 type Queue[T any] struct {
 	mu       sync.Mutex
-	items    []T
+	items    fifo[T]
 	capacity int
 	closed   bool
 	notEmpty *Cond
@@ -152,14 +186,14 @@ func NewQueue[T any](capacity int, label string) *Queue[T] {
 // queue is closed.
 func (q *Queue[T]) Push(r *Runner, v T) {
 	q.mu.Lock()
-	for len(q.items) >= q.capacity && !q.closed {
+	for q.items.n >= q.capacity && !q.closed {
 		q.notFull.Wait(r)
 	}
 	if q.closed {
 		q.mu.Unlock()
 		panic("vclock: push on closed queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 }
@@ -167,11 +201,11 @@ func (q *Queue[T]) Push(r *Runner, v T) {
 // TryPush enqueues v if there is room, without blocking.
 func (q *Queue[T]) TryPush(v T) bool {
 	q.mu.Lock()
-	if q.closed || len(q.items) >= q.capacity {
+	if q.closed || q.items.n >= q.capacity {
 		q.mu.Unlock()
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 	return true
@@ -181,14 +215,11 @@ func (q *Queue[T]) TryPush(v T) bool {
 // queue is empty.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
 	q.mu.Lock()
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
 		q.mu.Unlock()
 		return v, false
 	}
-	v = q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = *new(T)
-	q.items = q.items[:len(q.items)-1]
+	v = q.items.pop()
 	q.mu.Unlock()
 	q.notFull.Signal()
 	return v, true
@@ -198,17 +229,14 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 // false when the queue is closed and drained.
 func (q *Queue[T]) Pop(r *Runner) (v T, ok bool) {
 	q.mu.Lock()
-	for len(q.items) == 0 && !q.closed {
+	for q.items.n == 0 && !q.closed {
 		q.notEmpty.Wait(r)
 	}
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
 		q.mu.Unlock()
 		return v, false
 	}
-	v = q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = *new(T)
-	q.items = q.items[:len(q.items)-1]
+	v = q.items.pop()
 	q.mu.Unlock()
 	q.notFull.Signal()
 	return v, true
@@ -218,7 +246,7 @@ func (q *Queue[T]) Pop(r *Runner) (v T, ok bool) {
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.items.n
 }
 
 // Close marks the queue closed; blocked Pops drain remaining items and then
@@ -240,6 +268,7 @@ type Resource struct {
 	mu     sync.Mutex
 	busyNS int64 // cumulative unit-nanoseconds of service
 	fgWait int   // foreground callers currently queued for admission
+	bgWait int   // background callers parked on bgCond
 	bgCond *Cond // background admission: re-checked on releases and fg departures
 }
 
@@ -262,14 +291,27 @@ func (res *Resource) Use(r *Runner, d Duration) {
 	res.sem.Acquire(r, 1)
 	res.mu.Lock()
 	res.fgWait--
+	bg := res.bgWait > 0
 	res.mu.Unlock()
-	res.bgCond.Broadcast() // a free unit may remain for a background waiter
+	if bg {
+		res.bgCond.Broadcast() // a free unit may remain for a background waiter
+	}
+	res.hold(r, d)
+}
+
+// hold keeps an admitted unit busy for d, releases it and lets background
+// waiters re-check. bgWait is read after the release and under res.mu, so
+// a background caller either sees the freed unit or is already counted.
+func (res *Resource) hold(r *Runner, d Duration) {
 	r.Sleep(d)
 	res.sem.Release(1)
 	res.mu.Lock()
 	res.busyNS += int64(d)
+	bg := res.bgWait > 0
 	res.mu.Unlock()
-	res.bgCond.Broadcast()
+	if bg {
+		res.bgCond.Broadcast()
+	}
 }
 
 // UseBackground occupies one unit for d like Use, but at background
@@ -285,15 +327,12 @@ func (res *Resource) UseBackground(r *Runner, d Duration) {
 	}
 	res.mu.Lock()
 	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
+		res.bgWait++
 		res.bgCond.Wait(r)
+		res.bgWait--
 	}
 	res.mu.Unlock()
-	r.Sleep(d)
-	res.sem.Release(1)
-	res.mu.Lock()
-	res.busyNS += int64(d)
-	res.mu.Unlock()
-	res.bgCond.Broadcast()
+	res.hold(r, d)
 }
 
 // Cap returns the resource's parallel capacity.

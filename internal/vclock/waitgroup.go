@@ -8,17 +8,11 @@ import "sync"
 type WaitGroup struct {
 	mu   sync.Mutex
 	n    int
-	cond *Cond
-	once sync.Once
-}
-
-func (wg *WaitGroup) init() {
-	wg.once.Do(func() { wg.cond = NewCond(&wg.mu, "waitgroup") })
+	cond Cond // L and label are set by the first Wait, under mu
 }
 
 // Add adds delta to the counter.
 func (wg *WaitGroup) Add(delta int) {
-	wg.init()
 	wg.mu.Lock()
 	wg.n += delta
 	if wg.n < 0 {
@@ -37,8 +31,10 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait parks r until the counter reaches zero.
 func (wg *WaitGroup) Wait(r *Runner) {
-	wg.init()
 	wg.mu.Lock()
+	if wg.cond.L == nil {
+		wg.cond.L, wg.cond.label = &wg.mu, "waitgroup"
+	}
 	for wg.n > 0 {
 		wg.cond.Wait(r)
 	}

@@ -98,6 +98,11 @@ func (l *Log) Append(r *vclock.Runner, payload []byte) error {
 		l.mu.Unlock()
 		return err
 	}
+	if l.buf == nil {
+		// A chunk is handed off by the record that takes it to ChunkSize:
+		// room for that much plus one record, allocated once.
+		l.buf = make([]byte, 0, l.opt.ChunkSize+8+len(payload))
+	}
 	l.buf = encoding.PutU32(l.buf, uint32(len(payload)))
 	l.buf = encoding.PutU32(l.buf, encoding.Checksum(payload))
 	l.buf = append(l.buf, payload...)
@@ -179,6 +184,7 @@ func (l *Log) BytesWritten() int64 {
 }
 
 func (l *Log) writeback(r *vclock.Runner) {
+	var more [][]byte // chunks queued behind the one popped; reused every round
 	for {
 		chunk, ok := l.queue.Pop(r)
 		if !ok {
@@ -187,15 +193,23 @@ func (l *Log) writeback(r *vclock.Runner) {
 		// Coalesce everything already queued into one large append, the
 		// way the kernel's writeback path batches dirty pages; large
 		// appends reach the device's full die parallelism.
-		batch := chunk
-		n := 1
+		total := len(chunk)
 		for {
-			more, ok := l.queue.TryPop()
+			c, ok := l.queue.TryPop()
 			if !ok {
 				break
 			}
-			batch = append(batch, more...)
-			n++
+			more = append(more, c)
+			total += len(c)
+		}
+		batch, n := chunk, 1+len(more)
+		if len(more) > 0 {
+			batch = append(make([]byte, 0, total), chunk...)
+			for _, c := range more {
+				batch = append(batch, c...)
+			}
+			clear(more) // do not pin the chunks until the next round
+			more = more[:0]
 		}
 		// fs.Append spends the block-path device time. A failed append
 		// leaves a hole in the log, so the error is sticky: no later
