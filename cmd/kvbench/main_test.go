@@ -1,0 +1,93 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"kvaccel/internal/trace"
+)
+
+// kvbench runs the CLI in-process and returns its exit code and output.
+func kvbench(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+func TestBadArgumentsExit2(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of stderr
+	}{
+		{[]string{"-engine", "bogus"}, `unknown engine "bogus"`},
+		{[]string{"-workload", "bogus"}, `unknown workload "bogus"`},
+		{[]string{"-rollback", "bogus"}, `unknown rollback scheme "bogus"`},
+		{[]string{"-engine", "kvaccel-sharded", "-trace", filepath.Join(t.TempDir(), "t.json")}, "not supported for kvaccel-sharded"},
+		{[]string{"-engine", "kvaccel-sharded", "-faults-seed", "7"}, "not supported for kvaccel-sharded"},
+		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+	}
+	for _, c := range cases {
+		code, stdout, stderr := kvbench(c.args...)
+		if code != 2 || !strings.Contains(stderr, c.want) || stdout != "" {
+			t.Errorf("kvbench %v: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr containing %q",
+				c.args, code, stdout, stderr, c.want)
+		}
+	}
+}
+
+func TestFillRandomOnEveryEngine(t *testing.T) {
+	for _, engine := range []string{"rocksdb", "adoc", "kvaccel", "kvaccel-sharded"} {
+		code, stdout, stderr := kvbench("-engine", engine, "-workload", "fillrandom", "-duration", "1s", "-shards", "2")
+		if code != 0 || stderr != "" {
+			t.Errorf("%s: exit %d, stderr %q", engine, code, stderr)
+			continue
+		}
+		var ops int64
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "writes") {
+				fmt.Sscanf(line, "writes : %d ops", &ops)
+			}
+		}
+		if ops <= 0 {
+			t.Errorf("%s: no writes line with ops > 0 in:\n%s", engine, stdout)
+		}
+		if sharded := engine == "kvaccel-sharded"; sharded != strings.Contains(stdout, "shard 1") {
+			t.Errorf("%s: per-shard lines present = %v, want %v", engine, !sharded, sharded)
+		}
+	}
+}
+
+// TestTraceOutputs traces a stalling fillrandom (stock engine, slowdown
+// off) and checks the summary reaches stdout and the file is a valid
+// Chrome trace.
+func TestTraceOutputs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	code, stdout, stderr := kvbench("-engine", "rocksdb", "-slowdown=false", "-duration", "2s",
+		"-trace", path, "-trace-summary", "-series")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{"\nstall report:", "\ntrace       : ", ".pcie-mbps"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q", want)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := trace.ValidateChromeTrace(data); err != nil || stats.SpanPairs == 0 {
+		t.Errorf("trace file: %+v, %v", stats, err)
+	}
+}
+
+func TestPowerCutTorturePasses(t *testing.T) {
+	code, stdout, stderr := kvbench("-power-cuts", "1")
+	if code != 0 || !strings.Contains(stdout, "all checks passed") {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s", code, stderr, stdout)
+	}
+}

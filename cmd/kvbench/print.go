@@ -2,66 +2,109 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"kvaccel/internal/core"
+	"kvaccel/internal/harness"
 	"kvaccel/internal/lsm"
 )
 
-// printEngineSummary prints the engine-counter block shared by the
-// single-engine and sharded front-ends — stall totals, compaction
-// counters, group-commit shape, and value-log activity — so a new line
-// (like vlog) shows up in both, in the same format, from one place.
-func printEngineSummary(m lsm.Stats, failover int64) {
-	fmt.Printf("stalls      : %d events (%v total), %d slowdowns\n",
+// printResult prints the db_bench-style summary of one run.
+func printResult(w io.Writer, res *harness.RunResult, faults bool) {
+	fmt.Fprintf(w, "\nwrites      : %d ops, %.2f Kops/s, %.1f MB/s\n", res.Rec.Writes(), res.WriteKops(), res.WriteMBps())
+	fmt.Fprintf(w, "write lat   : %s\n", res.Rec.WriteLatency)
+	if res.Rec.Reads() > 0 {
+		fmt.Fprintf(w, "reads       : %d ops, %.2f Kops/s\n", res.Rec.Reads(), res.ReadKops())
+		fmt.Fprintf(w, "read lat    : %s\n", res.Rec.ReadLatency)
+	}
+	if res.Rec.Scans() > 0 {
+		fmt.Fprintf(w, "scans       : %d ops, %.2f Kops/s\n", res.Rec.Scans(), res.ScanKops())
+		fmt.Fprintf(w, "scan lat    : %s\n", res.Rec.ScanLatency)
+	}
+	if res.CPUAvg > 0 {
+		fmt.Fprintf(w, "cpu         : %.1f%% avg  efficiency=%.3f MB/s per cpu%%\n", res.CPUAvg, res.Efficiency())
+	}
+	printEngineSummary(w, res.MainStats, res.WouldStallRedirects)
+	printReadAttribution(w, res.KVStats)
+	if res.Levels != "" {
+		fmt.Fprintf(w, "tree        : %s\n", res.Levels)
+	}
+	if res.Redirects > 0 || res.Rollbacks > 0 {
+		fmt.Fprintf(w, "kvaccel     : redirected=%d rollbacks=%d\n", res.Redirects, res.Rollbacks)
+	}
+	for i, s := range res.PerShard {
+		fmt.Fprintf(w, "shard %-6d: puts=%d redirected=%d rollbacks=%d stalls=%d stall-time=%v\n",
+			i, s.KVAccel.NormalPuts+s.KVAccel.RedirectedPuts, s.KVAccel.RedirectedPuts,
+			s.KVAccel.Rollbacks, s.Main.TotalStalls(), s.Main.StallTime)
+	}
+	if faults {
+		fmt.Fprintf(w, "faults      : injected=%d retried=%d failed=%d (dev-errors=%d)\n",
+			res.Injected, res.DevRetries, res.DevFailed, res.DevErrors)
+	}
+	for _, q := range res.Queues {
+		if q.Submitted > 0 {
+			fmt.Fprintf(w, "queue       : %s\n", q)
+		}
+	}
+}
+
+// printEngineSummary prints the engine-counter block: stall totals,
+// compaction counters, group-commit shape, value-log and read-path
+// activity.
+func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
+	fmt.Fprintf(w, "stalls      : %d events (%v total), %d slowdowns\n",
 		m.TotalStalls(), m.StallTime, m.Slowdowns)
-	fmt.Printf("engine      : flushes=%d compactions=%d write-amp=%.2f\n",
+	fmt.Fprintf(w, "engine      : flushes=%d compactions=%d write-amp=%.2f\n",
 		m.Flushes, m.Compactions, m.WriteAmplification())
+	if m.OffloadedCompactions > 0 || m.OffloadFallbacks > 0 {
+		fmt.Fprintf(w, "offload     : %d device merges (%.1f MB), %d fallbacks\n",
+			m.OffloadedCompactions, float64(m.OffloadedBytes)/1e6, m.OffloadFallbacks)
+	}
 	if m.GroupCommits > 0 {
-		fmt.Printf("groups      : %d commits, mean size %.2f, %.3f WAL appends/record, failover=%d\n",
+		fmt.Fprintf(w, "groups      : %d commits, mean size %.2f, %.3f WAL appends/record, failover=%d\n",
 			m.GroupCommits, m.MeanGroupSize(), m.WALAppendsPerRecord(), failover)
 	}
 	if m.VLogSegments > 0 || m.VLogBytes > 0 {
-		fmt.Printf("vlog        : segments=%d, %.1f MB written, gc-rewrites=%d, discard=%.1f MB, punched=%.1f MB\n",
+		fmt.Fprintf(w, "vlog        : segments=%d, %.1f MB written, gc-rewrites=%d, discard=%.1f MB, punched=%.1f MB\n",
 			m.VLogSegments, float64(m.VLogBytes)/1e6, m.VLogGCRewrites,
 			float64(m.VLogDiscardBytes)/1e6, float64(m.VLogPunchedBytes)/1e6)
 	}
 	if m.Gets > 0 {
-		fmt.Printf("reads-by    : memtable=%d imm=%d sst=%d miss=%d (of %d gets)\n",
+		fmt.Fprintf(w, "reads-by    : memtable=%d imm=%d sst=%d miss=%d (of %d gets)\n",
 			m.ReadsMemtable, m.ReadsImmutable, m.ReadsSST(), m.ReadMisses, m.Gets)
 	}
 	if m.BloomConsults > 0 {
-		fmt.Printf("bloom       : consults=%d negatives=%d false-pos=%d\n",
+		fmt.Fprintf(w, "bloom       : consults=%d negatives=%d false-pos=%d\n",
 			m.BloomConsults, m.BloomNegatives, m.BloomFalsePositives)
 	}
 	if m.BlockCacheHits+m.BlockCacheMisses > 0 {
-		fmt.Printf("block-cache : %.1f%% hit (%d/%d), evictions=%d\n",
+		fmt.Fprintf(w, "block-cache : %.1f%% hit (%d/%d), evictions=%d\n",
 			m.BlockCacheHitRate()*100, m.BlockCacheHits,
 			m.BlockCacheHits+m.BlockCacheMisses, m.BlockCacheEvictions)
 	}
 	if m.VLogReadCacheHits+m.VLogReadCacheMisses > 0 || m.VLogDerefs > 0 {
-		fmt.Printf("vlog-reads  : derefs=%d, read-cache hits=%d misses=%d\n",
+		fmt.Fprintf(w, "vlog-reads  : derefs=%d, read-cache hits=%d misses=%d\n",
 			m.VLogDerefs, m.VLogReadCacheHits, m.VLogReadCacheMisses)
 	}
 }
 
 // printReadAttribution prints the KVACCEL controller's read-side view —
 // the front-cache counters and the per-source attribution (front cache /
-// Dev-LSM / Main-LSM), shared by the single-engine and sharded
-// front-ends. A zero-valued Stats (baselines) prints nothing.
-func printReadAttribution(kv core.Stats) {
+// Dev-LSM / Main-LSM). A zero-valued Stats (baselines) prints nothing.
+func printReadAttribution(w io.Writer, kv core.Stats) {
 	if kv.FrontCacheHits+kv.FrontCacheMisses > 0 {
-		fmt.Printf("front-cache : %.1f%% hit (%d/%d), fills=%d rejected=%d invalidations=%d evictions=%d entries=%d\n",
+		fmt.Fprintf(w, "front-cache : %.1f%% hit (%d/%d), fills=%d rejected=%d invalidations=%d evictions=%d entries=%d\n",
 			kv.FrontCacheHitRate()*100, kv.FrontCacheHits,
 			kv.FrontCacheHits+kv.FrontCacheMisses, kv.FrontCacheFills,
 			kv.FrontCacheRejected, kv.FrontCacheInvalidations,
 			kv.FrontCacheEvictions, kv.FrontCacheEntries)
 		if kv.FrontCacheNegHits > 0 || kv.FrontCacheNegFills > 0 {
-			fmt.Printf("front-neg   : %d absent-key hits (neg-fills=%d)\n",
+			fmt.Fprintf(w, "front-neg   : %d absent-key hits (neg-fills=%d)\n",
 				kv.FrontCacheNegHits, kv.FrontCacheNegFills)
 		}
 	}
 	if kv.Gets > 0 {
-		fmt.Printf("read-src    : front-cache=%d dev-lsm=%d main-lsm=%d (of %d gets)\n",
+		fmt.Fprintf(w, "read-src    : front-cache=%d dev-lsm=%d main-lsm=%d (of %d gets)\n",
 			kv.FrontCacheHits, kv.DevServed, kv.MainGets, kv.Gets)
 	}
 }

@@ -10,7 +10,7 @@ func TestDiagThreadScaling(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	p := DefaultParams()
-	p.Duration = 60 * time.Second
+	p.Duration = 20 * time.Second
 	for _, threads := range []int{1, 4} {
 		res := p.Run(EngineSpec{Kind: KindRocksDB, Threads: threads, Slowdown: true}, WorkloadA)
 		s := res.MainStats

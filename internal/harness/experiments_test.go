@@ -51,11 +51,16 @@ func TestEngineSpecNames(t *testing.T) {
 		"KVAccel-L(4)":    {Kind: KindKVAccel, Threads: 4, Rollback: core.RollbackLazy},
 		"KVAccel-E(1)":    {Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackEager},
 		"KVAccel(1)":      {Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled},
+		"RocksDB(10)":     {Kind: KindRocksDB, Threads: 10, Slowdown: true},
 	}
 	for want, spec := range cases {
 		if got := spec.Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
 		}
+	}
+	lazy := EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}
+	if got, want := lazy.ShardedName(4), "KVAccel-L-sharded(4)"; got != want {
+		t.Errorf("ShardedName(4) = %q, want %q", got, want)
 	}
 }
 

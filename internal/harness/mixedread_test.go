@@ -65,18 +65,27 @@ func TestSeekRandomWithValueSeparationAndGC(t *testing.T) {
 	}
 }
 
-// TestMixedWorkloadYCSBBWithCaches runs the ycsb-b preset on KVACCEL
-// with the front cache and block cache enabled and checks (1) the
-// zipfian read stream hits the front cache, (2) the controller's
-// per-source attribution sums exactly, and (3) the lsm layer's own
-// attribution also sums.
-func TestMixedWorkloadYCSBBWithCaches(t *testing.T) {
+// ycsbBParams is the mixed-workload A/B setup shared by the two tests
+// below: ycsb-b over a preloaded keyspace on KVACCEL-Eager.
+func ycsbBParams() (Params, EngineSpec) {
 	p := DefaultParams()
 	p.Duration = 3 * time.Second
 	p.KeySpace = 20_000
 	p.Mix = "ycsb-b"
+	return p, EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackEager}
+}
+
+// TestMixedWorkloadYCSBBWithCaches runs the ycsb-b preset on KVACCEL
+// with the front cache and block cache enabled and checks (1) the
+// zipfian read stream hits the front cache, (2) the controller's
+// per-source attribution sums exactly, (3) the lsm layer's own
+// attribution also sums, and (4) the read-cache ratchet: against the
+// cold twin on the same seed, both caches clear a hit-rate floor and
+// reads are at least 1.5x faster — what the layered read pipeline is for.
+func TestMixedWorkloadYCSBBWithCaches(t *testing.T) {
+	p, spec := ycsbBParams()
 	p.FrontCacheBytes = 8 << 20
-	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackEager}, WorkloadMixed)
+	res := p.Run(spec, WorkloadMixed)
 	if res.Rec.Reads() == 0 || res.Rec.Writes() == 0 {
 		t.Fatalf("idle mixed run: reads=%d writes=%d", res.Rec.Reads(), res.Rec.Writes())
 	}
@@ -98,18 +107,31 @@ func TestMixedWorkloadYCSBBWithCaches(t *testing.T) {
 	if res.MixSpec.Name != "ycsb-b" {
 		t.Fatalf("resolved mix %q", res.MixSpec.Name)
 	}
+
+	cold, _ := ycsbBParams()
+	cold.DisableBlockCache = true
+	off := cold.Run(spec, WorkloadMixed)
+	t.Logf("reads: caches on %.2f Kops/s, off %.2f Kops/s; front hit %.2f, block hit %.2f",
+		res.ReadKops(), off.ReadKops(), kv.FrontCacheHitRate(), s.BlockCacheHitRate())
+	if res.ReadKops() < 1.5*off.ReadKops() {
+		t.Errorf("reads with caches %.2f Kops/s, without %.2f: want >= 1.5x", res.ReadKops(), off.ReadKops())
+	}
+	if kv.FrontCacheHitRate() < 0.5 {
+		t.Errorf("front cache hit rate %.2f, want >= 0.5", kv.FrontCacheHitRate())
+	}
+	if s.BlockCacheHitRate() < 0.5 {
+		t.Errorf("block cache hit rate %.2f, want >= 0.5", s.BlockCacheHitRate())
+	}
 }
 
 // TestMixedWorkloadBaselineNoCaches is the A/B twin: same preset with
 // the front cache off and block cache zeroed; the run must still be
 // correct and report zero front-cache traffic.
 func TestMixedWorkloadBaselineNoCaches(t *testing.T) {
-	p := DefaultParams()
+	p, spec := ycsbBParams()
 	p.Duration = 2 * time.Second
-	p.KeySpace = 20_000
-	p.Mix = "ycsb-b"
 	p.DisableBlockCache = true
-	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackEager}, WorkloadMixed)
+	res := p.Run(spec, WorkloadMixed)
 	kv := res.KVStats
 	if kv.FrontCacheHits != 0 || kv.FrontCacheMisses != 0 {
 		t.Fatalf("disabled front cache saw traffic: %+v", kv)

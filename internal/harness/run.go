@@ -5,11 +5,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kvaccel"
 	"kvaccel/internal/core"
+	"kvaccel/internal/cpu"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/metrics"
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/pcie"
+	"kvaccel/internal/ssd"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 	"kvaccel/internal/workload"
@@ -47,19 +50,22 @@ type RunResult struct {
 	PCIeSeries *metrics.Series // MB/s, both directions
 	PCIeH2D    *metrics.Series // MB/s host-to-device
 	PCIeD2H    *metrics.Series // MB/s device-to-host
-	CPUSeries  *metrics.Series // percent of host pool
+	CPUSeries  *metrics.Series // percent of host pool; empty for sharded specs
 	StallFlags []bool          // second spent >=20% stalled or stop-stalled
 
-	CPUAvg   float64 // mean host CPU percent
+	CPUAvg   float64 // mean host CPU percent; 0 for sharded specs
 	Duration time.Duration
 
+	// MainStats and KVStats are summed across shards for sharded specs.
 	MainStats lsm.Stats
 	// KVStats is the full KVACCEL controller snapshot (front-cache
 	// counters, per-source read attribution); zero for baselines.
 	KVStats core.Stats
+	// PerShard is each shard's own counters; nil unless RunSharded ran.
+	PerShard []kvaccel.Stats
 	// MixSpec is the resolved mixed-workload spec (WorkloadMixed only).
 	MixSpec   workload.MixSpec
-	Levels    string // final tree shape
+	Levels    string // final tree shape; empty for sharded specs
 	Redirects int64
 	// WouldStallRedirects is the subset of Redirects taken because the
 	// engine refused non-blocking admission (ErrWouldStall), rather than
@@ -127,14 +133,141 @@ func (res *RunResult) Efficiency() float64 {
 	return res.WriteMBps() / res.CPUAvg
 }
 
-// Run executes one workload against one engine spec on a fresh testbed.
+// machine is what one workload run drives and samples: an engine
+// front-end and the simulated hardware under it, with the clock held.
+// Params.Run builds one from a Testbed and an Engine, Params.RunSharded
+// from a kvaccel.ShardedDB, and both hand it to the same drive.
+type machine struct {
+	clk *vclock.Clock
+	// spawn registers a runner on clk; release drops the hold taken
+	// before the engine's background runners started.
+	spawn   func(name string, fn func(r *vclock.Runner))
+	release func()
+	dev     *ssd.Device
+	cpu     *cpu.Pool // nil: ShardedDB keeps its host pool private
+	eng     workload.Engine
+	mains   []core.MainEngine // one per shard
+	kvs     []*core.DB        // KVACCEL controllers, one per shard; nil for baselines
+	sharded bool              // report per-shard counters
+	close   func()
+}
+
+// mainStats sums the Main-LSM counters across shards.
+func (m *machine) mainStats() lsm.Stats {
+	s := m.mains[0].Stats()
+	for _, main := range m.mains[1:] {
+		s = s.Add(main.Stats())
+	}
+	return s
+}
+
+func (m *machine) stalled() bool {
+	for _, main := range m.mains {
+		if main.Health().Stalled {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *machine) waitIdle(r *vclock.Runner) {
+	for _, main := range m.mains {
+		main.WaitIdle(r)
+	}
+}
+
+// fanOut runs one on r and on n-1 further runners, each with its own
+// derived seed, and returns when all have finished.
+func (m *machine) fanOut(r *vclock.Runner, n int, name string, cfg workload.Config, one func(*vclock.Runner, workload.Config)) {
+	var wg vclock.WaitGroup
+	for i := 1; i < n; i++ {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)*101
+		wg.Add(1)
+		m.clk.Go(fmt.Sprintf("harness.%s%d", name, i), func(wr *vclock.Runner) {
+			one(wr, c)
+			wg.Done()
+		})
+	}
+	one(r, cfg)
+	wg.Wait(r)
+}
+
+// RunSharded is Run on a kvaccel.ShardedDB of the given number of
+// hash-partitioned KVACCEL shards sharing one machine (spec.Kind is taken
+// as KindKVAccel; the label is spec.ShardedName(shards)). ShardedDB has
+// no seam for a tracer, a fault plan or the Tune hooks; a run that asks
+// for the first two is refused rather than run without them. The shard
+// count is an argument, not an EngineSpec field, so that BuildEngine and
+// what else takes a spec by value compile to the same code either way.
+func (p Params) RunSharded(spec EngineSpec, shards int, kind WorkloadKind) *RunResult {
+	if p.Trace != nil || p.FaultsSeed != 0 {
+		panic("harness: sharded engines take no tracer and no fault plan")
+	}
+	opt := kvaccel.DefaultShardedOptions()
+	opt.Shards = shards
+	opt.Scale = p.Scale
+	opt.HostCores = p.HostCores
+	opt.CompactionThreads = spec.Threads
+	opt.Rollback = spec.Rollback
+	opt.QueueDepth = p.QueueDepth
+	opt.IOQueues = p.IOQueues
+	opt.ValueThreshold = p.ValueThreshold
+	opt.DevReadCacheBytes = p.DevReadCacheBytes
+	opt.FrontCacheBytes = p.FrontCacheBytes
+	opt.FrontCacheNegative = p.FrontCacheNegative
+	opt.FrontCacheDoorkeeper = p.FrontCacheDoorkeeper
+	opt.OffloadCompaction = p.OffloadCompaction
+	db := kvaccel.OpenSharded(opt) // holds the clock until the first Run
+	m := &machine{
+		clk:     db.Clock(),
+		spawn:   db.Run,
+		release: db.Clock().Hold(),
+		dev:     db.Device(),
+		eng:     workload.ShardedEngine{DB: db},
+		sharded: true,
+		close:   db.Close,
+	}
+	for i := 0; i < db.NumShards(); i++ {
+		m.kvs = append(m.kvs, db.Shard(i))
+		m.mains = append(m.mains, db.Shard(i).Main())
+	}
+	return p.drive(m, spec, kind)
+}
+
+// Run executes one workload against one engine spec on a fresh machine.
 func (p Params) Run(spec EngineSpec, kind WorkloadKind) *RunResult {
 	tb := p.NewTestbed()
 	// BuildEngine starts periodic background runners (detector, rollback);
 	// hold the clock so they cannot free-run virtual time before the
-	// sampler and workload below are registered.
+	// sampler and workload are registered.
 	release := tb.Clk.Hold()
 	eng := p.BuildEngine(tb, spec)
+	m := &machine{
+		clk: tb.Clk, spawn: tb.Clk.Go, release: release, dev: tb.Dev, cpu: tb.CPU,
+		eng: eng.Eng, mains: []core.MainEngine{eng.Main}, close: eng.Close,
+	}
+	if eng.KV != nil {
+		m.kvs = []*core.DB{eng.KV}
+	}
+	res := p.drive(m, spec, kind)
+	res.Levels = eng.Main.LevelsString()
+	if tb.Faults != nil {
+		res.Injected = tb.Faults.TotalInjected()
+	}
+	if p.Trace != nil {
+		s := p.Trace.Summary()
+		res.TraceSummary = &s
+		r := p.Trace.StallReport()
+		res.TraceStalls = &r
+	}
+	return res
+}
+
+// drive is the one workload dispatch: a per-second sampler plus the
+// workload's writers/clients on m, joined and torn down, with the
+// engine counters collected afterwards.
+func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult {
 	cfg := p.workloadConfig()
 	switch kind {
 	case WorkloadB:
@@ -168,129 +301,95 @@ func (p Params) Run(spec EngineSpec, kind WorkloadKind) *RunResult {
 		scale = 1
 	}
 	interval := time.Second / time.Duration(scale)
-	tb.Clk.Go("harness.sampler", func(r *vclock.Runner) {
+	m.spawn("harness.sampler", func(r *vclock.Runner) {
 		var lastStall time.Duration
 		for !done.Load() {
 			r.Sleep(interval)
 			t := r.Now().Seconds() * float64(scale)
 			res.Rec.Sample(t, interval)
-			res.PCIeSeries.Append(t, tb.Dev.Link.SampleMBps(interval))
-			res.PCIeH2D.Append(t, tb.Dev.Link.SampleDirMBps(pcie.HostToDevice, interval))
-			res.PCIeD2H.Append(t, tb.Dev.Link.SampleDirMBps(pcie.DeviceToHost, interval))
-			util := tb.CPU.Sample(r.Now())
-			res.CPUSeries.Append(t, util)
-			cpuSum += util
-			cpuN++
-			st := eng.Main.Stats()
-			stalledNow := st.StallTime-lastStall >= interval/5 || eng.Main.Health().Stalled
-			lastStall = st.StallTime
+			res.PCIeSeries.Append(t, m.dev.Link.SampleMBps(interval))
+			res.PCIeH2D.Append(t, m.dev.Link.SampleDirMBps(pcie.HostToDevice, interval))
+			res.PCIeD2H.Append(t, m.dev.Link.SampleDirMBps(pcie.DeviceToHost, interval))
+			if m.cpu != nil {
+				util := m.cpu.Sample(r.Now())
+				res.CPUSeries.Append(t, util)
+				cpuSum += util
+				cpuN++
+			}
+			stallTime := m.mainStats().StallTime
+			stalledNow := stallTime-lastStall >= interval/5 || m.stalled()
+			lastStall = stallTime
 			res.StallFlags = append(res.StallFlags, stalledNow)
 		}
 	})
 
-	tb.Clk.Go("harness.workload", func(r *vclock.Runner) {
+	m.spawn("harness.workload", func(r *vclock.Runner) {
 		start := r.Now()
 		switch kind {
 		case WorkloadA:
-			nw := p.Writers
-			if nw <= 1 {
-				workload.FillRandom(r, eng.Eng, cfg, res.Rec)
-				break
-			}
-			// Fan out nw concurrent fillrandom writers, each with a derived
-			// seed, and join them all before closing the engine. The
-			// semaphore starts full: draining it here and re-acquiring the
-			// full capacity below parks this runner until every writer has
-			// released its unit.
-			sem := vclock.NewSemaphore(nw, "harness.writers")
-			sem.Acquire(r, nw)
-			for i := 1; i < nw; i++ {
-				c := cfg
-				c.Seed = cfg.Seed + int64(i)*101
-				tb.Clk.Go(fmt.Sprintf("harness.writer%d", i), func(wr *vclock.Runner) {
-					workload.FillRandom(wr, eng.Eng, c, res.Rec)
-					sem.Release(1)
-				})
-			}
-			workload.FillRandom(r, eng.Eng, cfg, res.Rec)
-			sem.Release(1)
-			sem.Acquire(r, nw)
+			m.fanOut(r, p.Writers, "writer", cfg, func(r *vclock.Runner, c workload.Config) {
+				workload.FillRandom(r, m.eng, c, res.Rec)
+			})
 		case WorkloadB, WorkloadC:
-			workload.ReadWhileWriting(r, tb.Clk, eng.Eng, cfg, res.Rec)
+			m.fanOut(r, p.Writers, "writer", cfg, func(r *vclock.Runner, c workload.Config) {
+				workload.ReadWhileWriting(r, m.clk, m.eng, c, res.Rec)
+			})
 		case WorkloadD:
-			workload.FillSequential(r, eng.Eng, cfg, p.KeySpace)
-			eng.Main.WaitIdle(r)
-			if eng.KV != nil {
+			workload.FillSequential(r, m.eng, cfg, p.KeySpace)
+			m.waitIdle(r)
+			if m.kvs != nil {
 				// The paper's workload D follows a 20 GB fillrandom whose
 				// stalls leave redirected pairs in the Dev-LSM; reproduce
 				// that residency so range queries exercise the
 				// dual-iterator path (rollback stays disabled).
-				eng.KV.Detector().SetOverride(true)
-				for i := 0; i < p.KeySpace; i += 10 {
-					_ = eng.KV.Put(r, workload.Key(i), workload.MakeValue(i, cfg.ValueSize))
+				for _, kv := range m.kvs {
+					kv.Detector().SetOverride(true)
 				}
-				eng.KV.Detector().SetOverride(false)
+				for i := 0; i < p.KeySpace; i += 10 {
+					_ = m.eng.Put(r, workload.Key(i), workload.MakeValue(i, cfg.ValueSize))
+				}
+				for _, kv := range m.kvs {
+					kv.Detector().SetOverride(false)
+				}
 			}
 			start = r.Now() // measure only the query phase
-			workload.SeekRandom(r, eng.Eng, cfg, res.Rec)
+			workload.SeekRandom(r, m.eng, cfg, res.Rec)
 		case WorkloadMixed:
-			spec := p.ResolveMix()
-			res.MixSpec = spec
-			workload.FillSequential(r, eng.Eng, cfg, p.KeySpace)
-			eng.Main.WaitIdle(r)
+			mix := p.ResolveMix()
+			res.MixSpec = mix
+			workload.FillSequential(r, m.eng, cfg, p.KeySpace)
+			m.waitIdle(r)
 			state := workload.NewMixedState(p.KeySpace)
 			start = r.Now() // measure only the mixed phase
-			nc := p.Writers
-			if nc <= 1 {
-				_ = workload.RunMixed(r, eng.Eng, cfg, spec, state, res.Rec)
-				break
-			}
-			sem := vclock.NewSemaphore(nc, "harness.clients")
-			sem.Acquire(r, nc)
-			for i := 1; i < nc; i++ {
-				c := cfg
-				c.Seed = cfg.Seed + int64(i)*101
-				tb.Clk.Go(fmt.Sprintf("harness.client%d", i), func(cr *vclock.Runner) {
-					_ = workload.RunMixed(cr, eng.Eng, c, spec, state, res.Rec)
-					sem.Release(1)
-				})
-			}
-			_ = workload.RunMixed(r, eng.Eng, cfg, spec, state, res.Rec)
-			sem.Release(1)
-			sem.Acquire(r, nc)
+			m.fanOut(r, p.Writers, "client", cfg, func(r *vclock.Runner, c workload.Config) {
+				_ = workload.RunMixed(r, m.eng, c, mix, state, res.Rec)
+			})
 		}
 		res.Duration = r.Now().Sub(start)
 		done.Store(true)
-		eng.Close()
+		m.close()
 	})
-	release()
+	m.release()
 
-	tb.Clk.Wait()
+	m.clk.Wait()
 
 	if cpuN > 0 {
 		res.CPUAvg = cpuSum / float64(cpuN)
 	}
-	res.MainStats = eng.Main.Stats()
-	res.Levels = eng.Main.LevelsString()
-	res.Queues = tb.Dev.QueueStats()
-	if eng.KV != nil {
-		s := eng.KV.Stats()
-		res.KVStats = s
-		res.Redirects = s.RedirectedPuts
-		res.WouldStallRedirects = s.WouldStallRedirects
-		res.Rollbacks = s.Rollbacks
-		res.DevErrors = s.DevErrors
-		res.DevRetries = s.DevRetries
-		res.DevFailed = s.DevFailed
+	res.MainStats = m.mainStats()
+	res.Queues = m.dev.QueueStats()
+	for i, kv := range m.kvs {
+		s := kv.Stats()
+		res.KVStats = res.KVStats.Add(s)
+		if m.sharded {
+			res.PerShard = append(res.PerShard, kvaccel.Stats{KVAccel: s, Main: m.mains[i].Stats()})
+		}
 	}
-	if tb.Faults != nil {
-		res.Injected = tb.Faults.TotalInjected()
-	}
-	if p.Trace != nil {
-		s := p.Trace.Summary()
-		res.TraceSummary = &s
-		r := p.Trace.StallReport()
-		res.TraceStalls = &r
-	}
+	res.Redirects = res.KVStats.RedirectedPuts
+	res.WouldStallRedirects = res.KVStats.WouldStallRedirects
+	res.Rollbacks = res.KVStats.Rollbacks
+	res.DevErrors = res.KVStats.DevErrors
+	res.DevRetries = res.KVStats.DevRetries
+	res.DevFailed = res.KVStats.DevFailed
 	return res
 }

@@ -13,6 +13,7 @@
 package harness
 
 import (
+	"strconv"
 	"time"
 
 	"kvaccel/internal/adoc"
@@ -44,10 +45,10 @@ type Params struct {
 	Seed int64
 	// HostCores bounds the host CPU (the paper limits the Xeon to 8).
 	HostCores int
-	// Writers is the number of concurrent writer runners the fill
-	// workloads fan out over (kvbench's -writers flag); 0 or 1 keeps the
-	// single-writer setup. Each writer runs the full configured duration
-	// with its own derived seed.
+	// Writers is the number of concurrent writer or client runners the
+	// fill, readwhilewriting and mixed workloads fan out over (kvbench's
+	// -writers flag); 0 or 1 keeps the single-writer setup. Each runs the
+	// full configured duration with its own derived seed.
 	Writers int
 	// LingerMicros is the group leader's adaptive linger window in
 	// unscaled virtual microseconds (kvbench's -linger-us flag); it is
@@ -57,13 +58,13 @@ type Params struct {
 	// WriteIntervalMicros, when positive, paces each writer to one put
 	// per this many unscaled virtual microseconds (multiplied by Scale
 	// like the CPU costs) — a fixed offered load per writer instead of an
-	// open throttle. The offload A/B uses it so both arms face the same
+	// open throttle. TestRatchet/offload uses it so both arms face the same
 	// demand and stall time measures capacity shortfall, not slack.
 	WriteIntervalMicros int64
 	// ValueThreshold enables WiscKey-style value separation in the
 	// Main-LSM: values at least this long live in the value log and the
 	// tree carries 13-byte pointers (kvbench's -value-threshold flag);
-	// 0 keeps values inline — the vlog A/B's baseline.
+	// 0 keeps values inline — TestRatchet/value-log's baseline.
 	ValueThreshold int
 
 	// Mix names the YCSB-style preset for WorkloadMixed (kvbench's
@@ -107,7 +108,7 @@ type Params struct {
 	// used by the detector-period and rollback ablations.
 	TuneCore func(*core.Options)
 	// TuneLSM, if set, adjusts the Main-LSM options after the standard
-	// Table III rendering — used by the offload A/B's stall-heavy regime
+	// Table III rendering — used by TestRatchet/offload's stall-heavy regime
 	// (small memtable, tight L0 triggers).
 	TuneLSM func(*lsm.Options)
 	// FaultsSeed, when non-zero, arms a deterministic device fault plan
@@ -350,6 +351,16 @@ type EngineSpec struct {
 
 // Name renders the figure-legend label, e.g. "KVAccel-E(4)".
 func (s EngineSpec) Name() string {
+	return s.label() + "(" + strconv.Itoa(s.Threads) + ")"
+}
+
+// ShardedName is the label of s run as n shards by Params.RunSharded,
+// e.g. "KVAccel-L-sharded(4)".
+func (s EngineSpec) ShardedName(n int) string {
+	return s.label() + "-sharded(" + strconv.Itoa(n) + ")"
+}
+
+func (s EngineSpec) label() string {
 	n := s.Kind.String()
 	if s.Kind == KindKVAccel {
 		switch s.Rollback {
@@ -362,7 +373,7 @@ func (s EngineSpec) Name() string {
 	if !s.Slowdown && s.Kind != KindKVAccel {
 		n += "-noSD"
 	}
-	return n + "(" + string(rune('0'+s.Threads)) + ")"
+	return n
 }
 
 // Engine bundles a running system under test with its teardown handles.

@@ -70,7 +70,7 @@ func TestTraceStallAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace invalid: %v", err)
 	}
-	if stats.SpanPairs == 0 || stats.Lanes < 3 {
+	if stats.SpanPairs == 0 || stats.Metadata == 0 || stats.Lanes < 3 {
 		t.Fatalf("trace suspiciously thin: %+v", stats)
 	}
 	t.Logf("trace: %d events, %d pairs, %d lanes; largest window %v at %.0f%% coverage",

@@ -19,8 +19,8 @@ type ValidationStats struct {
 // format) and checks the schema invariants the exporter guarantees:
 // every record has a known ph plus numeric pid/tid, non-metadata
 // records carry a non-negative ts, X records carry a non-negative dur,
-// and B/E records pair up LIFO per lane with matching names. CI's trace
-// smoke job and the torture suite run it over real kvbench output.
+// and B/E records pair up LIFO per lane with matching names. The harness,
+// torture and kvbench tests run it over the traces of real runs.
 func ValidateChromeTrace(data []byte) (ValidationStats, error) {
 	var stats ValidationStats
 	var doc struct {
