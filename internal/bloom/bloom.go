@@ -13,8 +13,10 @@ type Filter []byte
 // FPR and is RocksDB's default.
 const DefaultBitsPerKey = 10
 
-// hash is the LevelDB bloom hash (a Murmur-like 32-bit hash).
-func hash(b []byte) uint32 {
+// Hash is the LevelDB bloom hash (a Murmur-like 32-bit hash) — all a
+// filter needs to know of a key, so a table builder keeps four bytes per
+// key instead of a copy of it.
+func Hash(b []byte) uint32 {
 	const (
 		seed = 0xbc9f1d34
 		m    = 0xc6a4a793
@@ -43,6 +45,15 @@ func hash(b []byte) uint32 {
 
 // Build creates a filter over keys using bitsPerKey bits per key.
 func Build(keys [][]byte, bitsPerKey int) Filter {
+	hashes := make([]uint32, len(keys))
+	for i, key := range keys {
+		hashes[i] = Hash(key)
+	}
+	return BuildFromHashes(hashes, bitsPerKey)
+}
+
+// BuildFromHashes is Build over the keys' Hash values.
+func BuildFromHashes(hashes []uint32, bitsPerKey int) Filter {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
@@ -54,7 +65,7 @@ func Build(keys [][]byte, bitsPerKey int) Filter {
 	if k > 30 {
 		k = 30
 	}
-	bits := len(keys) * bitsPerKey
+	bits := len(hashes) * bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
@@ -62,8 +73,7 @@ func Build(keys [][]byte, bitsPerKey int) Filter {
 	bits = nBytes * 8
 	buf := make([]byte, nBytes+1)
 	buf[nBytes] = byte(k)
-	for _, key := range keys {
-		h := hash(key)
+	for _, h := range hashes {
 		delta := h>>17 | h<<15
 		for i := uint32(0); i < k; i++ {
 			pos := h % uint32(bits)
@@ -86,7 +96,7 @@ func (f Filter) MayContain(key []byte) bool {
 		return true
 	}
 	bits := uint32((len(f) - 1) * 8)
-	h := hash(key)
+	h := Hash(key)
 	delta := h>>17 | h<<15
 	for i := uint32(0); i < k; i++ {
 		pos := h % bits

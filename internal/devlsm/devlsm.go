@@ -165,7 +165,7 @@ func NewRegion(f *ftl.FTL, arm *cpu.Pool, cfg Config, offsetPages, pages int) *D
 		panic(fmt.Sprintf("devlsm: region slice [%d,%d) outside KV region of %d pages",
 			offsetPages, offsetPages+pages, total))
 	}
-	d := &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(), lpnOff: offsetPages, lpnCount: pages}
+	d := &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(cfg.MemtableBytes), lpnOff: offsetPages, lpnCount: pages}
 	if cfg.ReadCacheBytes > 0 {
 		d.cacheCap = int(cfg.ReadCacheBytes / int64(f.PageSize()))
 		if d.cacheCap < 1 {
@@ -343,7 +343,7 @@ func (d *DevLSM) Flush(r *vclock.Runner) error {
 		return nil
 	}
 	mem := d.mem
-	d.mem = memtable.New()
+	d.mem = memtable.New(d.cfg.MemtableBytes)
 	d.mu.Unlock()
 
 	fsp := d.cfg.Trace.Begin(r, trace.PhaseDevLSMFlush, "devlsm-flush")
@@ -467,7 +467,7 @@ func decodeRecord(b []byte) (e memtable.Entry, rest []byte, err error) {
 		return e, nil, err
 	}
 	e.Seq = seq
-	if uint64(len(b)) < klen+vlen {
+	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen { // klen+vlen can wrap
 		return e, nil, encoding.ErrCorrupt
 	}
 	e.Key = b[:klen]
@@ -552,7 +552,7 @@ func (d *dedupIter) Next() {
 func (d *DevLSM) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.mem = memtable.New()
+	d.mem = memtable.New(d.cfg.MemtableBytes)
 	d.runs = nil
 	d.entries = 0
 	d.bytes = 0

@@ -89,7 +89,7 @@ func DecodeRecord(b []byte) (key, value, rest []byte, err error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if uint64(len(b)) < klen+vlen {
+	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen { // klen+vlen can wrap
 		return nil, nil, nil, ErrCorrupt
 	}
 	return b[:klen], b[klen : klen+vlen], b[klen+vlen:], nil

@@ -52,6 +52,8 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 		{0x05, 0x00, 'a'}, // key length 5 but only 1 byte
 		{0x01, 0x05, 'a'}, // value length 5 but no bytes
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // overflowing uvarint
+		// klen = vlen = 1<<63: the sum wraps to 0 and used to pass the bounds check
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'},
 	}
 	for i, c := range cases {
 		if _, _, _, err := DecodeRecord(c); err == nil {

@@ -8,8 +8,10 @@
 package fs
 
 import (
-	"container/list"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"kvaccel/internal/faults"
@@ -79,15 +81,109 @@ type FileSystem struct {
 	mu    sync.Mutex
 	files map[string]*file
 	free  []int // free page LPNs, LIFO
-	// reserved holds pages handed out by ReservePages but not yet bound
+	// reserved marks pages handed out by ReservePages but not yet bound
 	// to a file (compaction-offload output ranges). They are host-side
 	// bookkeeping only, so a crash returns them to the free pool.
-	reserved map[int]bool
+	reserved pageSet
 
 	// Page cache state. cacheCap <= 0 means unbounded (the default).
 	cacheCap int // pages
-	cached   map[int]*list.Element
-	lru      *list.List // of int lpn; front = most recent
+	cached   pageLRU
+}
+
+// pageSet is a set of LPNs as a bitset over the device's pages, allocated
+// by the first add.
+type pageSet struct {
+	size int // pages on the device
+	bits []uint64
+}
+
+func (s *pageSet) has(lpn int) bool {
+	return s.bits != nil && s.bits[lpn/64]&(1<<(lpn%64)) != 0
+}
+
+func (s *pageSet) add(lpn int) {
+	if s.bits == nil {
+		s.bits = make([]uint64, (s.size+63)/64)
+	}
+	s.bits[lpn/64] |= 1 << (lpn % 64)
+}
+
+func (s *pageSet) remove(lpn int) {
+	if s.bits != nil {
+		s.bits[lpn/64] &^= 1 << (lpn % 64)
+	}
+}
+
+// drain empties the set, calling fn with each member in ascending order.
+func (s *pageSet) drain(fn func(lpn int)) {
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			fn(w*64 + bits.TrailingZeros64(word))
+		}
+		s.bits[w] = 0
+	}
+}
+
+// pageLRU is the page cache's residency list: which LPNs are resident and
+// in what order they were last used. It is an intrusive doubly linked
+// list threaded through two slices indexed by LPN, most recent at the
+// head, so marking a page resident or touching it allocates nothing. A
+// link holds lpn+1, which makes zeroed slices the empty list; they are
+// allocated, sized to the device, by the first insert.
+type pageLRU struct {
+	size       int // pages on the device
+	prev, next []int32
+	head, tail int32
+	n          int // resident pages
+}
+
+func (l *pageLRU) contains(lpn int) bool {
+	return l.n > 0 && (l.prev[lpn] != 0 || l.head == int32(lpn+1))
+}
+
+// touch makes a resident page the most recently used and reports whether
+// the page was resident.
+func (l *pageLRU) touch(lpn int) bool {
+	if !l.contains(lpn) {
+		return false
+	}
+	l.remove(lpn)
+	l.pushFront(lpn)
+	return true
+}
+
+// pushFront makes an absent page the most recently used.
+func (l *pageLRU) pushFront(lpn int) {
+	if l.next == nil {
+		l.prev, l.next = make([]int32, l.size), make([]int32, l.size)
+	}
+	id := int32(lpn + 1)
+	l.prev[lpn], l.next[lpn] = 0, l.head
+	if l.head != 0 {
+		l.prev[l.head-1] = id
+	} else {
+		l.tail = id
+	}
+	l.head = id
+	l.n++
+}
+
+// remove unlinks a resident page.
+func (l *pageLRU) remove(lpn int) {
+	p, n := l.prev[lpn], l.next[lpn]
+	if p != 0 {
+		l.next[p-1] = n
+	} else {
+		l.head = n
+	}
+	if n != 0 {
+		l.prev[n-1] = p
+	} else {
+		l.tail = p
+	}
+	l.prev[lpn], l.next[lpn] = 0, 0
+	l.n--
 }
 
 type file struct {
@@ -108,14 +204,12 @@ type file struct {
 
 // New formats a file system over dev with an unbounded page cache.
 func New(dev BlockDevice) *FileSystem {
-	fs := &FileSystem{
-		dev:      dev,
-		files:    make(map[string]*file),
-		reserved: make(map[int]bool),
-		cached:   make(map[int]*list.Element),
-		lru:      list.New(),
-	}
 	n := dev.Pages()
+	if n > math.MaxInt32-1 {
+		panic(fmt.Sprintf("fs: %d pages: the page cache links LPNs as int32", n))
+	}
+	fs := &FileSystem{dev: dev, files: make(map[string]*file),
+		reserved: pageSet{size: n}, cached: pageLRU{size: n}}
 	fs.free = make([]int, n)
 	for i := range fs.free {
 		fs.free[i] = n - 1 - i
@@ -142,11 +236,9 @@ func (fs *FileSystem) SetPageCacheBytes(bytes int64) {
 // cacheInsertLocked marks lpns resident, evicting LRU pages over capacity.
 func (fs *FileSystem) cacheInsertLocked(lpns []int) {
 	for _, lpn := range lpns {
-		if el, ok := fs.cached[lpn]; ok {
-			fs.lru.MoveToFront(el)
-			continue
+		if !fs.cached.touch(lpn) {
+			fs.cached.pushFront(lpn)
 		}
-		fs.cached[lpn] = fs.lru.PushFront(lpn)
 	}
 	fs.evictLocked()
 }
@@ -155,22 +247,16 @@ func (fs *FileSystem) evictLocked() {
 	if fs.cacheCap <= 0 {
 		return
 	}
-	for len(fs.cached) > fs.cacheCap {
-		back := fs.lru.Back()
-		if back == nil {
-			return
-		}
-		delete(fs.cached, back.Value.(int))
-		fs.lru.Remove(back)
+	for fs.cached.n > fs.cacheCap {
+		fs.cached.remove(int(fs.cached.tail - 1))
 	}
 }
 
 // cacheDropLocked forgets pages (on file deletion).
 func (fs *FileSystem) cacheDropLocked(lpns []int) {
 	for _, lpn := range lpns {
-		if el, ok := fs.cached[lpn]; ok {
-			delete(fs.cached, lpn)
-			fs.lru.Remove(el)
+		if fs.cached.contains(lpn) {
+			fs.cached.remove(lpn)
 		}
 	}
 }
@@ -179,11 +265,9 @@ func (fs *FileSystem) cacheDropLocked(lpns []int) {
 // must pay device time, touching hit pages' recency.
 func (fs *FileSystem) splitCachedLocked(lpns []int) (misses []int) {
 	for _, lpn := range lpns {
-		if el, ok := fs.cached[lpn]; ok {
-			fs.lru.MoveToFront(el)
-			continue
+		if !fs.cached.touch(lpn) {
+			misses = append(misses, lpn)
 		}
-		misses = append(misses, lpn)
 	}
 	return misses
 }
@@ -192,7 +276,7 @@ func (fs *FileSystem) splitCachedLocked(lpns []int) (misses []int) {
 func (fs *FileSystem) CachedPages() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return len(fs.cached)
+	return fs.cached.n
 }
 
 // PageSize returns the device page size.
@@ -226,15 +310,46 @@ func (fs *FileSystem) allocLocked(n int) ([]int, error) {
 	return pages, nil
 }
 
+// allocPageLocked pops one free page: allocLocked(1) without the slice.
+func (fs *FileSystem) allocPageLocked() (int, error) {
+	if len(fs.free) == 0 {
+		return 0, fmt.Errorf("fs: out of space: need 1 pages, have 0")
+	}
+	pg := fs.free[len(fs.free)-1]
+	fs.free = fs.free[:len(fs.free)-1]
+	return pg, nil
+}
+
+// ownImage makes a file image handed over by a caller the file system's
+// own. The capacity is clipped, so a later append to the file reallocates
+// instead of writing into memory the caller can still see; and an image
+// whose buffer has more than an eighth of slack — the short last output of
+// a merge, built in a buffer sized for a full table — is copied into a
+// buffer of its own size, so files pin what they hold and no more.
+func ownImage(data []byte) []byte {
+	if cap(data)-len(data) > len(data)/8 {
+		tight := make([]byte, len(data))
+		copy(tight, data)
+		return tight
+	}
+	return data[:len(data):len(data)]
+}
+
 // WriteFile creates (or replaces) a file with the given contents, spending
 // the block-path write time for every page it covers.
+//
+// The file system takes ownership of data: it becomes the file's bytes
+// without a copy, so the caller must not modify it after the call (reading
+// it is fine; nothing here ever writes to it). This holds for every
+// caller — tables, manifests, CURRENT, value-log rewrites.
 func (fs *FileSystem) WriteFile(r *vclock.Runner, name string, data []byte) error {
 	return fs.writeFile(r, name, data, false)
 }
 
 // WriteFileBackground is WriteFile with the device writes tagged as
 // background maintenance traffic (flush and compaction output); identical
-// semantics and timing, split accounting at the queueing layer.
+// semantics (ownership of data included) and timing, split accounting at
+// the queueing layer.
 func (fs *FileSystem) WriteFileBackground(r *vclock.Runner, name string, data []byte) error {
 	return fs.writeFile(r, name, data, true)
 }
@@ -259,7 +374,7 @@ func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, back
 	}
 	// WriteFile models an atomic replace (write + fsync + rename): until
 	// the device acknowledges the new image, a crash reverts to the old.
-	f := &file{name: name, pages: pages, data: append([]byte(nil), data...), size: len(data),
+	f := &file{name: name, pages: pages, data: ownImage(data), size: len(data),
 		stable: oldStable, durable: oldDurable}
 	fs.files[name] = f
 	fs.cacheInsertLocked(pages)
@@ -277,11 +392,18 @@ func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, back
 	return nil
 }
 
-// Append extends a file (creating it if absent) and writes the covered
-// pages. Partial trailing pages are rewritten, as a page-granular device
-// requires.
-func (fs *FileSystem) Append(r *vclock.Runner, name string, data []byte) error {
-	if len(data) == 0 {
+// Append extends a file (creating it if absent) with the chunks, in
+// order, as one write: the device sees a single command covering every
+// page touched, exactly as if the chunks had been joined first. Partial
+// trailing pages are rewritten, as a page-granular device requires. The
+// chunks are copied into the file; the caller keeps them and may reuse
+// them once Append returns.
+func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) error {
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	if total == 0 {
 		return nil
 	}
 	ps := fs.dev.PageSize()
@@ -292,25 +414,27 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, data []byte) error {
 		fs.files[name] = f
 	}
 	oldSize := f.size
-	f.data = append(f.data, data...)
+	// Grow once for the whole write, as appending the joined chunks would.
+	f.data = slices.Grow(f.data, total)
+	for _, c := range chunks {
+		f.data = append(f.data, c...)
+	}
 	f.size = len(f.data)
 	needPages := (f.size + ps - 1) / ps
-	var newPages []int
+	// The page holding the previous tail is rewritten too if it was partial.
+	first := len(f.pages)
+	if oldSize%ps != 0 && oldSize > 0 {
+		first = (oldSize - 1) / ps
+	}
 	for len(f.pages) < needPages {
-		pg, err := fs.allocLocked(1)
+		pg, err := fs.allocPageLocked()
 		if err != nil {
 			fs.mu.Unlock()
 			return err
 		}
-		f.pages = append(f.pages, pg[0])
-		newPages = append(newPages, pg[0])
+		f.pages = append(f.pages, pg)
 	}
-	// The page holding the previous tail is rewritten too if it was partial.
-	var touch []int
-	if oldSize%ps != 0 && oldSize > 0 {
-		touch = append(touch, f.pages[(oldSize-1)/ps])
-	}
-	touch = append(touch, newPages...)
+	touch := append([]int(nil), f.pages[first:]...) // the device call runs outside the lock
 	fs.cacheInsertLocked(touch)
 	fs.mu.Unlock()
 	if err := fs.dev.WritePages(r, touch); err != nil {
@@ -359,8 +483,7 @@ func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, bac
 		misses = fs.splitCachedLocked(f.pages[first : last+1])
 		fs.cacheInsertLocked(misses)
 	}
-	out := make([]byte, length)
-	copy(out, f.data[off:off+length])
+	out := append([]byte(nil), f.data[off:off+length]...) // unlike make, clears nothing first
 	fs.mu.Unlock()
 	if err := fs.readPages(r, misses, background); err != nil {
 		return nil, err
@@ -470,7 +593,7 @@ func (fs *FileSystem) ReservePages(n int) ([]int, error) {
 		return nil, err
 	}
 	for _, p := range pages {
-		fs.reserved[p] = true
+		fs.reserved.add(p)
 	}
 	return pages, nil
 }
@@ -481,8 +604,8 @@ func (fs *FileSystem) ReleasePages(lpns []int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for _, p := range lpns {
-		if fs.reserved[p] {
-			delete(fs.reserved, p)
+		if fs.reserved.has(p) {
+			fs.reserved.remove(p)
 			fs.free = append(fs.free, p)
 		}
 	}
@@ -494,6 +617,10 @@ func (fs *FileSystem) ReleasePages(lpns []int) {
 // the file (checksum validation) pays the block path like any cold read.
 // The file is durable immediately — the device acknowledged the programs
 // before completing the merge command.
+//
+// As with WriteFile, the file system takes ownership of data: it becomes
+// the file's bytes without a copy and the caller must not modify it
+// afterwards. pages is copied.
 func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
 	ps := fs.dev.PageSize()
 	need := (len(data) + ps - 1) / ps
@@ -509,14 +636,14 @@ func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
 		return fmt.Errorf("fs: %s: adopt with %d pages, need %d", name, len(pages), need)
 	}
 	for _, p := range pages {
-		if !fs.reserved[p] {
+		if !fs.reserved.has(p) {
 			return fmt.Errorf("fs: %s: adopt of unreserved page %d", name, p)
 		}
 	}
 	for _, p := range pages {
-		delete(fs.reserved, p)
+		fs.reserved.remove(p)
 	}
-	img := append([]byte(nil), data...)
+	img := ownImage(data)
 	fs.files[name] = &file{name: name, pages: append([]int(nil), pages...),
 		data: img, size: len(img), stable: img, durable: true}
 	return nil
@@ -539,10 +666,7 @@ func (fs *FileSystem) Format() {
 		pages := fs.freeFileLocked(f)
 		fs.cacheDropLocked(pages)
 	}
-	for p := range fs.reserved {
-		fs.free = append(fs.free, p)
-	}
-	fs.reserved = make(map[int]bool)
+	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
 }
 
 // List returns the names of all files (unordered).
@@ -569,13 +693,9 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 	// Host DRAM is gone: the page cache and any in-flight offload output
 	// reservations (pages the device may have programmed but no file or
 	// manifest ever referenced — physical garbage the FTL remaps later).
-	fs.cached = make(map[int]*list.Element)
-	fs.lru = list.New()
-	for p := range fs.reserved {
-		fs.free = append(fs.free, p)
-	}
-	fs.reserved = make(map[int]bool)
-	for name, f := range fs.files {
+	fs.cached = pageLRU{size: fs.cached.size}
+	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
+	for _, f := range fs.files {
 		if !f.durable {
 			fs.freeFileLocked(f)
 			continue
@@ -602,15 +722,14 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 			f.pages = f.pages[:need]
 		}
 		for len(f.pages) < need {
-			pg, err := fs.allocLocked(1)
+			pg, err := fs.allocPageLocked()
 			if err != nil {
 				// Out of space reverting: drop the file entirely rather
 				// than present an image the device cannot hold.
 				fs.freeFileLocked(f)
 				break
 			}
-			f.pages = append(f.pages, pg[0])
+			f.pages = append(f.pages, pg)
 		}
-		_ = name
 	}
 }

@@ -143,8 +143,10 @@ func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (*FileMe
 	it := mt.NewIterator()
 	b := sstable.NewBuilder(db.opt.builderOptions())
 	// The memtable counts 32 bytes of node overhead per entry, a data
-	// block 11 of record header: the footprint bounds the blocks.
-	b.SizeHint(int(mt.ApproximateSize()))
+	// block 11 or 12 of record header. Taking 20 back per entry sizes the
+	// table's buffer closely enough that the file system keeps it as the
+	// file's bytes instead of trading it for a tighter copy (fs.WriteFile).
+	b.SizeHint(int(mt.ApproximateSize()) - 20*mt.Count())
 	pendingCPU := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		e := it.Entry()

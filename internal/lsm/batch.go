@@ -62,7 +62,7 @@ func (b *Batch) Ops(fn func(kind memtable.Kind, key, value []byte)) {
 // memtable.Kind < 16.
 const walBatchMarker = 0xB7
 
-// decodeBatch parses an encodeGroupPayload record, calling fn per
+// decodeBatch parses an appendGroupPayload record, calling fn per
 // operation.
 func decodeBatch(p []byte, fn func(kind memtable.Kind, key, value []byte) error) error {
 	if len(p) < 2 || p[0] != walBatchMarker {
@@ -115,5 +115,7 @@ func (db *DB) WriteWith(r *vclock.Runner, wo WriteOptions, b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	return db.commit(r, &groupWriter{ops: b.ops, noStall: wo.NoStallWait, userBytes: int64(b.bytes - 16*len(b.ops))})
+	w := newWriter()
+	w.ops, w.noStall, w.userBytes = b.ops, wo.NoStallWait, int64(b.bytes-16*len(b.ops))
+	return db.commit(r, w)
 }

@@ -47,7 +47,7 @@ func TestBatchEncodingRoundTrip(t *testing.T) {
 	b.Put([]byte("alpha"), []byte("1"))
 	b.Delete([]byte("beta"))
 	b.Put([]byte(""), nil) // empty key/value edge
-	enc := encodeGroupPayload([]*groupWriter{{ops: b.ops[:1]}, {ops: b.ops[1:]}}, b.Len(), b.bytes)
+	enc := appendGroupPayload(nil, []*groupWriter{{ops: b.ops[:1]}, {ops: b.ops[1:]}}, b.Len())
 	var got []string
 	err := decodeBatch(enc, func(kind memtable.Kind, key, value []byte) error {
 		got = append(got, string(key)+"/"+string(value))

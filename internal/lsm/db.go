@@ -40,7 +40,7 @@ type DB struct {
 	// Group-commit state (group.go): writers queued for the next group,
 	// their staged bytes, and whether a leader is mid-commit. The next
 	// group forms in groupQueue while the current leader is in the WAL.
-	groupQueue []*groupWriter
+	groupQueue writerRing
 	groupBytes int64
 	committing bool
 	// failNextAppend, when set, makes the next group's WAL append fail
@@ -61,8 +61,10 @@ type DB struct {
 	// window short once the queue already holds a full group. recentGroup
 	// is an EWMA of recent group member counts, and lingerFutile counts
 	// consecutive lingered commits that still went out alone — together
-	// they drive the adaptive linger policy.
+	// they drive the adaptive linger policy. lingerSpare is the event of
+	// the last window if it timed out unraised, kept for the next one.
 	lingerEv     *vclock.Event
+	lingerSpare  *vclock.Event
 	recentGroup  float64
 	lingerFutile int
 
@@ -89,7 +91,7 @@ type DB struct {
 	flushing          bool
 	stalledWriters    int
 	lastPressure      vclock.Time // last instant a writer entered a stall (offload hysteresis)
-	cursor            [][]byte // per-level round-robin compaction cursor
+	cursor            [][]byte    // per-level round-robin compaction cursor
 	closed            bool
 
 	manifest manifestState
@@ -143,7 +145,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		opt:               opt,
 		cache:             opt.newBlockCache(),
 		memSize:           opt.MemtableSize,
-		mem:               memtable.New(),
+		mem:               memtable.New(opt.MemtableSize),
 		vers:              newVersion(opt.MaxLevels),
 		nextFileNum:       1,
 		compactionThreads: opt.CompactionThreads,
@@ -244,9 +246,12 @@ func (db *DB) write(r *vclock.Runner, wo WriteOptions, kind memtable.Kind, key, 
 }
 
 // newPointWriter stages one record in the writer's own single-op backing
-// store, so a point write allocates nothing beyond the writer itself.
+// store, so a point write on a recycled writer allocates nothing. key and
+// value stay the caller's: the commit copies them into the log buffer and
+// the memtable, and the writer forgets them when commit releases it.
 func newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *groupWriter {
-	w := &groupWriter{noStall: wo.NoStallWait, userBytes: int64(len(key) + len(value))}
+	w := newWriter()
+	w.noStall, w.userBytes = wo.NoStallWait, int64(len(key)+len(value))
 	w.single[0] = batchOp{kind: kind, key: key, value: value}
 	w.ops = w.single[:1]
 	return w
@@ -257,8 +262,11 @@ func newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *gro
 // a groupWriter and come through here. It moves large values to the value
 // log, holds one unit of the GC gate across the group commit (a GC
 // rewrite already holds every unit), and on failure hands the values it
-// appended back to the value log as garbage for GC to reclaim.
+// appended back to the value log as garbage for GC to reclaim. The writer
+// is spent when commit returns: it goes back to the pool here, so callers
+// must not touch w afterwards.
 func (db *DB) commit(r *vclock.Runner, w *groupWriter) error {
+	defer w.release()
 	if err := db.separateOps(r, w); err != nil {
 		return err
 	}
@@ -416,7 +424,7 @@ func (db *DB) stallWait(r *vclock.Runner, reason StallReason, counted *[numStall
 // rotateMemtableLocked moves the full active memtable to the flush queue.
 func (db *DB) rotateMemtableLocked() {
 	db.imm = append(db.imm, flushJob{mt: db.mem, log: db.log})
-	db.mem = memtable.New()
+	db.mem = memtable.New(db.memSize)
 	if !db.opt.DisableWAL {
 		db.log = db.newWAL()
 	} else {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"kvaccel/internal/encoding"
@@ -46,6 +47,74 @@ type groupWriter struct {
 	done bool
 
 	single [1]batchOp // backing store for the 1-op (Put/Delete) case
+	// group is the backing store for the members this writer claims when
+	// it leads; it is what a recycled writer brings back with it.
+	group []*groupWriter
+}
+
+// writerPool recycles groupWriters. A writer is taken by whoever stages
+// a commit (newWriter) and handed back by commit itself on the same
+// goroutine, after the group protocol is done with it: by then its leader
+// has filled in the outcome and holds no reference it will follow again.
+var writerPool = sync.Pool{New: func() any { return new(groupWriter) }}
+
+// newWriter returns a writer with every field zero but the reusable
+// group slice.
+func newWriter() *groupWriter { return writerPool.Get().(*groupWriter) }
+
+// release hands w back for reuse. It forgets the caller's key and value
+// memory and the members it led: a pooled writer pins nothing.
+func (w *groupWriter) release() {
+	clear(w.group)
+	*w = groupWriter{group: w.group[:0]}
+	writerPool.Put(w)
+}
+
+// writerRing is the group queue: a FIFO of writers over a ring buffer
+// that grows by doubling and is allocated by the first push, so at a
+// steady depth joining and claiming allocate nothing. Vacated slots are
+// cleared.
+type writerRing struct {
+	buf  []*groupWriter // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *writerRing) len() int { return q.n }
+
+// at returns the i-th oldest writer, 0 <= i < len.
+func (q *writerRing) at(i int) *groupWriter { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *writerRing) set(i int, w *groupWriter) { q.buf[(q.head+i)&(len(q.buf)-1)] = w }
+
+func (q *writerRing) push(w *groupWriter) {
+	if q.n == len(q.buf) {
+		grown := make([]*groupWriter, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.n++
+	q.set(q.n-1, w)
+}
+
+// pop removes the oldest writer; the ring must not be empty.
+func (q *writerRing) pop() *groupWriter {
+	w := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return w
+}
+
+// removeAt drops the i-th oldest writer, preserving the order of the rest.
+func (q *writerRing) removeAt(i int) {
+	for ; i < q.n-1; i++ {
+		q.set(i, q.at(i+1))
+	}
+	q.set(q.n-1, nil)
+	q.n--
 }
 
 // commitThroughGroup is the single join point of the write pipeline:
@@ -72,12 +141,12 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		db.mu.Unlock()
 		return ErrWouldStall
 	}
-	db.groupQueue = append(db.groupQueue, w)
+	db.groupQueue.push(w)
 	db.groupBytes += int64(w.bytes)
 	// A queue that already holds a full group is exactly what an open
 	// linger window waits for — cut it short.
 	if db.lingerEv != nil &&
-		(db.groupBytes >= db.opt.MaxWriteGroupBytes || len(db.groupQueue) >= lingerWakeMembers) {
+		(db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers) {
 		db.lingerEv.Set()
 	}
 
@@ -99,7 +168,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 			db.mu.Unlock()
 			return ErrClosed
 		}
-		if len(db.groupQueue) > 0 && db.groupQueue[0] == w && !db.committing {
+		if db.groupQueue.len() > 0 && db.groupQueue.at(0) == w && !db.committing {
 			break // leadership
 		}
 		db.groupCond.Wait(r)
@@ -138,7 +207,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		}
 	}
 
-	group, totalRecs, totalBytes := db.claimGroupLocked()
+	group, totalRecs, totalBytes := db.claimGroupLocked(w)
 	db.noteGroupLocked(len(group), lingered)
 	firstSeq := db.seq + 1
 	seq := firstSeq
@@ -183,7 +252,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	gsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "write-group")
 	var werr error
 	if hasTicket {
-		payload := encodeGroupPayload(group, totalRecs, totalBytes)
 		if hook := db.opt.TestHookCommit; hook != nil {
 			hook("pre-append") // between leadership handoff and the append
 		}
@@ -195,12 +263,17 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		}
 		db.mu.Unlock()
 		wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
+		// The payload is encoded where it will lie, in the log buffer, in
+		// this group's turn on the lane.
+		payloadLen := 0
 		if failInject != nil {
 			werr = failInject
 		} else {
-			werr = lg.Append(r, payload)
+			payloadLen, werr = lg.Append(r, totalBytes+16, func(dst []byte) []byte {
+				return appendGroupPayload(dst, group, totalRecs)
+			})
 		}
-		wsp.EndArg(r, int64(len(payload)))
+		wsp.EndArg(r, int64(payloadLen))
 	}
 
 	db.mu.Lock()
@@ -296,7 +369,7 @@ func (db *DB) lingerDurationLocked() time.Duration {
 	if us <= 0 || db.lingerFutile >= lingerFutileLimit {
 		return 0
 	}
-	if db.groupBytes >= db.opt.MaxWriteGroupBytes || len(db.groupQueue) >= lingerWakeMembers {
+	if db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers {
 		return 0 // a full group is already queued; commit it now
 	}
 	if db.recentGroup >= lingerGroupTarget {
@@ -313,7 +386,14 @@ func (db *DB) lingerDurationLocked() time.Duration {
 // a full group, and Close wakes it immediately. Called with db.mu held;
 // returns with it held.
 func (db *DB) linger(r *vclock.Runner, d time.Duration) {
-	ev := vclock.NewEvent("lsm.groupLinger")
+	// An event cannot be lowered again, so a window that was cut short
+	// used its event up; one that ran to its timeout leaves the event
+	// unset for the next window.
+	ev := db.lingerSpare
+	if ev == nil {
+		ev = vclock.NewEvent("lsm.groupLinger")
+	}
+	db.lingerSpare = nil
 	db.lingerEv = ev
 	db.stats.GroupLingerWaits++
 	db.mu.Unlock()
@@ -327,6 +407,11 @@ func (db *DB) linger(r *vclock.Runner, d time.Duration) {
 	waited := r.Now().Sub(start)
 	db.mu.Lock()
 	db.lingerEv = nil
+	// Only holders of db.mu that find lingerEv set raise it: from here on
+	// nobody can.
+	if !ev.IsSet() {
+		db.lingerSpare = ev
+	}
 	db.stats.GroupLingerMicros += int64(waited / time.Microsecond)
 }
 
@@ -358,25 +443,24 @@ func (db *DB) applyOps(r *vclock.Runner, w *groupWriter) {
 	db.endApply(w.mt)
 }
 
-// claimGroupLocked pops the leader's group off the queue head: as many
-// waiting writers as fit under MaxWriteGroupBytes (always at least the
-// leader itself). Called with db.mu held.
-func (db *DB) claimGroupLocked() (group []*groupWriter, totalRecs int, totalBytes int) {
+// claimGroupLocked pops the leader's group off the queue head into the
+// leader's own group slice: as many waiting writers as fit under
+// MaxWriteGroupBytes (always at least the leader itself). Called with
+// db.mu held.
+func (db *DB) claimGroupLocked(leader *groupWriter) (group []*groupWriter, totalRecs int, totalBytes int) {
 	limit := db.opt.MaxWriteGroupBytes
-	for len(db.groupQueue) > 0 {
-		m := db.groupQueue[0]
+	group = leader.group[:0]
+	for db.groupQueue.len() > 0 {
+		m := db.groupQueue.at(0)
 		if len(group) > 0 && int64(totalBytes+m.bytes) > limit {
 			break
 		}
-		group = append(group, m)
+		group = append(group, db.groupQueue.pop())
 		totalRecs += len(m.ops)
 		totalBytes += m.bytes
 		db.groupBytes -= int64(m.bytes)
-		db.groupQueue = db.groupQueue[1:]
 	}
-	if len(db.groupQueue) == 0 {
-		db.groupQueue = nil // release the backing array
-	}
+	leader.group = group
 	return group, totalRecs, totalBytes
 }
 
@@ -386,23 +470,18 @@ func (db *DB) claimGroupLocked() (group []*groupWriter, totalRecs int, totalByte
 // NoStallWait member must never sit out a flush-length stall behind a
 // blocking leader. Called with db.mu held.
 func (db *DB) ejectNoStallLocked() {
-	if len(db.groupQueue) <= 1 {
-		return
-	}
-	kept := db.groupQueue[:1:1]
+	q := &db.groupQueue
 	ejected := false
-	for _, m := range db.groupQueue[1:] {
-		if m.noStall {
+	for i := q.len() - 1; i >= 1; i-- {
+		if m := q.at(i); m.noStall {
 			m.done, m.err = true, ErrWouldStall
 			db.groupBytes -= int64(m.bytes)
 			db.stats.WouldStalls++
+			q.removeAt(i)
 			ejected = true
-		} else {
-			kept = append(kept, m)
 		}
 	}
 	if ejected {
-		db.groupQueue = kept
 		db.groupCond.Broadcast()
 	}
 }
@@ -411,9 +490,9 @@ func (db *DB) ejectNoStallLocked() {
 // queue, reporting whether it was found (false means a leader already
 // claimed it). Called with db.mu held.
 func (db *DB) removeFromGroupQueueLocked(w *groupWriter) bool {
-	for i, m := range db.groupQueue {
-		if m == w {
-			db.groupQueue = append(db.groupQueue[:i:i], db.groupQueue[i+1:]...)
+	for i := 0; i < db.groupQueue.len(); i++ {
+		if db.groupQueue.at(i) == w {
+			db.groupQueue.removeAt(i)
 			db.groupBytes -= int64(w.bytes)
 			return true
 		}
@@ -421,26 +500,26 @@ func (db *DB) removeFromGroupQueueLocked(w *groupWriter) bool {
 	return false
 }
 
-// encodeGroupPayload renders one WAL record covering every record of
-// every group member, in claim order:
+// appendGroupPayload appends to dst one WAL record payload covering every
+// record of every group member, in claim order:
 //
 //	marker, uvarint(count), then per op: kind, uvarint(klen), key,
 //	uvarint(vlen), value.
 //
 // Reopen replays it with consecutive sequence numbers, all or none, so a
-// group commit is crash-equivalent to one large atomic batch.
-func encodeGroupPayload(group []*groupWriter, totalRecs, totalBytes int) []byte {
-	out := make([]byte, 0, totalBytes+16)
-	out = append(out, walBatchMarker)
-	out = encoding.PutUvarint(out, uint64(totalRecs))
+// group commit is crash-equivalent to one large atomic batch. This is the
+// one copy a put's bytes make on their way into the log.
+func appendGroupPayload(dst []byte, group []*groupWriter, totalRecs int) []byte {
+	dst = append(dst, walBatchMarker)
+	dst = encoding.PutUvarint(dst, uint64(totalRecs))
 	for _, m := range group {
 		for _, op := range m.ops {
-			out = append(out, byte(op.kind))
-			out = encoding.PutUvarint(out, uint64(len(op.key)))
-			out = append(out, op.key...)
-			out = encoding.PutUvarint(out, uint64(len(op.value)))
-			out = append(out, op.value...)
+			dst = append(dst, byte(op.kind))
+			dst = encoding.PutUvarint(dst, uint64(len(op.key)))
+			dst = append(dst, op.key...)
+			dst = encoding.PutUvarint(dst, uint64(len(op.value)))
+			dst = append(dst, op.value...)
 		}
 	}
-	return out
+	return dst
 }

@@ -47,7 +47,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		}
 		db.mu.Lock()
 		seq := db.seq
-		queued := len(db.groupQueue)
+		queued := db.groupQueue.len()
 		db.mu.Unlock()
 		if want := uint64(writers * perWriter); seq != want {
 			t.Errorf("sequence not gap-free: seq=%d want %d", seq, want)

@@ -267,7 +267,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		opt:               opt,
 		cache:             opt.newBlockCache(),
 		memSize:           opt.MemtableSize,
-		mem:               memtable.New(),
+		mem:               memtable.New(opt.MemtableSize),
 		vers:              newVersion(opt.MaxLevels),
 		nextFileNum:       snap.nextFileNum,
 		seq:               snap.seq,

@@ -9,11 +9,18 @@
 // immutable once linked (the list is insert-only; deletes are tombstone
 // records, never unlinks), which is what makes wait-free reads sound:
 // a reader that observed a forward pointer can follow it forever.
+//
+// Nodes, their towers and the key and value bytes are carved from slabs
+// the Table owns (the LevelDB/RocksDB arena), so an insert allocates
+// nothing once a slab is open and the whole table is freed at once when
+// its flush drops it.
 package memtable
 
 import (
 	"bytes"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind tags an entry as a value or a tombstone.
@@ -42,13 +49,20 @@ const (
 	branching = 4
 )
 
+// node is one skiplist entry. kv — the key, then the value — aliases the
+// table's byte slab and next its tower slab; nothing but next's pointers
+// is written after the node is linked. One slice for both keeps a node at
+// 64 bytes.
 type node struct {
-	key   []byte
-	value []byte
-	seq   uint64
-	kind  Kind
-	next  []atomic.Pointer[node]
+	kv   []byte
+	seq  uint64
+	klen uint32
+	kind Kind
+	next []atomic.Pointer[node]
 }
+
+func (n *node) key() []byte   { return n.kv[:n.klen:n.klen] }
+func (n *node) value() []byte { return n.kv[n.klen:] }
 
 // loadNext returns n's successor at level h.
 func (n *node) loadNext(h int) *node { return n.next[h].Load() }
@@ -59,19 +73,89 @@ func (n *node) loadNext(h int) *node { return n.next[h].Load() }
 // allocation guarantees uniqueness, so group members insert their
 // records fully in parallel.
 type Table struct {
-	head   *node
-	height atomic.Int32
-	rnd    atomic.Uint64 // splitmix64 state for randomHeight
-	size   atomic.Int64
-	count  atomic.Int64
+	head      node
+	headTower [maxHeight]atomic.Pointer[node]
+	height    atomic.Int32
+	rnd       atomic.Uint64 // splitmix64 state for randomHeight
+	size      atomic.Int64
+	count     atomic.Int64
+
+	// The slab allocator. Each slice is the unused tail of the newest
+	// slab of its type; linked nodes keep the used parts reachable. A
+	// slab is opened by the Add that finds the tail too short, at double
+	// the previous one's length up to maxSlab bytes: an empty table owns
+	// no slab (New allocates none), a small one about twice what its
+	// entries need, a full one its entries plus a few percent.
+	slabMu    sync.Mutex
+	nodes     []node
+	towers    []atomic.Pointer[node]
+	data      []byte
+	nextNodes int // length of the next slab of each type, in elements
+	nextTower int
+	nextData  int
+	maxSlab   int // bound on one slab, in bytes
 }
 
-// New returns an empty memtable.
-func New() *Table {
-	t := &Table{head: &node{next: make([]atomic.Pointer[node], maxHeight)}}
+const (
+	// firstSlabEntries sizes the first node slab, and with it the first
+	// tower slab; firstSlabBytes is the first key/value slab.
+	firstSlabEntries = 32
+	firstSlabBytes   = 4 << 10
+	// A slab is at most 1/slabFraction of the write buffer, inside
+	// [minMaxSlab, maxMaxSlab]: large enough that filling a table takes a
+	// few dozen allocations, small enough that the unused tails of its
+	// last slabs are a few percent of a small buffer and, under a large
+	// one, under a megabyte in all — many tables are live at once (shards,
+	// Main- and Dev-LSM, tables queued for flush), and what they hold
+	// unused the collector's pacing counts twice.
+	slabFraction = 32
+	minMaxSlab   = 64 << 10
+	maxMaxSlab   = 256 << 10
+)
+
+// New returns an empty memtable. writeBuffer is the footprint
+// (ApproximateSize) at which the caller will stop adding to it; it only
+// bounds how large a slab may grow, and a value <= 0 picks the smallest
+// bound.
+func New(writeBuffer int64) *Table {
+	t := &Table{
+		nextNodes: firstSlabEntries,
+		nextTower: firstSlabEntries * 2,
+		nextData:  firstSlabBytes,
+		maxSlab:   int(min(max(writeBuffer/slabFraction, minMaxSlab), maxMaxSlab)),
+	}
+	t.head.next = t.headTower[:]
 	t.height.Store(1)
 	t.rnd.Store(0xdecaf)
 	return t
+}
+
+// carve cuts n elements off the slab tail *free, first replacing the slab
+// with a fresh one of *next elements (at least n) when the tail is too
+// short; *next then doubles up to maxLen. The abandoned tail is the
+// allocator's only waste.
+func carve[T any](free *[]T, n int, next *int, maxLen int) []T {
+	if len(*free) < n {
+		*free = make([]T, max(*next, n))
+		*next = min(2**next, maxLen)
+	}
+	out := (*free)[:n:n]
+	*free = (*free)[n:]
+	return out
+}
+
+// newNode returns an unlinked node of height h holding copies of key and
+// value, all carved from the table's slabs.
+func (t *Table) newNode(h int, seq uint64, kind Kind, key, value []byte) *node {
+	t.slabMu.Lock()
+	n := &carve(&t.nodes, 1, &t.nextNodes, t.maxSlab/int(unsafe.Sizeof(node{})))[0]
+	n.next = carve(&t.towers, h, &t.nextTower, t.maxSlab/int(unsafe.Sizeof(n.next[0])))
+	n.kv = carve(&t.data, len(key)+len(value), &t.nextData, t.maxSlab)
+	t.slabMu.Unlock()
+	copy(n.kv, key)
+	copy(n.kv[len(key):], value)
+	n.seq, n.klen, n.kind = seq, uint32(len(key)), kind
+	return n
 }
 
 // compare orders internal keys: user key ascending, then seq descending.
@@ -110,11 +194,11 @@ func (t *Table) randomHeight() int {
 // findGE returns the first node with internal key >= (key, seq), filling
 // prev with the rightmost node before it at every level when prev != nil.
 func (t *Table) findGE(key []byte, seq uint64, prev []*node) *node {
-	x := t.head
+	x := &t.head
 	level := int(t.height.Load()) - 1
 	for {
 		next := x.loadNext(level)
-		if next != nil && compare(next.key, next.seq, key, seq) < 0 {
+		if next != nil && compare(next.key(), next.seq, key, seq) < 0 {
 			x = next
 			continue
 		}
@@ -134,16 +218,17 @@ func findSpliceForLevel(key []byte, seq uint64, level int, start *node) (prev, s
 	prev = start
 	for {
 		succ = prev.loadNext(level)
-		if succ == nil || compare(succ.key, succ.seq, key, seq) >= 0 {
+		if succ == nil || compare(succ.key(), succ.seq, key, seq) >= 0 {
 			return prev, succ
 		}
 		prev = succ
 	}
 }
 
-// Add inserts an entry. Duplicate (key, seq) pairs must not be inserted
-// (the write path's sequence allocator guarantees this). Safe for any
-// number of concurrent callers.
+// Add inserts an entry, copying key and value into the table's slabs: the
+// caller's buffers are not retained. Duplicate (key, seq) pairs must not
+// be inserted (the write path's sequence allocator guarantees this). Safe
+// for any number of concurrent callers.
 func (t *Table) Add(seq uint64, kind Kind, key, value []byte) {
 	h := t.randomHeight()
 	// Publish a taller list height first; a racing reader that still sees
@@ -154,17 +239,11 @@ func (t *Table) Add(seq uint64, kind Kind, key, value []byte) {
 			break
 		}
 	}
-	n := &node{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-		seq:   seq,
-		kind:  kind,
-		next:  make([]atomic.Pointer[node], h),
-	}
+	n := t.newNode(h, seq, kind, key, value)
 	var prev [maxHeight]*node
 	var succ [maxHeight]*node
 	for i := range prev[:h] {
-		prev[i] = t.head
+		prev[i] = &t.head
 	}
 	t.findGE(key, seq, prev[:])
 	for i := 0; i < h; i++ {
@@ -188,14 +267,17 @@ func (t *Table) Add(seq uint64, kind Kind, key, value []byte) {
 }
 
 // Get returns the newest entry for key. ok is false if the key has no
-// entry at all; a tombstone returns ok=true with kind KindDelete.
+// entry at all; a tombstone returns ok=true with kind KindDelete. The
+// returned value aliases the table's slab memory: it is immutable and
+// stays valid as long as the caller holds it, but it pins the slab, so
+// copy it before caching it past the table's life.
 func (t *Table) Get(key []byte) (value []byte, kind Kind, ok bool) {
 	// Seek to (key, maxSeq): the first entry for key is the newest.
 	n := t.findGE(key, ^uint64(0), nil)
-	if n == nil || !bytes.Equal(n.key, key) {
+	if n == nil || !bytes.Equal(n.key(), key) {
 		return nil, 0, false
 	}
-	return n.value, n.kind, true
+	return n.value(), n.kind, true
 }
 
 // ApproximateSize returns the memtable's memory footprint in bytes.
@@ -248,8 +330,9 @@ func (it *Iterator) SeekVersion(key []byte, maxSeq uint64) {
 // Next advances to the following internal key.
 func (it *Iterator) Next() { it.n = it.n.loadNext(0) }
 
-// Entry returns the current record. The returned slices must not be
-// modified.
+// Entry returns the current record. Key and Value alias the table's slab
+// memory, as Get's value does: never modify them, and copy before keeping
+// them past the table's life.
 func (it *Iterator) Entry() Entry {
-	return Entry{Key: it.n.key, Value: it.n.value, Seq: it.n.seq, Kind: it.n.kind}
+	return Entry{Key: it.n.key(), Value: it.n.value(), Seq: it.n.seq, Kind: it.n.kind}
 }

@@ -38,7 +38,7 @@ func TestMemtableConcurrentInsertGet(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			m := New()
+			m := New(0)
 			var seqGen atomic.Uint64
 			var writers, readers sync.WaitGroup
 			stop := make(chan struct{})
@@ -132,7 +132,7 @@ func TestMemtableConcurrentIterateOrdered(t *testing.T) {
 	// While writers insert, every full iteration must be strictly
 	// ordered: key ascending, seq descending within a key, and no
 	// (key, seq) pair visited twice.
-	m := New()
+	m := New(0)
 	var seqGen atomic.Uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -182,7 +182,7 @@ func TestMemtableIteratorSnapshotStability(t *testing.T) {
 	// filters on the bound sees exactly the pre-populated set on every
 	// pass, no matter how many concurrent inserts land above the bound.
 	const preKeys = 300
-	m := New()
+	m := New(0)
 	want := make(map[string]uint64, preKeys)
 	for i := 0; i < preKeys; i++ {
 		key := []byte(fmt.Sprintf("sn%04d", i))
@@ -250,7 +250,7 @@ func TestMemtableSeekVersionUnderInserts(t *testing.T) {
 	// SeekVersion(key, S) must land on the newest entry with seq <= S
 	// for that key even while newer versions are being linked in front
 	// of it by other goroutines.
-	m := New()
+	m := New(0)
 	const k = "hotkey"
 	for s := uint64(1); s <= 50; s++ {
 		m.Add(s, KindPut, []byte(k), propVal([]byte(k), s))

@@ -6,12 +6,13 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
 func TestPutGet(t *testing.T) {
-	m := New()
+	m := New(0)
 	m.Add(1, KindPut, []byte("a"), []byte("va"))
 	m.Add(2, KindPut, []byte("b"), []byte("vb"))
 	v, kind, ok := m.Get([]byte("a"))
@@ -27,7 +28,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestNewestVersionWins(t *testing.T) {
-	m := New()
+	m := New(0)
 	m.Add(1, KindPut, []byte("k"), []byte("old"))
 	m.Add(5, KindPut, []byte("k"), []byte("new"))
 	m.Add(3, KindPut, []byte("k"), []byte("mid"))
@@ -38,7 +39,7 @@ func TestNewestVersionWins(t *testing.T) {
 }
 
 func TestTombstoneVisible(t *testing.T) {
-	m := New()
+	m := New(0)
 	m.Add(1, KindPut, []byte("k"), []byte("v"))
 	m.Add(2, KindDelete, []byte("k"), nil)
 	_, kind, ok := m.Get([]byte("k"))
@@ -48,7 +49,7 @@ func TestTombstoneVisible(t *testing.T) {
 }
 
 func TestIteratorOrder(t *testing.T) {
-	m := New()
+	m := New(0)
 	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
 	for i, k := range keys {
 		m.Add(uint64(i+1), KindPut, []byte(k), []byte("v"))
@@ -71,7 +72,7 @@ func TestIteratorOrder(t *testing.T) {
 }
 
 func TestIteratorVersionOrderWithinKey(t *testing.T) {
-	m := New()
+	m := New(0)
 	m.Add(1, KindPut, []byte("k"), []byte("v1"))
 	m.Add(3, KindPut, []byte("k"), []byte("v3"))
 	m.Add(2, KindDelete, []byte("k"), nil)
@@ -86,7 +87,7 @@ func TestIteratorVersionOrderWithinKey(t *testing.T) {
 }
 
 func TestSeek(t *testing.T) {
-	m := New()
+	m := New(0)
 	for i := 0; i < 100; i += 2 {
 		m.Add(uint64(i+1), KindPut, []byte(fmt.Sprintf("key%03d", i)), []byte("v"))
 	}
@@ -106,7 +107,7 @@ func TestSeek(t *testing.T) {
 }
 
 func TestApproximateSizeGrows(t *testing.T) {
-	m := New()
+	m := New(0)
 	if m.ApproximateSize() != 0 {
 		t.Fatal("empty memtable has nonzero size")
 	}
@@ -117,7 +118,7 @@ func TestApproximateSizeGrows(t *testing.T) {
 }
 
 func TestConcurrentReadersOneWriter(t *testing.T) {
-	m := New()
+	m := New(0)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -156,7 +157,7 @@ func TestGetMatchesReferenceModel(t *testing.T) {
 		Key byte
 		Del bool
 	}) bool {
-		m := New()
+		m := New(0)
 		type ref struct {
 			kind Kind
 			val  []byte
@@ -190,20 +191,45 @@ func TestGetMatchesReferenceModel(t *testing.T) {
 	}
 }
 
+// BenchmarkAdd inserts 4 KiB values under random 16-byte keys from one
+// and from eight writers, into tables rotated at the benchmark's 12.8 MB
+// write buffer so the skiplist depth stays what a run sees.
 func BenchmarkAdd(b *testing.B) {
-	m := New()
-	key := make([]byte, 16)
-	val := make([]byte, 100)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng.Read(key)
-		m.Add(uint64(i), KindPut, key, val)
+	const valueSize, writeBuffer = 4096, 128 << 20 / 10
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(16 + valueSize)
+			var mu sync.Mutex // guards the rotation only
+			m := New(writeBuffer)
+			var seq atomic.Uint64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					key, val := make([]byte, 16), make([]byte, valueSize)
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := w; i < b.N; i += writers {
+						rng.Read(key)
+						mu.Lock()
+						if m.ApproximateSize() > writeBuffer {
+							m = New(writeBuffer)
+						}
+						t := m
+						mu.Unlock()
+						t.Add(seq.Add(1), KindPut, key, val)
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	m := New()
+	m := New(0)
 	for i := 0; i < 100000; i++ {
 		m.Add(uint64(i), KindPut, []byte(fmt.Sprintf("key%06d", i)), []byte("v"))
 	}

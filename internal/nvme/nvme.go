@@ -115,6 +115,23 @@ type Dispatcher struct {
 	plan    *faults.Plan
 	tracer  *trace.Tracer
 	severed bool // power cut: no command survives until re-Attach
+	// workerNames caches "nvme.cmd."+opcode, the name of a command's
+	// worker runner, so dispatching a command builds no string.
+	workerNames map[string]string
+}
+
+// workerNameLocked returns the runner name for a worker executing op.
+// Called with d.mu held.
+func (d *Dispatcher) workerNameLocked(op string) string {
+	name, ok := d.workerNames[op]
+	if !ok {
+		if d.workerNames == nil {
+			d.workerNames = make(map[string]string)
+		}
+		name = "nvme.cmd." + op
+		d.workerNames[op] = name
+	}
+	return name
 }
 
 // SetFaultPlan installs the fault plan every command consults; nil (the
@@ -220,10 +237,10 @@ func (d *Dispatcher) NewQueuePair(name string, weight int) *QueuePair {
 		weight = 1
 	}
 	q := &QueuePair{
-		name:    name,
-		d:       d,
-		weight:  weight,
-		credit:  weight,
+		name:      name,
+		d:         d,
+		weight:    weight,
+		credit:    weight,
 		depth:     d.cfg.QueueDepth,
 		latency:   metrics.NewHistogram(),
 		bgLatency: metrics.NewHistogram(),
@@ -262,8 +279,9 @@ func (d *Dispatcher) run(r *vclock.Runner) {
 			d.slots.Release(1)
 			return
 		}
+		name := d.workerNameLocked(cmd.Op)
 		d.mu.Unlock()
-		d.clk.Go("nvme.cmd."+cmd.Op, func(w *vclock.Runner) {
+		d.clk.Go(name, func(w *vclock.Runner) {
 			d.mu.Lock()
 			plan, severed, tr := d.plan, d.severed, d.tracer
 			d.mu.Unlock()

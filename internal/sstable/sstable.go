@@ -47,20 +47,24 @@ func DefaultBuilderOptions() BuilderOptions {
 }
 
 // Builder accumulates internal-key records in sorted order and encodes the
-// table.
+// table. Records are encoded straight into the file image; a data block is
+// a range of it, closed by noting its offsets in the index.
 type Builder struct {
 	opt        BuilderOptions
-	buf        []byte // file bytes so far (data blocks)
+	buf        []byte // the file image so far: closed data blocks, then the open one
 	sizeHint   int    // expected bytes of data blocks; see SizeHint
-	block      []byte // current data block
-	index      []byte // index block under construction
-	blockFirst []byte
-	keys       [][]byte // user keys for the bloom filter
-	meta       Meta
-	lastKey    []byte
+	blockStart int    // offset in buf of the open data block
+	blockFirst span   // first key of the open block
+	lastKey    span   // key of the newest record
 	lastSeq    uint64
-	started    bool
+	index      []byte   // index block under construction
+	hashes     []uint32 // bloom hash of every distinct user key
+	smallest   []byte
+	entries    int
 }
+
+// span locates a key inside Builder.buf, which append may move.
+type span struct{ off, end int }
 
 // NewBuilder returns an empty builder.
 func NewBuilder(opt BuilderOptions) *Builder {
@@ -71,87 +75,97 @@ func NewBuilder(opt BuilderOptions) *Builder {
 }
 
 // SizeHint tells the builder how many bytes of data blocks (records with
-// their headers) to expect, so the file buffer is allocated once, when
-// the first block is flushed, instead of growing by doubling. The builder
-// adds room for index, filter and footer. A low or missing hint only
-// costs the regrowth.
+// their headers) to expect, so the file buffer is allocated once, by the
+// first Add, instead of growing by doubling. The builder adds room for
+// index, filter and footer. A low or missing hint only costs the
+// regrowth.
 func (b *Builder) SizeHint(n int) { b.sizeHint = n }
 
-// Add appends one record. Records must arrive in strictly increasing
-// internal-key order (user key ascending, seq descending within a key).
+// Add appends one record, copying key and value into the file image.
+// Records must arrive in strictly increasing internal-key order (user key
+// ascending, seq descending within a key).
 func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) error {
-	if b.started {
-		if c := bytes.Compare(key, b.lastKey); c < 0 || (c == 0 && seq >= b.lastSeq) {
-			return fmt.Errorf("sstable: keys out of order: %q/%d after %q/%d", key, seq, b.lastKey, b.lastSeq)
+	first := b.entries == 0
+	newKey := true
+	if !first {
+		last := b.buf[b.lastKey.off:b.lastKey.end]
+		c := bytes.Compare(key, last)
+		if c < 0 || (c == 0 && seq >= b.lastSeq) {
+			return fmt.Errorf("sstable: keys out of order: %q/%d after %q/%d", key, seq, last, b.lastSeq)
 		}
-	}
-	if len(b.block) == 0 {
-		b.blockFirst = append(b.blockFirst[:0], key...)
-	}
-	b.block = encoding.PutUvarint(b.block, uint64(len(key)))
-	b.block = encoding.PutUvarint(b.block, uint64(len(value)))
-	b.block = append(b.block, byte(kind))
-	b.block = encoding.PutU64(b.block, seq)
-	b.block = append(b.block, key...)
-	b.block = append(b.block, value...)
-
-	first := !b.started
-	if first {
-		b.meta.Smallest = append([]byte(nil), key...)
-		b.started = true
-	}
-	b.meta.Largest = append(b.meta.Largest[:0], key...)
-	b.meta.Entries++
-	// Only distinct user keys feed the bloom filter. The first key must be
-	// added unconditionally: an empty first key compares equal to the nil
-	// lastKey and would otherwise be skipped.
-	if b.opt.BloomBits > 0 && (first || !bytes.Equal(key, b.lastKey)) {
-		b.keys = append(b.keys, append([]byte(nil), key...))
-	}
-	b.lastKey = append(b.lastKey[:0], key...)
-	b.lastSeq = seq
-	if len(b.block) >= b.opt.BlockSize {
-		b.flushBlock()
-	}
-	return nil
-}
-
-func (b *Builder) flushBlock() {
-	if len(b.block) == 0 {
-		return
+		newKey = c != 0
 	}
 	if b.buf == nil && b.sizeHint > 0 {
 		// Index and filter: about 25 bytes per block and BloomBits per key,
 		// under a sixteenth of the data even for 20-byte records.
 		b.buf = make([]byte, 0, b.sizeHint+b.sizeHint/16+footerSize)
 	}
-	off := len(b.buf)
-	b.buf = append(b.buf, b.block...)
-	b.index = encoding.PutUvarint(b.index, uint64(len(b.blockFirst)))
-	b.index = append(b.index, b.blockFirst...)
-	b.index = encoding.PutU32(b.index, uint32(off))
-	b.index = encoding.PutU32(b.index, uint32(len(b.block)))
-	b.block = b.block[:0]
+	opensBlock := len(b.buf) == b.blockStart
+	b.buf = encoding.PutUvarint(b.buf, uint64(len(key)))
+	b.buf = encoding.PutUvarint(b.buf, uint64(len(value)))
+	b.buf = append(b.buf, byte(kind))
+	b.buf = encoding.PutU64(b.buf, seq)
+	b.lastKey = span{len(b.buf), len(b.buf) + len(key)}
+	b.lastSeq = seq
+	b.buf = append(b.buf, key...)
+	b.buf = append(b.buf, value...)
+
+	if first {
+		b.smallest = append([]byte(nil), key...)
+	}
+	if opensBlock {
+		b.blockFirst = b.lastKey
+	}
+	b.entries++
+	// Only distinct user keys feed the bloom filter.
+	if b.opt.BloomBits > 0 && newKey {
+		b.hashes = append(b.hashes, bloom.Hash(key))
+	}
+	if len(b.buf)-b.blockStart >= b.opt.BlockSize {
+		b.closeBlock()
+	}
+	return nil
+}
+
+// closeBlock ends the open data block where the image ends and indexes it.
+func (b *Builder) closeBlock() {
+	if len(b.buf) == b.blockStart {
+		return
+	}
+	first := b.buf[b.blockFirst.off:b.blockFirst.end]
+	b.index = encoding.PutUvarint(b.index, uint64(len(first)))
+	b.index = append(b.index, first...)
+	b.index = encoding.PutU32(b.index, uint32(b.blockStart))
+	b.index = encoding.PutU32(b.index, uint32(len(b.buf)-b.blockStart))
+	b.blockStart = len(b.buf)
 }
 
 // EstimatedSize returns the bytes accumulated so far.
-func (b *Builder) EstimatedSize() int { return len(b.buf) + len(b.block) }
+func (b *Builder) EstimatedSize() int { return len(b.buf) }
 
 // Entries returns the number of records added so far.
-func (b *Builder) Entries() int { return b.meta.Entries }
+func (b *Builder) Entries() int { return b.entries }
 
-// Finish encodes the table and returns the file bytes plus its Meta.
+// Finish encodes the table and returns the file bytes plus its Meta. The
+// image is the builder's own buffer, handed over: the builder must not be
+// used again, and the caller may pass the image on to an owner such as
+// fs.WriteFile without copying it.
 func (b *Builder) Finish() ([]byte, Meta, error) {
-	if b.meta.Entries == 0 {
+	if b.entries == 0 {
 		return nil, Meta{}, errors.New("sstable: empty table")
 	}
-	b.flushBlock()
+	meta := Meta{
+		Smallest: b.smallest,
+		Largest:  append([]byte(nil), b.buf[b.lastKey.off:b.lastKey.end]...),
+		Entries:  b.entries,
+	}
+	b.closeBlock()
 	indexOff := len(b.buf)
 	b.buf = append(b.buf, b.index...)
 	bloomOff := len(b.buf)
 	var filter bloom.Filter
 	if b.opt.BloomBits > 0 {
-		filter = bloom.Build(b.keys, b.opt.BloomBits)
+		filter = bloom.BuildFromHashes(b.hashes, b.opt.BloomBits)
 		b.buf = append(b.buf, filter...)
 	}
 	crc := encoding.Checksum(b.buf)
@@ -159,11 +173,11 @@ func (b *Builder) Finish() ([]byte, Meta, error) {
 	b.buf = encoding.PutU32(b.buf, uint32(len(b.index)))
 	b.buf = encoding.PutU32(b.buf, uint32(bloomOff))
 	b.buf = encoding.PutU32(b.buf, uint32(len(filter)))
-	b.buf = encoding.PutU32(b.buf, uint32(b.meta.Entries))
+	b.buf = encoding.PutU32(b.buf, uint32(b.entries))
 	b.buf = encoding.PutU32(b.buf, crc)
 	b.buf = encoding.PutU32(b.buf, Magic)
-	b.meta.Size = len(b.buf)
-	return b.buf, b.meta, nil
+	meta.Size = len(b.buf)
+	return b.buf, meta, nil
 }
 
 // Source supplies timed reads of a table's bytes — internal/fs files and
@@ -183,7 +197,9 @@ type indexEntry struct {
 
 // Reader serves point and range reads from one table. The index and bloom
 // filter are pinned in memory at open (as RocksDB pins them by default);
-// data blocks go through the optional shared BlockCache.
+// data blocks go through the optional shared BlockCache. The index's keys
+// and the filter alias the bytes the Source returned for them, so a Source
+// must not overwrite what it has handed out.
 type Reader struct {
 	src     Source
 	fileID  uint64
@@ -224,16 +240,8 @@ func Open(r *vclock.Runner, src Source, fileID uint64, cache *BlockCache) (*Read
 	if err != nil {
 		return nil, err
 	}
-	for len(idx) > 0 {
-		klen, rest, err := encoding.Uvarint(idx)
-		if err != nil || uint64(len(rest)) < klen+8 {
-			return nil, ErrCorrupt
-		}
-		key := rest[:klen]
-		off, rest2, _ := encoding.U32(rest[klen:])
-		length, rest3, _ := encoding.U32(rest2)
-		rd.index = append(rd.index, indexEntry{firstKey: append([]byte(nil), key...), off: off, length: length})
-		idx = rest3
+	if rd.index, err = decodeIndex(idx, indexOff); err != nil {
+		return nil, err
 	}
 	if bloomLen > 0 {
 		fb, err := src.ReadAt(r, int(bloomOff), int(bloomLen))
@@ -243,6 +251,36 @@ func Open(r *vclock.Runner, src Source, fileID uint64, cache *BlockCache) (*Read
 		rd.filter = bloom.Filter(fb)
 	}
 	return rd, nil
+}
+
+// decodeIndex parses an index block: per data block uvarint(klen), first
+// key, u32 offset, u32 length. Data blocks lie back to back below
+// dataEnd, where the index starts; an entry that says otherwise is
+// corrupt (and would send a block read or the readahead span out of
+// range). The entries' firstKeys alias idx.
+func decodeIndex(idx []byte, dataEnd uint32) ([]indexEntry, error) {
+	n := 0
+	for rest := idx; len(rest) > 0; n++ {
+		klen, after, err := encoding.Uvarint(rest)
+		if err != nil || klen > uint64(len(after)) || uint64(len(after))-klen < 8 {
+			return nil, ErrCorrupt
+		}
+		rest = after[klen+8:]
+	}
+	index := make([]indexEntry, n)
+	var end uint32 // where the previous block ends
+	for i := range index {
+		klen, rest, _ := encoding.Uvarint(idx)
+		e := &index[i]
+		e.firstKey = rest[:klen:klen]
+		e.off, rest, _ = encoding.U32(rest[klen:])
+		e.length, idx, _ = encoding.U32(rest)
+		if e.off < end || e.length > dataEnd || e.off > dataEnd-e.length {
+			return nil, ErrCorrupt
+		}
+		end = e.off + e.length
+	}
+	return index, nil
 }
 
 // VerifyChecksum re-reads the whole table body and validates the footer
@@ -385,7 +423,8 @@ func decodeNext(b []byte) (rec record, rest []byte, err error) {
 		return rec, nil, err
 	}
 	rec.seq = seq
-	if uint64(len(b)) < klen+vlen {
+	// Compared one at a time: klen+vlen can wrap.
+	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen {
 		return rec, nil, ErrCorrupt
 	}
 	rec.key = b[:klen]

@@ -11,6 +11,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -78,10 +79,22 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, name string, opt Options) *Log
 // Name returns the log's file name.
 func (l *Log) Name() string { return l.name }
 
-// Append encodes one record (u32 length, u32 crc, payload) into the log
+// recordHeader is the u32 length and u32 CRC32C in front of every payload.
+const recordHeader = 8
+
+// Append adds one record (u32 length, u32 crc, payload) to the log
 // buffer, handing full chunks to the writeback runner. It blocks only when
 // the writeback queue is full.
-func (l *Log) Append(r *vclock.Runner, payload []byte) error {
+//
+// The payload is written where it will lie: encode is called once with
+// the log buffer's tail and must append the payload to it and return the
+// result, as the strconv.Append functions do; Append then fills in the
+// length and checksum in front of it. size is the caller's estimate of
+// the payload, used to give a fresh buffer room for a chunk plus one
+// record. encode runs under the log's mutex, so it must do nothing but
+// append; whatever it copies from stays the caller's. Append returns the
+// payload's length.
+func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte) (int, error) {
 	// The encode cost is charged before taking l.mu: a runner must not
 	// park on the CPU pool while holding a host mutex other running
 	// goroutines contend on, or virtual time could not advance.
@@ -91,22 +104,25 @@ func (l *Log) Append(r *vclock.Runner, payload []byte) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return fmt.Errorf("wal: %s: append on closed log", l.name)
+		return 0, fmt.Errorf("wal: %s: append on closed log", l.name)
 	}
 	if l.werr != nil {
 		err := l.werr
 		l.mu.Unlock()
-		return err
+		return 0, err
 	}
 	if l.buf == nil {
 		// A chunk is handed off by the record that takes it to ChunkSize:
 		// room for that much plus one record, allocated once.
-		l.buf = make([]byte, 0, l.opt.ChunkSize+8+len(payload))
+		l.buf = make([]byte, 0, l.opt.ChunkSize+recordHeader+size)
 	}
-	l.buf = encoding.PutU32(l.buf, uint32(len(payload)))
-	l.buf = encoding.PutU32(l.buf, encoding.Checksum(payload))
-	l.buf = append(l.buf, payload...)
-	l.bytesAppended += int64(len(payload) + 8)
+	header := len(l.buf)
+	l.buf = append(l.buf, make([]byte, recordHeader)...)
+	l.buf = encode(l.buf)
+	payload := l.buf[header+recordHeader:]
+	binary.LittleEndian.PutUint32(l.buf[header:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.buf[header+4:], encoding.Checksum(payload))
+	l.bytesAppended += int64(len(payload) + recordHeader)
 	var chunk []byte
 	if len(l.buf) >= l.opt.ChunkSize {
 		chunk = l.buf
@@ -117,7 +133,7 @@ func (l *Log) Append(r *vclock.Runner, payload []byte) error {
 	if chunk != nil {
 		l.queue.Push(r, chunk)
 	}
-	return nil
+	return len(payload), nil
 }
 
 // Sync flushes the partial buffer and parks r until every queued chunk is
@@ -184,45 +200,40 @@ func (l *Log) BytesWritten() int64 {
 }
 
 func (l *Log) writeback(r *vclock.Runner) {
-	var more [][]byte // chunks queued behind the one popped; reused every round
+	var chunks [][]byte // one round's chunks; reused every round
 	for {
 		chunk, ok := l.queue.Pop(r)
 		if !ok {
 			return
 		}
-		// Coalesce everything already queued into one large append, the
-		// way the kernel's writeback path batches dirty pages; large
-		// appends reach the device's full die parallelism.
+		// Take everything already queued into one large append, the way
+		// the kernel's writeback path batches dirty pages; large appends
+		// reach the device's full die parallelism. The file system joins
+		// the chunks as it copies them into the file.
+		chunks = append(chunks, chunk)
 		total := len(chunk)
 		for {
 			c, ok := l.queue.TryPop()
 			if !ok {
 				break
 			}
-			more = append(more, c)
+			chunks = append(chunks, c)
 			total += len(c)
-		}
-		batch, n := chunk, 1+len(more)
-		if len(more) > 0 {
-			batch = append(make([]byte, 0, total), chunk...)
-			for _, c := range more {
-				batch = append(batch, c...)
-			}
-			clear(more) // do not pin the chunks until the next round
-			more = more[:0]
 		}
 		// fs.Append spends the block-path device time. A failed append
 		// leaves a hole in the log, so the error is sticky: no later
 		// Sync may report the log durable again.
-		err := l.fsys.Append(r, l.name, batch)
+		err := l.fsys.Append(r, l.name, chunks...)
 		l.mu.Lock()
 		if err != nil && l.werr == nil {
 			l.werr = err
 		}
-		l.bytesWritten += int64(len(batch))
-		l.pending -= n
+		l.bytesWritten += int64(total)
+		l.pending -= len(chunks)
 		l.mu.Unlock()
 		l.drained.Broadcast()
+		clear(chunks) // do not pin the chunks until the next round
+		chunks = chunks[:0]
 	}
 }
 

@@ -31,6 +31,13 @@ func (d *slowDev) TrimPages(r *vclock.Runner, lpns []int) error { return nil }
 func (d *slowDev) PageSize() int                                { return d.pageSize }
 func (d *slowDev) Pages() int                                   { return d.pages }
 
+// appendBytes appends p as one record, the way a caller with a finished
+// payload would.
+func appendBytes(l *Log, r *vclock.Runner, p []byte) error {
+	_, err := l.Append(r, len(p), func(dst []byte) []byte { return append(dst, p...) })
+	return err
+}
+
 func newEnv(perPage time.Duration) (*vclock.Clock, *fs.FileSystem) {
 	clk := vclock.New()
 	fsys := fs.New(&slowDev{pageSize: 4096, pages: 10000, perPage: perPage})
@@ -44,7 +51,7 @@ func TestAppendSyncReplay(t *testing.T) {
 	clk.Go("writer", func(r *vclock.Runner) {
 		for i := 0; i < 100; i++ {
 			p := fmt.Sprintf("record-%03d", i)
-			if err := log.Append(r, []byte(p)); err != nil {
+			if err := appendBytes(log, r, []byte(p)); err != nil {
 				t.Errorf("append: %v", err)
 			}
 			want[p] = true
@@ -76,7 +83,7 @@ func TestUnsyncedTailNotReplayed(t *testing.T) {
 	log := Open(clk, fsys, "wal-2", Options{ChunkSize: 1 << 20, QueueDepth: 4})
 	clk.Go("writer", func(r *vclock.Runner) {
 		// Records smaller than the chunk never reach the device.
-		_ = log.Append(r, []byte("lost-on-crash"))
+		_ = appendBytes(log, r, []byte("lost-on-crash"))
 		log.Close() // crash: no Sync
 		n := 0
 		_ = Replay(r, fsys, "wal-2", func(p []byte) error { n++; return nil })
@@ -91,8 +98,8 @@ func TestReplayStopsAtCorruption(t *testing.T) {
 	clk, fsys := newEnv(0)
 	log := Open(clk, fsys, "wal-3", Options{ChunkSize: 16, QueueDepth: 4})
 	clk.Go("writer", func(r *vclock.Runner) {
-		_ = log.Append(r, []byte("first-record-payload"))
-		_ = log.Append(r, []byte("second-record-payload"))
+		_ = appendBytes(log, r, []byte("first-record-payload"))
+		_ = appendBytes(log, r, []byte("second-record-payload"))
 		log.Sync(r)
 		log.Close()
 		// Corrupt the second record's payload on "disk".
@@ -120,7 +127,7 @@ func TestBackpressureBoundsBuffering(t *testing.T) {
 	clk.Go("writer", func(r *vclock.Runner) {
 		payload := make([]byte, 4096-8) // exactly one chunk per append
 		for i := 0; i < 20; i++ {
-			_ = log.Append(r, payload)
+			_ = appendBytes(log, r, payload)
 		}
 		log.Sync(r)
 		elapsed = r.Now()
@@ -141,7 +148,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	log := Open(clk, fsys, "wal-5", DefaultOptions())
 	clk.Go("writer", func(r *vclock.Runner) {
 		log.Close()
-		if err := log.Append(r, []byte("x")); err == nil {
+		if err := appendBytes(log, r, []byte("x")); err == nil {
 			t.Error("append after close succeeded")
 		}
 	})
@@ -152,7 +159,7 @@ func TestDeleteRemovesFile(t *testing.T) {
 	clk, fsys := newEnv(0)
 	log := Open(clk, fsys, "wal-6", Options{ChunkSize: 8, QueueDepth: 4})
 	clk.Go("writer", func(r *vclock.Runner) {
-		_ = log.Append(r, []byte("payload"))
+		_ = appendBytes(log, r, []byte("payload"))
 		log.Sync(r)
 		log.Close()
 		log.Delete(r)
@@ -223,7 +230,7 @@ func TestTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 					dev.cut = true
 				}
 				rec := fmt.Sprintf("rec#%03d#%s", i, strings.Repeat("p", rng.Intn(300)))
-				if err := log.Append(r, []byte(rec)); err != nil {
+				if err := appendBytes(log, r, []byte(rec)); err != nil {
 					break // sticky writeback failure after the cut
 				}
 				appended = append(appended, rec)

@@ -337,26 +337,28 @@ func (l *ServeLoad) pickOp(rng *rand.Rand) int {
 }
 
 // buildRequest materializes one request for op kind; RMW callers issue
-// the read themselves and follow with the update this returns.
-func (l *ServeLoad) buildRequest(rng *rand.Rand, kind int, id uint64, tenant uint8) *rpc.Request {
+// the read themselves and follow with the update this returns. The
+// request's key and value lie in the client's scratch buffers: it must be
+// framed (rpc.AppendRequest copies) before the client builds another.
+func (l *ServeLoad) buildRequest(rng *rand.Rand, buf *scratch, kind int, id uint64, tenant uint8) *rpc.Request {
 	req := &rpc.Request{ID: id, Tenant: tenant}
 	switch kind {
 	case serveRead:
 		req.Op = rpc.OpGet
-		req.Key = Key(l.pickKey(rng))
+		req.Key = buf.key(l.pickKey(rng))
 	case serveUpdate, serveRMW:
 		n := l.pickKey(rng)
 		req.Op = rpc.OpPut
-		req.Key = Key(n)
-		req.Value = MakeValue(n, l.cfg.ValueSize)
+		req.Key = buf.key(n)
+		req.Value = buf.value(n, l.cfg.ValueSize)
 	case serveInsert:
 		n := int(l.state.frontier.Add(1)) - 1
 		req.Op = rpc.OpPut
-		req.Key = Key(n)
-		req.Value = MakeValue(n, l.cfg.ValueSize)
+		req.Key = buf.key(n)
+		req.Value = buf.value(n, l.cfg.ValueSize)
 	case serveScan:
 		req.Op = rpc.OpScan
-		req.Key = Key(l.pickKey(rng))
+		req.Key = buf.key(l.pickKey(rng))
 		req.Limit = uint32(rng.Intn(l.maxScan) + 1)
 	}
 	return req
@@ -423,6 +425,7 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919))
 	tenant := id % l.cfg.Tenants
 	deadline := r.Now().Add(l.cfg.Duration)
+	var buf scratch
 	var seq uint64
 	for deadline.Sub(r.Now()) > 0 {
 		kind := l.pickOp(rng)
@@ -430,12 +433,12 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 			// Read half first; fall through to the update half below.
 			get := &rpc.Request{ID: reqID(id, seq), Tenant: uint8(tenant), Op: rpc.OpGet}
 			seq++
-			get.Key = Key(l.pickKey(rng))
+			get.Key = buf.key(l.pickKey(rng))
 			if l.call(r, conn, dec, get, tenant) == nil {
 				return
 			}
 		}
-		req := l.buildRequest(rng, kind, reqID(id, seq), uint8(tenant))
+		req := l.buildRequest(rng, &buf, kind, reqID(id, seq), uint8(tenant))
 		seq++
 		resp := l.call(r, conn, dec, req, tenant)
 		if resp == nil {
@@ -502,6 +505,7 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919))
 	start := r.Now()
 	deadline := start.Add(l.cfg.Duration)
+	var buf scratch
 	var seq uint64
 	for i := 0; ; i++ {
 		due := start.Add(l.cfg.Interval * time.Duration(i))
@@ -515,7 +519,7 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 		if kind == serveRMW {
 			kind = serveUpdate // open loop keeps one request per slot
 		}
-		req := l.buildRequest(rng, kind, reqID(id, seq), uint8(tenant))
+		req := l.buildRequest(rng, &buf, kind, reqID(id, seq), uint8(tenant))
 		seq++
 		frame := rpc.AppendRequest(nil, req)
 		st.mu.Lock()

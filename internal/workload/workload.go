@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -81,11 +80,48 @@ func Key(n int) []byte { return encoding.Key16(uint64(n)) }
 // n; contents are verifiable without storing a reference copy.
 func MakeValue(n, size int) []byte {
 	v := make([]byte, size)
-	pattern := fmt.Sprintf("%016x", uint64(n)*0x9e3779b97f4a7c15)
-	for i := range v {
-		v[i] = pattern[i%16]
-	}
+	fillValue(v, n)
 	return v
+}
+
+// fillValue writes key n's value into v: the 16 hex digits of a
+// multiplicative hash of n ("%016x"), repeated to len(v).
+func fillValue(v []byte, n int) {
+	const digits = "0123456789abcdef"
+	var pattern [16]byte
+	x := uint64(n) * 0x9e3779b97f4a7c15
+	for i := len(pattern) - 1; i >= 0; i-- {
+		pattern[i] = digits[x&15]
+		x >>= 4
+	}
+	// Double the filled prefix until it covers v.
+	for filled := copy(v, pattern[:]); filled < len(v); filled *= 2 {
+		copy(v[filled:], v[:filled])
+	}
+}
+
+// scratch is one load-generating runner's key and value buffers, reused
+// for every request as db_bench's RandomGenerator reuses its own. That is
+// sound because no engine keeps a caller's buffer past the call
+// (harness.TestWritesDoNotRetainCallerBuffers) and request frames copy
+// what they carry; a key or value that must outlive the next request
+// comes from Key or MakeValue instead.
+type scratch struct {
+	k [16]byte
+	v []byte
+}
+
+// key formats key number n, as Key does, into the scratch buffer.
+func (s *scratch) key(n int) []byte { return encoding.FormatKey(s.k[:0], uint64(n), len(s.k)) }
+
+// value builds key n's value, as MakeValue does, in the scratch buffer.
+func (s *scratch) value(n, size int) []byte {
+	if cap(s.v) < size {
+		s.v = make([]byte, size)
+	}
+	s.v = s.v[:size]
+	fillValue(s.v, n)
+	return s.v
 }
 
 // Recorder accumulates a run's measurements: op counts, per-second
@@ -142,6 +178,7 @@ func (rec *Recorder) Sample(t float64, interval time.Duration) {
 // cfg.WriteInterval schedule when a fixed offered load is configured.
 func FillRandom(r *vclock.Runner, eng Engine, cfg Config, rec *Recorder) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	var buf scratch
 	start := r.Now()
 	for i := 0; r.Now().Sub(start) < cfg.Duration; i++ {
 		if cfg.WriteInterval > 0 {
@@ -152,7 +189,7 @@ func FillRandom(r *vclock.Runner, eng Engine, cfg Config, rec *Recorder) {
 		}
 		n := rng.Intn(cfg.KeySpace)
 		t0 := r.Now()
-		if err := eng.Put(r, Key(n), MakeValue(n, cfg.ValueSize)); err != nil {
+		if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 			return
 		}
 		rec.WriteLatency.Observe(r.Now().Sub(t0))
@@ -162,8 +199,9 @@ func FillRandom(r *vclock.Runner, eng Engine, cfg Config, rec *Recorder) {
 
 // FillSequential loads n keys in order (the workload-D preload).
 func FillSequential(r *vclock.Runner, eng Engine, cfg Config, n int) {
+	var buf scratch
 	for i := 0; i < n; i++ {
-		if err := eng.Put(r, Key(i), MakeValue(i, cfg.ValueSize)); err != nil {
+		if err := eng.Put(r, buf.key(i), buf.value(i, cfg.ValueSize)); err != nil {
 			return
 		}
 	}
@@ -179,6 +217,7 @@ func ReadWhileWriting(r *vclock.Runner, clk *vclock.Clock, eng Engine, cfg Confi
 	readsPerWrite := cfg.ReadFraction / (1 - cfg.ReadFraction)
 	clk.Go("workload.reader", func(rr *vclock.Runner) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7))
+		var buf scratch
 		for !done.Load() {
 			// Pace reads against completed writes to hold the ratio.
 			target := int64(float64(rec.writes.Load()) * readsPerWrite)
@@ -188,7 +227,7 @@ func ReadWhileWriting(r *vclock.Runner, clk *vclock.Clock, eng Engine, cfg Confi
 			}
 			n := rng.Intn(cfg.KeySpace)
 			t0 := rr.Now()
-			_, _, err := eng.Get(rr, Key(n))
+			_, _, err := eng.Get(rr, buf.key(n))
 			if err != nil {
 				return
 			}

@@ -221,6 +221,7 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 		}
 	}
 
+	var buf scratch
 	start := r.Now()
 	for r.Now().Sub(start) < cfg.Duration {
 		u := rng.Float64()
@@ -228,7 +229,7 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 		case u < cRead:
 			n := pick()
 			t0 := r.Now()
-			if _, _, err := eng.Get(r, Key(n)); err != nil {
+			if _, _, err := eng.Get(r, buf.key(n)); err != nil {
 				return err
 			}
 			rec.ReadLatency.Observe(r.Now().Sub(t0))
@@ -236,7 +237,7 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 		case u < cUpdate:
 			n := pick()
 			t0 := r.Now()
-			if err := eng.Put(r, Key(n), MakeValue(n, cfg.ValueSize)); err != nil {
+			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t0))
@@ -244,7 +245,7 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 		case u < cInsert:
 			n := int(state.frontier.Add(1)) - 1
 			t0 := r.Now()
-			if err := eng.Put(r, Key(n), MakeValue(n, cfg.ValueSize)); err != nil {
+			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t0))
@@ -264,13 +265,13 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 		default: // read-modify-write
 			n := pick()
 			t0 := r.Now()
-			if _, _, err := eng.Get(r, Key(n)); err != nil {
+			if _, _, err := eng.Get(r, buf.key(n)); err != nil {
 				return err
 			}
 			rec.ReadLatency.Observe(r.Now().Sub(t0))
 			rec.reads.Add(1)
 			t1 := r.Now()
-			if err := eng.Put(r, Key(n), MakeValue(n, cfg.ValueSize)); err != nil {
+			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t1))
