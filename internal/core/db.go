@@ -163,7 +163,7 @@ type Stats struct {
 	FrontCacheFills   int64
 	// FrontCacheNegFills counts negative entries installed after a
 	// full-path miss (not included in FrontCacheFills).
-	FrontCacheNegFills int64
+	FrontCacheNegFills      int64
 	FrontCacheRejected      int64 // fills dropped by the generation guard
 	FrontCacheInvalidations int64
 	FrontCacheEvictions     int64

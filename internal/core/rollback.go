@@ -96,19 +96,21 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 
 	start := r.Now()
 	var merged [][]byte
+	// One batch for the whole rollback, Reset after every merge: its arena
+	// grows once, to the largest merge, and goes when the rollback returns.
+	var b lsm.Batch
+	flush := func() {
+		if b.Len() > 0 {
+			_ = db.main.Write(r, &b)
+			b.Reset()
+		}
+	}
 	ssp := db.opt.Trace.Begin(r, trace.PhaseRollbackScan, "rollback-scan")
 	scanErr := db.dev.KVBulkScan(r, func(entries []memtable.Entry) {
 		// Each chunk merges under the write gate, serializing against
 		// foreground writes so a concurrent overwrite cannot be clobbered
 		// by an older rolled-back version.
 		db.gate.Acquire(r, gateUnits)
-		var b lsm.Batch
-		flush := func() {
-			if b.Len() > 0 {
-				_ = db.main.Write(r, &b)
-				b.Reset()
-			}
-		}
 		for i := range entries {
 			e := &entries[i]
 			if e.Kind == memtable.KindSupersede || !db.meta.Contains(e.Key) {
@@ -185,15 +187,15 @@ func (db *DB) Recover(r *vclock.Runner) error {
 	// before writers start, but nothing enforces that.
 	db.gate.Acquire(r, gateUnits)
 	db.gate.Release(gateUnits)
+	var b lsm.Batch // as in RollbackNow: one arena for the whole recovery
+	flush := func() {
+		if b.Len() > 0 {
+			_ = db.main.Write(r, &b)
+			b.Reset()
+		}
+	}
 	scanErr := db.dev.KVBulkScan(r, func(entries []memtable.Entry) {
 		db.gate.Acquire(r, gateUnits)
-		var b lsm.Batch
-		flush := func() {
-			if b.Len() > 0 {
-				_ = db.main.Write(r, &b)
-				b.Reset()
-			}
-		}
 		for i := range entries {
 			e := &entries[i]
 			switch e.Kind {

@@ -82,9 +82,10 @@ func setStall(kv *core.DB, on bool) {
 }
 
 // TestWritesDoNotRetainCallerBuffers pins the contract the scratch-buffer
-// load generators rely on: Put, Delete and WriteBatch copy what they keep,
-// so a caller may reuse its key and value buffers as soon as the call
-// returns. Every engine writes a few hundred records from one key buffer
+// load generators and the serving tier's batcher rely on: Put, Delete and
+// WriteBatch copy what they keep, so a caller may reuse its key and value
+// buffers — and Reset and refill its Batch, whose arena is such a buffer —
+// as soon as the call returns. Every engine writes a few hundred records from one key buffer
 // and one value buffer, both scribbled over after each call; then every
 // key is read back, from the memtables and again after a flush. The
 // KVACCEL arms spend the middle third of the run with the stall signal
@@ -179,17 +180,31 @@ func TestWritesDoNotRetainCallerBuffers(t *testing.T) {
 						key = encoding.FormatKey(key[:0], uint64(i-5), 16)
 						want[string(key)] = nil
 						err = ops.del(r, key)
-					case i%5 == 4: // a batch of two puts and a delete, staged from the same buffers
-						b.Reset()
-						for _, n := range []int{i, i + 1000} {
-							key = encoding.FormatKey(key[:0], uint64(n), 16)
-							want[string(key)] = append([]byte(nil), fill(value, n)...)
-							b.Put(key, value)
+					case i%5 == 4:
+						// The run's one Batch, Reset and refilled — twice
+						// here, back to back: two puts and a delete, then
+						// three puts of other keys and shorter values, which
+						// are staged over the arena bytes the first
+						// generation was committed from with nothing lined
+						// up. WriteBatch keeps nothing of a Batch, so both
+						// generations read back.
+						for gen, nums := range [][]int{{i, i + 1000}, {i + 2000, i + 3000, i + 4000}} {
+							b.Reset()
+							for _, n := range nums {
+								key = encoding.FormatKey(key[:0], uint64(n), 16)
+								v := fill(value, n)[:valueSize-100*gen]
+								want[string(key)] = append([]byte(nil), v...)
+								b.Put(key, v)
+							}
+							if gen == 0 {
+								key = encoding.FormatKey(key[:0], uint64(i-3), 16)
+								want[string(key)] = nil
+								b.Delete(key)
+							}
+							if err = ops.batch(r, &b); err != nil {
+								break
+							}
 						}
-						key = encoding.FormatKey(key[:0], uint64(i-3), 16)
-						want[string(key)] = nil
-						b.Delete(key)
-						err = ops.batch(r, &b)
 					default:
 						key = encoding.FormatKey(key[:0], uint64(i), 16)
 						want[string(key)] = append([]byte(nil), fill(value, i)...)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,11 @@ type ServeResult struct {
 	Elapsed time.Duration
 	// Clients is the number of clients that ran.
 	Clients int
+	// AckedChecked is how many OK-acked PUTs (a sample the load generator
+	// keeps) were read back from the engine after the last client
+	// finished; AckedLost is how many of them were missing or held another
+	// value. An acked write is there to be read: AckedLost must be 0.
+	AckedChecked, AckedLost int
 }
 
 // Goodput is engine-answered ops per virtual second.
@@ -83,6 +89,8 @@ func (p ServeParams) RunServe() *ServeResult {
 		remaining atomic.Int32
 		mu        sync.Mutex
 		elapsed   time.Duration
+		checked   int
+		lost      int
 	)
 	remaining.Store(int32(cfg.Clients))
 	// Clients hold here until the preload is on disk; the event keeps
@@ -109,6 +117,14 @@ func (p ServeParams) RunServe() *ServeResult {
 			}
 			mu.Unlock()
 			if remaining.Add(-1) == 0 {
+				// Every reply is in. What was acked must be there.
+				for _, n := range load.Rec.Snapshot().AckedPuts {
+					v, ok, err := db.Get(r, workload.Key(n))
+					checked++
+					if err != nil || !ok || !bytes.Equal(v, workload.MakeValue(n, cfg.ValueSize)) {
+						lost++
+					}
+				}
 				// Last client out shuts the tier down: connections have
 				// all closed, so Shutdown returns once in-flight replies
 				// drain, and only then does the engine close.
@@ -126,6 +142,9 @@ func (p ServeParams) RunServe() *ServeResult {
 		Queues:  db.QueueStats(),
 		Elapsed: elapsed,
 		Clients: cfg.Clients,
+
+		AckedChecked: checked,
+		AckedLost:    lost,
 	}
 	if res.Elapsed <= 0 {
 		res.Elapsed = cfg.Duration

@@ -131,6 +131,12 @@ func TestServeOpenLoopOverloadSheds(t *testing.T) {
 		t.Errorf("goodput %.0f is %.2fx the admitted budget %.0f, want within 10%%",
 			res.Goodput(), ratio, p.Server.AdmitRate)
 	}
+	// Requests pipeline on every connection here, so a request waits in
+	// the server while the frames behind it arrive: the acked writes are
+	// where a request reading another's bytes would show.
+	if res.AckedChecked == 0 || res.AckedLost != 0 {
+		t.Errorf("%d of %d OK-acked PUTs read back wrong after the window", res.AckedLost, res.AckedChecked)
+	}
 	// Fairness accounting: every tenant both sent and was answered.
 	for i, ten := range s.Tenants {
 		if ten.Sent == 0 {

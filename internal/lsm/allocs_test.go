@@ -93,3 +93,145 @@ func BenchmarkPut4K(b *testing.B) {
 	})
 	clk.Wait()
 }
+
+// TestAllocsBatchPutAfterReset pins the arena: a batch that has been
+// filled once stages the same load again — keys, values and the op list —
+// without allocating.
+func TestAllocsBatchPutAfterReset(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	var b Batch
+	key, val := make([]byte, 16), make([]byte, 128)
+	fill := func() {
+		b.Reset()
+		for i := 0; i < 64; i++ {
+			key[15] = byte(i)
+			if i%8 == 7 {
+				b.Delete(key)
+			} else {
+				b.Put(key, val)
+			}
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
+		t.Errorf("%v allocations to refill a 64-op batch after Reset, want 0", allocs)
+	}
+}
+
+// getOpts sizes the memtable so that a few thousand small records stay in
+// it until the test flushes them.
+func getOpts() Options {
+	opt := DefaultOptions(cpu.NewPool(8, "test-cpu"))
+	opt.MemtableSize = 8 << 20
+	opt.BlockCacheBytes = 32 << 20
+	return opt
+}
+
+const getKeys = 4096
+
+func getKey(key []byte, i int) []byte {
+	binary.BigEndian.PutUint64(key[8:], uint64(i%getKeys)*0x9e3779b97f4a7c15)
+	return key
+}
+
+// loadForGet writes getKeys records of 128 B; with flush they end up in
+// one L0 table and the memtable is empty.
+func loadForGet(r *vclock.Runner, db *DB, flush bool) error {
+	key, val := make([]byte, 16), make([]byte, 128)
+	for i := 0; i < getKeys; i++ {
+		if err := db.Put(r, getKey(key, i), val); err != nil {
+			return err
+		}
+	}
+	if flush {
+		return db.Flush(r)
+	}
+	return nil
+}
+
+// TestAllocsGet pins the read path's garbage. A Get pins the current
+// version by one counter — no copy of the level lists, no walk over the
+// files — reads the immutables into an array on its stack and visits
+// candidate files without collecting them, so a Get the memtable answers
+// allocates nothing, and one a table answers allocates only what the
+// table read itself does (the block iterator).
+func TestAllocsGet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, tc := range []struct {
+		name  string
+		flush bool
+		max   float64
+	}{
+		{"memtable", false, 0},
+		{"sst", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk, db := newTestDB(0, getOpts())
+			clk.Go("reader", func(r *vclock.Runner) {
+				defer db.Close()
+				if err := loadForGet(r, db, tc.flush); err != nil {
+					t.Error(err)
+					return
+				}
+				key := make([]byte, 16)
+				get := func(i int) {
+					if _, ok, err := db.Get(r, getKey(key, i)); err != nil || !ok {
+						t.Errorf("get %d: ok=%v err=%v", i, ok, err)
+					}
+				}
+				for i := 0; i < getKeys; i++ {
+					get(i) // every block the measured stretch reads is cached
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 2000; i++ {
+					get(i * 7)
+				}
+				runtime.ReadMemStats(&after)
+				perGet := float64(after.Mallocs-before.Mallocs) / 2000
+				t.Logf("%.3f allocations per Get", perGet)
+				if perGet > tc.max+0.01 {
+					t.Errorf("%.3f allocations per Get, want <= %v", perGet, tc.max)
+				}
+				st := db.Stats()
+				if tc.flush != (st.ReadsMemtable == 0) || st.ReadMisses != 0 {
+					t.Errorf("reads were not served where the case says: %d from the memtable, %d missed", st.ReadsMemtable, st.ReadMisses)
+				}
+			})
+			clk.Wait()
+		})
+	}
+}
+
+func benchmarkGet(b *testing.B, flush bool) {
+	clk, db := newTestDB(0, getOpts())
+	b.ReportAllocs()
+	clk.Go("reader", func(r *vclock.Runner) {
+		defer db.Close()
+		if err := loadForGet(r, db, flush); err != nil {
+			b.Error(err)
+			return
+		}
+		key := make([]byte, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := db.Get(r, getKey(key, i)); err != nil || !ok {
+				b.Errorf("get %d: ok=%v err=%v", i, ok, err)
+				return
+			}
+		}
+	})
+	clk.Wait()
+}
+
+// BenchmarkGetMemtable is a point read the active memtable answers: the
+// read CPU charge (one park), the version pin and the skiplist seek.
+func BenchmarkGetMemtable(b *testing.B) { benchmarkGet(b, false) }
+
+// BenchmarkGetSST is a point read one L0 table answers from cached
+// blocks: the memtable miss, the bloom probe, the index and block seeks.
+func BenchmarkGetSST(b *testing.B) { benchmarkGet(b, true) }

@@ -92,7 +92,9 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 
 		db.mu.Lock()
 		if meta != nil {
-			db.vers.addFile(meta)
+			nv := db.vers.clone()
+			nv.addFile(meta)
+			db.installVersionLocked(nv) // a flush retires no file
 			db.stats.Flushes++
 			db.stats.FlushBytes += meta.Size
 		}
@@ -570,18 +572,19 @@ func (db *DB) abortCompaction(r *vclock.Runner, c *compaction, outputs []*FileMe
 func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*FileMeta,
 	readBytes, writeBytes int64, discards map[uint32]int64, res *offload.MergeResult) {
 	db.mu.Lock()
-	var dead []*FileMeta
+	nv := db.vers.clone()
 	for _, f := range c.allFiles() {
-		db.vers.removeFile(f)
+		nv.removeFile(f)
 		f.beingCompacted = false
 		f.obsolete = true
-		if f.refs == 0 {
-			dead = append(dead, f)
-		}
 	}
 	for _, f := range outputs {
-		db.vers.addFile(f)
+		nv.addFile(f)
 	}
+	// The inputs no reader's version still lists are dead now; the rest
+	// go when the last Get or iterator that started before this install
+	// lets go of its version.
+	dead := db.installVersionLocked(nv)
 	if c.level == 0 {
 		db.compactingL0 = false
 	}

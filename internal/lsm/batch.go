@@ -11,9 +11,18 @@ import (
 // does — the atomicity half of the paper's §V-G transaction discussion
 // (compound commands in the KV-SSD literature [33] play the same role on
 // the device side).
+//
+// Put and Delete copy the key and value they are given, into one arena
+// the batch keeps: the caller's buffers are its own again as soon as the
+// call returns, and a batch that is Reset and refilled stages without
+// allocating once the arena has grown to the largest batch it has held.
+// In the other direction, Write (and every engine's WriteBatch above it)
+// keeps nothing of the batch once it has returned: the records were
+// copied into the log and the memtable, or onto the device.
 type Batch struct {
 	ops   []batchOp
 	bytes int
+	arena []byte // every staged key and value, back to back; ops alias it
 }
 
 type batchOp struct {
@@ -22,19 +31,24 @@ type batchOp struct {
 	value []byte
 }
 
+// stage copies p onto the end of the arena and returns the copy. When the
+// arena has to grow, ops staged before keep aliasing the array it leaves
+// behind, which stays intact until they are Reset away.
+func (b *Batch) stage(p []byte) []byte {
+	n := len(b.arena)
+	b.arena = append(b.arena, p...)
+	return b.arena[n:len(b.arena):len(b.arena)]
+}
+
 // Put stages an insert.
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		kind:  memtable.KindPut,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	b.ops = append(b.ops, batchOp{kind: memtable.KindPut, key: b.stage(key), value: b.stage(value)})
 	b.bytes += len(key) + len(value) + 16
 }
 
 // Delete stages a tombstone.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{kind: memtable.KindDelete, key: append([]byte(nil), key...)})
+	b.ops = append(b.ops, batchOp{kind: memtable.KindDelete, key: b.stage(key)})
 	b.bytes += len(key) + 16
 }
 
@@ -44,9 +58,13 @@ func (b *Batch) Len() int { return len(b.ops) }
 // Bytes returns the approximate staged payload size.
 func (b *Batch) Bytes() int { return b.bytes }
 
-// Reset clears the batch for reuse.
+// Reset empties the batch for reuse, keeping the op list's and the
+// arena's memory. What was staged is gone with it: call Reset only once
+// the Write that carried the batch has returned.
 func (b *Batch) Reset() {
+	clear(b.ops) // no stale aliases of an arena array the batch has outgrown
 	b.ops = b.ops[:0]
+	b.arena = b.arena[:0]
 	b.bytes = 0
 }
 

@@ -146,7 +146,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		cache:             opt.newBlockCache(),
 		memSize:           opt.MemtableSize,
 		mem:               memtable.New(opt.MemtableSize),
-		vers:              newVersion(opt.MaxLevels),
+		vers:              firstVersion(opt.MaxLevels),
 		nextFileNum:       1,
 		compactionThreads: opt.CompactionThreads,
 		cursor:            make([][]byte, opt.MaxLevels),
@@ -479,46 +479,60 @@ func (db *DB) get(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, ok
 	}
 }
 
-// fileSnapshot pins a consistent set of SST files for a read.
-type fileSnapshot struct {
-	levels [][]*FileMeta
+// pinVersionLocked pins the current version for a read: its files stay
+// on disk, with their readers open, until the matching unpinVersion.
+// Called with db.mu held.
+func (db *DB) pinVersionLocked() *version {
+	db.vers.pins++
+	return db.vers
 }
 
-// byKey returns the level-l candidate files for key, newest-first for L0.
-func (s *fileSnapshot) byKey(l int, key []byte) []*FileMeta {
-	v := version{levels: s.levels}
-	return v.filesForKey(l, key)
-}
-
-// snapshotFilesLocked copies the level lists and refs every file.
-func (db *DB) snapshotFilesLocked() *fileSnapshot {
-	s := &fileSnapshot{levels: make([][]*FileMeta, len(db.vers.levels))}
-	for l, files := range db.vers.levels {
-		s.levels[l] = append([]*FileMeta(nil), files...)
-		for _, f := range files {
-			f.refs++
-		}
-	}
-	return s
-}
-
-// releaseFiles unrefs a snapshot, deleting files that became obsolete
-// while pinned; r pays the TRIM command cost of any deletions.
-func (db *DB) releaseFiles(r *vclock.Runner, s *fileSnapshot) {
+// unpinVersion drops a read's pin, deleting the files that only v still
+// held; r pays the TRIM command cost of any deletions.
+func (db *DB) unpinVersion(r *vclock.Runner, v *version) {
 	db.mu.Lock()
-	var dead []*FileMeta
-	for _, files := range s.levels {
-		for _, f := range files {
-			f.refs--
-			if f.refs == 0 && f.obsolete {
-				dead = append(dead, f)
-			}
-		}
-	}
+	dead := db.unpinVersionLocked(v)
 	db.mu.Unlock()
 	for _, f := range dead {
 		db.deleteFile(r, f)
 	}
+}
+
+// unpinVersionLocked drops one pin on v. With the last one v lets go of
+// its files, and those no version references any more and the current one
+// no longer lists are returned for the caller to delete outside the
+// lock. Called with db.mu held.
+func (db *DB) unpinVersionLocked(v *version) (dead []*FileMeta) {
+	if v.pins--; v.pins > 0 {
+		return nil
+	}
+	for _, files := range v.levels {
+		for _, f := range files {
+			if f.refs--; f.refs == 0 && f.obsolete {
+				dead = append(dead, f)
+			}
+		}
+	}
+	return dead
+}
+
+// installVersionLocked makes nv — a clone of the current version, edited
+// — the current one. nv takes a reference on each of its files and the
+// DB's pin; the version it replaces loses that pin, and with no reader on
+// it goes away at once. The files this leaves unreferenced (the caller
+// has marked the ones it removed obsolete) are returned: the caller
+// deletes them once the manifest that no longer names them is durable.
+// Called with db.mu held.
+func (db *DB) installVersionLocked(nv *version) (dead []*FileMeta) {
+	for _, files := range nv.levels {
+		for _, f := range files {
+			f.refs++
+		}
+	}
+	nv.pins = 1
+	old := db.vers
+	db.vers = nv
+	return db.unpinVersionLocked(old)
 }
 
 // deleteFile removes an obsolete file's bytes and cached blocks.

@@ -19,9 +19,9 @@ func (db *DB) DebugDumpKey(logf func(string, ...interface{}), r *vclock.Runner, 
 	for i, j := range db.imm {
 		imms[i] = j.mt
 	}
-	snap := db.snapshotFilesLocked()
+	vers := db.pinVersionLocked()
 	db.mu.Unlock()
-	defer db.releaseFiles(r, snap)
+	defer db.unpinVersion(r, vers)
 
 	first := func(v []byte) byte {
 		if len(v) == 0 {
@@ -37,7 +37,7 @@ func (db *DB) DebugDumpKey(logf func(string, ...interface{}), r *vclock.Runner, 
 			logf("[%d] imm%d: kind=%v val0=%c", tag, i, kind, first(v))
 		}
 	}
-	for l, files := range snap.levels {
+	for l, files := range vers.levels {
 		for _, f := range files {
 			v, kind, found, err := f.reader.Get(r, key)
 			logf("[%d] L%d file#%d [%q..%q] compacting=%v obsolete=%v: found=%v kind=%v val0=%c err=%v",

@@ -81,14 +81,14 @@ func (li *levelIterator) Entry() memtable.Entry { return li.cur.Entry() }
 
 // Iterator is the DB's public range-scan cursor: a merge over the
 // memtables and every level, surfacing each live user key once (newest
-// version, tombstones hidden). Close must be called to release the file
-// snapshot.
+// version, tombstones hidden). Close must be called to unpin the version
+// the cursor reads.
 type Iterator struct {
 	db     *DB
 	r      *vclock.Runner
 	merged *iterkit.Merge
-	snap   *fileSnapshot
-	maxSeq uint64 // visibility bound; ^0 for latest-state iterators
+	vers   *version // pinned until Close
+	maxSeq uint64   // visibility bound; ^0 for latest-state iterators
 	key    []byte
 	value  []byte
 	valid  bool
@@ -108,7 +108,7 @@ func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
 	for i, j := range db.imm {
 		imms[i] = j.mt
 	}
-	snap := db.snapshotFilesLocked()
+	v := db.pinVersionLocked()
 	db.mu.Unlock()
 
 	var children []iterkit.Iterator
@@ -116,26 +116,26 @@ func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
 	for i := len(imms) - 1; i >= 0; i-- {
 		children = append(children, imms[i].NewIterator())
 	}
-	l0 := snap.levels[0]
+	l0 := v.levels[0]
 	for i := len(l0) - 1; i >= 0; i-- { // newest first for deterministic ties
 		children = append(children, l0[i].reader.NewIterator(r))
 	}
-	for l := 1; l < len(snap.levels); l++ {
-		if len(snap.levels[l]) > 0 {
-			children = append(children, newLevelIterator(r, snap.levels[l]))
+	for l := 1; l < len(v.levels); l++ {
+		if len(v.levels[l]) > 0 {
+			children = append(children, newLevelIterator(r, v.levels[l]))
 		}
 	}
-	return &Iterator{db: db, r: r, merged: iterkit.NewMerge(children), snap: snap, maxSeq: ^uint64(0)}
+	return &Iterator{db: db, r: r, merged: iterkit.NewMerge(children), vers: v, maxSeq: ^uint64(0)}
 }
 
-// Close releases the iterator's file snapshot. The iterator is unusable
+// Close unpins the iterator's version. The iterator is unusable
 // afterwards.
 func (it *Iterator) Close() {
 	if it.closed {
 		return
 	}
 	it.closed = true
-	it.db.releaseFiles(it.r, it.snap)
+	it.db.unpinVersion(it.r, it.vers)
 	db := it.db
 	db.mu.Lock()
 	db.openIters--

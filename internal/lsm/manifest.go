@@ -268,7 +268,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		cache:             opt.newBlockCache(),
 		memSize:           opt.MemtableSize,
 		mem:               memtable.New(opt.MemtableSize),
-		vers:              newVersion(opt.MaxLevels),
+		vers:              firstVersion(opt.MaxLevels),
 		nextFileNum:       snap.nextFileNum,
 		seq:               snap.seq,
 		compactionThreads: opt.CompactionThreads,
@@ -301,6 +301,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 			Smallest: mf.smallest, Largest: mf.largest,
 			Size: mf.size, Entries: mf.entries,
 			reader: rd,
+			refs:   1, // the version being rebuilt
 		})
 	}
 	db.pending = db.vers.pendingCompactionBytes(&db.opt)

@@ -10,6 +10,7 @@ package lsm
 
 import (
 	"kvaccel/internal/memtable"
+	"kvaccel/internal/sstable"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 )
@@ -78,13 +79,16 @@ func (db *DB) lookup(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte,
 		return nil, 0, false, attr, ErrClosed
 	}
 	mem := db.mem
-	imms := make([]*memtable.Table, len(db.imm))
-	for i, j := range db.imm {
-		imms[i] = j.mt
+	// A handful of immutables at most: the list is read into an array on
+	// the stack, not a slice on the heap.
+	var immBuf [8]*memtable.Table
+	imms := immBuf[:0]
+	for _, j := range db.imm {
+		imms = append(imms, j.mt)
 	}
-	snap := db.snapshotFilesLocked()
+	v := db.pinVersionLocked()
 	db.mu.Unlock()
-	defer db.releaseFiles(r, snap)
+	defer db.unpinVersion(r, v)
 
 	// Layer 1: the active memtable.
 	if v, kind, found := memtableGetAt(mem, key, maxSeq); found {
@@ -99,18 +103,19 @@ func (db *DB) lookup(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte,
 		}
 	}
 	// Layer 3: the SST levels.
-	value, kind, found, err = db.lookupSST(r, snap, key, maxSeq, &attr)
+	value, kind, found, err = db.lookupSST(r, v, key, maxSeq, &attr)
 	return value, kind, found, attr, err
 }
 
 // lookupSST probes L0 newest-first, then one candidate file per deeper
 // level, accumulating bloom outcomes into attr.
-func (db *DB) lookupSST(r *vclock.Runner, snap *fileSnapshot, key []byte, maxSeq uint64, attr *readAttr) (value []byte, kind memtable.Kind, found bool, err error) {
+func (db *DB) lookupSST(r *vclock.Runner, v *version, key []byte, maxSeq uint64, attr *readAttr) (value []byte, kind memtable.Kind, found bool, err error) {
 	sp := db.opt.Trace.Begin(r, trace.PhaseSSTGet, "sst-get")
 	defer sp.End(r)
-	for l := 0; l < len(snap.levels); l++ {
-		for _, f := range snap.byKey(l, key) {
-			v, kind, found, pr, err := f.reader.GetAtProbe(r, key, maxSeq)
+	for l := 0; l < len(v.levels) && !found && err == nil; l++ {
+		v.filesForKey(l, key, func(f *FileMeta) bool {
+			var pr sstable.Probe
+			value, kind, found, pr, err = f.reader.GetAtProbe(r, key, maxSeq)
 			if pr.BloomConsulted {
 				attr.bloomConsults++
 			}
@@ -120,14 +125,14 @@ func (db *DB) lookupSST(r *vclock.Runner, snap *fileSnapshot, key []byte, maxSeq
 			if pr.BloomFalsePos {
 				attr.bloomFalsePos++
 			}
-			if err != nil {
-				return nil, 0, false, err
-			}
 			if found {
 				attr.src, attr.level = readSourceSST, l
-				return v, kind, true, nil
 			}
-		}
+			return !found && err == nil
+		})
 	}
-	return nil, 0, false, nil
+	if err != nil || !found {
+		return nil, 0, false, err
+	}
+	return value, kind, true, nil
 }

@@ -19,8 +19,8 @@ type FileMeta struct {
 
 	reader         *sstable.Reader
 	beingCompacted bool
-	refs           int  // readers currently pinning the file
-	obsolete       bool // removed from the version; delete when refs==0
+	refs           int  // versions in use that list the file (guarded by DB.mu)
+	obsolete       bool // not in the current version; delete when refs==0
 }
 
 // Name returns the file's name on the block-interface file system.
@@ -40,15 +40,45 @@ func (f *FileMeta) overlaps(smallest, largest []byte) bool {
 	return true
 }
 
-// version is the mutable levels state. Level 0 is ordered oldest-first
+// version is one state of the levels. Level 0 is ordered oldest-first
 // (append order, i.e. ascending file number); levels 1+ are sorted by
 // smallest key with disjoint ranges.
+//
+// The DB's current version is immutable once installed: a flush or a
+// compaction edits a clone and installs that (DB.installVersionLocked).
+// A reader therefore pins the whole file set by pinning the version —
+// one counter, LevelDB's Version::Ref — instead of copying the lists and
+// touching every file. pins counts the holders: the DB itself while the
+// version is current, plus every Get and iterator in flight on it. The
+// files are referenced once per version, when it is installed, and let
+// go when its last pin drops; a file no version references any more, and
+// that the current one no longer lists, is deleted then.
 type version struct {
 	levels [][]*FileMeta
+	pins   int // guarded by DB.mu
 }
 
+// newVersion returns an empty version nobody holds yet.
 func newVersion(maxLevels int) *version {
 	return &version{levels: make([][]*FileMeta, maxLevels)}
+}
+
+// firstVersion returns the empty version a DB starts from, holding the
+// DB's own pin. Recovery fills it in place, before any reader exists.
+func firstVersion(maxLevels int) *version {
+	v := newVersion(maxLevels)
+	v.pins = 1
+	return v
+}
+
+// clone returns an unpinned copy whose level lists are its own, for
+// addFile and removeFile to edit.
+func (v *version) clone() *version {
+	nv := newVersion(len(v.levels))
+	for l, files := range v.levels {
+		nv.levels[l] = append([]*FileMeta(nil), files...)
+	}
+	return nv
 }
 
 // addFile inserts f into its level, preserving that level's invariant.
@@ -100,29 +130,26 @@ func (v *version) overlapping(l int, smallest, largest []byte) []*FileMeta {
 	return out
 }
 
-// filesForKey returns the files that might hold key at level l. For L0
-// they are returned newest-first; for deeper levels at most one file
-// matches (ranges are disjoint).
-func (v *version) filesForKey(l int, key []byte) []*FileMeta {
+// filesForKey calls visit with each file that might hold key at level l
+// until visit returns false: for L0 newest-first; for deeper levels at
+// most one file matches (ranges are disjoint). It builds nothing.
+func (v *version) filesForKey(l int, key []byte, visit func(*FileMeta) bool) {
+	files := v.levels[l]
 	if l == 0 {
-		var out []*FileMeta
-		files := v.levels[0]
 		for i := len(files) - 1; i >= 0; i-- {
-			if files[i].overlaps(key, key) {
-				out = append(out, files[i])
+			if files[i].overlaps(key, key) && !visit(files[i]) {
+				return
 			}
 		}
-		return out
+		return
 	}
-	files := v.levels[l]
 	// First file whose largest >= key.
 	i := sort.Search(len(files), func(i int) bool {
 		return bytes.Compare(files[i].Largest, key) >= 0
 	})
 	if i < len(files) && files[i].overlaps(key, key) {
-		return []*FileMeta{files[i]}
+		visit(files[i])
 	}
-	return nil
 }
 
 // targetBytes returns level l's size target.

@@ -72,21 +72,34 @@ func TestVersionOverlapping(t *testing.T) {
 
 func TestVersionFilesForKey(t *testing.T) {
 	v := newVersion(4)
+	candidates := func(l int, key string) (got []*FileMeta) {
+		v.filesForKey(l, []byte(key), func(f *FileMeta) bool {
+			got = append(got, f)
+			return true
+		})
+		return got
+	}
 	// L0: overlapping files, newest (highest num, appended last) first.
 	v.addFile(fm(1, 0, "a", "m", 10))
 	v.addFile(fm(2, 0, "c", "z", 10))
-	got := v.filesForKey(0, []byte("d"))
+	got := candidates(0, "d")
 	if len(got) != 2 || got[0].Num != 2 || got[1].Num != 1 {
 		t.Fatalf("L0 filesForKey order wrong: %v", got)
+	}
+	// A visitor that has found its key stops the walk.
+	visited := 0
+	v.filesForKey(0, []byte("d"), func(*FileMeta) bool { visited++; return false })
+	if visited != 1 {
+		t.Fatalf("L0 walk visited %d files after the visitor said stop", visited)
 	}
 	// L1: at most one candidate.
 	v.addFile(fm(3, 1, "a", "c", 10))
 	v.addFile(fm(4, 1, "d", "f", 10))
-	got = v.filesForKey(1, []byte("e"))
+	got = candidates(1, "e")
 	if len(got) != 1 || got[0].Num != 4 {
 		t.Fatalf("L1 filesForKey = %v", got)
 	}
-	if got := v.filesForKey(1, []byte("x")); len(got) != 0 {
+	if got := candidates(1, "x"); len(got) != 0 {
 		t.Fatalf("key outside all ranges matched %v", got)
 	}
 }

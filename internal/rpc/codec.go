@@ -15,6 +15,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -134,20 +135,26 @@ const MaxFrame = 1 << 20
 // frameHeader is the fixed frame prelude: u32 len + u32 crc.
 const frameHeader = 8
 
-// AppendFrame appends payload to dst as one CRC-framed wire frame.
-func AppendFrame(dst, payload []byte) []byte {
-	dst = encoding.PutU32(dst, uint32(len(payload)))
-	dst = encoding.PutU32(dst, encoding.Checksum(payload))
-	return append(dst, payload...)
+// beginFrame reserves a frame header at the end of dst; sealFrame fills
+// it in once the payload has been appended behind it.
+func beginFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
-// AppendRequest appends req's frame to dst.
+// sealFrame back-fills the header of the frame that begins at dst[start]
+// and runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], encoding.Checksum(payload))
+	return dst
+}
+
+// AppendRequest appends req's frame to dst, encoding it in place: with
+// room in dst it allocates nothing. It keeps no reference to req.
 func AppendRequest(dst []byte, req *Request) []byte {
-	payload := appendRequestPayload(nil, req)
-	return AppendFrame(dst, payload)
-}
-
-func appendRequestPayload(dst []byte, req *Request) []byte {
+	start := len(dst)
+	dst = beginFrame(dst)
 	dst = append(dst, req.Op, req.Tenant)
 	dst = encoding.PutU64(dst, req.ID)
 	switch req.Op {
@@ -160,24 +167,40 @@ func appendRequestPayload(dst []byte, req *Request) []byte {
 		dst = encoding.PutUvarint(dst, uint64(req.Limit))
 	case OpBatch:
 		dst = encoding.PutUvarint(dst, uint64(len(req.Ops)))
-		for _, op := range req.Ops {
+		for i := range req.Ops {
+			op := &req.Ops[i]
 			dst = append(dst, op.Op)
 			dst = encoding.AppendRecord(dst, op.Key, op.Value)
 		}
 	}
-	return dst
+	return sealFrame(dst, start)
 }
 
-// DecodeRequest parses one request payload (the frame body, CRC already
-// verified by the stream decoder).
-func DecodeRequest(payload []byte) (*Request, error) {
+// minBatchOpBytes and minScanEntryBytes are the smallest encodings of a
+// batch sub-op (opcode, two length varints) and a scan entry (two length
+// varints). A count field is untrusted: it may promise no more elements
+// than the bytes behind it could hold, and only then sizes anything.
+const (
+	minBatchOpBytes   = 3
+	minScanEntryBytes = 2
+)
+
+// DecodeRequest parses one request payload (a frame body whose CRC the
+// stream decoder has verified) into req, overwriting every field. Key,
+// Value and the sub-ops' keys and values alias payload, so req is valid
+// only as long as payload is; req.Ops reuses its backing array, which
+// lets one Request decode any number of frames without allocating. After
+// an error req holds nothing meaningful.
+func DecodeRequest(payload []byte, req *Request) error {
+	ops := req.Ops[:0]
+	*req = Request{}
 	if len(payload) < 10 {
-		return nil, encoding.ErrCorrupt
+		return encoding.ErrCorrupt
 	}
-	req := &Request{Op: payload[0], Tenant: payload[1]}
+	req.Op, req.Tenant = payload[0], payload[1]
 	id, rest, err := encoding.U64(payload[2:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.ID = id
 	switch req.Op {
@@ -196,36 +219,38 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		var n uint64
 		n, rest, err = encoding.Uvarint(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		req.Ops = make([]BatchOp, 0, n)
+		if n > uint64(len(rest))/minBatchOpBytes {
+			return encoding.ErrCorrupt
+		}
+		if uint64(cap(ops)) < n {
+			ops = make([]BatchOp, 0, n)
+		}
 		for i := uint64(0); i < n; i++ {
 			if len(rest) < 1 {
-				return nil, encoding.ErrCorrupt
+				return encoding.ErrCorrupt
 			}
 			op := BatchOp{Op: rest[0]}
 			op.Key, op.Value, rest, err = encoding.DecodeRecord(rest[1:])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			req.Ops = append(req.Ops, op)
+			ops = append(ops, op)
 		}
+		req.Ops = ops
 	default:
-		return nil, encoding.ErrCorrupt
+		return encoding.ErrCorrupt
 	}
-	if err != nil {
-		return nil, err
-	}
-	return req, nil
+	return err
 }
 
-// AppendResponse appends resp's frame to dst.
+// AppendResponse appends resp's frame to dst, encoding it in place: with
+// room in dst it allocates nothing. The value and the entries are copied
+// into the frame here, and no reference to resp is kept.
 func AppendResponse(dst []byte, resp *Response) []byte {
-	payload := appendResponsePayload(nil, resp)
-	return AppendFrame(dst, payload)
-}
-
-func appendResponsePayload(dst []byte, resp *Response) []byte {
+	start := len(dst)
+	dst = beginFrame(dst)
 	dst = append(dst, resp.Status)
 	dst = encoding.PutU64(dst, resp.ID)
 	dst = encoding.PutUvarint(dst, resp.Timing.AcceptNS)
@@ -234,53 +259,64 @@ func appendResponsePayload(dst []byte, resp *Response) []byte {
 	dst = encoding.PutUvarint(dst, resp.Timing.ReplyNS)
 	dst = encoding.AppendRecord(dst, nil, resp.Value)
 	dst = encoding.PutUvarint(dst, uint64(len(resp.Entries)))
-	for _, e := range resp.Entries {
-		dst = encoding.AppendRecord(dst, e.Key, e.Value)
+	for i := range resp.Entries {
+		dst = encoding.AppendRecord(dst, resp.Entries[i].Key, resp.Entries[i].Value)
 	}
-	return dst
+	return sealFrame(dst, start)
 }
 
-// DecodeResponse parses one response payload.
-func DecodeResponse(payload []byte) (*Response, error) {
+// DecodeResponse parses one response payload into resp, overwriting
+// every field. Value and the entries' keys and values alias payload, so
+// resp is valid only as long as payload is; resp.Entries reuses its
+// backing array. After an error resp holds nothing meaningful.
+func DecodeResponse(payload []byte, resp *Response) error {
+	entries := resp.Entries[:0]
+	*resp = Response{}
 	if len(payload) < 9 {
-		return nil, encoding.ErrCorrupt
+		return encoding.ErrCorrupt
 	}
-	resp := &Response{Status: payload[0]}
+	resp.Status = payload[0]
 	id, rest, err := encoding.U64(payload[1:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp.ID = id
 	if resp.Timing.AcceptNS, rest, err = encoding.Uvarint(rest); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Timing.LingerNS, rest, err = encoding.Uvarint(rest); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Timing.EngineNS, rest, err = encoding.Uvarint(rest); err != nil {
-		return nil, err
+		return err
 	}
 	if resp.Timing.ReplyNS, rest, err = encoding.Uvarint(rest); err != nil {
-		return nil, err
+		return err
 	}
 	if _, resp.Value, rest, err = encoding.DecodeRecord(rest); err != nil {
-		return nil, err
+		return err
 	}
 	n, rest, err := encoding.Uvarint(rest)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if n > uint64(len(rest))/minScanEntryBytes {
+		return encoding.ErrCorrupt
 	}
 	if n > 0 {
-		resp.Entries = make([]ScanEntry, 0, n)
+		if uint64(cap(entries)) < n {
+			entries = make([]ScanEntry, 0, n)
+		}
 		for i := uint64(0); i < n; i++ {
 			var e ScanEntry
 			if e.Key, e.Value, rest, err = encoding.DecodeRecord(rest); err != nil {
-				return nil, err
+				return err
 			}
-			resp.Entries = append(resp.Entries, e)
+			entries = append(entries, e)
 		}
+		resp.Entries = entries
 	}
-	return resp, nil
+	return nil
 }
 
 // ErrTornFrame is returned by Decoder.Next for a frame whose bytes are
@@ -288,56 +324,102 @@ func DecodeResponse(payload []byte) (*Response, error) {
 // opposed to a cleanly incomplete tail.
 var ErrTornFrame = errors.New("rpc: torn or corrupt frame")
 
-// Decoder is an incremental frame decoder over a byte stream. Feed
-// appends received bytes; Next yields complete, checksum-verified frame
-// payloads. An incomplete tail simply waits for more bytes; a frame that
-// fails its CRC (or an absurd length prefix) poisons the stream — every
-// later Next returns ErrTornFrame, exactly like WAL replay refusing to
-// read past a torn record.
+// Decoder is an incremental frame decoder over a byte stream. Feed hands
+// it the next chunk of received bytes; Next yields complete,
+// checksum-verified frame payloads. An incomplete tail simply waits for
+// more bytes; a frame that fails its CRC (or an absurd length prefix)
+// poisons the stream — every later Next returns ErrTornFrame, exactly
+// like WAL replay refusing to read past a torn record.
+//
+// The decoder copies only what it must. A frame that lies whole inside
+// one chunk — every frame, when the sender hands whole frames to a Conn —
+// is yielded in place, out of the chunk. Only the bytes of a frame that
+// straddles chunks are copied, into memory the decoder allocates for
+// that frame and never writes again once it has yielded it.
 type Decoder struct {
-	buf    []byte
-	off    int // consumed prefix of buf
+	chunk  []byte // unread rest of the chunk fed last; the caller's memory
+	carry  []byte // head of a frame that began in an earlier chunk; a copy
 	poison bool
 }
 
-// Feed appends stream bytes to the decoder's buffer.
+// Feed hands the decoder the next chunk of the stream. The decoder reads
+// p in place until Next has reported ok=false (or an error); from then on
+// it holds no reference to p.
 func (d *Decoder) Feed(p []byte) {
-	if d.off > 0 && d.off == len(d.buf) {
-		d.buf = d.buf[:0]
-		d.off = 0
+	if len(d.chunk) > 0 {
+		// Fed again before the last chunk was drained: keep its rest.
+		d.carry = append(d.carry, d.chunk...)
 	}
-	d.buf = append(d.buf, p...)
+	d.chunk = p
 }
 
 // Buffered returns the number of unconsumed bytes held.
-func (d *Decoder) Buffered() int { return len(d.buf) - d.off }
+func (d *Decoder) Buffered() int { return len(d.carry) + len(d.chunk) }
+
+// frameExtent reports how many bytes the frame at the head of b occupies
+// as far as b tells: frameHeader until the header is whole, the full
+// frame after that. bad flags a length prefix beyond MaxFrame.
+func frameExtent(b []byte) (n int, bad bool) {
+	if len(b) < frameHeader {
+		return frameHeader, false
+	}
+	length := binary.LittleEndian.Uint32(b)
+	return frameHeader + int(length), length > MaxFrame
+}
 
 // Next returns the next complete frame payload. ok is false when the
-// buffered bytes hold no complete frame (cleanly torn tail: feed more or
-// stop); err is ErrTornFrame when the stream is corrupt. The returned
-// payload aliases the decoder's buffer and is valid until the next Feed.
+// bytes fed so far hold no further complete frame (cleanly torn tail:
+// feed more or stop); err is ErrTornFrame when the stream is corrupt.
+//
+// The payload aliases the chunk it arrived in — or, for a frame that
+// straddled chunks, memory of its own — and the decoder never writes to
+// either: a payload stays byte-stable for as long as the caller keeps the
+// chunk intact, however many chunks are fed after it.
 func (d *Decoder) Next() (payload []byte, ok bool, err error) {
 	if d.poison {
 		return nil, false, ErrTornFrame
 	}
-	rest := d.buf[d.off:]
-	if len(rest) < frameHeader {
-		return nil, false, nil
+	src := &d.chunk
+	if len(d.carry) > 0 {
+		// Finish the straddling frame from the chunk, a header's worth
+		// first (the header says how much more the frame needs).
+		src = &d.carry
+		for {
+			want, bad := frameExtent(d.carry)
+			if bad {
+				break
+			}
+			k := min(want-len(d.carry), len(d.chunk))
+			if k <= 0 {
+				break
+			}
+			d.carry = append(d.carry, d.chunk[:k]...)
+			d.chunk = d.chunk[k:]
+		}
 	}
-	length, rest, _ := encoding.U32(rest)
-	if length > MaxFrame {
+	n, bad := frameExtent(*src)
+	if bad {
 		d.poison = true
 		return nil, false, ErrTornFrame
 	}
-	crc, rest, _ := encoding.U32(rest)
-	if uint32(len(rest)) < length {
+	if len(*src) < n {
+		// The bytes fed so far end inside a frame. Whatever the chunk
+		// still held of it is copied, and the chunk let go.
+		if len(d.carry) == 0 && len(d.chunk) > 0 {
+			d.carry = append([]byte(nil), d.chunk...)
+		}
+		d.chunk = nil
 		return nil, false, nil
 	}
-	payload = rest[:length]
-	if encoding.Checksum(payload) != crc {
+	frame := (*src)[:n]
+	*src = (*src)[n:]
+	if len(d.carry) == 0 {
+		d.carry = nil // the frame just yielded owns that memory now
+	}
+	payload = frame[frameHeader:]
+	if encoding.Checksum(payload) != binary.LittleEndian.Uint32(frame[4:]) {
 		d.poison = true
 		return nil, false, ErrTornFrame
 	}
-	d.off += frameHeader + int(length)
 	return payload, true, nil
 }

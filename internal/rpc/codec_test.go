@@ -158,16 +158,16 @@ func TestCodecRoundTripProperty(t *testing.T) {
 					break
 				}
 				if ri < len(reqs) && reqs[ri] != nil {
-					got, derr := DecodeRequest(payload)
-					if derr != nil {
+					got := &Request{}
+					if derr := DecodeRequest(payload, got); derr != nil {
 						t.Fatalf("seed %d msg %d: DecodeRequest: %v", seed, ri, derr)
 					}
 					if !equalRequests(reqs[ri], got) {
 						t.Fatalf("seed %d msg %d: request mismatch:\nsent %+v\ngot  %+v", seed, ri, reqs[ri], got)
 					}
 				} else {
-					got, derr := DecodeResponse(payload)
-					if derr != nil {
+					got := &Response{}
+					if derr := DecodeResponse(payload, got); derr != nil {
 						t.Fatalf("seed %d msg %d: DecodeResponse: %v", seed, ri, derr)
 					}
 					if !equalResponses(resps[pi], got) {

@@ -49,7 +49,7 @@ func (c NetConfig) transmitTime(n int) time.Duration {
 // frame is one in-flight wire frame.
 type frame struct {
 	data []byte
-	// sentAt is when the last byte left the sender; readyAt is when it
+	// sentAt is when the last byte leaves the sender; readyAt is when it
 	// arrives at the receiver (sentAt + propagation).
 	sentAt  vclock.Time
 	readyAt vclock.Time
@@ -61,8 +61,13 @@ type frame struct {
 type halfConn struct {
 	cfg NetConfig
 
-	mu       sync.Mutex
-	items    []frame
+	mu    sync.Mutex
+	items vclock.Ring[frame] // at most cfg.Buffer; nothing until the first frame
+	// nicFree is when the sender's NIC has serialized every frame handed
+	// to it so far. Transmit time is booked against it instead of slept:
+	// the sender's next frame starts no earlier, and the sender itself
+	// goes on, as a process does once the socket buffer has its bytes.
+	nicFree  vclock.Time
 	closed   bool
 	notEmpty *vclock.Cond
 	notFull  *vclock.Cond
@@ -76,59 +81,66 @@ func newHalfConn(cfg NetConfig, label string) *halfConn {
 }
 
 func (h *halfConn) send(r *vclock.Runner, data []byte) error {
-	// Serialization: the sender owns its NIC for the transmit time, so a
-	// connection's frames rate-limit naturally.
-	if d := h.cfg.transmitTime(len(data)); d > 0 {
-		r.Sleep(d)
-	}
-	now := r.Now()
-	fr := frame{data: data, sentAt: now, readyAt: now.Add(h.cfg.Latency)}
 	h.mu.Lock()
-	for len(h.items) >= h.cfg.Buffer && !h.closed {
+	for h.items.Len() >= h.cfg.Buffer && !h.closed {
 		h.notFull.Wait(r)
 	}
 	if h.closed {
 		h.mu.Unlock()
 		return ErrClosed
 	}
-	h.items = append(h.items, fr)
+	// Serialization: the frame leaves once the NIC is through with the
+	// connection's earlier frames and with this one, so a connection's
+	// frames rate-limit naturally.
+	sentAt := max(r.Now(), h.nicFree).Add(h.cfg.transmitTime(len(data)))
+	h.nicFree = sentAt
+	readyAt := sentAt.Add(h.cfg.Latency)
+	h.items.Push(frame{data: data, sentAt: sentAt, readyAt: readyAt})
 	h.mu.Unlock()
-	h.notEmpty.Signal()
+	// Propagation: a receiver parked on the empty queue sleeps straight
+	// through to the arrival, in the park it is already in.
+	h.notEmpty.SignalAt(readyAt)
 	return nil
 }
 
 func (h *halfConn) recv(r *vclock.Runner) (frame, bool) {
 	h.mu.Lock()
-	for len(h.items) == 0 && !h.closed {
+	for {
+		if h.items.Len() > 0 {
+			// Propagation: the frame is not visible before it arrives. A
+			// receiver that was busy when it was sent had no wake
+			// scheduled for it and sleeps out the remainder here.
+			readyAt := h.items.At(0).readyAt
+			if r.Now() >= readyAt {
+				break
+			}
+			h.mu.Unlock()
+			r.SleepUntil(readyAt)
+			h.mu.Lock()
+			continue
+		}
+		if h.closed {
+			h.mu.Unlock()
+			return frame{}, false
+		}
 		h.notEmpty.Wait(r)
 	}
-	if len(h.items) == 0 {
-		h.mu.Unlock()
-		return frame{}, false
-	}
-	fr := h.items[0]
-	copy(h.items, h.items[1:])
-	h.items[len(h.items)-1] = frame{}
-	h.items = h.items[:len(h.items)-1]
+	fr := h.items.Pop()
 	h.mu.Unlock()
 	h.notFull.Signal()
-	// Propagation: the frame is not visible before it arrives.
-	if now := r.Now(); now < fr.readyAt {
-		r.Sleep(fr.readyAt.Sub(now))
-	}
 	return fr, true
 }
 
 // close marks the half closed. In-flight frames stay deliverable (like
-// data queued before a FIN); truncate drops them and, when a frame is
-// queued, tears the last one mid-frame — the abrupt-drop model the torn
-// tail tests exercise.
+// data queued before a FIN); truncate additionally tears the newest one
+// mid-frame — the abrupt-drop model the torn tail tests exercise. The torn
+// frame is the same buffer, shortened: it still has exactly one owner.
 func (h *halfConn) close(truncate bool) {
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
-		if truncate && len(h.items) > 0 {
-			last := &h.items[len(h.items)-1]
+		if truncate && h.items.Len() > 0 {
+			last := h.items.At(h.items.Len() - 1)
 			if len(last.data) > 1 {
 				last.data = last.data[:len(last.data)/2]
 			}
@@ -140,11 +152,21 @@ func (h *halfConn) close(truncate bool) {
 }
 
 // Conn is one endpoint of a simulated full-duplex connection. Both
-// endpoints share the two directional halves; every Send/Recv charges
+// endpoints share the two directional halves; every frame is charged
 // transmit and propagation time on the virtual clock.
+//
+// The connection owns the wire buffers. A frame has one owner at a time:
+// the sender while it encodes, the connection from Send until Recv, the
+// receiver until Release — and Release files the buffer with the
+// receiving endpoint, whose next Buffer call takes it to encode into. In
+// a request/response exchange one buffer thus travels client → server,
+// another server → client, and neither side allocates per message.
 type Conn struct {
 	out *halfConn
 	in  *halfConn
+
+	fmu  sync.Mutex
+	free [][]byte // released frames, empty, for this endpoint's next encodes
 }
 
 // NewPair returns the two endpoints of a new connection over cfg.
@@ -155,23 +177,61 @@ func NewPair(cfg NetConfig, label string) (client, server *Conn) {
 	return &Conn{out: c2s, in: s2c}, &Conn{out: s2c, in: c2s}
 }
 
-// Send transmits one wire frame (already CRC-framed by the codec),
-// charging serialization time and parking while the socket buffer is
-// full. It returns ErrClosed once either side has closed the direction.
+// Buffer returns an empty buffer to encode the next outgoing frame into:
+// one the peer's frames arrived in and this endpoint has released, or nil
+// (append allocates) when none is free. The caller owns it until it hands
+// it to Send.
+func (c *Conn) Buffer() []byte {
+	c.fmu.Lock()
+	defer c.fmu.Unlock()
+	n := len(c.free)
+	if n == 0 {
+		return nil
+	}
+	b := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	return b
+}
+
+// Send transmits one wire frame (already CRC-framed by the codec) and
+// takes ownership of it: the caller must not read or write data again,
+// whatever Send returns. Transmit time is booked on the connection, not
+// slept, so Send parks only while the socket buffer is full. It returns
+// ErrClosed once either side has closed the direction.
 func (c *Conn) Send(r *vclock.Runner, data []byte) error {
 	return c.out.send(r, data)
 }
 
 // Recv returns the next frame's bytes and the virtual time its last byte
 // left the sender. ok is false at EOF (peer closed and queue drained).
-// Recv parks until a frame arrives; the frame is not returned before its
-// propagation delay has elapsed.
+// Recv parks until the frame has arrived, propagation delay included — in
+// one park when the receiver was already waiting as the frame was sent.
+//
+// The frame is lent, not given: the receiver may read it, and whatever it
+// decoded out of it, until it calls Release; it must not write to it.
 func (c *Conn) Recv(r *vclock.Runner) (data []byte, sentAt vclock.Time, ok bool) {
 	fr, ok := c.in.recv(r)
 	if !ok {
 		return nil, 0, false
 	}
 	return fr.data, fr.sentAt, true
+}
+
+// Release ends the loan of a frame Recv returned: every message decoded
+// from it is invalid from here on. The buffer is kept for this endpoint's
+// next Buffer call; at most NetConfig.Buffer are kept, the rest are left
+// to the garbage collector. A receiver that never releases leaks nothing —
+// its peer's encodes allocate instead.
+func (c *Conn) Release(data []byte) {
+	if cap(data) == 0 {
+		return
+	}
+	c.fmu.Lock()
+	if len(c.free) < c.out.cfg.Buffer {
+		c.free = append(c.free, data[:0])
+	}
+	c.fmu.Unlock()
 }
 
 // Close shuts both directions down cleanly: frames already in flight

@@ -47,15 +47,29 @@ type shardBatcher struct {
 	mu        sync.Mutex
 	recentOps float64 // EWMA of recent batch sizes
 	futile    int
-	lingerEv  *vclock.Event // non-nil while a linger window is open
+	window    lingerWindow
 
 	// Read-side mirror of the adaptive linger state. Reads coalesce via a
 	// single claimer runner (readClaim) for the same reason writes do: a
 	// pool of workers parked on pop claims arrivals one at a time and no
 	// chunk ever forms, so every get pays a full engine crossing.
-	readRecent   float64
-	readFutile   int
-	readLingerEv *vclock.Event
+	readRecent float64
+	readFutile int
+	readWindow lingerWindow
+	// chunkSpare holds the chunk slices the readers are done with, for the
+	// claimer to fill again.
+	chunkSpare [][]*pending
+}
+
+// lingerWindow is the event a lingering claimer waits on and a producer
+// raises to cut the wait short. An event cannot be lowered again: a
+// window that was cut short used its event up, one that ran to its
+// timeout leaves it as the spare for the next (the engine's group-commit
+// linger keeps its spare the same way). Guarded by shardBatcher.mu.
+type lingerWindow struct {
+	open  *vclock.Event // non-nil while a window is open
+	spare *vclock.Event
+	label string
 }
 
 func newShardBatcher(s *Server, shard int) *shardBatcher {
@@ -65,6 +79,9 @@ func newShardBatcher(s *Server, shard int) *shardBatcher {
 		inbox:  newMailbox[*pending](s.cfg.BatchQueue, fmt.Sprintf("server.batch.%d", shard)),
 		readq:  newMailbox[*pending](s.cfg.BatchQueue, fmt.Sprintf("server.readq.%d", shard)),
 		chunkq: newMailbox[[]*pending](0, fmt.Sprintf("server.chunkq.%d", shard)),
+
+		window:     lingerWindow{label: fmt.Sprintf("server.linger.%d", shard)},
+		readWindow: lingerWindow{label: fmt.Sprintf("server.readlinger.%d", shard)},
 	}
 	s.clk.Go(fmt.Sprintf("server.batcher.%d", shard), b.run)
 	s.clk.Go(fmt.Sprintf("server.readclaim.%d", shard), b.readClaim)
@@ -89,7 +106,7 @@ func (b *shardBatcher) enqueueWrite(p *pending) bool {
 		return false
 	}
 	if b.inbox.len() >= batchWakeOps {
-		b.wake()
+		b.cutWindow(&b.window)
 	}
 	return true
 }
@@ -103,29 +120,42 @@ func (b *shardBatcher) enqueueRead(p *pending) bool {
 		return false
 	}
 	if b.readq.len() >= batchWakeOps {
-		b.wakeRead()
+		b.cutWindow(&b.readWindow)
 	}
 	return true
 }
 
-// wake cuts the current linger window short, if one is open.
-func (b *shardBatcher) wake() {
+// cutWindow cuts w's linger window short, if one is open. The event is
+// raised under b.mu: once closeWindow has run, nobody can raise it.
+func (b *shardBatcher) cutWindow(w *lingerWindow) {
 	b.mu.Lock()
-	ev := b.lingerEv
-	b.mu.Unlock()
-	if ev != nil {
-		ev.Set()
+	if w.open != nil {
+		w.open.Set()
 	}
+	b.mu.Unlock()
 }
 
-// wakeRead cuts the current read-linger window short, if one is open.
-func (b *shardBatcher) wakeRead() {
+// openWindow opens w's linger window and returns the event to wait on.
+func (b *shardBatcher) openWindow(w *lingerWindow) *vclock.Event {
 	b.mu.Lock()
-	ev := b.readLingerEv
-	b.mu.Unlock()
-	if ev != nil {
-		ev.Set()
+	if w.open = w.spare; w.open == nil {
+		w.open = vclock.NewEvent(w.label)
 	}
+	w.spare = nil
+	ev := w.open
+	b.mu.Unlock()
+	return ev
+}
+
+// closeWindow closes w's window, keeping its event for the next one
+// unless a producer raised it.
+func (b *shardBatcher) closeWindow(w *lingerWindow) {
+	b.mu.Lock()
+	if !w.open.IsSet() {
+		w.spare = w.open
+	}
+	w.open = nil
+	b.mu.Unlock()
 }
 
 // lingerDuration mirrors lsm's lingerDurationLocked: no window when the
@@ -189,36 +219,39 @@ func (b *shardBatcher) noteChunk(ops int, lingered bool) {
 	b.mu.Unlock()
 }
 
-// drainInto moves queued writes into batch up to the batch cap.
-func (b *shardBatcher) drainInto(batch []*pending) []*pending {
-	max := b.srv.cfg.MaxBatchOps
-	for len(batch) < max {
-		p, ok := b.inbox.tryPop()
+// drain moves queued requests from q onto dst until dst holds max.
+func drain(q *mailbox[*pending], dst []*pending, max int) []*pending {
+	for len(dst) < max {
+		p, ok := q.tryPop()
 		if !ok {
 			break
 		}
-		batch = append(batch, p)
+		dst = append(dst, p)
 	}
-	return batch
+	return dst
 }
 
 // run is the write-batching loop: claim, linger, drain, commit as one
-// engine WriteBatch, complete every member.
+// engine WriteBatch, complete every member. The member list and the
+// engine batch are the loop's own and are filled again every round; the
+// engine keeps nothing of a batch once WriteBatch has returned, and the
+// requests staged into it stay valid until their replies are encoded.
 func (b *shardBatcher) run(r *vclock.Runner) {
 	shard := b.srv.db.Shard(b.shard)
+	var (
+		batch []*pending
+		wb    kvaccel.Batch
+	)
 	for {
 		first, ok := b.inbox.pop(r)
 		if !ok {
 			return
 		}
-		batch := b.drainInto([]*pending{first})
+		batch = drain(b.inbox, append(batch[:0], first), b.srv.cfg.MaxBatchOps)
 		lingered := false
 		if d := b.lingerDuration(len(batch)); d > 0 {
 			lingered = true
-			ev := vclock.NewEvent(fmt.Sprintf("server.linger.%d", b.shard))
-			b.mu.Lock()
-			b.lingerEv = ev
-			b.mu.Unlock()
+			ev := b.openWindow(&b.window)
 			deadline := r.Now().Add(d)
 			for len(batch) < b.srv.cfg.MaxBatchOps {
 				left := deadline.Sub(r.Now())
@@ -226,19 +259,17 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 					break
 				}
 				woken := ev.WaitFor(r, left)
-				batch = b.drainInto(batch)
+				batch = drain(b.inbox, batch, b.srv.cfg.MaxBatchOps)
 				if woken {
 					break
 				}
 			}
-			b.mu.Lock()
-			b.lingerEv = nil
-			b.mu.Unlock()
+			b.closeWindow(&b.window)
 		}
 		b.noteBatch(len(batch), lingered)
 
 		claimed := r.Now()
-		wb := &kvaccel.Batch{}
+		wb.Reset()
 		for _, p := range batch {
 			p.claimed = claimed
 			if p.req.Op == rpc.OpDelete {
@@ -250,11 +281,25 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		// One engine crossing for the whole batch — the amortization that
 		// per-connection dispatch pays per op.
 		b.srv.cpu.Run(r, b.srv.cfg.DispatchCPU)
-		err := shard.WriteBatch(r, wb)
+		err := shard.WriteBatch(r, &wb)
 		b.srv.stats.Batches.Add(1)
 		b.srv.stats.BatchedOps.Add(int64(len(batch)))
 		b.srv.completeBatch(batch, r.Now(), err)
+		clear(batch) // the members are their connections' again
 	}
+}
+
+// newChunk returns an empty chunk slice, one a reader has handed back
+// when there is one.
+func (b *shardBatcher) newChunk() []*pending {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.chunkSpare); n > 0 {
+		chunk := b.chunkSpare[n-1]
+		b.chunkSpare = b.chunkSpare[:n-1]
+		return chunk
+	}
+	return make([]*pending, 0, b.srv.cfg.ReadChunk)
 }
 
 // readClaim is the single per-shard read claimer: it forms multi-get
@@ -270,21 +315,11 @@ func (b *shardBatcher) readClaim(r *vclock.Runner) {
 		if !ok {
 			return
 		}
-		chunk := []*pending{first}
-		for len(chunk) < max {
-			p, ok := b.readq.tryPop()
-			if !ok {
-				break
-			}
-			chunk = append(chunk, p)
-		}
+		chunk := drain(b.readq, append(b.newChunk(), first), max)
 		lingered := false
 		if d := b.readLingerDuration(len(chunk)); d > 0 {
 			lingered = true
-			ev := vclock.NewEvent(fmt.Sprintf("server.readlinger.%d", b.shard))
-			b.mu.Lock()
-			b.readLingerEv = ev
-			b.mu.Unlock()
+			ev := b.openWindow(&b.readWindow)
 			deadline := r.Now().Add(d)
 			for len(chunk) < max {
 				left := deadline.Sub(r.Now())
@@ -292,20 +327,12 @@ func (b *shardBatcher) readClaim(r *vclock.Runner) {
 					break
 				}
 				woken := ev.WaitFor(r, left)
-				for len(chunk) < max {
-					p, ok := b.readq.tryPop()
-					if !ok {
-						break
-					}
-					chunk = append(chunk, p)
-				}
+				chunk = drain(b.readq, chunk, max)
 				if woken {
 					break
 				}
 			}
-			b.mu.Lock()
-			b.readLingerEv = nil
-			b.mu.Unlock()
+			b.closeWindow(&b.readWindow)
 		}
 		b.noteChunk(len(chunk), lingered)
 		claimed := r.Now()
@@ -332,7 +359,7 @@ func (b *shardBatcher) readLoop(r *vclock.Runner) {
 		// One engine crossing per multi-get chunk.
 		b.srv.cpu.Run(r, b.srv.cfg.DispatchCPU)
 		for _, p := range chunk {
-			resp := &rpc.Response{ID: p.req.ID, Status: rpc.StatusOK}
+			resp := p.reply(rpc.StatusOK)
 			value, found, err := shard.Get(r, p.req.Key)
 			switch {
 			case err != nil:
@@ -344,9 +371,12 @@ func (b *shardBatcher) readLoop(r *vclock.Runner) {
 				resp.Value = value
 			}
 			p.engDone = r.Now()
-			p.resp = resp
 			b.srv.stats.tenant(int(p.req.Tenant)).OK.Add(1)
 			p.conn.deliver(p)
 		}
+		clear(chunk)
+		b.mu.Lock()
+		b.chunkSpare = append(b.chunkSpare, chunk[:0])
+		b.mu.Unlock()
 	}
 }

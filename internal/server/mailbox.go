@@ -19,7 +19,7 @@ type mailbox[T any] struct {
 	cap   int // <= 0: unbounded
 
 	mu       sync.Mutex
-	items    []T
+	items    vclock.Ring[T] // popping moves nothing
 	closed   bool
 	notEmpty *vclock.Cond
 }
@@ -33,11 +33,11 @@ func newMailbox[T any](capacity int, label string) *mailbox[T] {
 // tryPush enqueues v unless the box is closed or full.
 func (m *mailbox[T]) tryPush(v T) bool {
 	m.mu.Lock()
-	if m.closed || (m.cap > 0 && len(m.items) >= m.cap) {
+	if m.closed || (m.cap > 0 && m.items.Len() >= m.cap) {
 		m.mu.Unlock()
 		return false
 	}
-	m.items = append(m.items, v)
+	m.items.Push(v)
 	m.mu.Unlock()
 	m.notEmpty.Signal()
 	return true
@@ -51,7 +51,7 @@ func (m *mailbox[T]) push(v T) bool {
 		m.mu.Unlock()
 		return false
 	}
-	m.items = append(m.items, v)
+	m.items.Push(v)
 	m.mu.Unlock()
 	m.notEmpty.Signal()
 	return true
@@ -61,17 +61,14 @@ func (m *mailbox[T]) push(v T) bool {
 // false once the box is closed and drained.
 func (m *mailbox[T]) pop(r *vclock.Runner) (v T, ok bool) {
 	m.mu.Lock()
-	for len(m.items) == 0 && !m.closed {
+	for m.items.Len() == 0 && !m.closed {
 		m.notEmpty.Wait(r)
 	}
-	if len(m.items) == 0 {
+	if m.items.Len() == 0 {
 		m.mu.Unlock()
 		return v, false
 	}
-	v = m.items[0]
-	copy(m.items, m.items[1:])
-	m.items[len(m.items)-1] = *new(T)
-	m.items = m.items[:len(m.items)-1]
+	v = m.items.Pop()
 	m.mu.Unlock()
 	return v, true
 }
@@ -79,14 +76,11 @@ func (m *mailbox[T]) pop(r *vclock.Runner) (v T, ok bool) {
 // tryPop dequeues without parking.
 func (m *mailbox[T]) tryPop() (v T, ok bool) {
 	m.mu.Lock()
-	if len(m.items) == 0 {
+	if m.items.Len() == 0 {
 		m.mu.Unlock()
 		return v, false
 	}
-	v = m.items[0]
-	copy(m.items, m.items[1:])
-	m.items[len(m.items)-1] = *new(T)
-	m.items = m.items[:len(m.items)-1]
+	v = m.items.Pop()
 	m.mu.Unlock()
 	return v, true
 }
@@ -94,7 +88,7 @@ func (m *mailbox[T]) tryPop() (v T, ok bool) {
 func (m *mailbox[T]) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.items)
+	return m.items.Len()
 }
 
 // close marks the box closed and wakes every parked consumer.

@@ -141,20 +141,31 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// pending is one in-flight request inside the server, carrying the
-// virtual timestamps the phase decomposition is built from.
+// pending is one in-flight request inside the server: the request and
+// its response by value, the virtual timestamps the phase decomposition
+// is built from, and — on the last request decoded from a received chunk
+// — the chunk itself. req's keys and values alias that chunk; it stays
+// lent to this connection until the reply writer has encoded the last
+// reply that could read it (connState.recycle).
 type pending struct {
-	req  *rpc.Request
-	conn *connState
-	seq  uint64 // per-connection reply order
+	req   rpc.Request
+	resp  rpc.Response
+	frame []byte // the received chunk, on the last request decoded from it
+	conn  *connState
+	seq   uint64 // per-connection reply order
 
 	arrived vclock.Time // frame arrival at the server NIC
 	decoded vclock.Time // handler picked it up (accept = decoded-arrived)
 	enq     vclock.Time // entered a batcher/read queue
 	claimed vclock.Time // batch/chunk claimed it (linger = claimed-enq)
 	engDone vclock.Time // engine call finished (engine = engDone-claimed)
+}
 
-	resp *rpc.Response
+// reply starts p's response over: the request's id, the given status,
+// nothing else but the entry array a scan can fill again.
+func (p *pending) reply(status byte) *rpc.Response {
+	p.resp = rpc.Response{ID: p.req.ID, Status: status, Entries: p.resp.Entries[:0]}
+	return &p.resp
 }
 
 // Server serves a ShardedDB over simulated connections.
@@ -315,7 +326,7 @@ func (s *Server) shed(r *vclock.Runner, p *pending) {
 	p.enq = p.decoded
 	p.claimed = p.decoded
 	p.engDone = p.decoded
-	p.resp = &rpc.Response{ID: p.req.ID, Status: rpc.StatusRetryLater}
+	p.reply(rpc.StatusRetryLater)
 	p.conn.deliver(p)
 }
 
@@ -328,7 +339,7 @@ func (s *Server) execDirect(r *vclock.Runner, p *pending) {
 	p.claimed = p.decoded
 	// One full engine crossing per op: the overhead the batcher amortizes.
 	s.cpu.Run(r, s.cfg.DispatchCPU)
-	resp := &rpc.Response{ID: p.req.ID, Status: rpc.StatusOK}
+	resp := p.reply(rpc.StatusOK)
 	var err error
 	switch p.req.Op {
 	case rpc.OpPut:
@@ -342,9 +353,10 @@ func (s *Server) execDirect(r *vclock.Runner, p *pending) {
 			resp.Status = rpc.StatusNotFound
 		}
 	case rpc.OpScan:
-		resp.Entries = s.scan(r, p.req.Key, int(p.req.Limit))
+		resp.Entries = s.scan(r, resp.Entries, p.req.Key, int(p.req.Limit))
 	case rpc.OpBatch:
-		b := &kvaccel.Batch{}
+		b := &p.conn.batch // execDirect runs on the connection's handler
+		b.Reset()
 		for _, op := range p.req.Ops {
 			if op.Op == rpc.OpDelete {
 				b.Delete(op.Key)
@@ -361,20 +373,19 @@ func (s *Server) execDirect(r *vclock.Runner, p *pending) {
 		resp.Status = rpc.StatusErr
 	}
 	p.engDone = r.Now()
-	p.resp = resp
 	s.stats.tenant(int(p.req.Tenant)).OK.Add(1)
 	p.conn.deliver(p)
 }
 
-// scan collects up to limit entries at and after key from the merged
-// cross-shard cursor.
-func (s *Server) scan(r *vclock.Runner, key []byte, limit int) []rpc.ScanEntry {
+// scan appends to out up to limit entries at and after key from the
+// merged cross-shard cursor. The cursor's key and value are valid only
+// until it moves, so each entry is a copy.
+func (s *Server) scan(r *vclock.Runner, out []rpc.ScanEntry, key []byte, limit int) []rpc.ScanEntry {
 	if limit <= 0 {
 		limit = 1
 	}
 	it := s.db.NewIterator(r)
 	defer it.Close()
-	var out []rpc.ScanEntry
 	for it.Seek(key); it.Valid() && len(out) < limit; it.Next() {
 		out = append(out, rpc.ScanEntry{
 			Key:   append([]byte(nil), it.Key()...),
@@ -393,7 +404,7 @@ func (s *Server) completeBatch(batch []*pending, done vclock.Time, err error) {
 		if err != nil {
 			status = rpc.StatusErr
 		}
-		p.resp = &rpc.Response{ID: p.req.ID, Status: status}
+		p.reply(status)
 		s.stats.tenant(int(p.req.Tenant)).OK.Add(1)
 		p.conn.deliver(p)
 	}

@@ -125,8 +125,8 @@ func runAbortProperty(t *testing.T, batch bool, seed int64) {
 					if !ok {
 						break
 					}
-					resp, derr := rpc.DecodeResponse(payload)
-					if derr != nil {
+					var resp rpc.Response
+					if derr := rpc.DecodeResponse(payload, &resp); derr != nil {
 						fail("client %d: bad response: %v", c, derr)
 						return
 					}

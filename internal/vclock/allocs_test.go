@@ -86,6 +86,60 @@ func TestAllocsCondPingPong(t *testing.T) {
 	})
 }
 
+// TestAllocsCondSignalAt is the rpc.Conn receive shape: the consumer
+// parks on "empty" and the producer, who knows when the item arrives,
+// schedules its wake for that instant.
+func TestAllocsCondSignalAt(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		var mu sync.Mutex
+		filled, taken := NewCond(&mu, "filled"), NewCond(&mu, "taken")
+		var readyAt Time // zero: nothing queued
+		stopped := false
+		c.Go("consumer", func(p *Runner) {
+			for {
+				mu.Lock()
+				for !stopped && (readyAt == 0 || p.Now() < readyAt) {
+					if at := readyAt; at != 0 {
+						// Queued while this runner was not parked: nobody
+						// scheduled its wake, so it sleeps out the rest.
+						mu.Unlock()
+						p.SleepUntil(at)
+						mu.Lock()
+						continue
+					}
+					filled.Wait(p)
+				}
+				if stopped {
+					mu.Unlock()
+					return
+				}
+				readyAt = 0
+				mu.Unlock()
+				taken.Signal()
+			}
+		})
+		cycle := func() {
+			mu.Lock()
+			readyAt = r.Now().Add(time.Microsecond)
+			at := readyAt
+			mu.Unlock()
+			filled.SignalAt(at)
+			mu.Lock()
+			for readyAt != 0 {
+				taken.Wait(r)
+			}
+			mu.Unlock()
+		}
+		stop := func() {
+			mu.Lock()
+			stopped = true
+			mu.Unlock()
+			filled.Signal()
+		}
+		return cycle, stop
+	})
+}
+
 func TestAllocsCondBroadcast(t *testing.T) {
 	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
 		var mu sync.Mutex
@@ -219,18 +273,18 @@ func TestVacatedSlotsAreCleared(t *testing.T) {
 		}
 	}
 
-	var f fifo[*Runner]
+	var f Ring[*Runner]
 	for round := 0; round < 3; round++ { // wraps around, then grows
 		for i := 0; i < 3+2*round; i++ {
-			f.push(r)
+			f.Push(r)
 		}
 		for f.n > 0 {
-			f.pop()
+			f.Pop()
 		}
 	}
 	for i, p := range f.buf {
 		if p != nil {
-			t.Errorf("fifo slot %d still holds a runner after pop", i)
+			t.Errorf("ring slot %d still holds a runner after Pop", i)
 		}
 	}
 
@@ -252,22 +306,22 @@ func TestVacatedSlotsAreCleared(t *testing.T) {
 // TestFifoOrderAcrossGrowth checks FIFO order while the ring wraps and
 // grows with its head anywhere.
 func TestFifoOrderAcrossGrowth(t *testing.T) {
-	var f fifo[int]
+	var f Ring[int]
 	next, want := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 1+round%7; i++ {
-			f.push(next)
+			f.Push(next)
 			next++
 		}
 		for i := 0; i < 1+round%5 && f.n > 0; i++ {
-			if got := f.pop(); got != want {
+			if got := f.Pop(); got != want {
 				t.Fatalf("round %d: popped %d, want %d", round, got, want)
 			}
 			want++
 		}
 	}
 	for f.n > 0 {
-		if got := f.pop(); got != want {
+		if got := f.Pop(); got != want {
 			t.Fatalf("drain: popped %d, want %d", got, want)
 		}
 		want++

@@ -288,6 +288,31 @@ func (c *Clock) wakeParkedIfPresent(r *Runner) bool {
 	return true
 }
 
+// wakeParkedAt turns r's condition park into a plain timer due at at: r
+// stops being condition-parked now and is woken by the timer heap, in the
+// same (at, seq) order as a runner that called SleepUntil(at) at this
+// moment — the seq is taken here, where that Sleep's would be. An at that
+// is not in the future wakes r now. The target must be parked via parkOn.
+func (c *Clock) wakeParkedAt(r *Runner, at Time) {
+	c.mu.Lock()
+	if at <= c.Now() {
+		c.mu.Unlock()
+		c.wakeParked(r)
+		return
+	}
+	if !r.parked {
+		c.mu.Unlock()
+		panic("vclock: wakeParkedAt on runner that is not condition-parked: " + r.name)
+	}
+	r.parked = false
+	c.seq++
+	c.timers.push(timer{at: at, seq: c.seq, r: r})
+	// The caller is usually a runner, so this is a no-op; a goroutine the
+	// clock cannot see may have just armed the only thing left to wait for.
+	c.maybeAdvanceLocked()
+	c.mu.Unlock()
+}
+
 // maybeAdvanceLocked advances virtual time if no runner is runnable.
 // Called with c.mu held.
 func (c *Clock) maybeAdvanceLocked() {

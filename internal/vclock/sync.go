@@ -2,17 +2,28 @@ package vclock
 
 import "sync"
 
-// fifo is a queue over a ring buffer that grows by doubling and never
-// shrinks, so at a steady depth push and pop allocate nothing. pop zeroes
-// the slot it vacates: a popped *Runner (or queued item) is not kept
-// reachable by the backing array.
-type fifo[T any] struct {
+// Ring is a FIFO queue over a ring buffer that the first Push allocates,
+// that grows by doubling and never shrinks: an empty one costs nothing,
+// and at a steady depth Push and Pop allocate and move nothing. Pop zeroes
+// the slot it vacates, so a popped element is not kept reachable by the
+// backing array. It is the queue under this package's waiter lists and
+// Queue, exported for the layers above that keep queues of their own
+// (rpc.Conn's frames in flight, the server's mailboxes). Not safe for
+// concurrent use.
+type Ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int
 	n    int
 }
 
-func (f *fifo[T]) push(v T) {
+// Len returns the number of queued elements.
+func (f *Ring[T]) Len() int { return f.n }
+
+// At returns the i-th oldest element in place, 0 <= i < Len.
+func (f *Ring[T]) At(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
+
+// Push appends v.
+func (f *Ring[T]) Push(v T) {
 	if f.n == len(f.buf) {
 		grown := make([]T, max(4, 2*len(f.buf)))
 		k := copy(grown, f.buf[f.head:])
@@ -23,8 +34,8 @@ func (f *fifo[T]) push(v T) {
 	f.n++
 }
 
-// pop removes and returns the oldest element; the fifo must not be empty.
-func (f *fifo[T]) pop() T {
+// Pop removes and returns the oldest element; the ring must not be empty.
+func (f *Ring[T]) Pop() T {
 	var zero T
 	v := f.buf[f.head]
 	f.buf[f.head] = zero
@@ -44,7 +55,7 @@ type Cond struct {
 	label string
 
 	mu      sync.Mutex // protects waiters; taken before Clock.mu, never after
-	waiters fifo[*Runner]
+	waiters Ring[*Runner]
 }
 
 // NewCond returns a Cond using locker l. label appears in deadlock reports.
@@ -61,7 +72,7 @@ func (c *Cond) Wait(r *Runner) {
 	// clock does not yet consider parked. Lock order everywhere in this
 	// file: Cond.mu, then Clock.mu.
 	c.mu.Lock()
-	c.waiters.push(r)
+	c.waiters.Push(r)
 	r.clock.parkOn(r, c.label)
 	c.mu.Unlock()
 	// The wake channel is buffered, so a signal arriving before we block
@@ -76,11 +87,33 @@ func (c *Cond) Signal() {
 	c.mu.Lock()
 	var r *Runner
 	if c.waiters.n > 0 {
-		r = c.waiters.pop()
+		r = c.waiters.Pop()
 	}
 	c.mu.Unlock()
 	if r != nil {
 		r.clock.wakeParked(r)
+	}
+}
+
+// SignalAt is Signal with the wake-up due at virtual time t: the
+// longest-waiting runner, if any, leaves the waiter list now and runs
+// again at t, exactly as if it had been signalled now and had then slept
+// until t — one park where that would be two. A t that is not in the
+// future is a plain Signal. Like every wake from a condition, it is a hint
+// to re-check: the woken runner re-acquires L and looks again.
+//
+// It exists for a producer that knows when what it produced becomes
+// visible (a frame's arrival time, rpc.Conn): the consumer parked on
+// "empty" need not wake to find that out and park again.
+func (c *Cond) SignalAt(t Time) {
+	c.mu.Lock()
+	var r *Runner
+	if c.waiters.n > 0 {
+		r = c.waiters.Pop()
+	}
+	c.mu.Unlock()
+	if r != nil {
+		r.clock.wakeParkedAt(r, t)
 	}
 }
 
@@ -91,7 +124,7 @@ func (c *Cond) Broadcast() {
 	// that waits again simply queues behind this call.
 	c.mu.Lock()
 	for c.waiters.n > 0 {
-		r := c.waiters.pop()
+		r := c.waiters.Pop()
 		r.clock.wakeParked(r)
 	}
 	c.mu.Unlock()
@@ -164,7 +197,7 @@ func (s *Semaphore) InUse() int {
 // are not needed by the simulator and complicate the kernel).
 type Queue[T any] struct {
 	mu       sync.Mutex
-	items    fifo[T]
+	items    Ring[T]
 	capacity int
 	closed   bool
 	notEmpty *Cond
@@ -193,7 +226,7 @@ func (q *Queue[T]) Push(r *Runner, v T) {
 		q.mu.Unlock()
 		panic("vclock: push on closed queue")
 	}
-	q.items.push(v)
+	q.items.Push(v)
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 }
@@ -205,7 +238,7 @@ func (q *Queue[T]) TryPush(v T) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.items.push(v)
+	q.items.Push(v)
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 	return true
@@ -219,7 +252,7 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 		q.mu.Unlock()
 		return v, false
 	}
-	v = q.items.pop()
+	v = q.items.Pop()
 	q.mu.Unlock()
 	q.notFull.Signal()
 	return v, true
@@ -236,7 +269,7 @@ func (q *Queue[T]) Pop(r *Runner) (v T, ok bool) {
 		q.mu.Unlock()
 		return v, false
 	}
-	v = q.items.pop()
+	v = q.items.Pop()
 	q.mu.Unlock()
 	q.notFull.Signal()
 	return v, true

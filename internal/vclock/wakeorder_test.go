@@ -11,7 +11,8 @@ import (
 
 // The wake-order property test runs 64 runners, each through a seeded
 // script of timed sleeps, event waits (set or timing out) and condition
-// waits, against the real kernel, and replays the same scripts through
+// waits (ended by Signal, Broadcast or a SignalAt due later), against the
+// real kernel, and replays the same scripts through
 // woModel — a single-threaded reference that keeps its timers in a plain
 // list, takes them in (at, seq) order and drops stale conditional ones.
 // Every return from a primitive is logged as (now, runner, op, result);
@@ -34,6 +35,8 @@ const (
 	woWaitFor                  // Event.WaitFor(d); a helper sets the event after s
 	woCondOwn                  // wait on the runner's own Cond; a helper Signals after s
 	woCondShared               // wait on one of four shared Conds; a helper Broadcasts after s
+	woCondAt                   // wait on the runner's own Cond; a helper calls SignalAt(now+d) after s
+	woKinds
 )
 
 type woOp struct {
@@ -63,7 +66,7 @@ func woScript(seed int64, runner int) []woOp {
 	rng := rand.New(rand.NewSource(seed<<8 + int64(runner)))
 	ops := make([]woOp, woOps)
 	for i := range ops {
-		op := woOp{kind: woKind(rng.Intn(5))}
+		op := woOp{kind: woKind(rng.Intn(int(woKinds)))}
 		switch op.kind {
 		case woSleep:
 			op.d = rng.Intn(4)
@@ -77,6 +80,9 @@ func woScript(seed int64, runner int) []woOp {
 		case woCondOwn, woCondShared:
 			op.s = rng.Intn(4)
 			op.cond = rng.Intn(woConds)
+		case woCondAt:
+			op.s = rng.Intn(4)
+			op.d = rng.Intn(4) // 0: due now, which is a plain Signal
 		}
 		ops[i] = op
 	}
@@ -130,7 +136,7 @@ func (m *woModel) issue(i int) {
 		r.parked = true
 		m.arm(woTimer{runner: i, gen: r.gen, helper: true}, op.s)
 		m.arm(woTimer{runner: i, gen: r.gen, cond: true}, op.d)
-	case woCondOwn, woCondShared:
+	case woCondOwn, woCondShared, woCondAt:
 		r.gen++
 		r.parked = true
 		m.arm(woTimer{runner: i, gen: r.gen, helper: true}, op.s)
@@ -157,6 +163,12 @@ func (m *woModel) run() {
 				continue // stale: the other side of the race already ended this park
 			}
 			r.parked = false
+			if op := r.script[r.pc]; t.helper && op.kind == woCondAt && op.d > 0 {
+				// SignalAt: the condition park becomes a plain timer,
+				// armed now, which nothing can make stale.
+				m.arm(woTimer{runner: t.runner}, op.d)
+				continue
+			}
 		}
 		m.log = append(m.log, woEntry{now: m.now, runner: t.runner, op: r.pc, set: t.helper && r.script[r.pc].kind == woWaitFor})
 		r.pc++
@@ -235,6 +247,20 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 						cond.Wait(r)
 					}
 					mu.Unlock()
+				case woCondAt:
+					ready := false
+					c.Go("waker", func(h *Runner) {
+						h.Sleep(Duration(op.s) * woTick)
+						ownMu.Lock()
+						ready = true
+						ownMu.Unlock()
+						own.SignalAt(h.Now().Add(Duration(op.d) * woTick))
+					})
+					ownMu.Lock()
+					for !ready {
+						own.Wait(r)
+					}
+					ownMu.Unlock()
 				}
 				logMu.Lock()
 				log = append(log, woEntry{now: r.Now(), runner: i, op: pc, set: set})

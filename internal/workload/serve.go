@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -129,6 +130,40 @@ type ServeRecorder struct {
 	replyNS  atomic.Int64
 
 	tenants []*serveTenantRow
+
+	// acked samples the PUTs answered OK by key number: the first
+	// ackedSample of them, then every ackedEvery-th over the oldest kept.
+	// Whoever runs the load reads these keys back once the window has
+	// closed — an acked write that is not there is the serving tier's
+	// worst failure, and no counter of the tier's own shows it.
+	ackedPuts atomic.Int64
+	ackedMu   sync.Mutex
+	acked     []int
+	ackedAt   int // next slot to overwrite once acked is full
+}
+
+const (
+	ackedSample = 1024
+	ackedEvery  = 16
+)
+
+// noteAcked books a PUT of key number put (negative: not a PUT) answered
+// with status, keeping it in the sample when its turn comes.
+func (rec *ServeRecorder) noteAcked(put int, status byte) {
+	if put < 0 || status != rpc.StatusOK {
+		return
+	}
+	if n := rec.ackedPuts.Add(1); n > ackedSample && n%ackedEvery != 0 {
+		return
+	}
+	rec.ackedMu.Lock()
+	if len(rec.acked) < ackedSample {
+		rec.acked = append(rec.acked, put)
+	} else {
+		rec.acked[rec.ackedAt] = put
+		rec.ackedAt = (rec.ackedAt + 1) % ackedSample
+	}
+	rec.ackedMu.Unlock()
 }
 
 // NewServeRecorder returns an empty recorder sized for tenants.
@@ -193,6 +228,11 @@ type ServeStats struct {
 	ReplyNS  int64
 
 	Tenants []ServeTenantStats
+
+	// AckedPuts is a sample of the key numbers whose PUT was answered OK;
+	// each must read back as MakeValue(n, ValueSize) after the run (the
+	// mixes delete nothing, and every writer of a key writes that value).
+	AckedPuts []int
 }
 
 // Snapshot captures the recorder's current totals.
@@ -221,6 +261,9 @@ func (rec *ServeRecorder) Snapshot() ServeStats {
 			Retry: row.retry.Load(),
 		}
 	}
+	rec.ackedMu.Lock()
+	s.AckedPuts = append([]int(nil), rec.acked...)
+	rec.ackedMu.Unlock()
 	return s
 }
 
@@ -336,32 +379,33 @@ func (l *ServeLoad) pickOp(rng *rand.Rand) int {
 	}
 }
 
-// buildRequest materializes one request for op kind; RMW callers issue
-// the read themselves and follow with the update this returns. The
+// buildRequest fills req with one request for op kind; RMW callers issue
+// the read themselves and follow with the update this builds. The
 // request's key and value lie in the client's scratch buffers: it must be
-// framed (rpc.AppendRequest copies) before the client builds another.
-func (l *ServeLoad) buildRequest(rng *rand.Rand, buf *scratch, kind int, id uint64, tenant uint8) *rpc.Request {
-	req := &rpc.Request{ID: id, Tenant: tenant}
+// framed (rpc.AppendRequest copies them into the frame) before the client
+// builds another. put is the key number a PUT writes, -1 for the rest.
+func (l *ServeLoad) buildRequest(req *rpc.Request, rng *rand.Rand, buf *scratch, kind int, id uint64, tenant uint8) (put int) {
+	*req = rpc.Request{ID: id, Tenant: tenant}
+	put = -1
 	switch kind {
 	case serveRead:
 		req.Op = rpc.OpGet
 		req.Key = buf.key(l.pickKey(rng))
 	case serveUpdate, serveRMW:
-		n := l.pickKey(rng)
-		req.Op = rpc.OpPut
-		req.Key = buf.key(n)
-		req.Value = buf.value(n, l.cfg.ValueSize)
+		put = l.pickKey(rng)
 	case serveInsert:
-		n := int(l.state.frontier.Add(1)) - 1
-		req.Op = rpc.OpPut
-		req.Key = buf.key(n)
-		req.Value = buf.value(n, l.cfg.ValueSize)
+		put = int(l.state.frontier.Add(1)) - 1
 	case serveScan:
 		req.Op = rpc.OpScan
 		req.Key = buf.key(l.pickKey(rng))
 		req.Limit = uint32(rng.Intn(l.maxScan) + 1)
 	}
-	return req
+	if put >= 0 {
+		req.Op = rpc.OpPut
+		req.Key = buf.key(put)
+		req.Value = buf.value(put, l.cfg.ValueSize)
+	}
+	return put
 }
 
 // Client runs one client (id) against the dialer until the duration
@@ -375,45 +419,81 @@ func (l *ServeLoad) Client(r *vclock.Runner, clk *vclock.Clock, d Dialer, id int
 	}
 }
 
-// call sends req and blocks for its response — the closed-loop inner
-// step. Returns nil when the connection died.
-func (l *ServeLoad) call(r *vclock.Runner, conn *rpc.Conn, dec *rpc.Decoder, req *rpc.Request, tenant int) *rpc.Response {
-	frame := rpc.AppendRequest(nil, req)
-	t0 := r.Now()
+// send frames req into a buffer of the connection's and transmits it,
+// booking it as sent. The connection owns the frame from here, which is
+// what lets a client send its next request before this one is answered.
+func (l *ServeLoad) send(r *vclock.Runner, conn *rpc.Conn, req *rpc.Request, tenant int) error {
+	frame := rpc.AppendRequest(conn.Buffer(), req)
 	l.Rec.sent.Add(1)
 	l.Rec.tenants[tenant].sent.Add(1)
-	if err := conn.Send(r, frame); err != nil {
-		l.Rec.dropped.Add(1)
-		return nil
-	}
+	return conn.Send(r, frame)
+}
+
+// replyStream is a client's receive side: a decoder over the frames the
+// connection lends, and one Response every reply is decoded into.
+type replyStream struct {
+	conn  *rpc.Conn
+	dec   rpc.Decoder
+	chunk []byte // the frame on loan that dec is reading
+	resp  rpc.Response
+}
+
+// errStreamEnded reports a reply stream that ended cleanly (peer closed).
+var errStreamEnded = errors.New("workload: reply stream ended")
+
+// next parks for the next reply. The response aliases the frame it came
+// in and is valid until the following call, which is where that frame
+// goes back to the connection — once the decoder has nothing left to read
+// in it. The error is errStreamEnded at EOF, anything else for a corrupt
+// stream.
+func (s *replyStream) next(r *vclock.Runner) (*rpc.Response, error) {
 	for {
-		payload, ok, err := dec.Next()
+		payload, ok, err := s.dec.Next()
 		if err != nil {
-			l.Rec.torn.Add(1)
-			l.Rec.dropped.Add(1)
-			return nil
+			return nil, err
 		}
 		if ok {
-			resp, derr := rpc.DecodeResponse(payload)
-			if derr != nil {
-				l.Rec.torn.Add(1)
-				l.Rec.dropped.Add(1)
-				return nil
+			if err := rpc.DecodeResponse(payload, &s.resp); err != nil {
+				return nil, err
 			}
-			l.Rec.record(r.Now().Sub(t0), resp, tenant)
-			return resp
+			return &s.resp, nil
 		}
-		data, _, alive := conn.Recv(r)
+		s.conn.Release(s.chunk)
+		s.chunk = nil
+		data, _, alive := s.conn.Recv(r)
 		if !alive {
-			l.Rec.dropped.Add(1)
-			return nil
+			return nil, errStreamEnded
 		}
-		dec.Feed(data)
+		s.dec.Feed(data)
+		s.chunk = data
 	}
 }
 
+// call sends req and blocks for its response — the closed-loop inner
+// step — returning the response's status. ok is false when the
+// connection died.
+func (l *ServeLoad) call(r *vclock.Runner, replies *replyStream, req *rpc.Request, tenant int) (status byte, ok bool) {
+	t0 := r.Now()
+	if err := l.send(r, replies.conn, req, tenant); err != nil {
+		l.Rec.dropped.Add(1)
+		return 0, false
+	}
+	resp, err := replies.next(r)
+	if err != nil {
+		if err != errStreamEnded {
+			l.Rec.torn.Add(1)
+		}
+		l.Rec.dropped.Add(1)
+		return 0, false
+	}
+	l.Rec.record(r.Now().Sub(t0), resp, tenant)
+	return resp.Status, true
+}
+
 // closedLoop is the capacity-probing client: one op in flight, the next
-// issued when the reply lands.
+// issued when the reply lands. Everything a request needs — the struct,
+// its key and value, the reply — is the client's own and built over
+// again for each request; the frames are the connection's.
 func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 	conn := d.Connect(r, fmt.Sprintf("client.%d", id))
 	if conn == nil {
@@ -421,30 +501,33 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 		return
 	}
 	defer conn.Close()
-	dec := &rpc.Decoder{}
+	replies := &replyStream{conn: conn}
 	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919))
 	tenant := id % l.cfg.Tenants
 	deadline := r.Now().Add(l.cfg.Duration)
-	var buf scratch
-	var seq uint64
+	var (
+		buf scratch
+		req rpc.Request
+		seq uint64
+	)
 	for deadline.Sub(r.Now()) > 0 {
 		kind := l.pickOp(rng)
 		if kind == serveRMW {
 			// Read half first; fall through to the update half below.
-			get := &rpc.Request{ID: reqID(id, seq), Tenant: uint8(tenant), Op: rpc.OpGet}
+			req = rpc.Request{ID: reqID(id, seq), Tenant: uint8(tenant), Op: rpc.OpGet, Key: buf.key(l.pickKey(rng))}
 			seq++
-			get.Key = buf.key(l.pickKey(rng))
-			if l.call(r, conn, dec, get, tenant) == nil {
+			if _, ok := l.call(r, replies, &req, tenant); !ok {
 				return
 			}
 		}
-		req := l.buildRequest(rng, &buf, kind, reqID(id, seq), uint8(tenant))
+		put := l.buildRequest(&req, rng, &buf, kind, reqID(id, seq), uint8(tenant))
 		seq++
-		resp := l.call(r, conn, dec, req, tenant)
-		if resp == nil {
+		status, ok := l.call(r, replies, &req, tenant)
+		if !ok {
 			return
 		}
-		if resp.Status == rpc.StatusRetryLater && l.cfg.RetryBackoff > 0 {
+		l.Rec.noteAcked(put, status)
+		if status == rpc.StatusRetryLater && l.cfg.RetryBackoff > 0 {
 			r.Sleep(l.cfg.RetryBackoff)
 		}
 	}
@@ -453,7 +536,14 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 // openState tracks an open-loop client's in-flight requests.
 type openState struct {
 	mu          sync.Mutex
-	outstanding map[uint64]vclock.Time // request ID -> send start
+	outstanding map[uint64]openRequest // by request ID
+}
+
+// openRequest is what the receiver needs to book a reply: when the
+// request was sent, and the key number it PUT (-1 for the rest).
+type openRequest struct {
+	t0  vclock.Time
+	put int
 }
 
 // openLoop is the offered-load client: a sender issuing one request per
@@ -467,37 +557,25 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 		return
 	}
 	tenant := id % l.cfg.Tenants
-	st := &openState{outstanding: make(map[uint64]vclock.Time)}
+	st := &openState{outstanding: make(map[uint64]openRequest)}
 
 	clk.Go(fmt.Sprintf("client.%d.recv", id), func(rr *vclock.Runner) {
-		dec := &rpc.Decoder{}
+		replies := &replyStream{conn: conn}
 		for {
-			data, _, ok := conn.Recv(rr)
-			if !ok {
+			resp, err := replies.next(rr)
+			if err != nil {
+				if err != errStreamEnded {
+					l.Rec.torn.Add(1)
+				}
 				return
 			}
-			dec.Feed(data)
-			for {
-				payload, ok, err := dec.Next()
-				if err != nil {
-					l.Rec.torn.Add(1)
-					return
-				}
-				if !ok {
-					break
-				}
-				resp, derr := rpc.DecodeResponse(payload)
-				if derr != nil {
-					l.Rec.torn.Add(1)
-					continue
-				}
-				st.mu.Lock()
-				t0, known := st.outstanding[resp.ID]
-				delete(st.outstanding, resp.ID)
-				st.mu.Unlock()
-				if known {
-					l.Rec.record(rr.Now().Sub(t0), resp, tenant)
-				}
+			st.mu.Lock()
+			sent, known := st.outstanding[resp.ID]
+			delete(st.outstanding, resp.ID)
+			st.mu.Unlock()
+			if known {
+				l.Rec.record(rr.Now().Sub(sent.t0), resp, tenant)
+				l.Rec.noteAcked(sent.put, resp.Status)
 			}
 		}
 	})
@@ -505,8 +583,11 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919))
 	start := r.Now()
 	deadline := start.Add(l.cfg.Duration)
-	var buf scratch
-	var seq uint64
+	var (
+		buf scratch
+		req rpc.Request
+		seq uint64
+	)
 	for i := 0; ; i++ {
 		due := start.Add(l.cfg.Interval * time.Duration(i))
 		if due.Sub(deadline) >= 0 {
@@ -519,15 +600,15 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 		if kind == serveRMW {
 			kind = serveUpdate // open loop keeps one request per slot
 		}
-		req := l.buildRequest(rng, &buf, kind, reqID(id, seq), uint8(tenant))
+		put := l.buildRequest(&req, rng, &buf, kind, reqID(id, seq), uint8(tenant))
 		seq++
-		frame := rpc.AppendRequest(nil, req)
 		st.mu.Lock()
-		st.outstanding[req.ID] = r.Now()
+		st.outstanding[req.ID] = openRequest{t0: r.Now(), put: put}
 		st.mu.Unlock()
-		l.Rec.sent.Add(1)
-		l.Rec.tenants[tenant].sent.Add(1)
-		if err := conn.Send(r, frame); err != nil {
+		// Requests pipeline: this frame may still be queued, or in the
+		// server's hands, when the next is built over the same scratch —
+		// the frame is a copy, and it is the connection's.
+		if err := l.send(r, conn, &req, tenant); err != nil {
 			st.mu.Lock()
 			delete(st.outstanding, req.ID)
 			st.mu.Unlock()
