@@ -97,6 +97,12 @@ type FTL struct {
 	free    []int // free block ids (LIFO)
 	regions [numRegions]*regionState
 	nextDie int // round-robin die cursor for frontier allocation
+	// frontier marks the blocks some region is writing into, for the length
+	// of one pickVictimLocked; all false between calls.
+	frontier []bool
+	// fanouts are finished multi-page requests, kept for their page and
+	// worker lists: a request in steady state allocates nothing.
+	fanouts []*fanout
 
 	stats Stats
 }
@@ -123,6 +129,7 @@ func New(arr *nand.Array, cfg Config) *FTL {
 	}
 	f := &FTL{arr: arr, geo: geo, cfg: cfg}
 	f.blocks = make([]blockInfo, totalBlocks)
+	f.frontier = make([]bool, totalBlocks)
 	for i := range f.blocks {
 		f.blocks[i].lpns = make([]int32, geo.PagesPerBlock)
 	}
@@ -268,23 +275,42 @@ func (f *FTL) WriteMany(r *vclock.Runner, rg Region, lpns []int) error {
 	if len(lpns) == 1 {
 		return f.Write(r, rg, lpns[0])
 	}
-	f.mu.Lock()
-	ppns := make([]int32, len(lpns))
-	needGC := false
-	for i, lpn := range lpns {
-		ppn, gc := f.allocPageLocked(rg, lpn)
-		ppns[i] = ppn
-		needGC = needGC || gc
-	}
-	f.stats.HostPagesWritten += int64(len(lpns))
-	f.mu.Unlock()
-	err := f.fanout(r, ppns, func(w *vclock.Runner, ppn int32) error {
-		return f.arr.ProgramPage(w, f.addrOf(ppn))
-	})
+	job, needGC := f.allocPages(rg, lpns)
+	err := f.run(r, job, programPage)
 	if needGC {
 		f.collect(r)
 	}
 	return err
+}
+
+// allocPages maps a batch of logical pages onto the write frontier and
+// returns the fan-out over their physical pages.
+func (f *FTL) allocPages(rg Region, lpns []int) (job *fanout, needGC bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	job = f.takeFanoutLocked()
+	for _, lpn := range lpns {
+		ppn, gc := f.allocPageLocked(rg, lpn)
+		job.ppns = append(job.ppns, ppn)
+		needGC = needGC || gc
+	}
+	f.stats.HostPagesWritten += int64(len(lpns))
+	return job, needGC
+}
+
+// mappedPages returns the fan-out over the physical pages of the mapped
+// ones among lpns.
+func (f *FTL) mappedPages(rg Region, lpns []int) *fanout {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	job := f.takeFanoutLocked()
+	rs := f.regions[rg]
+	for _, lpn := range lpns {
+		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != unmapped {
+			job.ppns = append(job.ppns, rs.mapping[lpn])
+		}
+	}
+	return job
 }
 
 // Read spends the NAND read time for one logical page. Reading an
@@ -307,18 +333,7 @@ func (f *FTL) Read(r *vclock.Runner, rg Region, lpn int) error {
 // ReadMany reads a batch of logical pages with die-parallel fanout.
 // Unmapped pages are skipped (callers validate separately).
 func (f *FTL) ReadMany(r *vclock.Runner, rg Region, lpns []int) error {
-	f.mu.Lock()
-	rs := f.regions[rg]
-	ppns := make([]int32, 0, len(lpns))
-	for _, lpn := range lpns {
-		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != unmapped {
-			ppns = append(ppns, rs.mapping[lpn])
-		}
-	}
-	f.mu.Unlock()
-	return f.fanout(r, ppns, func(w *vclock.Runner, ppn int32) error {
-		return f.arr.ReadPage(w, f.addrOf(ppn))
-	})
+	return f.run(r, f.mappedPages(rg, lpns), readPage)
 }
 
 // ReadManyBackground is ReadMany at background media priority:
@@ -327,18 +342,7 @@ func (f *FTL) ReadMany(r *vclock.Runner, rg Region, lpns []int) error {
 // long merge soaks up idle array bandwidth without pushing flush or WAL
 // traffic back in line — the QoS discipline firmware applies to GC.
 func (f *FTL) ReadManyBackground(r *vclock.Runner, rg Region, lpns []int) error {
-	f.mu.Lock()
-	rs := f.regions[rg]
-	ppns := make([]int32, 0, len(lpns))
-	for _, lpn := range lpns {
-		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != unmapped {
-			ppns = append(ppns, rs.mapping[lpn])
-		}
-	}
-	f.mu.Unlock()
-	return f.fanout(r, ppns, func(w *vclock.Runner, ppn int32) error {
-		return f.arr.ReadPageBackground(w, f.addrOf(ppn))
-	})
+	return f.run(r, f.mappedPages(rg, lpns), readPageBackground)
 }
 
 // WriteManyBackground is WriteMany at background media priority (see
@@ -347,19 +351,8 @@ func (f *FTL) WriteManyBackground(r *vclock.Runner, rg Region, lpns []int) error
 	if len(lpns) == 0 {
 		return nil
 	}
-	f.mu.Lock()
-	ppns := make([]int32, len(lpns))
-	needGC := false
-	for i, lpn := range lpns {
-		ppn, gc := f.allocPageLocked(rg, lpn)
-		ppns[i] = ppn
-		needGC = needGC || gc
-	}
-	f.stats.HostPagesWritten += int64(len(lpns))
-	f.mu.Unlock()
-	err := f.fanout(r, ppns, func(w *vclock.Runner, ppn int32) error {
-		return f.arr.ProgramPageBackground(w, f.addrOf(ppn))
-	})
+	job, needGC := f.allocPages(rg, lpns)
+	err := f.run(r, job, programPageBackground)
 	if needGC {
 		f.collect(r)
 	}
@@ -394,54 +387,109 @@ func (f *FTL) TrimRegion(rg Region) {
 	}
 }
 
-// fanout runs op over each ppn with at most MaxFanout concurrent workers
-// and returns the first error any worker hit (every page is still
-// attempted, so the batch's time model stays intact under faults).
-func (f *FTL) fanout(r *vclock.Runner, ppns []int32, op func(*vclock.Runner, int32) error) error {
-	return f.fanoutN(r, ppns, f.cfg.MaxFanout, op)
+// pageOp is what a fan-out does to one physical page.
+type pageOp func(f *FTL, w *vclock.Runner, ppn int32) error
+
+func programPage(f *FTL, w *vclock.Runner, ppn int32) error {
+	return f.arr.ProgramPage(w, f.addrOf(ppn))
 }
 
-func (f *FTL) fanoutN(r *vclock.Runner, ppns []int32, workers int, op func(*vclock.Runner, int32) error) error {
-	if len(ppns) == 0 {
-		return nil
+func programPageBackground(f *FTL, w *vclock.Runner, ppn int32) error {
+	return f.arr.ProgramPageBackground(w, f.addrOf(ppn))
+}
+
+func readPage(f *FTL, w *vclock.Runner, ppn int32) error {
+	return f.arr.ReadPage(w, f.addrOf(ppn))
+}
+
+func readPageBackground(f *FTL, w *vclock.Runner, ppn int32) error {
+	return f.arr.ReadPageBackground(w, f.addrOf(ppn))
+}
+
+// migratePage is GC moving one survivor: read the old copy (modeled at the
+// new address's size), program the new one.
+func migratePage(f *FTL, w *vclock.Runner, ppn int32) error {
+	_ = f.arr.ReadPage(w, f.addrOf(ppn))
+	return f.arr.ProgramPage(w, f.addrOf(ppn))
+}
+
+// fanout is one multi-page request: the physical pages it touches and,
+// while it runs, the workers that share them out.
+type fanout struct {
+	f       *FTL
+	ppns    []int32
+	op      pageOp
+	workers []fanoutWorker
+	wg      vclock.WaitGroup
+
+	mu    sync.Mutex
+	first error // first error any worker hit
+}
+
+// fanoutWorker is one worker's share of a fanout: pages stride, stride +
+// len(workers), ... of it. The worker's runner is handed a pointer to it.
+type fanoutWorker struct {
+	job    *fanout
+	stride int
+}
+
+func (f *FTL) takeFanoutLocked() *fanout {
+	if n := len(f.fanouts); n > 0 {
+		job := f.fanouts[n-1]
+		f.fanouts = f.fanouts[:n-1]
+		return job
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(ppns) {
-		workers = len(ppns)
-	}
+	return &fanout{f: f}
+}
+
+// run applies op to each page of job with at most MaxFanout concurrent
+// workers and returns the first error any of them hit (every page is
+// still attempted, so the batch's time model stays intact under faults).
+// It consumes job.
+func (f *FTL) run(r *vclock.Runner, job *fanout, op pageOp) error {
+	job.op = op
+	workers := min(f.cfg.MaxFanout, len(job.ppns))
 	if workers <= 1 {
-		var first error
-		for _, ppn := range ppns {
-			if err := op(r, ppn); err != nil && first == nil {
-				first = err
-			}
+		for _, ppn := range job.ppns {
+			job.note(op(f, r, ppn))
 		}
-		return first
+	} else {
+		for w := 0; w < workers; w++ {
+			job.workers = append(job.workers, fanoutWorker{job: job, stride: w})
+		}
+		job.wg.Add(workers)
+		clk := r.Clock()
+		for w := range job.workers {
+			clk.GoWith("ftl.fanout", runFanoutWorker, &job.workers[w])
+		}
+		job.wg.Wait(r)
 	}
-	var wg vclock.WaitGroup
-	wg.Add(workers)
-	var errMu sync.Mutex
-	var first error
-	clk := r.Clock()
-	for w := 0; w < workers; w++ {
-		w := w
-		clk.Go("ftl.fanout", func(worker *vclock.Runner) {
-			defer wg.Done()
-			for i := w; i < len(ppns); i += workers {
-				if err := op(worker, ppns[i]); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-				}
-			}
-		})
+	err := job.first
+	job.ppns, job.workers, job.first = job.ppns[:0], job.workers[:0], nil
+	f.mu.Lock()
+	f.fanouts = append(f.fanouts, job)
+	f.mu.Unlock()
+	return err
+}
+
+func runFanoutWorker(w *vclock.Runner, arg any) {
+	fw := arg.(*fanoutWorker)
+	job := fw.job
+	defer job.wg.Done()
+	for i := fw.stride; i < len(job.ppns); i += len(job.workers) {
+		job.note(job.op(job.f, w, job.ppns[i]))
 	}
-	wg.Wait(r)
-	return first
+}
+
+func (job *fanout) note(err error) {
+	if err == nil {
+		return
+	}
+	job.mu.Lock()
+	if job.first == nil {
+		job.first = err
+	}
+	job.mu.Unlock()
 }
 
 // collect runs greedy GC until the free pool recovers. The caller's
@@ -470,12 +518,12 @@ func (f *FTL) collect(r *vclock.Runner) {
 			}
 		}
 		b.validCount = 0
-		var newPPNs []int32
+		job := f.takeFanoutLocked()
 		for _, lpn := range moveLPNs {
 			// The victim's mapping entries were just detached; allocate
 			// fresh pages on the frontier.
 			ppn, _ := f.allocPageLocked(rg, lpn)
-			newPPNs = append(newPPNs, ppn)
+			job.ppns = append(job.ppns, ppn)
 		}
 		f.stats.GCRuns++
 		f.stats.GCPagesMigrated += int64(len(moveLPNs))
@@ -485,10 +533,7 @@ func (f *FTL) collect(r *vclock.Runner) {
 		// Spend the media time: read survivors, program them, erase.
 		// Injected faults during GC model firmware-internal retries: the
 		// migration still completes, so errors are deliberately dropped.
-		_ = f.fanout(r, newPPNs, func(w *vclock.Runner, ppn int32) error {
-			_ = f.arr.ReadPage(w, f.addrOf(ppn)) // read old copy (modeled at new addr's size)
-			return f.arr.ProgramPage(w, f.addrOf(ppn))
-		})
+		_ = f.run(r, job, migratePage)
 		eraseAddr := f.addrOf(ppnOf(victim, 0, f.geo.PagesPerBlock))
 		_ = f.arr.EraseBlock(r, eraseAddr)
 
@@ -504,24 +549,27 @@ func (f *FTL) collect(r *vclock.Runner) {
 // pickVictimLocked chooses the allocated, full, non-frontier block with
 // the fewest valid pages (greedy), or -1 if none qualifies.
 func (f *FTL) pickVictimLocked() int {
-	frontier := make(map[int]bool, f.geo.Dies()*2)
-	for _, rs := range f.regions {
-		for _, bid := range rs.frontier {
-			if bid >= 0 {
-				frontier[bid] = true
+	markFrontier := func(mark bool) {
+		for _, rs := range f.regions {
+			for _, bid := range rs.frontier {
+				if bid >= 0 {
+					f.frontier[bid] = mark
+				}
 			}
 		}
 	}
+	markFrontier(true)
 	best, bestValid := -1, 1<<30
 	for bid := range f.blocks {
 		b := &f.blocks[bid]
-		if !b.allocated || frontier[bid] || b.nextPage < f.geo.PagesPerBlock {
+		if !b.allocated || f.frontier[bid] || b.nextPage < f.geo.PagesPerBlock {
 			continue
 		}
 		if b.validCount < bestValid {
 			best, bestValid = bid, b.validCount
 		}
 	}
+	markFrontier(false)
 	if best >= 0 && bestValid >= f.geo.PagesPerBlock {
 		return -1 // nothing to gain: every candidate is fully valid
 	}

@@ -132,6 +132,33 @@ func TestRatchet(t *testing.T) {
 				}
 			},
 		},
+		{
+			// What a virtual second costs the host is, to first order, the
+			// kernel events it takes. Flush and compaction saturating NAND
+			// beside redirected writes is where die and channel queues are
+			// deepest: a contended admission must cost about two parks (the
+			// waiter's own, and one lost race per release — it was 23 when
+			// every release woke every waiter), and the fan-out and command
+			// runners, hundreds of thousands of them, must be reused ones.
+			name: "kernel-events", spec: kva, duration: 4 * time.Second,
+			a: func(p *Params) {},
+			check: func(t *testing.T, res, _ *RunResult) {
+				k := res.Kernel
+				perWait := float64(k.SemParks) / float64(max(k.SemWaits, 1))
+				reuse := float64(k.Reuses) / float64(max(k.Spawns+k.Reuses, 1))
+				t.Logf("%d contended admissions, %.2f parks each; %d runners started, %.4f on a reused goroutine; %d parks in all",
+					k.SemWaits, perWait, k.Spawns+k.Reuses, reuse, k.Parks)
+				if k.SemWaits < 10000 {
+					t.Errorf("%d contended admissions: the run did not load the device", k.SemWaits)
+				}
+				if perWait > 2.2 {
+					t.Errorf("%.2f parks per contended semaphore admission, want <= 2.2", perWait)
+				}
+				if reuse < 0.95 {
+					t.Errorf("%.4f of runners reused a goroutine, want >= 0.95", reuse)
+				}
+			},
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -82,6 +82,9 @@ type RunResult struct {
 	DevFailed  int64
 	// Queues snapshots every NVMe queue pair at the end of the run.
 	Queues []nvme.QueueStats
+	// Kernel is the virtual clock's event counts for the whole run: what
+	// the simulation cost the host, in parks, wakes and runners started.
+	Kernel vclock.Stats
 
 	// TraceSummary and TraceStalls are the per-phase virtual-time
 	// attribution and the stall-window report; nil unless Params.Trace
@@ -372,6 +375,7 @@ func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult
 	m.release()
 
 	m.clk.Wait()
+	res.Kernel = m.clk.Stats()
 
 	if cpuN > 0 {
 		res.CPUAvg = cpuSum / float64(cpuN)

@@ -263,7 +263,17 @@ func (d *Dispatcher) ensureRunningLocked() {
 		return
 	}
 	d.running = true
-	d.clk.Go("nvme.dispatcher", d.run)
+	d.clk.GoWith("nvme.dispatcher", runDispatcher, d)
+}
+
+// runDispatcher and runCommand are the bodies of the dispatcher's runners,
+// started with vclock.GoWith: neither a dispatcher start nor a command
+// costs a closure.
+func runDispatcher(r *vclock.Runner, d any) { d.(*Dispatcher).run(r) }
+
+func runCommand(w *vclock.Runner, cmd any) {
+	c := cmd.(*Command)
+	c.qp.d.exec(w, c)
 }
 
 func (d *Dispatcher) run(r *vclock.Runner) {
@@ -272,7 +282,7 @@ func (d *Dispatcher) run(r *vclock.Runner) {
 		// state; commands posted while we waited are eligible.
 		d.slots.Acquire(r, 1)
 		d.mu.Lock()
-		cmd, q := d.pickLocked()
+		cmd := d.pickLocked()
 		if cmd == nil {
 			d.running = false
 			d.mu.Unlock()
@@ -281,63 +291,67 @@ func (d *Dispatcher) run(r *vclock.Runner) {
 		}
 		name := d.workerNameLocked(cmd.Op)
 		d.mu.Unlock()
-		d.clk.Go(name, func(w *vclock.Runner) {
-			d.mu.Lock()
-			plan, severed, tr := d.plan, d.severed, d.tracer
-			d.mu.Unlock()
-			if tr != nil {
-				// Queue residency: doorbell ring to firmware dispatch.
-				tr.Complete(w, trace.PhaseNVMeQueue, cmd.Op,
-					cmd.submitted, w.Now().Sub(cmd.submitted), cmd.parent, int64(cmd.Bytes))
-			}
-			var err error
-			var service time.Duration
-			// Injected delay (latency spike or timeout) is queueing
-			// pathology, not useful work: it is spent on the worker but
-			// deliberately kept out of the busy/service accounting.
-			outcome := plan.Decide(cmd.Op, -1)
-			if outcome.Delay > 0 {
-				w.Sleep(outcome.Delay)
-			}
-			switch {
-			case severed:
-				err = faults.ErrDeviceGone
-			case outcome.Err != nil:
-				err = outcome.Err
-			default:
-				if cmd.Exec != nil {
-					xsp := tr.BeginLinked(w, trace.PhaseNVMeExec, cmd.Op, cmd.parent)
-					start := w.Now()
-					err = cmd.Exec(w)
-					service = w.Now().Sub(start)
-					xsp.EndArg(w, int64(cmd.Bytes))
-				}
-				// A cut that lands while the body runs drops the
-				// completion: the work may have partially happened, but
-				// the host never hears success.
-				if d.Severed() {
-					err = faults.ErrDeviceGone
-				}
-			}
-			d.slots.Release(1)
-			if d.cfg.CompletionLatency > 0 {
-				w.Sleep(d.cfg.CompletionLatency)
-			}
-			d.mu.Lock()
-			d.busyNS += int64(service)
-			d.mu.Unlock()
-			q.complete(cmd, w.Now(), err)
-		})
+		d.clk.GoWith(name, runCommand, cmd)
 	}
+}
+
+// exec is a command's worker: it runs the command body on w, holding the
+// firmware slot the dispatcher took for it, and posts the completion.
+func (d *Dispatcher) exec(w *vclock.Runner, cmd *Command) {
+	d.mu.Lock()
+	plan, severed, tr := d.plan, d.severed, d.tracer
+	d.mu.Unlock()
+	if tr != nil {
+		// Queue residency: doorbell ring to firmware dispatch.
+		tr.Complete(w, trace.PhaseNVMeQueue, cmd.Op,
+			cmd.submitted, w.Now().Sub(cmd.submitted), cmd.parent, int64(cmd.Bytes))
+	}
+	var err error
+	var service time.Duration
+	// Injected delay (latency spike or timeout) is queueing
+	// pathology, not useful work: it is spent on the worker but
+	// deliberately kept out of the busy/service accounting.
+	outcome := plan.Decide(cmd.Op, -1)
+	if outcome.Delay > 0 {
+		w.Sleep(outcome.Delay)
+	}
+	switch {
+	case severed:
+		err = faults.ErrDeviceGone
+	case outcome.Err != nil:
+		err = outcome.Err
+	default:
+		if cmd.Exec != nil {
+			xsp := tr.BeginLinked(w, trace.PhaseNVMeExec, cmd.Op, cmd.parent)
+			start := w.Now()
+			err = cmd.Exec(w)
+			service = w.Now().Sub(start)
+			xsp.EndArg(w, int64(cmd.Bytes))
+		}
+		// A cut that lands while the body runs drops the
+		// completion: the work may have partially happened, but
+		// the host never hears success.
+		if d.Severed() {
+			err = faults.ErrDeviceGone
+		}
+	}
+	d.slots.Release(1)
+	if d.cfg.CompletionLatency > 0 {
+		w.Sleep(d.cfg.CompletionLatency)
+	}
+	d.mu.Lock()
+	d.busyNS += int64(service)
+	d.mu.Unlock()
+	cmd.qp.complete(cmd, w.Now(), err)
 }
 
 // pickLocked implements weighted round-robin: each queue gets up to
 // weight consecutive grants per round; when every backlogged queue has
 // exhausted its credit, all credits replenish and a new round begins.
-func (d *Dispatcher) pickLocked() (*Command, *QueuePair) {
+func (d *Dispatcher) pickLocked() *Command {
 	n := len(d.queues)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
@@ -355,7 +369,7 @@ func (d *Dispatcher) pickLocked() (*Command, *QueuePair) {
 			copy(q.sq, q.sq[1:])
 			q.sq[len(q.sq)-1] = nil
 			q.sq = q.sq[:len(q.sq)-1]
-			return cmd, q
+			return cmd
 		}
 		// No backlogged queue has credit left: replenish and rescan once.
 		backlogged := false
@@ -366,10 +380,10 @@ func (d *Dispatcher) pickLocked() (*Command, *QueuePair) {
 			}
 		}
 		if !backlogged {
-			return nil, nil
+			return nil
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // QueuePair is one paired submission/completion queue. Submit posts a

@@ -180,8 +180,8 @@ func TestAllocsCondBroadcast(t *testing.T) {
 
 // contended measures what n partner runners allocate while they call use
 // in a loop among themselves; the measured runner only lets virtual time
-// pass. (It must not compete: admission is broadcast-and-recheck, so a
-// particular contender may lose every race.)
+// pass. (It must not compete: admission is a race among the woken, so a
+// particular contender may lose every one.)
 func contended(t *testing.T, n int, use func(i int, p *Runner)) {
 	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
 		var stopped atomic.Bool
@@ -227,6 +227,53 @@ func TestAllocsResourceUseBackground(t *testing.T) {
 	if !raceEnabled && bgUses.Load() < 100 {
 		t.Errorf("background caller was admitted %d times; the gate did not exercise its wait path", bgUses.Load())
 	}
+}
+
+// TestAllocsGo is the ftl fan-out and nvme.Dispatcher shape: a transient
+// runner is started, sleeps once and returns, and its parent joins it. In
+// steady state the runner comes off the free list, so GoWith allocates
+// nothing and Go only what its caller's closure costs.
+func TestAllocsGo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c := New()
+	var withArg, withClosure float64
+	c.Go("measured", func(r *Runner) {
+		var wg WaitGroup
+		d := time.Microsecond
+		spawnWith := func() {
+			wg.Add(1)
+			c.GoWith("transient", sleepAndDone, &wg)
+			wg.Wait(r)
+		}
+		spawn := func() {
+			wg.Add(1)
+			c.Go("transient", func(w *Runner) {
+				w.Sleep(d)
+				wg.Done()
+			})
+			wg.Wait(r)
+		}
+		spawn() // the one spawn: every later runner is this one again
+		withArg = testing.AllocsPerRun(200, spawnWith)
+		withClosure = testing.AllocsPerRun(200, spawn)
+	})
+	c.Wait()
+	if withArg != 0 {
+		t.Errorf("GoWith: %v allocations per runner in steady state, want 0", withArg)
+	}
+	if withClosure > 1 {
+		t.Errorf("Go: %v allocations per runner in steady state, want at most the caller's closure", withClosure)
+	}
+	if st := c.Stats(); st.Spawns != 2 {
+		t.Errorf("%d runners spawned, want 2 (measured, and one transient reused %d times)", st.Spawns, st.Reuses)
+	}
+}
+
+func sleepAndDone(r *Runner, wg any) {
+	r.Sleep(time.Microsecond)
+	wg.(*WaitGroup).Done()
 }
 
 func TestAllocsEventWaitForTimeout(t *testing.T) {

@@ -31,11 +31,16 @@ func BenchmarkSleep(b *testing.B) {
 }
 
 // BenchmarkResourceUse is cpu.Pool.Run and every NAND die or channel use:
-// b.N uses of a one-unit resource, split over 1 or 8 contending runners.
+// b.N uses of a one-unit resource, split over 1, 8 or 32 contending
+// runners. parks/op is what the kernel spends on one use: the sleep, and
+// the parks of whoever waits for the unit.
 func BenchmarkResourceUse(b *testing.B) {
-	for _, contenders := range []int{1, 8} {
+	for _, contenders := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("contenders=%d", contenders), func(b *testing.B) {
 			benchRun(b, func(c *Clock, r *Runner) {
+				defer func(before Stats) {
+					b.ReportMetric(float64(c.Stats().Parks-before.Parks)/float64(b.N), "parks/op")
+				}(c.Stats())
 				res := NewResource(1, "res")
 				var wg WaitGroup
 				wg.Add(contenders)

@@ -13,6 +13,10 @@
 // then run is the Go scheduler's (see Semaphore), so a seed reproduces an
 // experiment's shape, not its bytes.
 //
+// Runners are cheap to start: a goroutine whose function returned stays
+// behind, invisible to the clock, and the next Go hands it the new
+// function (see Clock.Go). They all exit when the simulation drains.
+//
 // The one contract runners must obey: never block indefinitely on a raw Go
 // primitive (channel receive, sync.Mutex held across a park, ...). Short
 // critical sections under plain mutexes are fine — the clock simply does not
@@ -57,9 +61,11 @@ type Clock struct {
 	total   int          // registered runners alive
 	timers  timerHeap
 	runners *Runner       // live runners, linked through Runner.next/prev (deadlock report)
+	idle    *Runner       // returned runners awaiting reuse, newest first, linked through Runner.next
 	done    chan struct{} // closed when the last runner exits
 	stopped bool
 	suspect uint64 // deadlock suspicions raised so far (confirmDeadlock)
+	stats   Stats
 
 	// OnDeadlock, if non-nil, is invoked instead of panicking when every
 	// runner has stayed parked on a condition with no timer pending for
@@ -75,24 +81,58 @@ func New() *Clock {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return Time(c.now.Load()) }
 
+// Stats are the kernel's cumulative event counts: what a simulation costs
+// the host is, to first order, how many of these it causes.
+type Stats struct {
+	Parks      uint64 // runners parked, on a timer or on a condition
+	TimerWakes uint64 // wakes delivered by the timer heap
+	CondWakes  uint64 // wakes delivered through a condition (Signal, Broadcast, Release, Set, ...)
+	Spawns     uint64 // runners started on a new goroutine
+	Reuses     uint64 // runners started on the goroutine of a runner that had returned
+	// SemWaits counts Semaphore.Acquire calls that found too few units and
+	// had to park; SemParks counts the parks they took, so SemParks/SemWaits
+	// is what one contended admission costs (1 with no lost race).
+	SemWaits uint64
+	SemParks uint64
+}
+
+// Stats returns a snapshot of the kernel's event counts.
+func (c *Clock) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
+
 // Runner is the handle a simulation goroutine uses to interact with its
-// Clock. Each Runner belongs to exactly one goroutine.
+// Clock. Each Runner belongs to exactly one goroutine, and each goroutine
+// serves one runner after another: between two of them the Runner is off
+// the clock's books and on its free list.
 type Runner struct {
 	clock *Clock
 	name  string
 	id    uint64
 	wake  chan struct{}
+	// fn and arg are the function this life of the runner executes; both
+	// are nil while the runner idles on the free list. Written under
+	// clock.mu, read by the runner's goroutine after the wake that follows.
+	fn  func(r *Runner, arg any)
+	arg any
 	// gen counts condition parks (guarded by clock.mu). A conditional
 	// timer records the generation it backstops; if the runner has since
 	// been signalled and parked again, the stale timer's generation no
-	// longer matches and it must not fire.
+	// longer matches and it must not fire. It keeps counting across the
+	// runner's lives, so a timer left behind by an earlier one stays stale.
 	gen uint64
 	// parked is set while the runner is parked on a condition (not a plain
 	// timer) and label says which, for the deadlock report. next and prev
-	// link the clock's live runners. All four are guarded by clock.mu.
+	// link the clock's live runners (next alone, its free list). All four
+	// are guarded by clock.mu.
 	parked     bool
 	label      string
 	next, prev *Runner
+	// sem is the runner's place in the waiter list of the Semaphore it is
+	// acquiring, guarded by that semaphore's mutex.
+	sem semWait
 	// traceCtx is a per-runner scratch slot owned by the tracing layer:
 	// the id of the innermost open trace span on this runner, so child
 	// spans (and cross-runner handoffs such as NVMe commands) can record
@@ -121,32 +161,85 @@ func (r *Runner) Clock() *Clock { return r.clock }
 // Now returns the current virtual time.
 func (r *Runner) Now() Time { return r.clock.Now() }
 
-// Go starts fn as a registered runner goroutine. The runner is
-// automatically unregistered when fn returns.
+// Go starts fn as a registered runner. The runner is automatically
+// unregistered when fn returns, and its goroutine, Runner and wake channel
+// then serve the next Go instead of being made anew: fn must not keep r
+// past its return.
 func (c *Clock) Go(name string, fn func(r *Runner)) {
-	r := c.register(name)
-	go func() {
-		defer c.unregister(r)
-		fn(r)
-	}()
+	c.GoWith(name, callFunc, fn)
 }
 
-// register adds a runnable runner.
-func (c *Clock) register(name string) *Runner {
+func callFunc(r *Runner, fn any) { fn.(func(r *Runner))(r) }
+
+// GoWith is Go for a function that takes its state as an argument instead
+// of capturing it: with a package-level fn and a pointer for arg, starting
+// a runner allocates nothing, where Go costs its caller a closure.
+func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
+	r, reused := c.register(name, fn, arg)
+	if reused {
+		// Like the go statement, this leaves the runner next in line on the
+		// caller's P, so reuse does not change who runs when.
+		r.wake <- struct{}{}
+	} else {
+		go r.serve()
+	}
+}
+
+// register adds a runnable runner that will execute fn(arg), taken from
+// the free list if a runner has returned before. It happens here, not on
+// the runner's goroutine: virtual time must not move between Go returning
+// and fn's first park.
+func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *Runner, reused bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if r = c.idle; r != nil {
+		c.idle = r.next
+		c.stats.Reuses++
+		reused = true
+	} else {
+		r = &Runner{clock: c, wake: make(chan struct{}, 1)}
+		c.stats.Spawns++
+	}
 	c.total++
 	c.active++
 	c.nextID++
-	r := &Runner{clock: c, name: name, id: c.nextID, wake: make(chan struct{}, 1), next: c.runners}
+	r.name, r.id, r.fn, r.arg = name, c.nextID, fn, arg
+	r.traceCtx, r.parked, r.label = 0, false, ""
+	r.prev, r.next = nil, c.runners
 	if r.next != nil {
 		r.next.prev = r
 	}
 	c.runners = r
-	return r
+	return r, reused
 }
 
-func (c *Clock) unregister(r *Runner) {
+// serve is a runner goroutine: it runs one function after another, idling
+// between them on its wake channel — a plain receive, which the clock does
+// not count, ended by the next Go or by the simulation draining.
+func (r *Runner) serve() {
+	for r.live() {
+		if <-r.wake; r.fn == nil {
+			return // drained
+		}
+	}
+}
+
+// live runs the function r was started for and unregisters r however the
+// function leaves — by returning, by panicking or through runtime.Goexit
+// (t.Fatal on a runner). It reports whether r went on the free list, which
+// it does only after a return: otherwise this goroutine is on its way out.
+func (r *Runner) live() (idle bool) {
+	returned := false
+	defer func() { idle = r.clock.unregister(r, returned) }()
+	r.fn(r, r.arg)
+	returned = true
+	return
+}
+
+// unregister takes r off the clock's books and, if reusable, puts it on
+// the free list. It reports whether it did: the last runner to leave
+// drains the simulation instead, sending every idle runner home.
+func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 	c.mu.Lock()
 	if r.prev != nil {
 		r.prev.next = r.next
@@ -157,16 +250,28 @@ func (c *Clock) unregister(r *Runner) {
 		r.next.prev = r.prev
 	}
 	r.next, r.prev = nil, nil
+	r.fn, r.arg = nil, nil // an idle runner must not pin its last life's state
 	c.total--
 	c.active--
-	last := c.total == 0
-	if !last {
+	if c.total > 0 {
+		if reusable {
+			r.next, c.idle = c.idle, r
+		}
 		c.maybeAdvanceLocked()
+		c.mu.Unlock()
+		return reusable
 	}
+	home := c.idle
+	c.idle = nil
 	c.mu.Unlock()
-	if last {
-		close(c.done)
+	for home != nil {
+		next := home.next
+		home.next = nil
+		home.wake <- struct{}{} // fn is nil: serve returns
+		home = next
 	}
+	close(c.done)
+	return false
 }
 
 // Wait blocks the calling (non-runner) goroutine until every runner started
@@ -214,6 +319,7 @@ func (r *Runner) Sleep(d Duration) {
 func (c *Clock) sleepLocked(r *Runner, at Time) {
 	c.seq++
 	c.timers.push(timer{at: at, seq: c.seq, r: r})
+	c.stats.Parks++
 	c.active--
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -235,8 +341,15 @@ func (r *Runner) SleepUntil(t Time) {
 // arrange for wakeParked(r) to be called eventually. Must not hold c.mu.
 func (c *Clock) parkOn(r *Runner, label string) {
 	c.mu.Lock()
+	c.parkOnLocked(r, label)
+}
+
+// parkOnLocked is parkOn for a caller that already holds c.mu (to count
+// what it parks for); it releases it.
+func (c *Clock) parkOnLocked(r *Runner, label string) {
 	r.gen++
 	r.parked, r.label = true, label
+	c.stats.Parks++
 	c.active--
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -257,6 +370,7 @@ func (c *Clock) parkOnTimed(r *Runner, label string, d Duration) {
 	c.seq++
 	c.timers.push(timer{at: c.Now().Add(d), seq: c.seq, r: r, cond: true, gen: r.gen})
 	r.parked, r.label = true, label
+	c.stats.Parks++
 	c.active--
 	c.maybeAdvanceLocked()
 	c.mu.Unlock()
@@ -283,6 +397,7 @@ func (c *Clock) wakeParkedIfPresent(r *Runner) bool {
 	}
 	r.parked = false
 	c.active++
+	c.stats.CondWakes++
 	c.mu.Unlock()
 	r.wake <- struct{}{}
 	return true
@@ -355,6 +470,7 @@ func (c *Clock) maybeAdvanceLocked() {
 			woke++
 			t.r.wake <- struct{}{}
 		}
+		c.stats.TimerWakes += uint64(woke)
 		if woke > 0 {
 			return
 		}

@@ -25,13 +25,17 @@ func (f *Ring[T]) At(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
 // Push appends v.
 func (f *Ring[T]) Push(v T) {
 	if f.n == len(f.buf) {
-		grown := make([]T, max(4, 2*len(f.buf)))
-		k := copy(grown, f.buf[f.head:])
-		copy(grown[k:], f.buf[:f.head])
-		f.buf, f.head = grown, 0
+		f.grow()
 	}
 	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
 	f.n++
+}
+
+func (f *Ring[T]) grow() {
+	grown := make([]T, max(4, 2*len(f.buf)))
+	k := copy(grown, f.buf[f.head:])
+	copy(grown[k:], f.buf[:f.head])
+	f.buf, f.head = grown, 0
 }
 
 // Pop removes and returns the oldest element; the ring must not be empty.
@@ -41,6 +45,27 @@ func (f *Ring[T]) Pop() T {
 	f.buf[f.head] = zero
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
+	return v
+}
+
+// PushFront puts v ahead of the oldest element.
+func (f *Ring[T]) PushFront(v T) {
+	if f.n == len(f.buf) {
+		f.grow()
+	}
+	f.head = (f.head - 1) & (len(f.buf) - 1)
+	f.buf[f.head] = v
+	f.n++
+}
+
+// PopBack removes and returns the newest element; the ring must not be
+// empty.
+func (f *Ring[T]) PopBack() T {
+	var zero T
+	f.n--
+	p := f.At(f.n)
+	v := *p
+	*p = zero
 	return v
 }
 
@@ -131,35 +156,152 @@ func (c *Cond) Broadcast() {
 }
 
 // Semaphore is a counting semaphore, usable as a resource pool (CPU cores,
-// device dies, queue slots). Admission is broadcast-and-recheck, not FIFO:
-// Release wakes every waiter and the first to re-take the lock wins the
-// freed units, the rest park again. Which one that is depends on the Go
-// scheduler (on one P, usually the waiter woken last).
+// device dies, queue slots).
+//
+// Admission is not FIFO. A caller that finds enough units free takes them,
+// whoever is waiting. When units come back, woken waiters race for them:
+// the first to run wins, which is the Go scheduler's choice, and the losers
+// park again. The order this gives is defined by the simplest Release, one
+// that wakes every waiter, oldest first (herdSemaphore in the tests, which
+// TestAdmissionMatchesHerdReference holds this one to). On one P a woken
+// runner runs next unless a later wake displaces it to the back of the run
+// queue, so of that herd the winner is the newest waiter, or — when the
+// releaser goes on to wake someone else before it parks — the oldest, and
+// the rest can only lose. Release wakes those two: while every waiter
+// wants one unit, the longest-waiting one per free unit and the most
+// recent one, oldest first; the others stay parked where they are, and the
+// switches a herd spends on losers are saved. Two things keep the herd's
+// order among waiters that were never woken:
+//
+//   - a woken waiter that loses parks again where the herd, re-queueing in
+//     the order it ran, would have put it (see Acquire);
+//   - units released while the longest waiters of an earlier Release have
+//     yet to run wake no one new: the herd of that Release would be awake
+//     still, and its members would take such units in turn — here each
+//     longest waiter that wins wakes the next for what it leaves.
+//
+// While some waiter wants more than one unit, who can win depends on what
+// the others take, and Release wakes them all.
 type Semaphore struct {
 	mu    sync.Mutex
 	avail int
 	cap   int
-	cond  *Cond
+	label string
+
+	waiters Ring[*Runner] // parked in Acquire, in order of semWait.ticket
+	wide    int           // waiters, parked or woken, that want more than one unit
+	// oldestAwake counts waiters woken as the longest-waiting that have yet
+	// to run: the free units are theirs to take or pass on, and whoever
+	// parks before they run parks ahead of them.
+	oldestAwake int
+	// Tickets order the list. At the back they rise from tail. At the
+	// front, each round of wakes opens a block of semRound tickets below
+	// every ticket in use, and those who park ahead of the round's oldest
+	// waiters take them in rising order from head.
+	head, tail int64
+}
+
+// semRound is more than the runners a simulation has, and few enough that
+// an int64 lasts 2^43 rounds.
+const semRound = 1 << 20
+
+// semWait is a runner's state as a Semaphore waiter.
+type semWait struct {
+	ticket int64 // place in the waiter list
+	// oldest says the runner's last wake took it from the front of the
+	// list. Release writes it with every wake, so it never outlives the
+	// wake it describes.
+	oldest bool
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
 func NewSemaphore(capacity int, label string) *Semaphore {
-	s := &Semaphore{avail: capacity, cap: capacity}
-	s.cond = NewCond(&s.mu, label)
-	return s
+	return &Semaphore{avail: capacity, cap: capacity, label: label}
 }
 
 // Cap returns the semaphore's capacity.
 func (s *Semaphore) Cap() int { return s.cap }
 
 // Acquire takes n units, parking r until they are available.
+//
+// A waiter parks at the place it would have if Release woke every waiter:
+// that herd runs in the order it was woken, after whoever was woken last,
+// and queues up again in the order it runs. So a waiter woken from the
+// front that finds the units gone returns to the front, in its old order.
+// Anyone who parks while such a waiter has yet to run — the one woken from
+// the back, if it runs first as it usually does and loses to a caller that
+// never waited, or a newcomer — would find the herd's list empty, and
+// parks ahead of everyone who is in this one. Everybody else goes to the
+// back.
 func (s *Semaphore) Acquire(r *Runner, n int) {
 	s.mu.Lock()
-	for s.avail < n {
-		s.cond.Wait(r)
+	if s.avail >= n {
+		s.avail -= n
+		s.mu.Unlock()
+		return
+	}
+	if n > 1 {
+		s.wide++
+	}
+	oldest := false
+	for first := true; ; first = false {
+		switch {
+		case oldest:
+			s.pushOldest(r)
+		case s.oldestAwake > 0:
+			s.head++
+			r.sem.ticket = s.head
+			s.pushOldest(r)
+		default:
+			s.tail++
+			r.sem.ticket = s.tail
+			s.waiters.Push(r)
+		}
+		// Joining the waiter list and parking with the clock are atomic
+		// under s.mu, so Release never pops a runner the clock does not yet
+		// consider parked. Lock order: Semaphore.mu, then Clock.mu.
+		c := r.clock
+		c.mu.Lock()
+		c.stats.SemParks++
+		if first {
+			c.stats.SemWaits++
+		}
+		c.parkOnLocked(r, s.label)
+		s.mu.Unlock()
+		<-r.wake
+		s.mu.Lock()
+		if oldest = r.sem.oldest; oldest {
+			s.oldestAwake--
+		}
+		if s.avail >= n {
+			break
+		}
 	}
 	s.avail -= n
+	if n > 1 {
+		s.wide--
+	}
+	if oldest && s.avail > 0 {
+		// Units released while this waiter was awake woke nobody (see
+		// Release): it passes on what it leaves to the waiter behind it,
+		// who in a herd would run right after it.
+		if s.wide > 0 {
+			s.wakeAll()
+		} else {
+			s.wakeOldest()
+		}
+	}
 	s.mu.Unlock()
+}
+
+// pushOldest puts r among the longest waiters, in ticket order: behind
+// the few with older tickets that got there before it.
+func (s *Semaphore) pushOldest(r *Runner) {
+	w := &s.waiters
+	w.PushFront(r)
+	for i := 1; i < w.n && (*w.At(i)).sem.ticket < r.sem.ticket; i++ {
+		*w.At(i - 1), *w.At(i) = *w.At(i), r
+	}
 }
 
 // TryAcquire takes n units without blocking and reports whether it did.
@@ -173,7 +315,7 @@ func (s *Semaphore) TryAcquire(n int) bool {
 	return true
 }
 
-// Release returns n units and wakes waiters.
+// Release returns n units and wakes the waiters that can win them.
 func (s *Semaphore) Release(n int) {
 	s.mu.Lock()
 	s.avail += n
@@ -181,8 +323,47 @@ func (s *Semaphore) Release(n int) {
 		s.mu.Unlock()
 		panic("vclock: semaphore over-release")
 	}
+	// The wakes happen under s.mu, so the list is edited in place; a woken
+	// runner that parks again queues behind this call.
+	switch {
+	case s.wide > 0:
+		s.wakeAll()
+	case s.oldestAwake == 0:
+		s.head -= semRound
+		s.wakeOldest()
+		if s.waiters.n > 0 {
+			s.wake(s.waiters.PopBack(), false)
+		}
+	default:
+		// The longest waiters of an earlier Release have yet to run: a
+		// herd woken then would leave this Release a list of those who
+		// parked since, which are the holders of this round's front
+		// tickets. The units they do not take, the waiters still awake do,
+		// each waking the next (see Acquire).
+		for s.waiters.n > 0 && (*s.waiters.At(0)).sem.ticket <= s.head {
+			s.wake(s.waiters.Pop(), false)
+		}
+	}
 	s.mu.Unlock()
-	s.cond.Broadcast()
+}
+
+// wakeOldest wakes the longest waiters until one is awake per free unit.
+func (s *Semaphore) wakeOldest() {
+	for s.waiters.n > 0 && s.oldestAwake < s.avail {
+		s.oldestAwake++
+		s.wake(s.waiters.Pop(), true)
+	}
+}
+
+func (s *Semaphore) wakeAll() {
+	for s.waiters.n > 0 {
+		s.wake(s.waiters.Pop(), false)
+	}
+}
+
+func (s *Semaphore) wake(r *Runner, oldest bool) {
+	r.sem.oldest = oldest
+	r.clock.wakeParked(r)
 }
 
 // InUse returns the number of units currently held.
@@ -293,8 +474,10 @@ func (q *Queue[T]) Close() {
 }
 
 // Resource models a shared service center (a PCIe link, a NAND channel bus,
-// a CPU core pool): capacity units served FIFO, with busy-time accounting
-// for utilization measurements.
+// a CPU core pool): capacity units, admitted in Semaphore's order — a
+// caller that finds a unit free takes it, and a freed unit goes to whichever
+// of its longest and its most recent waiter runs first, not to the head of
+// a FIFO — with busy-time accounting for utilization measurements.
 type Resource struct {
 	sem *Semaphore
 
