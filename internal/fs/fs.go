@@ -8,10 +8,12 @@
 package fs
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 
 	"kvaccel/internal/faults"
@@ -186,20 +188,60 @@ func (l *pageLRU) remove(lpn int) {
 	l.n--
 }
 
+// extent is one immutable run of a file's bytes — a buffer a writer handed
+// over, stored once and never copied, joined or modified afterwards — with
+// the file offset at which it ends. A file is a rope of them.
+type extent struct {
+	buf []byte
+	end int
+}
+
 type file struct {
 	name  string
 	pages []int
-	data  []byte
-	size  int
+	exts  []extent // the page-cache view, in file order; none is empty
+	// one is where exts starts out, so a file written whole — every table,
+	// every manifest — is one allocation with its rope.
+	one [1]extent
 
-	// Crash-consistency model. data is the page-cache view; stable is
-	// the prefix (Append) or image (WriteFile) the device has
-	// acknowledged, the only bytes guaranteed to survive a power cut.
-	// torn marks a failed append whose tail may have partially reached
-	// media; durable is false until the first acknowledged write.
-	stable  []byte
+	// Crash-consistency model. stable is what the device has acknowledged,
+	// the only bytes guaranteed to survive a power cut: a prefix of exts
+	// (an acknowledged write ends on an extent boundary), or the previous
+	// image while a WriteFile replace is unacknowledged. torn marks a
+	// failed append whose tail may have partially reached media; durable
+	// is false until the first acknowledged write.
+	stable  []extent
 	durable bool
 	torn    bool
+}
+
+func ropeLen(exts []extent) int {
+	if len(exts) == 0 {
+		return 0
+	}
+	return exts[len(exts)-1].end
+}
+
+func (f *file) size() int { return ropeLen(f.exts) }
+
+// readRope returns a copy of bytes [off, off+n) of a rope that holds them.
+func readRope(exts []extent, off, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	i := sort.Search(len(exts), func(i int) bool { return exts[i].end > off })
+	piece := exts[i].buf[off-(exts[i].end-len(exts[i].buf)):]
+	if len(piece) >= n {
+		return append([]byte(nil), piece[:n]...) // unlike make, clears nothing first
+	}
+	// Across extents: bytes.Join, like append, clears nothing first.
+	parts := append(make([][]byte, 0, 8), piece)
+	for n -= len(piece); n > 0; n -= len(piece) {
+		i++
+		piece = exts[i].buf[:min(n, len(exts[i].buf))]
+		parts = append(parts, piece)
+	}
+	return bytes.Join(parts, nil)
 }
 
 // New formats a file system over dev with an unbounded page cache.
@@ -295,7 +337,7 @@ func (fs *FileSystem) UsedBytes() int64 {
 	defer fs.mu.Unlock()
 	var n int64
 	for _, f := range fs.files {
-		n += int64(f.size)
+		n += int64(f.size())
 	}
 	return n
 }
@@ -310,22 +352,25 @@ func (fs *FileSystem) allocLocked(n int) ([]int, error) {
 	return pages, nil
 }
 
-// allocPageLocked pops one free page: allocLocked(1) without the slice.
-func (fs *FileSystem) allocPageLocked() (int, error) {
-	if len(fs.free) == 0 {
-		return 0, fmt.Errorf("fs: out of space: need 1 pages, have 0")
+// growLocked extends f to n pages, popping them one by one; when the
+// device cannot supply them all it leaves f and the free list untouched.
+func (fs *FileSystem) growLocked(f *file, n int) error {
+	if n-len(f.pages) > len(fs.free) {
+		return fmt.Errorf("fs: out of space: need %d pages, have %d", n-len(f.pages), len(fs.free))
 	}
-	pg := fs.free[len(fs.free)-1]
-	fs.free = fs.free[:len(fs.free)-1]
-	return pg, nil
+	for len(f.pages) < n {
+		f.pages = append(f.pages, fs.free[len(fs.free)-1])
+		fs.free = fs.free[:len(fs.free)-1]
+	}
+	return nil
 }
 
-// ownImage makes a file image handed over by a caller the file system's
-// own. The capacity is clipped, so a later append to the file reallocates
-// instead of writing into memory the caller can still see; and an image
-// whose buffer has more than an eighth of slack — the short last output of
-// a merge, built in a buffer sized for a full table — is copied into a
-// buffer of its own size, so files pin what they hold and no more.
+// ownImage makes a buffer handed over by a caller — a whole image or an
+// appended chunk — the file system's own. The capacity is clipped, so
+// nothing that grows a slice of it can write into memory the caller can
+// still see; and a buffer with more than an eighth of slack — the short
+// last output of a merge, built in a buffer sized for a full table — is
+// copied into one of its own size, so files pin what they hold, no more.
 func ownImage(data []byte) []byte {
 	if cap(data)-len(data) > len(data)/8 {
 		tight := make([]byte, len(data))
@@ -333,6 +378,17 @@ func ownImage(data []byte) []byte {
 		return tight
 	}
 	return data[:len(data):len(data)]
+}
+
+// newFile is a file over pages holding an image handed over whole, the
+// one-extent case of the rope.
+func newFile(name string, pages []int, data []byte) *file {
+	f := &file{name: name, pages: pages}
+	f.exts = f.one[:0]
+	if len(data) > 0 {
+		f.exts = append(f.exts, extent{ownImage(data), len(data)})
+	}
+	return f
 }
 
 // WriteFile creates (or replaces) a file with the given contents, spending
@@ -356,26 +412,26 @@ func (fs *FileSystem) WriteFileBackground(r *vclock.Runner, name string, data []
 
 func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, background bool) error {
 	ps := fs.dev.PageSize()
-	nPages := (len(data) + ps - 1) / ps
-	if nPages == 0 {
-		nPages = 1 // empty files still occupy a metadata page
-	}
+	nPages := max(1, (len(data)+ps-1)/ps) // empty files still occupy a metadata page
 	fs.mu.Lock()
-	var oldStable []byte
-	var oldDurable bool
-	if old, ok := fs.files[name]; ok {
-		oldStable, oldDurable = old.stable, old.durable
-		fs.freeFileLocked(old)
+	old, replacing := fs.files[name]
+	if replacing && nPages <= len(fs.free)+len(old.pages) {
+		// The old image's pages go back first, so the new image lands on
+		// them as it always has, and leave the page cache with it; a replace
+		// that does not fit even so fails below with the old file whole.
+		fs.cacheDropLocked(fs.freeFileLocked(old))
 	}
 	pages, err := fs.allocLocked(nPages)
 	if err != nil {
 		fs.mu.Unlock()
 		return err
 	}
-	// WriteFile models an atomic replace (write + fsync + rename): until
-	// the device acknowledges the new image, a crash reverts to the old.
-	f := &file{name: name, pages: pages, data: ownImage(data), size: len(data),
-		stable: oldStable, durable: oldDurable}
+	f := newFile(name, pages, data)
+	if replacing {
+		// WriteFile models an atomic replace (write + fsync + rename): until
+		// the device acknowledges the new image, a crash reverts to the old.
+		f.stable, f.durable = old.stable, old.durable
+	}
 	fs.files[name] = f
 	fs.cacheInsertLocked(pages)
 	fs.mu.Unlock()
@@ -387,17 +443,23 @@ func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, back
 		return err
 	}
 	fs.mu.Lock()
-	f.stable, f.durable, f.torn = f.data, true, false
+	f.stable, f.durable, f.torn = f.exts, true, false
 	fs.mu.Unlock()
 	return nil
 }
 
+// logExtents is the room an appended file's extent list is grown by: a log
+// (WAL or value-log segment) is some 25 chunks, so one allocation per log.
+const logExtents = 32
+
 // Append extends a file (creating it if absent) with the chunks, in
 // order, as one write: the device sees a single command covering every
 // page touched, exactly as if the chunks had been joined first. Partial
-// trailing pages are rewritten, as a page-granular device requires. The
-// chunks are copied into the file; the caller keeps them and may reuse
-// them once Append returns.
+// trailing pages are rewritten, as a page-granular device requires.
+//
+// As with WriteFile, the file system takes ownership of the chunks: each
+// becomes an extent of the file without a copy, so the caller must not
+// modify one after the call.
 func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) error {
 	total := 0
 	for _, c := range chunks {
@@ -410,29 +472,28 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 	fs.mu.Lock()
 	f, ok := fs.files[name]
 	if !ok {
-		f = &file{name: name}
-		fs.files[name] = f
+		f = newFile(name, nil, nil)
 	}
-	oldSize := f.size
-	// Grow once for the whole write, as appending the joined chunks would.
-	f.data = slices.Grow(f.data, total)
-	for _, c := range chunks {
-		f.data = append(f.data, c...)
-	}
-	f.size = len(f.data)
-	needPages := (f.size + ps - 1) / ps
 	// The page holding the previous tail is rewritten too if it was partial.
-	first := len(f.pages)
-	if oldSize%ps != 0 && oldSize > 0 {
-		first = (oldSize - 1) / ps
+	first, size := len(f.pages), f.size()
+	if size%ps != 0 && size > 0 {
+		first = (size - 1) / ps
 	}
-	for len(f.pages) < needPages {
-		pg, err := fs.allocPageLocked()
-		if err != nil {
-			fs.mu.Unlock()
-			return err
+	// Pages before bytes: a full device refuses the append with the file,
+	// and the name if it is new, as they were.
+	if err := fs.growLocked(f, (size+total+ps-1)/ps); err != nil {
+		fs.mu.Unlock()
+		return err
+	}
+	fs.files[name] = f
+	if len(f.exts)+len(chunks) > cap(f.exts) {
+		f.exts = slices.Grow(f.exts, max(len(chunks), logExtents))
+	}
+	for _, c := range chunks {
+		if len(c) > 0 {
+			size += len(c)
+			f.exts = append(f.exts, extent{ownImage(c), size})
 		}
-		f.pages = append(f.pages, pg)
 	}
 	touch := append([]int(nil), f.pages[first:]...) // the device call runs outside the lock
 	fs.cacheInsertLocked(touch)
@@ -446,7 +507,7 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 		return err
 	}
 	fs.mu.Lock()
-	f.stable, f.durable, f.torn = f.data, true, false
+	f.stable, f.durable, f.torn = f.exts, true, false
 	fs.mu.Unlock()
 	return nil
 }
@@ -473,9 +534,9 @@ func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, bac
 		fs.mu.Unlock()
 		return nil, fmt.Errorf("fs: %s: no such file", name)
 	}
-	if off < 0 || length < 0 || off+length > f.size {
+	if off < 0 || length < 0 || off+length > f.size() {
 		fs.mu.Unlock()
-		return nil, fmt.Errorf("fs: %s: read [%d,%d) out of bounds (size %d)", name, off, off+length, f.size)
+		return nil, fmt.Errorf("fs: %s: read [%d,%d) out of bounds (size %d)", name, off, off+length, f.size())
 	}
 	var misses []int
 	if length > 0 {
@@ -483,7 +544,7 @@ func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, bac
 		misses = fs.splitCachedLocked(f.pages[first : last+1])
 		fs.cacheInsertLocked(misses)
 	}
-	out := append([]byte(nil), f.data[off:off+length]...) // unlike make, clears nothing first
+	out := readRope(f.exts, off, length)
 	fs.mu.Unlock()
 	if err := fs.readPages(r, misses, background); err != nil {
 		return nil, err
@@ -493,15 +554,9 @@ func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, bac
 
 // ReadFile reads a whole file.
 func (fs *FileSystem) ReadFile(r *vclock.Runner, name string) ([]byte, error) {
-	fs.mu.Lock()
-	f, ok := fs.files[name]
-	var size int
-	if ok {
-		size = f.size
-	}
-	fs.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("fs: %s: no such file", name)
+	size, err := fs.Size(name)
+	if err != nil {
+		return nil, err
 	}
 	return fs.ReadAt(r, name, 0, size)
 }
@@ -514,7 +569,7 @@ func (fs *FileSystem) Size(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("fs: %s: no such file", name)
 	}
-	return f.size, nil
+	return f.size(), nil
 }
 
 // Exists reports whether the file is present.
@@ -577,7 +632,7 @@ func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
 	if !f.durable {
 		return nil, fmt.Errorf("fs: %s: not on media yet", name)
 	}
-	return append([]byte(nil), f.stable...), nil
+	return readRope(f.stable, 0, ropeLen(f.stable)), nil
 }
 
 // ReservePages allocates n pages without binding them to a file — the
@@ -643,9 +698,9 @@ func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
 	for _, p := range pages {
 		fs.reserved.remove(p)
 	}
-	img := ownImage(data)
-	fs.files[name] = &file{name: name, pages: append([]int(nil), pages...),
-		data: img, size: len(img), stable: img, durable: true}
+	f := newFile(name, append([]int(nil), pages...), data)
+	f.stable, f.durable = f.exts, true
+	fs.files[name] = f
 	return nil
 }
 
@@ -700,36 +755,25 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 			fs.freeFileLocked(f)
 			continue
 		}
-		keep := append([]byte(nil), f.stable...)
-		if f.torn && len(f.data) > len(f.stable) {
-			frag := plan.TornLength(len(f.data) - len(f.stable))
-			if frag > 0 {
-				tail := append([]byte(nil), f.data[len(f.stable):len(f.stable)+frag]...)
+		// Extents are immutable, so the surviving image shares them.
+		keep := f.stable
+		if acked := ropeLen(keep); f.torn && f.size() > acked {
+			if frag := plan.TornLength(f.size() - acked); frag > 0 {
+				tail := readRope(f.exts, acked, frag)
 				plan.CorruptByte(tail)
-				keep = append(keep, tail...)
+				keep = append(keep, extent{tail, acked + frag})
 			}
 		}
-		f.data = keep
-		f.size = len(keep)
-		f.stable = f.data
-		f.torn = false
-		need := (f.size + ps - 1) / ps
-		if need == 0 {
-			need = 1 // empty files still occupy a metadata page
-		}
+		f.exts, f.stable, f.torn = keep, keep, false
+		need := max(1, (f.size()+ps-1)/ps) // empty files still occupy a metadata page
 		if need < len(f.pages) {
 			fs.free = append(fs.free, f.pages[need:]...)
 			f.pages = f.pages[:need]
 		}
-		for len(f.pages) < need {
-			pg, err := fs.allocPageLocked()
-			if err != nil {
-				// Out of space reverting: drop the file entirely rather
-				// than present an image the device cannot hold.
-				fs.freeFileLocked(f)
-				break
-			}
-			f.pages = append(f.pages, pg)
+		if fs.growLocked(f, need) != nil {
+			// Out of space reverting: drop the file entirely rather than
+			// present an image the device cannot hold.
+			fs.freeFileLocked(f)
 		}
 	}
 }

@@ -204,8 +204,8 @@ func TestWriteFileOwnsImage(t *testing.T) {
 		if err := fsys.WriteFile(r, "tight", tight); err != nil {
 			t.Fatal(err)
 		}
-		if f := fsys.files["tight"]; &f.data[0] != &tight[0] || cap(f.data) != len(tight) {
-			t.Errorf("a tight image was copied or kept its capacity (cap %d)", cap(f.data))
+		if d := fsys.files["tight"].exts[0].buf; &d[0] != &tight[0] || cap(d) != len(tight) {
+			t.Errorf("a tight image was copied or kept its capacity (cap %d)", cap(d))
 		}
 
 		buf := make([]byte, 9000, 10000) // a ninth of slack: kept, clipped
@@ -228,8 +228,8 @@ func TestWriteFileOwnsImage(t *testing.T) {
 		if err := fsys.WriteFile(r, "loose", loose); err != nil {
 			t.Fatal(err)
 		}
-		if f := fsys.files["loose"]; cap(f.data) != 100 {
-			t.Errorf("a 100-byte file pins a buffer of %d bytes", cap(f.data))
+		if d := fsys.files["loose"].exts[0].buf; cap(d) != 100 {
+			t.Errorf("a 100-byte file pins a buffer of %d bytes", cap(d))
 		}
 
 		pages, err := fsys.ReservePages(3)
@@ -240,7 +240,7 @@ func TestWriteFileOwnsImage(t *testing.T) {
 		if err := fsys.AdoptFile("adopted", pages, img); err != nil {
 			t.Fatal(err)
 		}
-		if f := fsys.files["adopted"]; &f.data[0] != &img[0] || cap(f.data) != len(img) {
+		if d := fsys.files["adopted"].exts[0].buf; &d[0] != &img[0] || cap(d) != len(img) {
 			t.Error("an adopted image was copied or kept its capacity")
 		}
 	})
@@ -248,7 +248,8 @@ func TestWriteFileOwnsImage(t *testing.T) {
 
 // TestAppendChunksIsOneWrite: a chunk list lands as the joined bytes with
 // a single device write covering the pages a joined append would touch,
-// and the chunks stay the caller's.
+// and each chunk becomes an extent of the file under WriteFile's hand-over
+// rule: not copied, capacity clipped, tightened when loose.
 func TestAppendChunksIsOneWrite(t *testing.T) {
 	chunks := [][]byte{bytes.Repeat([]byte{'a'}, 3000), nil, bytes.Repeat([]byte{'b'}, 5000), []byte("c")}
 	joined := bytes.Join(chunks, nil)
@@ -279,18 +280,31 @@ func TestAppendChunksIsOneWrite(t *testing.T) {
 	if !bytes.Equal(images[0], images[1]) || !bytes.Equal(images[0][100:], joined) {
 		t.Error("chunked append stored different bytes")
 	}
-	chunks[0][0] = 'z'
 	fsys := New(&fakeDev{pageSize: 4096, pages: 64})
 	run(t, func(r *vclock.Runner) {
-		mine := []byte("mine")
-		if err := fsys.Append(r, "x", mine); err != nil {
+		buf := make([]byte, 9000, 10000) // a ninth of slack: kept, clipped
+		copy(buf[:cap(buf)], bytes.Repeat([]byte{1}, 10000))
+		loose := make([]byte, 100, 1<<20)
+		if err := fsys.Append(r, "x", buf, nil, loose); err != nil {
 			t.Fatal(err)
 		}
-		mine[0] = 'M' // Append copied: the caller's chunk is the caller's again
-		if got, _ := fsys.ReadFile(r, "x"); string(got) != "mine" {
-			t.Errorf("file aliases the appended chunk: %q", got)
+		exts := fsys.files["x"].exts
+		if len(exts) != 2 || exts[0].end != 9000 || exts[1].end != 9100 {
+			t.Fatalf("extents %d, want the two non-empty chunks ending at 9000 and 9100", len(exts))
 		}
-		if err := fsys.Append(r, "x"); err != nil || fsys.files["x"].size != 4 {
+		if d := exts[0].buf; &d[0] != &buf[0] || cap(d) != len(buf) {
+			t.Errorf("a tight chunk was copied or kept its capacity (cap %d)", cap(d))
+		}
+		if d := exts[1].buf; &d[0] == &loose[0] || cap(d) != 100 {
+			t.Errorf("a 100-byte chunk pins a buffer of %d bytes", cap(d))
+		}
+		if err := fsys.Append(r, "x", []byte("tail")); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[9000:10000], bytes.Repeat([]byte{1}, 1000)) {
+			t.Error("a later append wrote into the caller's slack")
+		}
+		if err := fsys.Append(r, "x"); err != nil || fsys.files["x"].size() != 9104 {
 			t.Errorf("empty append: err %v", err)
 		}
 	})

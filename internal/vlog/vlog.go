@@ -7,8 +7,11 @@
 // a dedicated writeback runner drains full chunks to the file system
 // asynchronously, so value bytes reach the device in large sequential
 // write-backs and backpressure appears through the bounded queue. A
-// segment's full content stays in memory until every byte is acked, so
-// reads of not-yet-written-back records never touch the device — the
+// segment is one buffer, allocated when it opens: records are encoded
+// into it, write-back hands slices of it to the file system, which owns
+// what it is given, so the buffer becomes the segment's file without a
+// copy. The log keeps its reference until every byte is acked, so reads
+// of not-yet-written-back records never touch the device — the
 // page-cache behaviour a real vlog read would see.
 //
 // Crash semantics mirror the WAL: recovery keeps each segment's longest
@@ -143,9 +146,9 @@ type segment struct {
 	discard int64 // dead bytes reported by compaction
 	sealed  bool
 	dead    bool // fully collected, awaiting punch; never a GC candidate again
-	// mem holds the segment's full content until flushed == size, so
-	// reads of unwritten-back bytes are served from memory; dropped once
-	// the segment is entirely on the device.
+	// mem is the segment's one buffer. Bytes below queued belong to the
+	// file system and are only read here; reads are served from mem until
+	// flushed == size, when the reference is dropped.
 	mem []byte
 }
 
@@ -300,7 +303,10 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 		return encoding.ValuePointer{}, err
 	}
 	if m.head == nil {
-		m.head = &segment{id: m.nextSeg}
+		// Room for every frame up to the one that seals the segment, taken
+		// to be no larger than this one. make clears nothing in memory
+		// fresh from the OS, so pages the segment never fills stay unmapped.
+		m.head = &segment{id: m.nextSeg, mem: make([]byte, 0, int(m.opt.SegmentSize)+frameHeaderSize+payloadLen)}
 		m.segs[m.head.id] = m.head
 		m.nextSeg++
 	}
@@ -319,16 +325,12 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 
 	var chunks []wbChunk
 	if seg.size-seg.queued >= int64(m.opt.ChunkSize) {
-		chunks = append(chunks, wbChunk{seg: seg.id, data: seg.mem[seg.queued:seg.size]})
-		seg.queued = seg.size
-		m.pending++
+		chunks = append(chunks, m.cutLocked(seg))
 	}
 	if seg.size >= m.opt.SegmentSize {
 		seg.sealed = true
 		if seg.queued < seg.size {
-			chunks = append(chunks, wbChunk{seg: seg.id, data: seg.mem[seg.queued:seg.size]})
-			seg.queued = seg.size
-			m.pending++
+			chunks = append(chunks, m.cutLocked(seg))
 		}
 		m.head = nil // next Append opens a fresh segment
 	}
@@ -339,6 +341,16 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 	}
 	m.pushInOrderLocked(r, chunks...)
 	return ptr, nil
+}
+
+// cutLocked takes the segment's unqueued bytes as a chunk for write-back.
+// Its capacity is clipped: the file system will own it, and the records
+// appended behind it must stay out of its reach.
+func (m *Manager) cutLocked(seg *segment) wbChunk {
+	c := wbChunk{seg: seg.id, data: seg.mem[seg.queued:seg.size:seg.size]}
+	seg.queued = seg.size
+	m.pending++
+	return c
 }
 
 // pushInOrderLocked hands chunks just cut under m.mu to the writeback
@@ -366,11 +378,7 @@ func (m *Manager) pushInOrderLocked(r *vclock.Runner, chunks ...wbChunk) {
 func (m *Manager) Sync(r *vclock.Runner) error {
 	m.mu.Lock()
 	if m.head != nil && m.head.queued < m.head.size && !m.closed {
-		seg := m.head
-		chunk := wbChunk{seg: seg.id, data: seg.mem[seg.queued:seg.size]}
-		seg.queued = seg.size
-		m.pending++
-		m.pushInOrderLocked(r, chunk)
+		m.pushInOrderLocked(r, m.cutLocked(m.head))
 		m.mu.Lock()
 	}
 	for m.pending > 0 {
@@ -656,52 +664,52 @@ func (m *Manager) Close() {
 }
 
 func (m *Manager) writeback(r *vclock.Runner) {
+	var chunks [][]byte // one append's chunks; reused every round
 	for {
 		chunk, ok := m.queue.Pop(r)
 		if !ok {
 			return
 		}
-		// Coalesce consecutive same-segment chunks into one large append,
-		// as the kernel's writeback path batches dirty pages.
-		batch := append([]byte(nil), chunk.data...)
-		segID := chunk.seg
-		n := 1
-		for {
-			more, ok := m.queue.TryPop()
-			if !ok {
-				break
+		// Take consecutive same-segment chunks into one large append, as
+		// the kernel's writeback path batches dirty pages.
+		for ok {
+			segID := chunk.seg
+			chunks = append(chunks[:0], chunk.data)
+			for {
+				chunk, ok = m.queue.TryPop()
+				if !ok || chunk.seg != segID {
+					break
+				}
+				chunks = append(chunks, chunk.data)
 			}
-			if more.seg != segID {
-				m.flushBatch(r, segID, batch, n)
-				batch = append([]byte(nil), more.data...)
-				segID = more.seg
-				n = 1
-				continue
-			}
-			batch = append(batch, more.data...)
-			n++
+			m.flushBatch(r, segID, chunks)
+			clear(chunks) // do not pin the segment's buffer past its file
 		}
-		m.flushBatch(r, segID, batch, n)
 	}
 }
 
-// flushBatch appends one coalesced batch to its segment file and acks
-// the flushed watermark. A failed append leaves a hole, so the error is
-// sticky, as in the WAL.
-func (m *Manager) flushBatch(r *vclock.Runner, segID uint32, batch []byte, n int) {
-	err := m.fsys.Append(r, SegmentName(segID), batch)
+// flushBatch appends one round's chunks to their segment file as one
+// write — the file system takes them as they are, so the segment's buffer
+// becomes its file — and acks the flushed watermark. A failed append
+// leaves a hole, so the error is sticky, as in the WAL.
+func (m *Manager) flushBatch(r *vclock.Runner, segID uint32, chunks [][]byte) {
+	var total int64
+	for _, c := range chunks {
+		total += int64(len(c))
+	}
+	err := m.fsys.Append(r, SegmentName(segID), chunks...)
 	m.mu.Lock()
 	if err != nil && m.werr == nil {
 		m.werr = err
 	}
-	m.bytesWritten += int64(len(batch))
+	m.bytesWritten += total
 	if seg, ok := m.segs[segID]; ok && err == nil {
-		seg.flushed += int64(len(batch))
+		seg.flushed += total
 		if seg.sealed && seg.flushed >= seg.size {
 			seg.mem = nil // fully durable: reads go through the fs page cache
 		}
 	}
-	m.pending -= n
+	m.pending -= len(chunks)
 	m.mu.Unlock()
 	m.drained.Broadcast()
 }

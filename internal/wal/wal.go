@@ -90,10 +90,10 @@ const recordHeader = 8
 // the log buffer's tail and must append the payload to it and return the
 // result, as the strconv.Append functions do; Append then fills in the
 // length and checksum in front of it. size is the caller's estimate of
-// the payload, used to give a fresh buffer room for a chunk plus one
-// record. encode runs under the log's mutex, so it must do nothing but
-// append; whatever it copies from stays the caller's. Append returns the
-// payload's length.
+// the payload, an upper bound if it can give one: the buffer is sized
+// by it, so that the chunk handed off has no slack. encode runs under
+// the log's mutex, so it must do nothing but append; whatever it copies
+// from stays the caller's. Append returns the payload's length.
 func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte) (int, error) {
 	// The encode cost is charged before taking l.mu: a runner must not
 	// park on the CPU pool while holding a host mutex other running
@@ -111,10 +111,16 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 		l.mu.Unlock()
 		return 0, err
 	}
-	if l.buf == nil {
-		// A chunk is handed off by the record that takes it to ChunkSize:
-		// room for that much plus one record, allocated once.
-		l.buf = make([]byte, 0, l.opt.ChunkSize+recordHeader+size)
+	if need := len(l.buf) + recordHeader + size; need > cap(l.buf) {
+		// A chunk is handed off by the record that takes it to ChunkSize,
+		// and the file system keeps the buffer (one left an eighth empty it
+		// would copy): a fresh buffer has room for a chunk plus one record,
+		// and a record that fits in none — a chunk by itself, or larger
+		// than the one the buffer was sized for — gets exactly its room.
+		if need < l.opt.ChunkSize {
+			need += l.opt.ChunkSize
+		}
+		l.buf = append(make([]byte, 0, need), l.buf...)
 	}
 	header := len(l.buf)
 	l.buf = append(l.buf, make([]byte, recordHeader)...)
@@ -208,8 +214,8 @@ func (l *Log) writeback(r *vclock.Runner) {
 		}
 		// Take everything already queued into one large append, the way
 		// the kernel's writeback path batches dirty pages; large appends
-		// reach the device's full die parallelism. The file system joins
-		// the chunks as it copies them into the file.
+		// reach the device's full die parallelism. The file system takes
+		// the chunks as they are: each becomes an extent of the file.
 		chunks = append(chunks, chunk)
 		total := len(chunk)
 		for {
