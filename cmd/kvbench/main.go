@@ -138,9 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "kvaccel":
 		spec.Kind = harness.KindKVAccel
 	case "kvaccel-sharded":
-		if *faultSeed != 0 || tracing {
-			return usage("-faults-seed/-trace/-trace-summary are not supported for kvaccel-sharded")
-		}
 		spec.Kind = harness.KindKVAccel
 		nShards = max(*shards, 1)
 		if p.Writers < 1 {

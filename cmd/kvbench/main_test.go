@@ -26,8 +26,6 @@ func TestBadArgumentsExit2(t *testing.T) {
 		{[]string{"-engine", "bogus"}, `unknown engine "bogus"`},
 		{[]string{"-workload", "bogus"}, `unknown workload "bogus"`},
 		{[]string{"-rollback", "bogus"}, `unknown rollback scheme "bogus"`},
-		{[]string{"-engine", "kvaccel-sharded", "-trace", filepath.Join(t.TempDir(), "t.json")}, "not supported for kvaccel-sharded"},
-		{[]string{"-engine", "kvaccel-sharded", "-faults-seed", "7"}, "not supported for kvaccel-sharded"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, c := range cases {
@@ -82,6 +80,47 @@ func TestTraceOutputs(t *testing.T) {
 	}
 	if stats, err := trace.ValidateChromeTrace(data); err != nil || stats.SpanPairs == 0 {
 		t.Errorf("trace file: %+v, %v", stats, err)
+	}
+}
+
+// TestShardedRunTracesAndInjects: a sharded run takes the tracer and the
+// fault plan like any other. The attribution table counts every span,
+// however many the Chrome trace's ring dropped, and each group commit
+// appends to its shard's WAL once — so wal-append spans number the
+// group commits of both shards only if both shards' engines trace.
+func TestShardedRunTracesAndInjects(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	code, stdout, stderr := kvbench("-engine", "kvaccel-sharded", "-shards", "2", "-duration", "2s",
+		"-trace", path, "-trace-summary", "-faults-seed", "7")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	var groups, appends, injected, retried, failed int64
+	for _, line := range strings.Split(stdout, "\n") {
+		switch f := strings.Fields(line); {
+		case strings.HasPrefix(line, "groups"):
+			fmt.Sscanf(line, "groups      : %d commits", &groups)
+		case len(f) > 1 && f[0] == "wal-append":
+			fmt.Sscan(f[1], &appends)
+		case strings.HasPrefix(line, "faults"):
+			fmt.Sscanf(line, "faults      : injected=%d retried=%d failed=%d", &injected, &retried, &failed)
+		}
+	}
+	if groups == 0 || appends != groups {
+		t.Errorf("%d wal-append spans for %d group commits across both shards", appends, groups)
+	}
+	if injected == 0 || failed != 0 {
+		t.Errorf("faults: injected=%d failed=%d, want injected > 0 and failed = 0", injected, failed)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := trace.ValidateChromeTrace(data); err != nil || !bytes.Contains(data, []byte(`"name":"wal-append"`)) {
+		t.Errorf("trace file: %+v, %v", stats, err)
+	}
+	if t.Failed() {
+		t.Log(stdout)
 	}
 }
 

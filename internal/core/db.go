@@ -293,6 +293,10 @@ func Open(clk *vclock.Clock, main MainEngine, dev KVDevice, opt Options) *DB {
 	return db
 }
 
+// Options returns the options the controller runs with, defaults filled
+// in.
+func (db *DB) Options() Options { return db.opt }
+
 // Main exposes the underlying main engine (stats, health).
 func (db *DB) Main() MainEngine { return db.main }
 

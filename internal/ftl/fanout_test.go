@@ -141,3 +141,33 @@ func BenchmarkWriteMany64(b *testing.B) {
 	c.Wait()
 	b.ReportMetric(float64(b.N*len(lpns))/b.Elapsed().Seconds(), "pages/s")
 }
+
+// BenchmarkGCWriteAmplification stresses the garbage collector with a
+// deliberately small device so write amplification becomes visible — the
+// device-level cost KVACCEL's KV region shares with the block region.
+func BenchmarkGCWriteAmplification(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		geo := nand.Geometry{Channels: 2, Ways: 2, BlocksPerDie: 32, PagesPerBlock: 32, PageSize: 4096}
+		timing := nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 200}
+		f := New(nand.New(geo, timing), Config{BlockRegionPages: 2048, KVRegionPages: 512, GCFreeBlockLow: 6, GCFreeBlockHigh: 12})
+		c := vclock.New()
+		c.Go("churn", func(r *vclock.Runner) {
+			// Random overwrites across ~75% of the logical space: victim
+			// blocks hold a mix of live and stale pages, so GC must
+			// migrate — the write-amplification regime.
+			rng := uint64(12345)
+			lpns := make([]int, 64)
+			for round := 0; round < 400; round++ {
+				for j := range lpns {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					lpns[j] = int(rng>>33) % 1536
+				}
+				f.WriteMany(r, BlockRegion, lpns)
+			}
+		})
+		c.Wait()
+		s := f.Stats()
+		b.ReportMetric(s.WriteAmplification(), "device-WAF")
+		b.ReportMetric(float64(s.GCRuns), "gc-runs")
+	}
+}

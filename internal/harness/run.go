@@ -7,12 +7,10 @@ import (
 
 	"kvaccel"
 	"kvaccel/internal/core"
-	"kvaccel/internal/cpu"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/metrics"
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/pcie"
-	"kvaccel/internal/ssd"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 	"kvaccel/internal/workload"
@@ -50,10 +48,10 @@ type RunResult struct {
 	PCIeSeries *metrics.Series // MB/s, both directions
 	PCIeH2D    *metrics.Series // MB/s host-to-device
 	PCIeD2H    *metrics.Series // MB/s device-to-host
-	CPUSeries  *metrics.Series // percent of host pool; empty for sharded specs
+	CPUSeries  *metrics.Series // percent of host pool
 	StallFlags []bool          // second spent >=20% stalled or stop-stalled
 
-	CPUAvg   float64 // mean host CPU percent; 0 for sharded specs
+	CPUAvg   float64 // mean host CPU percent
 	Duration time.Duration
 
 	// MainStats and KVStats are summed across shards for sharded specs.
@@ -136,27 +134,20 @@ func (res *RunResult) Efficiency() float64 {
 	return res.WriteMBps() / res.CPUAvg
 }
 
-// machine is what one workload run drives and samples: an engine
-// front-end and the simulated hardware under it, with the clock held.
-// Params.Run builds one from a Testbed and an Engine, Params.RunSharded
-// from a kvaccel.ShardedDB, and both hand it to the same drive.
-type machine struct {
-	clk *vclock.Clock
-	// spawn registers a runner on clk; release drops the hold taken
-	// before the engine's background runners started.
-	spawn   func(name string, fn func(r *vclock.Runner))
-	release func()
-	dev     *ssd.Device
-	cpu     *cpu.Pool // nil: ShardedDB keeps its host pool private
+// rig is what one workload run drives and samples: an engine front-end
+// and the machine under it, with the clock held.
+type rig struct {
+	*Testbed
+	release func() // drops the hold taken before the engine's runners started
 	eng     workload.Engine
-	mains   []core.MainEngine // one per shard
-	kvs     []*core.DB        // KVACCEL controllers, one per shard; nil for baselines
-	sharded bool              // report per-shard counters
+	mains   []*lsm.DB  // one per shard
+	kvs     []*core.DB // KVACCEL controllers, one per shard; nil for baselines
+	sharded bool       // fronted by a ShardedDB: report per-shard counters
 	close   func()
 }
 
 // mainStats sums the Main-LSM counters across shards.
-func (m *machine) mainStats() lsm.Stats {
+func (m *rig) mainStats() lsm.Stats {
 	s := m.mains[0].Stats()
 	for _, main := range m.mains[1:] {
 		s = s.Add(main.Stats())
@@ -164,7 +155,7 @@ func (m *machine) mainStats() lsm.Stats {
 	return s
 }
 
-func (m *machine) stalled() bool {
+func (m *rig) stalled() bool {
 	for _, main := range m.mains {
 		if main.Health().Stalled {
 			return true
@@ -173,7 +164,7 @@ func (m *machine) stalled() bool {
 	return false
 }
 
-func (m *machine) waitIdle(r *vclock.Runner) {
+func (m *rig) waitIdle(r *vclock.Runner) {
 	for _, main := range m.mains {
 		main.WaitIdle(r)
 	}
@@ -181,13 +172,13 @@ func (m *machine) waitIdle(r *vclock.Runner) {
 
 // fanOut runs one on r and on n-1 further runners, each with its own
 // derived seed, and returns when all have finished.
-func (m *machine) fanOut(r *vclock.Runner, n int, name string, cfg workload.Config, one func(*vclock.Runner, workload.Config)) {
+func (m *rig) fanOut(r *vclock.Runner, n int, name string, cfg workload.Config, one func(*vclock.Runner, workload.Config)) {
 	var wg vclock.WaitGroup
 	for i := 1; i < n; i++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*101
 		wg.Add(1)
-		m.clk.Go(fmt.Sprintf("harness.%s%d", name, i), func(wr *vclock.Runner) {
+		m.Clk.Go(fmt.Sprintf("harness.%s%d", name, i), func(wr *vclock.Runner) {
 			one(wr, c)
 			wg.Done()
 		})
@@ -196,81 +187,47 @@ func (m *machine) fanOut(r *vclock.Runner, n int, name string, cfg workload.Conf
 	wg.Wait(r)
 }
 
+// open assembles spec on a fresh machine of shards write domains, with
+// the clock held so the engine's periodic background runners (detector,
+// rollback) cannot free-run virtual time before the sampler and workload
+// are registered. sharded fronts KVACCEL shards with a kvaccel.ShardedDB
+// (spec.Kind is taken as KindKVAccel); otherwise the engine is
+// BuildEngine's.
+func (p Params) open(spec EngineSpec, shards int, sharded bool) *rig {
+	tb := p.newTestbed(shards)
+	m := &rig{Testbed: tb, release: tb.Clk.Hold(), sharded: sharded}
+	if !sharded {
+		eng := p.BuildEngine(tb, spec)
+		m.eng, m.mains, m.close = eng.Eng, []*lsm.DB{eng.Main}, eng.Close
+		if eng.KV != nil {
+			m.kvs = []*core.DB{eng.KV}
+		}
+		return m
+	}
+	m.kvs, m.mains = tb.OpenKVAccel(p.lsmOptions(spec.Threads, false), p.coreOptions(spec.Rollback))
+	db := kvaccel.NewShardedDB(tb.Machine, m.kvs)
+	m.eng, m.close = workload.ShardedEngine{DB: db}, db.Close
+	return m
+}
+
 // RunSharded is Run on a kvaccel.ShardedDB of the given number of
 // hash-partitioned KVACCEL shards sharing one machine (spec.Kind is taken
-// as KindKVAccel; the label is spec.ShardedName(shards)). ShardedDB has
-// no seam for a tracer, a fault plan or the Tune hooks; a run that asks
-// for the first two is refused rather than run without them. The shard
-// count is an argument, not an EngineSpec field, so that BuildEngine and
-// what else takes a spec by value compile to the same code either way.
+// as KindKVAccel; the label is spec.ShardedName(shards)). The shard count
+// is an argument, not an EngineSpec field, so that BuildEngine and what
+// else takes a spec by value compile to the same code either way.
 func (p Params) RunSharded(spec EngineSpec, shards int, kind WorkloadKind) *RunResult {
-	if p.Trace != nil || p.FaultsSeed != 0 {
-		panic("harness: sharded engines take no tracer and no fault plan")
-	}
-	opt := kvaccel.DefaultShardedOptions()
-	opt.Shards = shards
-	opt.Scale = p.Scale
-	opt.HostCores = p.HostCores
-	opt.CompactionThreads = spec.Threads
-	opt.Rollback = spec.Rollback
-	opt.QueueDepth = p.QueueDepth
-	opt.IOQueues = p.IOQueues
-	opt.ValueThreshold = p.ValueThreshold
-	opt.DevReadCacheBytes = p.DevReadCacheBytes
-	opt.FrontCacheBytes = p.FrontCacheBytes
-	opt.FrontCacheNegative = p.FrontCacheNegative
-	opt.FrontCacheDoorkeeper = p.FrontCacheDoorkeeper
-	opt.OffloadCompaction = p.OffloadCompaction
-	db := kvaccel.OpenSharded(opt) // holds the clock until the first Run
-	m := &machine{
-		clk:     db.Clock(),
-		spawn:   db.Run,
-		release: db.Clock().Hold(),
-		dev:     db.Device(),
-		eng:     workload.ShardedEngine{DB: db},
-		sharded: true,
-		close:   db.Close,
-	}
-	for i := 0; i < db.NumShards(); i++ {
-		m.kvs = append(m.kvs, db.Shard(i))
-		m.mains = append(m.mains, db.Shard(i).Main())
-	}
-	return p.drive(m, spec, kind)
+	return p.drive(p.open(spec, shards, true), spec, kind)
 }
 
 // Run executes one workload against one engine spec on a fresh machine.
 func (p Params) Run(spec EngineSpec, kind WorkloadKind) *RunResult {
-	tb := p.NewTestbed()
-	// BuildEngine starts periodic background runners (detector, rollback);
-	// hold the clock so they cannot free-run virtual time before the
-	// sampler and workload are registered.
-	release := tb.Clk.Hold()
-	eng := p.BuildEngine(tb, spec)
-	m := &machine{
-		clk: tb.Clk, spawn: tb.Clk.Go, release: release, dev: tb.Dev, cpu: tb.CPU,
-		eng: eng.Eng, mains: []core.MainEngine{eng.Main}, close: eng.Close,
-	}
-	if eng.KV != nil {
-		m.kvs = []*core.DB{eng.KV}
-	}
-	res := p.drive(m, spec, kind)
-	res.Levels = eng.Main.LevelsString()
-	if tb.Faults != nil {
-		res.Injected = tb.Faults.TotalInjected()
-	}
-	if p.Trace != nil {
-		s := p.Trace.Summary()
-		res.TraceSummary = &s
-		r := p.Trace.StallReport()
-		res.TraceStalls = &r
-	}
-	return res
+	return p.drive(p.open(spec, 1, false), spec, kind)
 }
 
 // drive is the one workload dispatch: a per-second sampler plus the
 // workload's writers/clients on m, joined and torn down, with the
 // engine counters collected afterwards.
-func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult {
+func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 	cfg := p.workloadConfig()
 	switch kind {
 	case WorkloadB:
@@ -299,26 +256,21 @@ func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult
 	// samples every 1/N s, so both produce 600 points and the same
 	// phase resolution. The time axis is reported in paper-equivalent
 	// seconds (virtual seconds x scale).
-	scale := p.Scale
-	if scale < 1 {
-		scale = 1
-	}
+	scale := p.scale()
 	interval := time.Second / time.Duration(scale)
-	m.spawn("harness.sampler", func(r *vclock.Runner) {
+	m.Clk.Go("harness.sampler", func(r *vclock.Runner) {
 		var lastStall time.Duration
 		for !done.Load() {
 			r.Sleep(interval)
 			t := r.Now().Seconds() * float64(scale)
 			res.Rec.Sample(t, interval)
-			res.PCIeSeries.Append(t, m.dev.Link.SampleMBps(interval))
-			res.PCIeH2D.Append(t, m.dev.Link.SampleDirMBps(pcie.HostToDevice, interval))
-			res.PCIeD2H.Append(t, m.dev.Link.SampleDirMBps(pcie.DeviceToHost, interval))
-			if m.cpu != nil {
-				util := m.cpu.Sample(r.Now())
-				res.CPUSeries.Append(t, util)
-				cpuSum += util
-				cpuN++
-			}
+			res.PCIeSeries.Append(t, m.Dev.Link.SampleMBps(interval))
+			res.PCIeH2D.Append(t, m.Dev.Link.SampleDirMBps(pcie.HostToDevice, interval))
+			res.PCIeD2H.Append(t, m.Dev.Link.SampleDirMBps(pcie.DeviceToHost, interval))
+			util := m.CPU.Sample(r.Now())
+			res.CPUSeries.Append(t, util)
+			cpuSum += util
+			cpuN++
 			stallTime := m.mainStats().StallTime
 			stalledNow := stallTime-lastStall >= interval/5 || m.stalled()
 			lastStall = stallTime
@@ -326,7 +278,7 @@ func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult
 		}
 	})
 
-	m.spawn("harness.workload", func(r *vclock.Runner) {
+	m.Clk.Go("harness.workload", func(r *vclock.Runner) {
 		start := r.Now()
 		switch kind {
 		case WorkloadA:
@@ -335,7 +287,7 @@ func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult
 			})
 		case WorkloadB, WorkloadC:
 			m.fanOut(r, p.Writers, "writer", cfg, func(r *vclock.Runner, c workload.Config) {
-				workload.ReadWhileWriting(r, m.clk, m.eng, c, res.Rec)
+				workload.ReadWhileWriting(r, m.Clk, m.eng, c, res.Rec)
 			})
 		case WorkloadD:
 			workload.FillSequential(r, m.eng, cfg, p.KeySpace)
@@ -374,14 +326,17 @@ func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult
 	})
 	m.release()
 
-	m.clk.Wait()
-	res.Kernel = m.clk.Stats()
+	m.Clk.Wait()
+	res.Kernel = m.Clk.Stats()
 
 	if cpuN > 0 {
 		res.CPUAvg = cpuSum / float64(cpuN)
 	}
 	res.MainStats = m.mainStats()
-	res.Queues = m.dev.QueueStats()
+	if !m.sharded {
+		res.Levels = m.mains[0].LevelsString()
+	}
+	res.Queues = m.Dev.QueueStats()
 	for i, kv := range m.kvs {
 		s := kv.Stats()
 		res.KVStats = res.KVStats.Add(s)
@@ -395,5 +350,14 @@ func (p Params) drive(m *machine, spec EngineSpec, kind WorkloadKind) *RunResult
 	res.DevErrors = res.KVStats.DevErrors
 	res.DevRetries = res.KVStats.DevRetries
 	res.DevFailed = res.KVStats.DevFailed
+	if plan := m.Dev.FaultPlan(); plan != nil {
+		res.Injected = plan.TotalInjected()
+	}
+	if p.Trace != nil {
+		s := p.Trace.Summary()
+		res.TraceSummary = &s
+		r := p.Trace.StallReport()
+		res.TraceStalls = &r
+	}
 	return res
 }

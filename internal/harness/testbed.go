@@ -18,14 +18,11 @@ import (
 
 	"kvaccel/internal/adoc"
 	"kvaccel/internal/core"
-	"kvaccel/internal/cpu"
-	"kvaccel/internal/devlsm"
 	"kvaccel/internal/faults"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/lsm"
-	"kvaccel/internal/ssd"
+	"kvaccel/internal/machine"
 	"kvaccel/internal/trace"
-	"kvaccel/internal/vclock"
 	"kvaccel/internal/workload"
 )
 
@@ -88,32 +85,23 @@ type Params struct {
 	// cold-cache side of the mixed-workload A/B.
 	DisableBlockCache bool
 
-	// DMAChunkBytes overrides the bulk-scan DMA unit (512 KiB default) —
-	// the §V-E design-choice ablation.
-	DMAChunkBytes int
 	// QueueDepth overrides the NVMe per-queue submission depth; 0 keeps
 	// the device default (32). The queue-depth sweep ablation varies it.
 	QueueDepth int
 	// IOQueues is the number of block-interface queue pairs the file
 	// system stripes over; 0 keeps the default (1).
 	IOQueues int
-	// DevReadCacheBytes enables the Dev-LSM read cache the paper names
-	// as future work (Table V ablation); 0 reproduces the paper.
-	DevReadCacheBytes int64
 	// OffloadCompaction enables device-side L0→L1 compaction offload:
 	// the Main-LSM hands eligible merges to the SSD controller's merge
 	// executor (kvbench's -offload-compaction flag). See lsm.Options.
 	OffloadCompaction bool
-	// TuneCore, if set, adjusts KVACCEL's module options before Open —
-	// used by the detector-period and rollback ablations.
-	TuneCore func(*core.Options)
 	// TuneLSM, if set, adjusts the Main-LSM options after the standard
 	// Table III rendering — used by TestRatchet/offload's stall-heavy regime
 	// (small memtable, tight L0 triggers).
 	TuneLSM func(*lsm.Options)
 	// FaultsSeed, when non-zero, arms a deterministic device fault plan
 	// (DefaultFaultRules) with that seed — kvbench's -faults-seed flag.
-	// The plan is exposed on the Testbed so callers can read its
+	// The device holds the plan (Dev.FaultPlan), so callers can read its
 	// injection counters after the run.
 	FaultsSeed int64
 	// Trace, when non-nil, records causal op spans across every layer of
@@ -165,23 +153,16 @@ func (p Params) workloadConfig() workload.Config {
 	cfg.Duration = p.Duration
 	cfg.Seed = p.Seed
 	if p.WriteIntervalMicros > 0 {
-		scale := int64(p.Scale)
-		if scale < 1 {
-			scale = 1
-		}
-		cfg.WriteInterval = time.Duration(p.WriteIntervalMicros*scale) * time.Microsecond
+		cfg.WriteInterval = time.Duration(p.WriteIntervalMicros*int64(p.scale())) * time.Microsecond
 	}
 	return cfg
 }
 
-// Testbed is one assembled simulated machine.
+// Testbed is one assembled simulated machine (internal/machine). Fsys is
+// shard 0's file system, the one a single engine runs on.
 type Testbed struct {
-	Clk    *vclock.Clock
-	CPU    *cpu.Pool
-	Dev    *ssd.Device
-	NS     *ssd.BlockNS // the block namespace Fsys runs on
-	Fsys   *fs.FileSystem
-	Faults *faults.Plan // nil unless Params.FaultsSeed is set
+	*machine.Machine
+	Fsys *fs.FileSystem
 }
 
 // DefaultFaultRules installs the standard deterministic error-injection
@@ -202,118 +183,61 @@ func DefaultFaultRules(plan *faults.Plan) {
 
 // NewTestbed builds the machine: an 8-core host and a Cosmos+-derived
 // dual-interface SSD at the configured scale.
-func (p Params) NewTestbed() *Testbed {
-	clk := vclock.New()
-	hostCores := p.HostCores
-	if hostCores <= 0 {
-		hostCores = 8
-	}
-	scale := p.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	cfg := ssd.CosmosConfig(scale)
-	cfg.DevLSM = p.devLSMConfig()
-	cfg.KVCommandOverhead = 3 * time.Microsecond * time.Duration(scale)
-	if p.DMAChunkBytes > 0 {
-		cfg.DMAChunkSize = p.DMAChunkBytes
-	}
+func (p Params) NewTestbed() *Testbed { return p.newTestbed(1) }
+
+// newTestbed builds the machine with its block and KV regions split into
+// shards write domains, carrying this run's queue shape, fault plan and
+// tracer.
+func (p Params) newTestbed(shards int) *Testbed {
+	cfg := machine.DeviceConfig(p.Scale)
 	if p.QueueDepth > 0 {
 		cfg.NVMe.QueueDepth = p.QueueDepth
 	}
 	if p.IOQueues > 0 {
 		cfg.IOQueues = p.IOQueues
 	}
-	var plan *faults.Plan
 	if p.FaultsSeed != 0 {
-		plan = faults.NewPlan(p.FaultsSeed)
-		DefaultFaultRules(plan)
-		cfg.Faults = plan
+		cfg.Faults = faults.NewPlan(p.FaultsSeed)
+		DefaultFaultRules(cfg.Faults)
 	}
 	cfg.Trace = p.Trace
-	dev := ssd.New(clk, cfg)
-	ns := dev.BlockNamespace(0, 0)
-	return &Testbed{
-		Clk:    clk,
-		CPU:    cpu.NewPool(hostCores, "host-cpu"),
-		Dev:    dev,
-		NS:     ns,
-		Fsys:   fs.New(ns),
-		Faults: plan,
-	}
+	m := machine.New(cfg, p.HostCores, shards)
+	return &Testbed{Machine: m, Fsys: m.Shards[0].Fsys}
 }
 
-func (p Params) devLSMConfig() devlsm.Config {
-	scale := time.Duration(p.Scale)
-	if scale < 1 {
-		scale = 1
-	}
-	c := devlsm.DefaultConfig()
-	c.MemtableBytes = 4 << 20 // device DRAM is not scaled
-	c.ReadCacheBytes = p.DevReadCacheBytes
-	c.PutCPU = 4 * time.Microsecond * scale
-	c.GetCPU *= scale
-	c.ScanCPUPerKB *= scale
-	// The merge executor shares the ARM core: its per-KB cost scales with
-	// the machine like every other CPU cost, so the host/device merge
-	// speed ratio is scale-invariant.
-	c.MergeCPUPerKB *= scale
-	return c
-}
+// scale is Params.Scale clamped to its floor of 1.
+func (p Params) scale() int { return max(p.Scale, 1) }
 
-// lsmOptions renders the Table III engine configuration at scale.
-func (p Params) lsmOptions(tb *Testbed, threads int, slowdown bool) lsm.Options {
-	scale := int64(p.Scale)
-	if scale < 1 {
-		scale = 1
-	}
-	opt := lsm.DefaultOptions(tb.CPU)
-	opt.MemtableSize = (128 << 20) / scale // Table III: 128 MB memtables
-	// RocksDB default L0 triggers (4 compaction / 20 slowdown / 36 stop).
-	opt.L0CompactionTrigger = 4
-	opt.L0SlowdownTrigger = 20
-	opt.L0StopTrigger = 36
-	opt.BaseLevelBytes = (256 << 20) / scale
-	opt.MaxFileSize = (64 << 20) / scale
-	// RocksDB defaults: soft/hard pending-compaction limits of 64/256 GB;
-	// at data-set scale they act as backstops, not steady-state throttles.
-	opt.PendingCompactionSlowdownBytes = (64 << 30) / scale
-	opt.PendingCompactionStopBytes = (256 << 30) / scale
-	opt.BlockCacheBytes = (512 << 20) / scale
+// lsmOptions renders one run's Main-LSM: the machine's calibration plus
+// what the run varies.
+func (p Params) lsmOptions(threads int, slowdown bool) lsm.Options {
+	opt := machine.LSMOptions(p.Scale)
 	if p.DisableBlockCache {
 		opt.BlockCacheBytes = 0
 		opt.VLogReadCacheBytes = -1 // negative disables (0 means default)
 	}
 	opt.CompactionThreads = threads
-	opt.MaxCompactionThreads = 8
 	opt.EnableSlowdown = slowdown
-	opt.DelayedWriteBytesPerSec = (8 << 20) / scale
-	// The OS page cache absorbs WAL appends; writers only feel the device
-	// through stall conditions, not through synchronous log writes.
-	opt.WALChunkSize = 256 << 10
-	opt.WALQueueDepth = 512
-	opt.GroupLingerMicros = p.LingerMicros * int64(scale)
+	opt.GroupLingerMicros = p.LingerMicros * int64(p.scale())
 	opt.ValueThreshold = p.ValueThreshold
-	sd := time.Duration(scale)
-	opt.Cost.WriteCPU *= sd
-	opt.Cost.WALAppendCPU *= sd
-	opt.Cost.ReadCPU *= sd
-	opt.Cost.IterCPU *= sd
-	// Merge runs at ~their Xeon's native speed against a slow interconnect
-	// (§VI-A's CPU/PCIe mismatch): one compaction thread already comes
-	// close to the device ceiling, so extra threads mostly burn host CPU —
-	// the regime ADOC is evaluated in. ~160 MB/s per thread at scale 1.
-	opt.Cost.MergeCPUPerKB = opt.Cost.MergeCPUPerKB * sd * 4 / 10
-	opt.Cost.FlushCPUPerKB *= sd
 	opt.Trace = p.Trace
-	if p.OffloadCompaction {
-		opt.EnableCompactionOffload = true
-		opt.Offloader = tb.NS.Offloader()
-	}
+	opt.EnableCompactionOffload = p.OffloadCompaction
 	if p.TuneLSM != nil {
 		p.TuneLSM(&opt)
 	}
 	return opt
+}
+
+// coreOptions renders one run's KVACCEL module.
+func (p Params) coreOptions(rollback core.RollbackScheme) core.Options {
+	copt := core.DefaultOptions()
+	copt.Rollback = rollback
+	copt.Trace = p.Trace
+	copt.StallFailover = true // the accelerator is on: would-stall writes redirect
+	copt.FrontCacheBytes = p.FrontCacheBytes
+	copt.FrontCacheNegative = p.FrontCacheNegative
+	copt.FrontCacheDoorkeeper = p.FrontCacheDoorkeeper
+	return copt
 }
 
 // EngineKind names the systems under test.
@@ -400,29 +324,17 @@ func (e *Engine) Close() {
 // BuildEngine assembles the system under test on tb.
 func (p Params) BuildEngine(tb *Testbed, spec EngineSpec) *Engine {
 	switch spec.Kind {
+	case KindKVAccel:
+		// KVACCEL never slows down.
+		kvs, mains := tb.OpenKVAccel(p.lsmOptions(spec.Threads, false), p.coreOptions(spec.Rollback))
+		return &Engine{Spec: spec, Eng: workload.KVAccelEngine{DB: kvs[0]}, Main: mains[0], KV: kvs[0]}
 	case KindADOC:
-		opt := p.lsmOptions(tb, spec.Threads, spec.Slowdown)
-		main := lsm.Open(tb.Clk, tb.Fsys, opt)
+		opt := p.lsmOptions(spec.Threads, spec.Slowdown)
+		main := tb.OpenLSM(0, opt)
 		tuner := adoc.Attach(tb.Clk, main, adoc.DefaultOptions(spec.Threads, opt.MemtableSize))
 		return &Engine{Spec: spec, Eng: workload.LSMEngine{DB: main}, Main: main, Tuner: tuner}
-	case KindKVAccel:
-		opt := p.lsmOptions(tb, spec.Threads, false) // KVACCEL never slows down
-		main := lsm.Open(tb.Clk, tb.Fsys, opt)
-		copt := core.DefaultOptions()
-		copt.Rollback = spec.Rollback
-		copt.Trace = p.Trace
-		copt.StallFailover = true // the accelerator is on: would-stall writes redirect
-		copt.FrontCacheBytes = p.FrontCacheBytes
-		copt.FrontCacheNegative = p.FrontCacheNegative
-		copt.FrontCacheDoorkeeper = p.FrontCacheDoorkeeper
-		if p.TuneCore != nil {
-			p.TuneCore(&copt)
-		}
-		kv := core.Open(tb.Clk, main, tb.Dev.KVRegionFull(), copt)
-		return &Engine{Spec: spec, Eng: workload.KVAccelEngine{DB: kv}, Main: main, KV: kv}
 	default:
-		opt := p.lsmOptions(tb, spec.Threads, spec.Slowdown)
-		main := lsm.Open(tb.Clk, tb.Fsys, opt)
+		main := tb.OpenLSM(0, p.lsmOptions(spec.Threads, spec.Slowdown))
 		return &Engine{Spec: spec, Eng: workload.LSMEngine{DB: main}, Main: main}
 	}
 }

@@ -75,9 +75,7 @@ func (b *Batch) Ops(fn func(kind memtable.Kind, key, value []byte)) {
 	}
 }
 
-// walBatchMarker opens every WAL record the write path emits. Replay
-// also accepts the marker-less single-op format, whose first byte is a
-// memtable.Kind < 16.
+// walBatchMarker opens every WAL record the write path emits.
 const walBatchMarker = 0xB7
 
 // decodeBatch parses an appendGroupPayload record, calling fn per

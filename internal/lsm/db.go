@@ -610,6 +610,9 @@ func (db *DB) MemtableSize() int64 {
 	return db.memSize
 }
 
+// Options returns the options the engine runs with, defaults filled in.
+func (db *DB) Options() Options { return db.opt }
+
 // Stats returns a snapshot of cumulative counters, folding in the value
 // log's live gauges when value separation is enabled.
 func (db *DB) Stats() Stats {

@@ -406,47 +406,32 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		if opt.UncheckedWALReplay {
 			replayFn = wal.ReplayUnchecked
 		}
+		// Every record is an atomic batch: replay all its ops or none.
+		// Decode fully before applying so a dangling pointer drops the
+		// whole batch. (Only unchecked replay can meet anything else; the
+		// batch decoder refuses it.)
 		err := replayFn(r, fsys, name, func(payload []byte) error {
-			if len(payload) > 0 && payload[0] == walBatchMarker {
-				// Atomic batch: replay all ops or none. Decode fully before
-				// applying so a dangling pointer drops the whole batch.
-				var ops []batchOp
-				derr := decodeBatch(payload, func(kind memtable.Kind, key, value []byte) error {
-					ops = append(ops, batchOp{
-						kind:  kind,
-						key:   append([]byte(nil), key...),
-						value: append([]byte(nil), value...),
-					})
-					return nil
+			var ops []batchOp
+			derr := decodeBatch(payload, func(kind memtable.Kind, key, value []byte) error {
+				ops = append(ops, batchOp{
+					kind:  kind,
+					key:   append([]byte(nil), key...),
+					value: append([]byte(nil), value...),
 				})
-				if derr != nil {
-					return derr
-				}
-				for _, op := range ops {
-					if !resolves(op.kind, op.key, op.value) {
-						return nil
-					}
-				}
-				for _, op := range ops {
-					db.seq++
-					replayOps = append(replayOps, replayOp{seq: db.seq, kind: op.kind, key: op.key, value: op.value})
-				}
 				return nil
-			}
-			kind, key, value, perr := parseWALRecord(payload)
-			if perr != nil {
-				return nil // stop-at-corruption is handled by wal.Replay
-			}
-			if !resolves(kind, key, value) {
-				return nil
-			}
-			db.seq++
-			replayOps = append(replayOps, replayOp{
-				seq:   db.seq,
-				kind:  kind,
-				key:   append([]byte(nil), key...),
-				value: append([]byte(nil), value...),
 			})
+			if derr != nil {
+				return derr
+			}
+			for _, op := range ops {
+				if !resolves(op.kind, op.key, op.value) {
+					return nil
+				}
+			}
+			for _, op := range ops {
+				db.seq++
+				replayOps = append(replayOps, replayOp{seq: db.seq, kind: op.kind, key: op.key, value: op.value})
+			}
 			return nil
 		})
 		if err != nil {
@@ -561,20 +546,4 @@ func manifestCounterFrom(current string) uint64 {
 		return 0
 	}
 	return n
-}
-
-// parseWALRecord decodes the marker-less single-op record format:
-// [kind][klen_hi][klen_lo][key][value].
-func parseWALRecord(p []byte) (memtable.Kind, []byte, []byte, error) {
-	if len(p) < 3 {
-		return 0, nil, nil, encoding.ErrCorrupt
-	}
-	kind := memtable.Kind(p[0])
-	klen := int(p[1])<<8 | int(p[2])
-	if len(p) < 3+klen {
-		return 0, nil, nil, encoding.ErrCorrupt
-	}
-	key := p[3 : 3+klen]
-	value := p[3+klen:]
-	return kind, key, value, nil
 }

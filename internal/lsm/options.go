@@ -223,11 +223,8 @@ func DefaultCostModel() CostModel {
 }
 
 // DefaultOptions returns the scaled paper configuration. cpuPool is the
-// host core pool (nil allocates a private 8-core pool).
+// host core pool (nil: Open allocates a private 8-core pool).
 func DefaultOptions(cpuPool *cpu.Pool) Options {
-	if cpuPool == nil {
-		cpuPool = cpu.NewPool(8, "host-cpu")
-	}
 	return Options{
 		MemtableSize:          12800 << 10, // 12.8 MB (128 MB / 10)
 		MaxImmutableMemtables: 1,
@@ -345,7 +342,7 @@ func (o *Options) sanitize() {
 		o.WALQueueDepth = 32
 	}
 	if o.CPU == nil {
-		o.CPU = cpu.NewPool(8, "host-cpu")
+		o.CPU = cpu.NewPool(8, "lsm-cpu") // a standalone engine's own cores
 	}
 	if o.Cost == (CostModel{}) {
 		o.Cost = DefaultCostModel()

@@ -141,17 +141,3 @@ func TestManifestCounterParse(t *testing.T) {
 		t.Fatal("junk should parse to 0")
 	}
 }
-
-func TestParseWALRecord(t *testing.T) {
-	rec := append([]byte{0, 0, 3}, []byte("keyvalue")...)
-	kind, k, v, err := parseWALRecord(rec)
-	if err != nil || kind != 0 || string(k) != "key" || string(v) != "value" {
-		t.Fatalf("parse: kind=%v k=%q v=%q err=%v", kind, k, v, err)
-	}
-	if _, _, _, err := parseWALRecord([]byte{0, 0}); err == nil {
-		t.Fatal("short record accepted")
-	}
-	if _, _, _, err := parseWALRecord([]byte{0, 0, 9, 'x'}); err == nil {
-		t.Fatal("truncated key accepted")
-	}
-}

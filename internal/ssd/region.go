@@ -36,10 +36,11 @@ func (d *Device) KVRegionFull() *KVRegion { return d.full }
 // evenly so total controller memory matches the unsharded configuration.
 // The slices share the single ARM core and NAND dies, preserving the
 // paper's device-resource model; callers must not mix slice views with
-// the full-region view on the same device.
+// the full-region view on the same device. One slice is the full-region
+// view itself, so a one-shard machine is the unsharded one.
 func (d *Device) KVRegionSlices(n int) []*KVRegion {
-	if n < 1 {
-		n = 1
+	if n <= 1 {
+		return []*KVRegion{d.full}
 	}
 	total := d.FTL.RegionPages(ftl.KVRegion)
 	per := total / n

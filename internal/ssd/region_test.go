@@ -49,6 +49,24 @@ func TestKVRegionSlicesAreDisjoint(t *testing.T) {
 	})
 }
 
+// TestOneKVRegionSliceIsTheFullRegion: a one-shard machine buffers into
+// the device's one Dev-LSM through the one "kv" queue, not into a second
+// Dev-LSM beside an idle full-region one.
+func TestOneKVRegionSliceIsTheFullRegion(t *testing.T) {
+	d, _ := newTestDev()
+	slices := d.KVRegionSlices(1)
+	if len(slices) != 1 || slices[0] != d.KVRegionFull() || slices[0].DevLSM() != d.Dev {
+		t.Fatalf("KVRegionSlices(1) = %v, want the full-region view over the device's Dev-LSM", slices)
+	}
+	var names []string
+	for _, q := range d.QueueStats() {
+		names = append(names, q.Name)
+	}
+	if len(names) != 1 || names[0] != "kv" {
+		t.Errorf("queue pairs %v, want just [kv]", names)
+	}
+}
+
 // TestKVRegionSliceResetIsScoped checks the sharding safety property:
 // KVReset on one slice must not disturb pairs buffered in another.
 func TestKVRegionSliceResetIsScoped(t *testing.T) {

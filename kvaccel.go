@@ -29,9 +29,7 @@ import (
 	"time"
 
 	"kvaccel/internal/core"
-	"kvaccel/internal/cpu"
 	"kvaccel/internal/faults"
-	"kvaccel/internal/fs"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/ssd"
@@ -146,143 +144,29 @@ func DefaultOptions() Options {
 	}
 }
 
-// DB is a KVACCEL database plus the simulated machine it runs on.
+// DB is a KVACCEL database plus the simulated machine it runs on: the
+// one-shard case of ShardedDB.
 type DB struct {
-	clk    *vclock.Clock
-	kv     *core.DB
-	device *ssd.Device
-	opt    Options
-	// release drops the clock hold taken in Open; until the first Run
-	// registers a runner, the hold keeps the background runners' periodic
-	// timers from free-running virtual time past the caller's setup code.
-	release func()
-}
-
-// normalize clamps option fields to their legal floors. Scale < 1 means
-// "as real as it gets", so it clamps to 1 rather than snapping back to
-// the scale-10 default.
-func (opt Options) normalize() Options {
-	if opt.Scale < 1 {
-		opt.Scale = 1
-	}
-	if opt.CompactionThreads < 1 {
-		opt.CompactionThreads = 1
-	}
-	if opt.HostCores < 1 {
-		opt.HostCores = 8
-	}
-	return opt
-}
-
-// deviceConfig renders the dual-interface SSD configuration opt implies.
-func (opt Options) deviceConfig() ssd.Config {
-	cfg := ssd.CosmosConfig(opt.Scale)
-	if opt.KVRegionBytes > 0 {
-		cfg.KVRegionBytes = opt.KVRegionBytes
-	}
-	scale := time.Duration(opt.Scale)
-	cfg.DevLSM.ReadCacheBytes = opt.DevReadCacheBytes
-	cfg.DevLSM.PutCPU *= scale
-	cfg.DevLSM.GetCPU *= scale
-	cfg.DevLSM.ScanCPUPerKB *= scale
-	cfg.KVCommandOverhead *= scale
-	if opt.QueueDepth > 0 {
-		cfg.NVMe.QueueDepth = opt.QueueDepth
-	}
-	if opt.IOQueues > 0 {
-		cfg.IOQueues = opt.IOQueues
-	}
-	cfg.Faults = opt.Faults
-	return cfg
-}
-
-// engineOptions renders the Main-LSM configuration opt implies, with
-// buffer budgets divided by shards so N shards together spend the same
-// host memory as one unsharded engine.
-func (opt Options) engineOptions(pool *cpu.Pool, shards int64) lsm.Options {
-	if shards < 1 {
-		shards = 1
-	}
-	lopt := lsm.DefaultOptions(pool)
-	s := int64(opt.Scale) * shards
-	scale := time.Duration(opt.Scale)
-	lopt.MemtableSize = (128 << 20) / s
-	lopt.BaseLevelBytes = (256 << 20) / s
-	lopt.MaxFileSize = (64 << 20) / s
-	lopt.BlockCacheBytes = (512 << 20) / s
-	lopt.L0CompactionTrigger = 4
-	lopt.L0SlowdownTrigger = 20
-	lopt.L0StopTrigger = 36
-	lopt.CompactionThreads = opt.CompactionThreads
-	lopt.EnableSlowdown = false // KVACCEL redirects instead of throttling
-	lopt.ValueThreshold = opt.ValueThreshold
-	lopt.VLogGCDiscardRatio = opt.VLogGCDiscardRatio
-	lopt.WALChunkSize = 256 << 10
-	lopt.WALQueueDepth = 512
-	lopt.Cost.WriteCPU *= scale
-	lopt.Cost.WALAppendCPU *= scale
-	lopt.Cost.ReadCPU *= scale
-	lopt.Cost.IterCPU *= scale
-	lopt.Cost.MergeCPUPerKB = lopt.Cost.MergeCPUPerKB * scale * 4 / 10
-	lopt.Cost.FlushCPUPerKB *= scale
-	return lopt
-}
-
-// coreOptions renders the KVACCEL module configuration opt implies.
-func (opt Options) coreOptions() core.Options {
-	copt := core.DefaultOptions()
-	copt.Rollback = opt.Rollback
-	if opt.DetectorPeriod > 0 {
-		copt.DetectorPeriod = opt.DetectorPeriod
-	}
-	// The stall failover only makes sense when the accelerator is on.
-	copt.StallFailover = opt.EnableRedirection
-	copt.FrontCacheBytes = opt.FrontCacheBytes
-	copt.FrontCacheNegative = opt.FrontCacheNegative
-	copt.FrontCacheDoorkeeper = opt.FrontCacheDoorkeeper
-	return copt
+	s  *ShardedDB
+	kv *core.DB // the one shard
 }
 
 // Open builds the full stack and starts its background runners.
 func Open(opt Options) *DB {
-	opt = opt.normalize()
-	clk := vclock.New()
-	release := clk.Hold()
-	dev := ssd.New(clk, opt.deviceConfig())
-	ns := dev.BlockNamespace(0, 0)
-	fsys := fs.New(ns)
-
-	pool := cpu.NewPool(opt.HostCores, "host-cpu")
-	lopt := opt.engineOptions(pool, 1)
-	if opt.OffloadCompaction {
-		lopt.EnableCompactionOffload = true
-		lopt.Offloader = ns.Offloader()
-	}
-	main := lsm.Open(clk, fsys, lopt)
-
-	kv := core.Open(clk, main, dev.KVRegionFull(), opt.coreOptions())
-	if !opt.EnableRedirection {
-		kv.Detector().SetOverride(false) // pin the normal path
-	}
-	return &DB{clk: clk, kv: kv, device: dev, opt: opt, release: release}
+	s := OpenSharded(ShardedOptions{Options: opt, Shards: 1})
+	return &DB{s: s, kv: s.shards[0]}
 }
 
 // Run starts fn as a simulated thread named name.
-func (db *DB) Run(name string, fn func(r *Runner)) {
-	db.clk.Go(name, fn)
-	db.release()
-}
+func (db *DB) Run(name string, fn func(r *Runner)) { db.s.Run(name, fn) }
 
 // Wait blocks the calling OS goroutine until every simulated thread has
 // exited (call Close from inside the simulation first, or make sure all
 // runners return).
-func (db *DB) Wait() { db.clk.Wait() }
+func (db *DB) Wait() { db.s.Wait() }
 
 // Close stops background runners; in-flight work completes first.
-func (db *DB) Close() {
-	db.kv.Close()
-	db.release() // let the runners drain even if Run was never called
-}
+func (db *DB) Close() { db.s.Close() }
 
 // Put stores a key-value pair, transparently redirecting through the
 // SSD's KV interface during Main-LSM write stalls.
@@ -329,17 +213,19 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the system's counters.
-func (db *DB) Stats() Stats {
-	return Stats{KVAccel: db.kv.Stats(), Main: db.kv.Main().Stats()}
+func (db *DB) Stats() Stats { return shardStats(db.kv) }
+
+func shardStats(kv *core.DB) Stats {
+	return Stats{KVAccel: kv.Stats(), Main: kv.Main().Stats()}
 }
 
 // QueueStats snapshots every NVMe queue pair on the device: submission
 // counts, occupancy, and submit-to-completion latency histograms.
-func (db *DB) QueueStats() []nvme.QueueStats { return db.device.QueueStats() }
+func (db *DB) QueueStats() []nvme.QueueStats { return db.s.QueueStats() }
 
 // Now returns the current virtual time.
-func (db *DB) Now() vclock.Time { return db.clk.Now() }
+func (db *DB) Now() vclock.Time { return db.s.Now() }
 
 // Internals exposes the assembled components for advanced use
 // (experiments, monitoring, ablations).
-func (db *DB) Internals() (*core.DB, *ssd.Device) { return db.kv, db.device }
+func (db *DB) Internals() (*core.DB, *ssd.Device) { return db.kv, db.s.Device() }

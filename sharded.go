@@ -2,10 +2,9 @@ package kvaccel
 
 import (
 	"kvaccel/internal/core"
-	"kvaccel/internal/cpu"
-	"kvaccel/internal/fs"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/lsm"
+	"kvaccel/internal/machine"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/ssd"
@@ -43,65 +42,56 @@ func DefaultShardedOptions() ShardedOptions {
 // commits its sub-batch independently). NewIterator returns a merged
 // cursor that is a point-in-time view per shard, not a global snapshot.
 type ShardedDB struct {
-	clk    *vclock.Clock
-	device *ssd.Device
-	pool   *cpu.Pool
+	m      *machine.Machine
 	shards []*core.DB
-	opt    ShardedOptions
-	// release drops the clock hold taken in OpenSharded (see DB.release).
+	// release drops the clock hold OpenSharded takes: until the first Run
+	// registers a runner, the hold keeps the background runners' periodic
+	// timers from free-running virtual time past the caller's setup code.
 	release func()
 }
 
 // OpenSharded builds one simulated machine and N KVACCEL shards on it.
 func OpenSharded(opt ShardedOptions) *ShardedDB {
-	opt.Options = opt.Options.normalize()
-	if opt.Shards < 1 {
-		opt.Shards = 1
+	cfg := machine.DeviceConfig(opt.Scale)
+	if opt.KVRegionBytes > 0 {
+		cfg.KVRegionBytes = opt.KVRegionBytes
 	}
-	n := opt.Shards
-
-	clk := vclock.New()
-	release := clk.Hold()
-	dev := ssd.New(clk, opt.deviceConfig())
-	pool := cpu.NewPool(opt.HostCores, "host-cpu")
-	lopt := opt.engineOptions(pool, int64(n))
-
-	kvSlices := dev.KVRegionSlices(n)
-	blockPages := dev.BlockRegionPages()
-	per := blockPages / n
-	if per < 1 {
-		panic("kvaccel: more shards than block-region pages")
+	cfg.DevLSM.ReadCacheBytes = opt.DevReadCacheBytes
+	if opt.QueueDepth > 0 {
+		cfg.NVMe.QueueDepth = opt.QueueDepth
 	}
-
-	copt := opt.coreOptions()
-	// Like the other buffer budgets, the front cache splits evenly so the
-	// sharded store spends the same total host DRAM as an unsharded one.
-	copt.FrontCacheBytes /= int64(n)
-
-	shards := make([]*core.DB, n)
-	for i := 0; i < n; i++ {
-		pages := per
-		if i == n-1 {
-			pages = blockPages - i*per // last shard absorbs the remainder
-		}
-		ns := dev.BlockNamespace(i*per, pages)
-		fsys := fs.New(ns)
-		slopt := lopt
-		if opt.OffloadCompaction {
-			// Each shard gets its own offload channel (queue pair) to the
-			// shared merge executor; the executor serializes them on the
-			// one ARM core, exactly like the shared NAND and PCIe paths.
-			slopt.EnableCompactionOffload = true
-			slopt.Offloader = ns.Offloader()
-		}
-		main := lsm.Open(clk, fsys, slopt)
-		kv := core.Open(clk, main, kvSlices[i], copt)
-		if !opt.EnableRedirection {
-			kv.Detector().SetOverride(false)
-		}
-		shards[i] = kv
+	if opt.IOQueues > 0 {
+		cfg.IOQueues = opt.IOQueues
 	}
-	return &ShardedDB{clk: clk, device: dev, pool: pool, shards: shards, opt: opt, release: release}
+	cfg.Faults = opt.Faults
+	m := machine.New(cfg, opt.HostCores, opt.Shards)
+	release := m.Clk.Hold()
+
+	lopt := machine.LSMOptions(opt.Scale)
+	lopt.CompactionThreads = opt.CompactionThreads
+	lopt.ValueThreshold = opt.ValueThreshold
+	lopt.VLogGCDiscardRatio = opt.VLogGCDiscardRatio
+	lopt.EnableCompactionOffload = opt.OffloadCompaction
+	copt := core.DefaultOptions()
+	copt.Rollback = opt.Rollback
+	copt.DetectorPeriod = opt.DetectorPeriod // core.Open defaults 0
+	copt.StallFailover = opt.EnableRedirection
+	copt.FrontCacheBytes = opt.FrontCacheBytes
+	copt.FrontCacheNegative = opt.FrontCacheNegative
+	copt.FrontCacheDoorkeeper = opt.FrontCacheDoorkeeper
+	shards, _ := m.OpenKVAccel(lopt, copt)
+	db := NewShardedDB(m, shards)
+	db.release = release
+	return db
+}
+
+// NewShardedDB fronts KVACCEL shards already opened on m (by
+// machine.OpenKVAccel) with the hash router: OpenSharded's second half,
+// for the harness, which assembles m itself to hand the machine a tracer
+// and a fault plan. It takes no clock hold; the caller keeps m's clock
+// held until its first runner is registered.
+func NewShardedDB(m *machine.Machine, shards []*core.DB) *ShardedDB {
+	return &ShardedDB{m: m, shards: shards, release: func() {}}
 }
 
 // FNV-1a: deterministic across process restarts, so a reopened sharded
@@ -134,18 +124,18 @@ func (db *ShardedDB) ShardIndex(key []byte) int {
 
 // Run starts fn as a simulated thread named name.
 func (db *ShardedDB) Run(name string, fn func(r *Runner)) {
-	db.clk.Go(name, fn)
+	db.m.Clk.Go(name, fn)
 	db.release()
 }
 
 // Wait blocks until every simulated thread has exited.
-func (db *ShardedDB) Wait() { db.clk.Wait() }
+func (db *ShardedDB) Wait() { db.m.Clk.Wait() }
 
 // Now returns the current virtual time.
-func (db *ShardedDB) Now() vclock.Time { return db.clk.Now() }
+func (db *ShardedDB) Now() vclock.Time { return db.m.Clk.Now() }
 
 // Clock exposes the shared virtual clock (companion runners, samplers).
-func (db *ShardedDB) Clock() *vclock.Clock { return db.clk }
+func (db *ShardedDB) Clock() *vclock.Clock { return db.m.Clk }
 
 // Close shuts every shard down; in-flight work completes first.
 func (db *ShardedDB) Close() {
@@ -263,12 +253,12 @@ func (db *ShardedDB) NumShards() int { return len(db.shards) }
 func (db *ShardedDB) Shard(i int) *core.DB { return db.shards[i] }
 
 // Device exposes the shared dual-interface SSD.
-func (db *ShardedDB) Device() *ssd.Device { return db.device }
+func (db *ShardedDB) Device() *ssd.Device { return db.m.Dev }
 
 // QueueStats snapshots every NVMe queue pair on the shared device —
 // each shard's block queue(s) and KV-region queue appear as separate
 // entries.
-func (db *ShardedDB) QueueStats() []nvme.QueueStats { return db.device.QueueStats() }
+func (db *ShardedDB) QueueStats() []nvme.QueueStats { return db.m.Dev.QueueStats() }
 
 // ShardedStats is the system-wide view plus the per-shard breakdown.
 // The embedded Stats has the same shape DB.Stats returns, with every
@@ -284,7 +274,7 @@ type ShardedStats struct {
 func (db *ShardedDB) Stats() ShardedStats {
 	out := ShardedStats{PerShard: make([]Stats, len(db.shards))}
 	for i, s := range db.shards {
-		st := Stats{KVAccel: s.Stats(), Main: s.Main().Stats()}
+		st := shardStats(s)
 		out.PerShard[i] = st
 		out.Stats.KVAccel = out.Stats.KVAccel.Add(st.KVAccel)
 		out.Stats.Main = out.Stats.Main.Add(st.Main)

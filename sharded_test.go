@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"kvaccel/internal/machine"
 )
 
 // TestShardRouterUniformity checks that FNV-1a spreads a realistic key
@@ -262,27 +264,23 @@ func TestShardedStatsAggregation(t *testing.T) {
 // clamp to 1 (full fidelity) instead of silently reverting to the
 // scale-10 default, for both Open and OpenSharded.
 func TestScaleClampsToOne(t *testing.T) {
-	for _, scale := range []int{0, -5} {
-		if got := (Options{Scale: scale}).normalize().Scale; got != 1 {
-			t.Errorf("normalize(Scale=%d).Scale = %d, want 1", scale, got)
+	for scale, want := range map[int]int{0: 1, -5: 1, 7: 7} {
+		opt := DefaultShardedOptions()
+		opt.Scale = scale
+		opt.Shards = 0
+		db := OpenSharded(opt)
+		if db.NumShards() != 1 {
+			t.Fatalf("Shards=0 opened %d shards, want 1", db.NumShards())
 		}
-	}
-	if got := (Options{Scale: 7}).normalize().Scale; got != 7 {
-		t.Errorf("normalize clobbered an explicit scale: got %d", got)
-	}
-
-	opt := DefaultShardedOptions()
-	opt.Scale = 0
-	opt.Shards = 0
-	db := OpenSharded(opt)
-	if db.NumShards() != 1 {
-		t.Fatalf("Shards=0 opened %d shards, want 1", db.NumShards())
-	}
-	db.Run("main", func(r *Runner) {
-		defer db.Close()
-		if err := db.Put(r, []byte("k"), []byte("v")); err != nil {
-			t.Fatal(err)
+		if got, w := db.Device().Config().PCIe, machine.DeviceConfig(want).PCIe; got != w {
+			t.Errorf("Scale=%d built the link %+v, want scale %d's %+v", scale, got, want, w)
 		}
-	})
-	db.Wait()
+		db.Run("main", func(r *Runner) {
+			defer db.Close()
+			if err := db.Put(r, []byte("k"), []byte("v")); err != nil {
+				t.Error(err)
+			}
+		})
+		db.Wait()
+	}
 }
