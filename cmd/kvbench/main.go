@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		frontMB   = fs.Int("front-cache-mb", -1, "hot-key front cache budget in MB (kvaccel engines; -1 = 32 for mixed workloads, else off)")
 		frontNeg  = fs.Bool("front-cache-negative", false, "also cache confirmed-missing keys in the front cache (read-miss accelerator)")
 		frontDoor = fs.Bool("front-doorkeeper", false, "second-chance admission on the front cache: refuse one-touch keys their first fill (uniform-traffic churn guard)")
-		noBlock   = fs.Bool("no-block-cache", false, "disable the Main-LSM block cache and vlog read cache (cold-cache baseline)")
+		noBlock   = fs.Bool("no-block-cache", false, "disable the Main-LSM block cache (cold-cache baseline)")
 		offload   = fs.Bool("offload-compaction", false, "offload eligible L0→L1 compactions to the SSD controller under stall pressure")
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's virtual timeline to this file")
 		traceSum  = fs.Bool("trace-summary", false, "print per-phase virtual-time attribution and the stall-window report")

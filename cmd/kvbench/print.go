@@ -82,9 +82,8 @@ func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
 			m.BlockCacheHitRate()*100, m.BlockCacheHits,
 			m.BlockCacheHits+m.BlockCacheMisses, m.BlockCacheEvictions)
 	}
-	if m.VLogReadCacheHits+m.VLogReadCacheMisses > 0 || m.VLogDerefs > 0 {
-		fmt.Fprintf(w, "vlog-reads  : derefs=%d, read-cache hits=%d misses=%d\n",
-			m.VLogDerefs, m.VLogReadCacheHits, m.VLogReadCacheMisses)
+	if m.VLogDerefs > 0 {
+		fmt.Fprintf(w, "vlog-reads  : derefs=%d\n", m.VLogDerefs)
 	}
 }
 

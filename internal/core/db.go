@@ -563,6 +563,9 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 // snapshots its generation token before either LSM is consulted, so the
 // fill after the read cannot install a value a concurrent write has
 // already superseded.
+//
+// The value is read-only and may alias engine memory. Copy it to modify
+// it, or to keep it past its use, since it pins the buffer it points into.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
 	if db.closed.Load() {
 		return nil, false, ErrClosed
@@ -599,8 +602,7 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 			// Dev-LSM values are safe to cache: a rollback merges the
 			// identical newest version into the Main-LSM, so the cached
 			// copy stays correct across the drain.
-			db.front.FillIfUnchanged(key, v, token)
-			return v, true, nil
+			return db.fill(key, v, token), true, nil
 		}
 		// Metadata said Dev-LSM but the pair is gone (rolled back between
 		// our check and the device read) or the device failed the read
@@ -611,7 +613,7 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 	value, ok, err = db.main.Get(r, key)
 	if err == nil {
 		if ok {
-			db.front.FillIfUnchanged(key, value, token)
+			value = db.fill(key, value, token)
 		} else {
 			// The full path just proved the key absent under the
 			// generation snapshot; with negative caching enabled, record
@@ -622,6 +624,16 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 		}
 	}
 	return value, ok, err
+}
+
+// fill offers a value read below the front cache to it and returns what
+// Get should hand out: the cache's copy when it took one, which pins only
+// itself, else v, which may pin a whole value-log segment or table image.
+func (db *DB) fill(key, v []byte, token uint64) []byte {
+	if c := db.front.FillIfUnchanged(key, v, token); c != nil {
+		return c
+	}
+	return v
 }
 
 // fillNegative records a confirmed-missing key in the front cache, if

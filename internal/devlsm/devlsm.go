@@ -470,9 +470,11 @@ func decodeRecord(b []byte) (e memtable.Entry, rest []byte, err error) {
 	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen { // klen+vlen can wrap
 		return e, nil, encoding.ErrCorrupt
 	}
-	e.Key = b[:klen]
-	e.Value = b[klen : klen+vlen]
-	return e, b[klen+vlen:], nil
+	// Clipped views: appending to one cannot overwrite the next record.
+	end := klen + vlen
+	e.Key = b[:klen:klen]
+	e.Value = b[klen:end:end]
+	return e, b[end:], nil
 }
 
 // compact merges every run into one, deduplicating versions. The single

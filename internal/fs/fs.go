@@ -224,7 +224,10 @@ func ropeLen(exts []extent) int {
 
 func (f *file) size() int { return ropeLen(f.exts) }
 
-// readRope returns a copy of bytes [off, off+n) of a rope that holds them.
+// readRope returns bytes [off, off+n) of a rope that holds them: a view of
+// the extent when one holds them all, capacity clipped so that nothing
+// that grows it can write into the extent, else a fresh buffer. Extents
+// are never written, so either way the bytes never change.
 func readRope(exts []extent, off, n int) []byte {
 	if n == 0 {
 		return nil
@@ -232,7 +235,7 @@ func readRope(exts []extent, off, n int) []byte {
 	i := sort.Search(len(exts), func(i int) bool { return exts[i].end > off })
 	piece := exts[i].buf[off-(exts[i].end-len(exts[i].buf)):]
 	if len(piece) >= n {
-		return append([]byte(nil), piece[:n]...) // unlike make, clears nothing first
+		return piece[:n:n]
 	}
 	// Across extents: bytes.Join, like append, clears nothing first.
 	parts := append(make([][]byte, 0, 8), piece)
@@ -513,7 +516,13 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 }
 
 // ReadAt reads length bytes at offset off, spending read time for each
-// covered page. It returns a copy.
+// covered page.
+//
+// The bytes are read-only and may alias the file system's memory: a range
+// inside one extent comes back as a view of it, which never changes and
+// stays valid after the file is replaced or removed. Copy them to modify
+// them, or to keep them past their use, since a view pins the buffer it
+// points into.
 func (fs *FileSystem) ReadAt(r *vclock.Runner, name string, off, length int) ([]byte, error) {
 	return fs.readAt(r, name, off, length, false)
 }
@@ -552,7 +561,7 @@ func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, bac
 	return out, nil
 }
 
-// ReadFile reads a whole file.
+// ReadFile reads a whole file; the bytes are read-only, as ReadAt's are.
 func (fs *FileSystem) ReadFile(r *vclock.Runner, name string) ([]byte, error) {
 	size, err := fs.Size(name)
 	if err != nil {
@@ -616,12 +625,12 @@ func (fs *FileSystem) Extents(name string) ([]int, error) {
 	return append([]int(nil), f.pages...), nil
 }
 
-// MediaRead returns a copy of a file's device-acknowledged bytes without
-// spending any host-path time. It models the device reading its own
-// media: the fs holds the authoritative payload for the whole stack, so
-// device-side consumers (the offload merge executor) fetch bytes here
-// while charging NAND time through the FTL separately. Host code must
-// use ReadAt/ReadFile, which pay the block path.
+// MediaRead returns a file's device-acknowledged bytes, read-only as
+// ReadAt's are, without spending any host-path time. It models the device
+// reading its own media: the fs holds the authoritative payload for the
+// whole stack, so device-side consumers (the offload merge executor) fetch
+// bytes here while charging NAND time through the FTL separately. Host
+// code must use ReadAt/ReadFile, which pay the block path.
 func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -759,7 +768,8 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 		keep := f.stable
 		if acked := ropeLen(keep); f.torn && f.size() > acked {
 			if frag := plan.TornLength(f.size() - acked); frag > 0 {
-				tail := readRope(f.exts, acked, frag)
+				// A copy: the flipped bit must not reach the extent.
+				tail := append([]byte(nil), readRope(f.exts, acked, frag)...)
 				plan.CorruptByte(tail)
 				keep = append(keep, extent{tail, acked + frag})
 			}

@@ -179,9 +179,15 @@ func (o *opStream) chunk(fill byte) []byte {
 	return buf[:n]
 }
 
+// readBackBudget bounds the bytes of read-backs driveFileOps keeps to
+// re-check: the device's size, so the newest reads of every file stay.
+const readBackBudget = 4 << 20
+
 // driveFileOps runs the operations ops encodes against a file system over
 // a 4 MiB device and against flatFiles, comparing the two after every
 // step: contents, sizes, device-acknowledged images, free space, errors.
+// Buffers go both ways without copies, so it also checks that none
+// changes afterwards: neither those handed in nor those read back.
 func driveFileOps(t *testing.T, ops []byte) {
 	const ps, devPages = 4096, 1024
 	dev := &fakeDev{pageSize: ps, pages: devPages}
@@ -200,6 +206,21 @@ func driveFileOps(t *testing.T, ops []byte) {
 	give := func(b []byte) []byte {
 		if cap(b) > 0 {
 			given = append(given, handed{b[:cap(b)], crc32.ChecksumIEEE(b[:cap(b)])})
+		}
+		return b
+	}
+	// Read-backs may be views of the file system's extents, with the
+	// checksum of their bytes: appends, replaces, removes and power cuts
+	// after them must leave them as they were. The newest are kept, up to
+	// readBackBudget bytes.
+	var kept []handed
+	keptBytes := 0
+	keep := func(b []byte) []byte {
+		if len(b) > 0 {
+			kept = append(kept, handed{b, crc32.ChecksumIEEE(b)})
+			for keptBytes += len(b); keptBytes > readBackBudget; kept = kept[1:] {
+				keptBytes -= len(kept[0].buf)
+			}
 		}
 		return b
 	}
@@ -232,7 +253,7 @@ func driveFileOps(t *testing.T, ops []byte) {
 			if size, err := fsys.Size(name); err != nil || size != len(f.data) {
 				fail("%s: size %d (%v), model %d", name, size, err, len(f.data))
 			}
-			if got, err := fsys.ReadFile(r, name); err != nil || !bytes.Equal(got, f.data) {
+			if got, err := fsys.ReadFile(r, name); err != nil || !bytes.Equal(keep(got), f.data) {
 				fail("%s: ReadFile returned %d bytes (%v) that differ from the model's %d", name, len(got), err, len(f.data))
 			}
 		}
@@ -241,6 +262,7 @@ func driveFileOps(t *testing.T, ops []byte) {
 			t.Helper()
 			f := model[name]
 			got, err := fsys.MediaRead(name)
+			keep(got)
 			if f == nil || !f.durable {
 				if err == nil {
 					fail("%s: MediaRead of a file never acknowledged returned %d bytes", name, len(got))
@@ -337,11 +359,8 @@ func driveFileOps(t *testing.T, ops []byte) {
 					n = len(f.data) - off
 					got, err = fsys.ReadAt(r, name, off, n)
 				}
-				if err != nil || !bytes.Equal(got, f.data[off:off+n]) {
+				if err != nil || !bytes.Equal(keep(got), f.data[off:off+n]) {
 					fail("read [%d,%d) of %d bytes: %d bytes, %v", off, off+n, len(f.data), len(got), err)
-				}
-				if len(got) > 0 {
-					got[0] ^= 0xFF // a copy: the file must not see this
 				}
 			case op < 12:
 				checkMedia(name)
@@ -373,7 +392,7 @@ func driveFileOps(t *testing.T, ops []byte) {
 					// torn append, some of the tail with one bit flipped;
 					// the plan chose how much, so take it from the file.
 					got, err := fsys.MediaRead(name)
-					if err != nil || len(got) < len(f.stable) || !bytes.Equal(got[:len(f.stable)], f.stable) {
+					if err != nil || len(got) < len(f.stable) || !bytes.Equal(keep(got)[:len(f.stable)], f.stable) {
 						fail("%s: crash kept %d bytes (%v), not the %d acknowledged", name, len(got), err, len(f.stable))
 						continue
 					}
@@ -401,6 +420,12 @@ func driveFileOps(t *testing.T, ops []byte) {
 			if got, want := fsys.FreeBytes(), int64(freePages())*ps; got != want {
 				fail("free bytes %d, model %d", got, want)
 			}
+			for _, k := range kept {
+				if crc32.ChecksumIEEE(k.buf) != k.sum {
+					fail("%d bytes the file system returned changed afterwards", len(k.buf))
+					break
+				}
+			}
 		}
 		for _, name := range names {
 			check(name)
@@ -425,7 +450,8 @@ func fileOpsSeed(seed int64, n int) []byte {
 // of 1 B to 1 MiB, empty ones, slack under and over an eighth), replaces,
 // reads inside and across extents, media reads, removes, injected write
 // failures and power cuts leave the rope byte for byte where a flat slice
-// with a durable image would be.
+// with a durable image would be, and no buffer handed in or read back
+// ever changes.
 func TestFileOpsMatchFlatModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { driveFileOps(t, fileOpsSeed(seed, 1500)) })

@@ -214,7 +214,6 @@ func (p Params) lsmOptions(threads int, slowdown bool) lsm.Options {
 	opt := machine.LSMOptions(p.Scale)
 	if p.DisableBlockCache {
 		opt.BlockCacheBytes = 0
-		opt.VLogReadCacheBytes = -1 // negative disables (0 means default)
 	}
 	opt.CompactionThreads = threads
 	opt.EnableSlowdown = slowdown

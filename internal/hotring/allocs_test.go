@@ -1,0 +1,84 @@
+package hotring
+
+import (
+	"testing"
+)
+
+// raceEnabled is set by race_test.go when the race detector is on: its
+// instrumentation allocates, so allocation counts mean nothing.
+var raceEnabled bool
+
+// benchKeys are distinct keys made up front, so neither a gate nor a
+// benchmark counts the allocations of building them.
+func benchKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	return keys
+}
+
+// TestAllocsLookupAndFill pins the front cache's garbage: a hit hands out
+// a view of the entry's buffer and allocates nothing, and a fill into a
+// full cache allocates the one buffer it keeps — the struct of the entry
+// it evicts is reused, and eviction relinks rings in place.
+func TestAllocsLookupAndFill(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c := New(64<<10, 4)
+	keys, val := benchKeys(8192), make([]byte, 100)
+	for _, k := range keys {
+		fill(c, k, val) // fills far past capacity: evictions free structs
+	}
+	if c.Stats().Evictions == 0 {
+		t.Fatal("warm-up evicted nothing")
+	}
+	i := 0
+	fills := testing.AllocsPerRun(1000, func() {
+		i++
+		fill(c, keys[i%len(keys)], val)
+	})
+	if fills > 1 {
+		t.Errorf("%v allocations per fill into a full cache, want <= 1", fills)
+	}
+	hot := keys[i%len(keys)]
+	if hits := testing.AllocsPerRun(1000, func() {
+		if _, hit, _ := c.Lookup(hot); !hit {
+			t.Fatal("the key just filled missed")
+		}
+	}); hits != 0 {
+		t.Errorf("%v allocations per Lookup hit, want 0", hits)
+	}
+}
+
+// BenchmarkLookup is a front-cache hit on a resident key of a full cache:
+// the hash, the ring walk and the head-migration bookkeeping.
+func BenchmarkLookup(b *testing.B) {
+	c := New(1<<20, 16)
+	keys, val := benchKeys(4096), make([]byte, 100)
+	for _, k := range keys {
+		fill(c, k, val)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Lookup(keys[i%len(keys)])
+	}
+}
+
+// BenchmarkFill fills fresh keys into a full cache, so every fill evicts:
+// the generation check, the buffer copy, the ring insert and the eviction
+// walk.
+func BenchmarkFill(b *testing.B) {
+	c := New(64<<10, 4)
+	keys, val := benchKeys(8192), make([]byte, 100)
+	for _, k := range keys {
+		fill(c, k, val)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill(c, keys[i%len(keys)], val)
+	}
+}

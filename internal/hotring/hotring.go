@@ -12,9 +12,17 @@
 // the shard in between (FillIfUnchanged), so a stale value can never be
 // installed over a newer write. Writers invalidate through Invalidate /
 // InvalidateAll; both bump the generation first.
+//
+// Values are handed out, not copied: an entry keeps its key and value in
+// one buffer written once, when the entry is filled, and never again, and
+// Lookup returns a view of it. Re-fills, promotions, invalidations and
+// evictions replace or drop that buffer; none writes into it, so a view a
+// caller holds never changes. An evicted entry's struct is reused by a
+// later fill, its buffer never.
 package hotring
 
 import (
+	"bytes"
 	"hash/maphash"
 	"sync"
 )
@@ -34,11 +42,11 @@ const headBoost = 4
 // (tag, key) so a lookup can stop as soon as it passes the target's slot
 // — the HotRing ordered-ring termination rule.
 type entry struct {
-	key   string
-	value []byte
+	kv    []byte // key then value, written once by the fill that made it
 	next  *entry
 	tag   uint32 // high hash bits, the primary sort key
 	count uint32 // accesses in the current sample window
+	klen  uint32
 	// negative marks a confirmed-missing key: a hit on it answers
 	// "absent" without descending the read pipeline. Installed only via
 	// FillNegativeIfUnchanged, removed by the same invalidation writes
@@ -50,6 +58,21 @@ type entry struct {
 // doorkeeper set accumulates before it rotates to "previous" — roughly
 // two windows of recently-seen-once keys are remembered at any time.
 const doorkeeperWindow = 4 * bucketsPerShard
+
+func (e *entry) key() []byte { return e.kv[:e.klen:e.klen] }
+
+// value is the view Lookup hands out, clipped so that appending to it
+// cannot reach past the buffer's end.
+func (e *entry) value() []byte { return e.kv[e.klen:len(e.kv):len(e.kv)] }
+
+// fillKV sets e's buffer to a fresh copy of key and value: the one
+// allocation a fill makes. The old buffer is dropped, never reused.
+func (e *entry) fillKV(key, value []byte) {
+	kv := make([]byte, len(key)+len(value))
+	copy(kv, key)
+	copy(kv[len(key):], value)
+	e.kv, e.klen = kv, uint32(len(key))
+}
 
 type shard struct {
 	mu      sync.Mutex
@@ -74,6 +97,27 @@ type shard struct {
 	dkRejected, dkAdmitted int64
 
 	evictCursor uint32 // round-robin bucket cursor for capacity eviction
+
+	// free lists entry structs that eviction and invalidation unlinked,
+	// chained through next, for the next fills to reuse.
+	free *entry
+}
+
+// newEntry returns a cleared entry struct, reusing a freed one if any.
+func (s *shard) newEntry() *entry {
+	e := s.free
+	if e == nil {
+		return &entry{}
+	}
+	s.free, e.next = e.next, nil
+	return e
+}
+
+// recycle clears an unlinked entry, dropping its buffer, and keeps its
+// struct for reuse.
+func (s *shard) recycle(e *entry) {
+	*e = entry{next: s.free}
+	s.free = e
 }
 
 // Cache is the sharded front cache. The zero value is not usable; build
@@ -138,19 +182,19 @@ func (c *Cache) SetDoorkeeper(on bool) {
 
 // admitNew decides whether a not-yet-resident key may be inserted.
 // Callers hold s.mu.
-func (s *shard) admitNew(c *Cache, key string) bool {
+func (s *shard) admitNew(c *Cache, key []byte) bool {
 	if !c.doorkeeper {
 		return true
 	}
-	if _, ok := s.dkCur[key]; ok {
+	if _, ok := s.dkCur[string(key)]; ok {
 		s.dkAdmitted++
 		return true
 	}
-	if _, ok := s.dkPrev[key]; ok {
+	if _, ok := s.dkPrev[string(key)]; ok {
 		s.dkAdmitted++
 		return true
 	}
-	s.dkCur[key] = struct{}{}
+	s.dkCur[string(key)] = struct{}{}
 	if len(s.dkCur) >= doorkeeperWindow {
 		s.dkPrev = s.dkCur
 		s.dkCur = make(map[string]struct{})
@@ -169,16 +213,16 @@ func (c *Cache) locate(key []byte) (*shard, uint32, uint32) {
 
 // less orders ring entries by (tag, key) — the sort the ordered-ring
 // termination rule depends on.
-func less(aTag uint32, aKey string, bTag uint32, bKey string) bool {
+func less(aTag uint32, aKey []byte, bTag uint32, bKey []byte) bool {
 	if aTag != bTag {
 		return aTag < bTag
 	}
-	return aKey < bKey
+	return bytes.Compare(aKey, bKey) < 0
 }
 
-// Get returns a copy of the cached value for key, if present. Negative
-// entries read as misses here; use Lookup to distinguish "unknown" from
-// "confirmed missing".
+// Get returns the cached value for key, if present, as Lookup does.
+// Negative entries read as misses here; use Lookup to distinguish
+// "unknown" from "confirmed missing".
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	v, hit, negative := c.Lookup(key)
 	if negative {
@@ -188,11 +232,15 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 }
 
 // Lookup returns the cached state for key: hit=false means the cache
-// knows nothing; hit with negative=false returns a copy of the value;
-// hit with negative=true means the key was confirmed missing by an
-// earlier full-path read and no write has touched it since. Either kind
-// of hit bumps the entry's hotness and may migrate the ring's head — a
-// hammered missing key is exactly as hot as a hammered present one.
+// knows nothing; hit with negative=false returns the value; hit with
+// negative=true means the key was confirmed missing by an earlier
+// full-path read and no write has touched it since. Either kind of hit
+// bumps the entry's hotness and may migrate the ring's head — a hammered
+// missing key is exactly as hot as a hammered present one.
+//
+// The value is a read-only view of the entry's buffer, which nothing
+// writes after the fill that made it: it stays valid and unchanged
+// through re-fills, invalidation and eviction.
 func (c *Cache) Lookup(key []byte) (value []byte, hit, negative bool) {
 	if c == nil {
 		return nil, false, false
@@ -227,7 +275,7 @@ func (c *Cache) Lookup(key []byte) (value []byte, hit, negative bool) {
 	neg := e.negative
 	var v []byte
 	if !neg {
-		v = append([]byte(nil), e.value...)
+		v = e.value()
 	}
 	s.mu.Unlock()
 	return v, true, neg
@@ -240,19 +288,18 @@ func (s *shard) find(bucket, tag uint32, key []byte) *entry {
 	if head == nil {
 		return nil
 	}
-	k := string(key)
 	cur := head
 	for {
-		if cur.tag == tag && cur.key == k {
+		if cur.tag == tag && bytes.Equal(cur.key(), key) {
 			return cur
 		}
 		nxt := cur.next
 		// Target absent if it sorts between cur and nxt in cyclic order:
 		// strictly inside the gap, or outside the ring's span when the
 		// gap wraps past the maximum element.
-		curLT := less(cur.tag, cur.key, tag, k)  // cur < target
-		tLTnxt := less(tag, k, nxt.tag, nxt.key) // target < next
-		wrap := less(nxt.tag, nxt.key, cur.tag, cur.key) || nxt == cur
+		curLT := less(cur.tag, cur.key(), tag, key)  // cur < target
+		tLTnxt := less(tag, key, nxt.tag, nxt.key()) // target < next
+		wrap := less(nxt.tag, nxt.key(), cur.tag, cur.key()) || nxt == cur
 		if (curLT && tLTnxt) || (wrap && (curLT || tLTnxt)) {
 			return nil
 		}
@@ -277,44 +324,48 @@ func (c *Cache) BeginRead(key []byte) uint64 {
 	return g
 }
 
-// FillIfUnchanged installs key→value if the shard generation still
-// matches token. The value is copied.
-func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) {
+// FillIfUnchanged installs a copy of key→value if the shard generation
+// still matches token, and returns the cache's copy of the value — a
+// read-only view, as Lookup's — or nil if it installed nothing.
+func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	if c == nil {
-		return
+		return nil
 	}
 	s, bucket, tag := c.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gen != token {
 		s.rejected++
-		return
+		return nil
 	}
 	size := int64(len(key) + len(value))
 	if size > c.perShardCap {
-		return
+		return nil
 	}
-	if e := s.find(bucket, tag, key); e != nil {
+	e := s.find(bucket, tag, key)
+	if e != nil {
 		// A positive fill promotes a negative entry in place: the same
 		// generation check that protects values proves the key has since
-		// been observed present with no intervening write.
-		s.used += int64(len(value) - len(e.value))
-		e.value = append([]byte(nil), value...)
+		// been observed present with no intervening write. The entry gets
+		// a new buffer; views of the old one stay as they were.
+		s.used += size - int64(len(e.kv))
+		e.fillKV(key, value)
 		e.negative = false
-		s.fills++
-		s.evictOver(c.perShardCap)
-		return
+	} else {
+		if !s.admitNew(c, key) {
+			return nil
+		}
+		e = s.newEntry()
+		e.fillKV(key, value)
+		e.tag = tag
+		s.insert(bucket, e)
+		s.used += size
+		s.entries++
 	}
-	k := string(key)
-	if !s.admitNew(c, k) {
-		return
-	}
-	e := &entry{key: k, value: append([]byte(nil), value...), tag: tag}
-	s.insert(bucket, e)
-	s.used += size
-	s.entries++
 	s.fills++
+	v := e.value()
 	s.evictOver(c.perShardCap)
+	return v
 }
 
 // FillNegativeIfUnchanged records key as confirmed-missing if the shard
@@ -342,11 +393,12 @@ func (c *Cache) FillNegativeIfUnchanged(key []byte, token uint64) {
 	if s.find(bucket, tag, key) != nil {
 		return
 	}
-	k := string(key)
-	if !s.admitNew(c, k) {
+	if !s.admitNew(c, key) {
 		return
 	}
-	e := &entry{key: k, tag: tag, negative: true}
+	e := s.newEntry()
+	e.fillKV(key, nil)
+	e.tag, e.negative = tag, true
 	s.insert(bucket, e)
 	s.used += size
 	s.entries++
@@ -367,9 +419,9 @@ func (s *shard) insert(bucket uint32, e *entry) {
 	cur := head
 	for {
 		nxt := cur.next
-		curLT := less(cur.tag, cur.key, e.tag, e.key)
-		eLTnxt := less(e.tag, e.key, nxt.tag, nxt.key)
-		wrap := less(nxt.tag, nxt.key, cur.tag, cur.key) || nxt == cur
+		curLT := less(cur.tag, cur.key(), e.tag, e.key())
+		eLTnxt := less(e.tag, e.key(), nxt.tag, nxt.key())
+		wrap := less(nxt.tag, nxt.key(), cur.tag, cur.key()) || nxt == cur
 		if (curLT && eLTnxt) || (wrap && (curLT || eLTnxt)) {
 			e.next = nxt
 			cur.next = e
@@ -398,32 +450,37 @@ func (s *shard) evictOver(cap int64) {
 		if head == nil {
 			continue
 		}
-		// Walk the ring once from head, dropping cold entries and
-		// collecting survivors in ring order, then relink.
-		var keep []*entry
+		// Walk the ring once from head, unlinking cold entries and linking
+		// each survivor to the next, in ring order, in place.
+		var first, last *entry
 		for cur, stop := head, false; !stop; {
-			stop = cur.next == head
+			next := cur.next
+			stop = next == head
 			if cur.count == 0 && s.used > cap {
-				s.used -= int64(len(cur.key) + len(cur.value))
+				s.used -= int64(len(cur.kv))
 				s.entries--
 				s.evictions++
+				s.recycle(cur)
 			} else {
 				cur.count /= 2
-				keep = append(keep, cur)
+				if last == nil {
+					first = cur
+				} else {
+					last.next = cur
+				}
+				last = cur
 			}
-			cur = cur.next
+			cur = next
 		}
-		if len(keep) == 0 {
+		if first == nil {
 			s.heads[b] = nil
 			continue
 		}
-		for i, e := range keep {
-			e.next = keep[(i+1)%len(keep)]
-		}
-		// The walk started at head, so if head survived it is keep[0];
-		// otherwise keep[0] is the next entry in order — either way a
-		// valid ring head.
-		s.heads[b] = keep[0]
+		last.next = first
+		// The walk started at head, so if head survived it is first;
+		// otherwise first is the next entry in order — either way a valid
+		// ring head.
+		s.heads[b] = first
 	}
 }
 
@@ -439,6 +496,7 @@ func (c *Cache) Invalidate(key []byte) {
 	s.invalidations++
 	if e := s.find(bucket, tag, key); e != nil {
 		s.remove(bucket, e)
+		s.recycle(e)
 	}
 	s.mu.Unlock()
 }
@@ -457,7 +515,7 @@ func (s *shard) remove(bucket uint32, e *entry) {
 			s.heads[bucket] = e.next
 		}
 	}
-	s.used -= int64(len(e.key) + len(e.value))
+	s.used -= int64(len(e.kv))
 	s.entries--
 }
 

@@ -182,14 +182,58 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 }
 
-// TestGetReturnsCopy: mutating a returned value must not corrupt the
-// cached copy.
-func TestGetReturnsCopy(t *testing.T) {
-	c := New(1<<20, 1)
-	fill(c, key(1), []byte("abc"))
-	v, _ := c.Get(key(1))
-	v[0] = 'X'
-	if v2, _ := c.Get(key(1)); string(v2) != "abc" {
-		t.Fatalf("cached value mutated: %q", v2)
+// TestLookupViewsNeverChange: Lookup hands out a view of the entry's
+// buffer, not a copy, so nothing the cache does afterwards may write into
+// it — re-filling the key, promoting a negative entry, Invalidate,
+// InvalidateAll, or evicting the entry and reusing its struct for other
+// keys' fills, whose buffers would fit in the old one.
+func TestLookupViewsNeverChange(t *testing.T) {
+	c := New(256, 1) // one small shard: later fills evict everything held
+	type held struct {
+		v    []byte
+		want string
+	}
+	var views []held
+	look := func(k []byte, want string) {
+		t.Helper()
+		v, hit, neg := c.Lookup(k)
+		if !hit || neg || string(v) != want {
+			t.Fatalf("lookup %s: %q hit=%v negative=%v, want %q", k, v, hit, neg, want)
+		}
+		views = append(views, held{v, want})
+	}
+	// Each value is shorter than the one before it, so a cache that wrote
+	// new bytes into an old buffer would find room there.
+	fill(c, key(1), []byte("first-fill"))
+	look(key(1), "first-fill")
+	fill(c, key(1), []byte("refill"))
+	look(key(1), "refill")
+	c.FillNegativeIfUnchanged(key(2), c.BeginRead(key(2)))
+	fill(c, key(2), []byte("promoted")) // negative → positive
+	look(key(2), "promoted")
+	c.Invalidate(key(2))
+	fill(c, key(2), []byte("inv"))
+	look(key(2), "inv")
+	c.InvalidateAll()
+	fill(c, key(3), []byte("after-all"))
+	look(key(3), "after-all")
+	fill(c, key(4), []byte("evicted"))
+	look(key(4), "evicted")
+	before := c.Stats().Evictions
+	for i := 100; i < 2100; i++ {
+		fill(c, key(i), []byte("zz"))
+	}
+	if c.Stats().Evictions == before {
+		t.Fatal("no evictions: the test no longer reuses the held entries")
+	}
+	for _, k := range [][]byte{key(1), key(2), key(3), key(4)} {
+		if _, hit, _ := c.Lookup(k); hit {
+			t.Fatalf("%s still resident: the test no longer evicts what it holds", k)
+		}
+	}
+	for _, h := range views {
+		if string(h.v) != h.want {
+			t.Errorf("a view of %q now reads %q", h.want, h.v)
+		}
 	}
 }

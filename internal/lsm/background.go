@@ -230,7 +230,8 @@ func (s *fileSource) Size() int { return s.size }
 const compactionReadahead = 2 << 20
 
 // readaheadSource serves sequential reads from a sliding prefetched
-// window over an inner source.
+// window over an inner source. A table is written whole, as one extent,
+// so the window is a view of the file's bytes, not a copy of them.
 type readaheadSource struct {
 	inner sstable.Source
 	tr    *trace.Tracer
@@ -240,7 +241,8 @@ type readaheadSource struct {
 
 func (s *readaheadSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, error) {
 	if off >= s.off && off+length <= s.off+len(s.buf) {
-		return s.buf[off-s.off : off-s.off+length], nil
+		end := off - s.off + length
+		return s.buf[off-s.off : end : end], nil
 	}
 	want := compactionReadahead
 	if want < length {
@@ -256,7 +258,7 @@ func (s *readaheadSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, err
 		return nil, err
 	}
 	s.buf, s.off = buf, off
-	return s.buf[:length], nil
+	return s.buf[:length:length], nil
 }
 
 func (s *readaheadSource) Size() int { return s.inner.Size() }

@@ -434,6 +434,8 @@ func (db *DB) rotateMemtableLocked() {
 }
 
 // Get returns the newest value for key; ok is false if absent or deleted.
+// The value is read-only and may alias engine memory. Copy it to modify
+// it, or to keep it past its use, since it pins the buffer it points into.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
 	return db.get(r, key, ^uint64(0))
 }
@@ -535,7 +537,9 @@ func (db *DB) installVersionLocked(nv *version) (dead []*FileMeta) {
 	return db.unpinVersionLocked(old)
 }
 
-// deleteFile removes an obsolete file's bytes and cached blocks.
+// deleteFile removes an obsolete file's bytes and cached blocks. Every SST
+// removal goes through here or evicts the file itself: a cached block is a
+// view of the table's image and would pin all of it past the file.
 func (db *DB) deleteFile(r *vclock.Runner, f *FileMeta) {
 	_ = db.fsys.Remove(r, f.Name())
 	db.cache.EvictFile(f.Num)
@@ -630,8 +634,6 @@ func (db *DB) Stats() Stats {
 		s.VLogSegments = int64(vs.Segments)
 		s.VLogDiscardBytes = vs.DiscardBytes
 		s.VLogPunchedBytes = vs.PunchedBytes
-		s.VLogReadCacheHits = vs.ReadCacheHits
-		s.VLogReadCacheMisses = vs.ReadCacheMisses
 	}
 	return s
 }

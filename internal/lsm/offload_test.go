@@ -254,3 +254,62 @@ func TestOffloadGateRespectsSnapshots(t *testing.T) {
 		t.Fatalf("offloaded %d compactions with a live snapshot", s.OffloadedCompactions)
 	}
 }
+
+// TestBlockCacheHoldsOnlyLiveTables pins the lifetime rule aliasing reads
+// need: a cached block is a view of its table's image, so every removal of
+// a table evicts its blocks. After a compaction-heavy fill whose merges
+// run on the device, with point reads and scans beside them, every file
+// with blocks in the cache is one the current version lists.
+func TestBlockCacheHoldsOnlyLiveTables(t *testing.T) {
+	clk, _, db := offloadEnv(smallOpts(), true)
+	rng := rand.New(rand.NewSource(11))
+	clk.Go("writer", func(r *vclock.Runner) {
+		defer db.Close()
+		read := func(rounds int) {
+			for i := 0; i < 200; i++ {
+				k := fmt.Sprintf("key%03d-%05d", rng.Intn(rounds), rng.Intn(4000))
+				if _, _, err := db.Get(r, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it := db.NewIterator(r) // a scan reads ahead into the cache
+			for it.SeekToFirst(); it.Valid(); it.Next() {
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+		}
+		for round := 0; round < 12; round++ {
+			offloadRound(r, t, db, rng, round)
+			if err := db.Flush(r); err != nil {
+				t.Fatal(err)
+			}
+			read(round + 1) // beside the compactions the flush set off
+		}
+		db.WaitIdle(r)
+		read(12)
+	})
+	clk.Wait()
+	if db.Stats().OffloadedCompactions == 0 {
+		t.Fatal("no merge ran on the device")
+	}
+	live := map[uint64]bool{}
+	for _, files := range db.vers.levels {
+		for _, f := range files {
+			live[f.Num] = true
+		}
+	}
+	cached := db.cache.Files()
+	if len(cached) == 0 {
+		t.Fatal("nothing cached: the test reads no blocks")
+	}
+	for _, num := range cached {
+		if !live[num] {
+			t.Errorf("the block cache holds blocks of %s, which no version lists", SSTName(num))
+		}
+	}
+	if !t.Failed() && db.Stats().BlockCacheEvictions == 0 {
+		t.Fatal("no cached table was ever removed: the test no longer checks the rule")
+	}
+}

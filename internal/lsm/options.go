@@ -156,11 +156,6 @@ type Options struct {
 	// DisableVLogGC keeps the garbage collector parked — for tests that
 	// drive GC deterministically via CollectVLogGarbage.
 	DisableVLogGC bool
-	// VLogReadCacheBytes bounds an LRU over hot value-log frames so
-	// repeated dereferences of the same pointer skip the device. Only
-	// meaningful with ValueThreshold > 0; negative disables the cache
-	// explicitly (0 keeps the default when separation is on).
-	VLogReadCacheBytes int64
 
 	// WALChunkSize and WALQueueDepth tune write-ahead-log write-back.
 	WALChunkSize  int
@@ -328,12 +323,6 @@ func (o *Options) sanitize() {
 	}
 	if o.VLogGCDiscardRatio <= 0 || o.VLogGCDiscardRatio > 1 {
 		o.VLogGCDiscardRatio = 0.5
-	}
-	if o.VLogReadCacheBytes == 0 {
-		o.VLogReadCacheBytes = 8 << 20
-	}
-	if o.VLogReadCacheBytes < 0 {
-		o.VLogReadCacheBytes = 0
 	}
 	if o.WALChunkSize <= 0 {
 		o.WALChunkSize = 64 << 10

@@ -63,15 +63,17 @@ type Stats struct {
 	// gets and iterator values); the GC's liveness probes do not count.
 	VLogDerefs int64
 
-	// Block-cache and vlog-read-cache counters, folded in by Stats()
-	// from the live caches.
+	// Block-cache counters, folded in by Stats() from the live cache.
 	BlockCacheHits      int64
 	BlockCacheMisses    int64
 	BlockCacheEvictions int64
 	// ReadaheadBlocks counts data blocks inserted by scan readahead: a
 	// sequential iterator walk prefetches upcoming blocks in one
 	// contiguous device read instead of per-block demand misses.
-	ReadaheadBlocks     int64
+	ReadaheadBlocks int64
+	// VLogReadCacheHits and VLogReadCacheMisses always read 0: the value
+	// log has no read cache any more. They stay only because the
+	// benchmark's per-layer table still reads them (bench/layers.go:191).
 	VLogReadCacheHits   int64
 	VLogReadCacheMisses int64
 
@@ -266,8 +268,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.BlockCacheMisses += o.BlockCacheMisses
 	s.BlockCacheEvictions += o.BlockCacheEvictions
 	s.ReadaheadBlocks += o.ReadaheadBlocks
-	s.VLogReadCacheHits += o.VLogReadCacheHits
-	s.VLogReadCacheMisses += o.VLogReadCacheMisses
 	s.Slowdowns += o.Slowdowns
 	for i := range s.StallEvents {
 		s.StallEvents[i] += o.StallEvents[i]

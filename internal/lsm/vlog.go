@@ -28,12 +28,11 @@ const vlogGCBatch = 32
 
 func (db *DB) vlogOptions() vlog.Options {
 	return vlog.Options{
-		SegmentSize:    db.opt.VLogSegmentSize,
-		ChunkSize:      db.opt.WALChunkSize,
-		QueueDepth:     db.opt.WALQueueDepth,
-		CPU:            db.opt.CPU,
-		AppendCPU:      db.opt.Cost.WALAppendCPU,
-		ReadCacheBytes: db.opt.VLogReadCacheBytes,
+		SegmentSize: db.opt.VLogSegmentSize,
+		ChunkSize:   db.opt.WALChunkSize,
+		QueueDepth:  db.opt.WALQueueDepth,
+		CPU:         db.opt.CPU,
+		AppendCPU:   db.opt.Cost.WALAppendCPU,
 	}
 }
 
@@ -70,7 +69,8 @@ func (db *DB) separateOps(r *vclock.Runner, w *groupWriter) error {
 				db.discardSeparated(w.ops[:i])
 				return err
 			}
-			op.kind, op.value = memtable.KindValuePtr, encoding.AppendValuePointer(nil, ptr)
+			enc := encoding.AppendValuePointer(make([]byte, 0, encoding.ValuePointerSize), ptr)
+			op.kind, op.value = memtable.KindValuePtr, enc
 			moved++
 		}
 		w.bytes += len(op.key) + len(op.value) + 16

@@ -129,12 +129,13 @@ func (res *MergeResult) OutputBytes() int64 {
 // time it charges separately; host tests use it for fixtures.
 type ByteSource []byte
 
-// ReadAt returns the requested slice without spending device time.
+// ReadAt returns the requested slice, capacity clipped, without spending
+// device time.
 func (s ByteSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, error) {
 	if off < 0 || length < 0 || off+length > len(s) {
 		return nil, fmt.Errorf("offload: read [%d,%d) out of bounds (size %d)", off, off+length, len(s))
 	}
-	return s[off : off+length], nil
+	return s[off : off+length : off+length], nil
 }
 
 // Size returns the image length.

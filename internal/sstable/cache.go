@@ -139,6 +139,23 @@ func (c *BlockCache) EvictFile(file uint64) {
 	}
 }
 
+// Files returns the distinct file numbers with blocks resident, in no
+// particular order. A cached block is a view of its table's image, so each
+// should name a live table: one removed without EvictFile stays pinned.
+func (c *BlockCache) Files() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := map[uint64]bool{}
+	var files []uint64
+	for k := range c.items {
+		if !seen[k.file] {
+			seen[k.file] = true
+			files = append(files, k.file)
+		}
+	}
+	return files
+}
+
 // Stats returns a snapshot of the cache's counters and occupancy.
 func (c *BlockCache) Stats() CacheStats {
 	c.mu.Lock()

@@ -197,9 +197,10 @@ type indexEntry struct {
 
 // Reader serves point and range reads from one table. The index and bloom
 // filter are pinned in memory at open (as RocksDB pins them by default);
-// data blocks go through the optional shared BlockCache. The index's keys
-// and the filter alias the bytes the Source returned for them, so a Source
-// must not overwrite what it has handed out.
+// data blocks go through the optional shared BlockCache. The index's keys,
+// the filter, cached blocks and the values Get returns alias the bytes the
+// Source returned for them, so a Source must not overwrite what it has
+// handed out.
 type Reader struct {
 	src     Source
 	fileID  uint64
@@ -385,12 +386,14 @@ func (rd *Reader) prefetch(r *vclock.Runner, from, count int) int {
 	if err != nil {
 		return 0 // readahead is best-effort; demand reads will surface the error
 	}
+	// Each block is cached as a clipped view of the span: a Source never
+	// overwrites what it has handed out.
 	inserted := 0
 	for i := from; i < from+count; i++ {
 		e := rd.index[i]
 		rel := int(e.off) - int(first.off)
-		blk := append([]byte(nil), buf[rel:rel+int(e.length)]...)
-		rd.cache.PutReadahead(rd.fileID, e.off, blk)
+		end := rel + int(e.length)
+		rd.cache.PutReadahead(rd.fileID, e.off, buf[rel:end:end])
 		inserted++
 	}
 	return inserted
@@ -404,7 +407,9 @@ type record struct {
 	kind  memtable.Kind
 }
 
-// decodeNext decodes one record from the front of b.
+// decodeNext decodes one record from the front of b. Key and value are
+// views of b with their capacity clipped, so appending to one cannot
+// overwrite the next record of a cached block.
 func decodeNext(b []byte) (rec record, rest []byte, err error) {
 	klen, b, err := encoding.Uvarint(b)
 	if err != nil {
@@ -427,9 +432,10 @@ func decodeNext(b []byte) (rec record, rest []byte, err error) {
 	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen {
 		return rec, nil, ErrCorrupt
 	}
-	rec.key = b[:klen]
-	rec.value = b[klen : klen+vlen]
-	return rec, b[klen+vlen:], nil
+	end := klen + vlen
+	rec.key = b[:klen:klen]
+	rec.value = b[klen:end:end]
+	return rec, b[end:], nil
 }
 
 // Probe reports what one table lookup did, so the read pipeline can
@@ -449,7 +455,8 @@ func (rd *Reader) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable
 }
 
 // GetAt returns the newest record for key with seq <= maxSeq (snapshot
-// reads); maxSeq of ^uint64(0) degenerates to Get.
+// reads); maxSeq of ^uint64(0) degenerates to Get. The value is a
+// read-only view of the block that holds it, which pins the block.
 func (rd *Reader) GetAt(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, kind memtable.Kind, found bool, err error) {
 	value, kind, found, _, err = rd.GetAtProbe(r, key, maxSeq)
 	return value, kind, found, err
@@ -498,7 +505,7 @@ func (rd *Reader) getFrom(r *vclock.Runner, key []byte, maxSeq uint64) (value []
 				// Records within a key are newest-first; take the first
 				// visible one.
 				if rec.seq <= maxSeq {
-					return append([]byte(nil), rec.value...), rec.kind, true, nil
+					return rec.value, rec.kind, true, nil
 				}
 			} else if c > 0 {
 				return nil, 0, false, nil

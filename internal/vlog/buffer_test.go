@@ -12,6 +12,10 @@ import (
 	"kvaccel/internal/vclock"
 )
 
+// raceEnabled is set by race_test.go when the race detector is on: its
+// instrumentation allocates, so allocation counts mean nothing.
+var raceEnabled bool
+
 // benchOptions is the benchmark testbed's value log: 6.4 MB segments
 // written back in 256 KiB chunks.
 var benchOptions = Options{SegmentSize: 6400 << 10, ChunkSize: 256 << 10, QueueDepth: 512}
@@ -76,6 +80,62 @@ func BenchmarkAppend(b *testing.B) {
 					return
 				}
 				m.Punch(r, ptr.Seg-8)
+			}
+		}
+	})
+	clk.Wait()
+}
+
+// TestAllocsReadValue: a frame is parsed where it lies — in the head
+// segment's buffer, or in the file system's view of a durable segment —
+// and the value handed out is a view of it, so a dereference allocates
+// nothing on either path.
+func TestAllocsReadValue(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	clk := vclock.New()
+	fsys := fs.New(&slowDev{pageSize: 4096, pages: 1 << 16})
+	m := Open(clk, fsys, benchOptions)
+	clk.Go("reader", func(r *vclock.Runner) {
+		defer m.Close()
+		key, value := []byte("key-000000000000"), make([]byte, 4096)
+		// Two segments and a bit: the first two are sealed and written back,
+		// the third is the head.
+		var durable, head encoding.ValuePointer
+		for i := 0; i < 2*int(benchOptions.SegmentSize)/len(value)+8; i++ {
+			ptr, err := m.Append(r, key, value)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i == 0 {
+				durable = ptr
+			}
+			head = ptr
+		}
+		if err := m.Sync(r); err != nil {
+			t.Error(err)
+			return
+		}
+		m.mu.Lock()
+		paths := m.segs[durable.Seg].mem == nil && m.segs[head.Seg].mem != nil
+		m.mu.Unlock()
+		if !paths {
+			t.Fatal("the pointers no longer cover both the file and the head buffer")
+		}
+		for _, tc := range []struct {
+			name string
+			ptr  encoding.ValuePointer
+		}{{"durable", durable}, {"head", head}} {
+			read := func() {
+				if v, err := m.ReadValue(r, tc.ptr, key); err != nil || len(v) != len(value) {
+					t.Fatalf("%s read: %d bytes, %v", tc.name, len(v), err)
+				}
+			}
+			read() // the first read of a durable page pays the device
+			if n := testing.AllocsPerRun(100, read); n != 0 {
+				t.Errorf("%v allocations per ReadValue from the %s segment, want 0", n, tc.name)
 			}
 		}
 	})

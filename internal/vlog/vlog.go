@@ -33,7 +33,6 @@ import (
 	"kvaccel/internal/cpu"
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/fs"
-	"kvaccel/internal/sstable"
 	"kvaccel/internal/vclock"
 )
 
@@ -81,10 +80,6 @@ type Options struct {
 	// buffer copy), as in the WAL.
 	CPU       *cpu.Pool
 	AppendCPU time.Duration
-	// ReadCacheBytes bounds an LRU over dereferenced frames of durable
-	// (fully written-back) segments, so hot-key reads skip the device the
-	// way a kernel page cache would. 0 disables the cache.
-	ReadCacheBytes int64
 }
 
 func (o *Options) sanitize() {
@@ -125,10 +120,6 @@ type Stats struct {
 	BytesWritten  int64 // bytes acked by device write-back
 	DiscardBytes  int64 // cumulative dead bytes reported by compaction
 	PunchedBytes  int64 // cumulative bytes reclaimed by segment punch
-	// Read-cache counters (all zero when ReadCacheBytes is 0).
-	ReadCacheHits      int64
-	ReadCacheMisses    int64
-	ReadCacheEvictions int64
 }
 
 // Entry is one decoded record, as surfaced to GC.
@@ -140,10 +131,11 @@ type Entry struct {
 
 type segment struct {
 	id      uint32
-	size    int64 // logical bytes appended
-	queued  int64 // bytes handed to the writeback queue
-	flushed int64 // bytes acked by fs.Append
-	discard int64 // dead bytes reported by compaction
+	name    string // the segment's file name, computed once
+	size    int64  // logical bytes appended
+	queued  int64  // bytes handed to the writeback queue
+	flushed int64  // bytes acked by fs.Append
+	discard int64  // dead bytes reported by compaction
 	sealed  bool
 	dead    bool // fully collected, awaiting punch; never a GC candidate again
 	// mem is the segment's one buffer. Bytes below queued belong to the
@@ -153,7 +145,7 @@ type segment struct {
 }
 
 type wbChunk struct {
-	seg  uint32
+	seg  *segment
 	data []byte
 }
 
@@ -177,10 +169,6 @@ type Manager struct {
 	discardTotal  int64
 	punchedBytes  int64
 
-	// rcache holds dereferenced frames of durable segments, keyed by
-	// (segment, offset). Nil when Options.ReadCacheBytes is 0.
-	rcache *sstable.BlockCache
-
 	// Write-back lane: chunks must enter the queue in offset order or the
 	// segment file ends up permuted against the pointers handed out, but
 	// Push can park, so it runs outside m.mu. A caller that cuts chunks
@@ -197,9 +185,6 @@ type Manager struct {
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 	opt.sanitize()
 	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
-	if opt.ReadCacheBytes > 0 {
-		m.rcache = sstable.NewBlockCache(opt.ReadCacheBytes)
-	}
 	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
 	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
@@ -216,9 +201,6 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Options, ms ManifestState) (*Manager, error) {
 	opt.sanitize()
 	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
-	if opt.ReadCacheBytes > 0 {
-		m.rcache = sstable.NewBlockCache(opt.ReadCacheBytes)
-	}
 	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
 	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
@@ -250,7 +232,7 @@ func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Optio
 		if d > valid {
 			d = valid
 		}
-		m.segs[id] = &segment{id: id, size: valid, queued: valid, flushed: valid, discard: d, sealed: true}
+		m.segs[id] = &segment{id: id, name: name, size: valid, queued: valid, flushed: valid, discard: d, sealed: true}
 		m.discardTotal += d
 		if id >= m.nextSeg {
 			m.nextSeg = id + 1
@@ -306,7 +288,8 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 		// Room for every frame up to the one that seals the segment, taken
 		// to be no larger than this one. make clears nothing in memory
 		// fresh from the OS, so pages the segment never fills stay unmapped.
-		m.head = &segment{id: m.nextSeg, mem: make([]byte, 0, int(m.opt.SegmentSize)+frameHeaderSize+payloadLen)}
+		m.head = &segment{id: m.nextSeg, name: SegmentName(m.nextSeg),
+			mem: make([]byte, 0, int(m.opt.SegmentSize)+frameHeaderSize+payloadLen)}
 		m.segs[m.head.id] = m.head
 		m.nextSeg++
 	}
@@ -347,7 +330,7 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 // Its capacity is clipped: the file system will own it, and the records
 // appended behind it must stay out of its reach.
 func (m *Manager) cutLocked(seg *segment) wbChunk {
-	c := wbChunk{seg: seg.id, data: seg.mem[seg.queued:seg.size:seg.size]}
+	c := wbChunk{seg: seg, data: seg.mem[seg.queued:seg.size:seg.size]}
 	seg.queued = seg.size
 	m.pending++
 	return c
@@ -391,9 +374,12 @@ func (m *Manager) Sync(r *vclock.Runner) error {
 
 // ReadValue dereferences key's pointer, returning the record's value
 // bytes. Bytes not yet written back are served from the segment's
-// in-memory copy; durable bytes read through the file system (and its
+// in-memory buffer; durable bytes read through the file system (and its
 // page cache). A frame that checks out but carries another key is
 // ErrCorrupt: a misplaced record must never read back as key's value.
+//
+// The value is a read-only view of the segment's buffer, which it pins;
+// nothing ever writes a frame's bytes after Append returns its pointer.
 func (m *Manager) ReadValue(r *vclock.Runner, ptr encoding.ValuePointer, key []byte) ([]byte, error) {
 	k, v, err := m.readRecord(r, ptr)
 	if err != nil {
@@ -405,7 +391,9 @@ func (m *Manager) ReadValue(r *vclock.Runner, ptr encoding.ValuePointer, key []b
 	return v, nil
 }
 
-// readRecord dereferences ptr into its (key, value) pair.
+// readRecord dereferences ptr into its (key, value) pair, parsed in place:
+// the frame is a view of the segment's buffer while the log still holds
+// it, else the file system's view of the segment file.
 func (m *Manager) readRecord(r *vclock.Runner, ptr encoding.ValuePointer) (key, value []byte, err error) {
 	m.mu.Lock()
 	seg, ok := m.segs[ptr.Seg]
@@ -413,36 +401,27 @@ func (m *Manager) readRecord(r *vclock.Runner, ptr encoding.ValuePointer) (key, 
 		m.mu.Unlock()
 		return nil, nil, ErrSegmentGone
 	}
-	if int64(ptr.Off)+int64(ptr.Len) > seg.size || ptr.Len < frameHeaderSize {
+	end := int64(ptr.Off) + int64(ptr.Len)
+	if end > seg.size || ptr.Len < frameHeaderSize {
 		m.mu.Unlock()
 		return nil, nil, fmt.Errorf("vlog: pointer %d:%d+%d out of range: %w", ptr.Seg, ptr.Off, ptr.Len, encoding.ErrCorrupt)
 	}
-	var frame []byte
 	if seg.mem != nil {
-		frame = append([]byte(nil), seg.mem[ptr.Off:int64(ptr.Off)+int64(ptr.Len)]...)
+		frame := seg.mem[ptr.Off:end:end]
 		m.mu.Unlock()
-	} else {
-		m.mu.Unlock()
-		// Durable path: try the read cache before paying device time.
-		// In-memory (head) reads above are already free and stay uncached
-		// so the cache holds only frames that would otherwise hit NAND.
-		if m.rcache != nil {
-			if f, ok := m.rcache.Get(uint64(ptr.Seg), ptr.Off); ok {
-				return parseFrame(f)
-			}
-		}
-		frame, err = m.fsys.ReadAt(r, SegmentName(ptr.Seg), int(ptr.Off), int(ptr.Len))
-		if err != nil {
-			return nil, nil, err
-		}
-		if m.rcache != nil {
-			m.rcache.Put(uint64(ptr.Seg), ptr.Off, frame)
-		}
+		return parseFrame(frame)
+	}
+	name := seg.name
+	m.mu.Unlock()
+	frame, err := m.fsys.ReadAt(r, name, int(ptr.Off), int(ptr.Len))
+	if err != nil {
+		return nil, nil, err
 	}
 	return parseFrame(frame)
 }
 
-// parseFrame validates one framed record and splits its payload.
+// parseFrame validates one framed record and splits its payload into
+// capacity-clipped views of frame.
 func parseFrame(frame []byte) (key, value []byte, err error) {
 	if len(frame) < frameHeaderSize {
 		return nil, nil, encoding.ErrCorrupt
@@ -459,12 +438,12 @@ func parseFrame(frame []byte) (key, value []byte, err error) {
 	if err != nil || uint64(len(rest)) < klen {
 		return nil, nil, encoding.ErrCorrupt
 	}
-	return rest[:klen], rest[klen:], nil
+	return rest[:klen:klen], rest[klen:len(rest):len(rest)], nil
 }
 
 // SegmentEntries decodes every record of a live segment, oldest first —
 // the GC's sequential segment read; r pays the device read time for
-// durable bytes.
+// durable bytes. Keys and values are read-only, as ReadValue's are.
 func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
 	m.mu.Lock()
 	seg, ok := m.segs[id]
@@ -475,12 +454,12 @@ func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
 	size := seg.size
 	var data []byte
 	if seg.mem != nil {
-		data = append([]byte(nil), seg.mem[:size]...)
+		data = seg.mem[:size:size]
 		m.mu.Unlock()
 	} else {
 		m.mu.Unlock()
 		var err error
-		data, err = m.fsys.ReadAt(r, SegmentName(id), 0, int(size))
+		data, err = m.fsys.ReadAt(r, seg.name, 0, int(size))
 		if err != nil {
 			return nil, err
 		}
@@ -502,8 +481,8 @@ func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
 			return nil, fmt.Errorf("vlog: segment %d record at %d: %w", id, off, err)
 		}
 		out = append(out, Entry{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
+			Key:   k,
+			Value: v,
 			Ptr:   encoding.ValuePointer{Seg: id, Off: uint32(off), Len: uint32(frameEnd - off)},
 		})
 		off = frameEnd
@@ -591,11 +570,8 @@ func (m *Manager) Punch(r *vclock.Runner, id uint32) int64 {
 	delete(m.segs, id)
 	m.punchedBytes += seg.size
 	m.mu.Unlock()
-	if m.rcache != nil {
-		m.rcache.EvictFile(uint64(id))
-	}
-	if m.fsys.Exists(SegmentName(id)) {
-		_ = m.fsys.Remove(r, SegmentName(id))
+	if m.fsys.Exists(seg.name) {
+		_ = m.fsys.Remove(r, seg.name)
 	}
 	return seg.size
 }
@@ -624,10 +600,6 @@ func (m *Manager) Stats() Stats {
 		BytesWritten:  m.bytesWritten,
 		DiscardBytes:  m.discardTotal,
 		PunchedBytes:  m.punchedBytes,
-	}
-	if m.rcache != nil {
-		cs := m.rcache.Stats()
-		s.ReadCacheHits, s.ReadCacheMisses, s.ReadCacheEvictions = cs.Hits, cs.Misses, cs.Evictions
 	}
 	first := true
 	for id := range m.segs {
@@ -673,16 +645,16 @@ func (m *Manager) writeback(r *vclock.Runner) {
 		// Take consecutive same-segment chunks into one large append, as
 		// the kernel's writeback path batches dirty pages.
 		for ok {
-			segID := chunk.seg
+			seg := chunk.seg
 			chunks = append(chunks[:0], chunk.data)
 			for {
 				chunk, ok = m.queue.TryPop()
-				if !ok || chunk.seg != segID {
+				if !ok || chunk.seg != seg {
 					break
 				}
 				chunks = append(chunks, chunk.data)
 			}
-			m.flushBatch(r, segID, chunks)
+			m.flushBatch(r, seg, chunks)
 			clear(chunks) // do not pin the segment's buffer past its file
 		}
 	}
@@ -692,18 +664,18 @@ func (m *Manager) writeback(r *vclock.Runner) {
 // write — the file system takes them as they are, so the segment's buffer
 // becomes its file — and acks the flushed watermark. A failed append
 // leaves a hole, so the error is sticky, as in the WAL.
-func (m *Manager) flushBatch(r *vclock.Runner, segID uint32, chunks [][]byte) {
+func (m *Manager) flushBatch(r *vclock.Runner, seg *segment, chunks [][]byte) {
 	var total int64
 	for _, c := range chunks {
 		total += int64(len(c))
 	}
-	err := m.fsys.Append(r, SegmentName(segID), chunks...)
+	err := m.fsys.Append(r, seg.name, chunks...)
 	m.mu.Lock()
 	if err != nil && m.werr == nil {
 		m.werr = err
 	}
 	m.bytesWritten += total
-	if seg, ok := m.segs[segID]; ok && err == nil {
+	if m.segs[seg.id] == seg && err == nil {
 		seg.flushed += total
 		if seg.sealed && seg.flushed >= seg.size {
 			seg.mem = nil // fully durable: reads go through the fs page cache

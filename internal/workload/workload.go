@@ -30,6 +30,9 @@ type Iterator interface {
 type Engine interface {
 	Put(r *vclock.Runner, key, value []byte) error
 	Delete(r *vclock.Runner, key []byte) error
+	// Get's value is read-only and may alias engine memory. Copy it to
+	// modify it, or to keep it past its use, since it pins the buffer it
+	// points into.
 	Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error)
 	NewIterator(r *vclock.Runner) Iterator
 	Flush(r *vclock.Runner)

@@ -176,6 +176,8 @@ func (db *DB) Put(r *Runner, key, value []byte) error { return db.kv.Put(r, key,
 func (db *DB) Delete(r *Runner, key []byte) error { return db.kv.Delete(r, key) }
 
 // Get returns the newest value for key; ok is false if absent.
+// The value is read-only and may alias engine memory. Copy it to modify
+// it, or to keep it past its use, since it pins the buffer it points into.
 func (db *DB) Get(r *Runner, key []byte) (value []byte, ok bool, err error) {
 	return db.kv.Get(r, key)
 }

@@ -156,6 +156,8 @@ func (db *ShardedDB) Delete(r *Runner, key []byte) error {
 }
 
 // Get returns the newest value for key from the owning shard.
+// The value is read-only and may alias engine memory. Copy it to modify
+// it, or to keep it past its use, since it pins the buffer it points into.
 func (db *ShardedDB) Get(r *Runner, key []byte) (value []byte, ok bool, err error) {
 	return db.shard(key).Get(r, key)
 }
