@@ -467,7 +467,9 @@ func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (re
 	// guarantee for this key now follows the normal-path regime.
 	db.front.Invalidate(key)
 	if db.meta.Remove(key) {
+		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "supersede-put")
 		_ = db.devPut(r, memtable.KindSupersede, key, nil)
+		rsp.End(r)
 	}
 	db.normalPuts.Add(1)
 	return false, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"hash/maphash"
 	"sync"
+	"unsafe"
 )
 
 // MetadataManager is the in-memory hash table that tracks which keys'
@@ -16,14 +17,30 @@ import (
 // The table lives in volatile host memory: on a crash it is lost, and
 // recovery rebuilds the database state by rolling back every key-value
 // pair in the KV interface (§VI-D).
+//
+// Keys are copied, because callers reuse their key buffers, into a
+// per-shard append-only arena of metaArenaChunk-byte chunks, and the map
+// holds string views of the copies. Removing a key does not free its
+// bytes: a shard retains at most the bytes of every key inserted since
+// its map was last empty, plus one partly used chunk. A rollback removes
+// every key it merged, so between rollbacks that is bounded by the keys
+// the Dev-LSM buffers; a shard whose map empties, and every shard on
+// Clear, drops its arena.
 type MetadataManager struct {
 	seed   maphash.Seed
 	shards []metaShard
 }
 
+// metaArenaChunk is the size of one arena allocation: a 16-byte key costs
+// 1/1024 of an allocation, a fraction of what the map's own growth costs
+// per insert. A key longer than a quarter chunk gets an allocation of its
+// own.
+const metaArenaChunk = 16 << 10
+
 type metaShard struct {
-	mu   sync.RWMutex
-	keys map[string]struct{}
+	mu    sync.RWMutex
+	keys  map[string]struct{}
+	arena []byte // the chunk new keys are copied into; never written behind len
 }
 
 // NewMetadataManager returns a manager with the given shard count
@@ -44,11 +61,35 @@ func (m *MetadataManager) shard(key []byte) *metaShard {
 	return &m.shards[h%uint64(len(m.shards))]
 }
 
-// Insert records that key's newest version is in the Dev-LSM.
+// copyKey returns a string holding a copy of key that nothing writes
+// again. Called with s.mu held.
+func (s *metaShard) copyKey(key []byte) string {
+	if len(key) == 0 {
+		return ""
+	}
+	var dst []byte
+	if len(key) > metaArenaChunk/4 {
+		dst = make([]byte, len(key))
+	} else {
+		if cap(s.arena)-len(s.arena) < len(key) {
+			s.arena = make([]byte, 0, metaArenaChunk)
+		}
+		n := len(s.arena)
+		s.arena = s.arena[:n+len(key)]
+		dst = s.arena[n:]
+	}
+	copy(dst, key)
+	return unsafe.String(unsafe.SliceData(dst), len(dst))
+}
+
+// Insert records that key's newest version is in the Dev-LSM. A key
+// already present costs a lookup and no allocation.
 func (m *MetadataManager) Insert(key []byte) {
 	s := m.shard(key)
 	s.mu.Lock()
-	s.keys[string(key)] = struct{}{}
+	if _, ok := s.keys[string(key)]; !ok {
+		s.keys[s.copyKey(key)] = struct{}{}
+	}
 	s.mu.Unlock()
 }
 
@@ -69,6 +110,9 @@ func (m *MetadataManager) Remove(key []byte) bool {
 	_, ok := s.keys[string(key)]
 	if ok {
 		delete(s.keys, string(key))
+		if len(s.keys) == 0 {
+			s.arena = nil // no view of it is left; its chunks become garbage
+		}
 	}
 	s.mu.Unlock()
 	return ok
@@ -92,6 +136,7 @@ func (m *MetadataManager) Clear() {
 		s := &m.shards[i]
 		s.mu.Lock()
 		s.keys = make(map[string]struct{})
+		s.arena = nil
 		s.mu.Unlock()
 	}
 }

@@ -95,7 +95,10 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	db.gate.Release(gateUnits)
 
 	start := r.Now()
-	var merged [][]byte
+	// The keys merged, back to back in one arena: key i is
+	// merged[ends[i-1]:ends[i]].
+	var merged []byte
+	var ends []int
 	// One batch for the whole rollback, Reset after every merge: its arena
 	// grows once, to the largest merge, and goes when the rollback returns.
 	var b lsm.Batch
@@ -127,7 +130,8 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 			if b.Len() >= rollbackMergeBatch {
 				flush()
 			}
-			merged = append(merged, append([]byte(nil), e.Key...))
+			merged = append(merged, e.Key...)
+			ends = append(ends, len(merged))
 			pairs++
 		}
 		flush()
@@ -148,8 +152,10 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	if err := db.devReset(r); err != nil {
 		return err
 	}
-	for _, k := range merged {
-		db.meta.Remove(k)
+	from := 0
+	for _, to := range ends {
+		db.meta.Remove(merged[from:to])
+		from = to
 	}
 	db.rollbacks.Add(1)
 	db.rollbackPairs.Add(pairs)

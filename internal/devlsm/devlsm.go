@@ -96,7 +96,8 @@ type Stats struct {
 	BytesIn     int64
 }
 
-// pageMeta describes one page-aligned slab of encoded records.
+// pageMeta describes one page-aligned slab of encoded records. firstKey
+// and lpns are capacity-clipped views of the run's data and LPN list.
 type pageMeta struct {
 	firstKey []byte
 	off      int // into run.data
@@ -104,7 +105,9 @@ type pageMeta struct {
 	lpns     []int // usually one; oversized records span several
 }
 
-// run is one immutable sorted run on the KV region.
+// run is one immutable sorted run on the KV region: nothing writes into
+// its buffers once buildRun returns, so the keys and values Get and the
+// iterators hand out are views of data.
 type run struct {
 	pages    []pageMeta
 	data     []byte
@@ -126,7 +129,7 @@ type DevLSM struct {
 
 	mu       sync.Mutex
 	mem      *memtable.Table
-	runs     []*run // oldest first
+	runs     []*run // oldest first; only ever appended to or replaced
 	seq      uint64
 	freeLPNs []int
 	entries  int64
@@ -209,14 +212,14 @@ func (d *DevLSM) Bytes() int64 {
 // Empty reports whether the Dev-LSM holds no data.
 func (d *DevLSM) Empty() bool { return d.Count() == 0 }
 
-func (d *DevLSM) allocLocked(n int) []int {
+// allocLocked moves n free LPNs onto the end of dst.
+func (d *DevLSM) allocLocked(dst []int, n int) []int {
 	if n > len(d.freeLPNs) {
 		panic(fmt.Sprintf("devlsm: KV region out of space: need %d pages, have %d", n, len(d.freeLPNs)))
 	}
-	lpns := make([]int, n)
-	copy(lpns, d.freeLPNs[len(d.freeLPNs)-n:])
+	dst = append(dst, d.freeLPNs[len(d.freeLPNs)-n:]...)
 	d.freeLPNs = d.freeLPNs[:len(d.freeLPNs)-n]
-	return lpns
+	return dst
 }
 
 // Put buffers one record (value may be nil with kind KindDelete for
@@ -248,8 +251,9 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 	d.arm.Run(r, d.cfg.GetCPU)
 	d.mu.Lock()
 	d.stats.Gets++
-	mem := d.mem
-	runs := append([]*run(nil), d.runs...)
+	// d.runs is only ever appended to or replaced, never written in
+	// place, so the header taken here is a stable snapshot.
+	mem, runs := d.mem, d.runs
 	d.mu.Unlock()
 
 	if v, k, ok := mem.Get(key); ok {
@@ -366,57 +370,44 @@ func (d *DevLSM) Flush(r *vclock.Runner) error {
 	return err
 }
 
-// buildRun packs an iterator's records into page-aligned slabs, returning
-// the run and the LPNs it occupies (already allocated). sizeHint is the
-// caller's upper estimate of the run's bytes; the data buffer is allocated
-// at that size when the first page is packed.
+// buildRun packs an iterator's records into page-aligned slabs, encoding
+// each straight into the run's data buffer, and returns the run and the
+// LPNs it occupies (already allocated, page by page, as each page
+// closes). sizeHint is the caller's upper estimate of the run's bytes;
+// the data buffer, and the page and LPN lists at its page count, are
+// allocated with the first record.
 func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (*run, []int) {
 	pageSize := d.f.PageSize()
 	ru := &run{}
 	var all []int
-	var page []byte
-	var pageFirst []byte
-	var pageLPNs int
+	pageOff, lastOff := 0, 0 // where the open page and the last record start in ru.data
 
-	flushPage := func() {
-		if len(page) == 0 {
+	closePage := func() {
+		length := len(ru.data) - pageOff
+		if length == 0 {
 			return
 		}
-		n := (len(page) + pageSize - 1) / pageSize
 		d.mu.Lock()
-		lpns := d.allocLocked(n)
+		all = d.allocLocked(all, (length+pageSize-1)/pageSize)
 		d.mu.Unlock()
-		ru.pages = append(ru.pages, pageMeta{
-			firstKey: append([]byte(nil), pageFirst...),
-			off:      len(ru.data),
-			length:   len(page),
-			lpns:     lpns,
-		})
-		if ru.data == nil {
-			ru.data = make([]byte, 0, sizeHint)
-		}
-		ru.data = append(ru.data, page...)
-		all = append(all, lpns...)
-		page = page[:0]
-		pageLPNs = 0
+		ru.pages = append(ru.pages, pageMeta{off: pageOff, length: length})
+		pageOff = len(ru.data)
 	}
-	_ = pageLPNs
 
 	cpuPending := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		e := it.Entry()
 		recLen := encoding.RecordSize(len(e.Key), len(e.Value)) + 9
-		if len(page) > 0 && len(page)+recLen > pageSize {
-			flushPage()
+		if len(ru.data) > pageOff && len(ru.data)-pageOff+recLen > pageSize {
+			closePage()
 		}
-		if len(page) == 0 {
-			pageFirst = append(pageFirst[:0], e.Key...)
+		if ru.data == nil {
+			ru.data = make([]byte, 0, max(sizeHint, recLen))
+			all = make([]int, 0, sizeHint/pageSize+1)
+			ru.pages = make([]pageMeta, 0, sizeHint/pageSize+1)
 		}
-		page = appendRecord(page, e)
-		if ru.count == 0 {
-			ru.smallest = append([]byte(nil), e.Key...)
-		}
-		ru.largest = append(ru.largest[:0], e.Key...)
+		lastOff = len(ru.data)
+		ru.data = appendRecord(ru.data, e)
 		ru.count++
 		cpuPending += recLen
 		if cpuPending >= 64<<10 {
@@ -425,11 +416,31 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 		}
 	}
 	d.chargeScanCPU(r, cpuPending)
-	flushPage()
+	closePage()
 	if ru.count == 0 {
 		return nil, nil
 	}
+	// The views go in last: ru.data and all may have moved as they grew.
+	next := 0
+	for i := range ru.pages {
+		pm := &ru.pages[i]
+		pm.firstKey = recordKey(ru.data[pm.off:])
+		n := (pm.length + pageSize - 1) / pageSize
+		pm.lpns = all[next : next+n : next+n]
+		next += n
+	}
+	ru.smallest = ru.pages[0].firstKey
+	ru.largest = recordKey(ru.data[lastOff:])
 	return ru, all
+}
+
+// recordKey returns a clipped view of the key of the record b starts with.
+func recordKey(b []byte) []byte {
+	e, _, err := decodeRecord(b)
+	if err != nil {
+		panic("devlsm: corrupt run page: " + err.Error())
+	}
+	return e.Key
 }
 
 func (d *DevLSM) chargeScanCPU(r *vclock.Runner, n int) {
@@ -539,10 +550,10 @@ func (d *dedupIter) Seek(k []byte)         { d.in.Seek(k); d.prev = nil; d.start
 func (d *dedupIter) Valid() bool           { return d.in.Valid() }
 func (d *dedupIter) Entry() memtable.Entry { return d.in.Entry() }
 func (d *dedupIter) Next() {
-	cur := append([]byte(nil), d.in.Entry().Key...)
+	d.prev = append(d.prev[:0], d.in.Entry().Key...)
 	for {
 		d.in.Next()
-		if !d.in.Valid() || !bytes.Equal(d.in.Entry().Key, cur) {
+		if !d.in.Valid() || !bytes.Equal(d.in.Entry().Key, d.prev) {
 			return
 		}
 	}

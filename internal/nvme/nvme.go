@@ -32,6 +32,11 @@ import (
 // controller CPU, NAND), and returns the command's status — nil for
 // success, an error for a failed completion. Bytes is the transfer size,
 // for accounting only.
+//
+// Once Await returns, the command is the submitter's again; the device
+// touches nothing of it after posting the completion. A submitter may
+// therefore reuse one Command for its next Submit, or recycle it through
+// a free list, the moment Await hands back its status.
 type Command struct {
 	Op    string // opcode label (WRITE, READ, KV_PUT, DSM_TRIM, ...)
 	Bytes int
@@ -522,17 +527,20 @@ func (q *QueuePair) Do(r *vclock.Runner, cmd *Command) error {
 
 // complete posts cmd's completion: it frees a depth unit, records the
 // command latency and status, and wakes blocked submitters and awaiters.
+// Everything it needs of cmd is read before done is published under the
+// lock: an awaiter that finds done set may reuse the command at once.
 func (q *QueuePair) complete(cmd *Command, now vclock.Time, err error) {
 	q.d.mu.Lock()
-	cmd.done = true
+	bg, lat := cmd.Background, time.Duration(now.Sub(cmd.submitted))
 	cmd.Err = err
+	cmd.done = true
 	q.accountLocked(now)
 	q.outstanding--
 	q.completed++
 	if err != nil {
 		q.errors++
 	}
-	if cmd.Background {
+	if bg {
 		q.bgOutstanding--
 		q.bgCompleted++
 		if err != nil {
@@ -540,10 +548,10 @@ func (q *QueuePair) complete(cmd *Command, now vclock.Time, err error) {
 		}
 	}
 	q.d.mu.Unlock()
-	if cmd.Background {
-		q.bgLatency.Observe(time.Duration(now.Sub(cmd.submitted)))
+	if bg {
+		q.bgLatency.Observe(lat)
 	} else {
-		q.latency.Observe(time.Duration(now.Sub(cmd.submitted)))
+		q.latency.Observe(lat)
 	}
 	q.notFull.Signal()
 	q.cq.Broadcast()

@@ -5,7 +5,6 @@ import (
 
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/offload"
-	"kvaccel/internal/pcie"
 	"kvaccel/internal/vclock"
 )
 
@@ -46,36 +45,28 @@ func (o *MergeOffloader) Busy() bool { return o.ns.dev.MergeExec.Busy() }
 // cut, or abort surfaces as an error; the caller falls back to a host
 // compaction.
 func (o *MergeOffloader) SubmitMerge(r *vclock.Runner, req *offload.MergeRequest) (*offload.MergeResult, error) {
-	dev := o.ns.dev
 	// Device-side copy of the request with region-absolute LPNs; the
 	// caller's request is left untouched.
 	devReq := *req
 	devReq.Inputs = make([]offload.InputTable, len(req.Inputs))
 	for i, in := range req.Inputs {
+		o.ns.check(in.Extents)
 		devReq.Inputs[i] = in
-		devReq.Inputs[i].Extents = o.ns.translate(in.Extents)
+		devReq.Inputs[i].Extents = o.ns.translate(nil, in.Extents)
 	}
-	devReq.OutputPages = o.ns.translate(req.OutputPages)
+	o.ns.check(req.OutputPages)
+	devReq.OutputPages = o.ns.translate(nil, req.OutputPages)
 	if devReq.PageSize <= 0 {
 		devReq.PageSize = o.ns.PageSize()
 	}
 
-	payload := req.DescriptorBytes()
-	var res *offload.MergeResult
-	cmd := &nvme.Command{Op: "OFFLOAD_MERGE", Bytes: payload, Exec: func(w *vclock.Runner) error {
-		dev.Link.Transfer(w, pcie.HostToDevice, payload)
-		dev.armOverhead(w)
-		mr, err := dev.MergeExec.Run(w, &devReq)
-		if err != nil {
-			return err
-		}
-		// The completion carries per-output metadata (number, key range,
-		// page runs); the table bytes themselves stay on media.
-		dev.Link.Transfer(w, pcie.DeviceToHost, 16+64*len(mr.Outputs))
-		res = mr
-		return nil
-	}}
-	if err := o.qp.Do(r, cmd); err != nil {
+	c := o.ns.cmd(blkMerge)
+	c.Bytes = req.DescriptorBytes()
+	c.req = &devReq
+	err := o.qp.Do(r, &c.Command)
+	res := c.res
+	o.ns.release(c)
+	if err != nil {
 		return nil, err
 	}
 	if res == nil {
@@ -95,12 +86,9 @@ func (o *MergeOffloader) SubmitMerge(r *vclock.Runner, req *offload.MergeRequest
 // offload.ErrAborted. The abort command rides the same queue pair but a
 // separate firmware slot, so it is serviced while the merge runs.
 func (o *MergeOffloader) Abort(r *vclock.Runner) error {
-	dev := o.ns.dev
-	cmd := &nvme.Command{Op: "OFFLOAD_ABORT", Bytes: 16, Exec: func(w *vclock.Runner) error {
-		dev.Link.Transfer(w, pcie.HostToDevice, 16)
-		dev.armOverhead(w)
-		dev.MergeExec.RequestAbort()
-		return nil
-	}}
-	return o.qp.Do(r, cmd)
+	c := o.ns.cmd(blkAbort)
+	c.Bytes = 16
+	err := o.qp.Do(r, &c.Command)
+	o.ns.release(c)
+	return err
 }

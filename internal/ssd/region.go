@@ -8,7 +8,6 @@ import (
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/nvme"
-	"kvaccel/internal/pcie"
 	"kvaccel/internal/vclock"
 )
 
@@ -21,9 +20,10 @@ import (
 // front-end — each shard submits on its own queue (multi-queue NVMe) and
 // can buffer, scan, and reset without touching its neighbours' pairs.
 type KVRegion struct {
-	dev *Device
-	lsm *devlsm.DevLSM
-	qp  *nvme.QueuePair
+	dev  *Device
+	lsm  *devlsm.DevLSM
+	qp   *nvme.QueuePair
+	free freeList[kvCmd]
 }
 
 // KVRegionFull returns the view covering the whole KV region (the
@@ -77,13 +77,11 @@ func (s *KVRegion) QueuePair() *nvme.QueuePair { return s.qp }
 // one queued command whose body DMAs header+record and runs the Dev-LSM
 // insert on the controller.
 func (s *KVRegion) KVPut(r *vclock.Runner, kind memtable.Kind, key, value []byte) error {
-	payload := kvHeader + len(key) + len(value)
-	cmd := &nvme.Command{Op: "KV_PUT", Bytes: payload, Exec: func(w *vclock.Runner) error {
-		s.dev.Link.Transfer(w, pcie.HostToDevice, payload)
-		s.dev.armOverhead(w)
-		return s.lsm.Put(w, kind, key, value)
-	}}
-	return s.qp.Do(r, cmd)
+	c := s.cmd(kvPut, kvHeader+len(key)+len(value))
+	c.kind, c.key, c.value = kind, key, value
+	err := s.qp.Do(r, &c.Command)
+	s.release(c)
+	return err
 }
 
 // KVDelete issues a DELETE: a tombstone PUT over the KV interface.
@@ -113,14 +111,18 @@ func (s *KVRegion) KVPutCompound(r *vclock.Runner, entries []memtable.Entry) err
 	}
 	nChunks := (payload + chunkBudget - 1) / chunkBudget
 	if nChunks <= 1 {
-		return s.qp.Do(r, s.compoundCmd(entries, payload))
+		c := s.compoundCmd(entries, payload)
+		err := s.qp.Do(r, &c.Command)
+		s.release(c)
+		return err
 	}
 	parts := make([][]memtable.Entry, nChunks)
 	for _, e := range entries {
 		i := int(hashKey(e.Key) % uint64(nChunks))
 		parts[i] = append(parts[i], e)
 	}
-	var subs []submission
+	var inflight [maxInflight]*kvCmd
+	cmds := inflight[:0]
 	for _, part := range parts {
 		if len(part) == 0 {
 			continue
@@ -129,25 +131,24 @@ func (s *KVRegion) KVPutCompound(r *vclock.Runner, entries []memtable.Entry) err
 		for _, e := range part {
 			sz += len(e.Key) + len(e.Value) + 8
 		}
-		cmd := s.compoundCmd(part, sz)
-		s.qp.Submit(r, cmd)
-		subs = append(subs, submission{s.qp, cmd})
+		c := s.compoundCmd(part, sz)
+		s.qp.Submit(r, &c.Command)
+		cmds = append(cmds, c)
 	}
-	return awaitAll(r, subs)
+	var first error
+	for _, c := range cmds {
+		if err := s.qp.Await(r, &c.Command); err != nil && first == nil {
+			first = err
+		}
+		s.release(c)
+	}
+	return first
 }
 
-func (s *KVRegion) compoundCmd(entries []memtable.Entry, payload int) *nvme.Command {
-	return &nvme.Command{Op: "KV_PUT_COMPOUND", Bytes: kvHeader + payload, Exec: func(w *vclock.Runner) error {
-		s.dev.Link.Transfer(w, pcie.HostToDevice, kvHeader+payload)
-		s.dev.armOverhead(w)
-		var first error
-		for _, e := range entries {
-			if err := s.lsm.Put(w, e.Kind, e.Key, e.Value); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}}
+func (s *KVRegion) compoundCmd(entries []memtable.Entry, payload int) *kvCmd {
+	c := s.cmd(kvPutCompound, kvHeader+payload)
+	c.entries = entries
+	return c
 }
 
 // hashKey is FNV-1a, used only to spread compound sub-commands.
@@ -163,22 +164,11 @@ func hashKey(key []byte) uint64 {
 // KVGet issues a GET; the value (if any) is DMA'd back with the
 // completion.
 func (s *KVRegion) KVGet(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
-	cmd := &nvme.Command{Op: "KV_GET", Bytes: kvHeader + len(key), Exec: func(w *vclock.Runner) error {
-		s.dev.Link.Transfer(w, pcie.HostToDevice, kvHeader+len(key))
-		s.dev.armOverhead(w)
-		var gerr error
-		value, kind, found, gerr = s.lsm.Get(w, key)
-		if gerr != nil {
-			return gerr
-		}
-		ret := 16
-		if found {
-			ret += len(value)
-		}
-		s.dev.Link.Transfer(w, pcie.DeviceToHost, ret)
-		return nil
-	}}
-	err = s.qp.Do(r, cmd)
+	c := s.cmd(kvGet, kvHeader+len(key))
+	c.key = key
+	err = s.qp.Do(r, &c.Command)
+	value, kind, found = c.value, c.kind, c.found
+	s.release(c)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -188,13 +178,10 @@ func (s *KVRegion) KVGet(r *vclock.Runner, key []byte) (value []byte, kind memta
 // KVReset clears this slice's Dev-LSM (§V-E step 8). Other slices of the
 // same device keep their pairs.
 func (s *KVRegion) KVReset(r *vclock.Runner) error {
-	cmd := &nvme.Command{Op: "KV_RESET", Bytes: kvHeader, Exec: func(w *vclock.Runner) error {
-		s.dev.Link.Transfer(w, pcie.HostToDevice, kvHeader)
-		s.dev.armOverhead(w)
-		s.lsm.Reset()
-		return nil
-	}}
-	return s.qp.Do(r, cmd)
+	c := s.cmd(kvReset, kvHeader)
+	err := s.qp.Do(r, &c.Command)
+	s.release(c)
+	return err
 }
 
 // KVBulkScan performs the iterator-based bulky range scan used by the
@@ -208,28 +195,21 @@ func (s *KVRegion) KVReset(r *vclock.Runner) error {
 // remaining chunks and surfaces the error; the caller must not treat
 // the emitted prefix as the slice's full contents.
 func (s *KVRegion) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Entry)) error {
-	var chunks []devlsm.ScanChunk
-	scan := &nvme.Command{Op: "KV_SCAN", Bytes: kvHeader, Exec: func(w *vclock.Runner) error {
-		s.dev.Link.Transfer(w, pcie.HostToDevice, kvHeader)
-		s.dev.armOverhead(w)
-		s.lsm.BulkScan(w, s.dev.cfg.DMAChunkSize, func(c devlsm.ScanChunk) {
-			chunks = append(chunks, c)
-		})
-		return nil
-	}}
-	if err := s.qp.Do(r, scan); err != nil {
+	scan := s.cmd(kvScan, kvHeader)
+	err := s.qp.Do(r, &scan.Command)
+	chunks := scan.chunks
+	s.release(scan)
+	if err != nil {
 		return err
 	}
-	for _, c := range chunks {
-		c := c
-		xfer := &nvme.Command{Op: "KV_SCAN_XFER", Bytes: c.Bytes, Exec: func(w *vclock.Runner) error {
-			s.dev.Link.Transfer(w, pcie.DeviceToHost, c.Bytes)
-			return nil
-		}}
-		if err := s.qp.Do(r, xfer); err != nil {
+	for _, ch := range chunks {
+		xfer := s.cmd(kvScanXfer, ch.Bytes)
+		err := s.qp.Do(r, &xfer.Command)
+		s.release(xfer)
+		if err != nil {
 			return err
 		}
-		emit(c.Entries)
+		emit(ch.Entries)
 	}
 	return nil
 }
@@ -238,15 +218,11 @@ func (s *KVRegion) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Ent
 // (CreateIterator command); records stream back over PCIe as the cursor
 // advances.
 func (s *KVRegion) newKVIterator(r *vclock.Runner) *KVIterator {
-	var dit *devlsm.Iterator
-	cmd := &nvme.Command{Op: "KV_ITER_OPEN", Bytes: kvHeader, Exec: func(w *vclock.Runner) error {
-		s.dev.Link.Transfer(w, pcie.HostToDevice, kvHeader)
-		s.dev.armOverhead(w)
-		dit = s.lsm.NewIterator(w)
-		return nil
-	}}
-	_ = s.qp.Do(r, cmd)
-	return &KVIterator{d: s.dev, qp: s.qp, r: r, it: dit}
+	c := s.cmd(kvIterOpen, kvHeader)
+	_ = s.qp.Do(r, &c.Command) // a failed open leaves dit nil: the cursor is never valid
+	dit := c.dit
+	s.release(c)
+	return &KVIterator{s: s, r: r, it: dit}
 }
 
 // NewKVIterator opens a device-side iterator over this slice.

@@ -240,6 +240,7 @@ type BlockNS struct {
 	offset int // first region LPN of this namespace
 	pages  int
 	qps    []*nvme.QueuePair
+	free   freeList[blkCmd]
 
 	mu   sync.Mutex
 	next int // round-robin stripe cursor
@@ -284,33 +285,25 @@ func (ns *BlockNS) pick() *nvme.QueuePair {
 	return q
 }
 
-func (ns *BlockNS) translate(lpns []int) []int {
-	out := make([]int, len(lpns))
-	for i, l := range lpns {
+// check panics unless every page of lpns lies inside the namespace. The
+// block paths call it before they queue anything, so a bad request leaves
+// the device untouched.
+func (ns *BlockNS) check(lpns []int) {
+	for _, l := range lpns {
 		if l < 0 || l >= ns.pages {
 			panic("ssd: block I/O outside namespace")
 		}
-		out[i] = l + ns.offset
 	}
-	return out
 }
 
-// submission is one in-flight command awaiting completion.
-type submission struct {
-	q   *nvme.QueuePair
-	cmd *nvme.Command
-}
-
-// awaitAll parks r until every submitted command completes, returning
-// the first error status among them (every completion is still awaited).
-func awaitAll(r *vclock.Runner, subs []submission) error {
-	var first error
-	for _, s := range subs {
-		if err := s.q.Await(r, s.cmd); err != nil && first == nil {
-			first = err
-		}
+// translate writes the region LPNs of the checked namespace-relative lpns
+// over dst's storage and returns them.
+func (ns *BlockNS) translate(dst, lpns []int) []int {
+	dst = dst[:0]
+	for _, l := range lpns {
+		dst = append(dst, l+ns.offset)
 	}
-	return first
+	return dst
 }
 
 // WritePages posts WRITE commands (split at the MDTS boundary) and awaits
@@ -318,7 +311,7 @@ func awaitAll(r *vclock.Runner, subs []submission) error {
 // it via the FTL on a dispatcher worker, so at QD>1 one chunk's DMA
 // overlaps another's NAND program.
 func (ns *BlockNS) WritePages(r *vclock.Runner, lpns []int) error {
-	return ns.writePages(r, lpns, false)
+	return ns.transfer(r, blkWrite, lpns, false)
 }
 
 // WritePagesBackground is WritePages with the commands tagged Background:
@@ -326,72 +319,52 @@ func (ns *BlockNS) WritePages(r *vclock.Runner, lpns []int) error {
 // keep out of the foreground admission and latency numbers. The service
 // path — PCIe, FTL, NAND — is identical.
 func (ns *BlockNS) WritePagesBackground(r *vclock.Runner, lpns []int) error {
-	return ns.writePages(r, lpns, true)
-}
-
-func (ns *BlockNS) writePages(r *vclock.Runner, lpns []int, background bool) error {
-	if len(lpns) == 0 {
-		return nil
-	}
-	lpns = ns.translate(lpns)
-	ps := ns.PageSize()
-	maxPages := ns.dev.maxTransferPages()
-	var subs []submission
-	for start := 0; start < len(lpns); start += maxPages {
-		end := start + maxPages
-		if end > len(lpns) {
-			end = len(lpns)
-		}
-		chunk := lpns[start:end]
-		cmd := &nvme.Command{Op: "WRITE", Bytes: len(chunk) * ps, Background: background, Exec: func(w *vclock.Runner) error {
-			ns.dev.Link.Transfer(w, pcie.HostToDevice, len(chunk)*ps)
-			return ns.dev.FTL.WriteMany(w, ftl.BlockRegion, chunk)
-		}}
-		q := ns.pick()
-		q.Submit(r, cmd)
-		subs = append(subs, submission{q, cmd})
-	}
-	return awaitAll(r, subs)
+	return ns.transfer(r, blkWrite, lpns, true)
 }
 
 // ReadPages posts READ commands (split at the MDTS boundary) and awaits
 // their completions; each command reads via the FTL and DMAs its chunk
 // back to the host.
 func (ns *BlockNS) ReadPages(r *vclock.Runner, lpns []int) error {
-	return ns.readPages(r, lpns, false)
+	return ns.transfer(r, blkRead, lpns, false)
 }
 
 // ReadPagesBackground is ReadPages with the commands tagged Background
 // (compaction input reads, offload read-back validation); accounting
 // only, same service path.
 func (ns *BlockNS) ReadPagesBackground(r *vclock.Runner, lpns []int) error {
-	return ns.readPages(r, lpns, true)
+	return ns.transfer(r, blkRead, lpns, true)
 }
 
-func (ns *BlockNS) readPages(r *vclock.Runner, lpns []int, background bool) error {
+// transfer posts one op command per MDTS-sized chunk of lpns across the
+// namespace's stripe, then awaits every completion and returns the first
+// error status among them.
+func (ns *BlockNS) transfer(r *vclock.Runner, op blkOp, lpns []int, background bool) error {
 	if len(lpns) == 0 {
 		return nil
 	}
-	lpns = ns.translate(lpns)
+	ns.check(lpns)
 	ps := ns.PageSize()
 	maxPages := ns.dev.maxTransferPages()
-	var subs []submission
+	var inflight [maxInflight]*blkCmd
+	cmds := inflight[:0]
 	for start := 0; start < len(lpns); start += maxPages {
-		end := start + maxPages
-		if end > len(lpns) {
-			end = len(lpns)
-		}
-		chunk := lpns[start:end]
-		cmd := &nvme.Command{Op: "READ", Bytes: len(chunk) * ps, Background: background, Exec: func(w *vclock.Runner) error {
-			err := ns.dev.FTL.ReadMany(w, ftl.BlockRegion, chunk)
-			ns.dev.Link.Transfer(w, pcie.DeviceToHost, len(chunk)*ps)
-			return err
-		}}
-		q := ns.pick()
-		q.Submit(r, cmd)
-		subs = append(subs, submission{q, cmd})
+		c := ns.cmd(op)
+		c.lpns = ns.translate(c.lpns, lpns[start:min(start+maxPages, len(lpns))])
+		c.Bytes = len(c.lpns) * ps
+		c.Background = background
+		c.q = ns.pick()
+		c.q.Submit(r, &c.Command)
+		cmds = append(cmds, c)
 	}
-	return awaitAll(r, subs)
+	var first error
+	for _, c := range cmds {
+		if err := c.q.Await(r, &c.Command); err != nil && first == nil {
+			first = err
+		}
+		ns.release(c)
+	}
+	return first
 }
 
 // TrimPages invalidates pages as one NVMe Dataset Management (deallocate)
@@ -401,7 +374,7 @@ func (ns *BlockNS) TrimPages(r *vclock.Runner, lpns []int) error {
 	if len(lpns) == 0 {
 		return nil
 	}
-	lpns = ns.translate(lpns)
+	ns.check(lpns)
 	// DSM carries up to 256 16-byte range descriptors per command; count
 	// contiguous LPN runs to size the payload.
 	ranges := 1
@@ -410,27 +383,22 @@ func (ns *BlockNS) TrimPages(r *vclock.Runner, lpns []int) error {
 			ranges++
 		}
 	}
-	payload := kvHeader + 16*ranges
-	cmd := &nvme.Command{Op: "DSM_TRIM", Bytes: payload, Exec: func(w *vclock.Runner) error {
-		ns.dev.Link.Transfer(w, pcie.HostToDevice, payload)
-		if d := ns.dev.cfg.KVCommandOverhead; d > 0 {
-			ns.dev.ARM.Run(w, d)
-		}
-		for _, l := range lpns {
-			ns.dev.FTL.Trim(ftl.BlockRegion, l)
-		}
-		return nil
-	}}
-	q := ns.pick()
-	return q.Do(r, cmd)
+	c := ns.cmd(blkTrim)
+	c.lpns = ns.translate(c.lpns, lpns)
+	c.Bytes = kvHeader + 16*ranges
+	err := ns.pick().Do(r, &c.Command)
+	ns.release(c)
+	return err
 }
 
 // ---- Key-value interface (NVMe KV command set) ----
 
 const kvHeader = 64 // command header bytes per KV command
 
-// armOverhead charges the per-command firmware parse cost.
-func (d *Device) armOverhead(r *vclock.Runner) {
+// receive DMAs a command's payload to the device and charges the
+// per-command firmware parse cost.
+func (d *Device) receive(r *vclock.Runner, bytes int) {
+	d.Link.Transfer(r, pcie.HostToDevice, bytes)
 	if d.cfg.KVCommandOverhead > 0 {
 		d.ARM.Run(r, d.cfg.KVCommandOverhead)
 	}
@@ -468,8 +436,7 @@ func (d *Device) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Entry
 // one queued command; the cursor itself is single-runner, like a file
 // handle.
 type KVIterator struct {
-	d  *Device
-	qp *nvme.QueuePair
+	s  *KVRegion
 	r  *vclock.Runner
 	it *devlsm.Iterator
 }
@@ -479,57 +446,33 @@ func (d *Device) NewKVIterator(r *vclock.Runner) *KVIterator {
 	return d.full.newKVIterator(r)
 }
 
-// do runs one iterator command synchronously, pointing the device-side
-// cursor's NAND accounting at the worker executing it.
-func (it *KVIterator) do(op string, payload int, body func(w *vclock.Runner)) {
+// do runs one cursor command synchronously; its body points the
+// device-side cursor's NAND accounting at the worker executing it.
+func (it *KVIterator) do(op kvOp, key []byte) {
 	if it.it == nil {
 		return // the open command itself failed; the cursor never existed
 	}
-	cmd := &nvme.Command{Op: op, Bytes: kvHeader + payload, Exec: func(w *vclock.Runner) error {
-		it.it.SetRunner(w)
-		body(w)
-		return nil
-	}}
+	c := it.s.cmd(op, kvHeader+len(key))
+	c.it, c.key = it, key
 	// Iterator cursor faults invalidate the cursor rather than surface a
 	// status; a severed device simply leaves the cursor where it was.
-	_ = it.qp.Do(it.r, cmd)
+	_ = it.s.qp.Do(it.r, &c.Command)
+	it.s.release(c)
 }
 
 // Seek issues a SEEK command.
-func (it *KVIterator) Seek(key []byte) {
-	it.do("KV_SEEK", len(key), func(w *vclock.Runner) {
-		it.d.Link.Transfer(w, pcie.HostToDevice, kvHeader+len(key))
-		it.d.armOverhead(w)
-		it.it.Seek(key)
-		it.transferCurrent(w)
-	})
-}
+func (it *KVIterator) Seek(key []byte) { it.do(kvSeek, key) }
 
 // SeekToFirst positions at the smallest buffered key.
-func (it *KVIterator) SeekToFirst() {
-	it.do("KV_SEEK", 0, func(w *vclock.Runner) {
-		it.d.Link.Transfer(w, pcie.HostToDevice, kvHeader)
-		it.d.armOverhead(w)
-		it.it.SeekToFirst()
-		it.transferCurrent(w)
-	})
-}
+func (it *KVIterator) SeekToFirst() { it.do(kvSeekToFirst, nil) }
 
 // Next issues a NEXT command.
-func (it *KVIterator) Next() {
-	it.do("KV_NEXT", 0, func(w *vclock.Runner) {
-		if d := it.d.cfg.KVCommandOverhead; d > 0 {
-			it.d.ARM.Run(w, d/4) // NEXT is lighter than a full command parse
-		}
-		it.it.Next()
-		it.transferCurrent(w)
-	})
-}
+func (it *KVIterator) Next() { it.do(kvNext, nil) }
 
 func (it *KVIterator) transferCurrent(w *vclock.Runner) {
 	if it.it.Valid() {
 		e := it.it.Entry()
-		it.d.Link.Transfer(w, pcie.DeviceToHost, 16+len(e.Key)+len(e.Value))
+		it.s.dev.Link.Transfer(w, pcie.DeviceToHost, 16+len(e.Key)+len(e.Value))
 	}
 }
 
