@@ -8,32 +8,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"sync/atomic"
 	"time"
 
 	"kvaccel"
 )
 
-func run(scheme kvaccel.RollbackScheme, readFraction float64, seconds int) {
+// run drives the mix under scheme for d of virtual time, prints one
+// summary line to w, and returns the run's counters.
+func run(w io.Writer, scheme kvaccel.RollbackScheme, readFraction float64, d time.Duration) kvaccel.Stats {
 	opt := kvaccel.DefaultOptions()
 	opt.Rollback = scheme
 	opt.CompactionThreads = 4
 	db := kvaccel.Open(opt)
 
-	var writes, reads, devReads int64
-	stop := false
+	var writes, reads atomic.Int64
+	var stop atomic.Bool
 
 	db.Run("reader", func(r *kvaccel.Runner) {
 		rng := rand.New(rand.NewSource(99))
 		ratio := readFraction / (1 - readFraction)
-		for !stop {
-			if float64(reads) >= float64(writes)*ratio {
+		for !stop.Load() {
+			if float64(reads.Load()) >= float64(writes.Load())*ratio {
 				r.Sleep(time.Millisecond)
 				continue
 			}
 			key := fmt.Sprintf("key%016d", rng.Intn(50_000))
 			_, _, _ = db.Get(r, []byte(key))
-			reads++
+			reads.Add(1)
 		}
 	})
 
@@ -41,24 +46,24 @@ func run(scheme kvaccel.RollbackScheme, readFraction float64, seconds int) {
 		defer db.Close()
 		rng := rand.New(rand.NewSource(7))
 		value := make([]byte, 4096)
-		deadline := r.Now().Add(time.Duration(seconds) * time.Second)
+		deadline := r.Now().Add(d)
 		for r.Now() < deadline {
 			key := fmt.Sprintf("key%016d", rng.Intn(50_000))
 			if err := db.Put(r, []byte(key), value); err != nil {
 				panic(err)
 			}
-			writes++
+			writes.Add(1)
 		}
-		stop = true
+		stop.Store(true)
 		kv, _ := db.Internals()
 		s := kv.Stats()
-		devReads = s.DevGets
 		elapsed := r.Now().Seconds()
-		fmt.Printf("%-8s writes=%6.2f Kops/s reads=%5.2f Kops/s  rollbacks=%d dev-served-reads=%d\n",
-			scheme, float64(writes)/elapsed/1000, float64(reads)/elapsed/1000,
-			s.Rollbacks, devReads)
+		fmt.Fprintf(w, "%-8s writes=%6.2f Kops/s reads=%5.2f Kops/s  rollbacks=%d dev-served-reads=%d\n",
+			scheme, float64(writes.Load())/elapsed/1000, float64(reads.Load())/elapsed/1000,
+			s.Rollbacks, s.DevGets)
 	})
 	db.Wait()
+	return db.Stats()
 }
 
 func main() {
@@ -68,6 +73,7 @@ func main() {
 
 	fmt.Printf("mixed workload: %.0f%% reads, %d virtual seconds, 4 compaction threads\n\n",
 		*readFrac*100, *seconds)
-	run(kvaccel.RollbackLazy, *readFrac, *seconds)
-	run(kvaccel.RollbackEager, *readFrac, *seconds)
+	for _, scheme := range []kvaccel.RollbackScheme{kvaccel.RollbackLazy, kvaccel.RollbackEager} {
+		run(os.Stdout, scheme, *readFrac, time.Duration(*seconds)*time.Second)
+	}
 }

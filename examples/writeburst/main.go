@@ -9,7 +9,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"sync/atomic"
 	"time"
 
 	"kvaccel"
@@ -19,26 +22,31 @@ func main() {
 	redirect := flag.Bool("redirect", true, "enable KVACCEL's I/O redirection")
 	seconds := flag.Int("seconds", 30, "virtual seconds to run")
 	flag.Parse()
+	burst(os.Stdout, *redirect, time.Duration(*seconds)*time.Second)
+}
 
+// burst writes for d of virtual time, prints the dashboard to w, drains
+// the Dev-LSM, and returns the run's counters.
+func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 	opt := kvaccel.DefaultOptions()
-	opt.EnableRedirection = *redirect
+	opt.EnableRedirection = redirect
 	opt.Rollback = kvaccel.RollbackDisabled // pure write phase: drain at the end
 	db := kvaccel.Open(opt)
 
-	var writes int64
-	done := false
+	var writes atomic.Int64
+	var done atomic.Bool
 
 	// Monitor thread: one dashboard line per virtual second.
 	db.Run("monitor", func(r *kvaccel.Runner) {
 		kv, dev := db.Internals()
 		var last int64
-		fmt.Println("sec   Kops/s  redirected  dev-pairs  L0  stalls")
-		for !done {
+		fmt.Fprintln(w, "sec   Kops/s  redirected  dev-pairs  L0  stalls")
+		for !done.Load() {
 			r.Sleep(time.Second)
 			s := kv.Stats()
 			h := kv.Main().Health()
 			cur := s.NormalPuts + s.RedirectedPuts
-			fmt.Printf("%3.0f %8.2f %11d %10d %3d %7d\n",
+			fmt.Fprintf(w, "%3.0f %8.2f %11d %10d %3d %7d\n",
 				r.Now().Seconds(), float64(cur-last)/1000, s.RedirectedPuts,
 				dev.Dev.Count(), h.L0Files, kv.Main().Stats().TotalStalls())
 			last = cur
@@ -49,27 +57,29 @@ func main() {
 		defer db.Close()
 		rng := rand.New(rand.NewSource(42))
 		value := make([]byte, 4096)
-		deadline := r.Now().Add(time.Duration(*seconds) * time.Second)
+		deadline := r.Now().Add(d)
 		for r.Now() < deadline {
 			key := fmt.Sprintf("key%016d", rng.Intn(100_000))
 			if err := db.Put(r, []byte(key), value); err != nil {
 				panic(err)
 			}
-			writes++
+			writes.Add(1)
 		}
-		done = true
+		done.Store(true)
 
 		// End of the burst: drain the Dev-LSM back into the Main-LSM.
 		kv, dev := db.Internals()
 		if dev.Dev.Count() > 0 {
 			t0 := r.Now()
 			db.Rollback(r)
-			fmt.Printf("\nrollback: %d pairs in %v\n", kv.Stats().RollbackPairs, r.Now().Sub(t0))
+			fmt.Fprintf(w, "\nrollback: %d pairs in %v\n", kv.Stats().RollbackPairs, r.Now().Sub(t0))
 		}
 		s := kv.Stats()
 		m := kv.Main().Stats()
-		fmt.Printf("\ntotal writes: %d (%.1f%% redirected) stalls=%d stall-time=%v\n",
-			writes, 100*float64(s.RedirectedPuts)/float64(writes), m.TotalStalls(), m.StallTime)
+		n := writes.Load()
+		fmt.Fprintf(w, "\ntotal writes: %d (%.1f%% redirected) stalls=%d stall-time=%v\n",
+			n, 100*float64(s.RedirectedPuts)/float64(n), m.TotalStalls(), m.StallTime)
 	})
 	db.Wait()
+	return db.Stats()
 }

@@ -44,6 +44,12 @@ func newEnv(perPage time.Duration) (*vclock.Clock, *lsm.DB) {
 	opt.L0CompactionTrigger = 2
 	opt.L0SlowdownTrigger = 4
 	opt.L0StopTrigger = 8
+	opt.PendingCompactionSlowdownBytes = 64 << 20
+	opt.PendingCompactionStopBytes = 256 << 20
+	opt.BlockCacheBytes = 64 << 20
+	opt.WALChunkSize = 64 << 10
+	opt.WALQueueDepth = 32
+	opt.Cost.MergeCPUPerKB = 4 * time.Microsecond
 	opt.EnableSlowdown = true
 	opt.MaxCompactionThreads = 8
 	return clk, lsm.Open(clk, fsys, opt)

@@ -4,14 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
-	"kvaccel/internal/cpu"
-	"kvaccel/internal/devlsm"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/lsm"
-	"kvaccel/internal/nand"
-	"kvaccel/internal/pcie"
 	"kvaccel/internal/ssd"
 	"kvaccel/internal/vclock"
 )
@@ -108,25 +103,11 @@ func TestRandomizedConsistency(t *testing.T) {
 // second SSD serves as the write buffer.
 func TestMultiDeviceSetup(t *testing.T) {
 	clk := vclock.New()
-	mkDev := func() *ssd.Device {
-		return ssd.New(clk, ssd.Config{
-			Geometry:          nand.Geometry{Channels: 2, Ways: 2, BlocksPerDie: 256, PagesPerBlock: 64, PageSize: 4096},
-			Timing:            nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 300},
-			PCIe:              pcie.Config{BandwidthMBps: 2000, Latency: 2 * time.Microsecond, Lanes: 2},
-			BlockRegionBytes:  64 << 20,
-			KVRegionBytes:     32 << 20,
-			DevLSM:            devlsm.DefaultConfig(),
-			KVCommandOverhead: 5 * time.Microsecond,
-			DMAChunkSize:      128 << 10,
-		})
-	}
-	blockDev := mkDev() // hosts the file system / Main-LSM
-	kvDev := mkDev()    // hosts the Dev-LSM write buffer
+	blockDev := ssd.New(clk, testSSDConfig(2, 64<<20, 32<<20)) // hosts the file system / Main-LSM
+	kvDev := ssd.New(clk, testSSDConfig(2, 64<<20, 32<<20))    // hosts the Dev-LSM write buffer
 
 	fsys := fs.New(blockDev.BlockNamespace(0, 0))
-	lopt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
-	lopt.MemtableSize = 64 << 10
-	main := lsm.Open(clk, fsys, lopt)
+	main := lsm.Open(clk, fsys, testLSMOptions())
 	opt := DefaultOptions()
 	opt.Rollback = RollbackDisabled
 	db := Open(clk, main, kvDev.KVRegionFull(), opt)
@@ -162,19 +143,9 @@ func TestMultiDeviceSetup(t *testing.T) {
 // volatile metadata is gone, and Recover() reunifies the database.
 func TestHostRestartEndToEnd(t *testing.T) {
 	clk := vclock.New()
-	dev := ssd.New(clk, ssd.Config{
-		Geometry:          nand.Geometry{Channels: 2, Ways: 4, BlocksPerDie: 256, PagesPerBlock: 64, PageSize: 4096},
-		Timing:            nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 300},
-		PCIe:              pcie.Config{BandwidthMBps: 2000, Latency: 2 * time.Microsecond, Lanes: 2},
-		BlockRegionBytes:  256 << 20,
-		KVRegionBytes:     64 << 20,
-		DevLSM:            devlsm.DefaultConfig(),
-		KVCommandOverhead: 5 * time.Microsecond,
-		DMAChunkSize:      128 << 10,
-	})
+	dev := ssd.New(clk, testSSDConfig(4, 256<<20, 64<<20))
 	fsys := fs.New(dev.BlockNamespace(0, 0))
-	lopt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
-	lopt.MemtableSize = 64 << 10
+	lopt := testLSMOptions()
 	lopt.BaseLevelBytes = 256 << 10
 	lopt.MaxFileSize = 128 << 10
 

@@ -11,27 +11,56 @@ import (
 	"kvaccel/internal/fs"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/nand"
+	"kvaccel/internal/nvme"
 	"kvaccel/internal/pcie"
 	"kvaccel/internal/ssd"
 	"kvaccel/internal/vclock"
 )
 
+// testSSDConfig is the small device the stack tests run on: QD 1, one
+// firmware slot, and a 12 µs Dev-LSM put.
+func testSSDConfig(ways int, blockBytes, kvBytes int64) ssd.Config {
+	dl := devlsm.DefaultConfig()
+	dl.PutCPU = 12 * time.Microsecond
+	return ssd.Config{
+		Geometry:          nand.Geometry{Channels: 2, Ways: ways, BlocksPerDie: 256, PagesPerBlock: 64, PageSize: 4096},
+		Timing:            nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 300},
+		PCIe:              pcie.Config{BandwidthMBps: 2000, Latency: 2 * time.Microsecond, Lanes: 2},
+		NVMe:              nvme.Config{QueueDepth: 1, Slots: 1},
+		BlockRegionBytes:  blockBytes,
+		KVRegionBytes:     kvBytes,
+		DevLSM:            dl,
+		KVCommandOverhead: 5 * time.Microsecond,
+		DMAChunkSize:      128 << 10,
+		IOQueues:          1,
+	}
+}
+
+// testLSMOptions is a small Main-LSM that flushes and stalls within a
+// test: 64 KiB memtables, L0 triggers 4/8/12, 64/256 MB pending-compaction
+// limits, 64 KiB WAL chunks 32 deep and a 4 µs/KiB merge.
+func testLSMOptions() lsm.Options {
+	opt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
+	opt.MemtableSize = 64 << 10
+	opt.L0SlowdownTrigger = 8
+	opt.L0StopTrigger = 12
+	opt.PendingCompactionSlowdownBytes = 64 << 20
+	opt.PendingCompactionStopBytes = 256 << 20
+	opt.BaseLevelBytes = 64 << 20
+	opt.MaxFileSize = 8 << 20
+	opt.BlockCacheBytes = 64 << 20
+	opt.WALChunkSize = 64 << 10
+	opt.WALQueueDepth = 32
+	opt.Cost.MergeCPUPerKB = 4 * time.Microsecond
+	return opt
+}
+
 // newStack builds clock -> SSD -> fs -> Main-LSM -> KVACCEL.
 func newStack(opt Options, tune func(*lsm.Options)) (*vclock.Clock, *DB) {
 	clk := vclock.New()
-	dev := ssd.New(clk, ssd.Config{
-		Geometry:          nand.Geometry{Channels: 2, Ways: 4, BlocksPerDie: 256, PagesPerBlock: 64, PageSize: 4096},
-		Timing:            nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 300},
-		PCIe:              pcie.Config{BandwidthMBps: 2000, Latency: 2 * time.Microsecond, Lanes: 2},
-		BlockRegionBytes:  256 << 20,
-		KVRegionBytes:     64 << 20,
-		DevLSM:            devlsm.DefaultConfig(),
-		KVCommandOverhead: 5 * time.Microsecond,
-		DMAChunkSize:      128 << 10,
-	})
+	dev := ssd.New(clk, testSSDConfig(4, 256<<20, 64<<20))
 	fsys := fs.New(dev.BlockNamespace(0, 0))
-	lopt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
-	lopt.MemtableSize = 64 << 10
+	lopt := testLSMOptions()
 	lopt.BaseLevelBytes = 256 << 10
 	lopt.MaxFileSize = 128 << 10
 	lopt.L0CompactionTrigger = 2

@@ -265,13 +265,10 @@ const gateUnits = 1 << 20 // effectively "all writers"
 // package only sees the MainEngine and KVDevice contracts.
 func Open(clk *vclock.Clock, main MainEngine, dev KVDevice, opt Options) *DB {
 	if opt.DetectorPeriod <= 0 {
-		opt.DetectorPeriod = 100 * time.Millisecond
+		panic("core: Options needs DetectorPeriod > 0")
 	}
 	if opt.MetadataShards < 1 {
-		opt.MetadataShards = 16
-	}
-	if opt.LazyQuietPeriod <= 0 {
-		opt.LazyQuietPeriod = time.Second
+		panic("core: Options needs MetadataShards >= 1")
 	}
 	db := &DB{
 		clk:     clk,
@@ -293,8 +290,7 @@ func Open(clk *vclock.Clock, main MainEngine, dev KVDevice, opt Options) *DB {
 	return db
 }
 
-// Options returns the options the controller runs with, defaults filled
-// in.
+// Options returns the options the controller runs with.
 func (db *DB) Options() Options { return db.opt }
 
 // Main exposes the underlying main engine (stats, health).

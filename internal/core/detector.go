@@ -31,9 +31,6 @@ type Detector struct {
 
 // NewDetector creates a detector over main; Start launches its runner.
 func NewDetector(main MainEngine, period, checkCost time.Duration) *Detector {
-	if period <= 0 {
-		period = 100 * time.Millisecond
-	}
 	d := &Detector{main: main, period: period, cost: checkCost}
 	h := lsm.Health{}
 	d.lastHealth.Store(&h)

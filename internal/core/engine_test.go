@@ -7,13 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"kvaccel/internal/cpu"
-	"kvaccel/internal/devlsm"
 	"kvaccel/internal/faults"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/lsm"
-	"kvaccel/internal/nand"
-	"kvaccel/internal/pcie"
 	"kvaccel/internal/ssd"
 	"kvaccel/internal/vclock"
 )
@@ -56,21 +52,11 @@ func TestCoreDependsOnInterfacesOnly(t *testing.T) {
 // bind a fault plan or sever the device mid-run.
 func newFaultStack(opt Options, plan *faults.Plan) (*vclock.Clock, *DB, *ssd.Device) {
 	clk := vclock.New()
-	dev := ssd.New(clk, ssd.Config{
-		Geometry:          nand.Geometry{Channels: 2, Ways: 4, BlocksPerDie: 256, PagesPerBlock: 64, PageSize: 4096},
-		Timing:            nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 300},
-		PCIe:              pcie.Config{BandwidthMBps: 2000, Latency: 2 * time.Microsecond, Lanes: 2},
-		BlockRegionBytes:  256 << 20,
-		KVRegionBytes:     64 << 20,
-		DevLSM:            devlsm.DefaultConfig(),
-		KVCommandOverhead: 5 * time.Microsecond,
-		DMAChunkSize:      128 << 10,
-		Faults:            plan,
-	})
+	cfg := testSSDConfig(4, 256<<20, 64<<20)
+	cfg.Faults = plan
+	dev := ssd.New(clk, cfg)
 	fsys := fs.New(dev.BlockNamespace(0, 0))
-	lopt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
-	lopt.MemtableSize = 64 << 10
-	main := lsm.Open(clk, fsys, lopt)
+	main := lsm.Open(clk, fsys, testLSMOptions())
 	return clk, Open(clk, main, dev.KVRegionFull(), opt), dev
 }
 

@@ -44,7 +44,7 @@ type Config struct {
 	// front of NAND page reads. The paper's prototype has none — that is
 	// exactly why its range queries trail Main-LSM's (Table V) — and
 	// names adding one as the fix; 0 reproduces the paper, >0 implements
-	// the extension (see BenchmarkAblationDevReadCache).
+	// the extension (see TestReadCacheSkipsRepeatNANDReads).
 	ReadCacheBytes int64
 
 	// ARM CPU costs per operation on the controller core.
@@ -67,15 +67,16 @@ type Config struct {
 	Trace *trace.Tracer
 }
 
-// DefaultConfig models the Cosmos+ single ARM Cortex-A9 controller core:
-// tens of microseconds per KV command, which bounds redirected-put
-// throughput at the ~30 Kops/s the paper observes.
+// DefaultConfig models the Dev-LSM on the Cosmos+ board's one ARM
+// Cortex-A9 controller core at scale 1: a 4 MiB device-DRAM memtable and
+// microseconds of ARM time per command (machine.DeviceConfig scales the
+// costs).
 func DefaultConfig() Config {
 	return Config{
 		MemtableBytes:     4 << 20,
 		MaxRuns:           8,
 		CompactionEnabled: false,
-		PutCPU:            12 * time.Microsecond,
+		PutCPU:            4 * time.Microsecond,
 		GetCPU:            15 * time.Microsecond,
 		ScanCPUPerKB:      2 * time.Microsecond,
 		// ~1 GB/s through the fabric merge pipeline — conservative for a
@@ -155,10 +156,10 @@ func New(f *ftl.FTL, arm *cpu.Pool, cfg Config) *DevLSM {
 // runs, memtables, and resets independent.
 func NewRegion(f *ftl.FTL, arm *cpu.Pool, cfg Config, offsetPages, pages int) *DevLSM {
 	if cfg.MemtableBytes <= 0 {
-		cfg.MemtableBytes = 4 << 20
+		panic("devlsm: Config needs MemtableBytes > 0")
 	}
-	if cfg.MaxRuns <= 0 {
-		cfg.MaxRuns = 8
+	if cfg.MaxRuns < 1 {
+		panic("devlsm: Config needs MaxRuns >= 1")
 	}
 	total := f.RegionPages(ftl.KVRegion)
 	if pages <= 0 {

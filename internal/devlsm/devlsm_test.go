@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -357,5 +358,26 @@ func TestReadCacheSkipsRepeatNANDReads(t *testing.T) {
 	}
 	if cached >= uncached {
 		t.Fatalf("read cache ineffective: cached=%d uncached=%d NAND reads", cached, uncached)
+	}
+}
+
+// TestNewRegionRejectsZeroBudgets: the memtable budget and the run limit
+// are used as given, so a zero one panics with the field's name.
+func TestNewRegionRejectsZeroBudgets(t *testing.T) {
+	for _, field := range []string{"MemtableBytes", "MaxRuns"} {
+		cfg := DefaultConfig()
+		if field == "MemtableBytes" {
+			cfg.MemtableBytes = 0
+		} else {
+			cfg.MaxRuns = 0
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, field) {
+					t.Errorf("NewRegion with zero %s panicked with %q, want the field's name", field, msg)
+				}
+			}()
+			newDev(cfg)
+		}()
 	}
 }

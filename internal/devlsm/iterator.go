@@ -151,9 +151,6 @@ type ScanChunk struct {
 // in hardware), merges on the controller core, and emits chunks of at
 // most chunkSize encoded bytes via emit.
 func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk)) {
-	if chunkSize <= 0 {
-		chunkSize = 512 << 10
-	}
 	d.mu.Lock()
 	mem := d.mem
 	runs := append([]*run(nil), d.runs...)

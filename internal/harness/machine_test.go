@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"kvaccel"
 	"kvaccel/internal/core"
+	"kvaccel/internal/lsm"
+	"kvaccel/internal/machine"
+	"kvaccel/internal/ssd"
 )
 
 // scalars lists every scalar field of v as path=value, nested structs
@@ -95,34 +99,98 @@ func TestOneShardIsTheUnshardedMachine(t *testing.T) {
 	}
 }
 
-// The digests of the rendered machines of the benchmark's two stall
-// workloads (bench/engine.go's fill_stall and fill_stock Params), as the
-// parent of the machine builder rendered them: moving the calibration
-// into internal/machine moved it without changing it. The one line since
-// dropped is Options.VLogReadCacheBytes=8388608, with the value-log read
-// cache; the rest hashes as before.
+// The SHA-256 digests of the machines the five benchmark workloads run
+// on (the set-up in bench/engine.go and bench/serve.go), rendered field by
+// field. The fill digests were pinned when the calibration moved into
+// internal/machine, the other three before the package defaults became
+// the paper's scale-1 numbers: neither move changed a rendered value.
+// (The fill digests have since lost one line,
+// Options.VLogReadCacheBytes=8388608, with the value-log read cache.)
+// mixed_w8 differs from fill_stall only in its workload — key space,
+// value size, writer count — none of which is machine configuration, so
+// the two hash alike.
 const (
-	fillStallSHA256 = "0043accf827ce50bae6cd725bb2bfee4f9c125507ff9cf80948e4a8f517fd43f"
-	fillStockSHA256 = "c280ca960655523b59904fbb14c9aebe7c5c7454634ac5e097e4c2e81bc4fd9c"
+	fillStallSHA256   = "0043accf827ce50bae6cd725bb2bfee4f9c125507ff9cf80948e4a8f517fd43f"
+	fillStockSHA256   = "c280ca960655523b59904fbb14c9aebe7c5c7454634ac5e097e4c2e81bc4fd9c"
+	mixedW8SHA256     = "0043accf827ce50bae6cd725bb2bfee4f9c125507ff9cf80948e4a8f517fd43f"
+	ycsbBHotSHA256    = "35596f971c9d23e9f321d2384b7ce73290888cc2efcaba4fbdaf57e648f50224"
+	serveClosedSHA256 = "8f23b1bc00de1d4c194489250de447220dc01e652e1dd70582f82511914cad64"
 )
 
-func TestBenchFillMachinesKeepTheirCalibration(t *testing.T) {
+// benchEngine renders the machine of one of bench/engine.go's workloads.
+func benchEngine(spec EngineSpec, set func(*Params)) []string {
+	p := DefaultParams()
+	p.LingerMicros = 30
+	set(&p)
+	m := p.open(spec, 1, false)
+	defer m.shutdown()
+	return m.rendered()
+}
+
+// serveMachine renders serve_closed's machine: four KVACCEL shards at
+// scale 1 behind kvaccel.OpenSharded.
+func serveMachine() []string {
+	opt := kvaccel.DefaultShardedOptions()
+	opt.Shards = 4
+	opt.Scale = 1
+	db := kvaccel.OpenSharded(opt)
+	out := scalars(db.Device().Config())
+	for i := 0; i < db.NumShards(); i++ {
+		out = append(out, scalars(db.Shard(i).Main().(*lsm.DB).Options())...)
+		out = append(out, scalars(db.Shard(i).Options())...)
+	}
+	for _, q := range db.QueueStats() {
+		out = append(out, "queue="+q.Name)
+	}
+	db.Close()
+	db.Wait()
+	return out
+}
+
+func TestBenchMachinesKeepTheirCalibration(t *testing.T) {
+	lazy := EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}
 	for _, c := range []struct {
 		name, want string
-		spec       EngineSpec
+		render     func() []string
 	}{
-		{"fill_stall", fillStallSHA256, EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}},
-		{"fill_stock", fillStockSHA256, EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: true}},
+		{"fill_stall", fillStallSHA256, func() []string {
+			return benchEngine(lazy, func(p *Params) { p.KeySpace, p.Writers = 300_000, 1 })
+		}},
+		{"fill_stock", fillStockSHA256, func() []string {
+			return benchEngine(EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: true},
+				func(p *Params) { p.KeySpace, p.Writers = 300_000, 1 })
+		}},
+		{"mixed_w8", mixedW8SHA256, func() []string {
+			return benchEngine(lazy, func(p *Params) { p.KeySpace, p.Writers, p.ValueSize = 100_000, 8, 128 })
+		}},
+		{"ycsb_b_hot", ycsbBHotSHA256, func() []string {
+			return benchEngine(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackEager}, func(p *Params) {
+				p.KeySpace, p.Writers, p.ValueThreshold, p.FrontCacheBytes = 100_000, 1, 1024, 32<<20
+			})
+		}},
+		{"serve_closed", serveClosedSHA256, serveMachine},
 	} {
-		p := DefaultParams()
-		p.KeySpace = 300_000
-		p.LingerMicros = 30
-		p.Writers = 1
-		m := p.open(c.spec, 1, false)
-		fields := m.rendered()
-		m.shutdown()
+		fields := c.render()
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(fields, "\n")))); got != c.want {
 			t.Errorf("%s renders a machine with digest %s, want %s:\n%s", c.name, got, c.want, strings.Join(fields, "\n"))
+		}
+	}
+}
+
+// TestMachineScaleOneIsTheDefaults: the package defaults are the paper's
+// scale-1 numbers, so rendering the machine at scale 1 changes nothing.
+func TestMachineScaleOneIsTheDefaults(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Main-LSM", machine.LSMOptions(1), lsm.DefaultOptions(nil)},
+		{"device", machine.DeviceConfig(1), ssd.CosmosConfig()},
+	} {
+		got, want := scalars(c.got), scalars(c.want)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("the scale-1 %s is not the package default:\n%s\n---\n%s",
+				c.name, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"kvaccel/internal/fs"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/nand"
+	"kvaccel/internal/nvme"
 	"kvaccel/internal/pcie"
 	"kvaccel/internal/ssd"
 	"kvaccel/internal/trace"
@@ -222,17 +223,23 @@ func parseTorValue(key string, v []byte) (uint64, error) {
 }
 
 // tortureSSDConfig is a small device so flushes, compactions, and
-// rollbacks all happen within a phase.
+// rollbacks all happen within a phase. Its NVMe queues are the benchmark
+// machine's (QD 32, 64 firmware slots), so cuts land while flush and
+// compaction I/O is pipelined.
 func tortureSSDConfig(plan *faults.Plan) ssd.Config {
+	dl := devlsm.DefaultConfig()
+	dl.PutCPU = 12 * time.Microsecond
 	return ssd.Config{
 		Geometry:          nand.Geometry{Channels: 2, Ways: 4, BlocksPerDie: 256, PagesPerBlock: 64, PageSize: 4096},
 		Timing:            nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 300},
 		PCIe:              pcie.Config{BandwidthMBps: 2000, Latency: 2 * time.Microsecond, Lanes: 2},
+		NVMe:              nvme.DefaultConfig(),
 		BlockRegionBytes:  256 << 20,
 		KVRegionBytes:     64 << 20,
-		DevLSM:            devlsm.DefaultConfig(),
+		DevLSM:            dl,
 		KVCommandOverhead: 5 * time.Microsecond,
 		DMAChunkSize:      128 << 10,
+		IOQueues:          1,
 		Faults:            plan,
 	}
 }
@@ -316,12 +323,19 @@ func RunTorture(p TortureParams) TortureReport {
 		clk.Go("torture.host", func(r *vclock.Runner) {
 			lopt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
 			lopt.MemtableSize = 64 << 10
+			lopt.L0SlowdownTrigger = 8
+			lopt.L0StopTrigger = 12
+			lopt.PendingCompactionSlowdownBytes = 64 << 20
+			lopt.PendingCompactionStopBytes = 256 << 20
 			lopt.BaseLevelBytes = 256 << 10
 			lopt.MaxFileSize = 128 << 10
+			lopt.BlockCacheBytes = 64 << 20
+			lopt.Cost.MergeCPUPerKB = 4 * time.Microsecond
 			// Small WAL chunks keep the write-back runner busy, so a
 			// seeded cut regularly lands mid-append and leaves a torn
 			// tail — the case the checksummed replay exists for.
 			lopt.WALChunkSize = 2 << 10
+			lopt.WALQueueDepth = 32
 			lopt.UncheckedWALReplay = p.BrokenRecovery
 			lopt.Trace = tr
 			// Small vlog segments (two per memtable) keep rotation, GC,

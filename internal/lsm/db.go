@@ -614,14 +614,24 @@ func (db *DB) MemtableSize() int64 {
 	return db.memSize
 }
 
-// Options returns the options the engine runs with, defaults filled in.
+// Options returns the options the engine runs with, derived values filled
+// in.
 func (db *DB) Options() Options { return db.opt }
 
 // Stats returns a snapshot of cumulative counters, folding in the value
-// log's live gauges when value separation is enabled.
+// log's live gauges when value separation is enabled and the live logs'
+// write-back (a flush retires a log's bytes under the same lock).
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	s := db.stats
+	if db.log != nil {
+		s.WALBytesWritten += db.log.BytesWritten()
+	}
+	for _, job := range db.imm {
+		if job.log != nil {
+			s.WALBytesWritten += job.log.BytesWritten()
+		}
+	}
 	db.mu.Unlock()
 	cs := db.cache.Stats()
 	s.BlockCacheHits = cs.Hits

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,7 +45,12 @@ func smallOpts() Options {
 	opt.L0CompactionTrigger = 2
 	opt.L0SlowdownTrigger = 6
 	opt.L0StopTrigger = 10
+	opt.PendingCompactionSlowdownBytes = 64 << 20
+	opt.PendingCompactionStopBytes = 256 << 20
 	opt.BlockCacheBytes = 1 << 20
+	opt.WALChunkSize = 64 << 10
+	opt.WALQueueDepth = 32
+	opt.Cost.MergeCPUPerKB = 4 * time.Microsecond
 	return opt
 }
 
@@ -489,6 +495,66 @@ func TestWriteAmplificationReported(t *testing.T) {
 	if s.FlushBytes == 0 || s.WALBytesWritten == 0 {
 		t.Fatalf("flush/WAL bytes not tracked: %+v", s)
 	}
+}
+
+// TestWALBytesCountedAsWrittenBack: WALBytesWritten counts what every
+// log has written back so far, not only the logs a flush retired, so puts
+// with no flush read it; it never steps back across rotation and flush;
+// and it equals the bytes that landed in *.log files. One-byte chunks hand
+// every record to write-back at once, so nothing waits for a flush's Sync
+// and a drained log's file is final before Flush retires it.
+func TestWALBytesCountedAsWrittenBack(t *testing.T) {
+	opt := smallOpts()
+	opt.MemtableSize = 1 << 20 // only Flush rotates
+	opt.WALChunkSize = 1
+	clk, db := newTestDB(0, opt)
+	final := map[string]int64{} // each *.log file's size when last seen
+	logged := func() (n int64) {
+		for _, name := range db.fsys.List() {
+			if strings.HasSuffix(name, ".log") {
+				size, _ := db.fsys.Size(name)
+				final[name] = int64(size)
+			}
+		}
+		for _, size := range final {
+			n += size
+		}
+		return n
+	}
+	clk.Go("writer", func(r *vclock.Runner) {
+		defer db.Close()
+		var last int64
+		monotone := func(when string) {
+			if w := db.Stats().WALBytesWritten; w < last {
+				t.Errorf("WALBytesWritten stepped back %d -> %d %s", last, w, when)
+			} else {
+				last = w
+			}
+		}
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 200; i++ {
+				_ = db.Put(r, key(round*200+i), value(i))
+				monotone("after a put")
+			}
+			r.Sleep(time.Millisecond) // drain write-back
+			s := db.Stats()
+			if s.Flushes != int64(round) {
+				t.Fatalf("round %d: %d flushes, want %d", round, s.Flushes, round)
+			}
+			if s.WALBytesWritten <= 0 || s.WALBytesWritten != logged() {
+				t.Errorf("round %d: WALBytesWritten %d, *.log files hold %d", round, s.WALBytesWritten, logged())
+			}
+			if err := db.Flush(r); err != nil {
+				t.Fatal(err)
+			}
+			monotone("after a flush")
+		}
+		db.WaitIdle(r)
+		if w := db.Stats().WALBytesWritten; w != logged() {
+			t.Errorf("after the last flush WALBytesWritten %d, *.log files held %d", w, logged())
+		}
+	})
+	clk.Wait()
 }
 
 func TestDeviceFullGoesReadOnly(t *testing.T) {

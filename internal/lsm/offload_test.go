@@ -19,7 +19,7 @@ import (
 // open so every eligible L0→L1 merge goes to the device.
 func offloadEnv(opt Options, withOffload bool) (*vclock.Clock, *fs.FileSystem, *DB) {
 	clk := vclock.New()
-	dev := ssd.New(clk, ssd.CosmosConfig(10))
+	dev := ssd.New(clk, ssd.CosmosConfig())
 	ns := dev.BlockNamespace(0, 0)
 	fsys := fs.New(ns)
 	if withOffload {

@@ -16,10 +16,11 @@ import (
 	"kvaccel/internal/trace"
 )
 
-// Options configures a DB. The defaults are the paper's RocksDB v8.x
-// configuration scaled by 10 (Table III uses 128 MB memtables on a
-// 630 MB/s device; the default simulation runs 12.8 MB memtables on a
-// 63 MB/s device so a 60-second run reproduces a 600-second figure).
+// Options configures a DB. DefaultOptions is the paper's Table III
+// configuration at scale 1; internal/machine renders it at other scales.
+// Open and Reopen panic, naming the field, on a value the engine cannot
+// run with: zero means "off" only for BlockCacheBytes, GroupLingerMicros
+// and ValueThreshold.
 type Options struct {
 	// MemtableSize rotates the active memtable when it exceeds this many
 	// bytes (RocksDB write_buffer_size).
@@ -97,7 +98,7 @@ type Options struct {
 	// ReplayShards is the number of concurrent memtable inserters Reopen
 	// fans WAL replay out over, sharded by key hash; the skiplist's
 	// (key, seq) ordering makes the result identical to a serial replay.
-	// 0 picks the default (4); 1 forces serial replay.
+	// 1 forces serial replay.
 	ReplayShards int
 	// TestHookCommit, when set, is called at named instants inside the
 	// group-commit pipeline — "in-linger" (inside an open linger window,
@@ -147,7 +148,7 @@ type Options struct {
 	// Zero (the default) disables the value log entirely.
 	ValueThreshold int
 	// VLogSegmentSize rotates the value log's head segment (the GC unit);
-	// defaults to MaxFileSize so segments are SST-sized.
+	// 0 means MaxFileSize, so segments are SST-sized.
 	VLogSegmentSize int64
 	// VLogGCDiscardRatio is the dead-bytes fraction at which a sealed
 	// segment becomes a GC candidate (live values are rewritten through
@@ -157,7 +158,8 @@ type Options struct {
 	// drive GC deterministically via CollectVLogGarbage.
 	DisableVLogGC bool
 
-	// WALChunkSize and WALQueueDepth tune write-ahead-log write-back.
+	// WALChunkSize and WALQueueDepth tune write-ahead-log write-back; the
+	// value log writes back with the same two.
 	WALChunkSize  int
 	WALQueueDepth int
 	// DisableWAL skips the log entirely (db_bench --disable_wal).
@@ -205,143 +207,110 @@ type CostModel struct {
 	FlushCPUPerKB time.Duration
 }
 
-// DefaultCostModel reflects a ~3 GHz Xeon core.
+// DefaultCostModel reflects one ~3 GHz Xeon core of the paper's host.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		WriteCPU:      2 * time.Microsecond,
-		WALAppendCPU:  1 * time.Microsecond,
-		ReadCPU:       4 * time.Microsecond,
-		IterCPU:       2 * time.Microsecond,
-		MergeCPUPerKB: 4 * time.Microsecond, // ~250 MB/s merge per thread
+		WriteCPU:     2 * time.Microsecond,
+		WALAppendCPU: 1 * time.Microsecond,
+		ReadCPU:      4 * time.Microsecond,
+		IterCPU:      2 * time.Microsecond,
+		// Merge runs at ~their Xeon's native speed against a slow
+		// interconnect (§VI-A's CPU/PCIe mismatch): one compaction thread
+		// already comes close to the device ceiling, so extra threads mostly
+		// burn host CPU — the regime ADOC is evaluated in. ~640 MB/s per
+		// thread.
+		MergeCPUPerKB: 1600 * time.Nanosecond,
 		FlushCPUPerKB: 1 * time.Microsecond, // ~1 GB/s memtable dump
 	}
 }
 
-// DefaultOptions returns the scaled paper configuration. cpuPool is the
-// host core pool (nil: Open allocates a private 8-core pool).
+// DefaultOptions returns Table III's Main-LSM at scale 1, charging its
+// CPU work to cpuPool. Slowdown is off: KVACCEL redirects instead of
+// throttling, and the stock-RocksDB arms turn it on.
 func DefaultOptions(cpuPool *cpu.Pool) Options {
 	return Options{
-		MemtableSize:          12800 << 10, // 12.8 MB (128 MB / 10)
+		MemtableSize:          128 << 20, // Table III: 128 MB memtables
 		MaxImmutableMemtables: 1,
 
+		// RocksDB default L0 triggers (4 compaction / 20 slowdown / 36 stop).
 		L0CompactionTrigger: 4,
-		L0SlowdownTrigger:   8,
-		L0StopTrigger:       12,
+		L0SlowdownTrigger:   20,
+		L0StopTrigger:       36,
 
-		PendingCompactionSlowdownBytes: 64 << 20,
-		PendingCompactionStopBytes:     256 << 20,
+		// RocksDB defaults: soft/hard pending-compaction limits of 64/256 GB;
+		// at data-set scale they act as backstops, not steady-state throttles.
+		PendingCompactionSlowdownBytes: 64 << 30,
+		PendingCompactionStopBytes:     256 << 30,
 
-		BaseLevelBytes:  64 << 20, // ~5x memtable
+		BaseLevelBytes:  256 << 20,
 		LevelMultiplier: 10,
 		MaxLevels:       7,
-		MaxFileSize:     8 << 20,
+		MaxFileSize:     64 << 20,
 
 		CompactionThreads:    1,
 		MaxCompactionThreads: 8,
 
-		EnableSlowdown:          false,
-		DelayedWriteBytesPerSec: 8 << 20, // ~2 Kops/s at 4 KiB values
+		DelayedWriteBytesPerSec: 8 << 20, // RocksDB delayed_write_rate
 		SlowdownSleep:           time.Millisecond,
 
-		BlockCacheBytes: 64 << 20,
+		BlockCacheBytes: 512 << 20,
 		BlockSize:       4096,
 		BloomBitsPerKey: 10,
 
 		MaxWriteGroupBytes: 1 << 20,
+		ReplayShards:       4,
+		VLogGCDiscardRatio: 0.5,
 
-		WALChunkSize:  64 << 10,
-		WALQueueDepth: 32,
+		// The OS page cache absorbs WAL appends; writers only feel the device
+		// through stall conditions, not through synchronous log writes.
+		WALChunkSize:  256 << 10,
+		WALQueueDepth: 512,
 
 		CPU:  cpuPool,
 		Cost: DefaultCostModel(),
 	}
 }
 
+// sanitize fills in the two values derived from other fields and panics,
+// naming the field, on anything the engine cannot run with.
 func (o *Options) sanitize() {
-	if o.MemtableSize <= 0 {
-		o.MemtableSize = 4 << 20
-	}
-	if o.MaxImmutableMemtables < 1 {
-		o.MaxImmutableMemtables = 1
-	}
-	if o.L0CompactionTrigger < 1 {
-		o.L0CompactionTrigger = 4
-	}
-	if o.L0SlowdownTrigger < o.L0CompactionTrigger {
-		o.L0SlowdownTrigger = o.L0CompactionTrigger * 2
-	}
-	if o.L0StopTrigger < o.L0SlowdownTrigger {
-		o.L0StopTrigger = o.L0SlowdownTrigger + 4
-	}
-	if o.BaseLevelBytes <= 0 {
-		o.BaseLevelBytes = 4 * o.MemtableSize
-	}
-	if o.LevelMultiplier < 2 {
-		o.LevelMultiplier = 10
-	}
-	if o.MaxLevels < 2 {
-		o.MaxLevels = 7
-	}
-	if o.MaxFileSize <= 0 {
-		o.MaxFileSize = o.MemtableSize
-	}
-	if o.CompactionThreads < 1 {
-		o.CompactionThreads = 1
-	}
-	if o.MaxCompactionThreads < o.CompactionThreads {
-		o.MaxCompactionThreads = o.CompactionThreads
-	}
-	if o.PendingCompactionSlowdownBytes <= 0 {
-		o.PendingCompactionSlowdownBytes = 64 << 20
-	}
-	if o.PendingCompactionStopBytes < o.PendingCompactionSlowdownBytes {
-		o.PendingCompactionStopBytes = 4 * o.PendingCompactionSlowdownBytes
-	}
-	if o.DelayedWriteBytesPerSec <= 0 {
-		o.DelayedWriteBytesPerSec = 8 << 20
-	}
-	if o.SlowdownSleep <= 0 {
-		o.SlowdownSleep = time.Millisecond
-	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 4096
-	}
-	if o.MaxWriteGroupBytes <= 0 {
-		o.MaxWriteGroupBytes = 1 << 20
-	}
-	if o.GroupLingerMicros < 0 {
-		o.GroupLingerMicros = 0
-	}
-	if o.ReplayShards <= 0 {
-		o.ReplayShards = 4
-	}
-	if o.ValueThreshold < 0 {
-		o.ValueThreshold = 0
+	for _, c := range []struct {
+		bad  bool
+		want string
+	}{
+		{o.MemtableSize <= 0, "MemtableSize > 0"},
+		{o.MaxImmutableMemtables < 1, "MaxImmutableMemtables >= 1"},
+		{o.L0CompactionTrigger < 1, "L0CompactionTrigger >= 1"},
+		{o.L0SlowdownTrigger < o.L0CompactionTrigger, "L0SlowdownTrigger >= L0CompactionTrigger"},
+		{o.L0StopTrigger < o.L0SlowdownTrigger, "L0StopTrigger >= L0SlowdownTrigger"},
+		{o.PendingCompactionSlowdownBytes <= 0, "PendingCompactionSlowdownBytes > 0"},
+		{o.PendingCompactionStopBytes < o.PendingCompactionSlowdownBytes, "PendingCompactionStopBytes >= PendingCompactionSlowdownBytes"},
+		{o.BaseLevelBytes <= 0, "BaseLevelBytes > 0"},
+		{o.LevelMultiplier < 2, "LevelMultiplier >= 2"},
+		{o.MaxLevels < 2, "MaxLevels >= 2"},
+		{o.MaxFileSize <= 0, "MaxFileSize > 0"},
+		{o.CompactionThreads < 1, "CompactionThreads >= 1"},
+		{o.DelayedWriteBytesPerSec <= 0, "DelayedWriteBytesPerSec > 0"},
+		{o.SlowdownSleep <= 0, "SlowdownSleep > 0"},
+		{o.BlockCacheBytes < 0, "BlockCacheBytes >= 0"},
+		{o.BlockSize <= 0, "BlockSize > 0"},
+		{o.MaxWriteGroupBytes <= 0, "MaxWriteGroupBytes > 0"},
+		{o.GroupLingerMicros < 0, "GroupLingerMicros >= 0"},
+		{o.ReplayShards < 1, "ReplayShards >= 1"},
+		{o.ValueThreshold < 0, "ValueThreshold >= 0"},
+		{o.VLogGCDiscardRatio <= 0 || o.VLogGCDiscardRatio > 1, "VLogGCDiscardRatio in (0, 1]"},
+		{o.WALChunkSize <= 0, "WALChunkSize > 0"},
+		{o.WALQueueDepth <= 0, "WALQueueDepth > 0"},
+		{o.CPU == nil, "CPU != nil"},
+	} {
+		if c.bad {
+			panic("lsm: Options needs " + c.want)
+		}
 	}
 	if o.VLogSegmentSize <= 0 {
 		o.VLogSegmentSize = o.MaxFileSize
 	}
-	if o.VLogGCDiscardRatio <= 0 || o.VLogGCDiscardRatio > 1 {
-		o.VLogGCDiscardRatio = 0.5
-	}
-	if o.WALChunkSize <= 0 {
-		o.WALChunkSize = 64 << 10
-	}
-	if o.WALQueueDepth <= 0 {
-		o.WALQueueDepth = 32
-	}
-	if o.CPU == nil {
-		o.CPU = cpu.NewPool(8, "lsm-cpu") // a standalone engine's own cores
-	}
-	if o.Cost == (CostModel{}) {
-		o.Cost = DefaultCostModel()
-	}
-	if o.Cost.FlushCPUPerKB <= 0 {
-		o.Cost.FlushCPUPerKB = o.Cost.MergeCPUPerKB / 4
-	}
-	if o.Cost.WALAppendCPU <= 0 {
-		o.Cost.WALAppendCPU = o.Cost.WriteCPU / 2
-	}
+	o.MaxCompactionThreads = max(o.MaxCompactionThreads, o.CompactionThreads)
 }
 
 func (o *Options) builderOptions() sstable.BuilderOptions {

@@ -161,20 +161,3 @@ func TestReplayParallelMatchesSerial(t *testing.T) {
 		})
 	}
 }
-
-func TestReplayShardCountClamped(t *testing.T) {
-	// A degenerate shard count must not break recovery: sanitize clamps
-	// non-positive values and replay still recovers everything.
-	fsys := buildCrashedState(99)
-	st, shards := recoverState(t, fsys, -5)
-	if len(st) == 0 {
-		t.Fatal("nothing recovered with clamped shard count")
-	}
-	if shards < 1 {
-		t.Fatalf("ReplayShards stat = %d after clamping", shards)
-	}
-	ref, _ := recoverState(t, buildCrashedState(99), 1)
-	if len(ref) != len(st) {
-		t.Fatalf("clamped recovery diverged: %d keys vs %d", len(st), len(ref))
-	}
-}

@@ -124,7 +124,7 @@ type Stats struct {
 	Compactions          int64
 	CompactionReadBytes  int64
 	CompactionWriteBytes int64
-	WALBytesWritten      int64
+	WALBytesWritten      int64 // written back so far, live logs included
 
 	// Compaction-offload counters. OffloadedCompactions counts merges
 	// the device executed end-to-end (installed from device-built

@@ -7,9 +7,36 @@
 // construction.
 //
 // Scaling: a scale-s machine divides device bandwidth and host buffer
-// budgets by s and multiplies every per-operation CPU cost, host and
-// controller alike, by s, so 600/s virtual seconds reproduce the paper's
-// 600-second dynamics.
+// budgets by s and multiplies every per-operation CPU cost by s, so 600/s
+// virtual seconds reproduce the paper's 600-second dynamics. The package
+// defaults (lsm, ssd, nvme, devlsm, core) hold the paper's scale-1
+// numbers; DeviceConfig and LSMOptions are the only code that applies s:
+//
+//	constant                         scaled  why
+//	NAND page time; bus bandwidth    ×s; ÷s  dies and buses move 1/s of the bytes per second
+//	memtable, level and file sizes,  ÷s      buffers fill in 1/s of the time, so flushes,
+//	block cache, pending-compaction          compactions and stalls keep the paper's rhythm
+//	limits, delayed-write rate
+//	host and ARM CPU costs           ×s      CPU keeps its share of each op beside the device
+//	WAL chunk 256 KiB, queue 512     no      page-cache write-back: writers feel the device
+//	                                         through stalls, never through a log write
+//	SlowdownSleep 1 ms               no      RocksDB's floor; it binds only over a group's
+//	                                         bytes ÷ the scaled delayed-write rate (4 KiB
+//	                                         values: at scale 1, not at 10)
+//	detector period 0.1 s, cost      no      the paper's sampling (§V-C, Table VI); scale s
+//	1.37 µs                                  samples s times as often per byte written
+//	DMAChunkSize 512 KiB             no      the DMA engine's largest transfer; scaled
+//	                                         bandwidth already slows each chunk
+//	NVMe doorbell and completion     no      per-command latencies, small beside a scaled
+//	1 µs, PCIe latency 2 µs                  NAND page (8 ms at scale 10)
+//	block/KV regions 6/2 GiB         no      capacity: a run writes 1/s² of the paper's
+//	                                         data, so FTL GC pressure is lower
+//	Dev-LSM memtable 4 MiB, 8 runs   no      the board's DRAM: it fills s times more slowly,
+//	                                         so Dev-LSM flushes are rarer; the run limit
+//	                                         acts only with device compaction, off here
+//
+// No test yet compares claims across scales: the unscaled rows are where
+// to look first if a ratio moves with s.
 package machine
 
 import (
@@ -44,55 +71,46 @@ type Shard struct {
 
 func clamp(scale int) int { return max(scale, 1) }
 
-// DeviceConfig renders the Cosmos+ board at scale: ssd.CosmosConfig
-// divides its bandwidth, and every controller CPU cost is multiplied.
+// DeviceConfig renders the Cosmos+ board at scale: every die programs and
+// reads s times slower, the channel and PCIe buses carry 1/s of their
+// bandwidth, and every controller CPU cost is multiplied by s.
 func DeviceConfig(scale int) ssd.Config {
 	s := time.Duration(clamp(scale))
-	cfg := ssd.CosmosConfig(int(s))
-	cfg.DevLSM.PutCPU = 4 * time.Microsecond * s
+	cfg := ssd.CosmosConfig()
+	cfg.Timing.ProgramPage *= s
+	cfg.Timing.ReadPage *= s
+	cfg.Timing.ChannelMBps /= float64(s)
+	cfg.PCIe.BandwidthMBps /= float64(s)
+	cfg.KVCommandOverhead *= s
+	cfg.DevLSM.PutCPU *= s
 	cfg.DevLSM.GetCPU *= s
 	cfg.DevLSM.ScanCPUPerKB *= s
 	// The merge executor shares the ARM core: its per-KB cost scales with
 	// the machine like every other CPU cost, so the host/device merge
 	// speed ratio is scale-invariant.
 	cfg.DevLSM.MergeCPUPerKB *= s
-	cfg.KVCommandOverhead = 3 * time.Microsecond * s
 	return cfg
 }
 
-// LSMOptions renders Table III's Main-LSM at scale with the whole
-// machine's host budgets; OpenLSM divides them among the shards.
-// Slowdown stays off (KVACCEL redirects instead of throttling).
+// LSMOptions renders Table III's Main-LSM (lsm.DefaultOptions) at scale
+// with the whole machine's host budgets; OpenLSM divides them among the
+// shards.
 func LSMOptions(scale int) lsm.Options {
 	s := int64(clamp(scale))
-	opt := lsm.DefaultOptions(nil)     // OpenLSM charges the machine's pool
-	opt.MemtableSize = (128 << 20) / s // Table III: 128 MB memtables
-	// RocksDB default L0 triggers (4 compaction / 20 slowdown / 36 stop).
-	opt.L0CompactionTrigger = 4
-	opt.L0SlowdownTrigger = 20
-	opt.L0StopTrigger = 36
-	opt.BaseLevelBytes = (256 << 20) / s
-	opt.MaxFileSize = (64 << 20) / s
-	// RocksDB defaults: soft/hard pending-compaction limits of 64/256 GB;
-	// at data-set scale they act as backstops, not steady-state throttles.
-	opt.PendingCompactionSlowdownBytes = (64 << 30) / s
-	opt.PendingCompactionStopBytes = (256 << 30) / s
-	opt.BlockCacheBytes = (512 << 20) / s
-	opt.DelayedWriteBytesPerSec = (8 << 20) / s
-	// The OS page cache absorbs WAL appends; writers only feel the device
-	// through stall conditions, not through synchronous log writes.
-	opt.WALChunkSize = 256 << 10
-	opt.WALQueueDepth = 512
+	opt := lsm.DefaultOptions(nil) // OpenLSM charges the machine's pool
+	opt.MemtableSize /= s
+	opt.BaseLevelBytes /= s
+	opt.MaxFileSize /= s
+	opt.PendingCompactionSlowdownBytes /= s
+	opt.PendingCompactionStopBytes /= s
+	opt.BlockCacheBytes /= s
+	opt.DelayedWriteBytesPerSec /= s
 	sd := time.Duration(s)
 	opt.Cost.WriteCPU *= sd
 	opt.Cost.WALAppendCPU *= sd
 	opt.Cost.ReadCPU *= sd
 	opt.Cost.IterCPU *= sd
-	// Merge runs at ~their Xeon's native speed against a slow interconnect
-	// (§VI-A's CPU/PCIe mismatch): one compaction thread already comes
-	// close to the device ceiling, so extra threads mostly burn host CPU —
-	// the regime ADOC is evaluated in. ~160 MB/s per thread at scale 1.
-	opt.Cost.MergeCPUPerKB = opt.Cost.MergeCPUPerKB * sd * 4 / 10
+	opt.Cost.MergeCPUPerKB *= sd
 	opt.Cost.FlushCPUPerKB *= sd
 	return opt
 }

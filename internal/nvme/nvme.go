@@ -91,14 +91,15 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) normalize() Config {
+// validate panics, naming the field, on a queue shape the dispatcher
+// cannot run: every queue and the firmware need room for one command.
+func (c Config) validate() {
 	if c.QueueDepth < 1 {
-		c.QueueDepth = 1
+		panic("nvme: Config needs QueueDepth >= 1")
 	}
 	if c.Slots < 1 {
-		c.Slots = 1
+		panic("nvme: Config needs Slots >= 1")
 	}
-	return c
 }
 
 // Dispatcher is the device-side command processor: it arbitrates across
@@ -201,7 +202,7 @@ func (d *Dispatcher) Severed() bool {
 
 // NewDispatcher builds a dispatcher on clk.
 func NewDispatcher(clk *vclock.Clock, cfg Config) *Dispatcher {
-	cfg = cfg.normalize()
+	cfg.validate()
 	return &Dispatcher{
 		clk:   clk,
 		cfg:   cfg,

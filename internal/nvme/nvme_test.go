@@ -1,6 +1,8 @@
 package nvme
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,5 +186,26 @@ func TestPerSubmitterQueuesProgressIndependently(t *testing.T) {
 		if at >= vclock.Time(8*time.Millisecond) {
 			t.Errorf("queue %s finished at %v; queues are serializing", name, at)
 		}
+	}
+}
+
+// TestNewDispatcherRejectsEmptyQueues: a queue depth or a firmware slot
+// count below 1 panics with the field's name instead of becoming 1.
+func TestNewDispatcherRejectsEmptyQueues(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"QueueDepth", Config{Slots: 4}},
+		{"Slots", Config{QueueDepth: 4}},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.field) {
+					t.Errorf("NewDispatcher with zero %s panicked with %q, want the field's name", c.field, msg)
+				}
+			}()
+			NewDispatcher(vclock.New(), c.cfg)
+		}()
 	}
 }

@@ -106,9 +106,6 @@ func (s *KVRegion) KVPutCompound(r *vclock.Runner, entries []memtable.Entry) err
 		payload += len(e.Key) + len(e.Value) + 8
 	}
 	chunkBudget := s.dev.cfg.DMAChunkSize
-	if chunkBudget < 1 {
-		chunkBudget = 512 << 10
-	}
 	nChunks := (payload + chunkBudget - 1) / chunkBudget
 	if nChunks <= 1 {
 		c := s.compoundCmd(entries, payload)

@@ -61,10 +61,10 @@ type Config struct {
 	DMAChunkSize int
 	// MaxTransferBytes is the MDTS equivalent: the largest transfer one
 	// block command may carry. Larger I/O splits into multiple commands
-	// that overlap at QD>1. Defaults to DMAChunkSize.
+	// that overlap at QD>1. 0 means DMAChunkSize.
 	MaxTransferBytes int
 	// IOQueues is the number of queue pairs each block namespace stripes
-	// its commands across (multi-queue NVMe). Defaults to 1.
+	// its commands across (multi-queue NVMe); at least 1.
 	IOQueues int
 
 	// Faults is the shared fault plan consulted by the NVMe dispatcher
@@ -78,32 +78,22 @@ type Config struct {
 	Trace *trace.Tracer
 }
 
-// CosmosConfig mirrors the paper's Cosmos+ OpenSSD at 1/scale size and
-// bandwidth. scale=1 is the real board (630 MB/s, PCIe Gen2 ×8); the
-// experiments default to scale=10 so 60 simulated seconds reproduce a
-// 600-second figure.
-func CosmosConfig(scale int) Config {
-	if scale < 1 {
-		scale = 1
-	}
-	geo := nand.CosmosGeometry()
-	timing := nand.CosmosTiming()
-	// Scale bandwidth down by scaling per-die program/read rates.
-	timing.ProgramPage *= time.Duration(scale)
-	timing.ReadPage *= time.Duration(scale)
-	timing.ChannelMBps /= float64(scale)
-	link := pcie.Gen2x8()
-	link.BandwidthMBps /= float64(scale)
+// CosmosConfig is the paper's Cosmos+ OpenSSD board (§VI-A) at scale 1:
+// 630 MB/s of NAND behind PCIe Gen2 ×8, one ARM Cortex-A9 core paying
+// 3 µs to parse each KV command, and the Dev-LSM's own costs.
+// machine.DeviceConfig renders it at other scales.
+func CosmosConfig() Config {
 	return Config{
-		Geometry:          geo,
-		Timing:            timing,
-		PCIe:              link,
+		Geometry:          nand.CosmosGeometry(),
+		Timing:            nand.CosmosTiming(),
+		PCIe:              pcie.Gen2x8(),
 		NVMe:              nvme.DefaultConfig(),
-		BlockRegionBytes:  int64(6) << 30, // 6 GiB block region at scale=10
+		BlockRegionBytes:  int64(6) << 30,
 		KVRegionBytes:     int64(2) << 30,
 		DevLSM:            devlsm.DefaultConfig(),
-		KVCommandOverhead: 8 * time.Microsecond,
+		KVCommandOverhead: 3 * time.Microsecond,
 		DMAChunkSize:      512 << 10,
+		IOQueues:          1,
 	}
 }
 
@@ -128,6 +118,12 @@ type Device struct {
 // core that runs Dev-LSM I/O, flush, and compaction (§VI-A); the clock
 // hosts the NVMe dispatcher's transient device-side runners.
 func New(clk *vclock.Clock, cfg Config) *Device {
+	if cfg.DMAChunkSize < 1 {
+		panic("ssd: Config needs DMAChunkSize >= 1")
+	}
+	if cfg.IOQueues < 1 {
+		panic("ssd: Config needs IOQueues >= 1")
+	}
 	arr := nand.New(cfg.Geometry, cfg.Timing)
 	pageSize := int64(cfg.Geometry.PageSize)
 	fcfg := ftl.Config{
@@ -138,14 +134,8 @@ func New(clk *vclock.Clock, cfg Config) *Device {
 	}
 	f := ftl.New(arr, fcfg)
 	arm := cpu.NewPool(1, "ssd-arm")
-	if cfg.DMAChunkSize <= 0 {
-		cfg.DMAChunkSize = 512 << 10
-	}
 	if cfg.MaxTransferBytes <= 0 {
 		cfg.MaxTransferBytes = cfg.DMAChunkSize
-	}
-	if cfg.IOQueues < 1 {
-		cfg.IOQueues = 1
 	}
 	cfg.DevLSM.Trace = cfg.Trace
 	d := &Device{
@@ -159,9 +149,6 @@ func New(clk *vclock.Clock, cfg Config) *Device {
 		clk:   clk,
 	}
 	d.full = &KVRegion{dev: d, lsm: d.Dev, qp: d.NVMe.NewQueuePair("kv", 1)}
-	if cfg.DevLSM.MergeCPUPerKB <= 0 {
-		cfg.DevLSM.MergeCPUPerKB = devlsm.DefaultConfig().MergeCPUPerKB
-	}
 	d.MergeExec = devlsm.NewMergeExecutor(f, arm, cfg.DevLSM.MergeCPUPerKB, cfg.Trace)
 	if cfg.Faults != nil {
 		d.NVMe.SetFaultPlan(cfg.Faults)

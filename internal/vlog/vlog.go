@@ -82,15 +82,15 @@ type Options struct {
 	AppendCPU time.Duration
 }
 
-func (o *Options) sanitize() {
-	if o.SegmentSize <= 0 {
-		o.SegmentSize = 8 << 20
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 64 << 10
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 32
+// validate panics, naming the field, on a size or depth below 1.
+func (o Options) validate() {
+	switch {
+	case o.SegmentSize < 1:
+		panic("vlog: Options needs SegmentSize >= 1")
+	case o.ChunkSize < 1:
+		panic("vlog: Options needs ChunkSize >= 1")
+	case o.QueueDepth < 1:
+		panic("vlog: Options needs QueueDepth >= 1")
 	}
 }
 
@@ -183,7 +183,7 @@ type Manager struct {
 
 // Open creates an empty value log and starts its writeback runner.
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
-	opt.sanitize()
+	opt.validate()
 	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
 	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
 	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
@@ -199,7 +199,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 // before the crash and stay gone. Appends resume into a fresh head
 // segment; recovered segments are sealed and become GC candidates.
 func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Options, ms ManifestState) (*Manager, error) {
-	opt.sanitize()
+	opt.validate()
 	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
 	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
 	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")

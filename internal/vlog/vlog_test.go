@@ -206,7 +206,7 @@ func TestVLogTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 
 		rclk := vclock.New()
 		rclk.Go("recoverer", func(r *vclock.Runner) {
-			m2, err := Recover(r, rclk, fsys, Options{QueueDepth: 4}, ManifestState{})
+			m2, err := Recover(r, rclk, fsys, Options{SegmentSize: 8 << 20, ChunkSize: 64 << 10, QueueDepth: 4}, ManifestState{})
 			if err != nil {
 				t.Errorf("seed %d: Recover: %v", seed, err)
 				return
@@ -248,7 +248,7 @@ func TestVLogRecoverHonorsNextSeg(t *testing.T) {
 	clk := vclock.New()
 	fsys := fs.New(&slowDev{pageSize: 4096, pages: 1 << 16})
 	clk.Go("test", func(r *vclock.Runner) {
-		m, err := Recover(r, clk, fsys, Options{SegmentSize: 4 << 10}, ManifestState{NextSeg: 7})
+		m, err := Recover(r, clk, fsys, Options{SegmentSize: 4 << 10, ChunkSize: 64 << 10, QueueDepth: 32}, ManifestState{NextSeg: 7})
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
@@ -262,4 +262,26 @@ func TestVLogRecoverHonorsNextSeg(t *testing.T) {
 		}
 	})
 	clk.Wait()
+}
+
+// TestOpenRejectsZeroSizes: Open and Recover use exactly the sizes and
+// depth they are given, so a zero one panics with the field's name.
+func TestOpenRejectsZeroSizes(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		opt   Options
+	}{
+		{"SegmentSize", Options{ChunkSize: 4 << 10, QueueDepth: 8}},
+		{"ChunkSize", Options{SegmentSize: 1 << 20, QueueDepth: 8}},
+		{"QueueDepth", Options{SegmentSize: 1 << 20, ChunkSize: 4 << 10}},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.field) {
+					t.Errorf("Open with zero %s panicked with %q, want the field's name", c.field, msg)
+				}
+			}()
+			Open(vclock.New(), fs.New(&slowDev{pageSize: 4096, pages: 1 << 10}), c.opt)
+		}()
+	}
 }

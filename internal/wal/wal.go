@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/cpu"
@@ -39,9 +40,6 @@ type Options struct {
 	AppendCPU time.Duration
 }
 
-// DefaultOptions buffers 64 KiB chunks, 32 deep.
-func DefaultOptions() Options { return Options{ChunkSize: 64 << 10, QueueDepth: 32} }
-
 // Log is one write-ahead log file.
 type Log struct {
 	fsys *fs.FileSystem
@@ -57,17 +55,20 @@ type Log struct {
 	queue *vclock.Queue[[]byte]
 
 	bytesAppended int64
-	bytesWritten  int64
-	werr          error // sticky writeback error (first device failure)
+	// bytesWritten is atomic so that BytesWritten, which the engine's Stats
+	// reads under its own lock, never waits on the log's.
+	bytesWritten atomic.Int64
+	werr         error // sticky writeback error (first device failure)
 }
 
-// Open creates a log file and starts its writeback runner on clk.
+// Open creates a log file and starts its writeback runner on clk. It
+// panics on a ChunkSize or QueueDepth below 1.
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, name string, opt Options) *Log {
-	if opt.ChunkSize <= 0 {
-		opt.ChunkSize = 64 << 10
+	if opt.ChunkSize < 1 {
+		panic("wal: Options needs ChunkSize >= 1")
 	}
-	if opt.QueueDepth <= 0 {
-		opt.QueueDepth = 32
+	if opt.QueueDepth < 1 {
+		panic("wal: Options needs QueueDepth >= 1")
 	}
 	l := &Log{fsys: fsys, name: name, opt: opt}
 	l.drained = vclock.NewCond(&l.mu, "wal.drained:"+name)
@@ -199,11 +200,7 @@ func (l *Log) BytesAppended() int64 {
 }
 
 // BytesWritten returns the bytes actually written back to the device.
-func (l *Log) BytesWritten() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytesWritten
-}
+func (l *Log) BytesWritten() int64 { return l.bytesWritten.Load() }
 
 func (l *Log) writeback(r *vclock.Runner) {
 	var chunks [][]byte // one round's chunks; reused every round
@@ -234,7 +231,7 @@ func (l *Log) writeback(r *vclock.Runner) {
 		if err != nil && l.werr == nil {
 			l.werr = err
 		}
-		l.bytesWritten += int64(total)
+		l.bytesWritten.Add(int64(total))
 		l.pending -= len(chunks)
 		l.mu.Unlock()
 		l.drained.Broadcast()

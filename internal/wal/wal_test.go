@@ -145,7 +145,7 @@ func TestBackpressureBoundsBuffering(t *testing.T) {
 
 func TestAppendAfterCloseFails(t *testing.T) {
 	clk, fsys := newEnv(0)
-	log := Open(clk, fsys, "wal-5", DefaultOptions())
+	log := Open(clk, fsys, "wal-5", Options{ChunkSize: 64 << 10, QueueDepth: 32})
 	clk.Go("writer", func(r *vclock.Runner) {
 		log.Close()
 		if err := appendBytes(log, r, []byte("x")); err == nil {
@@ -270,5 +270,27 @@ func TestTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 	}
 	if totalLost == 0 {
 		t.Error("no seed ever lost an unsynced tail record; the torn-tail path was never exercised")
+	}
+}
+
+// TestOpenRejectsZeroSizes: Open uses exactly the chunk size and queue
+// depth it is given, so a zero one panics with the field's name.
+func TestOpenRejectsZeroSizes(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		opt   Options
+	}{
+		{"ChunkSize", Options{QueueDepth: 4}},
+		{"QueueDepth", Options{ChunkSize: 4096}},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.field) {
+					t.Errorf("Open with zero %s panicked with %q, want the field's name", c.field, msg)
+				}
+			}()
+			clk, fsys := newEnv(0)
+			Open(clk, fsys, "wal-zero", c.opt)
+		}()
 	}
 }

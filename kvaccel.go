@@ -85,7 +85,8 @@ type Options struct {
 	// value-log segment is garbage-collected (live values rewritten, the
 	// segment punched via TRIM). 0 keeps the engine default (0.5).
 	VLogGCDiscardRatio float64
-	// DetectorPeriod is the stall-detector refresh interval.
+	// DetectorPeriod is the stall-detector refresh interval; 0 keeps the
+	// paper's 0.1 s.
 	DetectorPeriod time.Duration
 	// HostCores bounds the host CPU pool.
 	HostCores int
@@ -139,7 +140,6 @@ func DefaultOptions() Options {
 		CompactionThreads: 1,
 		Rollback:          RollbackLazy,
 		EnableRedirection: true,
-		DetectorPeriod:    100 * time.Millisecond,
 		HostCores:         8,
 	}
 }

@@ -70,11 +70,15 @@ func OpenSharded(opt ShardedOptions) *ShardedDB {
 	lopt := machine.LSMOptions(opt.Scale)
 	lopt.CompactionThreads = opt.CompactionThreads
 	lopt.ValueThreshold = opt.ValueThreshold
-	lopt.VLogGCDiscardRatio = opt.VLogGCDiscardRatio
+	if opt.VLogGCDiscardRatio > 0 {
+		lopt.VLogGCDiscardRatio = opt.VLogGCDiscardRatio
+	}
 	lopt.EnableCompactionOffload = opt.OffloadCompaction
 	copt := core.DefaultOptions()
 	copt.Rollback = opt.Rollback
-	copt.DetectorPeriod = opt.DetectorPeriod // core.Open defaults 0
+	if opt.DetectorPeriod > 0 {
+		copt.DetectorPeriod = opt.DetectorPeriod
+	}
 	copt.StallFailover = opt.EnableRedirection
 	copt.FrontCacheBytes = opt.FrontCacheBytes
 	copt.FrontCacheNegative = opt.FrontCacheNegative
