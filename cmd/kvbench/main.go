@@ -288,9 +288,8 @@ func runTorture(w io.Writer, seed int64, n int, tracePath string) int {
 	rep := harness.RunTorture(p)
 	fmt.Fprintf(w, "\nphases      : %d (%d cuts fired)\n", rep.Phases, rep.CutsFired)
 	fmt.Fprintf(w, "writes      : %d acked, %d redirected, %d flush barriers\n", rep.Acked, rep.Redirected, rep.Barriers)
-	fmt.Fprintf(w, "recovery    : %d pairs replayed\n", rep.Recovered)
-	fmt.Fprintf(w, "faults      : injected=%d retried=%d failed=%d (dev-errors=%d)\n",
-		rep.Injected, rep.DevRetries, rep.DevFailed, rep.DevErrors)
+	fmt.Fprintf(w, "recovery    : %d pairs replayed\n", rep.KVStats.RollbackPairs)
+	printFaults(w, rep.Injected, rep.KVStats)
 	if len(rep.Violations) > 0 {
 		fmt.Fprintf(w, "oracle      : %d VIOLATIONS\n", len(rep.Violations))
 		for _, v := range rep.Violations {

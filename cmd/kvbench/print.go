@@ -24,13 +24,13 @@ func printResult(w io.Writer, res *harness.RunResult, faults bool) {
 	if res.CPUAvg > 0 {
 		fmt.Fprintf(w, "cpu         : %.1f%% avg  efficiency=%.3f MB/s per cpu%%\n", res.CPUAvg, res.Efficiency())
 	}
-	printEngineSummary(w, res.MainStats, res.WouldStallRedirects)
+	printEngineSummary(w, res.MainStats, res.KVStats.WouldStallRedirects)
 	printReadAttribution(w, res.KVStats)
 	if res.Levels != "" {
 		fmt.Fprintf(w, "tree        : %s\n", res.Levels)
 	}
-	if res.Redirects > 0 || res.Rollbacks > 0 {
-		fmt.Fprintf(w, "kvaccel     : redirected=%d rollbacks=%d\n", res.Redirects, res.Rollbacks)
+	if kv := res.KVStats; kv.RedirectedPuts > 0 || kv.Rollbacks > 0 {
+		fmt.Fprintf(w, "kvaccel     : redirected=%d rollbacks=%d\n", kv.RedirectedPuts, kv.Rollbacks)
 	}
 	for i, s := range res.PerShard {
 		fmt.Fprintf(w, "shard %-6d: puts=%d redirected=%d rollbacks=%d stalls=%d stall-time=%v\n",
@@ -38,14 +38,20 @@ func printResult(w io.Writer, res *harness.RunResult, faults bool) {
 			s.KVAccel.Rollbacks, s.Main.TotalStalls(), s.Main.StallTime)
 	}
 	if faults {
-		fmt.Fprintf(w, "faults      : injected=%d retried=%d failed=%d (dev-errors=%d)\n",
-			res.Injected, res.DevRetries, res.DevFailed, res.DevErrors)
+		printFaults(w, res.Injected, res.KVStats)
 	}
 	for _, q := range res.Queues {
 		if q.Submitted > 0 {
 			fmt.Fprintf(w, "queue       : %s\n", q)
 		}
 	}
+}
+
+// printFaults prints the injected-fault count beside the KVACCEL
+// controller's retry-policy view of those faults.
+func printFaults(w io.Writer, injected int64, kv core.Stats) {
+	fmt.Fprintf(w, "faults      : injected=%d retried=%d failed=%d (dev-errors=%d)\n",
+		injected, kv.DevRetries, kv.DevFailed, kv.DevErrors)
 }
 
 // printEngineSummary prints the engine-counter block: stall totals,

@@ -29,7 +29,6 @@ type bufferOps struct {
 
 func openSingle(p Params, spec EngineSpec) bufferOps {
 	tb := p.NewTestbed()
-	release := tb.Clk.Hold()
 	eng := p.BuildEngine(tb, spec)
 	ops := bufferOps{
 		put: eng.Eng.Put, del: eng.Eng.Delete, get: eng.Eng.Get, flush: eng.Eng.Flush,
@@ -40,7 +39,6 @@ func openSingle(p Params, spec EngineSpec) bufferOps {
 				body(r)
 				eng.Close()
 			})
-			release()
 			tb.Clk.Wait()
 		},
 	}

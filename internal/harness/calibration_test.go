@@ -47,9 +47,9 @@ func TestCalibrationKVAccelRedirects(t *testing.T) {
 	p := shortParams()
 	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}, WorkloadA)
 	t.Logf("KVAccel(1): %.2f Kops/s avg, redirects=%d stalls=%d stallTime=%v",
-		res.WriteKops(), res.Redirects, res.MainStats.TotalStalls(), res.MainStats.StallTime)
+		res.WriteKops(), res.KVStats.RedirectedPuts, res.MainStats.TotalStalls(), res.MainStats.StallTime)
 	t.Logf("per-second write Kops: %v", res.Rec.WriteSeries.Values())
-	if res.Redirects == 0 {
+	if res.KVStats.RedirectedPuts == 0 {
 		t.Error("KVACCEL never redirected despite write pressure")
 	}
 }

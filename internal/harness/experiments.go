@@ -147,7 +147,7 @@ func (p Params) Fig11(w io.Writer) []*RunResult {
 	for _, spec := range specs {
 		res := p.Run(spec, WorkloadA)
 		out = append(out, res)
-		fmt.Fprintf(w, "\n-- %s: avg=%.2f Kops/s redirects=%d\n", spec.Name(), res.WriteKops(), res.Redirects)
+		fmt.Fprintf(w, "\n-- %s: avg=%.2f Kops/s redirects=%d\n", spec.Name(), res.WriteKops(), res.KVStats.RedirectedPuts)
 		seriesTSV(w, res.Rec.WriteSeries)
 	}
 	return out
@@ -266,7 +266,6 @@ type RecoveryResult struct {
 func (p Params) Recovery(w io.Writer) RecoveryResult {
 	fmt.Fprintln(w, "== Recovery (VI-D): restore 10,000 KV pairs after metadata loss ==")
 	tb := p.NewTestbed()
-	release := tb.Clk.Hold()
 	eng := p.BuildEngine(tb, EngineSpec{Kind: KindKVAccel, Threads: 4, Rollback: core.RollbackDisabled})
 	const pairs = 10000
 	var elapsed time.Duration
@@ -285,7 +284,6 @@ func (p Params) Recovery(w io.Writer) RecoveryResult {
 		eng.KV.Recover(r)
 		elapsed = r.Now().Sub(start)
 	})
-	release()
 	tb.Clk.Wait()
 	fmt.Fprintf(w, "restored %d pairs in %v (paper: 1.1 s on real hardware)\n", pairs, elapsed)
 	return RecoveryResult{Pairs: pairs, Elapsed: elapsed}
@@ -306,7 +304,6 @@ type TableVIResult struct {
 func (p Params) TableVI(w io.Writer) TableVIResult {
 	fmt.Fprintln(w, "== Table VI: software module overheads (real wall clock) ==")
 	tb := p.NewTestbed()
-	release := tb.Clk.Hold()
 	eng := p.BuildEngine(tb, EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled})
 	var res TableVIResult
 	tb.Clk.Go("overheads", func(r *vclock.Runner) {
@@ -344,7 +341,6 @@ func (p Params) TableVI(w io.Writer) TableVIResult {
 		}
 		res.KeyDelete = time.Since(t0) / n
 	})
-	release()
 	tb.Clk.Wait()
 	fmt.Fprintf(w, "%-12s %10v   (paper: 1.37 µs)\n", "Detector", res.Detector)
 	fmt.Fprintf(w, "%-12s %10v   (paper: 0.45 µs)\n", "Key Insert", res.KeyInsert)

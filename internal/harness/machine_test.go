@@ -56,7 +56,6 @@ func (m *rig) rendered() []string {
 // shutdown closes an opened rig without running a workload on it.
 func (m *rig) shutdown() {
 	m.close()
-	m.release()
 	m.Clk.Wait()
 }
 

@@ -52,8 +52,8 @@ func TestMultiWriterWithFaults(t *testing.T) {
 	if res.Injected == 0 {
 		t.Fatalf("fault plan never fired")
 	}
-	if res.DevRetries == 0 || res.DevFailed != 0 {
-		t.Fatalf("retried=%d failed=%d, want retries and no failures", res.DevRetries, res.DevFailed)
+	if res.KVStats.DevRetries == 0 || res.KVStats.DevFailed != 0 {
+		t.Fatalf("retried=%d failed=%d, want retries and no failures", res.KVStats.DevRetries, res.KVStats.DevFailed)
 	}
 	if res.Rec.Writes() == 0 {
 		t.Fatal("no writes recorded")

@@ -62,22 +62,11 @@ type RunResult struct {
 	// PerShard is each shard's own counters; nil unless RunSharded ran.
 	PerShard []kvaccel.Stats
 	// MixSpec is the resolved mixed-workload spec (WorkloadMixed only).
-	MixSpec   workload.MixSpec
-	Levels    string // final tree shape; empty for sharded specs
-	Redirects int64
-	// WouldStallRedirects is the subset of Redirects taken because the
-	// engine refused non-blocking admission (ErrWouldStall), rather than
-	// because the Detector's stall signal was up.
-	WouldStallRedirects int64
-	Rollbacks           int64
-	// Fault-injection counters: Injected counts faults the plan fired
-	// (all classes, any layer); the Dev* trio is the KVACCEL
-	// controller's retry-policy view (zero for baselines and for runs
-	// without Params.FaultsSeed).
-	Injected   int64
-	DevErrors  int64
-	DevRetries int64
-	DevFailed  int64
+	MixSpec workload.MixSpec
+	Levels  string // final tree shape; empty for sharded specs
+	// Injected counts faults the plan fired (all classes, any layer);
+	// KVStats.Dev* are the KVACCEL controller's retry-policy view of them.
+	Injected int64
 	// Queues snapshots every NVMe queue pair at the end of the run.
 	Queues []nvme.QueueStats
 	// Kernel is the virtual clock's event counts for the whole run: what
@@ -135,10 +124,9 @@ func (res *RunResult) Efficiency() float64 {
 }
 
 // rig is what one workload run drives and samples: an engine front-end
-// and the machine under it, with the clock held.
+// and the machine under it.
 type rig struct {
 	*Testbed
-	release func() // drops the hold taken before the engine's runners started
 	eng     workload.Engine
 	mains   []*lsm.DB  // one per shard
 	kvs     []*core.DB // KVACCEL controllers, one per shard; nil for baselines
@@ -187,15 +175,12 @@ func (m *rig) fanOut(r *vclock.Runner, n int, name string, cfg workload.Config, 
 	wg.Wait(r)
 }
 
-// open assembles spec on a fresh machine of shards write domains, with
-// the clock held so the engine's periodic background runners (detector,
-// rollback) cannot free-run virtual time before the sampler and workload
-// are registered. sharded fronts KVACCEL shards with a kvaccel.ShardedDB
-// (spec.Kind is taken as KindKVAccel); otherwise the engine is
-// BuildEngine's.
+// open assembles spec on a fresh machine of shards write domains.
+// sharded fronts KVACCEL shards with a kvaccel.ShardedDB (spec.Kind is
+// taken as KindKVAccel); otherwise the engine is BuildEngine's.
 func (p Params) open(spec EngineSpec, shards int, sharded bool) *rig {
 	tb := p.newTestbed(shards)
-	m := &rig{Testbed: tb, release: tb.Clk.Hold(), sharded: sharded}
+	m := &rig{Testbed: tb, sharded: sharded}
 	if !sharded {
 		eng := p.BuildEngine(tb, spec)
 		m.eng, m.mains, m.close = eng.Eng, []*lsm.DB{eng.Main}, eng.Close
@@ -324,8 +309,6 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 		done.Store(true)
 		m.close()
 	})
-	m.release()
-
 	m.Clk.Wait()
 	res.Kernel = m.Clk.Stats()
 
@@ -344,12 +327,6 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 			res.PerShard = append(res.PerShard, kvaccel.Stats{KVAccel: s, Main: m.mains[i].Stats()})
 		}
 	}
-	res.Redirects = res.KVStats.RedirectedPuts
-	res.WouldStallRedirects = res.KVStats.WouldStallRedirects
-	res.Rollbacks = res.KVStats.Rollbacks
-	res.DevErrors = res.KVStats.DevErrors
-	res.DevRetries = res.KVStats.DevRetries
-	res.DevFailed = res.KVStats.DevFailed
 	if plan := m.Dev.FaultPlan(); plan != nil {
 		res.Injected = plan.TotalInjected()
 	}

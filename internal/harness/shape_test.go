@@ -23,7 +23,7 @@ func TestHeadlineShape(t *testing.T) {
 	kva := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}, WorkloadA)
 
 	t.Logf("workload A: rocksdb=%.2f adoc=%.2f kvaccel=%.2f Kops/s (redirects=%d)",
-		rocks.WriteKops(), adoc.WriteKops(), kva.WriteKops(), kva.Redirects)
+		rocks.WriteKops(), adoc.WriteKops(), kva.WriteKops(), kva.KVStats.RedirectedPuts)
 
 	// Claim 1 (Fig 11/12): KVACCEL(1) beats RocksDB(1) clearly.
 	if kva.WriteKops() < rocks.WriteKops()*1.05 {
@@ -34,8 +34,8 @@ func TestHeadlineShape(t *testing.T) {
 		t.Errorf("KVACCEL (%.2f) fell below ADOC (%.2f)", kva.WriteKops(), adoc.WriteKops())
 	}
 	// Claim 3: redirection actually happened at meaningful volume.
-	if kva.Redirects < 1000 {
-		t.Errorf("only %d redirected puts; the accelerator barely engaged", kva.Redirects)
+	if kva.KVStats.RedirectedPuts < 1000 {
+		t.Errorf("only %d redirected puts; the accelerator barely engaged", kva.KVStats.RedirectedPuts)
 	}
 	// Claim 4 (Fig 12b): KVACCEL's P99 is far below the slowdown-inflated
 	// baseline's.

@@ -125,11 +125,11 @@ type TortureReport struct {
 	Acked      int64
 	Redirected int64
 	Barriers   int64
-	Recovered  int64 // pairs replayed by Recover across all phases
-	DevErrors  int64
-	DevRetries int64
-	DevFailed  int64
 	Injected   int64 // faults injected by the plan (all classes)
+	// KVStats sums the KVACCEL controller's counters across phases:
+	// RollbackPairs is what Recover replayed, Dev* the retry-policy view
+	// of the injected faults.
+	KVStats core.Stats
 	// Offloaded and OffloadFallbacks total the Main-LSM's device-merge
 	// counters across phases (zero unless TortureParams.Offload).
 	Offloaded        int64
@@ -283,7 +283,6 @@ func RunTorture(p TortureParams) TortureReport {
 	oracle := newTortureOracle()
 
 	rep := TortureReport{}
-	var stats core.Stats
 	var traceBase vclock.Time
 	var traceDump []byte
 
@@ -393,7 +392,7 @@ func RunTorture(p TortureParams) TortureReport {
 			opt.FrontCacheBytes = p.FrontCacheBytes
 			db := core.Open(clk, main, dev.KVRegionFull(), opt)
 			defer func() {
-				stats = stats.Add(db.Stats())
+				rep.KVStats = rep.KVStats.Add(db.Stats())
 				ms := main.Stats()
 				rep.Offloaded += ms.OffloadedCompactions
 				rep.OffloadFallbacks += ms.OffloadFallbacks
@@ -470,10 +469,6 @@ func RunTorture(p TortureParams) TortureReport {
 			phase, rep.Acked, rep.Redirected, rep.Barriers, len(rep.Violations))
 	}
 
-	rep.DevErrors = stats.DevErrors
-	rep.DevRetries = stats.DevRetries
-	rep.DevFailed = stats.DevFailed
-	rep.Recovered = stats.RollbackPairs
 	rep.Injected = plan.TotalInjected()
 	if traceDump != nil {
 		if err := os.WriteFile(p.TracePath, traceDump, 0o644); err != nil {

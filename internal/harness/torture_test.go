@@ -28,7 +28,7 @@ func TestTortureCrashRecovery(t *testing.T) {
 		redirected += rep.Redirected
 		barriers += rep.Barriers
 		injected += rep.Injected
-		retries += rep.DevRetries
+		retries += rep.KVStats.DevRetries
 	}
 	// The suite must actually exercise both write paths, the barrier
 	// machinery, and the injector — a pass with zero redirects or zero

@@ -213,7 +213,6 @@ func TestPointWriteIsOneOpBatch(t *testing.T) {
 		opt.MemtableSize = 1 << 20 // no rotation: one WAL holds every record
 		clk := vclock.New()
 		fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
-		release := clk.Hold()
 		db := Open(clk, fsys, opt)
 		clk.Go("writer", func(r *vclock.Runner) {
 			defer db.Close()
@@ -250,7 +249,6 @@ func TestPointWriteIsOneOpBatch(t *testing.T) {
 			db.mu.Unlock()
 			lg.Sync(r)
 		})
-		release()
 		clk.Wait()
 		return walFiles(fsys), db.Stats()
 	}

@@ -137,23 +137,12 @@ func decodeManifest(b []byte) (manifestSnapshot, error) {
 			return s, err
 		}
 		f.level = int(lvl)
-		var klen uint64
-		if klen, rest, err = encoding.Uvarint(rest); err != nil {
+		if f.smallest, rest, err = manifestKey(rest); err != nil {
 			return s, err
 		}
-		if uint64(len(rest)) < klen {
-			return s, encoding.ErrCorrupt
-		}
-		f.smallest = append([]byte(nil), rest[:klen]...)
-		rest = rest[klen:]
-		if klen, rest, err = encoding.Uvarint(rest); err != nil {
+		if f.largest, rest, err = manifestKey(rest); err != nil {
 			return s, err
 		}
-		if uint64(len(rest)) < klen {
-			return s, encoding.ErrCorrupt
-		}
-		f.largest = append([]byte(nil), rest[:klen]...)
-		rest = rest[klen:]
 		var sz uint64
 		if sz, rest, err = encoding.U64(rest); err != nil {
 			return s, err
@@ -193,7 +182,25 @@ func decodeManifest(b []byte) (manifestSnapshot, error) {
 			s.vlogState.Segments = append(s.vlogState.Segments, si)
 		}
 	}
+	if len(rest) > 0 {
+		return s, encoding.ErrCorrupt // encodeManifest writes nothing past the sections
+	}
 	return s, nil
+}
+
+// manifestKey reads one length-prefixed key of a manifest into a copy.
+// The length must be a minimal varint, as encodeManifest writes it: one
+// whose last byte is zero is padded, and would decode to a snapshot that
+// encodes to other bytes.
+func manifestKey(b []byte) (key, rest []byte, err error) {
+	n, rest, err := encoding.Uvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if w := len(b) - len(rest); (w > 1 && b[w-1] == 0) || uint64(len(rest)) < n {
+		return nil, nil, encoding.ErrCorrupt
+	}
+	return append([]byte(nil), rest[:n]...), rest[n:], nil
 }
 
 // persistManifest writes a new MANIFEST-<n> and repoints CURRENT.

@@ -567,7 +567,6 @@ func TestVLogConcurrentWritersReadOwnValues(t *testing.T) {
 
 	clk := vclock.New()
 	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20, perPage: 20 * time.Microsecond})
-	release := clk.Hold()
 	db := Open(clk, fsys, opt)
 	var wg vclock.WaitGroup
 	wg.Add(writers)
@@ -596,7 +595,6 @@ func TestVLogConcurrentWritersReadOwnValues(t *testing.T) {
 		}
 		db.Close()
 	})
-	release()
 	clk.Wait()
 	if t.Failed() {
 		return

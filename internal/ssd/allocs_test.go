@@ -99,17 +99,16 @@ func TestAllocsBlockIO(t *testing.T) {
 	d, clk := newTestDev()
 	ns := d.BlockNamespace(0, 0)
 	mdts := d.maxTransferPages()
-	for _, chunks := range []int{1, 4} {
-		lpns := make([]int, chunks*mdts)
-		for i := range lpns {
-			lpns[i] = i
-		}
-		for _, io := range []struct {
-			name string
-			fn   func(*vclock.Runner, []int) error
-		}{{"WritePages", ns.WritePages}, {"ReadPages", ns.ReadPages}} {
-			var allocs float64
-			runOn(t, clk, func(r *vclock.Runner) {
+	runOn(t, clk, func(r *vclock.Runner) {
+		for _, chunks := range []int{1, 4} {
+			lpns := make([]int, chunks*mdts)
+			for i := range lpns {
+				lpns[i] = i
+			}
+			for _, io := range []struct {
+				name string
+				fn   func(*vclock.Runner, []int) error
+			}{{"WritePages", ns.WritePages}, {"ReadPages", ns.ReadPages}} {
 				do := func() {
 					if err := io.fn(r, lpns); err != nil {
 						t.Error(err)
@@ -118,13 +117,12 @@ func TestAllocsBlockIO(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					do()
 				}
-				allocs = testing.AllocsPerRun(50, do)
-			})
-			if allocs != 0 {
-				t.Errorf("%s of %d MDTS chunks: %v allocations, want 0", io.name, chunks, allocs)
+				if allocs := testing.AllocsPerRun(50, do); allocs != 0 {
+					t.Errorf("%s of %d MDTS chunks: %v allocations, want 0", io.name, chunks, allocs)
+				}
 			}
 		}
-	}
+	})
 }
 
 // BenchmarkKVPut is one redirected put through the KV interface: a

@@ -207,8 +207,8 @@ func admScripts(seed int64, capacity int) [][]admOp {
 }
 
 // trapDeadlock makes c report a deadlock on the returned channel instead
-// of panicking; join then waits for c to drain and fails the test with
-// the report if it deadlocks instead.
+// of panicking; join then starts the simulation, waits for c to drain and
+// fails the test with the report if it deadlocks instead.
 func trapDeadlock(c *Clock) <-chan string {
 	deadlocked := make(chan string, 1)
 	c.OnDeadlock = func(report string) { deadlocked <- report }
@@ -217,6 +217,7 @@ func trapDeadlock(c *Clock) <-chan string {
 
 func join(t *testing.T, c *Clock, deadlocked <-chan string, what string) {
 	t.Helper()
+	go c.Wait()
 	select {
 	case <-c.done:
 	case report := <-deadlocked:
@@ -262,7 +263,6 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 	var scriptsDone WaitGroup
 	scriptsDone.Add(len(scripts))
 
-	release := c.Hold()
 	c.Go("bystander", func(r *Runner) {
 		byMu.Lock()
 		for !byStop {
@@ -317,7 +317,6 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 			}
 		})
 	}
-	release()
 	join(t, c, deadlocked, fmt.Sprintf("capacity %d: a waiter was never admitted", capacity))
 	return log
 }
@@ -420,7 +419,6 @@ func TestAdmissionMarkIsPerWake(t *testing.T) {
 				b.Release(1)
 			})
 		}
-		release := c.Hold()
 		c.Go("holder", func(r *Runner) {
 			a.Acquire(r, 1)
 			b.Acquire(r, 1)
@@ -445,7 +443,6 @@ func TestAdmissionMarkIsPerWake(t *testing.T) {
 			b.Release(1)
 			a.Release(1)
 		})
-		release()
 		join(t, c, deadlocked, "a waiter was never admitted")
 		return order
 	}
@@ -478,7 +475,6 @@ func TestReleaseManyWakesOnePerUnit(t *testing.T) {
 	var parked WaitGroup
 	parked.Add(1)
 
-	release := c.Hold()
 	c.Go("closer", func(r *Runner) {
 		gate.Acquire(r, capacity)
 		r.Sleep(time.Millisecond)
@@ -500,7 +496,6 @@ func TestReleaseManyWakesOnePerUnit(t *testing.T) {
 			}
 		})
 	}
-	release()
 	join(t, c, deadlocked, "readers left parked beside free units")
 	at := Time(time.Millisecond)
 	for i, got := range admittedAt {

@@ -337,11 +337,9 @@ func TestVacatedSlotsAreCleared(t *testing.T) {
 
 	c := New()
 	ev := NewEvent("never")
-	release := c.Hold()
 	for i := 0; i < 3; i++ {
 		c.Go("waiter", func(w *Runner) { ev.WaitFor(w, time.Microsecond) })
 	}
-	release()
 	c.Wait()
 	for i, p := range ev.waiters[:cap(ev.waiters)] {
 		if p != nil {

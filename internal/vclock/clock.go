@@ -13,6 +13,13 @@
 // then run is the Go scheduler's (see Semaphore), so a seed reproduces an
 // experiment's shape, not its bytes.
 //
+// The caller is the first runner: the goroutine that calls New counts as a
+// runnable runner of the clock until it calls Wait. So virtual time stays
+// at zero while it sets up and starts the simulation's runners, however
+// long that takes in wall time, and every runner it starts before Wait
+// starts at one instant. Go may be called from outside a runner only
+// before Wait; from then on, only runners start runners.
+//
 // Runners are cheap to start: a goroutine whose function returned stays
 // behind, invisible to the clock, and the next Go hands it the new
 // function (see Clock.Go). They all exit when the simulation drains.
@@ -22,7 +29,9 @@
 // critical sections under plain mutexes are fine — the clock simply does not
 // advance while any runner is runnable. Indefinite waits must go through the
 // clock-aware primitives in this package, so the kernel can observe them and
-// either advance time or report a deadlock.
+// either advance time or report a deadlock. Once Wait has been called,
+// every runner parked on a condition with no timer pending is a deadlock,
+// reported the moment the last runnable runner parks (see OnDeadlock).
 package vclock
 
 import (
@@ -57,25 +66,27 @@ type Clock struct {
 	now     atomic.Int64 // Time; stored under mu, loaded without it
 	seq     uint64       // tie-break for deterministic wake ordering
 	nextID  uint64       // runner ids, assigned in registration order
-	active  int          // registered runners currently runnable
-	total   int          // registered runners alive
+	active  int          // runners currently runnable, New's caller among them until it waits
+	total   int          // runners alive, New's caller among them until it waits
+	waited  bool         // New's caller has called Wait and left the count
 	timers  timerHeap
 	runners *Runner       // live runners, linked through Runner.next/prev (deadlock report)
 	idle    *Runner       // returned runners awaiting reuse, newest first, linked through Runner.next
 	done    chan struct{} // closed when the last runner exits
-	stopped bool
-	suspect uint64 // deadlock suspicions raised so far (confirmDeadlock)
+	stopped bool          // a deadlock was reported: time moves no further
 	stats   Stats
 
-	// OnDeadlock, if non-nil, is invoked instead of panicking when every
-	// runner has stayed parked on a condition with no timer pending for
-	// deadlockGrace. Tests use it.
+	// OnDeadlock, if non-nil, is invoked instead of panicking when, after
+	// Wait, every runner is parked on a condition with no timer pending.
+	// It runs on a goroutine of its own, called the instant the last
+	// runnable runner parks. Tests use it.
 	OnDeadlock func(report string)
 }
 
-// New returns a Clock at virtual time zero.
+// New returns a Clock at virtual time zero whose first runner is the
+// calling goroutine: time cannot move until it calls Wait.
 func New() *Clock {
-	return &Clock{done: make(chan struct{})}
+	return &Clock{done: make(chan struct{}), active: 1, total: 1}
 }
 
 // Now returns the current virtual time.
@@ -164,7 +175,8 @@ func (r *Runner) Now() Time { return r.clock.Now() }
 // Go starts fn as a registered runner. The runner is automatically
 // unregistered when fn returns, and its goroutine, Runner and wake channel
 // then serve the next Go instead of being made anew: fn must not keep r
-// past its return.
+// past its return. Go may be called from a runner, or from outside one
+// before Wait; it panics once the simulation has drained.
 func (c *Clock) Go(name string, fn func(r *Runner)) {
 	c.GoWith(name, callFunc, fn)
 }
@@ -192,6 +204,9 @@ func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
 func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *Runner, reused bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.total == 0 {
+		panic(fmt.Sprintf("vclock: Go(%q) after the simulation drained", name))
+	}
 	if r = c.idle; r != nil {
 		c.idle = r.next
 		c.stats.Reuses++
@@ -238,7 +253,7 @@ func (r *Runner) live() (idle bool) {
 
 // unregister takes r off the clock's books and, if reusable, puts it on
 // the free list. It reports whether it did: the last runner to leave
-// drains the simulation instead, sending every idle runner home.
+// drains the simulation instead.
 func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 	c.mu.Lock()
 	if r.prev != nil {
@@ -251,15 +266,24 @@ func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 	}
 	r.next, r.prev = nil, nil
 	r.fn, r.arg = nil, nil // an idle runner must not pin its last life's state
+	idle = reusable && c.total > 1
+	if idle {
+		r.next, c.idle = c.idle, r
+	}
+	c.leaveLocked()
+	return idle
+}
+
+// leaveLocked takes one runner — a returning one, or New's caller in Wait
+// — off the count and releases c.mu. The last to leave drains the
+// simulation: it sends every idle runner home and closes done.
+func (c *Clock) leaveLocked() {
 	c.total--
 	c.active--
 	if c.total > 0 {
-		if reusable {
-			r.next, c.idle = c.idle, r
-		}
 		c.maybeAdvanceLocked()
 		c.mu.Unlock()
-		return reusable
+		return
 	}
 	home := c.idle
 	c.idle = nil
@@ -271,22 +295,28 @@ func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 		home = next
 	}
 	close(c.done)
-	return false
 }
 
-// Wait blocks the calling (non-runner) goroutine until every runner started
-// with Go has returned. It is the idiomatic way for a test or main to join
-// the simulation.
-func (c *Clock) Wait() { <-c.done }
+// Wait starts virtual time and blocks until every runner has returned. The
+// goroutine that called New stops being a runner here, so every runner it
+// started with Go before this call starts at time zero, and the
+// simulation drains right away if it started none. It is the way a test
+// or main joins the simulation; later calls only join.
+func (c *Clock) Wait() {
+	c.mu.Lock()
+	if c.waited {
+		c.mu.Unlock()
+	} else {
+		c.waited = true
+		c.leaveLocked()
+	}
+	<-c.done
+}
 
 // Hold pins virtual time until the returned release function is called.
-// Constructors that start housekeeping runners (detectors, rollback
-// managers — all parked on periodic timers) take a hold so the ordinary
-// goroutine finishing setup, which the clock cannot see, gets to register
-// its first real runner before those timers free-run virtual time
-// arbitrarily far ahead. Release is idempotent; call it after the first
-// real runner is registered (Go registers synchronously, so right after
-// Go returns is safe).
+// Release is idempotent. Nothing in this module needs it, since New's
+// caller pins time until Wait; it stays only because the benchmark driver
+// (bench/engine.go and bench/bench_test.go) still calls it.
 func (c *Clock) Hold() (release func()) {
 	c.mu.Lock()
 	c.active++
@@ -422,9 +452,6 @@ func (c *Clock) wakeParkedAt(r *Runner, at Time) {
 	r.parked = false
 	c.seq++
 	c.timers.push(timer{at: at, seq: c.seq, r: r})
-	// The caller is usually a runner, so this is a no-op; a goroutine the
-	// clock cannot see may have just armed the only thing left to wait for.
-	c.maybeAdvanceLocked()
 	c.mu.Unlock()
 }
 
@@ -436,16 +463,13 @@ func (c *Clock) maybeAdvanceLocked() {
 	}
 	for {
 		if len(c.timers) == 0 {
-			if c.total == 0 {
-				return // simulation drained
+			if c.total > 0 {
+				// Every runner is parked and nothing is due, and New's
+				// caller, which alone could still act from outside, has
+				// waited: nobody is left to wake anyone.
+				c.stopped = true
+				go c.reportDeadlock(c.deadlockReportLocked())
 			}
-			// Every runner is parked and nothing is due: a deadlock, unless
-			// a goroutine the clock cannot see (a test or main between
-			// Open and its first Go, say) is about to register a runner or
-			// signal one. Give it deadlockGrace of wall time to do so.
-			c.suspect++
-			gen := c.suspect
-			time.AfterFunc(deadlockGrace, func() { c.confirmDeadlock(gen) })
 			return
 		}
 		// Jump to the earliest deadline and wake every timer due at it, in
@@ -477,25 +501,10 @@ func (c *Clock) maybeAdvanceLocked() {
 	}
 }
 
-// deadlockGrace is how long, in wall time, an all-parked clock with no
-// pending timer may sit before it is reported as deadlocked.
-const deadlockGrace = 200 * time.Millisecond
-
-// confirmDeadlock reports suspicion gen if the clock has not moved since:
-// any later transition to "nothing runnable" raised a newer suspicion
-// (or drained the simulation), and any wake or registration left a
-// runner active.
-func (c *Clock) confirmDeadlock(gen uint64) {
-	c.mu.Lock()
-	if gen != c.suspect || c.active > 0 || c.total == 0 || c.stopped {
-		c.mu.Unlock()
-		return
-	}
-	report := c.deadlockReportLocked()
-	c.stopped = true
-	// Report without the lock: the handler may inspect the clock, and a
-	// panic must not leave c.mu held under goroutines that still need it.
-	c.mu.Unlock()
+// reportDeadlock hands report to OnDeadlock, or panics with it. It runs on
+// a goroutine of its own, without c.mu: the handler may inspect the clock,
+// and the runner whose park stopped the clock still has to block.
+func (c *Clock) reportDeadlock(report string) {
 	if h := c.OnDeadlock; h != nil {
 		h(report)
 		return

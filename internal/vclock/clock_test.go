@@ -53,11 +53,9 @@ func TestConcurrentSleepersWakeInOrder(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	release := c.Hold() // no runner may park, and time move, before all are registered
 	sleep("c", 3*time.Second)
 	sleep("a", 1*time.Second)
 	sleep("b", 2*time.Second)
-	release()
 	c.Wait()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("wake order = %v, want [a b c]", order)
@@ -83,14 +81,12 @@ func TestSleepUntil(t *testing.T) {
 func TestSameInstantWakesAll(t *testing.T) {
 	c := New()
 	var n atomic.Int32
-	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 10; i++ {
 		c.Go("r", func(r *Runner) {
 			r.Sleep(time.Second)
 			n.Add(1)
 		})
 	}
-	release()
 	c.Wait()
 	if n.Load() != 10 {
 		t.Fatalf("woke %d runners, want 10", n.Load())
@@ -155,39 +151,118 @@ func TestCondBroadcast(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	c := New()
-	var report atomic.Value
-	c.OnDeadlock = func(s string) { report.Store(s) }
+	deadlocked := trapDeadlock(c)
 	var mu sync.Mutex
 	cond := NewCond(&mu, "never-signaled")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.Go("stuck", func(r *Runner) {
-			mu.Lock()
-			cond.Wait(r) // nobody will ever signal
-			mu.Unlock()
-		})
-		// The deadlock handler fires once the grace period has passed;
-		// give it a moment and then verify.
-		deadline := time.Now().Add(5 * time.Second)
-		for report.Load() == nil && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+	c.Go("stuck", func(r *Runner) {
+		mu.Lock()
+		cond.Wait(r) // nobody will ever signal
+		mu.Unlock()
+	})
+	go c.Wait()
+	select {
+	case report := <-deadlocked:
+		if !strings.Contains(report, "stuck: never-signaled") {
+			t.Errorf("report does not name the parked runner:\n%s", report)
 		}
-	}()
-	<-done
-	s, _ := report.Load().(string)
-	if s == "" {
+	case <-time.After(10 * time.Second):
 		t.Fatal("deadlock not detected")
 	}
-	// Unstick the runner so the test goroutine leak is bounded.
+	// Unstick the runner so the simulation drains and Wait returns.
 	cond.Signal()
+}
+
+// TestDeadlockReportedAtOnce: once Wait has started the simulation, the
+// park that leaves no runner runnable and no timer pending is reported
+// right then, not after some wall-clock grace.
+func TestDeadlockReportedAtOnce(t *testing.T) {
+	c := New()
+	deadlocked := trapDeadlock(c)
+	var mu sync.Mutex
+	cond := NewCond(&mu, "never-signaled")
+	for _, d := range []Duration{0, time.Millisecond} {
+		c.Go("stuck", func(r *Runner) {
+			r.Sleep(d)
+			mu.Lock()
+			cond.Wait(r)
+			mu.Unlock()
+		})
+	}
+	start := time.Now()
+	go c.Wait()
+	select {
+	case <-deadlocked:
+		if d := time.Since(start); d >= 100*time.Millisecond {
+			t.Errorf("deadlock reported %v after Wait, want < 100ms", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock not detected")
+	}
+	cond.Broadcast()
+}
+
+// TestLateRunnerIsNoDeadlock: a runner parked on a condition before Wait
+// is not deadlocked, however long in wall time its caller takes to start
+// the runner that signals it.
+func TestLateRunnerIsNoDeadlock(t *testing.T) {
+	c := New()
+	deadlocked := trapDeadlock(c)
+	var mu sync.Mutex
+	cond := NewCond(&mu, "signalled-late")
+	ready := false
+	c.Go("waiter", func(r *Runner) {
+		mu.Lock()
+		for !ready {
+			cond.Wait(r)
+		}
+		mu.Unlock()
+	})
+	time.Sleep(300 * time.Millisecond) // real time: the waiter parks
+	c.Go("signaler", func(r *Runner) {
+		r.Sleep(time.Second)
+		mu.Lock()
+		ready = true
+		mu.Unlock()
+		cond.Signal()
+	})
+	join(t, c, deadlocked, "a waiter whose signaler was still to come was reported deadlocked")
+	if c.Now() != Time(time.Second) {
+		t.Errorf("clock = %v, want 1s", c.Now())
+	}
+}
+
+// TestRunnerReturningBeforeNextGo: the first runner returning before its
+// caller starts the second must not drain the simulation under it.
+func TestRunnerReturningBeforeNextGo(t *testing.T) {
+	c := New()
+	c.Go("quick", func(r *Runner) {})
+	time.Sleep(20 * time.Millisecond) // real time: quick returns
+	c.Go("sleeper", func(r *Runner) { r.Sleep(time.Second) })
+	c.Wait()
+	if c.Now() != Time(time.Second) {
+		t.Errorf("clock = %v, want 1s", c.Now())
+	}
+}
+
+// TestGoAfterDrainPanics: a runner started on a drained clock could never
+// run in its virtual time; Go says so to its caller.
+func TestGoAfterDrainPanics(t *testing.T) {
+	c := New()
+	c.Go("only", func(r *Runner) { r.Sleep(time.Millisecond) })
+	c.Wait()
+	defer func() {
+		const want = `vclock: Go("late") after the simulation drained`
+		if got := recover(); got != want {
+			t.Errorf("recovered %v, want %q", got, want)
+		}
+	}()
+	c.Go("late", func(r *Runner) {})
 }
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	c := New()
 	sem := NewSemaphore(2, "sem")
 	var inside, maxInside atomic.Int32
-	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 6; i++ {
 		c.Go("worker", func(r *Runner) {
 			sem.Acquire(r, 1)
@@ -203,7 +278,6 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 			sem.Release(1)
 		})
 	}
-	release()
 	c.Wait()
 	if maxInside.Load() > 2 {
 		t.Fatalf("max concurrent holders = %d, want <= 2", maxInside.Load())
@@ -293,13 +367,11 @@ func TestQueueBackpressure(t *testing.T) {
 func TestResourceSerializesAndAccountsBusyTime(t *testing.T) {
 	c := New()
 	res := NewResource(1, "link")
-	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 4; i++ {
 		c.Go("xfer", func(r *Runner) {
 			res.Use(r, 250*time.Millisecond)
 		})
 	}
-	release()
 	c.Wait()
 	if c.Now() != Time(time.Second) {
 		t.Fatalf("4 serialized 250ms uses took %v, want 1s", c.Now())
@@ -312,13 +384,11 @@ func TestResourceSerializesAndAccountsBusyTime(t *testing.T) {
 func TestResourceParallelCapacity(t *testing.T) {
 	c := New()
 	res := NewResource(4, "cpu")
-	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 4; i++ {
 		c.Go("task", func(r *Runner) {
 			res.Use(r, time.Second)
 		})
 	}
-	release()
 	c.Wait()
 	if c.Now() != Time(time.Second) {
 		t.Fatalf("4 parallel uses on cap-4 resource took %v, want 1s", c.Now())
@@ -408,7 +478,6 @@ func TestManyRunnersManyEvents(t *testing.T) {
 	const runners = 50
 	const events = 200
 	var n atomic.Int64
-	release := c.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < runners; i++ {
 		d := time.Duration(i+1) * time.Millisecond
 		c.Go("r", func(r *Runner) {
@@ -418,7 +487,6 @@ func TestManyRunnersManyEvents(t *testing.T) {
 			}
 		})
 	}
-	release()
 	c.Wait()
 	if n.Load() != runners*events {
 		t.Fatalf("events = %d, want %d", n.Load(), runners*events)
@@ -484,44 +552,28 @@ func TestQueueTryPushFullAndClosed(t *testing.T) {
 	}
 }
 
-// TestHoldPinsTimeDuringSetup reproduces the Open-then-Run constructor
-// pattern: a periodic housekeeping runner starts first, and the ordinary
-// goroutine doing setup — invisible to the clock — registers the real
-// workload runner afterwards. Without a hold the housekeeping timer
-// free-runs virtual time through that gap (by however far the OS delays
-// the setup goroutine); with one, the workload starts at t=0.
-func TestHoldPinsTimeDuringSetup(t *testing.T) {
+// TestCallerPinsTimeUntilWait reproduces the Open-then-Run constructor
+// pattern: a periodic housekeeping runner starts first, and the goroutine
+// doing setup registers the real workload runner afterwards. That
+// goroutine is the clock's first runner until it waits, so the
+// housekeeping timer cannot free-run virtual time through the gap, and
+// the workload starts at t=0.
+func TestCallerPinsTimeUntilWait(t *testing.T) {
 	clk := New()
-	release := clk.Hold()
 	stop := NewEvent("stop")
 	clk.Go("housekeeping", func(r *Runner) {
 		for !stop.WaitFor(r, time.Millisecond) {
 		}
 	})
-	// The housekeeping runner is parked on its period timer by the time
-	// this goroutine is scheduled again; only the hold stops it ticking.
 	time.Sleep(10 * time.Millisecond) // real time: let it park
 	var startedAt Time
 	clk.Go("workload", func(r *Runner) {
 		startedAt = r.Now()
 		stop.Set()
 	})
-	release()
 	clk.Wait()
 	if startedAt != 0 {
 		t.Errorf("workload started at t=%v; clock advanced during setup", startedAt)
-	}
-}
-
-func TestHoldReleaseIdempotent(t *testing.T) {
-	clk := New()
-	release := clk.Hold()
-	release()
-	release() // second call must not double-decrement active
-	clk.Go("r", func(r *Runner) { r.Sleep(time.Millisecond) })
-	clk.Wait()
-	if now := clk.Now(); now != Time(time.Millisecond) {
-		t.Errorf("clock at %v, want 1ms", now)
 	}
 }
 

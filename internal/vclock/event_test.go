@@ -23,7 +23,6 @@ func TestEventWaitForTimesOut(t *testing.T) {
 func TestEventSetWakesBeforeTimeout(t *testing.T) {
 	clk := New()
 	ev := NewEvent("ev")
-	release := clk.Hold() // no runner may park, and time move, before all are registered
 	clk.Go("waiter", func(r *Runner) {
 		if !ev.WaitFor(r, 100*time.Millisecond) {
 			t.Error("WaitFor missed the set")
@@ -36,7 +35,6 @@ func TestEventSetWakesBeforeTimeout(t *testing.T) {
 		r.Sleep(10 * time.Millisecond)
 		ev.Set()
 	})
-	release()
 	clk.Wait()
 }
 
@@ -61,7 +59,6 @@ func TestEventWakesAllWaiters(t *testing.T) {
 	ev := NewEvent("ev")
 	var mu sync.Mutex
 	woke := 0
-	release := clk.Hold() // no runner may park, and time move, before all are registered
 	for i := 0; i < 4; i++ {
 		clk.Go("waiter", func(r *Runner) {
 			if ev.WaitFor(r, time.Hour) {
@@ -75,7 +72,6 @@ func TestEventWakesAllWaiters(t *testing.T) {
 		r.Sleep(time.Millisecond)
 		ev.Set()
 	})
-	release()
 	clk.Wait()
 	if woke != 4 {
 		t.Errorf("%d waiters woke, want 4", woke)
@@ -91,7 +87,6 @@ func TestStaleTimeoutDoesNotFireIntoLaterPark(t *testing.T) {
 	var mu sync.Mutex
 	cond := NewCond(&mu, "cond")
 	ready := false
-	release := clk.Hold() // no runner may park, and time move, before all are registered
 	clk.Go("waiter", func(r *Runner) {
 		// Parks with a 50ms backstop; Set wakes it at 10ms, leaving the
 		// stale conditional timer armed for t=50ms.
@@ -118,7 +113,6 @@ func TestStaleTimeoutDoesNotFireIntoLaterPark(t *testing.T) {
 		mu.Unlock()
 		cond.Signal()
 	})
-	release()
 	clk.Wait()
 }
 
@@ -126,7 +120,6 @@ func TestEventTimeoutThenReWait(t *testing.T) {
 	// The periodic-loop pattern: repeated WaitFor timeouts, then a Set.
 	clk := New()
 	ev := NewEvent("ev")
-	release := clk.Hold() // no runner may park, and time move, before all are registered
 	clk.Go("loop", func(r *Runner) {
 		ticks := 0
 		for !ev.WaitFor(r, 10*time.Millisecond) {
@@ -143,6 +136,5 @@ func TestEventTimeoutThenReWait(t *testing.T) {
 		r.Sleep(35 * time.Millisecond)
 		ev.Set()
 	})
-	release()
 	clk.Wait()
 }

@@ -74,6 +74,7 @@ func TestIdleRunnerIsOffTheBooks(t *testing.T) {
 		never.Wait(r)
 		mu.Unlock()
 	})
+	go c.Wait()
 	select {
 	case report := <-deadlocked:
 		if !strings.Contains(report, "all 1 runners parked") || !strings.Contains(report, "stuck: never-signalled") || strings.Contains(report, "returns") {

@@ -194,8 +194,7 @@ func woSorted(log []woEntry) []woEntry {
 // order the runners wrote it.
 func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 	c := New()
-	deadlocked := make(chan string, 1)
-	c.OnDeadlock = func(report string) { deadlocked <- report }
+	deadlocked := trapDeadlock(c)
 
 	var logMu sync.Mutex
 	var log []woEntry
@@ -206,7 +205,6 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 		shared[k] = NewCond(&sharedMu[k], fmt.Sprintf("shared%d", k))
 	}
 
-	release := c.Hold() // all runners start at t=0
 	for i, script := range scripts {
 		c.Go(fmt.Sprintf("r%d", i), func(r *Runner) {
 			var ownMu sync.Mutex
@@ -268,13 +266,7 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 			}
 		})
 	}
-	release()
-
-	select {
-	case <-c.done:
-	case report := <-deadlocked:
-		t.Fatalf("kernel lost a wake-up:\n%s", report)
-	}
+	join(t, c, deadlocked, "kernel lost a wake-up")
 	return log
 }
 

@@ -17,12 +17,15 @@
 //		v, ok, _ := db.Get(r, []byte("k"))
 //		fmt.Println(ok, string(v))
 //	})
-//	db.Wait()  // join the simulation
+//	db.Wait()  // start virtual time and join the simulation
 //	db.Close() // optional once Wait has returned
 //
 // Every operation takes a *Runner: the handle of a simulated thread.
 // Create additional concurrent actors (writers, readers, monitors) with
 // db.Run; they interleave in virtual time exactly as OS threads would.
+// Virtual time starts at Wait: the goroutine that opened the DB counts as
+// a simulated thread until then, so every thread it starts with Run
+// starts at time zero, however long it takes between calls.
 package kvaccel
 
 import (
@@ -157,15 +160,19 @@ func Open(opt Options) *DB {
 	return &DB{s: s, kv: s.shards[0]}
 }
 
-// Run starts fn as a simulated thread named name.
+// Run starts fn as a simulated thread named name: from another simulated
+// thread, or from the goroutine that opened the DB before it calls Wait.
+// Every thread started before Wait starts at time zero.
 func (db *DB) Run(name string, fn func(r *Runner)) { db.s.Run(name, fn) }
 
-// Wait blocks the calling OS goroutine until every simulated thread has
-// exited (call Close from inside the simulation first, or make sure all
-// runners return).
+// Wait starts virtual time and blocks the calling OS goroutine until every
+// simulated thread has exited (call Close first, from inside the
+// simulation or from this goroutine, or make sure all runners return).
 func (db *DB) Wait() { db.s.Wait() }
 
-// Close stops background runners; in-flight work completes first.
+// Close stops background runners; in-flight work completes first. Called
+// from a simulated thread, or from the opening goroutine before Wait, it
+// lets Wait return once the last thread has.
 func (db *DB) Close() { db.s.Close() }
 
 // Put stores a key-value pair, transparently redirecting through the

@@ -3,6 +3,7 @@ package kvaccel
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -96,6 +97,32 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("virtual hour took too much real time")
+	}
+}
+
+// TestRunnersStartAtWait: threads started with Run before Wait all start
+// at time zero, however long the caller takes between the calls, even
+// with the first one ticking on a timer and the background runners Open
+// started parked on theirs. Close from outside before Wait lets the
+// simulation drain.
+func TestRunnersStartAtWait(t *testing.T) {
+	db := Open(DefaultOptions())
+	var stop atomic.Bool
+	db.Run("monitor", func(r *Runner) {
+		for !stop.Load() {
+			r.Sleep(time.Second)
+		}
+	})
+	time.Sleep(50 * time.Millisecond) // wall time between the two Runs
+	startedAt := time.Duration(-1)
+	db.Run("main", func(r *Runner) {
+		startedAt = time.Duration(r.Now())
+		stop.Store(true)
+	})
+	db.Close()
+	db.Wait()
+	if startedAt != 0 {
+		t.Errorf("second thread started at virtual %v, want 0", startedAt)
 	}
 }
 

@@ -44,10 +44,6 @@ func DefaultShardedOptions() ShardedOptions {
 type ShardedDB struct {
 	m      *machine.Machine
 	shards []*core.DB
-	// release drops the clock hold OpenSharded takes: until the first Run
-	// registers a runner, the hold keeps the background runners' periodic
-	// timers from free-running virtual time past the caller's setup code.
-	release func()
 }
 
 // OpenSharded builds one simulated machine and N KVACCEL shards on it.
@@ -65,7 +61,6 @@ func OpenSharded(opt ShardedOptions) *ShardedDB {
 	}
 	cfg.Faults = opt.Faults
 	m := machine.New(cfg, opt.HostCores, opt.Shards)
-	release := m.Clk.Hold()
 
 	lopt := machine.LSMOptions(opt.Scale)
 	lopt.CompactionThreads = opt.CompactionThreads
@@ -84,18 +79,15 @@ func OpenSharded(opt ShardedOptions) *ShardedDB {
 	copt.FrontCacheNegative = opt.FrontCacheNegative
 	copt.FrontCacheDoorkeeper = opt.FrontCacheDoorkeeper
 	shards, _ := m.OpenKVAccel(lopt, copt)
-	db := NewShardedDB(m, shards)
-	db.release = release
-	return db
+	return NewShardedDB(m, shards)
 }
 
 // NewShardedDB fronts KVACCEL shards already opened on m (by
 // machine.OpenKVAccel) with the hash router: OpenSharded's second half,
 // for the harness, which assembles m itself to hand the machine a tracer
-// and a fault plan. It takes no clock hold; the caller keeps m's clock
-// held until its first runner is registered.
+// and a fault plan.
 func NewShardedDB(m *machine.Machine, shards []*core.DB) *ShardedDB {
-	return &ShardedDB{m: m, shards: shards, release: func() {}}
+	return &ShardedDB{m: m, shards: shards}
 }
 
 // FNV-1a: deterministic across process restarts, so a reopened sharded
@@ -126,13 +118,14 @@ func (db *ShardedDB) ShardIndex(key []byte) int {
 	return shardIndex(key, len(db.shards))
 }
 
-// Run starts fn as a simulated thread named name.
-func (db *ShardedDB) Run(name string, fn func(r *Runner)) {
-	db.m.Clk.Go(name, fn)
-	db.release()
-}
+// Run starts fn as a simulated thread named name: from another simulated
+// thread, or from the goroutine that opened the store before it calls
+// Wait. Virtual time starts at Wait, so every thread Run starts before
+// then starts at time zero, however long the caller takes between calls.
+func (db *ShardedDB) Run(name string, fn func(r *Runner)) { db.m.Clk.Go(name, fn) }
 
-// Wait blocks until every simulated thread has exited.
+// Wait starts virtual time and blocks until every simulated thread has
+// exited.
 func (db *ShardedDB) Wait() { db.m.Clk.Wait() }
 
 // Now returns the current virtual time.
@@ -141,12 +134,13 @@ func (db *ShardedDB) Now() vclock.Time { return db.m.Clk.Now() }
 // Clock exposes the shared virtual clock (companion runners, samplers).
 func (db *ShardedDB) Clock() *vclock.Clock { return db.m.Clk }
 
-// Close shuts every shard down; in-flight work completes first.
+// Close shuts every shard down; in-flight work completes first. Called
+// from a simulated thread, or from the opening goroutine before Wait, it
+// lets Wait return once the last thread has.
 func (db *ShardedDB) Close() {
 	for _, s := range db.shards {
 		s.Close()
 	}
-	db.release() // let the runners drain even if Run was never called
 }
 
 // Put stores a key-value pair on the owning shard.
