@@ -65,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		readPct   = fs.Float64("read-pct", 0, "read fraction: overrides the mixed-workload preset; for readwhilewriting >= 0.15 picks the 8:2 mix, else 9:1")
 		zipfT     = fs.Float64("zipf-theta", 0, "zipfian skew override for mixed workloads (0 = YCSB default 0.99)")
 		frontMB   = fs.Int("front-cache-mb", -1, "hot-key front cache budget in MB (kvaccel engines; -1 = 32 for mixed workloads, else off)")
-		frontNeg  = fs.Bool("front-cache-negative", false, "also cache confirmed-missing keys in the front cache (read-miss accelerator)")
-		frontDoor = fs.Bool("front-doorkeeper", false, "second-chance admission on the front cache: refuse one-touch keys their first fill (uniform-traffic churn guard)")
 		noBlock   = fs.Bool("no-block-cache", false, "disable the Main-LSM block cache (cold-cache baseline)")
 		offload   = fs.Bool("offload-compaction", false, "offload eligible L0→L1 compactions to the SSD controller under stall pressure")
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's virtual timeline to this file")
@@ -110,8 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.ReadPct = *readPct
 	p.ZipfTheta = *zipfT
 	p.DisableBlockCache = *noBlock
-	p.FrontCacheNegative = *frontNeg
-	p.FrontCacheDoorkeeper = *frontDoor
 	p.OffloadCompaction = *offload
 	tracing := *tracePath != "" || *traceSum
 	if tracing {

@@ -103,10 +103,6 @@ func printReadAttribution(w io.Writer, kv core.Stats) {
 			kv.FrontCacheHits+kv.FrontCacheMisses, kv.FrontCacheFills,
 			kv.FrontCacheRejected, kv.FrontCacheInvalidations,
 			kv.FrontCacheEvictions, kv.FrontCacheEntries)
-		if kv.FrontCacheNegHits > 0 || kv.FrontCacheNegFills > 0 {
-			fmt.Fprintf(w, "front-neg   : %d absent-key hits (neg-fills=%d)\n",
-				kv.FrontCacheNegHits, kv.FrontCacheNegFills)
-		}
 	}
 	if kv.Gets > 0 {
 		fmt.Fprintf(w, "read-src    : front-cache=%d dev-lsm=%d main-lsm=%d (of %d gets)\n",

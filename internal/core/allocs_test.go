@@ -17,7 +17,7 @@ func TestAllocsGetFrontCacheHit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	clk, db := newFrontCacheStack(nil)
+	clk, db := newFrontCacheStack()
 	clk.Go("test", func(r *vclock.Runner) {
 		defer db.Close()
 		if err := db.Put(r, key(1), value(1)); err != nil {

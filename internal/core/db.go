@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kvaccel/internal/faults"
 	"kvaccel/internal/hotring"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/memtable"
@@ -60,20 +59,11 @@ type Options struct {
 	// DetectorPeriod is how often the Detector and Rollback Manager
 	// refresh (0.1 s in the paper).
 	DetectorPeriod time.Duration
-	// DetectorCost is the host CPU charged per detector check
-	// (Table VI: 1.37 µs).
-	DetectorCost time.Duration
 	// Rollback selects the scheduling scheme.
 	Rollback RollbackScheme
 	// LazyQuietPeriod is how long redirection must have been inactive
 	// before a lazy rollback fires.
 	LazyQuietPeriod time.Duration
-	// MetadataShards sizes the metadata manager's lock striping.
-	MetadataShards int
-	// Retry is the controller's answer to device command errors:
-	// transient faults (injected media errors, timeouts) are retried
-	// with backoff; a zero policy means a single attempt.
-	Retry faults.RetryPolicy
 	// StallFailover makes the Controller's normal-path write attempt
 	// non-blocking (lsm.WriteOptions.NoStallWait): when the Main-LSM
 	// answers ErrWouldStall, the write is redirected to the Dev-LSM
@@ -90,36 +80,19 @@ type Options struct {
 	// default: the cache is an opt-in read accelerator, not part of the
 	// paper's §V design).
 	FrontCacheBytes int64
-	// FrontCacheShards is the front cache's shard count (rounded up to a
-	// power of two; <= 0 picks the hotring default).
-	FrontCacheShards int
-	// FrontCacheNegative additionally caches confirmed-missing keys: a
-	// read that descends the full path and finds nothing installs a
-	// negative entry, so repeat misses on the same key are answered by
-	// the ring instead of re-walking metadata, Dev-LSM, and Main-LSM.
-	// The per-key write invalidation the cache already performs evicts
-	// the negative entry the moment the key is written, so no extra
-	// coherence machinery is needed. Only meaningful with
-	// FrontCacheBytes > 0.
-	FrontCacheNegative bool
-	// FrontCacheDoorkeeper enables second-chance admission on the front
-	// cache (see hotring.Cache.SetDoorkeeper): one-touch keys are refused
-	// their first fill, so uniform traffic stops churning the ring. Only
-	// meaningful with FrontCacheBytes > 0.
-	FrontCacheDoorkeeper bool
 }
 
 // DefaultOptions mirrors the paper's implementation constants.
 func DefaultOptions() Options {
 	return Options{
 		DetectorPeriod:  100 * time.Millisecond,
-		DetectorCost:    1370 * time.Nanosecond,
 		Rollback:        RollbackLazy,
 		LazyQuietPeriod: time.Second,
-		MetadataShards:  16,
-		Retry:           faults.DefaultRetryPolicy(),
 	}
 }
+
+// metadataShards is the metadata manager's lock striping.
+const metadataShards = 16
 
 // Stats are KVACCEL's cumulative counters.
 type Stats struct {
@@ -154,16 +127,9 @@ type Stats struct {
 	DevFailed  int64
 	// FrontCache mirrors the hot-key front cache's counters (all zero
 	// when the cache is disabled).
-	FrontCacheHits int64
-	// FrontCacheNegHits counts the subset of FrontCacheHits answered by a
-	// negative entry — reads resolved "absent" without descending the
-	// pipeline (requires Options.FrontCacheNegative).
-	FrontCacheNegHits int64
-	FrontCacheMisses  int64
-	FrontCacheFills   int64
-	// FrontCacheNegFills counts negative entries installed after a
-	// full-path miss (not included in FrontCacheFills).
-	FrontCacheNegFills      int64
+	FrontCacheHits          int64
+	FrontCacheMisses        int64
+	FrontCacheFills         int64
 	FrontCacheRejected      int64 // fills dropped by the generation guard
 	FrontCacheInvalidations int64
 	FrontCacheEvictions     int64
@@ -200,10 +166,8 @@ func (s Stats) Add(o Stats) Stats {
 	s.DevRetries += o.DevRetries
 	s.DevFailed += o.DevFailed
 	s.FrontCacheHits += o.FrontCacheHits
-	s.FrontCacheNegHits += o.FrontCacheNegHits
 	s.FrontCacheMisses += o.FrontCacheMisses
 	s.FrontCacheFills += o.FrontCacheFills
-	s.FrontCacheNegFills += o.FrontCacheNegFills
 	s.FrontCacheRejected += o.FrontCacheRejected
 	s.FrontCacheInvalidations += o.FrontCacheInvalidations
 	s.FrontCacheEvictions += o.FrontCacheEvictions
@@ -267,25 +231,19 @@ func Open(clk *vclock.Clock, main MainEngine, dev KVDevice, opt Options) *DB {
 	if opt.DetectorPeriod <= 0 {
 		panic("core: Options needs DetectorPeriod > 0")
 	}
-	if opt.MetadataShards < 1 {
-		panic("core: Options needs MetadataShards >= 1")
-	}
 	db := &DB{
 		clk:     clk,
 		opt:     opt,
 		main:    main,
 		dev:     dev,
-		meta:    NewMetadataManager(opt.MetadataShards),
+		meta:    NewMetadataManager(metadataShards),
 		gate:    vclock.NewSemaphore(gateUnits, "kvaccel.gate"),
 		closeEv: vclock.NewEvent("kvaccel.close"),
-		front:   hotring.New(opt.FrontCacheBytes, opt.FrontCacheShards),
+		front:   hotring.New(opt.FrontCacheBytes, 0),
 	}
-	if opt.FrontCacheDoorkeeper {
-		db.front.SetDoorkeeper(true)
-	}
-	db.det = NewDetector(main, opt.DetectorPeriod, opt.DetectorCost)
+	db.det = NewDetector(main, opt.DetectorPeriod)
 	db.det.SetTracer(opt.Trace)
-	db.det.Start(clk, nil)
+	db.det.Start(clk)
 	db.startRollbackManager()
 	return db
 }
@@ -329,10 +287,8 @@ func (db *DB) Stats() Stats {
 		DevFailed:           db.devFailed.Load(),
 
 		FrontCacheHits:          fc.Hits,
-		FrontCacheNegHits:       fc.NegHits,
 		FrontCacheMisses:        fc.Misses,
 		FrontCacheFills:         fc.Fills,
-		FrontCacheNegFills:      fc.NegFills,
 		FrontCacheRejected:      fc.Rejected,
 		FrontCacheInvalidations: fc.Invalidations,
 		FrontCacheEvictions:     fc.Evictions,
@@ -574,13 +530,8 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 	var token uint64
 	if db.front != nil {
 		fsp := db.opt.Trace.Begin(r, trace.PhaseFrontCache, "front-cache")
-		if v, hit, negative := db.front.Lookup(key); hit {
+		if v, hit := db.front.Get(key); hit {
 			fsp.EndArg(r, 1)
-			if negative {
-				// A confirmed-missing key: the ring answers "absent"
-				// without descending metadata or either LSM.
-				return nil, false, nil
-			}
 			return v, true, nil
 		}
 		token = db.front.BeginRead(key)
@@ -592,9 +543,6 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 		if derr == nil && found && kind != memtable.KindSupersede {
 			db.devServed.Add(1)
 			if kind == memtable.KindDelete {
-				// A Dev-LSM tombstone is as conclusive as a full-path
-				// miss: remember the absence so repeat reads stop here.
-				db.fillNegative(key, token)
 				return nil, false, nil
 			}
 			// Dev-LSM values are safe to cache: a rollback merges the
@@ -609,17 +557,8 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 	}
 	db.mainGets.Add(1)
 	value, ok, err = db.main.Get(r, key)
-	if err == nil {
-		if ok {
-			value = db.fill(key, value, token)
-		} else {
-			// The full path just proved the key absent under the
-			// generation snapshot; with negative caching enabled, record
-			// that so repeat misses are answered by the ring. Per-key
-			// write invalidation evicts the entry the moment the key is
-			// written, so compactions never need to chase tombstones here.
-			db.fillNegative(key, token)
-		}
+	if err == nil && ok {
+		value = db.fill(key, value, token)
 	}
 	return value, ok, err
 }
@@ -632,14 +571,6 @@ func (db *DB) fill(key, v []byte, token uint64) []byte {
 		return c
 	}
 	return v
-}
-
-// fillNegative records a confirmed-missing key in the front cache, if
-// negative caching is enabled. Safe with the cache disabled.
-func (db *DB) fillNegative(key []byte, token uint64) {
-	if db.opt.FrontCacheNegative {
-		db.front.FillNegativeIfUnchanged(key, token)
-	}
 }
 
 // Flush drains the Main-LSM memtable (delegates; the Dev-LSM is flushed

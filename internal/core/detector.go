@@ -17,7 +17,6 @@ import (
 type Detector struct {
 	main   MainEngine
 	period time.Duration
-	cost   time.Duration // host CPU charged per check (Table VI: 1.37 us)
 
 	stall    atomic.Bool
 	hard     atomic.Bool          // sampled Health.Stalled: writers blocked right now
@@ -30,26 +29,27 @@ type Detector struct {
 }
 
 // NewDetector creates a detector over main; Start launches its runner.
-func NewDetector(main MainEngine, period, checkCost time.Duration) *Detector {
-	d := &Detector{main: main, period: period, cost: checkCost}
+func NewDetector(main MainEngine, period time.Duration) *Detector {
+	d := &Detector{main: main, period: period}
 	h := lsm.Health{}
 	d.lastHealth.Store(&h)
 	return d
 }
 
 // Start launches the detector runner on clk.
-func (d *Detector) Start(clk *vclock.Clock, cpuRun func(*vclock.Runner, time.Duration)) {
+func (d *Detector) Start(clk *vclock.Clock) {
 	clk.Go("kvaccel.detector", func(r *vclock.Runner) {
 		for !d.closed.Load() {
-			d.Check(r, cpuRun)
+			d.Check(r)
 			r.Sleep(d.period)
 		}
 	})
 }
 
 // Check performs one detection pass. It is exposed for tests and the
-// Table VI overhead bench.
-func (d *Detector) Check(r *vclock.Runner, cpuRun func(*vclock.Runner, time.Duration)) {
+// Table VI overhead bench, which measures its wall-clock cost; it charges
+// no virtual CPU.
+func (d *Detector) Check(r *vclock.Runner) {
 	h := d.main.Health()
 	d.lastHealth.Store(&h)
 	// The write-stall prediction (§V-C) is the engine's exported stall
@@ -67,9 +67,6 @@ func (d *Detector) Check(r *vclock.Runner, cpuRun func(*vclock.Runner, time.Dura
 		}
 	}
 	d.checks.Add(1)
-	if cpuRun != nil && d.cost > 0 {
-		cpuRun(r, d.cost)
-	}
 }
 
 // SetTracer wires a tracer for stall-signal transition instants. Safe

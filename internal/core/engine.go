@@ -45,7 +45,7 @@ type MainEngine interface {
 }
 
 // KVDevice is the key-value command surface KVACCEL requires of the
-// dual-interface SSD: PUT/GET/DELETE, the compound and bulk-scan
+// dual-interface SSD: PUT/GET, the compound and bulk-scan
 // commands the batch and rollback paths use, reset, iteration, and a
 // usage report. *ssd.KVRegion satisfies it — either the full KV region
 // (single write domain) or one per-shard slice of it — as does any
@@ -57,8 +57,6 @@ type KVDevice interface {
 	// KVPut stores one record; kind distinguishes values, tombstones,
 	// and supersede markers.
 	KVPut(r *vclock.Runner, kind memtable.Kind, key, value []byte) error
-	// KVDelete stores a tombstone (equivalent to KVPut with KindDelete).
-	KVDelete(r *vclock.Runner, key []byte) error
 	// KVPutCompound commits several records under one command header —
 	// the device-side half of atomic write batches.
 	KVPutCompound(r *vclock.Runner, entries []memtable.Entry) error

@@ -11,19 +11,15 @@ import (
 // must never be served past a newer write, whichever path (normal,
 // redirect, failover, rollback merge, crash recovery) that write took.
 
-func newFrontCacheStack(tuneOpt func(*Options)) (*vclock.Clock, *DB) {
+func newFrontCacheStack() (*vclock.Clock, *DB) {
 	opt := DefaultOptions()
 	opt.Rollback = RollbackDisabled
 	opt.FrontCacheBytes = 1 << 20
-	if tuneOpt != nil {
-		tuneOpt(&opt)
-	}
-	clk, db := newStack(opt, nil)
-	return clk, db
+	return newStack(opt, nil)
 }
 
 func TestFrontCacheServesRepeatReads(t *testing.T) {
-	clk, db := newFrontCacheStack(nil)
+	clk, db := newFrontCacheStack()
 	clk.Go("test", func(r *vclock.Runner) {
 		defer db.Close()
 		for i := 0; i < 50; i++ {
@@ -53,7 +49,7 @@ func TestFrontCacheServesRepeatReads(t *testing.T) {
 }
 
 func TestFrontCacheInvalidatedByNormalWrite(t *testing.T) {
-	clk, db := newFrontCacheStack(nil)
+	clk, db := newFrontCacheStack()
 	clk.Go("test", func(r *vclock.Runner) {
 		defer db.Close()
 		_ = db.Put(r, key(1), []byte("v1"))
@@ -76,7 +72,7 @@ func TestFrontCacheInvalidatedByNormalWrite(t *testing.T) {
 }
 
 func TestFrontCacheInvalidatedByRedirectedWrite(t *testing.T) {
-	clk, db := newFrontCacheStack(nil)
+	clk, db := newFrontCacheStack()
 	clk.Go("test", func(r *vclock.Runner) {
 		defer db.Close()
 		_ = db.Put(r, key(1), []byte("main-version"))
@@ -108,7 +104,7 @@ func TestFrontCacheInvalidatedByRedirectedWrite(t *testing.T) {
 }
 
 func TestFrontCacheDroppedByCrashRecovery(t *testing.T) {
-	clk, db := newFrontCacheStack(nil)
+	clk, db := newFrontCacheStack()
 	clk.Go("test", func(r *vclock.Runner) {
 		defer db.Close()
 		db.det.SetOverride(true)
@@ -141,7 +137,7 @@ func TestFrontCacheDroppedByCrashRecovery(t *testing.T) {
 // TestFrontCacheAttributionUnderRedirection checks the per-source read
 // attribution stays exact when reads are answered by all three layers.
 func TestFrontCacheAttributionUnderRedirection(t *testing.T) {
-	clk, db := newFrontCacheStack(nil)
+	clk, db := newFrontCacheStack()
 	clk.Go("test", func(r *vclock.Runner) {
 		defer db.Close()
 		for i := 0; i < 40; i++ {
@@ -169,107 +165,5 @@ func TestFrontCacheAttributionUnderRedirection(t *testing.T) {
 	if got := s.FrontCacheHits + s.DevServed + s.MainGets; got != s.Gets {
 		t.Fatalf("attribution: %d + %d + %d = %d, want %d",
 			s.FrontCacheHits, s.DevServed, s.MainGets, got, s.Gets)
-	}
-}
-
-// TestFrontCacheNegativeCaching pins the confirmed-miss contract: a
-// full-path miss installs a negative entry, repeat misses are answered
-// by the ring, and a write makes the key visible immediately.
-func TestFrontCacheNegativeCaching(t *testing.T) {
-	clk, db := newFrontCacheStack(func(o *Options) { o.FrontCacheNegative = true })
-	clk.Go("test", func(r *vclock.Runner) {
-		defer db.Close()
-		// First miss descends the full path and installs a negative entry.
-		if _, ok, err := db.Get(r, key(1)); ok || err != nil {
-			t.Fatalf("absent key read as present: ok=%v err=%v", ok, err)
-		}
-		// Repeat misses must be answered by the cache.
-		for i := 0; i < 5; i++ {
-			if _, ok, _ := db.Get(r, key(1)); ok {
-				t.Fatal("negative entry returned a value")
-			}
-		}
-		// A write must evict the negative entry: the very next read sees it.
-		if err := db.Put(r, key(1), []byte("now-present")); err != nil {
-			t.Fatalf("put: %v", err)
-		}
-		if v, ok, _ := db.Get(r, key(1)); !ok || string(v) != "now-present" {
-			t.Fatalf("negative entry served past a write: %q ok=%v", v, ok)
-		}
-		// Deletes re-confirm absence through the full path, then cache it.
-		if err := db.Delete(r, key(1)); err != nil {
-			t.Fatalf("delete: %v", err)
-		}
-		if _, ok, _ := db.Get(r, key(1)); ok {
-			t.Fatal("read a deleted key")
-		}
-		if _, ok, _ := db.Get(r, key(1)); ok {
-			t.Fatal("read a deleted key (cached)")
-		}
-	})
-	clk.Wait()
-	s := db.Stats()
-	if s.FrontCacheNegHits == 0 {
-		t.Fatal("no negative hits recorded")
-	}
-	if s.FrontCacheNegFills == 0 {
-		t.Fatal("no negative fills recorded")
-	}
-	if got := s.FrontCacheHits + s.DevServed + s.MainGets; got != s.Gets {
-		t.Fatalf("attribution: %d + %d + %d = %d, want %d",
-			s.FrontCacheHits, s.DevServed, s.MainGets, got, s.Gets)
-	}
-}
-
-// TestFrontCacheNegativeABMissHeavy is the read-miss-heavy A/B: the same
-// workload (90% of reads target absent keys) with negative caching off
-// and on. On must descend to the Main-LSM far less often — repeat misses
-// stop at the ring — without changing a single read's answer.
-func TestFrontCacheNegativeABMissHeavy(t *testing.T) {
-	run := func(negative bool) Stats {
-		clk, db := newFrontCacheStack(func(o *Options) { o.FrontCacheNegative = negative })
-		clk.Go("test", func(r *vclock.Runner) {
-			defer db.Close()
-			for i := 0; i < 10; i++ {
-				_ = db.Put(r, key(i), value(i))
-			}
-			for pass := 0; pass < 5; pass++ {
-				for i := 0; i < 100; i++ { // keys 10..99 are absent
-					v, ok, err := db.Get(r, key(i))
-					if err != nil {
-						t.Errorf("get %d: %v", i, err)
-					}
-					if want := i < 10; ok != want {
-						t.Errorf("get %d: ok=%v want %v", i, ok, want)
-					}
-					if ok && !bytes.Equal(v, value(i)) {
-						t.Errorf("get %d: wrong value", i)
-					}
-				}
-			}
-		})
-		clk.Wait()
-		return db.Stats()
-	}
-	off := run(false)
-	on := run(true)
-	if off.FrontCacheNegHits != 0 {
-		t.Fatalf("negative hits with caching off: %d", off.FrontCacheNegHits)
-	}
-	// Off: every one of the 450 absent-key reads walks the full path.
-	// On: only the first pass does; passes 2-5 hit the ring.
-	if on.MainGets >= off.MainGets/2 {
-		t.Fatalf("negative caching did not cut full-path descents: on=%d off=%d",
-			on.MainGets, off.MainGets)
-	}
-	if on.FrontCacheNegHits < 300 {
-		t.Fatalf("negative hits = %d, want >= 300 (4 passes x 90 absent keys, minus evictions)",
-			on.FrontCacheNegHits)
-	}
-	for _, s := range []Stats{off, on} {
-		if got := s.FrontCacheHits + s.DevServed + s.MainGets; got != s.Gets {
-			t.Fatalf("attribution: %d + %d + %d = %d, want %d",
-				s.FrontCacheHits, s.DevServed, s.MainGets, got, s.Gets)
-		}
 	}
 }

@@ -37,7 +37,7 @@ func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
 	}
 }
 
-// Close releases the Main-LSM snapshot.
+// Close releases the Main-LSM cursor, unpinning the version it reads.
 func (it *Iterator) Close() {
 	if it.closed {
 		return

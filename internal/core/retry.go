@@ -13,7 +13,7 @@ import (
 // DevErrors, every retry DevRetries, and a command that exhausts its
 // attempts bumps DevFailed.
 func (db *DB) devTry(r *vclock.Runner, op func() error) error {
-	pol := db.opt.Retry
+	pol := faults.DefaultRetryPolicy()
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = op()

@@ -84,7 +84,7 @@ func TestGetViewsAreClippedAndStable(t *testing.T) {
 		{"vlog-durable-file", nil, separate(4 << 10),
 			func(t *testing.T, r *vclock.Runner, db *DB) { put(t, r, db, 0, n, 0); flush(t, r, db) },
 			func(db *DB) int64 { return mainDB(db).Stats().VLogDerefs }},
-		{"front-cache-hit", func(o *Options) { o.FrontCacheBytes, o.FrontCacheShards = 16<<10, 1 }, nil,
+		{"front-cache-hit", func(o *Options) { o.FrontCacheBytes = 16 << 10 }, nil,
 			func(t *testing.T, r *vclock.Runner, db *DB) {
 				put(t, r, db, 0, n, 0)
 				if _, ok, err := db.Get(r, key(target)); !ok || err != nil {

@@ -77,6 +77,3 @@ func (p *Pool) AvgUtilization() float64 {
 	}
 	return p.utilSum / float64(p.utilN)
 }
-
-// InUse returns how many cores are busy right now.
-func (p *Pool) InUse() int { return p.res.InUse() }

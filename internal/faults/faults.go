@@ -272,15 +272,6 @@ func (p *Plan) CorruptByte(b []byte) {
 	b[i] ^= 1 << uint(p.rng.Intn(8))
 }
 
-// Rand runs fn with the plan's seeded generator under the plan lock;
-// harness code uses it for auxiliary seeded draws (cut instants, key
-// choices) without maintaining a second generator.
-func (p *Plan) Rand(fn func(rng *rand.Rand)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fn(p.rng)
-}
-
 // RetryPolicy is the host-side answer to injected faults: how many
 // attempts a device command gets and how the backoff between attempts
 // grows. The zero value disables retries (one attempt, no backoff).

@@ -33,7 +33,8 @@ func TestFanoutBindsPagesToWorkersByStride(t *testing.T) {
 	const pages = 50
 	var mu sync.Mutex
 	byRunner := map[uint64][]int32{}
-	record := func(f *FTL, w *vclock.Runner, ppn int32) error {
+	record := func(job *fanout, w *vclock.Runner, i int) error {
+		ppn := job.ppns[i]
 		mu.Lock()
 		byRunner[w.ID()] = append(byRunner[w.ID()], ppn)
 		mu.Unlock()

@@ -387,37 +387,40 @@ func (f *FTL) TrimRegion(rg Region) {
 	}
 }
 
-// pageOp is what a fan-out does to one physical page.
-type pageOp func(f *FTL, w *vclock.Runner, ppn int32) error
+// pageOp is what a fan-out does to its i-th physical page.
+type pageOp func(job *fanout, w *vclock.Runner, i int) error
 
-func programPage(f *FTL, w *vclock.Runner, ppn int32) error {
-	return f.arr.ProgramPage(w, f.addrOf(ppn))
+func programPage(job *fanout, w *vclock.Runner, i int) error {
+	return job.f.arr.ProgramPage(w, job.f.addrOf(job.ppns[i]))
 }
 
-func programPageBackground(f *FTL, w *vclock.Runner, ppn int32) error {
-	return f.arr.ProgramPageBackground(w, f.addrOf(ppn))
+func programPageBackground(job *fanout, w *vclock.Runner, i int) error {
+	return job.f.arr.ProgramPageBackground(w, job.f.addrOf(job.ppns[i]))
 }
 
-func readPage(f *FTL, w *vclock.Runner, ppn int32) error {
-	return f.arr.ReadPage(w, f.addrOf(ppn))
+func readPage(job *fanout, w *vclock.Runner, i int) error {
+	return job.f.arr.ReadPage(w, job.f.addrOf(job.ppns[i]))
 }
 
-func readPageBackground(f *FTL, w *vclock.Runner, ppn int32) error {
-	return f.arr.ReadPageBackground(w, f.addrOf(ppn))
+func readPageBackground(job *fanout, w *vclock.Runner, i int) error {
+	return job.f.arr.ReadPageBackground(w, job.f.addrOf(job.ppns[i]))
 }
 
-// migratePage is GC moving one survivor: read the old copy (modeled at the
-// new address's size), program the new one.
-func migratePage(f *FTL, w *vclock.Runner, ppn int32) error {
-	_ = f.arr.ReadPage(w, f.addrOf(ppn))
-	return f.arr.ProgramPage(w, f.addrOf(ppn))
+// migratePage is GC moving one survivor: read its copy on the victim
+// block, then program the page allocated for it.
+func migratePage(job *fanout, w *vclock.Runner, i int) error {
+	_ = job.f.arr.ReadPage(w, job.f.addrOf(job.from[i]))
+	return job.f.arr.ProgramPage(w, job.f.addrOf(job.ppns[i]))
 }
 
 // fanout is one multi-page request: the physical pages it touches and,
 // while it runs, the workers that share them out.
 type fanout struct {
-	f       *FTL
-	ppns    []int32
+	f    *FTL
+	ppns []int32
+	// from holds, for a GC migration, the victim page each of ppns is
+	// copied from.
+	from    []int32
 	op      pageOp
 	workers []fanoutWorker
 	wg      vclock.WaitGroup
@@ -450,8 +453,8 @@ func (f *FTL) run(r *vclock.Runner, job *fanout, op pageOp) error {
 	job.op = op
 	workers := min(f.cfg.MaxFanout, len(job.ppns))
 	if workers <= 1 {
-		for _, ppn := range job.ppns {
-			job.note(op(f, r, ppn))
+		for i := range job.ppns {
+			job.note(op(job, r, i))
 		}
 	} else {
 		for w := 0; w < workers; w++ {
@@ -465,7 +468,7 @@ func (f *FTL) run(r *vclock.Runner, job *fanout, op pageOp) error {
 		job.wg.Wait(r)
 	}
 	err := job.first
-	job.ppns, job.workers, job.first = job.ppns[:0], job.workers[:0], nil
+	job.ppns, job.from, job.workers, job.first = job.ppns[:0], job.from[:0], job.workers[:0], nil
 	f.mu.Lock()
 	f.fanouts = append(f.fanouts, job)
 	f.mu.Unlock()
@@ -477,7 +480,7 @@ func runFanoutWorker(w *vclock.Runner, arg any) {
 	job := fw.job
 	defer job.wg.Done()
 	for i := fw.stride; i < len(job.ppns); i += len(job.workers) {
-		job.note(job.op(job.f, w, job.ppns[i]))
+		job.note(job.op(job, w, i))
 	}
 }
 
@@ -508,25 +511,22 @@ func (f *FTL) collect(r *vclock.Runner) {
 		}
 		b := &f.blocks[victim]
 		rg := b.owner
-		// Collect surviving LPNs, then remap them while still holding the
-		// lock so no concurrent write races the migration.
-		var moveLPNs []int
-		for page, lpn := range b.lpns[:b.nextPage] {
-			if lpn != unmapped {
-				moveLPNs = append(moveLPNs, int(lpn))
-				b.lpns[page] = unmapped
-			}
-		}
-		b.validCount = 0
+		// Detach each surviving LPN from the victim and remap it to a fresh
+		// frontier page while still holding the lock, so no concurrent
+		// write races the migration.
 		job := f.takeFanoutLocked()
-		for _, lpn := range moveLPNs {
-			// The victim's mapping entries were just detached; allocate
-			// fresh pages on the frontier.
-			ppn, _ := f.allocPageLocked(rg, lpn)
+		for page, lpn := range b.lpns[:b.nextPage] {
+			if lpn == unmapped {
+				continue
+			}
+			b.lpns[page] = unmapped
+			ppn, _ := f.allocPageLocked(rg, int(lpn))
+			job.from = append(job.from, ppnOf(victim, page, f.geo.PagesPerBlock))
 			job.ppns = append(job.ppns, ppn)
 		}
+		b.validCount = 0
 		f.stats.GCRuns++
-		f.stats.GCPagesMigrated += int64(len(moveLPNs))
+		f.stats.GCPagesMigrated += int64(len(job.ppns))
 		f.stats.BlocksErased++
 		f.mu.Unlock()
 

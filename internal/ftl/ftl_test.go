@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"kvaccel/internal/faults"
 	"kvaccel/internal/nand"
 	"kvaccel/internal/vclock"
 )
@@ -178,28 +179,122 @@ func TestGCReclaimsInvalidatedBlocks(t *testing.T) {
 	}
 }
 
+// TestGCPreservesLiveData: a write stream where one page in five is a
+// live key written once and the rest overwrite one churn key leaves live
+// pages in every block, so greedy GC cannot find an all-stale victim and
+// must migrate survivors. Each migration reads the survivor from the
+// victim block — a fault rule scoped to the victim's pages observes those
+// reads — and every live key reads back afterwards.
 func TestGCPreservesLiveData(t *testing.T) {
+	arr, cfg := testArray(), testCfg()
+	f := New(arr, cfg)
+	geo := arr.Geometry()
+	const live, churn = 120, 127
+	n := 0
+	write := func(r *vclock.Runner) bool {
+		lpn := churn
+		if n%5 == 0 {
+			lpn = n / 5 % live
+		}
+		n++
+		if err := f.Write(r, BlockRegion, lpn); err != nil {
+			t.Errorf("write %d: %v", n, err)
+			return false
+		}
+		return true
+	}
+	// fits reports the block greedy GC would collect now, its survivor
+	// count, and whether the frontier blocks their new pages go to have
+	// room for them — so collecting it takes no free block. Called with
+	// f.mu held.
+	fits := func() (victim, survivors int, ok bool) {
+		victim = f.pickVictimLocked()
+		if victim < 0 {
+			return victim, 0, false
+		}
+		survivors = f.blocks[victim].validCount
+		need := make([]int, geo.Dies())
+		for i := 0; i < survivors; i++ {
+			need[(f.nextDie+i)%geo.Dies()]++
+		}
+		for die, k := range need {
+			bid := f.regions[BlockRegion].frontier[die]
+			if k > 0 && (bid < 0 || geo.PagesPerBlock-f.blocks[bid].nextPage < k) {
+				return victim, survivors, false
+			}
+		}
+		return victim, survivors, true
+	}
 	c := vclock.New()
-	f := New(testArray(), testCfg())
 	c.Go("io", func(r *vclock.Runner) {
-		// Live set: lpns 0..31 written once; churn: lpn 100 overwritten many times.
-		live := make([]int, 32)
-		for i := range live {
-			live[i] = i
+		// Fill to within a few blocks of the GC trigger, stopping where
+		// collecting one victim needs no fresh block.
+		var victim, survivors int
+		for {
+			if !write(r) {
+				return
+			}
+			f.mu.Lock()
+			near := len(f.free) <= cfg.GCFreeBlockHigh
+			var ok bool
+			if near {
+				victim, survivors, ok = fits()
+			}
+			f.mu.Unlock()
+			if ok {
+				break
+			}
+			if f.FreeBlocks() <= cfg.GCFreeBlockLow+1 {
+				t.Errorf("the fill reached the GC trigger after %d writes without a victim that fits", n)
+				return
+			}
 		}
-		f.WriteMany(r, BlockRegion, live)
-		for i := 0; i < 800; i++ {
-			f.Write(r, BlockRegion, 100)
+		if f.Stats().GCRuns != 0 || n >= 5*live {
+			t.Errorf("after %d writes: %d GC runs; the fill no longer stops short of GC with every live key written once", n, f.Stats().GCRuns)
+			return
 		}
-		for _, lpn := range live {
+		f.mu.Lock()
+		for bid, b := range f.blocks {
+			if b.allocated && b.nextPage == geo.PagesPerBlock && b.validCount == 0 {
+				t.Errorf("block %d holds no live page: GC could skip migration", bid)
+			}
+		}
+		// One victim reaches the high watermark.
+		f.cfg.GCFreeBlockHigh = len(f.free) + 1
+		f.mu.Unlock()
+
+		plan := faults.NewPlan(1)
+		start := int64(victim * geo.PagesPerBlock)
+		plan.AddRule(faults.Rule{Op: "NAND_READ", Class: faults.LatencySpike, Every: 1,
+			Scope: faults.Extent{Start: start, End: start + int64(geo.PagesPerBlock)}})
+		arr.SetFaultPlan(plan)
+		f.collect(r)
+		arr.SetFaultPlan(nil)
+		f.cfg.GCFreeBlockHigh = cfg.GCFreeBlockHigh
+
+		s := f.Stats()
+		if s.GCRuns != 1 || s.GCPagesMigrated != int64(survivors) || survivors == 0 {
+			t.Errorf("GC ran %d times and migrated %d pages, want 1 run migrating the victim's %d survivors", s.GCRuns, s.GCPagesMigrated, survivors)
+			return
+		}
+		if got := plan.TotalInjected(); got != int64(survivors) {
+			t.Errorf("%d NAND reads landed on victim block %d, want one per survivor (%d)", got, victim, survivors)
+		}
+		// Keep writing: GC now runs from the write path, migrating as it goes.
+		for i := 0; i < 400; i++ {
+			if !write(r) {
+				return
+			}
+		}
+		for lpn := 0; lpn < live; lpn++ {
 			if err := f.Read(r, BlockRegion, lpn); err != nil {
-				t.Errorf("live lpn %d lost after GC churn: %v", lpn, err)
+				t.Errorf("live lpn %d lost after GC: %v", lpn, err)
 			}
 		}
 	})
 	c.Wait()
-	if f.Stats().GCRuns == 0 {
-		t.Fatal("test did not exercise GC")
+	if s := f.Stats(); !t.Failed() && (s.GCRuns < 2 || s.GCPagesMigrated <= 1) {
+		t.Fatalf("%d GC runs migrated %d pages: the write path never migrated", s.GCRuns, s.GCPagesMigrated)
 	}
 }
 

@@ -316,7 +316,7 @@ func (p Params) TableVI(w io.Writer) TableVIResult {
 		det := eng.KV.Detector()
 		t0 := time.Now()
 		for i := 0; i < n; i++ {
-			det.Check(r, nil)
+			det.Check(r)
 		}
 		res.Detector = time.Since(t0) / n
 

@@ -21,7 +21,6 @@ import (
 // background-paced device drain is never itself a stall source.
 func stallHeavy(p *Params) {
 	p.ValueThreshold = 0
-	p.HostCores = 4
 	p.Writers = 4
 	// Overwrite-heavy: a small working set keeps L1 bounded (merges mostly
 	// dedupe), so L0→L1 merges stay ~1 s instead of snowballing with the

@@ -40,8 +40,6 @@ type Params struct {
 	KeySpace  int
 	// Seed feeds the workload generators.
 	Seed int64
-	// HostCores bounds the host CPU (the paper limits the Xeon to 8).
-	HostCores int
 	// Writers is the number of concurrent writer or client runners the
 	// fill, readwhilewriting and mixed workloads fan out over (kvbench's
 	// -writers flag); 0 or 1 keeps the single-writer setup. Each runs the
@@ -75,12 +73,6 @@ type Params struct {
 	// FrontCacheBytes enables KVACCEL's hot-key front cache (0 = off,
 	// matching the paper's design).
 	FrontCacheBytes int64
-	// FrontCacheNegative additionally caches confirmed-missing keys in
-	// the front cache (requires FrontCacheBytes > 0).
-	FrontCacheNegative bool
-	// FrontCacheDoorkeeper enables second-chance admission on the front
-	// cache (requires FrontCacheBytes > 0).
-	FrontCacheDoorkeeper bool
 	// DisableBlockCache zeroes the Main-LSM's SST block cache — the
 	// cold-cache side of the mixed-workload A/B.
 	DisableBlockCache bool
@@ -120,7 +112,6 @@ func DefaultParams() Params {
 		ValueSize: 4096,
 		KeySpace:  300_000,
 		Seed:      1,
-		HostCores: 8,
 	}
 }
 
@@ -201,7 +192,7 @@ func (p Params) newTestbed(shards int) *Testbed {
 		DefaultFaultRules(cfg.Faults)
 	}
 	cfg.Trace = p.Trace
-	m := machine.New(cfg, p.HostCores, shards)
+	m := machine.New(cfg, shards)
 	return &Testbed{Machine: m, Fsys: m.Shards[0].Fsys}
 }
 
@@ -234,8 +225,6 @@ func (p Params) coreOptions(rollback core.RollbackScheme) core.Options {
 	copt.Trace = p.Trace
 	copt.StallFailover = true // the accelerator is on: would-stall writes redirect
 	copt.FrontCacheBytes = p.FrontCacheBytes
-	copt.FrontCacheNegative = p.FrontCacheNegative
-	copt.FrontCacheDoorkeeper = p.FrontCacheDoorkeeper
 	return copt
 }
 

@@ -344,8 +344,8 @@ func RunTorture(p TortureParams) TortureReport {
 			lopt.VLogGCDiscardRatio = 0.3
 			// The deepened write pipeline under torture: the linger window
 			// holds commit slots open, the pipelined WAL overlaps appends
-			// with applies, and sharded replay reconstructs the memtable on
-			// every Reopen. The hook severs power inside the chosen window.
+			// with applies, and replay reconstructs the memtable on every
+			// Reopen. The hook severs power inside the chosen window.
 			lopt.GroupLingerMicros = p.LingerMicros
 			if p.Offload {
 				lopt.EnableCompactionOffload = true

@@ -44,7 +44,7 @@ func TestAllocsLookupAndFill(t *testing.T) {
 	}
 	hot := keys[i%len(keys)]
 	if hits := testing.AllocsPerRun(1000, func() {
-		if _, hit, _ := c.Lookup(hot); !hit {
+		if _, hit := c.Get(hot); !hit {
 			t.Fatal("the key just filled missed")
 		}
 	}); hits != 0 {
@@ -63,7 +63,7 @@ func BenchmarkLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Lookup(keys[i%len(keys)])
+		c.Get(keys[i%len(keys)])
 	}
 }
 

@@ -15,8 +15,8 @@
 //
 // Values are handed out, not copied: an entry keeps its key and value in
 // one buffer written once, when the entry is filled, and never again, and
-// Lookup returns a view of it. Re-fills, promotions, invalidations and
-// evictions replace or drop that buffer; none writes into it, so a view a
+// Get returns a view of it. Re-fills, invalidations and evictions
+// replace or drop that buffer; none writes into it, so a view a
 // caller holds never changes. An evicted entry's struct is reused by a
 // later fill, its buffer never.
 package hotring
@@ -47,21 +47,11 @@ type entry struct {
 	tag   uint32 // high hash bits, the primary sort key
 	count uint32 // accesses in the current sample window
 	klen  uint32
-	// negative marks a confirmed-missing key: a hit on it answers
-	// "absent" without descending the read pipeline. Installed only via
-	// FillNegativeIfUnchanged, removed by the same invalidation writes
-	// already perform, promoted in place by a later positive fill.
-	negative bool
 }
-
-// doorkeeperWindow is how many first-touch recordings a shard's current
-// doorkeeper set accumulates before it rotates to "previous" — roughly
-// two windows of recently-seen-once keys are remembered at any time.
-const doorkeeperWindow = 4 * bucketsPerShard
 
 func (e *entry) key() []byte { return e.kv[:e.klen:e.klen] }
 
-// value is the view Lookup hands out, clipped so that appending to it
+// value is the view Get hands out, clipped so that appending to it
 // cannot reach past the buffer's end.
 func (e *entry) value() []byte { return e.kv[e.klen:len(e.kv):len(e.kv)] }
 
@@ -82,19 +72,10 @@ type shard struct {
 	entries int64
 
 	hits, misses    int64
-	negHits         int64 // hits answered by a negative entry (⊆ hits)
 	fills, rejected int64
-	negFills        int64 // negative entries installed (not in fills)
 	invalidations   int64
 	evictions       int64
 	headMoves       int64
-
-	// Second-chance doorkeeper state: a new key's first fill attempt is
-	// only recorded (and refused); the insert goes through when the key
-	// is seen again while still remembered. dkCur rotates into dkPrev at
-	// doorkeeperWindow recordings, so one-touch keys age out.
-	dkCur, dkPrev          map[string]struct{}
-	dkRejected, dkAdmitted int64
 
 	evictCursor uint32 // round-robin bucket cursor for capacity eviction
 
@@ -128,7 +109,6 @@ type Cache struct {
 	shardMask   uint64
 	perShardCap int64
 	seed        maphash.Seed
-	doorkeeper  bool
 }
 
 // New returns a cache bounded to roughly capacityBytes across shards
@@ -157,52 +137,6 @@ func New(capacityBytes int64, shards int) *Cache {
 	}
 }
 
-// SetDoorkeeper toggles second-chance admission: with it on, a key that
-// has never been seen before is refused its first cache fill and only
-// admitted when it returns while still remembered. Uniform (unskewed)
-// traffic — where most keys are touched once and never again — then
-// stops churning resident entries out, at the cost of hot keys needing
-// two touches to enter. Safe to call at any time; existing entries are
-// untouched.
-func (c *Cache) SetDoorkeeper(on bool) {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		if on && s.dkCur == nil {
-			s.dkCur = make(map[string]struct{})
-			s.dkPrev = make(map[string]struct{})
-		}
-		s.mu.Unlock()
-	}
-	c.doorkeeper = on
-}
-
-// admitNew decides whether a not-yet-resident key may be inserted.
-// Callers hold s.mu.
-func (s *shard) admitNew(c *Cache, key []byte) bool {
-	if !c.doorkeeper {
-		return true
-	}
-	if _, ok := s.dkCur[string(key)]; ok {
-		s.dkAdmitted++
-		return true
-	}
-	if _, ok := s.dkPrev[string(key)]; ok {
-		s.dkAdmitted++
-		return true
-	}
-	s.dkCur[string(key)] = struct{}{}
-	if len(s.dkCur) >= doorkeeperWindow {
-		s.dkPrev = s.dkCur
-		s.dkCur = make(map[string]struct{})
-	}
-	s.dkRejected++
-	return false
-}
-
 func (c *Cache) locate(key []byte) (*shard, uint32, uint32) {
 	h := maphash.Bytes(c.seed, key)
 	s := &c.shards[h&c.shardMask]
@@ -220,30 +154,15 @@ func less(aTag uint32, aKey []byte, bTag uint32, bKey []byte) bool {
 	return bytes.Compare(aKey, bKey) < 0
 }
 
-// Get returns the cached value for key, if present, as Lookup does.
-// Negative entries read as misses here; use Lookup to distinguish
-// "unknown" from "confirmed missing".
-func (c *Cache) Get(key []byte) ([]byte, bool) {
-	v, hit, negative := c.Lookup(key)
-	if negative {
-		return nil, false
-	}
-	return v, hit
-}
-
-// Lookup returns the cached state for key: hit=false means the cache
-// knows nothing; hit with negative=false returns the value; hit with
-// negative=true means the key was confirmed missing by an earlier
-// full-path read and no write has touched it since. Either kind of hit
-// bumps the entry's hotness and may migrate the ring's head — a hammered
-// missing key is exactly as hot as a hammered present one.
+// Get returns the cached value for key, if present. A hit bumps the
+// entry's hotness and may migrate the ring's head.
 //
 // The value is a read-only view of the entry's buffer, which nothing
 // writes after the fill that made it: it stays valid and unchanged
 // through re-fills, invalidation and eviction.
-func (c *Cache) Lookup(key []byte) (value []byte, hit, negative bool) {
+func (c *Cache) Get(key []byte) (value []byte, hit bool) {
 	if c == nil {
-		return nil, false, false
+		return nil, false
 	}
 	s, bucket, tag := c.locate(key)
 	s.mu.Lock()
@@ -251,12 +170,9 @@ func (c *Cache) Lookup(key []byte) (value []byte, hit, negative bool) {
 	if e == nil {
 		s.misses++
 		s.mu.Unlock()
-		return nil, false, false
+		return nil, false
 	}
 	s.hits++
-	if e.negative {
-		s.negHits++
-	}
 	e.count++
 	// Hotness-aware head migration: once an entry clearly out-accesses
 	// the current head within this sample window, lookups should start
@@ -272,13 +188,9 @@ func (c *Cache) Lookup(key []byte) (value []byte, hit, negative bool) {
 		}
 		e.count = 1
 	}
-	neg := e.negative
-	var v []byte
-	if !neg {
-		v = e.value()
-	}
+	v := e.value()
 	s.mu.Unlock()
-	return v, true, neg
+	return v, true
 }
 
 // find walks the ordered ring from its head, stopping early once the
@@ -326,7 +238,7 @@ func (c *Cache) BeginRead(key []byte) uint64 {
 
 // FillIfUnchanged installs a copy of key→value if the shard generation
 // still matches token, and returns the cache's copy of the value — a
-// read-only view, as Lookup's — or nil if it installed nothing.
+// read-only view, as Get's — or nil if it installed nothing.
 func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	if c == nil {
 		return nil
@@ -344,17 +256,11 @@ func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	}
 	e := s.find(bucket, tag, key)
 	if e != nil {
-		// A positive fill promotes a negative entry in place: the same
-		// generation check that protects values proves the key has since
-		// been observed present with no intervening write. The entry gets
-		// a new buffer; views of the old one stay as they were.
+		// A re-fill gives the entry a new buffer; views of the old one stay
+		// as they were.
 		s.used += size - int64(len(e.kv))
 		e.fillKV(key, value)
-		e.negative = false
 	} else {
-		if !s.admitNew(c, key) {
-			return nil
-		}
 		e = s.newEntry()
 		e.fillKV(key, value)
 		e.tag = tag
@@ -366,44 +272,6 @@ func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	v := e.value()
 	s.evictOver(c.perShardCap)
 	return v
-}
-
-// FillNegativeIfUnchanged records key as confirmed-missing if the shard
-// generation still matches token: the caller descended the full read
-// path, found nothing, and no write invalidated the shard in between —
-// so until the next invalidation, repeat reads of key can be answered
-// "absent" from the ring. An existing entry (positive or negative) is
-// left alone: a concurrent positive fill under the same generation means
-// a racing reader actually found a value, and trusting it is safe.
-func (c *Cache) FillNegativeIfUnchanged(key []byte, token uint64) {
-	if c == nil {
-		return
-	}
-	s, bucket, tag := c.locate(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gen != token {
-		s.rejected++
-		return
-	}
-	size := int64(len(key))
-	if size > c.perShardCap {
-		return
-	}
-	if s.find(bucket, tag, key) != nil {
-		return
-	}
-	if !s.admitNew(c, key) {
-		return
-	}
-	e := s.newEntry()
-	e.fillKV(key, nil)
-	e.tag, e.negative = tag, true
-	s.insert(bucket, e)
-	s.used += size
-	s.entries++
-	s.negFills++
-	s.evictOver(c.perShardCap)
 }
 
 // insert links e into its bucket's ring, keeping (tag, key) order.
@@ -542,23 +410,14 @@ func (c *Cache) InvalidateAll() {
 // Stats is a point-in-time aggregate across shards.
 type Stats struct {
 	Hits          int64
-	NegHits       int64 // hits answered by negative entries (subset of Hits)
 	Misses        int64
 	Fills         int64
-	NegFills      int64 // negative entries installed (not counted in Fills)
 	Rejected      int64 // fills dropped by the generation check
 	Invalidations int64
 	Evictions     int64
 	HeadMoves     int64
 	Used          int64
 	Entries       int64
-
-	// Doorkeeper counters (all zero with the doorkeeper off):
-	// DoorkeeperRejected counts first-touch fills refused, and
-	// DoorkeeperAdmitted counts returning keys admitted on their second
-	// chance.
-	DoorkeeperRejected int64
-	DoorkeeperAdmitted int64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 with no traffic.
@@ -579,18 +438,14 @@ func (c *Cache) Stats() Stats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Hits += s.hits
-		st.NegHits += s.negHits
 		st.Misses += s.misses
 		st.Fills += s.fills
-		st.NegFills += s.negFills
 		st.Rejected += s.rejected
 		st.Invalidations += s.invalidations
 		st.Evictions += s.evictions
 		st.HeadMoves += s.headMoves
 		st.Used += s.used
 		st.Entries += s.entries
-		st.DoorkeeperRejected += s.dkRejected
-		st.DoorkeeperAdmitted += s.dkAdmitted
 		s.mu.Unlock()
 	}
 	return st

@@ -182,11 +182,11 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 }
 
-// TestLookupViewsNeverChange: Lookup hands out a view of the entry's
-// buffer, not a copy, so nothing the cache does afterwards may write into
-// it — re-filling the key, promoting a negative entry, Invalidate,
-// InvalidateAll, or evicting the entry and reusing its struct for other
-// keys' fills, whose buffers would fit in the old one.
+// TestLookupViewsNeverChange: Get hands out a view of the entry's buffer,
+// not a copy, so nothing the cache does afterwards may write into it —
+// re-filling the key, Invalidate, InvalidateAll, or evicting the entry and
+// reusing its struct for other keys' fills, whose buffers would fit in the
+// old one.
 func TestLookupViewsNeverChange(t *testing.T) {
 	c := New(256, 1) // one small shard: later fills evict everything held
 	type held struct {
@@ -196,9 +196,9 @@ func TestLookupViewsNeverChange(t *testing.T) {
 	var views []held
 	look := func(k []byte, want string) {
 		t.Helper()
-		v, hit, neg := c.Lookup(k)
-		if !hit || neg || string(v) != want {
-			t.Fatalf("lookup %s: %q hit=%v negative=%v, want %q", k, v, hit, neg, want)
+		v, hit := c.Get(k)
+		if !hit || string(v) != want {
+			t.Fatalf("lookup %s: %q hit=%v, want %q", k, v, hit, want)
 		}
 		views = append(views, held{v, want})
 	}
@@ -208,9 +208,8 @@ func TestLookupViewsNeverChange(t *testing.T) {
 	look(key(1), "first-fill")
 	fill(c, key(1), []byte("refill"))
 	look(key(1), "refill")
-	c.FillNegativeIfUnchanged(key(2), c.BeginRead(key(2)))
-	fill(c, key(2), []byte("promoted")) // negative → positive
-	look(key(2), "promoted")
+	fill(c, key(2), []byte("second"))
+	look(key(2), "second")
 	c.Invalidate(key(2))
 	fill(c, key(2), []byte("inv"))
 	look(key(2), "inv")
@@ -227,7 +226,7 @@ func TestLookupViewsNeverChange(t *testing.T) {
 		t.Fatal("no evictions: the test no longer reuses the held entries")
 	}
 	for _, k := range [][]byte{key(1), key(2), key(3), key(4)} {
-		if _, hit, _ := c.Lookup(k); hit {
+		if _, hit := c.Get(k); hit {
 			t.Fatalf("%s still resident: the test no longer evicts what it holds", k)
 		}
 	}

@@ -61,10 +61,8 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 		// A failed sync means acked records may not be durable; surface
 		// it, but still attempt the flush — a successful SST supersedes
 		// the broken log.
-		if job.log != nil {
-			if serr := job.log.Sync(r); serr != nil {
-				db.setBackgroundError(serr)
-			}
+		if serr := job.log.Sync(r); serr != nil {
+			db.setBackgroundError(serr)
 		}
 		// Value bytes must be durable before the pointers referencing them
 		// land in an SST: an SST-resident pointer into a torn vlog tail
@@ -100,18 +98,14 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 		}
 		db.imm = db.imm[1:]
 		db.flushing = false
-		if job.log != nil {
-			db.stats.WALBytesWritten += job.log.BytesWritten()
-		}
+		db.stats.WALBytesWritten += job.log.BytesWritten()
 		db.pending = db.vers.pendingCompactionBytes(&db.opt)
 		db.mu.Unlock()
 
 		perr := db.persistManifest(r)
-		if job.log != nil {
-			job.log.Close()
-			if perr == nil {
-				job.log.Delete(r)
-			}
+		job.log.Close()
+		if perr == nil {
+			job.log.Delete(r)
 		}
 		var flushedBytes int64
 		if meta != nil {
@@ -457,7 +451,6 @@ func keyRange(files []*FileMeta) (smallest, largest []byte) {
 // doCompaction merges c's inputs into new files at the target level: the
 // phase structure the paper's PCIe analysis depends on — timed block
 // reads interleaved with CPU merge work, then a burst of device writes.
-// Versions still visible to a live snapshot are retained.
 //
 // The merge-emit loop itself lives in offload.Merge, shared with the
 // device-side executor: an offloaded compaction runs the same code over
@@ -469,11 +462,8 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 	csp := db.opt.Trace.Begin(r, trace.PhaseCompaction, "compaction")
 	var readBytes, writeBytes int64
 	defer func() { csp.EndArg(r, readBytes+writeBytes) }()
-	db.mu.Lock()
-	snaps := db.activeSnapshotsLocked()
-	db.mu.Unlock()
 
-	if db.shouldOffload(c, snaps) {
+	if db.shouldOffload(c) {
 		if rb, wb, ok := db.tryOffloadCompaction(r, c); ok {
 			readBytes, writeBytes = rb, wb
 			return
@@ -513,15 +503,6 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 		Builder:        db.opt.builderOptions(),
 		MaxFileSize:    db.opt.MaxFileSize,
 		DropTombstones: c.dropTombstones,
-		// Keep an older version when it is the newest one visible to a
-		// live snapshot; elide a bottom-level tombstone unless a snapshot
-		// still observes the deletion.
-		KeepDup: func(seq, lastKeptSeq uint64) bool {
-			return keepForSnapshot(snaps, seq, lastKeptSeq)
-		},
-		KeepTombstone: func(seq uint64) bool {
-			return keepForSnapshot(snaps, seq, ^uint64(0))
-		},
 		OnDrop: func(e memtable.Entry) {
 			if e.Kind == memtable.KindValuePtr && db.vlog != nil {
 				if ptr, perr := encoding.DecodeValuePointer(e.Value); perr == nil {

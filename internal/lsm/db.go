@@ -101,8 +101,7 @@ type DB struct {
 	// worker can remove the manifest another worker's CURRENT is about
 	// to reference, leaving a dangling CURRENT after a crash.
 	persistSem *vclock.Semaphore
-	snapshots  map[uint64]int // live snapshot seq -> refcount
-	bgErr      error          // sticky background failure (device full): DB goes read-only
+	bgErr      error // sticky background failure (device full): DB goes read-only
 
 	// Value separation (vlog.go in this package). vlog is nil unless
 	// ValueThreshold > 0 or recovery found value-log state. gcGate is
@@ -157,9 +156,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 	db.groupCond = vclock.NewCond(&db.mu, "lsm.writeGroup")
 	db.walCond = vclock.NewCond(&db.mu, "lsm.walTicket")
 	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
-	if !opt.DisableWAL {
-		db.log = db.newWAL()
-	}
+	db.log = db.newWAL()
 	if opt.ValueThreshold > 0 {
 		db.vlog = vlog.Open(clk, fsys, db.vlogOptions())
 		db.gcGate = vclock.NewSemaphore(vlogGateUnits, "lsm.vlogGate")
@@ -198,15 +195,10 @@ func (db *DB) Close() {
 	if db.lingerEv != nil {
 		db.lingerEv.Set() // wake a lingering leader so it observes closed
 	}
-	lg := db.log
 	logs := make([]*wal.Log, 0, len(db.imm)+1)
-	if lg != nil {
-		logs = append(logs, lg)
-	}
+	logs = append(logs, db.log)
 	for _, j := range db.imm {
-		if j.log != nil {
-			logs = append(logs, j.log)
-		}
+		logs = append(logs, j.log)
 	}
 	db.mu.Unlock()
 	for _, l := range logs {
@@ -425,27 +417,20 @@ func (db *DB) stallWait(r *vclock.Runner, reason StallReason, counted *[numStall
 func (db *DB) rotateMemtableLocked() {
 	db.imm = append(db.imm, flushJob{mt: db.mem, log: db.log})
 	db.mem = memtable.New(db.memSize)
-	if !db.opt.DisableWAL {
-		db.log = db.newWAL()
-	} else {
-		db.log = nil
-	}
+	db.log = db.newWAL()
 	db.bgCond.Broadcast()
 }
 
 // Get returns the newest value for key; ok is false if absent or deleted.
 // The value is read-only and may alias engine memory. Copy it to modify
 // it, or to keep it past its use, since it pins the buffer it points into.
+//
+// The lookup walks the layered read pipeline (read.go), dereferencing
+// value pointers. A pointer whose segment was punched between the version
+// read and the dereference is retried once: GC rewrote the value through
+// the normal write path before punching, so the re-read observes the
+// fresh pointer.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
-	return db.get(r, key, ^uint64(0))
-}
-
-// get reads the newest version of key with seq <= maxSeq through the
-// layered read pipeline (read.go), dereferencing value pointers. A
-// pointer whose segment was punched between the version read and the
-// dereference is retried once: GC rewrote the value through the normal
-// write path before punching, so the re-read observes the fresh pointer.
-func (db *DB) get(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, ok bool, err error) {
 	db.opt.CPU.Run(r, db.opt.Cost.ReadCPU)
 	db.mu.Lock()
 	if db.closed {
@@ -456,7 +441,7 @@ func (db *DB) get(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, ok
 	db.mu.Unlock()
 
 	for attempt := 0; ; attempt++ {
-		v, kind, found, attr, err := db.lookup(r, key, maxSeq)
+		v, kind, found, attr, err := db.lookup(r, key)
 		if err != nil {
 			db.recordRead(attr)
 			return nil, false, err
@@ -624,13 +609,9 @@ func (db *DB) Options() Options { return db.opt }
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	s := db.stats
-	if db.log != nil {
-		s.WALBytesWritten += db.log.BytesWritten()
-	}
+	s.WALBytesWritten += db.log.BytesWritten()
 	for _, job := range db.imm {
-		if job.log != nil {
-			s.WALBytesWritten += job.log.BytesWritten()
-		}
+		s.WALBytesWritten += job.log.BytesWritten()
 	}
 	db.mu.Unlock()
 	cs := db.cache.Stats()

@@ -227,13 +227,9 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	// what keeps the flush worker from capturing the table before the
 	// group's records — by then durable in the WAL — have landed in it.
 	db.beginApplyLocked(group[0].mt, len(group))
-	hasTicket := lg != nil
-	var ticket uint64
-	if hasTicket {
-		ticket = db.walTail
-		db.walTail++
-	}
-	pipelined := hasTicket && !db.opt.DisablePipelinedWAL
+	ticket := db.walTail
+	db.walTail++
+	pipelined := !db.opt.DisablePipelinedWAL
 	if pipelined {
 		if ticket != db.walHead || db.applyTotal > len(group) {
 			// A previous group's append or memtable apply is still in
@@ -250,39 +246,33 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 
 	gsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "write-group")
-	var werr error
-	if hasTicket {
-		if hook := db.opt.TestHookCommit; hook != nil {
-			hook("pre-append") // between leadership handoff and the append
-		}
-		// The WAL lane: appends must hit the log in ticket (= sequence)
-		// order, or replay would reorder groups across a crash.
-		db.mu.Lock()
-		for db.walHead != ticket {
-			db.walCond.Wait(r)
-		}
-		db.mu.Unlock()
-		wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
-		// The payload is encoded where it will lie, in the log buffer, in
-		// this group's turn on the lane.
-		payloadLen := 0
-		if failInject != nil {
-			werr = failInject
-		} else {
-			payloadLen, werr = lg.Append(r, totalBytes+16, func(dst []byte) []byte {
-				return appendGroupPayload(dst, group, totalRecs)
-			})
-		}
-		wsp.EndArg(r, int64(payloadLen))
+	if hook := db.opt.TestHookCommit; hook != nil {
+		hook("pre-append") // between leadership handoff and the append
 	}
+	// The WAL lane: appends must hit the log in ticket (= sequence)
+	// order, or replay would reorder groups across a crash.
+	db.mu.Lock()
+	for db.walHead != ticket {
+		db.walCond.Wait(r)
+	}
+	db.mu.Unlock()
+	wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
+	// The payload is encoded where it will lie, in the log buffer, in
+	// this group's turn on the lane.
+	payloadLen := 0
+	werr := failInject
+	if werr == nil {
+		payloadLen, werr = lg.Append(r, totalBytes+16, func(dst []byte) []byte {
+			return appendGroupPayload(dst, group, totalRecs)
+		})
+	}
+	wsp.EndArg(r, int64(payloadLen))
 
 	db.mu.Lock()
-	if hasTicket {
-		// Advance the lane whether the append succeeded or not: the next
-		// ticket holder orders behind the attempt, not the outcome.
-		db.walHead++
-		db.walCond.Broadcast()
-	}
+	// Advance the lane whether the append succeeded or not: the next
+	// ticket holder orders behind the attempt, not the outcome.
+	db.walHead++
+	db.walCond.Broadcast()
 	if werr != nil && !db.closed {
 		// No record carrying the claimed range reached the log: release
 		// the range so recovery never sees a sequence gap — unless a
@@ -308,9 +298,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 	db.stats.GroupCommits++
 	db.stats.GroupedRecords += int64(totalRecs)
-	if lg != nil {
-		db.stats.WALAppends++
-	}
+	db.stats.WALAppends++
 	for _, m := range group {
 		if m.internal {
 			db.stats.VLogGCRewrites += int64(len(m.ops))

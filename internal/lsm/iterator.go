@@ -88,7 +88,6 @@ type Iterator struct {
 	r      *vclock.Runner
 	merged *iterkit.Merge
 	vers   *version // pinned until Close
-	maxSeq uint64   // visibility bound; ^0 for latest-state iterators
 	key    []byte
 	value  []byte
 	valid  bool
@@ -125,7 +124,7 @@ func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
 			children = append(children, newLevelIterator(r, v.levels[l]))
 		}
 	}
-	return &Iterator{db: db, r: r, merged: iterkit.NewMerge(children), vers: v, maxSeq: ^uint64(0)}
+	return &Iterator{db: db, r: r, merged: iterkit.NewMerge(children), vers: v}
 }
 
 // Close unpins the iterator's version. The iterator is unusable
@@ -190,13 +189,6 @@ func (it *Iterator) settle(prev []byte) {
 	for it.merged.Valid() {
 		e := it.merged.Entry()
 		if prev != nil && bytes.Equal(e.Key, prev) {
-			it.merged.Next()
-			continue
-		}
-		if e.Seq > it.maxSeq {
-			// Written after this iterator's snapshot: invisible; an older
-			// version of the same key may still be visible, so do not
-			// mark the key consumed.
 			it.merged.Next()
 			continue
 		}

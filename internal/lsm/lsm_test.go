@@ -561,9 +561,7 @@ func TestDeviceFullGoesReadOnly(t *testing.T) {
 	clk := vclock.New()
 	// A device with room for only a handful of pages.
 	fsys := fs.New(&testDev{pageSize: 4096, pages: 96})
-	opt := smallOpts()
-	opt.DisableWAL = true // keep the tiny device for SSTs only
-	db := Open(clk, fsys, opt)
+	db := Open(clk, fsys, smallOpts())
 	clk.Go("writer", func(r *vclock.Runner) {
 		defer db.Close()
 		var sawErr error

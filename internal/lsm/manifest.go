@@ -402,12 +402,10 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		// pointer into another key's value.
 		return perr == nil && db.vlog.Resolves(ptr) && db.vlog.VerifyKey(r, ptr, key)
 	}
-	// Replay is two phases. Phase 1 (serial, here): read and decode every
-	// log in order, validate pointers, and assign sequence numbers — the
-	// all-or-none batch semantics and stop-at-corruption handling need the
-	// serial record stream. Phase 2 (replayIntoMemtable): insert the
-	// decoded records, fanned out across ReplayShards concurrent inserters.
-	var replayOps []replayOp
+	// Replay inserts each record into the fresh memtable under the
+	// sequence number recovery assigns it, log by log in order; the
+	// records' WriteCPU is charged once, after the last log.
+	replayed := 0
 	for _, name := range logs {
 		replayFn := wal.Replay
 		if opt.UncheckedWALReplay {
@@ -420,11 +418,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		err := replayFn(r, fsys, name, func(payload []byte) error {
 			var ops []batchOp
 			derr := decodeBatch(payload, func(kind memtable.Kind, key, value []byte) error {
-				ops = append(ops, batchOp{
-					kind:  kind,
-					key:   append([]byte(nil), key...),
-					value: append([]byte(nil), value...),
-				})
+				ops = append(ops, batchOp{kind: kind, key: key, value: value})
 				return nil
 			})
 			if derr != nil {
@@ -437,19 +431,20 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 			}
 			for _, op := range ops {
 				db.seq++
-				replayOps = append(replayOps, replayOp{seq: db.seq, kind: op.kind, key: op.key, value: op.value})
+				db.mem.Add(db.seq, op.kind, op.key, op.value)
 			}
+			replayed += len(ops)
 			return nil
 		})
 		if err != nil {
 			return abort(err)
 		}
 	}
-	db.replayIntoMemtable(r, replayOps)
-
-	if !opt.DisableWAL {
-		db.log = db.newWAL()
+	if replayed > 0 {
+		db.opt.CPU.Run(r, db.opt.Cost.WriteCPU*time.Duration(replayed))
 	}
+
+	db.log = db.newWAL()
 	clk.Go("lsm.flush", db.flushWorker)
 	for i := 0; i < opt.MaxCompactionThreads; i++ {
 		i := i
@@ -472,75 +467,6 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		}
 	}
 	return db, nil
-}
-
-// replayOp is one decoded WAL record with its recovery-assigned sequence
-// number, carried from the serial decode pass to the sharded insert pass.
-type replayOp struct {
-	seq   uint64
-	kind  memtable.Kind
-	key   []byte
-	value []byte
-}
-
-// replayIntoMemtable inserts the decoded WAL records into the fresh
-// memtable, fanned out over Options.ReplayShards concurrent inserters
-// sharded by key hash. Sequence numbers were assigned by the serial
-// decode pass and the skiplist orders entries by (key, seq) regardless
-// of insertion order, so the sharded result is bit-identical to a serial
-// replay — the "merge" is the skiplist's own internal-key ordering.
-// Each shard pays its records' WriteCPU on its own runner, which is what
-// makes the fan-out shorten recovery on the virtual clock.
-func (db *DB) replayIntoMemtable(r *vclock.Runner, ops []replayOp) {
-	if len(ops) == 0 {
-		return
-	}
-	shards := db.opt.ReplayShards
-	if shards > len(ops) {
-		shards = len(ops)
-	}
-	if shards <= 1 {
-		db.opt.CPU.Run(r, db.opt.Cost.WriteCPU*time.Duration(len(ops)))
-		for _, op := range ops {
-			db.mem.Add(op.seq, op.kind, op.key, op.value)
-		}
-		db.stats.ReplayShards = 1
-		return
-	}
-	buckets := make([][]replayOp, shards)
-	for _, op := range ops {
-		s := replayShard(op.key, shards)
-		buckets[s] = append(buckets[s], op)
-	}
-	sem := vclock.NewSemaphore(shards, "lsm.replay")
-	sem.Acquire(r, shards)
-	for i := 1; i < shards; i++ {
-		bucket := buckets[i]
-		db.clk.Go(fmt.Sprintf("lsm.replay%d", i), func(rr *vclock.Runner) {
-			db.opt.CPU.Run(rr, db.opt.Cost.WriteCPU*time.Duration(len(bucket)))
-			for _, op := range bucket {
-				db.mem.Add(op.seq, op.kind, op.key, op.value)
-			}
-			sem.Release(1)
-		})
-	}
-	db.opt.CPU.Run(r, db.opt.Cost.WriteCPU*time.Duration(len(buckets[0])))
-	for _, op := range buckets[0] {
-		db.mem.Add(op.seq, op.kind, op.key, op.value)
-	}
-	sem.Release(1)
-	sem.Acquire(r, shards) // join: parks until every shard released its unit
-	db.stats.ReplayShards = int64(shards)
-}
-
-// replayShard maps a key to a replay shard (FNV-1a).
-func replayShard(key []byte, shards int) int {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return int(h % uint32(shards))
 }
 
 func manifestCounterFrom(current string) uint64 {

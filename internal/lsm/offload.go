@@ -28,16 +28,12 @@ type Offloader interface {
 
 // shouldOffload is the offload gate: only L0→L1 merges (the compaction
 // the write-stall state machine serializes behind), only when the merge
-// needs no host-side policy (no live snapshots, no value log whose
-// discard accounting the device cannot do), and only when offload would
-// plausibly help — writers stalling or about to, and the device executor
-// idle. ForceOffload skips the pressure/idleness part for deterministic
-// tests and A/B sweeps.
-func (db *DB) shouldOffload(c *compaction, snaps []uint64) bool {
-	if db.opt.Offloader == nil || !db.opt.EnableCompactionOffload || c.level != 0 {
-		return false
-	}
-	if db.vlog != nil || len(snaps) > 0 {
+// needs no host-side policy (no value log, whose discard accounting the
+// device cannot do), and only when offload would plausibly help — writers
+// stalling or about to, and the device executor idle. ForceOffload skips
+// the pressure/idleness part for deterministic tests and A/B sweeps.
+func (db *DB) shouldOffload(c *compaction) bool {
+	if db.opt.Offloader == nil || !db.opt.EnableCompactionOffload || c.level != 0 || db.vlog != nil {
 		return false
 	}
 	if db.opt.ForceOffload {

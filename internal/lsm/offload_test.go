@@ -232,29 +232,6 @@ func TestOffloadFallbackOnError(t *testing.T) {
 	}
 }
 
-// TestOffloadGateRespectsSnapshots pins the eligibility rule: a live
-// snapshot (sequence-aware filtering the device core does not model per
-// -request here) must force the host path even under ForceOffload.
-func TestOffloadGateRespectsSnapshots(t *testing.T) {
-	clk, _, db := offloadEnv(smallOpts(), true)
-	clk.Go("writer", func(r *vclock.Runner) {
-		defer db.Close()
-		rng := rand.New(rand.NewSource(3))
-		offloadRound(r, t, db, rng, 0)
-		snap := db.GetSnapshot()
-		defer snap.Release()
-		for round := 1; round < 6; round++ {
-			offloadRound(r, t, db, rng, round)
-			_ = db.Flush(r)
-			db.WaitIdle(r)
-		}
-	})
-	clk.Wait()
-	if s := db.Stats(); s.OffloadedCompactions != 0 {
-		t.Fatalf("offloaded %d compactions with a live snapshot", s.OffloadedCompactions)
-	}
-}
-
 // TestBlockCacheHoldsOnlyLiveTables pins the lifetime rule aliasing reads
 // need: a cached block is a view of its table's image, so every removal of
 // a table evicts its blocks. After a compaction-heavy fill whose merges

@@ -95,11 +95,6 @@ type Options struct {
 	// section after claiming sequence numbers and appends under a ticket
 	// that preserves WAL record order == sequence order.
 	DisablePipelinedWAL bool
-	// ReplayShards is the number of concurrent memtable inserters Reopen
-	// fans WAL replay out over, sharded by key hash; the skiplist's
-	// (key, seq) ordering makes the result identical to a serial replay.
-	// 1 forces serial replay.
-	ReplayShards int
 	// TestHookCommit, when set, is called at named instants inside the
 	// group-commit pipeline — "in-linger" (inside an open linger window,
 	// before the timed wait) and "pre-append" (a pipelined leader has
@@ -130,8 +125,8 @@ type Options struct {
 	Offloader Offloader
 	// ForceOffload bypasses the pressure/idleness gate so every eligible
 	// L0→L1 compaction offloads — for the equivalence suite and A/B
-	// sweeps that need deterministic routing. The eligibility conditions
-	// (no live snapshots, no value log) still apply.
+	// sweeps that need deterministic routing. The eligibility condition
+	// (no value log) still applies.
 	ForceOffload bool
 	// TestHookOffload, when set, is called at named instants inside the
 	// offload install path — "merge-complete" (device merge done, nothing
@@ -162,8 +157,6 @@ type Options struct {
 	// value log writes back with the same two.
 	WALChunkSize  int
 	WALQueueDepth int
-	// DisableWAL skips the log entirely (db_bench --disable_wal).
-	DisableWAL bool
 	// UncheckedWALReplay makes Reopen replay WAL records without
 	// verifying checksums or truncating torn tails. It deliberately
 	// breaks the recovery contract; the torture suite uses it to prove
@@ -258,7 +251,6 @@ func DefaultOptions(cpuPool *cpu.Pool) Options {
 		BloomBitsPerKey: 10,
 
 		MaxWriteGroupBytes: 1 << 20,
-		ReplayShards:       4,
 		VLogGCDiscardRatio: 0.5,
 
 		// The OS page cache absorbs WAL appends; writers only feel the device
@@ -296,7 +288,6 @@ func (o *Options) sanitize() {
 		{o.BlockSize <= 0, "BlockSize > 0"},
 		{o.MaxWriteGroupBytes <= 0, "MaxWriteGroupBytes > 0"},
 		{o.GroupLingerMicros < 0, "GroupLingerMicros >= 0"},
-		{o.ReplayShards < 1, "ReplayShards >= 1"},
 		{o.ValueThreshold < 0, "ValueThreshold >= 0"},
 		{o.VLogGCDiscardRatio <= 0 || o.VLogGCDiscardRatio > 1, "VLogGCDiscardRatio in (0, 1]"},
 		{o.WALChunkSize <= 0, "WALChunkSize > 0"},

@@ -36,7 +36,7 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		"L0SlowdownTrigger", "L0StopTrigger", "PendingCompactionSlowdownBytes",
 		"PendingCompactionStopBytes", "BaseLevelBytes", "LevelMultiplier",
 		"MaxLevels", "MaxFileSize", "CompactionThreads", "DelayedWriteBytesPerSec",
-		"SlowdownSleep", "BlockSize", "MaxWriteGroupBytes", "ReplayShards",
+		"SlowdownSleep", "BlockSize", "MaxWriteGroupBytes",
 		"VLogGCDiscardRatio", "WALChunkSize", "WALQueueDepth", "CPU",
 	} {
 		opt := smallOpts()

@@ -63,16 +63,16 @@ func (db *DB) recordRead(a readAttr) {
 	db.mu.Unlock()
 }
 
-// getRaw reads the newest raw version of key with seq <= maxSeq, without
-// dereferencing value pointers — the vlog GC's liveness primitive. The
-// attribution is discarded: GC probes are not user reads.
-func (db *DB) getRaw(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, kind memtable.Kind, found bool, err error) {
-	value, kind, found, _, err = db.lookup(r, key, maxSeq)
+// getRaw reads the newest raw version of key, without dereferencing
+// value pointers — the vlog GC's liveness primitive. The attribution is
+// discarded: GC probes are not user reads.
+func (db *DB) getRaw(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
+	value, kind, found, _, err = db.lookup(r, key)
 	return value, kind, found, err
 }
 
 // lookup runs the layered chain and reports where the key was found.
-func (db *DB) lookup(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, kind memtable.Kind, found bool, attr readAttr, err error) {
+func (db *DB) lookup(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, attr readAttr, err error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
@@ -91,31 +91,31 @@ func (db *DB) lookup(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte,
 	defer db.unpinVersion(r, v)
 
 	// Layer 1: the active memtable.
-	if v, kind, found := memtableGetAt(mem, key, maxSeq); found {
+	if v, kind, found := mem.Get(key); found {
 		attr.src = readSourceMemtable
 		return v, kind, true, attr, nil
 	}
 	// Layer 2: immutable memtables, newest first.
 	for i := len(imms) - 1; i >= 0; i-- {
-		if v, kind, found := memtableGetAt(imms[i], key, maxSeq); found {
+		if v, kind, found := imms[i].Get(key); found {
 			attr.src = readSourceImmutable
 			return v, kind, true, attr, nil
 		}
 	}
 	// Layer 3: the SST levels.
-	value, kind, found, err = db.lookupSST(r, v, key, maxSeq, &attr)
+	value, kind, found, err = db.lookupSST(r, v, key, &attr)
 	return value, kind, found, attr, err
 }
 
 // lookupSST probes L0 newest-first, then one candidate file per deeper
 // level, accumulating bloom outcomes into attr.
-func (db *DB) lookupSST(r *vclock.Runner, v *version, key []byte, maxSeq uint64, attr *readAttr) (value []byte, kind memtable.Kind, found bool, err error) {
+func (db *DB) lookupSST(r *vclock.Runner, v *version, key []byte, attr *readAttr) (value []byte, kind memtable.Kind, found bool, err error) {
 	sp := db.opt.Trace.Begin(r, trace.PhaseSSTGet, "sst-get")
 	defer sp.End(r)
 	for l := 0; l < len(v.levels) && !found && err == nil; l++ {
 		v.filesForKey(l, key, func(f *FileMeta) bool {
 			var pr sstable.Probe
-			value, kind, found, pr, err = f.reader.GetAtProbe(r, key, maxSeq)
+			value, kind, found, pr, err = f.reader.GetProbe(r, key)
 			if pr.BloomConsulted {
 				attr.bloomConsults++
 			}

@@ -112,12 +112,9 @@ type Stats struct {
 	// count their real wait). PipelinedAppends counts group WAL appends
 	// issued while a previous group's append or memtable apply was still
 	// in flight — the overlap the pipelined WAL exists to create.
-	// ReplayShards is the number of concurrent replay inserters the last
-	// Reopen used (0 until a recovery has run, 1 for a serial replay).
 	GroupLingerWaits  int64
 	GroupLingerMicros int64
 	PipelinedAppends  int64
-	ReplayShards      int64
 
 	Flushes              int64
 	FlushBytes           int64
@@ -281,7 +278,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.GroupLingerWaits += o.GroupLingerWaits
 	s.GroupLingerMicros += o.GroupLingerMicros
 	s.PipelinedAppends += o.PipelinedAppends
-	s.ReplayShards += o.ReplayShards
 	s.Flushes += o.Flushes
 	s.FlushBytes += o.FlushBytes
 	s.Compactions += o.Compactions

@@ -181,7 +181,7 @@ func (db *DB) vlogGCWorker(r *vclock.Runner) {
 // queue or a segment over the discard threshold. Caller holds db.mu;
 // vlog's own lock nests inside db.mu everywhere.
 func (db *DB) vlogGCReadyLocked() bool {
-	if len(db.punchQueue) > 0 && db.openIters == 0 && len(db.snapshots) == 0 {
+	if len(db.punchQueue) > 0 && db.openIters == 0 {
 		return true
 	}
 	_, ok := db.vlog.PickGC(db.opt.VLogGCDiscardRatio)
@@ -309,7 +309,7 @@ func (db *DB) gcRewriteBatch(r *vclock.Runner, batch []vlog.Entry, hook func(str
 // pointerLive reports whether ptr is still the newest version of key.
 func (db *DB) pointerLive(r *vclock.Runner, key []byte, ptr encoding.ValuePointer) (bool, error) {
 	db.opt.CPU.Run(r, db.opt.Cost.ReadCPU)
-	v, kind, found, err := db.getRaw(r, key, ^uint64(0))
+	v, kind, found, err := db.getRaw(r, key)
 	if err != nil {
 		return false, err
 	}
@@ -342,13 +342,9 @@ func (db *DB) syncForVLogGC(r *vclock.Runner) error {
 	db.mu.Lock()
 	logs := make([]*wal.Log, 0, len(db.imm)+1)
 	for _, j := range db.imm {
-		if j.log != nil {
-			logs = append(logs, j.log)
-		}
+		logs = append(logs, j.log)
 	}
-	if db.log != nil {
-		logs = append(logs, db.log)
-	}
+	logs = append(logs, db.log)
 	db.mu.Unlock()
 	for _, lg := range logs {
 		if err := lg.Sync(r); err != nil {
@@ -359,12 +355,12 @@ func (db *DB) syncForVLogGC(r *vclock.Runner) error {
 }
 
 // finishSegment punches a fully collected segment, or queues the punch
-// while live iterators or snapshots could still dereference into it.
+// while live iterators could still dereference into it.
 // New readers only ever observe the rewrites, which are newer versions.
 func (db *DB) finishSegment(r *vclock.Runner, seg uint32) {
 	db.vlog.MarkDead(seg)
 	db.mu.Lock()
-	if db.openIters > 0 || len(db.snapshots) > 0 {
+	if db.openIters > 0 {
 		db.punchQueue = append(db.punchQueue, seg)
 		db.mu.Unlock()
 		return
@@ -377,7 +373,7 @@ func (db *DB) finishSegment(r *vclock.Runner, seg uint32) {
 // pointer into them.
 func (db *DB) drainPunchQueue(r *vclock.Runner) {
 	db.mu.Lock()
-	if len(db.punchQueue) == 0 || db.openIters > 0 || len(db.snapshots) > 0 {
+	if len(db.punchQueue) == 0 || db.openIters > 0 {
 		db.mu.Unlock()
 		return
 	}

@@ -54,15 +54,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Times returns a copy of the sample timestamps (seconds).
-func (s *Series) Times() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(s.seconds))
-	copy(out, s.seconds)
-	return out
-}
-
 // Mean returns the arithmetic mean of the sample values, or 0 if empty.
 func (s *Series) Mean() float64 {
 	s.mu.Lock()

@@ -150,9 +150,6 @@ func New(geo Geometry, timing Timing) *Array {
 // Geometry returns the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geo }
 
-// Timing returns the array's latency parameters.
-func (a *Array) Timing() Timing { return a.timing }
-
 func (a *Array) dieIndex(addr Addr) int { return addr.Channel*a.geo.Ways + addr.Way }
 
 func (a *Array) busTime(bytes int) time.Duration {

@@ -210,9 +210,6 @@ func NewDispatcher(clk *vclock.Clock, cfg Config) *Dispatcher {
 	}
 }
 
-// Config returns the dispatcher's (normalized) configuration.
-func (d *Dispatcher) Config() Config { return d.cfg }
-
 // Attach rebinds the dispatcher to a new clock. The device hardware
 // outlives a host restart, but each simulation phase runs on a fresh
 // clock; a restarted host must re-attach surviving devices before
@@ -250,7 +247,6 @@ func (d *Dispatcher) NewQueuePair(name string, weight int) *QueuePair {
 		depth:     d.cfg.QueueDepth,
 		latency:   metrics.NewHistogram(),
 		bgLatency: metrics.NewHistogram(),
-		depths:    metrics.NewDistribution(),
 	}
 	q.notFull = vclock.NewCond(&d.mu, "nvme.sq.full:"+name)
 	q.cq = vclock.NewCond(&d.mu, "nvme.cq:"+name)
@@ -428,17 +424,7 @@ type QueuePair struct {
 	lastChange       vclock.Time
 	latency          *metrics.Histogram
 	bgLatency        *metrics.Histogram
-	depths           *metrics.Distribution
 }
-
-// Name returns the queue's label.
-func (q *QueuePair) Name() string { return q.name }
-
-// Depth returns the queue's maximum outstanding commands.
-func (q *QueuePair) Depth() int { return q.depth }
-
-// Weight returns the queue's WRR weight.
-func (q *QueuePair) Weight() int { return q.weight }
 
 // accountLocked folds the time spent at the current outstanding levels
 // into the occupancy integrals. Called with d.mu held on every level
@@ -501,7 +487,6 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 			q.bgMaxOutstanding = q.bgOutstanding
 		}
 	}
-	q.depths.Observe(int64(q.outstanding))
 	q.sq = append(q.sq, cmd)
 	q.d.ensureRunningLocked()
 	q.d.mu.Unlock()
@@ -573,11 +558,9 @@ type QueueStats struct {
 	// MeanOutstanding is the time-weighted average queue occupancy from
 	// the queue's first submit to now.
 	MeanOutstanding float64
-	// Latency is the submit-to-completion histogram over every command;
-	// Depths samples the instantaneous outstanding count at each submit.
-	// Both are snapshots.
+	// Latency is the submit-to-completion histogram over every command,
+	// a snapshot.
 	Latency *metrics.Histogram
-	Depths  *metrics.Distribution
 
 	// Background split: commands submitted with Command.Background set
 	// (compaction, flush, offload validation). The unprefixed counters
@@ -614,8 +597,6 @@ func (q *QueuePair) Stats(now vclock.Time) QueueStats {
 	lat := metrics.NewHistogram()
 	lat.Merge(fgLat)
 	lat.Merge(bgLat)
-	dep := metrics.NewDistribution()
-	dep.Merge(q.depths)
 	q.d.mu.Lock()
 	defer q.d.mu.Unlock()
 	s := QueueStats{
@@ -628,7 +609,6 @@ func (q *QueuePair) Stats(now vclock.Time) QueueStats {
 		Outstanding:      q.outstanding,
 		MaxOutstanding:   q.maxOutstanding,
 		Latency:          lat,
-		Depths:           dep,
 		BgSubmitted:      q.bgSubmitted,
 		BgCompleted:      q.bgCompleted,
 		BgErrors:         q.bgErrors,

@@ -14,25 +14,17 @@ import (
 // other work the same way.
 const ChunkBytes = 256 << 10
 
-// MergeParams parameterizes one merge-emit pass. The zero hooks give the
-// device-side behavior (keep only the newest version per user key, elide
-// bottom-level tombstones); the host path plugs in its snapshot-retention
-// and value-log-discard hooks. Everything that influences output bytes —
-// builder options, the split threshold, the keep decisions — flows
-// through here, which is what keeps the two paths identical.
+// MergeParams parameterizes one merge-emit pass: keep only the newest
+// version per user key, elide bottom-level tombstones when asked; the
+// host path adds its value-log-discard hook. Everything that influences
+// output bytes — builder options, the split threshold, the tombstone
+// decision — flows through here, which is what keeps the host and device
+// paths identical.
 type MergeParams struct {
 	Builder        sstable.BuilderOptions
 	MaxFileSize    int64
 	DropTombstones bool
 
-	// KeepDup reports whether an older version of the current user key
-	// must be retained (host: newest version visible to a live snapshot).
-	// Nil drops every superseded version.
-	KeepDup func(seq, lastKeptSeq uint64) bool
-	// KeepTombstone reports whether a bottom-level tombstone must be
-	// retained despite DropTombstones (host: a snapshot still observes the
-	// deletion). Nil elides it.
-	KeepTombstone func(seq uint64) bool
 	// OnDrop observes each dropped superseded version (host: value-log
 	// discard accounting). May be nil.
 	OnDrop func(e memtable.Entry)
@@ -44,10 +36,10 @@ type MergeParams struct {
 }
 
 // Merge runs the canonical compaction merge-emit loop over it: keep the
-// newest version of each user key (plus whatever KeepDup retains), elide
-// droppable tombstones, cut a new table whenever the builder crosses
-// MaxFileSize. The iterator must yield internal-key order (user key
-// ascending, seq descending within a key).
+// newest version of each user key, elide droppable tombstones, cut a new
+// table whenever the builder crosses MaxFileSize. The iterator must yield
+// internal-key order (user key ascending, seq descending within a key),
+// so a table is only ever cut between user keys.
 func Merge(it iterkit.Iterator, p MergeParams) error {
 	charge := p.Charge
 	if charge == nil {
@@ -77,7 +69,6 @@ func Merge(it iterkit.Iterator, p MergeParams) error {
 	pendingCPU := 0
 	var lastUserKey []byte
 	haveUser := false
-	var lastKeptSeq uint64
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		e := it.Entry()
 		pendingCPU += len(e.Key) + len(e.Value) + 16
@@ -85,27 +76,20 @@ func Merge(it iterkit.Iterator, p MergeParams) error {
 			charge(pendingCPU)
 			pendingCPU = 0
 		}
-		// Keep the newest version of each user key, plus any older version
-		// KeepDup retains; the merge iterator yields newest-first within a
-		// key.
+		// Keep the newest version of each user key; the merge iterator
+		// yields newest-first within a key.
 		if haveUser && bytes.Equal(e.Key, lastUserKey) {
-			if p.KeepDup == nil || !p.KeepDup(e.Seq, lastKeptSeq) {
-				if p.OnDrop != nil {
-					p.OnDrop(e)
-				}
-				continue
+			if p.OnDrop != nil {
+				p.OnDrop(e)
 			}
-		} else if e.Kind == memtable.KindDelete && p.DropTombstones &&
-			(p.KeepTombstone == nil || !p.KeepTombstone(e.Seq)) {
-			// A bottom-level tombstone shadowing nothing deeper is elided.
-			lastUserKey = append(lastUserKey[:0], e.Key...)
-			haveUser = true
-			lastKeptSeq = e.Seq
 			continue
 		}
 		lastUserKey = append(lastUserKey[:0], e.Key...)
 		haveUser = true
-		lastKeptSeq = e.Seq
+		if e.Kind == memtable.KindDelete && p.DropTombstones {
+			// A bottom-level tombstone shadowing nothing deeper is elided.
+			continue
+		}
 		if err := b.Add(e.Key, e.Seq, e.Kind, e.Value); err != nil {
 			return fmt.Errorf("offload: merge out of order: %w", err)
 		}

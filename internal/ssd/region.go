@@ -70,9 +70,6 @@ func (d *Device) KVRegionSlices(n int) []*KVRegion {
 // DevLSM exposes the slice's backing store (stats, tests).
 func (s *KVRegion) DevLSM() *devlsm.DevLSM { return s.lsm }
 
-// QueuePair exposes the slice's queue pair (stats, tests).
-func (s *KVRegion) QueuePair() *nvme.QueuePair { return s.qp }
-
 // KVPut issues a PUT (or a redirected tombstone) over the KV interface:
 // one queued command whose body DMAs header+record and runs the Dev-LSM
 // insert on the controller.
@@ -82,11 +79,6 @@ func (s *KVRegion) KVPut(r *vclock.Runner, kind memtable.Kind, key, value []byte
 	err := s.qp.Do(r, &c.Command)
 	s.release(c)
 	return err
-}
-
-// KVDelete issues a DELETE: a tombstone PUT over the KV interface.
-func (s *KVRegion) KVDelete(r *vclock.Runner, key []byte) error {
-	return s.KVPut(r, memtable.KindDelete, key, nil)
 }
 
 // KVPutCompound issues a compound command carrying several records (the

@@ -185,9 +185,6 @@ func (d *Device) Severed() bool { return d.NVMe.Severed() }
 // Config returns the device's configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// DMAChunkSize returns the bulk-scan DMA unit.
-func (d *Device) DMAChunkSize() int { return d.cfg.DMAChunkSize }
-
 // maxTransferPages returns the MDTS in logical pages (at least 1).
 func (d *Device) maxTransferPages() int {
 	n := d.cfg.MaxTransferBytes / d.cfg.Geometry.PageSize
@@ -394,12 +391,6 @@ func (d *Device) receive(r *vclock.Runner, bytes int) {
 // KVPut issues a PUT (or a redirected tombstone) over the KV interface.
 func (d *Device) KVPut(r *vclock.Runner, kind memtable.Kind, key, value []byte) error {
 	return d.full.KVPut(r, kind, key, value)
-}
-
-// KVPutCompound issues one compound command carrying several records
-// (the buffered-I/O capability of the NVMe KV extensions [33]).
-func (d *Device) KVPutCompound(r *vclock.Runner, entries []memtable.Entry) error {
-	return d.full.KVPutCompound(r, entries)
 }
 
 // KVGet issues a GET; the value (if any) is DMA'd back.

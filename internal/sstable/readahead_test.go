@@ -40,7 +40,7 @@ func TestScanReadaheadReducesMisses(t *testing.T) {
 		// Baseline: demand-load every block through a cold cache, the walk
 		// the iterator did before readahead existed.
 		baseCache := NewBlockCache(1 << 20)
-		baseRd := &Reader{src: src, fileID: 2, index: rd.index, entries: rd.entries, cache: baseCache}
+		baseRd := &Reader{src: src, fileID: 2, index: rd.index, cache: baseCache}
 		baseReads := src.reads
 		for i := 0; i < blocks; i++ {
 			if _, err := baseRd.loadBlock(r, i); err != nil {

@@ -202,12 +202,11 @@ type indexEntry struct {
 // Source returned for them, so a Source must not overwrite what it has
 // handed out.
 type Reader struct {
-	src     Source
-	fileID  uint64
-	index   []indexEntry
-	filter  bloom.Filter
-	entries int
-	cache   *BlockCache
+	src    Source
+	fileID uint64
+	index  []indexEntry
+	filter bloom.Filter
+	cache  *BlockCache
 }
 
 // Open reads a table's footer, index, and filter. fileID keys the block
@@ -229,14 +228,16 @@ func Open(r *vclock.Runner, src Source, fileID uint64, cache *BlockCache) (*Read
 			return nil, ErrCorrupt
 		}
 	}
-	indexOff, indexLen, bloomOff, bloomLen, entries, _, magic := u[0], u[1], u[2], u[3], u[4], u[5], u[6]
+	// u[4] is the record count and u[5] the whole-table checksum, which
+	// only VerifyChecksum reads.
+	indexOff, indexLen, bloomOff, bloomLen, magic := u[0], u[1], u[2], u[3], u[6]
 	if magic != Magic {
 		return nil, ErrCorrupt
 	}
 	if int(indexOff)+int(indexLen) > sz || int(bloomOff)+int(bloomLen) > sz {
 		return nil, ErrCorrupt
 	}
-	rd := &Reader{src: src, fileID: fileID, entries: int(entries), cache: cache}
+	rd := &Reader{src: src, fileID: fileID, cache: cache}
 	idx, err := src.ReadAt(r, int(indexOff), int(indexLen))
 	if err != nil {
 		return nil, err
@@ -301,18 +302,6 @@ func (rd *Reader) VerifyChecksum(r *vclock.Runner) error {
 		return ErrCorrupt
 	}
 	return nil
-}
-
-// Entries returns the table's record count.
-func (rd *Reader) Entries() int { return rd.entries }
-
-// MayContain consults the bloom filter; a false return means the key is
-// definitely absent.
-func (rd *Reader) MayContain(key []byte) bool {
-	if rd.filter == nil {
-		return true
-	}
-	return rd.filter.MayContain(key)
 }
 
 // blockFor locates the block where a forward scan for key must start:
@@ -449,22 +438,17 @@ type Probe struct {
 }
 
 // Get returns the newest record for key. found is false if the table has
-// no entry for it (tombstones return found=true, kind=KindDelete).
+// no entry for it (tombstones return found=true, kind=KindDelete). The
+// value is a read-only view of the block that holds it, which pins the
+// block.
 func (rd *Reader) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
-	return rd.GetAt(r, key, ^uint64(0))
-}
-
-// GetAt returns the newest record for key with seq <= maxSeq (snapshot
-// reads); maxSeq of ^uint64(0) degenerates to Get. The value is a
-// read-only view of the block that holds it, which pins the block.
-func (rd *Reader) GetAt(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, kind memtable.Kind, found bool, err error) {
-	value, kind, found, _, err = rd.GetAtProbe(r, key, maxSeq)
+	value, kind, found, _, err = rd.GetProbe(r, key)
 	return value, kind, found, err
 }
 
-// GetAtProbe is GetAt plus a Probe describing the bloom-filter outcome of
+// GetProbe is Get plus a Probe describing the bloom-filter outcome of
 // this lookup.
-func (rd *Reader) GetAtProbe(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, kind memtable.Kind, found bool, probe Probe, err error) {
+func (rd *Reader) GetProbe(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, probe Probe, err error) {
 	if rd.filter != nil {
 		probe.BloomConsulted = true
 		if !rd.filter.MayContain(key) {
@@ -472,16 +456,16 @@ func (rd *Reader) GetAtProbe(r *vclock.Runner, key []byte, maxSeq uint64) (value
 			return nil, 0, false, probe, nil
 		}
 	}
-	value, kind, found, err = rd.getFrom(r, key, maxSeq)
+	value, kind, found, err = rd.getFrom(r, key)
 	// A consulted filter that answered "maybe" for an absent key burned
 	// block reads for nothing: the false positive the stats surface.
 	probe.BloomFalsePos = probe.BloomConsulted && !found && err == nil
 	return value, kind, found, probe, err
 }
 
-// getFrom is the block-scan body of GetAt, after the bloom filter has
+// getFrom is the block-scan body of Get, after the bloom filter has
 // been consulted (or when the table has none).
-func (rd *Reader) getFrom(r *vclock.Runner, key []byte, maxSeq uint64) (value []byte, kind memtable.Kind, found bool, err error) {
+func (rd *Reader) getFrom(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
 	if len(rd.index) == 0 {
 		return nil, 0, false, nil
 	}
@@ -502,11 +486,8 @@ func (rd *Reader) getFrom(r *vclock.Runner, key []byte, maxSeq uint64) (value []
 				return nil, 0, false, derr
 			}
 			if c := bytes.Compare(rec.key, key); c == 0 {
-				// Records within a key are newest-first; take the first
-				// visible one.
-				if rec.seq <= maxSeq {
-					return rec.value, rec.kind, true, nil
-				}
+				// Records within a key are newest-first.
+				return rec.value, rec.kind, true, nil
 			} else if c > 0 {
 				return nil, 0, false, nil
 			}

@@ -218,14 +218,6 @@ func (t *Tracer) SetTimeBase(base vclock.Time) {
 	t.base.Store(int64(base))
 }
 
-// TimeBase returns the current time base.
-func (t *Tracer) TimeBase() vclock.Time {
-	if t == nil {
-		return 0
-	}
-	return vclock.Time(t.base.Load())
-}
-
 func (t *Tracer) emit(e Event) {
 	e.Seq = t.seq.Add(1)
 	e.TS += vclock.Time(t.base.Load())

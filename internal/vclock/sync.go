@@ -554,9 +554,6 @@ func (res *Resource) UseBackground(r *Runner, d Duration) {
 // Cap returns the resource's parallel capacity.
 func (res *Resource) Cap() int { return res.sem.Cap() }
 
-// InUse returns the number of units currently occupied.
-func (res *Resource) InUse() int { return res.sem.InUse() }
-
 // BusyNS returns cumulative busy unit-nanoseconds; sampling it at intervals
 // yields utilization: delta / (interval * capacity).
 func (res *Resource) BusyNS() int64 {

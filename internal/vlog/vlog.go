@@ -614,13 +614,6 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Err returns the sticky writeback error, if any.
-func (m *Manager) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.werr
-}
-
 // Close stops the writeback runner after draining queued chunks. The
 // head's final partial buffer is discarded (callers Sync first if they
 // need it) — exactly the WAL's close contract.

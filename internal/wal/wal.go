@@ -54,7 +54,6 @@ type Log struct {
 
 	queue *vclock.Queue[[]byte]
 
-	bytesAppended int64
 	// bytesWritten is atomic so that BytesWritten, which the engine's Stats
 	// reads under its own lock, never waits on the log's.
 	bytesWritten atomic.Int64
@@ -76,9 +75,6 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, name string, opt Options) *Log
 	clk.Go("wal.writeback:"+name, l.writeback)
 	return l
 }
-
-// Name returns the log's file name.
-func (l *Log) Name() string { return l.name }
 
 // recordHeader is the u32 length and u32 CRC32C in front of every payload.
 const recordHeader = 8
@@ -129,7 +125,6 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 	payload := l.buf[header+recordHeader:]
 	binary.LittleEndian.PutUint32(l.buf[header:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(l.buf[header+4:], encoding.Checksum(payload))
-	l.bytesAppended += int64(len(payload) + recordHeader)
 	var chunk []byte
 	if len(l.buf) >= l.opt.ChunkSize {
 		chunk = l.buf
@@ -164,13 +159,6 @@ func (l *Log) Sync(r *vclock.Runner) error {
 	return err
 }
 
-// Err returns the sticky writeback error, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.werr
-}
-
 // Close stops the writeback runner after draining queued chunks. The
 // final partial buffer is discarded (callers Sync first if they need it).
 func (l *Log) Close() {
@@ -190,13 +178,6 @@ func (l *Log) Delete(r *vclock.Runner) {
 	if l.fsys.Exists(l.name) {
 		_ = l.fsys.Remove(r, l.name)
 	}
-}
-
-// BytesAppended returns the logical bytes appended so far.
-func (l *Log) BytesAppended() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytesAppended
 }
 
 // BytesWritten returns the bytes actually written back to the device.

@@ -29,10 +29,7 @@
 package kvaccel
 
 import (
-	"time"
-
 	"kvaccel/internal/core"
-	"kvaccel/internal/faults"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/ssd"
@@ -84,18 +81,6 @@ type Options struct {
 	// flushes and compactions move pointers, not payloads. 0 (the
 	// default) disables separation.
 	ValueThreshold int
-	// VLogGCDiscardRatio is the dead-bytes fraction at which a sealed
-	// value-log segment is garbage-collected (live values rewritten, the
-	// segment punched via TRIM). 0 keeps the engine default (0.5).
-	VLogGCDiscardRatio float64
-	// DetectorPeriod is the stall-detector refresh interval; 0 keeps the
-	// paper's 0.1 s.
-	DetectorPeriod time.Duration
-	// HostCores bounds the host CPU pool.
-	HostCores int
-	// KVRegionBytes sizes the key-value region of the dual-interface
-	// SSD (the disaggregation point); 0 keeps the default split.
-	KVRegionBytes int64
 	// DevReadCacheBytes enables a controller-DRAM read cache in front of
 	// Dev-LSM NAND reads — the extension the paper names as the fix for
 	// its Table V range-query deficit. 0 (default) reproduces the paper.
@@ -105,35 +90,6 @@ type Options struct {
 	// DRAM before either LSM is consulted. 0 (default) reproduces the
 	// paper. Sharded DBs split the budget evenly across shards.
 	FrontCacheBytes int64
-	// FrontCacheNegative additionally caches confirmed-missing keys in
-	// the front cache, so read-miss-heavy workloads stop paying the full
-	// metadata + dual-LSM descent for keys that are not there. Requires
-	// FrontCacheBytes > 0.
-	FrontCacheNegative bool
-	// FrontCacheDoorkeeper enables second-chance admission on the front
-	// cache: a key's first fill is refused and only a return visit while
-	// still remembered admits it, so uniform one-touch traffic stops
-	// churning resident hot entries out. Requires FrontCacheBytes > 0.
-	FrontCacheDoorkeeper bool
-	// OffloadCompaction enables device-side L0→L1 compaction offload:
-	// under stall pressure the Main-LSM hands eligible merges to the
-	// SSD controller, which runs them near the data (NAND reads, ARM
-	// merge, NAND programs) while the host only ships descriptors and
-	// validates results. Strictly a hint — any failure falls back to the
-	// host merge. Sharded DBs get one offload channel per shard.
-	OffloadCompaction bool
-	// QueueDepth is the NVMe submission-queue depth per queue pair: how
-	// many commands one submitter may keep in flight before blocking.
-	// 0 keeps the device default (32).
-	QueueDepth int
-	// IOQueues is the number of block-interface I/O queue pairs the file
-	// system stripes its commands across. 0 keeps the default (1).
-	IOQueues int
-	// Faults is a deterministic, seeded fault plan injected into the
-	// device stack (NVMe dispatcher and NAND array): per-opcode media
-	// errors, timeouts, latency spikes, and power-cut support. Nil
-	// disables injection. See internal/faults.
-	Faults *faults.Plan
 }
 
 // DefaultOptions mirrors the paper's setup at scale 10.
@@ -143,7 +99,6 @@ func DefaultOptions() Options {
 		CompactionThreads: 1,
 		Rollback:          RollbackLazy,
 		EnableRedirection: true,
-		HostCores:         8,
 	}
 }
 

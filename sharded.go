@@ -49,35 +49,16 @@ type ShardedDB struct {
 // OpenSharded builds one simulated machine and N KVACCEL shards on it.
 func OpenSharded(opt ShardedOptions) *ShardedDB {
 	cfg := machine.DeviceConfig(opt.Scale)
-	if opt.KVRegionBytes > 0 {
-		cfg.KVRegionBytes = opt.KVRegionBytes
-	}
 	cfg.DevLSM.ReadCacheBytes = opt.DevReadCacheBytes
-	if opt.QueueDepth > 0 {
-		cfg.NVMe.QueueDepth = opt.QueueDepth
-	}
-	if opt.IOQueues > 0 {
-		cfg.IOQueues = opt.IOQueues
-	}
-	cfg.Faults = opt.Faults
-	m := machine.New(cfg, opt.HostCores, opt.Shards)
+	m := machine.New(cfg, opt.Shards)
 
 	lopt := machine.LSMOptions(opt.Scale)
 	lopt.CompactionThreads = opt.CompactionThreads
 	lopt.ValueThreshold = opt.ValueThreshold
-	if opt.VLogGCDiscardRatio > 0 {
-		lopt.VLogGCDiscardRatio = opt.VLogGCDiscardRatio
-	}
-	lopt.EnableCompactionOffload = opt.OffloadCompaction
 	copt := core.DefaultOptions()
 	copt.Rollback = opt.Rollback
-	if opt.DetectorPeriod > 0 {
-		copt.DetectorPeriod = opt.DetectorPeriod
-	}
 	copt.StallFailover = opt.EnableRedirection
 	copt.FrontCacheBytes = opt.FrontCacheBytes
-	copt.FrontCacheNegative = opt.FrontCacheNegative
-	copt.FrontCacheDoorkeeper = opt.FrontCacheDoorkeeper
 	shards, _ := m.OpenKVAccel(lopt, copt)
 	return NewShardedDB(m, shards)
 }
