@@ -35,9 +35,9 @@ func TestUtilizationSampling(t *testing.T) {
 		r.Sleep(time.Second)
 	})
 	c.Go("sampler", func(r *vclock.Runner) {
-		// Sample a millisecond off the instant the work ends: of two
-		// runners woken at one instant, which runs first is the Go
-		// scheduler's choice, so a sample taken then may miss the work.
+		// Sample a millisecond off the instant the work ends, so that what
+		// the sample sees does not hang on which of two runners woken at
+		// one instant runs first.
 		r.Sleep(time.Millisecond)
 		for i := 0; i < 2; i++ {
 			r.Sleep(time.Second)

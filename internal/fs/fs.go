@@ -722,25 +722,30 @@ func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
 func (fs *FileSystem) Format() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	files := make([]*file, 0, len(fs.files))
-	for _, f := range fs.files {
-		files = append(files, f)
-	}
-	for _, f := range files {
-		pages := fs.freeFileLocked(f)
+	for _, name := range fs.namesLocked() {
+		pages := fs.freeFileLocked(fs.files[name])
 		fs.cacheDropLocked(pages)
 	}
 	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
 }
 
-// List returns the names of all files (unordered).
+// List returns the names of all files in lexical order.
 func (fs *FileSystem) List() []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	return fs.namesLocked()
+}
+
+// namesLocked returns the names of all files in lexical order. Every walk
+// over the files goes in this order, not the map's: what a walk does —
+// which pages it frees first, so where the next writes land, and which
+// file a seeded fault tears — must not change from run to run.
+func (fs *FileSystem) namesLocked() []string {
 	names := make([]string, 0, len(fs.files))
 	for n := range fs.files {
 		names = append(names, n)
 	}
+	slices.Sort(names)
 	return names
 }
 
@@ -759,7 +764,8 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 	// manifest ever referenced — physical garbage the FTL remaps later).
 	fs.cached = pageLRU{size: fs.cached.size}
 	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
-	for _, f := range fs.files {
+	for _, name := range fs.namesLocked() {
+		f := fs.files[name]
 		if !f.durable {
 			fs.freeFileLocked(f)
 			continue

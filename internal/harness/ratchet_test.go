@@ -43,8 +43,8 @@ func stallHeavy(p *Params) {
 // TestRatchet holds the A/B inequalities the repo's features exist for:
 // each row runs fillrandom on one seed with arm a's setting and then arm
 // b's, and check compares the two results. Every run is fixed-seed and in
-// virtual time, so the floors are not noise bands; they leave room for
-// the ±1.5 % a seed reproduces to (DESIGN.md §5).
+// virtual time, and a seed reproduces its run exactly, so the floors are
+// not noise bands.
 func TestRatchet(t *testing.T) {
 	kva := EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}
 	rows := []struct {

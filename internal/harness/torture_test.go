@@ -54,10 +54,10 @@ func TestTortureCrashRecovery(t *testing.T) {
 // must surface at least one violation across a handful of seeds. If this
 // test fails, the torture suite is not actually checking anything.
 func TestTortureBrokenRecoveryCaught(t *testing.T) {
-	// Whether a given seed's cut tears a record that replay then admits
-	// depends on same-instant scheduling: each seed catches it in about one
-	// run in three, so eight seeds all missed in 3 runs of 30. Twenty-four
-	// miss together about once in 10 000 runs.
+	// Whether a seed's cut tears a record that replay then admits depends
+	// on where its cuts land. A seed decides that on every run: 9 of these
+	// 24 catch it (2, 4, 5, 7, 13, 17, 21, 22 and 23), 4 of the 12 -short
+	// keeps.
 	seeds := make([]int64, 24)
 	for i := range seeds {
 		seeds[i] = int64(i + 1)

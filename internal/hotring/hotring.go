@@ -23,7 +23,6 @@ package hotring
 
 import (
 	"bytes"
-	"hash/maphash"
 	"sync"
 )
 
@@ -108,7 +107,6 @@ type Cache struct {
 	shards      []shard
 	shardMask   uint64
 	perShardCap int64
-	seed        maphash.Seed
 }
 
 // New returns a cache bounded to roughly capacityBytes across shards
@@ -133,12 +131,28 @@ func New(capacityBytes int64, shards int) *Cache {
 		shards:      make([]shard, n),
 		shardMask:   uint64(n - 1),
 		perShardCap: per,
-		seed:        maphash.MakeSeed(),
 	}
 }
 
+// hash is FNV-1a finished with splitmix64's 64-bit mixer, so that every
+// byte reaches the low bits (the shard), the middle ones (the bucket) and
+// the high ones (the tag). It is fixed, not seeded per process: which keys
+// share a ring, and so which entries get evicted, is the same every run.
+func hash(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 func (c *Cache) locate(key []byte) (*shard, uint32, uint32) {
-	h := maphash.Bytes(c.seed, key)
+	h := hash(key)
 	s := &c.shards[h&c.shardMask]
 	bucket := uint32(h>>8) % bucketsPerShard
 	tag := uint32(h >> 40)

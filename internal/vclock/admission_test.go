@@ -3,10 +3,7 @@ package vclock
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,41 +14,33 @@ import (
 // 64 runners go through seeded scripts of Acquire(1), Acquire(n),
 // TryAcquire, Resource.Use (once, and twice back to back), UseBackground
 // and a Release followed by a Signal on an unrelated condition, once over
-// each implementation. On one P the Go scheduler is deterministic (a woken
-// goroutine runs next unless a later wake displaces it to the back of the
-// run queue), so both must admit the same runners at the same instants in
-// the same order. On more than one P the race for freed units is a real
-// one, and only the invariants are checked: never more units held than
-// the capacity, every script finishes, the deadlock detector stays silent.
+// each implementation. The kernel runs them by its run-order rule, so both
+// must admit the same runners at the same instants in the same order, on
+// any number of Ps and under the race detector. Along the way admRun
+// checks what must hold of either: never more units held than the
+// capacity, every script finishes, the deadlock detector stays silent.
 
 // herdSemaphore is Semaphore as it was before two-candidate admission:
 // Release broadcasts, every waiter re-checks, losers re-queue in the order
 // they ran.
 type herdSemaphore struct {
-	mu    sync.Mutex
 	avail int
 	cap   int
-	cond  *Cond
+	cond  Cond
 }
 
 func newHerdSemaphore(capacity int, label string) *herdSemaphore {
-	s := &herdSemaphore{avail: capacity, cap: capacity}
-	s.cond = NewCond(&s.mu, label)
-	return s
+	return &herdSemaphore{avail: capacity, cap: capacity, cond: Cond{label: label}}
 }
 
 func (s *herdSemaphore) Acquire(r *Runner, n int) {
-	s.mu.Lock()
 	for s.avail < n {
-		s.cond.Wait(r)
+		s.cond.wait(r)
 	}
 	s.avail -= n
-	s.mu.Unlock()
 }
 
 func (s *herdSemaphore) TryAcquire(n int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.avail < n {
 		return false
 	}
@@ -60,13 +49,9 @@ func (s *herdSemaphore) TryAcquire(n int) bool {
 }
 
 func (s *herdSemaphore) Release(n int) {
-	s.mu.Lock()
-	s.avail += n
-	if s.avail > s.cap {
-		s.mu.Unlock()
+	if s.avail += n; s.avail > s.cap {
 		panic("herdSemaphore: over-release")
 	}
-	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
@@ -81,58 +66,38 @@ type admSemaphore interface {
 // UseBackground, statement for statement, without the busy-time account.
 type herdResource struct {
 	sem    *herdSemaphore
-	mu     sync.Mutex
 	fgWait int
-	bgWait int
-	bgCond *Cond
+	bgCond Cond
 }
 
 func newHerdResource(capacity int, label string) *herdResource {
-	res := &herdResource{sem: newHerdSemaphore(capacity, label)}
-	res.bgCond = NewCond(&res.mu, label+".bg")
-	return res
+	return &herdResource{sem: newHerdSemaphore(capacity, label), bgCond: Cond{label: label + ".bg"}}
 }
 
 func (res *herdResource) Use(r *Runner, d Duration) {
 	if d <= 0 {
 		return
 	}
-	res.mu.Lock()
 	res.fgWait++
-	res.mu.Unlock()
 	res.sem.Acquire(r, 1)
-	res.mu.Lock()
 	res.fgWait--
-	bg := res.bgWait > 0
-	res.mu.Unlock()
-	if bg {
-		res.bgCond.Broadcast()
-	}
+	res.bgCond.Broadcast()
 	res.hold(r, d)
 }
 
 func (res *herdResource) hold(r *Runner, d Duration) {
 	r.Sleep(d)
 	res.sem.Release(1)
-	res.mu.Lock()
-	bg := res.bgWait > 0
-	res.mu.Unlock()
-	if bg {
-		res.bgCond.Broadcast()
-	}
+	res.bgCond.Broadcast()
 }
 
 func (res *herdResource) UseBackground(r *Runner, d Duration) {
 	if d <= 0 {
 		return
 	}
-	res.mu.Lock()
 	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
-		res.bgWait++
-		res.bgCond.Wait(r)
-		res.bgWait--
+		res.bgCond.wait(r)
 	}
-	res.mu.Unlock()
 	res.hold(r, d)
 }
 
@@ -242,16 +207,13 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 	c := New()
 	deadlocked := trapDeadlock(c)
 
-	var logMu sync.Mutex
 	var log []admEntry
-	var held atomic.Int64
+	held := 0
 	admitted := func(r *Runner, runner, op, n int, ok bool) {
-		if now := held.Add(int64(n)); now > int64(capacity) {
-			t.Errorf("capacity %d: %d units held after r%d op%d", capacity, now, runner, op)
+		if held += n; held > capacity {
+			t.Errorf("capacity %d: %d units held after r%d op%d", capacity, held, runner, op)
 		}
-		logMu.Lock()
 		log = append(log, admEntry{now: r.Now(), runner: runner, op: op, ok: ok})
-		logMu.Unlock()
 	}
 
 	// The bystander waits on a condition of its own; a releaser that
@@ -287,7 +249,7 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 					sem.Acquire(r, op.n)
 					admitted(r, i, pc, op.n, true)
 					r.Sleep(op.hold)
-					held.Add(int64(-op.n))
+					held -= op.n
 					sem.Release(op.n)
 					if op.kind == admAcquireSignal {
 						byCond.Signal()
@@ -300,7 +262,7 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 					}
 					admitted(r, i, pc, 1, true)
 					r.Sleep(op.hold)
-					held.Add(-1)
+					held--
 					sem.Release(1)
 				case admUse:
 					res.Use(r, op.hold)
@@ -321,19 +283,6 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 	return log
 }
 
-// onOneP runs body on a single P with the collector off, where the run
-// queue's order is a function of the program alone. It skips under the
-// race detector, which makes the scheduler pick at random on purpose.
-func onOneP(t *testing.T, body func()) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("the race detector randomizes the scheduler: there is no order to compare")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	body()
-}
-
 // admDiff returns the first difference between two admission logs.
 func admDiff(got, want []admEntry) string {
 	for i := range want {
@@ -348,44 +297,13 @@ func admDiff(got, want []admEntry) string {
 }
 
 func TestAdmissionMatchesHerdReference(t *testing.T) {
-	onOneP(t, func() {
-		for seed := int64(1); seed <= 20; seed++ {
-			for _, capacity := range []int{1, 2, 8} {
-				scripts := admScripts(seed, capacity)
-				// A difference in admission order is a property of the two
-				// programs and shows every time. One that does not is the
-				// host's doing — a thread descheduled for so long that
-				// sysmon preempted the runner on it in the middle of a race
-				// — and is not the kernel's to answer for.
-				var diff string
-				for attempt := 0; attempt < 3; attempt++ {
-					want := admRun(t, capacity, scripts, newHerdSemaphore(capacity, "sem"), newHerdResource(capacity, "res"))
-					got := admRun(t, capacity, scripts, NewSemaphore(capacity, "sem"), NewResource(capacity, "res"))
-					if diff = admDiff(got, want); diff == "" {
-						break
-					}
-					t.Logf("seed %d capacity %d attempt %d: %s", seed, capacity, attempt, diff)
-				}
-				if diff != "" {
-					t.Fatalf("seed %d capacity %d: %s", seed, capacity, diff)
-				}
-			}
-			runtime.GC()
-		}
-	})
-}
-
-// TestAdmissionInvariants runs the same scripts at whatever GOMAXPROCS the
-// test binary was given (-cpu 1,2,4 in CI): admRun fails the test on more
-// units held than the capacity and on a deadlock report, and returning at
-// all means every waiter was admitted.
-func TestAdmissionInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, capacity := range []int{1, 2, 8} {
 			scripts := admScripts(seed, capacity)
-			log := admRun(t, capacity, scripts, NewSemaphore(capacity, "sem"), NewResource(capacity, "res"))
-			if want := admRunners * admOps; len(log) != want {
-				t.Fatalf("seed %d capacity %d: %d ops finished, want %d", seed, capacity, len(log), want)
+			want := admRun(t, capacity, scripts, newHerdSemaphore(capacity, "sem"), newHerdResource(capacity, "res"))
+			got := admRun(t, capacity, scripts, NewSemaphore(capacity, "sem"), NewResource(capacity, "res"))
+			if diff := admDiff(got, want); diff != "" {
+				t.Fatalf("seed %d capacity %d: %s", seed, capacity, diff)
 			}
 		}
 	}
@@ -403,12 +321,9 @@ func TestAdmissionMarkIsPerWake(t *testing.T) {
 	play := func(a, b admSemaphore) []string {
 		c := New()
 		deadlocked := trapDeadlock(c)
-		var mu sync.Mutex
 		var order []string
 		admit := func(r *Runner) {
-			mu.Lock()
 			order = append(order, fmt.Sprintf("%s@%v", r.Name(), r.Now()))
-			mu.Unlock()
 		}
 		waitB := func(name string, at Duration) {
 			c.Go(name, func(r *Runner) {
@@ -446,19 +361,17 @@ func TestAdmissionMarkIsPerWake(t *testing.T) {
 		join(t, c, deadlocked, "a waiter was never admitted")
 		return order
 	}
-	onOneP(t, func() {
-		want := play(newHerdSemaphore(1, "a"), newHerdSemaphore(1, "b"))
-		a, b := NewSemaphore(1, "a"), NewSemaphore(1, "b")
-		got := play(a, b)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("B admitted %v, the herd admits %v", got, want)
+	want := play(newHerdSemaphore(1, "a"), newHerdSemaphore(1, "b"))
+	a, b := NewSemaphore(1, "a"), NewSemaphore(1, "b")
+	got := play(a, b)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("B admitted %v, the herd admits %v", got, want)
+	}
+	for _, s := range []*Semaphore{a, b} {
+		if s.oldestAwake != 0 || s.waiters.n != 0 || s.wide != 0 || s.avail != 1 {
+			t.Errorf("%s ends with oldestAwake=%d waiters=%d wide=%d avail=%d", s.label, s.oldestAwake, s.waiters.n, s.wide, s.avail)
 		}
-		for _, s := range []*Semaphore{a, b} {
-			if s.oldestAwake != 0 || s.waiters.n != 0 || s.wide != 0 || s.avail != 1 {
-				t.Errorf("%s ends with oldestAwake=%d waiters=%d wide=%d avail=%d", s.label, s.oldestAwake, s.waiters.n, s.wide, s.avail)
-			}
-		}
-	})
+	}
 }
 
 // TestReleaseManyWakesOnePerUnit: a gate reopening (Release(n) after an
@@ -470,7 +383,6 @@ func TestReleaseManyWakesOnePerUnit(t *testing.T) {
 	c := New()
 	deadlocked := trapDeadlock(c)
 	gate := NewSemaphore(capacity, "gate")
-	var mu sync.Mutex
 	var admittedAt []Time
 	var parked WaitGroup
 	parked.Add(1)
@@ -485,10 +397,8 @@ func TestReleaseManyWakesOnePerUnit(t *testing.T) {
 		c.Go("reader", func(r *Runner) {
 			r.Sleep(Duration(1+i) * time.Microsecond)
 			gate.Acquire(r, 1)
-			mu.Lock()
 			admittedAt = append(admittedAt, r.Now())
 			last := len(admittedAt) == readers
-			mu.Unlock()
 			r.Sleep(time.Second)
 			gate.Release(1)
 			if last {

@@ -2,43 +2,52 @@
 // discrete-event simulation with real goroutines.
 //
 // Simulation actors ("runners") are ordinary goroutines registered with a
-// Clock. Virtual time advances only when every registered runner is parked
-// in a clock-aware primitive (Sleep, Cond.Wait, Semaphore.Acquire,
-// Queue.Pop, ...). When the last runner parks, the clock jumps to the
-// earliest pending timer deadline and wakes the runners due at that instant.
-// This lets engine code (flush threads, compaction workers, device channel
-// servers) be written as natural blocking goroutine code while a simulated
-// 600-second experiment completes in real milliseconds. When each runner
-// wakes is deterministic; the order in which runners woken at one instant
-// then run is the Go scheduler's (see Semaphore), so a seed reproduces an
-// experiment's shape, not its bytes.
+// Clock, and exactly one of them runs at a time: the one holding the
+// clock's baton. It runs until it parks in a clock-aware primitive (Sleep,
+// Cond.Wait, Semaphore.Acquire, Queue.Pop, ...) or returns, and then the
+// baton passes to the next runnable runner. When no runner is runnable,
+// the clock jumps to the earliest pending timer deadline and makes the
+// runners due at that instant runnable. This lets engine code (flush
+// threads, compaction workers, device channel servers) be written as
+// natural blocking goroutine code while a simulated 600-second experiment
+// completes in real milliseconds, and it makes a run a function of its
+// program alone: the same seed gives the same events in the same order,
+// whatever the number of host cores.
 //
-// The caller is the first runner: the goroutine that calls New counts as a
-// runnable runner of the clock until it calls Wait. So virtual time stays
-// at zero while it sets up and starts the simulation's runners, however
-// long that takes in wall time, and every runner it starts before Wait
-// starts at one instant. Go may be called from outside a runner only
+// The run-order rule. A runner becomes runnable when Go starts it, when a
+// primitive wakes it, or when its timer comes due; timers due at one
+// instant come due in (at, seq) order, seq being the order they were
+// armed. The runner made runnable last runs next. The runner it displaces
+// from that place joins the back of a FIFO run queue, whose front runs
+// when nobody holds the place. Time advances only when both are empty, and
+// a runner whose own park let it advance keeps the baton if its timer is
+// among those due. This is the order in which Go's scheduler runs
+// goroutines that hand off through channels on a single processor, the
+// order Semaphore's admission rules were written against.
+//
+// The caller is the first runner: the goroutine that calls New holds the
+// baton until it calls Wait. So no runner runs, and virtual time stays at
+// zero, while it sets up and starts the simulation's runners, however long
+// that takes in wall time. Go may be called from outside a runner only
 // before Wait; from then on, only runners start runners.
 //
 // Runners are cheap to start: a goroutine whose function returned stays
 // behind, invisible to the clock, and the next Go hands it the new
 // function (see Clock.Go). They all exit when the simulation drains.
 //
-// The one contract runners must obey: never block indefinitely on a raw Go
-// primitive (channel receive, sync.Mutex held across a park, ...). Short
-// critical sections under plain mutexes are fine — the clock simply does not
-// advance while any runner is runnable. Indefinite waits must go through the
-// clock-aware primitives in this package, so the kernel can observe them and
-// either advance time or report a deadlock. Once Wait has been called,
-// every runner parked on a condition with no timer pending is a deadlock,
-// reported the moment the last runnable runner parks (see OnDeadlock).
+// The contract runners must obey: only the baton holder — a runner, or
+// New's caller before Wait — may call into a Clock or the primitives of
+// this package, and it must never block on a raw Go primitive (a channel
+// receive, a sync.Mutex held across a park, ...), since the runner it
+// waits for cannot run until it parks. Short critical sections under plain
+// mutexes are fine: no other runner can contend for them. Once Wait has
+// been called, a park that leaves no runner runnable and no timer pending
+// is a deadlock, reported on the spot (see OnDeadlock).
 package vclock
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -62,18 +71,18 @@ func (t Time) String() string { return Duration(t).String() }
 // Clock is the virtual-time kernel. The zero value is not usable; create
 // one with New.
 type Clock struct {
-	mu      sync.Mutex
-	now     atomic.Int64 // Time; stored under mu, loaded without it
-	seq     uint64       // tie-break for deterministic wake ordering
-	nextID  uint64       // runner ids, assigned in registration order
-	active  int          // runners currently runnable, New's caller among them until it waits
-	total   int          // runners alive, New's caller among them until it waits
-	waited  bool         // New's caller has called Wait and left the count
+	now     Time
+	seq     uint64 // tie-break for deterministic wake ordering
+	nextID  uint64 // runner ids, assigned in registration order
+	total   int    // runners alive, New's caller among them until it waits
+	holds   int    // Hold calls not yet released: time may not advance
+	waited  bool   // New's caller has called Wait and left the count
 	timers  timerHeap
+	newest  *Runner       // the runner made runnable last: it runs next
+	runq    Ring[*Runner] // runnable runners displaced from newest, oldest first
 	runners *Runner       // live runners, linked through Runner.next/prev (deadlock report)
 	idle    *Runner       // returned runners awaiting reuse, newest first, linked through Runner.next
 	done    chan struct{} // closed when the last runner exits
-	stopped bool          // a deadlock was reported: time moves no further
 	stats   Stats
 
 	// OnDeadlock, if non-nil, is invoked instead of panicking when, after
@@ -84,13 +93,14 @@ type Clock struct {
 }
 
 // New returns a Clock at virtual time zero whose first runner is the
-// calling goroutine: time cannot move until it calls Wait.
+// calling goroutine: nothing runs, and time cannot move, until it calls
+// Wait.
 func New() *Clock {
-	return &Clock{done: make(chan struct{}), active: 1, total: 1}
+	return &Clock{done: make(chan struct{}), total: 1}
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time { return Time(c.now.Load()) }
+func (c *Clock) Now() Time { return c.now }
 
 // Stats are the kernel's cumulative event counts: what a simulation costs
 // the host is, to first order, how many of these it causes.
@@ -108,11 +118,7 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the kernel's event counts.
-func (c *Clock) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Clock) Stats() Stats { return c.stats }
 
 // Runner is the handle a simulation goroutine uses to interact with its
 // Clock. Each Runner belongs to exactly one goroutine, and each goroutine
@@ -122,27 +128,25 @@ type Runner struct {
 	clock *Clock
 	name  string
 	id    uint64
-	wake  chan struct{}
+	wake  chan struct{} // the baton, handed to this runner
 	// fn and arg are the function this life of the runner executes; both
-	// are nil while the runner idles on the free list. Written under
-	// clock.mu, read by the runner's goroutine after the wake that follows.
+	// are nil while the runner idles on the free list.
 	fn  func(r *Runner, arg any)
 	arg any
-	// gen counts condition parks (guarded by clock.mu). A conditional
-	// timer records the generation it backstops; if the runner has since
-	// been signalled and parked again, the stale timer's generation no
-	// longer matches and it must not fire. It keeps counting across the
-	// runner's lives, so a timer left behind by an earlier one stays stale.
+	// gen counts condition parks. A conditional timer records the
+	// generation it backstops; if the runner has since been signalled and
+	// parked again, the stale timer's generation no longer matches and it
+	// must not fire. It keeps counting across the runner's lives, so a
+	// timer left behind by an earlier one stays stale.
 	gen uint64
 	// parked is set while the runner is parked on a condition (not a plain
 	// timer) and label says which, for the deadlock report. next and prev
-	// link the clock's live runners (next alone, its free list). All four
-	// are guarded by clock.mu.
+	// link the clock's live runners (next alone, its free list).
 	parked     bool
 	label      string
 	next, prev *Runner
 	// sem is the runner's place in the waiter list of the Semaphore it is
-	// acquiring, guarded by that semaphore's mutex.
+	// acquiring.
 	sem semWait
 	// traceCtx is a per-runner scratch slot owned by the tracing layer:
 	// the id of the innermost open trace span on this runner, so child
@@ -170,13 +174,13 @@ func (r *Runner) SetTraceCtx(ctx uint64) { r.traceCtx = ctx }
 func (r *Runner) Clock() *Clock { return r.clock }
 
 // Now returns the current virtual time.
-func (r *Runner) Now() Time { return r.clock.Now() }
+func (r *Runner) Now() Time { return r.clock.now }
 
-// Go starts fn as a registered runner. The runner is automatically
-// unregistered when fn returns, and its goroutine, Runner and wake channel
-// then serve the next Go instead of being made anew: fn must not keep r
-// past its return. Go may be called from a runner, or from outside one
-// before Wait; it panics once the simulation has drained.
+// Go starts fn as a registered runner, runnable now. The runner is
+// automatically unregistered when fn returns, and its goroutine, Runner
+// and wake channel then serve the next Go instead of being made anew: fn
+// must not keep r past its return. Go may be called from a runner, or from
+// outside one before Wait; it panics once the simulation has drained.
 func (c *Clock) Go(name string, fn func(r *Runner)) {
 	c.GoWith(name, callFunc, fn)
 }
@@ -187,23 +191,14 @@ func callFunc(r *Runner, fn any) { fn.(func(r *Runner))(r) }
 // of capturing it: with a package-level fn and a pointer for arg, starting
 // a runner allocates nothing, where Go costs its caller a closure.
 func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
-	r, reused := c.register(name, fn, arg)
-	if reused {
-		// Like the go statement, this leaves the runner next in line on the
-		// caller's P, so reuse does not change who runs when.
-		r.wake <- struct{}{}
-	} else {
+	if r, reused := c.register(name, fn, arg); !reused {
 		go r.serve()
 	}
 }
 
 // register adds a runnable runner that will execute fn(arg), taken from
-// the free list if a runner has returned before. It happens here, not on
-// the runner's goroutine: virtual time must not move between Go returning
-// and fn's first park.
+// the free list if a runner has returned before.
 func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *Runner, reused bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.total == 0 {
 		panic(fmt.Sprintf("vclock: Go(%q) after the simulation drained", name))
 	}
@@ -216,7 +211,6 @@ func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *
 		c.stats.Spawns++
 	}
 	c.total++
-	c.active++
 	c.nextID++
 	r.name, r.id, r.fn, r.arg = name, c.nextID, fn, arg
 	r.traceCtx, r.parked, r.label = 0, false, ""
@@ -225,16 +219,17 @@ func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *
 		r.next.prev = r
 	}
 	c.runners = r
+	c.ready(r)
 	return r, reused
 }
 
-// serve is a runner goroutine: it runs one function after another, idling
-// between them on its wake channel — a plain receive, which the clock does
-// not count, ended by the next Go or by the simulation draining.
+// serve is a runner goroutine: it runs one function after another, each
+// when the baton first reaches it, idling between them on its wake
+// channel until the next Go's turn comes or the simulation drains.
 func (r *Runner) serve() {
-	for r.live() {
-		if <-r.wake; r.fn == nil {
-			return // drained
+	for {
+		if <-r.wake; r.fn == nil || !r.live() {
+			return // drained, or the last runner out
 		}
 	}
 }
@@ -255,7 +250,6 @@ func (r *Runner) live() (idle bool) {
 // the free list. It reports whether it did: the last runner to leave
 // drains the simulation instead.
 func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
-	c.mu.Lock()
 	if r.prev != nil {
 		r.prev.next = r.next
 	} else {
@@ -270,240 +264,202 @@ func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 	if idle {
 		r.next, c.idle = c.idle, r
 	}
-	c.leaveLocked()
+	c.leave()
 	return idle
 }
 
-// leaveLocked takes one runner — a returning one, or New's caller in Wait
-// — off the count and releases c.mu. The last to leave drains the
+// leave takes one runner — a returning one, or New's caller in Wait — off
+// the count and passes the baton on. The last to leave drains the
 // simulation: it sends every idle runner home and closes done.
-func (c *Clock) leaveLocked() {
-	c.total--
-	c.active--
-	if c.total > 0 {
-		c.maybeAdvanceLocked()
-		c.mu.Unlock()
+func (c *Clock) leave() {
+	if c.total--; c.total > 0 {
+		if next := c.pick(nil); next != nil {
+			next.wake <- struct{}{}
+		}
 		return
 	}
-	home := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for home != nil {
+	for home := c.idle; home != nil; {
 		next := home.next
 		home.next = nil
 		home.wake <- struct{}{} // fn is nil: serve returns
 		home = next
 	}
+	c.idle = nil
 	close(c.done)
 }
 
-// Wait starts virtual time and blocks until every runner has returned. The
-// goroutine that called New stops being a runner here, so every runner it
-// started with Go before this call starts at time zero, and the
-// simulation drains right away if it started none. It is the way a test
-// or main joins the simulation; later calls only join.
+// Wait passes the baton on and blocks until every runner has returned.
+// New's caller must call it first: it stops being a runner here, so every
+// runner it started with Go runs from time zero, and the simulation
+// drains right away if it started none. Later calls only join.
 func (c *Clock) Wait() {
-	c.mu.Lock()
-	if c.waited {
-		c.mu.Unlock()
-	} else {
+	if !c.waited {
 		c.waited = true
-		c.leaveLocked()
+		c.leave()
 	}
 	<-c.done
 }
 
 // Hold pins virtual time until the returned release function is called.
-// Release is idempotent. Nothing in this module needs it, since New's
-// caller pins time until Wait; it stays only because the benchmark driver
-// (bench/engine.go and bench/bench_test.go) still calls it.
+// Release is idempotent; both must be called with the baton. Nothing in
+// this module needs it, since New's caller pins time until Wait; it stays
+// only because the benchmark driver (bench/engine.go and
+// bench/bench_test.go) still calls it.
 func (c *Clock) Hold() (release func()) {
-	c.mu.Lock()
-	c.active++
-	c.mu.Unlock()
-	var once sync.Once
+	c.holds++
+	held := true
 	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			c.active--
-			c.maybeAdvanceLocked()
-			c.mu.Unlock()
-		})
+		if held {
+			held = false
+			c.holds--
+		}
 	}
 }
 
 // Sleep parks r for virtual duration d. A non-positive d still yields a
-// full park/wake cycle at the current instant, which serializes with other
-// same-instant events deterministically.
+// full park at the current instant, which lets every runner runnable now
+// run first.
 func (r *Runner) Sleep(d Duration) {
-	c := r.clock
-	c.mu.Lock()
-	if d < 0 {
-		d = 0
-	}
-	c.sleepLocked(r, c.Now().Add(d))
+	r.clock.sleepUntil(r, r.clock.now.Add(max(d, 0)))
 }
 
-// sleepLocked parks r on a plain timer due at at. Called with c.mu held;
-// releases it.
-func (c *Clock) sleepLocked(r *Runner, at Time) {
+// SleepUntil parks r until virtual time t (or, at or after t, for a
+// zero-length sleep).
+func (r *Runner) SleepUntil(t Time) {
+	r.clock.sleepUntil(r, max(t, r.clock.now))
+}
+
+// sleepUntil parks r on a plain timer due at at.
+func (c *Clock) sleepUntil(r *Runner, at Time) {
 	c.seq++
 	c.timers.push(timer{at: at, seq: c.seq, r: r})
 	c.stats.Parks++
-	c.active--
-	c.maybeAdvanceLocked()
-	c.mu.Unlock()
-	<-r.wake
+	c.park(r)
 }
 
-// SleepUntil parks r until virtual time t (or returns immediately at/after t
-// in the sense of a zero-length sleep).
-func (r *Runner) SleepUntil(t Time) {
-	c := r.clock
-	c.mu.Lock()
-	if now := c.Now(); t < now {
-		t = now
-	}
-	c.sleepLocked(r, t)
-}
-
-// parkOn marks r parked on a condition described by label. The caller must
-// arrange for wakeParked(r) to be called eventually. Must not hold c.mu.
+// parkOn parks r on a condition described by label until wakeParked or
+// wakeParkedAt ends the park.
 func (c *Clock) parkOn(r *Runner, label string) {
-	c.mu.Lock()
-	c.parkOnLocked(r, label)
-}
-
-// parkOnLocked is parkOn for a caller that already holds c.mu (to count
-// what it parks for); it releases it.
-func (c *Clock) parkOnLocked(r *Runner, label string) {
 	r.gen++
 	r.parked, r.label = true, label
 	c.stats.Parks++
-	c.active--
-	c.maybeAdvanceLocked()
-	c.mu.Unlock()
+	c.park(r)
 }
 
 // parkOnTimed is parkOn with a timeout backstop: a conditional timer is
 // pushed alongside the condition park, and whichever fires first wins.
 // The runner is woken exactly once — the timer pop skips runners no
-// longer parked, and wakeParkedIfPresent skips runners the timer already
-// woke. The caller still blocks on <-r.wake itself (so it can interleave
-// its own bookkeeping, as Cond.Wait does with parkOn).
+// longer parked, and wakeParked skips runners the timer already woke.
 func (c *Clock) parkOnTimed(r *Runner, label string, d Duration) {
-	c.mu.Lock()
-	if d < 0 {
-		d = 0
-	}
-	r.gen++
 	c.seq++
-	c.timers.push(timer{at: c.Now().Add(d), seq: c.seq, r: r, cond: true, gen: r.gen})
-	r.parked, r.label = true, label
-	c.stats.Parks++
-	c.active--
-	c.maybeAdvanceLocked()
-	c.mu.Unlock()
+	c.timers.push(timer{at: c.now.Add(max(d, 0)), seq: c.seq, r: r, cond: true, gen: r.gen + 1})
+	c.parkOn(r, label)
 }
 
-// wakeParked makes a condition-parked runner runnable again. It is safe to
-// call from any goroutine, runner or not. The target must currently be
-// parked via parkOn.
+// wakeParked makes a runner parked on a condition runnable. A runner that
+// is not parked — its timeout fired first — is left alone.
 func (c *Clock) wakeParked(r *Runner) {
-	if !c.wakeParkedIfPresent(r) {
-		panic("vclock: wakeParked on runner that is not condition-parked: " + r.name)
+	if r.parked {
+		r.parked = false
+		c.stats.CondWakes++
+		c.ready(r)
 	}
-}
-
-// wakeParkedIfPresent is wakeParked for condition parks that race a
-// timeout: when the runner's conditional timer fired first, the runner is
-// no longer parked and the call is a no-op. It reports whether it woke
-// the runner.
-func (c *Clock) wakeParkedIfPresent(r *Runner) bool {
-	c.mu.Lock()
-	if !r.parked {
-		c.mu.Unlock()
-		return false
-	}
-	r.parked = false
-	c.active++
-	c.stats.CondWakes++
-	c.mu.Unlock()
-	r.wake <- struct{}{}
-	return true
 }
 
 // wakeParkedAt turns r's condition park into a plain timer due at at: r
 // stops being condition-parked now and is woken by the timer heap, in the
 // same (at, seq) order as a runner that called SleepUntil(at) at this
 // moment — the seq is taken here, where that Sleep's would be. An at that
-// is not in the future wakes r now. The target must be parked via parkOn.
+// is not in the future wakes r now.
 func (c *Clock) wakeParkedAt(r *Runner, at Time) {
-	c.mu.Lock()
-	if at <= c.Now() {
-		c.mu.Unlock()
+	if at <= c.now {
 		c.wakeParked(r)
 		return
-	}
-	if !r.parked {
-		c.mu.Unlock()
-		panic("vclock: wakeParkedAt on runner that is not condition-parked: " + r.name)
 	}
 	r.parked = false
 	c.seq++
 	c.timers.push(timer{at: at, seq: c.seq, r: r})
-	c.mu.Unlock()
 }
 
-// maybeAdvanceLocked advances virtual time if no runner is runnable.
-// Called with c.mu held.
-func (c *Clock) maybeAdvanceLocked() {
-	if c.active > 0 || c.stopped {
-		return
+// ready makes r runnable by the run-order rule.
+func (c *Clock) ready(r *Runner) {
+	if c.newest != nil {
+		c.runq.Push(c.newest)
 	}
+	c.newest = r
+}
+
+// park hands the baton on and blocks r until it comes back.
+func (c *Clock) park(r *Runner) {
+	if next := c.pick(r); next != r {
+		if next != nil {
+			next.wake <- struct{}{}
+		}
+		<-r.wake
+	}
+}
+
+// pick returns the runner the baton goes to by the run-order rule, given
+// up by self (nil if the holder is leaving). It advances virtual time
+// until someone is runnable, and returns nil if nobody can be: time is
+// held, or the simulation is deadlocked.
+func (c *Clock) pick(self *Runner) *Runner {
 	for {
+		if r := c.newest; r != nil {
+			c.newest = nil
+			return r
+		}
+		if c.runq.n > 0 {
+			return c.runq.Pop()
+		}
+		if c.holds > 0 {
+			return nil
+		}
 		if len(c.timers) == 0 {
-			if c.total > 0 {
-				// Every runner is parked and nothing is due, and New's
-				// caller, which alone could still act from outside, has
-				// waited: nobody is left to wake anyone.
-				c.stopped = true
-				go c.reportDeadlock(c.deadlockReportLocked())
-			}
-			return
+			// Every runner is parked and nothing is due, and New's caller,
+			// which alone could act before Wait, has waited: nobody is left
+			// to wake anyone, or to take the baton again.
+			go c.reportDeadlock(c.deadlockReport())
+			return nil
 		}
-		// Jump to the earliest deadline and wake every timer due at it, in
-		// seq order for determinism. Conditional timers whose runner was
-		// already woken through its condition are stale: drop them without
-		// waking, and keep advancing if the whole batch was stale.
-		at := c.timers[0].at
-		c.now.Store(int64(at))
-		woke := 0
-		for len(c.timers) > 0 && c.timers[0].at == at {
-			t := c.timers.pop()
-			if t.cond {
-				// Stale if the runner was signalled (no longer parked) or was
-				// signalled and has since parked again (generation moved on)
-				// — either way the timeout lost its race.
-				if !t.r.parked || t.r.gen != t.gen {
-					continue
-				}
-				t.r.parked = false
-			}
-			c.active++
-			woke++
-			t.r.wake <- struct{}{}
-		}
-		c.stats.TimerWakes += uint64(woke)
-		if woke > 0 {
-			return
+		if c.advance(self) {
+			return self
 		}
 	}
+}
+
+// advance jumps to the earliest deadline and makes the runners due at it
+// runnable, in (at, seq) order. Conditional timers whose runner was
+// already woken through its condition are stale: they are dropped
+// without waking, so an instant may make nobody runnable. It reports
+// whether self is due, in which case it keeps the baton.
+func (c *Clock) advance(self *Runner) (selfDue bool) {
+	at := c.timers[0].at
+	c.now = at
+	for len(c.timers) > 0 && c.timers[0].at == at {
+		t := c.timers.pop()
+		if t.cond {
+			// Stale if the runner was signalled (no longer parked) or was
+			// signalled and has since parked again (generation moved on)
+			// — either way the timeout lost its race.
+			if !t.r.parked || t.r.gen != t.gen {
+				continue
+			}
+			t.r.parked = false
+		}
+		c.stats.TimerWakes++
+		if t.r == self {
+			selfDue = true
+		} else {
+			c.ready(t.r)
+		}
+	}
+	return selfDue
 }
 
 // reportDeadlock hands report to OnDeadlock, or panics with it. It runs on
-// a goroutine of its own, without c.mu: the handler may inspect the clock,
-// and the runner whose park stopped the clock still has to block.
+// a goroutine of its own: the runner whose park stopped the clock still
+// has to block.
 func (c *Clock) reportDeadlock(report string) {
 	if h := c.OnDeadlock; h != nil {
 		h(report)
@@ -512,8 +468,8 @@ func (c *Clock) reportDeadlock(report string) {
 	panic(report)
 }
 
-func (c *Clock) deadlockReportLocked() string {
-	s := fmt.Sprintf("vclock: deadlock at t=%v: all %d runners parked with no pending timer; parked on:", c.Now(), c.total)
+func (c *Clock) deadlockReport() string {
+	s := fmt.Sprintf("vclock: deadlock at t=%v: all %d runners parked with no pending timer; parked on:", c.now, c.total)
 	var labels []string
 	for r := c.runners; r != nil; r = r.next {
 		if r.parked {

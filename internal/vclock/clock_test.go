@@ -168,8 +168,6 @@ func TestDeadlockDetection(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("deadlock not detected")
 	}
-	// Unstick the runner so the simulation drains and Wait returns.
-	cond.Signal()
 }
 
 // TestDeadlockReportedAtOnce: once Wait has started the simulation, the
@@ -198,12 +196,11 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("deadlock not detected")
 	}
-	cond.Broadcast()
 }
 
-// TestLateRunnerIsNoDeadlock: a runner parked on a condition before Wait
-// is not deadlocked, however long in wall time its caller takes to start
-// the runner that signals it.
+// TestLateRunnerIsNoDeadlock: a runner that waits on a condition is not
+// deadlocked, however long in wall time the caller takes to start the
+// runner that signals it: nothing runs before Wait.
 func TestLateRunnerIsNoDeadlock(t *testing.T) {
 	c := New()
 	deadlocked := trapDeadlock(c)
@@ -217,7 +214,7 @@ func TestLateRunnerIsNoDeadlock(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	time.Sleep(300 * time.Millisecond) // real time: the waiter parks
+	time.Sleep(50 * time.Millisecond) // real time: the caller dawdles
 	c.Go("signaler", func(r *Runner) {
 		r.Sleep(time.Second)
 		mu.Lock()
@@ -231,12 +228,12 @@ func TestLateRunnerIsNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestRunnerReturningBeforeNextGo: the first runner returning before its
-// caller starts the second must not drain the simulation under it.
+// TestRunnerReturningBeforeNextGo: the first runner must not return, and
+// drain the simulation, before its caller starts the second.
 func TestRunnerReturningBeforeNextGo(t *testing.T) {
 	c := New()
 	c.Go("quick", func(r *Runner) {})
-	time.Sleep(20 * time.Millisecond) // real time: quick returns
+	time.Sleep(20 * time.Millisecond) // real time: the caller dawdles
 	c.Go("sleeper", func(r *Runner) { r.Sleep(time.Second) })
 	c.Wait()
 	if c.Now() != Time(time.Second) {
@@ -565,7 +562,7 @@ func TestCallerPinsTimeUntilWait(t *testing.T) {
 		for !stop.WaitFor(r, time.Millisecond) {
 		}
 	})
-	time.Sleep(10 * time.Millisecond) // real time: let it park
+	time.Sleep(10 * time.Millisecond) // real time: the caller dawdles
 	var startedAt Time
 	clk.Go("workload", func(r *Runner) {
 		startedAt = r.Now()

@@ -99,25 +99,24 @@ func TestRunnerLeavingByGoexitOrPanicUnregisters(t *testing.T) {
 			runtime.Goexit()
 		})
 		// A panicking runner takes the process down, so this one's
-		// goroutine is the test's own, recovering around Runner.live.
+		// goroutine is the test's own, recovering around Runner.live. Like
+		// every runner's, it runs only once the baton reaches it.
 		p, _ := c.register("panics", callFunc, func(w *Runner) {
 			w.Sleep(time.Microsecond)
 			panic("boom")
 		})
-		recovered := make(chan any)
+		recovered := make(chan any, 1)
 		go func() {
 			defer func() { recovered <- recover() }()
+			<-p.wake
 			p.live()
 		}()
 		r.Sleep(time.Millisecond) // returns only if both are off the books
 		if got := <-recovered; got != "boom" {
 			t.Errorf("recovered %v, want the runner's panic", got)
 		}
-		c.mu.Lock()
-		idle := c.idle
-		c.mu.Unlock()
-		if idle != nil {
-			t.Errorf("runner %q is on the free list, but its goroutine is gone", idle.name)
+		if c.idle != nil {
+			t.Errorf("runner %q is on the free list, but its goroutine is gone", c.idle.name)
 		}
 		var wg WaitGroup
 		wg.Add(1)

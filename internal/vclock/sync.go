@@ -6,9 +6,9 @@ import "sync"
 // that grows by doubling and never shrinks: an empty one costs nothing,
 // and at a steady depth Push and Pop allocate and move nothing. Pop zeroes
 // the slot it vacates, so a popped element is not kept reachable by the
-// backing array. It is the queue under this package's waiter lists and
-// Queue, exported for the layers above that keep queues of their own
-// (rpc.Conn's frames in flight, the server's mailboxes). Not safe for
+// backing array. It is the queue under this package's run queue, waiter
+// lists and Queue, exported for the layers above that keep queues of their
+// own (rpc.Conn's frames in flight, the server's mailboxes). Not safe for
 // concurrent use.
 type Ring[T any] struct {
 	buf  []T // len is zero or a power of two
@@ -74,12 +74,10 @@ func (f *Ring[T]) PopBack() T {
 // clock, so time can advance past them.
 //
 // The usage pattern mirrors sync.Cond: L protects the condition state, and
-// Wait atomically releases L, parks, and re-acquires L on wake.
+// Wait releases L, parks, and re-acquires L on wake.
 type Cond struct {
-	L     sync.Locker
-	label string
-
-	mu      sync.Mutex // protects waiters; taken before Clock.mu, never after
+	L       sync.Locker
+	label   string
 	waiters Ring[*Runner]
 }
 
@@ -88,34 +86,26 @@ func NewCond(l sync.Locker, label string) *Cond {
 	return &Cond{L: l, label: label}
 }
 
-// Wait atomically releases c.L and parks r until Signal or Broadcast wakes
-// it, then re-acquires c.L before returning. As with sync.Cond, callers
-// must re-check the condition in a loop.
+// Wait releases c.L and parks r until Signal or Broadcast wakes it, then
+// re-acquires c.L before returning. As with sync.Cond, callers must
+// re-check the condition in a loop.
 func (c *Cond) Wait(r *Runner) {
-	// Joining the waiter list and parking with the clock must be atomic
-	// under c.mu, or a Signal between the two could pop a runner that the
-	// clock does not yet consider parked. Lock order everywhere in this
-	// file: Cond.mu, then Clock.mu.
-	c.mu.Lock()
+	c.L.Unlock()
+	c.wait(r)
+	c.L.Lock()
+}
+
+// wait is Wait without L, for the primitives of this package, whose state
+// only the baton holder touches.
+func (c *Cond) wait(r *Runner) {
 	c.waiters.Push(r)
 	r.clock.parkOn(r, c.label)
-	c.mu.Unlock()
-	// The wake channel is buffered, so a signal arriving before we block
-	// on it is not lost, and we may still briefly hold L here.
-	c.L.Unlock()
-	<-r.wake
-	c.L.Lock()
 }
 
 // Signal wakes the longest-waiting runner, if any.
 func (c *Cond) Signal() {
-	c.mu.Lock()
-	var r *Runner
 	if c.waiters.n > 0 {
-		r = c.waiters.Pop()
-	}
-	c.mu.Unlock()
-	if r != nil {
+		r := c.waiters.Pop()
 		r.clock.wakeParked(r)
 	}
 }
@@ -131,28 +121,18 @@ func (c *Cond) Signal() {
 // visible (a frame's arrival time, rpc.Conn): the consumer parked on
 // "empty" need not wake to find that out and park again.
 func (c *Cond) SignalAt(t Time) {
-	c.mu.Lock()
-	var r *Runner
 	if c.waiters.n > 0 {
-		r = c.waiters.Pop()
-	}
-	c.mu.Unlock()
-	if r != nil {
+		r := c.waiters.Pop()
 		r.clock.wakeParkedAt(r, t)
 	}
 }
 
 // Broadcast wakes all waiting runners, longest-waiting first.
 func (c *Cond) Broadcast() {
-	// The wakes happen under c.mu so the waiter list can be drained in
-	// place and its backing array reused by the next Wait; a woken runner
-	// that waits again simply queues behind this call.
-	c.mu.Lock()
 	for c.waiters.n > 0 {
 		r := c.waiters.Pop()
 		r.clock.wakeParked(r)
 	}
-	c.mu.Unlock()
 }
 
 // Semaphore is a counting semaphore, usable as a resource pool (CPU cores,
@@ -160,18 +140,17 @@ func (c *Cond) Broadcast() {
 //
 // Admission is not FIFO. A caller that finds enough units free takes them,
 // whoever is waiting. When units come back, woken waiters race for them:
-// the first to run wins, which is the Go scheduler's choice, and the losers
-// park again. The order this gives is defined by the simplest Release, one
-// that wakes every waiter, oldest first (herdSemaphore in the tests, which
-// TestAdmissionMatchesHerdReference holds this one to). On one P a woken
-// runner runs next unless a later wake displaces it to the back of the run
-// queue, so of that herd the winner is the newest waiter, or — when the
-// releaser goes on to wake someone else before it parks — the oldest, and
-// the rest can only lose. Release wakes those two: while every waiter
-// wants one unit, the longest-waiting one per free unit and the most
-// recent one, oldest first; the others stay parked where they are, and the
-// switches a herd spends on losers are saved. Two things keep the herd's
-// order among waiters that were never woken:
+// the first to run wins, and the losers park again. The order this gives
+// is defined by the simplest Release, one that wakes every waiter, oldest
+// first (herdSemaphore in the tests, which
+// TestAdmissionMatchesHerdReference holds this one to). By the run-order
+// rule (see the package comment) the winner of that herd is its newest
+// waiter, or — when the releaser goes on to wake someone else before it
+// parks — its oldest, and the rest can only lose. Release wakes those two:
+// while every waiter wants one unit, the longest-waiting one per free unit
+// and the most recent one, oldest first; the others stay parked where
+// they are, and the switches a herd spends on losers are saved. Two things
+// keep the herd's order among waiters that were never woken:
 //
 //   - a woken waiter that loses parks again where the herd, re-queueing in
 //     the order it ran, would have put it (see Acquire);
@@ -183,7 +162,6 @@ func (c *Cond) Broadcast() {
 // While some waiter wants more than one unit, who can win depends on what
 // the others take, and Release wakes them all.
 type Semaphore struct {
-	mu    sync.Mutex
 	avail int
 	cap   int
 	label string
@@ -234,17 +212,17 @@ func (s *Semaphore) Cap() int { return s.cap }
 // parks ahead of everyone who is in this one. Everybody else goes to the
 // back.
 func (s *Semaphore) Acquire(r *Runner, n int) {
-	s.mu.Lock()
 	if s.avail >= n {
 		s.avail -= n
-		s.mu.Unlock()
 		return
 	}
 	if n > 1 {
 		s.wide++
 	}
+	c := r.clock
+	c.stats.SemWaits++
 	oldest := false
-	for first := true; ; first = false {
+	for {
 		switch {
 		case oldest:
 			s.pushOldest(r)
@@ -257,19 +235,8 @@ func (s *Semaphore) Acquire(r *Runner, n int) {
 			r.sem.ticket = s.tail
 			s.waiters.Push(r)
 		}
-		// Joining the waiter list and parking with the clock are atomic
-		// under s.mu, so Release never pops a runner the clock does not yet
-		// consider parked. Lock order: Semaphore.mu, then Clock.mu.
-		c := r.clock
-		c.mu.Lock()
 		c.stats.SemParks++
-		if first {
-			c.stats.SemWaits++
-		}
-		c.parkOnLocked(r, s.label)
-		s.mu.Unlock()
-		<-r.wake
-		s.mu.Lock()
+		c.parkOn(r, s.label)
 		if oldest = r.sem.oldest; oldest {
 			s.oldestAwake--
 		}
@@ -291,7 +258,6 @@ func (s *Semaphore) Acquire(r *Runner, n int) {
 			s.wakeOldest()
 		}
 	}
-	s.mu.Unlock()
 }
 
 // pushOldest puts r among the longest waiters, in ticket order: behind
@@ -306,8 +272,6 @@ func (s *Semaphore) pushOldest(r *Runner) {
 
 // TryAcquire takes n units without blocking and reports whether it did.
 func (s *Semaphore) TryAcquire(n int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.avail < n {
 		return false
 	}
@@ -317,14 +281,9 @@ func (s *Semaphore) TryAcquire(n int) bool {
 
 // Release returns n units and wakes the waiters that can win them.
 func (s *Semaphore) Release(n int) {
-	s.mu.Lock()
-	s.avail += n
-	if s.avail > s.cap {
-		s.mu.Unlock()
+	if s.avail += n; s.avail > s.cap {
 		panic("vclock: semaphore over-release")
 	}
-	// The wakes happen under s.mu, so the list is edited in place; a woken
-	// runner that parks again queues behind this call.
 	switch {
 	case s.wide > 0:
 		s.wakeAll()
@@ -344,7 +303,6 @@ func (s *Semaphore) Release(n int) {
 			s.wake(s.waiters.Pop(), false)
 		}
 	}
-	s.mu.Unlock()
 }
 
 // wakeOldest wakes the longest waiters until one is awake per free unit.
@@ -367,60 +325,43 @@ func (s *Semaphore) wake(r *Runner, oldest bool) {
 }
 
 // InUse returns the number of units currently held.
-func (s *Semaphore) InUse() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cap - s.avail
-}
+func (s *Semaphore) InUse() int { return s.cap - s.avail }
 
 // Queue is a clock-aware bounded FIFO channel between runners. A capacity
 // of 0 is rendezvous-free: it is promoted to 1 (true rendezvous semantics
 // are not needed by the simulator and complicate the kernel).
 type Queue[T any] struct {
-	mu       sync.Mutex
 	items    Ring[T]
 	capacity int
 	closed   bool
-	notEmpty *Cond
-	notFull  *Cond
+	notEmpty Cond
+	notFull  Cond
 }
 
 // NewQueue returns a bounded queue with the given capacity.
 func NewQueue[T any](capacity int, label string) *Queue[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	q := &Queue[T]{capacity: capacity}
-	q.notEmpty = NewCond(&q.mu, label+".pop")
-	q.notFull = NewCond(&q.mu, label+".push")
-	return q
+	return &Queue[T]{capacity: max(capacity, 1), notEmpty: Cond{label: label + ".pop"}, notFull: Cond{label: label + ".push"}}
 }
 
 // Push enqueues v, parking r while the queue is full. It panics if the
 // queue is closed.
 func (q *Queue[T]) Push(r *Runner, v T) {
-	q.mu.Lock()
 	for q.items.n >= q.capacity && !q.closed {
-		q.notFull.Wait(r)
+		q.notFull.wait(r)
 	}
 	if q.closed {
-		q.mu.Unlock()
 		panic("vclock: push on closed queue")
 	}
 	q.items.Push(v)
-	q.mu.Unlock()
 	q.notEmpty.Signal()
 }
 
 // TryPush enqueues v if there is room, without blocking.
 func (q *Queue[T]) TryPush(v T) bool {
-	q.mu.Lock()
 	if q.closed || q.items.n >= q.capacity {
-		q.mu.Unlock()
 		return false
 	}
 	q.items.Push(v)
-	q.mu.Unlock()
 	q.notEmpty.Signal()
 	return true
 }
@@ -428,13 +369,10 @@ func (q *Queue[T]) TryPush(v T) bool {
 // TryPop dequeues the oldest item without blocking; ok is false when the
 // queue is empty.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
-	q.mu.Lock()
 	if q.items.n == 0 {
-		q.mu.Unlock()
 		return v, false
 	}
 	v = q.items.Pop()
-	q.mu.Unlock()
 	q.notFull.Signal()
 	return v, true
 }
@@ -442,33 +380,19 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 // Pop dequeues the oldest item, parking r while the queue is empty. ok is
 // false when the queue is closed and drained.
 func (q *Queue[T]) Pop(r *Runner) (v T, ok bool) {
-	q.mu.Lock()
 	for q.items.n == 0 && !q.closed {
-		q.notEmpty.Wait(r)
+		q.notEmpty.wait(r)
 	}
-	if q.items.n == 0 {
-		q.mu.Unlock()
-		return v, false
-	}
-	v = q.items.Pop()
-	q.mu.Unlock()
-	q.notFull.Signal()
-	return v, true
+	return q.TryPop()
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.items.n
-}
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // Close marks the queue closed; blocked Pops drain remaining items and then
 // return ok=false, and blocked Pushes panic.
 func (q *Queue[T]) Close() {
-	q.mu.Lock()
 	q.closed = true
-	q.mu.Unlock()
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 }
@@ -476,23 +400,19 @@ func (q *Queue[T]) Close() {
 // Resource models a shared service center (a PCIe link, a NAND channel bus,
 // a CPU core pool): capacity units, admitted in Semaphore's order — a
 // caller that finds a unit free takes it, and a freed unit goes to whichever
-// of its longest and its most recent waiter runs first, not to the head of
-// a FIFO — with busy-time accounting for utilization measurements.
+// of its longest and its most recent waiter runs first by the run-order
+// rule, not to the head of a FIFO — with busy-time accounting for
+// utilization measurements.
 type Resource struct {
-	sem *Semaphore
-
-	mu     sync.Mutex
+	sem    *Semaphore
 	busyNS int64 // cumulative unit-nanoseconds of service
 	fgWait int   // foreground callers currently queued for admission
-	bgWait int   // background callers parked on bgCond
-	bgCond *Cond // background admission: re-checked on releases and fg departures
+	bgCond Cond  // background admission: re-checked on releases and fg departures
 }
 
 // NewResource returns a resource with the given parallel capacity.
 func NewResource(capacity int, label string) *Resource {
-	res := &Resource{sem: NewSemaphore(capacity, label)}
-	res.bgCond = NewCond(&res.mu, label+".bg")
-	return res
+	return &Resource{sem: NewSemaphore(capacity, label), bgCond: Cond{label: label + ".bg"}}
 }
 
 // Use occupies one unit for duration d of virtual time: it queues for
@@ -501,33 +421,20 @@ func (res *Resource) Use(r *Runner, d Duration) {
 	if d <= 0 {
 		return
 	}
-	res.mu.Lock()
 	res.fgWait++
-	res.mu.Unlock()
 	res.sem.Acquire(r, 1)
-	res.mu.Lock()
 	res.fgWait--
-	bg := res.bgWait > 0
-	res.mu.Unlock()
-	if bg {
-		res.bgCond.Broadcast() // a free unit may remain for a background waiter
-	}
+	res.bgCond.Broadcast() // a free unit may remain for a background waiter
 	res.hold(r, d)
 }
 
 // hold keeps an admitted unit busy for d, releases it and lets background
-// waiters re-check. bgWait is read after the release and under res.mu, so
-// a background caller either sees the freed unit or is already counted.
+// waiters re-check.
 func (res *Resource) hold(r *Runner, d Duration) {
 	r.Sleep(d)
 	res.sem.Release(1)
-	res.mu.Lock()
 	res.busyNS += int64(d)
-	bg := res.bgWait > 0
-	res.mu.Unlock()
-	if bg {
-		res.bgCond.Broadcast()
-	}
+	res.bgCond.Broadcast()
 }
 
 // UseBackground occupies one unit for d like Use, but at background
@@ -541,13 +448,9 @@ func (res *Resource) UseBackground(r *Runner, d Duration) {
 	if d <= 0 {
 		return
 	}
-	res.mu.Lock()
 	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
-		res.bgWait++
-		res.bgCond.Wait(r)
-		res.bgWait--
+		res.bgCond.wait(r)
 	}
-	res.mu.Unlock()
 	res.hold(r, d)
 }
 
@@ -556,8 +459,4 @@ func (res *Resource) Cap() int { return res.sem.Cap() }
 
 // BusyNS returns cumulative busy unit-nanoseconds; sampling it at intervals
 // yields utilization: delta / (interval * capacity).
-func (res *Resource) BusyNS() int64 {
-	res.mu.Lock()
-	defer res.mu.Unlock()
-	return res.busyNS
-}
+func (res *Resource) BusyNS() int64 { return res.busyNS }

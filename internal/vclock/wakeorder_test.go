@@ -12,18 +12,15 @@ import (
 // The wake-order property test runs 64 runners, each through a seeded
 // script of timed sleeps, event waits (set or timing out) and condition
 // waits (ended by Signal, Broadcast or a SignalAt due later), against the
-// real kernel, and replays the same scripts through
-// woModel — a single-threaded reference that keeps its timers in a plain
-// list, takes them in (at, seq) order and drops stale conditional ones.
-// Every return from a primitive is logged as (now, runner, op, result);
-// the two logs must be equal.
+// real kernel, and replays the same scripts through woModel — a
+// single-threaded reference that keeps its timers in a plain list, takes
+// them in (at, seq) order, drops stale conditional ones, and passes one
+// baton among the runners and their helpers by the run-order rule. Every
+// return from a primitive is logged as (now, runner, op, result); the two
+// logs must be equal entry for entry, same-instant entries included.
 //
-// Scripts are built so that no outcome depends on which of several
-// same-instant runners the Go scheduler runs first: whoever ends a
-// runner's wait is a helper runner of its own, started before the wait,
-// and a timeout never ties with its event's setter. Entries of one
-// instant are therefore compared as a set (sorted by runner), while the
-// real log's instants must come out in time order by themselves.
+// Whoever ends a runner's wait is a helper runner of its own, started just
+// before the wait, which sleeps and then sets, signals or broadcasts.
 
 const woTick = time.Microsecond
 
@@ -74,9 +71,7 @@ func woScript(seed int64, runner int) []woOp {
 			op.d = rng.Intn(6) - 2
 		case woWaitFor:
 			op.d = 1 + rng.Intn(4)
-			if op.s = rng.Intn(6); op.s == op.d {
-				op.s++ // a tie would be decided by timer seq, i.e. by the scheduler
-			}
+			op.s = rng.Intn(6) // a tie with d is decided by timer seq
 		case woCondOwn, woCondShared:
 			op.s = rng.Intn(4)
 			op.cond = rng.Intn(woConds)
@@ -89,105 +84,212 @@ func woScript(seed int64, runner int) []woOp {
 	return ops
 }
 
-// woModel is the reference kernel.
+// woModel is the reference kernel. Its actors are the scripted runners,
+// ids 0 to woRunners-1, and the helpers they start, numbered on from
+// there.
 type woModel struct {
-	now     Time
-	seq     uint64
-	timers  []woTimer
-	runners []woRunner
-	log     []woEntry
+	now    Time
+	seq    uint64
+	timers []woTimer
+	newest int   // the actor made runnable last, -1 for none
+	runq   []int // actors displaced from newest, oldest first
+	actors []woActor
+	shared [woConds][]int // runners waiting on each shared Cond, oldest first
+	log    []woEntry
 }
 
 type woTimer struct {
-	at     Time
-	seq    uint64
-	runner int
-	gen    uint64
-	cond   bool // a WaitFor timeout: fires only into the park it was armed for
-	helper bool // a helper's wake-up: ends the runner's wait if it is still that wait
+	at    Time
+	seq   uint64
+	actor int
+	gen   uint64
+	cond  bool // a WaitFor timeout: fires only into the park it was armed for
 }
 
-type woRunner struct {
+// woActor is a scripted runner (helper < 0) or the helper that ends
+// runner helper's wait in its op pc.
+type woActor struct {
 	script []woOp
 	pc     int
 	gen    uint64
-	parked bool
+	parked bool // on a condition
+	helper int
+	// started says a runner has run, so it is back from a wait when the
+	// baton reaches it, and a helper has slept out its s ticks.
+	started bool
+	done    bool // the helper of the runner's current wait has acted
 }
 
-func (m *woModel) arm(t woTimer, ticks int) {
+func newWoModel(scripts [][]woOp) *woModel {
+	m := &woModel{newest: -1}
+	for _, s := range scripts {
+		m.actors = append(m.actors, woActor{script: s, helper: -1})
+		m.ready(len(m.actors) - 1) // New's caller starts them all
+	}
+	return m
+}
+
+func (m *woModel) ready(a int) {
+	if m.newest >= 0 {
+		m.runq = append(m.runq, m.newest)
+	}
+	m.newest = a
+}
+
+func (m *woModel) arm(a, ticks int, cond bool) {
 	m.seq++
-	t.at, t.seq = m.now.Add(Duration(ticks)*woTick), m.seq
+	t := woTimer{at: m.now.Add(Duration(max(ticks, 0)) * woTick), seq: m.seq, actor: a, cond: cond}
+	if cond {
+		t.gen = m.actors[a].gen + 1 // the park that follows
+	}
 	m.timers = append(m.timers, t)
 }
 
-// issue starts runner i's next op, if it has one.
-func (m *woModel) issue(i int) {
-	r := &m.runners[i]
-	if r.pc == len(r.script) {
-		return
-	}
-	switch op := r.script[r.pc]; op.kind {
-	case woSleep:
-		m.arm(woTimer{runner: i}, op.d)
-	case woSleepUntil:
-		m.arm(woTimer{runner: i}, max(op.d, 0))
-	case woWaitFor:
-		r.gen++
-		r.parked = true
-		m.arm(woTimer{runner: i, gen: r.gen, helper: true}, op.s)
-		m.arm(woTimer{runner: i, gen: r.gen, cond: true}, op.d)
-	case woCondOwn, woCondShared, woCondAt:
-		r.gen++
-		r.parked = true
-		m.arm(woTimer{runner: i, gen: r.gen, helper: true}, op.s)
+func (m *woModel) parkOn(a int) {
+	m.actors[a].gen++
+	m.actors[a].parked = true
+}
+
+func (m *woModel) wakeParked(a int) {
+	if m.actors[a].parked {
+		m.actors[a].parked = false
+		m.ready(a)
 	}
 }
 
-func (m *woModel) run() {
-	for i := range m.runners {
-		m.issue(i)
-	}
-	for len(m.timers) > 0 {
+// pick is Clock.pick: the baton's next holder, or -1 when nothing is left.
+func (m *woModel) pick(self int) int {
+	for {
+		if a := m.newest; a >= 0 {
+			m.newest = -1
+			return a
+		}
+		if len(m.runq) > 0 {
+			a := m.runq[0]
+			m.runq = m.runq[1:]
+			return a
+		}
+		if len(m.timers) == 0 {
+			return -1
+		}
 		sort.Slice(m.timers, func(a, b int) bool {
 			if m.timers[a].at != m.timers[b].at {
 				return m.timers[a].at < m.timers[b].at
 			}
 			return m.timers[a].seq < m.timers[b].seq
 		})
-		t := m.timers[0]
-		m.timers = m.timers[1:]
-		m.now = t.at
-		r := &m.runners[t.runner]
-		if t.cond || t.helper {
-			if !r.parked || r.gen != t.gen {
-				continue // stale: the other side of the race already ended this park
+		m.now = m.timers[0].at
+		selfDue := false
+		for len(m.timers) > 0 && m.timers[0].at == m.now {
+			t := m.timers[0]
+			m.timers = m.timers[1:]
+			if a := &m.actors[t.actor]; t.cond {
+				if !a.parked || a.gen != t.gen {
+					continue // stale: the other side of the race already ended this park
+				}
+				a.parked = false
 			}
-			r.parked = false
-			if op := r.script[r.pc]; t.helper && op.kind == woCondAt && op.d > 0 {
-				// SignalAt: the condition park becomes a plain timer,
-				// armed now, which nothing can make stale.
-				m.arm(woTimer{runner: t.runner}, op.d)
-				continue
+			if t.actor == self {
+				selfDue = true
+			} else {
+				m.ready(t.actor)
 			}
 		}
-		m.log = append(m.log, woEntry{now: m.now, runner: t.runner, op: r.pc, set: t.helper && r.script[r.pc].kind == woWaitFor})
-		r.pc++
-		m.issue(t.runner)
+		if selfDue {
+			return self
+		}
 	}
 }
 
-func woSorted(log []woEntry) []woEntry {
-	out := append([]woEntry(nil), log...)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].now != out[b].now {
-			return out[a].now < out[b].now
+// step runs actor a with the baton until it parks (true) or returns.
+func (m *woModel) step(a int) bool {
+	if runner := m.actors[a].helper; runner >= 0 {
+		return m.stepHelper(a, runner)
+	}
+	r := &m.actors[a]
+	if r.started {
+		// Back from the wait of op pc.
+		op := r.script[r.pc]
+		if op.kind == woCondShared && !r.done {
+			// Another runner's Broadcast: re-check, park again.
+			m.shared[op.cond] = append(m.shared[op.cond], a)
+			m.parkOn(a)
+			return true
 		}
-		if out[a].runner != out[b].runner {
-			return out[a].runner < out[b].runner
+		m.log = append(m.log, woEntry{now: m.now, runner: a, op: r.pc, set: op.kind == woWaitFor && r.done})
+		r.pc++
+	}
+	r.started = true
+	if r.pc == len(r.script) {
+		return false
+	}
+	op := r.script[r.pc]
+	r.done = false
+	switch op.kind {
+	case woSleep, woSleepUntil:
+		m.arm(a, op.d, false)
+		return true
+	case woWaitFor:
+		m.start(a)
+		m.arm(a, op.d, true)
+	case woCondShared:
+		m.start(a)
+		m.shared[op.cond] = append(m.shared[op.cond], a)
+	default:
+		m.start(a)
+	}
+	m.parkOn(a)
+	return true
+}
+
+// start starts the helper of runner a's current op.
+func (m *woModel) start(a int) {
+	m.actors = append(m.actors, woActor{helper: a, pc: m.actors[a].pc})
+	m.ready(len(m.actors) - 1)
+}
+
+func (m *woModel) stepHelper(h, a int) bool {
+	r, pc := &m.actors[a], m.actors[h].pc
+	op := r.script[pc]
+	if !m.actors[h].started {
+		m.actors[h].started = true
+		m.arm(h, op.s, false)
+		return true
+	}
+	if r.pc != pc {
+		return false // a WaitFor that timed out: a was woken by its timeout and has moved on
+	}
+	r.done = true
+	switch op.kind {
+	case woWaitFor, woCondOwn:
+		m.wakeParked(a)
+	case woCondShared:
+		for _, w := range m.shared[op.cond] {
+			m.wakeParked(w)
 		}
-		return out[a].op < out[b].op
-	})
-	return out
+		m.shared[op.cond] = nil
+	case woCondAt:
+		if op.d == 0 {
+			m.wakeParked(a)
+		} else {
+			r.parked = false
+			m.arm(a, op.d, false)
+		}
+	}
+	return false
+}
+
+func (m *woModel) run() {
+	self := -1
+	for {
+		a := m.pick(self)
+		if a < 0 {
+			return
+		}
+		if self = -1; m.step(a) {
+			self = a
+		}
+	}
 }
 
 // woReal runs the scripts on a real Clock and returns the log in the
@@ -196,7 +298,6 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 	c := New()
 	deadlocked := trapDeadlock(c)
 
-	var logMu sync.Mutex
 	var log []woEntry
 
 	var sharedMu [woConds]sync.Mutex
@@ -260,9 +361,7 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 					}
 					ownMu.Unlock()
 				}
-				logMu.Lock()
 				log = append(log, woEntry{now: r.Now(), runner: i, op: pc, set: set})
-				logMu.Unlock()
 			}
 		})
 	}
@@ -273,31 +372,23 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 func TestWakeOrderMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		scripts := make([][]woOp, woRunners)
-		model := woModel{runners: make([]woRunner, woRunners)}
 		for i := range scripts {
 			scripts[i] = woScript(seed, i)
-			model.runners[i].script = scripts[i]
 		}
+		model := newWoModel(scripts)
 		model.run()
-		want := woSorted(model.log)
+		want := model.log
 		if len(want) != woRunners*woOps {
 			t.Fatalf("seed %d: model finished %d ops, want %d", seed, len(want), woRunners*woOps)
 		}
-
-		observed := woReal(t, scripts)
-		for i := 1; i < len(observed); i++ {
-			if observed[i].now < observed[i-1].now {
-				t.Fatalf("seed %d: log entry %d (%v) is earlier than its predecessor (%v)", seed, i, observed[i], observed[i-1])
+		got := woReal(t, scripts)
+		for i := range want {
+			if i == len(got) || got[i] != want[i] {
+				t.Fatalf("seed %d: wake %d of %d is %v, model says %v", seed, i, len(got), got[min(i, len(got)-1)], want[i])
 			}
 		}
-		got := woSorted(observed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d wakes logged, model has %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: wake %d is %v, model says %v", seed, i, got[i], want[i])
-			}
 		}
 	}
 }

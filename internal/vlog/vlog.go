@@ -23,8 +23,10 @@ package vlog
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -528,7 +530,7 @@ func (m *Manager) MarkDiscard(id uint32, n int64) {
 }
 
 // PickGC returns the sealed, fully written-back segment with the highest
-// discard ratio at or above minRatio, or ok=false.
+// discard ratio at or above minRatio, the oldest of equals, or ok=false.
 func (m *Manager) PickGC(minRatio float64) (uint32, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -539,7 +541,7 @@ func (m *Manager) PickGC(minRatio float64) (uint32, bool) {
 			continue
 		}
 		ratio := float64(seg.discard) / float64(seg.size)
-		if ratio >= minRatio && ratio > bestRatio {
+		if ratio >= minRatio && (ratio > bestRatio || ratio == bestRatio && id < best) {
 			best, bestRatio = id, ratio
 		}
 	}
@@ -587,6 +589,8 @@ func (m *Manager) ManifestSnapshot() ManifestState {
 	for id, seg := range m.segs {
 		ms.Segments = append(ms.Segments, SegmentInfo{ID: id, Durable: seg.flushed, Discard: seg.discard})
 	}
+	// In id order: the list ends up in the manifest's bytes.
+	slices.SortFunc(ms.Segments, func(a, b SegmentInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return ms
 }
 
