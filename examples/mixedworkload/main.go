@@ -11,7 +11,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"kvaccel"
@@ -25,20 +24,20 @@ func run(w io.Writer, scheme kvaccel.RollbackScheme, readFraction float64, d tim
 	opt.CompactionThreads = 4
 	db := kvaccel.Open(opt)
 
-	var writes, reads atomic.Int64
-	var stop atomic.Bool
+	var writes, reads int64
+	var stop bool
 
 	db.Run("reader", func(r *kvaccel.Runner) {
 		rng := rand.New(rand.NewSource(99))
 		ratio := readFraction / (1 - readFraction)
-		for !stop.Load() {
-			if float64(reads.Load()) >= float64(writes.Load())*ratio {
+		for !stop {
+			if float64(reads) >= float64(writes)*ratio {
 				r.Sleep(time.Millisecond)
 				continue
 			}
 			key := fmt.Sprintf("key%016d", rng.Intn(50_000))
 			_, _, _ = db.Get(r, []byte(key))
-			reads.Add(1)
+			reads++
 		}
 	})
 
@@ -52,14 +51,14 @@ func run(w io.Writer, scheme kvaccel.RollbackScheme, readFraction float64, d tim
 			if err := db.Put(r, []byte(key), value); err != nil {
 				panic(err)
 			}
-			writes.Add(1)
+			writes++
 		}
-		stop.Store(true)
+		stop = true
 		kv, _ := db.Internals()
 		s := kv.Stats()
 		elapsed := r.Now().Seconds()
 		fmt.Fprintf(w, "%-8s writes=%6.2f Kops/s reads=%5.2f Kops/s  rollbacks=%d dev-served-reads=%d\n",
-			scheme, float64(writes.Load())/elapsed/1000, float64(reads.Load())/elapsed/1000,
+			scheme, float64(writes)/elapsed/1000, float64(reads)/elapsed/1000,
 			s.Rollbacks, s.DevGets)
 	})
 	db.Wait()

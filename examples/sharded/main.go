@@ -12,7 +12,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"kvaccel"
@@ -32,18 +31,17 @@ func run(w io.Writer, shards int, d time.Duration) kvaccel.ShardedStats {
 	opt.Shards = shards
 	db := kvaccel.OpenSharded(opt)
 
-	var writes atomic.Int64
-	var running atomic.Int32
-	running.Store(int32(shards))
+	var writes int64
+	running := shards
 
 	// Monitor thread: one dashboard line per virtual second.
 	db.Run("monitor", func(r *kvaccel.Runner) {
 		var last int64
 		fmt.Fprintln(w, "sec   Kops/s  per-shard redirected")
-		for running.Load() > 0 {
+		for running > 0 {
 			r.Sleep(time.Second)
 			st := db.Stats()
-			cur := writes.Load()
+			cur := writes
 			fmt.Fprintf(w, "%3.0f  %7.1f ", r.Now().Seconds(), float64(cur-last)/1000)
 			for _, s := range st.PerShard {
 				fmt.Fprintf(w, " %8d", s.KVAccel.RedirectedPuts)
@@ -65,9 +63,9 @@ func run(w io.Writer, shards int, d time.Duration) kvaccel.ShardedStats {
 				if err := db.Put(r, []byte(k), value); err != nil {
 					break
 				}
-				writes.Add(1)
+				writes++
 			}
-			if running.Add(-1) == 0 {
+			if running--; running == 0 {
 				finish(w, db, r)
 				db.Close()
 			}

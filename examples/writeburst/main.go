@@ -12,7 +12,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"kvaccel"
@@ -33,15 +32,15 @@ func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 	opt.Rollback = kvaccel.RollbackDisabled // pure write phase: drain at the end
 	db := kvaccel.Open(opt)
 
-	var writes atomic.Int64
-	var done atomic.Bool
+	var writes int64
+	var done bool
 
 	// Monitor thread: one dashboard line per virtual second.
 	db.Run("monitor", func(r *kvaccel.Runner) {
 		kv, dev := db.Internals()
 		var last int64
 		fmt.Fprintln(w, "sec   Kops/s  redirected  dev-pairs  L0  stalls")
-		for !done.Load() {
+		for !done {
 			r.Sleep(time.Second)
 			s := kv.Stats()
 			h := kv.Main().Health()
@@ -63,9 +62,9 @@ func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 			if err := db.Put(r, []byte(key), value); err != nil {
 				panic(err)
 			}
-			writes.Add(1)
+			writes++
 		}
-		done.Store(true)
+		done = true
 
 		// End of the burst: drain the Dev-LSM back into the Main-LSM.
 		kv, dev := db.Internals()
@@ -76,7 +75,7 @@ func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 		}
 		s := kv.Stats()
 		m := kv.Main().Stats()
-		n := writes.Load()
+		n := writes
 		fmt.Fprintf(w, "\ntotal writes: %d (%.1f%% redirected) stalls=%d stall-time=%v\n",
 			n, 100*float64(s.RedirectedPuts)/float64(n), m.TotalStalls(), m.StallTime)
 	})

@@ -10,7 +10,6 @@
 package adoc
 
 import (
-	"sync"
 	"time"
 
 	"kvaccel/internal/lsm"
@@ -63,7 +62,6 @@ type Tuner struct {
 	db  *lsm.DB
 	opt Options
 
-	mu     sync.Mutex
 	stats  Stats
 	calm   int
 	closed bool
@@ -94,27 +92,20 @@ func Attach(clk *vclock.Clock, db *lsm.DB, opt Options) *Tuner {
 
 // Stop halts the loop after its current epoch.
 func (t *Tuner) Stop() {
-	t.mu.Lock()
 	t.closed = true
-	t.mu.Unlock()
 }
 
 // Stats returns the controller's counters.
 func (t *Tuner) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.stats
 }
 
 func (t *Tuner) loop(r *vclock.Runner) {
 	for {
 		r.Sleep(t.opt.Period)
-		t.mu.Lock()
 		if t.closed {
-			t.mu.Unlock()
 			return
 		}
-		t.mu.Unlock()
 		t.epoch()
 	}
 }
@@ -123,9 +114,7 @@ func (t *Tuner) loop(r *vclock.Runner) {
 // the matching knob, stepping back down after sustained calm.
 func (t *Tuner) epoch() {
 	h := t.db.Health()
-	t.mu.Lock()
 	t.stats.Epochs++
-	t.mu.Unlock()
 
 	compactionPressure := h.L0Files >= 8 || h.SlowdownLikely || h.Stalled
 	flushPressure := h.ImmutableMemtables > 0 && (h.Stalled || h.SlowdownLikely)
@@ -135,37 +124,27 @@ func (t *Tuner) epoch() {
 		// Data overflow between L0 and deeper levels: add a compaction
 		// thread (ADOC's primary move, and the source of its higher host
 		// CPU use).
-		t.calmReset()
+		t.calm = 0
 		cur := t.db.CompactionThreads()
 		if cur < t.opt.MaxThreads {
 			t.db.SetCompactionThreads(cur + 1)
-			t.mu.Lock()
 			t.stats.ThreadIncreases++
-			t.mu.Unlock()
 		} else if flushPressure {
 			t.growBatch()
 		}
 	case flushPressure:
 		// Overflow between memtable and flush: grow the batch so bursts
 		// coalesce.
-		t.calmReset()
+		t.calm = 0
 		t.growBatch()
 	default:
-		t.mu.Lock()
 		t.calm++
 		calmEnough := t.calm >= t.opt.CalmEpochs
-		t.mu.Unlock()
 		if calmEnough {
 			t.stepDown()
-			t.calmReset()
+			t.calm = 0
 		}
 	}
-}
-
-func (t *Tuner) calmReset() {
-	t.mu.Lock()
-	t.calm = 0
-	t.mu.Unlock()
 }
 
 func (t *Tuner) growBatch() {
@@ -179,9 +158,7 @@ func (t *Tuner) growBatch() {
 	}
 	if next != cur {
 		t.db.SetMemtableSize(next)
-		t.mu.Lock()
 		t.stats.BatchIncreases++
-		t.mu.Unlock()
 	}
 }
 
@@ -189,9 +166,7 @@ func (t *Tuner) stepDown() {
 	cur := t.db.CompactionThreads()
 	if cur > t.opt.MinThreads {
 		t.db.SetCompactionThreads(cur - 1)
-		t.mu.Lock()
 		t.stats.ThreadDecreases++
-		t.mu.Unlock()
 	}
 	if t.opt.BaseMemtableBytes > 0 {
 		mb := t.db.MemtableSize()
@@ -201,9 +176,7 @@ func (t *Tuner) stepDown() {
 				next = t.opt.BaseMemtableBytes
 			}
 			t.db.SetMemtableSize(next)
-			t.mu.Lock()
 			t.stats.BatchDecreases++
-			t.mu.Unlock()
 		}
 	}
 }

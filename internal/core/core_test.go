@@ -426,7 +426,7 @@ func TestDetectorTracksHealth(t *testing.T) {
 }
 
 func TestMetadataManager(t *testing.T) {
-	m := NewMetadataManager(8)
+	m := NewMetadataManager()
 	if m.Contains([]byte("k")) {
 		t.Fatal("empty manager contains key")
 	}
@@ -453,28 +453,6 @@ func TestMetadataManager(t *testing.T) {
 	m.Clear()
 	if m.Count() != 0 {
 		t.Fatal("clear left entries")
-	}
-}
-
-// BenchmarkMetadataShards sweeps the metadata manager's lock striping
-// under concurrent insert/check/delete (real wall time, like Table VI).
-func BenchmarkMetadataShards(b *testing.B) {
-	keys := make([][]byte, 4096)
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	for _, shards := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := NewMetadataManager(shards)
-			b.RunParallel(func(pb *testing.PB) {
-				for i := 0; pb.Next(); i++ {
-					k := keys[i%len(keys)]
-					m.Insert(k)
-					m.Contains(k)
-					m.Remove(k)
-				}
-			})
-		})
 	}
 }
 

@@ -11,7 +11,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/hotring"
@@ -90,9 +89,6 @@ func DefaultOptions() Options {
 		LazyQuietPeriod: time.Second,
 	}
 }
-
-// metadataShards is the metadata manager's lock striping.
-const metadataShards = 16
 
 // Stats are KVACCEL's cumulative counters.
 type Stats struct {
@@ -199,26 +195,14 @@ type DB struct {
 	// (§V-G).
 	gate *vclock.Semaphore
 
-	rollingBack  atomic.Bool
-	lastRedirect atomic.Int64 // vclock.Time of the last redirected write
-	closed       atomic.Bool
+	rollingBack  bool
+	lastRedirect vclock.Time // the last redirected write
+	closed       bool
 	closeEv      *vclock.Event // signals the rollback runner to drain and exit
 
-	normalPuts          atomic.Int64
-	redirectedPuts      atomic.Int64
-	wouldStallRedirects atomic.Int64
-	gets                atomic.Int64
-	mainGets            atomic.Int64
-	devGets             atomic.Int64
-	devServed           atomic.Int64
-	rollbacks           atomic.Int64
-	rollbackPairs       atomic.Int64
-	rollbackNS          atomic.Int64
-	recoveries          atomic.Int64
-	recoveryNS          atomic.Int64
-	devErrors           atomic.Int64
-	devRetries          atomic.Int64
-	devFailed           atomic.Int64
+	// stats holds the counters Stats returns; the front cache's are
+	// filled in there.
+	stats Stats
 }
 
 const gateUnits = 1 << 20 // effectively "all writers"
@@ -236,7 +220,7 @@ func Open(clk *vclock.Clock, main MainEngine, dev KVDevice, opt Options) *DB {
 		opt:     opt,
 		main:    main,
 		dev:     dev,
-		meta:    NewMetadataManager(metadataShards),
+		meta:    NewMetadataManager(),
 		gate:    vclock.NewSemaphore(gateUnits, "kvaccel.gate"),
 		closeEv: vclock.NewEvent("kvaccel.close"),
 		front:   hotring.New(opt.FrontCacheBytes, 0),
@@ -268,34 +252,18 @@ func (db *DB) FrontCache() *hotring.Cache { return db.front }
 
 // Stats returns a snapshot of KVACCEL's counters.
 func (db *DB) Stats() Stats {
+	s := db.stats
 	fc := db.front.Stats()
-	return Stats{
-		NormalPuts:          db.normalPuts.Load(),
-		RedirectedPuts:      db.redirectedPuts.Load(),
-		WouldStallRedirects: db.wouldStallRedirects.Load(),
-		Gets:                db.gets.Load(),
-		MainGets:            db.mainGets.Load(),
-		DevGets:             db.devGets.Load(),
-		DevServed:           db.devServed.Load(),
-		Rollbacks:           db.rollbacks.Load(),
-		RollbackPairs:       db.rollbackPairs.Load(),
-		RollbackTime:        time.Duration(db.rollbackNS.Load()),
-		Recoveries:          db.recoveries.Load(),
-		RecoveryTime:        time.Duration(db.recoveryNS.Load()),
-		DevErrors:           db.devErrors.Load(),
-		DevRetries:          db.devRetries.Load(),
-		DevFailed:           db.devFailed.Load(),
-
-		FrontCacheHits:          fc.Hits,
-		FrontCacheMisses:        fc.Misses,
-		FrontCacheFills:         fc.Fills,
-		FrontCacheRejected:      fc.Rejected,
-		FrontCacheInvalidations: fc.Invalidations,
-		FrontCacheEvictions:     fc.Evictions,
-		FrontCacheHeadMoves:     fc.HeadMoves,
-		FrontCacheUsed:          fc.Used,
-		FrontCacheEntries:       fc.Entries,
-	}
+	s.FrontCacheHits = fc.Hits
+	s.FrontCacheMisses = fc.Misses
+	s.FrontCacheFills = fc.Fills
+	s.FrontCacheRejected = fc.Rejected
+	s.FrontCacheInvalidations = fc.Invalidations
+	s.FrontCacheEvictions = fc.Evictions
+	s.FrontCacheHeadMoves = fc.HeadMoves
+	s.FrontCacheUsed = fc.Used
+	s.FrontCacheEntries = fc.Entries
+	return s
 }
 
 // Close stops accepting writes and signals the background runners to
@@ -307,9 +275,10 @@ func (db *DB) Stats() Stats {
 // tests rely on. Close returns immediately; the drain completes before
 // the simulation's Wait returns.
 func (db *DB) Close() {
-	if db.closed.Swap(true) {
+	if db.closed {
 		return
 	}
+	db.closed = true
 	db.det.Stop()
 	db.closeEv.Set()
 }
@@ -323,7 +292,7 @@ func (db *DB) Close() {
 // on the broad predictive signal would only siphon near-stall traffic —
 // which group commit can still absorb — onto the slower device path.
 func (db *DB) shouldRedirect() bool {
-	if db.rollingBack.Load() {
+	if db.rollingBack {
 		return false
 	}
 	if db.opt.StallFailover {
@@ -355,7 +324,7 @@ func (db *DB) Delete(r *vclock.Runner, key []byte) error {
 }
 
 func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (redirected bool, err error) {
-	if db.closed.Load() {
+	if db.closed {
 		return false, ErrClosed
 	}
 	sp := db.opt.Trace.Begin(r, trace.PhasePut, "put")
@@ -379,8 +348,8 @@ func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (re
 		if perr == nil {
 			db.meta.Insert(key)
 			db.front.Invalidate(key)
-			db.redirectedPuts.Add(1)
-			db.lastRedirect.Store(int64(r.Now()))
+			db.stats.RedirectedPuts++
+			db.lastRedirect = r.Now()
 			return true, nil
 		}
 	}
@@ -390,7 +359,7 @@ func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (re
 	// between two Detector samples still never blocks a writer. A
 	// rollback in flight suspends the failover for the same reason it
 	// suspends shouldRedirect.
-	err = db.mainWrite(r, kind, key, value, db.opt.StallFailover && !db.rollingBack.Load())
+	err = db.mainWrite(r, kind, key, value, db.opt.StallFailover && !db.rollingBack)
 	if errors.Is(err, lsm.ErrWouldStall) {
 		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "failover-put")
 		perr := db.devPut(r, kind, key, value)
@@ -398,9 +367,9 @@ func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (re
 		if perr == nil {
 			db.meta.Insert(key)
 			db.front.Invalidate(key)
-			db.redirectedPuts.Add(1)
-			db.wouldStallRedirects.Add(1)
-			db.lastRedirect.Store(int64(r.Now()))
+			db.stats.RedirectedPuts++
+			db.stats.WouldStallRedirects++
+			db.lastRedirect = r.Now()
 			return true, nil
 		}
 		// The device refused too; the Main-LSM is the only home left —
@@ -423,7 +392,7 @@ func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (re
 		_ = db.devPut(r, memtable.KindSupersede, key, nil)
 		rsp.End(r)
 	}
-	db.normalPuts.Add(1)
+	db.stats.NormalPuts++
 	return false, nil
 }
 
@@ -441,7 +410,7 @@ func (db *DB) mainWrite(r *vclock.Runner, kind memtable.Kind, key, value []byte,
 // normal path via the Main-LSM's single-WAL-record commit, on the stall
 // path via one compound KV command (§IV's buffered I/O [33]).
 func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
-	if db.closed.Load() {
+	if db.closed {
 		return ErrClosed
 	}
 	if b.Len() == 0 {
@@ -469,12 +438,12 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 				db.meta.Insert(key)
 				db.front.Invalidate(key)
 			})
-			db.redirectedPuts.Add(int64(b.Len()))
-			db.lastRedirect.Store(int64(r.Now()))
+			db.stats.RedirectedPuts += int64(b.Len())
+			db.lastRedirect = r.Now()
 			return nil
 		}
 	}
-	wo := lsm.WriteOptions{NoStallWait: db.opt.StallFailover && !db.rollingBack.Load()}
+	wo := lsm.WriteOptions{NoStallWait: db.opt.StallFailover && !db.rollingBack}
 	err := db.main.WriteWith(r, wo, b)
 	if errors.Is(err, lsm.ErrWouldStall) {
 		// Non-blocking admission refused the batch; fail it over as one
@@ -491,9 +460,9 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 				db.meta.Insert(key)
 				db.front.Invalidate(key)
 			})
-			db.redirectedPuts.Add(int64(b.Len()))
-			db.wouldStallRedirects.Add(int64(b.Len()))
-			db.lastRedirect.Store(int64(r.Now()))
+			db.stats.RedirectedPuts += int64(b.Len())
+			db.stats.WouldStallRedirects += int64(b.Len())
+			db.lastRedirect = r.Now()
 			return nil
 		}
 		err = db.main.Write(r, b)
@@ -507,7 +476,7 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 			_ = db.devPut(r, memtable.KindSupersede, key, nil)
 		}
 	})
-	db.normalPuts.Add(int64(b.Len()))
+	db.stats.NormalPuts += int64(b.Len())
 	return nil
 }
 
@@ -521,12 +490,12 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 // The value is read-only and may alias engine memory. Copy it to modify
 // it, or to keep it past its use, since it pins the buffer it points into.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
-	if db.closed.Load() {
+	if db.closed {
 		return nil, false, ErrClosed
 	}
 	sp := db.opt.Trace.Begin(r, trace.PhaseGet, "get")
 	defer sp.End(r)
-	db.gets.Add(1)
+	db.stats.Gets++
 	var token uint64
 	if db.front != nil {
 		fsp := db.opt.Trace.Begin(r, trace.PhaseFrontCache, "front-cache")
@@ -538,10 +507,10 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 		fsp.End(r)
 	}
 	if db.meta.Contains(key) {
-		db.devGets.Add(1)
+		db.stats.DevGets++
 		v, kind, found, derr := db.devGet(r, key)
 		if derr == nil && found && kind != memtable.KindSupersede {
-			db.devServed.Add(1)
+			db.stats.DevServed++
 			if kind == memtable.KindDelete {
 				return nil, false, nil
 			}
@@ -555,7 +524,7 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 		// even after retries; fall through to the Main-LSM, which holds
 		// the newest durable version the host can still reach.
 	}
-	db.mainGets.Add(1)
+	db.stats.MainGets++
 	value, ok, err = db.main.Get(r, key)
 	if err == nil && ok {
 		value = db.fill(key, value, token)

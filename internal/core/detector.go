@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/lsm"
@@ -18,28 +17,25 @@ type Detector struct {
 	main   MainEngine
 	period time.Duration
 
-	stall    atomic.Bool
-	hard     atomic.Bool          // sampled Health.Stalled: writers blocked right now
-	override atomic.Pointer[bool] // non-nil pins the stall signal (tests, ablations)
-	checks   atomic.Int64
-	closed   atomic.Bool
-	tracer   atomic.Pointer[trace.Tracer]
+	stall    bool
+	hard     bool  // sampled Health.Stalled: writers blocked right now
+	override *bool // non-nil pins the stall signal (tests, ablations)
+	checks   int64
+	closed   bool
+	tracer   *trace.Tracer
 
-	lastHealth atomic.Pointer[lsm.Health]
+	lastHealth lsm.Health
 }
 
 // NewDetector creates a detector over main; Start launches its runner.
 func NewDetector(main MainEngine, period time.Duration) *Detector {
-	d := &Detector{main: main, period: period}
-	h := lsm.Health{}
-	d.lastHealth.Store(&h)
-	return d
+	return &Detector{main: main, period: period}
 }
 
 // Start launches the detector runner on clk.
 func (d *Detector) Start(clk *vclock.Clock) {
 	clk.Go("kvaccel.detector", func(r *vclock.Runner) {
-		for !d.closed.Load() {
+		for !d.closed {
 			d.Check(r)
 			r.Sleep(d.period)
 		}
@@ -51,14 +47,15 @@ func (d *Detector) Start(clk *vclock.Clock) {
 // no virtual CPU.
 func (d *Detector) Check(r *vclock.Runner) {
 	h := d.main.Health()
-	d.lastHealth.Store(&h)
+	d.lastHealth = h
 	// The write-stall prediction (§V-C) is the engine's exported stall
 	// signal: a stop condition already holding, a slowdown trigger, or
 	// the anticipatory memtable-pressure signal.
 	sig := h.StallSignal()
-	d.hard.Store(h.Stalled)
-	if prev := d.stall.Swap(sig); prev != sig {
-		if tr := d.tracer.Load(); tr != nil {
+	d.hard = h.Stalled
+	if prev := d.stall; prev != sig {
+		d.stall = sig
+		if tr := d.tracer; tr != nil {
 			if sig {
 				tr.Instant(r, trace.PhaseDetector, "stall-on", int64(h.L0Files))
 			} else {
@@ -66,25 +63,19 @@ func (d *Detector) Check(r *vclock.Runner) {
 			}
 		}
 	}
-	d.checks.Add(1)
+	d.checks++
 }
 
-// SetTracer wires a tracer for stall-signal transition instants. Safe
-// to call at any time; nil detaches.
-func (d *Detector) SetTracer(tr *trace.Tracer) {
-	if tr == nil {
-		d.tracer.Store(nil)
-		return
-	}
-	d.tracer.Store(tr)
-}
+// SetTracer wires a tracer for stall-signal transition instants; nil
+// detaches.
+func (d *Detector) SetTracer(tr *trace.Tracer) { d.tracer = tr }
 
 // StallLikely is the Controller's per-write redirect signal.
 func (d *Detector) StallLikely() bool {
-	if o := d.override.Load(); o != nil {
+	if o := d.override; o != nil {
 		return *o
 	}
-	return d.stall.Load()
+	return d.stall
 }
 
 // StallNow is the narrower pre-emptive redirect signal for controllers
@@ -97,24 +88,24 @@ func (d *Detector) StallLikely() bool {
 // on the fast main path instead of being siphoned to the device.
 // An override pins this signal too.
 func (d *Detector) StallNow() bool {
-	if o := d.override.Load(); o != nil {
+	if o := d.override; o != nil {
 		return *o
 	}
-	return d.hard.Load()
+	return d.hard
 }
 
 // SetOverride pins the stall signal regardless of the Main-LSM's real
 // health — used by tests and the redirection-ablation benches.
-func (d *Detector) SetOverride(v bool) { d.override.Store(&v) }
+func (d *Detector) SetOverride(v bool) { d.override = &v }
 
 // ClearOverride restores normal detection.
-func (d *Detector) ClearOverride() { d.override.Store(nil) }
+func (d *Detector) ClearOverride() { d.override = nil }
 
 // Health returns the last sampled Main-LSM health.
-func (d *Detector) Health() lsm.Health { return *d.lastHealth.Load() }
+func (d *Detector) Health() lsm.Health { return d.lastHealth }
 
 // Checks returns how many detection passes have run.
-func (d *Detector) Checks() int64 { return d.checks.Load() }
+func (d *Detector) Checks() int64 { return d.checks }
 
 // Stop halts the runner after its current sleep.
-func (d *Detector) Stop() { d.closed.Store(true) }
+func (d *Detector) Stop() { d.closed = true }

@@ -25,7 +25,7 @@ func TestMetadataManagerMatchesModel(t *testing.T) {
 			pool[i] = make([]byte, n)
 			rng.Read(pool[i])
 		}
-		m := NewMetadataManager(1 + rng.Intn(8))
+		m := NewMetadataManager()
 		model := map[string]bool{}
 		buf := make([]byte, 0, 2*metaArenaChunk)
 		check := func(step int, op string) {
@@ -84,7 +84,7 @@ func TestAllocsMetadataInsert(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key%013d", i)) // 16 bytes
 	}
-	m := NewMetadataManager(16)
+	m := NewMetadataManager()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, k := range keys {

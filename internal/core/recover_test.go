@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fs"
+	"kvaccel/internal/lsm"
+	"kvaccel/internal/ssd"
 	"kvaccel/internal/vclock"
 )
 
@@ -145,5 +149,84 @@ func TestDoubleRecoverIdempotent(t *testing.T) {
 	clk.Wait()
 	if s := db.Stats(); s.Recoveries != 2 {
 		t.Errorf("recoveries = %d, want 2", s.Recoveries)
+	}
+}
+
+// failFirstWrite is a Main-LSM whose first batch commit fails, as a WAL
+// append error fails one group commit and leaves the engine writable.
+type failFirstWrite struct {
+	MainEngine
+	failed bool
+}
+
+func (m *failFirstWrite) Write(r *vclock.Runner, b *lsm.Batch) error {
+	if !m.failed {
+		m.failed = true
+		return errors.New("injected merge failure")
+	}
+	return m.MainEngine.Write(r, b)
+}
+
+// TestFailedMergeKeepsRedirectedPairs: a rollback or recovery whose merge
+// into the Main-LSM fails must report it and leave the device and the
+// metadata alone, or the pairs of the failed batch are lost. Every value
+// stays readable after the failure, and the next RollbackNow drains
+// everything.
+func TestFailedMergeKeepsRedirectedPairs(t *testing.T) {
+	const n = 500 // two merge batches: the first fails
+	for _, tc := range []struct {
+		name  string
+		drain func(db *DB, r *vclock.Runner) error
+	}{
+		{"rollback", (*DB).RollbackNow},
+		{"recover", (*DB).Recover},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.Rollback = RollbackDisabled
+			clk := vclock.New()
+			dev := ssd.New(clk, testSSDConfig(4, 256<<20, 64<<20))
+			main := &failFirstWrite{MainEngine: lsm.Open(clk, fs.New(dev.BlockNamespace(0, 0)), testLSMOptions())}
+			db := Open(clk, main, dev.KVRegionFull(), opt)
+			clk.Go("test", func(r *vclock.Runner) {
+				defer db.Close()
+				db.Detector().SetOverride(true)
+				for i := 0; i < n; i++ {
+					if red, err := db.PutEx(r, key(i), value(i)); err != nil || !red {
+						t.Fatalf("redirected put %d: red=%v err=%v", i, red, err)
+					}
+				}
+				db.Detector().SetOverride(false)
+				readAll := func(when string) {
+					for i := 0; i < n; i++ {
+						v, ok, err := db.Get(r, key(i))
+						if err != nil || !ok || !bytes.Equal(v, value(i)) {
+							t.Fatalf("key %d %s: ok=%v err=%v", i, when, ok, err)
+						}
+					}
+				}
+				if err := tc.drain(db, r); err == nil {
+					t.Fatalf("%s returned nil after its first merge failed", tc.name)
+				}
+				if dev.KVRegionFull().KVEmpty() {
+					t.Fatalf("failed %s reset the device", tc.name)
+				}
+				readAll("after the failed " + tc.name)
+				if err := db.RollbackNow(r); err != nil {
+					t.Fatalf("RollbackNow after the failure: %v", err)
+				}
+				if !dev.KVRegionFull().KVEmpty() {
+					t.Error("RollbackNow left pairs on the device")
+				}
+				if c := db.Metadata().Count(); c != 0 {
+					t.Errorf("metadata count = %d after RollbackNow, want 0", c)
+				}
+				readAll("after RollbackNow")
+			})
+			clk.Wait()
+			if s := db.Stats(); s.RollbackPairs != n {
+				t.Errorf("rolled back %d pairs, want %d", s.RollbackPairs, n)
+			}
+		})
 	}
 }

@@ -20,16 +20,16 @@ func (db *DB) devTry(r *vclock.Runner, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		db.devErrors.Add(1)
+		db.stats.DevErrors++
 		if !faults.Transient(err) || attempt >= pol.Attempts() {
 			break
 		}
-		db.devRetries.Add(1)
+		db.stats.DevRetries++
 		if d := pol.Delay(attempt); d > 0 {
 			r.Sleep(d)
 		}
 	}
-	db.devFailed.Add(1)
+	db.stats.DevFailed++
 	return err
 }
 

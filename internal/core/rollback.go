@@ -54,7 +54,7 @@ func (db *DB) shouldRollback(r *vclock.Runner) bool {
 		if h.ActiveCompactions > 0 || h.QueuedFlushes > 0 {
 			return false
 		}
-		quiet := r.Now().Sub(vclock.Time(db.lastRedirect.Load()))
+		quiet := r.Now().Sub(db.lastRedirect)
 		return quiet >= db.opt.LazyQuietPeriod
 	default:
 		return false
@@ -72,15 +72,16 @@ func (db *DB) shouldRollback(r *vclock.Runner) bool {
 // unsynced WAL would turn a power cut into data loss. Second, metadata
 // entries are cleared only after the Reset commits: until then the
 // device copy is still the one a normal-path overwrite must supersede.
-// A scan or flush error aborts without resetting — the pairs stay on
-// the device and the next rollback (or a post-crash Recover) replays
+// A scan, merge or flush error aborts without resetting — the pairs stay
+// on the device and the next rollback (or a post-crash Recover) replays
 // them; the merge is idempotent, so a partial drain costs nothing but
 // repeated work.
 func (db *DB) RollbackNow(r *vclock.Runner) error {
-	if db.rollingBack.Swap(true) {
+	if db.rollingBack {
 		return nil // already in progress
 	}
-	defer db.rollingBack.Store(false)
+	db.rollingBack = true
+	defer func() { db.rollingBack = false }()
 	var pairs int64
 	rbsp := db.opt.Trace.Begin(r, trace.PhaseRollback, "rollback")
 	defer func() { rbsp.EndArg(r, pairs) }()
@@ -102,12 +103,8 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	// One batch for the whole rollback, Reset after every merge: its arena
 	// grows once, to the largest merge, and goes when the rollback returns.
 	var b lsm.Batch
-	flush := func() {
-		if b.Len() > 0 {
-			_ = db.main.Write(r, &b)
-			b.Reset()
-		}
-	}
+	var mergeErr error
+	flush := func() { db.merge(r, &b, &mergeErr) }
 	ssp := db.opt.Trace.Begin(r, trace.PhaseRollbackScan, "rollback-scan")
 	scanErr := db.dev.KVBulkScan(r, func(entries []memtable.Entry) {
 		// Each chunk merges under the write gate, serializing against
@@ -141,6 +138,9 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	if scanErr != nil {
 		return scanErr
 	}
+	if mergeErr != nil {
+		return mergeErr
+	}
 	// Durability barrier before the erase: the rolled-back pairs must
 	// survive a power cut from the Main-LSM alone once the device's
 	// copies are gone.
@@ -157,10 +157,25 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 		db.meta.Remove(merged[from:to])
 		from = to
 	}
-	db.rollbacks.Add(1)
-	db.rollbackPairs.Add(pairs)
-	db.rollbackNS.Add(int64(r.Now().Sub(start)))
+	db.stats.Rollbacks++
+	db.stats.RollbackPairs += pairs
+	db.stats.RollbackTime += r.Now().Sub(start)
 	return nil
+}
+
+// merge commits a rollback's or recovery's batch into the Main-LSM and
+// resets it, keeping the first error in *first. A failed merge must stop
+// the drain before its device reset: the Main-LSM stays writable after a
+// failed group commit, so the barrier Flush would succeed and the reset
+// would erase the only copy of the pairs the failed batch carried.
+func (db *DB) merge(r *vclock.Runner, b *lsm.Batch, first *error) {
+	if b.Len() == 0 {
+		return
+	}
+	if err := db.main.Write(r, b); err != nil && *first == nil {
+		*first = err
+	}
+	b.Reset()
 }
 
 // SimulateCrash models the §VI-D failure: the volatile metadata manager's
@@ -177,15 +192,18 @@ func (db *DB) SimulateCrash() {
 // every buffered pair unconditionally.
 //
 // Like RollbackNow, Recover flushes the Main-LSM before the device
-// Reset and aborts without resetting on a scan or flush error; a crash
-// (or fault) at any point leaves the pairs on the device, and a second
-// Recover replays them idempotently.
+// Reset and aborts without resetting on a scan, merge or flush error; a
+// crash (or fault) at any point leaves the pairs on the device, and a
+// second Recover replays them idempotently. Every pair it scans is
+// tracked by the metadata manager until the reset, so reads and the next
+// rollback find a pair a failed recovery left on the device.
 func (db *DB) Recover(r *vclock.Runner) error {
 	start := r.Now()
-	if db.rollingBack.Swap(true) {
+	if db.rollingBack {
 		return nil
 	}
-	defer db.rollingBack.Store(false)
+	db.rollingBack = true
+	defer func() { db.rollingBack = false }()
 	var pairs int64
 	rsp := db.opt.Trace.Begin(r, trace.PhaseRecovery, "recovery")
 	defer func() { rsp.EndArg(r, pairs) }()
@@ -194,12 +212,8 @@ func (db *DB) Recover(r *vclock.Runner) error {
 	db.gate.Acquire(r, gateUnits)
 	db.gate.Release(gateUnits)
 	var b lsm.Batch // as in RollbackNow: one arena for the whole recovery
-	flush := func() {
-		if b.Len() > 0 {
-			_ = db.main.Write(r, &b)
-			b.Reset()
-		}
-	}
+	var mergeErr error
+	flush := func() { db.merge(r, &b, &mergeErr) }
 	scanErr := db.dev.KVBulkScan(r, func(entries []memtable.Entry) {
 		db.gate.Acquire(r, gateUnits)
 		for i := range entries {
@@ -218,7 +232,11 @@ func (db *DB) Recover(r *vclock.Runner) error {
 			if b.Len() >= rollbackMergeBatch {
 				flush()
 			}
-			db.meta.Remove(e.Key)
+			if e.Kind != memtable.KindSupersede {
+				// Until the reset, the device holds this pair: reads and a
+				// later rollback must find it there if the recovery fails.
+				db.meta.Insert(e.Key)
+			}
 		}
 		flush()
 		db.gate.Release(gateUnits)
@@ -226,19 +244,24 @@ func (db *DB) Recover(r *vclock.Runner) error {
 	if scanErr != nil {
 		return scanErr
 	}
+	if mergeErr != nil {
+		return mergeErr
+	}
 	if err := db.main.Flush(r); err != nil {
 		return err
 	}
 	if err := db.devReset(r); err != nil {
 		return err
 	}
+	// The device is empty: nothing it tracked is there any more.
+	db.meta.Clear()
 	// The unconditional replay can resurrect a stale pair whose supersede
 	// marker never landed (the documented fault hazard, DESIGN.md §9);
 	// drop the whole front cache so it cannot disagree with the merged
 	// view either way.
 	db.front.InvalidateAll()
-	db.recoveries.Add(1)
-	db.rollbackPairs.Add(pairs)
-	db.recoveryNS.Add(int64(r.Now().Sub(start)))
+	db.stats.Recoveries++
+	db.stats.RollbackPairs += pairs
+	db.stats.RecoveryTime += r.Now().Sub(start)
 	return nil
 }

@@ -9,7 +9,6 @@
 package cpu
 
 import (
-	"sync"
 	"time"
 
 	"kvaccel/internal/vclock"
@@ -20,7 +19,6 @@ type Pool struct {
 	res   *vclock.Resource
 	cores int
 
-	mu         sync.Mutex
 	lastBusyNS int64
 	lastSample vclock.Time
 	utilSum    float64 // sum of sampled utilizations (for averaging)
@@ -50,8 +48,6 @@ func (p *Pool) BusyNS() int64 { return p.res.BusyNS() }
 // call and returns it as a percentage of total core capacity (0–100).
 // Experiments call it once per virtual second.
 func (p *Pool) Sample(now vclock.Time) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	busy := p.res.BusyNS()
 	interval := int64(now - p.lastSample)
 	var util float64
@@ -70,8 +66,6 @@ func (p *Pool) Sample(now vclock.Time) float64 {
 
 // AvgUtilization returns the mean of all sampled utilizations (percent).
 func (p *Pool) AvgUtilization() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.utilN == 0 {
 		return 0
 	}

@@ -33,11 +33,9 @@ func referenceBuildRun(d *DevLSM, r *vclock.Runner, it iterkit.Iterator, sizeHin
 			return
 		}
 		n := (len(page) + pageSize - 1) / pageSize
-		d.mu.Lock()
 		lpns := make([]int, n)
 		copy(lpns, d.freeLPNs[len(d.freeLPNs)-n:])
 		d.freeLPNs = d.freeLPNs[:len(d.freeLPNs)-n]
-		d.mu.Unlock()
 		ru.pages = append(ru.pages, pageMeta{
 			firstKey: append([]byte(nil), pageFirst...),
 			off:      len(ru.data),

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"container/list"
 	"fmt"
-	"sync"
 	"time"
 
 	"kvaccel/internal/cpu"
@@ -128,7 +127,6 @@ type DevLSM struct {
 	lpnOff   int
 	lpnCount int
 
-	mu       sync.Mutex
 	mem      *memtable.Table
 	runs     []*run // oldest first; only ever appended to or replaced
 	seq      uint64
@@ -190,31 +188,25 @@ func (d *DevLSM) Region() (offsetPages, pages int) { return d.lpnOff, d.lpnCount
 
 // Stats returns a snapshot of the counters.
 func (d *DevLSM) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.stats
 }
 
 // Count returns the number of buffered entries (including overwrites and
 // tombstones).
 func (d *DevLSM) Count() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.entries
 }
 
 // Bytes returns the logical bytes buffered.
 func (d *DevLSM) Bytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.bytes
 }
 
 // Empty reports whether the Dev-LSM holds no data.
 func (d *DevLSM) Empty() bool { return d.Count() == 0 }
 
-// allocLocked moves n free LPNs onto the end of dst.
-func (d *DevLSM) allocLocked(dst []int, n int) []int {
+// alloc moves n free LPNs onto the end of dst.
+func (d *DevLSM) alloc(dst []int, n int) []int {
 	if n > len(d.freeLPNs) {
 		panic(fmt.Sprintf("devlsm: KV region out of space: need %d pages, have %d", n, len(d.freeLPNs)))
 	}
@@ -229,7 +221,6 @@ func (d *DevLSM) Put(r *vclock.Runner, kind memtable.Kind, key, value []byte) er
 	sp := d.cfg.Trace.Begin(r, trace.PhaseDevLSM, "kv-put")
 	defer sp.EndArg(r, int64(len(key)+len(value)))
 	d.arm.Run(r, d.cfg.PutCPU)
-	d.mu.Lock()
 	d.seq++
 	d.mem.Add(d.seq, kind, key, value)
 	d.entries++
@@ -237,7 +228,6 @@ func (d *DevLSM) Put(r *vclock.Runner, kind memtable.Kind, key, value []byte) er
 	d.stats.Puts++
 	d.stats.BytesIn += int64(len(key) + len(value))
 	needFlush := d.mem.ApproximateSize() >= d.cfg.MemtableBytes
-	d.mu.Unlock()
 	if needFlush {
 		return d.Flush(r)
 	}
@@ -250,12 +240,10 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 	sp := d.cfg.Trace.Begin(r, trace.PhaseDevLSM, "kv-get")
 	defer sp.End(r)
 	d.arm.Run(r, d.cfg.GetCPU)
-	d.mu.Lock()
 	d.stats.Gets++
 	// d.runs is only ever appended to or replaced, never written in
 	// place, so the header taken here is a stable snapshot.
 	mem, runs := d.mem, d.runs
-	d.mu.Unlock()
 
 	if v, k, ok := mem.Get(key); ok {
 		return v, k, true, nil
@@ -299,7 +287,6 @@ func (d *DevLSM) readPages(r *vclock.Runner, lpns []int) error {
 	if d.cacheCap == 0 {
 		return d.f.ReadMany(r, ftl.KVRegion, lpns)
 	}
-	d.mu.Lock()
 	var misses []int
 	for _, lpn := range lpns {
 		if el, ok := d.cached[lpn]; ok {
@@ -314,7 +301,6 @@ func (d *DevLSM) readPages(r *vclock.Runner, lpns []int) error {
 		delete(d.cached, back.Value.(int))
 		d.cacheLRU.Remove(back)
 	}
-	d.mu.Unlock()
 	return d.f.ReadMany(r, ftl.KVRegion, misses)
 }
 
@@ -342,14 +328,11 @@ func (ru *run) pageFor(key []byte) int {
 // so the data is never lost device-side — but the error is surfaced so
 // the host command (KV_PUT) completes with a status.
 func (d *DevLSM) Flush(r *vclock.Runner) error {
-	d.mu.Lock()
 	if d.mem.Count() == 0 {
-		d.mu.Unlock()
 		return nil
 	}
 	mem := d.mem
 	d.mem = memtable.New(d.cfg.MemtableBytes)
-	d.mu.Unlock()
 
 	fsp := d.cfg.Trace.Begin(r, trace.PhaseDevLSMFlush, "devlsm-flush")
 	defer func() { fsp.EndArg(r, int64(mem.Count())) }()
@@ -360,11 +343,9 @@ func (d *DevLSM) Flush(r *vclock.Runner) error {
 	}
 	err := d.f.WriteMany(r, ftl.KVRegion, lpns)
 
-	d.mu.Lock()
 	d.runs = append(d.runs, ru)
 	d.stats.Flushes++
 	needMerge := d.cfg.CompactionEnabled && len(d.runs) > d.cfg.MaxRuns
-	d.mu.Unlock()
 	if needMerge {
 		d.compact(r)
 	}
@@ -388,9 +369,7 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 		if length == 0 {
 			return
 		}
-		d.mu.Lock()
-		all = d.allocLocked(all, (length+pageSize-1)/pageSize)
-		d.mu.Unlock()
+		all = d.alloc(all, (length+pageSize-1)/pageSize)
 		ru.pages = append(ru.pages, pageMeta{off: pageOff, length: length})
 		pageOff = len(ru.data)
 	}
@@ -492,9 +471,7 @@ func decodeRecord(b []byte) (e memtable.Entry, rest []byte, err error) {
 // compact merges every run into one, deduplicating versions. The single
 // controller core pays the merge cost; the KV region pays read+write.
 func (d *DevLSM) compact(r *vclock.Runner) {
-	d.mu.Lock()
 	runs := append([]*run(nil), d.runs...)
-	d.mu.Unlock()
 	if len(runs) <= 1 {
 		return
 	}
@@ -517,7 +494,6 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 	dedup := &dedupIter{in: merged}
 	ru, newLPNs := d.buildRun(r, dedup, inputBytes)
 
-	d.mu.Lock()
 	// Free old pages.
 	for _, ru := range runs {
 		for _, pm := range ru.pages {
@@ -533,7 +509,6 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 		d.runs = nil
 	}
 	d.stats.Compactions++
-	d.mu.Unlock()
 	if ru != nil {
 		_ = d.f.WriteMany(r, ftl.KVRegion, newLPNs) // firmware-internal: faults retried out of band
 	}
@@ -564,8 +539,6 @@ func (d *dedupIter) Next() {
 // memtable, every run, and this instance's slice of the KV region
 // mapping (other slices of the same device are untouched).
 func (d *DevLSM) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.mem = memtable.New(d.cfg.MemtableBytes)
 	d.runs = nil
 	d.entries = 0

@@ -97,11 +97,9 @@ type Iterator struct {
 // NewIterator snapshots the current memtable and runs. Page loads charge
 // NAND reads as the cursor crosses them.
 func (d *DevLSM) NewIterator(r *vclock.Runner) *Iterator {
-	d.mu.Lock()
 	mem := d.mem
 	runs := append([]*run(nil), d.runs...)
 	d.stats.Scans++
-	d.mu.Unlock()
 
 	children := make([]iterkit.Iterator, 0, len(runs)+1)
 	children = append(children, mem.NewIterator())
@@ -151,11 +149,9 @@ type ScanChunk struct {
 // in hardware), merges on the controller core, and emits chunks of at
 // most chunkSize encoded bytes via emit.
 func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk)) {
-	d.mu.Lock()
 	mem := d.mem
 	runs := append([]*run(nil), d.runs...)
 	d.stats.Scans++
-	d.mu.Unlock()
 
 	// Step 4-5: read the entire Dev-LSM's pages with full die parallelism.
 	var lpns []int
@@ -206,8 +202,6 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 // the rollback: "identify the range of the entire Dev-LSM"). ok is false
 // when empty.
 func (d *DevLSM) KeyRange() (smallest, largest []byte, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	update := func(s, l []byte) {
 		if !ok {
 			smallest, largest, ok = s, l, true

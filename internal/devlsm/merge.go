@@ -1,7 +1,6 @@
 package devlsm
 
 import (
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/cpu"
@@ -27,14 +26,8 @@ type MergeExecutor struct {
 	arm           *cpu.Pool
 	mergeCPUPerKB time.Duration
 	tr            *trace.Tracer
-	busy          atomic.Int32
-	abort         atomic.Bool
+	busy          int
 }
-
-// RequestAbort asks the in-flight merge (there is at most one) to stop
-// at its next output boundary; it then completes with
-// offload.ErrAborted. The OFFLOAD_ABORT command sets this.
-func (x *MergeExecutor) RequestAbort() { x.abort.Store(true) }
 
 // NewMergeExecutor builds an executor over the device's FTL and ARM
 // pool. mergeCPUPerKB is the controller's k-way-merge cost; tr may be
@@ -45,7 +38,7 @@ func NewMergeExecutor(f *ftl.FTL, arm *cpu.Pool, mergeCPUPerKB time.Duration, tr
 
 // Busy reports whether a merge is currently executing. The host offload
 // scheduler consults it as its device-idleness gate.
-func (x *MergeExecutor) Busy() bool { return x.busy.Load() > 0 }
+func (x *MergeExecutor) Busy() bool { return x.busy > 0 }
 
 // Run executes one offloaded merge on the calling (device-side) runner:
 // NAND reads for every input extent, ARM merge cycles, NAND programs for
@@ -55,9 +48,8 @@ func (x *MergeExecutor) Busy() bool { return x.busy.Load() > 0 }
 // near-data property. Returns offload.ErrAborted when the reserved
 // output range runs out of pages.
 func (x *MergeExecutor) Run(r *vclock.Runner, req *offload.MergeRequest) (*offload.MergeResult, error) {
-	x.busy.Add(1)
-	defer x.busy.Add(-1)
-	defer x.abort.Store(false)
+	x.busy++
+	defer func() { x.busy-- }()
 	sp := x.tr.Begin(r, trace.PhaseDeviceMerge, "device-merge")
 	var resBytes int64
 	defer func() { sp.EndArg(r, resBytes) }()
@@ -108,9 +100,6 @@ func (x *MergeExecutor) Run(r *vclock.Runner, req *offload.MergeRequest) (*offlo
 			res.DeviceCPU += d
 		},
 		Emit: func(data []byte, meta sstable.Meta) error {
-			if x.abort.Load() {
-				return offload.ErrAborted
-			}
 			need := (len(data) + ps - 1) / ps
 			if next+need > len(req.OutputPages) {
 				return offload.ErrAborted // reserved range exhausted

@@ -16,7 +16,6 @@ package faults
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 
 	"kvaccel/internal/vclock"
@@ -118,7 +117,6 @@ type Outcome struct {
 // both inert (every Decide returns the zero Outcome); layers hold a
 // *Plan and never need to nil-check.
 type Plan struct {
-	mu       sync.Mutex
 	rng      *rand.Rand
 	rules    []*Rule
 	injected map[string]int64
@@ -139,8 +137,6 @@ func NewPlan(seed int64) *Plan {
 
 // AddRule appends a fault rule to the plan.
 func (p *Plan) AddRule(r Rule) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	rc := r
 	p.rules = append(p.rules, &rc)
 }
@@ -153,8 +149,6 @@ func (p *Plan) Decide(op string, lpn int64) Outcome {
 	if p == nil {
 		return Outcome{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, r := range p.rules {
 		if r.Op != "" && r.Op != op {
 			continue
@@ -198,8 +192,6 @@ func (p *Plan) Decide(op string, lpn int64) Outcome {
 // layer polls NextPowerCut and performs the sever; the plan only
 // records the schedule.
 func (p *Plan) ArmPowerCut(at vclock.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.cutAt = at
 	p.cutArmed = true
 }
@@ -209,8 +201,6 @@ func (p *Plan) NextPowerCut() (vclock.Time, bool) {
 	if p == nil {
 		return 0, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.cutAt, p.cutArmed
 }
 
@@ -219,8 +209,6 @@ func (p *Plan) DisarmPowerCut() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.cutArmed = false
 }
 
@@ -229,8 +217,6 @@ func (p *Plan) Injected() map[string]int64 {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make(map[string]int64, len(p.injected))
 	for k, v := range p.injected {
 		out[k] = v
@@ -243,8 +229,6 @@ func (p *Plan) TotalInjected() int64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.total
 }
 
@@ -254,8 +238,6 @@ func (p *Plan) TornLength(n int) int {
 	if p == nil || n <= 0 {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.rng.Intn(n + 1)
 }
 
@@ -266,8 +248,6 @@ func (p *Plan) CorruptByte(b []byte) {
 	if p == nil || len(b) == 0 {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	i := p.rng.Intn(len(b))
 	b[i] ^= 1 << uint(p.rng.Intn(8))
 }

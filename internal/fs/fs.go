@@ -14,7 +14,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"kvaccel/internal/faults"
 	"kvaccel/internal/vclock"
@@ -80,7 +79,6 @@ func (fs *FileSystem) writePages(r *vclock.Runner, lpns []int, background bool) 
 type FileSystem struct {
 	dev BlockDevice
 
-	mu    sync.Mutex
 	files map[string]*file
 	free  []int // free page LPNs, LIFO
 	// reserved marks pages handed out by ReservePages but not yet bound
@@ -265,8 +263,6 @@ func New(dev BlockDevice) *FileSystem {
 // SetPageCacheBytes bounds the page cache; 0 or negative restores the
 // unbounded default. Shrinking evicts LRU pages immediately.
 func (fs *FileSystem) SetPageCacheBytes(bytes int64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if bytes <= 0 {
 		fs.cacheCap = 0
 		return
@@ -275,20 +271,20 @@ func (fs *FileSystem) SetPageCacheBytes(bytes int64) {
 	if fs.cacheCap < 1 {
 		fs.cacheCap = 1
 	}
-	fs.evictLocked()
+	fs.evict()
 }
 
-// cacheInsertLocked marks lpns resident, evicting LRU pages over capacity.
-func (fs *FileSystem) cacheInsertLocked(lpns []int) {
+// cacheInsert marks lpns resident, evicting LRU pages over capacity.
+func (fs *FileSystem) cacheInsert(lpns []int) {
 	for _, lpn := range lpns {
 		if !fs.cached.touch(lpn) {
 			fs.cached.pushFront(lpn)
 		}
 	}
-	fs.evictLocked()
+	fs.evict()
 }
 
-func (fs *FileSystem) evictLocked() {
+func (fs *FileSystem) evict() {
 	if fs.cacheCap <= 0 {
 		return
 	}
@@ -297,8 +293,8 @@ func (fs *FileSystem) evictLocked() {
 	}
 }
 
-// cacheDropLocked forgets pages (on file deletion).
-func (fs *FileSystem) cacheDropLocked(lpns []int) {
+// cacheDrop forgets pages (on file deletion).
+func (fs *FileSystem) cacheDrop(lpns []int) {
 	for _, lpn := range lpns {
 		if fs.cached.contains(lpn) {
 			fs.cached.remove(lpn)
@@ -306,9 +302,9 @@ func (fs *FileSystem) cacheDropLocked(lpns []int) {
 	}
 }
 
-// splitCachedLocked partitions lpns into (hits kept out) and misses that
+// splitCached partitions lpns into (hits kept out) and misses that
 // must pay device time, touching hit pages' recency.
-func (fs *FileSystem) splitCachedLocked(lpns []int) (misses []int) {
+func (fs *FileSystem) splitCached(lpns []int) (misses []int) {
 	for _, lpn := range lpns {
 		if !fs.cached.touch(lpn) {
 			misses = append(misses, lpn)
@@ -319,8 +315,6 @@ func (fs *FileSystem) splitCachedLocked(lpns []int) (misses []int) {
 
 // CachedPages returns the number of resident pages (diagnostics).
 func (fs *FileSystem) CachedPages() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.cached.n
 }
 
@@ -329,15 +323,11 @@ func (fs *FileSystem) PageSize() int { return fs.dev.PageSize() }
 
 // FreeBytes returns the unallocated capacity.
 func (fs *FileSystem) FreeBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return int64(len(fs.free)) * int64(fs.dev.PageSize())
 }
 
 // UsedBytes returns the total size of all files.
 func (fs *FileSystem) UsedBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	var n int64
 	for _, f := range fs.files {
 		n += int64(f.size())
@@ -345,7 +335,7 @@ func (fs *FileSystem) UsedBytes() int64 {
 	return n
 }
 
-func (fs *FileSystem) allocLocked(n int) ([]int, error) {
+func (fs *FileSystem) alloc(n int) ([]int, error) {
 	if n > len(fs.free) {
 		return nil, fmt.Errorf("fs: out of space: need %d pages, have %d", n, len(fs.free))
 	}
@@ -355,9 +345,9 @@ func (fs *FileSystem) allocLocked(n int) ([]int, error) {
 	return pages, nil
 }
 
-// growLocked extends f to n pages, popping them one by one; when the
+// grow extends f to n pages, popping them one by one; when the
 // device cannot supply them all it leaves f and the free list untouched.
-func (fs *FileSystem) growLocked(f *file, n int) error {
+func (fs *FileSystem) grow(f *file, n int) error {
 	if n-len(f.pages) > len(fs.free) {
 		return fmt.Errorf("fs: out of space: need %d pages, have %d", n-len(f.pages), len(fs.free))
 	}
@@ -416,17 +406,15 @@ func (fs *FileSystem) WriteFileBackground(r *vclock.Runner, name string, data []
 func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, background bool) error {
 	ps := fs.dev.PageSize()
 	nPages := max(1, (len(data)+ps-1)/ps) // empty files still occupy a metadata page
-	fs.mu.Lock()
 	old, replacing := fs.files[name]
 	if replacing && nPages <= len(fs.free)+len(old.pages) {
 		// The old image's pages go back first, so the new image lands on
 		// them as it always has, and leave the page cache with it; a replace
 		// that does not fit even so fails below with the old file whole.
-		fs.cacheDropLocked(fs.freeFileLocked(old))
+		fs.cacheDrop(fs.freeFile(old))
 	}
-	pages, err := fs.allocLocked(nPages)
+	pages, err := fs.alloc(nPages)
 	if err != nil {
-		fs.mu.Unlock()
 		return err
 	}
 	f := newFile(name, pages, data)
@@ -436,18 +424,13 @@ func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, back
 		f.stable, f.durable = old.stable, old.durable
 	}
 	fs.files[name] = f
-	fs.cacheInsertLocked(pages)
-	fs.mu.Unlock()
+	fs.cacheInsert(pages)
 	if err := fs.writePages(r, pages, background); err != nil {
 		// Not durable: a crash reverts to the previous image (if any).
-		fs.mu.Lock()
 		f.torn = false
-		fs.mu.Unlock()
 		return err
 	}
-	fs.mu.Lock()
 	f.stable, f.durable, f.torn = f.exts, true, false
-	fs.mu.Unlock()
 	return nil
 }
 
@@ -472,7 +455,6 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 		return nil
 	}
 	ps := fs.dev.PageSize()
-	fs.mu.Lock()
 	f, ok := fs.files[name]
 	if !ok {
 		f = newFile(name, nil, nil)
@@ -484,8 +466,7 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 	}
 	// Pages before bytes: a full device refuses the append with the file,
 	// and the name if it is new, as they were.
-	if err := fs.growLocked(f, (size+total+ps-1)/ps); err != nil {
-		fs.mu.Unlock()
+	if err := fs.grow(f, (size+total+ps-1)/ps); err != nil {
 		return err
 	}
 	fs.files[name] = f
@@ -498,20 +479,15 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 			f.exts = append(f.exts, extent{ownImage(c), size})
 		}
 	}
-	touch := append([]int(nil), f.pages[first:]...) // the device call runs outside the lock
-	fs.cacheInsertLocked(touch)
-	fs.mu.Unlock()
+	touch := append([]int(nil), f.pages[first:]...) // f.pages may grow while the device call parks
+	fs.cacheInsert(touch)
 	if err := fs.dev.WritePages(r, touch); err != nil {
 		// The appended tail may be partially on media: a crash keeps a
 		// seeded fragment of it past the last acknowledged prefix.
-		fs.mu.Lock()
 		f.torn = true
-		fs.mu.Unlock()
 		return err
 	}
-	fs.mu.Lock()
 	f.stable, f.durable, f.torn = f.exts, true, false
-	fs.mu.Unlock()
 	return nil
 }
 
@@ -537,24 +513,20 @@ func (fs *FileSystem) ReadAtBackground(r *vclock.Runner, name string, off, lengt
 
 func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, background bool) ([]byte, error) {
 	ps := fs.dev.PageSize()
-	fs.mu.Lock()
 	f, ok := fs.files[name]
 	if !ok {
-		fs.mu.Unlock()
 		return nil, fmt.Errorf("fs: %s: no such file", name)
 	}
 	if off < 0 || length < 0 || off+length > f.size() {
-		fs.mu.Unlock()
 		return nil, fmt.Errorf("fs: %s: read [%d,%d) out of bounds (size %d)", name, off, off+length, f.size())
 	}
 	var misses []int
 	if length > 0 {
 		first, last := off/ps, (off+length-1)/ps
-		misses = fs.splitCachedLocked(f.pages[first : last+1])
-		fs.cacheInsertLocked(misses)
+		misses = fs.splitCached(f.pages[first : last+1])
+		fs.cacheInsert(misses)
 	}
 	out := readRope(f.exts, off, length)
-	fs.mu.Unlock()
 	if err := fs.readPages(r, misses, background); err != nil {
 		return nil, err
 	}
@@ -572,8 +544,6 @@ func (fs *FileSystem) ReadFile(r *vclock.Runner, name string) ([]byte, error) {
 
 // Size returns a file's length in bytes.
 func (fs *FileSystem) Size(name string) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
 		return 0, fmt.Errorf("fs: %s: no such file", name)
@@ -583,8 +553,6 @@ func (fs *FileSystem) Size(name string) (int, error) {
 
 // Exists reports whether the file is present.
 func (fs *FileSystem) Exists(name string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	_, ok := fs.files[name]
 	return ok
 }
@@ -592,20 +560,17 @@ func (fs *FileSystem) Exists(name string) bool {
 // Remove deletes a file, trimming its pages on the device; r pays the
 // TRIM command cost.
 func (fs *FileSystem) Remove(r *vclock.Runner, name string) error {
-	fs.mu.Lock()
 	f, ok := fs.files[name]
 	if !ok {
-		fs.mu.Unlock()
 		return fmt.Errorf("fs: %s: no such file", name)
 	}
-	pages := fs.freeFileLocked(f)
-	fs.cacheDropLocked(pages)
-	fs.mu.Unlock()
+	pages := fs.freeFile(f)
+	fs.cacheDrop(pages)
 	return fs.dev.TrimPages(r, pages)
 }
 
-// freeFileLocked detaches f and returns its pages to the pool.
-func (fs *FileSystem) freeFileLocked(f *file) []int {
+// freeFile detaches f and returns its pages to the pool.
+func (fs *FileSystem) freeFile(f *file) []int {
 	delete(fs.files, f.name)
 	fs.free = append(fs.free, f.pages...)
 	return f.pages
@@ -616,8 +581,6 @@ func (fs *FileSystem) freeFileLocked(f *file) []int {
 // time; the compaction-offload scheduler hands these to the device so it
 // can read the file near-data.
 func (fs *FileSystem) Extents(name string) ([]int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
 		return nil, fmt.Errorf("fs: %s: no such file", name)
@@ -632,8 +595,6 @@ func (fs *FileSystem) Extents(name string) ([]int, error) {
 // bytes here while charging NAND time through the FTL separately. Host
 // code must use ReadAt/ReadFile, which pay the block path.
 func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
 		return nil, fmt.Errorf("fs: %s: no such file", name)
@@ -650,9 +611,7 @@ func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
 // or ReleasePages returns them; a crash releases them implicitly (the
 // reservation is host DRAM state).
 func (fs *FileSystem) ReservePages(n int) ([]int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	pages, err := fs.allocLocked(n)
+	pages, err := fs.alloc(n)
 	if err != nil {
 		return nil, err
 	}
@@ -665,8 +624,6 @@ func (fs *FileSystem) ReservePages(n int) ([]int, error) {
 // ReleasePages returns reserved pages to the free pool (offload abort or
 // fallback). Pages not currently reserved are ignored.
 func (fs *FileSystem) ReleasePages(lpns []int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	for _, p := range lpns {
 		if fs.reserved.has(p) {
 			fs.reserved.remove(p)
@@ -691,8 +648,6 @@ func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
 	if need == 0 {
 		need = 1
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.files[name]; ok {
 		return fmt.Errorf("fs: %s: adopt over existing file", name)
 	}
@@ -720,27 +675,18 @@ func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
 // no durability obligations), and the physical pages are remapped when
 // new writes land on them.
 func (fs *FileSystem) Format() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for _, name := range fs.namesLocked() {
-		pages := fs.freeFileLocked(fs.files[name])
-		fs.cacheDropLocked(pages)
+	for _, name := range fs.List() {
+		pages := fs.freeFile(fs.files[name])
+		fs.cacheDrop(pages)
 	}
 	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
 }
 
-// List returns the names of all files in lexical order.
+// List returns the names of all files in lexical order. Every walk over
+// the files goes in this order, not the map's: what a walk does — which
+// pages it frees first, so where the next writes land, and which file a
+// seeded fault tears — must not change from run to run.
 func (fs *FileSystem) List() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.namesLocked()
-}
-
-// namesLocked returns the names of all files in lexical order. Every walk
-// over the files goes in this order, not the map's: what a walk does —
-// which pages it frees first, so where the next writes land, and which
-// file a seeded fault tears — must not change from run to run.
-func (fs *FileSystem) namesLocked() []string {
 	names := make([]string, 0, len(fs.files))
 	for n := range fs.files {
 		names = append(names, n)
@@ -757,17 +703,15 @@ func (fs *FileSystem) namesLocked() []string {
 // framing. Call it between simulation phases (no runners in flight).
 func (fs *FileSystem) Crash(plan *faults.Plan) {
 	ps := fs.dev.PageSize()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	// Host DRAM is gone: the page cache and any in-flight offload output
 	// reservations (pages the device may have programmed but no file or
 	// manifest ever referenced — physical garbage the FTL remaps later).
 	fs.cached = pageLRU{size: fs.cached.size}
 	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
-	for _, name := range fs.namesLocked() {
+	for _, name := range fs.List() {
 		f := fs.files[name]
 		if !f.durable {
-			fs.freeFileLocked(f)
+			fs.freeFile(f)
 			continue
 		}
 		// Extents are immutable, so the surviving image shares them.
@@ -786,10 +730,10 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 			fs.free = append(fs.free, f.pages[need:]...)
 			f.pages = f.pages[:need]
 		}
-		if fs.growLocked(f, need) != nil {
+		if fs.grow(f, need) != nil {
 			// Out of space reverting: drop the file entirely rather than
 			// present an image the device cannot hold.
-			fs.freeFileLocked(f)
+			fs.freeFile(f)
 		}
 	}
 }

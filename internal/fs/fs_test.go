@@ -3,7 +3,6 @@ package fs
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"kvaccel/internal/faults"
@@ -12,7 +11,6 @@ import (
 
 // fakeDev counts page I/O without spending time.
 type fakeDev struct {
-	mu         sync.Mutex
 	pageSize   int
 	pages      int
 	writes     int
@@ -24,8 +22,6 @@ type fakeDev struct {
 var errFake = errors.New("fakeDev: injected write failure")
 
 func (d *fakeDev) WritePages(r *vclock.Runner, lpns []int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.failWrites {
 		return errFake
 	}
@@ -33,15 +29,11 @@ func (d *fakeDev) WritePages(r *vclock.Runner, lpns []int) error {
 	return nil
 }
 func (d *fakeDev) ReadPages(r *vclock.Runner, lpns []int) error {
-	d.mu.Lock()
 	d.reads += len(lpns)
-	d.mu.Unlock()
 	return nil
 }
 func (d *fakeDev) TrimPages(r *vclock.Runner, lpns []int) error {
-	d.mu.Lock()
 	d.trims += len(lpns)
-	d.mu.Unlock()
 	return nil
 }
 func (d *fakeDev) PageSize() int { return d.pageSize }

@@ -113,17 +113,17 @@ func TestPageCacheMatchesListLRU(t *testing.T) {
 		for i, st := range steps {
 			switch st.op {
 			case "insert":
-				fsys.cacheInsertLocked(st.lpns)
+				fsys.cacheInsert(st.lpns)
 				model.insert(st.lpns)
 			case "read":
-				got, want := fsys.splitCachedLocked(st.lpns), model.split(st.lpns)
+				got, want := fsys.splitCached(st.lpns), model.split(st.lpns)
 				if !sameInts(got, want) {
 					t.Fatalf("%s step %d %v: misses %v, the list model's %v", name, i, st, got, want)
 				}
-				fsys.cacheInsertLocked(got)
+				fsys.cacheInsert(got)
 				model.insert(want)
 			case "drop":
-				fsys.cacheDropLocked(st.lpns)
+				fsys.cacheDrop(st.lpns)
 				model.drop(st.lpns)
 			}
 			if got, want := fsys.cached.order(), model.order(); !sameInts(got, want) || fsys.CachedPages() != len(want) {
@@ -151,7 +151,7 @@ func TestPageCacheMatchesListLRU(t *testing.T) {
 // at once, and a crash empties the cache.
 func TestPageCacheShrinkAndCrash(t *testing.T) {
 	fsys := New(&fakeDev{pageSize: 4096, pages: 16})
-	fsys.cacheInsertLocked([]int{1, 2, 3, 4, 5, 6})
+	fsys.cacheInsert([]int{1, 2, 3, 4, 5, 6})
 	fsys.SetPageCacheBytes(2 * 4096)
 	if got := fsys.cached.order(); !sameInts(got, []int{6, 5}) {
 		t.Fatalf("after shrinking to 2 pages: %v, want [6 5]", got)
@@ -160,7 +160,7 @@ func TestPageCacheShrinkAndCrash(t *testing.T) {
 	if fsys.CachedPages() != 0 || fsys.cached.contains(6) {
 		t.Fatal("crash left pages resident")
 	}
-	fsys.cacheInsertLocked([]int{7})
+	fsys.cacheInsert([]int{7})
 	if got := fsys.cached.order(); !sameInts(got, []int{7}) {
 		t.Fatalf("after crash and one insert: %v", got)
 	}
@@ -335,8 +335,8 @@ func TestAllocsPageCache(t *testing.T) {
 			lpns[i] = next % 1024
 			next += 7
 		}
-		fsys.cacheInsertLocked(lpns) // evicts once the cache is full
-		if misses := fsys.splitCachedLocked(lpns); len(misses) != 0 {
+		fsys.cacheInsert(lpns) // evicts once the cache is full
+		if misses := fsys.splitCached(lpns); len(misses) != 0 {
 			t.Fatalf("pages just inserted missed: %v", misses)
 		}
 	})

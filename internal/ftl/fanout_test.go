@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -31,13 +30,10 @@ func TestFanoutBindsPagesToWorkersByStride(t *testing.T) {
 	cfg.MaxFanout = 8
 	f := New(arr, cfg)
 	const pages = 50
-	var mu sync.Mutex
 	byRunner := map[uint64][]int32{}
 	record := func(job *fanout, w *vclock.Runner, i int) error {
 		ppn := job.ppns[i]
-		mu.Lock()
 		byRunner[w.ID()] = append(byRunner[w.ID()], ppn)
-		mu.Unlock()
 		// Uneven page times, so a free worker would have pages to steal.
 		w.Sleep(time.Duration(1+ppn%7) * time.Microsecond)
 		return nil
@@ -47,7 +43,7 @@ func TestFanoutBindsPagesToWorkersByStride(t *testing.T) {
 	c.Go("io", func(r *vclock.Runner) {
 		parent = r.ID()
 		for round := 0; round < 2; round++ { // the second round runs on reused runners and a reused job
-			job := f.takeFanoutLocked()
+			job := f.takeFanout()
 			for i := 0; i < pages; i++ {
 				job.ppns = append(job.ppns, int32(1000*round+i))
 			}

@@ -14,7 +14,6 @@ package ftl
 
 import (
 	"fmt"
-	"sync"
 
 	"kvaccel/internal/nand"
 	"kvaccel/internal/vclock"
@@ -92,13 +91,12 @@ type FTL struct {
 	geo nand.Geometry
 	cfg Config
 
-	mu      sync.Mutex
 	blocks  []blockInfo
 	free    []int // free block ids (LIFO)
 	regions [numRegions]*regionState
 	nextDie int // round-robin die cursor for frontier allocation
 	// frontier marks the blocks some region is writing into, for the length
-	// of one pickVictimLocked; all false between calls.
+	// of one pickVictim; all false between calls.
 	frontier []bool
 	// fanouts are finished multi-page requests, kept for their page and
 	// worker lists: a request in steady state allocates nothing.
@@ -160,15 +158,11 @@ func (f *FTL) PageSize() int { return f.geo.PageSize }
 
 // Stats returns a snapshot of the cumulative counters.
 func (f *FTL) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.stats
 }
 
 // FreeBlocks returns the size of the shared free-block pool.
 func (f *FTL) FreeBlocks() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return len(f.free)
 }
 
@@ -188,17 +182,17 @@ func ppnOf(blockID, page, pagesPerBlock int) int32 {
 	return int32(blockID*pagesPerBlock + page)
 }
 
-// allocPageLocked reserves one physical page for (rg, lpn) on the
+// allocPage reserves one physical page for (rg, lpn) on the
 // round-robin write frontier and updates mappings. Returns the PPN and
 // whether the caller must run GC afterwards.
-func (f *FTL) allocPageLocked(rg Region, lpn int) (ppn int32, needGC bool) {
+func (f *FTL) allocPage(rg Region, lpn int) (ppn int32, needGC bool) {
 	rs := f.regions[rg]
 	if lpn < 0 || lpn >= len(rs.mapping) {
 		panic(fmt.Sprintf("ftl: lpn %d out of range for %v region (%d pages)", lpn, rg, len(rs.mapping)))
 	}
 	// Invalidate any prior mapping.
 	if old := rs.mapping[lpn]; old != unmapped {
-		f.invalidateLocked(old)
+		f.invalidate(old)
 	}
 	// Find a frontier block with space, cycling dies for parallelism.
 	dies := f.geo.Dies()
@@ -207,7 +201,7 @@ func (f *FTL) allocPageLocked(rg Region, lpn int) (ppn int32, needGC bool) {
 		f.nextDie = (f.nextDie + 1) % dies
 		bid := rs.frontier[die]
 		if bid == -1 || f.blocks[bid].nextPage >= f.geo.PagesPerBlock {
-			nb, ok := f.takeFreeBlockLocked(die)
+			nb, ok := f.takeFreeBlock(die)
 			if !ok {
 				continue // this die has no free block; try next die
 			}
@@ -228,8 +222,8 @@ func (f *FTL) allocPageLocked(rg Region, lpn int) (ppn int32, needGC bool) {
 	panic("ftl: device out of space (no free block on any die); regions oversized for physical capacity")
 }
 
-// takeFreeBlockLocked pops a free block belonging to the given die.
-func (f *FTL) takeFreeBlockLocked(die int) (int, bool) {
+// takeFreeBlock pops a free block belonging to the given die.
+func (f *FTL) takeFreeBlock(die int) (int, bool) {
 	for i := len(f.free) - 1; i >= 0; i-- {
 		bid := f.free[i]
 		if bid/f.geo.BlocksPerDie == die {
@@ -240,7 +234,7 @@ func (f *FTL) takeFreeBlockLocked(die int) (int, bool) {
 	return 0, false
 }
 
-func (f *FTL) invalidateLocked(ppn int32) {
+func (f *FTL) invalidate(ppn int32) {
 	bid := int(ppn) / f.geo.PagesPerBlock
 	page := int(ppn) % f.geo.PagesPerBlock
 	b := &f.blocks[bid]
@@ -254,10 +248,8 @@ func (f *FTL) invalidateLocked(ppn int32) {
 // time. It runs GC inline if the free pool is low — charging the
 // reclamation cost to the writer, as real FTLs do under pressure.
 func (f *FTL) Write(r *vclock.Runner, rg Region, lpn int) error {
-	f.mu.Lock()
-	ppn, needGC := f.allocPageLocked(rg, lpn)
+	ppn, needGC := f.allocPage(rg, lpn)
 	f.stats.HostPagesWritten++
-	f.mu.Unlock()
 	err := f.arr.ProgramPage(r, f.addrOf(ppn))
 	if needGC {
 		f.collect(r)
@@ -286,11 +278,9 @@ func (f *FTL) WriteMany(r *vclock.Runner, rg Region, lpns []int) error {
 // allocPages maps a batch of logical pages onto the write frontier and
 // returns the fan-out over their physical pages.
 func (f *FTL) allocPages(rg Region, lpns []int) (job *fanout, needGC bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	job = f.takeFanoutLocked()
+	job = f.takeFanout()
 	for _, lpn := range lpns {
-		ppn, gc := f.allocPageLocked(rg, lpn)
+		ppn, gc := f.allocPage(rg, lpn)
 		job.ppns = append(job.ppns, ppn)
 		needGC = needGC || gc
 	}
@@ -301,9 +291,7 @@ func (f *FTL) allocPages(rg Region, lpns []int) (job *fanout, needGC bool) {
 // mappedPages returns the fan-out over the physical pages of the mapped
 // ones among lpns.
 func (f *FTL) mappedPages(rg Region, lpns []int) *fanout {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	job := f.takeFanoutLocked()
+	job := f.takeFanout()
 	rs := f.regions[rg]
 	for _, lpn := range lpns {
 		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != unmapped {
@@ -316,14 +304,11 @@ func (f *FTL) mappedPages(rg Region, lpns []int) *fanout {
 // Read spends the NAND read time for one logical page. Reading an
 // unmapped page is an error.
 func (f *FTL) Read(r *vclock.Runner, rg Region, lpn int) error {
-	f.mu.Lock()
 	rs := f.regions[rg]
 	if lpn < 0 || lpn >= len(rs.mapping) {
-		f.mu.Unlock()
 		return fmt.Errorf("ftl: read lpn %d out of range for %v region", lpn, rg)
 	}
 	ppn := rs.mapping[lpn]
-	f.mu.Unlock()
 	if ppn == unmapped {
 		return fmt.Errorf("ftl: read of unmapped lpn %d in %v region", lpn, rg)
 	}
@@ -361,14 +346,12 @@ func (f *FTL) WriteManyBackground(r *vclock.Runner, rg Region, lpns []int) error
 
 // Trim invalidates a logical page without touching NAND.
 func (f *FTL) Trim(rg Region, lpn int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	rs := f.regions[rg]
 	if lpn < 0 || lpn >= len(rs.mapping) {
 		return
 	}
 	if ppn := rs.mapping[lpn]; ppn != unmapped {
-		f.invalidateLocked(ppn)
+		f.invalidate(ppn)
 		rs.mapping[lpn] = unmapped
 	}
 }
@@ -376,12 +359,10 @@ func (f *FTL) Trim(rg Region, lpn int) {
 // TrimRegion invalidates every mapped page in a region — the Dev-LSM
 // reset (§V-E step 8) uses this to wipe the KV region in O(mapping).
 func (f *FTL) TrimRegion(rg Region) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	rs := f.regions[rg]
 	for lpn, ppn := range rs.mapping {
 		if ppn != unmapped {
-			f.invalidateLocked(ppn)
+			f.invalidate(ppn)
 			rs.mapping[lpn] = unmapped
 		}
 	}
@@ -425,7 +406,6 @@ type fanout struct {
 	workers []fanoutWorker
 	wg      vclock.WaitGroup
 
-	mu    sync.Mutex
 	first error // first error any worker hit
 }
 
@@ -436,7 +416,7 @@ type fanoutWorker struct {
 	stride int
 }
 
-func (f *FTL) takeFanoutLocked() *fanout {
+func (f *FTL) takeFanout() *fanout {
 	if n := len(f.fanouts); n > 0 {
 		job := f.fanouts[n-1]
 		f.fanouts = f.fanouts[:n-1]
@@ -469,9 +449,7 @@ func (f *FTL) run(r *vclock.Runner, job *fanout, op pageOp) error {
 	}
 	err := job.first
 	job.ppns, job.from, job.workers, job.first = job.ppns[:0], job.from[:0], job.workers[:0], nil
-	f.mu.Lock()
 	f.fanouts = append(f.fanouts, job)
-	f.mu.Unlock()
 	return err
 }
 
@@ -488,39 +466,34 @@ func (job *fanout) note(err error) {
 	if err == nil {
 		return
 	}
-	job.mu.Lock()
 	if job.first == nil {
 		job.first = err
 	}
-	job.mu.Unlock()
 }
 
 // collect runs greedy GC until the free pool recovers. The caller's
 // runner pays the migration time.
 func (f *FTL) collect(r *vclock.Runner) {
 	for {
-		f.mu.Lock()
 		if len(f.free) >= f.cfg.GCFreeBlockHigh {
-			f.mu.Unlock()
 			return
 		}
-		victim := f.pickVictimLocked()
+		victim := f.pickVictim()
 		if victim < 0 {
-			f.mu.Unlock()
 			return // nothing reclaimable
 		}
 		b := &f.blocks[victim]
 		rg := b.owner
 		// Detach each surviving LPN from the victim and remap it to a fresh
-		// frontier page while still holding the lock, so no concurrent
-		// write races the migration.
-		job := f.takeFanoutLocked()
+		// frontier page before the migration parks, so no write that lands
+		// meanwhile races it.
+		job := f.takeFanout()
 		for page, lpn := range b.lpns[:b.nextPage] {
 			if lpn == unmapped {
 				continue
 			}
 			b.lpns[page] = unmapped
-			ppn, _ := f.allocPageLocked(rg, int(lpn))
+			ppn, _ := f.allocPage(rg, int(lpn))
 			job.from = append(job.from, ppnOf(victim, page, f.geo.PagesPerBlock))
 			job.ppns = append(job.ppns, ppn)
 		}
@@ -528,7 +501,6 @@ func (f *FTL) collect(r *vclock.Runner) {
 		f.stats.GCRuns++
 		f.stats.GCPagesMigrated += int64(len(job.ppns))
 		f.stats.BlocksErased++
-		f.mu.Unlock()
 
 		// Spend the media time: read survivors, program them, erase.
 		// Injected faults during GC model firmware-internal retries: the
@@ -537,18 +509,16 @@ func (f *FTL) collect(r *vclock.Runner) {
 		eraseAddr := f.addrOf(ppnOf(victim, 0, f.geo.PagesPerBlock))
 		_ = f.arr.EraseBlock(r, eraseAddr)
 
-		f.mu.Lock()
 		f.blocks[victim].allocated = false
 		f.blocks[victim].owner = 0
 		f.blocks[victim].nextPage = 0
 		f.free = append(f.free, victim)
-		f.mu.Unlock()
 	}
 }
 
-// pickVictimLocked chooses the allocated, full, non-frontier block with
+// pickVictim chooses the allocated, full, non-frontier block with
 // the fewest valid pages (greedy), or -1 if none qualifies.
-func (f *FTL) pickVictimLocked() int {
+func (f *FTL) pickVictim() int {
 	markFrontier := func(mark bool) {
 		for _, rs := range f.regions {
 			for _, bid := range rs.frontier {

@@ -208,7 +208,7 @@ func TestGCPreservesLiveData(t *testing.T) {
 	// room for them — so collecting it takes no free block. Called with
 	// f.mu held.
 	fits := func() (victim, survivors int, ok bool) {
-		victim = f.pickVictimLocked()
+		victim = f.pickVictim()
 		if victim < 0 {
 			return victim, 0, false
 		}
@@ -234,13 +234,11 @@ func TestGCPreservesLiveData(t *testing.T) {
 			if !write(r) {
 				return
 			}
-			f.mu.Lock()
 			near := len(f.free) <= cfg.GCFreeBlockHigh
 			var ok bool
 			if near {
 				victim, survivors, ok = fits()
 			}
-			f.mu.Unlock()
 			if ok {
 				break
 			}
@@ -253,7 +251,6 @@ func TestGCPreservesLiveData(t *testing.T) {
 			t.Errorf("after %d writes: %d GC runs; the fill no longer stops short of GC with every live key written once", n, f.Stats().GCRuns)
 			return
 		}
-		f.mu.Lock()
 		for bid, b := range f.blocks {
 			if b.allocated && b.nextPage == geo.PagesPerBlock && b.validCount == 0 {
 				t.Errorf("block %d holds no live page: GC could skip migration", bid)
@@ -261,7 +258,6 @@ func TestGCPreservesLiveData(t *testing.T) {
 		}
 		// One victim reaches the high watermark.
 		f.cfg.GCFreeBlockHigh = len(f.free) + 1
-		f.mu.Unlock()
 
 		plan := faults.NewPlan(1)
 		start := int64(victim * geo.PagesPerBlock)

@@ -320,7 +320,7 @@ func (p Params) TableVI(w io.Writer) TableVIResult {
 		}
 		res.Detector = time.Since(t0) / n
 
-		meta := core.NewMetadataManager(16)
+		meta := core.NewMetadataManager()
 		keys := make([][]byte, n)
 		for i := range keys {
 			keys[i] = workload.Key(i)

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"kvaccel"
@@ -232,7 +231,7 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 		CPUSeries:  metrics.NewSeries(spec.Name() + ".cpu-pct"),
 	}
 
-	var done atomic.Bool
+	var done bool
 	var cpuSum float64
 	var cpuN int
 
@@ -245,7 +244,7 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 	interval := time.Second / time.Duration(scale)
 	m.Clk.Go("harness.sampler", func(r *vclock.Runner) {
 		var lastStall time.Duration
-		for !done.Load() {
+		for !done {
 			r.Sleep(interval)
 			t := r.Now().Seconds() * float64(scale)
 			res.Rec.Sample(t, interval)
@@ -306,7 +305,7 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 			})
 		}
 		res.Duration = r.Now().Sub(start)
-		done.Store(true)
+		done = true
 		m.close()
 	})
 	m.Clk.Wait()

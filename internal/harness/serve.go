@@ -3,8 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kvaccel"
@@ -86,13 +84,11 @@ func (p ServeParams) RunServe() *ServeResult {
 	cfg := load.Config()
 
 	var (
-		remaining atomic.Int32
-		mu        sync.Mutex
+		remaining = cfg.Clients
 		elapsed   time.Duration
 		checked   int
 		lost      int
 	)
-	remaining.Store(int32(cfg.Clients))
 	// Clients hold here until the preload is on disk; the event keeps
 	// them parked without consuming virtual time.
 	ready := vclock.NewEvent("serve.preload-done")
@@ -111,12 +107,10 @@ func (p ServeParams) RunServe() *ServeResult {
 			start := r.Now()
 			load.Client(r, db.Clock(), srv, c)
 			d := r.Now().Sub(start)
-			mu.Lock()
 			if d > elapsed {
 				elapsed = d
 			}
-			mu.Unlock()
-			if remaining.Add(-1) == 0 {
+			if remaining--; remaining == 0 {
 				// Every reply is in. What was acked must be there.
 				for _, n := range load.Rec.Snapshot().AckedPuts {
 					v, ok, err := db.Get(r, workload.Key(n))

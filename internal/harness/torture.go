@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/core"
@@ -316,8 +315,8 @@ func RunTorture(p TortureParams) TortureReport {
 		}
 		cutStage := stages[rng.Intn(len(stages))]
 		cutNth := int64(1 + rng.Int63n(4))
-		var hookArmed atomic.Bool
-		var hookHits atomic.Int64
+		var hookArmed bool
+		var hookHits int64
 
 		clk.Go("torture.host", func(r *vclock.Runner) {
 			lopt := lsm.DefaultOptions(cpu.NewPool(8, "host"))
@@ -355,19 +354,19 @@ func RunTorture(p TortureParams) TortureReport {
 			if cutPhase && strings.HasPrefix(cutStage, "offload:") {
 				want := strings.TrimPrefix(cutStage, "offload:")
 				lopt.TestHookOffload = func(stage string) {
-					if stage != want || !hookArmed.Load() {
+					if stage != want || !hookArmed {
 						return
 					}
-					if hookHits.Add(1) == cutNth && !dev.Severed() {
+					if hookHits++; hookHits == cutNth && !dev.Severed() {
 						dev.Sever()
 					}
 				}
 			} else if cutPhase && cutStage != "" {
 				lopt.TestHookCommit = func(stage string) {
-					if stage != cutStage || !hookArmed.Load() {
+					if stage != cutStage || !hookArmed {
 						return
 					}
-					if hookHits.Add(1) == cutNth && !dev.Severed() {
+					if hookHits++; hookHits == cutNth && !dev.Severed() {
 						dev.Sever()
 					}
 				}
@@ -434,7 +433,7 @@ func RunTorture(p TortureParams) TortureReport {
 				// virtual instant is seeded relative to workload start.
 				at := r.Now().Add(cutDelay)
 				plan.ArmPowerCut(at)
-				hookArmed.Store(true)
+				hookArmed = true
 				clk.Go("torture.cutter", func(cr *vclock.Runner) {
 					if t, ok := plan.NextPowerCut(); ok {
 						cr.SleepUntil(t)

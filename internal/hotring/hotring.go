@@ -23,10 +23,11 @@ package hotring
 
 import (
 	"bytes"
-	"sync"
 )
 
-// defaultShards spreads lock contention; must be a power of two.
+// defaultShards sets how many rings the cache has: each gets an equal
+// share of the capacity and a hash directory of its own. Must be a power
+// of two.
 const defaultShards = 16
 
 // bucketsPerShard sizes each shard's hash directory; must be a power of
@@ -64,7 +65,6 @@ func (e *entry) fillKV(key, value []byte) {
 }
 
 type shard struct {
-	mu      sync.Mutex
 	gen     uint64 // bumped by every invalidation touching this shard
 	heads   [bucketsPerShard]*entry
 	used    int64
@@ -179,11 +179,9 @@ func (c *Cache) Get(key []byte) (value []byte, hit bool) {
 		return nil, false
 	}
 	s, bucket, tag := c.locate(key)
-	s.mu.Lock()
 	e := s.find(bucket, tag, key)
 	if e == nil {
 		s.misses++
-		s.mu.Unlock()
 		return nil, false
 	}
 	s.hits++
@@ -203,7 +201,6 @@ func (c *Cache) Get(key []byte) (value []byte, hit bool) {
 		e.count = 1
 	}
 	v := e.value()
-	s.mu.Unlock()
 	return v, true
 }
 
@@ -244,10 +241,7 @@ func (c *Cache) BeginRead(key []byte) uint64 {
 		return 0
 	}
 	s, _, _ := c.locate(key)
-	s.mu.Lock()
-	g := s.gen
-	s.mu.Unlock()
-	return g
+	return s.gen
 }
 
 // FillIfUnchanged installs a copy of key→value if the shard generation
@@ -258,8 +252,6 @@ func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 		return nil
 	}
 	s, bucket, tag := c.locate(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.gen != token {
 		s.rejected++
 		return nil
@@ -373,14 +365,12 @@ func (c *Cache) Invalidate(key []byte) {
 		return
 	}
 	s, bucket, tag := c.locate(key)
-	s.mu.Lock()
 	s.gen++
 	s.invalidations++
 	if e := s.find(bucket, tag, key); e != nil {
 		s.remove(bucket, e)
 		s.recycle(e)
 	}
-	s.mu.Unlock()
 }
 
 // remove unlinks e from its bucket's ring.
@@ -410,14 +400,12 @@ func (c *Cache) InvalidateAll() {
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
 		s.gen++
 		s.invalidations++
 		for b := range s.heads {
 			s.heads[b] = nil
 		}
 		s.used, s.entries = 0, 0
-		s.mu.Unlock()
 	}
 }
 
@@ -450,7 +438,6 @@ func (c *Cache) Stats() Stats {
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Fills += s.fills
@@ -460,7 +447,6 @@ func (c *Cache) Stats() Stats {
 		st.HeadMoves += s.headMoves
 		st.Used += s.used
 		st.Entries += s.entries
-		s.mu.Unlock()
 	}
 	return st
 }

@@ -35,25 +35,22 @@ func (db *DB) chargeFlushCPU(r *vclock.Runner, n int) {
 
 // flushWorker drains the immutable-memtable queue.
 func (db *DB) flushWorker(r *vclock.Runner) {
-	db.mu.Lock()
 	for {
 		for !db.closed && len(db.imm) == 0 {
 			db.bgCond.Wait(r)
 		}
 		if db.closed {
-			db.mu.Unlock()
 			return
 		}
 		job := db.imm[0]
-		// Writers insert into their claimed memtable outside db.mu; wait
-		// for in-flight inserts on this table to drain so the SST captures
-		// every record the WAL already holds. Appliers never block on
+		// Writers insert into their claimed memtable after their group's
+		// WAL append; wait for in-flight inserts on this table to drain so
+		// the SST captures every record the WAL already holds. Appliers never block on
 		// anything but the CPU pool, so this always makes progress.
 		for db.applying[job.mt] > 0 {
 			db.bgCond.Wait(r)
 		}
 		db.flushing = true
-		db.mu.Unlock()
 		fsp := db.opt.Trace.Begin(r, trace.PhaseFlush, "flush")
 
 		// The OS would have written these dirty WAL pages back by now;
@@ -79,20 +76,17 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 			// until shutdown instead of retrying a doomed flush.
 			fsp.End(r)
 			db.setBackgroundError(err)
-			db.mu.Lock()
 			db.flushing = false
 			for !db.closed {
 				db.bgCond.Wait(r)
 			}
-			db.mu.Unlock()
 			return
 		}
 
-		db.mu.Lock()
 		if meta != nil {
 			nv := db.vers.clone()
 			nv.addFile(meta)
-			db.installVersionLocked(nv) // a flush retires no file
+			db.installVersion(nv) // a flush retires no file
 			db.stats.Flushes++
 			db.stats.FlushBytes += meta.Size
 		}
@@ -100,7 +94,6 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 		db.flushing = false
 		db.stats.WALBytesWritten += job.log.BytesWritten()
 		db.pending = db.vers.pendingCompactionBytes(&db.opt)
-		db.mu.Unlock()
 
 		perr := db.persistManifest(r)
 		job.log.Close()
@@ -120,14 +113,11 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 			// read-only and park: a later install persisting a newer
 			// manifest would make the stale log replay over newer data.
 			db.setBackgroundError(perr)
-			db.mu.Lock()
 			for !db.closed {
 				db.bgCond.Wait(r)
 			}
-			db.mu.Unlock()
 			return
 		}
-		db.mu.Lock()
 	}
 }
 
@@ -170,10 +160,8 @@ func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (*FileMe
 // the device write under ioPh (flush-io vs compaction-io). A write
 // failure (device full) surfaces as a sticky background error.
 func (db *DB) writeTable(r *vclock.Runner, data []byte, meta sstable.Meta, level int, ioPh trace.Phase) (*FileMeta, error) {
-	db.mu.Lock()
 	num := db.nextFileNum
 	db.nextFileNum++
-	db.mu.Unlock()
 
 	name := SSTName(num)
 	wsp := db.opt.Trace.Begin(r, ioPh, "sst-write")
@@ -289,36 +277,30 @@ func (c *compaction) allFiles() []*FileMeta {
 // id >= compactionThreads idle, which is how SetCompactionThreads scales
 // parallelism up and down at runtime.
 func (db *DB) compactionWorker(r *vclock.Runner, id int) {
-	db.mu.Lock()
 	for {
 		if db.closed {
-			db.mu.Unlock()
 			return
 		}
 		var c *compaction
 		if id < db.compactionThreads {
-			c = db.pickCompactionLocked(false)
+			c = db.pickCompaction(false)
 		}
 		if c == nil {
 			db.bgCond.Wait(r)
 			continue
 		}
 		db.activeCompactions++
-		db.mu.Unlock()
 
 		db.doCompaction(r, c)
 
-		db.mu.Lock()
 		db.activeCompactions--
 		db.pending = db.vers.pendingCompactionBytes(&db.opt)
-		db.mu.Unlock()
 		db.writeCond.Broadcast()
 		db.bgCond.Broadcast()
-		db.mu.Lock()
 	}
 }
 
-// pickCompactionLocked selects the next compaction, or nil. With dryRun
+// pickCompaction selects the next compaction, or nil. With dryRun
 // it only reports whether work exists, without marking files.
 //
 // Level choice follows RocksDB's score model: L0 scores by file count
@@ -326,7 +308,7 @@ func (db *DB) compactionWorker(r *vclock.Runner, id int) {
 // feasible score wins. That ordering is what lets additional compaction
 // threads drain L1→L2 (and deeper) debt in parallel with the serialized
 // L0→L1 compaction instead of starving behind it.
-func (db *DB) pickCompactionLocked(dryRun bool) *compaction {
+func (db *DB) pickCompaction(dryRun bool) *compaction {
 	if db.bgErr != nil {
 		return nil
 	}
@@ -367,19 +349,19 @@ func (db *DB) pickCompactionLocked(dryRun bool) *compaction {
 			}
 			db.compactingL0 = true
 			markCompacting(c.allFiles(), true)
-			c.dropTombstones = db.bottomMostLocked(c.target)
+			c.dropTombstones = db.bottomMost(c.target)
 			return c
 		}
-		if c := db.pickLevelFileLocked(cand.level, dryRun); c != nil {
+		if c := db.pickLevelFile(cand.level, dryRun); c != nil {
 			return c
 		}
 	}
 	return nil
 }
 
-// pickLevelFileLocked picks one file at level l (round-robin cursor) plus
+// pickLevelFile picks one file at level l (round-robin cursor) plus
 // its next-level overlap.
-func (db *DB) pickLevelFileLocked(l int, dryRun bool) *compaction {
+func (db *DB) pickLevelFile(l int, dryRun bool) *compaction {
 	files := db.vers.levels[l]
 	start := 0
 	if cur := db.cursor[l]; cur != nil {
@@ -405,14 +387,14 @@ func (db *DB) pickLevelFileLocked(l int, dryRun bool) *compaction {
 		}
 		db.cursor[l] = append([]byte(nil), f.Largest...)
 		markCompacting(c.allFiles(), true)
-		c.dropTombstones = db.bottomMostLocked(c.target)
+		c.dropTombstones = db.bottomMost(c.target)
 		return c
 	}
 	return nil
 }
 
-// bottomMostLocked reports whether no level deeper than l holds data.
-func (db *DB) bottomMostLocked(l int) bool {
+// bottomMost reports whether no level deeper than l holds data.
+func (db *DB) bottomMost(l int) bool {
 	for i := l + 1; i < db.opt.MaxLevels; i++ {
 		if len(db.vers.levels[i]) > 0 {
 			return false
@@ -470,9 +452,7 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 		}
 		// Device fault, abort, or validation miss: the host merge below
 		// redoes the work from the durable inputs.
-		db.mu.Lock()
 		db.stats.OffloadFallbacks++
-		db.mu.Unlock()
 	}
 
 	iters := make([]iterkit.Iterator, 0, len(c.inputs)+len(c.overlap))
@@ -538,12 +518,10 @@ func (db *DB) abortCompaction(r *vclock.Runner, c *compaction, outputs []*FileMe
 	for _, f := range outputs {
 		db.deleteFile(r, f)
 	}
-	db.mu.Lock()
 	markCompacting(c.allFiles(), false)
 	if c.level == 0 {
 		db.compactingL0 = false
 	}
-	db.mu.Unlock()
 	db.setBackgroundError(err)
 }
 
@@ -554,7 +532,6 @@ func (db *DB) abortCompaction(r *vclock.Runner, c *compaction, outputs []*FileMe
 // dead-byte report.
 func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*FileMeta,
 	readBytes, writeBytes int64, discards map[uint32]int64, res *offload.MergeResult) {
-	db.mu.Lock()
 	nv := db.vers.clone()
 	for _, f := range c.allFiles() {
 		nv.removeFile(f)
@@ -567,7 +544,7 @@ func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*File
 	// The inputs no reader's version still lists are dead now; the rest
 	// go when the last Get or iterator that started before this install
 	// lets go of its version.
-	dead := db.installVersionLocked(nv)
+	dead := db.installVersion(nv)
 	if c.level == 0 {
 		db.compactingL0 = false
 	}
@@ -579,7 +556,6 @@ func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*File
 		db.stats.OffloadedBytes += writeBytes
 		db.stats.DeviceMergeCPUMicros += res.DeviceCPU.Microseconds()
 	}
-	db.mu.Unlock()
 
 	if perr := db.persistManifest(r); perr != nil {
 		// The durable manifest still references the compaction inputs:

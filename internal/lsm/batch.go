@@ -131,7 +131,7 @@ func (db *DB) WriteWith(r *vclock.Runner, wo WriteOptions, b *Batch) error {
 	if b.Len() == 0 {
 		return nil
 	}
-	w := newWriter()
+	w := db.newWriter()
 	w.ops, w.noStall, w.userBytes = b.ops, wo.NoStallWait, int64(b.bytes-16*len(b.ops))
 	return db.commit(r, w)
 }

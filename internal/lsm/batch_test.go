@@ -83,9 +83,7 @@ func TestBatchSurvivesRestartViaWAL(t *testing.T) {
 		if err := db.Write(r, &b); err != nil {
 			t.Error(err)
 		}
-		db.mu.Lock()
 		lg := db.log
-		db.mu.Unlock()
 		lg.Sync(r)
 		db.Close()
 	})

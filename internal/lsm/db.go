@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"kvaccel/internal/fs"
@@ -32,7 +31,6 @@ type DB struct {
 	opt   Options
 	cache *sstable.BlockCache
 
-	mu        sync.Mutex
 	writeCond *vclock.Cond // stalled writers wait here
 	bgCond    *vclock.Cond // background workers and WaitIdle wait here
 	groupCond *vclock.Cond // group-commit members wait for their leader here
@@ -43,12 +41,14 @@ type DB struct {
 	groupQueue writerRing
 	groupBytes int64
 	committing bool
+	// freeWriters recycles groupWriters (newWriter, releaseWriter).
+	freeWriters []*groupWriter
 	// failNextAppend, when set, makes the next group's WAL append fail
 	// with this error without touching the log — the deterministic
 	// injection hook for the seq-release regression test.
 	failNextAppend error
-	// applying counts in-flight memtable inserts per table: writers
-	// insert outside db.mu (parallel memtable writes), so a flush of a
+	// applying counts in-flight memtable inserts per table: each writer
+	// inserts its own records after its group's append, so a flush of a
 	// rotated memtable must wait until its count drains or it would
 	// capture the table without records already committed to the WAL.
 	// applyTotal is the sum of applying's counts — the cheap "any apply
@@ -151,10 +151,10 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		cursor:            make([][]byte, opt.MaxLevels),
 		applying:          make(map[*memtable.Table]int),
 	}
-	db.writeCond = vclock.NewCond(&db.mu, "lsm.writeStall")
-	db.bgCond = vclock.NewCond(&db.mu, "lsm.background")
-	db.groupCond = vclock.NewCond(&db.mu, "lsm.writeGroup")
-	db.walCond = vclock.NewCond(&db.mu, "lsm.walTicket")
+	db.writeCond = vclock.NewCond("lsm.writeStall")
+	db.bgCond = vclock.NewCond("lsm.background")
+	db.groupCond = vclock.NewCond("lsm.writeGroup")
+	db.walCond = vclock.NewCond("lsm.walTicket")
 	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
 	db.log = db.newWAL()
 	if opt.ValueThreshold > 0 {
@@ -186,9 +186,7 @@ func (db *DB) newWAL() *wal.Log {
 // Close stops background work. Unflushed memtables are discarded (call
 // Flush first for durability); in-flight compactions finish.
 func (db *DB) Close() {
-	db.mu.Lock()
 	if db.closed {
-		db.mu.Unlock()
 		return
 	}
 	db.closed = true
@@ -200,7 +198,6 @@ func (db *DB) Close() {
 	for _, j := range db.imm {
 		logs = append(logs, j.log)
 	}
-	db.mu.Unlock()
 	for _, l := range logs {
 		l.Close()
 	}
@@ -234,15 +231,15 @@ func (db *DB) DeleteWith(r *vclock.Runner, wo WriteOptions, key []byte) error {
 }
 
 func (db *DB) write(r *vclock.Runner, wo WriteOptions, kind memtable.Kind, key, value []byte) error {
-	return db.commit(r, newPointWriter(wo, kind, key, value))
+	return db.commit(r, db.newPointWriter(wo, kind, key, value))
 }
 
 // newPointWriter stages one record in the writer's own single-op backing
 // store, so a point write on a recycled writer allocates nothing. key and
 // value stay the caller's: the commit copies them into the log buffer and
 // the memtable, and the writer forgets them when commit releases it.
-func newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *groupWriter {
-	w := newWriter()
+func (db *DB) newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *groupWriter {
+	w := db.newWriter()
 	w.noStall, w.userBytes = wo.NoStallWait, int64(len(key)+len(value))
 	w.single[0] = batchOp{kind: kind, key: key, value: value}
 	w.ops = w.single[:1]
@@ -255,10 +252,10 @@ func newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *gro
 // log, holds one unit of the GC gate across the group commit (a GC
 // rewrite already holds every unit), and on failure hands the values it
 // appended back to the value log as garbage for GC to reclaim. The writer
-// is spent when commit returns: it goes back to the pool here, so callers
-// must not touch w afterwards.
+// is spent when commit returns: it goes back on the free list here, so
+// callers must not touch w afterwards.
 func (db *DB) commit(r *vclock.Runner, w *groupWriter) error {
-	defer w.release()
+	defer db.releaseWriter(w)
 	if err := db.separateOps(r, w); err != nil {
 		return err
 	}
@@ -276,27 +273,19 @@ func (db *DB) commit(r *vclock.Runner, w *groupWriter) error {
 	return err
 }
 
-// beginApplyLocked registers in-flight memtable inserts on mt; the flush
-// worker will not capture mt until they drain. Called with db.mu held,
-// before the writer leaves the lock to insert.
-func (db *DB) beginApplyLocked(mt *memtable.Table, n int) {
+// beginApply registers in-flight memtable inserts on mt; the flush
+// worker will not capture mt until they drain. The leader calls it at
+// claim time, before any member inserts.
+func (db *DB) beginApply(mt *memtable.Table, n int) {
 	db.applying[mt] += n
 	db.applyTotal += n
 }
 
-// endApply retires one in-flight insert on mt, waking the flush worker
-// when the table's count drains.
-func (db *DB) endApply(mt *memtable.Table) {
-	db.mu.Lock()
-	db.releaseApplyLocked(mt, 1)
-	db.mu.Unlock()
-}
-
-// releaseApplyLocked retires n in-flight-insert registrations on mt,
-// waking the flush worker when the table's count drains. Besides
-// endApply, the group leader calls it directly when an append failure
-// means the group will never apply. Called with db.mu held.
-func (db *DB) releaseApplyLocked(mt *memtable.Table, n int) {
+// releaseApply retires n in-flight-insert registrations on mt,
+// waking the flush worker when the table's count drains. Each applier
+// releases its own insert; the group leader releases them all when an
+// append failure means the group will never apply.
+func (db *DB) releaseApply(mt *memtable.Table, n int) {
 	db.applying[mt] -= n
 	db.applyTotal -= n
 	if db.applying[mt] <= 0 {
@@ -305,15 +294,9 @@ func (db *DB) releaseApplyLocked(mt *memtable.Table, n int) {
 	}
 }
 
-func (db *DB) isClosed() bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.closed
-}
-
 // makeRoomForWrite implements RocksDB's write controller: slowdown first
 // (if enabled), then hard stops for the three stall classes, rotating the
-// memtable when it fills. Called and returns with db.mu held.
+// memtable when it fills.
 //
 // The caller is a group-commit leader admitting its whole queue (itself
 // at the head): the slowdown rate delay covers every queued byte, and a
@@ -333,7 +316,7 @@ func (db *DB) makeRoomForWrite(r *vclock.Runner, noStall bool) error {
 		}
 		l0 := len(db.vers.levels[0])
 		stall := func(reason StallReason) error {
-			db.ejectNoStallLocked()
+			db.ejectNoStall()
 			if noStall {
 				db.stats.WouldStalls++
 				return ErrWouldStall
@@ -342,7 +325,7 @@ func (db *DB) makeRoomForWrite(r *vclock.Runner, noStall bool) error {
 			return nil
 		}
 		switch {
-		case allowDelay && db.slowdownConditionLocked():
+		case allowDelay && db.slowdownCondition():
 			allowDelay = false
 			db.stats.Slowdowns++
 			delay := db.opt.SlowdownSleep
@@ -352,11 +335,9 @@ func (db *DB) makeRoomForWrite(r *vclock.Runner, noStall bool) error {
 					delay = d
 				}
 			}
-			db.mu.Unlock()
 			ssp := db.opt.Trace.Begin(r, trace.PhaseSlowdown, "slowdown")
 			r.Sleep(delay)
 			ssp.End(r)
-			db.mu.Lock()
 
 		case db.mem.ApproximateSize() <= db.memSize:
 			return nil
@@ -377,12 +358,12 @@ func (db *DB) makeRoomForWrite(r *vclock.Runner, noStall bool) error {
 			}
 
 		default:
-			db.rotateMemtableLocked()
+			db.rotateMemtable()
 		}
 	}
 }
 
-func (db *DB) slowdownConditionLocked() bool {
+func (db *DB) slowdownCondition() bool {
 	if len(db.vers.levels[0]) >= db.opt.L0SlowdownTrigger {
 		return true
 	}
@@ -413,8 +394,8 @@ func (db *DB) stallWait(r *vclock.Runner, reason StallReason, counted *[numStall
 	db.stalledWriters--
 }
 
-// rotateMemtableLocked moves the full active memtable to the flush queue.
-func (db *DB) rotateMemtableLocked() {
+// rotateMemtable moves the full active memtable to the flush queue.
+func (db *DB) rotateMemtable() {
 	db.imm = append(db.imm, flushJob{mt: db.mem, log: db.log})
 	db.mem = memtable.New(db.memSize)
 	db.log = db.newWAL()
@@ -432,13 +413,10 @@ func (db *DB) rotateMemtableLocked() {
 // fresh pointer.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
 	db.opt.CPU.Run(r, db.opt.Cost.ReadCPU)
-	db.mu.Lock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil, false, ErrClosed
 	}
 	db.stats.Gets++
-	db.mu.Unlock()
 
 	for attempt := 0; ; attempt++ {
 		v, kind, found, attr, err := db.lookup(r, key)
@@ -466,10 +444,9 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 	}
 }
 
-// pinVersionLocked pins the current version for a read: its files stay
+// pinVersion pins the current version for a read: its files stay
 // on disk, with their readers open, until the matching unpinVersion.
-// Called with db.mu held.
-func (db *DB) pinVersionLocked() *version {
+func (db *DB) pinVersion() *version {
 	db.vers.pins++
 	return db.vers
 }
@@ -477,19 +454,17 @@ func (db *DB) pinVersionLocked() *version {
 // unpinVersion drops a read's pin, deleting the files that only v still
 // held; r pays the TRIM command cost of any deletions.
 func (db *DB) unpinVersion(r *vclock.Runner, v *version) {
-	db.mu.Lock()
-	dead := db.unpinVersionLocked(v)
-	db.mu.Unlock()
+	dead := db.releaseVersion(v)
 	for _, f := range dead {
 		db.deleteFile(r, f)
 	}
 }
 
-// unpinVersionLocked drops one pin on v. With the last one v lets go of
+// releaseVersion drops one pin on v. With the last one v lets go of
 // its files, and those no version references any more and the current one
-// no longer lists are returned for the caller to delete outside the
-// lock. Called with db.mu held.
-func (db *DB) unpinVersionLocked(v *version) (dead []*FileMeta) {
+// no longer lists are returned for the caller to delete, which costs it
+// device time.
+func (db *DB) releaseVersion(v *version) (dead []*FileMeta) {
 	if v.pins--; v.pins > 0 {
 		return nil
 	}
@@ -503,14 +478,13 @@ func (db *DB) unpinVersionLocked(v *version) (dead []*FileMeta) {
 	return dead
 }
 
-// installVersionLocked makes nv — a clone of the current version, edited
+// installVersion makes nv — a clone of the current version, edited
 // — the current one. nv takes a reference on each of its files and the
 // DB's pin; the version it replaces loses that pin, and with no reader on
 // it goes away at once. The files this leaves unreferenced (the caller
 // has marked the ones it removed obsolete) are returned: the caller
 // deletes them once the manifest that no longer names them is durable.
-// Called with db.mu held.
-func (db *DB) installVersionLocked(nv *version) (dead []*FileMeta) {
+func (db *DB) installVersion(nv *version) (dead []*FileMeta) {
 	for _, files := range nv.levels {
 		for _, f := range files {
 			f.refs++
@@ -519,7 +493,7 @@ func (db *DB) installVersionLocked(nv *version) (dead []*FileMeta) {
 	nv.pins = 1
 	old := db.vers
 	db.vers = nv
-	return db.unpinVersionLocked(old)
+	return db.releaseVersion(old)
 }
 
 // deleteFile removes an obsolete file's bytes and cached blocks. Every SST
@@ -537,33 +511,27 @@ func (db *DB) deleteFile(r *vclock.Runner, f *FileMeta) {
 // on a background error (the flush worker parks after one, so the
 // queue would otherwise never drain).
 func (db *DB) Flush(r *vclock.Runner) error {
-	db.mu.Lock()
 	if db.mem.Count() > 0 {
-		db.rotateMemtableLocked()
+		db.rotateMemtable()
 	}
 	for !db.closed && db.bgErr == nil && len(db.imm) > 0 {
 		db.bgCond.Wait(r)
 	}
-	err := db.bgErr
-	db.mu.Unlock()
-	return err
+	return db.bgErr
 }
 
 // WaitIdle parks r until no flush or compaction work remains, or until
 // a background error makes further progress impossible.
 func (db *DB) WaitIdle(r *vclock.Runner) {
-	db.mu.Lock()
 	for !db.closed && db.bgErr == nil &&
-		(len(db.imm) > 0 || db.activeCompactions > 0 || db.flushing || db.pickCompactionLocked(true) != nil) {
+		(len(db.imm) > 0 || db.activeCompactions > 0 || db.flushing || db.pickCompaction(true) != nil) {
 		db.bgCond.Wait(r)
 	}
-	db.mu.Unlock()
 }
 
 // SetCompactionThreads adjusts the number of active compaction workers at
 // runtime (ADOC's main knob). n is clamped to [1, MaxCompactionThreads].
 func (db *DB) SetCompactionThreads(n int) {
-	db.mu.Lock()
 	if n < 1 {
 		n = 1
 	}
@@ -571,31 +539,24 @@ func (db *DB) SetCompactionThreads(n int) {
 		n = db.opt.MaxCompactionThreads
 	}
 	db.compactionThreads = n
-	db.mu.Unlock()
 	db.bgCond.Broadcast()
 }
 
 // CompactionThreads returns the current worker allowance.
 func (db *DB) CompactionThreads() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return db.compactionThreads
 }
 
 // SetMemtableSize adjusts the rotation threshold at runtime (ADOC's
 // batch-size knob).
 func (db *DB) SetMemtableSize(bytes int64) {
-	db.mu.Lock()
 	if bytes > 0 {
 		db.memSize = bytes
 	}
-	db.mu.Unlock()
 }
 
 // MemtableSize returns the current rotation threshold.
 func (db *DB) MemtableSize() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return db.memSize
 }
 
@@ -605,15 +566,13 @@ func (db *DB) Options() Options { return db.opt }
 
 // Stats returns a snapshot of cumulative counters, folding in the value
 // log's live gauges when value separation is enabled and the live logs'
-// write-back (a flush retires a log's bytes under the same lock).
+// write-back.
 func (db *DB) Stats() Stats {
-	db.mu.Lock()
 	s := db.stats
 	s.WALBytesWritten += db.log.BytesWritten()
 	for _, job := range db.imm {
 		s.WALBytesWritten += job.log.BytesWritten()
 	}
-	db.mu.Unlock()
 	cs := db.cache.Stats()
 	s.BlockCacheHits = cs.Hits
 	s.BlockCacheMisses = cs.Misses
@@ -633,17 +592,13 @@ func (db *DB) Stats() Stats {
 // set (e.g. the device filled during a flush) the DB rejects writes but
 // keeps serving reads, as RocksDB does.
 func (db *DB) BackgroundError() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return db.bgErr
 }
 
 func (db *DB) setBackgroundError(err error) {
-	db.mu.Lock()
 	if db.bgErr == nil {
 		db.bgErr = err
 	}
-	db.mu.Unlock()
 	db.writeCond.Broadcast()
 	db.bgCond.Broadcast()
 }
@@ -651,8 +606,6 @@ func (db *DB) setBackgroundError(err error) {
 // Health returns the instantaneous stall signals the KVACCEL Detector
 // polls.
 func (db *DB) Health() Health {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return Health{
 		L0Files:                len(db.vers.levels[0]),
 		ImmutableMemtables:     len(db.imm),
@@ -660,7 +613,7 @@ func (db *DB) Health() Health {
 		MemtableCapacity:       db.memSize,
 		PendingCompactionBytes: db.pending,
 		Stalled:                db.stalledWriters > 0,
-		SlowdownLikely:         db.slowdownConditionLocked() || db.stalledWriters > 0,
+		SlowdownLikely:         db.slowdownCondition() || db.stalledWriters > 0,
 		ActiveCompactions:      db.activeCompactions,
 		QueuedFlushes:          len(db.imm),
 	}
@@ -669,8 +622,6 @@ func (db *DB) Health() Health {
 // LevelsString renders the tree shape ("L0:3(38MB) L1:4(25MB) ...") for
 // diagnostics and kvbench output.
 func (db *DB) LevelsString() string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	var b strings.Builder
 	for l, files := range db.vers.levels {
 		if len(files) == 0 {
@@ -690,8 +641,6 @@ func (db *DB) LevelsString() string {
 // LevelFileCounts returns the number of files at each level (diagnostics
 // and tests).
 func (db *DB) LevelFileCounts() []int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	out := make([]int, len(db.vers.levels))
 	for l, files := range db.vers.levels {
 		out[l] = len(files)

@@ -13,14 +13,12 @@ import (
 // violation of the sorted/disjoint invariant on levels >= 1.
 // Diagnostics only.
 func (db *DB) DebugDumpKey(logf func(string, ...interface{}), r *vclock.Runner, key []byte, tag int) {
-	db.mu.Lock()
 	mem := db.mem
 	imms := make([]*memtable.Table, len(db.imm))
 	for i, j := range db.imm {
 		imms[i] = j.mt
 	}
-	vers := db.pinVersionLocked()
-	db.mu.Unlock()
+	vers := db.pinVersion()
 	defer db.unpinVersion(r, vers)
 
 	first := func(v []byte) byte {
@@ -60,8 +58,6 @@ func (db *DB) DebugDumpKey(logf func(string, ...interface{}), r *vclock.Runner, 
 // range non-inverted, and no file marked compacted but absent. It exists
 // for tests and fuzzing; a healthy engine always passes.
 func (db *DB) CheckInvariants() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	for l, files := range db.vers.levels {
 		for i, f := range files {
 			if bytes.Compare(f.Smallest, f.Largest) > 0 {

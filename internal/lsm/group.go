@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"kvaccel/internal/encoding"
@@ -40,7 +39,7 @@ type groupWriter struct {
 	userBytes int64
 	internal  bool
 
-	// Leader-assigned outcome, valid once done is true (all under db.mu).
+	// Leader-assigned outcome, valid once done is true.
 	seq  uint64          // first sequence number of this writer's records
 	mt   *memtable.Table // memtable generation the group committed into
 	err  error
@@ -52,22 +51,28 @@ type groupWriter struct {
 	group []*groupWriter
 }
 
-// writerPool recycles groupWriters. A writer is taken by whoever stages
-// a commit (newWriter) and handed back by commit itself on the same
-// goroutine, after the group protocol is done with it: by then its leader
-// has filled in the outcome and holds no reference it will follow again.
-var writerPool = sync.Pool{New: func() any { return new(groupWriter) }}
+// newWriter returns a writer from db's free list, or a new one, with
+// every field zero but the reusable group slice. A writer is taken by
+// whoever stages a commit and handed back by commit itself, after the
+// group protocol is done with it: by then its leader has filled in the
+// outcome and holds no reference it will follow again.
+func (db *DB) newWriter() *groupWriter {
+	n := len(db.freeWriters)
+	if n == 0 {
+		return new(groupWriter)
+	}
+	w := db.freeWriters[n-1]
+	db.freeWriters = db.freeWriters[:n-1]
+	return w
+}
 
-// newWriter returns a writer with every field zero but the reusable
-// group slice.
-func newWriter() *groupWriter { return writerPool.Get().(*groupWriter) }
-
-// release hands w back for reuse. It forgets the caller's key and value
-// memory and the members it led: a pooled writer pins nothing.
-func (w *groupWriter) release() {
+// releaseWriter puts w back on db's free list. It forgets the caller's
+// key and value memory and the members it led: a free writer pins
+// nothing.
+func (db *DB) releaseWriter(w *groupWriter) {
 	clear(w.group)
 	*w = groupWriter{group: w.group[:0]}
-	writerPool.Put(w)
+	db.freeWriters = append(db.freeWriters, w)
 }
 
 // writerRing is the group queue: a FIFO of writers over a ring buffer
@@ -128,9 +133,7 @@ func (q *writerRing) removeAt(i int) {
 // its own records to the memtable concurrently and returns only after
 // they are visible (read-your-writes).
 func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
-	db.mu.Lock()
 	if db.closed {
-		db.mu.Unlock()
 		return ErrClosed
 	}
 	if w.noStall && db.stalledWriters > 0 {
@@ -138,7 +141,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		// would strand this non-blocking write behind them until the next
 		// flush completes. Fail over immediately.
 		db.stats.WouldStalls++
-		db.mu.Unlock()
 		return ErrWouldStall
 	}
 	db.groupQueue.push(w)
@@ -153,7 +155,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	for {
 		if w.done {
 			// A leader committed (or failed) this writer's records.
-			db.mu.Unlock()
 			if w.err != nil {
 				return w.err
 			}
@@ -164,8 +165,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		// not yet marked done) must keep waiting for its outcome — even
 		// through Close — so the two checks below apply only while w is
 		// still queued.
-		if db.closed && db.removeFromGroupQueueLocked(w) {
-			db.mu.Unlock()
+		if db.closed && db.removeFromGroupQueue(w) {
 			return ErrClosed
 		}
 		if db.groupQueue.len() > 0 && db.groupQueue.at(0) == w && !db.committing {
@@ -179,18 +179,17 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	// joined — the gathered group pays a single admission check.
 	db.committing = true
 	lingered := false
-	if d := db.lingerDurationLocked(); d > 0 {
+	if d := db.lingerDuration(); d > 0 {
 		lingered = true
 		db.linger(r, d)
 	}
 	if err := db.makeRoomForWrite(r, w.noStall); err != nil {
 		// The queue behind us fails the same way on its own (each member
 		// re-elects and re-checks), except ErrWouldStall, where blocking
-		// members must proceed: ejectNoStallLocked already failed the
+		// members must proceed: ejectNoStall already failed the
 		// non-blocking ones.
-		db.removeFromGroupQueueLocked(w)
+		db.removeFromGroupQueue(w)
 		db.committing = false
-		db.mu.Unlock()
 		db.groupCond.Broadcast()
 		return err
 	}
@@ -207,8 +206,8 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		}
 	}
 
-	group, totalRecs, totalBytes := db.claimGroupLocked(w)
-	db.noteGroupLocked(len(group), lingered)
+	group, totalRecs, totalBytes := db.claimGroup(w)
+	db.noteGroup(len(group), lingered)
 	firstSeq := db.seq + 1
 	seq := firstSeq
 	for _, m := range group {
@@ -226,7 +225,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	// memtable while our append is still in flight, and the refcount is
 	// what keeps the flush worker from capturing the table before the
 	// group's records — by then durable in the WAL — have landed in it.
-	db.beginApplyLocked(group[0].mt, len(group))
+	db.beginApply(group[0].mt, len(group))
 	ticket := db.walTail
 	db.walTail++
 	pipelined := !db.opt.DisablePipelinedWAL
@@ -240,7 +239,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		// and encodes behind our WAL ticket instead of behind our I/O.
 		db.committing = false
 	}
-	db.mu.Unlock()
 	if pipelined {
 		db.groupCond.Broadcast()
 	}
@@ -251,11 +249,9 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 	// The WAL lane: appends must hit the log in ticket (= sequence)
 	// order, or replay would reorder groups across a crash.
-	db.mu.Lock()
 	for db.walHead != ticket {
 		db.walCond.Wait(r)
 	}
-	db.mu.Unlock()
 	wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
 	// The payload is encoded where it will lie, in the log buffer, in
 	// this group's turn on the lane.
@@ -268,7 +264,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 	wsp.EndArg(r, int64(payloadLen))
 
-	db.mu.Lock()
 	// Advance the lane whether the append succeeded or not: the next
 	// ticket holder orders behind the attempt, not the outcome.
 	db.walHead++
@@ -287,11 +282,10 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		}
 		// The group will never apply; hand its insert registrations back
 		// so a pending flush of this memtable can proceed.
-		db.releaseApplyLocked(group[0].mt, len(group))
+		db.releaseApply(group[0].mt, len(group))
 		if !pipelined {
 			db.committing = false
 		}
-		db.mu.Unlock()
 		db.groupCond.Broadcast()
 		gsp.EndArg(r, 0)
 		return werr
@@ -318,7 +312,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	if !pipelined {
 		db.committing = false
 	}
-	db.mu.Unlock()
 	db.groupCond.Broadcast()
 	gsp.EndArg(r, int64(totalRecs))
 
@@ -333,7 +326,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 // leapfrog each other instead of merging.
 const walPipelineDepth = 2
 
-// Tunables of the adaptive linger policy (lingerDurationLocked).
+// Tunables of the adaptive linger policy (lingerDuration).
 const (
 	// lingerGroupTarget: once the recent-group EWMA reaches this many
 	// members per commit, arrivals alone sustain grouping and a fresh
@@ -349,10 +342,10 @@ const (
 	lingerFutileLimit = 3
 )
 
-// lingerDurationLocked decides whether a fresh leader should hold the
-// commit open so followers can join, and for how long. Called with db.mu
-// held, after the leader set committing.
-func (db *DB) lingerDurationLocked() time.Duration {
+// lingerDuration decides whether a fresh leader should hold the
+// commit open so followers can join, and for how long. Called after the
+// leader set committing.
+func (db *DB) lingerDuration() time.Duration {
 	us := db.opt.GroupLingerMicros
 	if us <= 0 || db.lingerFutile >= lingerFutileLimit {
 		return 0
@@ -363,7 +356,7 @@ func (db *DB) lingerDurationLocked() time.Duration {
 	if db.recentGroup >= lingerGroupTarget {
 		return 0 // the arrival rate sustains grouping without the wait
 	}
-	if db.stalledWriters > 0 || db.slowdownConditionLocked() {
+	if db.stalledWriters > 0 || db.slowdownCondition() {
 		return 0 // never delay the admission pass when a stall is brewing
 	}
 	return time.Duration(us) * time.Microsecond
@@ -371,8 +364,7 @@ func (db *DB) lingerDurationLocked() time.Duration {
 
 // linger parks the leader for up to d on the virtual clock so followers
 // can join its group; joiners cut the window short once the queue holds
-// a full group, and Close wakes it immediately. Called with db.mu held;
-// returns with it held.
+// a full group, and Close wakes it immediately.
 func (db *DB) linger(r *vclock.Runner, d time.Duration) {
 	// An event cannot be lowered again, so a window that was cut short
 	// used its event up; one that ran to its timeout leaves the event
@@ -384,7 +376,6 @@ func (db *DB) linger(r *vclock.Runner, d time.Duration) {
 	db.lingerSpare = nil
 	db.lingerEv = ev
 	db.stats.GroupLingerWaits++
-	db.mu.Unlock()
 	if hook := db.opt.TestHookCommit; hook != nil {
 		hook("in-linger") // inside an open window, before the timed wait
 	}
@@ -393,20 +384,19 @@ func (db *DB) linger(r *vclock.Runner, d time.Duration) {
 	ev.WaitFor(r, d)
 	lsp.End(r)
 	waited := r.Now().Sub(start)
-	db.mu.Lock()
 	db.lingerEv = nil
-	// Only holders of db.mu that find lingerEv set raise it: from here on
-	// nobody can.
+	// Only a runner that finds lingerEv set raises it: from here on nobody
+	// can.
 	if !ev.IsSet() {
 		db.lingerSpare = ev
 	}
 	db.stats.GroupLingerMicros += int64(waited / time.Microsecond)
 }
 
-// noteGroupLocked feeds the adaptive linger policy after a claim: an
+// noteGroup feeds the adaptive linger policy after a claim: an
 // EWMA of member counts, and a futility counter that backs the window
 // off when lingering keeps producing singleton groups.
-func (db *DB) noteGroupLocked(members int, lingered bool) {
+func (db *DB) noteGroup(members int, lingered bool) {
 	db.recentGroup = 0.75*db.recentGroup + 0.25*float64(members)
 	if members >= 2 {
 		db.lingerFutile = 0
@@ -428,14 +418,13 @@ func (db *DB) applyOps(r *vclock.Runner, w *groupWriter) {
 		seq++
 	}
 	msp.EndArg(r, int64(len(w.ops)))
-	db.endApply(w.mt)
+	db.releaseApply(w.mt, 1)
 }
 
-// claimGroupLocked pops the leader's group off the queue head into the
+// claimGroup pops the leader's group off the queue head into the
 // leader's own group slice: as many waiting writers as fit under
-// MaxWriteGroupBytes (always at least the leader itself). Called with
-// db.mu held.
-func (db *DB) claimGroupLocked(leader *groupWriter) (group []*groupWriter, totalRecs int, totalBytes int) {
+// MaxWriteGroupBytes (always at least the leader itself).
+func (db *DB) claimGroup(leader *groupWriter) (group []*groupWriter, totalRecs int, totalBytes int) {
 	limit := db.opt.MaxWriteGroupBytes
 	group = leader.group[:0]
 	for db.groupQueue.len() > 0 {
@@ -452,12 +441,12 @@ func (db *DB) claimGroupLocked(leader *groupWriter) (group []*groupWriter, total
 	return group, totalRecs, totalBytes
 }
 
-// ejectNoStallLocked fails every queued non-blocking writer behind the
+// ejectNoStall fails every queued non-blocking writer behind the
 // leader with ErrWouldStall. The leader calls it from the write
 // controller's stall branches before parking (or failing itself): a
 // NoStallWait member must never sit out a flush-length stall behind a
 // blocking leader. Called with db.mu held.
-func (db *DB) ejectNoStallLocked() {
+func (db *DB) ejectNoStall() {
 	q := &db.groupQueue
 	ejected := false
 	for i := q.len() - 1; i >= 1; i-- {
@@ -474,10 +463,10 @@ func (db *DB) ejectNoStallLocked() {
 	}
 }
 
-// removeFromGroupQueueLocked drops a still-unclaimed writer from the
+// removeFromGroupQueue drops a still-unclaimed writer from the
 // queue, reporting whether it was found (false means a leader already
-// claimed it). Called with db.mu held.
-func (db *DB) removeFromGroupQueueLocked(w *groupWriter) bool {
+// claimed it).
+func (db *DB) removeFromGroupQueue(w *groupWriter) bool {
 	for i := 0; i < db.groupQueue.len(); i++ {
 		if db.groupQueue.at(i) == w {
 			db.groupQueue.removeAt(i)

@@ -45,10 +45,8 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 				r.Sleep(10 * time.Millisecond)
 			}
 		}
-		db.mu.Lock()
 		seq := db.seq
 		queued := db.groupQueue.len()
-		db.mu.Unlock()
 		if want := uint64(writers * perWriter); seq != want {
 			t.Errorf("sequence not gap-free: seq=%d want %d", seq, want)
 		}
@@ -113,17 +111,13 @@ func TestGroupWALErrorReleasesSeq(t *testing.T) {
 		// the writes after this barrier live only in the WAL.
 		db.Flush(r)
 		db.WaitIdle(r)
-		db.mu.Lock()
 		seqBefore := db.seq
 		db.failNextAppend = boom
-		db.mu.Unlock()
 
 		if err := db.Put(r, key(5000), value(0)); !errors.Is(err, boom) {
 			t.Errorf("failed append returned %v, want %v", err, boom)
 		}
-		db.mu.Lock()
 		seqAfter := db.seq
-		db.mu.Unlock()
 		if seqAfter != seqBefore {
 			t.Errorf("seq leaked across failed append: %d -> %d", seqBefore, seqAfter)
 		}
@@ -140,9 +134,7 @@ func TestGroupWALErrorReleasesSeq(t *testing.T) {
 				t.Errorf("put %d after failed append: %v", i, err)
 			}
 		}
-		db.mu.Lock()
 		lg := db.log
-		db.mu.Unlock()
 		lg.Sync(r)
 		db.Close()
 	})
@@ -244,9 +236,7 @@ func TestPointWriteIsOneOpBatch(t *testing.T) {
 					}
 				}
 			}
-			db.mu.Lock()
 			lg := db.log
-			db.mu.Unlock()
 			lg.Sync(r)
 		})
 		clk.Wait()

@@ -97,7 +97,6 @@ type Iterator struct {
 
 // NewIterator returns a range-scan cursor bound to runner r.
 func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
-	db.mu.Lock()
 	// Pin value-log segments: GC defers punching (finishSegment) while any
 	// iterator is open, so every pointer this cursor surfaces stays
 	// dereferenceable until Close.
@@ -107,8 +106,7 @@ func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
 	for i, j := range db.imm {
 		imms[i] = j.mt
 	}
-	v := db.pinVersionLocked()
-	db.mu.Unlock()
+	v := db.pinVersion()
 
 	var children []iterkit.Iterator
 	children = append(children, mem.NewIterator())
@@ -136,10 +134,8 @@ func (it *Iterator) Close() {
 	it.closed = true
 	it.db.unpinVersion(it.r, it.vers)
 	db := it.db
-	db.mu.Lock()
 	db.openIters--
 	wake := db.openIters == 0 && len(db.punchQueue) > 0
-	db.mu.Unlock()
 	if wake {
 		db.bgCond.Broadcast() // GC worker can drain the punch queue now
 	}

@@ -52,8 +52,6 @@ func sstOnDisk(fsys *fs.FileSystem) []string {
 
 // liveSSTs lists the table files of the current version.
 func liveSSTs(db *DB) []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	var out []string
 	for _, files := range db.vers.levels {
 		for _, f := range files {
@@ -128,12 +126,10 @@ func TestFileLifeCycleAcrossInstalls(t *testing.T) {
 				}
 			}
 			holdCompactions := func(hold bool) {
-				db.mu.Lock()
 				db.compactionThreads = 1
 				if hold {
 					db.compactionThreads = 0
 				}
-				db.mu.Unlock()
 				db.bgCond.Broadcast()
 			}
 

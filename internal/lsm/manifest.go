@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"kvaccel/internal/encoding"
@@ -28,7 +27,6 @@ const currentName = "CURRENT"
 const manifestMagic uint32 = 0x4d414e49 // "MANI"
 
 type manifestState struct {
-	mu      sync.Mutex
 	counter uint64 // last written manifest number
 }
 
@@ -54,8 +52,8 @@ type manifestFile struct {
 	entries  int
 }
 
-// snapshotManifestLocked captures the live file set. Caller holds db.mu.
-func (db *DB) snapshotManifestLocked() manifestSnapshot {
+// snapshotManifest captures the live file set.
+func (db *DB) snapshotManifest() manifestSnapshot {
 	snap := manifestSnapshot{nextFileNum: db.nextFileNum, seq: db.seq}
 	for l, files := range db.vers.levels {
 		for _, f := range files {
@@ -204,7 +202,7 @@ func manifestKey(b []byte) (key, rest []byte, err error) {
 }
 
 // persistManifest writes a new MANIFEST-<n> and repoints CURRENT.
-// Called after every install, outside db.mu. A non-nil return means
+// Called after every install. A non-nil return means
 // CURRENT still points at the previous manifest: the caller must not
 // delete anything (WAL, input SSTs) that the previous manifest still
 // needs for a restart.
@@ -220,14 +218,10 @@ func (db *DB) persistManifest(r *vclock.Runner) error {
 	db.persistSem.Acquire(r, 1)
 	defer db.persistSem.Release(1)
 
-	db.mu.Lock()
-	snap := db.snapshotManifestLocked()
-	db.mu.Unlock()
+	snap := db.snapshotManifest()
 
-	db.manifest.mu.Lock()
 	db.manifest.counter++
 	n := db.manifest.counter
-	db.manifest.mu.Unlock()
 
 	name := fmt.Sprintf("MANIFEST-%06d", n)
 	if err := db.fsys.WriteFile(r, name, encodeManifest(snap)); err != nil {
@@ -281,10 +275,10 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		compactionThreads: opt.CompactionThreads,
 		cursor:            make([][]byte, opt.MaxLevels),
 	}
-	db.writeCond = vclock.NewCond(&db.mu, "lsm.writeStall")
-	db.bgCond = vclock.NewCond(&db.mu, "lsm.background")
-	db.groupCond = vclock.NewCond(&db.mu, "lsm.writeGroup")
-	db.walCond = vclock.NewCond(&db.mu, "lsm.walTicket")
+	db.writeCond = vclock.NewCond("lsm.writeStall")
+	db.bgCond = vclock.NewCond("lsm.background")
+	db.groupCond = vclock.NewCond("lsm.writeGroup")
+	db.walCond = vclock.NewCond("lsm.walTicket")
 	db.applying = make(map[*memtable.Table]int)
 	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
 	db.manifest.counter = manifestCounterFrom(string(cur))
@@ -351,9 +345,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 	// worker) are live; an error return must shut them down or they park
 	// forever on a DB no one will ever Close.
 	abort := func(err error) (*DB, error) {
-		db.mu.Lock()
 		db.closed = true
-		db.mu.Unlock()
 		if db.vlog != nil {
 			db.vlog.Close()
 		}

@@ -42,14 +42,12 @@ func (db *DB) shouldOffload(c *compaction) bool {
 	if db.opt.Offloader.Busy() {
 		return false
 	}
-	db.mu.Lock()
 	// Hysteresis: a stall-heavy system stalls in bursts, and the instant a
 	// compaction is picked is usually between bursts. Recent pressure —
 	// a writer stalled within the window — keeps the gate open across the
 	// whole episode instead of sampling one moment of it.
-	pressure := db.stalledWriters > 0 || db.slowdownConditionLocked() ||
+	pressure := db.stalledWriters > 0 || db.slowdownCondition() ||
 		(db.lastPressure != 0 && db.clk.Now().Sub(db.lastPressure) <= offloadPressureWindow)
-	db.mu.Unlock()
 	return pressure
 }
 
@@ -135,10 +133,8 @@ func (db *DB) tryOffloadCompaction(r *vclock.Runner, c *compaction) (readBytes, 
 			return fail()
 		}
 		prevLargest = out.Meta.Largest
-		db.mu.Lock()
 		num := db.nextFileNum
 		db.nextFileNum++
-		db.mu.Unlock()
 		name := SSTName(num)
 		if aerr := db.fsys.AdoptFile(name, out.Pages, out.Data); aerr != nil {
 			return fail()

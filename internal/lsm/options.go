@@ -100,7 +100,7 @@ type Options struct {
 	// before the timed wait) and "pre-append" (a pipelined leader has
 	// handed leadership over but not yet appended) — so the crash-recovery
 	// torture suite can cut power at the pipeline's new in-between states
-	// deterministically. Called without db.mu held, on the leader's runner.
+	// deterministically. Called on the leader's runner.
 	TestHookCommit func(stage string)
 
 	// EnableCompactionOffload lets the engine hand L0→L1 merges to the
@@ -132,8 +132,8 @@ type Options struct {
 	// offload install path — "merge-complete" (device merge done, nothing
 	// adopted yet) and "pre-install" (outputs adopted and validated, the
 	// manifest not yet persisted) — so the crash-recovery torture suite
-	// can cut power at the protocol's in-between states. Called without
-	// db.mu held, on the compaction worker's runner.
+	// can cut power at the protocol's in-between states. Called on the
+	// compaction worker's runner.
 	TestHookOffload func(stage string)
 
 	// ValueThreshold enables WiscKey-style value separation: a Put whose

@@ -49,9 +49,7 @@ func runSingleWriterWorkload(fsys *fs.FileSystem, opt Options) {
 		_ = db.Write(r, &b)
 		// Push the WAL's buffered tail to the file system so the
 		// on-device stream holds the whole op sequence.
-		db.mu.Lock()
 		lg := db.log
-		db.mu.Unlock()
 		if lg != nil {
 			lg.Sync(r)
 		}
@@ -171,9 +169,7 @@ func TestPipelinedWALMultiWriterStateEquivalence(t *testing.T) {
 			// Durability barrier: Close has no runner and cannot write the
 			// WAL's buffered tail, so sync it first — otherwise each run
 			// loses a schedule-dependent suffix and the states diverge.
-			db.mu.Lock()
 			lg := db.log
-			db.mu.Unlock()
 			if lg != nil {
 				lg.Sync(r)
 			}

@@ -42,7 +42,6 @@ type readAttr struct {
 // holds exactly. The GC's liveness probes call getRaw directly and
 // never record, keeping the invariant Gets-based.
 func (db *DB) recordRead(a readAttr) {
-	db.mu.Lock()
 	switch a.src {
 	case readSourceMemtable:
 		db.stats.ReadsMemtable++
@@ -60,7 +59,6 @@ func (db *DB) recordRead(a readAttr) {
 	db.stats.BloomConsults += a.bloomConsults
 	db.stats.BloomNegatives += a.bloomNegatives
 	db.stats.BloomFalsePositives += a.bloomFalsePos
-	db.mu.Unlock()
 }
 
 // getRaw reads the newest raw version of key, without dereferencing
@@ -73,9 +71,7 @@ func (db *DB) getRaw(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 
 // lookup runs the layered chain and reports where the key was found.
 func (db *DB) lookup(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, attr readAttr, err error) {
-	db.mu.Lock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil, 0, false, attr, ErrClosed
 	}
 	mem := db.mem
@@ -86,8 +82,7 @@ func (db *DB) lookup(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 	for _, j := range db.imm {
 		imms = append(imms, j.mt)
 	}
-	v := db.pinVersionLocked()
-	db.mu.Unlock()
+	v := db.pinVersion()
 	defer db.unpinVersion(r, v)
 
 	// Layer 1: the active memtable.

@@ -66,9 +66,7 @@ func TestReopenReplaysWAL(t *testing.T) {
 		for i := 200; i < 260; i++ {
 			_ = db.Put(r, key(i), value(i))
 		}
-		db.mu.Lock()
 		lg := db.log
-		db.mu.Unlock()
 		lg.Sync(r) // the OS wrote these back before the crash
 		db.Close()
 	})

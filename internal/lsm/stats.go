@@ -87,7 +87,7 @@ type Stats struct {
 	// GroupCommits counts committed write groups and GroupedRecords the
 	// records they carried (mean group size = GroupedRecords /
 	// GroupCommits). WALAppends counts write-path WAL Append calls —
-	// one per group, or one per record on the legacy path — so
+	// one per group — so
 	// WALAppends / (Puts+Deletes) is the appends-per-record amortization
 	// the pipeline exists to shrink.
 	//
@@ -98,8 +98,7 @@ type Stats struct {
 	// more only if the leader itself was non-blocking and failed too.
 	// WALErrors counts write-path WAL append failures (on the group path
 	// the claimed sequence range is released when no later group claimed
-	// past it; otherwise, and on the legacy path, the gap stands —
-	// recovery renumbers densely).
+	// past it; otherwise the gap stands — recovery renumbers densely).
 	GroupCommits   int64
 	GroupedRecords int64
 	WALAppends     int64
@@ -166,7 +165,7 @@ func (s Stats) MeanGroupSize() float64 {
 }
 
 // WALAppendsPerRecord is write-path WAL Append calls per committed
-// record — 1.0 on the legacy path, below 1 once groups amortize appends.
+// record: below 1 once groups amortize appends.
 func (s Stats) WALAppendsPerRecord() float64 {
 	recs := s.Puts + s.Deletes
 	if recs == 0 {

@@ -19,7 +19,7 @@ type FileMeta struct {
 
 	reader         *sstable.Reader
 	beingCompacted bool
-	refs           int  // versions in use that list the file (guarded by DB.mu)
+	refs           int  // versions in use that list the file
 	obsolete       bool // not in the current version; delete when refs==0
 }
 
@@ -45,7 +45,7 @@ func (f *FileMeta) overlaps(smallest, largest []byte) bool {
 // smallest key with disjoint ranges.
 //
 // The DB's current version is immutable once installed: a flush or a
-// compaction edits a clone and installs that (DB.installVersionLocked).
+// compaction edits a clone and installs that (DB.installVersion).
 // A reader therefore pins the whole file set by pinning the version —
 // one counter, LevelDB's Version::Ref — instead of copying the lists and
 // touching every file. pins counts the holders: the DB itself while the
@@ -55,7 +55,7 @@ func (f *FileMeta) overlaps(smallest, largest []byte) bool {
 // that the current one no longer lists, is deleted then.
 type version struct {
 	levels [][]*FileMeta
-	pins   int // guarded by DB.mu
+	pins   int
 }
 
 // newVersion returns an empty version nobody holds yet.

@@ -100,8 +100,6 @@ func (db *DB) preSeparateStallCheck(noStall bool) error {
 	if !noStall {
 		return nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if db.stalledWriters > 0 {
 		db.stats.WouldStalls++
 		return ErrWouldStall
@@ -127,9 +125,7 @@ func (db *DB) derefPointer(r *vclock.Runner, key, pv []byte) ([]byte, error) {
 	if db.vlog == nil {
 		return nil, fmt.Errorf("lsm: value pointer with no value log")
 	}
-	db.mu.Lock()
 	db.stats.VLogDerefs++
-	db.mu.Unlock()
 	sp := db.opt.Trace.Begin(r, trace.PhaseVLogRead, "vlog-read")
 	v, err := db.vlog.ReadValue(r, ptr, key)
 	sp.EndArg(r, int64(len(v)))
@@ -150,8 +146,7 @@ func (db *DB) VLogStats() vlog.Stats {
 // normal write path and punches the segment via TRIM.
 func (db *DB) vlogGCWorker(r *vclock.Runner) {
 	for {
-		db.mu.Lock()
-		for !db.closed && db.bgErr == nil && !db.vlogGCReadyLocked() {
+		for !db.closed && db.bgErr == nil && !db.vlogGCReady() {
 			db.bgCond.Wait(r)
 		}
 		if db.bgErr != nil && !db.closed {
@@ -161,14 +156,12 @@ func (db *DB) vlogGCWorker(r *vclock.Runner) {
 			}
 		}
 		if db.closed {
-			db.mu.Unlock()
 			return
 		}
-		db.mu.Unlock()
 
 		db.drainPunchQueue(r)
 		if seg, ok := db.vlog.PickGC(db.opt.VLogGCDiscardRatio); ok {
-			if err := db.gcSegment(r, seg); err != nil && !db.isClosed() {
+			if err := db.gcSegment(r, seg); err != nil && !db.closed {
 				// Transient failure (e.g. persistent stall pressure):
 				// back off instead of spinning on the same segment.
 				r.Sleep(10 * time.Millisecond)
@@ -177,10 +170,9 @@ func (db *DB) vlogGCWorker(r *vclock.Runner) {
 	}
 }
 
-// vlogGCReadyLocked reports whether the GC worker has work: a punchable
-// queue or a segment over the discard threshold. Caller holds db.mu;
-// vlog's own lock nests inside db.mu everywhere.
-func (db *DB) vlogGCReadyLocked() bool {
+// vlogGCReady reports whether the GC worker has work: a punchable
+// queue or a segment over the discard threshold.
+func (db *DB) vlogGCReady() bool {
 	if len(db.punchQueue) > 0 && db.openIters == 0 {
 		return true
 	}
@@ -328,7 +320,7 @@ func (db *DB) rewriteForGC(r *vclock.Runner, key, value []byte) error {
 	if db.testHookGCRewrite != nil {
 		db.testHookGCRewrite(key)
 	}
-	w := newPointWriter(WriteOptions{NoStallWait: true}, memtable.KindPut, key, value)
+	w := db.newPointWriter(WriteOptions{NoStallWait: true}, memtable.KindPut, key, value)
 	w.internal, w.userBytes = true, int64(len(value))
 	return db.commit(r, w)
 }
@@ -339,13 +331,11 @@ func (db *DB) syncForVLogGC(r *vclock.Runner) error {
 	if err := db.vlog.Sync(r); err != nil {
 		return err
 	}
-	db.mu.Lock()
 	logs := make([]*wal.Log, 0, len(db.imm)+1)
 	for _, j := range db.imm {
 		logs = append(logs, j.log)
 	}
 	logs = append(logs, db.log)
-	db.mu.Unlock()
 	for _, lg := range logs {
 		if err := lg.Sync(r); err != nil {
 			return err
@@ -359,27 +349,21 @@ func (db *DB) syncForVLogGC(r *vclock.Runner) error {
 // New readers only ever observe the rewrites, which are newer versions.
 func (db *DB) finishSegment(r *vclock.Runner, seg uint32) {
 	db.vlog.MarkDead(seg)
-	db.mu.Lock()
 	if db.openIters > 0 {
 		db.punchQueue = append(db.punchQueue, seg)
-		db.mu.Unlock()
 		return
 	}
-	db.mu.Unlock()
 	db.vlog.Punch(r, seg)
 }
 
 // drainPunchQueue punches deferred segments once no reader can hold a
 // pointer into them.
 func (db *DB) drainPunchQueue(r *vclock.Runner) {
-	db.mu.Lock()
 	if len(db.punchQueue) == 0 || db.openIters > 0 {
-		db.mu.Unlock()
 		return
 	}
 	q := db.punchQueue
 	db.punchQueue = nil
-	db.mu.Unlock()
 	for _, seg := range q {
 		db.vlog.Punch(r, seg)
 	}

@@ -287,9 +287,7 @@ func TestVLogWALReplayDropsDanglingPointers(t *testing.T) {
 		// are still buffered in the vlog head when the device dies.
 		_ = db.Put(r, []byte("inline-key"), []byte("small"))
 		_ = db.Put(r, []byte("vlog-key"), bytes.Repeat([]byte{'Z'}, 600))
-		db.mu.Lock()
 		lg := db.log
-		db.mu.Unlock()
 		if err := lg.Sync(r); err != nil {
 			t.Errorf("wal sync: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -88,29 +87,23 @@ func TestAllocsSmallTable(t *testing.T) {
 	}
 }
 
-// TestMemtableConcurrentAddAcrossSlabs drives the allocator from eight
-// free-running goroutines with entries large enough that every slab type
-// is replaced many times, then checks the iterator sees every entry
-// exactly once, in order, with its own bytes.
+// TestMemtableConcurrentAddAcrossSlabs interleaves the inserts of eight
+// writers, as their group commits interleave, with entries large enough
+// that every slab type is replaced many times, then checks the iterator
+// sees every entry exactly once, in order, with its own bytes.
 func TestMemtableConcurrentAddAcrossSlabs(t *testing.T) {
 	const writers, perWriter, valueSize = 8, 1500, 600
 	m := New(0) // smallest slab bound: 64 KiB, so ~100 entries per byte slab
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			value := make([]byte, valueSize)
-			for i := 0; i < perWriter; i++ {
-				key := []byte(fmt.Sprintf("key-%05d", i*writers+w))
-				for j := range value {
-					value[j] = key[len(key)-1-j%5]
-				}
-				m.Add(uint64(i*writers+w+1), KindPut, key, value)
+	value := make([]byte, valueSize)
+	for i := 0; i < perWriter; i++ {
+		for w := 0; w < writers; w++ {
+			key := []byte(fmt.Sprintf("key-%05d", i*writers+w))
+			for j := range value {
+				value[j] = key[len(key)-1-j%5]
 			}
-		}(w)
+			m.Add(uint64(i*writers+w+1), KindPut, key, value)
+		}
 	}
-	wg.Wait()
 	it := m.NewIterator()
 	n := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {

@@ -3,12 +3,11 @@
 // the same internal-key ordering RocksDB uses so that the newest version
 // of a key is encountered first.
 //
-// The skiplist is lock-free: inserts link nodes bottom-up with
-// compare-and-swap on the predecessor's forward pointers, so any number of
-// writers may Add concurrently with readers and iterators. Nodes are
-// immutable once linked (the list is insert-only; deletes are tombstone
-// records, never unlinks), which is what makes wait-free reads sound:
-// a reader that observed a forward pointer can follow it forever.
+// The skiplist is insert-only: deletes are tombstone records, never
+// unlinks, so a node once linked stays where it is and an iterator that
+// holds one can follow its forward pointers forever. Like everything a
+// clock's runners reach, a table belongs to the runner holding the baton,
+// and an Add is one step no reader can come between.
 //
 // Nodes, their towers and the key and value bytes are carved from slabs
 // the Table owns (the LevelDB/RocksDB arena), so an insert allocates
@@ -18,8 +17,6 @@ package memtable
 
 import (
 	"bytes"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -58,27 +55,22 @@ type node struct {
 	seq  uint64
 	klen uint32
 	kind Kind
-	next []atomic.Pointer[node]
+	next []*node
 }
 
 func (n *node) key() []byte   { return n.kv[:n.klen:n.klen] }
 func (n *node) value() []byte { return n.kv[n.klen:] }
 
-// loadNext returns n's successor at level h.
-func (n *node) loadNext(h int) *node { return n.next[h].Load() }
-
-// Table is a lock-free concurrent skiplist memtable: any number of
-// writers may Add while readers Get and iterate. Entries with distinct
+// Table is an insert-only skiplist memtable. Entries with distinct
 // (key, seq) pairs never conflict; the LSM write path's sequence
-// allocation guarantees uniqueness, so group members insert their
-// records fully in parallel.
+// allocation guarantees uniqueness.
 type Table struct {
 	head      node
-	headTower [maxHeight]atomic.Pointer[node]
-	height    atomic.Int32
-	rnd       atomic.Uint64 // splitmix64 state for randomHeight
-	size      atomic.Int64
-	count     atomic.Int64
+	headTower [maxHeight]*node
+	height    int
+	rnd       uint64 // splitmix64 state for randomHeight
+	size      int64
+	count     int
 
 	// The slab allocator. Each slice is the unused tail of the newest
 	// slab of its type; linked nodes keep the used parts reachable. A
@@ -86,9 +78,8 @@ type Table struct {
 	// the previous one's length up to maxSlab bytes: an empty table owns
 	// no slab (New allocates none), a small one about twice what its
 	// entries need, a full one its entries plus a few percent.
-	slabMu    sync.Mutex
 	nodes     []node
-	towers    []atomic.Pointer[node]
+	towers    []*node
 	data      []byte
 	nextNodes int // length of the next slab of each type, in elements
 	nextTower int
@@ -119,14 +110,14 @@ const (
 // bound.
 func New(writeBuffer int64) *Table {
 	t := &Table{
+		height:    1,
+		rnd:       0xdecaf,
 		nextNodes: firstSlabEntries,
 		nextTower: firstSlabEntries * 2,
 		nextData:  firstSlabBytes,
 		maxSlab:   int(min(max(writeBuffer/slabFraction, minMaxSlab), maxMaxSlab)),
 	}
 	t.head.next = t.headTower[:]
-	t.height.Store(1)
-	t.rnd.Store(0xdecaf)
 	return t
 }
 
@@ -147,11 +138,9 @@ func carve[T any](free *[]T, n int, next *int, maxLen int) []T {
 // newNode returns an unlinked node of height h holding copies of key and
 // value, all carved from the table's slabs.
 func (t *Table) newNode(h int, seq uint64, kind Kind, key, value []byte) *node {
-	t.slabMu.Lock()
 	n := &carve(&t.nodes, 1, &t.nextNodes, t.maxSlab/int(unsafe.Sizeof(node{})))[0]
 	n.next = carve(&t.towers, h, &t.nextTower, t.maxSlab/int(unsafe.Sizeof(n.next[0])))
 	n.kv = carve(&t.data, len(key)+len(value), &t.nextData, t.maxSlab)
-	t.slabMu.Unlock()
 	copy(n.kv, key)
 	copy(n.kv[len(key):], value)
 	n.seq, n.klen, n.kind = seq, uint32(len(key)), kind
@@ -172,12 +161,12 @@ func compare(aKey []byte, aSeq uint64, bKey []byte, bSeq uint64) int {
 	return 0
 }
 
-// randomHeight draws a geometric(1/branching) height from a lock-free
-// splitmix64 stream. Heights shape only the internal index levels, never
-// the level-0 ordering flushes and iterators observe, so contention on
-// the shared state changing the draw sequence is harmless.
+// randomHeight draws a geometric(1/branching) height from a splitmix64
+// stream. Heights shape only the internal index levels, never the level-0
+// ordering flushes and iterators observe.
 func (t *Table) randomHeight() int {
-	x := t.rnd.Add(0x9e3779b97f4a7c15)
+	t.rnd += 0x9e3779b97f4a7c15
+	x := t.rnd
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -195,9 +184,9 @@ func (t *Table) randomHeight() int {
 // prev with the rightmost node before it at every level when prev != nil.
 func (t *Table) findGE(key []byte, seq uint64, prev []*node) *node {
 	x := &t.head
-	level := int(t.height.Load()) - 1
+	level := t.height - 1
 	for {
-		next := x.loadNext(level)
+		next := x.next[level]
 		if next != nil && compare(next.key(), next.seq, key, seq) < 0 {
 			x = next
 			continue
@@ -212,58 +201,21 @@ func (t *Table) findGE(key []byte, seq uint64, prev []*node) *node {
 	}
 }
 
-// findSpliceForLevel recomputes the (prev, succ) pair for (key, seq) at
-// one level, starting the walk from a known-earlier node.
-func findSpliceForLevel(key []byte, seq uint64, level int, start *node) (prev, succ *node) {
-	prev = start
-	for {
-		succ = prev.loadNext(level)
-		if succ == nil || compare(succ.key(), succ.seq, key, seq) >= 0 {
-			return prev, succ
-		}
-		prev = succ
-	}
-}
-
 // Add inserts an entry, copying key and value into the table's slabs: the
 // caller's buffers are not retained. Duplicate (key, seq) pairs must not
-// be inserted (the write path's sequence allocator guarantees this). Safe
-// for any number of concurrent callers.
+// be inserted (the write path's sequence allocator guarantees this).
 func (t *Table) Add(seq uint64, kind Kind, key, value []byte) {
 	h := t.randomHeight()
-	// Publish a taller list height first; a racing reader that still sees
-	// the old height just starts its descent lower, which is always valid.
-	for {
-		lh := t.height.Load()
-		if int32(h) <= lh || t.height.CompareAndSwap(lh, int32(h)) {
-			break
-		}
-	}
+	t.height = max(t.height, h)
 	n := t.newNode(h, seq, kind, key, value)
 	var prev [maxHeight]*node
-	var succ [maxHeight]*node
-	for i := range prev[:h] {
-		prev[i] = &t.head
-	}
 	t.findGE(key, seq, prev[:])
 	for i := 0; i < h; i++ {
-		prev[i], succ[i] = findSpliceForLevel(key, seq, i, prev[i])
+		n.next[i] = prev[i].next[i]
+		prev[i].next[i] = n
 	}
-	// Link bottom-up: once level 0 is in, the node is visible to readers;
-	// upper levels are only an index and may lag behind. A failed CAS
-	// means a concurrent insert landed between prev and us — recompute
-	// the splice at that level from the last known predecessor and retry.
-	for i := 0; i < h; i++ {
-		for {
-			n.next[i].Store(succ[i])
-			if prev[i].next[i].CompareAndSwap(succ[i], n) {
-				break
-			}
-			prev[i], succ[i] = findSpliceForLevel(key, seq, i, prev[i])
-		}
-	}
-	t.size.Add(int64(len(key) + len(value) + 32)) // 32 ~ node overhead
-	t.count.Add(1)
+	t.size += int64(len(key) + len(value) + 32) // 32 ~ node overhead
+	t.count++
 }
 
 // Get returns the newest entry for key. ok is false if the key has no
@@ -281,10 +233,10 @@ func (t *Table) Get(key []byte) (value []byte, kind Kind, ok bool) {
 }
 
 // ApproximateSize returns the memtable's memory footprint in bytes.
-func (t *Table) ApproximateSize() int64 { return t.size.Load() }
+func (t *Table) ApproximateSize() int64 { return t.size }
 
 // Count returns the number of entries.
-func (t *Table) Count() int { return int(t.count.Load()) }
+func (t *Table) Count() int { return t.count }
 
 // Entry is one internal-key record surfaced by an Iterator.
 type Entry struct {
@@ -295,12 +247,13 @@ type Entry struct {
 }
 
 // Iterator walks the memtable in internal-key order. It is valid as long
-// as the Table exists; nodes are never unlinked and forward pointers only
-// ever splice in new nodes, so lock-free iteration is consistent: every
-// entry present when the iterator was positioned is visited, and entries
-// inserted concurrently may or may not appear. Callers that need a stable
-// snapshot bound the walk by sequence number (SeekVersion / filtering on
-// Entry().Seq), which concurrent higher-seq inserts cannot perturb.
+// as the Table exists, and it may stay open while later Adds land: nodes
+// are never unlinked and an insert only splices a new node in, so every
+// entry present when the iterator was positioned is visited once, in
+// order, and an entry inserted since is visited only if it lands ahead of
+// the cursor. Callers that need a stable view bound the walk by sequence
+// number (filtering on Entry().Seq), which later higher-seq inserts
+// cannot perturb.
 type Iterator struct {
 	t *Table
 	n *node
@@ -314,21 +267,14 @@ func (t *Table) NewIterator() *Iterator { return &Iterator{t: t} }
 func (it *Iterator) Valid() bool { return it.n != nil }
 
 // SeekToFirst positions at the smallest internal key.
-func (it *Iterator) SeekToFirst() { it.n = it.t.head.loadNext(0) }
+func (it *Iterator) SeekToFirst() { it.n = it.t.head.next[0] }
 
 // Seek positions at the first entry with user key >= key (its newest
 // version first).
 func (it *Iterator) Seek(key []byte) { it.n = it.t.findGE(key, ^uint64(0), nil) }
 
-// SeekVersion positions at the first entry >= (key, maxSeq) in internal
-// order: for user key `key`, that is its newest version with
-// seq <= maxSeq (snapshot reads).
-func (it *Iterator) SeekVersion(key []byte, maxSeq uint64) {
-	it.n = it.t.findGE(key, maxSeq, nil)
-}
-
 // Next advances to the following internal key.
-func (it *Iterator) Next() { it.n = it.n.loadNext(0) }
+func (it *Iterator) Next() { it.n = it.n.next[0] }
 
 // Entry returns the current record. Key and Value alias the table's slab
 // memory, as Get's value does: never modify them, and copy before keeping

@@ -1,186 +1,101 @@
 package memtable
 
-// Property tests for the lock-free skiplist under real concurrency.
-// These are meant to run under -race: plain goroutines hammer one
-// table while oracles check the visibility guarantees the LSM relies
-// on — a completed Add is immediately visible, per-key reads never go
-// backwards in seq, and an iterator bounded at seq S is a stable
-// snapshot no matter how many inserts land beside it.
+// Property tests for iterators left open while later inserts land. The
+// write path inserts into a memtable while flushes and reads walk it;
+// one runner runs at a time, so an insert lands between two steps of a
+// walk, never inside one. These tests interleave the two on one
+// goroutine, at every step.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 // propVal encodes the (key, seq) identity into the stored value so a
-// reader can verify a Get never stitches one version's bytes onto
-// another version's entry.
+// reader can verify an entry carries its own bytes.
 func propVal(key []byte, seq uint64) []byte {
 	return []byte(fmt.Sprintf("%s|%d", key, seq))
 }
 
-func TestMemtableConcurrentInsertGet(t *testing.T) {
-	cases := []struct {
-		name    string
-		writers int
-		readers int
-		keys    int
-		ops     int
-	}{
-		{"2w2r-narrow", 2, 2, 8, 400},
-		{"4w4r-mid", 4, 4, 64, 400},
-		{"8w4r-wide", 8, 4, 1024, 250},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			m := New(0)
-			var seqGen atomic.Uint64
-			var writers, readers sync.WaitGroup
-			stop := make(chan struct{})
-
-			// Readers: per-key last-seen seq must never decrease, and
-			// every value must carry its own (key, seq) identity.
-			for g := 0; g < tc.readers; g++ {
-				readers.Add(1)
-				go func(g int) {
-					defer readers.Done()
-					rng := rand.New(rand.NewSource(int64(1000 + g)))
-					last := make(map[string]uint64)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						key := []byte(fmt.Sprintf("pk%05d", rng.Intn(tc.keys)))
-						v, kind, ok := m.Get(key)
-						if !ok {
-							continue
-						}
-						if kind != KindPut {
-							t.Errorf("key %s: unexpected kind %v", key, kind)
-							return
-						}
-						var gotKey string
-						var gotSeq uint64
-						i := bytes.IndexByte(v, '|')
-						if i < 0 {
-							t.Errorf("key %s: malformed value %q", key, v)
-							return
-						}
-						gotKey = string(v[:i])
-						fmt.Sscanf(string(v[i+1:]), "%d", &gotSeq)
-						if gotKey != string(key) {
-							t.Errorf("key %s: value carries key %s", key, gotKey)
-							return
-						}
-						if prev := last[string(key)]; gotSeq < prev {
-							t.Errorf("key %s: seq went backwards %d -> %d", key, prev, gotSeq)
-							return
-						}
-						last[string(key)] = gotSeq
-					}
-				}(g)
+// walkWhileInserting positions an iterator at the first entry and steps
+// it to the end, calling insert before each of its first 500 steps. It
+// checks that the walk is strictly ordered — key ascending, seq
+// descending within a key — and that every entry carries its own bytes,
+// and returns the (key, seq) pairs it visited.
+func walkWhileInserting(t *testing.T, m *Table, insert func()) map[string]uint64 {
+	t.Helper()
+	seen := map[string]uint64{}
+	it := m.NewIterator()
+	var prevKey []byte
+	var prevSeq uint64
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		e := it.Entry()
+		if prevKey != nil {
+			switch c := bytes.Compare(prevKey, e.Key); {
+			case c > 0:
+				t.Fatalf("keys out of order: %q then %q", prevKey, e.Key)
+			case c == 0 && e.Seq >= prevSeq:
+				t.Fatalf("key %q: seqs not descending: %d then %d", e.Key, prevSeq, e.Seq)
 			}
-
-			// Writers: unique seqs from one counter, shared keyspace so
-			// CAS insert races on both towers and version chains. After
-			// Add returns, the write must be visible at seq >= its own.
-			for g := 0; g < tc.writers; g++ {
-				writers.Add(1)
-				go func(g int) {
-					defer writers.Done()
-					rng := rand.New(rand.NewSource(int64(g + 1)))
-					for i := 0; i < tc.ops; i++ {
-						key := []byte(fmt.Sprintf("pk%05d", rng.Intn(tc.keys)))
-						seq := seqGen.Add(1)
-						m.Add(seq, KindPut, key, propVal(key, seq))
-						v, _, ok := m.Get(key)
-						if !ok {
-							t.Errorf("key %s invisible right after Add(seq=%d)", key, seq)
-							return
-						}
-						i := bytes.IndexByte(v, '|')
-						var got uint64
-						fmt.Sscanf(string(v[i+1:]), "%d", &got)
-						if got < seq {
-							t.Errorf("key %s: read seq %d after Add(seq=%d) returned", key, got, seq)
-							return
-						}
-					}
-				}(g)
-			}
-
-			// Let writers finish, then release the readers.
-			writers.Wait()
-			close(stop)
-			readers.Wait()
-
-			if total := tc.writers * tc.ops; int(m.Count()) != total && !t.Failed() {
-				t.Fatalf("count = %d, want %d (every unique (key,seq) linked exactly once)", m.Count(), total)
-			}
-		})
-	}
-}
-
-func TestMemtableConcurrentIterateOrdered(t *testing.T) {
-	// While writers insert, every full iteration must be strictly
-	// ordered: key ascending, seq descending within a key, and no
-	// (key, seq) pair visited twice.
-	m := New(0)
-	var seqGen atomic.Uint64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g + 77)))
-			for i := 0; i < 500; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := []byte(fmt.Sprintf("it%04d", rng.Intn(200)))
-				seq := seqGen.Add(1)
-				m.Add(seq, KindPut, key, propVal(key, seq))
-			}
-		}(g)
-	}
-	for pass := 0; pass < 50; pass++ {
-		it := m.NewIterator()
-		var prevKey []byte
-		var prevSeq uint64
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			e := it.Entry()
-			if prevKey != nil {
-				switch bytes.Compare(prevKey, e.Key) {
-				case 1:
-					t.Fatalf("pass %d: keys out of order: %q then %q", pass, prevKey, e.Key)
-				case 0:
-					if e.Seq >= prevSeq {
-						t.Fatalf("pass %d: key %q seqs not descending: %d then %d", pass, e.Key, prevSeq, e.Seq)
-					}
-				}
-			}
-			prevKey = append(prevKey[:0], e.Key...)
-			prevSeq = e.Seq
+		}
+		if !bytes.Equal(e.Value, propVal(e.Key, e.Seq)) {
+			t.Fatalf("(%q, %d) carries value %q", e.Key, e.Seq, e.Value)
+		}
+		id := fmt.Sprintf("%s@%d", e.Key, e.Seq)
+		if _, dup := seen[id]; dup {
+			t.Fatalf("(%q, %d) visited twice", e.Key, e.Seq)
+		}
+		seen[id] = e.Seq
+		prevKey = append(prevKey[:0], e.Key...)
+		prevSeq = e.Seq
+		if len(seen) <= 500 {
+			insert()
 		}
 	}
-	close(stop)
-	wg.Wait()
+	return seen
 }
 
+// TestMemtableConcurrentIterateOrdered: an iterator left open while later
+// inserts land visits every entry that was present when it was
+// positioned exactly once, in order, whatever lands beside them.
+func TestMemtableConcurrentIterateOrdered(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := New(0)
+		var seq uint64
+		add := func() {
+			key := []byte(fmt.Sprintf("it%04d", rng.Intn(200)))
+			seq++
+			m.Add(seq, KindPut, key, propVal(key, seq))
+		}
+		for i := 0; i < 500; i++ {
+			add()
+		}
+		present := map[string]uint64{}
+		it := m.NewIterator()
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			e := it.Entry()
+			present[fmt.Sprintf("%s@%d", e.Key, e.Seq)] = e.Seq
+		}
+		seen := walkWhileInserting(t, m, func() {
+			for n := rng.Intn(4); n > 0; n-- {
+				add()
+			}
+		})
+		for id := range present {
+			if _, ok := seen[id]; !ok {
+				t.Fatalf("seed %d: %s was present when the walk began and was not visited", seed, id)
+			}
+		}
+	}
+}
+
+// TestMemtableIteratorSnapshotStability: entries at seq <= S form a stable
+// snapshot. A walk left open while overwrites of the snapshot's keys and
+// brand-new keys land above the bound sees exactly the snapshot below it.
 func TestMemtableIteratorSnapshotStability(t *testing.T) {
-	// Entries at seq <= S form a stable snapshot: an iterator that
-	// filters on the bound sees exactly the pre-populated set on every
-	// pass, no matter how many concurrent inserts land above the bound.
 	const preKeys = 300
 	m := New(0)
 	want := make(map[string]uint64, preKeys)
@@ -191,47 +106,28 @@ func TestMemtableIteratorSnapshotStability(t *testing.T) {
 		want[string(key)] = seq
 	}
 	bound := uint64(preKeys) // snapshot S
-
-	var seqGen atomic.Uint64
-	seqGen.Store(bound)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g + 31)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Overwrite snapshot keys and insert brand-new ones;
-				// both must stay invisible below the bound.
-				var key []byte
-				if rng.Intn(2) == 0 {
-					key = []byte(fmt.Sprintf("sn%04d", rng.Intn(preKeys)))
-				} else {
-					key = []byte(fmt.Sprintf("zz%04d", rng.Intn(preKeys)))
-				}
-				seq := seqGen.Add(1)
-				m.Add(seq, KindPut, key, propVal(key, seq))
+	seq := bound
+	rng := rand.New(rand.NewSource(31))
+	for pass := 0; pass < 10; pass++ {
+		got := map[string]uint64{}
+		for id, s := range walkWhileInserting(t, m, func() {
+			var key []byte
+			if rng.Intn(2) == 0 {
+				key = []byte(fmt.Sprintf("sn%04d", rng.Intn(preKeys)))
+			} else {
+				key = []byte(fmt.Sprintf("zz%04d", rng.Intn(preKeys)))
 			}
-		}(g)
-	}
-	for pass := 0; pass < 60; pass++ {
-		got := make(map[string]uint64, preKeys)
-		it := m.NewIterator()
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			e := it.Entry()
-			if e.Seq > bound {
+			seq++
+			m.Add(seq, KindPut, key, propVal(key, seq))
+		}) {
+			if s > bound {
 				continue
 			}
-			if prev, dup := got[string(e.Key)]; dup {
-				t.Fatalf("pass %d: key %q has two entries <= bound (seq %d and %d)", pass, e.Key, prev, e.Seq)
+			key := id[:len(id)-len(fmt.Sprintf("@%d", s))]
+			if prev, dup := got[key]; dup {
+				t.Fatalf("pass %d: key %q has two entries <= bound (seq %d and %d)", pass, key, prev, s)
 			}
-			got[string(e.Key)] = e.Seq
+			got[key] = s
 		}
 		if len(got) != len(want) {
 			t.Fatalf("pass %d: snapshot drifted: %d keys, want %d", pass, len(got), len(want))
@@ -242,53 +138,4 @@ func TestMemtableIteratorSnapshotStability(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestMemtableSeekVersionUnderInserts(t *testing.T) {
-	// SeekVersion(key, S) must land on the newest entry with seq <= S
-	// for that key even while newer versions are being linked in front
-	// of it by other goroutines.
-	m := New(0)
-	const k = "hotkey"
-	for s := uint64(1); s <= 50; s++ {
-		m.Add(s, KindPut, []byte(k), propVal([]byte(k), s))
-	}
-	var seqGen atomic.Uint64
-	seqGen.Store(50)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := seqGen.Add(1)
-				m.Add(s, KindPut, []byte(k), propVal([]byte(k), s))
-			}
-		}()
-	}
-	for pass := 0; pass < 200; pass++ {
-		bound := uint64(pass%50 + 1)
-		it := m.NewIterator()
-		it.SeekVersion([]byte(k), bound)
-		if !it.Valid() {
-			t.Fatalf("SeekVersion(%s, %d) found nothing", k, bound)
-		}
-		e := it.Entry()
-		if string(e.Key) != k || e.Seq != bound {
-			t.Fatalf("SeekVersion(%s, %d) landed on (%q, %d), want exact version", k, bound, e.Key, e.Seq)
-		}
-		if !bytes.Equal(e.Value, propVal([]byte(k), bound)) {
-			t.Fatalf("version %d carries wrong value %q", bound, e.Value)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

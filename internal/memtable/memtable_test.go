@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -117,39 +115,6 @@ func TestApproximateSizeGrows(t *testing.T) {
 	}
 }
 
-func TestConcurrentReadersOneWriter(t *testing.T) {
-	m := New(0)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				m.Get([]byte("key050"))
-				it := m.NewIterator()
-				it.Seek([]byte("key025"))
-				if it.Valid() {
-					_ = it.Entry()
-				}
-			}
-		}()
-	}
-	for i := 0; i < 2000; i++ {
-		m.Add(uint64(i+1), KindPut, []byte(fmt.Sprintf("key%03d", i%100)), []byte("v"))
-	}
-	close(stop)
-	wg.Wait()
-	if m.Count() != 2000 {
-		t.Fatalf("count = %d", m.Count())
-	}
-}
-
 func TestGetMatchesReferenceModel(t *testing.T) {
 	// Property: against a map-based reference, Get returns the
 	// highest-seq entry for every key.
@@ -191,40 +156,23 @@ func TestGetMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// BenchmarkAdd inserts 4 KiB values under random 16-byte keys from one
-// and from eight writers, into tables rotated at the benchmark's 12.8 MB
-// write buffer so the skiplist depth stays what a run sees.
+// BenchmarkAdd inserts 4 KiB values under random 16-byte keys into tables
+// rotated at the benchmark's 12.8 MB write buffer, so the skiplist depth
+// stays what a run sees.
 func BenchmarkAdd(b *testing.B) {
 	const valueSize, writeBuffer = 4096, 128 << 20 / 10
-	for _, writers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(16 + valueSize)
-			var mu sync.Mutex // guards the rotation only
-			m := New(writeBuffer)
-			var seq atomic.Uint64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					key, val := make([]byte, 16), make([]byte, valueSize)
-					rng := rand.New(rand.NewSource(int64(w)))
-					for i := w; i < b.N; i += writers {
-						rng.Read(key)
-						mu.Lock()
-						if m.ApproximateSize() > writeBuffer {
-							m = New(writeBuffer)
-						}
-						t := m
-						mu.Unlock()
-						t.Add(seq.Add(1), KindPut, key, val)
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
+	b.ReportAllocs()
+	b.SetBytes(16 + valueSize)
+	m := New(writeBuffer)
+	key, val := make([]byte, 16), make([]byte, valueSize)
+	rng := rand.New(rand.NewSource(0))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.Read(key)
+		if m.ApproximateSize() > writeBuffer {
+			m = New(writeBuffer)
+		}
+		m.Add(uint64(i+1), KindPut, key, val)
 	}
 }
 

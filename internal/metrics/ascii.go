@@ -11,11 +11,9 @@ import (
 // The experiment harness prints these so each figure is eyeballable
 // without leaving the terminal.
 func (s *Series) ASCIIChart(width, height int) string {
-	s.mu.Lock()
 	values := append([]float64(nil), s.values...)
 	times := append([]float64(nil), s.seconds...)
 	name := s.name
-	s.mu.Unlock()
 
 	if width < 8 {
 		width = 8

@@ -7,15 +7,13 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
 // Histogram is a log-bucketed latency histogram in the style of RocksDB's
 // HistogramImpl: fixed sub-linear buckets giving ~4% relative error across
-// nanoseconds to minutes. It is safe for concurrent use.
+// nanoseconds to minutes.
 type Histogram struct {
-	mu     sync.Mutex
 	counts []uint64
 	total  uint64
 	sum    float64
@@ -65,7 +63,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		v = 0
 	}
 	i := bucketFor(v)
-	h.mu.Lock()
 	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
@@ -75,20 +72,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	if v > h.max {
 		h.max = v
 	}
-	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.total
 }
 
 // Mean returns the mean observed duration, or 0 with no observations.
 func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.total == 0 {
 		return 0
 	}
@@ -97,8 +89,6 @@ func (h *Histogram) Mean() time.Duration {
 
 // Min returns the smallest observation, or 0 with none.
 func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.total == 0 {
 		return 0
 	}
@@ -107,8 +97,6 @@ func (h *Histogram) Min() time.Duration {
 
 // Max returns the largest observation, or 0 with none.
 func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.total == 0 {
 		return 0
 	}
@@ -118,8 +106,6 @@ func (h *Histogram) Max() time.Duration {
 // Quantile returns the q-quantile (0 <= q <= 1) with linear interpolation
 // inside the containing bucket, clamped to the observed min/max.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.total == 0 {
 		return 0
 	}
@@ -175,14 +161,11 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o == h {
 		return
 	}
-	o.mu.Lock()
 	counts := append([]uint64(nil), o.counts...)
 	total, sum, lo, hi := o.total, o.sum, o.min, o.max
-	o.mu.Unlock()
 	if total == 0 {
 		return
 	}
-	h.mu.Lock()
 	for i, c := range counts {
 		h.counts[i] += c
 	}
@@ -194,13 +177,10 @@ func (h *Histogram) Merge(o *Histogram) {
 	if hi > h.max {
 		h.max = hi
 	}
-	h.mu.Unlock()
 }
 
 // Reset clears all observations.
 func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i := range h.counts {
 		h.counts[i] = 0
 	}

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,24 +89,6 @@ func TestHistogramReset(t *testing.T) {
 	h.Observe(2 * time.Second)
 	if h.Count() != 1 || h.Max() != 2*time.Second {
 		t.Fatal("histogram unusable after reset")
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(time.Duration(i) * time.Nanosecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
 	}
 }
 

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Series is a per-interval time series: the per-second throughput and PCIe
 // traffic plots in Figures 2, 4, 11 and 14 are Series of one sample per
-// virtual second. It is safe for concurrent use.
+// virtual second.
 type Series struct {
-	mu      sync.Mutex
 	name    string
 	seconds []float64
 	values  []float64
@@ -25,30 +23,22 @@ func (s *Series) Name() string { return s.name }
 
 // Append records value v at time t (seconds).
 func (s *Series) Append(t, v float64) {
-	s.mu.Lock()
 	s.seconds = append(s.seconds, t)
 	s.values = append(s.values, v)
-	s.mu.Unlock()
 }
 
 // Len returns the number of samples.
 func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.values)
 }
 
 // At returns the i-th sample.
 func (s *Series) At(i int) (t, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.seconds[i], s.values[i]
 }
 
 // Values returns a copy of the sample values.
 func (s *Series) Values() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]float64, len(s.values))
 	copy(out, s.values)
 	return out
@@ -56,8 +46,6 @@ func (s *Series) Values() []float64 {
 
 // Mean returns the arithmetic mean of the sample values, or 0 if empty.
 func (s *Series) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -70,8 +58,6 @@ func (s *Series) Mean() float64 {
 
 // Min returns the smallest sample value, or 0 if empty.
 func (s *Series) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -86,8 +72,6 @@ func (s *Series) Min() float64 {
 
 // Max returns the largest sample value, or 0 if empty.
 func (s *Series) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.values) == 0 {
 		return 0
 	}
@@ -102,8 +86,6 @@ func (s *Series) Max() float64 {
 
 // CountBelow returns how many samples are <= threshold.
 func (s *Series) CountBelow(threshold float64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
 	for _, v := range s.values {
 		if v <= threshold {
@@ -116,8 +98,6 @@ func (s *Series) CountBelow(threshold float64) int {
 // TSV renders the series as "t<TAB>v" lines, the format cmd/experiments
 // emits for plotting.
 func (s *Series) TSV() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", s.name)
 	for i := range s.values {
@@ -129,7 +109,6 @@ func (s *Series) TSV() string {
 // CDF is an empirical cumulative distribution function over float samples,
 // used for the Figure 5 PCIe-utilization CDF.
 type CDF struct {
-	mu      sync.Mutex
 	samples []float64
 	sorted  bool
 }
@@ -139,20 +118,16 @@ func NewCDF() *CDF { return &CDF{} }
 
 // Add records one sample.
 func (c *CDF) Add(v float64) {
-	c.mu.Lock()
 	c.samples = append(c.samples, v)
 	c.sorted = false
-	c.mu.Unlock()
 }
 
 // Len returns the number of samples.
 func (c *CDF) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.samples)
 }
 
-func (c *CDF) sortLocked() {
+func (c *CDF) sort() {
 	if !c.sorted {
 		sort.Float64s(c.samples)
 		c.sorted = true
@@ -161,12 +136,10 @@ func (c *CDF) sortLocked() {
 
 // FractionAtMost returns P[X <= v].
 func (c *CDF) FractionAtMost(v float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.samples) == 0 {
 		return 0
 	}
-	c.sortLocked()
+	c.sort()
 	i := sort.SearchFloat64s(c.samples, v)
 	for i < len(c.samples) && c.samples[i] <= v {
 		i++
@@ -179,12 +152,10 @@ func (c *CDF) FractionAbove(v float64) float64 { return 1 - c.FractionAtMost(v) 
 
 // Quantile returns the q-quantile of the samples.
 func (c *CDF) Quantile(q float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.samples) == 0 {
 		return 0
 	}
-	c.sortLocked()
+	c.sort()
 	if q <= 0 {
 		return c.samples[0]
 	}
@@ -198,12 +169,10 @@ func (c *CDF) Quantile(q float64) float64 {
 // Points returns (x, P[X<=x]) pairs at each distinct sample, suitable for
 // plotting the CDF curve.
 func (c *CDF) Points() (xs, ys []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.samples) == 0 {
 		return nil, nil
 	}
-	c.sortLocked()
+	c.sort()
 	n := float64(len(c.samples))
 	for i, v := range c.samples {
 		if i+1 < len(c.samples) && c.samples[i+1] == v {

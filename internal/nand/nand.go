@@ -8,7 +8,6 @@ package nand
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/faults"
@@ -89,31 +88,23 @@ type Array struct {
 	channels []*vclock.Resource // per-channel bus
 	dies     []*vclock.Resource // per-die plane
 
-	pagesRead  atomic.Int64
-	pagesProg  atomic.Int64
-	blocksErsd atomic.Int64
+	stats Stats
 
-	eraseCounts []atomic.Int64 // per (die, block) wear
+	eraseCounts []int64 // per (die, block) wear
 
-	plan   atomic.Pointer[faults.Plan]  // fault plan; nil injects nothing
-	tracer atomic.Pointer[trace.Tracer] // nil records nothing
+	plan   *faults.Plan  // fault plan; nil injects nothing
+	tracer *trace.Tracer // nil records nothing
 }
 
 // SetFaultPlan installs the fault plan every NAND operation consults;
 // rules scoped to a physical-page extent produce region-scoped media
 // faults (the FTL maps logical regions onto physical extents).
-func (a *Array) SetFaultPlan(p *faults.Plan) { a.plan.Store(p) }
+func (a *Array) SetFaultPlan(p *faults.Plan) { a.plan = p }
 
 // SetTracer installs the tracer NAND operations record spans to. Each
 // span covers the op's full array residency — die/channel queueing plus
 // the media time (tRead/tProg/tErase). Nil detaches.
-func (a *Array) SetTracer(tr *trace.Tracer) {
-	if tr == nil {
-		a.tracer.Store(nil)
-		return
-	}
-	a.tracer.Store(tr)
-}
+func (a *Array) SetTracer(tr *trace.Tracer) { a.tracer = tr }
 
 // ppn returns addr's physical page number — the address fault-rule
 // scopes match against.
@@ -125,7 +116,7 @@ func (a *Array) ppn(addr Addr) int64 {
 // consult applies the fault plan to one operation: injected latency is
 // spent on r, injected errors are returned before any media time.
 func (a *Array) consult(r *vclock.Runner, op string, addr Addr) error {
-	out := a.plan.Load().Decide(op, a.ppn(addr))
+	out := a.plan.Decide(op, a.ppn(addr))
 	if out.Delay > 0 {
 		r.Sleep(out.Delay)
 	}
@@ -143,7 +134,7 @@ func New(geo Geometry, timing Timing) *Array {
 	for i := range a.dies {
 		a.dies[i] = vclock.NewResource(1, fmt.Sprintf("nand.die%d", i))
 	}
-	a.eraseCounts = make([]atomic.Int64, geo.Dies()*geo.BlocksPerDie)
+	a.eraseCounts = make([]int64, geo.Dies()*geo.BlocksPerDie)
 	return a
 }
 
@@ -189,7 +180,7 @@ func (a *Array) readPage(r *vclock.Runner, addr Addr, bg bool) error {
 	if err := a.consult(r, "NAND_READ", addr); err != nil {
 		return err
 	}
-	sp := a.tracer.Load().Begin(r, trace.PhaseNANDRead, "tRead")
+	sp := a.tracer.Begin(r, trace.PhaseNANDRead, "tRead")
 	if bg {
 		a.dies[a.dieIndex(addr)].UseBackground(r, a.timing.ReadPage)
 		a.channels[addr.Channel].UseBackground(r, a.busTime(a.geo.PageSize))
@@ -198,7 +189,8 @@ func (a *Array) readPage(r *vclock.Runner, addr Addr, bg bool) error {
 		a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
 	}
 	sp.End(r)
-	a.pagesRead.Add(1)
+	a.stats.PagesRead++
+	a.stats.BytesRead += int64(a.geo.PageSize)
 	return nil
 }
 
@@ -220,7 +212,7 @@ func (a *Array) programPage(r *vclock.Runner, addr Addr, bg bool) error {
 	if err := a.consult(r, "NAND_PROG", addr); err != nil {
 		return err
 	}
-	sp := a.tracer.Load().Begin(r, trace.PhaseNANDProg, "tProg")
+	sp := a.tracer.Begin(r, trace.PhaseNANDProg, "tProg")
 	if bg {
 		a.channels[addr.Channel].UseBackground(r, a.busTime(a.geo.PageSize))
 		a.dies[a.dieIndex(addr)].UseBackground(r, a.timing.ProgramPage)
@@ -229,7 +221,8 @@ func (a *Array) programPage(r *vclock.Runner, addr Addr, bg bool) error {
 		a.dies[a.dieIndex(addr)].Use(r, a.timing.ProgramPage)
 	}
 	sp.End(r)
-	a.pagesProg.Add(1)
+	a.stats.PagesProgrammed++
+	a.stats.BytesProgrammed += int64(a.geo.PageSize)
 	return nil
 }
 
@@ -240,31 +233,22 @@ func (a *Array) EraseBlock(r *vclock.Runner, addr Addr) error {
 	if err := a.consult(r, "NAND_ERASE", addr); err != nil {
 		return err
 	}
-	sp := a.tracer.Load().Begin(r, trace.PhaseNANDErase, "tErase")
+	sp := a.tracer.Begin(r, trace.PhaseNANDErase, "tErase")
 	a.dies[a.dieIndex(addr)].Use(r, a.timing.EraseBlock)
 	sp.End(r)
-	a.blocksErsd.Add(1)
-	a.eraseCounts[a.dieIndex(addr)*a.geo.BlocksPerDie+addr.Block].Add(1)
+	a.stats.BlocksErased++
+	a.eraseCounts[a.dieIndex(addr)*a.geo.BlocksPerDie+addr.Block]++
 	return nil
 }
 
 // EraseCount returns the wear count of the block containing addr.
 func (a *Array) EraseCount(addr Addr) int64 {
 	a.check(addr)
-	return a.eraseCounts[a.dieIndex(addr)*a.geo.BlocksPerDie+addr.Block].Load()
+	return a.eraseCounts[a.dieIndex(addr)*a.geo.BlocksPerDie+addr.Block]
 }
 
 // Stats returns cumulative counters.
-func (a *Array) Stats() Stats {
-	pr, pp := a.pagesRead.Load(), a.pagesProg.Load()
-	return Stats{
-		PagesRead:       pr,
-		PagesProgrammed: pp,
-		BlocksErased:    a.blocksErsd.Load(),
-		BytesRead:       pr * int64(a.geo.PageSize),
-		BytesProgrammed: pp * int64(a.geo.PageSize),
-	}
-}
+func (a *Array) Stats() Stats { return a.stats }
 
 // SustainedProgramMBps estimates the array's program-limited peak
 // bandwidth in MB/s — the paper's "~630 MB/s" device ceiling.

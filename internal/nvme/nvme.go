@@ -18,7 +18,6 @@ package nvme
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"kvaccel/internal/faults"
@@ -56,7 +55,7 @@ type Command struct {
 	qp        *QueuePair
 	submitted vclock.Time
 	parent    uint64 // submitter's trace context, for causal linking
-	done      bool   // guarded by Dispatcher.mu
+	done      bool
 }
 
 // Config sets the queueing model's constants.
@@ -113,7 +112,6 @@ type Dispatcher struct {
 	cfg   Config
 	slots *vclock.Semaphore
 
-	mu      sync.Mutex
 	queues  []*QueuePair
 	rrNext  int // arbitration scan position
 	running bool
@@ -126,9 +124,8 @@ type Dispatcher struct {
 	workerNames map[string]string
 }
 
-// workerNameLocked returns the runner name for a worker executing op.
-// Called with d.mu held.
-func (d *Dispatcher) workerNameLocked(op string) string {
+// workerName returns the runner name for a worker executing op.
+func (d *Dispatcher) workerName(op string) string {
 	name, ok := d.workerNames[op]
 	if !ok {
 		if d.workerNames == nil {
@@ -143,8 +140,6 @@ func (d *Dispatcher) workerNameLocked(op string) string {
 // SetFaultPlan installs the fault plan every command consults; nil (the
 // default) injects nothing.
 func (d *Dispatcher) SetFaultPlan(p *faults.Plan) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.plan = p
 }
 
@@ -152,8 +147,6 @@ func (d *Dispatcher) SetFaultPlan(p *faults.Plan) {
 // complete-event per command (submit → dispatch residency) and one
 // nvme-exec span per command body. Nil (the default) disables it.
 func (d *Dispatcher) SetTracer(tr *trace.Tracer) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.tracer = tr
 }
 
@@ -163,7 +156,6 @@ func (d *Dispatcher) SetTracer(tr *trace.Tracer) {
 // device-side effects may be partial), and every later Submit fails
 // until Attach re-powers the device.
 func (d *Dispatcher) Sever() {
-	d.mu.Lock()
 	d.severed = true
 	now := d.clk.Now()
 	var drained []*QueuePair
@@ -171,7 +163,7 @@ func (d *Dispatcher) Sever() {
 		for _, cmd := range q.sq {
 			cmd.done = true
 			cmd.Err = faults.ErrDeviceGone
-			q.accountLocked(now)
+			q.account(now)
 			q.outstanding--
 			q.completed++
 			q.errors++
@@ -186,7 +178,6 @@ func (d *Dispatcher) Sever() {
 		}
 		drained = append(drained, q)
 	}
-	d.mu.Unlock()
 	for _, q := range drained {
 		q.notFull.Broadcast()
 		q.cq.Broadcast()
@@ -195,8 +186,6 @@ func (d *Dispatcher) Sever() {
 
 // Severed reports whether the device is currently cut off.
 func (d *Dispatcher) Severed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.severed
 }
 
@@ -215,8 +204,6 @@ func NewDispatcher(clk *vclock.Clock, cfg Config) *Dispatcher {
 // clock; a restarted host must re-attach surviving devices before
 // issuing commands. The dispatcher must be idle (no commands in flight).
 func (d *Dispatcher) Attach(clk *vclock.Clock) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.running {
 		panic("nvme: Attach with commands in flight")
 	}
@@ -228,8 +215,6 @@ func (d *Dispatcher) Attach(clk *vclock.Clock) {
 // bodies, summed across slots. Against elapsed time × Slots it bounds
 // device utilization — the conservation check the tests assert.
 func (d *Dispatcher) BusyNS() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.busyNS
 }
 
@@ -248,19 +233,16 @@ func (d *Dispatcher) NewQueuePair(name string, weight int) *QueuePair {
 		latency:   metrics.NewHistogram(),
 		bgLatency: metrics.NewHistogram(),
 	}
-	q.notFull = vclock.NewCond(&d.mu, "nvme.sq.full:"+name)
-	q.cq = vclock.NewCond(&d.mu, "nvme.cq:"+name)
-	d.mu.Lock()
+	q.notFull = vclock.NewCond("nvme.sq.full:" + name)
+	q.cq = vclock.NewCond("nvme.cq:" + name)
 	d.queues = append(d.queues, q)
-	d.mu.Unlock()
 	return q
 }
 
-// ensureRunningLocked spawns the dispatcher runner if it is not active.
-// Called with d.mu held; the running flag and submission queues are both
-// under d.mu, so a command appended here is either seen by the live
-// dispatcher's next pick or serviced by the runner spawned now.
-func (d *Dispatcher) ensureRunningLocked() {
+// ensureRunning spawns the dispatcher runner if it is not active, so a
+// command just appended is either seen by the live dispatcher's next pick
+// or serviced by the runner spawned now.
+func (d *Dispatcher) ensureRunning() {
 	if d.running {
 		return
 	}
@@ -283,16 +265,13 @@ func (d *Dispatcher) run(r *vclock.Runner) {
 		// Take a firmware slot first so the pick sees the freshest queue
 		// state; commands posted while we waited are eligible.
 		d.slots.Acquire(r, 1)
-		d.mu.Lock()
-		cmd := d.pickLocked()
+		cmd := d.pick()
 		if cmd == nil {
 			d.running = false
-			d.mu.Unlock()
 			d.slots.Release(1)
 			return
 		}
-		name := d.workerNameLocked(cmd.Op)
-		d.mu.Unlock()
+		name := d.workerName(cmd.Op)
 		d.clk.GoWith(name, runCommand, cmd)
 	}
 }
@@ -300,9 +279,7 @@ func (d *Dispatcher) run(r *vclock.Runner) {
 // exec is a command's worker: it runs the command body on w, holding the
 // firmware slot the dispatcher took for it, and posts the completion.
 func (d *Dispatcher) exec(w *vclock.Runner, cmd *Command) {
-	d.mu.Lock()
 	plan, severed, tr := d.plan, d.severed, d.tracer
-	d.mu.Unlock()
 	if tr != nil {
 		// Queue residency: doorbell ring to firmware dispatch.
 		tr.Complete(w, trace.PhaseNVMeQueue, cmd.Op,
@@ -341,16 +318,14 @@ func (d *Dispatcher) exec(w *vclock.Runner, cmd *Command) {
 	if d.cfg.CompletionLatency > 0 {
 		w.Sleep(d.cfg.CompletionLatency)
 	}
-	d.mu.Lock()
 	d.busyNS += int64(service)
-	d.mu.Unlock()
 	cmd.qp.complete(cmd, w.Now(), err)
 }
 
-// pickLocked implements weighted round-robin: each queue gets up to
+// pick implements weighted round-robin: each queue gets up to
 // weight consecutive grants per round; when every backlogged queue has
 // exhausted its credit, all credits replenish and a new round begins.
-func (d *Dispatcher) pickLocked() *Command {
+func (d *Dispatcher) pick() *Command {
 	n := len(d.queues)
 	if n == 0 {
 		return nil
@@ -390,23 +365,20 @@ func (d *Dispatcher) pickLocked() *Command {
 
 // QueuePair is one paired submission/completion queue. Submit posts a
 // command (blocking at full depth); Await parks until a specific command
-// completes; Do is the synchronous convenience. All mutable state is
-// guarded by the dispatcher's mutex, which the conds use as L.
+// completes; Do is the synchronous convenience.
 type QueuePair struct {
 	name   string
 	d      *Dispatcher
 	weight int
 	depth  int
 
-	// Guarded by d.mu.
 	credit      int
 	sq          []*Command
 	outstanding int
 	notFull     *vclock.Cond
 	cq          *vclock.Cond
 
-	// Stats, guarded by d.mu except the internally-locked histograms.
-	// The bg* counters cover commands submitted with Background set; the
+	// Stats. The bg* counters cover commands submitted with Background set; the
 	// unprefixed counters remain totals (foreground = total − bg), except
 	// latency, which is foreground-only and merged with bgLatency for the
 	// total view in Stats.
@@ -426,10 +398,10 @@ type QueuePair struct {
 	bgLatency        *metrics.Histogram
 }
 
-// accountLocked folds the time spent at the current outstanding levels
-// into the occupancy integrals. Called with d.mu held on every level
-// change, before the level is mutated.
-func (q *QueuePair) accountLocked(now vclock.Time) {
+// account folds the time spent at the current outstanding levels
+// into the occupancy integrals. Called on every level change, before the
+// level is mutated.
+func (q *QueuePair) account(now vclock.Time) {
 	if now > q.lastChange {
 		dt := int64(now.Sub(q.lastChange))
 		q.occupancyNS += dt * int64(q.outstanding)
@@ -447,7 +419,6 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 		r.Sleep(q.d.cfg.DoorbellLatency)
 	}
 	now := r.Now()
-	q.d.mu.Lock()
 	for q.outstanding >= q.depth && !q.d.severed {
 		q.notFull.Wait(r)
 		now = r.Now()
@@ -468,13 +439,12 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 			q.bgCompleted++
 			q.bgErrors++
 		}
-		q.d.mu.Unlock()
 		return
 	}
 	cmd.qp = q
 	cmd.submitted = now
 	cmd.done = false
-	q.accountLocked(now)
+	q.account(now)
 	q.outstanding++
 	if q.outstanding > q.maxOutstanding {
 		q.maxOutstanding = q.outstanding
@@ -488,20 +458,16 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 		}
 	}
 	q.sq = append(q.sq, cmd)
-	q.d.ensureRunningLocked()
-	q.d.mu.Unlock()
+	q.d.ensureRunning()
 }
 
 // Await parks r until cmd (previously Submitted on this queue) completes
 // and returns the command's completion status.
 func (q *QueuePair) Await(r *vclock.Runner, cmd *Command) error {
-	q.d.mu.Lock()
 	for !cmd.done {
 		q.cq.Wait(r)
 	}
-	err := cmd.Err
-	q.d.mu.Unlock()
-	return err
+	return cmd.Err
 }
 
 // Do submits cmd and waits for its completion — the synchronous path for
@@ -513,14 +479,13 @@ func (q *QueuePair) Do(r *vclock.Runner, cmd *Command) error {
 
 // complete posts cmd's completion: it frees a depth unit, records the
 // command latency and status, and wakes blocked submitters and awaiters.
-// Everything it needs of cmd is read before done is published under the
-// lock: an awaiter that finds done set may reuse the command at once.
+// Everything it needs of cmd is read before done is published: an
+// awaiter that finds done set may reuse the command at once.
 func (q *QueuePair) complete(cmd *Command, now vclock.Time, err error) {
-	q.d.mu.Lock()
 	bg, lat := cmd.Background, time.Duration(now.Sub(cmd.submitted))
 	cmd.Err = err
 	cmd.done = true
-	q.accountLocked(now)
+	q.account(now)
 	q.outstanding--
 	q.completed++
 	if err != nil {
@@ -533,7 +498,6 @@ func (q *QueuePair) complete(cmd *Command, now vclock.Time, err error) {
 			q.bgErrors++
 		}
 	}
-	q.d.mu.Unlock()
 	if bg {
 		q.bgLatency.Observe(lat)
 	} else {
@@ -597,8 +561,6 @@ func (q *QueuePair) Stats(now vclock.Time) QueueStats {
 	lat := metrics.NewHistogram()
 	lat.Merge(fgLat)
 	lat.Merge(bgLat)
-	q.d.mu.Lock()
-	defer q.d.mu.Unlock()
 	s := QueueStats{
 		Name:             q.name,
 		Depth:            q.depth,
@@ -633,9 +595,7 @@ func (q *QueuePair) Stats(now vclock.Time) QueueStats {
 // Stats snapshots every registered queue pair at virtual time now, in
 // registration order.
 func (d *Dispatcher) Stats(now vclock.Time) []QueueStats {
-	d.mu.Lock()
 	queues := append([]*QueuePair(nil), d.queues...)
-	d.mu.Unlock()
 	out := make([]QueueStats, len(queues))
 	for i, q := range queues {
 		out[i] = q.Stats(now)

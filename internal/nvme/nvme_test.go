@@ -3,7 +3,6 @@ package nvme
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -53,13 +52,10 @@ func TestWRRFairness(t *testing.T) {
 	heavy := d.NewQueuePair("heavy", 3)
 	light := d.NewQueuePair("light", 1)
 
-	var mu sync.Mutex
 	var order []string
 	mark := func(name string) *Command {
 		return &Command{Op: name, Exec: func(r *vclock.Runner) error {
-			mu.Lock()
 			order = append(order, name)
-			mu.Unlock()
 			r.Sleep(100 * time.Microsecond)
 			return nil
 		}}

@@ -9,7 +9,6 @@
 package pcie
 
 import (
-	"sync"
 	"time"
 
 	"kvaccel/internal/vclock"
@@ -29,7 +28,6 @@ type Link struct {
 	mbps    float64
 	latency time.Duration
 
-	mu      sync.Mutex
 	bytes   [2]int64 // per direction
 	lastTot int64    // aggregate sampling cursor (SampleMBps)
 	lastDir [2]int64 // per-direction sampling cursors (SampleDirMBps)
@@ -80,22 +78,16 @@ func (l *Link) Transfer(r *vclock.Runner, dir Direction, n int) {
 		d += time.Duration(float64(n) / (perLane * 1e6) * float64(time.Second))
 	}
 	l.res.Use(r, d)
-	l.mu.Lock()
 	l.bytes[dir] += int64(n)
-	l.mu.Unlock()
 }
 
 // BytesTransferred returns cumulative bytes for a direction.
 func (l *Link) BytesTransferred(dir Direction) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.bytes[dir]
 }
 
 // TotalBytes returns cumulative bytes in both directions.
 func (l *Link) TotalBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.bytes[0] + l.bytes[1]
 }
 
@@ -103,8 +95,6 @@ func (l *Link) TotalBytes() int64 {
 // call, in MB/s. Experiments call it once per virtual second, exactly as
 // the paper samples Intel PCM at 1-second intervals.
 func (l *Link) SampleMBps(interval time.Duration) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	tot := l.bytes[0] + l.bytes[1]
 	delta := tot - l.lastTot
 	l.lastTot = tot
@@ -120,8 +110,6 @@ func (l *Link) SampleMBps(interval time.Duration) float64 {
 // cursor, so a sampler using one never perturbs (or double-counts
 // against) a sampler using the other.
 func (l *Link) SampleDirMBps(dir Direction, interval time.Duration) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	delta := l.bytes[dir] - l.lastDir[dir]
 	l.lastDir[dir] = l.bytes[dir]
 	if interval <= 0 {

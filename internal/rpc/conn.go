@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"kvaccel/internal/vclock"
@@ -61,7 +60,6 @@ type frame struct {
 type halfConn struct {
 	cfg NetConfig
 
-	mu    sync.Mutex
 	items vclock.Ring[frame] // at most cfg.Buffer; nothing until the first frame
 	// nicFree is when the sender's NIC has serialized every frame handed
 	// to it so far. Transmit time is booked against it instead of slept:
@@ -75,18 +73,16 @@ type halfConn struct {
 
 func newHalfConn(cfg NetConfig, label string) *halfConn {
 	h := &halfConn{cfg: cfg}
-	h.notEmpty = vclock.NewCond(&h.mu, label+".recv")
-	h.notFull = vclock.NewCond(&h.mu, label+".send")
+	h.notEmpty = vclock.NewCond(label + ".recv")
+	h.notFull = vclock.NewCond(label + ".send")
 	return h
 }
 
 func (h *halfConn) send(r *vclock.Runner, data []byte) error {
-	h.mu.Lock()
 	for h.items.Len() >= h.cfg.Buffer && !h.closed {
 		h.notFull.Wait(r)
 	}
 	if h.closed {
-		h.mu.Unlock()
 		return ErrClosed
 	}
 	// Serialization: the frame leaves once the NIC is through with the
@@ -96,7 +92,6 @@ func (h *halfConn) send(r *vclock.Runner, data []byte) error {
 	h.nicFree = sentAt
 	readyAt := sentAt.Add(h.cfg.Latency)
 	h.items.Push(frame{data: data, sentAt: sentAt, readyAt: readyAt})
-	h.mu.Unlock()
 	// Propagation: a receiver parked on the empty queue sleeps straight
 	// through to the arrival, in the park it is already in.
 	h.notEmpty.SignalAt(readyAt)
@@ -104,7 +99,6 @@ func (h *halfConn) send(r *vclock.Runner, data []byte) error {
 }
 
 func (h *halfConn) recv(r *vclock.Runner) (frame, bool) {
-	h.mu.Lock()
 	for {
 		if h.items.Len() > 0 {
 			// Propagation: the frame is not visible before it arrives. A
@@ -114,19 +108,15 @@ func (h *halfConn) recv(r *vclock.Runner) (frame, bool) {
 			if r.Now() >= readyAt {
 				break
 			}
-			h.mu.Unlock()
 			r.SleepUntil(readyAt)
-			h.mu.Lock()
 			continue
 		}
 		if h.closed {
-			h.mu.Unlock()
 			return frame{}, false
 		}
 		h.notEmpty.Wait(r)
 	}
 	fr := h.items.Pop()
-	h.mu.Unlock()
 	h.notFull.Signal()
 	return fr, true
 }
@@ -136,7 +126,6 @@ func (h *halfConn) recv(r *vclock.Runner) (frame, bool) {
 // mid-frame — the abrupt-drop model the torn tail tests exercise. The torn
 // frame is the same buffer, shortened: it still has exactly one owner.
 func (h *halfConn) close(truncate bool) {
-	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
 		if truncate && h.items.Len() > 0 {
@@ -146,7 +135,6 @@ func (h *halfConn) close(truncate bool) {
 			}
 		}
 	}
-	h.mu.Unlock()
 	h.notEmpty.Broadcast()
 	h.notFull.Broadcast()
 }
@@ -165,7 +153,6 @@ type Conn struct {
 	out *halfConn
 	in  *halfConn
 
-	fmu  sync.Mutex
 	free [][]byte // released frames, empty, for this endpoint's next encodes
 }
 
@@ -182,8 +169,6 @@ func NewPair(cfg NetConfig, label string) (client, server *Conn) {
 // (append allocates) when none is free. The caller owns it until it hands
 // it to Send.
 func (c *Conn) Buffer() []byte {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
 	n := len(c.free)
 	if n == 0 {
 		return nil
@@ -227,11 +212,9 @@ func (c *Conn) Release(data []byte) {
 	if cap(data) == 0 {
 		return
 	}
-	c.fmu.Lock()
 	if len(c.free) < c.out.cfg.Buffer {
 		c.free = append(c.free, data[:0])
 	}
-	c.fmu.Unlock()
 }
 
 // Close shuts both directions down cleanly: frames already in flight

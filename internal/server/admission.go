@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"kvaccel/internal/vclock"
@@ -28,7 +27,6 @@ type admission struct {
 	lowWater float64
 	tenants  int
 
-	mu          sync.Mutex
 	tokens      float64
 	last        vclock.Time
 	windowStart vclock.Time
@@ -68,8 +66,6 @@ func (a *admission) admit(now vclock.Time, tenant int) bool {
 		return true
 	}
 	t := tenant % a.tenants
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	// Refill on virtual time.
 	if now > a.last {
 		a.tokens += a.rate * now.Sub(a.last).Seconds()
@@ -103,11 +99,4 @@ func (a *admission) admit(now vclock.Time, tenant int) bool {
 	a.windowTotal++
 	a.admitted[t]++
 	return true
-}
-
-// snapshot returns per-tenant admitted/shed counters.
-func (a *admission) snapshot() (admitted, shed []int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]int64(nil), a.admitted...), append([]int64(nil), a.shed...)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"kvaccel"
@@ -44,7 +43,6 @@ type shardBatcher struct {
 	readq  *mailbox[*pending]   // reads; bounded the same way
 	chunkq *mailbox[[]*pending] // claimed multi-get chunks awaiting a reader
 
-	mu        sync.Mutex
 	recentOps float64 // EWMA of recent batch sizes
 	futile    int
 	window    lingerWindow
@@ -65,7 +63,7 @@ type shardBatcher struct {
 // raises to cut the wait short. An event cannot be lowered again: a
 // window that was cut short used its event up, one that ran to its
 // timeout leaves it as the spare for the next (the engine's group-commit
-// linger keeps its spare the same way). Guarded by shardBatcher.mu.
+// linger keeps its spare the same way).
 type lingerWindow struct {
 	open  *vclock.Event // non-nil while a window is open
 	spare *vclock.Event
@@ -125,46 +123,37 @@ func (b *shardBatcher) enqueueRead(p *pending) bool {
 	return true
 }
 
-// cutWindow cuts w's linger window short, if one is open. The event is
-// raised under b.mu: once closeWindow has run, nobody can raise it.
+// cutWindow cuts w's linger window short, if one is open: once
+// closeWindow has run, nobody can raise its event.
 func (b *shardBatcher) cutWindow(w *lingerWindow) {
-	b.mu.Lock()
 	if w.open != nil {
 		w.open.Set()
 	}
-	b.mu.Unlock()
 }
 
 // openWindow opens w's linger window and returns the event to wait on.
 func (b *shardBatcher) openWindow(w *lingerWindow) *vclock.Event {
-	b.mu.Lock()
 	if w.open = w.spare; w.open == nil {
 		w.open = vclock.NewEvent(w.label)
 	}
 	w.spare = nil
-	ev := w.open
-	b.mu.Unlock()
-	return ev
+	return w.open
 }
 
 // closeWindow closes w's window, keeping its event for the next one
 // unless a producer raised it.
 func (b *shardBatcher) closeWindow(w *lingerWindow) {
-	b.mu.Lock()
 	if !w.open.IsSet() {
 		w.spare = w.open
 	}
 	w.open = nil
-	b.mu.Unlock()
 }
 
-// lingerDuration mirrors lsm's lingerDurationLocked: no window when the
+// lingerDuration mirrors lsm's lingerDuration: no window when the
 // policy is off or futile, none when a full batch is already queued,
 // none when recent batches say depth alone is doing the job.
 func (b *shardBatcher) lingerDuration(queued int) time.Duration {
 	us := b.srv.cfg.LingerMicros
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if us <= 0 || b.futile >= batchFutileLimit {
 		return 0
 	}
@@ -178,24 +167,20 @@ func (b *shardBatcher) lingerDuration(queued int) time.Duration {
 }
 
 // noteBatch feeds the adaptive policy after a commit, exactly like lsm's
-// noteGroupLocked.
+// noteGroup.
 func (b *shardBatcher) noteBatch(ops int, lingered bool) {
-	b.mu.Lock()
 	b.recentOps = 0.75*b.recentOps + 0.25*float64(ops)
 	if ops > 1 {
 		b.futile = 0
 	} else if lingered {
 		b.futile++
 	}
-	b.mu.Unlock()
 }
 
 // readLingerDuration / noteChunk: the read-side twins, gated on the
 // multi-get chunk cap instead of the write-batch cap.
 func (b *shardBatcher) readLingerDuration(queued int) time.Duration {
 	us := b.srv.cfg.LingerMicros
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if us <= 0 || b.readFutile >= batchFutileLimit {
 		return 0
 	}
@@ -209,14 +194,12 @@ func (b *shardBatcher) readLingerDuration(queued int) time.Duration {
 }
 
 func (b *shardBatcher) noteChunk(ops int, lingered bool) {
-	b.mu.Lock()
 	b.readRecent = 0.75*b.readRecent + 0.25*float64(ops)
 	if ops > 1 {
 		b.readFutile = 0
 	} else if lingered {
 		b.readFutile++
 	}
-	b.mu.Unlock()
 }
 
 // drain moves queued requests from q onto dst until dst holds max.
@@ -282,8 +265,8 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		// per-connection dispatch pays per op.
 		b.srv.cpu.Run(r, b.srv.cfg.DispatchCPU)
 		err := shard.WriteBatch(r, &wb)
-		b.srv.stats.Batches.Add(1)
-		b.srv.stats.BatchedOps.Add(int64(len(batch)))
+		b.srv.stats.Batches++
+		b.srv.stats.BatchedOps += int64(len(batch))
 		b.srv.completeBatch(batch, r.Now(), err)
 		clear(batch) // the members are their connections' again
 	}
@@ -292,8 +275,6 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 // newChunk returns an empty chunk slice, one a reader has handed back
 // when there is one.
 func (b *shardBatcher) newChunk() []*pending {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if n := len(b.chunkSpare); n > 0 {
 		chunk := b.chunkSpare[n-1]
 		b.chunkSpare = b.chunkSpare[:n-1]
@@ -339,8 +320,8 @@ func (b *shardBatcher) readClaim(r *vclock.Runner) {
 		for _, p := range chunk {
 			p.claimed = claimed
 		}
-		b.srv.stats.ReadChunks.Add(1)
-		b.srv.stats.ReadOps.Add(int64(len(chunk)))
+		b.srv.stats.ReadChunks++
+		b.srv.stats.ReadOps += int64(len(chunk))
 		b.chunkq.push(chunk)
 	}
 }
@@ -363,7 +344,7 @@ func (b *shardBatcher) readLoop(r *vclock.Runner) {
 			value, found, err := shard.Get(r, p.req.Key)
 			switch {
 			case err != nil:
-				b.srv.stats.EngineErrors.Add(1)
+				b.srv.stats.EngineErrors++
 				resp.Status = rpc.StatusErr
 			case !found:
 				resp.Status = rpc.StatusNotFound
@@ -371,12 +352,10 @@ func (b *shardBatcher) readLoop(r *vclock.Runner) {
 				resp.Value = value
 			}
 			p.engDone = r.Now()
-			b.srv.stats.tenant(int(p.req.Tenant)).OK.Add(1)
+			b.srv.tenant(p).Answered++
 			p.conn.deliver(p)
 		}
 		clear(chunk)
-		b.mu.Lock()
 		b.chunkSpare = append(b.chunkSpare, chunk[:0])
-		b.mu.Unlock()
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sync"
-
 	"kvaccel"
 	"kvaccel/internal/rpc"
 	"kvaccel/internal/vclock"
@@ -37,7 +35,6 @@ type connState struct {
 	conn *rpc.Conn
 	id   int64
 
-	mu       sync.Mutex
 	nextSeq  uint64 // assigned at decode, in arrival order
 	sendSeq  uint64 // next seq the reply writer may transmit
 	reorder  map[uint64]*pending
@@ -65,8 +62,6 @@ func newConnState(s *Server, conn *rpc.Conn, id int64) *connState {
 // newPending takes a pending off the free list, or makes the list one
 // longer: a connection allocates as many as it ever has in flight.
 func (c *connState) newPending() *pending {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if n := len(c.spare); n > 0 {
 		p := c.spare[n-1]
 		c.spare = c.spare[:n-1]
@@ -92,9 +87,7 @@ func (c *connState) recycle(p *pending) {
 	clear(p.req.Ops)
 	p.resp.Value = nil
 	clear(p.resp.Entries)
-	c.mu.Lock()
 	c.spare = append(c.spare, p)
-	c.mu.Unlock()
 }
 
 // handle is the per-connection request loop.
@@ -117,7 +110,7 @@ func (c *connState) handle(r *vclock.Runner) {
 			if err != nil {
 				// Torn or corrupt frame: the stream is unrecoverable, as
 				// in WAL replay. Drop the connection.
-				c.srv.stats.TornFrames.Add(1)
+				c.srv.stats.TornFrames++
 				torn = true
 				break
 			}
@@ -126,7 +119,7 @@ func (c *connState) handle(r *vclock.Runner) {
 			}
 			p := c.newPending()
 			if err := rpc.DecodeRequest(payload, &p.req); err != nil {
-				c.srv.stats.BadRequests.Add(1)
+				c.srv.stats.BadRequests++
 				c.recycle(p)
 				continue
 			}
@@ -144,20 +137,16 @@ func (c *connState) handle(r *vclock.Runner) {
 			// requests cost (nearly) nothing — under overload the tier
 			// must be able to refuse load it cannot afford to parse.
 			p.decoded = r.Now()
-			c.mu.Lock()
 			p.seq = c.nextSeq
 			c.nextSeq++
 			c.inflight++
-			c.mu.Unlock()
 			c.srv.dispatch(r, p)
 		}
 		clear(c.burst)
 		c.burst = c.burst[:0]
 	}
-	c.mu.Lock()
 	c.done = true
 	idle := c.inflight == 0
-	c.mu.Unlock()
 	if idle {
 		c.replies.close()
 	}
@@ -167,7 +156,6 @@ func (c *connState) handle(r *vclock.Runner) {
 // successors it unblocks) to the reply writer only in seq order. Safe to
 // call from any runner: handlers, batchers, readers.
 func (c *connState) deliver(p *pending) {
-	c.mu.Lock()
 	c.reorder[p.seq] = p
 	for {
 		q, ok := c.reorder[c.sendSeq]
@@ -180,7 +168,6 @@ func (c *connState) deliver(p *pending) {
 		c.replies.push(q)
 	}
 	closeNow := c.done && c.inflight == 0
-	c.mu.Unlock()
 	if closeNow {
 		c.replies.close()
 	}
@@ -208,13 +195,13 @@ func (c *connState) writeReplies(r *vclock.Runner) {
 			ReplyNS:  nsBetween(p.engDone, sendStart),
 		}
 		c.srv.tracePhases(r, p, sendStart)
-		c.srv.stats.phases.add(p, sendStart)
+		c.srv.stats.Phases.add(p, sendStart)
 		data := rpc.AppendResponse(c.conn.Buffer(), &p.resp)
 		c.recycle(p)
 		if err := c.conn.Send(r, data); err != nil {
-			c.srv.stats.DroppedReplies.Add(1)
+			c.srv.stats.DroppedReplies++
 		} else {
-			c.srv.stats.Replies.Add(1)
+			c.srv.stats.Replies++
 		}
 	}
 	c.conn.Close()

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sync"
-
 	"kvaccel/internal/vclock"
 )
 
@@ -18,7 +16,6 @@ type mailbox[T any] struct {
 	label string
 	cap   int // <= 0: unbounded
 
-	mu       sync.Mutex
 	items    vclock.Ring[T] // popping moves nothing
 	closed   bool
 	notEmpty *vclock.Cond
@@ -26,19 +23,16 @@ type mailbox[T any] struct {
 
 func newMailbox[T any](capacity int, label string) *mailbox[T] {
 	m := &mailbox[T]{label: label, cap: capacity}
-	m.notEmpty = vclock.NewCond(&m.mu, label)
+	m.notEmpty = vclock.NewCond(label)
 	return m
 }
 
 // tryPush enqueues v unless the box is closed or full.
 func (m *mailbox[T]) tryPush(v T) bool {
-	m.mu.Lock()
 	if m.closed || (m.cap > 0 && m.items.Len() >= m.cap) {
-		m.mu.Unlock()
 		return false
 	}
 	m.items.Push(v)
-	m.mu.Unlock()
 	m.notEmpty.Signal()
 	return true
 }
@@ -46,13 +40,10 @@ func (m *mailbox[T]) tryPush(v T) bool {
 // push enqueues v regardless of capacity; on a closed box the item is
 // dropped and push reports false.
 func (m *mailbox[T]) push(v T) bool {
-	m.mu.Lock()
 	if m.closed {
-		m.mu.Unlock()
 		return false
 	}
 	m.items.Push(v)
-	m.mu.Unlock()
 	m.notEmpty.Signal()
 	return true
 }
@@ -60,41 +51,31 @@ func (m *mailbox[T]) push(v T) bool {
 // pop dequeues the oldest item, parking r while the box is empty. ok is
 // false once the box is closed and drained.
 func (m *mailbox[T]) pop(r *vclock.Runner) (v T, ok bool) {
-	m.mu.Lock()
 	for m.items.Len() == 0 && !m.closed {
 		m.notEmpty.Wait(r)
 	}
 	if m.items.Len() == 0 {
-		m.mu.Unlock()
 		return v, false
 	}
 	v = m.items.Pop()
-	m.mu.Unlock()
 	return v, true
 }
 
 // tryPop dequeues without parking.
 func (m *mailbox[T]) tryPop() (v T, ok bool) {
-	m.mu.Lock()
 	if m.items.Len() == 0 {
-		m.mu.Unlock()
 		return v, false
 	}
 	v = m.items.Pop()
-	m.mu.Unlock()
 	return v, true
 }
 
 func (m *mailbox[T]) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.items.Len()
 }
 
 // close marks the box closed and wakes every parked consumer.
 func (m *mailbox[T]) close() {
-	m.mu.Lock()
 	m.closed = true
-	m.mu.Unlock()
 	m.notEmpty.Broadcast()
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -71,14 +70,11 @@ func runPipelined(t *testing.T, batch bool, conns int) {
 
 	var (
 		remaining atomic.Int32
-		mu        sync.Mutex
 		errs      []string
 	)
 	remaining.Store(int32(conns))
 	fail := func(format string, args ...any) {
-		mu.Lock()
 		errs = append(errs, fmt.Sprintf(format, args...))
-		mu.Unlock()
 	}
 	keyOf := func(c, i int) []byte { return []byte(fmt.Sprintf("conn%d-key%02d", c, i)) }
 	valueOf := func(c, i int) []byte { return []byte(fmt.Sprintf("value of key %02d on connection %d", i, c)) }

@@ -13,8 +13,7 @@ package server
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"kvaccel"
@@ -177,16 +176,18 @@ type Server struct {
 	cpu *cpu.Pool // frontend worker cores (decode + dispatch charges)
 
 	accept   []*mailbox[*rpc.Conn]
-	nextLsnr atomic.Int64
+	nextLsnr int64
 	batchers []*shardBatcher
 
-	mu        sync.Mutex
 	liveConns int
 	connsDone *vclock.Cond
-	connSeq   atomic.Int64
-	closed    atomic.Bool
+	connSeq   int64
+	closed    bool
 
-	stats serverCounters
+	// stats holds the counters Stats returns; the admission gate's
+	// per-tenant counts and the front cores' busy time are filled in
+	// there.
+	stats Stats
 }
 
 // New builds a server over db and starts its listener (and, in batched
@@ -195,9 +196,9 @@ func New(db *kvaccel.ShardedDB, cfg Config) *Server {
 	cfg = cfg.normalize()
 	s := &Server{db: db, cfg: cfg, clk: db.Clock()}
 	s.cpu = cpu.NewPool(cfg.FrontCores, "server.cpu")
-	s.connsDone = vclock.NewCond(&s.mu, "server.conns-done")
+	s.connsDone = vclock.NewCond("server.conns-done")
 	s.adm = newAdmission(cfg.AdmitRate, cfg.AdmitBurst, cfg.Tenants)
-	s.stats.init(cfg.Tenants)
+	s.stats.Tenants = make([]TenantStats, cfg.Tenants)
 
 	s.accept = make([]*mailbox[*rpc.Conn], cfg.Listeners)
 	for i := range s.accept {
@@ -225,15 +226,16 @@ func (s *Server) Config() Config { return s.cfg }
 // backlog refuses, like a SYN drop), and returns the client endpoint.
 // It returns nil once the server is shut down or the backlog is full.
 func (s *Server) Connect(r *vclock.Runner, label string) *rpc.Conn {
-	if s.closed.Load() {
+	if s.closed {
 		return nil
 	}
 	client, srvEnd := rpc.NewPair(s.cfg.Net, label)
 	// SYN + SYN-ACK: one round trip before the first byte.
 	r.Sleep(2 * s.cfg.Net.Latency)
-	i := int(s.nextLsnr.Add(1)) % len(s.accept)
+	s.nextLsnr++
+	i := int(s.nextLsnr) % len(s.accept)
 	if !s.accept[i].tryPush(srvEnd) {
-		s.stats.ConnRefused.Add(1)
+		s.stats.ConnRefused++
 		return nil
 	}
 	return client
@@ -246,11 +248,10 @@ func (s *Server) listen(r *vclock.Runner, box *mailbox[*rpc.Conn]) {
 		if !ok {
 			return
 		}
-		s.mu.Lock()
 		s.liveConns++
-		s.mu.Unlock()
-		s.stats.Accepted.Add(1)
-		id := s.connSeq.Add(1)
+		s.stats.Accepted++
+		s.connSeq++
+		id := s.connSeq
 		c := newConnState(s, conn, id)
 		s.clk.Go(fmt.Sprintf("server.conn.%d", id), c.handle)
 		s.clk.Go(fmt.Sprintf("server.reply.%d", id), c.writeReplies)
@@ -259,9 +260,7 @@ func (s *Server) listen(r *vclock.Runner, box *mailbox[*rpc.Conn]) {
 
 // connDone is called once per connection after its reply writer exits.
 func (s *Server) connDone() {
-	s.mu.Lock()
 	s.liveConns--
-	s.mu.Unlock()
 	s.connsDone.Broadcast()
 }
 
@@ -269,12 +268,10 @@ func (s *Server) connDone() {
 // batcher, reader, and listener runners. Call it after all clients have
 // closed their connections; afterwards the clock can drain.
 func (s *Server) Shutdown(r *vclock.Runner) {
-	s.closed.Store(true)
-	s.mu.Lock()
+	s.closed = true
 	for s.liveConns > 0 {
 		s.connsDone.Wait(r)
 	}
-	s.mu.Unlock()
 	for _, b := range s.batchers {
 		b.close()
 	}
@@ -286,7 +283,7 @@ func (s *Server) Shutdown(r *vclock.Runner) {
 // dispatch routes one decoded request: admission first, then the batched
 // or direct execution path.
 func (s *Server) dispatch(r *vclock.Runner, p *pending) {
-	s.stats.Requests.Add(1)
+	s.stats.Requests++
 	tenant := int(p.req.Tenant)
 	if !s.adm.admit(p.decoded, tenant) {
 		s.shed(r, p)
@@ -320,8 +317,8 @@ func (s *Server) dispatch(r *vclock.Runner, p *pending) {
 // shed refuses p with RETRY_LATER; the response still flows through the
 // ordered reply path, so a shed is never a silent drop.
 func (s *Server) shed(r *vclock.Runner, p *pending) {
-	s.stats.Shed.Add(1)
-	s.stats.tenant(int(p.req.Tenant)).Shed.Add(1)
+	s.stats.Shed++
+	s.tenant(p).Shed++
 	s.cfg.Tracer.Instant(r, trace.PhaseServeShed, rpc.OpName(p.req.Op), 0)
 	p.enq = p.decoded
 	p.claimed = p.decoded
@@ -334,7 +331,7 @@ func (s *Server) shed(r *vclock.Runner, p *pending) {
 // per-connection dispatch baseline, and the path scans/batches always
 // take.
 func (s *Server) execDirect(r *vclock.Runner, p *pending) {
-	s.stats.DirectOps.Add(1)
+	s.stats.DirectOps++
 	p.enq = p.decoded
 	p.claimed = p.decoded
 	// One full engine crossing per op: the overhead the batcher amortizes.
@@ -369,11 +366,11 @@ func (s *Server) execDirect(r *vclock.Runner, p *pending) {
 		resp.Status = rpc.StatusErr
 	}
 	if err != nil {
-		s.stats.EngineErrors.Add(1)
+		s.stats.EngineErrors++
 		resp.Status = rpc.StatusErr
 	}
 	p.engDone = r.Now()
-	s.stats.tenant(int(p.req.Tenant)).OK.Add(1)
+	s.tenant(p).Answered++
 	p.conn.deliver(p)
 }
 
@@ -405,11 +402,11 @@ func (s *Server) completeBatch(batch []*pending, done vclock.Time, err error) {
 			status = rpc.StatusErr
 		}
 		p.reply(status)
-		s.stats.tenant(int(p.req.Tenant)).OK.Add(1)
+		s.tenant(p).Answered++
 		p.conn.deliver(p)
 	}
 	if err != nil {
-		s.stats.EngineErrors.Add(int64(len(batch)))
+		s.stats.EngineErrors += int64(len(batch))
 	}
 }
 
@@ -434,9 +431,19 @@ func (s *Server) tracePhases(r *vclock.Runner, p *pending, sendStart vclock.Time
 	}
 }
 
+// tenant returns the accounting row of p's tenant.
+func (s *Server) tenant(p *pending) *TenantStats {
+	return &s.stats.Tenants[int(p.req.Tenant)%len(s.stats.Tenants)]
+}
+
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
-	st := s.stats.snapshot(s.adm)
+	st := s.stats
 	st.FrontCPUBusy = time.Duration(s.cpu.BusyNS())
+	st.Tenants = slices.Clone(s.stats.Tenants)
+	for i := range st.Tenants {
+		st.Tenants[i].Admitted = s.adm.admitted[i]
+		st.Tenants[i].Shed += s.adm.shed[i]
+	}
 	return st
 }

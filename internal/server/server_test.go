@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -47,14 +46,11 @@ func runAbortProperty(t *testing.T, batch bool, seed int64) {
 
 	var (
 		remaining atomic.Int32
-		mu        sync.Mutex
 		errs      []string
 	)
 	remaining.Store(clients)
 	fail := func(format string, args ...any) {
-		mu.Lock()
 		errs = append(errs, fmt.Sprintf(format, args...))
-		mu.Unlock()
 	}
 
 	for c := 0; c < clients; c++ {

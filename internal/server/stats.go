@@ -1,67 +1,18 @@
 package server
 
 import (
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/vclock"
 )
 
-// tenantCounters is one tenant's accounting row.
-type tenantCounters struct {
-	OK   atomic.Int64 // requests that reached the engine and were answered
-	Shed atomic.Int64 // queue-depth sheds (admission-gate sheds live in admission)
-}
-
-// phaseAccum accumulates the exact per-phase residency totals the bench
-// JSON reports (virtual nanoseconds); the trace-phase aggregates carry
-// the same numbers when tracing is on, but these are always on and free.
-type phaseAccum struct {
-	Accept atomic.Int64
-	Linger atomic.Int64
-	Engine atomic.Int64
-	Reply  atomic.Int64
-	Count  atomic.Int64
-}
-
-func (a *phaseAccum) add(p *pending, sendStart vclock.Time) {
-	a.Accept.Add(int64(nsBetween(p.arrived, p.decoded)))
-	a.Linger.Add(int64(nsBetween(p.enq, p.claimed)))
-	a.Engine.Add(int64(nsBetween(p.claimed, p.engDone)))
-	a.Reply.Add(int64(nsBetween(p.engDone, sendStart)))
-	a.Count.Add(1)
-}
-
-// serverCounters is the server's always-on atomic counter set.
-type serverCounters struct {
-	Accepted       atomic.Int64
-	ConnRefused    atomic.Int64
-	Requests       atomic.Int64
-	Shed           atomic.Int64 // all sheds: admission gate + queue depth
-	Replies        atomic.Int64
-	DroppedReplies atomic.Int64 // responses to connections that died first
-	TornFrames     atomic.Int64
-	BadRequests    atomic.Int64
-	EngineErrors   atomic.Int64
-	Batches        atomic.Int64
-	BatchedOps     atomic.Int64
-	ReadChunks     atomic.Int64
-	ReadOps        atomic.Int64
-	DirectOps      atomic.Int64
-
-	phases  phaseAccum
-	tenants []*tenantCounters
-}
-
-func (c *serverCounters) init(tenants int) {
-	c.tenants = make([]*tenantCounters, tenants)
-	for i := range c.tenants {
-		c.tenants[i] = &tenantCounters{}
-	}
-}
-
-func (c *serverCounters) tenant(i int) *tenantCounters {
-	return c.tenants[i%len(c.tenants)]
+// add books p's server-side phases, its reply starting at sendStart.
+func (a *PhaseTotals) add(p *pending, sendStart vclock.Time) {
+	a.AcceptNS += int64(nsBetween(p.arrived, p.decoded))
+	a.LingerNS += int64(nsBetween(p.enq, p.claimed))
+	a.EngineNS += int64(nsBetween(p.claimed, p.engDone))
+	a.ReplyNS += int64(nsBetween(p.engDone, sendStart))
+	a.Count++
 }
 
 // TenantStats is one tenant's externally visible accounting.
@@ -117,40 +68,4 @@ func (s Stats) MeanReadChunk() float64 {
 		return 0
 	}
 	return float64(s.ReadOps) / float64(s.ReadChunks)
-}
-
-func (c *serverCounters) snapshot(adm *admission) Stats {
-	s := Stats{
-		Accepted:       c.Accepted.Load(),
-		ConnRefused:    c.ConnRefused.Load(),
-		Requests:       c.Requests.Load(),
-		Shed:           c.Shed.Load(),
-		Replies:        c.Replies.Load(),
-		DroppedReplies: c.DroppedReplies.Load(),
-		TornFrames:     c.TornFrames.Load(),
-		BadRequests:    c.BadRequests.Load(),
-		EngineErrors:   c.EngineErrors.Load(),
-		Batches:        c.Batches.Load(),
-		BatchedOps:     c.BatchedOps.Load(),
-		ReadChunks:     c.ReadChunks.Load(),
-		ReadOps:        c.ReadOps.Load(),
-		DirectOps:      c.DirectOps.Load(),
-		Phases: PhaseTotals{
-			Count:    c.phases.Count.Load(),
-			AcceptNS: c.phases.Accept.Load(),
-			LingerNS: c.phases.Linger.Load(),
-			EngineNS: c.phases.Engine.Load(),
-			ReplyNS:  c.phases.Reply.Load(),
-		},
-	}
-	admitted, shed := adm.snapshot()
-	s.Tenants = make([]TenantStats, len(c.tenants))
-	for i, t := range c.tenants {
-		s.Tenants[i] = TenantStats{
-			Admitted: admitted[i],
-			Answered: t.OK.Load(),
-			Shed:     t.Shed.Load() + shed[i],
-		}
-	}
-	return s
 }

@@ -1,8 +1,6 @@
 package ssd
 
 import (
-	"sync"
-
 	"kvaccel/internal/devlsm"
 	"kvaccel/internal/ftl"
 	"kvaccel/internal/memtable"
@@ -24,14 +22,11 @@ import (
 
 // freeList recycles commands of one kind.
 type freeList[T any] struct {
-	mu    sync.Mutex
 	items []*T
 }
 
 // get pops a recycled command, or returns nil when none is free.
 func (l *freeList[T]) get() *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := len(l.items)
 	if n == 0 {
 		return nil
@@ -43,9 +38,7 @@ func (l *freeList[T]) get() *T {
 }
 
 func (l *freeList[T]) put(c *T) {
-	l.mu.Lock()
 	l.items = append(l.items, c)
-	l.mu.Unlock()
 }
 
 // maxInflight sizes the on-stack list of commands one call keeps in
@@ -188,7 +181,6 @@ const (
 	blkRead
 	blkTrim
 	blkMerge
-	blkAbort
 )
 
 var blkOpNames = [...]string{
@@ -196,7 +188,6 @@ var blkOpNames = [...]string{
 	blkRead:  "READ",
 	blkTrim:  "DSM_TRIM",
 	blkMerge: "OFFLOAD_MERGE",
-	blkAbort: "OFFLOAD_ABORT",
 }
 
 // blkCmd is one command of a BlockNS: block I/O on the namespace's
@@ -256,10 +247,6 @@ func (c *blkCmd) run(w *vclock.Runner) error {
 		// page runs); the table bytes themselves stay on media.
 		dev.Link.Transfer(w, pcie.DeviceToHost, 16+64*len(mr.Outputs))
 		c.res = mr
-		return nil
-	case blkAbort:
-		dev.receive(w, c.Bytes)
-		dev.MergeExec.RequestAbort()
 	}
 	return nil
 }

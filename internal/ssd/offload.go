@@ -9,7 +9,7 @@ import (
 )
 
 // MergeOffloader is the host-side handle for compaction offload over one
-// block namespace: it carries OFFLOAD_MERGE / OFFLOAD_ABORT commands on a
+// block namespace: it carries OFFLOAD_MERGE commands on a
 // dedicated queue pair (so a long-running merge never occupies a block
 // I/O slot in the namespace's stripe) and translates the request's
 // namespace-relative LPNs into region LPNs for the device executor.
@@ -42,8 +42,8 @@ func (o *MergeOffloader) Busy() bool { return o.ns.dev.MergeExec.Busy() }
 // merge (NAND reads, ARM merge cycles, NAND programs), and returns the
 // per-output metadata in the completion. Output page lists come back
 // namespace-relative, ready for fs.AdoptFile. Any device fault, power
-// cut, or abort surfaces as an error; the caller falls back to a host
-// compaction.
+// cut, or an exhausted output range surfaces as an error; the caller
+// falls back to a host compaction.
 func (o *MergeOffloader) SubmitMerge(r *vclock.Runner, req *offload.MergeRequest) (*offload.MergeResult, error) {
 	// Device-side copy of the request with region-absolute LPNs; the
 	// caller's request is left untouched.
@@ -79,16 +79,4 @@ func (o *MergeOffloader) SubmitMerge(r *vclock.Runner, req *offload.MergeRequest
 		}
 	}
 	return res, nil
-}
-
-// Abort issues OFFLOAD_ABORT: the in-flight merge (if any) stops at its
-// next output boundary and its OFFLOAD_MERGE completes with
-// offload.ErrAborted. The abort command rides the same queue pair but a
-// separate firmware slot, so it is serviced while the merge runs.
-func (o *MergeOffloader) Abort(r *vclock.Runner) error {
-	c := o.ns.cmd(blkAbort)
-	c.Bytes = 16
-	err := o.qp.Do(r, &c.Command)
-	o.ns.release(c)
-	return err
 }

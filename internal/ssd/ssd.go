@@ -17,7 +17,6 @@ package ssd
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"kvaccel/internal/cpu"
@@ -226,7 +225,6 @@ type BlockNS struct {
 	qps    []*nvme.QueuePair
 	free   freeList[blkCmd]
 
-	mu   sync.Mutex
 	next int // round-robin stripe cursor
 }
 
@@ -262,10 +260,8 @@ func (ns *BlockNS) pick() *nvme.QueuePair {
 	if len(ns.qps) == 1 {
 		return ns.qps[0]
 	}
-	ns.mu.Lock()
 	q := ns.qps[ns.next%len(ns.qps)]
 	ns.next++
-	ns.mu.Unlock()
 	return q
 }
 

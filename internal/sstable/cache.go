@@ -2,7 +2,6 @@ package sstable
 
 import (
 	"container/list"
-	"sync"
 )
 
 // BlockCache is a byte-capacity LRU over decoded data blocks, shared by
@@ -10,7 +9,6 @@ import (
 // Dev-LSM iterator in Table V: the Dev-LSM has no such cache in front of
 // its NAND reads.
 type BlockCache struct {
-	mu    sync.Mutex
 	cap   int64
 	used  int64
 	lru   *list.List // front = most recent; values are *cacheEntry
@@ -55,8 +53,6 @@ func NewBlockCache(capacity int64) *BlockCache {
 
 // Get returns the cached block for (file, off) if present.
 func (c *BlockCache) Get(file uint64, off uint32) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.items[cacheKey{file, off}]
 	if !ok {
 		c.misses++
@@ -72,8 +68,6 @@ func (c *BlockCache) Put(file uint64, off uint32, data []byte) {
 	if c.cap <= 0 || int64(len(data)) > c.cap {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	k := cacheKey{file, off}
 	if el, ok := c.items[k]; ok {
 		c.lru.MoveToFront(el)
@@ -102,8 +96,6 @@ func (c *BlockCache) Put(file uint64, off uint32, data []byte) {
 // LRU order; the readahead path uses it so probing for already-resident
 // blocks does not masquerade as demand traffic.
 func (c *BlockCache) Contains(file uint64, off uint32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, ok := c.items[cacheKey{file, off}]
 	return ok
 }
@@ -115,17 +107,13 @@ func (c *BlockCache) PutReadahead(file uint64, off uint32, data []byte) {
 	if c.cap <= 0 || int64(len(data)) > c.cap {
 		return
 	}
-	c.mu.Lock()
 	c.readahead++
-	c.mu.Unlock()
 	c.Put(file, off, data)
 }
 
 // EvictFile drops every cached block of one file (called when a
 // compaction deletes it).
 func (c *BlockCache) EvictFile(file uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*cacheEntry)
@@ -143,8 +131,6 @@ func (c *BlockCache) EvictFile(file uint64) {
 // particular order. A cached block is a view of its table's image, so each
 // should name a live table: one removed without EvictFile stays pinned.
 func (c *BlockCache) Files() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	seen := map[uint64]bool{}
 	var files []uint64
 	for k := range c.items {
@@ -158,8 +144,6 @@ func (c *BlockCache) Files() []uint64 {
 
 // Stats returns a snapshot of the cache's counters and occupancy.
 func (c *BlockCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,

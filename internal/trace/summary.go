@@ -10,7 +10,7 @@ import (
 )
 
 // Summary is the per-phase latency attribution table, built from the
-// exact atomic aggregates (not the ring), so it is complete even when
+// exact per-phase aggregates (not the ring), so it is complete even when
 // the ring wrapped.
 type Summary struct {
 	Phases []PhaseStat // non-empty phases, largest Total first

@@ -16,8 +16,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/vclock"
@@ -163,33 +161,24 @@ type Event struct {
 	Phase    Phase
 }
 
-// phaseAgg is the always-exact per-phase rollup, updated on every span
-// close with atomics so it survives ring wrap.
-type phaseAgg struct {
-	count atomic.Int64
-	total atomic.Int64 // ns
-	max   atomic.Int64 // ns
-}
-
 const numShards = 16
 
-// shard is one ring. Events are sharded by lane so concurrent runners
-// rarely contend; the per-shard mutex keeps wraps tear-free under the
-// race detector without a reservation protocol.
+// shard is one ring. Events are sharded by lane, so one busy runner
+// overwrites its own lane's oldest events, not everyone's.
 type shard struct {
-	mu  sync.Mutex
 	buf []Event
 	n   uint64 // events ever emitted to this shard
-	_   [24]byte
 }
 
 // Tracer records events. The zero *Tracer (nil) is a valid disabled
 // tracer: all methods are no-ops. Create an enabled one with New.
 type Tracer struct {
-	seq    atomic.Uint64 // event sequence
-	spanID atomic.Uint64 // span ids, 1-based
-	base   atomic.Int64  // virtual-time offset added to every timestamp
-	agg    [NumPhases]phaseAgg
+	seq    uint64      // event sequence
+	spanID uint64      // span ids, 1-based
+	base   vclock.Time // virtual-time offset added to every timestamp
+	// agg is the always-exact per-phase rollup, updated on every span
+	// close, so it survives ring wrap.
+	agg    [NumPhases]PhaseStat
 	shards [numShards]shard
 }
 
@@ -215,29 +204,23 @@ func (t *Tracer) SetTimeBase(base vclock.Time) {
 	if t == nil {
 		return
 	}
-	t.base.Store(int64(base))
+	t.base = base
 }
 
 func (t *Tracer) emit(e Event) {
-	e.Seq = t.seq.Add(1)
-	e.TS += vclock.Time(t.base.Load())
+	t.seq++
+	e.Seq = t.seq
+	e.TS += t.base
 	s := &t.shards[e.Lane%numShards]
-	s.mu.Lock()
 	s.buf[s.n%uint64(len(s.buf))] = e
 	s.n++
-	s.mu.Unlock()
 }
 
 func (t *Tracer) record(ph Phase, d time.Duration) {
 	a := &t.agg[ph]
-	a.count.Add(1)
-	a.total.Add(int64(d))
-	for {
-		m := a.max.Load()
-		if int64(d) <= m || a.max.CompareAndSwap(m, int64(d)) {
-			return
-		}
-	}
+	a.Count++
+	a.Total += d
+	a.Max = max(a.Max, d)
 }
 
 // Span is an open Begin/End pair. It is a value — beginning and ending
@@ -275,7 +258,8 @@ func (t *Tracer) BeginLinked(r *vclock.Runner, ph Phase, name string, parent uin
 
 func (t *Tracer) beginAt(r *vclock.Runner, ph Phase, name string, parent uint64) Span {
 	now := r.Now()
-	id := t.spanID.Add(1)
+	t.spanID++
+	id := t.spanID
 	prev := r.TraceCtx()
 	r.SetTraceCtx(id)
 	t.emit(Event{
@@ -313,9 +297,10 @@ func (t *Tracer) Complete(r *vclock.Runner, ph Phase, name string, start vclock.
 		dur = 0
 	}
 	t.record(ph, dur)
+	t.spanID++
 	t.emit(Event{
 		TS: start, Dur: dur, Name: name, LaneName: r.Name(), Lane: r.ID(),
-		Span: t.spanID.Add(1), Parent: parent, Arg: arg, Kind: KindComplete, Phase: ph,
+		Span: t.spanID, Parent: parent, Arg: arg, Kind: KindComplete, Phase: ph,
 	})
 }
 
@@ -339,13 +324,11 @@ func (t *Tracer) Len() int {
 	n := 0
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.Lock()
 		if s.n < uint64(len(s.buf)) {
 			n += int(s.n)
 		} else {
 			n += len(s.buf)
 		}
-		s.mu.Unlock()
 	}
 	return n
 }
@@ -358,11 +341,9 @@ func (t *Tracer) Dropped() uint64 {
 	var d uint64
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.Lock()
 		if s.n > uint64(len(s.buf)) {
 			d += s.n - uint64(len(s.buf))
 		}
-		s.mu.Unlock()
 	}
 	return d
 }
@@ -376,7 +357,6 @@ func (t *Tracer) Events() []Event {
 	var out []Event
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.Lock()
 		if s.n <= uint64(len(s.buf)) {
 			out = append(out, s.buf[:s.n]...)
 		} else {
@@ -384,7 +364,6 @@ func (t *Tracer) Events() []Event {
 			out = append(out, s.buf[head:]...)
 			out = append(out, s.buf[:head]...)
 		}
-		s.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TS != out[j].TS {
@@ -417,11 +396,7 @@ func (t *Tracer) Stats(ph Phase) PhaseStat {
 	if t == nil || ph >= NumPhases {
 		return PhaseStat{Phase: ph}
 	}
-	a := &t.agg[ph]
-	return PhaseStat{
-		Phase: ph,
-		Count: a.count.Load(),
-		Total: time.Duration(a.total.Load()),
-		Max:   time.Duration(a.max.Load()),
-	}
+	s := t.agg[ph]
+	s.Phase = ph
+	return s
 }

@@ -3,7 +3,6 @@ package vclock
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -35,7 +34,7 @@ func newHerdSemaphore(capacity int, label string) *herdSemaphore {
 
 func (s *herdSemaphore) Acquire(r *Runner, n int) {
 	for s.avail < n {
-		s.cond.wait(r)
+		s.cond.Wait(r)
 	}
 	s.avail -= n
 }
@@ -96,7 +95,7 @@ func (res *herdResource) UseBackground(r *Runner, d Duration) {
 		return
 	}
 	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
-		res.bgCond.wait(r)
+		res.bgCond.Wait(r)
 	}
 	res.hold(r, d)
 }
@@ -219,24 +218,19 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 	// The bystander waits on a condition of its own; a releaser that
 	// signals it makes it, not the newest semaphore waiter, the goroutine
 	// that runs next.
-	var byMu sync.Mutex
-	byCond := NewCond(&byMu, "bystander")
+	byCond := NewCond("bystander")
 	byStop := false
 	var scriptsDone WaitGroup
 	scriptsDone.Add(len(scripts))
 
 	c.Go("bystander", func(r *Runner) {
-		byMu.Lock()
 		for !byStop {
 			byCond.Wait(r)
 		}
-		byMu.Unlock()
 	})
 	c.Go("closer", func(r *Runner) {
 		scriptsDone.Wait(r)
-		byMu.Lock()
 		byStop = true
-		byMu.Unlock()
 		byCond.Signal()
 	})
 	for i, script := range scripts {

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,39 +46,29 @@ func TestAllocsSleep(t *testing.T) {
 
 func TestAllocsCondPingPong(t *testing.T) {
 	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
-		var mu sync.Mutex
-		ping, pong := NewCond(&mu, "ping"), NewCond(&mu, "pong")
+		ping, pong := NewCond("ping"), NewCond("pong")
 		ball, stopped := false, false // ball: the partner's turn
 		c.Go("partner", func(p *Runner) {
 			for {
-				mu.Lock()
 				for !ball && !stopped {
 					ping.Wait(p)
 				}
 				if stopped {
-					mu.Unlock()
 					return
 				}
 				ball = false
-				mu.Unlock()
 				pong.Signal()
 			}
 		})
 		cycle := func() {
-			mu.Lock()
 			ball = true
-			mu.Unlock()
 			ping.Signal()
-			mu.Lock()
 			for ball {
 				pong.Wait(r)
 			}
-			mu.Unlock()
 		}
 		stop := func() {
-			mu.Lock()
 			stopped = true
-			mu.Unlock()
 			ping.Signal()
 		}
 		return cycle, stop
@@ -91,49 +80,37 @@ func TestAllocsCondPingPong(t *testing.T) {
 // schedules its wake for that instant.
 func TestAllocsCondSignalAt(t *testing.T) {
 	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
-		var mu sync.Mutex
-		filled, taken := NewCond(&mu, "filled"), NewCond(&mu, "taken")
+		filled, taken := NewCond("filled"), NewCond("taken")
 		var readyAt Time // zero: nothing queued
 		stopped := false
 		c.Go("consumer", func(p *Runner) {
 			for {
-				mu.Lock()
 				for !stopped && (readyAt == 0 || p.Now() < readyAt) {
 					if at := readyAt; at != 0 {
 						// Queued while this runner was not parked: nobody
 						// scheduled its wake, so it sleeps out the rest.
-						mu.Unlock()
 						p.SleepUntil(at)
-						mu.Lock()
 						continue
 					}
 					filled.Wait(p)
 				}
 				if stopped {
-					mu.Unlock()
 					return
 				}
 				readyAt = 0
-				mu.Unlock()
 				taken.Signal()
 			}
 		})
 		cycle := func() {
-			mu.Lock()
 			readyAt = r.Now().Add(time.Microsecond)
 			at := readyAt
-			mu.Unlock()
 			filled.SignalAt(at)
-			mu.Lock()
 			for readyAt != 0 {
 				taken.Wait(r)
 			}
-			mu.Unlock()
 		}
 		stop := func() {
-			mu.Lock()
 			stopped = true
-			mu.Unlock()
 			filled.Signal()
 		}
 		return cycle, stop
@@ -142,19 +119,16 @@ func TestAllocsCondSignalAt(t *testing.T) {
 
 func TestAllocsCondBroadcast(t *testing.T) {
 	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
-		var mu sync.Mutex
-		cond := NewCond(&mu, "round")
+		cond := NewCond("round")
 		round, stopped := 0, false
 		for i := 0; i < 8; i++ {
 			c.Go("waiter", func(w *Runner) {
 				seen := 0
 				for {
-					mu.Lock()
 					for round == seen && !stopped {
 						cond.Wait(w)
 					}
 					seen = round
-					mu.Unlock()
 					if stopped {
 						return
 					}
@@ -162,16 +136,12 @@ func TestAllocsCondBroadcast(t *testing.T) {
 			})
 		}
 		cycle := func() {
-			mu.Lock()
 			round++
-			mu.Unlock()
 			cond.Broadcast()
 			r.Sleep(time.Microsecond) // returns once all eight have parked again
 		}
 		stop := func() {
-			mu.Lock()
 			stopped = true
-			mu.Unlock()
 			cond.Broadcast()
 		}
 		return cycle, stop

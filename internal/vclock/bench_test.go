@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -67,8 +66,7 @@ func BenchmarkResourceUse(b *testing.B) {
 // Signal and the Wait it ends.
 func BenchmarkCondPingPong(b *testing.B) {
 	benchRun(b, func(c *Clock, r *Runner) {
-		var mu sync.Mutex
-		conds := [2]*Cond{NewCond(&mu, "ping"), NewCond(&mu, "pong")}
+		conds := [2]*Cond{NewCond("ping"), NewCond("pong")}
 		turn := 0
 		var wg WaitGroup
 		wg.Add(2)
@@ -77,12 +75,10 @@ func BenchmarkCondPingPong(b *testing.B) {
 			c.Go("player", func(p *Runner) {
 				defer wg.Done()
 				for i := side; i < b.N; i += 2 {
-					mu.Lock()
 					for turn != side {
 						conds[side].Wait(p)
 					}
 					turn = 1 - side
-					mu.Unlock()
 					conds[1-side].Signal()
 				}
 			})

@@ -38,11 +38,13 @@
 // The contract runners must obey: only the baton holder — a runner, or
 // New's caller before Wait — may call into a Clock or the primitives of
 // this package, and it must never block on a raw Go primitive (a channel
-// receive, a sync.Mutex held across a park, ...), since the runner it
-// waits for cannot run until it parks. Short critical sections under plain
-// mutexes are fine: no other runner can contend for them. Once Wait has
-// been called, a park that leaves no runner runnable and no timer pending
-// is a deadlock, reported on the spot (see OnDeadlock).
+// receive, a mutex, ...), since the runner it waits for cannot run until
+// it parks. Nothing a clock's runners reach takes a lock: everything they
+// share belongs to whoever holds the baton, so a runner's steps between
+// two parks are atomic to every other runner, and a Cond has no lock to
+// release. Once Wait has been called, a park that leaves no runner
+// runnable and no timer pending is a deadlock, reported on the spot (see
+// OnDeadlock).
 package vclock
 
 import (

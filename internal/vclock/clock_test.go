@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,14 +42,11 @@ func TestSleepIsVirtualNotReal(t *testing.T) {
 
 func TestConcurrentSleepersWakeInOrder(t *testing.T) {
 	c := New()
-	var mu sync.Mutex
 	var order []string
 	sleep := func(name string, d Duration) {
 		c.Go(name, func(r *Runner) {
 			r.Sleep(d)
-			mu.Lock()
 			order = append(order, name)
-			mu.Unlock()
 		})
 	}
 	sleep("c", 3*time.Second)
@@ -95,23 +91,18 @@ func TestSameInstantWakesAll(t *testing.T) {
 
 func TestCondSignalWakesWaiter(t *testing.T) {
 	c := New()
-	var mu sync.Mutex
-	cond := NewCond(&mu, "test-cond")
+	cond := NewCond("test-cond")
 	ready := false
 	var wokeAt Time
 	c.Go("waiter", func(r *Runner) {
-		mu.Lock()
 		for !ready {
 			cond.Wait(r)
 		}
-		mu.Unlock()
 		wokeAt = r.Now()
 	})
 	c.Go("signaler", func(r *Runner) {
 		r.Sleep(7 * time.Second)
-		mu.Lock()
 		ready = true
-		mu.Unlock()
 		cond.Signal()
 	})
 	c.Wait()
@@ -122,25 +113,20 @@ func TestCondSignalWakesWaiter(t *testing.T) {
 
 func TestCondBroadcast(t *testing.T) {
 	c := New()
-	var mu sync.Mutex
-	cond := NewCond(&mu, "bc")
+	cond := NewCond("bc")
 	released := false
 	var n atomic.Int32
 	for i := 0; i < 5; i++ {
 		c.Go("waiter", func(r *Runner) {
-			mu.Lock()
 			for !released {
 				cond.Wait(r)
 			}
-			mu.Unlock()
 			n.Add(1)
 		})
 	}
 	c.Go("broadcaster", func(r *Runner) {
 		r.Sleep(time.Second)
-		mu.Lock()
 		released = true
-		mu.Unlock()
 		cond.Broadcast()
 	})
 	c.Wait()
@@ -152,12 +138,9 @@ func TestCondBroadcast(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	c := New()
 	deadlocked := trapDeadlock(c)
-	var mu sync.Mutex
-	cond := NewCond(&mu, "never-signaled")
+	cond := NewCond("never-signaled")
 	c.Go("stuck", func(r *Runner) {
-		mu.Lock()
 		cond.Wait(r) // nobody will ever signal
-		mu.Unlock()
 	})
 	go c.Wait()
 	select {
@@ -176,14 +159,11 @@ func TestDeadlockDetection(t *testing.T) {
 func TestDeadlockReportedAtOnce(t *testing.T) {
 	c := New()
 	deadlocked := trapDeadlock(c)
-	var mu sync.Mutex
-	cond := NewCond(&mu, "never-signaled")
+	cond := NewCond("never-signaled")
 	for _, d := range []Duration{0, time.Millisecond} {
 		c.Go("stuck", func(r *Runner) {
 			r.Sleep(d)
-			mu.Lock()
 			cond.Wait(r)
-			mu.Unlock()
 		})
 	}
 	start := time.Now()
@@ -204,22 +184,17 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 func TestLateRunnerIsNoDeadlock(t *testing.T) {
 	c := New()
 	deadlocked := trapDeadlock(c)
-	var mu sync.Mutex
-	cond := NewCond(&mu, "signalled-late")
+	cond := NewCond("signalled-late")
 	ready := false
 	c.Go("waiter", func(r *Runner) {
-		mu.Lock()
 		for !ready {
 			cond.Wait(r)
 		}
-		mu.Unlock()
 	})
 	time.Sleep(50 * time.Millisecond) // real time: the caller dawdles
 	c.Go("signaler", func(r *Runner) {
 		r.Sleep(time.Second)
-		mu.Lock()
 		ready = true
-		mu.Unlock()
 		cond.Signal()
 	})
 	join(t, c, deadlocked, "a waiter whose signaler was still to come was reported deadlocked")
@@ -401,11 +376,8 @@ func TestResourceBackgroundYieldsToForeground(t *testing.T) {
 	c := New()
 	res := NewResource(1, "die")
 	var order []string
-	var mu sync.Mutex
 	mark := func(s string) {
-		mu.Lock()
 		order = append(order, s)
-		mu.Unlock()
 	}
 	c.Go("driver", func(r *Runner) {
 		// Occupy the unit, then line up one background and one foreground
@@ -582,13 +554,10 @@ func TestDeadlockPanicFailsFast(t *testing.T) {
 	const childEnv = "VCLOCK_DEADLOCK_CHILD"
 	if os.Getenv(childEnv) == "1" {
 		c := New()
-		var mu sync.Mutex
-		cond := NewCond(&mu, "never-signaled")
+		cond := NewCond("never-signaled")
 		for _, name := range []string{"stuck-a", "stuck-b"} {
 			c.Go(name, func(r *Runner) {
-				mu.Lock()
 				cond.Wait(r) // nobody will ever signal
-				mu.Unlock()
 			})
 		}
 		c.Wait()

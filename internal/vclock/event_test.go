@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -57,14 +56,11 @@ func TestEventSetBeforeWaitReturnsImmediately(t *testing.T) {
 func TestEventWakesAllWaiters(t *testing.T) {
 	clk := New()
 	ev := NewEvent("ev")
-	var mu sync.Mutex
 	woke := 0
 	for i := 0; i < 4; i++ {
 		clk.Go("waiter", func(r *Runner) {
 			if ev.WaitFor(r, time.Hour) {
-				mu.Lock()
 				woke++
-				mu.Unlock()
 			}
 		})
 	}
@@ -84,8 +80,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 func TestStaleTimeoutDoesNotFireIntoLaterPark(t *testing.T) {
 	clk := New()
 	ev := NewEvent("ev")
-	var mu sync.Mutex
-	cond := NewCond(&mu, "cond")
+	cond := NewCond("cond")
 	ready := false
 	clk.Go("waiter", func(r *Runner) {
 		// Parks with a 50ms backstop; Set wakes it at 10ms, leaving the
@@ -95,11 +90,9 @@ func TestStaleTimeoutDoesNotFireIntoLaterPark(t *testing.T) {
 		}
 		// Now park on a condition that is signalled only at t=100ms. The
 		// stale timer popping at 50ms must not cut this park short.
-		mu.Lock()
 		for !ready {
 			cond.Wait(r)
 		}
-		mu.Unlock()
 		if now := r.Now(); now != Time(100*time.Millisecond) {
 			t.Errorf("cond wait ended at %v, want 100ms", now)
 		}
@@ -108,9 +101,7 @@ func TestStaleTimeoutDoesNotFireIntoLaterPark(t *testing.T) {
 		r.Sleep(10 * time.Millisecond)
 		ev.Set()
 		r.Sleep(90 * time.Millisecond)
-		mu.Lock()
 		ready = true
-		mu.Unlock()
 		cond.Signal()
 	})
 	clk.Wait()

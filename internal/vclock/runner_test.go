@@ -3,7 +3,6 @@ package vclock
 import (
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -65,14 +64,11 @@ func TestGoReusesReturnedRunner(t *testing.T) {
 func TestIdleRunnerIsOffTheBooks(t *testing.T) {
 	c := New()
 	deadlocked := trapDeadlock(c)
-	var mu sync.Mutex
-	never := NewCond(&mu, "never-signalled")
+	never := NewCond("never-signalled")
 	c.Go("stuck", func(r *Runner) {
 		c.Go("returns", func(w *Runner) { w.Sleep(time.Microsecond) })
 		r.Sleep(time.Millisecond)
-		mu.Lock()
 		never.Wait(r)
-		mu.Unlock()
 	})
 	go c.Wait()
 	select {

@@ -1,7 +1,5 @@
 package vclock
 
-import "sync"
-
 // Ring is a FIFO queue over a ring buffer that the first Push allocates,
 // that grows by doubling and never shrinks: an empty one costs nothing,
 // and at a steady depth Push and Pop allocate and move nothing. Pop zeroes
@@ -73,31 +71,22 @@ func (f *Ring[T]) PopBack() T {
 // runners are invisible to the Go scheduler but visible to the virtual
 // clock, so time can advance past them.
 //
-// The usage pattern mirrors sync.Cond: L protects the condition state, and
-// Wait releases L, parks, and re-acquires L on wake.
+// It has no lock: the condition's state, like everything a clock's runners
+// reach, belongs to the baton holder, so checking it and parking in Wait
+// is one step no other runner can come between.
 type Cond struct {
-	L       sync.Locker
 	label   string
 	waiters Ring[*Runner]
 }
 
-// NewCond returns a Cond using locker l. label appears in deadlock reports.
-func NewCond(l sync.Locker, label string) *Cond {
-	return &Cond{L: l, label: label}
+// NewCond returns a Cond. label appears in deadlock reports.
+func NewCond(label string) *Cond {
+	return &Cond{label: label}
 }
 
-// Wait releases c.L and parks r until Signal or Broadcast wakes it, then
-// re-acquires c.L before returning. As with sync.Cond, callers must
-// re-check the condition in a loop.
+// Wait parks r until Signal or Broadcast wakes it. As with sync.Cond,
+// callers must re-check the condition in a loop.
 func (c *Cond) Wait(r *Runner) {
-	c.L.Unlock()
-	c.wait(r)
-	c.L.Lock()
-}
-
-// wait is Wait without L, for the primitives of this package, whose state
-// only the baton holder touches.
-func (c *Cond) wait(r *Runner) {
 	c.waiters.Push(r)
 	r.clock.parkOn(r, c.label)
 }
@@ -115,7 +104,7 @@ func (c *Cond) Signal() {
 // again at t, exactly as if it had been signalled now and had then slept
 // until t — one park where that would be two. A t that is not in the
 // future is a plain Signal. Like every wake from a condition, it is a hint
-// to re-check: the woken runner re-acquires L and looks again.
+// to re-check: the woken runner looks again.
 //
 // It exists for a producer that knows when what it produced becomes
 // visible (a frame's arrival time, rpc.Conn): the consumer parked on
@@ -347,7 +336,7 @@ func NewQueue[T any](capacity int, label string) *Queue[T] {
 // queue is closed.
 func (q *Queue[T]) Push(r *Runner, v T) {
 	for q.items.n >= q.capacity && !q.closed {
-		q.notFull.wait(r)
+		q.notFull.Wait(r)
 	}
 	if q.closed {
 		panic("vclock: push on closed queue")
@@ -381,7 +370,7 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 // false when the queue is closed and drained.
 func (q *Queue[T]) Pop(r *Runner) (v T, ok bool) {
 	for q.items.n == 0 && !q.closed {
-		q.notEmpty.wait(r)
+		q.notEmpty.Wait(r)
 	}
 	return q.TryPop()
 }
@@ -449,7 +438,7 @@ func (res *Resource) UseBackground(r *Runner, d Duration) {
 		return
 	}
 	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
-		res.bgCond.wait(r)
+		res.bgCond.Wait(r)
 	}
 	res.hold(r, d)
 }

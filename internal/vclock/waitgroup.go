@@ -25,6 +25,6 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 func (wg *WaitGroup) Wait(r *Runner) {
 	for wg.n > 0 {
 		wg.cond.label = "waitgroup"
-		wg.cond.wait(r)
+		wg.cond.Wait(r)
 	}
 }

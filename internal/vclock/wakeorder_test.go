@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
@@ -299,17 +298,14 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 	deadlocked := trapDeadlock(c)
 
 	var log []woEntry
-
-	var sharedMu [woConds]sync.Mutex
 	var shared [woConds]*Cond
 	for k := range shared {
-		shared[k] = NewCond(&sharedMu[k], fmt.Sprintf("shared%d", k))
+		shared[k] = NewCond(fmt.Sprintf("shared%d", k))
 	}
 
 	for i, script := range scripts {
 		c.Go(fmt.Sprintf("r%d", i), func(r *Runner) {
-			var ownMu sync.Mutex
-			own := NewCond(&ownMu, "own")
+			own := NewCond("own")
 			for pc, op := range script {
 				set := false
 				switch op.kind {
@@ -325,41 +321,33 @@ func woReal(t *testing.T, scripts [][]woOp) []woEntry {
 					})
 					set = ev.WaitFor(r, Duration(op.d)*woTick)
 				case woCondOwn, woCondShared:
-					mu, cond := &ownMu, own
+					cond := own
 					if op.kind == woCondShared {
-						mu, cond = &sharedMu[op.cond], shared[op.cond]
+						cond = shared[op.cond]
 					}
 					ready := false
 					c.Go("waker", func(h *Runner) {
 						h.Sleep(Duration(op.s) * woTick)
-						mu.Lock()
 						ready = true
-						mu.Unlock()
 						if op.kind == woCondShared {
 							cond.Broadcast() // other runners' waits re-check and park again
 						} else {
 							cond.Signal()
 						}
 					})
-					mu.Lock()
 					for !ready {
 						cond.Wait(r)
 					}
-					mu.Unlock()
 				case woCondAt:
 					ready := false
 					c.Go("waker", func(h *Runner) {
 						h.Sleep(Duration(op.s) * woTick)
-						ownMu.Lock()
 						ready = true
-						ownMu.Unlock()
 						own.SignalAt(h.Now().Add(Duration(op.d) * woTick))
 					})
-					ownMu.Lock()
 					for !ready {
 						own.Wait(r)
 					}
-					ownMu.Unlock()
 				}
 				log = append(log, woEntry{now: r.Now(), runner: i, op: pc, set: set})
 			}

@@ -118,9 +118,7 @@ func TestAllocsReadValue(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		m.mu.Lock()
 		paths := m.segs[durable.Seg].mem == nil && m.segs[head.Seg].mem != nil
-		m.mu.Unlock()
 		if !paths {
 			t.Fatal("the pointers no longer cover both the file and the head buffer")
 		}

@@ -25,9 +25,7 @@ func FuzzParseFrame(f *testing.F) {
 				f.Error(err)
 				return
 			}
-			m.mu.Lock()
 			f.Add(append([]byte(nil), m.segs[ptr.Seg].mem[ptr.Off:ptr.Off+ptr.Len]...))
-			m.mu.Unlock()
 		}
 	})
 	clk.Wait()

@@ -29,7 +29,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"kvaccel/internal/cpu"
@@ -157,7 +156,6 @@ type Manager struct {
 	fsys *fs.FileSystem
 	opt  Options
 
-	mu      sync.Mutex
 	segs    map[uint32]*segment
 	head    *segment // nil until the first append after open/rotation
 	nextSeg uint32
@@ -173,9 +171,9 @@ type Manager struct {
 
 	// Write-back lane: chunks must enter the queue in offset order or the
 	// segment file ends up permuted against the pointers handed out, but
-	// Push can park, so it runs outside m.mu. A caller that cuts chunks
-	// takes pushTail++ in the same critical section and pushes only once
-	// pushHead reaches its ticket (lsm's walHead/walTail idiom).
+	// Push can park, and another runner may cut chunks meanwhile. A caller
+	// that cuts chunks takes pushTail++ before it can park and pushes only
+	// once pushHead reaches its ticket (lsm's walHead/walTail idiom).
 	pushTail uint64
 	pushHead uint64
 	pushTurn *vclock.Cond
@@ -187,8 +185,8 @@ type Manager struct {
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 	opt.validate()
 	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
-	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
-	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
+	m.drained = vclock.NewCond("vlog.drained")
+	m.pushTurn = vclock.NewCond("vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
 	clk.Go("vlog.writeback", m.writeback)
 	return m
@@ -203,8 +201,8 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Options, ms ManifestState) (*Manager, error) {
 	opt.validate()
 	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
-	m.drained = vclock.NewCond(&m.mu, "vlog.drained")
-	m.pushTurn = vclock.NewCond(&m.mu, "vlog.pushTurn")
+	m.drained = vclock.NewCond("vlog.drained")
+	m.pushTurn = vclock.NewCond("vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
 
 	discard := make(map[uint32]int64, len(ms.Segments))
@@ -276,14 +274,11 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 		m.opt.CPU.Run(r, m.opt.AppendCPU)
 	}
 	payloadLen := encRecordSize(key, value)
-	m.mu.Lock()
 	if m.closed {
-		m.mu.Unlock()
 		return encoding.ValuePointer{}, ErrClosed
 	}
 	if m.werr != nil {
 		err := m.werr
-		m.mu.Unlock()
 		return encoding.ValuePointer{}, err
 	}
 	if m.head == nil {
@@ -310,50 +305,45 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 
 	var chunks []wbChunk
 	if seg.size-seg.queued >= int64(m.opt.ChunkSize) {
-		chunks = append(chunks, m.cutLocked(seg))
+		chunks = append(chunks, m.cut(seg))
 	}
 	if seg.size >= m.opt.SegmentSize {
 		seg.sealed = true
 		if seg.queued < seg.size {
-			chunks = append(chunks, m.cutLocked(seg))
+			chunks = append(chunks, m.cut(seg))
 		}
 		m.head = nil // next Append opens a fresh segment
 	}
 	ptr := encoding.ValuePointer{Seg: seg.id, Off: uint32(off), Len: uint32(frameLen)}
 	if len(chunks) == 0 {
-		m.mu.Unlock()
 		return ptr, nil
 	}
-	m.pushInOrderLocked(r, chunks...)
+	m.pushInOrder(r, chunks...)
 	return ptr, nil
 }
 
-// cutLocked takes the segment's unqueued bytes as a chunk for write-back.
+// cut takes the segment's unqueued bytes as a chunk for write-back.
 // Its capacity is clipped: the file system will own it, and the records
 // appended behind it must stay out of its reach.
-func (m *Manager) cutLocked(seg *segment) wbChunk {
+func (m *Manager) cut(seg *segment) wbChunk {
 	c := wbChunk{seg: seg, data: seg.mem[seg.queued:seg.size:seg.size]}
 	seg.queued = seg.size
 	m.pending++
 	return c
 }
 
-// pushInOrderLocked hands chunks just cut under m.mu to the writeback
-// queue behind every chunk cut before them. Called with m.mu held;
-// returns with it released.
-func (m *Manager) pushInOrderLocked(r *vclock.Runner, chunks ...wbChunk) {
+// pushInOrder hands chunks just cut to the writeback queue behind every
+// chunk cut before them.
+func (m *Manager) pushInOrder(r *vclock.Runner, chunks ...wbChunk) {
 	ticket := m.pushTail
 	m.pushTail++
 	for m.pushHead != ticket {
 		m.pushTurn.Wait(r)
 	}
-	m.mu.Unlock()
 	for _, c := range chunks {
 		m.queue.Push(r, c)
 	}
-	m.mu.Lock()
 	m.pushHead++
-	m.mu.Unlock()
 	m.pushTurn.Broadcast()
 }
 
@@ -361,17 +351,13 @@ func (m *Manager) pushInOrderLocked(r *vclock.Runner, chunks ...wbChunk) {
 // chunk is on the device, returning the sticky writeback error. A nil
 // return guarantees every record appended so far is durable.
 func (m *Manager) Sync(r *vclock.Runner) error {
-	m.mu.Lock()
 	if m.head != nil && m.head.queued < m.head.size && !m.closed {
-		m.pushInOrderLocked(r, m.cutLocked(m.head))
-		m.mu.Lock()
+		m.pushInOrder(r, m.cut(m.head))
 	}
 	for m.pending > 0 {
 		m.drained.Wait(r)
 	}
-	err := m.werr
-	m.mu.Unlock()
-	return err
+	return m.werr
 }
 
 // ReadValue dereferences key's pointer, returning the record's value
@@ -397,24 +383,19 @@ func (m *Manager) ReadValue(r *vclock.Runner, ptr encoding.ValuePointer, key []b
 // the frame is a view of the segment's buffer while the log still holds
 // it, else the file system's view of the segment file.
 func (m *Manager) readRecord(r *vclock.Runner, ptr encoding.ValuePointer) (key, value []byte, err error) {
-	m.mu.Lock()
 	seg, ok := m.segs[ptr.Seg]
 	if !ok {
-		m.mu.Unlock()
 		return nil, nil, ErrSegmentGone
 	}
 	end := int64(ptr.Off) + int64(ptr.Len)
 	if end > seg.size || ptr.Len < frameHeaderSize {
-		m.mu.Unlock()
 		return nil, nil, fmt.Errorf("vlog: pointer %d:%d+%d out of range: %w", ptr.Seg, ptr.Off, ptr.Len, encoding.ErrCorrupt)
 	}
 	if seg.mem != nil {
 		frame := seg.mem[ptr.Off:end:end]
-		m.mu.Unlock()
 		return parseFrame(frame)
 	}
 	name := seg.name
-	m.mu.Unlock()
 	frame, err := m.fsys.ReadAt(r, name, int(ptr.Off), int(ptr.Len))
 	if err != nil {
 		return nil, nil, err
@@ -447,19 +428,15 @@ func parseFrame(frame []byte) (key, value []byte, err error) {
 // the GC's sequential segment read; r pays the device read time for
 // durable bytes. Keys and values are read-only, as ReadValue's are.
 func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
-	m.mu.Lock()
 	seg, ok := m.segs[id]
 	if !ok {
-		m.mu.Unlock()
 		return nil, ErrSegmentGone
 	}
 	size := seg.size
 	var data []byte
 	if seg.mem != nil {
 		data = seg.mem[:size:size]
-		m.mu.Unlock()
 	} else {
-		m.mu.Unlock()
 		var err error
 		data, err = m.fsys.ReadAt(r, seg.name, 0, int(size))
 		if err != nil {
@@ -507,8 +484,6 @@ func (m *Manager) VerifyKey(r *vclock.Runner, ptr encoding.ValuePointer, key []b
 // Resolves reports whether ptr dereferences into a live segment's valid
 // range — the WAL-replay validation for pointer records.
 func (m *Manager) Resolves(ptr encoding.ValuePointer) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	seg, ok := m.segs[ptr.Seg]
 	return ok && ptr.Len >= frameHeaderSize && int64(ptr.Off)+int64(ptr.Len) <= seg.size
 }
@@ -516,8 +491,6 @@ func (m *Manager) Resolves(ptr encoding.ValuePointer) bool {
 // MarkDiscard adds n dead bytes to a segment's discard counter —
 // compaction's feed when it drops a superseded pointer.
 func (m *Manager) MarkDiscard(id uint32, n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	seg, ok := m.segs[id]
 	if !ok {
 		return
@@ -532,8 +505,6 @@ func (m *Manager) MarkDiscard(id uint32, n int64) {
 // PickGC returns the sealed, fully written-back segment with the highest
 // discard ratio at or above minRatio, the oldest of equals, or ok=false.
 func (m *Manager) PickGC(minRatio float64) (uint32, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var best uint32
 	bestRatio := -1.0
 	for id, seg := range m.segs {
@@ -551,8 +522,6 @@ func (m *Manager) PickGC(minRatio float64) (uint32, bool) {
 // MarkDead retires a fully collected segment from GC candidacy; it stays
 // readable until Punch so pinned readers can finish dereferencing into it.
 func (m *Manager) MarkDead(id uint32) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if seg, ok := m.segs[id]; ok {
 		seg.dead = true
 	}
@@ -563,15 +532,12 @@ func (m *Manager) MarkDead(id uint32) {
 // host-SSD collaboration cost model for space reclamation. Returns the
 // reclaimed byte count.
 func (m *Manager) Punch(r *vclock.Runner, id uint32) int64 {
-	m.mu.Lock()
 	seg, ok := m.segs[id]
 	if !ok {
-		m.mu.Unlock()
 		return 0
 	}
 	delete(m.segs, id)
 	m.punchedBytes += seg.size
-	m.mu.Unlock()
 	if m.fsys.Exists(seg.name) {
 		_ = m.fsys.Remove(r, seg.name)
 	}
@@ -583,8 +549,6 @@ func (m *Manager) Punch(r *vclock.Runner, id uint32) int64 {
 // recovery trusting it is safe even when the manifest is newer than the
 // last vlog Sync.
 func (m *Manager) ManifestSnapshot() ManifestState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	ms := ManifestState{NextSeg: m.nextSeg}
 	for id, seg := range m.segs {
 		ms.Segments = append(ms.Segments, SegmentInfo{ID: id, Durable: seg.flushed, Discard: seg.discard})
@@ -596,8 +560,6 @@ func (m *Manager) ManifestSnapshot() ManifestState {
 
 // Stats snapshots the counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := Stats{
 		Segments:      len(m.segs),
 		BytesAppended: m.bytesAppended,
@@ -622,13 +584,10 @@ func (m *Manager) Stats() Stats {
 // head's final partial buffer is discarded (callers Sync first if they
 // need it) — exactly the WAL's close contract.
 func (m *Manager) Close() {
-	m.mu.Lock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.closed = true
-	m.mu.Unlock()
 	m.queue.Close()
 }
 
@@ -667,7 +626,6 @@ func (m *Manager) flushBatch(r *vclock.Runner, seg *segment, chunks [][]byte) {
 		total += int64(len(c))
 	}
 	err := m.fsys.Append(r, seg.name, chunks...)
-	m.mu.Lock()
 	if err != nil && m.werr == nil {
 		m.werr = err
 	}
@@ -679,7 +637,6 @@ func (m *Manager) flushBatch(r *vclock.Runner, seg *segment, chunks [][]byte) {
 		}
 	}
 	m.pending -= len(chunks)
-	m.mu.Unlock()
 	m.drained.Broadcast()
 }
 

@@ -13,8 +13,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/cpu"
@@ -46,7 +44,6 @@ type Log struct {
 	name string
 	opt  Options
 
-	mu      sync.Mutex
 	buf     []byte
 	pending int // chunks queued but not yet written
 	closed  bool
@@ -54,9 +51,7 @@ type Log struct {
 
 	queue *vclock.Queue[[]byte]
 
-	// bytesWritten is atomic so that BytesWritten, which the engine's Stats
-	// reads under its own lock, never waits on the log's.
-	bytesWritten atomic.Int64
+	bytesWritten int64
 	werr         error // sticky writeback error (first device failure)
 }
 
@@ -70,7 +65,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, name string, opt Options) *Log
 		panic("wal: Options needs QueueDepth >= 1")
 	}
 	l := &Log{fsys: fsys, name: name, opt: opt}
-	l.drained = vclock.NewCond(&l.mu, "wal.drained:"+name)
+	l.drained = vclock.NewCond("wal.drained:" + name)
 	l.queue = vclock.NewQueue[[]byte](opt.QueueDepth, "wal.queue:"+name)
 	clk.Go("wal.writeback:"+name, l.writeback)
 	return l
@@ -88,24 +83,20 @@ const recordHeader = 8
 // result, as the strconv.Append functions do; Append then fills in the
 // length and checksum in front of it. size is the caller's estimate of
 // the payload, an upper bound if it can give one: the buffer is sized
-// by it, so that the chunk handed off has no slack. encode runs under
-// the log's mutex, so it must do nothing but append; whatever it copies
-// from stays the caller's. Append returns the payload's length.
+// by it, so that the chunk handed off has no slack. encode must do
+// nothing but append; whatever it copies from stays the caller's. Append
+// returns the payload's length.
 func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte) (int, error) {
-	// The encode cost is charged before taking l.mu: a runner must not
-	// park on the CPU pool while holding a host mutex other running
-	// goroutines contend on, or virtual time could not advance.
+	// The encode cost is charged first: the CPU pool may park this runner,
+	// and the buffer is read only after it returns.
 	if l.opt.CPU != nil && l.opt.AppendCPU > 0 {
 		l.opt.CPU.Run(r, l.opt.AppendCPU)
 	}
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: %s: append on closed log", l.name)
 	}
 	if l.werr != nil {
 		err := l.werr
-		l.mu.Unlock()
 		return 0, err
 	}
 	if need := len(l.buf) + recordHeader + size; need > cap(l.buf) {
@@ -131,7 +122,6 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 		l.buf = nil
 		l.pending++
 	}
-	l.mu.Unlock()
 	if chunk != nil {
 		l.queue.Push(r, chunk)
 	}
@@ -142,33 +132,25 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 // on the device. It returns the log's sticky writeback error: a Sync
 // that returns nil guarantees every record appended so far is durable.
 func (l *Log) Sync(r *vclock.Runner) error {
-	l.mu.Lock()
 	if len(l.buf) > 0 && !l.closed {
 		chunk := l.buf
 		l.buf = nil
 		l.pending++
-		l.mu.Unlock()
 		l.queue.Push(r, chunk)
-		l.mu.Lock()
 	}
 	for l.pending > 0 {
 		l.drained.Wait(r)
 	}
-	err := l.werr
-	l.mu.Unlock()
-	return err
+	return l.werr
 }
 
 // Close stops the writeback runner after draining queued chunks. The
 // final partial buffer is discarded (callers Sync first if they need it).
 func (l *Log) Close() {
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return
 	}
 	l.closed = true
-	l.mu.Unlock()
 	l.queue.Close()
 }
 
@@ -181,7 +163,7 @@ func (l *Log) Delete(r *vclock.Runner) {
 }
 
 // BytesWritten returns the bytes actually written back to the device.
-func (l *Log) BytesWritten() int64 { return l.bytesWritten.Load() }
+func (l *Log) BytesWritten() int64 { return l.bytesWritten }
 
 func (l *Log) writeback(r *vclock.Runner) {
 	var chunks [][]byte // one round's chunks; reused every round
@@ -208,13 +190,11 @@ func (l *Log) writeback(r *vclock.Runner) {
 		// leaves a hole in the log, so the error is sticky: no later
 		// Sync may report the log durable again.
 		err := l.fsys.Append(r, l.name, chunks...)
-		l.mu.Lock()
 		if err != nil && l.werr == nil {
 			l.werr = err
 		}
-		l.bytesWritten.Add(int64(total))
+		l.bytesWritten += int64(total)
 		l.pending -= len(chunks)
-		l.mu.Unlock()
 		l.drained.Broadcast()
 		clear(chunks) // do not pin the chunks until the next round
 		chunks = chunks[:0]

@@ -4,8 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"kvaccel/internal/metrics"
@@ -97,49 +96,27 @@ type ServeTenantStats struct {
 	Retry int64 // RETRY_LATER responses
 }
 
-// serveTenantRow is the atomic backing store for ServeTenantStats.
-type serveTenantRow struct {
-	sent, ok, retry atomic.Int64
-}
-
 // ServeRecorder accumulates client-observed measurements across all
-// clients of a serving run. Counters are atomic and the histogram locks
-// internally, so every client shares one recorder.
+// clients of a serving run.
 type ServeRecorder struct {
-	sent       atomic.Int64
-	okOps      atomic.Int64
-	notFound   atomic.Int64
-	retry      atomic.Int64
-	errs       atomic.Int64
-	dropped    atomic.Int64 // open-loop sends never answered
-	connFailed atomic.Int64
-	torn       atomic.Int64
-
 	// Latency is the client-observed request latency: send start to
 	// response decode, network and all server phases included.
 	Latency *metrics.Histogram
 
-	// Per-phase residency totals over answered requests, in virtual
-	// nanoseconds. Accept/linger/engine/reply come from the response's
-	// timing annex; network is the remainder of the client-observed
-	// total, so the five phases sum to it exactly.
-	netNS    atomic.Int64
-	acceptNS atomic.Int64
-	lingerNS atomic.Int64
-	engineNS atomic.Int64
-	replyNS  atomic.Int64
-
-	tenants []*serveTenantRow
-
-	// acked samples the PUTs answered OK by key number: the first
-	// ackedSample of them, then every ackedEvery-th over the oldest kept.
-	// Whoever runs the load reads these keys back once the window has
-	// closed — an acked write that is not there is the serving tier's
+	// stats holds the counters Snapshot returns. Its per-phase residency
+	// totals cover answered requests, in virtual nanoseconds:
+	// accept/linger/engine/reply come from the response's timing annex,
+	// network is the remainder of the client-observed total, so the five
+	// phases sum to it exactly.
+	//
+	// stats.AckedPuts samples the PUTs answered OK by key number: the
+	// first ackedSample of them, then every ackedEvery-th over the oldest
+	// kept. Whoever runs the load reads these keys back once the window
+	// has closed — an acked write that is not there is the serving tier's
 	// worst failure, and no counter of the tier's own shows it.
-	ackedPuts atomic.Int64
-	ackedMu   sync.Mutex
-	acked     []int
-	ackedAt   int // next slot to overwrite once acked is full
+	stats     ServeStats
+	ackedPuts int64
+	ackedAt   int // next slot to overwrite once the sample is full
 }
 
 const (
@@ -153,17 +130,16 @@ func (rec *ServeRecorder) noteAcked(put int, status byte) {
 	if put < 0 || status != rpc.StatusOK {
 		return
 	}
-	if n := rec.ackedPuts.Add(1); n > ackedSample && n%ackedEvery != 0 {
+	rec.ackedPuts++
+	if n := rec.ackedPuts; n > ackedSample && n%ackedEvery != 0 {
 		return
 	}
-	rec.ackedMu.Lock()
-	if len(rec.acked) < ackedSample {
-		rec.acked = append(rec.acked, put)
+	if acked := &rec.stats.AckedPuts; len(*acked) < ackedSample {
+		*acked = append(*acked, put)
 	} else {
-		rec.acked[rec.ackedAt] = put
+		(*acked)[rec.ackedAt] = put
 		rec.ackedAt = (rec.ackedAt + 1) % ackedSample
 	}
-	rec.ackedMu.Unlock()
 }
 
 // NewServeRecorder returns an empty recorder sized for tenants.
@@ -172,10 +148,7 @@ func NewServeRecorder(tenants int) *ServeRecorder {
 		tenants = 1
 	}
 	rec := &ServeRecorder{Latency: metrics.NewHistogram()}
-	rec.tenants = make([]*serveTenantRow, tenants)
-	for i := range rec.tenants {
-		rec.tenants[i] = &serveTenantRow{}
-	}
+	rec.stats.Tenants = make([]ServeTenantStats, tenants)
 	return rec
 }
 
@@ -187,24 +160,25 @@ func (rec *ServeRecorder) record(total time.Duration, resp *rpc.Response, tenant
 	if annex > tot {
 		annex = tot // server phases can round past a tiny client total
 	}
-	rec.netNS.Add(int64(tot - annex))
-	rec.acceptNS.Add(int64(resp.Timing.AcceptNS))
-	rec.lingerNS.Add(int64(resp.Timing.LingerNS))
-	rec.engineNS.Add(int64(resp.Timing.EngineNS))
-	rec.replyNS.Add(int64(resp.Timing.ReplyNS))
-	row := rec.tenants[tenant%len(rec.tenants)]
+	s := &rec.stats
+	s.NetNS += int64(tot - annex)
+	s.AcceptNS += int64(resp.Timing.AcceptNS)
+	s.LingerNS += int64(resp.Timing.LingerNS)
+	s.EngineNS += int64(resp.Timing.EngineNS)
+	s.ReplyNS += int64(resp.Timing.ReplyNS)
+	row := &s.Tenants[tenant%len(s.Tenants)]
 	switch resp.Status {
 	case rpc.StatusOK:
-		rec.okOps.Add(1)
-		row.ok.Add(1)
+		s.OK++
+		row.OK++
 	case rpc.StatusNotFound:
-		rec.notFound.Add(1)
-		row.ok.Add(1)
+		s.NotFound++
+		row.OK++
 	case rpc.StatusRetryLater:
-		rec.retry.Add(1)
-		row.retry.Add(1)
+		s.Retry++
+		row.Retry++
 	default:
-		rec.errs.Add(1)
+		s.Errs++
 	}
 }
 
@@ -237,33 +211,10 @@ type ServeStats struct {
 
 // Snapshot captures the recorder's current totals.
 func (rec *ServeRecorder) Snapshot() ServeStats {
-	s := ServeStats{
-		Sent:       rec.sent.Load(),
-		OK:         rec.okOps.Load(),
-		NotFound:   rec.notFound.Load(),
-		Retry:      rec.retry.Load(),
-		Errs:       rec.errs.Load(),
-		Dropped:    rec.dropped.Load(),
-		ConnFailed: rec.connFailed.Load(),
-		TornFrames: rec.torn.Load(),
-		Latency:    rec.Latency,
-		NetNS:      rec.netNS.Load(),
-		AcceptNS:   rec.acceptNS.Load(),
-		LingerNS:   rec.lingerNS.Load(),
-		EngineNS:   rec.engineNS.Load(),
-		ReplyNS:    rec.replyNS.Load(),
-	}
-	s.Tenants = make([]ServeTenantStats, len(rec.tenants))
-	for i, row := range rec.tenants {
-		s.Tenants[i] = ServeTenantStats{
-			Sent:  row.sent.Load(),
-			OK:    row.ok.Load(),
-			Retry: row.retry.Load(),
-		}
-	}
-	rec.ackedMu.Lock()
-	s.AckedPuts = append([]int(nil), rec.acked...)
-	rec.ackedMu.Unlock()
+	s := rec.stats
+	s.Latency = rec.Latency
+	s.Tenants = slices.Clone(rec.stats.Tenants)
+	s.AckedPuts = slices.Clone(rec.stats.AckedPuts)
 	return s
 }
 
@@ -394,7 +345,8 @@ func (l *ServeLoad) buildRequest(req *rpc.Request, rng *rand.Rand, buf *scratch,
 	case serveUpdate, serveRMW:
 		put = l.pickKey(rng)
 	case serveInsert:
-		put = int(l.state.frontier.Add(1)) - 1
+		put = int(l.state.frontier)
+		l.state.frontier++
 	case serveScan:
 		req.Op = rpc.OpScan
 		req.Key = buf.key(l.pickKey(rng))
@@ -424,8 +376,8 @@ func (l *ServeLoad) Client(r *vclock.Runner, clk *vclock.Clock, d Dialer, id int
 // what lets a client send its next request before this one is answered.
 func (l *ServeLoad) send(r *vclock.Runner, conn *rpc.Conn, req *rpc.Request, tenant int) error {
 	frame := rpc.AppendRequest(conn.Buffer(), req)
-	l.Rec.sent.Add(1)
-	l.Rec.tenants[tenant].sent.Add(1)
+	l.Rec.stats.Sent++
+	l.Rec.stats.Tenants[tenant].Sent++
 	return conn.Send(r, frame)
 }
 
@@ -475,15 +427,15 @@ func (s *replyStream) next(r *vclock.Runner) (*rpc.Response, error) {
 func (l *ServeLoad) call(r *vclock.Runner, replies *replyStream, req *rpc.Request, tenant int) (status byte, ok bool) {
 	t0 := r.Now()
 	if err := l.send(r, replies.conn, req, tenant); err != nil {
-		l.Rec.dropped.Add(1)
+		l.Rec.stats.Dropped++
 		return 0, false
 	}
 	resp, err := replies.next(r)
 	if err != nil {
 		if err != errStreamEnded {
-			l.Rec.torn.Add(1)
+			l.Rec.stats.TornFrames++
 		}
-		l.Rec.dropped.Add(1)
+		l.Rec.stats.Dropped++
 		return 0, false
 	}
 	l.Rec.record(r.Now().Sub(t0), resp, tenant)
@@ -497,7 +449,7 @@ func (l *ServeLoad) call(r *vclock.Runner, replies *replyStream, req *rpc.Reques
 func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 	conn := d.Connect(r, fmt.Sprintf("client.%d", id))
 	if conn == nil {
-		l.Rec.connFailed.Add(1)
+		l.Rec.stats.ConnFailed++
 		return
 	}
 	defer conn.Close()
@@ -535,7 +487,6 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 
 // openState tracks an open-loop client's in-flight requests.
 type openState struct {
-	mu          sync.Mutex
 	outstanding map[uint64]openRequest // by request ID
 }
 
@@ -553,7 +504,7 @@ type openRequest struct {
 func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id int) {
 	conn := d.Connect(r, fmt.Sprintf("client.%d", id))
 	if conn == nil {
-		l.Rec.connFailed.Add(1)
+		l.Rec.stats.ConnFailed++
 		return
 	}
 	tenant := id % l.cfg.Tenants
@@ -565,14 +516,12 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 			resp, err := replies.next(rr)
 			if err != nil {
 				if err != errStreamEnded {
-					l.Rec.torn.Add(1)
+					l.Rec.stats.TornFrames++
 				}
 				return
 			}
-			st.mu.Lock()
 			sent, known := st.outstanding[resp.ID]
 			delete(st.outstanding, resp.ID)
-			st.mu.Unlock()
 			if known {
 				l.Rec.record(rr.Now().Sub(sent.t0), resp, tenant)
 				l.Rec.noteAcked(sent.put, resp.Status)
@@ -602,17 +551,13 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 		}
 		put := l.buildRequest(&req, rng, &buf, kind, reqID(id, seq), uint8(tenant))
 		seq++
-		st.mu.Lock()
 		st.outstanding[req.ID] = openRequest{t0: r.Now(), put: put}
-		st.mu.Unlock()
 		// Requests pipeline: this frame may still be queued, or in the
 		// server's hands, when the next is built over the same scratch —
 		// the frame is a copy, and it is the connection's.
 		if err := l.send(r, conn, &req, tenant); err != nil {
-			st.mu.Lock()
 			delete(st.outstanding, req.ID)
-			st.mu.Unlock()
-			l.Rec.dropped.Add(1)
+			l.Rec.stats.Dropped++
 			return
 		}
 	}
@@ -621,14 +566,12 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 	// connection; whatever is still outstanding counts as dropped.
 	graceEnd := r.Now().Add(l.cfg.DrainGrace)
 	for {
-		st.mu.Lock()
 		n := len(st.outstanding)
-		st.mu.Unlock()
 		if n == 0 {
 			break
 		}
 		if graceEnd.Sub(r.Now()) <= 0 {
-			l.Rec.dropped.Add(int64(n))
+			l.Rec.stats.Dropped += int64(n)
 			break
 		}
 		r.Sleep(200 * time.Microsecond)

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"kvaccel/internal/encoding"
@@ -130,9 +129,9 @@ func (s *scratch) value(n, size int) []byte {
 // Recorder accumulates a run's measurements: op counts, per-second
 // throughput series, and latency histograms.
 type Recorder struct {
-	writes atomic.Int64
-	reads  atomic.Int64
-	scans  atomic.Int64
+	writes int64
+	reads  int64
+	scans  int64
 
 	WriteLatency *metrics.Histogram
 	ReadLatency  *metrics.Histogram
@@ -156,13 +155,13 @@ func NewRecorder(name string) *Recorder {
 }
 
 // Writes returns the cumulative write count.
-func (rec *Recorder) Writes() int64 { return rec.writes.Load() }
+func (rec *Recorder) Writes() int64 { return rec.writes }
 
 // Reads returns the cumulative read count.
-func (rec *Recorder) Reads() int64 { return rec.reads.Load() }
+func (rec *Recorder) Reads() int64 { return rec.reads }
 
 // Scans returns the cumulative range-scan count (mixed workloads only).
-func (rec *Recorder) Scans() int64 { return rec.scans.Load() }
+func (rec *Recorder) Scans() int64 { return rec.scans }
 
 // Sample appends one throughput point at time t (in the series' time
 // unit), normalizing the ops delta over the sampling interval to Kops/s.
@@ -170,7 +169,7 @@ func (rec *Recorder) Sample(t float64, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	w, rd := rec.writes.Load(), rec.reads.Load()
+	w, rd := rec.writes, rec.reads
 	rec.WriteSeries.Append(t, float64(w-rec.lastWrites)/1000/interval.Seconds())
 	rec.ReadSeries.Append(t, float64(rd-rec.lastReads)/1000/interval.Seconds())
 	rec.lastWrites, rec.lastReads = w, rd
@@ -196,7 +195,7 @@ func FillRandom(r *vclock.Runner, eng Engine, cfg Config, rec *Recorder) {
 			return
 		}
 		rec.WriteLatency.Observe(r.Now().Sub(t0))
-		rec.writes.Add(1)
+		rec.writes++
 	}
 }
 
@@ -216,15 +215,15 @@ func FillSequential(r *vclock.Runner, eng Engine, cfg Config, n int) {
 // are cfg.ReadFraction of total operations. It returns when the write
 // deadline passes; the reader stops with it.
 func ReadWhileWriting(r *vclock.Runner, clk *vclock.Clock, eng Engine, cfg Config, rec *Recorder) {
-	var done atomic.Bool
+	var done bool
 	readsPerWrite := cfg.ReadFraction / (1 - cfg.ReadFraction)
 	clk.Go("workload.reader", func(rr *vclock.Runner) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7))
 		var buf scratch
-		for !done.Load() {
+		for !done {
 			// Pace reads against completed writes to hold the ratio.
-			target := int64(float64(rec.writes.Load()) * readsPerWrite)
-			if rec.reads.Load() >= target {
+			target := int64(float64(rec.writes) * readsPerWrite)
+			if rec.reads >= target {
 				rr.Sleep(time.Millisecond)
 				continue
 			}
@@ -235,11 +234,11 @@ func ReadWhileWriting(r *vclock.Runner, clk *vclock.Clock, eng Engine, cfg Confi
 				return
 			}
 			rec.ReadLatency.Observe(rr.Now().Sub(t0))
-			rec.reads.Add(1)
+			rec.reads++
 		}
 	})
 	FillRandom(r, eng, cfg, rec)
-	done.Store(true)
+	done = true
 }
 
 // SeekRandom runs workload D on the calling runner: random range queries
@@ -257,10 +256,10 @@ func SeekRandom(r *vclock.Runner, eng Engine, cfg Config, rec *Recorder) {
 		it := eng.NewIterator(r)
 		t0 := r.Now()
 		it.Seek(Key(n))
-		rec.reads.Add(1)
+		rec.reads++
 		for i := 0; i < cfg.NextsPerSeek && it.Valid(); i++ {
 			it.Next()
-			rec.reads.Add(1)
+			rec.reads++
 		}
 		rec.ReadLatency.Observe(r.Now().Sub(t0))
 		it.Close()

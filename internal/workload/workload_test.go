@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 
 // fakeEngine is an in-memory Engine with a configurable per-op latency.
 type fakeEngine struct {
-	mu      sync.Mutex
 	data    map[string][]byte
 	opDelay time.Duration
 }
@@ -24,16 +22,12 @@ func (e *fakeEngine) Put(r *vclock.Runner, key, value []byte) error {
 	if e.opDelay > 0 {
 		r.Sleep(e.opDelay)
 	}
-	e.mu.Lock()
 	e.data[string(key)] = append([]byte(nil), value...)
-	e.mu.Unlock()
 	return nil
 }
 
 func (e *fakeEngine) Delete(r *vclock.Runner, key []byte) error {
-	e.mu.Lock()
 	delete(e.data, string(key))
-	e.mu.Unlock()
 	return nil
 }
 
@@ -41,9 +35,7 @@ func (e *fakeEngine) Get(r *vclock.Runner, key []byte) ([]byte, bool, error) {
 	if e.opDelay > 0 {
 		r.Sleep(e.opDelay)
 	}
-	e.mu.Lock()
 	v, ok := e.data[string(key)]
-	e.mu.Unlock()
 	return v, ok, nil
 }
 
@@ -56,8 +48,6 @@ func (e *fakeEngine) NewIterator(r *vclock.Runner) Iterator {
 	if e.opDelay > 0 {
 		r.Sleep(e.opDelay)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	it := &fakeIter{}
 	for k := range e.data {
 		it.keys = append(it.keys, []byte(k))
@@ -163,7 +153,7 @@ func TestSeekRandomCountsSeeksAndNexts(t *testing.T) {
 
 func TestRecorderSampling(t *testing.T) {
 	rec := NewRecorder("s")
-	rec.writes.Store(500)
+	rec.writes = 500
 	rec.Sample(1, 500*time.Millisecond) // 500 ops in 0.5s = 1 Kops/s
 	if rec.WriteSeries.Len() != 1 {
 		t.Fatal("sample not recorded")
@@ -172,7 +162,7 @@ func TestRecorderSampling(t *testing.T) {
 	if v != 1.0 {
 		t.Fatalf("sampled rate = %v Kops/s, want 1.0", v)
 	}
-	rec.writes.Store(500) // no new ops
+	rec.writes = 500 // no new ops
 	rec.Sample(2, 500*time.Millisecond)
 	_, v = rec.WriteSeries.At(1)
 	if v != 0 {

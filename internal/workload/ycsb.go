@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 
 	"kvaccel/internal/vclock"
 )
@@ -173,18 +172,18 @@ func scramble(r, n int) int {
 // insert frontier (inserts append past the preloaded keyspace; the
 // latest distribution reads against it).
 type MixedState struct {
-	frontier atomic.Int64
+	frontier int64
 }
 
 // NewMixedState starts the insert frontier after the preloaded keys.
 func NewMixedState(preloaded int) *MixedState {
 	st := &MixedState{}
-	st.frontier.Store(int64(preloaded))
+	st.frontier = int64(preloaded)
 	return st
 }
 
 // Inserted returns how many keys exist (preload + inserts so far).
-func (st *MixedState) Inserted() int64 { return st.frontier.Load() }
+func (st *MixedState) Inserted() int64 { return st.frontier }
 
 // RunMixed drives one client of a YCSB-style mixed workload on the
 // calling runner until cfg.Duration elapses. Multiple clients may share
@@ -233,7 +232,7 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 				return err
 			}
 			rec.ReadLatency.Observe(r.Now().Sub(t0))
-			rec.reads.Add(1)
+			rec.reads++
 		case u < cUpdate:
 			n := pick()
 			t0 := r.Now()
@@ -241,15 +240,16 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t0))
-			rec.writes.Add(1)
+			rec.writes++
 		case u < cInsert:
-			n := int(state.frontier.Add(1)) - 1
+			n := int(state.frontier)
+			state.frontier++
 			t0 := r.Now()
 			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t0))
-			rec.writes.Add(1)
+			rec.writes++
 		case u < cScan:
 			n := pick()
 			length := rng.Intn(maxScan) + 1
@@ -261,7 +261,7 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 			}
 			rec.ScanLatency.Observe(r.Now().Sub(t0))
 			it.Close()
-			rec.scans.Add(1)
+			rec.scans++
 		default: // read-modify-write
 			n := pick()
 			t0 := r.Now()
@@ -269,13 +269,13 @@ func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *Mix
 				return err
 			}
 			rec.ReadLatency.Observe(r.Now().Sub(t0))
-			rec.reads.Add(1)
+			rec.reads++
 			t1 := r.Now()
 			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t1))
-			rec.writes.Add(1)
+			rec.writes++
 		}
 	}
 	return nil
