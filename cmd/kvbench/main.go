@@ -1,6 +1,6 @@
 // Command kvbench is the repo's db_bench: it runs one Table IV or YCSB
-// workload against one engine (rocksdb, adoc, kvaccel, or
-// kvaccel-sharded) on a fresh simulated testbed through internal/harness
+// workload against one engine (rocksdb, adoc, or kvaccel on -shards hash
+// partitions) on a fresh simulated testbed through internal/harness
 // and prints db_bench-style summary lines, optionally with a per-second
 // series, a Chrome trace, or pprof profiles of the simulator itself.
 // -power-cuts runs the crash-recovery torture instead.
@@ -13,7 +13,7 @@
 //	kvbench -engine rocksdb -workload fillrandom -threads 1 -slowdown=false
 //	kvbench -engine kvaccel -workload readwhilewriting -read-pct 0.2 -rollback eager
 //	kvbench -engine adoc -workload seekrandom
-//	kvbench -engine kvaccel-sharded -shards 4 -workload ycsb-a -series
+//	kvbench -engine kvaccel -shards 4 -workload ycsb-a -series
 //	kvbench -engine rocksdb -slowdown=false -trace out.json -trace-summary
 package main
 
@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kvbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engine    = fs.String("engine", "kvaccel", "engine: rocksdb, adoc, kvaccel, kvaccel-sharded")
+		engine    = fs.String("engine", "kvaccel", "engine: rocksdb, adoc, kvaccel")
 		wl        = fs.String("workload", "fillrandom", "workload: fillrandom, readwhilewriting, seekrandom, ycsb-a..ycsb-f, mixed")
 		threads   = fs.Int("threads", 1, "compaction threads")
 		slowdown  = fs.Bool("slowdown", true, "enable the RocksDB slowdown mechanism (rocksdb/adoc)")
@@ -54,8 +54,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		valSize   = fs.Int("value-size", 4096, "value size in bytes")
 		vthresh   = fs.Int("value-threshold", 1024, "separate values >= this many bytes into the value log (WiscKey); 0 keeps values inline")
 		series    = fs.Bool("series", false, "print per-second throughput TSV")
-		shards    = fs.Int("shards", 1, "shard count for kvaccel-sharded")
-		writers   = fs.Int("writers", 0, "concurrent writer/client threads (kvaccel-sharded default: one per shard)")
+		shards    = fs.Int("shards", 1, "kvaccel hash partitions on the one machine (values below 1 run one)")
+		writers   = fs.Int("writers", 0, "concurrent writer/client threads (default: one per shard)")
 		seed      = fs.Int64("seed", 1, "workload RNG seed (writer i uses seed+i*101)")
 		lingerUS  = fs.Int64("linger-us", 30, "group leader adaptive linger window in unscaled virtual microseconds (multiplied by -scale; 0 disables)")
 		qd        = fs.Int("qd", 0, "NVMe submission-queue depth per queue pair (0 = device default, 32)")
@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	spec := harness.EngineSpec{Threads: *threads, Slowdown: *slowdown}
-	nShards := 0 // > 0: kvaccel-sharded
+	nShards := max(*shards, 1)
 	switch *rollback {
 	case "disabled":
 		spec.Rollback = core.RollbackDisabled
@@ -133,14 +133,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec.Kind = harness.KindADOC
 	case "kvaccel":
 		spec.Kind = harness.KindKVAccel
-	case "kvaccel-sharded":
-		spec.Kind = harness.KindKVAccel
-		nShards = max(*shards, 1)
-		if p.Writers < 1 {
-			p.Writers = nShards
-		}
 	default:
 		return usage("unknown engine %q", *engine)
+	}
+	if nShards > 1 && spec.Kind != harness.KindKVAccel {
+		return usage("-shards %d: only kvaccel runs on more than one shard", nShards)
+	}
+	if p.Writers < 1 {
+		p.Writers = nShards
 	}
 	var kind harness.WorkloadKind
 	switch name := strings.ToLower(*wl); name {
@@ -180,17 +180,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wlName = fmt.Sprintf("Mixed(%s %s theta=%.2f)", mix.Name, mix.Dist, mix.EffectiveTheta())
 	}
 	name := spec.Name()
-	if nShards > 0 {
+	if nShards > 1 {
 		name = spec.ShardedName(nShards)
 	}
 	fmt.Fprintf(stdout, "kvbench: %s, %s, scale=%d duration=%v keyspace=%d value=%dB writers=%d seed=%d\n",
 		name, wlName, p.Scale, p.Duration, p.KeySpace, p.ValueSize, max(p.Writers, 1), p.Seed)
-	var res *harness.RunResult
-	if nShards > 0 {
-		res = p.RunSharded(spec, nShards, kind)
-	} else {
-		res = p.Run(spec, kind)
-	}
+	res := p.RunSharded(spec, nShards, kind)
 	printResult(stdout, res, *faultSeed != 0)
 
 	if *traceSum {

@@ -27,6 +27,8 @@ func TestBadArgumentsExit2(t *testing.T) {
 		{[]string{"-workload", "bogus"}, `unknown workload "bogus"`},
 		{[]string{"-rollback", "bogus"}, `unknown rollback scheme "bogus"`},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"-engine", "rocksdb", "-shards", "2"}, "only kvaccel runs on more than one shard"},
+		{[]string{"-engine", "adoc", "-shards", "2"}, "only kvaccel runs on more than one shard"},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := kvbench(c.args...)
@@ -38,8 +40,9 @@ func TestBadArgumentsExit2(t *testing.T) {
 }
 
 func TestFillRandomOnEveryEngine(t *testing.T) {
-	for _, engine := range []string{"rocksdb", "adoc", "kvaccel", "kvaccel-sharded"} {
-		code, stdout, stderr := kvbench("-engine", engine, "-workload", "fillrandom", "-duration", "1s", "-shards", "2")
+	for _, args := range [][]string{{"rocksdb"}, {"adoc"}, {"kvaccel"}, {"kvaccel", "-shards", "2"}} {
+		engine := strings.Join(args, " ")
+		code, stdout, stderr := kvbench(append([]string{"-workload", "fillrandom", "-duration", "1s", "-engine"}, args...)...)
 		if code != 0 || stderr != "" {
 			t.Errorf("%s: exit %d, stderr %q", engine, code, stderr)
 			continue
@@ -53,7 +56,7 @@ func TestFillRandomOnEveryEngine(t *testing.T) {
 		if ops <= 0 {
 			t.Errorf("%s: no writes line with ops > 0 in:\n%s", engine, stdout)
 		}
-		if sharded := engine == "kvaccel-sharded"; sharded != strings.Contains(stdout, "shard 1") {
+		if sharded := len(args) > 1; sharded != strings.Contains(stdout, "shard 1") {
 			t.Errorf("%s: per-shard lines present = %v, want %v", engine, !sharded, sharded)
 		}
 	}
@@ -90,7 +93,7 @@ func TestTraceOutputs(t *testing.T) {
 // group commits of both shards only if both shards' engines trace.
 func TestShardedRunTracesAndInjects(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	code, stdout, stderr := kvbench("-engine", "kvaccel-sharded", "-shards", "2", "-duration", "2s",
+	code, stdout, stderr := kvbench("-engine", "kvaccel", "-shards", "2", "-duration", "2s",
 		"-trace", path, "-trace-summary", "-faults-seed", "7")
 	if code != 0 || stderr != "" {
 		t.Fatalf("exit %d, stderr %q", code, stderr)

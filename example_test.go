@@ -68,7 +68,7 @@ func ExampleDB_NewIterator_acrossBothLSMs() {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key %04d", i)) }
 	db.Run("main", func(r *kvaccel.Runner) {
 		defer db.Close()
-		kv, dev := db.Internals()
+		kv, dev := db.Shard(0), db.Device().Dev
 		for i := 0; i < 2000; i += 2 {
 			_ = db.Put(r, key(i), []byte(fmt.Sprintf("main-%d", i)))
 		}
@@ -78,7 +78,7 @@ func ExampleDB_NewIterator_acrossBothLSMs() {
 		}
 		_ = db.Put(r, key(100), []byte("dev-wins"))
 		kv.Detector().SetOverride(false)
-		fmt.Println("Dev-LSM pairs:", dev.Dev.Count())
+		fmt.Println("Dev-LSM pairs:", dev.Count())
 
 		it := db.NewIterator(r)
 		defer it.Close()
@@ -112,14 +112,14 @@ func ExampleDB_Recover() {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
 	db.Run("main", func(r *kvaccel.Runner) {
 		defer db.Close()
-		kv, dev := db.Internals()
+		kv, dev := db.Shard(0), db.Device().Dev
 		const pairs = 10_000
 		kv.Detector().SetOverride(true) // the stall path
 		for i := 0; i < pairs; i++ {
 			_ = db.Put(r, key(i), []byte(fmt.Sprintf("value-%d", i)))
 		}
 		kv.Detector().SetOverride(false)
-		fmt.Println("buffered in the Dev-LSM:", dev.Dev.Count())
+		fmt.Println("buffered in the Dev-LSM:", dev.Count())
 
 		db.SimulateCrash()
 		_, ok, _ := db.Get(r, key(42))
@@ -133,7 +133,7 @@ func ExampleDB_Recover() {
 			}
 		}
 		fmt.Println("missing after Recover:", missing)
-		fmt.Println("Dev-LSM empty:", dev.Dev.Empty())
+		fmt.Println("Dev-LSM empty:", dev.Empty())
 	})
 	db.Wait()
 	// Output:

@@ -54,8 +54,7 @@ func run(w io.Writer, scheme kvaccel.RollbackScheme, readFraction float64, d tim
 			writes++
 		}
 		stop = true
-		kv, _ := db.Internals()
-		s := kv.Stats()
+		s := db.Stats().KVAccel
 		elapsed := r.Now().Seconds()
 		fmt.Fprintf(w, "%-8s writes=%6.2f Kops/s reads=%5.2f Kops/s  rollbacks=%d dev-served-reads=%d\n",
 			scheme, float64(writes)/elapsed/1000, float64(reads)/elapsed/1000,

@@ -26,10 +26,10 @@ func main() {
 
 // run drives one writer per shard for d of virtual time, prints the
 // dashboard and the epilogue to w, and returns the final counters.
-func run(w io.Writer, shards int, d time.Duration) kvaccel.ShardedStats {
-	opt := kvaccel.DefaultShardedOptions()
+func run(w io.Writer, shards int, d time.Duration) kvaccel.Stats {
+	opt := kvaccel.DefaultOptions()
 	opt.Shards = shards
-	db := kvaccel.OpenSharded(opt)
+	db := kvaccel.Open(opt)
 
 	var writes int64
 	running := shards
@@ -77,7 +77,7 @@ func run(w io.Writer, shards int, d time.Duration) kvaccel.ShardedStats {
 
 // finish runs the epilogue on the last writer's runner: a cross-shard
 // merged scan and the final stats breakdown.
-func finish(w io.Writer, db *kvaccel.ShardedDB, r *kvaccel.Runner) {
+func finish(w io.Writer, db *kvaccel.DB, r *kvaccel.Runner) {
 	db.Rollback(r) // drain every shard's Dev-LSM
 
 	it := db.NewIterator(r)

@@ -37,7 +37,7 @@ func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 
 	// Monitor thread: one dashboard line per virtual second.
 	db.Run("monitor", func(r *kvaccel.Runner) {
-		kv, dev := db.Internals()
+		kv, dev := db.Shard(0), db.Device().Dev
 		var last int64
 		fmt.Fprintln(w, "sec   Kops/s  redirected  dev-pairs  L0  stalls")
 		for !done {
@@ -47,7 +47,7 @@ func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 			cur := s.NormalPuts + s.RedirectedPuts
 			fmt.Fprintf(w, "%3.0f %8.2f %11d %10d %3d %7d\n",
 				r.Now().Seconds(), float64(cur-last)/1000, s.RedirectedPuts,
-				dev.Dev.Count(), h.L0Files, kv.Main().Stats().TotalStalls())
+				dev.Count(), h.L0Files, kv.Main().Stats().TotalStalls())
 			last = cur
 		}
 	})
@@ -67,8 +67,8 @@ func burst(w io.Writer, redirect bool, d time.Duration) kvaccel.Stats {
 		done = true
 
 		// End of the burst: drain the Dev-LSM back into the Main-LSM.
-		kv, dev := db.Internals()
-		if dev.Dev.Count() > 0 {
+		kv, dev := db.Shard(0), db.Device().Dev
+		if dev.Count() > 0 {
 			t0 := r.Now()
 			db.Rollback(r)
 			fmt.Fprintf(w, "\nrollback: %d pairs in %v\n", kv.Stats().RollbackPairs, r.Now().Sub(t0))

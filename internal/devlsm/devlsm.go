@@ -183,6 +183,9 @@ func NewRegion(f *ftl.FTL, arm *cpu.Pool, cfg Config, offsetPages, pages int) *D
 	return d
 }
 
+// CachePages returns the read cache's capacity in pages; 0 means no cache.
+func (d *DevLSM) CachePages() int { return d.cacheCap }
+
 // Region returns the slice of KV-region pages this instance owns.
 func (d *DevLSM) Region() (offsetPages, pages int) { return d.lpnOff, d.lpnCount }
 

@@ -50,8 +50,8 @@ func openSingle(p Params, spec EngineSpec) bufferOps {
 	return ops
 }
 
-func openSharded(opt kvaccel.ShardedOptions) bufferOps {
-	db := kvaccel.OpenSharded(opt)
+func openSharded(opt kvaccel.Options) bufferOps {
+	db := kvaccel.Open(opt)
 	return bufferOps{
 		put: db.Put, del: db.Delete, get: db.Get, batch: db.WriteBatch,
 		flush: func(r *vclock.Runner) { _ = db.Flush(r) },
@@ -108,7 +108,7 @@ func TestWritesDoNotRetainCallerBuffers(t *testing.T) {
 		}
 		return p
 	}
-	sharded := kvaccel.DefaultShardedOptions()
+	sharded := kvaccel.DefaultOptions()
 	sharded.Shards = 2
 	sharded.Scale = 10
 	sharded.ValueThreshold = 512

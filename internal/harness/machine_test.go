@@ -41,10 +41,13 @@ func scalars(v any) []string {
 // pairs the device carries.
 func (m *rig) rendered() []string {
 	out := scalars(m.Dev.Config())
-	for i, main := range m.mains {
-		out = append(out, scalars(main.Options())...)
-		if m.kvs != nil {
-			out = append(out, scalars(m.kvs[i].Options())...)
+	if m.db == nil {
+		out = append(out, scalars(m.Main.Options())...)
+	} else {
+		for i := range m.db.NumShards() {
+			kv := m.db.Shard(i)
+			out = append(out, scalars(kv.Main().(*lsm.DB).Options())...)
+			out = append(out, scalars(kv.Options())...)
 		}
 	}
 	for _, q := range m.Dev.QueueStats() {
@@ -55,47 +58,8 @@ func (m *rig) rendered() []string {
 
 // shutdown closes an opened rig without running a workload on it.
 func (m *rig) shutdown() {
-	m.close()
+	m.Close()
 	m.Clk.Wait()
-}
-
-// TestOneShardIsTheUnshardedMachine: RunSharded with one shard and Run
-// open the same machine — device, Main-LSM and KVACCEL configuration down
-// to the last scalar, and the same queue pairs (one Dev-LSM, one "kv"
-// queue) — for every option a sharded run used to drop or render apart.
-func TestOneShardIsTheUnshardedMachine(t *testing.T) {
-	spec := EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}
-	rows := []struct {
-		name string
-		set  func(*Params)
-	}{
-		{"defaults", func(p *Params) {}},
-		{"linger", func(p *Params) { p.LingerMicros = 30 }},
-		{"no-block-cache", func(p *Params) { p.DisableBlockCache = true }},
-		{"value-threshold", func(p *Params) { p.ValueThreshold = 1024 }},
-		{"front-cache", func(p *Params) { p.FrontCacheBytes = 32 << 20 }},
-		{"offload", func(p *Params) { p.OffloadCompaction = true }},
-		{"queues", func(p *Params) { p.QueueDepth = 8; p.IOQueues = 2 }},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			p := DefaultParams()
-			row.set(&p)
-			single, sharded := p.open(spec, 1, false), p.open(spec, 1, true)
-			want, got := single.rendered(), sharded.rendered()
-			single.shutdown()
-			sharded.shutdown()
-			if len(got) != len(want) {
-				t.Fatalf("RunSharded renders %d fields, Run %d:\n%s\n---\n%s",
-					len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("RunSharded(spec, 1) has %s, Run has %s", got[i], want[i])
-				}
-			}
-		})
-	}
 }
 
 // The SHA-256 digests of the machines the five benchmark workloads run
@@ -128,13 +92,13 @@ func benchEngine(spec EngineSpec, set func(*Params)) []string {
 	p := DefaultParams()
 	p.LingerMicros = 30
 	set(&p)
-	m := p.open(spec, 1, false)
+	m := p.open(spec, 1)
 	defer m.shutdown()
 	return m.rendered()
 }
 
 // serveMachine renders serve_closed's machine: four KVACCEL shards at
-// scale 1 behind kvaccel.OpenSharded.
+// scale 1 behind kvaccel.OpenSharded, as bench/serve.go opens them.
 func serveMachine() []string {
 	opt := kvaccel.DefaultShardedOptions()
 	opt.Shards = 4
@@ -151,6 +115,13 @@ func serveMachine() []string {
 	db.Close()
 	db.Wait()
 	return out
+}
+
+// runServeMachine renders the machine RunServe opens with its defaults.
+func runServeMachine() []string {
+	m := DefaultServeParams().open()
+	defer m.shutdown()
+	return m.rendered()
 }
 
 func TestBenchMachinesKeepTheirCalibration(t *testing.T) {
@@ -175,6 +146,7 @@ func TestBenchMachinesKeepTheirCalibration(t *testing.T) {
 			})
 		}},
 		{"serve_closed", serveClosedSHA256, serveMachine},
+		{"RunServe", serveClosedSHA256, runServeMachine},
 	} {
 		fields := c.render()
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(fields, "\n")))); got != c.want {

@@ -60,7 +60,7 @@ func TestMultiWriterWithFaults(t *testing.T) {
 	}
 }
 
-// TestShardedRunSharesTheDispatch drives a ShardedDB through RunSharded:
+// TestShardedRunSharesTheDispatch drives two KVACCEL shards through RunSharded:
 // a mixed workload with more clients than shards — neither of which the
 // sharded path could do while kvbench carried its own copy of the runner
 // — must spread over every shard, keep the per-source read attribution

@@ -53,16 +53,16 @@ type RunResult struct {
 	CPUAvg   float64 // mean host CPU percent
 	Duration time.Duration
 
-	// MainStats and KVStats are summed across shards for sharded specs.
+	// MainStats and KVStats are summed across shards.
 	MainStats lsm.Stats
 	// KVStats is the full KVACCEL controller snapshot (front-cache
 	// counters, per-source read attribution); zero for baselines.
 	KVStats core.Stats
-	// PerShard is each shard's own counters; nil unless RunSharded ran.
+	// PerShard is each shard's own counters; nil on one shard.
 	PerShard []kvaccel.Stats
 	// MixSpec is the resolved mixed-workload spec (WorkloadMixed only).
 	MixSpec workload.MixSpec
-	Levels  string // final tree shape; empty for sharded specs
+	Levels  string // final tree shape; empty on more than one shard
 	// Injected counts faults the plan fired (all classes, any layer);
 	// KVStats.Dev* are the KVACCEL controller's retry-policy view of them.
 	Injected int64
@@ -122,28 +122,38 @@ func (res *RunResult) Efficiency() float64 {
 	return res.WriteMBps() / res.CPUAvg
 }
 
-// rig is what one workload run drives and samples: an engine front-end
-// and the machine under it.
+// rig is what one workload run drives and samples: an engine and the
+// machine under it.
 type rig struct {
 	*Testbed
-	eng     workload.Engine
-	mains   []*lsm.DB  // one per shard
-	kvs     []*core.DB // KVACCEL controllers, one per shard; nil for baselines
-	sharded bool       // fronted by a ShardedDB: report per-shard counters
-	close   func()
+	*Engine
+}
+
+// mains is every shard's Main-LSM: each KVACCEL shard's behind db, or
+// the baseline's one tree.
+func (m *rig) mains() []core.MainEngine {
+	if m.db == nil {
+		return []core.MainEngine{m.Main}
+	}
+	mains := make([]core.MainEngine, m.db.NumShards())
+	for i := range mains {
+		mains[i] = m.db.Shard(i).Main()
+	}
+	return mains
 }
 
 // mainStats sums the Main-LSM counters across shards.
 func (m *rig) mainStats() lsm.Stats {
-	s := m.mains[0].Stats()
-	for _, main := range m.mains[1:] {
+	mains := m.mains()
+	s := mains[0].Stats()
+	for _, main := range mains[1:] {
 		s = s.Add(main.Stats())
 	}
 	return s
 }
 
 func (m *rig) stalled() bool {
-	for _, main := range m.mains {
+	for _, main := range m.mains() {
 		if main.Health().Stalled {
 			return true
 		}
@@ -152,7 +162,7 @@ func (m *rig) stalled() bool {
 }
 
 func (m *rig) waitIdle(r *vclock.Runner) {
-	for _, main := range m.mains {
+	for _, main := range m.mains() {
 		main.WaitIdle(r)
 	}
 }
@@ -174,38 +184,30 @@ func (m *rig) fanOut(r *vclock.Runner, n int, name string, cfg workload.Config, 
 	wg.Wait(r)
 }
 
-// open assembles spec on a fresh machine of shards write domains.
-// sharded fronts KVACCEL shards with a kvaccel.ShardedDB (spec.Kind is
-// taken as KindKVAccel); otherwise the engine is BuildEngine's.
-func (p Params) open(spec EngineSpec, shards int, sharded bool) *rig {
-	tb := p.newTestbed(shards)
-	m := &rig{Testbed: tb, sharded: sharded}
-	if !sharded {
-		eng := p.BuildEngine(tb, spec)
-		m.eng, m.mains, m.close = eng.Eng, []*lsm.DB{eng.Main}, eng.Close
-		if eng.KV != nil {
-			m.kvs = []*core.DB{eng.KV}
-		}
-		return m
+// open assembles spec on a fresh machine of shards write domains: the one
+// way every run opens its engine. Only KVACCEL runs on more than one
+// shard.
+func (p Params) open(spec EngineSpec, shards int) *rig {
+	if shards > 1 && spec.Kind != KindKVAccel {
+		panic("harness: " + spec.Kind.String() + " runs on one shard")
 	}
-	m.kvs, m.mains = tb.OpenKVAccel(p.lsmOptions(spec.Threads, false), p.coreOptions(spec.Rollback))
-	db := kvaccel.NewShardedDB(tb.Machine, m.kvs)
-	m.eng, m.close = workload.ShardedEngine{DB: db}, db.Close
-	return m
+	tb := p.newTestbed(shards)
+	return &rig{Testbed: tb, Engine: p.BuildEngine(tb, spec)}
 }
 
-// RunSharded is Run on a kvaccel.ShardedDB of the given number of
-// hash-partitioned KVACCEL shards sharing one machine (spec.Kind is taken
-// as KindKVAccel; the label is spec.ShardedName(shards)). The shard count
-// is an argument, not an EngineSpec field, so that BuildEngine and what
-// else takes a spec by value compile to the same code either way.
+// RunSharded is Run on the given number of hash-partitioned KVACCEL
+// shards sharing one machine; more than one shard needs spec.Kind to be
+// KindKVAccel. The shard count is an argument, not an EngineSpec field,
+// so that BuildEngine and what else takes a spec by value compile to the
+// same code either way.
 func (p Params) RunSharded(spec EngineSpec, shards int, kind WorkloadKind) *RunResult {
-	return p.drive(p.open(spec, shards, true), spec, kind)
+	return p.drive(p.open(spec, shards), spec, kind)
 }
 
-// Run executes one workload against one engine spec on a fresh machine.
+// Run executes one workload against one engine spec on a fresh
+// one-shard machine.
 func (p Params) Run(spec EngineSpec, kind WorkloadKind) *RunResult {
-	return p.drive(p.open(spec, 1, false), spec, kind)
+	return p.RunSharded(spec, 1, kind)
 }
 
 // drive is the one workload dispatch: a per-second sampler plus the
@@ -267,46 +269,46 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 		switch kind {
 		case WorkloadA:
 			m.fanOut(r, p.Writers, "writer", cfg, func(r *vclock.Runner, c workload.Config) {
-				workload.FillRandom(r, m.eng, c, res.Rec)
+				workload.FillRandom(r, m.Eng, c, res.Rec)
 			})
 		case WorkloadB, WorkloadC:
 			m.fanOut(r, p.Writers, "writer", cfg, func(r *vclock.Runner, c workload.Config) {
-				workload.ReadWhileWriting(r, m.Clk, m.eng, c, res.Rec)
+				workload.ReadWhileWriting(r, m.Clk, m.Eng, c, res.Rec)
 			})
 		case WorkloadD:
-			workload.FillSequential(r, m.eng, cfg, p.KeySpace)
+			workload.FillSequential(r, m.Eng, cfg, p.KeySpace)
 			m.waitIdle(r)
-			if m.kvs != nil {
+			if m.db != nil {
 				// The paper's workload D follows a 20 GB fillrandom whose
 				// stalls leave redirected pairs in the Dev-LSM; reproduce
 				// that residency so range queries exercise the
 				// dual-iterator path (rollback stays disabled).
-				for _, kv := range m.kvs {
-					kv.Detector().SetOverride(true)
+				for i := range m.db.NumShards() {
+					m.db.Shard(i).Detector().SetOverride(true)
 				}
 				for i := 0; i < p.KeySpace; i += 10 {
-					_ = m.eng.Put(r, workload.Key(i), workload.MakeValue(i, cfg.ValueSize))
+					_ = m.Eng.Put(r, workload.Key(i), workload.MakeValue(i, cfg.ValueSize))
 				}
-				for _, kv := range m.kvs {
-					kv.Detector().SetOverride(false)
+				for i := range m.db.NumShards() {
+					m.db.Shard(i).Detector().SetOverride(false)
 				}
 			}
 			start = r.Now() // measure only the query phase
-			workload.SeekRandom(r, m.eng, cfg, res.Rec)
+			workload.SeekRandom(r, m.Eng, cfg, res.Rec)
 		case WorkloadMixed:
 			mix := p.ResolveMix()
 			res.MixSpec = mix
-			workload.FillSequential(r, m.eng, cfg, p.KeySpace)
+			workload.FillSequential(r, m.Eng, cfg, p.KeySpace)
 			m.waitIdle(r)
 			state := workload.NewMixedState(p.KeySpace)
 			start = r.Now() // measure only the mixed phase
 			m.fanOut(r, p.Writers, "client", cfg, func(r *vclock.Runner, c workload.Config) {
-				_ = workload.RunMixed(r, m.eng, c, mix, state, res.Rec)
+				_ = workload.RunMixed(r, m.Eng, c, mix, state, res.Rec)
 			})
 		}
 		res.Duration = r.Now().Sub(start)
 		done = true
-		m.close()
+		m.Close()
 	})
 	m.Clk.Wait()
 	res.Kernel = m.Clk.Stats()
@@ -315,15 +317,15 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 		res.CPUAvg = cpuSum / float64(cpuN)
 	}
 	res.MainStats = m.mainStats()
-	if !m.sharded {
-		res.Levels = m.mains[0].LevelsString()
+	if m.db == nil || m.db.NumShards() == 1 {
+		res.Levels = m.Main.LevelsString()
 	}
 	res.Queues = m.Dev.QueueStats()
-	for i, kv := range m.kvs {
-		s := kv.Stats()
-		res.KVStats = res.KVStats.Add(s)
-		if m.sharded {
-			res.PerShard = append(res.PerShard, kvaccel.Stats{KVAccel: s, Main: m.mains[i].Stats()})
+	if m.db != nil {
+		st := m.db.Stats()
+		res.KVStats = st.KVAccel
+		if len(st.PerShard) > 1 {
+			res.PerShard = st.PerShard
 		}
 	}
 	if plan := m.Dev.FaultPlan(); plan != nil {

@@ -6,41 +6,46 @@ import (
 	"time"
 
 	"kvaccel"
+	"kvaccel/internal/core"
 	"kvaccel/internal/nvme"
 	"kvaccel/internal/server"
 	"kvaccel/internal/vclock"
 	"kvaccel/internal/workload"
 )
 
-// ServeParams configures one serving-tier benchmark run: a ShardedDB, a
-// server in front of it, and a fleet of RPC clients.
+// ServeParams configures one serving-tier benchmark run: KVACCEL shards
+// behind one kvaccel.DB, a server in front of it, and a fleet of RPC
+// clients.
 type ServeParams struct {
-	// Shards is the engine shard count (default 4).
-	Shards int
-	// Scale is the simulation scale knob (kvaccel.Options.Scale).
+	// Scale is the time-compression factor (see Params.Scale).
 	Scale int
+	// Shards is the engine shard count.
+	Shards int
 	// Preload loads this many sequential keys through the engine before
 	// any client connects, so reads have something to hit.
 	Preload int
 
-	// Server is the serving-tier configuration (batching, linger,
-	// admission). Zero-value fields are normalized by server.New.
+	// Server is the serving-tier configuration (batching, admission).
 	Server server.Config
 
 	// Load is the client-side configuration (clients, mix, loop mode).
 	Load workload.ServeConfig
 }
 
-// DefaultServeParams is the batched 1024-client closed-loop YCSB-A setup.
+// DefaultServeParams is the batched 1024-client closed-loop YCSB-A setup
+// on four shards at scale 1.
 func DefaultServeParams() ServeParams {
 	return ServeParams{
-		Shards:  4,
 		Scale:   1,
+		Shards:  4,
 		Preload: 20_000,
 		Server:  server.DefaultConfig(),
 		Load:    workload.DefaultServeConfig(),
 	}
 }
+
+// serveSpec is the engine a serving run puts behind the server.
+var serveSpec = EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}
 
 // ServeResult carries everything one serving run produced.
 type ServeResult struct {
@@ -49,7 +54,7 @@ type ServeResult struct {
 	// Server is the serving tier's own counters.
 	Server server.Stats
 	// Engine is the engine-side view (stalls, redirects, flushes).
-	Engine kvaccel.ShardedStats
+	Engine kvaccel.Stats
 	// Queues snapshots the shared device's NVMe queue pairs.
 	Queues []nvme.QueueStats
 	// Elapsed is the longest client's measured window (virtual).
@@ -63,22 +68,17 @@ type ServeResult struct {
 	AckedChecked, AckedLost int
 }
 
+// open renders the serving machine through the one path every run takes.
+func (p ServeParams) open() *rig { return Params{Scale: p.Scale}.open(serveSpec, p.Shards) }
+
 // Goodput is engine-answered ops per virtual second.
 func (res *ServeResult) Goodput() float64 { return res.Load.Goodput(res.Elapsed) }
 
-// RunServe executes the serving benchmark: open the sharded engine,
-// start the server, preload, unleash the clients, and tear everything
-// down in dependency order once the last client finishes.
+// RunServe executes the serving benchmark: open the engine the way every
+// run does, start the server, preload, unleash the clients, and tear
+// everything down in dependency order once the last client finishes.
 func (p ServeParams) RunServe() *ServeResult {
-	if p.Shards < 1 {
-		p.Shards = 4
-	}
-	opt := kvaccel.DefaultShardedOptions()
-	opt.Shards = p.Shards
-	if p.Scale > 0 {
-		opt.Scale = p.Scale
-	}
-	db := kvaccel.OpenSharded(opt)
+	db := p.open().db
 	srv := server.New(db, p.Server)
 	load := workload.NewServeLoad(p.Load, p.Preload)
 	cfg := load.Config()
@@ -94,7 +94,7 @@ func (p ServeParams) RunServe() *ServeResult {
 	ready := vclock.NewEvent("serve.preload-done")
 
 	db.Run("serve.preload", func(r *kvaccel.Runner) {
-		eng := workload.ShardedEngine{DB: db}
+		eng := workload.KVAccelEngine{DB: db}
 		wcfg := workload.Config{ValueSize: cfg.ValueSize}
 		workload.FillSequential(r, eng, wcfg, p.Preload)
 		ready.Set()

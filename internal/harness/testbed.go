@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"time"
 
+	"kvaccel"
 	"kvaccel/internal/adoc"
 	"kvaccel/internal/core"
 	"kvaccel/internal/faults"
@@ -266,8 +267,8 @@ func (s EngineSpec) Name() string {
 	return s.label() + "(" + strconv.Itoa(s.Threads) + ")"
 }
 
-// ShardedName is the label of s run as n shards by Params.RunSharded,
-// e.g. "KVAccel-L-sharded(4)".
+// ShardedName is the label of s run on n > 1 shards by
+// Params.RunSharded, e.g. "KVAccel-L-sharded(4)".
 func (s EngineSpec) ShardedName(n int) string {
 	return s.label() + "-sharded(" + strconv.Itoa(n) + ")"
 }
@@ -290,11 +291,15 @@ func (s EngineSpec) label() string {
 
 // Engine bundles a running system under test with its teardown handles.
 type Engine struct {
-	Spec  EngineSpec
-	Eng   workload.Engine
+	Spec EngineSpec
+	Eng  workload.Engine
+	// Main and KV are shard 0's Main-LSM and KVACCEL controller; KV is
+	// nil for baselines.
 	Main  *lsm.DB
-	KV    *core.DB    // nil for baselines
+	KV    *core.DB
 	Tuner *adoc.Tuner // nil unless ADOC
+
+	db *kvaccel.DB // every KVACCEL shard behind the hash router; nil for baselines
 }
 
 // Close shuts the engine down so the simulation can drain.
@@ -302,20 +307,22 @@ func (e *Engine) Close() {
 	if e.Tuner != nil {
 		e.Tuner.Stop()
 	}
-	if e.KV != nil {
-		e.KV.Close() // closes Main too
+	if e.db != nil {
+		e.db.Close() // closes every Main-LSM too
 	} else {
 		e.Main.Close()
 	}
 }
 
-// BuildEngine assembles the system under test on tb.
+// BuildEngine assembles the system under test on tb: KVACCEL on every
+// shard of the machine behind one kvaccel.DB, a baseline on shard 0.
 func (p Params) BuildEngine(tb *Testbed, spec EngineSpec) *Engine {
 	switch spec.Kind {
 	case KindKVAccel:
 		// KVACCEL never slows down.
 		kvs, mains := tb.OpenKVAccel(p.lsmOptions(spec.Threads, false), p.coreOptions(spec.Rollback))
-		return &Engine{Spec: spec, Eng: workload.KVAccelEngine{DB: kvs[0]}, Main: mains[0], KV: kvs[0]}
+		db := kvaccel.NewDB(tb.Machine, kvs)
+		return &Engine{Spec: spec, Eng: workload.KVAccelEngine{DB: db}, Main: mains[0], KV: kvs[0], db: db}
 	case KindADOC:
 		opt := p.lsmOptions(spec.Threads, spec.Slowdown)
 		main := tb.OpenLSM(0, opt)

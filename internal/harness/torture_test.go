@@ -51,34 +51,18 @@ func TestTortureCrashRecovery(t *testing.T) {
 
 // TestTortureBrokenRecoveryCaught proves the oracle has teeth: replaying
 // WALs without checksum verification (admitting torn, bit-flipped tails)
-// must surface at least one violation across a handful of seeds. If this
-// test fails, the torture suite is not actually checking anything.
+// must surface a violation. A seed decides where its cuts land, so one
+// seed whose cut tears a record that replay then admits is enough. If
+// this test fails, the torture suite is not actually checking anything.
 func TestTortureBrokenRecoveryCaught(t *testing.T) {
-	// Whether a seed's cut tears a record that replay then admits depends
-	// on where its cuts land. A seed decides that on every run: 9 of these
-	// 24 catch it (2, 4, 5, 7, 13, 17, 21, 22 and 23), 4 of the 12 -short
-	// keeps.
-	seeds := make([]int64, 24)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
+	p := DefaultTortureParams(2)
+	p.BrokenRecovery = true
+	p.FaultRules = false // isolate the torn-tail handling
+	rep := RunTorture(p)
+	if len(rep.Violations) == 0 {
+		t.Fatal("unchecked WAL replay produced no oracle violation; the oracle is blind")
 	}
-	if testing.Short() {
-		seeds = seeds[:12]
-	}
-	var caught int
-	for _, seed := range seeds {
-		p := DefaultTortureParams(seed)
-		p.BrokenRecovery = true
-		p.FaultRules = false // isolate the torn-tail handling
-		rep := RunTorture(p)
-		if len(rep.Violations) > 0 {
-			caught++
-			t.Logf("seed %d: broken recovery caught: %s", seed, rep.Violations[0])
-		}
-	}
-	if caught == 0 {
-		t.Fatal("unchecked WAL replay produced no oracle violations across all seeds; the oracle is blind")
-	}
+	t.Logf("broken recovery caught: %s", rep.Violations[0])
 }
 
 // TestOffloadTortureCrashRecovery is the offload acceptance run: the

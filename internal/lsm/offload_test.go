@@ -60,6 +60,7 @@ type offloadRunState struct {
 	ssts     map[string][]byte // installed .sst name -> raw bytes
 	contents [][2]string       // reopen iterator (key, value) sequence
 	stats    Stats
+	free     int64 // the file system's free bytes after the run
 }
 
 // runOffloadVariant drives the identical seeded workload against a host
@@ -70,6 +71,12 @@ type offloadRunState struct {
 func runOffloadVariant(t *testing.T, seed int64, withOffload bool) offloadRunState {
 	t.Helper()
 	clk, fsys, db := offloadEnv(smallOpts(), withOffload)
+	return driveOffloadVariant(t, seed, clk, fsys, db)
+}
+
+// driveOffloadVariant is runOffloadVariant on an opened DB.
+func driveOffloadVariant(t *testing.T, seed int64, clk *vclock.Clock, fsys *fs.FileSystem, db *DB) offloadRunState {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	clk.Go("writer", func(r *vclock.Runner) {
 		for round := 0; round < 12; round++ {
@@ -83,7 +90,7 @@ func runOffloadVariant(t *testing.T, seed int64, withOffload bool) offloadRunSta
 	})
 	clk.Wait()
 
-	st := offloadRunState{ssts: map[string][]byte{}, stats: db.Stats()}
+	st := offloadRunState{ssts: map[string][]byte{}, stats: db.Stats(), free: fsys.FreeBytes()}
 	for _, name := range fsys.List() {
 		if !strings.HasSuffix(name, ".sst") {
 			continue
@@ -159,6 +166,49 @@ func TestOffloadEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// shortOffloader hands its first merge to the device with a one-page
+// output reservation, so the executor runs out of pages and aborts; later
+// merges pass through untouched.
+type shortOffloader struct {
+	Offloader
+	submits int
+}
+
+func (o *shortOffloader) SubmitMerge(r *vclock.Runner, req *offload.MergeRequest) (*offload.MergeResult, error) {
+	if o.submits++; o.submits > 1 {
+		return o.Offloader.SubmitMerge(r, req)
+	}
+	short := *req
+	short.OutputPages = req.OutputPages[:1]
+	return o.Offloader.SubmitMerge(r, &short)
+}
+
+// TestOffloadAbortFallsBackToHostMerge: a device merge that outgrows its
+// reservation aborts; the engine counts one fallback, releases the
+// reserved pages and installs, through the host merge, the very tables
+// a host-only run installs.
+func TestOffloadAbortFallsBackToHostMerge(t *testing.T) {
+	host := runOffloadVariant(t, 1, false)
+	clk, fsys, db := offloadEnv(smallOpts(), true)
+	so := &shortOffloader{Offloader: db.opt.Offloader}
+	db.opt.Offloader = so
+	got := driveOffloadVariant(t, 1, clk, fsys, db)
+	if so.submits < 2 || got.stats.OffloadFallbacks != 1 {
+		t.Fatalf("%d merges submitted, %d fallbacks; want several and 1", so.submits, got.stats.OffloadFallbacks)
+	}
+	if got.free != host.free {
+		t.Errorf("%d bytes free after the run, %d after the host-only run: reserved pages leaked", got.free, host.free)
+	}
+	if len(got.ssts) != len(host.ssts) {
+		t.Fatalf("%d tables installed, the host-only run installs %d", len(got.ssts), len(host.ssts))
+	}
+	for name, want := range host.ssts {
+		if !bytes.Equal(got.ssts[name], want) {
+			t.Errorf("table %s differs from the host-only run's", name)
+		}
 	}
 }
 

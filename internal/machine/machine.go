@@ -1,9 +1,9 @@
 // Package machine builds the one simulated machine every caller runs on —
 // the paper's 8-core evaluation host and one Cosmos+ board (§VI-A) — and
 // holds its one calibration: how a scale factor renders into the device,
-// Main-LSM and KVACCEL configurations. kvaccel.Open, kvaccel.OpenSharded
-// and the harness testbed all assemble through New and open their engines
-// through OpenLSM and OpenKVAccel, so one shard is the unsharded engine by
+// Main-LSM and KVACCEL configurations. kvaccel.Open and the harness
+// testbed both assemble through New and open their engines through
+// OpenLSM and OpenKVAccel, so one shard is the unsharded engine by
 // construction.
 //
 // Scaling: a scale-s machine divides device bandwidth and host buffer

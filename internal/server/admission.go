@@ -40,19 +40,16 @@ type admission struct {
 // admissionWindow is the fairness accounting window (virtual time).
 const admissionWindow = 10 * time.Millisecond
 
-func newAdmission(rate float64, burst int, tenants int) *admission {
-	if tenants < 1 {
-		tenants = 1
-	}
-	if burst < 1 {
-		burst = 1
-	}
+// newAdmission builds the gate for rate ops per virtual second; the
+// bucket holds a hundredth of a second's worth, at least 64 tokens.
+func newAdmission(rate float64, tenants int) *admission {
+	burst := max(float64(int(rate/100)), 64)
 	return &admission{
 		rate:      rate,
-		burst:     float64(burst),
-		lowWater:  float64(burst) / 4,
+		burst:     burst,
+		lowWater:  burst / 4,
 		tenants:   tenants,
-		tokens:    float64(burst),
+		tokens:    burst,
 		windowAdm: make([]float64, tenants),
 		admitted:  make([]int64, tenants),
 		shed:      make([]int64, tenants),

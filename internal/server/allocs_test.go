@@ -18,10 +18,10 @@ var raceEnabled bool
 // written, n requests in all after warm, calling around(measured) with
 // the function that issues the measured requests. Every reply is checked.
 func roundTrips(tb testing.TB, warm, n int, around func(measured func())) {
-	opt := kvaccel.DefaultShardedOptions()
+	opt := kvaccel.DefaultOptions()
 	opt.Shards = 2
 	opt.Rollback = kvaccel.RollbackDisabled
-	db := kvaccel.OpenSharded(opt)
+	db := kvaccel.Open(opt)
 	srv := New(db, DefaultConfig())
 	db.Run("client", func(r *kvaccel.Runner) {
 		defer func() {

@@ -74,8 +74,8 @@ func newShardBatcher(s *Server, shard int) *shardBatcher {
 	b := &shardBatcher{
 		srv:    s,
 		shard:  shard,
-		inbox:  newMailbox[*pending](s.cfg.BatchQueue, fmt.Sprintf("server.batch.%d", shard)),
-		readq:  newMailbox[*pending](s.cfg.BatchQueue, fmt.Sprintf("server.readq.%d", shard)),
+		inbox:  newMailbox[*pending](batchQueue, fmt.Sprintf("server.batch.%d", shard)),
+		readq:  newMailbox[*pending](batchQueue, fmt.Sprintf("server.readq.%d", shard)),
 		chunkq: newMailbox[[]*pending](0, fmt.Sprintf("server.chunkq.%d", shard)),
 
 		window:     lingerWindow{label: fmt.Sprintf("server.linger.%d", shard)},
@@ -83,7 +83,7 @@ func newShardBatcher(s *Server, shard int) *shardBatcher {
 	}
 	s.clk.Go(fmt.Sprintf("server.batcher.%d", shard), b.run)
 	s.clk.Go(fmt.Sprintf("server.readclaim.%d", shard), b.readClaim)
-	for w := 0; w < s.cfg.Readers; w++ {
+	for w := 0; w < readers; w++ {
 		s.clk.Go(fmt.Sprintf("server.reader.%d.%d", shard, w), b.readLoop)
 	}
 	return b
@@ -150,20 +150,16 @@ func (b *shardBatcher) closeWindow(w *lingerWindow) {
 }
 
 // lingerDuration mirrors lsm's lingerDuration: no window when the
-// policy is off or futile, none when a full batch is already queued,
+// policy is futile, none when a full batch is already queued,
 // none when recent batches say depth alone is doing the job.
 func (b *shardBatcher) lingerDuration(queued int) time.Duration {
-	us := b.srv.cfg.LingerMicros
-	if us <= 0 || b.futile >= batchFutileLimit {
-		return 0
-	}
-	if queued >= b.srv.cfg.MaxBatchOps || queued >= batchWakeOps {
+	if b.futile >= batchFutileLimit || queued >= maxBatchOps || queued >= batchWakeOps {
 		return 0
 	}
 	if b.recentOps >= batchLingerTarget {
 		return 0
 	}
-	return time.Duration(us) * time.Microsecond
+	return lingerMicros * time.Microsecond
 }
 
 // noteBatch feeds the adaptive policy after a commit, exactly like lsm's
@@ -180,17 +176,13 @@ func (b *shardBatcher) noteBatch(ops int, lingered bool) {
 // readLingerDuration / noteChunk: the read-side twins, gated on the
 // multi-get chunk cap instead of the write-batch cap.
 func (b *shardBatcher) readLingerDuration(queued int) time.Duration {
-	us := b.srv.cfg.LingerMicros
-	if us <= 0 || b.readFutile >= batchFutileLimit {
-		return 0
-	}
-	if queued >= b.srv.cfg.ReadChunk || queued >= batchWakeOps {
+	if b.readFutile >= batchFutileLimit || queued >= readChunk || queued >= batchWakeOps {
 		return 0
 	}
 	if b.readRecent >= batchLingerTarget {
 		return 0
 	}
-	return time.Duration(us) * time.Microsecond
+	return lingerMicros * time.Microsecond
 }
 
 func (b *shardBatcher) noteChunk(ops int, lingered bool) {
@@ -230,19 +222,19 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		if !ok {
 			return
 		}
-		batch = drain(b.inbox, append(batch[:0], first), b.srv.cfg.MaxBatchOps)
+		batch = drain(b.inbox, append(batch[:0], first), maxBatchOps)
 		lingered := false
 		if d := b.lingerDuration(len(batch)); d > 0 {
 			lingered = true
 			ev := b.openWindow(&b.window)
 			deadline := r.Now().Add(d)
-			for len(batch) < b.srv.cfg.MaxBatchOps {
+			for len(batch) < maxBatchOps {
 				left := deadline.Sub(r.Now())
 				if left <= 0 {
 					break
 				}
 				woken := ev.WaitFor(r, left)
-				batch = drain(b.inbox, batch, b.srv.cfg.MaxBatchOps)
+				batch = drain(b.inbox, batch, maxBatchOps)
 				if woken {
 					break
 				}
@@ -263,7 +255,7 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		}
 		// One engine crossing for the whole batch — the amortization that
 		// per-connection dispatch pays per op.
-		b.srv.cpu.Run(r, b.srv.cfg.DispatchCPU)
+		b.srv.cpu.Run(r, dispatchCPU)
 		err := shard.WriteBatch(r, &wb)
 		b.srv.stats.Batches++
 		b.srv.stats.BatchedOps += int64(len(batch))
@@ -280,7 +272,7 @@ func (b *shardBatcher) newChunk() []*pending {
 		b.chunkSpare = b.chunkSpare[:n-1]
 		return chunk
 	}
-	return make([]*pending, 0, b.srv.cfg.ReadChunk)
+	return make([]*pending, 0, readChunk)
 }
 
 // readClaim is the single per-shard read claimer: it forms multi-get
@@ -290,7 +282,7 @@ func (b *shardBatcher) newChunk() []*pending {
 // lands and the mean chunk size collapses to 1, which puts a full
 // engine crossing back on every read.
 func (b *shardBatcher) readClaim(r *vclock.Runner) {
-	max := b.srv.cfg.ReadChunk
+	max := readChunk
 	for {
 		first, ok := b.readq.pop(r)
 		if !ok {
@@ -338,7 +330,7 @@ func (b *shardBatcher) readLoop(r *vclock.Runner) {
 			return
 		}
 		// One engine crossing per multi-get chunk.
-		b.srv.cpu.Run(r, b.srv.cfg.DispatchCPU)
+		b.srv.cpu.Run(r, dispatchCPU)
 		for _, p := range chunk {
 			resp := p.reply(rpc.StatusOK)
 			value, found, err := shard.Get(r, p.req.Key)

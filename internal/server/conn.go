@@ -93,7 +93,7 @@ func (c *connState) recycle(p *pending) {
 // handle is the per-connection request loop.
 func (c *connState) handle(r *vclock.Runner) {
 	dec := &rpc.Decoder{}
-	latency := c.srv.cfg.Net.Latency
+	latency := hop.Latency
 	for torn := false; !torn; {
 		data, sentAt, ok := c.conn.Recv(r)
 		if !ok {

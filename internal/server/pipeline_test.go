@@ -62,11 +62,13 @@ func TestPipelinedRequestsKeepTheirBytes(t *testing.T) {
 
 func runPipelined(t *testing.T, batch bool, conns int) {
 	const burst = 16
-	opt := kvaccel.DefaultShardedOptions()
+	opt := kvaccel.DefaultOptions()
 	opt.Shards = 2
 	opt.Rollback = kvaccel.RollbackDisabled
-	db := kvaccel.OpenSharded(opt)
-	srv := New(db, Config{Batch: batch, LingerMicros: 100})
+	db := kvaccel.Open(opt)
+	cfg := DefaultConfig()
+	cfg.Batch = batch
+	srv := New(db, cfg)
 
 	var (
 		remaining atomic.Int32

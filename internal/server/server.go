@@ -1,5 +1,5 @@
 // Package server is KVACCEL's serving tier: a virtual-clock-native RPC
-// front-end over kvaccel.ShardedDB. N listener runners accept simulated
+// front-end over kvaccel.DB. Two listener runners accept simulated
 // connections (internal/rpc); each connection gets a handler runner that
 // decodes CRC-framed requests and a reply-writer runner that returns
 // responses in per-client request order. The hot path is the per-shard
@@ -25,120 +25,69 @@ import (
 
 // Config tunes the serving tier.
 type Config struct {
-	// Listeners is the number of accept-loop runners (default 2).
-	Listeners int
-	// AcceptQueue is the pending-connection backlog per listener.
-	AcceptQueue int
 	// Batch enables the per-shard cross-connection batcher; false is the
 	// per-connection dispatch baseline (thread-per-connection, every op
 	// executed inline on its handler).
 	Batch bool
-	// LingerMicros is the batcher's base linger window in virtual
-	// microseconds (the adaptive policy may skip it; see batcher.go).
-	LingerMicros int64
-	// MaxBatchOps caps one committed write batch (default 64).
-	MaxBatchOps int
-	// BatchQueue bounds each shard's batcher inbox; a full inbox sheds
-	// with RETRY_LATER (the queue-depth admission gate; default 256).
-	BatchQueue int
-	// Readers is the per-shard read-worker pool size in batched mode
-	// (default 8). A single claimer runner coalesces gets into multi-get
-	// chunks under the same adaptive linger as writes — the amortized
-	// cost here is the per-crossing dispatch CPU — and the pool executes
-	// the claimed chunks in parallel.
-	Readers int
-	// ReadChunk caps one multi-get chunk (default 8).
-	ReadChunk int
 	// AdmitRate is the token-bucket refill rate in ops per virtual
-	// second; 0 disables rate admission (queue-depth gating remains).
+	// second; 0 disables rate admission (queue-depth gating remains). The
+	// bucket holds AdmitRate/100 tokens, at least 64.
 	AdmitRate float64
-	// AdmitBurst is the bucket capacity (default AdmitRate/100, min 64).
-	AdmitBurst int
-	// Tenants sizes the per-tenant accounting tables (default 1).
+	// Tenants sizes the per-tenant accounting tables; at least 1.
 	Tenants int
 	// FrontCores sizes the serving tier's own worker-core pool. Request
 	// decode and engine-dispatch CPU are charged to it, so it is the
-	// resource thread-per-request dispatch saturates first (default 4).
+	// resource thread-per-request dispatch saturates first; at least 1.
 	FrontCores int
-	// DecodeCPU is charged per admitted request for frame parse,
-	// validation, and reply encode (default 1µs). The admission gate
-	// decides from the fixed 10-byte request prelude, so a shed request
-	// skips this charge — shedding must stay cheaper than serving, or
-	// the gate itself saturates the front cores under overload.
-	DecodeCPU time.Duration
-	// DispatchCPU is charged per engine crossing — the lock acquisition,
-	// wakeup, and submission overhead one call into the engine costs
-	// regardless of how many ops it carries (default 8µs). Per-connection
-	// dispatch pays it once per op; the batcher pays it once per
-	// committed batch or multi-get chunk — the cost batching exists to
-	// amortize.
-	DispatchCPU time.Duration
-	// Net models the client<->server hop.
-	Net rpc.NetConfig
 	// Tracer, when non-nil, records the serving phases (accept-queue,
 	// serve-linger, serve-engine, serve-reply) per request.
 	Tracer *trace.Tracer
 }
 
-// DefaultConfig returns the serving defaults: batching on, a 100µs base
-// linger, 64-op batches, and datacenter-hop networking.
+// DefaultConfig returns the serving defaults: batching on, one tenant,
+// four front cores.
 func DefaultConfig() Config {
-	return Config{
-		Listeners:    2,
-		AcceptQueue:  128,
-		Batch:        true,
-		LingerMicros: 100,
-		MaxBatchOps:  64,
-		BatchQueue:   256,
-		Readers:      8,
-		ReadChunk:    8,
-		Tenants:      1,
-		FrontCores:   4,
-		DecodeCPU:    time.Microsecond,
-		DispatchCPU:  8 * time.Microsecond,
-		Net:          rpc.DefaultNetConfig(),
-	}
+	return Config{Batch: true, Tenants: 1, FrontCores: 4}
 }
 
-func (c Config) normalize() Config {
-	if c.Listeners < 1 {
-		c.Listeners = 1
-	}
-	if c.AcceptQueue < 1 {
-		c.AcceptQueue = 128
-	}
-	if c.MaxBatchOps < 1 {
-		c.MaxBatchOps = 64
-	}
-	if c.BatchQueue < 1 {
-		c.BatchQueue = 256
-	}
-	if c.Readers < 1 {
-		c.Readers = 8
-	}
-	if c.ReadChunk < 1 {
-		c.ReadChunk = 8
-	}
-	if c.Tenants < 1 {
-		c.Tenants = 1
-	}
-	if c.FrontCores < 1 {
-		c.FrontCores = 4
-	}
-	if c.DecodeCPU <= 0 {
-		c.DecodeCPU = time.Microsecond
-	}
-	if c.DispatchCPU <= 0 {
-		c.DispatchCPU = 8 * time.Microsecond
-	}
-	if c.AdmitRate > 0 && c.AdmitBurst < 1 {
-		c.AdmitBurst = int(c.AdmitRate / 100)
-		if c.AdmitBurst < 64 {
-			c.AdmitBurst = 64
-		}
-	}
-	return c
-}
+// The serving tier's fixed shape.
+const (
+	// listeners is the number of accept-loop runners.
+	listeners = 2
+	// acceptQueue is the pending-connection backlog per listener.
+	acceptQueue = 128
+	// lingerMicros is the batcher's base linger window in virtual
+	// microseconds (the adaptive policy may skip it; see batcher.go).
+	lingerMicros = 100
+	// maxBatchOps caps one committed write batch.
+	maxBatchOps = 64
+	// batchQueue bounds each shard's batcher inbox; a full inbox sheds
+	// with RETRY_LATER (the queue-depth admission gate).
+	batchQueue = 256
+	// readers is the per-shard read-worker pool size in batched mode. A
+	// single claimer runner coalesces gets into multi-get chunks under the
+	// same adaptive linger as writes — the amortized cost here is the
+	// per-crossing dispatch CPU — and the pool executes the claimed chunks
+	// in parallel.
+	readers = 8
+	// readChunk caps one multi-get chunk.
+	readChunk = 8
+	// decodeCPU is charged per admitted request for frame parse,
+	// validation, and reply encode. The admission gate decides from the
+	// fixed 10-byte request prelude, so a shed request skips this charge —
+	// shedding must stay cheaper than serving, or the gate itself
+	// saturates the front cores under overload.
+	decodeCPU = time.Microsecond
+	// dispatchCPU is charged per engine crossing — the lock acquisition,
+	// wakeup, and submission overhead one call into the engine costs
+	// regardless of how many ops it carries. Per-connection dispatch pays
+	// it once per op; the batcher pays it once per committed batch or
+	// multi-get chunk — the cost batching exists to amortize.
+	dispatchCPU = 8 * time.Microsecond
+)
+
+// hop models the client<->server network: a datacenter hop.
+var hop = rpc.DefaultNetConfig()
 
 // pending is one in-flight request inside the server: the request and
 // its response by value, the virtual timestamps the phase decomposition
@@ -167,9 +116,9 @@ func (p *pending) reply(status byte) *rpc.Response {
 	return &p.resp
 }
 
-// Server serves a ShardedDB over simulated connections.
+// Server serves a kvaccel.DB over simulated connections.
 type Server struct {
-	db  *kvaccel.ShardedDB
+	db  *kvaccel.DB
 	cfg Config
 	clk *vclock.Clock
 	adm *admission
@@ -192,17 +141,23 @@ type Server struct {
 
 // New builds a server over db and starts its listener (and, in batched
 // mode, per-shard batcher and reader) runners on db's clock.
-func New(db *kvaccel.ShardedDB, cfg Config) *Server {
-	cfg = cfg.normalize()
+// It panics, naming the field, on a Config it cannot run with.
+func New(db *kvaccel.DB, cfg Config) *Server {
+	if cfg.Tenants < 1 {
+		panic("server: Config needs Tenants >= 1")
+	}
+	if cfg.FrontCores < 1 {
+		panic("server: Config needs FrontCores >= 1")
+	}
 	s := &Server{db: db, cfg: cfg, clk: db.Clock()}
 	s.cpu = cpu.NewPool(cfg.FrontCores, "server.cpu")
 	s.connsDone = vclock.NewCond("server.conns-done")
-	s.adm = newAdmission(cfg.AdmitRate, cfg.AdmitBurst, cfg.Tenants)
+	s.adm = newAdmission(cfg.AdmitRate, cfg.Tenants)
 	s.stats.Tenants = make([]TenantStats, cfg.Tenants)
 
-	s.accept = make([]*mailbox[*rpc.Conn], cfg.Listeners)
+	s.accept = make([]*mailbox[*rpc.Conn], listeners)
 	for i := range s.accept {
-		s.accept[i] = newMailbox[*rpc.Conn](cfg.AcceptQueue, fmt.Sprintf("server.accept.%d", i))
+		s.accept[i] = newMailbox[*rpc.Conn](acceptQueue, fmt.Sprintf("server.accept.%d", i))
 		i := i
 		s.clk.Go(fmt.Sprintf("server.listener.%d", i), func(r *vclock.Runner) {
 			s.listen(r, s.accept[i])
@@ -217,7 +172,7 @@ func New(db *kvaccel.ShardedDB, cfg Config) *Server {
 	return s
 }
 
-// Config returns the server's normalized configuration.
+// Config returns the server's configuration.
 func (s *Server) Config() Config { return s.cfg }
 
 // Connect establishes a new connection from the caller's side: it pays
@@ -229,9 +184,9 @@ func (s *Server) Connect(r *vclock.Runner, label string) *rpc.Conn {
 	if s.closed {
 		return nil
 	}
-	client, srvEnd := rpc.NewPair(s.cfg.Net, label)
+	client, srvEnd := rpc.NewPair(hop, label)
 	// SYN + SYN-ACK: one round trip before the first byte.
-	r.Sleep(2 * s.cfg.Net.Latency)
+	r.Sleep(2 * hop.Latency)
 	s.nextLsnr++
 	i := int(s.nextLsnr) % len(s.accept)
 	if !s.accept[i].tryPush(srvEnd) {
@@ -290,7 +245,7 @@ func (s *Server) dispatch(r *vclock.Runner, p *pending) {
 		return
 	}
 	// Admitted: pay the full frame parse + validation + reply encode.
-	s.cpu.Run(r, s.cfg.DecodeCPU)
+	s.cpu.Run(r, decodeCPU)
 	p.decoded = r.Now()
 	if !s.cfg.Batch {
 		s.execDirect(r, p)
@@ -335,7 +290,7 @@ func (s *Server) execDirect(r *vclock.Runner, p *pending) {
 	p.enq = p.decoded
 	p.claimed = p.decoded
 	// One full engine crossing per op: the overhead the batcher amortizes.
-	s.cpu.Run(r, s.cfg.DispatchCPU)
+	s.cpu.Run(r, dispatchCPU)
 	resp := p.reply(rpc.StatusOK)
 	var err error
 	switch p.req.Op {

@@ -38,11 +38,13 @@ func runAbortProperty(t *testing.T, batch bool, seed int64) {
 		abortAt  = requests / 2
 		keyspace = 200
 	)
-	opt := kvaccel.DefaultShardedOptions()
+	opt := kvaccel.DefaultOptions()
 	opt.Shards = 2
 	opt.Rollback = kvaccel.RollbackDisabled
-	db := kvaccel.OpenSharded(opt)
-	srv := New(db, Config{Batch: batch, LingerMicros: 100})
+	db := kvaccel.Open(opt)
+	cfg := DefaultConfig()
+	cfg.Batch = batch
+	srv := New(db, cfg)
 
 	var (
 		remaining atomic.Int32

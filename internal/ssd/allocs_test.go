@@ -39,7 +39,7 @@ func TestAllocsKVPut(t *testing.T) {
 	var n uint64
 	runOn(t, clk, func(r *vclock.Runner) {
 		put := func(k []byte) {
-			if err := d.KVPut(r, memtable.KindPut, k, val); err != nil {
+			if err := d.KVRegionFull().KVPut(r, memtable.KindPut, k, val); err != nil {
 				t.Error(err)
 			}
 		}
@@ -69,13 +69,13 @@ func TestAllocsKVGetMemtable(t *testing.T) {
 	d, clk := newTestDev()
 	var allocs float64
 	runOn(t, clk, func(r *vclock.Runner) {
-		if err := d.KVPut(r, memtable.KindPut, key(1), []byte("hello")); err != nil {
+		if err := d.KVRegionFull().KVPut(r, memtable.KindPut, key(1), []byte("hello")); err != nil {
 			t.Error(err)
 			return
 		}
 		k := key(1)
 		get := func() {
-			if v, _, ok, err := d.KVGet(r, k); !ok || err != nil || string(v) != "hello" {
+			if v, _, ok, err := d.KVRegionFull().KVGet(r, k); !ok || err != nil || string(v) != "hello" {
 				t.Errorf("get: %q ok=%v err=%v", v, ok, err)
 			}
 		}
@@ -141,17 +141,17 @@ func BenchmarkKVPut(b *testing.B) {
 	}
 	clk.Go("bench", func(r *vclock.Runner) {
 		for i := 0; i < 8; i++ {
-			_ = d.KVPut(r, memtable.KindPut, keys[i], val)
+			_ = d.KVRegionFull().KVPut(r, memtable.KindPut, keys[i], val)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := d.KVPut(r, memtable.KindPut, keys[i%len(keys)], val); err != nil {
+			if err := d.KVRegionFull().KVPut(r, memtable.KindPut, keys[i%len(keys)], val); err != nil {
 				b.Error(err)
 				return
 			}
 			if i%len(keys) == len(keys)-1 {
 				b.StopTimer()
-				if err := d.KVReset(r); err != nil {
+				if err := d.KVRegionFull().KVReset(r); err != nil {
 					b.Error(err)
 					return
 				}

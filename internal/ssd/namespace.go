@@ -16,13 +16,13 @@ import (
 // KVReset is deliberately absent here: the reset command wipes the whole
 // KV region and is a device-wide administrative operation.
 type KVNamespace struct {
-	dev    *Device
+	kv     *KVRegion
 	prefix []byte
 }
 
-// KVNamespace returns the tenant view for id.
+// KVNamespace returns the tenant view for id over the full KV region.
 func (d *Device) KVNamespace(id uint16) *KVNamespace {
-	return &KVNamespace{dev: d, prefix: []byte{byte(id >> 8), byte(id)}}
+	return &KVNamespace{kv: d.full, prefix: []byte{byte(id >> 8), byte(id)}}
 }
 
 func (ns *KVNamespace) wrap(key []byte) []byte {
@@ -33,17 +33,17 @@ func (ns *KVNamespace) wrap(key []byte) []byte {
 
 // Put stores a pair under this namespace.
 func (ns *KVNamespace) Put(r *vclock.Runner, kind memtable.Kind, key, value []byte) error {
-	return ns.dev.KVPut(r, kind, ns.wrap(key), value)
+	return ns.kv.KVPut(r, kind, ns.wrap(key), value)
 }
 
 // Get reads a pair from this namespace.
 func (ns *KVNamespace) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
-	return ns.dev.KVGet(r, ns.wrap(key))
+	return ns.kv.KVGet(r, ns.wrap(key))
 }
 
 // BulkScan streams this namespace's pairs (keys unprefixed) in order.
 func (ns *KVNamespace) BulkScan(r *vclock.Runner, emit func(entries []memtable.Entry)) error {
-	return ns.dev.KVBulkScan(r, func(entries []memtable.Entry) {
+	return ns.kv.KVBulkScan(r, func(entries []memtable.Entry) {
 		var mine []memtable.Entry
 		for _, e := range entries {
 			if bytes.HasPrefix(e.Key, ns.prefix) {
@@ -59,7 +59,7 @@ func (ns *KVNamespace) BulkScan(r *vclock.Runner, emit func(entries []memtable.E
 
 // NewIterator opens a cursor scoped to this namespace.
 func (ns *KVNamespace) NewIterator(r *vclock.Runner) *KVNamespaceIterator {
-	return &KVNamespaceIterator{ns: ns, it: ns.dev.NewKVIterator(r)}
+	return &KVNamespaceIterator{ns: ns, it: ns.kv.newKVIterator(r)}
 }
 
 // KVNamespaceIterator filters the device iterator to one tenant.

@@ -14,8 +14,8 @@ import (
 // KVRegion is a region-scoped view of the KV interface: its own Dev-LSM
 // over a slice of the KV region's pages and its own NVMe queue pair,
 // sharing the device's PCIe link, dispatcher, and ARM controller core
-// with every other slice. A full-region view (KVRegionFull) behaves
-// exactly like the device-level KV commands; per-shard slices
+// with every other slice. The full-region view (KVRegionFull) is the
+// device's KV interface; per-shard slices
 // (KVRegionSlices) are the independent write domains of the sharded
 // front-end — each shard submits on its own queue (multi-queue NVMe) and
 // can buffer, scan, and reset without touching its neighbours' pairs.
@@ -32,8 +32,9 @@ func (d *Device) KVRegionFull() *KVRegion { return d.full }
 
 // KVRegionSlices partitions the KV region into n near-equal page slices,
 // each backed by its own Dev-LSM instance and its own queue pair. The
-// device DRAM budget for write buffering (DevLSM.MemtableBytes) is split
-// evenly so total controller memory matches the unsharded configuration.
+// device DRAM budgets — the write buffer (DevLSM.MemtableBytes) and the
+// read cache (DevLSM.ReadCacheBytes) — are split evenly so total
+// controller memory matches the unsharded configuration.
 // The slices share the single ARM core and NAND dies, preserving the
 // paper's device-resource model; callers must not mix slice views with
 // the full-region view on the same device. One slice is the full-region
@@ -52,6 +53,7 @@ func (d *Device) KVRegionSlices(n int) []*KVRegion {
 	if cfg.MemtableBytes < 64<<10 {
 		cfg.MemtableBytes = 64 << 10
 	}
+	cfg.ReadCacheBytes /= int64(n)
 	out := make([]*KVRegion, n)
 	for i := range out {
 		pages := per

@@ -67,6 +67,22 @@ func TestOneKVRegionSliceIsTheFullRegion(t *testing.T) {
 	}
 }
 
+// TestKVRegionSlicesSplitTheReadCache: slicing divides the controller's
+// DRAM, read cache included, so the slices of a 4-way device together
+// cache no more pages than the unsharded device does.
+func TestKVRegionSlicesSplitTheReadCache(t *testing.T) {
+	cfg := testConfig()
+	cfg.DevLSM.ReadCacheBytes = 64 << 10
+	whole := New(vclock.New(), cfg).KVRegionFull().DevLSM().CachePages()
+	sliced := 0
+	for _, s := range New(vclock.New(), cfg).KVRegionSlices(4) {
+		sliced += s.DevLSM().CachePages()
+	}
+	if whole == 0 || sliced > whole {
+		t.Errorf("4 slices cache %d pages, the unsharded device %d", sliced, whole)
+	}
+}
+
 // TestKVRegionSliceResetIsScoped checks the sharding safety property:
 // KVReset on one slice must not disturb pairs buffered in another.
 func TestKVRegionSliceResetIsScoped(t *testing.T) {
@@ -95,14 +111,14 @@ func TestKVRegionSliceResetIsScoped(t *testing.T) {
 	})
 }
 
-// TestKVRegionFullDelegation checks the device-level KV entry points and
-// the full-region view are the same store.
+// TestKVRegionFullDelegation checks the full-region view and the
+// device's Dev-LSM are the same store.
 func TestKVRegionFullDelegation(t *testing.T) {
 	d, clk := newTestDev()
 	runOn(t, clk, func(r *vclock.Runner) {
-		d.KVPut(r, memtable.KindPut, []byte("k"), []byte("v"))
-		if v, _, found, _ := d.KVRegionFull().KVGet(r, []byte("k")); !found || string(v) != "v" {
-			t.Fatalf("full-region view missed device put: found=%v v=%q", found, v)
+		d.KVRegionFull().KVPut(r, memtable.KindPut, []byte("k"), []byte("v"))
+		if v, _, found, _ := d.Dev.Get(r, []byte("k")); !found || string(v) != "v" {
+			t.Fatalf("the device's Dev-LSM missed the full-region put: found=%v v=%q", found, v)
 		}
 		entries, bytes := d.KVRegionFull().KVUsage()
 		if entries != 1 || bytes <= 0 {

@@ -384,26 +384,6 @@ func (d *Device) receive(r *vclock.Runner, bytes int) {
 	}
 }
 
-// KVPut issues a PUT (or a redirected tombstone) over the KV interface.
-func (d *Device) KVPut(r *vclock.Runner, kind memtable.Kind, key, value []byte) error {
-	return d.full.KVPut(r, kind, key, value)
-}
-
-// KVGet issues a GET; the value (if any) is DMA'd back.
-func (d *Device) KVGet(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
-	return d.full.KVGet(r, key)
-}
-
-// KVReset clears the Dev-LSM (§V-E step 8).
-func (d *Device) KVReset(r *vclock.Runner) error { return d.full.KVReset(r) }
-
-// KVBulkScan performs the iterator-based bulky range scan used by the
-// rollback: the device merges its entire contents and DMAs them to the
-// host in DMAChunkSize units (§V-E steps 3-6).
-func (d *Device) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Entry)) error {
-	return d.full.KVBulkScan(r, emit)
-}
-
 // KVIterator is the host-visible iterator over the KV interface (SEEK /
 // NEXT commands per the iterator-extended KVSSD design [24]). Records
 // stream back over PCIe as the cursor advances. Each cursor operation is
@@ -413,11 +393,6 @@ type KVIterator struct {
 	s  *KVRegion
 	r  *vclock.Runner
 	it *devlsm.Iterator
-}
-
-// NewKVIterator opens a device-side iterator (CreateIterator command).
-func (d *Device) NewKVIterator(r *vclock.Runner) *KVIterator {
-	return d.full.newKVIterator(r)
 }
 
 // do runs one cursor command synchronously; its body points the

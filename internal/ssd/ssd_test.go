@@ -94,12 +94,12 @@ func TestNamespaceIsolation(t *testing.T) {
 func TestKVPutGetThroughInterface(t *testing.T) {
 	d, clk := newTestDev()
 	runOn(t, clk, func(r *vclock.Runner) {
-		d.KVPut(r, memtable.KindPut, key(1), []byte("hello"))
-		v, kind, ok, _ := d.KVGet(r, key(1))
+		d.KVRegionFull().KVPut(r, memtable.KindPut, key(1), []byte("hello"))
+		v, kind, ok, _ := d.KVRegionFull().KVGet(r, key(1))
 		if !ok || kind != memtable.KindPut || !bytes.Equal(v, []byte("hello")) {
 			t.Fatalf("kv get: ok=%v", ok)
 		}
-		if _, _, ok, _ := d.KVGet(r, key(2)); ok {
+		if _, _, ok, _ := d.KVRegionFull().KVGet(r, key(2)); ok {
 			t.Fatal("absent KV key found")
 		}
 	})
@@ -113,11 +113,11 @@ func TestKVBulkScanStreamsChunks(t *testing.T) {
 	runOn(t, clk, func(r *vclock.Runner) {
 		val := bytes.Repeat([]byte("v"), 1024)
 		for i := 0; i < 200; i++ {
-			d.KVPut(r, memtable.KindPut, key(i), val)
+			d.KVRegionFull().KVPut(r, memtable.KindPut, key(i), val)
 		}
 		before := d.Link.BytesTransferred(pcie.DeviceToHost)
 		n := 0
-		d.KVBulkScan(r, func(entries []memtable.Entry) { n += len(entries) })
+		d.KVRegionFull().KVBulkScan(r, func(entries []memtable.Entry) { n += len(entries) })
 		if n != 200 {
 			t.Fatalf("bulk scan returned %d entries, want 200", n)
 		}
@@ -132,9 +132,9 @@ func TestKVIteratorSeekNext(t *testing.T) {
 	d, clk := newTestDev()
 	runOn(t, clk, func(r *vclock.Runner) {
 		for i := 0; i < 100; i++ {
-			d.KVPut(r, memtable.KindPut, key(i), []byte("v"))
+			d.KVRegionFull().KVPut(r, memtable.KindPut, key(i), []byte("v"))
 		}
-		it := d.NewKVIterator(r)
+		it := d.KVRegionFull().NewKVIterator(r)
 		it.Seek(key(50))
 		for i := 50; i < 60; i++ {
 			if !it.Valid() || !bytes.Equal(it.Entry().Key, key(i)) {
@@ -149,9 +149,9 @@ func TestKVResetClearsDevLSM(t *testing.T) {
 	d, clk := newTestDev()
 	runOn(t, clk, func(r *vclock.Runner) {
 		for i := 0; i < 50; i++ {
-			d.KVPut(r, memtable.KindPut, key(i), []byte("v"))
+			d.KVRegionFull().KVPut(r, memtable.KindPut, key(i), []byte("v"))
 		}
-		d.KVReset(r)
+		d.KVRegionFull().KVReset(r)
 		if !d.Dev.Empty() {
 			t.Fatal("Dev-LSM not empty after KVReset")
 		}
@@ -167,7 +167,7 @@ func TestDualInterfaceSharesDevice(t *testing.T) {
 		ns.WritePages(r, []int{0, 1, 2, 3})
 		val := bytes.Repeat([]byte("v"), 4096)
 		for i := 0; i < 20; i++ {
-			d.KVPut(r, memtable.KindPut, key(i), val)
+			d.KVRegionFull().KVPut(r, memtable.KindPut, key(i), val)
 		}
 		d.Dev.Flush(r)
 	})

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"kvaccel"
-	"kvaccel/internal/core"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/vclock"
 )
@@ -27,47 +26,28 @@ func (e LSMEngine) NewIterator(r *vclock.Runner) Iterator { return e.DB.NewItera
 // Flush drains the memtable.
 func (e LSMEngine) Flush(r *vclock.Runner) { e.DB.Flush(r) }
 
-// KVAccelEngine adapts core.DB to Engine.
-type KVAccelEngine struct{ DB *core.DB }
+// KVAccelEngine adapts kvaccel.DB — one KVACCEL shard or several behind
+// the hash router — to Engine.
+type KVAccelEngine struct{ DB *kvaccel.DB }
 
-// Put writes through the KVACCEL controller.
+// ShardedEngine is KVAccelEngine; the bench module still names it.
+type ShardedEngine = KVAccelEngine
+
+// Put routes to the owning shard's controller.
 func (e KVAccelEngine) Put(r *vclock.Runner, key, value []byte) error {
 	return e.DB.Put(r, key, value)
 }
 
-// Delete writes a tombstone through the controller.
+// Delete routes a tombstone to the owning shard.
 func (e KVAccelEngine) Delete(r *vclock.Runner, key []byte) error { return e.DB.Delete(r, key) }
 
-// Get reads through the controller's metadata-directed path.
+// Get routes to the owning shard's metadata-directed read path.
 func (e KVAccelEngine) Get(r *vclock.Runner, key []byte) ([]byte, bool, error) {
 	return e.DB.Get(r, key)
 }
 
-// NewIterator opens the dual-LSM merged cursor.
+// NewIterator opens the merged dual-LSM cursor.
 func (e KVAccelEngine) NewIterator(r *vclock.Runner) Iterator { return e.DB.NewIterator(r) }
 
-// Flush drains the Main-LSM memtable.
+// Flush drains every shard's Main-LSM memtable.
 func (e KVAccelEngine) Flush(r *vclock.Runner) { e.DB.Flush(r) }
-
-// ShardedEngine adapts kvaccel.ShardedDB (the hash-partitioned
-// front-end) to Engine.
-type ShardedEngine struct{ DB *kvaccel.ShardedDB }
-
-// Put routes to the owning shard's controller.
-func (e ShardedEngine) Put(r *vclock.Runner, key, value []byte) error {
-	return e.DB.Put(r, key, value)
-}
-
-// Delete routes a tombstone to the owning shard.
-func (e ShardedEngine) Delete(r *vclock.Runner, key []byte) error { return e.DB.Delete(r, key) }
-
-// Get routes to the owning shard's metadata-directed read path.
-func (e ShardedEngine) Get(r *vclock.Runner, key []byte) ([]byte, bool, error) {
-	return e.DB.Get(r, key)
-}
-
-// NewIterator opens the cross-shard merged cursor.
-func (e ShardedEngine) NewIterator(r *vclock.Runner) Iterator { return e.DB.NewIterator(r) }
-
-// Flush drains every shard's memtable.
-func (e ShardedEngine) Flush(r *vclock.Runner) { e.DB.Flush(r) }

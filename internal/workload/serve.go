@@ -44,14 +44,12 @@ type ServeConfig struct {
 	OpenLoop bool
 	// Interval is the open-loop per-client interarrival time.
 	Interval time.Duration
-	// DrainGrace bounds how long an open-loop client waits for straggler
-	// replies after its send window closes (default 2s). Replies still
-	// missing after the grace count as Dropped.
-	DrainGrace time.Duration
-	// RetryBackoff, when positive, makes closed-loop clients pause after
-	// a RETRY_LATER before issuing their next op.
-	RetryBackoff time.Duration
 }
+
+// drainGrace bounds how long an open-loop client waits for straggler
+// replies after its send window closes. Replies still missing after the
+// grace count as Dropped.
+const drainGrace = 2 * time.Second
 
 // DefaultServeConfig returns a 1024-client closed-loop YCSB-A run with
 // serving-sized values (small enough that batching, not value transfer,
@@ -59,14 +57,13 @@ type ServeConfig struct {
 func DefaultServeConfig() ServeConfig {
 	mix, _ := Mix("ycsb-a")
 	return ServeConfig{
-		Clients:    1024,
-		Tenants:    4,
-		Mix:        mix,
-		KeySpace:   100_000,
-		ValueSize:  128,
-		Duration:   10 * time.Second,
-		Seed:       1,
-		DrainGrace: 2 * time.Second,
+		Clients:   1024,
+		Tenants:   4,
+		Mix:       mix,
+		KeySpace:  100_000,
+		ValueSize: 128,
+		Duration:  10 * time.Second,
+		Seed:      1,
 	}
 }
 
@@ -79,9 +76,6 @@ func (c ServeConfig) normalize() ServeConfig {
 	}
 	if c.KeySpace < 1 {
 		c.KeySpace = 1
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 2 * time.Second
 	}
 	if c.OpenLoop && c.Interval <= 0 {
 		c.Interval = time.Millisecond
@@ -479,9 +473,6 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 			return
 		}
 		l.Rec.noteAcked(put, status)
-		if status == rpc.StatusRetryLater && l.cfg.RetryBackoff > 0 {
-			r.Sleep(l.cfg.RetryBackoff)
-		}
 	}
 }
 
@@ -564,7 +555,7 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 
 	// Drain: wait for stragglers up to the grace, then cut the
 	// connection; whatever is still outstanding counts as dropped.
-	graceEnd := r.Now().Add(l.cfg.DrainGrace)
+	graceEnd := r.Now().Add(drainGrace)
 	for {
 		n := len(st.outstanding)
 		if n == 0 {

@@ -25,7 +25,7 @@ type Iterator interface {
 }
 
 // Engine is the KV interface the workloads drive; lsm.DB (RocksDB/ADOC
-// baselines) and core.DB (KVACCEL) both adapt to it.
+// baselines) and kvaccel.DB (KVACCEL) both adapt to it.
 type Engine interface {
 	Put(r *vclock.Runner, key, value []byte) error
 	Delete(r *vclock.Runner, key []byte) error

@@ -67,7 +67,7 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 	db := Open(opt)
 	db.Run("main", func(r *Runner) {
 		defer db.Close()
-		kv, _ := db.Internals()
+		kv := db.Shard(0)
 		kv.Detector().SetOverride(true)
 		for i := 0; i < 100; i++ {
 			_ = db.Put(r, []byte(fmt.Sprintf("key%05d", i)), []byte("v"))

@@ -46,12 +46,12 @@ func TestShardRouterStability(t *testing.T) {
 	}
 }
 
-func shardedTestDB(t *testing.T, shards int) *ShardedDB {
+func shardedTestDB(t *testing.T, shards int) *DB {
 	t.Helper()
-	opt := DefaultShardedOptions()
+	opt := DefaultOptions()
 	opt.Shards = shards
 	opt.Rollback = RollbackDisabled
-	return OpenSharded(opt)
+	return Open(opt)
 }
 
 // TestShardedRoundTrip covers the fan-out paths: Put/Get/Delete route to
@@ -262,13 +262,13 @@ func TestShardedStatsAggregation(t *testing.T) {
 
 // TestScaleClampsToOne pins the Options.Scale contract: values below 1
 // clamp to 1 (full fidelity) instead of silently reverting to the
-// scale-10 default, for both Open and OpenSharded.
+// scale-10 default, and Shards below 1 opens one shard.
 func TestScaleClampsToOne(t *testing.T) {
 	for scale, want := range map[int]int{0: 1, -5: 1, 7: 7} {
-		opt := DefaultShardedOptions()
+		opt := DefaultOptions()
 		opt.Scale = scale
 		opt.Shards = 0
-		db := OpenSharded(opt)
+		db := Open(opt)
 		if db.NumShards() != 1 {
 			t.Fatalf("Shards=0 opened %d shards, want 1", db.NumShards())
 		}

@@ -11,11 +11,11 @@ import (
 // transparently mid-merge, in global key order, from whichever shard's
 // value log holds the bytes.
 func TestVLogShardedMergedIteratorDeref(t *testing.T) {
-	opt := DefaultShardedOptions()
+	opt := DefaultOptions()
 	opt.Shards = 4
 	opt.Rollback = RollbackDisabled
 	opt.ValueThreshold = 128
-	db := OpenSharded(opt)
+	db := Open(opt)
 
 	const n = 400
 	want := func(i int) []byte {
