@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -24,18 +25,12 @@ func fillOpts() Options {
 	return opt
 }
 
-// TestAllocsPut4K pins the put path's garbage: the writer, the group
-// queue and the claimed-group slice are reused, the payload is encoded in
-// the log buffer, and the memtable carves from slabs, so a steady
-// single-writer Put of a 4 KiB inline value — WAL on, one append per put —
-// allocates only what is amortised over many puts: a log chunk every 62,
-// a slab every few hundred. The measured stretch stays inside one
-// memtable (1 000 puts of 4 KiB in 12.8 MB), as the gate is about the
-// path between flushes.
-func TestAllocsPut4K(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
+// putCost4K measures a steady single-writer Put of a 4 KiB inline value
+// with 16-byte keys, WAL on, one append per put, over 1 000 puts that stay
+// inside one memtable (4 MB of a 12.8 MB buffer): the path between
+// flushes. It returns the heap allocations and the bytes allocated per
+// put.
+func putCost4K(t *testing.T) (allocs, bytes float64) {
 	clk, db := newTestDB(0, fillOpts())
 	clk.Go("writer", func(r *vclock.Runner) {
 		defer db.Close()
@@ -59,16 +54,47 @@ func TestAllocsPut4K(t *testing.T) {
 			put()
 		}
 		runtime.ReadMemStats(&after)
-		perPut := float64(after.Mallocs-before.Mallocs) / 1000
-		t.Logf("%.3f allocations per 4 KiB Put", perPut)
-		if perPut > 2 {
-			t.Errorf("%.3f allocations per 4 KiB Put between flushes, want <= 2", perPut)
-		}
+		allocs = float64(after.Mallocs-before.Mallocs) / 1000
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / 1000
 		if db.Stats().Flushes != 0 {
 			t.Errorf("the measured stretch crossed a flush")
 		}
 	})
 	clk.Wait()
+	return allocs, bytes
+}
+
+// TestAllocsPut4K pins the put path's garbage: the writer, the group
+// queue and the claimed-group slice are reused, the payload is encoded in
+// the log buffer, and the memtable carves nodes from slabs, so a put
+// allocates only what is amortised over many puts: a log chunk every 62,
+// a slab every few hundred.
+func TestAllocsPut4K(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	perPut, _ := putCost4K(t)
+	t.Logf("%.3f allocations per 4 KiB Put", perPut)
+	if perPut > 2 {
+		t.Errorf("%.3f allocations per 4 KiB Put between flushes, want <= 2", perPut)
+	}
+}
+
+// TestAllocsPutBytes: a put's key and value are held once in host
+// memory, in the log buffer, whose record the memtable's entry is a view
+// of. The bytes allocated per put are the record and the amortised log
+// chunk and node slabs around it; a second copy of the key and value
+// would double them.
+func TestAllocsPutBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	_, perPut := putCost4K(t)
+	const record = 16 + 4096
+	t.Logf("%.0f bytes allocated per 4 KiB Put (%.3fx the key and value)", perPut, perPut/record)
+	if perPut > 1.15*record {
+		t.Errorf("%.0f bytes allocated per 4 KiB Put between flushes (%.3fx the key and value), want <= 1.15x", perPut, perPut/record)
+	}
 }
 
 // BenchmarkPut4K is the fill benchmarks' foreground path on its own: one
@@ -92,6 +118,64 @@ func BenchmarkPut4K(b *testing.B) {
 		}
 	})
 	clk.Wait()
+}
+
+// TestAllocsLingerCutShort: every leader opens a linger window and the
+// second writer to queue fills the group and cuts it short, commit after
+// commit. The window's event is lowered and waited on again, not
+// replaced, so four writers' puts allocate only what the log and the
+// memtable amortise over many puts.
+func TestAllocsLingerCutShort(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const writers, warm, measured = 4, 100, 500
+	opt := fillOpts()
+	opt.GroupLingerMicros = 1000
+	// Two queued writers fill a group: a put stages key+value+16 bytes.
+	opt.MaxWriteGroupBytes = 2 * (16 + 2016 + 16)
+	clk, db := newTestDB(0, opt)
+	var before, after runtime.MemStats
+	var waitsBefore, microsBefore int64
+	started, finished := 0, 0
+	for w := 0; w < writers; w++ {
+		w := w
+		clk.Go(fmt.Sprintf("writer%d", w), func(r *vclock.Runner) {
+			key, val := make([]byte, 16), make([]byte, 2016)
+			binary.BigEndian.PutUint64(key, uint64(w))
+			for i := 0; i < warm+measured; i++ {
+				if i == warm {
+					if started++; started == writers {
+						runtime.ReadMemStats(&before)
+						waitsBefore, microsBefore = db.stats.GroupLingerWaits, db.stats.GroupLingerMicros
+					}
+				}
+				binary.BigEndian.PutUint64(key[8:], uint64(i))
+				if err := db.Put(r, key, val); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if finished++; finished == writers {
+				runtime.ReadMemStats(&after)
+				db.Close()
+			}
+		})
+	}
+	clk.Wait()
+	s := db.Stats()
+	waits, micros := s.GroupLingerWaits-waitsBefore, s.GroupLingerMicros-microsBefore
+	perPut := float64(after.Mallocs-before.Mallocs) / (writers * measured)
+	t.Logf("%.4f allocations per put; %d linger windows, %d µs lingered in all", perPut, waits, micros)
+	if waits < measured || micros >= waits*opt.GroupLingerMicros/10 {
+		t.Fatalf("%d windows lingered %d µs in all: the windows were not cut short", waits, micros)
+	}
+	if perPut > 0.05 {
+		t.Errorf("%.4f allocations per put with every window cut short, want <= 0.05", perPut)
+	}
+	if s.Flushes != 0 {
+		t.Errorf("the measured stretch crossed a flush")
+	}
 }
 
 // TestAllocsBatchPutAfterReset pins the arena: a batch that has been

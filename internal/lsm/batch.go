@@ -18,7 +18,7 @@ import (
 // allocating once the arena has grown to the largest batch it has held.
 // In the other direction, Write (and every engine's WriteBatch above it)
 // keeps nothing of the batch once it has returned: the records were
-// copied into the log and the memtable, or onto the device.
+// copied into the log (which the memtable aliases), or onto the device.
 type Batch struct {
 	ops   []batchOp
 	bytes int
@@ -78,9 +78,51 @@ func (b *Batch) Ops(fn func(kind memtable.Kind, key, value []byte)) {
 // walBatchMarker opens every WAL record the write path emits.
 const walBatchMarker = 0xB7
 
+// loggedOp is one op as a WAL payload holds it: kv is the key, the
+// value's uvarint length prefix (gap bytes) and the value, the span the
+// Main-LSM's memtable keeps a view of (memtable.Table.AddView).
+type loggedOp struct {
+	kind      memtable.Kind
+	kv        []byte
+	klen, gap int
+}
+
+func (o loggedOp) key() []byte   { return o.kv[:o.klen:o.klen] }
+func (o loggedOp) value() []byte { return o.kv[o.klen+o.gap:] }
+
+// nextLoggedOp splits the op at the front of p, a payload's op list as
+// appendGroupPayload lays it out: kind, uvarint(klen), key, uvarint(vlen),
+// value. kv's capacity is clipped, so nothing appended to it, the key or
+// the value reaches the op behind it.
+func nextLoggedOp(p []byte) (op loggedOp, rest []byte, err error) {
+	if len(p) < 1 {
+		return op, nil, encoding.ErrCorrupt
+	}
+	op.kind = memtable.Kind(p[0])
+	klen, rest, err := encoding.Uvarint(p[1:])
+	if err != nil {
+		return op, nil, err
+	}
+	if uint64(len(rest)) < klen {
+		return op, nil, encoding.ErrCorrupt
+	}
+	vlen, tail, err := encoding.Uvarint(rest[klen:])
+	if err != nil {
+		return op, nil, err
+	}
+	if uint64(len(tail)) < vlen {
+		return op, nil, encoding.ErrCorrupt
+	}
+	op.klen = int(klen)
+	op.gap = len(rest) - op.klen - len(tail)
+	end := op.klen + op.gap + int(vlen)
+	op.kv = rest[:end:end]
+	return op, rest[end:], nil
+}
+
 // decodeBatch parses an appendGroupPayload record, calling fn per
 // operation.
-func decodeBatch(p []byte, fn func(kind memtable.Kind, key, value []byte) error) error {
+func decodeBatch(p []byte, fn func(op loggedOp) error) error {
 	if len(p) < 2 || p[0] != walBatchMarker {
 		return encoding.ErrCorrupt
 	}
@@ -89,28 +131,11 @@ func decodeBatch(p []byte, fn func(kind memtable.Kind, key, value []byte) error)
 		return err
 	}
 	for i := uint64(0); i < count; i++ {
-		if len(rest) < 1 {
-			return encoding.ErrCorrupt
-		}
-		kind := memtable.Kind(rest[0])
-		var klen, vlen uint64
-		if klen, rest, err = encoding.Uvarint(rest[1:]); err != nil {
+		var op loggedOp
+		if op, rest, err = nextLoggedOp(rest); err != nil {
 			return err
 		}
-		if uint64(len(rest)) < klen {
-			return encoding.ErrCorrupt
-		}
-		key := rest[:klen]
-		rest = rest[klen:]
-		if vlen, rest, err = encoding.Uvarint(rest); err != nil {
-			return err
-		}
-		if uint64(len(rest)) < vlen {
-			return encoding.ErrCorrupt
-		}
-		value := rest[:vlen]
-		rest = rest[vlen:]
-		if err := fn(kind, key, value); err != nil {
+		if err := fn(op); err != nil {
 			return err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kvaccel/internal/fs"
-	"kvaccel/internal/memtable"
 	"kvaccel/internal/vclock"
 )
 
@@ -49,8 +48,8 @@ func TestBatchEncodingRoundTrip(t *testing.T) {
 	b.Put([]byte(""), nil) // empty key/value edge
 	enc := appendGroupPayload(nil, []*groupWriter{{ops: b.ops[:1]}, {ops: b.ops[1:]}}, b.Len())
 	var got []string
-	err := decodeBatch(enc, func(kind memtable.Kind, key, value []byte) error {
-		got = append(got, string(key)+"/"+string(value))
+	err := decodeBatch(enc, func(op loggedOp) error {
+		got = append(got, string(op.key())+"/"+string(op.value()))
 		return nil
 	})
 	if err != nil || len(got) != 3 {
@@ -60,10 +59,10 @@ func TestBatchEncodingRoundTrip(t *testing.T) {
 		t.Fatalf("ops = %v", got)
 	}
 	// Corruption detection.
-	if err := decodeBatch(enc[:3], func(memtable.Kind, []byte, []byte) error { return nil }); err == nil {
+	if err := decodeBatch(enc[:3], func(loggedOp) error { return nil }); err == nil {
 		t.Fatal("truncated batch accepted")
 	}
-	if err := decodeBatch([]byte{0x00}, func(memtable.Kind, []byte, []byte) error { return nil }); err == nil {
+	if err := decodeBatch([]byte{0x00}, func(loggedOp) error { return nil }); err == nil {
 		t.Fatal("wrong marker accepted")
 	}
 }

@@ -56,15 +56,13 @@ type DB struct {
 	applying   map[*memtable.Table]int
 	applyTotal int
 
-	// Linger state (group.go): lingerEv is the open linger window's wake
-	// event (nil when no leader is lingering); joiners Set it to cut the
-	// window short once the queue already holds a full group. recentGroup
-	// is an EWMA of recent group member counts, and lingerFutile counts
-	// consecutive lingered commits that still went out alone — together
-	// they drive the adaptive linger policy. lingerSpare is the event of
-	// the last window if it timed out unraised, kept for the next one.
+	// Linger state (group.go): lingerEv is the linger window's wake
+	// event, which a leader lowers as it opens a window and joiners Set
+	// to cut the window short once the queue already holds a full group.
+	// recentGroup is an EWMA of recent group member counts, and
+	// lingerFutile counts consecutive lingered commits that still went out
+	// alone — together they drive the adaptive linger policy.
 	lingerEv     *vclock.Event
-	lingerSpare  *vclock.Event
 	recentGroup  float64
 	lingerFutile int
 
@@ -154,6 +152,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 	db.writeCond = vclock.NewCond("lsm.writeStall")
 	db.bgCond = vclock.NewCond("lsm.background")
 	db.groupCond = vclock.NewCond("lsm.writeGroup")
+	db.lingerEv = vclock.NewEvent("lsm.groupLinger")
 	db.walCond = vclock.NewCond("lsm.walTicket")
 	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
 	db.log = db.newWAL()
@@ -190,9 +189,7 @@ func (db *DB) Close() {
 		return
 	}
 	db.closed = true
-	if db.lingerEv != nil {
-		db.lingerEv.Set() // wake a lingering leader so it observes closed
-	}
+	db.lingerEv.Set() // wake a lingering leader so it observes closed
 	logs := make([]*wal.Log, 0, len(db.imm)+1)
 	logs = append(logs, db.log)
 	for _, j := range db.imm {
@@ -236,8 +233,9 @@ func (db *DB) write(r *vclock.Runner, wo WriteOptions, kind memtable.Kind, key, 
 
 // newPointWriter stages one record in the writer's own single-op backing
 // store, so a point write on a recycled writer allocates nothing. key and
-// value stay the caller's: the commit copies them into the log buffer and
-// the memtable, and the writer forgets them when commit releases it.
+// value stay the caller's: the commit copies them into the log buffer,
+// whose record the memtable then aliases, and the writer forgets them
+// when commit releases it.
 func (db *DB) newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []byte) *groupWriter {
 	w := db.newWriter()
 	w.noStall, w.userBytes = wo.NoStallWait, int64(len(key)+len(value))

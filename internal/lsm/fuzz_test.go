@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kvaccel/internal/encoding"
-	"kvaccel/internal/memtable"
 	"kvaccel/internal/vlog"
 )
 
@@ -52,7 +51,10 @@ func FuzzDecodeManifest(f *testing.F) {
 }
 
 // FuzzDecodeBatch feeds decodeBatch the WAL record payloads replay hands
-// it, seeded with group-commit records: no input may panic.
+// it, seeded with group-commit records: no input may panic, and every op
+// must come back as views whose capacity ends where they do, so that
+// nothing appended to one overwrites the op behind it (after replay, a
+// memtable entry).
 func FuzzDecodeBatch(f *testing.F) {
 	var a, b Batch
 	a.Put([]byte("k1"), []byte("v1"))
@@ -62,6 +64,13 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(appendGroupPayload(nil, []*groupWriter{wa}, a.Len()))
 	f.Add(appendGroupPayload(nil, []*groupWriter{wa, wb}, a.Len()+b.Len()))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		_ = decodeBatch(p, func(kind memtable.Kind, key, value []byte) error { return nil })
+		_ = decodeBatch(p, func(op loggedOp) error {
+			for _, v := range [][]byte{op.kv, op.key(), op.value()} {
+				if cap(v) != len(v) {
+					t.Fatalf("op view has %d bytes and capacity %d", len(v), cap(v))
+				}
+			}
+			return nil
+		})
 	})
 }

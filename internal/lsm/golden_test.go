@@ -92,7 +92,7 @@ const goldenWALSHA256 = "e220d8d6e7ce5014bfe4be728b5330d426af09f4de5c73f9e15d7fc
 // chunk-list write-back: the groups go through wal.Log.Append with small
 // chunks (so records straddle many hand-offs and several chunks reach
 // the file system in one append) and the file must hold the reference
-// bytes, replay record for record, and report each payload's length.
+// bytes, replay record for record, and hand back each payload as it was encoded.
 func TestGoldenWALBytes(t *testing.T) {
 	groups := goldenGroups()
 	want := referenceWAL(groups)
@@ -104,13 +104,13 @@ func TestGoldenWALBytes(t *testing.T) {
 		defer lg.Close()
 		for i, group := range groups {
 			recs, size := groupTotals(group)
-			n, err := lg.Append(r, size+16, func(dst []byte) []byte { return appendGroupPayload(dst, group, recs) })
+			payload, err := lg.Append(r, size+16, func(dst []byte) []byte { return appendGroupPayload(dst, group, recs) })
 			if err != nil {
 				t.Errorf("group %d: %v", i, err)
 				return
 			}
-			if ref := len(appendGroupPayload(nil, group, recs)); n != ref {
-				t.Errorf("group %d: Append reports a %d-byte payload, encoded alone it is %d", i, n, ref)
+			if ref := appendGroupPayload(nil, group, recs); !bytes.Equal(payload, ref) {
+				t.Errorf("group %d: Append returns a %d-byte payload unlike the %d bytes encoded alone", i, len(payload), len(ref))
 			}
 		}
 		if err := lg.Sync(r); err != nil {
@@ -125,7 +125,7 @@ func TestGoldenWALBytes(t *testing.T) {
 		err = wal.Replay(r, fsys, "golden.log", func(payload []byte) error {
 			recs, _ := groupTotals(groups[g])
 			n := 0
-			derr := decodeBatch(payload, func(memtable.Kind, []byte, []byte) error { n++; return nil })
+			derr := decodeBatch(payload, func(loggedOp) error { n++; return nil })
 			if derr != nil || n != recs {
 				t.Errorf("replayed group %d: %d records, err %v; want %d", g, n, derr, recs)
 			}

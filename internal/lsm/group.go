@@ -44,6 +44,11 @@ type groupWriter struct {
 	mt   *memtable.Table // memtable generation the group committed into
 	err  error
 	done bool
+	// logged is a view of this writer's records in the group's WAL
+	// payload, which its memtable entries alias (applyOps); logStart is
+	// where they begin in the payload, noted by appendGroupPayload.
+	logged   []byte
+	logStart int
 
 	single [1]batchOp // backing store for the 1-op (Put/Delete) case
 	// group is the backing store for the members this writer claims when
@@ -146,9 +151,9 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	db.groupQueue.push(w)
 	db.groupBytes += int64(w.bytes)
 	// A queue that already holds a full group is exactly what an open
-	// linger window waits for — cut it short.
-	if db.lingerEv != nil &&
-		(db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers) {
+	// linger window waits for — cut it short. (With no window open this
+	// raises nothing anyone reads: linger lowers the event first.)
+	if db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers {
 		db.lingerEv.Set()
 	}
 
@@ -255,14 +260,14 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
 	// The payload is encoded where it will lie, in the log buffer, in
 	// this group's turn on the lane.
-	payloadLen := 0
+	var payload []byte
 	werr := failInject
 	if werr == nil {
-		payloadLen, werr = lg.Append(r, totalBytes+16, func(dst []byte) []byte {
+		payload, werr = lg.Append(r, totalBytes+16, func(dst []byte) []byte {
 			return appendGroupPayload(dst, group, totalRecs)
 		})
 	}
-	wsp.EndArg(r, int64(payloadLen))
+	wsp.EndArg(r, int64(len(payload)))
 
 	// Advance the lane whether the append succeeded or not: the next
 	// ticket holder orders behind the attempt, not the outcome.
@@ -293,7 +298,14 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	db.stats.GroupCommits++
 	db.stats.GroupedRecords += int64(totalRecs)
 	db.stats.WALAppends++
-	for _, m := range group {
+	for i, m := range group {
+		// Each member's memtable entries will be views of its own records
+		// in the payload, which the log never writes again.
+		end := len(payload)
+		if i+1 < len(group) {
+			end = group[i+1].logStart
+		}
+		m.logged = payload[m.logStart:end:end]
 		if m.internal {
 			db.stats.VLogGCRewrites += int64(len(m.ops))
 			db.stats.VLogGCBytes += m.userBytes
@@ -366,31 +378,18 @@ func (db *DB) lingerDuration() time.Duration {
 // can join its group; joiners cut the window short once the queue holds
 // a full group, and Close wakes it immediately.
 func (db *DB) linger(r *vclock.Runner, d time.Duration) {
-	// An event cannot be lowered again, so a window that was cut short
-	// used its event up; one that ran to its timeout leaves the event
-	// unset for the next window.
-	ev := db.lingerSpare
-	if ev == nil {
-		ev = vclock.NewEvent("lsm.groupLinger")
-	}
-	db.lingerSpare = nil
-	db.lingerEv = ev
+	// Every window waits on the one event: lowered here, whether the last
+	// window was cut short or ran to its timeout.
+	db.lingerEv.Reset()
 	db.stats.GroupLingerWaits++
 	if hook := db.opt.TestHookCommit; hook != nil {
 		hook("in-linger") // inside an open window, before the timed wait
 	}
 	lsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "group-linger")
 	start := r.Now()
-	ev.WaitFor(r, d)
+	db.lingerEv.WaitFor(r, d)
 	lsp.End(r)
-	waited := r.Now().Sub(start)
-	db.lingerEv = nil
-	// Only a runner that finds lingerEv set raises it: from here on nobody
-	// can.
-	if !ev.IsSet() {
-		db.lingerSpare = ev
-	}
-	db.stats.GroupLingerMicros += int64(waited / time.Microsecond)
+	db.stats.GroupLingerMicros += int64(r.Now().Sub(start) / time.Microsecond)
 }
 
 // noteGroup feeds the adaptive linger policy after a claim: an
@@ -408,14 +407,20 @@ func (db *DB) noteGroup(members int, lingered bool) {
 // applyOps inserts a committed member's records into the group's
 // memtable. Members apply their own records concurrently (RocksDB's
 // parallel memtable writes): the leader is back in the next group's way
-// for only one WAL append, not N memtable inserts.
+// for only one WAL append, not N memtable inserts. The entries are views
+// of the member's records in the log, not copies: a put's bytes are held
+// once in host memory until its memtable flushes.
 func (db *DB) applyOps(r *vclock.Runner, w *groupWriter) {
 	msp := db.opt.Trace.Begin(r, trace.PhaseMemtableInsert, "memtable-insert")
 	db.opt.CPU.Run(r, db.opt.Cost.WriteCPU*time.Duration(len(w.ops)))
-	seq := w.seq
-	for _, op := range w.ops {
-		w.mt.Add(seq, op.kind, op.key, op.value)
-		seq++
+	seq, rest := w.seq, w.logged
+	for range w.ops {
+		op, tail, err := nextLoggedOp(rest)
+		if err != nil {
+			panic("lsm: a committed writer's logged records do not parse: " + err.Error())
+		}
+		w.mt.AddView(seq, op.kind, op.kv, op.klen, op.gap)
+		seq, rest = seq+1, tail
 	}
 	msp.EndArg(r, int64(len(w.ops)))
 	db.releaseApply(w.mt, 1)
@@ -485,11 +490,15 @@ func (db *DB) removeFromGroupQueue(w *groupWriter) bool {
 //
 // Reopen replays it with consecutive sequence numbers, all or none, so a
 // group commit is crash-equivalent to one large atomic batch. This is the
-// one copy a put's bytes make on their way into the log.
+// one copy a put's bytes make on their way into the log and the
+// memtable. Each member's logStart is set to where its records begin,
+// counted from the payload's first byte.
 func appendGroupPayload(dst []byte, group []*groupWriter, totalRecs int) []byte {
+	base := len(dst)
 	dst = append(dst, walBatchMarker)
 	dst = encoding.PutUvarint(dst, uint64(totalRecs))
 	for _, m := range group {
+		m.logStart = len(dst) - base
 		for _, op := range m.ops {
 			dst = append(dst, byte(op.kind))
 			dst = encoding.PutUvarint(dst, uint64(len(op.key)))

@@ -278,6 +278,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 	db.writeCond = vclock.NewCond("lsm.writeStall")
 	db.bgCond = vclock.NewCond("lsm.background")
 	db.groupCond = vclock.NewCond("lsm.writeGroup")
+	db.lingerEv = vclock.NewEvent("lsm.groupLinger")
 	db.walCond = vclock.NewCond("lsm.walTicket")
 	db.applying = make(map[*memtable.Table]int)
 	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
@@ -396,8 +397,11 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 	}
 	// Replay inserts each record into the fresh memtable under the
 	// sequence number recovery assigns it, log by log in order; the
-	// records' WriteCPU is charged once, after the last log.
+	// records' WriteCPU is charged once, after the last log. The entries
+	// are views of the replayed payloads, as a live write's are of its
+	// logged record: the log's bytes outlive its file.
 	replayed := 0
+	var ops []loggedOp // one record's ops; reused record to record
 	for _, name := range logs {
 		replayFn := wal.Replay
 		if opt.UncheckedWALReplay {
@@ -408,22 +412,22 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		// whole batch. (Only unchecked replay can meet anything else; the
 		// batch decoder refuses it.)
 		err := replayFn(r, fsys, name, func(payload []byte) error {
-			var ops []batchOp
-			derr := decodeBatch(payload, func(kind memtable.Kind, key, value []byte) error {
-				ops = append(ops, batchOp{kind: kind, key: key, value: value})
+			ops = ops[:0]
+			derr := decodeBatch(payload, func(op loggedOp) error {
+				ops = append(ops, op)
 				return nil
 			})
 			if derr != nil {
 				return derr
 			}
 			for _, op := range ops {
-				if !resolves(op.kind, op.key, op.value) {
+				if !resolves(op.kind, op.key(), op.value()) {
 					return nil
 				}
 			}
 			for _, op := range ops {
 				db.seq++
-				db.mem.Add(db.seq, op.kind, op.key, op.value)
+				db.mem.AddView(db.seq, op.kind, op.kv, op.klen, op.gap)
 			}
 			replayed += len(ops)
 			return nil

@@ -48,6 +48,30 @@ func TestAllocsAdd(t *testing.T) {
 	}
 }
 
+// TestAllocsAddView: an insert that keeps a view of its record copies no
+// key or value byte, so what it allocates is its node and tower, a
+// hundred bytes or so whatever the value's size.
+func TestAllocsAddView(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const inserts = 10000
+	key := make([]byte, 16)
+	kv, gap := logged(key, make([]byte, 4096))
+	m := New(int64(inserts * (len(kv) + 32)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seq := uint64(1); seq <= inserts; seq++ {
+		m.AddView(seq, KindPut, kv, len(key), gap) // versions of one key, ordered by seq
+	}
+	runtime.ReadMemStats(&after)
+	perAdd := float64(after.TotalAlloc-before.TotalAlloc) / inserts
+	t.Logf("4 KiB values: %.0f bytes allocated per AddView", perAdd)
+	if perAdd > 128 {
+		t.Errorf("4 KiB values: %.0f bytes allocated per AddView, want <= 128 (a node and its tower)", perAdd)
+	}
+}
+
 // TestAllocsNew: slabs are opened by the first Add, so
 // engines that open many memtables they never fill (shards, Dev-LSMs) pay
 // one small allocation each.

@@ -9,10 +9,12 @@
 // clock's runners reach, a table belongs to the runner holding the baton,
 // and an Add is one step no reader can come between.
 //
-// Nodes, their towers and the key and value bytes are carved from slabs
-// the Table owns (the LevelDB/RocksDB arena), so an insert allocates
-// nothing once a slab is open and the whole table is freed at once when
-// its flush drops it.
+// Nodes and their towers are carved from slabs the Table owns (the
+// LevelDB/RocksDB arena), so an insert allocates nothing once a slab is
+// open and the whole table is freed at once when its flush drops it. Add
+// copies the key and value into a third slab, of bytes; AddView keeps a
+// view of bytes that are never written again (the Main-LSM's write-ahead
+// log records), and a table filled that way owns no byte slab.
 package memtable
 
 import (
@@ -46,20 +48,23 @@ const (
 	branching = 4
 )
 
-// node is one skiplist entry. kv — the key, then the value — aliases the
-// table's byte slab and next its tower slab; nothing but next's pointers
-// is written after the node is linked. One slice for both keeps a node at
-// 64 bytes.
+// node is one skiplist entry. kv is the key, then gap bytes that belong
+// to neither (a logged record's value-length prefix; none for a copy),
+// then the value; it aliases the table's byte slab or the bytes AddView
+// was given, and next aliases the tower slab. Nothing but next's
+// pointers is written after the node is linked. One slice for key and
+// value, and the gap in what would be padding, keep a node at 64 bytes.
 type node struct {
 	kv   []byte
 	seq  uint64
 	klen uint32
 	kind Kind
+	gap  uint8
 	next []*node
 }
 
 func (n *node) key() []byte   { return n.kv[:n.klen:n.klen] }
-func (n *node) value() []byte { return n.kv[n.klen:] }
+func (n *node) value() []byte { return n.kv[int(n.klen)+int(n.gap):] }
 
 // Table is an insert-only skiplist memtable. Entries with distinct
 // (key, seq) pairs never conflict; the LSM write path's sequence
@@ -80,8 +85,8 @@ type Table struct {
 	// entries need, a full one its entries plus a few percent.
 	nodes     []node
 	towers    []*node
-	data      []byte
-	nextNodes int // length of the next slab of each type, in elements
+	data      []byte // key and value copies; only Add opens this slab
+	nextNodes int    // length of the next slab of each type, in elements
 	nextTower int
 	nextData  int
 	maxSlab   int // bound on one slab, in bytes
@@ -133,18 +138,6 @@ func carve[T any](free *[]T, n int, next *int, maxLen int) []T {
 	out := (*free)[:n:n]
 	*free = (*free)[n:]
 	return out
-}
-
-// newNode returns an unlinked node of height h holding copies of key and
-// value, all carved from the table's slabs.
-func (t *Table) newNode(h int, seq uint64, kind Kind, key, value []byte) *node {
-	n := &carve(&t.nodes, 1, &t.nextNodes, t.maxSlab/int(unsafe.Sizeof(node{})))[0]
-	n.next = carve(&t.towers, h, &t.nextTower, t.maxSlab/int(unsafe.Sizeof(n.next[0])))
-	n.kv = carve(&t.data, len(key)+len(value), &t.nextData, t.maxSlab)
-	copy(n.kv, key)
-	copy(n.kv[len(key):], value)
-	n.seq, n.klen, n.kind = seq, uint32(len(key)), kind
-	return n
 }
 
 // compare orders internal keys: user key ascending, then seq descending.
@@ -201,28 +194,52 @@ func (t *Table) findGE(key []byte, seq uint64, prev []*node) *node {
 	}
 }
 
-// Add inserts an entry, copying key and value into the table's slabs: the
-// caller's buffers are not retained. Duplicate (key, seq) pairs must not
-// be inserted (the write path's sequence allocator guarantees this).
+// Add inserts an entry, copying key and value into the table's byte
+// slab: the caller's buffers are not retained. Duplicate (key, seq) pairs
+// must not be inserted (the write path's sequence allocator guarantees
+// this).
 func (t *Table) Add(seq uint64, kind Kind, key, value []byte) {
+	kv := carve(&t.data, len(key)+len(value), &t.nextData, t.maxSlab)
+	copy(kv, key)
+	copy(kv[len(key):], value)
+	t.link(seq, kind, kv, len(key), 0)
+}
+
+// AddView inserts an entry without copying it: kv is the key (its first
+// klen bytes), then gap bytes the table skips, then the value — the
+// layout of a write-ahead-log record, whose value-length prefix is the
+// gap (at most 255 bytes). The table keeps a view of kv, so its bytes
+// must never be written again; it owns no byte slab for such entries.
+// Duplicate (key, seq) pairs must not be inserted, as with Add.
+func (t *Table) AddView(seq uint64, kind Kind, kv []byte, klen, gap int) {
+	t.link(seq, kind, kv[:len(kv):len(kv)], klen, gap)
+}
+
+// link splices a node for the entry into the skiplist, carving the node
+// and its tower from the table's slabs. Both inserts end here, so the
+// table's footprint counts key and value bytes, never the gap.
+func (t *Table) link(seq uint64, kind Kind, kv []byte, klen, gap int) {
 	h := t.randomHeight()
 	t.height = max(t.height, h)
-	n := t.newNode(h, seq, kind, key, value)
+	n := &carve(&t.nodes, 1, &t.nextNodes, t.maxSlab/int(unsafe.Sizeof(node{})))[0]
+	n.next = carve(&t.towers, h, &t.nextTower, t.maxSlab/int(unsafe.Sizeof(n.next[0])))
+	n.kv, n.seq, n.klen, n.kind, n.gap = kv, seq, uint32(klen), kind, uint8(gap)
 	var prev [maxHeight]*node
-	t.findGE(key, seq, prev[:])
+	t.findGE(n.key(), seq, prev[:])
 	for i := 0; i < h; i++ {
 		n.next[i] = prev[i].next[i]
 		prev[i].next[i] = n
 	}
-	t.size += int64(len(key) + len(value) + 32) // 32 ~ node overhead
+	t.size += int64(len(kv) - gap + 32) // 32 ~ node overhead
 	t.count++
 }
 
 // Get returns the newest entry for key. ok is false if the key has no
 // entry at all; a tombstone returns ok=true with kind KindDelete. The
-// returned value aliases the table's slab memory: it is immutable and
-// stays valid as long as the caller holds it, but it pins the slab, so
-// copy it before caching it past the table's life.
+// returned value aliases the table's memory — its byte slab, or the
+// logged record AddView was given: it is immutable and stays valid as
+// long as the caller holds it, but it pins that memory, so copy it before
+// caching it past the table's life.
 func (t *Table) Get(key []byte) (value []byte, kind Kind, ok bool) {
 	// Seek to (key, maxSeq): the first entry for key is the newest.
 	n := t.findGE(key, ^uint64(0), nil)
@@ -276,9 +293,9 @@ func (it *Iterator) Seek(key []byte) { it.n = it.t.findGE(key, ^uint64(0), nil) 
 // Next advances to the following internal key.
 func (it *Iterator) Next() { it.n = it.n.next[0] }
 
-// Entry returns the current record. Key and Value alias the table's slab
-// memory, as Get's value does: never modify them, and copy before keeping
-// them past the table's life.
+// Entry returns the current record. Key and Value alias the table's
+// memory (its byte slab or a logged record), as Get's value does: never
+// modify them, and copy before keeping them past the table's life.
 func (it *Iterator) Entry() Entry {
 	return Entry{Key: it.n.key(), Value: it.n.value(), Seq: it.n.seq, Kind: it.n.kind}
 }

@@ -2,11 +2,13 @@ package memtable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPutGet(t *testing.T) {
@@ -104,6 +106,65 @@ func TestSeek(t *testing.T) {
 	}
 }
 
+// logged lays key and value out as a WAL record does — key,
+// uvarint(len(value)), value — and returns the span and the prefix's
+// length, AddView's arguments.
+func logged(key, value []byte) (kv []byte, gap int) {
+	kv = append(kv, key...)
+	kv = binary.AppendUvarint(kv, uint64(len(value)))
+	gap = len(kv) - len(key)
+	return append(kv, value...), gap
+}
+
+// TestNodeIs64Bytes: a logged record's gap rides in what was padding, so
+// one node layout serves both inserts at the size it always had.
+func TestNodeIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 64 {
+		t.Fatalf("node is %d bytes, want 64", n)
+	}
+}
+
+// TestAddViewKeepsTheRecord: AddView keeps the record it is given, not a
+// copy — Get and the iterator hand out views of it, skipping the gap —
+// opens no byte slab, and counts the same footprint Add does.
+func TestAddViewKeepsTheRecord(t *testing.T) {
+	views, copies := New(0), New(0)
+	value := bytes.Repeat([]byte("v"), 300) // a two-byte length prefix
+	var records [][]byte
+	for i := 0; i < 100; i++ {
+		key := []byte(fmt.Sprintf("key-%03d", i))
+		kv, gap := logged(key, value[:i*3])
+		records = append(records, kv)
+		views.AddView(uint64(i+1), KindPut, kv, len(key), gap)
+		copies.Add(uint64(i+1), KindPut, key, value[:i*3])
+	}
+	if views.data != nil {
+		t.Error("AddView opened a byte slab")
+	}
+	if views.ApproximateSize() != copies.ApproximateSize() {
+		t.Errorf("footprint %d, Add's of the same entries %d", views.ApproximateSize(), copies.ApproximateSize())
+	}
+	v, _, ok := views.Get([]byte("key-099"))
+	if rec := records[99]; !ok || len(v) != 297 || &v[0] != &rec[len(rec)-297] {
+		t.Errorf("Get(key-099) is not a view of its record's value")
+	}
+	it := views.NewIterator()
+	i := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		e := it.Entry()
+		if want := fmt.Sprintf("key-%03d", i); string(e.Key) != want || !bytes.Equal(e.Value, value[:i*3]) {
+			t.Fatalf("entry %d = %q/%d bytes, want %q/%d", i, e.Key, len(e.Value), want, i*3)
+		}
+		if cap(e.Key) != len(e.Key) || &e.Key[0] != &records[i][0] {
+			t.Fatalf("entry %d: the key is not a clipped view of its record", i)
+		}
+		i++
+	}
+	if i != 100 {
+		t.Fatalf("iterated %d entries, want 100", i)
+	}
+}
+
 func TestApproximateSizeGrows(t *testing.T) {
 	m := New(0)
 	if m.ApproximateSize() != 0 {
@@ -131,14 +192,19 @@ func TestGetMatchesReferenceModel(t *testing.T) {
 		for i, op := range ops {
 			key := []byte{op.Key % 16}
 			seq := uint64(i + 1)
-			if op.Del {
-				m.Add(seq, KindDelete, key, nil)
-				model[string(key)] = ref{kind: KindDelete}
-			} else {
-				v := []byte(fmt.Sprintf("v%d", seq))
-				m.Add(seq, KindPut, key, v)
-				model[string(key)] = ref{kind: KindPut, val: v}
+			kind, v := KindDelete, []byte(nil)
+			if !op.Del {
+				kind, v = KindPut, []byte(fmt.Sprintf("v%d", seq))
 			}
+			// Both inserts, one skiplist: odd seqs are copied, even ones
+			// kept as views of a logged record.
+			if seq%2 == 1 {
+				m.Add(seq, kind, key, v)
+			} else {
+				kv, gap := logged(key, v)
+				m.AddView(seq, kind, kv, len(key), gap)
+			}
+			model[string(key)] = ref{kind: kind, val: v}
 		}
 		for k, want := range model {
 			v, kind, ok := m.Get([]byte(k))

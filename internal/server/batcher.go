@@ -45,7 +45,9 @@ type shardBatcher struct {
 
 	recentOps float64 // EWMA of recent batch sizes
 	futile    int
-	window    lingerWindow
+	// window is the event a lingering batcher waits on and a producer
+	// raises to cut the wait short; run lowers it as each window opens.
+	window *vclock.Event
 
 	// Read-side mirror of the adaptive linger state. Reads coalesce via a
 	// single claimer runner (readClaim) for the same reason writes do: a
@@ -53,21 +55,10 @@ type shardBatcher struct {
 	// chunk ever forms, so every get pays a full engine crossing.
 	readRecent float64
 	readFutile int
-	readWindow lingerWindow
+	readWindow *vclock.Event // window's twin, lowered by readClaim
 	// chunkSpare holds the chunk slices the readers are done with, for the
 	// claimer to fill again.
 	chunkSpare [][]*pending
-}
-
-// lingerWindow is the event a lingering claimer waits on and a producer
-// raises to cut the wait short. An event cannot be lowered again: a
-// window that was cut short used its event up, one that ran to its
-// timeout leaves it as the spare for the next (the engine's group-commit
-// linger keeps its spare the same way).
-type lingerWindow struct {
-	open  *vclock.Event // non-nil while a window is open
-	spare *vclock.Event
-	label string
 }
 
 func newShardBatcher(s *Server, shard int) *shardBatcher {
@@ -78,8 +69,8 @@ func newShardBatcher(s *Server, shard int) *shardBatcher {
 		readq:  newMailbox[*pending](batchQueue, fmt.Sprintf("server.readq.%d", shard)),
 		chunkq: newMailbox[[]*pending](0, fmt.Sprintf("server.chunkq.%d", shard)),
 
-		window:     lingerWindow{label: fmt.Sprintf("server.linger.%d", shard)},
-		readWindow: lingerWindow{label: fmt.Sprintf("server.readlinger.%d", shard)},
+		window:     vclock.NewEvent(fmt.Sprintf("server.linger.%d", shard)),
+		readWindow: vclock.NewEvent(fmt.Sprintf("server.readlinger.%d", shard)),
 	}
 	s.clk.Go(fmt.Sprintf("server.batcher.%d", shard), b.run)
 	s.clk.Go(fmt.Sprintf("server.readclaim.%d", shard), b.readClaim)
@@ -97,14 +88,15 @@ func (b *shardBatcher) close() {
 
 // enqueueWrite hands p to the batcher; false means the inbox is full
 // (queue-depth shed). A producer that fills the inbox past the wake
-// threshold cuts an open linger window short.
+// threshold cuts an open linger window short (with none open, the raised
+// event is lowered again before the next one opens).
 func (b *shardBatcher) enqueueWrite(p *pending) bool {
 	p.enq = p.decoded
 	if !b.inbox.tryPush(p) {
 		return false
 	}
 	if b.inbox.len() >= batchWakeOps {
-		b.cutWindow(&b.window)
+		b.window.Set()
 	}
 	return true
 }
@@ -118,35 +110,9 @@ func (b *shardBatcher) enqueueRead(p *pending) bool {
 		return false
 	}
 	if b.readq.len() >= batchWakeOps {
-		b.cutWindow(&b.readWindow)
+		b.readWindow.Set()
 	}
 	return true
-}
-
-// cutWindow cuts w's linger window short, if one is open: once
-// closeWindow has run, nobody can raise its event.
-func (b *shardBatcher) cutWindow(w *lingerWindow) {
-	if w.open != nil {
-		w.open.Set()
-	}
-}
-
-// openWindow opens w's linger window and returns the event to wait on.
-func (b *shardBatcher) openWindow(w *lingerWindow) *vclock.Event {
-	if w.open = w.spare; w.open == nil {
-		w.open = vclock.NewEvent(w.label)
-	}
-	w.spare = nil
-	return w.open
-}
-
-// closeWindow closes w's window, keeping its event for the next one
-// unless a producer raised it.
-func (b *shardBatcher) closeWindow(w *lingerWindow) {
-	if !w.open.IsSet() {
-		w.spare = w.open
-	}
-	w.open = nil
 }
 
 // lingerDuration mirrors lsm's lingerDuration: no window when the
@@ -226,20 +192,19 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		lingered := false
 		if d := b.lingerDuration(len(batch)); d > 0 {
 			lingered = true
-			ev := b.openWindow(&b.window)
+			b.window.Reset()
 			deadline := r.Now().Add(d)
 			for len(batch) < maxBatchOps {
 				left := deadline.Sub(r.Now())
 				if left <= 0 {
 					break
 				}
-				woken := ev.WaitFor(r, left)
+				woken := b.window.WaitFor(r, left)
 				batch = drain(b.inbox, batch, maxBatchOps)
 				if woken {
 					break
 				}
 			}
-			b.closeWindow(&b.window)
 		}
 		b.noteBatch(len(batch), lingered)
 
@@ -292,20 +257,19 @@ func (b *shardBatcher) readClaim(r *vclock.Runner) {
 		lingered := false
 		if d := b.readLingerDuration(len(chunk)); d > 0 {
 			lingered = true
-			ev := b.openWindow(&b.readWindow)
+			b.readWindow.Reset()
 			deadline := r.Now().Add(d)
 			for len(chunk) < max {
 				left := deadline.Sub(r.Now())
 				if left <= 0 {
 					break
 				}
-				woken := ev.WaitFor(r, left)
+				woken := b.readWindow.WaitFor(r, left)
 				chunk = drain(b.readq, chunk, max)
 				if woken {
 					break
 				}
 			}
-			b.closeWindow(&b.readWindow)
 		}
 		b.noteChunk(len(chunk), lingered)
 		claimed := r.Now()

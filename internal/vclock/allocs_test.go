@@ -257,6 +257,42 @@ func TestAllocsEventWaitForTimeout(t *testing.T) {
 	})
 }
 
+// TestAllocsEventResetWait is a linger window cut short, over and over:
+// the waiter lowers its one event, a partner raises it mid-wait, and
+// neither the event nor its waiter list is allocated again.
+func TestAllocsEventResetWait(t *testing.T) {
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		ev, turn := NewEvent("window"), NewCond("turn")
+		ball, stopped := false, false // ball: the partner's turn to raise ev
+		c.Go("partner", func(p *Runner) {
+			for {
+				for !ball && !stopped {
+					turn.Wait(p)
+				}
+				if stopped {
+					return
+				}
+				ball = false
+				p.Sleep(time.Microsecond)
+				ev.Set()
+			}
+		})
+		cycle := func() {
+			ev.Reset()
+			ball = true
+			turn.Signal()
+			if !ev.WaitFor(r, time.Hour) {
+				t.Error("the window ran to its timeout")
+			}
+		}
+		stop := func() {
+			stopped = true
+			turn.Signal()
+		}
+		return cycle, stop
+	})
+}
+
 func TestAllocsQueuePushPop(t *testing.T) {
 	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
 		q := NewQueue[int](4, "q")

@@ -3,7 +3,7 @@ package vclock
 import "slices"
 
 // Event is a clock-aware, level-triggered flag: once Set, it stays set
-// and every past or future wait returns immediately. Its distinguishing
+// and every wait returns immediately until Reset lowers it. Its distinguishing
 // feature over Cond is the timed wait — WaitFor parks the runner until
 // the event is raised *or* a virtual-time timeout elapses, whichever
 // comes first — which is what periodic background loops need to both
@@ -32,7 +32,21 @@ func (e *Event) Set() {
 	for _, r := range e.waiters {
 		r.clock.wakeParked(r)
 	}
-	e.waiters = nil
+	clear(e.waiters)
+	e.waiters = e.waiters[:0]
+}
+
+// Reset lowers the event, so that it can time one more wait: a runner
+// that waits on an event over and over (a linger window cut short, then
+// opened again) keeps one event instead of allocating a fresh one each
+// time. It panics if a runner is waiting. A runner Set has woken is no
+// longer waiting, but its WaitFor reports the event as it stands when the
+// runner resumes, so the runner that waits is the one to reset.
+func (e *Event) Reset() {
+	if len(e.waiters) > 0 {
+		panic("vclock: Reset of event " + e.label + " with a runner waiting")
+	}
+	e.set = false
 }
 
 // WaitFor parks r until the event is set or virtual duration d elapses,

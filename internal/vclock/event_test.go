@@ -129,3 +129,52 @@ func TestEventTimeoutThenReWait(t *testing.T) {
 	})
 	clk.Wait()
 }
+
+// TestEventResetTimesAnotherWait: a lowered event parks its next waiter
+// again, and a Set after the Reset wakes it.
+func TestEventResetTimesAnotherWait(t *testing.T) {
+	clk := New()
+	ev := NewEvent("ev")
+	clk.Go("waiter", func(r *Runner) {
+		if !ev.WaitFor(r, time.Hour) {
+			t.Error("first wait missed the set")
+		}
+		ev.Reset()
+		if ev.IsSet() {
+			t.Error("IsSet after Reset")
+		}
+		if ev.WaitFor(r, 5*time.Millisecond) {
+			t.Error("a reset event reported set")
+		}
+		if !ev.WaitFor(r, time.Hour) {
+			t.Error("the wait after Reset missed the second set")
+		}
+		if now := r.Now(); now != Time(20*time.Millisecond) {
+			t.Errorf("woke at %v, want 20ms (the second Set)", now)
+		}
+	})
+	clk.Go("setter", func(r *Runner) {
+		ev.Set()
+		r.Sleep(20 * time.Millisecond)
+		ev.Set()
+	})
+	clk.Wait()
+}
+
+// TestEventResetPanicsWithAWaiter: lowering an event under a parked
+// waiter would leave it timing a window nobody can raise any more.
+func TestEventResetPanicsWithAWaiter(t *testing.T) {
+	clk := New()
+	ev := NewEvent("ev")
+	clk.Go("waiter", func(r *Runner) { ev.WaitFor(r, 10*time.Millisecond) })
+	clk.Go("resetter", func(r *Runner) {
+		r.Sleep(time.Millisecond)
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset with a runner waiting did not panic")
+			}
+		}()
+		ev.Reset()
+	})
+	clk.Wait()
+}

@@ -84,20 +84,25 @@ const recordHeader = 8
 // length and checksum in front of it. size is the caller's estimate of
 // the payload, an upper bound if it can give one: the buffer is sized
 // by it, so that the chunk handed off has no slack. encode must do
-// nothing but append; whatever it copies from stays the caller's. Append
-// returns the payload's length.
-func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte) (int, error) {
+// nothing but append; whatever it copies from stays the caller's.
+//
+// Append returns the payload as it lies in the log: a read-only view,
+// capacity clipped, whose bytes are never written again — not by later
+// appends, chunk hand-offs, a buffer outgrown, Sync, Close or Delete — so
+// the caller may keep views of it for as long as it likes (the Main-LSM's
+// memtable holds its entries that way). Keeping one pins the log buffer
+// it points into.
+func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte) ([]byte, error) {
 	// The encode cost is charged first: the CPU pool may park this runner,
 	// and the buffer is read only after it returns.
 	if l.opt.CPU != nil && l.opt.AppendCPU > 0 {
 		l.opt.CPU.Run(r, l.opt.AppendCPU)
 	}
 	if l.closed {
-		return 0, fmt.Errorf("wal: %s: append on closed log", l.name)
+		return nil, fmt.Errorf("wal: %s: append on closed log", l.name)
 	}
 	if l.werr != nil {
-		err := l.werr
-		return 0, err
+		return nil, l.werr
 	}
 	if need := len(l.buf) + recordHeader + size; need > cap(l.buf) {
 		// A chunk is handed off by the record that takes it to ChunkSize,
@@ -105,6 +110,8 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 		// would copy): a fresh buffer has room for a chunk plus one record,
 		// and a record that fits in none — a chunk by itself, or larger
 		// than the one the buffer was sized for — gets exactly its room.
+		// The records already in the outgrown buffer are copied to the new
+		// one, and views of their payloads keep the old one alive.
 		if need < l.opt.ChunkSize {
 			need += l.opt.ChunkSize
 		}
@@ -113,7 +120,7 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 	header := len(l.buf)
 	l.buf = append(l.buf, make([]byte, recordHeader)...)
 	l.buf = encode(l.buf)
-	payload := l.buf[header+recordHeader:]
+	payload := l.buf[header+recordHeader : len(l.buf) : len(l.buf)]
 	binary.LittleEndian.PutUint32(l.buf[header:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(l.buf[header+4:], encoding.Checksum(payload))
 	var chunk []byte
@@ -125,7 +132,7 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 	if chunk != nil {
 		l.queue.Push(r, chunk)
 	}
-	return len(payload), nil
+	return payload, nil
 }
 
 // Sync flushes the partial buffer and parks r until every queued chunk is
@@ -204,7 +211,10 @@ func (l *Log) writeback(r *vclock.Runner) {
 // Replay decodes every complete record in the log file, calling fn for
 // each payload. It stops at the first corrupt or truncated record, which
 // is the crash-recovery contract of a WAL: recovery keeps the longest
-// checksummed prefix and discards the torn tail.
+// checksummed prefix and discards the torn tail. A payload is a
+// read-only view of the file's bytes, capacity clipped, that stays valid
+// after the file is removed: fn may keep views of it, and nothing fn
+// appends to one reaches the next record.
 func Replay(r *vclock.Runner, fsys *fs.FileSystem, name string, fn func(payload []byte) error) error {
 	return replay(r, fsys, name, fn, true)
 }
@@ -235,13 +245,13 @@ func replay(r *vclock.Runner, fsys *fs.FileSystem, name string, fn func(payload 
 			}
 			// Unchecked mode deliberately admits the truncated payload.
 			if len(rest) > 0 {
-				if err := fn(rest); err != nil {
+				if err := fn(rest[:len(rest):len(rest)]); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		payload := rest[:length]
+		payload := rest[:length:length]
 		if checked && encoding.Checksum(payload) != crc {
 			return nil // torn write: stop replay here
 		}

@@ -1,11 +1,15 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kvaccel/internal/faults"
 	"kvaccel/internal/fs"
@@ -76,6 +80,71 @@ func TestAppendSyncReplay(t *testing.T) {
 		}
 	})
 	clk.Wait()
+}
+
+// TestAppendPayloadStaysPut: the payload Append returns is a view of the
+// log whose bytes are never written again, whatever the log does next —
+// more appends, chunk hand-offs, a record that outgrows the buffer (whose
+// records so far are copied to a new one), Sync, Close, Delete — and its
+// capacity ends with it, so an append to it cannot reach the next record.
+func TestAppendPayloadStaysPut(t *testing.T) {
+	clk, fsys := newEnv(0)
+	log := Open(clk, fsys, "wal-views", Options{ChunkSize: 4096, QueueDepth: 4})
+	var views, want [][]byte
+	check := func(after string) {
+		for i, v := range views {
+			if !bytes.Equal(v, want[i]) {
+				t.Errorf("after %s: payload %d changed", after, i)
+				return
+			}
+		}
+	}
+	clk.Go("writer", func(r *vclock.Runner) {
+		appendRec := func(n int) {
+			rec := bytes.Repeat([]byte{byte(len(views))}, n)
+			p, err := log.Append(r, n, func(dst []byte) []byte { return append(dst, rec...) })
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if cap(p) != len(p) {
+				t.Errorf("payload %d: %d bytes with capacity %d", len(views), len(p), cap(p))
+			}
+			views, want = append(views, p), append(want, rec)
+		}
+		for i := 0; i < 40; i++ {
+			appendRec(64 + 37*i%500) // several chunk hand-offs
+		}
+		check("later appends and chunk hand-offs")
+		if err := log.Sync(r); err != nil {
+			t.Error(err)
+		}
+		check("Sync")
+		appendRec(64) // opens a buffer sized for a 64-byte record and a chunk
+		appendRec(64)
+		appendRec(4050) // outgrows it
+		if n := len(views); !adjacent(views[n-3], views[n-2]) || adjacent(views[n-2], views[n-1]) {
+			t.Error("the 4050-byte record fit the buffer; the regrow path was not taken")
+		}
+		appendRec(9000) // a chunk by itself
+		check("a record outgrowing the buffer")
+		appendRec(100)
+		appendRec(200)
+		log.Close()
+		check("Close")
+		log.Delete(r)
+		check("Delete")
+		_ = append(views[0], 0xff) // capacity clipped: lands in a new array
+		check("an append to a payload")
+	})
+	clk.Wait()
+}
+
+// adjacent reports whether b's record follows a's in the same buffer,
+// behind its 8-byte header.
+func adjacent(a, b []byte) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(a)))+uintptr(len(a))+recordHeader ==
+		uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 }
 
 func TestUnsyncedTailNotReplayed(t *testing.T) {
@@ -195,52 +264,54 @@ func (d *cuttableDev) WritePages(r *vclock.Runner, lpns []int) error {
 	return d.slowDev.WritePages(r, lpns)
 }
 
+// tornLog appends records of seeded sizes to "torn.log" in small chunks
+// (so records straddle chunk boundaries), Syncs at a seeded point, cuts
+// the device there and keeps appending, then applies crash semantics
+// with a seeded torn fragment and bit flip. It returns the file system,
+// every record appended, and how many of them the nil Sync covered.
+func tornLog(tb testing.TB, seed int64) (fsys *fs.FileSystem, appended []string, synced int) {
+	rng := rand.New(rand.NewSource(seed))
+	plan := faults.NewPlan(seed)
+	clk := vclock.New()
+	dev := &cuttableDev{slowDev: slowDev{pageSize: 4096, pages: 10000, perPage: time.Microsecond}}
+	fsys = fs.New(dev)
+	log := Open(clk, fsys, "torn.log", Options{ChunkSize: 64 + rng.Intn(200), QueueDepth: 4})
+	clk.Go("writer", func(r *vclock.Runner) {
+		n := 40 + rng.Intn(160)
+		cutAt := rng.Intn(n)
+		for i := 0; i < n; i++ {
+			if i == cutAt {
+				if err := log.Sync(r); err != nil {
+					tb.Errorf("seed %d: pre-cut Sync: %v", seed, err)
+					break
+				}
+				synced = len(appended)
+				dev.cut = true
+			}
+			rec := fmt.Sprintf("rec#%03d#%s", i, strings.Repeat("p", rng.Intn(300)))
+			if err := appendBytes(log, r, []byte(rec)); err != nil {
+				break // sticky writeback failure after the cut
+			}
+			appended = append(appended, rec)
+		}
+		log.Close()
+	})
+	clk.Wait()
+	fsys.Crash(plan)
+	return fsys, appended, synced
+}
+
 // TestTornTailRecoversLongestCheckedPrefix is the torn-tail property
-// test: across seeds, append records of seeded sizes (straddling chunk
-// boundaries), Sync, keep appending, then cut the device mid-stream and
-// apply crash semantics with a seeded torn fragment and bit flip.
-// Checked replay must return a prefix of the appended records that
-// includes everything the nil Sync covered — the longest prefix the
-// checksums admit — and must never surface a record that was not
-// appended. Aggregated across seeds, at least one torn tail must
-// actually truncate records, or the test proves nothing.
+// test: across seeds, cut a log mid-stream (tornLog). Checked replay
+// must return a prefix of the appended records that includes everything
+// the nil Sync covered — the longest prefix the checksums admit — and
+// must never surface a record that was not appended. Aggregated across
+// seeds, at least one torn tail must actually truncate records, or the
+// test proves nothing.
 func TestTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 	totalLost := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		plan := faults.NewPlan(seed)
-		clk := vclock.New()
-		dev := &cuttableDev{slowDev: slowDev{pageSize: 4096, pages: 10000, perPage: time.Microsecond}}
-		fsys := fs.New(dev)
-		// Small chunks so records regularly straddle chunk boundaries.
-		log := Open(clk, fsys, "torn.log", Options{ChunkSize: 64 + rng.Intn(200), QueueDepth: 4})
-
-		var appended []string
-		synced := 0
-		clk.Go("writer", func(r *vclock.Runner) {
-			n := 40 + rng.Intn(160)
-			cutAt := rng.Intn(n)
-			for i := 0; i < n; i++ {
-				if i == cutAt {
-					if err := log.Sync(r); err != nil {
-						t.Errorf("seed %d: pre-cut Sync: %v", seed, err)
-						break
-					}
-					synced = len(appended)
-					dev.cut = true
-				}
-				rec := fmt.Sprintf("rec#%03d#%s", i, strings.Repeat("p", rng.Intn(300)))
-				if err := appendBytes(log, r, []byte(rec)); err != nil {
-					break // sticky writeback failure after the cut
-				}
-				appended = append(appended, rec)
-			}
-			log.Close()
-		})
-		clk.Wait()
-
-		fsys.Crash(plan)
-
+		fsys, appended, synced := tornLog(t, seed)
 		rclk := vclock.New()
 		rclk.Go("replayer", func(r *vclock.Runner) {
 			var got []string
@@ -271,6 +342,73 @@ func TestTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 	if totalLost == 0 {
 		t.Error("no seed ever lost an unsynced tail record; the torn-tail path was never exercised")
 	}
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checkedPrefix is the reference framing: the payloads of the longest
+// prefix of data whose records' lengths fit and whose CRC32Cs match.
+func checkedPrefix(data []byte) [][]byte {
+	var out [][]byte
+	for off := 0; len(data)-off >= 8; {
+		n := uint64(binary.LittleEndian.Uint32(data[off:]))
+		if n > uint64(len(data)-off-8) {
+			break
+		}
+		p := data[off+8 : off+8+int(n)]
+		if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
+			break
+		}
+		out = append(out, p)
+		off += 8 + int(n)
+	}
+	return out
+}
+
+// FuzzReplay writes the fuzzed bytes as a log file and replays it: the
+// payloads must be exactly those of the longest prefix whose lengths and
+// checksums check, each a view whose capacity ends with it (an append to
+// one must not reach the next record), and nothing may panic. The corpus
+// is TestTornTailRecoversLongestCheckedPrefix's crashed logs.
+func FuzzReplay(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		fsys, _, _ := tornLog(f, seed)
+		if data, err := fsys.MediaRead("torn.log"); err == nil {
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := checkedPrefix(data)
+		clk, fsys := newEnv(0)
+		clk.Go("replayer", func(r *vclock.Runner) {
+			if err := fsys.WriteFile(r, "fuzz.log", data); err != nil {
+				t.Error(err)
+				return
+			}
+			var got [][]byte
+			err := Replay(r, fsys, "fuzz.log", func(p []byte) error {
+				if cap(p) != len(p) {
+					t.Errorf("payload %d: %d bytes with capacity %d", len(got), len(p), cap(p))
+				}
+				got = append(got, p)
+				return nil
+			})
+			if err != nil {
+				t.Errorf("replay: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Errorf("replayed %d records, the checked prefix holds %d", len(got), len(want))
+				return
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("record %d = %x, want %x", i, got[i], want[i])
+					return
+				}
+			}
+		})
+		clk.Wait()
+	})
 }
 
 // TestOpenRejectsZeroSizes: Open uses exactly the chunk size and queue
