@@ -1,6 +1,7 @@
 // Package encoding provides the byte-level coding shared by the WAL, SST,
 // and device KV layers: length-prefixed key/value records, fixed-width
-// integer coding, CRC32C checksums, and the db_bench-style key formatter.
+// integer coding, CRC32C checksums, the checksummed frame the WAL, the
+// value log and the RPC wire share, and the db_bench-style key formatter.
 package encoding
 
 import (
@@ -19,6 +20,61 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum returns the CRC32C of data, the checksum RocksDB uses for
 // blocks and WAL records.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// FrameHeader is the size of the header in front of every checksummed
+// frame. The WAL's records, the value log's records and the RPC wire's
+// messages are all framed the same way:
+//
+//	u32 len(payload) | u32 crc32c(payload) | payload
+//
+// both integers little-endian.
+const FrameHeader = 8
+
+// BeginFrame reserves a frame header at the end of dst. The caller
+// appends the payload behind it and then calls SealFrame with the
+// header's offset, len(dst) before the call.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// SealFrame fills in the header of the frame that begins at dst[start]
+// and runs to the end of dst. It returns the payload as a
+// capacity-clipped view of dst: nothing appended to it reaches past the
+// frame.
+func SealFrame(dst []byte, start int) (payload []byte) {
+	payload = dst[start+FrameHeader : len(dst) : len(dst)]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], Checksum(payload))
+	return payload
+}
+
+// FrameLen returns the size, header included, of the frame whose header
+// begins b, as far as b tells: FrameHeader while b holds less than a
+// header. The length is read, not checked; b may end before the frame
+// does.
+func FrameLen(b []byte) int64 {
+	if len(b) < FrameHeader {
+		return FrameHeader
+	}
+	return FrameHeader + int64(binary.LittleEndian.Uint32(b))
+}
+
+// NextFrame splits the frame at the front of b off the bytes behind it.
+// ok is false, with b returned whole as rest, when b ends before the
+// frame does or the payload fails its checksum: a reader keeps the
+// longest prefix of checked frames and stops there. The payload is a
+// capacity-clipped view of b.
+func NextFrame(b []byte) (payload, rest []byte, ok bool) {
+	n := FrameLen(b)
+	if n > int64(len(b)) {
+		return nil, b, false
+	}
+	payload = b[FrameHeader:n:n]
+	if Checksum(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, b, false
+	}
+	return payload, b[n:], true
+}
 
 // PutUvarint appends x to dst in unsigned varint form.
 func PutUvarint(dst []byte, x uint64) []byte {
@@ -79,7 +135,8 @@ func AppendRecord(dst, key, value []byte) []byte {
 }
 
 // DecodeRecord reads one record from the front of b, returning key, value
-// and the remaining bytes. The returned slices alias b.
+// and the remaining bytes. The key and the value are capacity-clipped
+// views of b: nothing appended to one reaches the bytes behind it.
 func DecodeRecord(b []byte) (key, value, rest []byte, err error) {
 	klen, b, err := Uvarint(b)
 	if err != nil {
@@ -92,16 +149,18 @@ func DecodeRecord(b []byte) (key, value, rest []byte, err error) {
 	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen { // klen+vlen can wrap
 		return nil, nil, nil, ErrCorrupt
 	}
-	return b[:klen], b[klen : klen+vlen], b[klen+vlen:], nil
+	kv := klen + vlen
+	return b[:klen:klen], b[klen:kv:kv], b[kv:], nil
 }
 
 // RecordSize returns the encoded size of a (key, value) record without
 // materializing it.
 func RecordSize(keyLen, valueLen int) int {
-	return uvarintLen(uint64(keyLen)) + uvarintLen(uint64(valueLen)) + keyLen + valueLen
+	return UvarintLen(uint64(keyLen)) + UvarintLen(uint64(valueLen)) + keyLen + valueLen
 }
 
-func uvarintLen(x uint64) int {
+// UvarintLen returns the number of bytes PutUvarint writes for x.
+func UvarintLen(x uint64) int {
 	n := 1
 	for x >= 0x80 {
 		x >>= 7

@@ -351,19 +351,10 @@ func RunTorture(p TortureParams) TortureReport {
 				lopt.Offloader = ns.Offloader()
 				lopt.ForceOffload = true
 			}
-			if cutPhase && strings.HasPrefix(cutStage, "offload:") {
+			if cutPhase && cutStage != "" {
 				want := strings.TrimPrefix(cutStage, "offload:")
-				lopt.TestHookOffload = func(stage string) {
+				lopt.TestHook = func(stage string) {
 					if stage != want || !hookArmed {
-						return
-					}
-					if hookHits++; hookHits == cutNth && !dev.Severed() {
-						dev.Sever()
-					}
-				}
-			} else if cutPhase && cutStage != "" {
-				lopt.TestHookCommit = func(stage string) {
-					if stage != cutStage || !hookArmed {
 						return
 					}
 					if hookHits++; hookHits == cutNth && !dev.Severed() {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kvaccel/internal/fs"
+	"kvaccel/internal/linger"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/sstable"
 	"kvaccel/internal/trace"
@@ -56,15 +57,9 @@ type DB struct {
 	applying   map[*memtable.Table]int
 	applyTotal int
 
-	// Linger state (group.go): lingerEv is the linger window's wake
-	// event, which a leader lowers as it opens a window and joiners Set
-	// to cut the window short once the queue already holds a full group.
-	// recentGroup is an EWMA of recent group member counts, and
-	// lingerFutile counts consecutive lingered commits that still went out
-	// alone — together they drive the adaptive linger policy.
-	lingerEv     *vclock.Event
-	recentGroup  float64
-	lingerFutile int
+	// linger is the leader's adaptive linger window (group.go): joiners
+	// cut it short once the queue already holds a full group.
+	linger *linger.Window
 
 	// Pipelined-WAL ticket lane (group.go): each leader takes walTail++
 	// at claim time and may append only once walHead reaches its ticket,
@@ -124,7 +119,7 @@ type DB struct {
 
 // Open creates a DB on fsys and starts its background runners on clk.
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
-	opt.sanitize()
+	db := newDB(clk, fsys, opt)
 	// A fresh open over a non-empty namespace means a previous incarnation
 	// died before persisting its first manifest: no CURRENT, so none of its
 	// files — WALs, SSTs, vlog segments — carry durability obligations (a
@@ -136,7 +131,29 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 	if !fsys.Exists(currentName) {
 		fsys.Format()
 	}
-	db := &DB{
+	db.log = db.newWAL()
+	if db.opt.ValueThreshold > 0 {
+		db.vlog = vlog.Open(clk, fsys, db.vlogOptions())
+		db.gcGate = vclock.NewSemaphore(vlogGateUnits, "lsm.vlogGate")
+		if !db.opt.DisableVLogGC {
+			clk.Go("lsm.vlog-gc", db.vlogGCWorker)
+		}
+	}
+	clk.Go("lsm.flush", db.flushWorker)
+	for i := 0; i < db.opt.MaxCompactionThreads; i++ {
+		i := i
+		clk.Go(fmt.Sprintf("lsm.compact%d", i), func(r *vclock.Runner) { db.compactionWorker(r, i) })
+	}
+	return db
+}
+
+// newDB builds the DB Open and Reopen share — the first memtable and
+// version, the block cache, and the conditions, window and semaphore its
+// runners wait on — over a fresh namespace's counters. It starts no
+// runner: each caller starts its own, in its own order.
+func newDB(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
+	opt.sanitize()
+	return &DB{
 		clk:               clk,
 		fsys:              fsys,
 		opt:               opt,
@@ -148,27 +165,13 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		compactionThreads: opt.CompactionThreads,
 		cursor:            make([][]byte, opt.MaxLevels),
 		applying:          make(map[*memtable.Table]int),
+		writeCond:         vclock.NewCond("lsm.writeStall"),
+		bgCond:            vclock.NewCond("lsm.background"),
+		groupCond:         vclock.NewCond("lsm.writeGroup"),
+		linger:            linger.New("lsm.groupLinger", time.Duration(opt.GroupLingerMicros)*time.Microsecond, lingerGroupTarget),
+		walCond:           vclock.NewCond("lsm.walTicket"),
+		persistSem:        vclock.NewSemaphore(1, "lsm.manifest"),
 	}
-	db.writeCond = vclock.NewCond("lsm.writeStall")
-	db.bgCond = vclock.NewCond("lsm.background")
-	db.groupCond = vclock.NewCond("lsm.writeGroup")
-	db.lingerEv = vclock.NewEvent("lsm.groupLinger")
-	db.walCond = vclock.NewCond("lsm.walTicket")
-	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
-	db.log = db.newWAL()
-	if opt.ValueThreshold > 0 {
-		db.vlog = vlog.Open(clk, fsys, db.vlogOptions())
-		db.gcGate = vclock.NewSemaphore(vlogGateUnits, "lsm.vlogGate")
-		if !opt.DisableVLogGC {
-			clk.Go("lsm.vlog-gc", db.vlogGCWorker)
-		}
-	}
-	clk.Go("lsm.flush", db.flushWorker)
-	for i := 0; i < opt.MaxCompactionThreads; i++ {
-		i := i
-		clk.Go(fmt.Sprintf("lsm.compact%d", i), func(r *vclock.Runner) { db.compactionWorker(r, i) })
-	}
-	return db
 }
 
 func (db *DB) newWAL() *wal.Log {
@@ -189,7 +192,7 @@ func (db *DB) Close() {
 		return
 	}
 	db.closed = true
-	db.lingerEv.Set() // wake a lingering leader so it observes closed
+	db.linger.CutShort() // wake a lingering leader so it observes closed
 	logs := make([]*wal.Log, 0, len(db.imm)+1)
 	logs = append(logs, db.log)
 	for _, j := range db.imm {

@@ -151,10 +151,9 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	db.groupQueue.push(w)
 	db.groupBytes += int64(w.bytes)
 	// A queue that already holds a full group is exactly what an open
-	// linger window waits for — cut it short. (With no window open this
-	// raises nothing anyone reads: linger lowers the event first.)
-	if db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers {
-		db.lingerEv.Set()
+	// linger window waits for — cut it short.
+	if db.groupFull() {
+		db.linger.CutShort()
 	}
 
 	for {
@@ -186,7 +185,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	lingered := false
 	if d := db.lingerDuration(); d > 0 {
 		lingered = true
-		db.linger(r, d)
+		db.lingerFor(r, d)
 	}
 	if err := db.makeRoomForWrite(r, w.noStall); err != nil {
 		// The queue behind us fails the same way on its own (each member
@@ -212,7 +211,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 
 	group, totalRecs, totalBytes := db.claimGroup(w)
-	db.noteGroup(len(group), lingered)
+	db.linger.Note(len(group), lingered)
 	firstSeq := db.seq + 1
 	seq := firstSeq
 	for _, m := range group {
@@ -249,7 +248,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 
 	gsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "write-group")
-	if hook := db.opt.TestHookCommit; hook != nil {
+	if hook := db.opt.TestHook; hook != nil {
 		hook("pre-append") // between leadership handoff and the append
 	}
 	// The WAL lane: appends must hit the log in ticket (= sequence)
@@ -338,7 +337,8 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 // leapfrog each other instead of merging.
 const walPipelineDepth = 2
 
-// Tunables of the adaptive linger policy (lingerDuration).
+// The group-commit constants of the adaptive linger window (package
+// linger).
 const (
 	// lingerGroupTarget: once the recent-group EWMA reaches this many
 	// members per commit, arrivals alone sustain grouping and a fresh
@@ -347,61 +347,37 @@ const (
 	// lingerWakeMembers: a queue this deep is already a full group — an
 	// open window is cut short and a fresh leader does not wait.
 	lingerWakeMembers = 8
-	// lingerFutileLimit: after this many consecutive lingered commits
-	// that still went out alone, stop lingering until a group forms on
-	// its own — a single-writer workload stops paying the window after
-	// three commits.
-	lingerFutileLimit = 3
 )
+
+// groupFull reports whether the queue already holds a full group.
+func (db *DB) groupFull() bool {
+	return db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers
+}
 
 // lingerDuration decides whether a fresh leader should hold the
 // commit open so followers can join, and for how long. Called after the
 // leader set committing.
 func (db *DB) lingerDuration() time.Duration {
-	us := db.opt.GroupLingerMicros
-	if us <= 0 || db.lingerFutile >= lingerFutileLimit {
-		return 0
-	}
-	if db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers {
-		return 0 // a full group is already queued; commit it now
-	}
-	if db.recentGroup >= lingerGroupTarget {
-		return 0 // the arrival rate sustains grouping without the wait
-	}
-	if db.stalledWriters > 0 || db.slowdownCondition() {
+	d := db.linger.Len(db.groupFull())
+	if d > 0 && (db.stalledWriters > 0 || db.slowdownCondition()) {
 		return 0 // never delay the admission pass when a stall is brewing
 	}
-	return time.Duration(us) * time.Microsecond
+	return d
 }
 
-// linger parks the leader for up to d on the virtual clock so followers
-// can join its group; joiners cut the window short once the queue holds
-// a full group, and Close wakes it immediately.
-func (db *DB) linger(r *vclock.Runner, d time.Duration) {
-	// Every window waits on the one event: lowered here, whether the last
-	// window was cut short or ran to its timeout.
-	db.lingerEv.Reset()
+// lingerFor parks the leader for up to d on the virtual clock so
+// followers can join its group; joiners cut the window short once the
+// queue holds a full group, and Close wakes it immediately.
+func (db *DB) lingerFor(r *vclock.Runner, d time.Duration) {
 	db.stats.GroupLingerWaits++
-	if hook := db.opt.TestHookCommit; hook != nil {
+	if hook := db.opt.TestHook; hook != nil {
 		hook("in-linger") // inside an open window, before the timed wait
 	}
 	lsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "group-linger")
 	start := r.Now()
-	db.lingerEv.WaitFor(r, d)
+	db.linger.Wait(r, d)
 	lsp.End(r)
 	db.stats.GroupLingerMicros += int64(r.Now().Sub(start) / time.Microsecond)
-}
-
-// noteGroup feeds the adaptive linger policy after a claim: an
-// EWMA of member counts, and a futility counter that backs the window
-// off when lingering keeps producing singleton groups.
-func (db *DB) noteGroup(members int, lingered bool) {
-	db.recentGroup = 0.75*db.recentGroup + 0.25*float64(members)
-	if members >= 2 {
-		db.lingerFutile = 0
-	} else if lingered {
-		db.lingerFutile++
-	}
 }
 
 // applyOps inserts a committed member's records into the group's

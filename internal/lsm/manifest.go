@@ -261,27 +261,9 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		return nil, err
 	}
 
-	opt.sanitize()
-	db := &DB{
-		clk:               clk,
-		fsys:              fsys,
-		opt:               opt,
-		cache:             opt.newBlockCache(),
-		memSize:           opt.MemtableSize,
-		mem:               memtable.New(opt.MemtableSize),
-		vers:              firstVersion(opt.MaxLevels),
-		nextFileNum:       snap.nextFileNum,
-		seq:               snap.seq,
-		compactionThreads: opt.CompactionThreads,
-		cursor:            make([][]byte, opt.MaxLevels),
-	}
-	db.writeCond = vclock.NewCond("lsm.writeStall")
-	db.bgCond = vclock.NewCond("lsm.background")
-	db.groupCond = vclock.NewCond("lsm.writeGroup")
-	db.lingerEv = vclock.NewEvent("lsm.groupLinger")
-	db.walCond = vclock.NewCond("lsm.walTicket")
-	db.applying = make(map[*memtable.Table]int)
-	db.persistSem = vclock.NewSemaphore(1, "lsm.manifest")
+	db := newDB(clk, fsys, opt)
+	db.nextFileNum = snap.nextFileNum
+	db.seq = snap.seq
 	db.manifest.counter = manifestCounterFrom(string(cur))
 
 	// Reopen every live table.
@@ -295,7 +277,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		if err != nil {
 			return nil, fmt.Errorf("lsm: reopening %s: %w", name, err)
 		}
-		if mf.level >= opt.MaxLevels {
+		if mf.level >= db.opt.MaxLevels {
 			return nil, fmt.Errorf("lsm: manifest level %d out of range", mf.level)
 		}
 		db.vers.addFile(&FileMeta{
@@ -331,14 +313,14 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 			break
 		}
 	}
-	if snap.hasVLog || anyVLogFiles || opt.ValueThreshold > 0 {
+	if snap.hasVLog || anyVLogFiles || db.opt.ValueThreshold > 0 {
 		vl, verr := vlog.Recover(r, clk, fsys, db.vlogOptions(), snap.vlogState)
 		if verr != nil {
 			return nil, verr
 		}
 		db.vlog = vl
 		db.gcGate = vclock.NewSemaphore(vlogGateUnits, "lsm.vlogGate")
-		if !opt.DisableVLogGC {
+		if !db.opt.DisableVLogGC {
 			clk.Go("lsm.vlog-gc", db.vlogGCWorker)
 		}
 	}
@@ -383,7 +365,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 	// SST — so dropping them is within the recovery contract. The
 	// unchecked-replay mode skips the validation along with everything
 	// else it skips.
-	checkPtrs := db.vlog != nil && !opt.UncheckedWALReplay
+	checkPtrs := db.vlog != nil && !db.opt.UncheckedWALReplay
 	resolves := func(kind memtable.Kind, key, value []byte) bool {
 		if !checkPtrs || kind != memtable.KindValuePtr {
 			return true
@@ -404,7 +386,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 	var ops []loggedOp // one record's ops; reused record to record
 	for _, name := range logs {
 		replayFn := wal.Replay
-		if opt.UncheckedWALReplay {
+		if db.opt.UncheckedWALReplay {
 			replayFn = wal.ReplayUnchecked
 		}
 		// Every record is an atomic batch: replay all its ops or none.
@@ -442,7 +424,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 
 	db.log = db.newWAL()
 	clk.Go("lsm.flush", db.flushWorker)
-	for i := 0; i < opt.MaxCompactionThreads; i++ {
+	for i := 0; i < db.opt.MaxCompactionThreads; i++ {
 		i := i
 		clk.Go(fmt.Sprintf("lsm.compact%d", i), func(w *vclock.Runner) { db.compactionWorker(w, i) })
 	}

@@ -107,7 +107,7 @@ func (db *DB) tryOffloadCompaction(r *vclock.Runner, c *compaction) (readBytes, 
 		db.fsys.ReleasePages(pages)
 		return 0, 0, false
 	}
-	if hook := db.opt.TestHookOffload; hook != nil {
+	if hook := db.opt.TestHook; hook != nil {
 		hook("merge-complete")
 	}
 
@@ -166,7 +166,7 @@ func (db *DB) tryOffloadCompaction(r *vclock.Runner, c *compaction) (readBytes, 
 		writeBytes += int64(out.Meta.Size)
 	}
 	db.fsys.ReleasePages(pages[used:])
-	if hook := db.opt.TestHookOffload; hook != nil {
+	if hook := db.opt.TestHook; hook != nil {
 		hook("pre-install")
 	}
 	isp.EndArg(r, writeBytes)

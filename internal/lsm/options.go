@@ -95,13 +95,18 @@ type Options struct {
 	// section after claiming sequence numbers and appends under a ticket
 	// that preserves WAL record order == sequence order.
 	DisablePipelinedWAL bool
-	// TestHookCommit, when set, is called at named instants inside the
-	// group-commit pipeline — "in-linger" (inside an open linger window,
-	// before the timed wait) and "pre-append" (a pipelined leader has
-	// handed leadership over but not yet appended) — so the crash-recovery
-	// torture suite can cut power at the pipeline's new in-between states
-	// deterministically. Called on the leader's runner.
-	TestHookCommit func(stage string)
+	// TestHook, when set, is called at named instants inside the write
+	// pipeline and the offload install path, so the crash-recovery torture
+	// suite can cut power at their in-between states deterministically:
+	//   - "in-linger": inside an open linger window, before the timed wait;
+	//   - "pre-append": a pipelined leader has handed leadership over but
+	//     not yet appended;
+	//   - "merge-complete": the device merge is done, nothing adopted yet;
+	//   - "pre-install": the outputs are adopted and validated, the
+	//     manifest not yet persisted.
+	// The first two are called on the group leader's runner, the last two
+	// on the compaction worker's.
+	TestHook func(stage string)
 
 	// EnableCompactionOffload lets the engine hand L0→L1 merges to the
 	// device executor behind Offloader when write-stall pressure holds
@@ -128,13 +133,6 @@ type Options struct {
 	// sweeps that need deterministic routing. The eligibility condition
 	// (no value log) still applies.
 	ForceOffload bool
-	// TestHookOffload, when set, is called at named instants inside the
-	// offload install path — "merge-complete" (device merge done, nothing
-	// adopted yet) and "pre-install" (outputs adopted and validated, the
-	// manifest not yet persisted) — so the crash-recovery torture suite
-	// can cut power at the protocol's in-between states. Called on the
-	// compaction worker's runner.
-	TestHookOffload func(stage string)
 
 	// ValueThreshold enables WiscKey-style value separation: a Put whose
 	// value is at least this many bytes appends the value to the value

@@ -3,6 +3,8 @@ package rpc
 import (
 	"fmt"
 	"testing"
+
+	"kvaccel/internal/encoding"
 )
 
 // raceEnabled is set by race_test.go when the race detector is on: its
@@ -66,11 +68,11 @@ func TestAllocsCodec(t *testing.T) {
 		}},
 		{"batch and scan into reused arrays", func() {
 			frame := AppendRequest(buf[:0], batch)
-			if DecodeRequest(frame[frameHeader:], &gotReq) != nil || len(gotReq.Ops) != 16 {
+			if DecodeRequest(frame[encoding.FrameHeader:], &gotReq) != nil || len(gotReq.Ops) != 16 {
 				t.Fatal("batch did not round-trip")
 			}
 			frame = AppendResponse(buf[:0], scan)
-			if DecodeResponse(frame[frameHeader:], &gotResp) != nil || len(gotResp.Entries) != 16 {
+			if DecodeResponse(frame[encoding.FrameHeader:], &gotResp) != nil || len(gotResp.Entries) != 16 {
 				t.Fatal("scan did not round-trip")
 			}
 		}},

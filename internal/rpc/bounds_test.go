@@ -65,7 +65,7 @@ func TestDecodeRejectsImpossibleCounts(t *testing.T) {
 	// A count that is exactly what the bytes hold still decodes.
 	honest := &Request{ID: 1, Op: OpBatch, Ops: []BatchOp{{Op: OpDelete, Key: []byte{}}, {Op: OpPut, Key: []byte{}, Value: []byte{}}}}
 	var got Request
-	if err := DecodeRequest(AppendRequest(nil, honest)[frameHeader:], &got); err != nil || len(got.Ops) != 2 {
+	if err := DecodeRequest(AppendRequest(nil, honest)[encoding.FrameHeader:], &got); err != nil || len(got.Ops) != 2 {
 		t.Errorf("two minimal sub-ops: err=%v ops=%d", err, len(got.Ops))
 	}
 }
@@ -81,18 +81,31 @@ func fuzzSeeds(f *testing.F, requests bool) {
 		} else {
 			frame = AppendResponse(nil, randResponse(rng))
 		}
-		f.Add(frame[frameHeader:])
-		cut := append([]byte(nil), frame[frameHeader:len(frame)-rng.Intn(len(frame)-frameHeader)]...)
+		f.Add(frame[encoding.FrameHeader:])
+		cut := append([]byte(nil), frame[encoding.FrameHeader:len(frame)-rng.Intn(len(frame)-encoding.FrameHeader)]...)
 		f.Add(cut)
 	}
 	f.Add(batchPayloadWithCount(1 << 62))
 	f.Add(scanPayloadWithCount(1 << 33))
 }
 
+// unclipped returns the first of views whose capacity reaches past its
+// length — a view through which an append would overwrite the bytes
+// behind it — or -1.
+func unclipped(views ...[]byte) int {
+	for i, v := range views {
+		if cap(v) != len(v) {
+			return i
+		}
+	}
+	return -1
+}
+
 // FuzzDecodeRequest: any payload decodes to a request or an error —
 // never a panic, never an array sized beyond what the payload could hold —
-// and a request that decodes re-encodes to a payload that decodes to the
-// same request.
+// every key and value is a capacity-clipped view of the payload, and a
+// request that decodes re-encodes to a payload that decodes to the same
+// request.
 func FuzzDecodeRequest(f *testing.F) {
 	fuzzSeeds(f, true)
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -103,8 +116,15 @@ func FuzzDecodeRequest(f *testing.F) {
 		if cap(req.Ops) > len(payload)/minBatchOpBytes {
 			t.Fatalf("%d-byte payload sized an array of %d sub-ops", len(payload), cap(req.Ops))
 		}
+		views := [][]byte{req.Key, req.Value}
+		for _, op := range req.Ops {
+			views = append(views, op.Key, op.Value)
+		}
+		if i := unclipped(views...); i >= 0 {
+			t.Fatalf("%s view %d: len %d, cap %d", OpName(req.Op), i, len(views[i]), cap(views[i]))
+		}
 		var again Request
-		if err := DecodeRequest(AppendRequest(nil, &req)[frameHeader:], &again); err != nil || !equalRequests(&req, &again) {
+		if err := DecodeRequest(AppendRequest(nil, &req)[encoding.FrameHeader:], &again); err != nil || !equalRequests(&req, &again) {
 			t.Fatalf("re-encoded request does not round-trip: err=%v\n got %+v\nwant %+v", err, again, req)
 		}
 	})
@@ -121,8 +141,15 @@ func FuzzDecodeResponse(f *testing.F) {
 		if cap(resp.Entries) > len(payload)/minScanEntryBytes {
 			t.Fatalf("%d-byte payload sized an array of %d entries", len(payload), cap(resp.Entries))
 		}
+		views := [][]byte{resp.Value}
+		for _, e := range resp.Entries {
+			views = append(views, e.Key, e.Value)
+		}
+		if i := unclipped(views...); i >= 0 {
+			t.Fatalf("response view %d: len %d, cap %d", i, len(views[i]), cap(views[i]))
+		}
 		var again Response
-		if err := DecodeResponse(AppendResponse(nil, &resp)[frameHeader:], &again); err != nil || !equalResponses(&resp, &again) {
+		if err := DecodeResponse(AppendResponse(nil, &resp)[encoding.FrameHeader:], &again); err != nil || !equalResponses(&resp, &again) {
 			t.Fatalf("re-encoded response does not round-trip: err=%v\n got %+v\nwant %+v", err, again, resp)
 		}
 	})
@@ -131,9 +158,10 @@ func FuzzDecodeResponse(f *testing.F) {
 // drainDecoder feeds stream to a fresh decoder in the chunks the cut
 // points give (each byte of cuts is the next chunk's length, 0 meaning
 // 256; the rest goes in one chunk) and returns a copy of every payload
-// yielded, whether the stream poisoned, and the most memory the decoder
-// held of its own.
-func drainDecoder(stream, cuts []byte) (frames [][]byte, poisoned bool, held int) {
+// yielded, whether the stream poisoned, the most memory the decoder
+// held of its own, and how many payloads were yielded with capacity past
+// their length.
+func drainDecoder(stream, cuts []byte) (frames [][]byte, poisoned bool, held, unclippedFrames int) {
 	var dec Decoder
 	feed := func(chunk []byte) {
 		dec.Feed(chunk)
@@ -145,6 +173,9 @@ func drainDecoder(stream, cuts []byte) (frames [][]byte, poisoned bool, held int
 			}
 			if !ok {
 				break
+			}
+			if unclipped(payload) >= 0 {
+				unclippedFrames++
 			}
 			frames = append(frames, append([]byte(nil), payload...))
 		}
@@ -162,13 +193,14 @@ func drainDecoder(stream, cuts []byte) (frames [][]byte, poisoned bool, held int
 		stream = stream[n:]
 	}
 	feed(stream)
-	return frames, poisoned, held
+	return frames, poisoned, held, unclippedFrames
 }
 
 // FuzzDecoderStream: the same bytes fed whole and split at fuzzer-chosen
 // points yield the same frames and the same verdict (clean stop or
-// poison), never panic, and never make the decoder hold more than it was
-// fed — a length prefix is untrusted too, and sizes nothing.
+// poison), never panic, never make the decoder hold more than it was
+// fed — a length prefix is untrusted too, and sizes nothing — and every
+// payload is a capacity-clipped view that cannot reach the next frame.
 func FuzzDecoderStream(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 12; i++ {
@@ -189,8 +221,11 @@ func FuzzDecoderStream(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 1, 2, 3, 4, 5}, []byte{3}) // 1 MiB promised, 1 byte sent
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
-		whole, wholePoison, _ := drainDecoder(stream, nil)
-		split, splitPoison, held := drainDecoder(stream, cuts)
+		whole, wholePoison, _, wholeUnclipped := drainDecoder(stream, nil)
+		split, splitPoison, held, splitUnclipped := drainDecoder(stream, cuts)
+		if wholeUnclipped+splitUnclipped > 0 {
+			t.Fatalf("%d payloads fed whole and %d fed in chunks are not capacity clipped", wholeUnclipped, splitUnclipped)
+		}
 		if wholePoison != splitPoison || len(whole) != len(split) {
 			t.Fatalf("fed whole: %d frames, poisoned=%v; fed in chunks %v: %d frames, poisoned=%v",
 				len(whole), wholePoison, cuts, len(split), splitPoison)

@@ -1,21 +1,20 @@
 // Package rpc is the wire layer of the KVACCEL serving tier: a
-// length-prefixed binary codec for KV requests and responses, CRC-framed
-// exactly like the WAL record format, plus a virtual-clock-native
-// simulated connection (conn.go) that charges per-hop latency and
-// bandwidth on the shared clock.
+// length-prefixed binary codec for KV requests and responses, plus a
+// virtual-clock-native simulated connection (conn.go) that charges
+// per-hop latency and bandwidth on the shared clock.
 //
-// Framing mirrors internal/wal: every frame is
+// Every message travels in the checksummed frame the WAL and the value
+// log use (encoding.BeginFrame, SealFrame, NextFrame):
 //
 //	u32 payload-len | u32 crc32c(payload) | payload
 //
 // and a stream decoder keeps the longest checksummed prefix — a torn
 // tail (connection cut mid-frame) yields the frames fully received, then
-// a clean stop, never a garbage message. The torn-frame property test
-// mirrors the WAL torn-tail test.
+// a clean stop, never a garbage message, just as WAL replay keeps the
+// longest checked prefix of a torn log.
 package rpc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -129,32 +128,15 @@ type Response struct {
 }
 
 // MaxFrame bounds a frame payload; a length prefix beyond it is treated
-// as corruption, mirroring the WAL's chunk bound.
+// as corruption. The bound is rpc's own, not the frame format's: a
+// length prefix read off the network is untrusted input.
 const MaxFrame = 1 << 20
-
-// frameHeader is the fixed frame prelude: u32 len + u32 crc.
-const frameHeader = 8
-
-// beginFrame reserves a frame header at the end of dst; sealFrame fills
-// it in once the payload has been appended behind it.
-func beginFrame(dst []byte) []byte {
-	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-}
-
-// sealFrame back-fills the header of the frame that begins at dst[start]
-// and runs to the end of dst.
-func sealFrame(dst []byte, start int) []byte {
-	payload := dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], encoding.Checksum(payload))
-	return dst
-}
 
 // AppendRequest appends req's frame to dst, encoding it in place: with
 // room in dst it allocates nothing. It keeps no reference to req.
 func AppendRequest(dst []byte, req *Request) []byte {
 	start := len(dst)
-	dst = beginFrame(dst)
+	dst = encoding.BeginFrame(dst)
 	dst = append(dst, req.Op, req.Tenant)
 	dst = encoding.PutU64(dst, req.ID)
 	switch req.Op {
@@ -173,7 +155,8 @@ func AppendRequest(dst []byte, req *Request) []byte {
 			dst = encoding.AppendRecord(dst, op.Key, op.Value)
 		}
 	}
-	return sealFrame(dst, start)
+	encoding.SealFrame(dst, start)
+	return dst
 }
 
 // minBatchOpBytes and minScanEntryBytes are the smallest encodings of a
@@ -250,7 +233,7 @@ func DecodeRequest(payload []byte, req *Request) error {
 // into the frame here, and no reference to resp is kept.
 func AppendResponse(dst []byte, resp *Response) []byte {
 	start := len(dst)
-	dst = beginFrame(dst)
+	dst = encoding.BeginFrame(dst)
 	dst = append(dst, resp.Status)
 	dst = encoding.PutU64(dst, resp.ID)
 	dst = encoding.PutUvarint(dst, resp.Timing.AcceptNS)
@@ -262,7 +245,8 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	for i := range resp.Entries {
 		dst = encoding.AppendRecord(dst, resp.Entries[i].Key, resp.Entries[i].Value)
 	}
-	return sealFrame(dst, start)
+	encoding.SealFrame(dst, start)
+	return dst
 }
 
 // DecodeResponse parses one response payload into resp, overwriting
@@ -357,24 +341,22 @@ func (d *Decoder) Feed(p []byte) {
 func (d *Decoder) Buffered() int { return len(d.carry) + len(d.chunk) }
 
 // frameExtent reports how many bytes the frame at the head of b occupies
-// as far as b tells: frameHeader until the header is whole, the full
-// frame after that. bad flags a length prefix beyond MaxFrame.
+// as far as b tells (encoding.FrameLen). bad flags a length prefix
+// beyond MaxFrame.
 func frameExtent(b []byte) (n int, bad bool) {
-	if len(b) < frameHeader {
-		return frameHeader, false
-	}
-	length := binary.LittleEndian.Uint32(b)
-	return frameHeader + int(length), length > MaxFrame
+	n64 := encoding.FrameLen(b)
+	return int(n64), n64 > encoding.FrameHeader+MaxFrame
 }
 
 // Next returns the next complete frame payload. ok is false when the
 // bytes fed so far hold no further complete frame (cleanly torn tail:
 // feed more or stop); err is ErrTornFrame when the stream is corrupt.
 //
-// The payload aliases the chunk it arrived in — or, for a frame that
-// straddled chunks, memory of its own — and the decoder never writes to
-// either: a payload stays byte-stable for as long as the caller keeps the
-// chunk intact, however many chunks are fed after it.
+// The payload is a capacity-clipped view of the chunk it arrived in — or,
+// for a frame that straddled chunks, of memory of its own — and the
+// decoder never writes to either: a payload stays byte-stable for as
+// long as the caller keeps the chunk intact, however many chunks are fed
+// after it.
 func (d *Decoder) Next() (payload []byte, ok bool, err error) {
 	if d.poison {
 		return nil, false, ErrTornFrame
@@ -411,15 +393,13 @@ func (d *Decoder) Next() (payload []byte, ok bool, err error) {
 		d.chunk = nil
 		return nil, false, nil
 	}
-	frame := (*src)[:n]
-	*src = (*src)[n:]
-	if len(d.carry) == 0 {
-		d.carry = nil // the frame just yielded owns that memory now
-	}
-	payload = frame[frameHeader:]
-	if encoding.Checksum(payload) != binary.LittleEndian.Uint32(frame[4:]) {
+	payload, *src, ok = encoding.NextFrame(*src)
+	if !ok { // the frame is whole, so its checksum failed
 		d.poison = true
 		return nil, false, ErrTornFrame
+	}
+	if len(d.carry) == 0 {
+		d.carry = nil // the frame just yielded owns that memory now
 	}
 	return payload, true, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"kvaccel/internal/encoding"
 )
 
 // randRequest builds a random request of any opcode. Keys are non-empty;
@@ -253,13 +255,13 @@ func TestDecoderCorruptPoison(t *testing.T) {
 			start := len(wire)
 			wire = AppendRequest(wire, randRequest(rng))
 			starts = append(starts, start)
-			lens = append(lens, len(wire)-start-frameHeader)
+			lens = append(lens, len(wire)-start-encoding.FrameHeader)
 		}
 		victim := rng.Intn(n)
 		// Flip a byte strictly inside the victim's payload so the CRC check
 		// is what trips (corrupting the length prefix could instead look
 		// like an incomplete frame).
-		pos := starts[victim] + frameHeader + rng.Intn(lens[victim])
+		pos := starts[victim] + encoding.FrameHeader + rng.Intn(lens[victim])
 		wire[pos] ^= 0x5a
 
 		var dec Decoder

@@ -5,35 +5,28 @@ import (
 	"time"
 
 	"kvaccel"
+	"kvaccel/internal/linger"
 	"kvaccel/internal/rpc"
 	"kvaccel/internal/vclock"
 )
 
-// Tunables of the batcher's adaptive linger policy — the same shape as
-// the engine's group-commit policy (lsm/group.go): an EWMA of recent
-// batch sizes decides whether holding the window open is worth the
-// latency, joiners past a depth threshold cut the window short, and a
-// futile counter turns lingering off when it keeps producing singleton
-// batches.
+// The batcher's constants of the adaptive linger window (package linger),
+// which write batches and multi-get chunks each keep one of.
 const (
 	// batchLingerTarget: once the recent-batch EWMA reaches this many
 	// ops, batches are forming from queue depth alone and the extra
 	// linger latency buys nothing.
 	batchLingerTarget = 16.0
-	// batchWakeOps: an inbox this deep is already a full batch — a
-	// producer reaching it wakes the lingering batcher immediately.
+	// batchWakeOps: a queue this deep is already a full batch — a
+	// producer reaching it cuts an open window short.
 	batchWakeOps = 32
-	// batchFutileLimit: after this many consecutive lingered commits
-	// that still went out as singletons, stop lingering until batches
-	// form on their own again.
-	batchFutileLimit = 3
 )
 
 // shardBatcher is the hot path of the serving tier: one runner per shard
 // that coalesces writes from every connection into a single engine
 // WriteBatch, plus a small reader pool that drains gets in multi-get
-// chunks. The linger window reuses the engine group-commit policy's
-// adaptive EWMA (see constants above); its point here is amortizing the
+// chunks. Both claim under the adaptive linger window the engine's group
+// commit uses (package linger); its point here is amortizing the
 // per-commit costs — WAL append (one partial-page program per commit),
 // commit-queue entry, controller gate — across clients and tenants.
 type shardBatcher struct {
@@ -43,19 +36,13 @@ type shardBatcher struct {
 	readq  *mailbox[*pending]   // reads; bounded the same way
 	chunkq *mailbox[[]*pending] // claimed multi-get chunks awaiting a reader
 
-	recentOps float64 // EWMA of recent batch sizes
-	futile    int
-	// window is the event a lingering batcher waits on and a producer
-	// raises to cut the wait short; run lowers it as each window opens.
-	window *vclock.Event
-
-	// Read-side mirror of the adaptive linger state. Reads coalesce via a
-	// single claimer runner (readClaim) for the same reason writes do: a
-	// pool of workers parked on pop claims arrivals one at a time and no
-	// chunk ever forms, so every get pays a full engine crossing.
-	readRecent float64
-	readFutile int
-	readWindow *vclock.Event // window's twin, lowered by readClaim
+	// window is the write batches' linger window, readWindow the
+	// multi-get chunks'. Reads coalesce via a single claimer runner
+	// (readClaim) for the same reason writes do: a pool of workers parked
+	// on pop claims arrivals one at a time and no chunk ever forms, so
+	// every get pays a full engine crossing.
+	window     *linger.Window
+	readWindow *linger.Window
 	// chunkSpare holds the chunk slices the readers are done with, for the
 	// claimer to fill again.
 	chunkSpare [][]*pending
@@ -69,8 +56,8 @@ func newShardBatcher(s *Server, shard int) *shardBatcher {
 		readq:  newMailbox[*pending](batchQueue, fmt.Sprintf("server.readq.%d", shard)),
 		chunkq: newMailbox[[]*pending](0, fmt.Sprintf("server.chunkq.%d", shard)),
 
-		window:     vclock.NewEvent(fmt.Sprintf("server.linger.%d", shard)),
-		readWindow: vclock.NewEvent(fmt.Sprintf("server.readlinger.%d", shard)),
+		window:     linger.New(fmt.Sprintf("server.linger.%d", shard), lingerMicros*time.Microsecond, batchLingerTarget),
+		readWindow: linger.New(fmt.Sprintf("server.readlinger.%d", shard), lingerMicros*time.Microsecond, batchLingerTarget),
 	}
 	s.clk.Go(fmt.Sprintf("server.batcher.%d", shard), b.run)
 	s.clk.Go(fmt.Sprintf("server.readclaim.%d", shard), b.readClaim)
@@ -88,15 +75,14 @@ func (b *shardBatcher) close() {
 
 // enqueueWrite hands p to the batcher; false means the inbox is full
 // (queue-depth shed). A producer that fills the inbox past the wake
-// threshold cuts an open linger window short (with none open, the raised
-// event is lowered again before the next one opens).
+// threshold cuts an open linger window short.
 func (b *shardBatcher) enqueueWrite(p *pending) bool {
 	p.enq = p.decoded
 	if !b.inbox.tryPush(p) {
 		return false
 	}
 	if b.inbox.len() >= batchWakeOps {
-		b.window.Set()
+		b.window.CutShort()
 	}
 	return true
 }
@@ -110,54 +96,9 @@ func (b *shardBatcher) enqueueRead(p *pending) bool {
 		return false
 	}
 	if b.readq.len() >= batchWakeOps {
-		b.readWindow.Set()
+		b.readWindow.CutShort()
 	}
 	return true
-}
-
-// lingerDuration mirrors lsm's lingerDuration: no window when the
-// policy is futile, none when a full batch is already queued,
-// none when recent batches say depth alone is doing the job.
-func (b *shardBatcher) lingerDuration(queued int) time.Duration {
-	if b.futile >= batchFutileLimit || queued >= maxBatchOps || queued >= batchWakeOps {
-		return 0
-	}
-	if b.recentOps >= batchLingerTarget {
-		return 0
-	}
-	return lingerMicros * time.Microsecond
-}
-
-// noteBatch feeds the adaptive policy after a commit, exactly like lsm's
-// noteGroup.
-func (b *shardBatcher) noteBatch(ops int, lingered bool) {
-	b.recentOps = 0.75*b.recentOps + 0.25*float64(ops)
-	if ops > 1 {
-		b.futile = 0
-	} else if lingered {
-		b.futile++
-	}
-}
-
-// readLingerDuration / noteChunk: the read-side twins, gated on the
-// multi-get chunk cap instead of the write-batch cap.
-func (b *shardBatcher) readLingerDuration(queued int) time.Duration {
-	if b.readFutile >= batchFutileLimit || queued >= readChunk || queued >= batchWakeOps {
-		return 0
-	}
-	if b.readRecent >= batchLingerTarget {
-		return 0
-	}
-	return lingerMicros * time.Microsecond
-}
-
-func (b *shardBatcher) noteChunk(ops int, lingered bool) {
-	b.readRecent = 0.75*b.readRecent + 0.25*float64(ops)
-	if ops > 1 {
-		b.readFutile = 0
-	} else if lingered {
-		b.readFutile++
-	}
 }
 
 // drain moves queued requests from q onto dst until dst holds max.
@@ -169,6 +110,20 @@ func drain(q *mailbox[*pending], dst []*pending, max int) []*pending {
 		}
 		dst = append(dst, p)
 	}
+	return dst
+}
+
+// claim fills dst, which holds the request just popped, from q up to max:
+// with what is queued, then, if w finds the wait worth it, with what
+// arrives before its window ends or is cut short.
+func claim(r *vclock.Runner, w *linger.Window, q *mailbox[*pending], dst []*pending, max int) []*pending {
+	dst = drain(q, dst, max)
+	d := w.Len(len(dst) >= max || len(dst) >= batchWakeOps)
+	if d > 0 {
+		w.Wait(r, d)
+		dst = drain(q, dst, max)
+	}
+	w.Note(len(dst), d > 0)
 	return dst
 }
 
@@ -188,25 +143,7 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		if !ok {
 			return
 		}
-		batch = drain(b.inbox, append(batch[:0], first), maxBatchOps)
-		lingered := false
-		if d := b.lingerDuration(len(batch)); d > 0 {
-			lingered = true
-			b.window.Reset()
-			deadline := r.Now().Add(d)
-			for len(batch) < maxBatchOps {
-				left := deadline.Sub(r.Now())
-				if left <= 0 {
-					break
-				}
-				woken := b.window.WaitFor(r, left)
-				batch = drain(b.inbox, batch, maxBatchOps)
-				if woken {
-					break
-				}
-			}
-		}
-		b.noteBatch(len(batch), lingered)
+		batch = claim(r, b.window, b.inbox, append(batch[:0], first), maxBatchOps)
 
 		claimed := r.Now()
 		wb.Reset()
@@ -247,31 +184,12 @@ func (b *shardBatcher) newChunk() []*pending {
 // lands and the mean chunk size collapses to 1, which puts a full
 // engine crossing back on every read.
 func (b *shardBatcher) readClaim(r *vclock.Runner) {
-	max := readChunk
 	for {
 		first, ok := b.readq.pop(r)
 		if !ok {
 			return
 		}
-		chunk := drain(b.readq, append(b.newChunk(), first), max)
-		lingered := false
-		if d := b.readLingerDuration(len(chunk)); d > 0 {
-			lingered = true
-			b.readWindow.Reset()
-			deadline := r.Now().Add(d)
-			for len(chunk) < max {
-				left := deadline.Sub(r.Now())
-				if left <= 0 {
-					break
-				}
-				woken := b.readWindow.WaitFor(r, left)
-				chunk = drain(b.readq, chunk, max)
-				if woken {
-					break
-				}
-			}
-		}
-		b.noteChunk(len(chunk), lingered)
+		chunk := claim(r, b.readWindow, b.readq, append(b.newChunk(), first), readChunk)
 		claimed := r.Now()
 		for _, p := range chunk {
 			p.claimed = claimed

@@ -64,7 +64,7 @@ func BenchmarkAppend(b *testing.B) {
 	m := Open(clk, fsys, benchOptions)
 	key, value := []byte("key-000000000000"), make([]byte, 4096)
 	b.ReportAllocs()
-	b.SetBytes(int64(frameHeaderSize + encRecordSize(key, value)))
+	b.SetBytes(int64(encoding.FrameHeader + encRecordSize(key, value)))
 	clk.Go("writer", func(r *vclock.Runner) {
 		defer m.Close()
 		b.ResetTimer()
@@ -178,7 +178,7 @@ func FuzzScanValidSize(f *testing.F) {
 		for off := int64(0); off < valid; {
 			length, rest, _ := encoding.U32(data[off:])
 			crc, rest, _ := encoding.U32(rest)
-			end := off + frameHeaderSize + int64(length)
+			end := off + encoding.FrameHeader + int64(length)
 			if end > valid || encoding.Checksum(rest[:length]) != crc {
 				t.Fatalf("frame at %d of the valid prefix %d is cut short or fails its checksum", off, valid)
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"kvaccel/internal/encoding"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 )
@@ -39,7 +40,7 @@ func FuzzParseFrame(f *testing.F) {
 		if cap(key) != len(key) || cap(value) != len(value) {
 			t.Fatalf("views not clipped: key %d/%d, value %d/%d (len/cap)", len(key), cap(key), len(value), cap(value))
 		}
-		if frameHeaderSize+len(key)+len(value) > len(data) {
+		if encoding.FrameHeader+len(key)+len(value) > len(data) {
 			t.Fatalf("a %d-byte key and %d-byte value parsed from %d bytes", len(key), len(value), len(data))
 		}
 		k, v, err := parseFrame(frame(string(key), string(value)))

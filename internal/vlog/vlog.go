@@ -50,9 +50,6 @@ var ErrClosed = errors.New("vlog: closed")
 // shares nothing with the ".log" WAL scan or the ".sst" orphan sweep.
 const segmentPrefix = "VLOG-"
 
-// frameHeaderSize is u32 payload length + u32 CRC32C.
-const frameHeaderSize = 8
-
 // SegmentName returns segment id's file name.
 func SegmentName(id uint32) string { return fmt.Sprintf("%s%06d", segmentPrefix, id) }
 
@@ -248,21 +245,11 @@ func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Optio
 // scanValidSize returns the length of data's longest prefix of complete,
 // checksummed frames.
 func scanValidSize(data []byte) int64 {
-	var off int64
-	for int64(len(data))-off >= frameHeaderSize {
-		b := data[off:]
-		length, b, _ := encoding.U32(b)
-		crc, b, _ := encoding.U32(b)
-		if uint64(len(b)) < uint64(length) {
-			break
-		}
-		payload := b[:length]
-		if encoding.Checksum(payload) != crc {
-			break
-		}
-		off += frameHeaderSize + int64(length)
+	rest := data
+	for ok := true; ok; {
+		_, rest, ok = encoding.NextFrame(rest)
 	}
-	return off
+	return int64(len(data) - len(rest))
 }
 
 // Append frames one (key, value) record into the head segment and
@@ -286,20 +273,16 @@ func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePoi
 		// to be no larger than this one. make clears nothing in memory
 		// fresh from the OS, so pages the segment never fills stay unmapped.
 		m.head = &segment{id: m.nextSeg, name: SegmentName(m.nextSeg),
-			mem: make([]byte, 0, int(m.opt.SegmentSize)+frameHeaderSize+payloadLen)}
+			mem: make([]byte, 0, int(m.opt.SegmentSize)+encoding.FrameHeader+payloadLen)}
 		m.segs[m.head.id] = m.head
 		m.nextSeg++
 	}
 	seg := m.head
 	off := seg.size
-	seg.mem = encoding.PutU32(seg.mem, uint32(payloadLen))
-	sumAt := len(seg.mem)
-	seg.mem = encoding.PutU32(seg.mem, 0) // checksum patched below
-	payloadStart := len(seg.mem)
-	seg.mem = appendRecord(seg.mem, key, value)
-	sum := encoding.Checksum(seg.mem[payloadStart:])
-	patchU32(seg.mem[sumAt:sumAt+4], sum)
-	frameLen := int64(frameHeaderSize + payloadLen)
+	start := len(seg.mem)
+	seg.mem = appendRecord(encoding.BeginFrame(seg.mem), key, value)
+	encoding.SealFrame(seg.mem, start)
+	frameLen := int64(encoding.FrameHeader + payloadLen)
 	seg.size += frameLen
 	m.bytesAppended += frameLen
 
@@ -388,7 +371,7 @@ func (m *Manager) readRecord(r *vclock.Runner, ptr encoding.ValuePointer) (key, 
 		return nil, nil, ErrSegmentGone
 	}
 	end := int64(ptr.Off) + int64(ptr.Len)
-	if end > seg.size || ptr.Len < frameHeaderSize {
+	if end > seg.size || ptr.Len < encoding.FrameHeader {
 		return nil, nil, fmt.Errorf("vlog: pointer %d:%d+%d out of range: %w", ptr.Seg, ptr.Off, ptr.Len, encoding.ErrCorrupt)
 	}
 	if seg.mem != nil {
@@ -403,25 +386,24 @@ func (m *Manager) readRecord(r *vclock.Runner, ptr encoding.ValuePointer) (key, 
 	return parseFrame(frame)
 }
 
-// parseFrame validates one framed record and splits its payload into
-// capacity-clipped views of frame.
+// parseFrame validates one framed record, all of frame, and splits its
+// payload into capacity-clipped views of frame.
 func parseFrame(frame []byte) (key, value []byte, err error) {
-	if len(frame) < frameHeaderSize {
+	payload, rest, ok := encoding.NextFrame(frame)
+	if !ok || len(rest) != 0 {
 		return nil, nil, encoding.ErrCorrupt
 	}
-	length, rest, _ := encoding.U32(frame)
-	crc, rest, _ := encoding.U32(rest)
-	if uint64(len(rest)) != uint64(length) {
-		return nil, nil, encoding.ErrCorrupt
-	}
-	if encoding.Checksum(rest) != crc {
-		return nil, nil, encoding.ErrCorrupt
-	}
-	klen, rest, err := encoding.Uvarint(rest)
+	return splitRecord(payload)
+}
+
+// splitRecord splits a record's payload, uvarint(klen) | key | value,
+// into capacity-clipped views of it.
+func splitRecord(payload []byte) (key, value []byte, err error) {
+	klen, rest, err := encoding.Uvarint(payload)
 	if err != nil || uint64(len(rest)) < klen {
 		return nil, nil, encoding.ErrCorrupt
 	}
-	return rest[:klen:klen], rest[klen:len(rest):len(rest)], nil
+	return rest[:klen:klen], rest[klen:], nil
 }
 
 // SegmentEntries decodes every record of a live segment, oldest first —
@@ -444,27 +426,22 @@ func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
 		}
 	}
 	var out []Entry
-	var off int64
-	for off < size {
-		frameEnd := off + frameHeaderSize
-		if frameEnd > size {
-			break
+	for rest := data; len(rest) > 0; {
+		off := len(data) - len(rest)
+		payload, next, ok := encoding.NextFrame(rest)
+		if !ok {
+			return nil, fmt.Errorf("vlog: segment %d record at %d: %w", id, off, encoding.ErrCorrupt)
 		}
-		length, _, _ := encoding.U32(data[off:])
-		frameEnd += int64(length)
-		if frameEnd > size {
-			break
-		}
-		k, v, err := parseFrame(data[off:frameEnd])
+		k, v, err := splitRecord(payload)
 		if err != nil {
 			return nil, fmt.Errorf("vlog: segment %d record at %d: %w", id, off, err)
 		}
 		out = append(out, Entry{
 			Key:   k,
 			Value: v,
-			Ptr:   encoding.ValuePointer{Seg: id, Off: uint32(off), Len: uint32(frameEnd - off)},
+			Ptr:   encoding.ValuePointer{Seg: id, Off: uint32(off), Len: uint32(len(rest) - len(next))},
 		})
-		off = frameEnd
+		rest = next
 	}
 	return out, nil
 }
@@ -485,7 +462,7 @@ func (m *Manager) VerifyKey(r *vclock.Runner, ptr encoding.ValuePointer, key []b
 // range — the WAL-replay validation for pointer records.
 func (m *Manager) Resolves(ptr encoding.ValuePointer) bool {
 	seg, ok := m.segs[ptr.Seg]
-	return ok && ptr.Len >= frameHeaderSize && int64(ptr.Off)+int64(ptr.Len) <= seg.size
+	return ok && ptr.Len >= encoding.FrameHeader && int64(ptr.Off)+int64(ptr.Len) <= seg.size
 }
 
 // MarkDiscard adds n dead bytes to a segment's discard counter —
@@ -642,7 +619,7 @@ func (m *Manager) flushBatch(r *vclock.Runner, seg *segment, chunks [][]byte) {
 
 // encRecordSize is the payload size of one record.
 func encRecordSize(key, value []byte) int {
-	return uvarintLen(uint64(len(key))) + len(key) + len(value)
+	return encoding.UvarintLen(uint64(len(key))) + len(key) + len(value)
 }
 
 // appendRecord encodes uvarint(klen) | key | value.
@@ -651,20 +628,4 @@ func appendRecord(dst, key, value []byte) []byte {
 	dst = append(dst, key...)
 	dst = append(dst, value...)
 	return dst
-}
-
-func patchU32(dst []byte, x uint32) {
-	dst[0] = byte(x)
-	dst[1] = byte(x >> 8)
-	dst[2] = byte(x >> 16)
-	dst[3] = byte(x >> 24)
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
 }

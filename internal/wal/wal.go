@@ -11,7 +11,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -71,12 +70,9 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, name string, opt Options) *Log
 	return l
 }
 
-// recordHeader is the u32 length and u32 CRC32C in front of every payload.
-const recordHeader = 8
-
-// Append adds one record (u32 length, u32 crc, payload) to the log
-// buffer, handing full chunks to the writeback runner. It blocks only when
-// the writeback queue is full.
+// Append adds one record (an encoding frame: u32 length, u32 crc,
+// payload) to the log buffer, handing full chunks to the writeback
+// runner. It blocks only when the writeback queue is full.
 //
 // The payload is written where it will lie: encode is called once with
 // the log buffer's tail and must append the payload to it and return the
@@ -104,7 +100,7 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 	if l.werr != nil {
 		return nil, l.werr
 	}
-	if need := len(l.buf) + recordHeader + size; need > cap(l.buf) {
+	if need := len(l.buf) + encoding.FrameHeader + size; need > cap(l.buf) {
 		// A chunk is handed off by the record that takes it to ChunkSize,
 		// and the file system keeps the buffer (one left an eighth empty it
 		// would copy): a fresh buffer has room for a chunk plus one record,
@@ -117,12 +113,9 @@ func (l *Log) Append(r *vclock.Runner, size int, encode func(dst []byte) []byte)
 		}
 		l.buf = append(make([]byte, 0, need), l.buf...)
 	}
-	header := len(l.buf)
-	l.buf = append(l.buf, make([]byte, recordHeader)...)
-	l.buf = encode(l.buf)
-	payload := l.buf[header+recordHeader : len(l.buf) : len(l.buf)]
-	binary.LittleEndian.PutUint32(l.buf[header:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[header+4:], encoding.Checksum(payload))
+	start := len(l.buf)
+	l.buf = encode(encoding.BeginFrame(l.buf))
+	payload := encoding.SealFrame(l.buf, start)
 	var chunk []byte
 	if len(l.buf) >= l.opt.ChunkSize {
 		chunk = l.buf
@@ -216,7 +209,16 @@ func (l *Log) writeback(r *vclock.Runner) {
 // after the file is removed: fn may keep views of it, and nothing fn
 // appends to one reaches the next record.
 func Replay(r *vclock.Runner, fsys *fs.FileSystem, name string, fn func(payload []byte) error) error {
-	return replay(r, fsys, name, fn, true)
+	data, err := readLog(r, fsys, name)
+	for err == nil {
+		payload, rest, ok := encoding.NextFrame(data)
+		if !ok {
+			return nil // truncated or torn tail: normal after a crash
+		}
+		err = fn(payload)
+		data = rest
+	}
+	return err
 }
 
 // ReplayUnchecked replays without verifying record checksums, admitting
@@ -225,40 +227,26 @@ func Replay(r *vclock.Runner, fsys *fs.FileSystem, name string, fn func(payload 
 // torn-tail truncation) is caught by the oracle; real recovery must
 // never use it.
 func ReplayUnchecked(r *vclock.Runner, fsys *fs.FileSystem, name string, fn func(payload []byte) error) error {
-	return replay(r, fsys, name, fn, false)
-}
-
-func replay(r *vclock.Runner, fsys *fs.FileSystem, name string, fn func(payload []byte) error, checked bool) error {
-	if !fsys.Exists(name) {
-		return nil
-	}
-	data, err := fsys.ReadFile(r, name)
-	if err != nil {
-		return err
-	}
-	for len(data) >= 8 {
-		length, rest, _ := encoding.U32(data)
-		crc, rest, _ := encoding.U32(rest)
-		if uint64(len(rest)) < uint64(length) {
-			if checked {
-				return nil // truncated tail: normal after a crash
-			}
+	data, err := readLog(r, fsys, name)
+	for err == nil && len(data) >= encoding.FrameHeader {
+		n := encoding.FrameLen(data)
+		if n > int64(len(data)) {
 			// Unchecked mode deliberately admits the truncated payload.
-			if len(rest) > 0 {
-				if err := fn(rest[:len(rest):len(rest)]); err != nil {
-					return err
-				}
+			if len(data) > encoding.FrameHeader {
+				err = fn(data[encoding.FrameHeader:len(data):len(data)])
 			}
-			return nil
-		}
-		payload := rest[:length:length]
-		if checked && encoding.Checksum(payload) != crc {
-			return nil // torn write: stop replay here
-		}
-		if err := fn(payload); err != nil {
 			return err
 		}
-		data = rest[length:]
+		err = fn(data[encoding.FrameHeader:n:n])
+		data = data[n:]
 	}
-	return nil
+	return err
+}
+
+// readLog returns the log file's bytes, nil when there is no file.
+func readLog(r *vclock.Runner, fsys *fs.FileSystem, name string) ([]byte, error) {
+	if !fsys.Exists(name) {
+		return nil, nil
+	}
+	return fsys.ReadFile(r, name)
 }

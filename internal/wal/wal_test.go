@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"kvaccel/internal/encoding"
 	"kvaccel/internal/faults"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
@@ -143,7 +144,7 @@ func TestAppendPayloadStaysPut(t *testing.T) {
 // adjacent reports whether b's record follows a's in the same buffer,
 // behind its 8-byte header.
 func adjacent(a, b []byte) bool {
-	return uintptr(unsafe.Pointer(unsafe.SliceData(a)))+uintptr(len(a))+recordHeader ==
+	return uintptr(unsafe.Pointer(unsafe.SliceData(a)))+uintptr(len(a))+encoding.FrameHeader ==
 		uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 }
 

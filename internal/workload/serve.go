@@ -244,114 +244,48 @@ func (s ServeStats) PhaseCoverage() float64 {
 }
 
 // ServeLoad is the shared cross-client state of one serving run: the
-// config, one zipfian generator (read-only after construction), the
-// insert frontier, and the recorder.
+// config, one request generator (its zipfian tables read-only after
+// construction, its insert frontier shared), and the recorder.
 type ServeLoad struct {
-	cfg   ServeConfig
-	zipf  *zipfGen
-	state *MixedState
-	Rec   *ServeRecorder
-
-	// cumulative mix thresholds
-	cRead, cUpdate, cInsert, cScan float64
-	maxScan                        int
+	cfg ServeConfig
+	gen *mixGen
+	Rec *ServeRecorder
 }
 
 // NewServeLoad builds the shared state for a run whose keyspace was
 // preloaded with `preloaded` sequential keys.
 func NewServeLoad(cfg ServeConfig, preloaded int) *ServeLoad {
 	cfg = cfg.normalize()
-	l := &ServeLoad{
-		cfg:   cfg,
-		zipf:  newZipf(cfg.KeySpace, cfg.Mix.ZipfTheta),
-		state: NewMixedState(preloaded),
-		Rec:   NewServeRecorder(cfg.Tenants),
+	return &ServeLoad{
+		cfg: cfg,
+		gen: newMixGen(cfg.Mix, cfg.KeySpace, NewMixedState(preloaded)),
+		Rec: NewServeRecorder(cfg.Tenants),
 	}
-	l.cRead = cfg.Mix.ReadPct
-	l.cUpdate = l.cRead + cfg.Mix.UpdatePct
-	l.cInsert = l.cUpdate + cfg.Mix.InsertPct
-	l.cScan = l.cInsert + cfg.Mix.ScanPct
-	l.maxScan = cfg.Mix.MaxScanLen
-	if l.maxScan <= 0 {
-		l.maxScan = 100
-	}
-	return l
 }
 
 // Config returns the normalized config the load was built with.
 func (l *ServeLoad) Config() ServeConfig { return l.cfg }
 
-// op kinds drawn from the mix.
-const (
-	serveRead = iota
-	serveUpdate
-	serveInsert
-	serveScan
-	serveRMW
-)
-
-// pickKey draws a request key per the mix's distribution.
-func (l *ServeLoad) pickKey(rng *rand.Rand) int {
-	switch l.cfg.Mix.Dist {
-	case DistZipfian:
-		return scramble(l.zipf.next(rng), l.cfg.KeySpace)
-	case DistLatest:
-		latest := int(l.state.Inserted()) - 1
-		k := latest - l.zipf.next(rng)
-		if k < 0 {
-			k = 0
-		}
-		return k
-	default:
-		return rng.Intn(l.cfg.KeySpace)
-	}
-}
-
-// pickOp draws an op kind from the mix thresholds.
-func (l *ServeLoad) pickOp(rng *rand.Rand) int {
-	u := rng.Float64()
-	switch {
-	case u < l.cRead:
-		return serveRead
-	case u < l.cUpdate:
-		return serveUpdate
-	case u < l.cInsert:
-		return serveInsert
-	case u < l.cScan:
-		return serveScan
-	default:
-		return serveRMW
-	}
-}
-
-// buildRequest fills req with one request for op kind; RMW callers issue
-// the read themselves and follow with the update this builds. The
-// request's key and value lie in the client's scratch buffers: it must be
-// framed (rpc.AppendRequest copies them into the frame) before the client
-// builds another. put is the key number a PUT writes, -1 for the rest.
-func (l *ServeLoad) buildRequest(req *rpc.Request, rng *rand.Rand, buf *scratch, kind int, id uint64, tenant uint8) (put int) {
-	*req = rpc.Request{ID: id, Tenant: tenant}
-	put = -1
-	switch kind {
-	case serveRead:
+// buildRequest fills req with the request q draws: a GET, a SCAN, or a
+// PUT for the rest (an RMW's update half; its caller issues the read).
+// The request's key and value lie in the client's scratch buffers: it
+// must be framed (rpc.AppendRequest copies them into the frame) before
+// the client builds another. put is the key number a PUT writes, -1 for
+// the rest.
+func (l *ServeLoad) buildRequest(req *rpc.Request, buf *scratch, q request, id uint64, tenant uint8) (put int) {
+	*req = rpc.Request{ID: id, Tenant: tenant, Key: buf.key(q.key)}
+	switch q.kind {
+	case opRead:
 		req.Op = rpc.OpGet
-		req.Key = buf.key(l.pickKey(rng))
-	case serveUpdate, serveRMW:
-		put = l.pickKey(rng)
-	case serveInsert:
-		put = int(l.state.frontier)
-		l.state.frontier++
-	case serveScan:
+		return -1
+	case opScan:
 		req.Op = rpc.OpScan
-		req.Key = buf.key(l.pickKey(rng))
-		req.Limit = uint32(rng.Intn(l.maxScan) + 1)
+		req.Limit = uint32(q.scanLen)
+		return -1
 	}
-	if put >= 0 {
-		req.Op = rpc.OpPut
-		req.Key = buf.key(put)
-		req.Value = buf.value(put, l.cfg.ValueSize)
-	}
-	return put
+	req.Op = rpc.OpPut
+	req.Value = buf.value(q.key, l.cfg.ValueSize)
+	return q.key
 }
 
 // Client runs one client (id) against the dialer until the duration
@@ -457,16 +391,16 @@ func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
 		seq uint64
 	)
 	for deadline.Sub(r.Now()) > 0 {
-		kind := l.pickOp(rng)
-		if kind == serveRMW {
-			// Read half first; fall through to the update half below.
-			req = rpc.Request{ID: reqID(id, seq), Tenant: uint8(tenant), Op: rpc.OpGet, Key: buf.key(l.pickKey(rng))}
+		q := l.gen.next(rng)
+		if q.kind == opRMW {
+			// The read half first: a GET of the key the update half writes.
+			l.buildRequest(&req, &buf, request{kind: opRead, key: q.key}, reqID(id, seq), uint8(tenant))
 			seq++
 			if _, ok := l.call(r, replies, &req, tenant); !ok {
 				return
 			}
 		}
-		put := l.buildRequest(&req, rng, &buf, kind, reqID(id, seq), uint8(tenant))
+		put := l.buildRequest(&req, &buf, q, reqID(id, seq), uint8(tenant))
 		seq++
 		status, ok := l.call(r, replies, &req, tenant)
 		if !ok {
@@ -536,11 +470,11 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 		if w := due.Sub(r.Now()); w > 0 {
 			r.Sleep(w)
 		}
-		kind := l.pickOp(rng)
-		if kind == serveRMW {
-			kind = serveUpdate // open loop keeps one request per slot
+		q := l.gen.next(rng)
+		if q.kind == opRMW {
+			q.kind = opUpdate // open loop keeps one request per slot
 		}
-		put := l.buildRequest(&req, rng, &buf, kind, reqID(id, seq), uint8(tenant))
+		put := l.buildRequest(&req, &buf, q, reqID(id, seq), uint8(tenant))
 		seq++
 		st.outstanding[req.ID] = openRequest{t0: r.Now(), put: put}
 		// Requests pipeline: this frame may still be queued, or in the

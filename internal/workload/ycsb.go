@@ -185,85 +185,138 @@ func NewMixedState(preloaded int) *MixedState {
 // Inserted returns how many keys exist (preload + inserts so far).
 func (st *MixedState) Inserted() int64 { return st.frontier }
 
+// opKind is one YCSB operation a mix draws.
+type opKind int
+
+const (
+	opRead opKind = iota
+	opUpdate
+	opInsert
+	opScan
+	opRMW // read-modify-write: a read, then an update of the key read
+)
+
+// request is one YCSB request as drawn: its kind, the key number it
+// reads or writes, and a scan's length.
+type request struct {
+	kind    opKind
+	key     int
+	scanLen int
+}
+
+// mixGen draws YCSB requests from a mix: the kind from the cumulative
+// op thresholds, the key per the distribution or, for an insert, past
+// the insert frontier, and a scan's length. It holds no RNG: each client
+// draws with its own, so what it draws depends on its seed alone (and,
+// for inserts and the latest distribution, on the frontier it shares).
+type mixGen struct {
+	dist     Distribution
+	keySpace int
+	zipf     *zipfGen
+	state    *MixedState
+	maxScan  int
+
+	cRead, cUpdate, cInsert, cScan float64 // cumulative op thresholds
+}
+
+func newMixGen(spec MixSpec, keySpace int, state *MixedState) *mixGen {
+	g := &mixGen{
+		dist:     spec.Dist,
+		keySpace: keySpace,
+		zipf:     newZipf(keySpace, spec.ZipfTheta),
+		state:    state,
+		maxScan:  spec.MaxScanLen,
+	}
+	if g.maxScan <= 0 {
+		g.maxScan = 100
+	}
+	g.cRead = spec.ReadPct
+	g.cUpdate = g.cRead + spec.UpdatePct
+	g.cInsert = g.cUpdate + spec.InsertPct
+	g.cScan = g.cInsert + spec.ScanPct
+	return g
+}
+
+// next draws one request, in this order: the kind, then the key (an
+// insert takes the frontier's and advances it), then a scan's length.
+func (g *mixGen) next(rng *rand.Rand) request {
+	var q request
+	switch u := rng.Float64(); {
+	case u < g.cRead:
+		q.kind = opRead
+	case u < g.cUpdate:
+		q.kind = opUpdate
+	case u < g.cInsert:
+		q.kind = opInsert
+	case u < g.cScan:
+		q.kind = opScan
+	default:
+		q.kind = opRMW
+	}
+	if q.kind == opInsert {
+		q.key = int(g.state.frontier)
+		g.state.frontier++
+		return q
+	}
+	q.key = g.key(rng)
+	if q.kind == opScan {
+		q.scanLen = rng.Intn(g.maxScan) + 1
+	}
+	return q
+}
+
+// key draws a request key per the distribution.
+func (g *mixGen) key(rng *rand.Rand) int {
+	switch g.dist {
+	case DistZipfian:
+		return scramble(g.zipf.next(rng), g.keySpace)
+	case DistLatest:
+		// Offset back from the newest key by a zipfian rank: rank 0 is
+		// the most recent insert.
+		latest := int(g.state.Inserted()) - 1
+		return max(latest-g.zipf.next(rng), 0)
+	default:
+		return rng.Intn(g.keySpace)
+	}
+}
+
 // RunMixed drives one client of a YCSB-style mixed workload on the
 // calling runner until cfg.Duration elapses. Multiple clients may share
 // eng, state, and rec; give each a distinct cfg.Seed.
 func RunMixed(r *vclock.Runner, eng Engine, cfg Config, spec MixSpec, state *MixedState, rec *Recorder) error {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := newZipf(cfg.KeySpace, spec.ZipfTheta)
-	maxScan := spec.MaxScanLen
-	if maxScan <= 0 {
-		maxScan = 100
-	}
-	// Cumulative op thresholds.
-	cRead := spec.ReadPct
-	cUpdate := cRead + spec.UpdatePct
-	cInsert := cUpdate + spec.InsertPct
-	cScan := cInsert + spec.ScanPct
-
-	// pick draws a request key per the spec's distribution.
-	pick := func() int {
-		switch spec.Dist {
-		case DistZipfian:
-			return scramble(zipf.next(rng), cfg.KeySpace)
-		case DistLatest:
-			// Offset back from the newest key by a zipfian rank: rank 0 is
-			// the most recent insert.
-			latest := int(state.Inserted()) - 1
-			k := latest - zipf.next(rng)
-			if k < 0 {
-				k = 0
-			}
-			return k
-		default:
-			return rng.Intn(cfg.KeySpace)
-		}
-	}
-
+	gen := newMixGen(spec, cfg.KeySpace, state)
 	var buf scratch
 	start := r.Now()
 	for r.Now().Sub(start) < cfg.Duration {
-		u := rng.Float64()
-		switch {
-		case u < cRead:
-			n := pick()
+		q := gen.next(rng)
+		n := q.key
+		switch q.kind {
+		case opRead:
 			t0 := r.Now()
 			if _, _, err := eng.Get(r, buf.key(n)); err != nil {
 				return err
 			}
 			rec.ReadLatency.Observe(r.Now().Sub(t0))
 			rec.reads++
-		case u < cUpdate:
-			n := pick()
+		case opUpdate, opInsert:
 			t0 := r.Now()
 			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
 				return err
 			}
 			rec.WriteLatency.Observe(r.Now().Sub(t0))
 			rec.writes++
-		case u < cInsert:
-			n := int(state.frontier)
-			state.frontier++
-			t0 := r.Now()
-			if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {
-				return err
-			}
-			rec.WriteLatency.Observe(r.Now().Sub(t0))
-			rec.writes++
-		case u < cScan:
-			n := pick()
-			length := rng.Intn(maxScan) + 1
+		case opScan:
 			it := eng.NewIterator(r)
 			t0 := r.Now()
 			it.Seek(Key(n))
-			for i := 0; i < length && it.Valid(); i++ {
+			for i := 0; i < q.scanLen && it.Valid(); i++ {
 				it.Next()
 			}
 			rec.ScanLatency.Observe(r.Now().Sub(t0))
 			it.Close()
 			rec.scans++
-		default: // read-modify-write
-			n := pick()
+		case opRMW:
 			t0 := r.Now()
 			if _, _, err := eng.Get(r, buf.key(n)); err != nil {
 				return err
