@@ -303,7 +303,7 @@ func (db *DB) shouldRedirect() bool {
 
 // Put writes a key-value pair through the Controller.
 func (db *DB) Put(r *vclock.Runner, key, value []byte) error {
-	_, err := db.write(r, memtable.KindPut, key, value)
+	_, err := db.writePoint(r, memtable.KindPut, key, value)
 	return err
 }
 
@@ -313,97 +313,32 @@ func (db *DB) Put(r *vclock.Runner, key, value []byte) error {
 // power-loss-protected), while a normal-path write is durable only
 // after the next Flush barrier.
 func (db *DB) PutEx(r *vclock.Runner, key, value []byte) (redirected bool, err error) {
-	return db.write(r, memtable.KindPut, key, value)
+	return db.writePoint(r, memtable.KindPut, key, value)
 }
 
 // Delete writes a tombstone through the Controller; redirected deletes
 // become Dev-LSM tombstones that the rollback later applies.
 func (db *DB) Delete(r *vclock.Runner, key []byte) error {
-	_, err := db.write(r, memtable.KindDelete, key, nil)
+	_, err := db.writePoint(r, memtable.KindDelete, key, nil)
 	return err
 }
 
-func (db *DB) write(r *vclock.Runner, kind memtable.Kind, key, value []byte) (redirected bool, err error) {
+// writePoint commits one record under a put span, which opens before the
+// write gate so it covers the wait for a rollback chunk.
+func (db *DB) writePoint(r *vclock.Runner, kind memtable.Kind, key, value []byte) (redirected bool, err error) {
 	if db.closed {
 		return false, ErrClosed
 	}
 	sp := db.opt.Trace.Begin(r, trace.PhasePut, "put")
-	defer func() {
-		var arg int64
-		if redirected {
-			arg = 1
-		}
-		sp.EndArg(r, arg)
-	}()
 	db.gate.Acquire(r, 1)
-	defer db.gate.Release(1)
-
-	if db.shouldRedirect() {
-		// Stall path: buffer in the Dev-LSM, record location metadata.
-		// A device command that fails even after retries falls through
-		// to the normal path — the Main-LSM is stalled, not broken.
-		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "redirect-put")
-		perr := db.devPut(r, kind, key, value)
-		rsp.End(r)
-		if perr == nil {
-			db.meta.Insert(key)
-			db.front.Invalidate(key)
-			db.stats.RedirectedPuts++
-			db.lastRedirect = r.Now()
-			return true, nil
-		}
+	redirected, err = db.commit(r, &write{kind: kind, key: key, value: value, n: 1, spans: &pointSpans})
+	db.gate.Release(1)
+	var arg int64
+	if redirected {
+		arg = 1
 	}
-	// Normal path. With StallFailover the first attempt is non-blocking:
-	// a write that would park in a hard stall comes back with
-	// ErrWouldStall and fails over to the Dev-LSM, so a stall that begins
-	// between two Detector samples still never blocks a writer. A
-	// rollback in flight suspends the failover for the same reason it
-	// suspends shouldRedirect.
-	err = db.mainWrite(r, kind, key, value, db.opt.StallFailover && !db.rollingBack)
-	if errors.Is(err, lsm.ErrWouldStall) {
-		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "failover-put")
-		perr := db.devPut(r, kind, key, value)
-		rsp.End(r)
-		if perr == nil {
-			db.meta.Insert(key)
-			db.front.Invalidate(key)
-			db.stats.RedirectedPuts++
-			db.stats.WouldStallRedirects++
-			db.lastRedirect = r.Now()
-			return true, nil
-		}
-		// The device refused too; the Main-LSM is the only home left —
-		// take the blocking path and wait the stall out.
-		err = db.mainWrite(r, kind, key, value, false)
-	}
-	if err != nil {
-		return false, err
-	}
-	// §V-C Write Path (3-1): the newest version now lives in Main-LSM.
-	// If a buffered copy exists, mark it superseded on the device so a
-	// post-crash recovery (which replays every buffered pair, §VI-D)
-	// cannot resurrect the stale version over this newer one. A marker
-	// that fails to land leaves a stale pair that recovery may replay;
-	// the fault model documents that hazard (DESIGN.md §9) — the
-	// guarantee for this key now follows the normal-path regime.
-	db.front.Invalidate(key)
-	if db.meta.Remove(key) {
-		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "supersede-put")
-		_ = db.devPut(r, memtable.KindSupersede, key, nil)
-		rsp.End(r)
-	}
-	db.stats.NormalPuts++
-	return false, nil
-}
-
-// mainWrite issues one point write to the Main-LSM, non-blocking when
-// noStall is set.
-func (db *DB) mainWrite(r *vclock.Runner, kind memtable.Kind, key, value []byte, noStall bool) error {
-	wo := lsm.WriteOptions{NoStallWait: noStall}
-	if kind == memtable.KindDelete {
-		return db.main.DeleteWith(r, wo, key)
-	}
-	return db.main.PutWith(r, wo, key, value)
+	sp.EndArg(r, arg)
+	return redirected, err
 }
 
 // WriteBatch commits a batch atomically through the Controller: on the
@@ -421,63 +356,133 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 
 	sp := db.opt.Trace.Begin(r, trace.PhaseBatch, "write-batch")
 	defer sp.End(r)
+	_, err := db.commit(r, &write{b: b, n: int64(b.Len()), spans: &batchSpans})
+	return err
+}
 
-	if db.shouldRedirect() {
-		entries := make([]memtable.Entry, 0, b.Len())
-		b.Ops(func(kind memtable.Kind, key, value []byte) {
-			entries = append(entries, memtable.Entry{Kind: kind, Key: key, Value: value})
-		})
-		// The compound command is atomic device-side: on failure none of
-		// the batch landed, so falling through to the Main-LSM path is a
-		// clean re-commit, not a duplicate.
-		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "redirect-batch")
-		cerr := db.devPutCompound(r, entries)
-		rsp.End(r)
-		if cerr == nil {
-			b.Ops(func(_ memtable.Kind, key, _ []byte) {
-				db.meta.Insert(key)
-				db.front.Invalidate(key)
-			})
-			db.stats.RedirectedPuts += int64(b.Len())
-			db.lastRedirect = r.Now()
-			return nil
-		}
+// A write is what the Controller commits: one record (kind, key, value),
+// or the batch b. commit routes both alike; only the commands that carry
+// a write to the device or the Main-LSM, and the spans that name its
+// routes, differ by shape.
+type write struct {
+	b          *lsm.Batch
+	kind       memtable.Kind
+	key, value []byte
+	n          int64 // records carried
+	spans      *spanNames
+	entries    []memtable.Entry // b's records as one compound command, built once
+}
+
+// spanNames are the redirect-phase spans a write shape opens on each
+// route. A batch's supersede markers go out inside its write-batch span.
+type spanNames struct{ redirect, failover, supersede string }
+
+var pointSpans = spanNames{"redirect-put", "failover-put", "supersede-put"}
+var batchSpans = spanNames{"redirect-batch", "failover-batch", ""}
+
+// keys visits the keys w carries, in order.
+func (w *write) keys(fn func(key []byte)) {
+	if w.b == nil {
+		fn(w.key)
+		return
 	}
-	wo := lsm.WriteOptions{NoStallWait: db.opt.StallFailover && !db.rollingBack}
-	err := db.main.WriteWith(r, wo, b)
+	w.b.Ops(func(_ memtable.Kind, key, _ []byte) { fn(key) })
+}
+
+// commit is the Controller's write path (§V-C), run under the write gate.
+// While a stall is detected the write is redirected to the Dev-LSM. A
+// device command that fails even after retries falls through to the
+// normal path — the Main-LSM is stalled, not broken. With StallFailover
+// the normal path's first attempt is non-blocking: a write that would
+// park in a hard stall comes back with ErrWouldStall and fails over to
+// the Dev-LSM, so a stall that begins between two Detector samples still
+// never blocks a writer. A rollback in flight suspends the failover for
+// the same reason it suspends shouldRedirect. If the device refuses the
+// failover too, the Main-LSM is the only home left: the write takes the
+// blocking path and waits the stall out.
+func (db *DB) commit(r *vclock.Runner, w *write) (redirected bool, err error) {
+	if db.shouldRedirect() && db.redirect(r, w, w.spans.redirect) {
+		return true, nil
+	}
+	err = db.mainWrite(r, w, db.opt.StallFailover && !db.rollingBack)
 	if errors.Is(err, lsm.ErrWouldStall) {
-		// Non-blocking admission refused the batch; fail it over as one
-		// compound command, same atomicity argument as above.
-		entries := make([]memtable.Entry, 0, b.Len())
-		b.Ops(func(kind memtable.Kind, key, value []byte) {
-			entries = append(entries, memtable.Entry{Kind: kind, Key: key, Value: value})
-		})
-		rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, "failover-batch")
-		cerr := db.devPutCompound(r, entries)
-		rsp.End(r)
-		if cerr == nil {
-			b.Ops(func(_ memtable.Kind, key, _ []byte) {
-				db.meta.Insert(key)
-				db.front.Invalidate(key)
-			})
-			db.stats.RedirectedPuts += int64(b.Len())
-			db.stats.WouldStallRedirects += int64(b.Len())
-			db.lastRedirect = r.Now()
-			return nil
+		if db.redirect(r, w, w.spans.failover) {
+			db.stats.WouldStallRedirects += w.n
+			return true, nil
 		}
-		err = db.main.Write(r, b)
+		err = db.mainWrite(r, w, false)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
-	b.Ops(func(_ memtable.Kind, key, _ []byte) {
+	// §V-C Write Path (3-1): the newest version now lives in Main-LSM.
+	// If a buffered copy exists, mark it superseded on the device so a
+	// post-crash recovery (which replays every buffered pair, §VI-D)
+	// cannot resurrect the stale version over this newer one. A marker
+	// that fails to land leaves a stale pair that recovery may replay;
+	// the fault model documents that hazard (DESIGN.md §9) — the
+	// guarantee for this key now follows the normal-path regime.
+	w.keys(func(key []byte) {
 		db.front.Invalidate(key)
-		if db.meta.Remove(key) {
-			_ = db.devPut(r, memtable.KindSupersede, key, nil)
+		if !db.meta.Remove(key) {
+			return
 		}
+		var rsp trace.Span
+		if w.spans.supersede != "" {
+			rsp = db.opt.Trace.Begin(r, trace.PhaseRedirect, w.spans.supersede)
+		}
+		_ = db.devPut(r, memtable.KindSupersede, key, nil)
+		rsp.End(r)
 	})
-	db.stats.NormalPuts += int64(b.Len())
-	return nil
+	db.stats.NormalPuts += w.n
+	return false, nil
+}
+
+// redirect buffers w in the Dev-LSM under a span named name and, if the
+// device took it, records where its keys' newest versions now live.
+func (db *DB) redirect(r *vclock.Runner, w *write, name string) bool {
+	rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, name)
+	err := db.devWrite(r, w)
+	rsp.End(r)
+	if err != nil {
+		return false
+	}
+	w.keys(func(key []byte) {
+		db.meta.Insert(key)
+		db.front.Invalidate(key)
+	})
+	db.stats.RedirectedPuts += w.n
+	db.lastRedirect = r.Now()
+	return true
+}
+
+// devWrite sends w to the Dev-LSM: one record as KV_PUT, a batch as one
+// KV_PUT_COMPOUND. The compound command is atomic device-side: on
+// failure none of the batch landed, so falling through to the Main-LSM
+// is a clean re-commit, not a duplicate.
+func (db *DB) devWrite(r *vclock.Runner, w *write) error {
+	if w.b == nil {
+		return db.devPut(r, w.kind, w.key, w.value)
+	}
+	if w.entries == nil {
+		w.entries = make([]memtable.Entry, 0, w.b.Len())
+		w.b.Ops(func(kind memtable.Kind, key, value []byte) {
+			w.entries = append(w.entries, memtable.Entry{Kind: kind, Key: key, Value: value})
+		})
+	}
+	return db.devPutCompound(r, w.entries)
+}
+
+// mainWrite commits w to the Main-LSM, non-blocking when noStall is set.
+func (db *DB) mainWrite(r *vclock.Runner, w *write, noStall bool) error {
+	wo := lsm.WriteOptions{NoStallWait: noStall}
+	switch {
+	case w.b != nil:
+		return db.main.WriteWith(r, wo, w.b)
+	case w.kind == memtable.KindDelete:
+		return db.main.DeleteWith(r, wo, w.key)
+	}
+	return db.main.PutWith(r, wo, w.key, w.value)
 }
 
 // Get reads a key through the Controller (§V-C Read Path), layered:

@@ -9,25 +9,23 @@ import (
 
 // MainEngine is the narrow contract KVACCEL's software modules require
 // of the host-side engine: the write/read/scan surface the Controller
-// drives, the batch commit the WriteBatch path uses, and the
-// stall-signal/stats surface the Detector polls. *lsm.DB satisfies it;
-// the controller, detector, rollback, and metadata layers compile only
-// against this interface, so an alternative host engine can be swapped
-// in without touching this package.
+// drives and the drain merges with, and the stall-signal/stats surface
+// the Detector polls. *lsm.DB satisfies it; the controller, detector,
+// rollback, and metadata layers compile only against this interface, so
+// an alternative host engine can be swapped in without touching this
+// package.
 type MainEngine interface {
-	// Put, Delete, and Get are the normal-path point operations.
-	Put(r *vclock.Runner, key, value []byte) error
-	Delete(r *vclock.Runner, key []byte) error
-	Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error)
-	// PutWith, DeleteWith, and WriteWith carry per-write admission flags;
-	// with WriteOptions.NoStallWait they return lsm.ErrWouldStall instead
-	// of parking in a hard write stall, which is the Controller's cue to
-	// fail the write over to the Dev-LSM.
+	// PutWith, DeleteWith and WriteWith are the Controller's writes;
+	// WriteWith commits a batch atomically (one WAL record). With
+	// WriteOptions.NoStallWait they return lsm.ErrWouldStall instead of
+	// parking in a hard write stall, which is the Controller's cue to
+	// fail the write over to the Dev-LSM; zero options block, as the
+	// fallback after a refused failover and the drain's merges do.
 	PutWith(r *vclock.Runner, wo lsm.WriteOptions, key, value []byte) error
 	DeleteWith(r *vclock.Runner, wo lsm.WriteOptions, key []byte) error
 	WriteWith(r *vclock.Runner, wo lsm.WriteOptions, b *lsm.Batch) error
-	// Write commits a batch atomically (one WAL record).
-	Write(r *vclock.Runner, b *lsm.Batch) error
+	// Get is the normal-path point read.
+	Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error)
 	// NewIterator opens a range cursor over the engine's contents.
 	NewIterator(r *vclock.Runner) *lsm.Iterator
 	// Flush forces the active memtable to disk and returns the engine's

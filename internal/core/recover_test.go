@@ -159,12 +159,12 @@ type failFirstWrite struct {
 	failed bool
 }
 
-func (m *failFirstWrite) Write(r *vclock.Runner, b *lsm.Batch) error {
+func (m *failFirstWrite) WriteWith(r *vclock.Runner, wo lsm.WriteOptions, b *lsm.Batch) error {
 	if !m.failed {
 		m.failed = true
 		return errors.New("injected merge failure")
 	}
-	return m.MainEngine.Write(r, b)
+	return m.MainEngine.WriteWith(r, wo, b)
 }
 
 // TestFailedMergeKeepsRedirectedPairs: a rollback or recovery whose merge

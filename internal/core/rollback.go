@@ -64,27 +64,52 @@ func (db *DB) shouldRollback(r *vclock.Runner) bool {
 // RollbackNow drains the Dev-LSM into the Main-LSM using the in-device
 // iterator-based bulky range scan (§V-E): the device serializes its
 // entire contents, DMAs them in 512 KiB chunks, and the host merges each
-// chunk into the Main-LSM; a device Reset completes the operation.
+// chunk into the Main-LSM; a device Reset completes the operation. Only
+// the pairs the metadata still tracks merge: a normal-path write that
+// superseded a pair after it was redirected already put the newest
+// version in the Main-LSM.
+func (db *DB) RollbackNow(r *vclock.Runner) error { return db.drain(r, &rollbackPolicy) }
+
+// A drainPolicy is what a rollback and a crash recovery do differently
+// around the one drain: which pairs merge, and what the host forgets
+// once the device is reset.
+type drainPolicy struct {
+	phase          trace.Phase
+	span, scanSpan string // scanSpan "" opens no span around the scan
+	// all merges every pair but the supersede markers and tracks each
+	// until the reset, after which the metadata and the front cache are
+	// dropped whole (a recovery, whose metadata died with the host).
+	// Otherwise only tracked pairs merge, and the reset forgets just
+	// their keys (a rollback).
+	all bool
+}
+
+var rollbackPolicy = drainPolicy{phase: trace.PhaseRollback, span: "rollback", scanSpan: "rollback-scan"}
+var recoveryPolicy = drainPolicy{phase: trace.PhaseRecovery, span: "recovery", all: true}
+
+// drain merges the Dev-LSM's pairs into the Main-LSM as p says and
+// resets the device.
 //
 // Crash safety hangs on two orderings here. First, the Main-LSM is
 // flushed before the device Reset: redirected pairs are durable on the
 // device, so erasing them while their Main-LSM copies sit in an
 // unsynced WAL would turn a power cut into data loss. Second, metadata
 // entries are cleared only after the Reset commits: until then the
-// device copy is still the one a normal-path overwrite must supersede.
+// device copy is still the one a normal-path overwrite must supersede,
+// and the one reads and the next drain must find if this one fails.
 // A scan, merge or flush error aborts without resetting — the pairs stay
 // on the device and the next rollback (or a post-crash Recover) replays
 // them; the merge is idempotent, so a partial drain costs nothing but
 // repeated work.
-func (db *DB) RollbackNow(r *vclock.Runner) error {
+func (db *DB) drain(r *vclock.Runner, p *drainPolicy) error {
 	if db.rollingBack {
 		return nil // already in progress
 	}
 	db.rollingBack = true
 	defer func() { db.rollingBack = false }()
 	var pairs int64
-	rbsp := db.opt.Trace.Begin(r, trace.PhaseRollback, "rollback")
-	defer func() { rbsp.EndArg(r, pairs) }()
+	sp := db.opt.Trace.Begin(r, p.phase, p.span)
+	defer func() { sp.EndArg(r, pairs) }()
 
 	// Barrier: a writer that read shouldRedirect() before the flag
 	// flipped may still be mid-devPut; if its pair landed after the
@@ -96,27 +121,27 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	db.gate.Release(gateUnits)
 
 	start := r.Now()
-	// The keys merged, back to back in one arena: key i is
+	// A rollback's merged keys, back to back in one arena: key i is
 	// merged[ends[i-1]:ends[i]].
 	var merged []byte
 	var ends []int
-	// One batch for the whole rollback, Reset after every merge: its arena
-	// grows once, to the largest merge, and goes when the rollback returns.
+	// One batch for the whole drain, Reset after every merge: its arena
+	// grows once, to the largest merge, and goes when the drain returns.
 	var b lsm.Batch
 	var mergeErr error
 	flush := func() { db.merge(r, &b, &mergeErr) }
-	ssp := db.opt.Trace.Begin(r, trace.PhaseRollbackScan, "rollback-scan")
+	var ssp trace.Span
+	if p.scanSpan != "" {
+		ssp = db.opt.Trace.Begin(r, trace.PhaseRollbackScan, p.scanSpan)
+	}
 	scanErr := db.dev.KVBulkScan(r, func(entries []memtable.Entry) {
 		// Each chunk merges under the write gate, serializing against
 		// foreground writes so a concurrent overwrite cannot be clobbered
-		// by an older rolled-back version.
+		// by an older drained version.
 		db.gate.Acquire(r, gateUnits)
 		for i := range entries {
 			e := &entries[i]
-			if e.Kind == memtable.KindSupersede || !db.meta.Contains(e.Key) {
-				// A normal-path write superseded this pair after it was
-				// redirected; the Main-LSM already holds the newest
-				// version.
+			if e.Kind == memtable.KindSupersede || !p.all && !db.meta.Contains(e.Key) {
 				continue
 			}
 			if e.Kind == memtable.KindDelete {
@@ -124,12 +149,16 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 			} else {
 				b.Put(e.Key, e.Value)
 			}
+			pairs++
 			if b.Len() >= rollbackMergeBatch {
 				flush()
 			}
-			merged = append(merged, e.Key...)
-			ends = append(ends, len(merged))
-			pairs++
+			if p.all {
+				db.meta.Insert(e.Key)
+			} else {
+				merged = append(merged, e.Key...)
+				ends = append(ends, len(merged))
+			}
 		}
 		flush()
 		db.gate.Release(gateUnits)
@@ -141,7 +170,7 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	if mergeErr != nil {
 		return mergeErr
 	}
-	// Durability barrier before the erase: the rolled-back pairs must
+	// Durability barrier before the erase: the drained pairs must
 	// survive a power cut from the Main-LSM alone once the device's
 	// copies are gone.
 	if err := db.main.Flush(r); err != nil {
@@ -152,14 +181,26 @@ func (db *DB) RollbackNow(r *vclock.Runner) error {
 	if err := db.devReset(r); err != nil {
 		return err
 	}
-	from := 0
-	for _, to := range ends {
-		db.meta.Remove(merged[from:to])
-		from = to
-	}
-	db.stats.Rollbacks++
 	db.stats.RollbackPairs += pairs
-	db.stats.RollbackTime += r.Now().Sub(start)
+	if !p.all {
+		from := 0
+		for _, to := range ends {
+			db.meta.Remove(merged[from:to])
+			from = to
+		}
+		db.stats.Rollbacks++
+		db.stats.RollbackTime += r.Now().Sub(start)
+		return nil
+	}
+	// The device is empty: nothing it tracked is there any more. The
+	// unconditional replay can resurrect a stale pair whose supersede
+	// marker never landed (the documented fault hazard, DESIGN.md §9);
+	// drop the whole front cache so it cannot disagree with the merged
+	// view either way.
+	db.meta.Clear()
+	db.front.InvalidateAll()
+	db.stats.Recoveries++
+	db.stats.RecoveryTime += r.Now().Sub(start)
 	return nil
 }
 
@@ -172,7 +213,7 @@ func (db *DB) merge(r *vclock.Runner, b *lsm.Batch, first *error) {
 	if b.Len() == 0 {
 		return
 	}
-	if err := db.main.Write(r, b); err != nil && *first == nil {
+	if err := db.main.WriteWith(r, lsm.WriteOptions{}, b); err != nil && *first == nil {
 		*first = err
 	}
 	b.Reset()
@@ -189,79 +230,8 @@ func (db *DB) SimulateCrash() {
 // Recover rebuilds a consistent single-database view after a crash by
 // rolling back every KV pair stored in the Dev-LSM to the Main-LSM
 // (§VI-D). Because the metadata hash table is empty, the merge applies
-// every buffered pair unconditionally.
-//
-// Like RollbackNow, Recover flushes the Main-LSM before the device
-// Reset and aborts without resetting on a scan, merge or flush error; a
-// crash (or fault) at any point leaves the pairs on the device, and a
-// second Recover replays them idempotently. Every pair it scans is
-// tracked by the metadata manager until the reset, so reads and the next
-// rollback find a pair a failed recovery left on the device.
-func (db *DB) Recover(r *vclock.Runner) error {
-	start := r.Now()
-	if db.rollingBack {
-		return nil
-	}
-	db.rollingBack = true
-	defer func() { db.rollingBack = false }()
-	var pairs int64
-	rsp := db.opt.Trace.Begin(r, trace.PhaseRecovery, "recovery")
-	defer func() { rsp.EndArg(r, pairs) }()
-	// Same in-flight-writer barrier as RollbackNow; Recover usually runs
-	// before writers start, but nothing enforces that.
-	db.gate.Acquire(r, gateUnits)
-	db.gate.Release(gateUnits)
-	var b lsm.Batch // as in RollbackNow: one arena for the whole recovery
-	var mergeErr error
-	flush := func() { db.merge(r, &b, &mergeErr) }
-	scanErr := db.dev.KVBulkScan(r, func(entries []memtable.Entry) {
-		db.gate.Acquire(r, gateUnits)
-		for i := range entries {
-			e := &entries[i]
-			switch e.Kind {
-			case memtable.KindSupersede:
-				// The Main-LSM already holds a newer version (written
-				// through the normal path before the crash): skip.
-			case memtable.KindDelete:
-				b.Delete(e.Key)
-				pairs++
-			default:
-				b.Put(e.Key, e.Value)
-				pairs++
-			}
-			if b.Len() >= rollbackMergeBatch {
-				flush()
-			}
-			if e.Kind != memtable.KindSupersede {
-				// Until the reset, the device holds this pair: reads and a
-				// later rollback must find it there if the recovery fails.
-				db.meta.Insert(e.Key)
-			}
-		}
-		flush()
-		db.gate.Release(gateUnits)
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	if mergeErr != nil {
-		return mergeErr
-	}
-	if err := db.main.Flush(r); err != nil {
-		return err
-	}
-	if err := db.devReset(r); err != nil {
-		return err
-	}
-	// The device is empty: nothing it tracked is there any more.
-	db.meta.Clear()
-	// The unconditional replay can resurrect a stale pair whose supersede
-	// marker never landed (the documented fault hazard, DESIGN.md §9);
-	// drop the whole front cache so it cannot disagree with the merged
-	// view either way.
-	db.front.InvalidateAll()
-	db.stats.Recoveries++
-	db.stats.RollbackPairs += pairs
-	db.stats.RecoveryTime += r.Now().Sub(start)
-	return nil
-}
+// every buffered pair but the supersede markers unconditionally, and
+// tracks each in the metadata until the reset, so reads and the next
+// rollback find a pair a failed recovery left on the device. A second
+// Recover replays the pairs idempotently.
+func (db *DB) Recover(r *vclock.Runner) error { return db.drain(r, &recoveryPolicy) }

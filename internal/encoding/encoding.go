@@ -1,7 +1,8 @@
 // Package encoding provides the byte-level coding shared by the WAL, SST,
 // and device KV layers: length-prefixed key/value records, fixed-width
 // integer coding, CRC32C checksums, the checksummed frame the WAL, the
-// value log and the RPC wire share, and the db_bench-style key formatter.
+// value log and the RPC wire share, the FNV-1a key hash, and the
+// db_bench-style key formatter.
 package encoding
 
 import (
@@ -20,6 +21,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Checksum returns the CRC32C of data, the checksum RocksDB uses for
 // blocks and WAL records.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// FNV1a returns the 64-bit FNV-1a hash of b, as hash/fnv's New64a
+// computes it. It is fixed, not seeded per process, so whatever it places
+// lands in the same place every run and across restarts: a key's shard,
+// a compound command's sub-command, a front-cache entry's ring.
+func FNV1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
 
 // FrameHeader is the size of the header in front of every checksummed
 // frame. The WAL's records, the value log's records and the RPC wire's

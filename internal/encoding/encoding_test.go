@@ -3,7 +3,9 @@ package encoding
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +146,21 @@ func TestRecordSizeMatchesEncoding(t *testing.T) {
 			if got := RecordSize(kl, vl); got != len(buf) {
 				t.Fatalf("RecordSize(%d,%d) = %d, encoded %d", kl, vl, got, len(buf))
 			}
+		}
+	}
+}
+
+// TestFNV1aMatchesHashFNV holds FNV1a to hash/fnv's New64a on random
+// inputs of every length up to 64 bytes, the empty key included.
+func TestFNV1aMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, i%65)
+		rng.Read(b)
+		ref := fnv.New64a()
+		ref.Write(b)
+		if got, want := FNV1a(b), ref.Sum64(); got != want {
+			t.Fatalf("FNV1a(%x) = %#x, hash/fnv says %#x", b, got, want)
 		}
 	}
 }

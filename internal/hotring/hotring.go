@@ -23,6 +23,8 @@ package hotring
 
 import (
 	"bytes"
+
+	"kvaccel/internal/encoding"
 )
 
 // defaultShards sets how many rings the cache has: each gets an equal
@@ -139,11 +141,7 @@ func New(capacityBytes int64, shards int) *Cache {
 // the high ones (the tag). It is fixed, not seeded per process: which keys
 // share a ring, and so which entries get evicted, is the same every run.
 func hash(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
+	h := encoding.FNV1a(key)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27

@@ -14,21 +14,23 @@ import (
 
 // Example_multitenant is §V-D's multi-tenancy: one dual-interface SSD
 // carved into per-tenant views on both interfaces. Each tenant runs its
-// own Main-LSM on half of the block region and buffers pairs under its own
-// prefix of the KV region; the tenants share dies, PCIe link and
-// controller core, never each other's data.
+// own Main-LSM on half of the block region and buffers pairs in its own
+// slice of the KV region, with a Dev-LSM and a queue pair of its own; the
+// tenants share dies, PCIe link and controller core, never each other's
+// data.
 func Example_multitenant() {
 	clk := vclock.New()
 	cfg := machine.DeviceConfig(10)
 	dev := ssd.New(clk, cfg)
 	half := int(cfg.BlockRegionBytes) / cfg.Geometry.PageSize / 2
+	kv := dev.KVRegionSlices(2)
 	tenants := []struct {
 		name  string
 		block *ssd.BlockNS
-		kv    *ssd.KVNamespace
+		kv    *ssd.KVRegion
 	}{
-		{"tenant-A", dev.BlockNamespace(0, half), dev.KVNamespace(1)},
-		{"tenant-B", dev.BlockNamespace(half, half), dev.KVNamespace(2)},
+		{"tenant-A", dev.BlockNamespace(0, half), kv[0]},
+		{"tenant-B", dev.BlockNamespace(half, half), kv[1]},
 	}
 	pool := cpu.NewPool(8, "host")
 	clk.Go("tenants", func(r *vclock.Runner) {
@@ -44,12 +46,12 @@ func Example_multitenant() {
 			db.Close()
 			fmt.Printf("%s block read: %s\n", ten.name, v)
 			for i := 0; i < 100; i++ {
-				_ = ten.kv.Put(r, memtable.KindPut, []byte(fmt.Sprintf("buf%03d", i)), []byte(ten.name))
+				_ = ten.kv.KVPut(r, memtable.KindPut, []byte(fmt.Sprintf("buf%03d", i)), []byte(ten.name))
 			}
 		}
 		for _, ten := range tenants {
 			own, other := 0, 0
-			_ = ten.kv.BulkScan(r, func(entries []memtable.Entry) {
+			_ = ten.kv.KVBulkScan(r, func(entries []memtable.Entry) {
 				for _, e := range entries {
 					if string(e.Value) == ten.name {
 						own++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kvaccel/internal/devlsm"
+	"kvaccel/internal/encoding"
 	"kvaccel/internal/ftl"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
@@ -109,7 +110,7 @@ func (s *KVRegion) KVPutCompound(r *vclock.Runner, entries []memtable.Entry) err
 	}
 	parts := make([][]memtable.Entry, nChunks)
 	for _, e := range entries {
-		i := int(hashKey(e.Key) % uint64(nChunks))
+		i := int(encoding.FNV1a(e.Key) % uint64(nChunks))
 		parts[i] = append(parts[i], e)
 	}
 	var inflight [maxInflight]*kvCmd
@@ -140,16 +141,6 @@ func (s *KVRegion) compoundCmd(entries []memtable.Entry, payload int) *kvCmd {
 	c := s.cmd(kvPutCompound, kvHeader+payload)
 	c.entries = entries
 	return c
-}
-
-// hashKey is FNV-1a, used only to spread compound sub-commands.
-func hashKey(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // KVGet issues a GET; the value (if any) is DMA'd back with the

@@ -176,81 +176,3 @@ func TestDualInterfaceSharesDevice(t *testing.T) {
 		t.Fatalf("NAND pages programmed = %d; both interfaces should hit the same array", s.PagesProgrammed)
 	}
 }
-
-func TestKVNamespaceIsolation(t *testing.T) {
-	d, clk := newTestDev()
-	tenantA := d.KVNamespace(1)
-	tenantB := d.KVNamespace(2)
-	runOn(t, clk, func(r *vclock.Runner) {
-		tenantA.Put(r, memtable.KindPut, []byte("k"), []byte("from-A"))
-		tenantB.Put(r, memtable.KindPut, []byte("k"), []byte("from-B"))
-		v, _, ok, _ := tenantA.Get(r, []byte("k"))
-		if !ok || string(v) != "from-A" {
-			t.Fatalf("tenant A sees %q ok=%v", v, ok)
-		}
-		v, _, ok, _ = tenantB.Get(r, []byte("k"))
-		if !ok || string(v) != "from-B" {
-			t.Fatalf("tenant B sees %q ok=%v", v, ok)
-		}
-		if _, _, ok, _ := tenantA.Get(r, []byte("only-b")); ok {
-			t.Fatal("cross-tenant read leak")
-		}
-	})
-}
-
-func TestKVNamespaceBulkScanFiltered(t *testing.T) {
-	d, clk := newTestDev()
-	tenantA := d.KVNamespace(1)
-	tenantB := d.KVNamespace(2)
-	runOn(t, clk, func(r *vclock.Runner) {
-		for i := 0; i < 20; i++ {
-			tenantA.Put(r, memtable.KindPut, key(i), []byte("a"))
-		}
-		for i := 0; i < 30; i++ {
-			tenantB.Put(r, memtable.KindPut, key(i), []byte("b"))
-		}
-		n := 0
-		tenantA.BulkScan(r, func(entries []memtable.Entry) {
-			for _, e := range entries {
-				if string(e.Value) != "a" {
-					t.Fatalf("tenant A scan surfaced %q", e.Value)
-				}
-				if len(e.Key) != len(key(0)) {
-					t.Fatalf("prefix not stripped: %q", e.Key)
-				}
-				n++
-			}
-		})
-		if n != 20 {
-			t.Fatalf("tenant A scan saw %d entries, want 20", n)
-		}
-	})
-}
-
-func TestKVNamespaceIterator(t *testing.T) {
-	d, clk := newTestDev()
-	tenantA := d.KVNamespace(1)
-	tenantB := d.KVNamespace(2)
-	runOn(t, clk, func(r *vclock.Runner) {
-		for i := 0; i < 10; i++ {
-			tenantA.Put(r, memtable.KindPut, key(i), []byte("a"))
-			tenantB.Put(r, memtable.KindPut, key(i), []byte("b"))
-		}
-		it := tenantA.NewIterator(r)
-		n := 0
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			if !bytes.Equal(it.Entry().Key, key(n)) {
-				t.Fatalf("entry %d = %q", n, it.Entry().Key)
-			}
-			n++
-		}
-		// The iterator must stop at the tenant boundary, not bleed into B.
-		if n != 10 {
-			t.Fatalf("tenant A iterated %d entries, want 10", n)
-		}
-		it.Seek(key(7))
-		if !it.Valid() || !bytes.Equal(it.Entry().Key, key(7)) {
-			t.Fatal("namespace Seek broken")
-		}
-	})
-}

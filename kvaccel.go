@@ -35,6 +35,7 @@ package kvaccel
 
 import (
 	"kvaccel/internal/core"
+	"kvaccel/internal/encoding"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/machine"
@@ -172,21 +173,10 @@ func NewDB(m *machine.Machine, shards []*core.DB) *DB {
 	return &DB{m: m, shards: shards}
 }
 
-// FNV-1a: deterministic across process restarts, so a reopened sharded
-// store routes every key back to the shard that holds it.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func shardIndex(key []byte, n int) int {
-	h := fnvOffset64
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return int(h % uint64(n))
-}
+// shardIndex routes key to one of n shards by FNV-1a, which is fixed
+// across process restarts, so a reopened sharded store routes every key
+// back to the shard that holds it.
+func shardIndex(key []byte, n int) int { return int(encoding.FNV1a(key) % uint64(n)) }
 
 // ShardIndex returns the index of the shard that owns key — the routing
 // hook serving tiers use to group requests by shard before committing
