@@ -45,6 +45,11 @@ func printResult(w io.Writer, res *harness.RunResult, faults bool) {
 			fmt.Fprintf(w, "queue       : %s\n", q)
 		}
 	}
+	if ops := res.Rec.Writes() + res.Rec.Reads() + res.Rec.Scans(); ops > 0 {
+		k, n := res.Kernel, float64(ops)
+		fmt.Fprintf(w, "kernel      : %.2f parks, %.2f rechecks, %.2f hand-offs per op\n",
+			float64(k.Parks)/n, float64(k.Rechecks)/n, float64(k.Handoffs)/n)
+	}
 }
 
 // printFaults prints the injected-fault count beside the KVACCEL

@@ -139,14 +139,24 @@ func TestRatchet(t *testing.T) {
 			// waiter's own, and one lost race per release — it was 23 when
 			// every release woke every waiter), and the fan-out and command
 			// runners, hundreds of thousands of them, must be reused ones.
+			// A wait whose predicate a wake leaves false must cost no
+			// goroutine switch (the kernel re-checks it: Cond.WaitUntil):
+			// hand-offs per put may not exceed the 7.636 this fill measured
+			// when the background, group-commit, WAL-lane and NVMe
+			// completion waits moved to WaitUntil (14.214 before) by more
+			// than 5 %.
 			name: "kernel-events", spec: kva, duration: 4 * time.Second,
 			a: func(p *Params) {},
 			check: func(t *testing.T, res, _ *RunResult) {
 				k := res.Kernel
 				perWait := float64(k.SemParks) / float64(max(k.SemWaits, 1))
 				reuse := float64(k.Reuses) / float64(max(k.Spawns+k.Reuses, 1))
+				puts := float64(max(res.Rec.Writes(), 1))
 				t.Logf("%d contended admissions, %.2f parks each; %d runners started, %.4f on a reused goroutine; %d parks in all",
 					k.SemWaits, perWait, k.Spawns+k.Reuses, reuse, k.Parks)
+				handoffs := float64(k.Handoffs) / puts
+				t.Logf("per put: %.2f parks, %.2f rechecks, %.3f hand-offs (%d puts)",
+					float64(k.Parks)/puts, float64(k.Rechecks)/puts, handoffs, res.Rec.Writes())
 				if k.SemWaits < 10000 {
 					t.Errorf("%d contended admissions: the run did not load the device", k.SemWaits)
 				}
@@ -155,6 +165,9 @@ func TestRatchet(t *testing.T) {
 				}
 				if reuse < 0.95 {
 					t.Errorf("%.4f of runners reused a goroutine, want >= 0.95", reuse)
+				}
+				if handoffs > 1.05*7.636 {
+					t.Errorf("%.3f hand-offs per put, want <= %.3f (7.636 + 5 %%)", handoffs, 1.05*7.636)
 				}
 			},
 		},

@@ -36,9 +36,7 @@ func (db *DB) chargeFlushCPU(r *vclock.Runner, n int) {
 // flushWorker drains the immutable-memtable queue.
 func (db *DB) flushWorker(r *vclock.Runner) {
 	for {
-		for !db.closed && len(db.imm) == 0 {
-			db.bgCond.Wait(r)
-		}
+		db.bgCond.WaitUntil(r, flushQueued, db)
 		if db.closed {
 			return
 		}
@@ -47,9 +45,7 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 		// WAL append; wait for in-flight inserts on this table to drain so
 		// the SST captures every record the WAL already holds. Appliers never block on
 		// anything but the CPU pool, so this always makes progress.
-		for db.applying[job.mt] > 0 {
-			db.bgCond.Wait(r)
-		}
+		db.bgCond.WaitUntil(r, flushApplied, db)
 		db.flushing = true
 		fsp := db.opt.Trace.Begin(r, trace.PhaseFlush, "flush")
 
@@ -77,9 +73,7 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 			fsp.End(r)
 			db.setBackgroundError(err)
 			db.flushing = false
-			for !db.closed {
-				db.bgCond.Wait(r)
-			}
+			db.bgCond.WaitUntil(r, dbClosed, db)
 			return
 		}
 
@@ -113,12 +107,26 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 			// read-only and park: a later install persisting a newer
 			// manifest would make the stale log replay over newer data.
 			db.setBackgroundError(perr)
-			for !db.closed {
-				db.bgCond.Wait(r)
-			}
+			db.bgCond.WaitUntil(r, dbClosed, db)
 			return
 		}
 	}
+}
+
+// The predicates of the background waits (vclock.Cond.WaitUntil). Each
+// only reads the DB, so the kernel checks it for the waiter, which runs
+// only once there is something to do.
+func dbClosed(db any) bool { return db.(*DB).closed }
+
+func flushQueued(a any) bool {
+	db := a.(*DB)
+	return db.closed || len(db.imm) > 0
+}
+
+// flushApplied: no insert is in flight on the oldest immutable memtable.
+func flushApplied(a any) bool {
+	db := a.(*DB)
+	return db.applying[db.imm[0].mt] <= 0
 }
 
 // buildSST encodes one memtable as an SST at the given level, spending
@@ -277,18 +285,14 @@ func (c *compaction) allFiles() []*FileMeta {
 // id >= compactionThreads idle, which is how SetCompactionThreads scales
 // parallelism up and down at runtime.
 func (db *DB) compactionWorker(r *vclock.Runner, id int) {
+	slot := &compactionSlot{db: db, id: id}
 	for {
+		db.bgCond.WaitUntil(r, compactionDue, slot)
 		if db.closed {
 			return
 		}
-		var c *compaction
-		if id < db.compactionThreads {
-			c = db.pickCompaction(false)
-		}
-		if c == nil {
-			db.bgCond.Wait(r)
-			continue
-		}
+		c := slot.found
+		db.claimCompaction(c)
 		db.activeCompactions++
 
 		db.doCompaction(r, c)
@@ -300,15 +304,40 @@ func (db *DB) compactionWorker(r *vclock.Runner, id int) {
 	}
 }
 
-// pickCompaction selects the next compaction, or nil. With dryRun
-// it only reports whether work exists, without marking files.
+// compactionSlot is a compaction worker's wait: the argument of
+// compactionDue, which leaves the compaction it found in found.
+type compactionSlot struct {
+	db    *DB
+	id    int
+	found *compaction
+}
+
+// compactionDue reports whether a compaction worker has anything to do:
+// the DB closed, or the worker is among the allowed threads and a
+// compaction is there to pick. Nothing runs between the check that
+// holds and the worker's return from its wait, so what it found is what
+// the worker would find.
+func compactionDue(a any) bool {
+	s := a.(*compactionSlot)
+	if s.db.closed {
+		return true
+	}
+	s.found = nil
+	if s.id < s.db.compactionThreads {
+		s.found = s.db.findCompaction()
+	}
+	return s.found != nil
+}
+
+// findCompaction selects the next compaction, or nil, without claiming
+// its files (claimCompaction does).
 //
 // Level choice follows RocksDB's score model: L0 scores by file count
 // over its trigger, deeper levels by bytes over target, and the highest
 // feasible score wins. That ordering is what lets additional compaction
 // threads drain L1→L2 (and deeper) debt in parallel with the serialized
 // L0→L1 compaction instead of starving behind it.
-func (db *DB) pickCompaction(dryRun bool) *compaction {
+func (db *DB) findCompaction() *compaction {
 	if db.bgErr != nil {
 		return nil
 	}
@@ -344,24 +373,31 @@ func (db *DB) pickCompaction(dryRun bool) *compaction {
 			if anyBeingCompacted(c.overlap) {
 				continue
 			}
-			if dryRun {
-				return c
-			}
-			db.compactingL0 = true
-			markCompacting(c.allFiles(), true)
-			c.dropTombstones = db.bottomMost(c.target)
 			return c
 		}
-		if c := db.pickLevelFile(cand.level, dryRun); c != nil {
+		if c := db.pickLevelFile(cand.level); c != nil {
 			return c
 		}
 	}
 	return nil
 }
 
+// claimCompaction marks c's files as being compacted (L0→L1 also takes
+// the L0 slot; a deeper pick moves its level's round-robin cursor past
+// its file) and decides whether it may drop tombstones.
+func (db *DB) claimCompaction(c *compaction) {
+	if c.level == 0 {
+		db.compactingL0 = true
+	} else {
+		db.cursor[c.level] = append([]byte(nil), c.inputs[0].Largest...)
+	}
+	markCompacting(c.allFiles(), true)
+	c.dropTombstones = db.bottomMost(c.target)
+}
+
 // pickLevelFile picks one file at level l (round-robin cursor) plus
 // its next-level overlap.
-func (db *DB) pickLevelFile(l int, dryRun bool) *compaction {
+func (db *DB) pickLevelFile(l int) *compaction {
 	files := db.vers.levels[l]
 	start := 0
 	if cur := db.cursor[l]; cur != nil {
@@ -381,14 +417,7 @@ func (db *DB) pickLevelFile(l int, dryRun bool) *compaction {
 		if anyBeingCompacted(overlap) {
 			continue
 		}
-		c := &compaction{level: l, target: l + 1, inputs: []*FileMeta{f}, overlap: overlap}
-		if dryRun {
-			return c
-		}
-		db.cursor[l] = append([]byte(nil), f.Largest...)
-		markCompacting(c.allFiles(), true)
-		c.dropTombstones = db.bottomMost(c.target)
-		return c
+		return &compaction{level: l, target: l + 1, inputs: []*FileMeta{f}, overlap: overlap}
 	}
 	return nil
 }

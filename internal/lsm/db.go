@@ -106,6 +106,11 @@ type DB struct {
 	gcGate     *vclock.Semaphore
 	openIters  int
 	punchQueue []uint32
+	// gcSeen and gcCandidate keep vlogGCReady's last PickGC answer:
+	// gcCandidate is it for the value log's mutation count gcSeen (0:
+	// none kept yet).
+	gcSeen      uint64
+	gcCandidate bool
 	// testHookGC, when set, is called at named points inside a GC pass
 	// ("after-rewrite", "before-punch", "after-punch") so the fault
 	// suite can crash the device mid-collection deterministically.
@@ -515,19 +520,25 @@ func (db *DB) Flush(r *vclock.Runner) error {
 	if db.mem.Count() > 0 {
 		db.rotateMemtable()
 	}
-	for !db.closed && db.bgErr == nil && len(db.imm) > 0 {
-		db.bgCond.Wait(r)
-	}
+	db.bgCond.WaitUntil(r, flushDrained, db)
 	return db.bgErr
+}
+
+func flushDrained(a any) bool {
+	db := a.(*DB)
+	return db.closed || db.bgErr != nil || len(db.imm) == 0
 }
 
 // WaitIdle parks r until no flush or compaction work remains, or until
 // a background error makes further progress impossible.
 func (db *DB) WaitIdle(r *vclock.Runner) {
-	for !db.closed && db.bgErr == nil &&
-		(len(db.imm) > 0 || db.activeCompactions > 0 || db.flushing || db.pickCompaction(true) != nil) {
-		db.bgCond.Wait(r)
-	}
+	db.bgCond.WaitUntil(r, backgroundIdle, db)
+}
+
+func backgroundIdle(a any) bool {
+	db := a.(*DB)
+	return db.closed || db.bgErr != nil ||
+		len(db.imm) == 0 && db.activeCompactions == 0 && !db.flushing && db.findCompaction() == nil
 }
 
 // SetCompactionThreads adjusts the number of active compaction workers at

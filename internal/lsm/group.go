@@ -30,6 +30,7 @@ type WriteOptions struct {
 // the staged records it wants committed, and the outcome slot its group
 // leader fills in.
 type groupWriter struct {
+	db      *DB // the DB it commits to, for its waits' predicates
 	ops     []batchOp
 	bytes   int
 	noStall bool
@@ -44,6 +45,8 @@ type groupWriter struct {
 	mt   *memtable.Table // memtable generation the group committed into
 	err  error
 	done bool
+	// ticket is the WAL-lane ticket of the group this writer leads.
+	ticket uint64
 	// logged is a view of this writer's records in the group's WAL
 	// payload, which its memtable entries alias (applyOps); logStart is
 	// where they begin in the payload, noted by appendGroupPayload.
@@ -148,6 +151,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		db.stats.WouldStalls++
 		return ErrWouldStall
 	}
+	w.db = db
 	db.groupQueue.push(w)
 	db.groupBytes += int64(w.bytes)
 	// A queue that already holds a full group is exactly what an open
@@ -156,26 +160,17 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		db.linger.CutShort()
 	}
 
-	for {
-		if w.done {
-			// A leader committed (or failed) this writer's records.
-			if w.err != nil {
-				return w.err
-			}
-			db.applyOps(r, w)
-			return nil
+	db.groupCond.WaitUntil(r, groupTurn, w)
+	if w.done {
+		// A leader committed (or failed) this writer's records.
+		if w.err != nil {
+			return w.err
 		}
-		// A writer the leader has already claimed (popped off the queue but
-		// not yet marked done) must keep waiting for its outcome — even
-		// through Close — so the two checks below apply only while w is
-		// still queued.
-		if db.closed && db.removeFromGroupQueue(w) {
-			return ErrClosed
-		}
-		if db.groupQueue.len() > 0 && db.groupQueue.at(0) == w && !db.committing {
-			break // leadership
-		}
-		db.groupCond.Wait(r)
+		db.applyOps(r, w)
+		return nil
+	}
+	if db.closed && db.removeFromGroupQueue(w) {
+		return ErrClosed
 	}
 
 	// Leader: linger first (if the adaptive policy says a short wait will
@@ -205,9 +200,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	// together below — and it bounds how far acknowledged-but-unappended
 	// work can run ahead of the log.
 	if !db.opt.DisablePipelinedWAL {
-		for db.walTail-db.walHead >= walPipelineDepth && !db.closed {
-			db.walCond.Wait(r)
-		}
+		db.walCond.WaitUntil(r, walLaneOpen, db)
 	}
 
 	group, totalRecs, totalBytes := db.claimGroup(w)
@@ -230,11 +223,11 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	// what keeps the flush worker from capturing the table before the
 	// group's records — by then durable in the WAL — have landed in it.
 	db.beginApply(group[0].mt, len(group))
-	ticket := db.walTail
+	w.ticket = db.walTail
 	db.walTail++
 	pipelined := !db.opt.DisablePipelinedWAL
 	if pipelined {
-		if ticket != db.walHead || db.applyTotal > len(group) {
+		if w.ticket != db.walHead || db.applyTotal > len(group) {
 			// A previous group's append or memtable apply is still in
 			// flight: this commit genuinely overlaps it.
 			db.stats.PipelinedAppends++
@@ -253,9 +246,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 	// The WAL lane: appends must hit the log in ticket (= sequence)
 	// order, or replay would reorder groups across a crash.
-	for db.walHead != ticket {
-		db.walCond.Wait(r)
-	}
+	db.walCond.WaitUntil(r, walTurn, w)
 	wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
 	// The payload is encoded where it will lie, in the log buffer, in
 	// this group's turn on the lane.
@@ -328,6 +319,30 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 
 	db.applyOps(r, w)
 	return nil
+}
+
+// groupTurn is a queued writer's wait: a leader has filled in its
+// outcome, or it heads the queue with no commit in progress (leadership),
+// or the DB closed while it is still queued. A writer a leader has
+// claimed — popped off the queue but not yet marked done — waits for its
+// outcome even through Close.
+func groupTurn(a any) bool {
+	w := a.(*groupWriter)
+	db := w.db
+	q := &db.groupQueue
+	return w.done || q.len() > 0 && q.at(0) == w && !db.committing || db.closed && db.groupQueueIndex(w) >= 0
+}
+
+// walLaneOpen: fewer than walPipelineDepth appends are in flight.
+func walLaneOpen(a any) bool {
+	db := a.(*DB)
+	return db.closed || db.walTail-db.walHead < walPipelineDepth
+}
+
+// walTurn: the leader w's ticket is at the head of the WAL lane.
+func walTurn(a any) bool {
+	w := a.(*groupWriter)
+	return w.db.walHead == w.ticket
 }
 
 // walPipelineDepth bounds outstanding group WAL appends (tickets taken
@@ -448,14 +463,24 @@ func (db *DB) ejectNoStall() {
 // queue, reporting whether it was found (false means a leader already
 // claimed it).
 func (db *DB) removeFromGroupQueue(w *groupWriter) bool {
+	i := db.groupQueueIndex(w)
+	if i < 0 {
+		return false
+	}
+	db.groupQueue.removeAt(i)
+	db.groupBytes -= int64(w.bytes)
+	return true
+}
+
+// groupQueueIndex returns w's place in the group queue, or -1 if it is not
+// queued.
+func (db *DB) groupQueueIndex(w *groupWriter) int {
 	for i := 0; i < db.groupQueue.len(); i++ {
 		if db.groupQueue.at(i) == w {
-			db.groupQueue.removeAt(i)
-			db.groupBytes -= int64(w.bytes)
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // appendGroupPayload appends to dst one WAL record payload covering every

@@ -146,14 +146,10 @@ func (db *DB) VLogStats() vlog.Stats {
 // normal write path and punches the segment via TRIM.
 func (db *DB) vlogGCWorker(r *vclock.Runner) {
 	for {
-		for !db.closed && db.bgErr == nil && !db.vlogGCReady() {
-			db.bgCond.Wait(r)
-		}
+		db.bgCond.WaitUntil(r, vlogGCDue, db)
 		if db.bgErr != nil && !db.closed {
 			// Read-only DB: no more GC, park until shutdown.
-			for !db.closed {
-				db.bgCond.Wait(r)
-			}
+			db.bgCond.WaitUntil(r, dbClosed, db)
 		}
 		if db.closed {
 			return
@@ -170,14 +166,22 @@ func (db *DB) vlogGCWorker(r *vclock.Runner) {
 	}
 }
 
+func vlogGCDue(a any) bool {
+	db := a.(*DB)
+	return db.closed || db.bgErr != nil || db.vlogGCReady()
+}
+
 // vlogGCReady reports whether the GC worker has work: a punchable
 // queue or a segment over the discard threshold.
 func (db *DB) vlogGCReady() bool {
 	if len(db.punchQueue) > 0 && db.openIters == 0 {
 		return true
 	}
-	_, ok := db.vlog.PickGC(db.opt.VLogGCDiscardRatio)
-	return ok
+	if n := db.vlog.Mutations(); n != db.gcSeen {
+		_, db.gcCandidate = db.vlog.PickGC(db.opt.VLogGCDiscardRatio)
+		db.gcSeen = n
+	}
+	return db.gcCandidate
 }
 
 // CollectVLogGarbage runs one synchronous GC pass over the most

@@ -610,3 +610,65 @@ func TestVLogConcurrentWritersReadOwnValues(t *testing.T) {
 	})
 	clk2.Wait()
 }
+
+// TestVLogGCReadyKeepsPickGCAnswer drives the value log by hand through
+// every kind of change that can move PickGC's answer — a segment sealed
+// by an append, write-back reaching its end, discard reported, the
+// segment marked dead, punched — and checks after each that vlogGCReady,
+// which keeps PickGC's last answer until the log's mutation count moves,
+// gives what a fresh PickGC gives. Each step starts from a kept answer,
+// and most of them flip it: a change that did not count would show.
+func TestVLogGCReadyKeepsPickGCAnswer(t *testing.T) {
+	opt := vlogOpts()
+	opt.DisableVLogGC = true // nothing but the test touches the log
+	clk := vclock.New()
+	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
+	db := Open(clk, fsys, opt)
+	clk.Go("test", func(r *vclock.Runner) {
+		defer db.Close()
+		vl := db.vlog
+		n := 0
+		sealOne := func() uint32 { // append until a segment seals
+			for {
+				ptr, err := vl.Append(r, key(n), bigValue(n))
+				n++
+				if err != nil {
+					t.Fatalf("append: %v", err)
+				}
+				if int64(ptr.Off)+int64(ptr.Len) >= opt.VLogSegmentSize {
+					return ptr.Seg
+				}
+			}
+		}
+		sync := func() {
+			if err := vl.Sync(r); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+		}
+		var a, b uint32
+		steps := []struct {
+			name   string
+			mutate func()
+			want   bool
+		}{
+			{"append seals a", func() { a = sealOne() }, false}, // not written back
+			{"write-back of a", sync, false},                    // no discard
+			{"discard on a", func() { vl.MarkDiscard(a, opt.VLogSegmentSize) }, true},
+			{"a dead", func() { vl.MarkDead(a) }, false},
+			{"a punched", func() { vl.Punch(r, a) }, false},
+			{"append seals b", func() { b = sealOne() }, false},
+			{"discard on b", func() { vl.MarkDiscard(b, opt.VLogSegmentSize) }, false}, // not written back
+			{"write-back of b", sync, true},
+			{"b punched", func() { vl.Punch(r, b) }, false},
+		}
+		for _, s := range steps {
+			db.vlogGCReady() // keep the answer before the change
+			s.mutate()
+			_, picked := vl.PickGC(opt.VLogGCDiscardRatio)
+			if got := db.vlogGCReady(); got != picked || got != s.want {
+				t.Fatalf("after %s: vlogGCReady=%v PickGC=%v, want %v", s.name, got, picked, s.want)
+			}
+		}
+	})
+	clk.Wait()
+}

@@ -418,11 +418,8 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 	if q.d.cfg.DoorbellLatency > 0 {
 		r.Sleep(q.d.cfg.DoorbellLatency)
 	}
+	q.notFull.WaitUntil(r, sqHasRoom, q)
 	now := r.Now()
-	for q.outstanding >= q.depth && !q.d.severed {
-		q.notFull.Wait(r)
-		now = r.Now()
-	}
 	if q.d.severed {
 		// Severed device: the command never reaches hardware. Complete it
 		// immediately with ErrDeviceGone so submitters cannot deadlock on
@@ -461,14 +458,19 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 	q.d.ensureRunning()
 }
 
+func sqHasRoom(qp any) bool {
+	q := qp.(*QueuePair)
+	return q.outstanding < q.depth || q.d.severed
+}
+
 // Await parks r until cmd (previously Submitted on this queue) completes
 // and returns the command's completion status.
 func (q *QueuePair) Await(r *vclock.Runner, cmd *Command) error {
-	for !cmd.done {
-		q.cq.Wait(r)
-	}
+	q.cq.WaitUntil(r, commandDone, cmd)
 	return cmd.Err
 }
+
+func commandDone(cmd any) bool { return cmd.(*Command).done }
 
 // Do submits cmd and waits for its completion — the synchronous path for
 // callers with nothing to overlap.

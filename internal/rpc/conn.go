@@ -78,10 +78,13 @@ func newHalfConn(cfg NetConfig, label string) *halfConn {
 	return h
 }
 
+func sendRoom(half any) bool {
+	h := half.(*halfConn)
+	return h.items.Len() < h.cfg.Buffer || h.closed
+}
+
 func (h *halfConn) send(r *vclock.Runner, data []byte) error {
-	for h.items.Len() >= h.cfg.Buffer && !h.closed {
-		h.notFull.Wait(r)
-	}
+	h.notFull.WaitUntil(r, sendRoom, h)
 	if h.closed {
 		return ErrClosed
 	}

@@ -51,15 +51,19 @@ func (m *mailbox[T]) push(v T) bool {
 // pop dequeues the oldest item, parking r while the box is empty. ok is
 // false once the box is closed and drained.
 func (m *mailbox[T]) pop(r *vclock.Runner) (v T, ok bool) {
-	for m.items.Len() == 0 && !m.closed {
-		m.notEmpty.Wait(r)
-	}
+	m.notEmpty.WaitUntil(r, boxReady, m)
 	if m.items.Len() == 0 {
 		return v, false
 	}
 	v = m.items.Pop()
 	return v, true
 }
+
+// boxReady is pop's wait. A generic function's value is made anew where it
+// is used, so the predicate reaches the box through an interface.
+func boxReady(m any) bool { return m.(interface{ ready() bool }).ready() }
+
+func (m *mailbox[T]) ready() bool { return m.items.Len() > 0 || m.closed }
 
 // tryPop dequeues without parking.
 func (m *mailbox[T]) tryPop() (v T, ok bool) {

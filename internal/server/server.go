@@ -219,14 +219,14 @@ func (s *Server) connDone() {
 	s.connsDone.Broadcast()
 }
 
+func connsClosed(s any) bool { return s.(*Server).liveConns <= 0 }
+
 // Shutdown waits for every accepted connection to finish, then stops the
 // batcher, reader, and listener runners. Call it after all clients have
 // closed their connections; afterwards the clock can drain.
 func (s *Server) Shutdown(r *vclock.Runner) {
 	s.closed = true
-	for s.liveConns > 0 {
-		s.connsDone.Wait(r)
-	}
+	s.connsDone.WaitUntil(r, connsClosed, s)
 	for _, b := range s.batchers {
 		b.close()
 	}

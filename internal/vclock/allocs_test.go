@@ -148,6 +148,68 @@ func TestAllocsCondBroadcast(t *testing.T) {
 	})
 }
 
+// TestAllocsWaitUntil is TestAllocsCondBroadcast with the waits written
+// as WaitUntil and each round's last Broadcast preceded by k that find the
+// predicate still false: the kernel re-parks the waiters k times a round,
+// and neither those rechecks nor the wait itself may allocate.
+func TestAllocsWaitUntil(t *testing.T) {
+	const k, waiters = 3, 4
+	var rechecks uint64
+	wantNoAllocs(t, func(c *Clock, r *Runner) (func(), func()) {
+		s := &untilRounds{cond: NewCond("round")}
+		for i := 0; i < waiters; i++ {
+			c.GoWith("waiter", untilWaiter, &untilSeen{s: s})
+		}
+		cycle := func() {
+			s.round = s.bumps + k + 1
+			for i := 0; i <= k; i++ {
+				s.bumps++
+				s.cond.Broadcast()
+				r.Sleep(time.Microsecond)
+			}
+		}
+		stop := func() {
+			rechecks = c.Stats().Rechecks
+			s.stopped = true
+			s.cond.Broadcast()
+		}
+		return cycle, stop
+	})
+	if want := uint64(200 * k * waiters); !raceEnabled && rechecks < want {
+		t.Errorf("%d rechecks, want at least %d: the waits did not take the recheck path", rechecks, want)
+	}
+}
+
+// untilRounds is TestAllocsWaitUntil's shared state: a round ends when
+// bumps reaches round.
+type untilRounds struct {
+	cond         *Cond
+	bumps, round int
+	stopped      bool
+}
+
+// untilSeen is one waiter's wait: for the end of a round after seen.
+type untilSeen struct {
+	s    *untilRounds
+	seen int
+}
+
+func roundEnded(a any) bool {
+	w := a.(*untilSeen)
+	return w.s.stopped || w.s.round > w.seen && w.s.bumps >= w.s.round
+}
+
+func untilWaiter(r *Runner, a any) {
+	w := a.(*untilSeen)
+	for {
+		w.s.cond.WaitUntil(r, roundEnded, w)
+		if w.s.stopped {
+			return
+		}
+		w.seen = w.s.round
+	}
+}
+
 // contended measures what n partner runners allocate while they call use
 // in a loop among themselves; the measured runner only lets virtual time
 // pass. (It must not compete: admission is a race among the woken, so a

@@ -25,6 +25,21 @@
 // goroutines that hand off through channels on a single processor, the
 // order Semaphore's admission rules were written against.
 //
+// The recheck rule. A runner parked in Cond.WaitUntil hands the kernel its
+// predicate. When a wake makes it runnable and its turn comes by the
+// run-order rule, the kernel evaluates the predicate on the goroutine that
+// is passing the baton on. True, and the runner gets the baton, its wait
+// over. False, and the kernel re-parks it exactly as its own Wait would
+// have, then goes on picking as that park would have — with the waiter,
+// not the runner that was passing the baton, as the one whose timer may
+// let it keep the baton. A recheck is a park whose goroutine switch is
+// saved: the runs, the virtual times and every count but Stats.Rechecks
+// and Stats.Handoffs are those of the loop
+//
+//	for !ready(arg) {
+//		c.Wait(r)
+//	}
+//
 // The caller is the first runner: the goroutine that calls New holds the
 // baton until it calls Wait. So no runner runs, and virtual time stays at
 // zero, while it sets up and starts the simulation's runners, however long
@@ -117,6 +132,12 @@ type Stats struct {
 	// is what one contended admission costs (1 with no lost race).
 	SemWaits uint64
 	SemParks uint64
+	// Rechecks counts the parks the kernel took on a waiter's behalf: a
+	// Cond.WaitUntil waiter whose turn came with its predicate still false
+	// (each is one of Parks). Handoffs counts baton passes to another
+	// goroutine, the switches a run costs the host.
+	Rechecks uint64
+	Handoffs uint64
 }
 
 // Stats returns a snapshot of the kernel's event counts.
@@ -150,6 +171,12 @@ type Runner struct {
 	// sem is the runner's place in the waiter list of the Semaphore it is
 	// acquiring.
 	sem semWait
+	// until, untilArg and untilOn describe a Cond.WaitUntil park: the
+	// predicate pick checks when the runner's turn comes, and the Cond it
+	// re-parks on while the predicate is false. Nil outside such a park.
+	until    func(any) bool
+	untilArg any
+	untilOn  *Cond
 	// traceCtx is a per-runner scratch slot owned by the tracing layer:
 	// the id of the innermost open trace span on this runner, so child
 	// spans (and cross-runner handoffs such as NVMe commands) can record
@@ -276,7 +303,7 @@ func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 func (c *Clock) leave() {
 	if c.total--; c.total > 0 {
 		if next := c.pick(nil); next != nil {
-			next.wake <- struct{}{}
+			c.handOff(next)
 		}
 		return
 	}
@@ -342,10 +369,15 @@ func (c *Clock) sleepUntil(r *Runner, at Time) {
 // parkOn parks r on a condition described by label until wakeParked or
 // wakeParkedAt ends the park.
 func (c *Clock) parkOn(r *Runner, label string) {
+	c.markParked(r, label)
+	c.park(r)
+}
+
+// markParked books r as parked on a condition described by label.
+func (c *Clock) markParked(r *Runner, label string) {
 	r.gen++
 	r.parked, r.label = true, label
 	c.stats.Parks++
-	c.park(r)
 }
 
 // parkOnTimed is parkOn with a timeout backstop: a conditional timer is
@@ -395,38 +427,55 @@ func (c *Clock) ready(r *Runner) {
 func (c *Clock) park(r *Runner) {
 	if next := c.pick(r); next != r {
 		if next != nil {
-			next.wake <- struct{}{}
+			c.handOff(next)
 		}
 		<-r.wake
 	}
 }
 
-// pick returns the runner the baton goes to by the run-order rule, given
-// up by self (nil if the holder is leaving). It advances virtual time
-// until someone is runnable, and returns nil if nobody can be: time is
-// held, or the simulation is deadlocked.
+// handOff passes the baton to next, which runs on a goroutine other than
+// the caller's.
+func (c *Clock) handOff(next *Runner) {
+	c.stats.Handoffs++
+	next.wake <- struct{}{}
+}
+
+// pick returns the runner the baton goes to by the run-order and recheck
+// rules, given up by self (nil if the holder is leaving). It advances
+// virtual time until someone is runnable, and returns nil if nobody can
+// be: time is held, or the simulation is deadlocked.
 func (c *Clock) pick(self *Runner) *Runner {
 	for {
-		if r := c.newest; r != nil {
+		r := c.newest
+		if r != nil {
 			c.newest = nil
+		} else if c.runq.n > 0 {
+			r = c.runq.Pop()
+		} else {
+			if c.holds > 0 {
+				return nil
+			}
+			if len(c.timers) == 0 {
+				// Every runner is parked and nothing is due, and New's
+				// caller, which alone could act before Wait, has waited:
+				// nobody is left to wake anyone, or to take the baton again.
+				go c.reportDeadlock(c.deadlockReport())
+				return nil
+			}
+			if c.advance(self) {
+				return self
+			}
+			continue
+		}
+		if r.until == nil || r.until(r.untilArg) {
 			return r
 		}
-		if c.runq.n > 0 {
-			return c.runq.Pop()
-		}
-		if c.holds > 0 {
-			return nil
-		}
-		if len(c.timers) == 0 {
-			// Every runner is parked and nothing is due, and New's caller,
-			// which alone could act before Wait, has waited: nobody is left
-			// to wake anyone, or to take the baton again.
-			go c.reportDeadlock(c.deadlockReport())
-			return nil
-		}
-		if c.advance(self) {
-			return self
-		}
+		// r would run only to find its predicate false and Wait again:
+		// park it here instead, and pick on as its park would.
+		c.stats.Rechecks++
+		r.untilOn.waiters.Push(r)
+		c.markParked(r, r.untilOn.label)
+		self = r
 	}
 }
 

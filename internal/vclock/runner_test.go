@@ -176,7 +176,10 @@ func TestStatsCountKernelEvents(t *testing.T) {
 		sem.Release(1)
 	})
 	c.Wait()
-	want := Stats{Parks: 6, TimerWakes: 5, CondWakes: 1, Spawns: 2, SemWaits: 1, SemParks: 1}
+	// Four hand-offs: Wait to holder, holder's first Sleep to waiter, the
+	// waiter's park back to holder (due), holder's return to waiter; the
+	// other four Sleeps keep the baton.
+	want := Stats{Parks: 6, TimerWakes: 5, CondWakes: 1, Spawns: 2, SemWaits: 1, SemParks: 1, Handoffs: 4}
 	if got := c.Stats(); got != want {
 		t.Errorf("stats %+v, want %+v", got, want)
 	}

@@ -91,6 +91,28 @@ func (c *Cond) Wait(r *Runner) {
 	r.clock.parkOn(r, c.label)
 }
 
+// WaitUntil parks r until ready(arg) holds, like
+//
+//	for !ready(arg) {
+//		c.Wait(r)
+//	}
+//
+// but with the checks after each wake done by the kernel (the recheck
+// rule, see the package comment): a wake that finds ready(arg) still false
+// re-parks r without switching to its goroutine. ready runs at the instant
+// r would have run, on whichever runner's goroutine is passing the baton
+// on: it must not park, and must change nothing another runner can see.
+// With a package-level ready and a pointer for arg, a wait allocates
+// nothing, where a closure would cost one per call.
+func (c *Cond) WaitUntil(r *Runner, ready func(any) bool, arg any) {
+	if ready(arg) {
+		return
+	}
+	r.until, r.untilArg, r.untilOn = ready, arg, c
+	c.Wait(r)
+	r.until, r.untilArg, r.untilOn = nil, nil, nil
+}
+
 // Signal wakes the longest-waiting runner, if any.
 func (c *Cond) Signal() {
 	if c.waiters.n > 0 {
@@ -335,9 +357,7 @@ func NewQueue[T any](capacity int, label string) *Queue[T] {
 // Push enqueues v, parking r while the queue is full. It panics if the
 // queue is closed.
 func (q *Queue[T]) Push(r *Runner, v T) {
-	for q.items.n >= q.capacity && !q.closed {
-		q.notFull.Wait(r)
-	}
+	q.notFull.WaitUntil(r, queueCanPush, q)
 	if q.closed {
 		panic("vclock: push on closed queue")
 	}
@@ -369,11 +389,22 @@ func (q *Queue[T]) TryPop() (v T, ok bool) {
 // Pop dequeues the oldest item, parking r while the queue is empty. ok is
 // false when the queue is closed and drained.
 func (q *Queue[T]) Pop(r *Runner) (v T, ok bool) {
-	for q.items.n == 0 && !q.closed {
-		q.notEmpty.Wait(r)
-	}
+	q.notEmpty.WaitUntil(r, queueCanPop, q)
 	return q.TryPop()
 }
+
+// The predicates of Push and Pop. A generic function's value is made
+// anew where it is used, so the two reach the Queue through an interface.
+type queueState interface {
+	canPush() bool
+	canPop() bool
+}
+
+func (q *Queue[T]) canPush() bool { return q.items.n < q.capacity || q.closed }
+func (q *Queue[T]) canPop() bool  { return q.items.n > 0 || q.closed }
+
+func queueCanPush(q any) bool { return q.(queueState).canPush() }
+func queueCanPop(q any) bool  { return q.(queueState).canPop() }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.n }

@@ -23,8 +23,8 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait parks r until the counter reaches zero.
 func (wg *WaitGroup) Wait(r *Runner) {
-	for wg.n > 0 {
-		wg.cond.label = "waitgroup"
-		wg.cond.Wait(r)
-	}
+	wg.cond.label = "waitgroup"
+	wg.cond.WaitUntil(r, waitGroupDone, wg)
 }
+
+func waitGroupDone(wg any) bool { return wg.(*WaitGroup).n == 0 }

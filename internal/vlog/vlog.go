@@ -165,6 +165,9 @@ type Manager struct {
 	bytesWritten  int64
 	discardTotal  int64
 	punchedBytes  int64
+	// mutations counts the changes that can move PickGC's answer (see
+	// Mutations).
+	mutations uint64
 
 	// Write-back lane: chunks must enter the queue in offset order or the
 	// segment file ends up permuted against the pointers handed out, but
@@ -181,7 +184,7 @@ type Manager struct {
 // Open creates an empty value log and starts its writeback runner.
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 	opt.validate()
-	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
+	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1, mutations: 1}
 	m.drained = vclock.NewCond("vlog.drained")
 	m.pushTurn = vclock.NewCond("vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
@@ -197,7 +200,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 // segment; recovered segments are sealed and become GC candidates.
 func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Options, ms ManifestState) (*Manager, error) {
 	opt.validate()
-	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
+	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1, mutations: 1}
 	m.drained = vclock.NewCond("vlog.drained")
 	m.pushTurn = vclock.NewCond("vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
@@ -337,11 +340,11 @@ func (m *Manager) Sync(r *vclock.Runner) error {
 	if m.head != nil && m.head.queued < m.head.size && !m.closed {
 		m.pushInOrder(r, m.cut(m.head))
 	}
-	for m.pending > 0 {
-		m.drained.Wait(r)
-	}
+	m.drained.WaitUntil(r, writtenBack, m)
 	return m.werr
 }
+
+func writtenBack(m any) bool { return m.(*Manager).pending <= 0 }
 
 // ReadValue dereferences key's pointer, returning the record's value
 // bytes. Bytes not yet written back are served from the segment's
@@ -477,7 +480,17 @@ func (m *Manager) MarkDiscard(id uint32, n int64) {
 		seg.discard = seg.size
 	}
 	m.discardTotal += n
+	m.mutations++
 }
+
+// Mutations counts the changes that can move PickGC's answer: a sealed
+// segment's write-back progressing, discard reported, a segment marked
+// dead or punched. It starts at 1. PickGC scans every segment; a caller
+// that keeps its answer need ask again only once the count has moved.
+// Appends do not count: PickGC skips a segment until it is sealed and
+// written back to its end, and the append that seals one always leaves
+// bytes for a write-back that counts.
+func (m *Manager) Mutations() uint64 { return m.mutations }
 
 // PickGC returns the sealed, fully written-back segment with the highest
 // discard ratio at or above minRatio, the oldest of equals, or ok=false.
@@ -501,6 +514,7 @@ func (m *Manager) PickGC(minRatio float64) (uint32, bool) {
 func (m *Manager) MarkDead(id uint32) {
 	if seg, ok := m.segs[id]; ok {
 		seg.dead = true
+		m.mutations++
 	}
 }
 
@@ -514,6 +528,7 @@ func (m *Manager) Punch(r *vclock.Runner, id uint32) int64 {
 		return 0
 	}
 	delete(m.segs, id)
+	m.mutations++
 	m.punchedBytes += seg.size
 	if m.fsys.Exists(seg.name) {
 		_ = m.fsys.Remove(r, seg.name)
@@ -609,6 +624,9 @@ func (m *Manager) flushBatch(r *vclock.Runner, seg *segment, chunks [][]byte) {
 	m.bytesWritten += total
 	if m.segs[seg.id] == seg && err == nil {
 		seg.flushed += total
+		if seg.sealed {
+			m.mutations++
+		}
 		if seg.sealed && seg.flushed >= seg.size {
 			seg.mem = nil // fully durable: reads go through the fs page cache
 		}

@@ -138,11 +138,11 @@ func (l *Log) Sync(r *vclock.Runner) error {
 		l.pending++
 		l.queue.Push(r, chunk)
 	}
-	for l.pending > 0 {
-		l.drained.Wait(r)
-	}
+	l.drained.WaitUntil(r, logDrained, l)
 	return l.werr
 }
+
+func logDrained(l any) bool { return l.(*Log).pending <= 0 }
 
 // Close stops the writeback runner after draining queued chunks. The
 // final partial buffer is discarded (callers Sync first if they need it).
