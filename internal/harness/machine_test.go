@@ -1,8 +1,10 @@
 package harness
 
 import (
-	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,30 +64,16 @@ func (m *rig) shutdown() {
 	m.Clk.Wait()
 }
 
-// The SHA-256 digests of the machines the five benchmark workloads run
-// on (the set-up in bench/engine.go and bench/serve.go), rendered field by
-// field. The fill digests were pinned when the calibration moved into
-// internal/machine, the other three before the package defaults became
-// the paper's scale-1 numbers: neither move changed a rendered value.
-// (The fill digests have since lost one line,
-// Options.VLogReadCacheBytes=8388608, with the value-log read cache. Every
-// digest then lost, per shard, the lines of the options deleted with
-// snapshots, parallel replay and the front cache's negative entries:
-// Options.ReplayShards=4 and Options.DisableWAL=false on every machine,
-// and on the KVACCEL ones Options.DetectorCost=1.37µs,
-// Options.MetadataShards=16, the three Options.Retry fields,
-// Options.FrontCacheShards=0, Options.FrontCacheNegative=false and
-// Options.FrontCacheDoorkeeper=false.)
-// mixed_w8 differs from fill_stall only in its workload — key space,
-// value size, writer count — none of which is machine configuration, so
-// the two hash alike.
-const (
-	fillStallSHA256   = "74858134f15636171eb2c4b8d9378bc3d7d87d44d4e55ff76919bead6e8c313f"
-	fillStockSHA256   = "2dfac4e04a98b6be8c23c6f0fbf54da48dc9216568d980a65d60841de1067e3f"
-	mixedW8SHA256     = "74858134f15636171eb2c4b8d9378bc3d7d87d44d4e55ff76919bead6e8c313f"
-	ycsbBHotSHA256    = "0c11cb5a2fb802dbde97af168ef16ae70a8e24c287d97096fb1d0995572c35b5"
-	serveClosedSHA256 = "c2dbc8b81256de981aedb9974e6e2abf2bd7c0b11b252eeb0075d7249a3a0324"
-)
+// The machines the five benchmark workloads run on (the set-up in
+// bench/engine.go and bench/serve.go), rendered field by field, are
+// committed as testdata/calibration/<workload>.txt. mixed_w8 differs from
+// fill_stall only in its workload — key space, value size, writer count —
+// none of which is machine configuration, so the two listings are equal;
+// RunServe's defaults open serve_closed's machine. A deliberate change of
+// calibration rewrites the listings with
+//
+//	go test -run TestBenchMachinesKeepTheirCalibration ./internal/harness -update
+var update = flag.Bool("update", false, "rewrite testdata/calibration from the rendered machines")
 
 // benchEngine renders the machine of one of bench/engine.go's workloads.
 func benchEngine(spec EngineSpec, set func(*Params)) []string {
@@ -127,32 +115,79 @@ func runServeMachine() []string {
 func TestBenchMachinesKeepTheirCalibration(t *testing.T) {
 	lazy := EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}
 	for _, c := range []struct {
-		name, want string
-		render     func() []string
+		name, listing string
+		render        func() []string
 	}{
-		{"fill_stall", fillStallSHA256, func() []string {
+		{"fill_stall", "fill_stall", func() []string {
 			return benchEngine(lazy, func(p *Params) { p.KeySpace, p.Writers = 300_000, 1 })
 		}},
-		{"fill_stock", fillStockSHA256, func() []string {
+		{"fill_stock", "fill_stock", func() []string {
 			return benchEngine(EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: true},
 				func(p *Params) { p.KeySpace, p.Writers = 300_000, 1 })
 		}},
-		{"mixed_w8", mixedW8SHA256, func() []string {
+		{"mixed_w8", "mixed_w8", func() []string {
 			return benchEngine(lazy, func(p *Params) { p.KeySpace, p.Writers, p.ValueSize = 100_000, 8, 128 })
 		}},
-		{"ycsb_b_hot", ycsbBHotSHA256, func() []string {
+		{"ycsb_b_hot", "ycsb_b_hot", func() []string {
 			return benchEngine(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackEager}, func(p *Params) {
 				p.KeySpace, p.Writers, p.ValueThreshold, p.FrontCacheBytes = 100_000, 1, 1024, 32<<20
 			})
 		}},
-		{"serve_closed", serveClosedSHA256, serveMachine},
-		{"RunServe", serveClosedSHA256, runServeMachine},
+		{"serve_closed", "serve_closed", serveMachine},
+		{"RunServe", "serve_closed", runServeMachine},
 	} {
-		fields := c.render()
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(fields, "\n")))); got != c.want {
-			t.Errorf("%s renders a machine with digest %s, want %s:\n%s", c.name, got, c.want, strings.Join(fields, "\n"))
+		got := c.render()
+		path := filepath.Join("testdata", "calibration", c.listing+".txt")
+		if *update && c.name == c.listing {
+			if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if diff := listingDiff(got, want); diff != "" {
+			t.Errorf("%s renders a machine other than %s (- listing, + rendered):\n%s", c.name, path, diff)
 		}
 	}
+}
+
+// listingDiff returns the lines only want has ("- ") and the lines only
+// got has ("+ "), in order, by a longest-common-subsequence alignment, or
+// "" when the two are equal.
+func listingDiff(got, want []string) string {
+	// lcs[i][j] is the common-subsequence length of want[i:] and got[j:].
+	lcs := make([][]int, len(want)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(got)+1)
+	}
+	for i := len(want) - 1; i >= 0; i-- {
+		for j := len(got) - 1; j >= 0; j-- {
+			if want[i] == got[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
+		}
+	}
+	var b strings.Builder
+	i, j := 0, 0
+	for i < len(want) || j < len(got) {
+		switch {
+		case i < len(want) && j < len(got) && want[i] == got[j]:
+			i, j = i+1, j+1
+		case j == len(got) || (i < len(want) && lcs[i+1][j] >= lcs[i][j+1]):
+			fmt.Fprintf(&b, "- %s\n", want[i])
+			i++
+		default:
+			fmt.Fprintf(&b, "+ %s\n", got[j])
+			j++
+		}
+	}
+	return b.String()
 }
 
 // TestMachineScaleOneIsTheDefaults: the package defaults are the paper's
