@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		zipfT     = fs.Float64("zipf-theta", 0, "zipfian skew override for mixed workloads (0 = YCSB default 0.99)")
 		frontMB   = fs.Int("front-cache-mb", -1, "hot-key front cache budget in MB (kvaccel engines; -1 = 32 for mixed workloads, else off)")
 		noBlock   = fs.Bool("no-block-cache", false, "disable the Main-LSM block cache (cold-cache baseline)")
-		offload   = fs.Bool("offload-compaction", false, "offload eligible L0→L1 compactions to the SSD controller under stall pressure")
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's virtual timeline to this file")
 		traceSum  = fs.Bool("trace-summary", false, "print per-phase virtual-time attribution and the stall-window report")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself (host real time, not virtual time) to this file")
@@ -108,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.ReadPct = *readPct
 	p.ZipfTheta = *zipfT
 	p.DisableBlockCache = *noBlock
-	p.OffloadCompaction = *offload
 	tracing := *tracePath != "" || *traceSum
 	if tracing {
 		p.Trace = trace.New(traceDepth)

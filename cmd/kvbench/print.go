@@ -67,10 +67,6 @@ func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
 		m.TotalStalls(), m.StallTime, m.Slowdowns)
 	fmt.Fprintf(w, "engine      : flushes=%d compactions=%d write-amp=%.2f\n",
 		m.Flushes, m.Compactions, m.WriteAmplification())
-	if m.OffloadedCompactions > 0 || m.OffloadFallbacks > 0 {
-		fmt.Fprintf(w, "offload     : %d device merges (%.1f MB), %d fallbacks\n",
-			m.OffloadedCompactions, float64(m.OffloadedBytes)/1e6, m.OffloadFallbacks)
-	}
 	if m.GroupCommits > 0 {
 		fmt.Fprintf(w, "groups      : %d commits, mean size %.2f, %.3f WAL appends/record, failover=%d\n",
 			m.GroupCommits, m.MeanGroupSize(), m.WALAppendsPerRecord(), failover)

@@ -55,7 +55,6 @@ func TestRandomizedConsistency(t *testing.T) {
 					if len(want) > 0 {
 						wantB = want[0]
 					}
-					db.main.(*lsm.DB).DebugDumpKey(t.Logf, r, k, step)
 					t.Fatalf("step %d: Get(%q) ok=%v want-exists=%v got[0]=%c want[0]=%c meta=%v",
 						step, k, ok, exists, gotB, wantB, db.meta.Contains(k))
 				}

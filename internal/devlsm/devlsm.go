@@ -50,16 +50,6 @@ type Config struct {
 	PutCPU       time.Duration
 	GetCPU       time.Duration
 	ScanCPUPerKB time.Duration
-	// MergeCPUPerKB is the device cost of offloaded-compaction merge work
-	// (see MergeExecutor). It models the Zynq's pipelined compare-select
-	// merge datapath in fabric — a streaming k-way merge over fixed-format
-	// blocks, fed by DMA — not the ARM software LSM path the other costs
-	// model: merging sorted runs is exactly the shape hardware does well,
-	// and it is why the executor beats a host core that must also pull
-	// every byte across the link. The ARM core still owns the engine (one
-	// merge in flight, charged to the device compute pool), so an
-	// offloaded merge and the Dev-LSM still serialize.
-	MergeCPUPerKB time.Duration
 
 	// Trace records KV command and device-flush spans. Nil (the default)
 	// disables tracing at nil-check cost.
@@ -78,10 +68,6 @@ func DefaultConfig() Config {
 		PutCPU:            4 * time.Microsecond,
 		GetCPU:            15 * time.Microsecond,
 		ScanCPUPerKB:      2 * time.Microsecond,
-		// ~1 GB/s through the fabric merge pipeline — conservative for a
-		// few-bytes-per-cycle compare-select tree at fabric clocks, and
-		// comfortably under the array's aggregate read bandwidth.
-		MergeCPUPerKB: time.Microsecond,
 	}
 }
 

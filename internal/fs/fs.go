@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -81,48 +80,10 @@ type FileSystem struct {
 
 	files map[string]*file
 	free  []int // free page LPNs, LIFO
-	// reserved marks pages handed out by ReservePages but not yet bound
-	// to a file (compaction-offload output ranges). They are host-side
-	// bookkeeping only, so a crash returns them to the free pool.
-	reserved pageSet
 
 	// Page cache state. cacheCap <= 0 means unbounded (the default).
 	cacheCap int // pages
 	cached   pageLRU
-}
-
-// pageSet is a set of LPNs as a bitset over the device's pages, allocated
-// by the first add.
-type pageSet struct {
-	size int // pages on the device
-	bits []uint64
-}
-
-func (s *pageSet) has(lpn int) bool {
-	return s.bits != nil && s.bits[lpn/64]&(1<<(lpn%64)) != 0
-}
-
-func (s *pageSet) add(lpn int) {
-	if s.bits == nil {
-		s.bits = make([]uint64, (s.size+63)/64)
-	}
-	s.bits[lpn/64] |= 1 << (lpn % 64)
-}
-
-func (s *pageSet) remove(lpn int) {
-	if s.bits != nil {
-		s.bits[lpn/64] &^= 1 << (lpn % 64)
-	}
-}
-
-// drain empties the set, calling fn with each member in ascending order.
-func (s *pageSet) drain(fn func(lpn int)) {
-	for w, word := range s.bits {
-		for ; word != 0; word &= word - 1 {
-			fn(w*64 + bits.TrailingZeros64(word))
-		}
-		s.bits[w] = 0
-	}
 }
 
 // pageLRU is the page cache's residency list: which LPNs are resident and
@@ -251,8 +212,7 @@ func New(dev BlockDevice) *FileSystem {
 	if n > math.MaxInt32-1 {
 		panic(fmt.Sprintf("fs: %d pages: the page cache links LPNs as int32", n))
 	}
-	fs := &FileSystem{dev: dev, files: make(map[string]*file),
-		reserved: pageSet{size: n}, cached: pageLRU{size: n}}
+	fs := &FileSystem{dev: dev, files: make(map[string]*file), cached: pageLRU{size: n}}
 	fs.free = make([]int, n)
 	for i := range fs.free {
 		fs.free[i] = n - 1 - i
@@ -317,9 +277,6 @@ func (fs *FileSystem) splitCached(lpns []int) (misses []int) {
 func (fs *FileSystem) CachedPages() int {
 	return fs.cached.n
 }
-
-// PageSize returns the device page size.
-func (fs *FileSystem) PageSize() int { return fs.dev.PageSize() }
 
 // FreeBytes returns the unallocated capacity.
 func (fs *FileSystem) FreeBytes() int64 {
@@ -504,9 +461,8 @@ func (fs *FileSystem) ReadAt(r *vclock.Runner, name string, off, length int) ([]
 }
 
 // ReadAtBackground is ReadAt with the device reads tagged as background
-// maintenance traffic (compaction input scans, offload validation
-// read-back); identical semantics and timing, split accounting at the
-// queueing layer.
+// maintenance traffic (compaction input scans); identical semantics and
+// timing, split accounting at the queueing layer.
 func (fs *FileSystem) ReadAtBackground(r *vclock.Runner, name string, off, length int) ([]byte, error) {
 	return fs.readAt(r, name, off, length, true)
 }
@@ -578,8 +534,7 @@ func (fs *FileSystem) freeFile(f *file) []int {
 
 // Extents returns a copy of the page LPNs backing a file, in file order.
 // It is host-side metadata (the inode's block map) and spends no device
-// time; the compaction-offload scheduler hands these to the device so it
-// can read the file near-data.
+// time; tests use it to see which pages a file holds.
 func (fs *FileSystem) Extents(name string) ([]int, error) {
 	f, ok := fs.files[name]
 	if !ok {
@@ -589,10 +544,8 @@ func (fs *FileSystem) Extents(name string) ([]int, error) {
 }
 
 // MediaRead returns a file's device-acknowledged bytes, read-only as
-// ReadAt's are, without spending any host-path time. It models the device
-// reading its own media: the fs holds the authoritative payload for the
-// whole stack, so device-side consumers (the offload merge executor) fetch
-// bytes here while charging NAND time through the FTL separately. Host
+// ReadAt's are, without spending any device time: what a power cut would
+// leave on media. Tests use it to check what survives a crash; engine
 // code must use ReadAt/ReadFile, which pay the block path.
 func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
 	f, ok := fs.files[name]
@@ -603,69 +556,6 @@ func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
 		return nil, fmt.Errorf("fs: %s: not on media yet", name)
 	}
 	return readRope(f.stable, 0, ropeLen(f.stable)), nil
-}
-
-// ReservePages allocates n pages without binding them to a file — the
-// output namespace range a submit-merge command describes. Reserved
-// pages are excluded from other allocations until AdoptFile binds them
-// or ReleasePages returns them; a crash releases them implicitly (the
-// reservation is host DRAM state).
-func (fs *FileSystem) ReservePages(n int) ([]int, error) {
-	pages, err := fs.alloc(n)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pages {
-		fs.reserved.add(p)
-	}
-	return pages, nil
-}
-
-// ReleasePages returns reserved pages to the free pool (offload abort or
-// fallback). Pages not currently reserved are ignored.
-func (fs *FileSystem) ReleasePages(lpns []int) {
-	for _, p := range lpns {
-		if fs.reserved.has(p) {
-			fs.reserved.remove(p)
-			fs.free = append(fs.free, p)
-		}
-	}
-}
-
-// AdoptFile binds reserved pages the device already programmed to a new
-// file name. No host I/O is spent and the pages are NOT inserted into
-// the page cache: the host never saw these bytes, so its first read of
-// the file (checksum validation) pays the block path like any cold read.
-// The file is durable immediately — the device acknowledged the programs
-// before completing the merge command.
-//
-// As with WriteFile, the file system takes ownership of data: it becomes
-// the file's bytes without a copy and the caller must not modify it
-// afterwards. pages is copied.
-func (fs *FileSystem) AdoptFile(name string, pages []int, data []byte) error {
-	ps := fs.dev.PageSize()
-	need := (len(data) + ps - 1) / ps
-	if need == 0 {
-		need = 1
-	}
-	if _, ok := fs.files[name]; ok {
-		return fmt.Errorf("fs: %s: adopt over existing file", name)
-	}
-	if len(pages) != need {
-		return fmt.Errorf("fs: %s: adopt with %d pages, need %d", name, len(pages), need)
-	}
-	for _, p := range pages {
-		if !fs.reserved.has(p) {
-			return fmt.Errorf("fs: %s: adopt of unreserved page %d", name, p)
-		}
-	}
-	for _, p := range pages {
-		fs.reserved.remove(p)
-	}
-	f := newFile(name, append([]int(nil), pages...), data)
-	f.stable, f.durable = f.exts, true
-	fs.files[name] = f
-	return nil
 }
 
 // Format drops every file, returning the namespace to empty. Pages are
@@ -679,7 +569,6 @@ func (fs *FileSystem) Format() {
 		pages := fs.freeFile(fs.files[name])
 		fs.cacheDrop(pages)
 	}
-	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
 }
 
 // List returns the names of all files in lexical order. Every walk over
@@ -703,11 +592,8 @@ func (fs *FileSystem) List() []string {
 // framing. Call it between simulation phases (no runners in flight).
 func (fs *FileSystem) Crash(plan *faults.Plan) {
 	ps := fs.dev.PageSize()
-	// Host DRAM is gone: the page cache and any in-flight offload output
-	// reservations (pages the device may have programmed but no file or
-	// manifest ever referenced — physical garbage the FTL remaps later).
+	// Host DRAM is gone, and the page cache with it.
 	fs.cached = pageLRU{size: fs.cached.size}
-	fs.reserved.drain(func(p int) { fs.free = append(fs.free, p) })
 	for _, name := range fs.List() {
 		f := fs.files[name]
 		if !f.durable {

@@ -166,32 +166,6 @@ func TestPageCacheShrinkAndCrash(t *testing.T) {
 	}
 }
 
-// TestReservedPages: reserve, release part, adopt part, format — the
-// reservation set tracks each page once.
-func TestReservedPages(t *testing.T) {
-	fsys, _ := newTestFS()
-	free := fsys.FreeBytes()
-	pages, err := fsys.ReservePages(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys.ReleasePages(pages[3:])
-	fsys.ReleasePages(pages[3:]) // no longer reserved: ignored
-	if err := fsys.AdoptFile("t", pages[:1], []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fsys.AdoptFile("u", pages[3:4], []byte("x")); err == nil {
-		t.Fatal("adopted a released page")
-	}
-	if got, want := fsys.FreeBytes(), free-3*4096; got != want {
-		t.Fatalf("free = %d, want %d (one adopted, two still reserved)", got, want)
-	}
-	fsys.Format()
-	if got := fsys.FreeBytes(); got != free {
-		t.Fatalf("free after Format = %d, want %d", got, free)
-	}
-}
-
 // TestWriteFileOwnsImage pins the hand-over contract: the image is not
 // copied (a tight buffer becomes the file's bytes), its capacity is
 // clipped so appending to the file cannot write into the caller's slack,
@@ -230,18 +204,6 @@ func TestWriteFileOwnsImage(t *testing.T) {
 		}
 		if d := fsys.files["loose"].exts[0].buf; cap(d) != 100 {
 			t.Errorf("a 100-byte file pins a buffer of %d bytes", cap(d))
-		}
-
-		pages, err := fsys.ReservePages(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := bytes.Repeat([]byte{9}, 9000)
-		if err := fsys.AdoptFile("adopted", pages, img); err != nil {
-			t.Fatal(err)
-		}
-		if d := fsys.files["adopted"].exts[0].buf; &d[0] != &img[0] || cap(d) != len(img) {
-			t.Error("an adopted image was copied or kept its capacity")
 		}
 	})
 }

@@ -321,29 +321,6 @@ func (f *FTL) ReadMany(r *vclock.Runner, rg Region, lpns []int) error {
 	return f.run(r, f.mappedPages(rg, lpns), readPage)
 }
 
-// ReadManyBackground is ReadMany at background media priority:
-// device-internal bulk work (offloaded merges) reads with the full die
-// fanout but every page op yields admission to queued host I/O, so a
-// long merge soaks up idle array bandwidth without pushing flush or WAL
-// traffic back in line — the QoS discipline firmware applies to GC.
-func (f *FTL) ReadManyBackground(r *vclock.Runner, rg Region, lpns []int) error {
-	return f.run(r, f.mappedPages(rg, lpns), readPageBackground)
-}
-
-// WriteManyBackground is WriteMany at background media priority (see
-// ReadManyBackground).
-func (f *FTL) WriteManyBackground(r *vclock.Runner, rg Region, lpns []int) error {
-	if len(lpns) == 0 {
-		return nil
-	}
-	job, needGC := f.allocPages(rg, lpns)
-	err := f.run(r, job, programPageBackground)
-	if needGC {
-		f.collect(r)
-	}
-	return err
-}
-
 // Trim invalidates a logical page without touching NAND.
 func (f *FTL) Trim(rg Region, lpn int) {
 	rs := f.regions[rg]
@@ -375,16 +352,8 @@ func programPage(job *fanout, w *vclock.Runner, i int) error {
 	return job.f.arr.ProgramPage(w, job.f.addrOf(job.ppns[i]))
 }
 
-func programPageBackground(job *fanout, w *vclock.Runner, i int) error {
-	return job.f.arr.ProgramPageBackground(w, job.f.addrOf(job.ppns[i]))
-}
-
 func readPage(job *fanout, w *vclock.Runner, i int) error {
 	return job.f.arr.ReadPage(w, job.f.addrOf(job.ppns[i]))
-}
-
-func readPageBackground(job *fanout, w *vclock.Runner, i int) error {
-	return job.f.arr.ReadPageBackground(w, job.f.addrOf(job.ppns[i]))
 }
 
 // migratePage is GC moving one survivor: read its copy on the victim

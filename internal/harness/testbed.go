@@ -51,12 +51,6 @@ type Params struct {
 	// multiplied by Scale like the CPU costs, so -linger-us 30 at scale
 	// 10 opens a 300 µs window. 0 disables lingering.
 	LingerMicros int64
-	// WriteIntervalMicros, when positive, paces each writer to one put
-	// per this many unscaled virtual microseconds (multiplied by Scale
-	// like the CPU costs) — a fixed offered load per writer instead of an
-	// open throttle. TestRatchet/offload uses it so both arms face the same
-	// demand and stall time measures capacity shortfall, not slack.
-	WriteIntervalMicros int64
 	// ValueThreshold enables WiscKey-style value separation in the
 	// Main-LSM: values at least this long live in the value log and the
 	// tree carries 13-byte pointers (kvbench's -value-threshold flag);
@@ -84,13 +78,9 @@ type Params struct {
 	// IOQueues is the number of block-interface queue pairs the file
 	// system stripes over; 0 keeps the default (1).
 	IOQueues int
-	// OffloadCompaction enables device-side L0→L1 compaction offload:
-	// the Main-LSM hands eligible merges to the SSD controller's merge
-	// executor (kvbench's -offload-compaction flag). See lsm.Options.
-	OffloadCompaction bool
 	// TuneLSM, if set, adjusts the Main-LSM options after the standard
-	// Table III rendering — used by TestRatchet/offload's stall-heavy regime
-	// (small memtable, tight L0 triggers).
+	// Table III rendering — small memtables and tight L0 triggers for
+	// tests that need flushes and compactions within a short run.
 	TuneLSM func(*lsm.Options)
 	// FaultsSeed, when non-zero, arms a deterministic device fault plan
 	// (DefaultFaultRules) with that seed — kvbench's -faults-seed flag.
@@ -144,9 +134,6 @@ func (p Params) workloadConfig() workload.Config {
 	cfg.KeySpace = p.KeySpace
 	cfg.Duration = p.Duration
 	cfg.Seed = p.Seed
-	if p.WriteIntervalMicros > 0 {
-		cfg.WriteInterval = time.Duration(p.WriteIntervalMicros*int64(p.scale())) * time.Microsecond
-	}
 	return cfg
 }
 
@@ -212,7 +199,6 @@ func (p Params) lsmOptions(threads int, slowdown bool) lsm.Options {
 	opt.GroupLingerMicros = p.LingerMicros * int64(p.scale())
 	opt.ValueThreshold = p.ValueThreshold
 	opt.Trace = p.Trace
-	opt.EnableCompactionOffload = p.OffloadCompaction
 	if p.TuneLSM != nil {
 		p.TuneLSM(&opt)
 	}

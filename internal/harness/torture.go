@@ -70,15 +70,6 @@ type TortureParams struct {
 	// and the concurrent memtable are always on — they are the write
 	// path's defaults — so every phase exercises them.
 	LingerMicros int64
-	// Offload enables device-side compaction offload in the Main-LSM
-	// (forced, so every eligible L0→L1 merge goes to the device) and
-	// adds two offload-specific cut stages to the seeded pool: a sever
-	// right after the device merge completes ("merge-complete", before
-	// the host adopts any output) and one after adoption + validation
-	// but before the manifest install ("pre-install"). Requires
-	// ValueThreshold == 0 — value separation makes compactions
-	// ineligible for offload, so the stages would never fire.
-	Offload bool
 	// BrokenRecovery deliberately replays WALs without checksum
 	// verification (lsm.Options.UncheckedWALReplay). A correct oracle
 	// must catch the resulting corruption; the negative test asserts
@@ -128,12 +119,8 @@ type TortureReport struct {
 	// KVStats sums the KVACCEL controller's counters across phases:
 	// RollbackPairs is what Recover replayed, Dev* the retry-policy view
 	// of the injected faults.
-	KVStats core.Stats
-	// Offloaded and OffloadFallbacks total the Main-LSM's device-merge
-	// counters across phases (zero unless TortureParams.Offload).
-	Offloaded        int64
-	OffloadFallbacks int64
-	Violations       []string
+	KVStats    core.Stats
+	Violations []string
 	// TraceDumped reports that a violation fired with TracePath set and
 	// the Chrome trace of the violating phase's window was written.
 	TraceDumped bool
@@ -277,8 +264,7 @@ func RunTorture(p TortureParams) TortureReport {
 	scfg := tortureSSDConfig(plan)
 	scfg.Trace = tr
 	dev := ssd.New(clk, scfg)
-	ns := dev.BlockNamespace(0, 0)
-	fsys := fs.New(ns)
+	fsys := fs.New(dev.BlockNamespace(0, 0))
 	oracle := newTortureOracle()
 
 	rep := TortureReport{}
@@ -306,13 +292,6 @@ func RunTorture(p TortureParams) TortureReport {
 		// stage never reaches N hits (a futile-linger backoff, say), the
 		// timed cut still fires.
 		stages := []string{"", "in-linger", "pre-append"}
-		if p.Offload {
-			// The offload commit protocol's two crash windows: device
-			// merge done but nothing adopted, and outputs adopted +
-			// validated but the manifest not yet persisted. Both must
-			// recover to the pre-compaction tree with zero loss.
-			stages = append(stages, "offload:merge-complete", "offload:pre-install")
-		}
 		cutStage := stages[rng.Intn(len(stages))]
 		cutNth := int64(1 + rng.Int63n(4))
 		var hookArmed bool
@@ -346,15 +325,9 @@ func RunTorture(p TortureParams) TortureReport {
 			// with applies, and replay reconstructs the memtable on every
 			// Reopen. The hook severs power inside the chosen window.
 			lopt.GroupLingerMicros = p.LingerMicros
-			if p.Offload {
-				lopt.EnableCompactionOffload = true
-				lopt.Offloader = ns.Offloader()
-				lopt.ForceOffload = true
-			}
 			if cutPhase && cutStage != "" {
-				want := strings.TrimPrefix(cutStage, "offload:")
 				lopt.TestHook = func(stage string) {
-					if stage != want || !hookArmed {
+					if stage != cutStage || !hookArmed {
 						return
 					}
 					if hookHits++; hookHits == cutNth && !dev.Severed() {
@@ -383,9 +356,6 @@ func RunTorture(p TortureParams) TortureReport {
 			db := core.Open(clk, main, dev.KVRegionFull(), opt)
 			defer func() {
 				rep.KVStats = rep.KVStats.Add(db.Stats())
-				ms := main.Stats()
-				rep.Offloaded += ms.OffloadedCompactions
-				rep.OffloadFallbacks += ms.OffloadFallbacks
 				db.Close()
 			}()
 

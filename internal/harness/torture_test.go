@@ -64,44 +64,3 @@ func TestTortureBrokenRecoveryCaught(t *testing.T) {
 	}
 	t.Logf("broken recovery caught: %s", rep.Violations[0])
 }
-
-// TestOffloadTortureCrashRecovery is the offload acceptance run: the
-// same 10 seeds × 5 cuts with every eligible L0→L1 merge forced onto
-// the device, and the seeded cut-stage pool extended with the offload
-// protocol's two crash windows — after the device merge completes but
-// before any output is adopted, and after adoption + validation but
-// before the manifest install. The oracle must stay silent: an
-// uninstalled device merge is invisible (reservations die with the
-// crash, orphan outputs are swept by reopen), so no cut placement may
-// lose an acknowledged write or surface a phantom.
-func TestOffloadTortureCrashRecovery(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if testing.Short() {
-		seeds = seeds[:3]
-	}
-	var acked, offloaded, fallbacks int64
-	for _, seed := range seeds {
-		p := DefaultTortureParams(seed)
-		p.Offload = true
-		// Value separation makes compactions ineligible for offload; keep
-		// values inline so the device merges (and their cut stages) fire.
-		p.ValueThreshold = 0
-		p.Logf = t.Logf
-		rep := RunTorture(p)
-		for _, v := range rep.Violations {
-			t.Errorf("seed %d: %s", seed, v)
-		}
-		if rep.Phases != p.Cuts+1 {
-			t.Errorf("seed %d: ran %d phases, want %d", seed, rep.Phases, p.Cuts+1)
-		}
-		acked += rep.Acked
-		offloaded += rep.Offloaded
-		fallbacks += rep.OffloadFallbacks
-	}
-	// A pass without device merges would be vacuous; fallbacks are
-	// expected (severed-device validation failures) but not required.
-	if offloaded == 0 {
-		t.Error("no compaction was ever offloaded to the device")
-	}
-	t.Logf("total: acked=%d offloaded=%d fallbacks=%d", acked, offloaded, fallbacks)
-}

@@ -420,14 +420,6 @@ type Stats struct {
 	Entries       int64
 }
 
-// HitRate returns Hits/(Hits+Misses), or 0 with no traffic.
-func (st Stats) HitRate() float64 {
-	if st.Hits+st.Misses == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(st.Hits+st.Misses)
-}
-
 // Stats sums the per-shard counters.
 func (c *Cache) Stats() Stats {
 	var st Stats

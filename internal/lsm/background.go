@@ -7,7 +7,6 @@ import (
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
-	"kvaccel/internal/offload"
 	"kvaccel/internal/sstable"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
@@ -197,8 +196,7 @@ func (db *DB) writeTable(r *vclock.Runner, data []byte, meta sstable.Meta, level
 
 // fileSource adapts an fs file to sstable.Source. bg tags its device
 // reads as background maintenance traffic — set for sources that serve
-// compaction merges or offload validation, clear for long-lived readers
-// serving foreground Gets.
+// compaction merges, clear for long-lived readers serving foreground Gets.
 type fileSource struct {
 	db   *DB
 	name string
@@ -462,27 +460,10 @@ func keyRange(files []*FileMeta) (smallest, largest []byte) {
 // doCompaction merges c's inputs into new files at the target level: the
 // phase structure the paper's PCIe analysis depends on — timed block
 // reads interleaved with CPU merge work, then a burst of device writes.
-//
-// The merge-emit loop itself lives in offload.Merge, shared with the
-// device-side executor: an offloaded compaction runs the same code over
-// the same inputs in the same order, which is what makes its outputs
-// byte-identical to the host merge it replaces. When the offload gate
-// opens, the merge is handed to the device first; any failure there
-// falls back here with the inputs still marked.
 func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 	csp := db.opt.Trace.Begin(r, trace.PhaseCompaction, "compaction")
 	var readBytes, writeBytes int64
 	defer func() { csp.EndArg(r, readBytes+writeBytes) }()
-
-	if db.shouldOffload(c) {
-		if rb, wb, ok := db.tryOffloadCompaction(r, c); ok {
-			readBytes, writeBytes = rb, wb
-			return
-		}
-		// Device fault, abort, or validation miss: the host merge below
-		// redoes the work from the durable inputs.
-		db.stats.OffloadFallbacks++
-	}
 
 	iters := make([]iterkit.Iterator, 0, len(c.inputs)+len(c.overlap))
 	var openErr error
@@ -508,11 +489,11 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 	// Reported to the vlog after install so GC sees them only once the
 	// drop is durable.
 	var discards map[uint32]int64
-	mergeErr := offload.Merge(iterkit.NewMerge(iters), offload.MergeParams{
-		Builder:        db.opt.builderOptions(),
-		MaxFileSize:    db.opt.MaxFileSize,
-		DropTombstones: c.dropTombstones,
-		OnDrop: func(e memtable.Entry) {
+	mergeErr := merge(iterkit.NewMerge(iters), mergeParams{
+		builder:        db.opt.builderOptions(),
+		maxFileSize:    db.opt.MaxFileSize,
+		dropTombstones: c.dropTombstones,
+		onDrop: func(e memtable.Entry) {
 			if e.Kind == memtable.KindValuePtr && db.vlog != nil {
 				if ptr, perr := encoding.DecodeValuePointer(e.Value); perr == nil {
 					if discards == nil {
@@ -522,8 +503,8 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 				}
 			}
 		},
-		Charge: func(n int) { db.chargeMergeCPU(r, n) },
-		Emit: func(data []byte, meta sstable.Meta) error {
+		charge: func(n int) { db.chargeMergeCPU(r, n) },
+		emit: func(data []byte, meta sstable.Meta) error {
 			out, err := db.writeTable(r, data, meta, c.target, trace.PhaseCompactionIO)
 			if err != nil {
 				return err
@@ -538,7 +519,7 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 		db.abortCompaction(r, c, outputs, mergeErr)
 		return
 	}
-	db.installCompaction(r, c, outputs, readBytes, writeBytes, discards, nil)
+	db.installCompaction(r, c, outputs, readBytes, writeBytes, discards)
 }
 
 // abortCompaction unwinds a failed compaction: partial outputs are
@@ -555,12 +536,10 @@ func (db *DB) abortCompaction(r *vclock.Runner, c *compaction, outputs []*FileMe
 }
 
 // installCompaction swaps c's inputs for outputs atomically and persists
-// the manifest — the single commit point both the host and the offloaded
-// path share. res is non-nil for an offloaded merge (its ARM cycles feed
-// the device-CPU attribution); discards is the host path's value-log
-// dead-byte report.
+// the manifest, the compaction's commit point; discards is the merge's
+// value-log dead-byte report.
 func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*FileMeta,
-	readBytes, writeBytes int64, discards map[uint32]int64, res *offload.MergeResult) {
+	readBytes, writeBytes int64, discards map[uint32]int64) {
 	nv := db.vers.clone()
 	for _, f := range c.allFiles() {
 		nv.removeFile(f)
@@ -580,11 +559,6 @@ func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*File
 	db.stats.Compactions++
 	db.stats.CompactionReadBytes += readBytes
 	db.stats.CompactionWriteBytes += writeBytes
-	if res != nil {
-		db.stats.OffloadedCompactions++
-		db.stats.OffloadedBytes += writeBytes
-		db.stats.DeviceMergeCPUMicros += res.DeviceCPU.Microseconds()
-	}
 
 	if perr := db.persistManifest(r); perr != nil {
 		// The durable manifest still references the compaction inputs:

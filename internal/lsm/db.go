@@ -83,8 +83,7 @@ type DB struct {
 	activeCompactions int
 	flushing          bool
 	stalledWriters    int
-	lastPressure      vclock.Time // last instant a writer entered a stall (offload hysteresis)
-	cursor            [][]byte    // per-level round-robin compaction cursor
+	cursor            [][]byte // per-level round-robin compaction cursor
 	closed            bool
 
 	manifest manifestState
@@ -390,7 +389,6 @@ func (db *DB) stallWait(r *vclock.Runner, reason StallReason, counted *[numStall
 		counted[reason] = true
 		db.stats.StallEvents[reason]++
 	}
-	db.lastPressure = r.Now()
 	db.stalledWriters++
 	sp := db.opt.Trace.Begin(r, trace.PhaseStallWait, reason.String())
 	start := r.Now()

@@ -3,55 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-
-	"kvaccel/internal/memtable"
-	"kvaccel/internal/vclock"
 )
-
-// DebugDumpKey logs every structure that holds a version of key —
-// memtable, immutables, and each level's candidate files — plus any
-// violation of the sorted/disjoint invariant on levels >= 1.
-// Diagnostics only.
-func (db *DB) DebugDumpKey(logf func(string, ...interface{}), r *vclock.Runner, key []byte, tag int) {
-	mem := db.mem
-	imms := make([]*memtable.Table, len(db.imm))
-	for i, j := range db.imm {
-		imms[i] = j.mt
-	}
-	vers := db.pinVersion()
-	defer db.unpinVersion(r, vers)
-
-	first := func(v []byte) byte {
-		if len(v) == 0 {
-			return '?'
-		}
-		return v[0]
-	}
-	if v, kind, ok := mem.Get(key); ok {
-		logf("[%d] mem: kind=%v val0=%c", tag, kind, first(v))
-	}
-	for i, im := range imms {
-		if v, kind, ok := im.Get(key); ok {
-			logf("[%d] imm%d: kind=%v val0=%c", tag, i, kind, first(v))
-		}
-	}
-	for l, files := range vers.levels {
-		for _, f := range files {
-			v, kind, found, err := f.reader.Get(r, key)
-			logf("[%d] L%d file#%d [%q..%q] compacting=%v obsolete=%v: found=%v kind=%v val0=%c err=%v",
-				tag, l, f.Num, f.Smallest, f.Largest, f.beingCompacted, f.obsolete, found, kind, first(v), err)
-		}
-		if l >= 1 {
-			for i := 1; i < len(files); i++ {
-				if bytes.Compare(files[i-1].Largest, files[i].Smallest) >= 0 {
-					logf("[%d] INVARIANT VIOLATION at L%d: file#%d [%q..%q] overlaps file#%d [%q..%q]",
-						tag, l, files[i-1].Num, files[i-1].Smallest, files[i-1].Largest,
-						files[i].Num, files[i].Smallest, files[i].Largest)
-				}
-			}
-		}
-	}
-}
 
 // CheckInvariants validates the version's structural invariants: levels
 // >= 1 sorted by smallest key with pairwise-disjoint ranges, every file's

@@ -96,43 +96,13 @@ type Options struct {
 	// that preserves WAL record order == sequence order.
 	DisablePipelinedWAL bool
 	// TestHook, when set, is called at named instants inside the write
-	// pipeline and the offload install path, so the crash-recovery torture
-	// suite can cut power at their in-between states deterministically:
+	// pipeline, so the crash-recovery torture suite can cut power at its
+	// in-between states deterministically:
 	//   - "in-linger": inside an open linger window, before the timed wait;
 	//   - "pre-append": a pipelined leader has handed leadership over but
-	//     not yet appended;
-	//   - "merge-complete": the device merge is done, nothing adopted yet;
-	//   - "pre-install": the outputs are adopted and validated, the
-	//     manifest not yet persisted.
-	// The first two are called on the group leader's runner, the last two
-	// on the compaction worker's.
+	//     not yet appended.
+	// Both are called on the group leader's runner.
 	TestHook func(stage string)
-
-	// EnableCompactionOffload lets the engine hand L0→L1 merges to the
-	// device executor behind Offloader when write-stall pressure holds
-	// and the device is idle. Offload is strictly a hint: every returned
-	// table is validated (footer and index parse, key-range and ordering
-	// invariants) before the manifest install, and any device fault,
-	// abort, or validation miss falls back to the host merge — no
-	// durability guarantee ever depends on the device finishing.
-	EnableCompactionOffload bool
-	// OffloadVerifyReadback adds a paranoid post-adoption pass to that
-	// validation: the host re-reads every device-built table end to end
-	// (NAND reads plus PCIe, through the uncached file source) and checks
-	// every block checksum. Off by default — the device computes block
-	// checksums while building, exactly like the host builder, and a full
-	// host read-back re-imports the data movement the offload exists to
-	// avoid. Structural validation and the footer/index parse always run.
-	OffloadVerifyReadback bool
-	// Offloader is the device-side merge handle (ssd.MergeOffloader in
-	// the full stack; tests substitute fakes). Required when
-	// EnableCompactionOffload is set; ignored otherwise.
-	Offloader Offloader
-	// ForceOffload bypasses the pressure/idleness gate so every eligible
-	// L0→L1 compaction offloads — for the equivalence suite and A/B
-	// sweeps that need deterministic routing. The eligibility condition
-	// (no value log) still applies.
-	ForceOffload bool
 
 	// ValueThreshold enables WiscKey-style value separation: a Put whose
 	// value is at least this many bytes appends the value to the value

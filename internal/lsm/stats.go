@@ -1,9 +1,6 @@
 package lsm
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // StallReason classifies a write stall, matching the paper's taxonomy
 // (§II-A): flush backlog, L0 file count, pending compaction bytes.
@@ -121,18 +118,6 @@ type Stats struct {
 	CompactionReadBytes  int64
 	CompactionWriteBytes int64
 	WALBytesWritten      int64 // written back so far, live logs included
-
-	// Compaction-offload counters. OffloadedCompactions counts merges
-	// the device executed end-to-end (installed from device-built
-	// tables); OffloadedBytes is the table bytes those merges produced;
-	// OffloadFallbacks counts offload attempts that fell back to a host
-	// merge (device fault, abort, or validation miss).
-	// DeviceMergeCPUMicros is the controller ARM time those merges cost
-	// — cycles that would otherwise have been host merge CPU.
-	OffloadedCompactions int64
-	OffloadedBytes       int64
-	OffloadFallbacks     int64
-	DeviceMergeCPUMicros int64
 
 	// UserBytes is the pre-separation key+value payload committed by user
 	// writes — write-amp's denominator. With value separation a 4 KiB
@@ -283,10 +268,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.CompactionReadBytes += o.CompactionReadBytes
 	s.CompactionWriteBytes += o.CompactionWriteBytes
 	s.WALBytesWritten += o.WALBytesWritten
-	s.OffloadedCompactions += o.OffloadedCompactions
-	s.OffloadedBytes += o.OffloadedBytes
-	s.OffloadFallbacks += o.OffloadFallbacks
-	s.DeviceMergeCPUMicros += o.DeviceMergeCPUMicros
 	s.UserBytes += o.UserBytes
 	s.VLogBytes += o.VLogBytes
 	s.VLogGCRewrites += o.VLogGCRewrites
@@ -311,11 +292,4 @@ func (h Health) MemtablePressure() bool {
 // writes while this is true.
 func (h Health) StallSignal() bool {
 	return h.Stalled || h.SlowdownLikely || h.MemtablePressure()
-}
-
-// String renders the stats as a compact db_bench-style summary line.
-func (s Stats) String() string {
-	return fmt.Sprintf("puts=%d gets=%d dels=%d slowdowns=%d stalls=%d stallTime=%v flushes=%d compactions=%d WA=%.2f",
-		s.Puts, s.Gets, s.Deletes, s.Slowdowns, s.TotalStalls(), s.StallTime,
-		s.Flushes, s.Compactions, s.WriteAmplification())
 }

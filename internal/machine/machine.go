@@ -87,10 +87,6 @@ func DeviceConfig(scale int) ssd.Config {
 	cfg.DevLSM.PutCPU *= s
 	cfg.DevLSM.GetCPU *= s
 	cfg.DevLSM.ScanCPUPerKB *= s
-	// The merge executor shares the ARM core: its per-KB cost scales with
-	// the machine like every other CPU cost, so the host/device merge
-	// speed ratio is scale-invariant.
-	cfg.DevLSM.MergeCPUPerKB *= s
 	return cfg
 }
 
@@ -149,8 +145,7 @@ func New(cfg ssd.Config, shards int) *Machine {
 
 // OpenLSM opens a Main-LSM on shard i. opt's buffer budgets are the
 // machine's and split evenly over its shards, so N shards spend the host
-// memory of one engine; the engine charges the machine's host pool, and
-// an offloading one gets its own channel to the device's merge executor.
+// memory of one engine; the engine charges the machine's host pool.
 func (m *Machine) OpenLSM(i int, opt lsm.Options) *lsm.DB {
 	n := int64(len(m.Shards))
 	opt.MemtableSize /= n
@@ -158,9 +153,6 @@ func (m *Machine) OpenLSM(i int, opt lsm.Options) *lsm.DB {
 	opt.MaxFileSize /= n
 	opt.BlockCacheBytes /= n
 	opt.CPU = m.CPU
-	if opt.EnableCompactionOffload {
-		opt.Offloader = m.Shards[i].NS.Offloader()
-	}
 	return lsm.Open(m.Clk, m.Shards[i].Fsys, opt)
 }
 

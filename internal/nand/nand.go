@@ -163,31 +163,13 @@ func (a *Array) check(addr Addr) {
 // the channel bus. A plan-injected fault surfaces as an uncorrectable
 // read error.
 func (a *Array) ReadPage(r *vclock.Runner, addr Addr) error {
-	return a.readPage(r, addr, false)
-}
-
-// ReadPageBackground is ReadPage at background priority: the die and bus
-// admit it only when no host-path operation is queued. Device-internal
-// bulk work (offloaded merges) reads with it so host I/O latency sees at
-// most one in-service operation of interference — the discipline real
-// controllers implement with operation suspension.
-func (a *Array) ReadPageBackground(r *vclock.Runner, addr Addr) error {
-	return a.readPage(r, addr, true)
-}
-
-func (a *Array) readPage(r *vclock.Runner, addr Addr, bg bool) error {
 	a.check(addr)
 	if err := a.consult(r, "NAND_READ", addr); err != nil {
 		return err
 	}
 	sp := a.tracer.Begin(r, trace.PhaseNANDRead, "tRead")
-	if bg {
-		a.dies[a.dieIndex(addr)].UseBackground(r, a.timing.ReadPage)
-		a.channels[addr.Channel].UseBackground(r, a.busTime(a.geo.PageSize))
-	} else {
-		a.dies[a.dieIndex(addr)].Use(r, a.timing.ReadPage)
-		a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
-	}
+	a.dies[a.dieIndex(addr)].Use(r, a.timing.ReadPage)
+	a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
 	sp.End(r)
 	a.stats.PagesRead++
 	a.stats.BytesRead += int64(a.geo.PageSize)
@@ -198,28 +180,13 @@ func (a *Array) readPage(r *vclock.Runner, addr Addr, bg bool) error {
 // program it on its die. A plan-injected fault models a program failure
 // (partial page program: time may have been spent, no data landed).
 func (a *Array) ProgramPage(r *vclock.Runner, addr Addr) error {
-	return a.programPage(r, addr, false)
-}
-
-// ProgramPageBackground is ProgramPage at background priority (see
-// ReadPageBackground).
-func (a *Array) ProgramPageBackground(r *vclock.Runner, addr Addr) error {
-	return a.programPage(r, addr, true)
-}
-
-func (a *Array) programPage(r *vclock.Runner, addr Addr, bg bool) error {
 	a.check(addr)
 	if err := a.consult(r, "NAND_PROG", addr); err != nil {
 		return err
 	}
 	sp := a.tracer.Begin(r, trace.PhaseNANDProg, "tProg")
-	if bg {
-		a.channels[addr.Channel].UseBackground(r, a.busTime(a.geo.PageSize))
-		a.dies[a.dieIndex(addr)].UseBackground(r, a.timing.ProgramPage)
-	} else {
-		a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
-		a.dies[a.dieIndex(addr)].Use(r, a.timing.ProgramPage)
-	}
+	a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
+	a.dies[a.dieIndex(addr)].Use(r, a.timing.ProgramPage)
 	sp.End(r)
 	a.stats.PagesProgrammed++
 	a.stats.BytesProgrammed += int64(a.geo.PageSize)

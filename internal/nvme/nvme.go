@@ -42,7 +42,7 @@ type Command struct {
 	Exec  func(r *vclock.Runner) error
 
 	// Background marks host-initiated maintenance I/O (compaction reads
-	// and writes, flush output, offload read-back validation) as opposed
+	// and writes, flush output) as opposed
 	// to latency-sensitive foreground traffic (WAL appends, user reads).
 	// It changes accounting only — the queue pair splits its admission,
 	// occupancy, and latency stats by this flag so maintenance traffic
@@ -529,7 +529,7 @@ type QueueStats struct {
 	Latency *metrics.Histogram
 
 	// Background split: commands submitted with Command.Background set
-	// (compaction, flush, offload validation). The unprefixed counters
+	// (compaction, flush). The unprefixed counters
 	// above are totals, so foreground = total − Bg; FgLatency and
 	// BgLatency are the per-class latency histograms whose union is
 	// Latency.

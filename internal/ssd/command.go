@@ -5,7 +5,6 @@ import (
 	"kvaccel/internal/ftl"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/nvme"
-	"kvaccel/internal/offload"
 	"kvaccel/internal/pcie"
 	"kvaccel/internal/vclock"
 )
@@ -180,18 +179,16 @@ const (
 	blkWrite blkOp = iota
 	blkRead
 	blkTrim
-	blkMerge
 )
 
 var blkOpNames = [...]string{
 	blkWrite: "WRITE",
 	blkRead:  "READ",
 	blkTrim:  "DSM_TRIM",
-	blkMerge: "OFFLOAD_MERGE",
 }
 
 // blkCmd is one command of a BlockNS: block I/O on the namespace's
-// stripe, or compaction offload on its offloader's queue pair.
+// stripe.
 type blkCmd struct {
 	nvme.Command
 	ns *BlockNS
@@ -199,8 +196,6 @@ type blkCmd struct {
 	q  *nvme.QueuePair // the stripe's pair a read or write chunk went to
 
 	lpns []int // region LPNs: the command's own buffer, refilled by translate
-	req  *offload.MergeRequest
-	res  *offload.MergeResult // OFFLOAD_MERGE's result
 }
 
 // cmd takes a command for op off the namespace's free list, or makes one.
@@ -217,7 +212,7 @@ func (ns *BlockNS) cmd(op blkOp) *blkCmd {
 // release recycles a command whose Await has returned. The LPN buffer
 // stays with the command; it holds only numbers.
 func (ns *BlockNS) release(c *blkCmd) {
-	c.q, c.req, c.res = nil, nil, nil
+	c.q = nil
 	ns.free.put(c)
 }
 
@@ -231,22 +226,11 @@ func (c *blkCmd) run(w *vclock.Runner) error {
 		err := dev.FTL.ReadMany(w, ftl.BlockRegion, c.lpns)
 		dev.Link.Transfer(w, pcie.DeviceToHost, c.Bytes)
 		return err
-	case blkTrim:
+	default: // blkTrim
 		dev.receive(w, c.Bytes)
 		for _, l := range c.lpns {
 			dev.FTL.Trim(ftl.BlockRegion, l)
 		}
 		return nil
-	case blkMerge:
-		dev.receive(w, c.Bytes)
-		mr, err := dev.MergeExec.Run(w, c.req)
-		if err != nil {
-			return err
-		}
-		// The completion carries per-output metadata (number, key range,
-		// page runs); the table bytes themselves stay on media.
-		dev.Link.Transfer(w, pcie.DeviceToHost, 16+64*len(mr.Outputs))
-		c.res = mr
 	}
-	return nil
 }

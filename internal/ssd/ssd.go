@@ -107,10 +107,6 @@ type Device struct {
 	NVMe  *nvme.Dispatcher
 	clk   *vclock.Clock
 	full  *KVRegion // full-region KV view wrapping Dev
-
-	// MergeExec services offloaded compactions (OFFLOAD_MERGE) for every
-	// block namespace; it shares the ARM core and FTL with the Dev-LSM.
-	MergeExec *devlsm.MergeExecutor
 }
 
 // New builds the device on clk. The ARM pool models the single Cortex-A9
@@ -148,7 +144,6 @@ func New(clk *vclock.Clock, cfg Config) *Device {
 		clk:   clk,
 	}
 	d.full = &KVRegion{dev: d, lsm: d.Dev, qp: d.NVMe.NewQueuePair("kv", 1)}
-	d.MergeExec = devlsm.NewMergeExecutor(f, arm, cfg.DevLSM.MergeCPUPerKB, cfg.Trace)
 	if cfg.Faults != nil {
 		d.NVMe.SetFaultPlan(cfg.Faults)
 		arr.SetFaultPlan(cfg.Faults)
@@ -310,7 +305,7 @@ func (ns *BlockNS) ReadPages(r *vclock.Runner, lpns []int) error {
 }
 
 // ReadPagesBackground is ReadPages with the commands tagged Background
-// (compaction input reads, offload read-back validation); accounting
+// (compaction input reads); accounting
 // only, same service path.
 func (ns *BlockNS) ReadPagesBackground(r *vclock.Runner, lpns []int) error {
 	return ns.transfer(r, blkRead, lpns, true)

@@ -11,7 +11,7 @@ import (
 )
 
 // boundedSource is a Source over an image that refuses out-of-range
-// reads with an error, as fs files and offload.ByteSource do.
+// reads with an error, as fs files do.
 type boundedSource []byte
 
 func (s boundedSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, error) {

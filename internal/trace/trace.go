@@ -58,9 +58,6 @@ const (
 	PhaseFrontCache
 	PhaseSSTGet
 	PhaseScan
-	PhaseOffloadSubmit
-	PhaseDeviceMerge
-	PhaseOffloadInstall
 	PhaseNetXfer
 	PhaseAcceptQueue
 	PhaseServeLinger
@@ -103,9 +100,6 @@ var phaseNames = [NumPhases]string{
 	PhaseFrontCache:     "front-cache",
 	PhaseSSTGet:         "sst-get",
 	PhaseScan:           "scan",
-	PhaseOffloadSubmit:  "offload-submit",
-	PhaseDeviceMerge:    "device-merge",
-	PhaseOffloadInstall: "offload-install",
 	PhaseNetXfer:        "net-xfer",
 	PhaseAcceptQueue:    "accept-queue",
 	PhaseServeLinger:    "serve-linger",
@@ -123,10 +117,7 @@ func (p Phase) String() string {
 
 // activityPhases are the phases that represent background/device work a
 // stalled writer is waiting behind; the stall report attributes stall
-// windows to overlap with these. Host-absorbed compaction work shows up
-// under compaction/compaction-io; device-absorbed work under
-// device-merge (with offload-submit/offload-install as the host-side
-// bookends), so the report splits who soaked up each stall window.
+// windows to overlap with these.
 var activityPhases = []Phase{
 	PhaseFlush, PhaseFlushIO, PhaseCompaction, PhaseCompactionIO,
 	PhaseNVMeQueue, PhaseNVMeExec,
@@ -134,7 +125,6 @@ var activityPhases = []Phase{
 	PhaseDevLSM, PhaseDevLSMFlush,
 	PhaseRollback, PhaseRollbackScan, PhaseRecovery,
 	PhaseVLogGC,
-	PhaseOffloadSubmit, PhaseDeviceMerge, PhaseOffloadInstall,
 }
 
 // Event kinds, matching Chrome trace-event phase letters.

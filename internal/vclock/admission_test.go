@@ -11,8 +11,8 @@ import (
 // the waiters that could win if it woke them all; herdSemaphore below is
 // the Release it replaced, which did wake them all, kept as the reference.
 // 64 runners go through seeded scripts of Acquire(1), Acquire(n),
-// TryAcquire, Resource.Use (once, and twice back to back), UseBackground
-// and a Release followed by a Signal on an unrelated condition, once over
+// TryAcquire, Resource.Use (once, and twice back to back) and a Release
+// followed by a Signal on an unrelated condition, once over
 // each implementation. The kernel runs them by its run-order rule, so both
 // must admit the same runners at the same instants in the same order, on
 // any number of Ps and under the race detector. Along the way admRun
@@ -61,48 +61,27 @@ type admSemaphore interface {
 	Release(n int)
 }
 
-// herdResource is Resource over a herdSemaphore: the same Use, hold and
-// UseBackground, statement for statement, without the busy-time account.
+// herdResource is Resource over a herdSemaphore: the same Use, statement
+// for statement, without the busy-time account.
 type herdResource struct {
-	sem    *herdSemaphore
-	fgWait int
-	bgCond Cond
+	sem *herdSemaphore
 }
 
 func newHerdResource(capacity int, label string) *herdResource {
-	return &herdResource{sem: newHerdSemaphore(capacity, label), bgCond: Cond{label: label + ".bg"}}
+	return &herdResource{sem: newHerdSemaphore(capacity, label)}
 }
 
 func (res *herdResource) Use(r *Runner, d Duration) {
 	if d <= 0 {
 		return
 	}
-	res.fgWait++
 	res.sem.Acquire(r, 1)
-	res.fgWait--
-	res.bgCond.Broadcast()
-	res.hold(r, d)
-}
-
-func (res *herdResource) hold(r *Runner, d Duration) {
 	r.Sleep(d)
 	res.sem.Release(1)
-	res.bgCond.Broadcast()
-}
-
-func (res *herdResource) UseBackground(r *Runner, d Duration) {
-	if d <= 0 {
-		return
-	}
-	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
-		res.bgCond.Wait(r)
-	}
-	res.hold(r, d)
 }
 
 type admResource interface {
 	Use(r *Runner, d Duration)
-	UseBackground(r *Runner, d Duration)
 }
 
 type admKind int
@@ -114,7 +93,7 @@ const (
 	admTry                          // TryAcquire(1): barges past the waiters or gives up
 	admUse                          // Resource.Use
 	admUseTwice                     // two Resource.Use back to back: the second barges in on the first's release
-	admUseBackground                // Resource.UseBackground
+	admUseDrawn                     // drawn, then played as admUse (see admScripts)
 	admKinds
 )
 
@@ -146,14 +125,9 @@ func admScripts(seed int64, capacity int) [][]admOp {
 			if capacity == 1 && op.kind == admAcquireN {
 				op.kind = admAcquire
 			}
-			if capacity > 1 && op.kind == admUseBackground {
-				// Background callers wait on one-unit resources only, here
-				// as in the device model (dies and channel buses). Where
-				// they wait, every foreground caller broadcasts to them as
-				// soon as it is admitted; on a multi-unit resource that can
-				// displace the waiter it has just passed a second free
-				// unit to (see Acquire) behind the newest one, which the
-				// herd never let overtake it.
+			if op.kind == admUseDrawn {
+				// A kind of its own in the draw, so each seed's scripts
+				// keep the ops and times they have always had.
 				op.kind = admUse
 			}
 			if op.kind == admAcquireN {
@@ -264,9 +238,6 @@ func admRun(t *testing.T, capacity int, scripts [][]admOp, sem admSemaphore, res
 				case admUseTwice:
 					res.Use(r, op.hold)
 					res.Use(r, op.hold2)
-					admitted(r, i, pc, 0, true)
-				case admUseBackground:
-					res.UseBackground(r, op.hold)
 					admitted(r, i, pc, 0, true)
 				}
 				r.Sleep(op.think)

@@ -242,25 +242,6 @@ func TestAllocsResourceUse(t *testing.T) {
 	contended(t, 4, func(_ int, p *Runner) { res.Use(p, time.Microsecond) })
 }
 
-func TestAllocsResourceUseBackground(t *testing.T) {
-	res := NewResource(1, "res")
-	var bgUses atomic.Int64
-	contended(t, 2, func(i int, p *Runner) {
-		if i == 0 {
-			// The foreground caller leaves gaps: background work is
-			// admitted only while no foreground caller is queued.
-			res.Use(p, 2*time.Microsecond)
-			p.Sleep(time.Microsecond)
-			return
-		}
-		res.UseBackground(p, 2*time.Microsecond)
-		bgUses.Add(1)
-	})
-	if !raceEnabled && bgUses.Load() < 100 {
-		t.Errorf("background caller was admitted %d times; the gate did not exercise its wait path", bgUses.Load())
-	}
-}
-
 // TestAllocsGo is the ftl fan-out and nvme.Dispatcher shape: a transient
 // runner is started, sleeps once and returns, and its parent joins it. In
 // steady state the runner comes off the free list, so GoWith allocates

@@ -367,61 +367,6 @@ func TestResourceParallelCapacity(t *testing.T) {
 	}
 }
 
-// TestResourceBackgroundYieldsToForeground checks the two halves of the
-// background-admission contract on a capacity-1 resource: a queued
-// foreground caller is always served before a waiting background one,
-// and an already-admitted background op runs to completion (at most one
-// service time of foreground interference).
-func TestResourceBackgroundYieldsToForeground(t *testing.T) {
-	c := New()
-	res := NewResource(1, "die")
-	var order []string
-	mark := func(s string) {
-		order = append(order, s)
-	}
-	c.Go("driver", func(r *Runner) {
-		// Occupy the unit, then line up one background and one foreground
-		// waiter while it is held.
-		c.Go("fg0", func(r0 *Runner) {
-			res.Use(r0, 100*time.Millisecond)
-			mark("fg0")
-		})
-		r.Sleep(10 * time.Millisecond) // fg0 holds the unit
-		c.Go("bg", func(rb *Runner) {
-			res.UseBackground(rb, 400*time.Millisecond)
-			mark("bg")
-		})
-		r.Sleep(10 * time.Millisecond) // bg is waiting
-		c.Go("fg1", func(r1 *Runner) {
-			res.Use(r1, 100*time.Millisecond)
-			mark("fg1")
-		})
-		r.Sleep(30 * time.Millisecond) // fg1 queued behind fg0
-		// With fg1 queued, the release at t=100ms must admit fg1, not bg;
-		// bg then runs 200ms..600ms and a later foreground arrival waits
-		// behind it (admitted ops are not preempted).
-		r.Sleep(200 * time.Millisecond) // t=250ms: bg in flight
-		c.Go("fg2", func(r2 *Runner) {
-			res.Use(r2, 100*time.Millisecond)
-			mark("fg2")
-		})
-	})
-	c.Wait()
-	want := []string{"fg0", "fg1", "bg", "fg2"}
-	if len(order) != len(want) {
-		t.Fatalf("completions = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("completion order = %v, want %v", order, want)
-		}
-	}
-	// fg0 100ms + fg1 100ms + bg 400ms + fg2 100ms, all serialized.
-	if c.Now() != Time(700*time.Millisecond) {
-		t.Fatalf("elapsed = %v, want 700ms", c.Now())
-	}
-}
-
 func TestNestedGoFromRunner(t *testing.T) {
 	c := New()
 	var childDone atomic.Bool

@@ -426,13 +426,11 @@ func (q *Queue[T]) Close() {
 type Resource struct {
 	sem    *Semaphore
 	busyNS int64 // cumulative unit-nanoseconds of service
-	fgWait int   // foreground callers currently queued for admission
-	bgCond Cond  // background admission: re-checked on releases and fg departures
 }
 
 // NewResource returns a resource with the given parallel capacity.
 func NewResource(capacity int, label string) *Resource {
-	return &Resource{sem: NewSemaphore(capacity, label), bgCond: Cond{label: label + ".bg"}}
+	return &Resource{sem: NewSemaphore(capacity, label)}
 }
 
 // Use occupies one unit for duration d of virtual time: it queues for
@@ -441,37 +439,10 @@ func (res *Resource) Use(r *Runner, d Duration) {
 	if d <= 0 {
 		return
 	}
-	res.fgWait++
 	res.sem.Acquire(r, 1)
-	res.fgWait--
-	res.bgCond.Broadcast() // a free unit may remain for a background waiter
-	res.hold(r, d)
-}
-
-// hold keeps an admitted unit busy for d, releases it and lets background
-// waiters re-check.
-func (res *Resource) hold(r *Runner, d Duration) {
 	r.Sleep(d)
 	res.sem.Release(1)
 	res.busyNS += int64(d)
-	res.bgCond.Broadcast()
-}
-
-// UseBackground occupies one unit for d like Use, but at background
-// priority: it is admitted only when a unit is free AND no foreground
-// caller is queued, so bulk device-internal work (offloaded merges)
-// soaks up idle capacity without ever pushing host I/O back in line. An
-// admitted operation still runs to completion — a foreground arrival
-// waits at most one service time, the same bound it has against other
-// foreground traffic.
-func (res *Resource) UseBackground(r *Runner, d Duration) {
-	if d <= 0 {
-		return
-	}
-	for res.fgWait > 0 || !res.sem.TryAcquire(1) {
-		res.bgCond.Wait(r)
-	}
-	res.hold(r, d)
 }
 
 // Cap returns the resource's parallel capacity.

@@ -53,13 +53,6 @@ type Config struct {
 	// Queries and NextsPerSeek shape seekrandom (workload D).
 	Queries      int
 	NextsPerSeek int
-	// WriteInterval, when positive, paces this writer to a fixed offered
-	// load (db_bench's -benchmark_write_rate_limit, YCSB's target
-	// throughput): put i is issued no earlier than start + i*interval,
-	// with catch-up — a put delayed past its slot is followed by the next
-	// one immediately, so the offered rate is held regardless of stalls.
-	// Zero keeps the open-throttle behavior.
-	WriteInterval time.Duration
 }
 
 // DefaultConfig is the scaled Table IV setup: 4 KiB values over a 100 K
@@ -176,19 +169,12 @@ func (rec *Recorder) Sample(t float64, interval time.Duration) {
 }
 
 // FillRandom runs workload A on the calling runner: one write thread
-// issuing random-key puts until the deadline — at full speed, or on the
-// cfg.WriteInterval schedule when a fixed offered load is configured.
+// issuing random-key puts at full speed until the deadline.
 func FillRandom(r *vclock.Runner, eng Engine, cfg Config, rec *Recorder) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var buf scratch
 	start := r.Now()
-	for i := 0; r.Now().Sub(start) < cfg.Duration; i++ {
-		if cfg.WriteInterval > 0 {
-			due := start.Add(cfg.WriteInterval * time.Duration(i))
-			if now := r.Now(); due.Sub(now) > 0 {
-				r.Sleep(due.Sub(now))
-			}
-		}
+	for r.Now().Sub(start) < cfg.Duration {
 		n := rng.Intn(cfg.KeySpace)
 		t0 := r.Now()
 		if err := eng.Put(r, buf.key(n), buf.value(n, cfg.ValueSize)); err != nil {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -106,12 +105,6 @@ func (m MixSpec) EffectiveTheta() float64 {
 		return 0.99
 	}
 	return m.ZipfTheta
-}
-
-func (m MixSpec) String() string {
-	return fmt.Sprintf("%s r%.0f/u%.0f/i%.0f/s%.0f/rmw%.0f %s",
-		m.Name, m.ReadPct*100, m.UpdatePct*100, m.InsertPct*100,
-		m.ScanPct*100, m.RMWPct*100, m.Dist)
 }
 
 // zipfGen is the classic YCSB/Gray bounded zipfian generator over ranks
