@@ -53,18 +53,6 @@ const (
 	LatencySpike
 )
 
-func (c Class) String() string {
-	switch c {
-	case MediaError:
-		return "media"
-	case Timeout:
-		return "timeout"
-	case LatencySpike:
-		return "latency"
-	}
-	return "unknown"
-}
-
 // Extent is a half-open [Start, End) range of logical or physical page
 // numbers. The zero Extent matches every address, including the
 // address-less (-1) consultations the NVMe dispatcher makes.

@@ -321,7 +321,7 @@ func benchmarkGet(b *testing.B, flush bool) {
 }
 
 // BenchmarkGetMemtable is a point read the active memtable answers: the
-// read CPU charge (one park), the version pin and the skiplist seek.
+// read CPU charge (one park), the version pin and the memtable seek.
 func BenchmarkGetMemtable(b *testing.B) { benchmarkGet(b, false) }
 
 // BenchmarkGetSST is a point read one L0 table answers from cached

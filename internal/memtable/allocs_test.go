@@ -83,7 +83,7 @@ func TestAllocsNew(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { m = New(128 << 20) }); n != 1 {
 		t.Errorf("New made %v allocations, want 1", n)
 	}
-	if m.nodes != nil || m.towers != nil || m.data != nil {
+	if m.leaves != nil || m.inners != nil || m.data != nil {
 		t.Error("New opened a slab")
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"kvaccel/internal/encoding"
 )
 
 func TestPutGet(t *testing.T) {
@@ -116,11 +118,15 @@ func logged(key, value []byte) (kv []byte, gap int) {
 	return append(kv, value...), gap
 }
 
-// TestNodeIs64Bytes: a logged record's gap rides in what was padding, so
-// one node layout serves both inserts at the size it always had.
-func TestNodeIs64Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(node{}); n != 64 {
-		t.Fatalf("node is %d bytes, want 64", n)
+// TestEntryIs40Bytes: a leaf entry is the key's two inline words, the
+// seq, the record's pointer and the key and value lengths, with kind and
+// gap length beside it in the leaf, so 32 entries fill 20 cache lines.
+func TestEntryIs40Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 40 {
+		t.Fatalf("entry is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(tag{}); n != 2 {
+		t.Fatalf("tag is %d bytes, want 2", n)
 	}
 }
 
@@ -222,33 +228,60 @@ func TestGetMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// BenchmarkAdd inserts 4 KiB values under random 16-byte keys into tables
-// rotated at the benchmark's 12.8 MB write buffer, so the skiplist depth
-// stays what a run sees.
+// The benchmarks' table is a benchmark run's Main-LSM memtable: the
+// 12.8 MB write buffer of the paper's 128 MB at scale 10, filled with
+// logged records of encoding.Key16 keys and 128-byte values through
+// AddView, about 72 700 of them.
+const benchWriteBuffer, benchValueSize = 128 << 20 / 10, 128
+
+// benchRecords returns a full table's worth of logged records, in
+// insertion order, under keys drawn at random from ten times as many, and
+// AddView's key and gap lengths, which every record shares.
+func benchRecords() (recs [][]byte, klen, gap int) {
+	rng := rand.New(rand.NewSource(1))
+	value := make([]byte, benchValueSize)
+	n := benchWriteBuffer / (16 + benchValueSize + 32)
+	for i := 0; i < n; i++ {
+		var kv []byte
+		kv, gap = logged(encoding.Key16(uint64(rng.Intn(10*n))), value)
+		recs = append(recs, kv)
+	}
+	return recs, 16, gap
+}
+
+// BenchmarkAdd inserts the records into tables rotated at the write
+// buffer, so the tree is as deep as a run's.
 func BenchmarkAdd(b *testing.B) {
-	const valueSize, writeBuffer = 4096, 128 << 20 / 10
+	recs, klen, gap := benchRecords()
 	b.ReportAllocs()
-	b.SetBytes(16 + valueSize)
-	m := New(writeBuffer)
-	key, val := make([]byte, 16), make([]byte, valueSize)
-	rng := rand.New(rand.NewSource(0))
+	b.SetBytes(int64(klen + benchValueSize))
+	m := New(benchWriteBuffer)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rng.Read(key)
-		if m.ApproximateSize() > writeBuffer {
-			m = New(writeBuffer)
+		if m.ApproximateSize() >= benchWriteBuffer {
+			m = New(benchWriteBuffer)
 		}
-		m.Add(uint64(i+1), KindPut, key, val)
+		m.AddView(uint64(i+1), KindPut, recs[i%len(recs)], klen, gap)
 	}
 }
 
+// BenchmarkGet looks the records' keys up in a full table, in the random
+// order they went in; the keys sit apart from the records, so a lookup
+// reads only what the table reads.
 func BenchmarkGet(b *testing.B) {
-	m := New(0)
-	for i := 0; i < 100000; i++ {
-		m.Add(uint64(i), KindPut, []byte(fmt.Sprintf("key%06d", i)), []byte("v"))
+	recs, klen, gap := benchRecords()
+	m := New(benchWriteBuffer)
+	keys := make([]byte, 0, len(recs)*klen)
+	for i, rec := range recs {
+		m.AddView(uint64(i+1), KindPut, rec, klen, gap)
+		keys = append(keys, rec[:klen]...)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Get([]byte(fmt.Sprintf("key%06d", i%100000)))
+		j := i % len(recs) * klen
+		if _, _, ok := m.Get(keys[j : j+klen]); !ok {
+			b.Fatalf("key %q is missing", keys[j:j+klen])
+		}
 	}
 }
