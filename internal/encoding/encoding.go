@@ -22,6 +22,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // blocks and WAL records.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
+// ChecksumUpdate returns the CRC32C of the bytes crc covers followed by
+// data: Checksum of a whole is ChecksumUpdate folded over its pieces from
+// zero.
+func ChecksumUpdate(crc uint32, data []byte) uint32 { return crc32.Update(crc, castagnoli, data) }
+
 // FNV1a returns the 64-bit FNV-1a hash of b, as hash/fnv's New64a
 // computes it. It is fixed, not seeded per process, so whatever it places
 // lands in the same place every run and across restarts: a key's shard,

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"kvaccel/internal/faults"
 	"kvaccel/internal/nand"
+	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 )
 
@@ -24,35 +26,46 @@ func wideArray() (*nand.Array, Config) {
 // in what order, is part of the device model. Worker w of n takes pages w,
 // w+n, w+2n, ... in that order, and the workers are registered in stride
 // order; a shared queue ("whoever is free takes the next page") would be a
-// different device.
+// different device. Who programmed which page is read off the array's
+// trace: each program span ends on its worker's lane with the page's
+// number.
 func TestFanoutBindsPagesToWorkersByStride(t *testing.T) {
 	arr, cfg := wideArray()
 	cfg.MaxFanout = 8
 	f := New(arr, cfg)
 	const pages = 50
-	byRunner := map[uint64][]int32{}
-	record := func(job *fanout, w *vclock.Runner, i int) error {
-		ppn := job.ppns[i]
-		byRunner[w.ID()] = append(byRunner[w.ID()], ppn)
-		// Uneven page times, so a free worker would have pages to steal.
-		w.Sleep(time.Duration(1+ppn%7) * time.Microsecond)
-		return nil
+	// Uneven page times, so a free worker would have pages to steal.
+	plan := faults.NewPlan(1)
+	for round := int64(0); round < 2; round++ {
+		for ppn := 1000 * round; ppn < 1000*round+pages; ppn++ {
+			plan.AddRule(faults.Rule{Op: "NAND_PROG", Class: faults.LatencySpike, Scope: faults.Extent{Start: ppn, End: ppn + 1},
+				Every: 1, Delay: time.Duration(1+ppn%7) * time.Microsecond})
+		}
 	}
+	arr.SetFaultPlan(plan)
+	tr := trace.New(1 << 14)
+	arr.SetTracer(tr)
 	c := vclock.New()
 	var parent uint64
 	c.Go("io", func(r *vclock.Runner) {
 		parent = r.ID()
-		for round := 0; round < 2; round++ { // the second round runs on reused runners and a reused job
+		for round := 0; round < 2; round++ { // the second round runs on reused workers and a reused job
 			job := f.takeFanout()
 			for i := 0; i < pages; i++ {
 				job.ppns = append(job.ppns, int32(1000*round+i))
 			}
-			if err := f.run(r, job, record); err != nil {
+			if err := f.run(r, job); err != nil {
 				t.Error(err)
 			}
 		}
 	})
 	c.Wait()
+	byRunner := map[uint64][]int32{}
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindEnd && e.Phase == trace.PhaseNANDProg {
+			byRunner[e.Lane] = append(byRunner[e.Lane], int32(e.Arg))
+		}
+	}
 	if len(byRunner) != 2*cfg.MaxFanout {
 		t.Fatalf("%d runners did the work, want %d per round", len(byRunner), cfg.MaxFanout)
 	}
@@ -73,10 +86,91 @@ func TestFanoutBindsPagesToWorkersByStride(t *testing.T) {
 			}
 		}
 	}
+	if st := c.Stats(); st.Reuses < uint64(cfg.MaxFanout) {
+		t.Errorf("%d runners reused, want round two's %d workers among them", st.Reuses, cfg.MaxFanout)
+	}
+}
+
+// TestWriteManyHandsOffNothing: a 64-page WriteMany from the only runner
+// runs its 64 fan-out workers as kernel tasks on that runner's goroutine,
+// so the baton never goes to another goroutine. Each task parks where its
+// goroutine did: 277 parks, what the fan-out over goroutines counted.
+func TestWriteManyHandsOffNothing(t *testing.T) {
+	arr, cfg := wideArray()
+	f := New(arr, cfg)
+	lpns := make([]int, 64)
+	for i := range lpns {
+		lpns[i] = i
+	}
+	c := vclock.New()
+	var before, after vclock.Stats
+	c.Go("io", func(r *vclock.Runner) {
+		before = c.Stats()
+		if err := f.WriteMany(r, BlockRegion, lpns); err != nil {
+			t.Error(err)
+		}
+		after = c.Stats()
+	})
+	c.Wait()
+	if n := after.Handoffs - before.Handoffs; n != 0 {
+		t.Errorf("%d hand-offs in a 64-page WriteMany, want 0", n)
+	}
+	if n := after.Parks - before.Parks; n != 277 {
+		t.Errorf("%d parks in a 64-page WriteMany, want 277", n)
+	}
+}
+
+// TestFanoutAfterMigration: the fan-outs GC migrates with are recycled
+// for the writes and reads that follow, and each does what it is for: the
+// array sees one program per host and per migrated page, and one read per
+// migrated and per mapped page read.
+func TestFanoutAfterMigration(t *testing.T) {
+	geo := nand.Geometry{Channels: 2, Ways: 2, BlocksPerDie: 32, PagesPerBlock: 32, PageSize: 4096}
+	timing := nand.Timing{ReadPage: 40 * time.Microsecond, ProgramPage: 300 * time.Microsecond, ChannelMBps: 200}
+	arr := nand.New(geo, timing)
+	f := New(arr, Config{BlockRegionPages: 2048, KVRegionPages: 512, GCFreeBlockLow: 6, GCFreeBlockHigh: 12})
+	const space = 1536
+	written := map[int]bool{}
+	c := vclock.New()
+	c.Go("churn", func(r *vclock.Runner) {
+		// Random overwrites across three quarters of the logical space, so
+		// victims hold live pages to migrate.
+		rng := uint64(12345)
+		lpns := make([]int, 64)
+		for round := 0; round < 200; round++ {
+			for j := range lpns {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				lpns[j] = int(rng>>33) % space
+				written[lpns[j]] = true
+			}
+			if err := f.WriteMany(r, BlockRegion, lpns); err != nil {
+				t.Error(err)
+			}
+		}
+		all := make([]int, space)
+		for i := range all {
+			all[i] = i
+		}
+		if err := f.ReadMany(r, BlockRegion, all); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Wait()
+	s, a := f.Stats(), arr.Stats()
+	if s.GCPagesMigrated == 0 {
+		t.Fatal("GC migrated nothing: the test does not reach a recycled migration fan-out")
+	}
+	if want := s.HostPagesWritten + s.GCPagesMigrated; a.PagesProgrammed != want {
+		t.Errorf("%d pages programmed, want %d host + %d migrated", a.PagesProgrammed, s.HostPagesWritten, s.GCPagesMigrated)
+	}
+	if want := s.GCPagesMigrated + int64(len(written)); a.PagesRead != want {
+		t.Errorf("%d pages read, want %d migrated + %d mapped", a.PagesRead, s.GCPagesMigrated, len(written))
+	}
 }
 
 // TestAllocsWriteMany: a 64-page write in steady state — page list,
-// worker list and the 64 runners all reused — allocates next to nothing.
+// worker list and the 64 workers' tasks all reused — allocates next to
+// nothing.
 func TestAllocsWriteMany(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -95,10 +189,10 @@ func TestAllocsWriteMany(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		// Steady state is reached when the runners are spawned, the waiter
-		// lists and the timer heap have their size, and overwriting the same
-		// pages has filled the device far enough for GC to be erasing the
-		// fully invalid blocks behind the writes.
+		// Steady state is reached when the tasks have their Runners, the
+		// waiter lists and the timer heap have their size, and overwriting
+		// the same pages has filled the device far enough for GC to be
+		// erasing the fully invalid blocks behind the writes.
 		for i := 0; i < 1000 && f.Stats().BlocksErased == 0; i++ {
 			write()
 		}

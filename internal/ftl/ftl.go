@@ -52,7 +52,7 @@ type Config struct {
 	GCFreeBlockLow  int
 	GCFreeBlockHigh int
 	// MaxFanout bounds the number of concurrent per-page NAND operations
-	// a single multi-page request spawns (models controller queue depth).
+	// a single multi-page request runs (models controller queue depth).
 	MaxFanout int
 }
 
@@ -268,7 +268,7 @@ func (f *FTL) WriteMany(r *vclock.Runner, rg Region, lpns []int) error {
 		return f.Write(r, rg, lpns[0])
 	}
 	job, needGC := f.allocPages(rg, lpns)
-	err := f.run(r, job, programPage)
+	err := f.run(r, job)
 	if needGC {
 		f.collect(r)
 	}
@@ -318,7 +318,9 @@ func (f *FTL) Read(r *vclock.Runner, rg Region, lpn int) error {
 // ReadMany reads a batch of logical pages with die-parallel fanout.
 // Unmapped pages are skipped (callers validate separately).
 func (f *FTL) ReadMany(r *vclock.Runner, rg Region, lpns []int) error {
-	return f.run(r, f.mappedPages(rg, lpns), readPage)
+	job := f.mappedPages(rg, lpns)
+	job.read = true
+	return f.run(r, job)
 }
 
 // Trim invalidates a logical page without touching NAND.
@@ -345,33 +347,16 @@ func (f *FTL) TrimRegion(rg Region) {
 	}
 }
 
-// pageOp is what a fan-out does to its i-th physical page.
-type pageOp func(job *fanout, w *vclock.Runner, i int) error
-
-func programPage(job *fanout, w *vclock.Runner, i int) error {
-	return job.f.arr.ProgramPage(w, job.f.addrOf(job.ppns[i]))
-}
-
-func readPage(job *fanout, w *vclock.Runner, i int) error {
-	return job.f.arr.ReadPage(w, job.f.addrOf(job.ppns[i]))
-}
-
-// migratePage is GC moving one survivor: read its copy on the victim
-// block, then program the page allocated for it.
-func migratePage(job *fanout, w *vclock.Runner, i int) error {
-	_ = job.f.arr.ReadPage(w, job.f.addrOf(job.from[i]))
-	return job.f.arr.ProgramPage(w, job.f.addrOf(job.ppns[i]))
-}
-
 // fanout is one multi-page request: the physical pages it touches and,
 // while it runs, the workers that share them out.
 type fanout struct {
 	f    *FTL
 	ppns []int32
+	// read says the request reads its pages; otherwise it programs them.
 	// from holds, for a GC migration, the victim page each of ppns is
-	// copied from.
+	// copied from: a migration reads that copy, then programs the page.
+	read    bool
 	from    []int32
-	op      pageOp
 	workers []fanoutWorker
 	wg      vclock.WaitGroup
 
@@ -379,10 +364,12 @@ type fanout struct {
 }
 
 // fanoutWorker is one worker's share of a fanout: pages stride, stride +
-// len(workers), ... of it. The worker's runner is handed a pointer to it.
+// len(workers), ... of it, one NAND op at a time. The worker is a kernel
+// task, stepped with a pointer to it.
 type fanoutWorker struct {
-	job    *fanout
-	stride int
+	job  *fanout
+	page int     // the page op is on
+	op   nand.Op // the op in flight
 }
 
 func (f *FTL) takeFanout() *fanout {
@@ -394,40 +381,73 @@ func (f *FTL) takeFanout() *fanout {
 	return &fanout{f: f}
 }
 
-// run applies op to each page of job with at most MaxFanout concurrent
-// workers and returns the first error any of them hit (every page is
-// still attempted, so the batch's time model stays intact under faults).
-// It consumes job.
-func (f *FTL) run(r *vclock.Runner, job *fanout, op pageOp) error {
-	job.op = op
+// run does each page of job with at most MaxFanout concurrent workers
+// and returns the first error any of them hit (every page is still
+// attempted, so the batch's time model stays intact under faults). It
+// consumes job.
+func (f *FTL) run(r *vclock.Runner, job *fanout) error {
 	workers := min(f.cfg.MaxFanout, len(job.ppns))
-	if workers <= 1 {
-		for i := range job.ppns {
-			job.note(op(job, r, i))
+	for w := 0; w < workers; w++ {
+		job.workers = append(job.workers, fanoutWorker{job: job, page: w})
+		job.workers[w].start()
+	}
+	if workers == 1 {
+		fw := &job.workers[0]
+		for !fw.next(r) {
+			r.Park()
 		}
 	} else {
-		for w := 0; w < workers; w++ {
-			job.workers = append(job.workers, fanoutWorker{job: job, stride: w})
-		}
 		job.wg.Add(workers)
 		clk := r.Clock()
 		for w := range job.workers {
-			clk.GoWith("ftl.fanout", runFanoutWorker, &job.workers[w])
+			clk.GoTask("ftl.fanout", stepFanout, &job.workers[w])
 		}
 		job.wg.Wait(r)
 	}
 	err := job.first
-	job.ppns, job.from, job.workers, job.first = job.ppns[:0], job.from[:0], job.workers[:0], nil
+	job.ppns, job.from, job.workers, job.read, job.first = job.ppns[:0], job.from[:0], job.workers[:0], false, nil
 	f.fanouts = append(f.fanouts, job)
 	return err
 }
 
-func runFanoutWorker(w *vclock.Runner, arg any) {
+// stepFanout is a fan-out worker's step.
+func stepFanout(w *vclock.Runner, arg any) (done bool) {
 	fw := arg.(*fanoutWorker)
+	if !fw.next(w) {
+		return false
+	}
+	fw.job.wg.Done()
+	return true
+}
+
+// next steps the worker's ops on w until one parks, and reports whether
+// the worker is out of pages.
+func (fw *fanoutWorker) next(w *vclock.Runner) (done bool) {
 	job := fw.job
-	defer job.wg.Done()
-	for i := fw.stride; i < len(job.ppns); i += len(job.workers) {
-		job.note(job.op(job, w, i))
+	for job.f.arr.Step(w, &fw.op) {
+		job.note(fw.op.Err())
+		if len(job.from) > 0 && fw.op.Reads() {
+			fw.op = nand.ProgramOp(job.f.addrOf(job.ppns[fw.page]))
+			continue
+		}
+		if fw.page += len(job.workers); fw.page >= len(job.ppns) {
+			return true
+		}
+		fw.start()
+	}
+	return false
+}
+
+// start sets up the op that begins the worker's current page.
+func (fw *fanoutWorker) start() {
+	job := fw.job
+	switch {
+	case len(job.from) > 0:
+		fw.op = nand.ReadOp(job.f.addrOf(job.from[fw.page]))
+	case job.read:
+		fw.op = nand.ReadOp(job.f.addrOf(job.ppns[fw.page]))
+	default:
+		fw.op = nand.ProgramOp(job.f.addrOf(job.ppns[fw.page]))
 	}
 }
 
@@ -474,7 +494,7 @@ func (f *FTL) collect(r *vclock.Runner) {
 		// Spend the media time: read survivors, program them, erase.
 		// Injected faults during GC model firmware-internal retries: the
 		// migration still completes, so errors are deliberately dropped.
-		_ = f.run(r, job, migratePage)
+		_ = f.run(r, job)
 		eraseAddr := f.addrOf(ppnOf(victim, 0, f.geo.PagesPerBlock))
 		_ = f.arr.EraseBlock(r, eraseAddr)
 

@@ -103,7 +103,8 @@ func (a *Array) SetFaultPlan(p *faults.Plan) { a.plan = p }
 
 // SetTracer installs the tracer NAND operations record spans to. Each
 // span covers the op's full array residency — die/channel queueing plus
-// the media time (tRead/tProg/tErase). Nil detaches.
+// the media time (tRead/tProg/tErase) — and its end carries the physical
+// page number (for an erase, the block's first page). Nil detaches.
 func (a *Array) SetTracer(tr *trace.Tracer) { a.tracer = tr }
 
 // ppn returns addr's physical page number — the address fault-rule
@@ -111,16 +112,6 @@ func (a *Array) SetTracer(tr *trace.Tracer) { a.tracer = tr }
 func (a *Array) ppn(addr Addr) int64 {
 	return int64(a.dieIndex(addr))*int64(a.geo.PagesPerDie()) +
 		int64(addr.Block)*int64(a.geo.PagesPerBlock) + int64(addr.Page)
-}
-
-// consult applies the fault plan to one operation: injected latency is
-// spent on r, injected errors are returned before any media time.
-func (a *Array) consult(r *vclock.Runner, op string, addr Addr) error {
-	out := a.plan.Decide(op, a.ppn(addr))
-	if out.Delay > 0 {
-		r.Sleep(out.Delay)
-	}
-	return out.Err
 }
 
 // New builds an Array with the given geometry and timing.
@@ -163,49 +154,128 @@ func (a *Array) check(addr Addr) {
 // the channel bus. A plan-injected fault surfaces as an uncorrectable
 // read error.
 func (a *Array) ReadPage(r *vclock.Runner, addr Addr) error {
-	a.check(addr)
-	if err := a.consult(r, "NAND_READ", addr); err != nil {
-		return err
-	}
-	sp := a.tracer.Begin(r, trace.PhaseNANDRead, "tRead")
-	a.dies[a.dieIndex(addr)].Use(r, a.timing.ReadPage)
-	a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
-	sp.End(r)
-	a.stats.PagesRead++
-	a.stats.BytesRead += int64(a.geo.PageSize)
-	return nil
+	return a.run(r, ReadOp(addr))
 }
 
 // ProgramPage spends the time to move one page over the channel bus and
 // program it on its die. A plan-injected fault models a program failure
 // (partial page program: time may have been spent, no data landed).
 func (a *Array) ProgramPage(r *vclock.Runner, addr Addr) error {
-	a.check(addr)
-	if err := a.consult(r, "NAND_PROG", addr); err != nil {
-		return err
-	}
-	sp := a.tracer.Begin(r, trace.PhaseNANDProg, "tProg")
-	a.channels[addr.Channel].Use(r, a.busTime(a.geo.PageSize))
-	a.dies[a.dieIndex(addr)].Use(r, a.timing.ProgramPage)
-	sp.End(r)
-	a.stats.PagesProgrammed++
-	a.stats.BytesProgrammed += int64(a.geo.PageSize)
-	return nil
+	return a.run(r, ProgramOp(addr))
 }
 
 // EraseBlock spends the erase time on the block's die and bumps its wear
 // counter.
 func (a *Array) EraseBlock(r *vclock.Runner, addr Addr) error {
-	a.check(addr)
-	if err := a.consult(r, "NAND_ERASE", addr); err != nil {
-		return err
+	return a.run(r, Op{addr: addr, kind: opErase})
+}
+
+// run takes op from start to end on r.
+func (a *Array) run(r *vclock.Runner, op Op) error {
+	for !a.Step(r, &op) {
+		r.Park()
 	}
-	sp := a.tracer.Begin(r, trace.PhaseNANDErase, "tErase")
-	a.dies[a.dieIndex(addr)].Use(r, a.timing.EraseBlock)
-	sp.End(r)
-	a.stats.BlocksErased++
-	a.eraseCounts[a.dieIndex(addr)*a.geo.BlocksPerDie+addr.Block]++
-	return nil
+	return op.err
+}
+
+// Op is one NAND operation in flight — a page read, a page program or a
+// block erase — for Step to advance.
+type Op struct {
+	addr  Addr
+	kind  opKind
+	stage uint8
+	err   error
+	span  trace.Span
+}
+
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opProgram
+	opErase
+)
+
+// opNames are each kind's fault-plan operation and trace span names.
+var opNames = [...]struct {
+	fault, span string
+	phase       trace.Phase
+}{
+	opRead:    {"NAND_READ", "tRead", trace.PhaseNANDRead},
+	opProgram: {"NAND_PROG", "tProg", trace.PhaseNANDProg},
+	opErase:   {"NAND_ERASE", "tErase", trace.PhaseNANDErase},
+}
+
+// ReadOp returns a read of the page at addr, not yet started.
+func ReadOp(addr Addr) Op { return Op{addr: addr, kind: opRead} }
+
+// ProgramOp returns a program of the page at addr, not yet started.
+func ProgramOp(addr Addr) Op { return Op{addr: addr, kind: opProgram} }
+
+// Reads reports whether op is a page read.
+func (op *Op) Reads() bool { return op.kind == opRead }
+
+// Err returns the error a finished op ended with.
+func (op *Op) Err() error { return op.err }
+
+// Step advances op on r as a stepped primitive (see vclock.Clock.GoTask)
+// and reports whether it is over. First the fault plan is consulted: an
+// injected delay is spent on r, and an injected error ends the op before
+// any media time. Then the op's span opens and it spends its media time on
+// the die and its transfer time on the channel bus — sensing before the
+// transfer for a read, after it for a program — and the span closes.
+// Until the op is over r is parked, and the caller hands the baton on and
+// steps again when r's turn comes.
+func (a *Array) Step(r *vclock.Runner, op *Op) (done bool) {
+	switch op.stage {
+	case 0:
+		a.check(op.addr)
+		out := a.plan.Decide(opNames[op.kind].fault, a.ppn(op.addr))
+		op.err, op.stage = out.Err, 1
+		if out.Delay > 0 {
+			r.SleepStep(out.Delay)
+			return false
+		}
+		fallthrough
+	case 1:
+		if op.err != nil {
+			return true
+		}
+		op.span = a.tracer.Begin(r, opNames[op.kind].phase, opNames[op.kind].span)
+		op.stage = 2
+		fallthrough
+	case 2, 3:
+		for ; op.stage <= 3; op.stage++ {
+			if res, d := a.use(op, (op.stage == 2) == (op.kind == opProgram)); !res.UseStep(r, d) {
+				return false
+			}
+		}
+	}
+	op.span.EndArg(r, a.ppn(op.addr))
+	switch op.kind {
+	case opRead:
+		a.stats.PagesRead++
+		a.stats.BytesRead += int64(a.geo.PageSize)
+	case opProgram:
+		a.stats.PagesProgrammed++
+		a.stats.BytesProgrammed += int64(a.geo.PageSize)
+	default:
+		a.stats.BlocksErased++
+		a.eraseCounts[a.dieIndex(op.addr)*a.geo.BlocksPerDie+op.addr.Block]++
+	}
+	return true
+}
+
+// use returns the resource op occupies, and for how long, on the channel
+// bus or on its die. An erase moves nothing over the bus.
+func (a *Array) use(op *Op, bus bool) (*vclock.Resource, time.Duration) {
+	if !bus {
+		return a.dies[a.dieIndex(op.addr)], [...]time.Duration{opRead: a.timing.ReadPage, opProgram: a.timing.ProgramPage, opErase: a.timing.EraseBlock}[op.kind]
+	}
+	if op.kind == opErase {
+		return nil, 0
+	}
+	return a.channels[op.addr.Channel], a.busTime(a.geo.PageSize)
 }
 
 // EraseCount returns the wear count of the block containing addr.

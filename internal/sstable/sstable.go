@@ -58,6 +58,7 @@ type Builder struct {
 	lastKey    span   // key of the newest record
 	lastSeq    uint64
 	index      []byte   // index block under construction
+	crc        uint32   // CRC32C of the closed data blocks
 	hashes     []uint32 // bloom hash of every distinct user key
 	smallest   []byte
 	entries    int
@@ -127,11 +128,14 @@ func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) 
 	return nil
 }
 
-// closeBlock ends the open data block where the image ends and indexes it.
+// closeBlock ends the open data block where the image ends, indexes it
+// and folds it into the table's checksum while its bytes are still in
+// cache.
 func (b *Builder) closeBlock() {
 	if len(b.buf) == b.blockStart {
 		return
 	}
+	b.crc = encoding.ChecksumUpdate(b.crc, b.buf[b.blockStart:])
 	first := b.buf[b.blockFirst.off:b.blockFirst.end]
 	b.index = encoding.PutUvarint(b.index, uint64(len(first)))
 	b.index = append(b.index, first...)
@@ -168,7 +172,7 @@ func (b *Builder) Finish() ([]byte, Meta, error) {
 		filter = bloom.BuildFromHashes(b.hashes, b.opt.BloomBits)
 		b.buf = append(b.buf, filter...)
 	}
-	crc := encoding.Checksum(b.buf)
+	crc := encoding.ChecksumUpdate(b.crc, b.buf[indexOff:])
 	b.buf = encoding.PutU32(b.buf, uint32(indexOff))
 	b.buf = encoding.PutU32(b.buf, uint32(len(b.index)))
 	b.buf = encoding.PutU32(b.buf, uint32(bloomOff))

@@ -242,7 +242,7 @@ func TestAllocsResourceUse(t *testing.T) {
 	contended(t, 4, func(_ int, p *Runner) { res.Use(p, time.Microsecond) })
 }
 
-// TestAllocsGo is the ftl fan-out and nvme.Dispatcher shape: a transient
+// TestAllocsGo is the nvme.Dispatcher shape: a transient
 // runner is started, sleeps once and returns, and its parent joins it. In
 // steady state the runner comes off the free list, so GoWith allocates
 // nothing and Go only what its caller's closure costs.

@@ -87,7 +87,7 @@ func BenchmarkCondPingPong(b *testing.B) {
 	})
 }
 
-// BenchmarkGoSleepExit is the ftl.fanoutN and nvme.Dispatcher shape: a
+// BenchmarkGoSleepExit is the nvme.Dispatcher shape: a
 // transient runner is spawned, sleeps once and exits, and its parent
 // joins it.
 func BenchmarkGoSleepExit(b *testing.B) {

@@ -40,6 +40,23 @@
 //		c.Wait(r)
 //	}
 //
+// The task rule. A task (Clock.GoTask) is a runner with no goroutine of
+// its own: a step function and its argument. It registers, parks and is
+// woken like any runner, and when the run-order rule gives it its turn,
+// the kernel calls its step on the goroutine that is passing the baton
+// on. The step runs until it parks, in a stepped primitive that does not
+// block (Runner.SleepStep, Resource.UseStep), and returns false right
+// after; or it returns true, and the task is over. The kernel then goes
+// on picking as the task's park, or its return, would have — with the
+// task as the runner whose timer may let it keep the baton, in which case
+// it is stepped again on the spot. So a task is a runner whose goroutine
+// switches are saved: the runs, the virtual times and every count but
+// Stats.Handoffs, Spawns and Reuses are those of a goroutine running
+//
+//	for !step(r, arg) {
+//		r.Park()
+//	}
+//
 // The caller is the first runner: the goroutine that calls New holds the
 // baton until it calls Wait. So no runner runs, and virtual time stays at
 // zero, while it sets up and starts the simulation's runners, however long
@@ -48,7 +65,9 @@
 //
 // Runners are cheap to start: a goroutine whose function returned stays
 // behind, invisible to the clock, and the next Go hands it the new
-// function (see Clock.Go). They all exit when the simulation drains.
+// function (see Clock.Go). They all exit when the simulation drains. A
+// task is cheaper still: its Runner is all there is, and the next GoTask
+// reuses it.
 //
 // The contract runners must obey: only the baton holder — a runner, or
 // New's caller before Wait — may call into a Clock or the primitives of
@@ -99,6 +118,7 @@ type Clock struct {
 	runq    Ring[*Runner] // runnable runners displaced from newest, oldest first
 	runners *Runner       // live runners, linked through Runner.next/prev (deadlock report)
 	idle    *Runner       // returned runners awaiting reuse, newest first, linked through Runner.next
+	tasks   *Runner       // finished tasks awaiting reuse, likewise
 	done    chan struct{} // closed when the last runner exits
 	stats   Stats
 
@@ -125,8 +145,8 @@ type Stats struct {
 	Parks      uint64 // runners parked, on a timer or on a condition
 	TimerWakes uint64 // wakes delivered by the timer heap
 	CondWakes  uint64 // wakes delivered through a condition (Signal, Broadcast, Release, Set, ...)
-	Spawns     uint64 // runners started on a new goroutine
-	Reuses     uint64 // runners started on the goroutine of a runner that had returned
+	Spawns     uint64 // runners started on a new goroutine, and tasks on a new Runner
+	Reuses     uint64 // runners and tasks started on the goroutine or Runner of one that had returned
 	// SemWaits counts Semaphore.Acquire calls that found too few units and
 	// had to park; SemParks counts the parks they took, so SemParks/SemWaits
 	// is what one contended admission costs (1 with no lost race).
@@ -146,16 +166,19 @@ func (c *Clock) Stats() Stats { return c.stats }
 // Runner is the handle a simulation goroutine uses to interact with its
 // Clock. Each Runner belongs to exactly one goroutine, and each goroutine
 // serves one runner after another: between two of them the Runner is off
-// the clock's books and on its free list.
+// the clock's books and on its free list. A task's Runner has no goroutine:
+// its steps run on whichever one passes the baton on.
 type Runner struct {
 	clock *Clock
 	name  string
 	id    uint64
 	wake  chan struct{} // the baton, handed to this runner
-	// fn and arg are the function this life of the runner executes; both
-	// are nil while the runner idles on the free list.
-	fn  func(r *Runner, arg any)
-	arg any
+	// fn and arg are the function this life of the runner executes, or
+	// step and arg if it is a task (which has no goroutine, and no wake
+	// channel); all are nil while the runner idles on a free list.
+	fn   func(r *Runner, arg any)
+	step func(r *Runner, arg any) (done bool)
+	arg  any
 	// gen counts condition parks. A conditional timer records the
 	// generation it backstops; if the runner has since been signalled and
 	// parked again, the stale timer's generation no longer matches and it
@@ -169,8 +192,9 @@ type Runner struct {
 	label      string
 	next, prev *Runner
 	// sem is the runner's place in the waiter list of the Semaphore it is
-	// acquiring.
+	// acquiring, and use how far its Resource.UseStep has got.
 	sem semWait
+	use useStage
 	// until, untilArg and untilOn describe a Cond.WaitUntil park: the
 	// predicate pick checks when the runner's turn comes, and the Cond it
 	// re-parks on while the predicate is false. Nil outside such a park.
@@ -225,23 +249,47 @@ func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
 	}
 }
 
+// GoTask starts a task: a runner with no goroutine, runnable now, whose
+// turns the kernel runs by calling step(r, arg) on whichever goroutine is
+// passing the baton on (the task rule, see the package comment). A step
+// may do what any runner's code between two parks may, and it may park r
+// in a stepped primitive (Runner.SleepStep, Resource.UseStep, or one
+// built on them); it must return false right after that park, and must
+// never block or park any other way. It returns true when the task is
+// over, and r then serves the next GoTask: step must not keep it. Like
+// GoWith, starting a task allocates nothing once a task has finished.
+func (c *Clock) GoTask(name string, step func(r *Runner, arg any) (done bool), arg any) {
+	r, _ := c.enlist(name, &c.tasks)
+	r.step, r.arg = step, arg
+}
+
 // register adds a runnable runner that will execute fn(arg), taken from
 // the free list if a runner has returned before.
 func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *Runner, reused bool) {
+	if r, reused = c.enlist(name, &c.idle); !reused {
+		r.wake = make(chan struct{}, 1)
+	}
+	r.fn, r.arg = fn, arg
+	return r, reused
+}
+
+// enlist adds a runnable runner, taken from the free list at *free if one
+// is there.
+func (c *Clock) enlist(name string, free **Runner) (r *Runner, reused bool) {
 	if c.total == 0 {
 		panic(fmt.Sprintf("vclock: Go(%q) after the simulation drained", name))
 	}
-	if r = c.idle; r != nil {
-		c.idle = r.next
+	if r = *free; r != nil {
+		*free = r.next
 		c.stats.Reuses++
 		reused = true
 	} else {
-		r = &Runner{clock: c, wake: make(chan struct{}, 1)}
+		r = &Runner{clock: c}
 		c.stats.Spawns++
 	}
 	c.total++
 	c.nextID++
-	r.name, r.id, r.fn, r.arg = name, c.nextID, fn, arg
+	r.name, r.id = name, c.nextID
 	r.traceCtx, r.parked, r.label = 0, false, ""
 	r.prev, r.next = nil, c.runners
 	if r.next != nil {
@@ -279,6 +327,17 @@ func (r *Runner) live() (idle bool) {
 // the free list. It reports whether it did: the last runner to leave
 // drains the simulation instead.
 func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
+	c.unlink(r)
+	idle = reusable && c.total > 1
+	if idle {
+		r.next, c.idle = c.idle, r
+	}
+	c.leave()
+	return idle
+}
+
+// unlink takes r off the list of live runners and drops what its life ran.
+func (c *Clock) unlink(r *Runner) {
 	if r.prev != nil {
 		r.prev.next = r.next
 	} else {
@@ -288,24 +347,22 @@ func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
 		r.next.prev = r.prev
 	}
 	r.next, r.prev = nil, nil
-	r.fn, r.arg = nil, nil // an idle runner must not pin its last life's state
-	idle = reusable && c.total > 1
-	if idle {
-		r.next, c.idle = c.idle, r
-	}
-	c.leave()
-	return idle
+	r.fn, r.step, r.arg = nil, nil, nil // an idle runner must not pin its last life's state
 }
 
 // leave takes one runner — a returning one, or New's caller in Wait — off
-// the count and passes the baton on. The last to leave drains the
-// simulation: it sends every idle runner home and closes done.
+// the count and passes the baton on. The last to leave, or the runner
+// whose pick sees the last task finish, drains the simulation: it sends
+// every idle runner home and closes done.
 func (c *Clock) leave() {
 	if c.total--; c.total > 0 {
 		if next := c.pick(nil); next != nil {
 			c.handOff(next)
+			return
 		}
-		return
+		if c.total > 0 {
+			return
+		}
 	}
 	for home := c.idle; home != nil; {
 		next := home.next
@@ -358,8 +415,25 @@ func (r *Runner) SleepUntil(t Time) {
 	r.clock.sleepUntil(r, max(t, r.clock.now))
 }
 
+// SleepStep is Sleep as a stepped primitive: it parks r for d without
+// blocking. A task's step returns right after it; any other runner calls
+// Park.
+func (r *Runner) SleepStep(d Duration) {
+	c := r.clock
+	c.seq++
+	c.timers.push(timer{at: c.now.Add(max(d, 0)), seq: c.seq, r: r})
+	c.stats.Parks++
+}
+
+// Park hands the baton on after a stepped primitive has parked r, and
+// returns when r's turn comes again: the blocking half of Sleep, Use and
+// the like, for a runner with a goroutine. A task never calls it.
+func (r *Runner) Park() { r.clock.park(r) }
+
 // sleepUntil parks r on a plain timer due at at.
 func (c *Clock) sleepUntil(r *Runner, at Time) {
+	// SleepStep's body, by hand: the compiler does not inline SleepStep,
+	// and Sleep is the kernel's hottest park.
 	c.seq++
 	c.timers.push(timer{at: at, seq: c.seq, r: r})
 	c.stats.Parks++
@@ -440,10 +514,11 @@ func (c *Clock) handOff(next *Runner) {
 	next.wake <- struct{}{}
 }
 
-// pick returns the runner the baton goes to by the run-order and recheck
-// rules, given up by self (nil if the holder is leaving). It advances
+// pick returns the runner the baton goes to by the run-order, recheck and
+// task rules, given up by self (nil if the holder is leaving). It advances
 // virtual time until someone is runnable, and returns nil if nobody can
-// be: time is held, or the simulation is deadlocked.
+// be: time is held, the last task has finished, or the simulation is
+// deadlocked.
 func (c *Clock) pick(self *Runner) *Runner {
 	for {
 		r := c.newest
@@ -462,20 +537,37 @@ func (c *Clock) pick(self *Runner) *Runner {
 				go c.reportDeadlock(c.deadlockReport())
 				return nil
 			}
-			if c.advance(self) {
+			if !c.advance(self) {
+				continue
+			}
+			if self.step == nil {
 				return self
 			}
-			continue
+			r = self // a task keeps the baton: it is stepped again here
 		}
-		if r.until == nil || r.until(r.untilArg) {
+		switch {
+		case r.step != nil:
+			// r's turn is its step, run here; then pick on as its park,
+			// or its return, would.
+			self = r
+			if r.step(r, r.arg) {
+				c.unlink(r)
+				r.next, c.tasks = c.tasks, r
+				if c.total--; c.total == 0 {
+					return nil
+				}
+				self = nil
+			}
+		case r.until == nil || r.until(r.untilArg):
 			return r
+		default:
+			// r would run only to find its predicate false and Wait again:
+			// park it here instead, and pick on as its park would.
+			c.stats.Rechecks++
+			r.untilOn.waiters.Push(r)
+			c.markParked(r, r.untilOn.label)
+			self = r
 		}
-		// r would run only to find its predicate false and Wait again:
-		// park it here instead, and pick on as its park would.
-		c.stats.Rechecks++
-		r.untilOn.waiters.Push(r)
-		c.markParked(r, r.untilOn.label)
-		self = r
 	}
 }
 

@@ -223,37 +223,55 @@ func (s *Semaphore) Cap() int { return s.cap }
 // parks ahead of everyone who is in this one. Everybody else goes to the
 // back.
 func (s *Semaphore) Acquire(r *Runner, n int) {
-	if s.avail >= n {
-		s.avail -= n
+	if s.TryAcquire(n) {
 		return
 	}
+	s.enqueue(r, n)
+	for r.Park(); !s.woken(r, n); r.Park() {
+		s.wait(r)
+	}
+}
+
+// enqueue starts a contended admission: r, wanting n units, waits for
+// the first time.
+func (s *Semaphore) enqueue(r *Runner, n int) {
 	if n > 1 {
 		s.wide++
 	}
-	c := r.clock
-	c.stats.SemWaits++
-	oldest := false
-	for {
-		switch {
-		case oldest:
-			s.pushOldest(r)
-		case s.oldestAwake > 0:
-			s.head++
-			r.sem.ticket = s.head
-			s.pushOldest(r)
-		default:
-			s.tail++
-			r.sem.ticket = s.tail
-			s.waiters.Push(r)
-		}
-		c.stats.SemParks++
-		c.parkOn(r, s.label)
-		if oldest = r.sem.oldest; oldest {
-			s.oldestAwake--
-		}
-		if s.avail >= n {
-			break
-		}
+	r.clock.stats.SemWaits++
+	r.sem.oldest = false
+	s.wait(r)
+}
+
+// wait parks r, without blocking, at its place in the waiter list (see
+// Acquire): among the oldest if its last wake took it from there.
+func (s *Semaphore) wait(r *Runner) {
+	switch {
+	case r.sem.oldest:
+		s.pushOldest(r)
+	case s.oldestAwake > 0:
+		s.head++
+		r.sem.ticket = s.head
+		s.pushOldest(r)
+	default:
+		s.tail++
+		r.sem.ticket = s.tail
+		s.waiters.Push(r)
+	}
+	r.clock.stats.SemParks++
+	r.clock.markParked(r, s.label)
+}
+
+// woken is a waiter's turn after a wake: it takes the n units and reports
+// true if they are free, or reports false, and r must wait again, if they
+// are gone.
+func (s *Semaphore) woken(r *Runner, n int) bool {
+	oldest := r.sem.oldest
+	if oldest {
+		s.oldestAwake--
+	}
+	if s.avail < n {
+		return false
 	}
 	s.avail -= n
 	if n > 1 {
@@ -269,6 +287,7 @@ func (s *Semaphore) Acquire(r *Runner, n int) {
 			s.wakeOldest()
 		}
 	}
+	return true
 }
 
 // pushOldest puts r among the longest waiters, in ticket order: behind
@@ -436,13 +455,56 @@ func NewResource(capacity int, label string) *Resource {
 // Use occupies one unit for duration d of virtual time: it queues for
 // admission, holds the unit while sleeping d, then releases it.
 func (res *Resource) Use(r *Runner, d Duration) {
-	if d <= 0 {
-		return
+	for !res.UseStep(r, d) {
+		r.Park()
 	}
-	res.sem.Acquire(r, 1)
-	r.Sleep(d)
-	res.sem.Release(1)
-	res.busyNS += int64(d)
+}
+
+// useStage is how far a runner's Resource.UseStep has got.
+type useStage uint8
+
+const (
+	useIdle   useStage = iota // not using a resource
+	useQueued                 // waiting to be admitted
+	useHeld                   // holding a unit for its duration
+)
+
+// UseStep is Use as a stepped primitive (see Clock.GoTask): it takes r's
+// use of one unit for d as far as it goes without blocking, and reports
+// whether the use is over. Until it is, r is parked — waiting for a unit,
+// or holding one for d — and the caller hands the baton on (a task's step
+// returns; Use calls Park) and calls again with the same d when r's turn
+// comes. A runner is in one use at a time.
+func (res *Resource) UseStep(r *Runner, d Duration) (done bool) {
+	if d <= 0 {
+		return true
+	}
+	s := res.sem
+	switch r.use {
+	case useIdle:
+		if !s.TryAcquire(1) {
+			s.enqueue(r, 1)
+			r.use = useQueued
+			return false
+		}
+	case useQueued:
+		if !s.woken(r, 1) {
+			s.wait(r)
+			return false
+		}
+	case useHeld:
+		r.use = useIdle
+		s.Release(1)
+		res.busyNS += int64(d)
+		return true
+	}
+	// Park r for d: SleepStep's body, by hand, as in sleepUntil.
+	r.use = useHeld
+	c := r.clock
+	c.seq++
+	c.timers.push(timer{at: c.now.Add(d), seq: c.seq, r: r})
+	c.stats.Parks++
+	return false
 }
 
 // Cap returns the resource's parallel capacity.
