@@ -41,6 +41,13 @@ func (p *Pool) Run(r *vclock.Runner, d time.Duration) {
 	p.res.Use(r, d)
 }
 
+// RunStep is Run as a stepped primitive (see vclock.Clock.GoTask): it
+// reports whether the charge is over; until it is, r is parked and the
+// caller calls again with the same d when r's turn comes.
+func (p *Pool) RunStep(r *vclock.Runner, d time.Duration) (done bool) {
+	return p.res.UseStep(r, d)
+}
+
 // BusyNS returns cumulative core-busy nanoseconds.
 func (p *Pool) BusyNS() int64 { return p.res.BusyNS() }
 

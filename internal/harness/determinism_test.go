@@ -9,6 +9,7 @@ import (
 	"kvaccel/internal/core"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/vclock"
+	"kvaccel/internal/workload"
 )
 
 // runVirtual is what a run's virtual outcome is compared by: the
@@ -31,7 +32,11 @@ func virtualOf(res *RunResult) runVirtual {
 // scheduler have a say in what the simulation does. The fill's small
 // memtables and tight L0 triggers make it stall, redirect and roll back
 // within its second; the YCSB-B run's hot set overflows its front cache;
-// the torture run cuts power five times, under injected faults.
+// the torture run cuts power five times, under injected faults. The two
+// serving runs put each connection's handler and reply writer, kernel
+// tasks whose steps run on whichever goroutine holds the baton, behind
+// the batcher and, with batching off and scans in the mix, in front of
+// engine calls made through Runner.Call.
 func TestSameSeedSameRunOnAnyCoreCount(t *testing.T) {
 	configs := []struct {
 		name string
@@ -61,6 +66,23 @@ func TestSameSeedSameRunOnAnyCoreCount(t *testing.T) {
 		}},
 		{"torture", func() any {
 			return RunTorture(DefaultTortureParams(2))
+		}},
+		{"serve-batched", func() any {
+			p := smallServeParams()
+			p.Load.Duration = 30 * time.Millisecond
+			return *p.RunServe()
+		}},
+		{"serve-direct-scans", func() any {
+			p := smallServeParams()
+			p.Load.Duration = 30 * time.Millisecond
+			p.Server.Batch = false
+			p.Load.Mix = workload.MixSpec{Name: "a-with-scans", ReadPct: 0.45, UpdatePct: 0.45, ScanPct: 0.1,
+				Dist: workload.DistZipfian, MaxScanLen: 16}
+			res := p.RunServe()
+			if res.Server.DirectOps == 0 || res.Load.OK == 0 {
+				panic("the direct-dispatch run answered nothing")
+			}
+			return *res
 		}},
 	}
 	for _, cfg := range configs {

@@ -61,6 +61,8 @@ type ServeResult struct {
 	Elapsed time.Duration
 	// Clients is the number of clients that ran.
 	Clients int
+	// Kernel is the run clock's event counts, preload and drain included.
+	Kernel vclock.Stats
 	// AckedChecked is how many OK-acked PUTs (a sample the load generator
 	// keeps) were read back from the engine after the last client
 	// finished; AckedLost is how many of them were missing or held another
@@ -136,6 +138,7 @@ func (p ServeParams) RunServe() *ServeResult {
 		Queues:  db.QueueStats(),
 		Elapsed: elapsed,
 		Clients: cfg.Clients,
+		Kernel:  db.Clock().Stats(),
 
 		AckedChecked: checked,
 		AckedLost:    lost,

@@ -83,47 +83,6 @@ func sendRoom(half any) bool {
 	return h.items.Len() < h.cfg.Buffer || h.closed
 }
 
-func (h *halfConn) send(r *vclock.Runner, data []byte) error {
-	h.notFull.WaitUntil(r, sendRoom, h)
-	if h.closed {
-		return ErrClosed
-	}
-	// Serialization: the frame leaves once the NIC is through with the
-	// connection's earlier frames and with this one, so a connection's
-	// frames rate-limit naturally.
-	sentAt := max(r.Now(), h.nicFree).Add(h.cfg.transmitTime(len(data)))
-	h.nicFree = sentAt
-	readyAt := sentAt.Add(h.cfg.Latency)
-	h.items.Push(frame{data: data, sentAt: sentAt, readyAt: readyAt})
-	// Propagation: a receiver parked on the empty queue sleeps straight
-	// through to the arrival, in the park it is already in.
-	h.notEmpty.SignalAt(readyAt)
-	return nil
-}
-
-func (h *halfConn) recv(r *vclock.Runner) (frame, bool) {
-	for {
-		if h.items.Len() > 0 {
-			// Propagation: the frame is not visible before it arrives. A
-			// receiver that was busy when it was sent had no wake
-			// scheduled for it and sleeps out the remainder here.
-			readyAt := h.items.At(0).readyAt
-			if r.Now() >= readyAt {
-				break
-			}
-			r.SleepUntil(readyAt)
-			continue
-		}
-		if h.closed {
-			return frame{}, false
-		}
-		h.notEmpty.Wait(r)
-	}
-	fr := h.items.Pop()
-	h.notFull.Signal()
-	return fr, true
-}
-
 // close marks the half closed. In-flight frames stay deliverable (like
 // data queued before a FIN); truncate additionally tears the newest one
 // mid-frame — the abrupt-drop model the torn tail tests exercise. The torn
@@ -188,7 +147,38 @@ func (c *Conn) Buffer() []byte {
 // slept, so Send parks only while the socket buffer is full. It returns
 // ErrClosed once either side has closed the direction.
 func (c *Conn) Send(r *vclock.Runner, data []byte) error {
-	return c.out.send(r, data)
+	for {
+		if done, err := c.SendStep(r, data); done {
+			return err
+		}
+		r.Park()
+	}
+}
+
+// SendStep is Send as a stepped primitive (see vclock.Clock.GoTask): it
+// reports done, with Send's result, once data is queued or refused, and
+// otherwise parks r while the buffer is full; the caller hands the baton
+// on and calls again with the same data. data is the connection's only
+// once SendStep is done.
+func (c *Conn) SendStep(r *vclock.Runner, data []byte) (done bool, err error) {
+	h := c.out
+	if !h.notFull.WaitUntilStep(r, sendRoom, h) {
+		return false, nil
+	}
+	if h.closed {
+		return true, ErrClosed
+	}
+	// Serialization: the frame leaves once the NIC is through with the
+	// connection's earlier frames and with this one, so a connection's
+	// frames rate-limit naturally.
+	sentAt := max(r.Now(), h.nicFree).Add(h.cfg.transmitTime(len(data)))
+	h.nicFree = sentAt
+	readyAt := sentAt.Add(h.cfg.Latency)
+	h.items.Push(frame{data: data, sentAt: sentAt, readyAt: readyAt})
+	// Propagation: a receiver parked on the empty queue sleeps straight
+	// through to the arrival, in the park it is already in.
+	h.notEmpty.SignalAt(readyAt)
+	return true, nil
 }
 
 // Recv returns the next frame's bytes and the virtual time its last byte
@@ -199,11 +189,37 @@ func (c *Conn) Send(r *vclock.Runner, data []byte) error {
 // The frame is lent, not given: the receiver may read it, and whatever it
 // decoded out of it, until it calls Release; it must not write to it.
 func (c *Conn) Recv(r *vclock.Runner) (data []byte, sentAt vclock.Time, ok bool) {
-	fr, ok := c.in.recv(r)
-	if !ok {
-		return nil, 0, false
+	for {
+		if data, sentAt, ok, done := c.RecvStep(r); done {
+			return data, sentAt, ok
+		}
+		r.Park()
 	}
-	return fr.data, fr.sentAt, true
+}
+
+// RecvStep is Recv as a stepped primitive: it reports done, with Recv's
+// results, once a frame has arrived or the connection is at EOF, and
+// otherwise parks r until something may have changed; the caller hands the
+// baton on and calls again.
+func (c *Conn) RecvStep(r *vclock.Runner) (data []byte, sentAt vclock.Time, ok, done bool) {
+	h := c.in
+	if h.items.Len() > 0 {
+		// Propagation: the frame is not visible before it arrives. A
+		// receiver that was busy when it was sent had no wake scheduled
+		// for it and sleeps out the remainder here.
+		if readyAt := h.items.At(0).readyAt; r.Now() < readyAt {
+			r.SleepUntilStep(readyAt)
+			return nil, 0, false, false
+		}
+		fr := h.items.Pop()
+		h.notFull.Signal()
+		return fr.data, fr.sentAt, true, true
+	}
+	if h.closed {
+		return nil, 0, false, true
+	}
+	h.notEmpty.WaitStep(r)
+	return nil, 0, false, false
 }
 
 // Release ends the loan of a frame Recv returned: every message decoded

@@ -17,8 +17,8 @@ func nsBetween(a, b vclock.Time) uint64 {
 }
 
 // connState is the server side of one accepted connection: a handler
-// runner that decodes request frames and dispatches them, and a reply
-// writer that sends responses back **in per-client request order** — a
+// task that decodes request frames and dispatches them, and a reply-writer
+// task that sends responses back **in per-client request order** — a
 // reorder buffer heals the out-of-order completions that cross-shard,
 // cross-batch execution produces, so a client always observes its own
 // requests answered in the order it sent them, exactly once.
@@ -43,10 +43,18 @@ type connState struct {
 	spare    []*pending // free list: pendings whose replies have been encoded
 	replies  *mailbox[*pending]
 
-	// Handler-only state: the requests decoded from the chunk in hand, and
-	// the batch an inline OpBatch stages into.
+	// Handler-only state: the stream's decoder, the requests decoded from
+	// the chunk in hand, the next of them to dispatch and how far its
+	// dispatch has got, whether the stream tore, and the batch an inline
+	// OpBatch stages into.
+	dec   rpc.Decoder
 	burst []*pending
+	next  int
+	stage dispatchStage
+	torn  bool
 	batch kvaccel.Batch
+
+	out []byte // reply-writer state: the encoded reply being sent
 }
 
 func newConnState(s *Server, conn *rpc.Conn, id int64) *connState {
@@ -90,65 +98,72 @@ func (c *connState) recycle(p *pending) {
 	c.spare = append(c.spare, p)
 }
 
-// handle is the per-connection request loop.
-func (c *connState) handle(r *vclock.Runner) {
-	dec := &rpc.Decoder{}
-	latency := hop.Latency
-	for torn := false; !torn; {
-		data, sentAt, ok := c.conn.Recv(r)
+// stepHandler is the connection's handler, a task (vclock.Clock.GoTask):
+// it receives request chunks, decodes each into the burst of requests it
+// completes, and dispatches them one by one (Server.dispatchStep). When
+// the peer closes, or a torn frame ends the stream, the connection is done.
+func stepHandler(r *vclock.Runner, arg any) (done bool) {
+	c := arg.(*connState)
+	for {
+		if c.next < len(c.burst) {
+			if !c.srv.dispatchStep(r, c, c.burst[c.next]) {
+				return false
+			}
+			c.next, c.stage = c.next+1, dispatchNew
+			continue
+		}
+		clear(c.burst)
+		c.burst, c.next = c.burst[:0], 0
+		if !c.torn {
+			data, sentAt, ok, done := c.conn.RecvStep(r)
+			if !done {
+				return false
+			}
+			if ok {
+				c.decode(data, sentAt.Add(hop.Latency))
+				continue
+			}
+		}
+		c.done = true
+		if c.inflight == 0 {
+			c.replies.close()
+		}
+		return true
+	}
+}
+
+// decode feeds a received chunk to the connection's decoder and collects
+// every request it completes into the burst before any is served: they
+// all alias the chunk, and the last of them — the last the reply writer
+// will get to, since replies go out in request order — carries it back to
+// the connection.
+func (c *connState) decode(data []byte, arrived vclock.Time) {
+	c.dec.Feed(data)
+	for {
+		payload, ok, err := c.dec.Next()
+		if err != nil {
+			// Torn or corrupt frame: the stream is unrecoverable, as in WAL
+			// replay. Serve what decoded, then drop the connection.
+			c.srv.stats.TornFrames++
+			c.torn = true
+			break
+		}
 		if !ok {
 			break
 		}
-		arrived := sentAt.Add(latency)
-		// Decode every request the chunk completes before serving any:
-		// they all alias the chunk, and the last of them — the last the
-		// reply writer will get to, since replies go out in request
-		// order — carries it back to the connection.
-		dec.Feed(data)
-		for {
-			payload, ok, err := dec.Next()
-			if err != nil {
-				// Torn or corrupt frame: the stream is unrecoverable, as
-				// in WAL replay. Drop the connection.
-				c.srv.stats.TornFrames++
-				torn = true
-				break
-			}
-			if !ok {
-				break
-			}
-			p := c.newPending()
-			if err := rpc.DecodeRequest(payload, &p.req); err != nil {
-				c.srv.stats.BadRequests++
-				c.recycle(p)
-				continue
-			}
-			p.arrived = arrived
-			c.burst = append(c.burst, p)
+		p := c.newPending()
+		if err := rpc.DecodeRequest(payload, &p.req); err != nil {
+			c.srv.stats.BadRequests++
+			c.recycle(p)
+			continue
 		}
-		if n := len(c.burst); n > 0 {
-			c.burst[n-1].frame = data
-		} else {
-			c.conn.Release(data)
-		}
-		for _, p := range c.burst {
-			// The full decode charge is paid in dispatch, after admission:
-			// the gate reads only the fixed request prelude, so shed
-			// requests cost (nearly) nothing — under overload the tier
-			// must be able to refuse load it cannot afford to parse.
-			p.decoded = r.Now()
-			p.seq = c.nextSeq
-			c.nextSeq++
-			c.inflight++
-			c.srv.dispatch(r, p)
-		}
-		clear(c.burst)
-		c.burst = c.burst[:0]
+		p.arrived = arrived
+		c.burst = append(c.burst, p)
 	}
-	c.done = true
-	idle := c.inflight == 0
-	if idle {
-		c.replies.close()
+	if n := len(c.burst); n > 0 {
+		c.burst[n-1].frame = data
+	} else {
+		c.conn.Release(data)
 	}
 }
 
@@ -173,37 +188,49 @@ func (c *connState) deliver(p *pending) {
 	}
 }
 
-// writeReplies is the per-connection reply writer: it drains the reply
-// mailbox in order, stamps the reply-queue phase, encodes the reply into
-// a buffer of the connection's and transmits it. Encoding is the last
+// stepReplies is the connection's reply writer, a task: it drains the
+// reply mailbox in order, stamps the reply-queue phase, encodes the reply
+// into a buffer of the connection's and transmits it, keeping the encoded
+// frame (out) across a park on a full socket buffer. Encoding is the last
 // read of the request and of whatever the response points into (a Get's
 // value is engine memory until this copy), so the pending and its frame
 // are recycled right after it. When the mailbox closes (handler done, no
-// requests in flight) it closes the connection and reports the
-// connection finished.
-func (c *connState) writeReplies(r *vclock.Runner) {
+// requests in flight) it closes the connection and reports the connection
+// finished.
+func stepReplies(r *vclock.Runner, arg any) (done bool) {
+	c := arg.(*connState)
 	for {
-		p, ok := c.replies.pop(r)
-		if !ok {
-			break
+		if c.out == nil { // an encoded reply is never empty
+			p, ok, done := c.replies.popStep(r)
+			if !done {
+				return false
+			}
+			if !ok {
+				c.conn.Close()
+				c.srv.connDone()
+				return true
+			}
+			sendStart := r.Now()
+			p.resp.Timing = rpc.Timing{
+				AcceptNS: nsBetween(p.arrived, p.decoded),
+				LingerNS: nsBetween(p.enq, p.claimed),
+				EngineNS: nsBetween(p.claimed, p.engDone),
+				ReplyNS:  nsBetween(p.engDone, sendStart),
+			}
+			c.srv.tracePhases(r, p, sendStart)
+			c.srv.stats.Phases.add(p, sendStart)
+			c.out = rpc.AppendResponse(c.conn.Buffer(), &p.resp)
+			c.recycle(p)
 		}
-		sendStart := r.Now()
-		p.resp.Timing = rpc.Timing{
-			AcceptNS: nsBetween(p.arrived, p.decoded),
-			LingerNS: nsBetween(p.enq, p.claimed),
-			EngineNS: nsBetween(p.claimed, p.engDone),
-			ReplyNS:  nsBetween(p.engDone, sendStart),
+		done, err := c.conn.SendStep(r, c.out)
+		if !done {
+			return false
 		}
-		c.srv.tracePhases(r, p, sendStart)
-		c.srv.stats.Phases.add(p, sendStart)
-		data := rpc.AppendResponse(c.conn.Buffer(), &p.resp)
-		c.recycle(p)
-		if err := c.conn.Send(r, data); err != nil {
+		c.out = nil
+		if err != nil {
 			c.srv.stats.DroppedReplies++
 		} else {
 			c.srv.stats.Replies++
 		}
 	}
-	c.conn.Close()
-	c.srv.connDone()
 }

@@ -51,12 +51,23 @@ func (m *mailbox[T]) push(v T) bool {
 // pop dequeues the oldest item, parking r while the box is empty. ok is
 // false once the box is closed and drained.
 func (m *mailbox[T]) pop(r *vclock.Runner) (v T, ok bool) {
-	m.notEmpty.WaitUntil(r, boxReady, m)
-	if m.items.Len() == 0 {
-		return v, false
+	for {
+		if v, ok, done := m.popStep(r); done {
+			return v, ok
+		}
+		r.Park()
 	}
-	v = m.items.Pop()
-	return v, true
+}
+
+// popStep is pop as a stepped primitive (see vclock.Clock.GoTask): done
+// with pop's results once the box has an item or is closed and drained,
+// and otherwise r is parked until it may.
+func (m *mailbox[T]) popStep(r *vclock.Runner) (v T, ok, done bool) {
+	if !m.notEmpty.WaitUntilStep(r, boxReady, m) {
+		return v, false, false
+	}
+	v, ok = m.tryPop()
+	return v, ok, true
 }
 
 // boxReady is pop's wait. A generic function's value is made anew where it

@@ -1,14 +1,17 @@
 // Package server is KVACCEL's serving tier: a virtual-clock-native RPC
 // front-end over kvaccel.DB. Two listener runners accept simulated
-// connections (internal/rpc); each connection gets a handler runner that
-// decodes CRC-framed requests and a reply-writer runner that returns
-// responses in per-client request order. The hot path is the per-shard
-// cross-connection batcher (batcher.go): requests from different clients
-// coalesce — under an adaptive linger window borrowed from the engine's
-// group-commit policy — into one WriteBatch / one multi-get chunk per
-// shard, so per-op WAL and queue costs amortize across tenants exactly
-// like group commit amortizes across writers. Admission control
-// (admission.go) sheds load with RETRY_LATER before the engine stalls.
+// connections (internal/rpc); each connection gets a handler that decodes
+// CRC-framed requests and a reply writer that returns responses in
+// per-client request order. Both are kernel tasks (vclock.Clock.GoTask):
+// their parks switch no goroutine, and the one place a handler blocks,
+// the direct engine call, runs through vclock.Runner.Call. The hot path
+// is the per-shard cross-connection batcher (batcher.go): requests from
+// different clients coalesce — under an adaptive linger window borrowed
+// from the engine's group-commit policy — into one WriteBatch / one
+// multi-get chunk per shard, so per-op WAL and queue costs amortize across
+// tenants exactly like group commit amortizes across writers. Admission
+// control (admission.go) sheds load with RETRY_LATER before the engine
+// stalls.
 package server
 
 import (
@@ -208,8 +211,8 @@ func (s *Server) listen(r *vclock.Runner, box *mailbox[*rpc.Conn]) {
 		s.connSeq++
 		id := s.connSeq
 		c := newConnState(s, conn, id)
-		s.clk.Go(fmt.Sprintf("server.conn.%d", id), c.handle)
-		s.clk.Go(fmt.Sprintf("server.reply.%d", id), c.writeReplies)
+		s.clk.GoTask(fmt.Sprintf("server.conn.%d", id), stepHandler, c)
+		s.clk.GoTask(fmt.Sprintf("server.reply.%d", id), stepReplies, c)
 	}
 }
 
@@ -235,38 +238,65 @@ func (s *Server) Shutdown(r *vclock.Runner) {
 	}
 }
 
-// dispatch routes one decoded request: admission first, then the batched
-// or direct execution path.
-func (s *Server) dispatch(r *vclock.Runner, p *pending) {
-	s.stats.Requests++
-	tenant := int(p.req.Tenant)
-	if !s.adm.admit(p.decoded, tenant) {
-		s.shed(r, p)
-		return
-	}
-	// Admitted: pay the full frame parse + validation + reply encode.
-	s.cpu.Run(r, decodeCPU)
-	p.decoded = r.Now()
-	if !s.cfg.Batch {
-		s.execDirect(r, p)
-		return
-	}
-	switch p.req.Op {
-	case rpc.OpPut, rpc.OpDelete:
-		b := s.batchers[s.db.ShardIndex(p.req.Key)]
-		if !b.enqueueWrite(p) {
+// dispatchStage is how far the handler has taken the request it is
+// dispatching.
+type dispatchStage uint8
+
+const (
+	dispatchNew    dispatchStage = iota // not yet stamped or admitted
+	dispatchDecode                      // admitted, paying decodeCPU
+	dispatchCalled                      // handed to execDirect (vclock.Runner.Call)
+)
+
+// dispatchStep routes one decoded request — admission first, then the
+// batched or direct execution path — as far as it goes without blocking,
+// and reports whether p is dispatched. The handler calls it again for the
+// same p after each park, and after the direct engine call it asks for,
+// and sets c.stage back to dispatchNew for the next request.
+func (s *Server) dispatchStep(r *vclock.Runner, c *connState, p *pending) bool {
+	switch c.stage {
+	case dispatchNew:
+		// The full decode charge is paid after admission: the gate reads
+		// only the fixed request prelude, so shed requests cost (nearly)
+		// nothing — under overload the tier must be able to refuse load
+		// it cannot afford to parse.
+		p.decoded = r.Now()
+		p.seq = c.nextSeq
+		c.nextSeq++
+		c.inflight++
+		s.stats.Requests++
+		if !s.adm.admit(p.decoded, int(p.req.Tenant)) {
 			s.shed(r, p)
+			return true
 		}
-	case rpc.OpGet:
-		b := s.batchers[s.db.ShardIndex(p.req.Key)]
-		if !b.enqueueRead(p) {
-			s.shed(r, p)
+		c.stage = dispatchDecode
+		fallthrough
+	case dispatchDecode:
+		// Admitted: pay the full frame parse + validation + reply encode.
+		if !s.cpu.RunStep(r, decodeCPU) {
+			return false
 		}
-	default:
-		// Scans span shards and batches carry their own amortization;
-		// both run inline on the handler.
-		s.execDirect(r, p)
+		p.decoded = r.Now()
+		op := p.req.Op
+		switch {
+		case s.cfg.Batch && (op == rpc.OpPut || op == rpc.OpDelete):
+			if !s.batchers[s.db.ShardIndex(p.req.Key)].enqueueWrite(p) {
+				s.shed(r, p)
+			}
+		case s.cfg.Batch && op == rpc.OpGet:
+			if !s.batchers[s.db.ShardIndex(p.req.Key)].enqueueRead(p) {
+				s.shed(r, p)
+			}
+		default:
+			// Without batching every op runs on the handler; scans span
+			// shards and batches carry their own amortization, so they do
+			// anyway.
+			c.stage = dispatchCalled
+			r.Call(execDirect, p)
+			return false
+		}
 	}
+	return true
 }
 
 // shed refuses p with RETRY_LATER; the response still flows through the
@@ -282,10 +312,12 @@ func (s *Server) shed(r *vclock.Runner, p *pending) {
 	p.conn.deliver(p)
 }
 
-// execDirect runs p's operation inline on the calling runner — the
-// per-connection dispatch baseline, and the path scans/batches always
-// take.
-func (s *Server) execDirect(r *vclock.Runner, p *pending) {
+// execDirect runs p's operation on its connection's handler, in the
+// handler's blocking call (vclock.Runner.Call) — the per-connection
+// dispatch baseline, and the path scans/batches always take.
+func execDirect(r *vclock.Runner, arg any) {
+	p := arg.(*pending)
+	s := p.conn.srv
 	s.stats.DirectOps++
 	p.enq = p.decoded
 	p.claimed = p.decoded

@@ -57,6 +57,19 @@
 //		r.Park()
 //	}
 //
+// The recheck rule covers tasks too: a task parked in Cond.WaitUntilStep
+// has its predicate checked before its step is called, and is re-parked
+// without a step while it is false.
+//
+// A step that must block (an engine call that parks wherever it likes)
+// asks for a call instead: Runner.Call(fn, arg), and the step returns
+// false. The kernel then hands the baton to the task itself, which runs
+// fn(r, arg) on a goroutine of its own, as an ordinary runner, and steps
+// itself again on that goroutine once fn returns. A call parks nothing and
+// registers no runner: the goroutine a task is compared with makes the
+// call inline, where the step asked for it, and steps again without a
+// park.
+//
 // The caller is the first runner: the goroutine that calls New holds the
 // baton until it calls Wait. So no runner runs, and virtual time stays at
 // zero, while it sets up and starts the simulation's runners, however long
@@ -67,7 +80,7 @@
 // behind, invisible to the clock, and the next Go hands it the new
 // function (see Clock.Go). They all exit when the simulation drains. A
 // task is cheaper still: its Runner is all there is, and the next GoTask
-// reuses it.
+// reuses it, with the goroutine its calls run on if it made any.
 //
 // The contract runners must obey: only the baton holder — a runner, or
 // New's caller before Wait — may call into a Clock or the primitives of
@@ -179,6 +192,11 @@ type Runner struct {
 	fn   func(r *Runner, arg any)
 	step func(r *Runner, arg any) (done bool)
 	arg  any
+	// call and callArg are the blocking call a task's step asked for
+	// (Runner.Call), until the task's goroutine takes them up. A task has
+	// that goroutine, and a wake channel, from its first call on.
+	call    func(r *Runner, arg any)
+	callArg any
 	// gen counts condition parks. A conditional timer records the
 	// generation it backstops; if the runner has since been signalled and
 	// parked again, the stale timer's generation no longer matches and it
@@ -254,13 +272,77 @@ func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
 // passing the baton on (the task rule, see the package comment). A step
 // may do what any runner's code between two parks may, and it may park r
 // in a stepped primitive (Runner.SleepStep, Resource.UseStep, or one
-// built on them); it must return false right after that park, and must
-// never block or park any other way. It returns true when the task is
+// built on them), or ask for a blocking call (Runner.Call); it must
+// return false right after that park or call, and must never block or
+// park any other way. It returns true when the task is
 // over, and r then serves the next GoTask: step must not keep it. Like
 // GoWith, starting a task allocates nothing once a task has finished.
 func (c *Clock) GoTask(name string, step func(r *Runner, arg any) (done bool), arg any) {
 	r, _ := c.enlist(name, &c.tasks)
 	r.step, r.arg = step, arg
+}
+
+// Call is how a task's step blocks: it asks for fn(r, arg) to run as r, a
+// runner with a goroutine that may park however it likes, and the step
+// returns false right after, having parked nothing. The kernel hands the
+// baton to r at once; fn runs on a goroutine r keeps for its calls, and
+// when it returns, r's step is called again on that goroutine, the kernel
+// going on as the step's park, or its return, would. The run is that of
+// a runner that made the call inline (see the package comment).
+func (r *Runner) Call(fn func(r *Runner, arg any), arg any) {
+	if r.wake == nil {
+		r.wake = make(chan struct{}, 1)
+		go r.serveCalls()
+	}
+	r.call, r.callArg = fn, arg
+}
+
+// serveCalls is a task's call goroutine: it runs the task's calls, each
+// when the baton reaches it, until the simulation drains or a call leaves
+// by runtime.Goexit.
+func (r *Runner) serveCalls() {
+	for {
+		if <-r.wake; r.call == nil || !r.calls() {
+			return // drained, or the call left abnormally
+		}
+	}
+}
+
+// calls runs r's call, then steps r, running any further call the step
+// asks for on the spot, until the step parks r or ends the task; then it
+// passes the baton on as that park, or a returning runner's leave, would.
+// A call that leaves by runtime.Goexit or a panic unregisters r, as live
+// does a runner, and calls reports false: this goroutine is on its way
+// out.
+func (r *Runner) calls() (ok bool) {
+	c := r.clock
+	defer func() {
+		if !ok {
+			c.unregister(r, false)
+		}
+	}()
+	for {
+		fn, arg, step := r.call, r.callArg, r.step
+		r.call, r.callArg, r.step = nil, nil, nil // r is a plain runner while fn runs
+		fn(r, arg)
+		r.step = step
+		if step(r, r.arg) {
+			c.unlink(r)
+			r.next, c.tasks = c.tasks, r
+			c.leave()
+			return true
+		}
+		if r.call != nil {
+			continue
+		}
+		if next := c.pick(r); next != r {
+			if next != nil {
+				c.handOff(next)
+			}
+			return true
+		}
+		// pick stepped r again (its timer was due), and the step called.
+	}
 }
 
 // register adds a runnable runner that will execute fn(arg), taken from
@@ -364,13 +446,13 @@ func (c *Clock) leave() {
 			return
 		}
 	}
-	for home := c.idle; home != nil; {
-		next := home.next
-		home.next = nil
-		home.wake <- struct{}{} // fn is nil: serve returns
-		home = next
+	for _, free := range [...]*Runner{c.idle, c.tasks} {
+		for home := free; home != nil; home = home.next {
+			if home.wake != nil { // a task that never called has no goroutine
+				home.wake <- struct{}{} // fn and call are nil: it returns
+			}
+		}
 	}
-	c.idle = nil
 	close(c.done)
 }
 
@@ -419,9 +501,15 @@ func (r *Runner) SleepUntil(t Time) {
 // blocking. A task's step returns right after it; any other runner calls
 // Park.
 func (r *Runner) SleepStep(d Duration) {
+	r.SleepUntilStep(r.clock.now.Add(max(d, 0)))
+}
+
+// SleepUntilStep is SleepUntil as a stepped primitive, as SleepStep is
+// Sleep.
+func (r *Runner) SleepUntilStep(t Time) {
 	c := r.clock
 	c.seq++
-	c.timers.push(timer{at: c.now.Add(max(d, 0)), seq: c.seq, r: r})
+	c.timers.push(timer{at: max(t, c.now), seq: c.seq, r: r})
 	c.stats.Parks++
 }
 
@@ -515,10 +603,10 @@ func (c *Clock) handOff(next *Runner) {
 }
 
 // pick returns the runner the baton goes to by the run-order, recheck and
-// task rules, given up by self (nil if the holder is leaving). It advances
-// virtual time until someone is runnable, and returns nil if nobody can
-// be: time is held, the last task has finished, or the simulation is
-// deadlocked.
+// task rules, given up by self (nil if the holder is leaving): a task only
+// when its step asked for a call. It advances virtual time until someone
+// is runnable, and returns nil if nobody can be: time is held, the last
+// task has finished, or the simulation is deadlocked.
 func (c *Clock) pick(self *Runner) *Runner {
 	for {
 		r := c.newest
@@ -546,9 +634,18 @@ func (c *Clock) pick(self *Runner) *Runner {
 			r = self // a task keeps the baton: it is stepped again here
 		}
 		switch {
-		case r.step != nil:
+		case r.until != nil && !r.until(r.untilArg):
+			// r would run only to find its predicate false and Wait again:
+			// park it here instead, and pick on as its park would.
+			c.stats.Rechecks++
+			r.untilOn.waiters.Push(r)
+			c.markParked(r, r.untilOn.label)
+			self = r
+		case r.step == nil:
+			return r
+		default:
 			// r's turn is its step, run here; then pick on as its park,
-			// or its return, would.
+			// or its return, would — or hand r the baton for its call.
 			self = r
 			if r.step(r, r.arg) {
 				c.unlink(r)
@@ -557,16 +654,9 @@ func (c *Clock) pick(self *Runner) *Runner {
 					return nil
 				}
 				self = nil
+			} else if r.call != nil {
+				return r
 			}
-		case r.until == nil || r.until(r.untilArg):
-			return r
-		default:
-			// r would run only to find its predicate false and Wait again:
-			// park it here instead, and pick on as its park would.
-			c.stats.Rechecks++
-			r.untilOn.waiters.Push(r)
-			c.markParked(r, r.untilOn.label)
-			self = r
 		}
 	}
 }

@@ -87,8 +87,15 @@ func NewCond(label string) *Cond {
 // Wait parks r until Signal or Broadcast wakes it. As with sync.Cond,
 // callers must re-check the condition in a loop.
 func (c *Cond) Wait(r *Runner) {
+	c.WaitStep(r)
+	r.Park()
+}
+
+// WaitStep is Wait as a stepped primitive (see Clock.GoTask): it parks r
+// on c without blocking.
+func (c *Cond) WaitStep(r *Runner) {
 	c.waiters.Push(r)
-	r.clock.parkOn(r, c.label)
+	r.clock.markParked(r, c.label)
 }
 
 // WaitUntil parks r until ready(arg) holds, like
@@ -105,12 +112,26 @@ func (c *Cond) Wait(r *Runner) {
 // With a package-level ready and a pointer for arg, a wait allocates
 // nothing, where a closure would cost one per call.
 func (c *Cond) WaitUntil(r *Runner, ready func(any) bool, arg any) {
+	for !c.WaitUntilStep(r, ready, arg) {
+		r.Park()
+	}
+}
+
+// WaitUntilStep is WaitUntil as a stepped primitive: it reports true if
+// ready(arg) holds, and otherwise parks r on c without blocking and
+// reports false. The kernel rechecks ready at r's turns and gives r the
+// baton only once it holds, so the next call — that turn's — reports true.
+func (c *Cond) WaitUntilStep(r *Runner, ready func(any) bool, arg any) (done bool) {
+	if r.untilOn != nil { // r's turn after the kernel found ready(arg)
+		r.until, r.untilArg, r.untilOn = nil, nil, nil
+		return true
+	}
 	if ready(arg) {
-		return
+		return true
 	}
 	r.until, r.untilArg, r.untilOn = ready, arg, c
-	c.Wait(r)
-	r.until, r.untilArg, r.untilOn = nil, nil, nil
+	c.WaitStep(r)
+	return false
 }
 
 // Signal wakes the longest-waiting runner, if any.
