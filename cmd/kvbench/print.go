@@ -47,8 +47,10 @@ func printResult(w io.Writer, res *harness.RunResult, faults bool) {
 	}
 	if ops := res.Rec.Writes() + res.Rec.Reads() + res.Rec.Scans(); ops > 0 {
 		k, n := res.Kernel, float64(ops)
-		fmt.Fprintf(w, "kernel      : %.2f parks, %.2f rechecks, %.2f hand-offs per op\n",
-			float64(k.Parks)/n, float64(k.Rechecks)/n, float64(k.Handoffs)/n)
+		starts := k.Spawns + k.Reuses
+		fmt.Fprintf(w, "kernel      : %.2f parks, %.2f rechecks, %.2f hand-offs, %.3f runner starts per op (%.1f%% reused)\n",
+			float64(k.Parks)/n, float64(k.Rechecks)/n, float64(k.Handoffs)/n,
+			float64(starts)/n, 100*float64(k.Reuses)/float64(max(starts, 1)))
 	}
 }
 

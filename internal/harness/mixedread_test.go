@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -141,5 +142,35 @@ func TestMixedWorkloadBaselineNoCaches(t *testing.T) {
 	}
 	if res.MainStats.BlockCacheHits != 0 {
 		t.Fatalf("disabled block cache reported %d hits", res.MainStats.BlockCacheHits)
+	}
+}
+
+// TestScanKops: a short ycsb-e run's scans, over the run's duration, are
+// its scan throughput; a run with no duration has none.
+func TestScanKops(t *testing.T) {
+	p, spec := ycsbBParams()
+	p.Mix = "ycsb-e"
+	p.Duration = 200 * time.Millisecond
+	p.KeySpace = 2_000
+	res := p.Run(spec, WorkloadMixed)
+	scans := float64(res.Rec.Scans())
+	if scans == 0 {
+		t.Fatal("ycsb-e run made no scans")
+	}
+	for _, row := range []struct {
+		name     string
+		duration time.Duration
+		want     float64
+	}{
+		{"run's own", res.Duration, scans / res.Duration.Seconds() / 1000},
+		{"half a second", 500 * time.Millisecond, scans / 500},
+		{"two seconds", 2 * time.Second, scans / 2000},
+		{"zero", 0, 0},
+		{"negative", -time.Second, 0},
+	} {
+		res.Duration = row.duration
+		if got := res.ScanKops(); math.Abs(got-row.want) > 1e-9*math.Max(1, row.want) {
+			t.Errorf("%s: %d scans over %v gave %v Kops/s, want %v", row.name, res.Rec.Scans(), row.duration, got, row.want)
+		}
 	}
 }

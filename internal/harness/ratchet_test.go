@@ -93,7 +93,7 @@ func TestRatchet(t *testing.T) {
 				perWait := float64(k.SemParks) / float64(max(k.SemWaits, 1))
 				reuse := float64(k.Reuses) / float64(max(k.Spawns+k.Reuses, 1))
 				puts := float64(max(res.Rec.Writes(), 1))
-				t.Logf("%d contended admissions, %.2f parks each; %d runners started, %.4f on a reused goroutine; %d parks in all",
+				t.Logf("%d contended admissions, %.2f parks each; %d runners started, %.4f on a reused Runner; %d parks in all",
 					k.SemWaits, perWait, k.Spawns+k.Reuses, reuse, k.Parks)
 				handoffs := float64(k.Handoffs) / puts
 				t.Logf("per put: %.2f parks, %.2f rechecks, %.3f hand-offs (%d puts)",
@@ -105,7 +105,7 @@ func TestRatchet(t *testing.T) {
 					t.Errorf("%.2f parks per contended semaphore admission, want <= 2.2", perWait)
 				}
 				if reuse < 0.95 {
-					t.Errorf("%.4f of runners reused a goroutine, want >= 0.95", reuse)
+					t.Errorf("%.4f of runners reused a Runner, want >= 0.95", reuse)
 				}
 				if handoffs > 1.05*1.061 {
 					t.Errorf("%.3f hand-offs per put, want <= %.3f (1.061 + 5 %%)", handoffs, 1.05*1.061)

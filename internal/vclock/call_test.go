@@ -12,8 +12,9 @@ import (
 // task that asked for it, on a goroutine the task keeps; nothing else may
 // differ from a runner that made the call inline. The property test plays
 // seeded scripts whose bodies block — Sleep, Cond.Wait, Resource.Use, a
-// nested GoWith — once on goroutine runners and once with every second
-// user a task that runs each body inside Call (and waits on a predicate
+// nested GoWith — once on runners started with Go, whose one turn is the
+// whole body, and once with every second user a task that runs each body
+// inside Call (and waits on a predicate
 // with Cond.WaitUntilStep), and requires the same log of instants and
 // runner ids, the same end instant, and every kernel count but Handoffs,
 // Spawns and Reuses: Rechecks among them.
@@ -425,8 +426,10 @@ func TestCallLeavingByGoexitUnregisters(t *testing.T) {
 	}, nil)
 	c.Go("main", func(r *Runner) {
 		r.Sleep(time.Millisecond)
-		if c.tasks != nil {
-			t.Errorf("task %q is on the free list, but its goroutine is gone", c.tasks.name)
+		for _, idle := range []*Runner{c.callers, c.free} {
+			if idle != nil {
+				t.Errorf("task %q is on a free list, but its goroutine is gone", idle.name)
+			}
 		}
 		c.GoTask("after", func(r *Runner, _ any) bool {
 			if r == dead {

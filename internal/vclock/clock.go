@@ -1,12 +1,12 @@
 // Package vclock implements a conservative virtual-time kernel for
 // discrete-event simulation with real goroutines.
 //
-// Simulation actors ("runners") are ordinary goroutines registered with a
-// Clock, and exactly one of them runs at a time: the one holding the
-// clock's baton. It runs until it parks in a clock-aware primitive (Sleep,
-// Cond.Wait, Semaphore.Acquire, Queue.Pop, ...) or returns, and then the
-// baton passes to the next runnable runner. When no runner is runnable,
-// the clock jumps to the earliest pending timer deadline and makes the
+// Simulation actors ("runners") are registered with a Clock, and exactly
+// one of them runs at a time: the one holding the clock's baton. It runs
+// until it parks in a clock-aware primitive (Sleep, Cond.Wait,
+// Semaphore.Acquire, Queue.Pop, ...) or returns, and then the baton
+// passes to the next runnable runner. When no runner is runnable, the
+// clock jumps to the earliest pending timer deadline and makes the
 // runners due at that instant runnable. This lets engine code (flush
 // threads, compaction workers, device channel servers) be written as
 // natural blocking goroutine code while a simulated 600-second experiment
@@ -40,18 +40,19 @@
 //		c.Wait(r)
 //	}
 //
-// The task rule. A task (Clock.GoTask) is a runner with no goroutine of
-// its own: a step function and its argument. It registers, parks and is
-// woken like any runner, and when the run-order rule gives it its turn,
-// the kernel calls its step on the goroutine that is passing the baton
-// on. The step runs until it parks, in a stepped primitive that does not
-// block (Runner.SleepStep, Resource.UseStep), and returns false right
-// after; or it returns true, and the task is over. The kernel then goes
-// on picking as the task's park, or its return, would have — with the
-// task as the runner whose timer may let it keep the baton, in which case
-// it is stepped again on the spot. So a task is a runner whose goroutine
-// switches are saved: the runs, the virtual times and every count but
-// Stats.Handoffs, Spawns and Reuses are those of a goroutine running
+// The task rule. Every runner is a task: a step function and its
+// argument (Clock.GoTask), or one blocking call (Clock.Go, below). It
+// registers, parks and is woken like any runner, and when the run-order
+// rule gives it its turn, the kernel calls its step on the goroutine that
+// is passing the baton on. The step runs until it parks, in a stepped
+// primitive that does not block (Runner.SleepStep, Resource.UseStep), and
+// returns false right after; or it returns true, and the task is over.
+// The kernel then goes on picking as the task's park, or its return,
+// would have — with the task as the runner whose timer may let it keep
+// the baton, in which case it is stepped again on the spot. So a task is
+// a runner whose goroutine switches are saved: the runs, the virtual times
+// and every count but Stats.Handoffs, Spawns and Reuses are those of a
+// goroutine running
 //
 //	for !step(r, arg) {
 //		r.Park()
@@ -64,11 +65,14 @@
 // A step that must block (an engine call that parks wherever it likes)
 // asks for a call instead: Runner.Call(fn, arg), and the step returns
 // false. The kernel then hands the baton to the task itself, which runs
-// fn(r, arg) on a goroutine of its own, as an ordinary runner, and steps
-// itself again on that goroutine once fn returns. A call parks nothing and
-// registers no runner: the goroutine a task is compared with makes the
-// call inline, where the step asked for it, and steps again without a
-// park.
+// fn(r, arg) on a goroutine it keeps for its calls, as blocking goroutine
+// code, and steps itself again on that goroutine once fn returns. A call
+// parks nothing and registers no runner: the goroutine a task is compared
+// with makes the call inline, where the step asked for it, and steps
+// again without a park. Clock.Go starts a task whose one turn is such a
+// call, over when the call returns: the baton reaches fn when it would
+// reach a goroutine started for fn. So a goroutine only ever exists as
+// what a task keeps for its calls.
 //
 // The caller is the first runner: the goroutine that calls New holds the
 // baton until it calls Wait. So no runner runs, and virtual time stays at
@@ -76,11 +80,12 @@
 // that takes in wall time. Go may be called from outside a runner only
 // before Wait; from then on, only runners start runners.
 //
-// Runners are cheap to start: a goroutine whose function returned stays
-// behind, invisible to the clock, and the next Go hands it the new
-// function (see Clock.Go). They all exit when the simulation drains. A
-// task is cheaper still: its Runner is all there is, and the next GoTask
-// reuses it, with the goroutine its calls run on if it made any.
+// Runners are cheap to start: a task that is over stays behind, invisible
+// to the clock, with the goroutine its calls ran on if it made any, and a
+// later Go or GoTask reuses both (see Clock.Go). Go takes a Runner that
+// has a goroutine first, GoTask one that has none, so goroutines are made
+// about as often as Go needs one. They all exit when the simulation
+// drains.
 //
 // The contract runners must obey: only the baton holder — a runner, or
 // New's caller before Wait — may call into a Clock or the primitives of
@@ -130,8 +135,8 @@ type Clock struct {
 	newest  *Runner       // the runner made runnable last: it runs next
 	runq    Ring[*Runner] // runnable runners displaced from newest, oldest first
 	runners *Runner       // live runners, linked through Runner.next/prev (deadlock report)
-	idle    *Runner       // returned runners awaiting reuse, newest first, linked through Runner.next
-	tasks   *Runner       // finished tasks awaiting reuse, likewise
+	free    *Runner       // returned runners with no call goroutine, newest first, linked through Runner.next
+	callers *Runner       // returned runners with one, likewise
 	done    chan struct{} // closed when the last runner exits
 	stats   Stats
 
@@ -158,8 +163,12 @@ type Stats struct {
 	Parks      uint64 // runners parked, on a timer or on a condition
 	TimerWakes uint64 // wakes delivered by the timer heap
 	CondWakes  uint64 // wakes delivered through a condition (Signal, Broadcast, Release, Set, ...)
-	Spawns     uint64 // runners started on a new goroutine, and tasks on a new Runner
-	Reuses     uint64 // runners and tasks started on the goroutine or Runner of one that had returned
+	// Spawns counts runners (Go, GoWith, GoTask) started on a new Runner,
+	// Reuses those started on the Runner of one that had returned, with
+	// the goroutine its calls ran on if it made any: a goroutine is made
+	// only at a Runner's first call, so Spawns bounds the goroutines too.
+	Spawns uint64
+	Reuses uint64
 	// SemWaits counts Semaphore.Acquire calls that found too few units and
 	// had to park; SemParks counts the parks they took, so SemParks/SemWaits
 	// is what one contended admission costs (1 with no lost race).
@@ -176,25 +185,23 @@ type Stats struct {
 // Stats returns a snapshot of the kernel's event counts.
 func (c *Clock) Stats() Stats { return c.stats }
 
-// Runner is the handle a simulation goroutine uses to interact with its
-// Clock. Each Runner belongs to exactly one goroutine, and each goroutine
-// serves one runner after another: between two of them the Runner is off
-// the clock's books and on its free list. A task's Runner has no goroutine:
-// its steps run on whichever one passes the baton on.
+// Runner is the handle a runner uses to interact with its Clock. Its
+// steps run on whichever goroutine passes the baton on, and its calls on
+// a goroutine of its own, made at its first call. Between two lives the
+// Runner is off the clock's books and on one of its free lists, with that
+// goroutine if it has one.
 type Runner struct {
 	clock *Clock
 	name  string
 	id    uint64
-	wake  chan struct{} // the baton, handed to this runner
-	// fn and arg are the function this life of the runner executes, or
-	// step and arg if it is a task (which has no goroutine, and no wake
-	// channel); all are nil while the runner idles on a free list.
-	fn   func(r *Runner, arg any)
+	wake  chan struct{} // the baton, handed to r's call goroutine; nil until r's first call
+	// step and arg are the turns this life of the runner takes. step is nil
+	// while a call runs, and while the call is the life's one turn
+	// (Clock.Go); both are nil while the runner idles on a free list.
 	step func(r *Runner, arg any) (done bool)
 	arg  any
-	// call and callArg are the blocking call a task's step asked for
-	// (Runner.Call), until the task's goroutine takes them up. A task has
-	// that goroutine, and a wake channel, from its first call on.
+	// call and callArg are the blocking call r asked for (Runner.Call),
+	// until r's call goroutine takes them up.
 	call    func(r *Runner, arg any)
 	callArg any
 	// gen counts condition parks. A conditional timer records the
@@ -205,7 +212,7 @@ type Runner struct {
 	gen uint64
 	// parked is set while the runner is parked on a condition (not a plain
 	// timer) and label says which, for the deadlock report. next and prev
-	// link the clock's live runners (next alone, its free list).
+	// link the clock's live runners (next alone, its free lists).
 	parked     bool
 	label      string
 	next, prev *Runner
@@ -222,8 +229,8 @@ type Runner struct {
 	// traceCtx is a per-runner scratch slot owned by the tracing layer:
 	// the id of the innermost open trace span on this runner, so child
 	// spans (and cross-runner handoffs such as NVMe commands) can record
-	// a causal parent without any shared state. Only the runner's own
-	// goroutine reads or writes it.
+	// a causal parent without any shared state. Only the runner itself,
+	// in its steps and calls, reads or writes it.
 	traceCtx uint64
 }
 
@@ -238,7 +245,7 @@ func (r *Runner) ID() uint64 { return r.id }
 func (r *Runner) TraceCtx() uint64 { return r.traceCtx }
 
 // SetTraceCtx replaces the runner's trace context. Must only be called
-// from the runner's own goroutine.
+// by the runner itself.
 func (r *Runner) SetTraceCtx(ctx uint64) { r.traceCtx = ctx }
 
 // Clock returns the clock this runner is registered with.
@@ -247,11 +254,13 @@ func (r *Runner) Clock() *Clock { return r.clock }
 // Now returns the current virtual time.
 func (r *Runner) Now() Time { return r.clock.now }
 
-// Go starts fn as a registered runner, runnable now. The runner is
-// automatically unregistered when fn returns, and its goroutine, Runner
-// and wake channel then serve the next Go instead of being made anew: fn
-// must not keep r past its return. Go may be called from a runner, or from
-// outside one before Wait; it panics once the simulation has drained.
+// Go starts fn as a runner, runnable now: a task whose one turn is a
+// call of fn (see Runner.Call), over when fn returns. So fn is ordinary
+// blocking goroutine code, run as r when the baton first reaches r, on the
+// goroutine r keeps for its calls. r, and that goroutine, then serve a
+// later Go or GoTask instead of being made anew: fn must not keep r past
+// its return. Go may be called from a runner, or from outside one before
+// Wait; it panics once the simulation has drained.
 func (c *Clock) Go(name string, fn func(r *Runner)) {
 	c.GoWith(name, callFunc, fn)
 }
@@ -260,35 +269,36 @@ func callFunc(r *Runner, fn any) { fn.(func(r *Runner))(r) }
 
 // GoWith is Go for a function that takes its state as an argument instead
 // of capturing it: with a package-level fn and a pointer for arg, starting
-// a runner allocates nothing, where Go costs its caller a closure.
+// a runner allocates nothing once one started with Go has returned, where
+// Go costs its caller a closure.
 func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
-	if r, reused := c.register(name, fn, arg); !reused {
-		go r.serve()
-	}
+	c.enlist(name, &c.callers, &c.free).Call(fn, arg)
 }
 
-// GoTask starts a task: a runner with no goroutine, runnable now, whose
-// turns the kernel runs by calling step(r, arg) on whichever goroutine is
-// passing the baton on (the task rule, see the package comment). A step
-// may do what any runner's code between two parks may, and it may park r
-// in a stepped primitive (Runner.SleepStep, Resource.UseStep, or one
-// built on them), or ask for a blocking call (Runner.Call); it must
-// return false right after that park or call, and must never block or
-// park any other way. It returns true when the task is
-// over, and r then serves the next GoTask: step must not keep it. Like
-// GoWith, starting a task allocates nothing once a task has finished.
+// GoTask starts a task, runnable now, whose turns the kernel runs by
+// calling step(r, arg) on whichever goroutine is passing the baton on (the
+// task rule, see the package comment). A step may do what any runner's
+// code between two parks may, and it may park r in a stepped primitive
+// (Runner.SleepStep, Resource.UseStep, or one built on them), or ask for
+// a blocking call (Runner.Call); it must return false right after that
+// park or call, and must never block or park any other way. It returns
+// true when the task is over, and r then serves a later Go or GoTask:
+// step must not keep it. Like GoWith, starting a task allocates nothing
+// once a runner has returned.
 func (c *Clock) GoTask(name string, step func(r *Runner, arg any) (done bool), arg any) {
-	r, _ := c.enlist(name, &c.tasks)
+	r := c.enlist(name, &c.free, &c.callers)
 	r.step, r.arg = step, arg
 }
 
-// Call is how a task's step blocks: it asks for fn(r, arg) to run as r, a
-// runner with a goroutine that may park however it likes, and the step
-// returns false right after, having parked nothing. The kernel hands the
-// baton to r at once; fn runs on a goroutine r keeps for its calls, and
-// when it returns, r's step is called again on that goroutine, the kernel
-// going on as the step's park, or its return, would. The run is that of
-// a runner that made the call inline (see the package comment).
+// Call is how a runner blocks: it asks for fn(r, arg) to run as r, with a
+// goroutine that may park however it likes. A task's step returns false
+// right after, having parked nothing; Go asks for its one call before the
+// runner's first turn. When r's turn comes, the kernel hands r the baton:
+// fn runs on a goroutine r keeps for its calls, made at its first, and
+// when fn returns, r's step, if it has one, is called again on that
+// goroutine, the kernel going on as the step's park, or its return, would.
+// The run is that of a runner that made the call inline (see the package
+// comment).
 func (r *Runner) Call(fn func(r *Runner, arg any), arg any) {
 	if r.wake == nil {
 		r.wake = make(chan struct{}, 1)
@@ -297,9 +307,9 @@ func (r *Runner) Call(fn func(r *Runner, arg any), arg any) {
 	r.call, r.callArg = fn, arg
 }
 
-// serveCalls is a task's call goroutine: it runs the task's calls, each
-// when the baton reaches it, until the simulation drains or a call leaves
-// by runtime.Goexit.
+// serveCalls is a runner's call goroutine: it runs the runner's calls,
+// each when the baton reaches it, until the simulation drains or a call
+// leaves by runtime.Goexit.
 func (r *Runner) serveCalls() {
 	for {
 		if <-r.wake; r.call == nil || !r.calls() {
@@ -309,26 +319,26 @@ func (r *Runner) serveCalls() {
 }
 
 // calls runs r's call, then steps r, running any further call the step
-// asks for on the spot, until the step parks r or ends the task; then it
-// passes the baton on as that park, or a returning runner's leave, would.
-// A call that leaves by runtime.Goexit or a panic unregisters r, as live
-// does a runner, and calls reports false: this goroutine is on its way
-// out.
+// asks for on the spot, until the step parks r or ends the task (a runner
+// Go started has no step: it is over when its call returns); then it
+// passes the baton on as that park, or the task's end, would. A call that
+// leaves by runtime.Goexit (t.Fatal on a runner) or a panic takes r off
+// the books but not onto a free list, and calls reports false: this
+// goroutine is on its way out.
 func (r *Runner) calls() (ok bool) {
 	c := r.clock
 	defer func() {
 		if !ok {
-			c.unregister(r, false)
+			c.unlink(r)
+			c.leave()
 		}
 	}()
 	for {
 		fn, arg, step := r.call, r.callArg, r.step
 		r.call, r.callArg, r.step = nil, nil, nil // r is a plain runner while fn runs
 		fn(r, arg)
-		r.step = step
-		if step(r, r.arg) {
-			c.unlink(r)
-			r.next, c.tasks = c.tasks, r
+		if r.step = step; step == nil || step(r, r.arg) {
+			c.retire(r)
 			c.leave()
 			return true
 		}
@@ -345,26 +355,18 @@ func (r *Runner) calls() (ok bool) {
 	}
 }
 
-// register adds a runnable runner that will execute fn(arg), taken from
-// the free list if a runner has returned before.
-func (c *Clock) register(name string, fn func(r *Runner, arg any), arg any) (r *Runner, reused bool) {
-	if r, reused = c.enlist(name, &c.idle); !reused {
-		r.wake = make(chan struct{}, 1)
-	}
-	r.fn, r.arg = fn, arg
-	return r, reused
-}
-
 // enlist adds a runnable runner, taken from the free list at *free if one
-// is there.
-func (c *Clock) enlist(name string, free **Runner) (r *Runner, reused bool) {
+// is there, else from the one at *fallback.
+func (c *Clock) enlist(name string, free, fallback **Runner) (r *Runner) {
 	if c.total == 0 {
 		panic(fmt.Sprintf("vclock: Go(%q) after the simulation drained", name))
+	}
+	if *free == nil {
+		free = fallback
 	}
 	if r = *free; r != nil {
 		*free = r.next
 		c.stats.Reuses++
-		reused = true
 	} else {
 		r = &Runner{clock: c}
 		c.stats.Spawns++
@@ -379,43 +381,18 @@ func (c *Clock) enlist(name string, free **Runner) (r *Runner, reused bool) {
 	}
 	c.runners = r
 	c.ready(r)
-	return r, reused
+	return r
 }
 
-// serve is a runner goroutine: it runs one function after another, each
-// when the baton first reaches it, idling between them on its wake
-// channel until the next Go's turn comes or the simulation drains.
-func (r *Runner) serve() {
-	for {
-		if <-r.wake; r.fn == nil || !r.live() {
-			return // drained, or the last runner out
-		}
-	}
-}
-
-// live runs the function r was started for and unregisters r however the
-// function leaves — by returning, by panicking or through runtime.Goexit
-// (t.Fatal on a runner). It reports whether r went on the free list, which
-// it does only after a return: otherwise this goroutine is on its way out.
-func (r *Runner) live() (idle bool) {
-	returned := false
-	defer func() { idle = r.clock.unregister(r, returned) }()
-	r.fn(r, r.arg)
-	returned = true
-	return
-}
-
-// unregister takes r off the clock's books and, if reusable, puts it on
-// the free list. It reports whether it did: the last runner to leave
-// drains the simulation instead.
-func (c *Clock) unregister(r *Runner, reusable bool) (idle bool) {
+// retire takes r, whose task is over, off the list of live runners and
+// puts it on the free list of its kind: with a call goroutine or without.
+func (c *Clock) retire(r *Runner) {
 	c.unlink(r)
-	idle = reusable && c.total > 1
-	if idle {
-		r.next, c.idle = c.idle, r
+	if r.wake != nil {
+		r.next, c.callers = c.callers, r
+	} else {
+		r.next, c.free = c.free, r
 	}
-	c.leave()
-	return idle
 }
 
 // unlink takes r off the list of live runners and drops what its life ran.
@@ -429,13 +406,13 @@ func (c *Clock) unlink(r *Runner) {
 		r.next.prev = r.prev
 	}
 	r.next, r.prev = nil, nil
-	r.fn, r.step, r.arg = nil, nil, nil // an idle runner must not pin its last life's state
+	r.step, r.arg = nil, nil // an idle runner must not pin its last life's state
 }
 
 // leave takes one runner — a returning one, or New's caller in Wait — off
 // the count and passes the baton on. The last to leave, or the runner
 // whose pick sees the last task finish, drains the simulation: it sends
-// every idle runner home and closes done.
+// every idle call goroutine home and closes done.
 func (c *Clock) leave() {
 	if c.total--; c.total > 0 {
 		if next := c.pick(nil); next != nil {
@@ -446,12 +423,8 @@ func (c *Clock) leave() {
 			return
 		}
 	}
-	for _, free := range [...]*Runner{c.idle, c.tasks} {
-		for home := free; home != nil; home = home.next {
-			if home.wake != nil { // a task that never called has no goroutine
-				home.wake <- struct{}{} // fn and call are nil: it returns
-			}
-		}
+	for home := c.callers; home != nil; home = home.next {
+		home.wake <- struct{}{} // its call is nil: it returns
 	}
 	close(c.done)
 }
@@ -603,10 +576,11 @@ func (c *Clock) handOff(next *Runner) {
 }
 
 // pick returns the runner the baton goes to by the run-order, recheck and
-// task rules, given up by self (nil if the holder is leaving): a task only
-// when its step asked for a call. It advances virtual time until someone
-// is runnable, and returns nil if nobody can be: time is held, the last
-// task has finished, or the simulation is deadlocked.
+// task rules, given up by self (nil if the holder is leaving): a runner
+// whose turn is a call, which runs on a goroutine of its own. It advances
+// virtual time until someone is runnable, and returns nil if nobody can
+// be: time is held, the last task has finished, or the simulation is
+// deadlocked.
 func (c *Clock) pick(self *Runner) *Runner {
 	for {
 		r := c.newest
@@ -629,9 +603,9 @@ func (c *Clock) pick(self *Runner) *Runner {
 				continue
 			}
 			if self.step == nil {
-				return self
+				return self // inside a call
 			}
-			r = self // a task keeps the baton: it is stepped again here
+			r = self // a stepped task keeps the baton: it is stepped again here
 		}
 		switch {
 		case r.until != nil && !r.until(r.untilArg):
@@ -642,14 +616,13 @@ func (c *Clock) pick(self *Runner) *Runner {
 			c.markParked(r, r.untilOn.label)
 			self = r
 		case r.step == nil:
-			return r
+			return r // r is inside a call, or its turn is Go's one call
 		default:
 			// r's turn is its step, run here; then pick on as its park,
 			// or its return, would — or hand r the baton for its call.
 			self = r
 			if r.step(r, r.arg) {
-				c.unlink(r)
-				r.next, c.tasks = c.tasks, r
+				c.retire(r)
 				if c.total--; c.total == 0 {
 					return nil
 				}

@@ -94,25 +94,29 @@ func TestRunnerLeavingByGoexitOrPanicUnregisters(t *testing.T) {
 			w.Sleep(time.Microsecond)
 			runtime.Goexit()
 		})
-		// A panicking runner takes the process down, so this one's
-		// goroutine is the test's own, recovering around Runner.live. Like
+		// A panicking runner takes the process down, so this one's call
+		// goroutine is the test's own, recovering around Runner.calls. Like
 		// every runner's, it runs only once the baton reaches it.
-		p, _ := c.register("panics", callFunc, func(w *Runner) {
+		p := c.enlist("panics", &c.callers, &c.free)
+		p.wake = make(chan struct{}, 1)
+		p.call, p.callArg = callFunc, func(w *Runner) {
 			w.Sleep(time.Microsecond)
 			panic("boom")
-		})
+		}
 		recovered := make(chan any, 1)
 		go func() {
 			defer func() { recovered <- recover() }()
 			<-p.wake
-			p.live()
+			p.calls()
 		}()
 		r.Sleep(time.Millisecond) // returns only if both are off the books
 		if got := <-recovered; got != "boom" {
 			t.Errorf("recovered %v, want the runner's panic", got)
 		}
-		if c.idle != nil {
-			t.Errorf("runner %q is on the free list, but its goroutine is gone", c.idle.name)
+		for _, idle := range []*Runner{c.callers, c.free} {
+			if idle != nil {
+				t.Errorf("runner %q is on a free list, but its goroutine is gone", idle.name)
+			}
 		}
 		var wg WaitGroup
 		wg.Add(1)

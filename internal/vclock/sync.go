@@ -405,16 +405,6 @@ func (q *Queue[T]) Push(r *Runner, v T) {
 	q.notEmpty.Signal()
 }
 
-// TryPush enqueues v if there is room, without blocking.
-func (q *Queue[T]) TryPush(v T) bool {
-	if q.closed || q.items.n >= q.capacity {
-		return false
-	}
-	q.items.Push(v)
-	q.notEmpty.Signal()
-	return true
-}
-
 // TryPop dequeues the oldest item without blocking; ok is false when the
 // queue is empty.
 func (q *Queue[T]) TryPop() (v T, ok bool) {

@@ -8,9 +8,9 @@ import (
 
 // The task-equivalence tests. A task is a runner whose turns the kernel
 // runs on the goroutine passing the baton on; nothing else about it may
-// differ from a runner with a goroutine of its own. The property test
-// plays the Resource.Use rows of the admission scripts twice — once with
-// every user a goroutine runner, once with every second user a task — and
+// differ from a runner whose code blocks on a goroutine (Go). The property
+// test plays the Resource.Use rows of the admission scripts twice — once
+// with every user started with Go, once with every second user a task — and
 // requires the same admissions at the same instants in the same order, the
 // same end instant, and every kernel count but Handoffs, Spawns and
 // Reuses.

@@ -178,3 +178,44 @@ func TestRunMixedMultiClient(t *testing.T) {
 		t.Fatal("multi-client run idle")
 	}
 }
+
+func TestDistributionString(t *testing.T) {
+	for _, row := range []struct {
+		d    Distribution
+		want string
+	}{
+		{DistUniform, "uniform"},
+		{DistZipfian, "zipfian"},
+		{DistLatest, "latest"},
+		{Distribution(-1), "unknown"},
+		{DistLatest + 1, "unknown"},
+	} {
+		if got := row.d.String(); got != row.want {
+			t.Errorf("Distribution(%d).String() = %q, want %q", int(row.d), got, row.want)
+		}
+	}
+}
+
+// TestEffectiveTheta: an unset or non-positive ZipfTheta means the YCSB
+// default 0.99; any other is used as given.
+func TestEffectiveTheta(t *testing.T) {
+	for _, row := range []struct {
+		theta, want float64
+	}{
+		{0, 0.99},
+		{-0.5, 0.99},
+		{0.5, 0.5},
+		{0.99, 0.99},
+		{1.2, 1.2},
+	} {
+		if got := (MixSpec{ZipfTheta: row.theta}).EffectiveTheta(); got != row.want {
+			t.Errorf("EffectiveTheta with ZipfTheta %v = %v, want %v", row.theta, got, row.want)
+		}
+	}
+	// The presets leave it unset.
+	for _, name := range MixNames() {
+		if spec, _ := Mix(name); spec.EffectiveTheta() != 0.99 {
+			t.Errorf("%s: EffectiveTheta %v, want the default 0.99", name, spec.EffectiveTheta())
+		}
+	}
+}
