@@ -101,10 +101,10 @@ func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
 // Dev-LSM / Main-LSM). A zero-valued Stats (baselines) prints nothing.
 func printReadAttribution(w io.Writer, kv core.Stats) {
 	if kv.FrontCacheHits+kv.FrontCacheMisses > 0 {
-		fmt.Fprintf(w, "front-cache : %.1f%% hit (%d/%d), fills=%d rejected=%d invalidations=%d evictions=%d entries=%d\n",
+		fmt.Fprintf(w, "front-cache : %.1f%% hit (%d/%d), fills=%d rejected=%d declined=%d invalidations=%d evictions=%d entries=%d\n",
 			kv.FrontCacheHitRate()*100, kv.FrontCacheHits,
 			kv.FrontCacheHits+kv.FrontCacheMisses, kv.FrontCacheFills,
-			kv.FrontCacheRejected, kv.FrontCacheInvalidations,
+			kv.FrontCacheRejected, kv.FrontCacheDeclined, kv.FrontCacheInvalidations,
 			kv.FrontCacheEvictions, kv.FrontCacheEntries)
 	}
 	if kv.Gets > 0 {

@@ -127,6 +127,7 @@ type Stats struct {
 	FrontCacheMisses        int64
 	FrontCacheFills         int64
 	FrontCacheRejected      int64 // fills dropped by the generation guard
+	FrontCacheDeclined      int64 // fills the admission sketch turned away
 	FrontCacheInvalidations int64
 	FrontCacheEvictions     int64
 	FrontCacheHeadMoves     int64
@@ -165,6 +166,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.FrontCacheMisses += o.FrontCacheMisses
 	s.FrontCacheFills += o.FrontCacheFills
 	s.FrontCacheRejected += o.FrontCacheRejected
+	s.FrontCacheDeclined += o.FrontCacheDeclined
 	s.FrontCacheInvalidations += o.FrontCacheInvalidations
 	s.FrontCacheEvictions += o.FrontCacheEvictions
 	s.FrontCacheHeadMoves += o.FrontCacheHeadMoves
@@ -258,6 +260,7 @@ func (db *DB) Stats() Stats {
 	s.FrontCacheMisses = fc.Misses
 	s.FrontCacheFills = fc.Fills
 	s.FrontCacheRejected = fc.Rejected
+	s.FrontCacheDeclined = fc.Declined
 	s.FrontCacheInvalidations = fc.Invalidations
 	s.FrontCacheEvictions = fc.Evictions
 	s.FrontCacheHeadMoves = fc.HeadMoves
@@ -539,7 +542,8 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 
 // fill offers a value read below the front cache to it and returns what
 // Get should hand out: the cache's copy when it took one, which pins only
-// itself, else v, which may pin a whole value-log segment or table image.
+// itself, else v — the fill was rejected, declined or too large — which may
+// pin a whole value-log segment or table image.
 func (db *DB) fill(key, v []byte, token uint64) []byte {
 	if c := db.front.FillIfUnchanged(key, v, token); c != nil {
 		return c

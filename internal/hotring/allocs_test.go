@@ -19,17 +19,19 @@ func benchKeys(n int) [][]byte {
 }
 
 // TestAllocsLookupAndFill pins the front cache's garbage: a hit hands out
-// a view of the entry's buffer and allocates nothing, and a fill into a
-// full cache allocates the one buffer it keeps — the struct of the entry
-// it evicts is reused, and eviction relinks rings in place.
+// a view of the entry's buffer and allocates nothing, a fill admitted into
+// a full cache allocates the one buffer it keeps — the struct of the entry
+// it evicts is reused, and eviction relinks rings in place — and a fill
+// the admission sketch declines allocates nothing.
 func TestAllocsLookupAndFill(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	c := New(64<<10, 4)
-	keys, val := benchKeys(8192), make([]byte, 100)
-	for _, k := range keys {
-		fill(c, k, val) // fills far past capacity: evictions free structs
+	keys, val := benchKeys(2*8192), make([]byte, 100)
+	hotKeys, coldKeys := keys[:8192], keys[8192:]
+	for _, k := range hotKeys {
+		readTwiceAndFill(c, k, val) // fills far past capacity: evictions free structs
 	}
 	if c.Stats().Evictions == 0 {
 		t.Fatal("warm-up evicted nothing")
@@ -37,12 +39,23 @@ func TestAllocsLookupAndFill(t *testing.T) {
 	i := 0
 	fills := testing.AllocsPerRun(1000, func() {
 		i++
-		fill(c, keys[i%len(keys)], val)
+		readTwiceAndFill(c, hotKeys[i%len(hotKeys)], val)
 	})
 	if fills > 1 {
 		t.Errorf("%v allocations per fill into a full cache, want <= 1", fills)
 	}
-	hot := keys[i%len(keys)]
+	declinedBefore, j := c.Stats().Declined, 0
+	declines := testing.AllocsPerRun(1000, func() {
+		j++
+		fill(c, coldKeys[j%len(coldKeys)], val)
+	})
+	if c.Stats().Declined == declinedBefore {
+		t.Fatal("the sketch declined none of the keys never read")
+	}
+	if declines != 0 {
+		t.Errorf("%v allocations per declined fill, want 0", declines)
+	}
+	hot := hotKeys[i%len(hotKeys)]
 	if hits := testing.AllocsPerRun(1000, func() {
 		if _, hit := c.Get(hot); !hit {
 			t.Fatal("the key just filled missed")
@@ -67,18 +80,18 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkFill fills fresh keys into a full cache, so every fill evicts:
-// the generation check, the buffer copy, the ring insert and the eviction
-// walk.
+// BenchmarkFill reads fresh keys twice and fills them into a full cache,
+// so every fill is admitted and evicts: the sketch updates, the generation
+// check, the buffer copy, the ring insert and the eviction walk.
 func BenchmarkFill(b *testing.B) {
 	c := New(64<<10, 4)
 	keys, val := benchKeys(8192), make([]byte, 100)
 	for _, k := range keys {
-		fill(c, k, val)
+		readTwiceAndFill(c, k, val)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fill(c, keys[i%len(keys)], val)
+		readTwiceAndFill(c, keys[i%len(keys)], val)
 	}
 }

@@ -19,6 +19,12 @@
 // replace or drop that buffer; none writes into it, so a view a
 // caller holds never changes. An evicted entry's struct is reused by a
 // later fill, its buffer never.
+//
+// Admission is frequency-gated, after TinyLFU (Einziger, Friedman & Manes,
+// ACM TOS 2017): each shard keeps a count-min sketch of recent Get
+// frequencies, and a fill of an absent key into a full shard is admitted
+// only if the key was read before within the sketch's aging window. A
+// one-time read of a cold key is declined and evicts nothing.
 package hotring
 
 import (
@@ -35,6 +41,10 @@ const defaultShards = 16
 // bucketsPerShard sizes each shard's hash directory; must be a power of
 // two. Rings stay short (a handful of entries) at any realistic load.
 const bucketsPerShard = 256
+
+// admitMin is the sketch estimate an absent key needs to be admitted into
+// a shard with no room for it: one read besides the one that missed.
+const admitMin = 2
 
 // headBoost is how far an entry's sample-window access count must exceed
 // the current head's before the head pointer migrates to it.
@@ -84,9 +94,12 @@ type shard struct {
 
 	hits, misses    int64
 	fills, rejected int64
+	declined        int64
 	invalidations   int64
 	evictions       int64
 	headMoves       int64
+
+	freq sketch
 
 	evictCursor uint32 // round-robin bucket cursor for capacity eviction
 
@@ -139,19 +152,25 @@ func New(capacityBytes int64, shards int) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	return &Cache{
+	c := &Cache{
 		shards:      make([]shard, n),
 		shardMask:   uint64(n - 1),
 		perShardCap: per,
 	}
+	for i := range c.shards {
+		c.shards[i].freq = newSketch()
+	}
+	return c
 }
 
 // hash is FNV-1a finished with splitmix64's 64-bit mixer, so that every
 // byte reaches the low bits (the shard), the middle ones (the bucket) and
 // the high ones (the tag). It is fixed, not seeded per process: which keys
 // share a ring, and so which entries get evicted, is the same every run.
-func hash(key []byte) uint64 {
-	h := encoding.FNV1a(key)
+func hash(key []byte) uint64 { return mix(encoding.FNV1a(key)) }
+
+// mix is splitmix64's finalizer: every input bit reaches every output bit.
+func mix(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -159,12 +178,9 @@ func hash(key []byte) uint64 {
 	return h ^ h>>31
 }
 
-func (c *Cache) locate(key []byte) (*shard, uint32, uint32) {
-	h := hash(key)
-	s := &c.shards[h&c.shardMask]
-	bucket := uint32(h>>8) % bucketsPerShard
-	tag := uint32(h >> 40)
-	return s, bucket, tag
+func (c *Cache) locate(key []byte) (s *shard, h uint64, bucket, tag uint32) {
+	h = hash(key)
+	return &c.shards[h&c.shardMask], h, uint32(h>>8) % bucketsPerShard, uint32(h >> 40)
 }
 
 // less orders ring entries by (tag, key) — the sort the ordered-ring
@@ -176,8 +192,9 @@ func less(aTag uint32, aKey []byte, bTag uint32, bKey []byte) bool {
 	return bytes.Compare(aKey, bKey) < 0
 }
 
-// Get returns the cached value for key, if present. A hit bumps the
-// entry's hotness and may migrate the ring's head.
+// Get returns the cached value for key, if present. Every Get, hit or
+// miss, counts toward the key's admission; a hit also bumps the entry's
+// hotness and may migrate the ring's head.
 //
 // The value is a read-only view of the entry's buffer, which nothing
 // writes after the fill that made it: it stays valid and unchanged
@@ -186,7 +203,8 @@ func (c *Cache) Get(key []byte) (value []byte, hit bool) {
 	if c == nil {
 		return nil, false
 	}
-	s, bucket, tag := c.locate(key)
+	s, h, bucket, tag := c.locate(key)
+	s.freq.record(h)
 	e := s.find(bucket, tag, key)
 	if e == nil {
 		s.misses++
@@ -248,18 +266,21 @@ func (c *Cache) BeginRead(key []byte) uint64 {
 	if c == nil {
 		return 0
 	}
-	s, _, _ := c.locate(key)
+	s, _, _, _ := c.locate(key)
 	return s.gen
 }
 
 // FillIfUnchanged installs a copy of key→value if the shard generation
 // still matches token, and returns the cache's copy of the value — a
-// read-only view, as Get's — or nil if it installed nothing.
+// read-only view, as Get's — or nil if it installed nothing. An absent
+// key that would push its shard over capacity is admitted only if Get saw
+// it at least admitMin times within the aging window; otherwise the fill
+// is declined and evicts nothing.
 func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	if c == nil {
 		return nil
 	}
-	s, bucket, tag := c.locate(key)
+	s, h, bucket, tag := c.locate(key)
 	if s.gen != token {
 		s.rejected++
 		return nil
@@ -275,12 +296,17 @@ func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 		s.used += size - int64(len(e.kv))
 		e.fillKV(key, value)
 	} else {
+		if s.used+size > c.perShardCap && s.freq.estimate(h) < admitMin {
+			s.declined++
+			return nil
+		}
 		e = s.newEntry()
 		e.fillKV(key, value)
 		e.tag = tag
 		s.insert(bucket, e)
 		s.used += size
 		s.entries++
+		s.freq.fit(s.entries)
 	}
 	s.fills++
 	v := e.value()
@@ -372,7 +398,7 @@ func (c *Cache) Invalidate(key []byte) {
 	if c == nil {
 		return
 	}
-	s, bucket, tag := c.locate(key)
+	s, _, bucket, tag := c.locate(key)
 	s.gen++
 	s.invalidations++
 	if e := s.find(bucket, tag, key); e != nil {
@@ -399,9 +425,9 @@ func (s *shard) remove(bucket uint32, e *entry) {
 	s.entries--
 }
 
-// InvalidateAll empties the cache and bumps every shard's generation —
-// the big hammer for rollback merges and crash recovery, whose write
-// sets are not enumerated per key.
+// InvalidateAll empties the cache, clears the admission sketches and bumps
+// every shard's generation — the big hammer for rollback merges and crash
+// recovery, whose write sets are not enumerated per key.
 func (c *Cache) InvalidateAll() {
 	if c == nil {
 		return
@@ -414,6 +440,7 @@ func (c *Cache) InvalidateAll() {
 			s.heads[b] = nil
 		}
 		s.used, s.entries = 0, 0
+		s.freq.reset()
 	}
 }
 
@@ -423,6 +450,7 @@ type Stats struct {
 	Misses        int64
 	Fills         int64
 	Rejected      int64 // fills dropped by the generation check
+	Declined      int64 // fills the admission sketch turned away
 	Invalidations int64
 	Evictions     int64
 	HeadMoves     int64
@@ -442,6 +470,7 @@ func (c *Cache) Stats() Stats {
 		st.Misses += s.misses
 		st.Fills += s.fills
 		st.Rejected += s.rejected
+		st.Declined += s.declined
 		st.Invalidations += s.invalidations
 		st.Evictions += s.evictions
 		st.HeadMoves += s.headMoves

@@ -11,6 +11,14 @@ func fill(c *Cache, k, v []byte) {
 	c.FillIfUnchanged(k, v, c.BeginRead(k))
 }
 
+// readTwiceAndFill reads k twice, so that the admission sketch lets it
+// into a full shard, and fills it.
+func readTwiceAndFill(c *Cache, k, v []byte) {
+	c.Get(k)
+	c.Get(k)
+	fill(c, k, v)
+}
+
 func TestBasicFillGetInvalidate(t *testing.T) {
 	c := New(1<<20, 4)
 	if _, ok := c.Get(key(1)); ok {
@@ -86,7 +94,7 @@ func TestCapacityEviction(t *testing.T) {
 	c := New(capacity, 2)
 	val := make([]byte, 128)
 	for i := 0; i < 1000; i++ {
-		fill(c, key(i), val)
+		readTwiceAndFill(c, key(i), val)
 	}
 	st := c.Stats()
 	if st.Used > capacity {
@@ -114,7 +122,7 @@ func TestHotKeyStaysResident(t *testing.T) {
 				t.Fatalf("hot key evicted at fill %d", i)
 			}
 		}
-		fill(c, key(i), val)
+		readTwiceAndFill(c, key(i), val)
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Fatal("cold churn produced no evictions")
@@ -220,7 +228,7 @@ func TestLookupViewsNeverChange(t *testing.T) {
 	look(key(4), "evicted")
 	before := c.Stats().Evictions
 	for i := 100; i < 2100; i++ {
-		fill(c, key(i), []byte("zz"))
+		readTwiceAndFill(c, key(i), []byte("zz"))
 	}
 	if c.Stats().Evictions == before {
 		t.Fatal("no evictions: the test no longer reuses the held entries")

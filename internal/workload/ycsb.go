@@ -111,8 +111,10 @@ func (m MixSpec) EffectiveTheta() float64 {
 // [0, n): rank 0 is the hottest. Ranks are scrambled into key indexes by
 // the caller so hot keys spread over the keyspace.
 type zipfGen struct {
-	n                        int
-	theta, alpha, zetan, eta float64
+	n                 int
+	alpha, zetan, eta float64
+	// rank1 bounds u*zetan for rank 1: 1 + 0.5^theta, i.e. zeta(2, theta).
+	rank1 float64
 }
 
 func zetaSum(n int, theta float64) float64 {
@@ -127,9 +129,10 @@ func newZipf(n int, theta float64) *zipfGen {
 	if theta <= 0 {
 		theta = 0.99
 	}
-	z := &zipfGen{n: n, theta: theta}
+	z := &zipfGen{n: n}
 	z.zetan = zetaSum(n, theta)
 	z.alpha = 1 / (1 - theta)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zetaSum(2, theta)/z.zetan)
 	return z
 }
@@ -141,7 +144,7 @@ func (z *zipfGen) next(rng *rand.Rand) int {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	r := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

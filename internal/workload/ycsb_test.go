@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -61,6 +62,31 @@ func TestZipfianSkew(t *testing.T) {
 	}
 	if frac := float64(top) / draws; frac < 0.35 {
 		t.Fatalf("top-100 ranks got %.2f of draws, want >= 0.35", frac)
+	}
+}
+
+// TestZipfDrawsMatchTheFormula: next's rank-1 bound, computed once in
+// newZipf, draws the same ranks as the Gray formula evaluated per draw.
+func TestZipfDrawsMatchTheFormula(t *testing.T) {
+	for _, theta := range []float64{0.99, 0.5} {
+		const n = 100_000
+		z := newZipf(n, theta)
+		formula := func(u float64) int {
+			uz := u * z.zetan
+			if uz < 1 {
+				return 0
+			}
+			if uz < 1+math.Pow(0.5, theta) {
+				return 1
+			}
+			return min(int(float64(z.n)*math.Pow(z.eta*u-z.eta+1, z.alpha)), z.n-1)
+		}
+		rng, ref := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for i := 0; i < 100_000; i++ {
+			if got, want := z.next(rng), formula(ref.Float64()); got != want {
+				t.Fatalf("theta %v, draw %d: rank %d, the formula gives %d", theta, i, got, want)
+			}
+		}
 	}
 }
 
