@@ -74,9 +74,8 @@ func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
 			m.GroupCommits, m.MeanGroupSize(), m.WALAppendsPerRecord(), failover)
 	}
 	if m.VLogSegments > 0 || m.VLogBytes > 0 {
-		fmt.Fprintf(w, "vlog        : segments=%d, %.1f MB written, gc-rewrites=%d, discard=%.1f MB, punched=%.1f MB\n",
-			m.VLogSegments, float64(m.VLogBytes)/1e6, m.VLogGCRewrites,
-			float64(m.VLogDiscardBytes)/1e6, float64(m.VLogPunchedBytes)/1e6)
+		fmt.Fprintf(w, "vlog        : segments=%d, %.1f MB written, discard=%.1f MB\n",
+			m.VLogSegments, float64(m.VLogBytes)/1e6, float64(m.VLogDiscardBytes)/1e6)
 	}
 	if m.Gets > 0 {
 		fmt.Fprintf(w, "reads-by    : memtable=%d imm=%d sst=%d miss=%d (of %d gets)\n",

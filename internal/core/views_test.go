@@ -21,9 +21,9 @@ func viewValue(i, ver int) []byte {
 // engine memory, from whichever layer answers. For each source, the test
 // appends to the view it got, which must not reach the engine: the key
 // and its neighbours read back unchanged. It then holds the view through
-// flushes, compactions, value-log GC and punching, front-cache
-// invalidation, InvalidateAll and eviction, and a Dev-LSM rollback, and
-// the view's bytes must never change.
+// flushes, compactions, front-cache invalidation, InvalidateAll and
+// eviction, and a Dev-LSM rollback, and the view's bytes must never
+// change.
 func TestGetViewsAreClippedAndStable(t *testing.T) {
 	const n, target = 60, 10
 	mainDB := func(db *DB) *lsm.DB { return db.Main().(*lsm.DB) }
@@ -140,10 +140,9 @@ func TestGetViewsAreClippedAndStable(t *testing.T) {
 }
 
 // churnUnderView runs everything that replaces or frees engine memory:
-// three overwrites of every key (flushes and compactions), value-log GC
-// until the first segment is punched, reads that fill the front cache past
-// capacity, InvalidateAll, and a rollback that merges and resets the
-// Dev-LSM. It checks each of them happened where the stack has the part.
+// three overwrites of every key (flushes and compactions), reads that
+// fill the front cache past capacity, InvalidateAll, and a rollback that
+// merges and resets the Dev-LSM. It checks each of them happened where the stack has the part.
 func churnUnderView(t *testing.T, r *vclock.Runner, db *DB, main *lsm.DB) {
 	t.Helper()
 	const keys = 400
@@ -158,16 +157,6 @@ func churnUnderView(t *testing.T, r *vclock.Runner, db *DB, main *lsm.DB) {
 		t.Fatal(err)
 	}
 	db.WaitIdle(r)
-	if main.Options().ValueThreshold > 0 {
-		for i := 0; i < 64 && main.VLogStats().TailSeg <= 1; i++ {
-			if _, err := main.CollectVLogGarbage(r, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if main.VLogStats().TailSeg <= 1 {
-			t.Fatal("value-log GC never punched the first segment")
-		}
-	}
 	// Each key is read twice: the front cache admits a key into a full
 	// shard only on a repeat read.
 	for i := 0; i < keys; i++ {

@@ -10,9 +10,9 @@ import (
 
 // These tests cover the read side of value separation (satellite of the
 // layered-read-pipeline change): readwhilewriting and seekrandom with
-// ValueThreshold set, so point reads dereference vlog pointers while the
-// GC rewrites segments underneath, and iterators pin segments across
-// their scans. Plus the mixed-workload path end to end with both caches
+// ValueThreshold set, so point reads and iterators dereference vlog
+// pointers while writers keep rotating segments. Plus the mixed-workload
+// path end to end with both caches
 // enabled, including the per-source attribution invariant.
 
 func shortVlogReadParams() Params {
@@ -26,7 +26,7 @@ func shortVlogReadParams() Params {
 // TestReadWhileWritingWithValueSeparation runs workload C (8:2
 // write/read) with value separation on the KVACCEL engine: every read
 // that lands on a flushed key dereferences a vlog pointer, many while
-// the overwrite-heavy fill keeps the GC busy rewriting segments.
+// the overwrite-heavy fill keeps appending to the head segment.
 func TestReadWhileWritingWithValueSeparation(t *testing.T) {
 	p := shortVlogReadParams()
 	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}, WorkloadC)
@@ -46,11 +46,10 @@ func TestReadWhileWritingWithValueSeparation(t *testing.T) {
 	}
 }
 
-// TestSeekRandomWithValueSeparationAndGC preloads through the vlog,
-// churns overwrites to build garbage, then runs seekrandom so iterators
-// resolve pointer entries while sealed segments are collected. Iterator
-// pinning must keep every dereference alive (no ErrSegmentGone escapes).
-func TestSeekRandomWithValueSeparationAndGC(t *testing.T) {
+// TestSeekRandomWithValueSeparation preloads through the vlog, then runs
+// seekrandom so iterators resolve pointer entries from the head buffer and
+// from sealed, written-back segments alike.
+func TestSeekRandomWithValueSeparation(t *testing.T) {
 	p := shortVlogReadParams()
 	p.KeySpace = 5_000
 	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}, WorkloadD)

@@ -54,7 +54,7 @@ type TortureParams struct {
 	FaultRules  bool          // add deterministic NVMe media-error/timeout/latency rules
 	// ValueThreshold enables value separation in the Main-LSM under
 	// torture: values at or above it live in the value log, so the
-	// oracle's durability checks cover vlog torn tails and GC. 0
+	// oracle's durability checks cover vlog torn tails. 0
 	// disables separation; DefaultTortureParams enables it (48 bytes,
 	// below the default 96-byte values, so every put separates).
 	ValueThreshold int
@@ -315,11 +315,10 @@ func RunTorture(p TortureParams) TortureReport {
 			lopt.WALQueueDepth = 32
 			lopt.UncheckedWALReplay = p.BrokenRecovery
 			lopt.Trace = tr
-			// Small vlog segments (two per memtable) keep rotation, GC,
-			// and punching all live within a phase, so cuts land mid-GC.
+			// Small vlog segments (two per memtable) keep rotation live
+			// within a phase, so cuts land mid-rotation.
 			lopt.ValueThreshold = p.ValueThreshold
 			lopt.VLogSegmentSize = 32 << 10
-			lopt.VLogGCDiscardRatio = 0.3
 			// The deepened write pipeline under torture: the linger window
 			// holds commit slots open, the pipelined WAL overlaps appends
 			// with applies, and replay reconstructs the memtable on every

@@ -484,22 +484,17 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 	}
 
 	var outputs []*FileMeta
-	// discards accumulates per-segment dead value-log bytes: every
-	// superseded pointer this merge drops strands its value in the vlog.
-	// Reported to the vlog after install so GC sees them only once the
-	// drop is durable.
-	var discards map[uint32]int64
+	// discard sums the value-log bytes this merge strands: every
+	// superseded pointer it drops leaves its value dead in the log.
+	var discard int64
 	mergeErr := merge(iterkit.NewMerge(iters), mergeParams{
 		builder:        db.opt.builderOptions(),
 		maxFileSize:    db.opt.MaxFileSize,
 		dropTombstones: c.dropTombstones,
 		onDrop: func(e memtable.Entry) {
-			if e.Kind == memtable.KindValuePtr && db.vlog != nil {
+			if e.Kind == memtable.KindValuePtr {
 				if ptr, perr := encoding.DecodeValuePointer(e.Value); perr == nil {
-					if discards == nil {
-						discards = make(map[uint32]int64)
-					}
-					discards[ptr.Seg] += int64(ptr.Len)
+					discard += int64(ptr.Len)
 				}
 			}
 		},
@@ -519,7 +514,7 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 		db.abortCompaction(r, c, outputs, mergeErr)
 		return
 	}
-	db.installCompaction(r, c, outputs, readBytes, writeBytes, discards)
+	db.installCompaction(r, c, outputs, readBytes, writeBytes, discard)
 }
 
 // abortCompaction unwinds a failed compaction: partial outputs are
@@ -536,10 +531,10 @@ func (db *DB) abortCompaction(r *vclock.Runner, c *compaction, outputs []*FileMe
 }
 
 // installCompaction swaps c's inputs for outputs atomically and persists
-// the manifest, the compaction's commit point; discards is the merge's
-// value-log dead-byte report.
+// the manifest, the compaction's commit point; discard is the value-log
+// bytes the merge left dead.
 func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*FileMeta,
-	readBytes, writeBytes int64, discards map[uint32]int64) {
+	readBytes, writeBytes, discard int64) {
 	nv := db.vers.clone()
 	for _, f := range c.allFiles() {
 		nv.removeFile(f)
@@ -559,6 +554,7 @@ func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*File
 	db.stats.Compactions++
 	db.stats.CompactionReadBytes += readBytes
 	db.stats.CompactionWriteBytes += writeBytes
+	db.stats.VLogDiscardBytes += discard
 
 	if perr := db.persistManifest(r); perr != nil {
 		// The durable manifest still references the compaction inputs:
@@ -568,11 +564,5 @@ func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*File
 	}
 	for _, f := range dead {
 		db.deleteFile(r, f)
-	}
-	if len(discards) > 0 {
-		for seg, n := range discards {
-			db.vlog.MarkDiscard(seg, n)
-		}
-		db.bgCond.Broadcast() // a segment may have crossed the GC threshold
 	}
 }

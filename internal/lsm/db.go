@@ -96,27 +96,8 @@ type DB struct {
 	bgErr      error // sticky background failure (device full): DB goes read-only
 
 	// Value separation (vlog.go in this package). vlog is nil unless
-	// ValueThreshold > 0 or recovery found value-log state. gcGate is
-	// the writer/GC exclusion: writers hold one unit across their
-	// commit, the GC holds every unit around a check-and-rewrite batch
-	// (the same idiom as core's rollback gate). openIters and
-	// punchQueue gate segment punching behind live readers.
-	vlog       *vlog.Manager
-	gcGate     *vclock.Semaphore
-	openIters  int
-	punchQueue []uint32
-	// gcSeen and gcCandidate keep vlogGCReady's last PickGC answer:
-	// gcCandidate is it for the value log's mutation count gcSeen (0:
-	// none kept yet).
-	gcSeen      uint64
-	gcCandidate bool
-	// testHookGC, when set, is called at named points inside a GC pass
-	// ("after-rewrite", "before-punch", "after-punch") so the fault
-	// suite can crash the device mid-collection deterministically.
-	testHookGC func(string)
-	// testHookGCRewrite observes each live key as GC re-appends it, in
-	// rewrite order — the probe the batch-sort ordering test reads.
-	testHookGCRewrite func(key []byte)
+	// ValueThreshold > 0 or recovery found value-log state.
+	vlog *vlog.Manager
 
 	stats Stats
 }
@@ -138,10 +119,6 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 	db.log = db.newWAL()
 	if db.opt.ValueThreshold > 0 {
 		db.vlog = vlog.Open(clk, fsys, db.vlogOptions())
-		db.gcGate = vclock.NewSemaphore(vlogGateUnits, "lsm.vlogGate")
-		if !db.opt.DisableVLogGC {
-			clk.Go("lsm.vlog-gc", db.vlogGCWorker)
-		}
 	}
 	clk.Go("lsm.flush", db.flushWorker)
 	for i := 0; i < db.opt.MaxCompactionThreads; i++ {
@@ -252,30 +229,16 @@ func (db *DB) newPointWriter(wo WriteOptions, kind memtable.Kind, key, value []b
 }
 
 // commit is the one route from a caller to the log and the memtable:
-// Put/Delete, Write, and the value log's GC rewrite all stage their ops in
-// a groupWriter and come through here. It moves large values to the value
-// log, holds one unit of the GC gate across the group commit (a GC
-// rewrite already holds every unit), and on failure hands the values it
-// appended back to the value log as garbage for GC to reclaim. The writer
-// is spent when commit returns: it goes back on the free list here, so
-// callers must not touch w afterwards.
+// Put/Delete and Write both stage their ops in a groupWriter and come
+// through here. It moves large values to the value log, then commits the
+// group. The writer is spent when commit returns: it goes back on the
+// free list here, so callers must not touch w afterwards.
 func (db *DB) commit(r *vclock.Runner, w *groupWriter) error {
 	defer db.releaseWriter(w)
 	if err := db.separateOps(r, w); err != nil {
 		return err
 	}
-	gated := db.gcGate != nil && !w.internal
-	if gated {
-		db.gcGate.Acquire(r, 1)
-	}
-	err := db.commitThroughGroup(r, w)
-	if gated {
-		db.gcGate.Release(1)
-	}
-	if err != nil {
-		db.discardSeparated(w.ops)
-	}
-	return err
+	return db.commitThroughGroup(r, w)
 }
 
 // beginApply registers in-flight memtable inserts on mt; the flush
@@ -411,10 +374,7 @@ func (db *DB) rotateMemtable() {
 // it, or to keep it past its use, since it pins the buffer it points into.
 //
 // The lookup walks the layered read pipeline (read.go), dereferencing
-// value pointers. A pointer whose segment was punched between the version
-// read and the dereference is retried once: GC rewrote the value through
-// the normal write path before punching, so the re-read observes the
-// fresh pointer.
+// value pointers.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
 	db.opt.CPU.Run(r, db.opt.Cost.ReadCPU)
 	if db.closed {
@@ -422,30 +382,21 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 	}
 	db.stats.Gets++
 
-	for attempt := 0; ; attempt++ {
-		v, kind, found, attr, err := db.lookup(r, key)
-		if err != nil {
-			db.recordRead(attr)
-			return nil, false, err
-		}
-		if !found || kind == memtable.KindDelete {
-			db.recordRead(attr)
-			return nil, false, nil
-		}
-		if kind != memtable.KindValuePtr {
-			db.recordRead(attr)
-			return v, true, nil
-		}
-		val, derr := db.derefPointer(r, key, v)
-		if derr == vlog.ErrSegmentGone && attempt == 0 {
-			continue // retry; only the final attempt records attribution
-		}
-		db.recordRead(attr)
-		if derr != nil {
-			return nil, false, derr
-		}
-		return val, true, nil
+	v, kind, found, attr, err := db.lookup(r, key)
+	db.recordRead(attr)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case !found || kind == memtable.KindDelete:
+		return nil, false, nil
+	case kind != memtable.KindValuePtr:
+		return v, true, nil
 	}
+	val, err := db.derefPointer(r, key, v)
+	if err != nil {
+		return nil, false, err
+	}
+	return val, true, nil
 }
 
 // pinVersion pins the current version for a read: its files stay
@@ -592,8 +543,6 @@ func (db *DB) Stats() Stats {
 		vs := db.vlog.Stats()
 		s.VLogBytes = vs.BytesWritten
 		s.VLogSegments = int64(vs.Segments)
-		s.VLogDiscardBytes = vs.DiscardBytes
-		s.VLogPunchedBytes = vs.PunchedBytes
 	}
 	return s
 }

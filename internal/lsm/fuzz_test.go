@@ -18,7 +18,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		{num: 7, level: 0, smallest: []byte("a"), largest: []byte("k"), size: 4096, entries: 12},
 		{num: 9, level: 3, smallest: []byte{}, largest: bytes.Repeat([]byte("z"), 200), size: 1 << 40, entries: 1},
 	}
-	segs := vlog.ManifestState{NextSeg: 5, Segments: []vlog.SegmentInfo{{ID: 3, Durable: 1 << 20, Discard: 512}, {ID: 4}}}
+	segs := vlog.ManifestState{NextSeg: 5}
 	for _, s := range []manifestSnapshot{
 		{},
 		{nextFileNum: 10, seq: 1234, files: files},

@@ -35,10 +35,8 @@ type groupWriter struct {
 	bytes   int
 	noStall bool
 	// userBytes is the pre-separation key+value byte count this writer
-	// represents (write-amp's denominator); internal marks vlog GC
-	// rewrites, which count as GC work, not user writes.
+	// represents (write-amp's denominator).
 	userBytes int64
-	internal  bool
 
 	// Leader-assigned outcome, valid once done is true.
 	seq  uint64          // first sequence number of this writer's records
@@ -131,8 +129,8 @@ func (q *writerRing) removeAt(i int) {
 }
 
 // commitThroughGroup is the single join point of the write pipeline:
-// commit (db.go) is its only caller, so every Put, Delete, Write (batch)
-// and GC rewrite enters here. The first writer to find the queue head
+// commit (db.go) is its only caller, so every Put, Delete and Write
+// (batch) enters here. The first writer to find the queue head
 // free becomes the group leader; it runs the write controller once,
 // claims a contiguous sequence range for every queued writer (bounded by
 // MaxWriteGroupBytes), issues one WAL append for the whole group, and
@@ -296,19 +294,14 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 			end = group[i+1].logStart
 		}
 		m.logged = payload[m.logStart:end:end]
-		if m.internal {
-			db.stats.VLogGCRewrites += int64(len(m.ops))
-			db.stats.VLogGCBytes += m.userBytes
-		} else {
-			for _, op := range m.ops {
-				if op.kind == memtable.KindDelete {
-					db.stats.Deletes++
-				} else {
-					db.stats.Puts++
-				}
+		for _, op := range m.ops {
+			if op.kind == memtable.KindDelete {
+				db.stats.Deletes++
+			} else {
+				db.stats.Puts++
 			}
-			db.stats.UserBytes += m.userBytes
 		}
+		db.stats.UserBytes += m.userBytes
 		m.done = true
 	}
 	if !pipelined {

@@ -97,10 +97,6 @@ type Iterator struct {
 
 // NewIterator returns a range-scan cursor bound to runner r.
 func (db *DB) NewIterator(r *vclock.Runner) *Iterator {
-	// Pin value-log segments: GC defers punching (finishSegment) while any
-	// iterator is open, so every pointer this cursor surfaces stays
-	// dereferenceable until Close.
-	db.openIters++
 	mem := db.mem
 	imms := make([]*memtable.Table, len(db.imm))
 	for i, j := range db.imm {
@@ -133,12 +129,6 @@ func (it *Iterator) Close() {
 	}
 	it.closed = true
 	it.db.unpinVersion(it.r, it.vers)
-	db := it.db
-	db.openIters--
-	wake := db.openIters == 0 && len(db.punchQueue) > 0
-	if wake {
-		db.bgCond.Broadcast() // GC worker can drain the punch queue now
-	}
 }
 
 // Err returns the first value-pointer dereference failure the iterator
@@ -196,8 +186,8 @@ func (it *Iterator) settle(prev []byte) {
 		}
 		it.key = append(it.key[:0], e.Key...)
 		if e.Kind == memtable.KindValuePtr {
-			// Open iterators pin segments against punching, so the
-			// dereference cannot race GC; failure here is real corruption.
+			// Nothing removes a value-log segment, so a failed
+			// dereference is real corruption.
 			v, err := it.db.derefPointer(it.r, e.Key, e.Value)
 			if err != nil {
 				it.err = err

@@ -36,9 +36,9 @@ type manifestSnapshot struct {
 	seq         uint64
 	files       []manifestFile
 	// hasVLog marks a manifest written with value separation enabled;
-	// vlogState then carries the segment-id allocator and per-segment
-	// durable/discard watermarks so Recover resumes exactly. Manifests
-	// from before the value log simply lack the section.
+	// vlogState then carries the segment-id allocator, so a restart never
+	// reuses a segment id. Manifests from before the value log simply
+	// lack the section.
 	hasVLog   bool
 	vlogState vlog.ManifestState
 }
@@ -90,12 +90,6 @@ func encodeManifest(s manifestSnapshot) []byte {
 	if s.hasVLog {
 		b = append(b, 1) // vlog section marker
 		b = encoding.PutU32(b, s.vlogState.NextSeg)
-		b = encoding.PutU32(b, uint32(len(s.vlogState.Segments)))
-		for _, si := range s.vlogState.Segments {
-			b = encoding.PutU32(b, si.ID)
-			b = encoding.PutU64(b, uint64(si.Durable))
-			b = encoding.PutU64(b, uint64(si.Discard))
-		}
 	}
 	b = encoding.PutU32(b, encoding.Checksum(b))
 	return b
@@ -158,26 +152,6 @@ func decodeManifest(b []byte) (manifestSnapshot, error) {
 		rest = rest[1:]
 		if s.vlogState.NextSeg, rest, err = encoding.U32(rest); err != nil {
 			return s, err
-		}
-		var nseg uint32
-		if nseg, rest, err = encoding.U32(rest); err != nil {
-			return s, err
-		}
-		for i := uint32(0); i < nseg; i++ {
-			var si vlog.SegmentInfo
-			if si.ID, rest, err = encoding.U32(rest); err != nil {
-				return s, err
-			}
-			var u uint64
-			if u, rest, err = encoding.U64(rest); err != nil {
-				return s, err
-			}
-			si.Durable = int64(u)
-			if u, rest, err = encoding.U64(rest); err != nil {
-				return s, err
-			}
-			si.Discard = int64(u)
-			s.vlogState.Segments = append(s.vlogState.Segments, si)
 		}
 	}
 	if len(rest) > 0 {
@@ -319,20 +293,15 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 			return nil, verr
 		}
 		db.vlog = vl
-		db.gcGate = vclock.NewSemaphore(vlogGateUnits, "lsm.vlogGate")
-		if !db.opt.DisableVLogGC {
-			clk.Go("lsm.vlog-gc", db.vlogGCWorker)
-		}
 	}
-	// From here on the vlog's write-back runner (and possibly the GC
-	// worker) are live; an error return must shut them down or they park
-	// forever on a DB no one will ever Close.
+	// From here on the vlog's write-back runner is live; an error return
+	// must shut it down or it parks forever on a DB no one will ever
+	// Close.
 	abort := func(err error) (*DB, error) {
 		db.closed = true
 		if db.vlog != nil {
 			db.vlog.Close()
 		}
-		db.bgCond.Broadcast()
 		return nil, err
 	}
 

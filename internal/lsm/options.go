@@ -110,16 +110,9 @@ type Options struct {
 	// memtable, SSTs, and every compaction move 13 bytes per large value.
 	// Zero (the default) disables the value log entirely.
 	ValueThreshold int
-	// VLogSegmentSize rotates the value log's head segment (the GC unit);
-	// 0 means MaxFileSize, so segments are SST-sized.
+	// VLogSegmentSize rotates the value log's head segment; 0 means
+	// MaxFileSize, so segments are SST-sized.
 	VLogSegmentSize int64
-	// VLogGCDiscardRatio is the dead-bytes fraction at which a sealed
-	// segment becomes a GC candidate (live values are rewritten through
-	// the normal write path and the segment is punched via TRIM).
-	VLogGCDiscardRatio float64
-	// DisableVLogGC keeps the garbage collector parked — for tests that
-	// drive GC deterministically via CollectVLogGarbage.
-	DisableVLogGC bool
 
 	// WALChunkSize and WALQueueDepth tune write-ahead-log write-back; the
 	// value log writes back with the same two.
@@ -219,7 +212,6 @@ func DefaultOptions(cpuPool *cpu.Pool) Options {
 		BloomBitsPerKey: 10,
 
 		MaxWriteGroupBytes: 1 << 20,
-		VLogGCDiscardRatio: 0.5,
 
 		// The OS page cache absorbs WAL appends; writers only feel the device
 		// through stall conditions, not through synchronous log writes.
@@ -257,7 +249,6 @@ func (o *Options) sanitize() {
 		{o.MaxWriteGroupBytes <= 0, "MaxWriteGroupBytes > 0"},
 		{o.GroupLingerMicros < 0, "GroupLingerMicros >= 0"},
 		{o.ValueThreshold < 0, "ValueThreshold >= 0"},
-		{o.VLogGCDiscardRatio <= 0 || o.VLogGCDiscardRatio > 1, "VLogGCDiscardRatio in (0, 1]"},
 		{o.WALChunkSize <= 0, "WALChunkSize > 0"},
 		{o.WALQueueDepth <= 0, "WALQueueDepth > 0"},
 		{o.CPU == nil, "CPU != nil"},

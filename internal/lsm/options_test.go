@@ -37,7 +37,7 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		"PendingCompactionStopBytes", "BaseLevelBytes", "LevelMultiplier",
 		"MaxLevels", "MaxFileSize", "CompactionThreads", "DelayedWriteBytesPerSec",
 		"SlowdownSleep", "BlockSize", "MaxWriteGroupBytes",
-		"VLogGCDiscardRatio", "WALChunkSize", "WALQueueDepth", "CPU",
+		"WALChunkSize", "WALQueueDepth", "CPU",
 	} {
 		opt := smallOpts()
 		reflect.ValueOf(&opt).Elem().FieldByName(field).SetZero()

@@ -36,11 +36,9 @@ type readAttr struct {
 }
 
 // recordRead folds one finished lookup into the stats. Called exactly
-// once per user-level get — on the attempt whose result was returned
-// (the ErrSegmentGone retry records only its final attempt) — so
+// once per user-level get, so
 // Gets == ReadsMemtable + ReadsImmutable + ΣReadsLevel + ReadMisses
-// holds exactly. The GC's liveness probes call getRaw directly and
-// never record, keeping the invariant Gets-based.
+// holds exactly.
 func (db *DB) recordRead(a readAttr) {
 	switch a.src {
 	case readSourceMemtable:
@@ -59,14 +57,6 @@ func (db *DB) recordRead(a readAttr) {
 	db.stats.BloomConsults += a.bloomConsults
 	db.stats.BloomNegatives += a.bloomNegatives
 	db.stats.BloomFalsePositives += a.bloomFalsePos
-}
-
-// getRaw reads the newest raw version of key, without dereferencing
-// value pointers — the vlog GC's liveness primitive. The attribution is
-// discarded: GC probes are not user reads.
-func (db *DB) getRaw(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
-	value, kind, found, _, err = db.lookup(r, key)
-	return value, kind, found, err
 }
 
 // lookup runs the layered chain and reports where the key was found.

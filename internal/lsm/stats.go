@@ -57,7 +57,7 @@ type Stats struct {
 	BloomFalsePositives int64
 
 	// VLogDerefs counts read-triggered value-pointer dereferences (point
-	// gets and iterator values); the GC's liveness probes do not count.
+	// gets and iterator values).
 	VLogDerefs int64
 
 	// Block-cache counters, folded in by Stats() from the live cache.
@@ -127,17 +127,17 @@ type Stats struct {
 	UserBytes int64
 
 	// Value-log counters. VLogBytes is device bytes the vlog wrote
-	// (segment write-back, GC rewrites included); VLogGCRewrites /
-	// VLogGCBytes count live records GC re-appended (not user writes);
-	// VLogSegments is the live segment count; VLogDiscardBytes is
-	// cumulative dead bytes reported by compaction; VLogPunchedBytes is
-	// bytes reclaimed via segment punch (TRIM).
+	// (segment write-back); VLogSegments is the segment count;
+	// VLogDiscardBytes is the value-log bytes compaction left dead by
+	// dropping superseded pointers. Nothing reclaims them: a workload
+	// that grows this counter is one that would need value-log GC.
 	VLogBytes        int64
-	VLogGCRewrites   int64
-	VLogGCBytes      int64
 	VLogSegments     int64
 	VLogDiscardBytes int64
-	VLogPunchedBytes int64
+	// VLogGCRewrites always reads 0: the value log has no garbage
+	// collector any more. It stays only because the benchmark's per-layer
+	// table still reads it (bench/layers.go:187).
+	VLogGCRewrites int64
 }
 
 // MeanGroupSize is the average number of records per committed write
@@ -270,11 +270,9 @@ func (s Stats) Add(o Stats) Stats {
 	s.WALBytesWritten += o.WALBytesWritten
 	s.UserBytes += o.UserBytes
 	s.VLogBytes += o.VLogBytes
-	s.VLogGCRewrites += o.VLogGCRewrites
-	s.VLogGCBytes += o.VLogGCBytes
 	s.VLogSegments += o.VLogSegments
 	s.VLogDiscardBytes += o.VLogDiscardBytes
-	s.VLogPunchedBytes += o.VLogPunchedBytes
+	s.VLogGCRewrites += o.VLogGCRewrites
 	return s
 }
 

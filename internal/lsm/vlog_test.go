@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"kvaccel/internal/encoding"
 	"kvaccel/internal/faults"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
+	"kvaccel/internal/vlog"
 )
 
 // cutDev is a testDev whose writes start failing once cut, so vlog and
@@ -26,13 +28,12 @@ func (d *cutDev) WritePages(r *vclock.Runner, lpns []int) error {
 }
 
 // vlogOpts enables value separation at a threshold small test values
-// exceed, with segments small enough that rotation and GC happen inside
-// a single test.
+// exceed, with segments small enough that rotation happens inside a
+// single test.
 func vlogOpts() Options {
 	opt := smallOpts()
 	opt.ValueThreshold = 128
 	opt.VLogSegmentSize = 16 << 10
-	opt.VLogGCDiscardRatio = 0.3
 	return opt
 }
 
@@ -123,146 +124,6 @@ func TestVLogSeparationRoundTrip(t *testing.T) {
 		}
 	})
 	clk2.Wait()
-}
-
-// Overwrites flow through compaction into per-segment discard stats, and
-// a manual GC pass must rewrite the survivors and punch the segment
-// without disturbing any live value.
-func TestVLogGCRewritesLiveAndPunchesDead(t *testing.T) {
-	opt := vlogOpts()
-	opt.DisableVLogGC = true // drive GC by hand
-	clk := vclock.New()
-	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
-	db := Open(clk, fsys, opt)
-	clk.Go("test", func(r *vclock.Runner) {
-		defer db.Close()
-		// Several overwrite rounds so compaction sees superseded pointers.
-		for round := 0; round < 4; round++ {
-			for i := 0; i < 120; i++ {
-				v := append(bigValue(i), byte('0'+round))
-				if err := db.Put(r, key(i), v); err != nil {
-					t.Fatalf("round %d put %d: %v", round, i, err)
-				}
-			}
-			db.Flush(r)
-			db.WaitIdle(r)
-		}
-		if db.Stats().VLogDiscardBytes == 0 {
-			t.Fatal("compaction reported no discard bytes to the vlog")
-		}
-
-		collected := false
-		for i := 0; i < 32; i++ {
-			did, err := db.CollectVLogGarbage(r, 0.01)
-			if err != nil {
-				t.Fatalf("gc pass %d: %v", i, err)
-			}
-			if !did {
-				break
-			}
-			collected = true
-		}
-		if !collected {
-			t.Fatal("GC never found a candidate despite discard stats")
-		}
-		st := db.Stats()
-		if st.VLogPunchedBytes == 0 {
-			t.Errorf("GC collected but punched nothing: %+v", st)
-		}
-		if st.VLogGCRewrites == 0 {
-			t.Error("GC punched segments without rewriting any live value")
-		}
-		// Every live value must still read back exactly.
-		for i := 0; i < 120; i++ {
-			want := append(bigValue(i), '3')
-			v, ok, err := db.Get(r, key(i))
-			if err != nil || !ok || !bytes.Equal(v, want) {
-				t.Errorf("post-GC get %d: ok=%v err=%v", i, ok, err)
-			}
-		}
-	})
-	clk.Wait()
-}
-
-// A power cut during GC — after live values were rewritten but before the
-// dead segment was punched, and also before the rewrites were synced —
-// must never lose a live value across recovery. The before-punch case
-// relies on syncForVLogGC having made the rewrites durable; the
-// after-rewrite case relies on the punch being skipped once the device
-// dies.
-func TestVLogGCSurvivesPowerCut(t *testing.T) {
-	for _, cutAt := range []string{"after-rewrite", "before-punch"} {
-		t.Run(cutAt, func(t *testing.T) {
-			opt := vlogOpts()
-			opt.DisableVLogGC = true
-			plan := faults.NewPlan(0xC0FFEE)
-			clk := vclock.New()
-			dev := &cutDev{testDev: testDev{pageSize: 4096, pages: 1 << 20}}
-			fsys := fs.New(dev)
-			db := Open(clk, fsys, opt)
-			clk.Go("phase1", func(r *vclock.Runner) {
-				// Round 0 writes every key; later rounds overwrite only the
-				// even ones, so early segments keep live odd-key records
-				// (forcing rewrites) next to dead even-key ones (earning
-				// the discard ratio that makes them GC candidates).
-				for round := 0; round < 3; round++ {
-					for i := 0; i < 80; i++ {
-						if round > 0 && i%2 != 0 {
-							continue
-						}
-						v := append(bigValue(i), byte('0'+round))
-						_ = db.Put(r, key(i), v)
-					}
-					db.Flush(r)
-					db.WaitIdle(r)
-				}
-				db.testHookGC = func(point string) {
-					if point == cutAt {
-						dev.cut = true
-					}
-				}
-				// Drive GC until the cut fires or candidates run out.
-				for i := 0; i < 32 && !dev.cut; i++ {
-					if did, err := db.CollectVLogGarbage(r, 0.01); err != nil || !did {
-						break
-					}
-				}
-				if !dev.cut {
-					t.Errorf("%s hook never fired; GC path not exercised", cutAt)
-				}
-				db.Close() // post-cut queue flushes fail; that's the crash
-			})
-			clk.Wait()
-			if t.Failed() {
-				return
-			}
-
-			fsys.Crash(plan)
-			dev.cut = false // power restored
-
-			clk2 := vclock.New()
-			clk2.Go("phase2", func(r *vclock.Runner) {
-				db2, err := Reopen(r, clk2, fsys, opt)
-				if err != nil {
-					t.Errorf("reopen after mid-GC cut: %v", err)
-					return
-				}
-				defer db2.Close()
-				for i := 0; i < 80; i++ {
-					want := append(bigValue(i), '2')
-					if i%2 != 0 {
-						want = append(bigValue(i), '0')
-					}
-					v, ok, gerr := db2.Get(r, key(i))
-					if gerr != nil || !ok || !bytes.Equal(v, want) {
-						t.Errorf("live key %d lost across mid-GC crash: ok=%v err=%v", i, ok, gerr)
-						return
-					}
-				}
-			})
-			clk2.Wait()
-		})
-	}
 }
 
 // A WAL record whose pointer dereferences into a torn-away vlog tail must
@@ -381,61 +242,119 @@ func TestVLogBatchSeparation(t *testing.T) {
 	clk.Wait()
 }
 
-// The manifest round-trips vlog segment state, so discard stats survive a
-// clean restart and GC can resume where it left off.
+// TestVLogManifestRoundTrip: the manifest carries the value log's next
+// segment id across a restart, so a new append never reuses an id that
+// existed before the crash — not even one whose file the crash tore away
+// whole, which leaves no file for Recover to number past.
 func TestVLogManifestRoundTrip(t *testing.T) {
 	opt := vlogOpts()
-	opt.DisableVLogGC = true
 	clk := vclock.New()
 	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
 	db := Open(clk, fsys, opt)
-	var wantDiscard int64
+	var newest uint32
 	clk.Go("phase1", func(r *vclock.Runner) {
-		for round := 0; round < 3; round++ {
-			for i := 0; i < 100; i++ {
-				_ = db.Put(r, key(i), bigValue(i))
-			}
-			db.Flush(r)
-			db.WaitIdle(r)
+		for i := 0; i < 100; i++ {
+			_ = db.Put(r, key(i), bigValue(i))
 		}
-		wantDiscard = db.Stats().VLogDiscardBytes
-		if wantDiscard == 0 {
-			t.Error("no discard stats before restart")
+		if err := db.Flush(r); err != nil {
+			t.Errorf("flush: %v", err)
 		}
+		db.WaitIdle(r)
+		newest = db.vlog.ManifestSnapshot().NextSeg - 1
 		db.Close()
 	})
 	clk.Wait()
 	if t.Failed() {
 		return
 	}
+	if newest < 2 {
+		t.Fatalf("newest segment %d: the test wants several", newest)
+	}
 
 	clk2 := vclock.New()
 	clk2.Go("phase2", func(r *vclock.Runner) {
+		// Tear the newest segment away whole: Recover drops a file
+		// without a single checked frame.
+		if err := fsys.WriteFile(r, vlog.SegmentName(newest), []byte{0xff}); err != nil {
+			t.Error(err)
+			return
+		}
 		db2, err := Reopen(r, clk2, fsys, opt)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
 		}
 		defer db2.Close()
-		if got := db2.Stats().VLogDiscardBytes; got < wantDiscard {
-			t.Errorf("discard stats lost across restart: got %d, had %d", got, wantDiscard)
+		if fsys.Exists(vlog.SegmentName(newest)) {
+			t.Errorf("recovery kept segment %d, whose file held no frame", newest)
+			return
 		}
-		// GC must be able to act on the recovered stats immediately.
-		did, gerr := db2.CollectVLogGarbage(r, 0.01)
-		if gerr != nil {
-			t.Errorf("post-restart GC: %v", gerr)
+		if err := db2.Put(r, []byte("after"), bigValue(7)); err != nil {
+			t.Error(err)
+			return
 		}
-		if !did {
-			t.Error("post-restart GC found no candidate despite recovered discard stats")
+		if err := db2.Flush(r); err != nil {
+			t.Error(err)
+			return
 		}
-		for i := 0; i < 100; i += 13 {
-			v, ok, gerr := db2.Get(r, key(i))
-			if gerr != nil || !ok || !bytes.Equal(v, bigValue(i)) {
-				t.Errorf("post-restart get %d: ok=%v err=%v", i, ok, gerr)
-			}
+		if fsys.Exists(vlog.SegmentName(newest)) {
+			t.Errorf("a post-restart append reused segment id %d", newest)
+		}
+		if !fsys.Exists(vlog.SegmentName(newest + 1)) {
+			t.Errorf("the post-restart append did not open segment %d", newest+1)
 		}
 	})
 	clk2.Wait()
+}
+
+// TestVLogDiscardBytesSumsDroppedPointers: a compaction that drops a
+// superseded pointer adds the length of the record it pointed at to
+// Stats.VLogDiscardBytes, once the compaction installs.
+func TestVLogDiscardBytesSumsDroppedPointers(t *testing.T) {
+	const n = 120
+	clk, db := newTestDB(0, vlogOpts())
+	clk.Go("test", func(r *vclock.Runner) {
+		defer db.Close()
+		var superseded int64
+		for round := 0; round < 2; round++ {
+			for i := 0; i < n; i++ {
+				v := append(bigValue(i), byte('0'+round))
+				if err := db.Put(r, key(i), v); err != nil {
+					t.Errorf("round %d put %d: %v", round, i, err)
+					return
+				}
+				if round == 0 {
+					superseded += int64(encoding.FrameHeader + encoding.UvarintLen(uint64(len(key(i)))) + len(key(i)) + len(v))
+				}
+			}
+			if err := db.Flush(r); err != nil {
+				t.Error(err)
+				return
+			}
+			db.WaitIdle(r)
+			if got := db.Stats().VLogDiscardBytes; round == 0 && got != 0 {
+				t.Errorf("discard %d before any overwrite", got)
+				return
+			}
+		}
+		// The second flush brings L0 to its trigger; the compaction merges
+		// both rounds and drops every round-0 version.
+		st := db.Stats()
+		if st.Compactions == 0 || db.LevelFileCounts()[0] != 0 {
+			t.Errorf("rounds were not merged: %d compactions, levels %v", st.Compactions, db.LevelFileCounts())
+			return
+		}
+		if st.VLogDiscardBytes != superseded {
+			t.Errorf("VLogDiscardBytes = %d, want %d, the round-0 records' lengths", st.VLogDiscardBytes, superseded)
+		}
+		for i := 0; i < n; i += 11 {
+			v, ok, err := db.Get(r, key(i))
+			if err != nil || !ok || !bytes.Equal(v, append(bigValue(i), '1')) {
+				t.Errorf("get %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	})
+	clk.Wait()
 }
 
 // Write-amp accounting: with separation on, large values are written once
@@ -470,68 +389,6 @@ func TestVLogWriteAmpBelowBaseline(t *testing.T) {
 	if va >= ba {
 		t.Errorf("vlog write-amp %.2f not below baseline %.2f", va, ba)
 	}
-}
-
-// GC rewrites each batch in user-key order regardless of the order the
-// values were originally appended. Values are written in descending key
-// order, so every segment holds its records in the exact reverse of key
-// order — an unsorted rewrite pass would re-append descending, which is
-// what this test would catch.
-func TestVLogGCRewriteBatchSortedByKey(t *testing.T) {
-	opt := vlogOpts()
-	opt.DisableVLogGC = true // drive GC by hand
-	clk := vclock.New()
-	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
-	db := Open(clk, fsys, opt)
-	clk.Go("test", func(r *vclock.Runner) {
-		defer db.Close()
-		// Descending writes; 16 KiB segments over ~540 B values hold
-		// under 32 records each, so one segment's survivors always fit a
-		// single rewrite batch and each GC pass must observe one fully
-		// ascending key sequence.
-		for round := 0; round < 2; round++ {
-			for i := 119; i >= 0; i-- {
-				if round > 0 && i%2 == 0 {
-					continue // even keys stay live in their old segments
-				}
-				v := append(bigValue(i), byte('0'+round))
-				if err := db.Put(r, key(i), v); err != nil {
-					t.Fatalf("round %d put %d: %v", round, i, err)
-				}
-			}
-			db.Flush(r)
-			db.WaitIdle(r)
-		}
-
-		var rewritten [][]byte
-		db.testHookGCRewrite = func(k []byte) {
-			rewritten = append(rewritten, append([]byte(nil), k...))
-		}
-		sortedPasses := 0
-		for pass := 0; pass < 32; pass++ {
-			rewritten = rewritten[:0]
-			did, err := db.CollectVLogGarbage(r, 0.01)
-			if err != nil {
-				t.Fatalf("gc pass %d: %v", pass, err)
-			}
-			if !did {
-				break
-			}
-			for i := 1; i < len(rewritten); i++ {
-				if bytes.Compare(rewritten[i-1], rewritten[i]) > 0 {
-					t.Fatalf("pass %d: rewrites out of key order: %q after %q",
-						pass, rewritten[i], rewritten[i-1])
-				}
-			}
-			if len(rewritten) >= 2 {
-				sortedPasses++
-			}
-		}
-		if sortedPasses == 0 {
-			t.Fatal("no GC pass rewrote enough records to exercise batch ordering")
-		}
-	})
-	clk.Wait()
 }
 
 // TestVLogConcurrentWritersReadOwnValues is the regression for chunks
@@ -609,66 +466,4 @@ func TestVLogConcurrentWritersReadOwnValues(t *testing.T) {
 		checkAll(r, db2, "after reopen")
 	})
 	clk2.Wait()
-}
-
-// TestVLogGCReadyKeepsPickGCAnswer drives the value log by hand through
-// every kind of change that can move PickGC's answer — a segment sealed
-// by an append, write-back reaching its end, discard reported, the
-// segment marked dead, punched — and checks after each that vlogGCReady,
-// which keeps PickGC's last answer until the log's mutation count moves,
-// gives what a fresh PickGC gives. Each step starts from a kept answer,
-// and most of them flip it: a change that did not count would show.
-func TestVLogGCReadyKeepsPickGCAnswer(t *testing.T) {
-	opt := vlogOpts()
-	opt.DisableVLogGC = true // nothing but the test touches the log
-	clk := vclock.New()
-	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
-	db := Open(clk, fsys, opt)
-	clk.Go("test", func(r *vclock.Runner) {
-		defer db.Close()
-		vl := db.vlog
-		n := 0
-		sealOne := func() uint32 { // append until a segment seals
-			for {
-				ptr, err := vl.Append(r, key(n), bigValue(n))
-				n++
-				if err != nil {
-					t.Fatalf("append: %v", err)
-				}
-				if int64(ptr.Off)+int64(ptr.Len) >= opt.VLogSegmentSize {
-					return ptr.Seg
-				}
-			}
-		}
-		sync := func() {
-			if err := vl.Sync(r); err != nil {
-				t.Fatalf("sync: %v", err)
-			}
-		}
-		var a, b uint32
-		steps := []struct {
-			name   string
-			mutate func()
-			want   bool
-		}{
-			{"append seals a", func() { a = sealOne() }, false}, // not written back
-			{"write-back of a", sync, false},                    // no discard
-			{"discard on a", func() { vl.MarkDiscard(a, opt.VLogSegmentSize) }, true},
-			{"a dead", func() { vl.MarkDead(a) }, false},
-			{"a punched", func() { vl.Punch(r, a) }, false},
-			{"append seals b", func() { b = sealOne() }, false},
-			{"discard on b", func() { vl.MarkDiscard(b, opt.VLogSegmentSize) }, false}, // not written back
-			{"write-back of b", sync, true},
-			{"b punched", func() { vl.Punch(r, b) }, false},
-		}
-		for _, s := range steps {
-			db.vlogGCReady() // keep the answer before the change
-			s.mutate()
-			_, picked := vl.PickGC(opt.VLogGCDiscardRatio)
-			if got := db.vlogGCReady(); got != picked || got != s.want {
-				t.Fatalf("after %s: vlogGCReady=%v PickGC=%v, want %v", s.name, got, picked, s.want)
-			}
-		}
-	})
-	clk.Wait()
 }

@@ -54,7 +54,6 @@ const (
 	PhaseWriteGroup
 	PhaseVLogAppend
 	PhaseVLogRead
-	PhaseVLogGC
 	PhaseFrontCache
 	PhaseSSTGet
 	PhaseScan
@@ -96,7 +95,6 @@ var phaseNames = [NumPhases]string{
 	PhaseWriteGroup:     "write-group",
 	PhaseVLogAppend:     "vlog-append",
 	PhaseVLogRead:       "vlog-read",
-	PhaseVLogGC:         "vlog-gc",
 	PhaseFrontCache:     "front-cache",
 	PhaseSSTGet:         "sst-get",
 	PhaseScan:           "scan",
@@ -124,7 +122,6 @@ var activityPhases = []Phase{
 	PhaseNANDRead, PhaseNANDProg, PhaseNANDErase,
 	PhaseDevLSM, PhaseDevLSMFlush,
 	PhaseRollback, PhaseRollbackScan, PhaseRecovery,
-	PhaseVLogGC,
 }
 
 // Event kinds, matching Chrome trace-event phase letters.

@@ -1,7 +1,8 @@
 // Package vlog implements the WiscKey-style value log the Main-LSM
 // separates large values into: append-only segment files on the
-// simulated file system, CRC-framed records, head-segment rotation, and
-// TRIM-based segment punching.
+// simulated file system, CRC-framed records and head-segment rotation.
+// Nothing reclaims a segment: no workload produces dead value bytes, and
+// compaction only counts the ones it strands (lsm.Stats.VLogDiscardBytes).
 //
 // Like the WAL, an Append is a memory append plus checksummed encoding;
 // a dedicated writeback runner drains full chunks to the file system
@@ -14,19 +15,17 @@
 // of not-yet-written-back records never touch the device — the
 // page-cache behaviour a real vlog read would see.
 //
-// Crash semantics mirror the WAL: recovery keeps each segment's longest
-// checksummed frame prefix and truncates the torn tail. Which prefix is
-// durable is the acked write-back watermark, which the LSM's manifest
-// persists; pointers into a segment are only flushed to SSTs after a
-// Sync, so an SST-resident pointer always dereferences durable bytes.
+// Crash semantics mirror the WAL: recovery keeps each segment file's
+// longest checksummed frame prefix and truncates the torn tail; the
+// manifest records only the next segment id. Pointers into a segment are
+// only flushed to SSTs after a Sync, so an SST-resident pointer always
+// dereferences durable bytes.
 package vlog
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,12 +35,6 @@ import (
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 )
-
-// ErrSegmentGone is returned by ReadValue when the pointer's segment has
-// been punched. The LSM's read path treats it as a retry signal: GC
-// rewrote the value through the normal write path before punching, so a
-// re-read observes the fresh pointer.
-var ErrSegmentGone = errors.New("vlog: segment punched")
 
 // ErrClosed is returned by operations on a closed Manager.
 var ErrClosed = errors.New("vlog: closed")
@@ -68,7 +61,7 @@ func ParseSegmentName(name string) (uint32, bool) {
 // Options tunes the log.
 type Options struct {
 	// SegmentSize rotates the head segment once it exceeds this many
-	// bytes; sealed segments are the GC unit.
+	// bytes.
 	SegmentSize int64
 	// ChunkSize is the write-back granularity; QueueDepth bounds the
 	// number of unwritten chunks before Append blocks.
@@ -92,39 +85,17 @@ func (o Options) validate() {
 	}
 }
 
-// SegmentInfo is one segment's manifest record: the acked (durable)
-// write-back watermark and the discard bytes compaction has reported.
-type SegmentInfo struct {
-	ID      uint32
-	Durable int64
-	Discard int64
-}
-
 // ManifestState is the vlog section the LSM manifest persists: the head
-// allocation counter (so a restart never reuses a segment id) and the
-// live segment list. The GC watermark is implicit — segments below the
-// lowest listed id were punched.
+// allocation counter, so a restart never reuses a segment id.
 type ManifestState struct {
-	NextSeg  uint32
-	Segments []SegmentInfo
+	NextSeg uint32
 }
 
 // Stats is a snapshot of the manager's counters.
 type Stats struct {
-	Segments      int // live segments (head included)
-	HeadSeg       uint32
-	TailSeg       uint32
+	Segments      int   // segments (head included)
 	BytesAppended int64 // logical record bytes appended
 	BytesWritten  int64 // bytes acked by device write-back
-	DiscardBytes  int64 // cumulative dead bytes reported by compaction
-	PunchedBytes  int64 // cumulative bytes reclaimed by segment punch
-}
-
-// Entry is one decoded record, as surfaced to GC.
-type Entry struct {
-	Key   []byte
-	Value []byte
-	Ptr   encoding.ValuePointer
 }
 
 type segment struct {
@@ -133,9 +104,7 @@ type segment struct {
 	size    int64  // logical bytes appended
 	queued  int64  // bytes handed to the writeback queue
 	flushed int64  // bytes acked by fs.Append
-	discard int64  // dead bytes reported by compaction
 	sealed  bool
-	dead    bool // fully collected, awaiting punch; never a GC candidate again
 	// mem is the segment's one buffer. Bytes below queued belong to the
 	// file system and are only read here; reads are served from mem until
 	// flushed == size, when the reference is dropped.
@@ -147,8 +116,8 @@ type wbChunk struct {
 	data []byte
 }
 
-// Manager is the value log: the set of live segments plus the head being
-// appended to.
+// Manager is the value log: its segments plus the head being appended
+// to.
 type Manager struct {
 	fsys *fs.FileSystem
 	opt  Options
@@ -163,11 +132,6 @@ type Manager struct {
 
 	bytesAppended int64
 	bytesWritten  int64
-	discardTotal  int64
-	punchedBytes  int64
-	// mutations counts the changes that can move PickGC's answer (see
-	// Mutations).
-	mutations uint64
 
 	// Write-back lane: chunks must enter the queue in offset order or the
 	// segment file ends up permuted against the pointers handed out, but
@@ -184,7 +148,7 @@ type Manager struct {
 // Open creates an empty value log and starts its writeback runner.
 func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 	opt.validate()
-	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1, mutations: 1}
+	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
 	m.drained = vclock.NewCond("vlog.drained")
 	m.pushTurn = vclock.NewCond("vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
@@ -192,23 +156,17 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *Manager {
 	return m
 }
 
-// Recover rebuilds a value log after a crash: the union of the manifest's
-// segment list and the VLOG- files on disk, each truncated to its longest
-// checksummed frame prefix (the torn-tail contract the WAL follows).
-// Segments the manifest lists but the file system lacks were punched
-// before the crash and stay gone. Appends resume into a fresh head
-// segment; recovered segments are sealed and become GC candidates.
+// Recover rebuilds a value log after a crash from the VLOG- files on
+// disk, each truncated to its longest checksummed frame prefix (the
+// torn-tail contract the WAL follows). Appends resume into a fresh head
+// segment, numbered past both the files found and the manifest's NextSeg;
+// recovered segments are sealed.
 func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Options, ms ManifestState) (*Manager, error) {
 	opt.validate()
-	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1, mutations: 1}
+	m := &Manager{fsys: fsys, opt: opt, segs: make(map[uint32]*segment), nextSeg: 1}
 	m.drained = vclock.NewCond("vlog.drained")
 	m.pushTurn = vclock.NewCond("vlog.pushTurn")
 	m.queue = vclock.NewQueue[wbChunk](opt.QueueDepth, "vlog.queue")
-
-	discard := make(map[uint32]int64, len(ms.Segments))
-	for _, si := range ms.Segments {
-		discard[si.ID] = si.Discard
-	}
 	for _, name := range fsys.List() {
 		id, ok := ParseSegmentName(name)
 		if !ok {
@@ -228,12 +186,7 @@ func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Optio
 				return nil, fmt.Errorf("vlog: truncating torn tail of %s: %w", name, err)
 			}
 		}
-		d := discard[id]
-		if d > valid {
-			d = valid
-		}
-		m.segs[id] = &segment{id: id, name: name, size: valid, queued: valid, flushed: valid, discard: d, sealed: true}
-		m.discardTotal += d
+		m.segs[id] = &segment{id: id, name: name, size: valid, queued: valid, flushed: valid, sealed: true}
 		if id >= m.nextSeg {
 			m.nextSeg = id + 1
 		}
@@ -256,8 +209,8 @@ func scanValidSize(data []byte) int64 {
 }
 
 // Append frames one (key, value) record into the head segment and
-// returns its pointer. The key rides along so GC can check liveness
-// without a reverse index. Rotation seals the head once it exceeds
+// returns its pointer. The key rides along so a read can check the
+// record is the key's own (ReadValue, VerifyKey). Rotation seals the head once it exceeds
 // SegmentSize. Append blocks only when the writeback queue is full.
 func (m *Manager) Append(r *vclock.Runner, key, value []byte) (encoding.ValuePointer, error) {
 	if m.opt.CPU != nil && m.opt.AppendCPU > 0 {
@@ -371,7 +324,7 @@ func (m *Manager) ReadValue(r *vclock.Runner, ptr encoding.ValuePointer, key []b
 func (m *Manager) readRecord(r *vclock.Runner, ptr encoding.ValuePointer) (key, value []byte, err error) {
 	seg, ok := m.segs[ptr.Seg]
 	if !ok {
-		return nil, nil, ErrSegmentGone
+		return nil, nil, fmt.Errorf("vlog: pointer %d:%d+%d into no segment: %w", ptr.Seg, ptr.Off, ptr.Len, encoding.ErrCorrupt)
 	}
 	end := int64(ptr.Off) + int64(ptr.Len)
 	if end > seg.size || ptr.Len < encoding.FrameHeader {
@@ -409,46 +362,6 @@ func splitRecord(payload []byte) (key, value []byte, err error) {
 	return rest[:klen:klen], rest[klen:], nil
 }
 
-// SegmentEntries decodes every record of a live segment, oldest first —
-// the GC's sequential segment read; r pays the device read time for
-// durable bytes. Keys and values are read-only, as ReadValue's are.
-func (m *Manager) SegmentEntries(r *vclock.Runner, id uint32) ([]Entry, error) {
-	seg, ok := m.segs[id]
-	if !ok {
-		return nil, ErrSegmentGone
-	}
-	size := seg.size
-	var data []byte
-	if seg.mem != nil {
-		data = seg.mem[:size:size]
-	} else {
-		var err error
-		data, err = m.fsys.ReadAt(r, seg.name, 0, int(size))
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []Entry
-	for rest := data; len(rest) > 0; {
-		off := len(data) - len(rest)
-		payload, next, ok := encoding.NextFrame(rest)
-		if !ok {
-			return nil, fmt.Errorf("vlog: segment %d record at %d: %w", id, off, encoding.ErrCorrupt)
-		}
-		k, v, err := splitRecord(payload)
-		if err != nil {
-			return nil, fmt.Errorf("vlog: segment %d record at %d: %w", id, off, err)
-		}
-		out = append(out, Entry{
-			Key:   k,
-			Value: v,
-			Ptr:   encoding.ValuePointer{Seg: id, Off: uint32(off), Len: uint32(len(rest) - len(next))},
-		})
-		rest = next
-	}
-	return out, nil
-}
-
 // VerifyKey reports whether ptr dereferences to a record that actually
 // carries key — the strong WAL-replay validation for pointer records.
 // The bounds check alone (Resolves) cannot tell a live record from stale
@@ -461,115 +374,25 @@ func (m *Manager) VerifyKey(r *vclock.Runner, ptr encoding.ValuePointer, key []b
 	return err == nil
 }
 
-// Resolves reports whether ptr dereferences into a live segment's valid
+// Resolves reports whether ptr dereferences into a segment's valid
 // range — the WAL-replay validation for pointer records.
 func (m *Manager) Resolves(ptr encoding.ValuePointer) bool {
 	seg, ok := m.segs[ptr.Seg]
 	return ok && ptr.Len >= encoding.FrameHeader && int64(ptr.Off)+int64(ptr.Len) <= seg.size
 }
 
-// MarkDiscard adds n dead bytes to a segment's discard counter —
-// compaction's feed when it drops a superseded pointer.
-func (m *Manager) MarkDiscard(id uint32, n int64) {
-	seg, ok := m.segs[id]
-	if !ok {
-		return
-	}
-	seg.discard += n
-	if seg.discard > seg.size {
-		seg.discard = seg.size
-	}
-	m.discardTotal += n
-	m.mutations++
-}
-
-// Mutations counts the changes that can move PickGC's answer: a sealed
-// segment's write-back progressing, discard reported, a segment marked
-// dead or punched. It starts at 1. PickGC scans every segment; a caller
-// that keeps its answer need ask again only once the count has moved.
-// Appends do not count: PickGC skips a segment until it is sealed and
-// written back to its end, and the append that seals one always leaves
-// bytes for a write-back that counts.
-func (m *Manager) Mutations() uint64 { return m.mutations }
-
-// PickGC returns the sealed, fully written-back segment with the highest
-// discard ratio at or above minRatio, the oldest of equals, or ok=false.
-func (m *Manager) PickGC(minRatio float64) (uint32, bool) {
-	var best uint32
-	bestRatio := -1.0
-	for id, seg := range m.segs {
-		if !seg.sealed || seg.dead || seg.flushed < seg.size || seg.size == 0 {
-			continue
-		}
-		ratio := float64(seg.discard) / float64(seg.size)
-		if ratio >= minRatio && (ratio > bestRatio || ratio == bestRatio && id < best) {
-			best, bestRatio = id, ratio
-		}
-	}
-	return best, bestRatio >= 0
-}
-
-// MarkDead retires a fully collected segment from GC candidacy; it stays
-// readable until Punch so pinned readers can finish dereferencing into it.
-func (m *Manager) MarkDead(id uint32) {
-	if seg, ok := m.segs[id]; ok {
-		seg.dead = true
-		m.mutations++
-	}
-}
-
-// Punch removes a dead segment: its pages go back to the device via
-// TRIM (fs.Remove issues the DSM command), which is the paper's
-// host-SSD collaboration cost model for space reclamation. Returns the
-// reclaimed byte count.
-func (m *Manager) Punch(r *vclock.Runner, id uint32) int64 {
-	seg, ok := m.segs[id]
-	if !ok {
-		return 0
-	}
-	delete(m.segs, id)
-	m.mutations++
-	m.punchedBytes += seg.size
-	if m.fsys.Exists(seg.name) {
-		_ = m.fsys.Remove(r, seg.name)
-	}
-	return seg.size
-}
-
-// ManifestSnapshot captures the state the LSM manifest persists. Durable
-// is the acked write-back watermark — never ahead of the device — so a
-// recovery trusting it is safe even when the manifest is newer than the
-// last vlog Sync.
+// ManifestSnapshot captures the state the LSM manifest persists.
 func (m *Manager) ManifestSnapshot() ManifestState {
-	ms := ManifestState{NextSeg: m.nextSeg}
-	for id, seg := range m.segs {
-		ms.Segments = append(ms.Segments, SegmentInfo{ID: id, Durable: seg.flushed, Discard: seg.discard})
-	}
-	// In id order: the list ends up in the manifest's bytes.
-	slices.SortFunc(ms.Segments, func(a, b SegmentInfo) int { return cmp.Compare(a.ID, b.ID) })
-	return ms
+	return ManifestState{NextSeg: m.nextSeg}
 }
 
 // Stats snapshots the counters.
 func (m *Manager) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Segments:      len(m.segs),
 		BytesAppended: m.bytesAppended,
 		BytesWritten:  m.bytesWritten,
-		DiscardBytes:  m.discardTotal,
-		PunchedBytes:  m.punchedBytes,
 	}
-	first := true
-	for id := range m.segs {
-		if first || id > s.HeadSeg {
-			s.HeadSeg = id
-		}
-		if first || id < s.TailSeg {
-			s.TailSeg = id
-		}
-		first = false
-	}
-	return s
 }
 
 // Close stops the writeback runner after draining queued chunks. The
@@ -622,11 +445,8 @@ func (m *Manager) flushBatch(r *vclock.Runner, seg *segment, chunks [][]byte) {
 		m.werr = err
 	}
 	m.bytesWritten += total
-	if m.segs[seg.id] == seg && err == nil {
+	if err == nil {
 		seg.flushed += total
-		if seg.sealed {
-			m.mutations++
-		}
 		if seg.sealed && seg.flushed >= seg.size {
 			seg.mem = nil // fully durable: reads go through the fs page cache
 		}

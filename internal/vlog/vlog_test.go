@@ -2,6 +2,7 @@ package vlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -86,64 +87,49 @@ func TestVLogAppendReadRoundTrip(t *testing.T) {
 	clk.Wait()
 }
 
-func TestVLogRotationDiscardPickPunch(t *testing.T) {
+// TestVLogRotation: appends rotate the head into sealed segments, each
+// written back to its own file, and after a Sync every record reads back
+// through its pointer. A pointer into a segment the log never had is
+// corrupt, not missing, and the error names it.
+func TestVLogRotation(t *testing.T) {
 	clk := vclock.New()
 	fsys := fs.New(&slowDev{pageSize: 4096, pages: 1 << 18})
 	m := Open(clk, fsys, Options{SegmentSize: 8 << 10, ChunkSize: 2 << 10, QueueDepth: 8})
 	clk.Go("test", func(r *vclock.Runner) {
 		defer m.Close()
 		var ptrs []encoding.ValuePointer
+		key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
 		for i := 0; i < 200; i++ {
-			ptr, err := m.Append(r, []byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte{'v'}, 256))
+			ptr, err := m.Append(r, key(i), bytes.Repeat([]byte{byte('a' + i%26)}, 256))
 			if err != nil {
-				t.Fatalf("append: %v", err)
+				t.Errorf("append: %v", err)
+				return
 			}
 			ptrs = append(ptrs, ptr)
 		}
 		if err := m.Sync(r); err != nil {
-			t.Fatalf("sync: %v", err)
+			t.Errorf("sync: %v", err)
+			return
 		}
-		st := m.Stats()
-		if st.Segments < 3 {
-			t.Fatalf("expected rotation into >=3 segments, got %d", st.Segments)
+		if n := m.Stats().Segments; n < 3 {
+			t.Errorf("expected rotation into >=3 segments, got %d", n)
+			return
 		}
-		if _, ok := m.PickGC(0.5); ok {
-			t.Fatal("PickGC found a candidate with no discard reported")
-		}
-		// Kill every record of the tail segment.
-		tail := st.TailSeg
-		for _, ptr := range ptrs {
-			if ptr.Seg == tail {
-				m.MarkDiscard(tail, int64(ptr.Len))
+		for i, ptr := range ptrs {
+			if !fsys.Exists(SegmentName(ptr.Seg)) {
+				t.Errorf("segment %d has no file", ptr.Seg)
+				return
+			}
+			v, err := m.ReadValue(r, ptr, key(i))
+			if err != nil || !bytes.Equal(v, bytes.Repeat([]byte{byte('a' + i%26)}, 256)) {
+				t.Errorf("record %d re-read: %v", i, err)
+				return
 			}
 		}
-		seg, ok := m.PickGC(0.5)
-		if !ok || seg != tail {
-			t.Fatalf("PickGC = %d,%v; want %d,true", seg, ok, tail)
-		}
-		// Entries decode in append order with self-consistent pointers.
-		entries, err := m.SegmentEntries(r, tail)
-		if err != nil || len(entries) == 0 {
-			t.Fatalf("SegmentEntries: n=%d err=%v", len(entries), err)
-		}
-		for _, e := range entries {
-			v, rerr := m.ReadValue(r, e.Ptr, e.Key)
-			if rerr != nil || !bytes.Equal(v, e.Value) {
-				t.Fatalf("entry re-read mismatch: %v", rerr)
-			}
-		}
-		m.MarkDead(tail)
-		if seg, ok := m.PickGC(0.5); ok && seg == tail {
-			t.Fatal("dead segment still a GC candidate")
-		}
-		if n := m.Punch(r, tail); n == 0 {
-			t.Fatal("punch reclaimed nothing")
-		}
-		if _, err := m.ReadValue(r, entries[0].Ptr, entries[0].Key); err != ErrSegmentGone {
-			t.Fatalf("read after punch = %v; want ErrSegmentGone", err)
-		}
-		if fsys.Exists(SegmentName(tail)) {
-			t.Fatal("punched segment file still exists")
+		bad := encoding.ValuePointer{Seg: ptrs[len(ptrs)-1].Seg + 1, Off: 0, Len: ptrs[0].Len}
+		_, err := m.ReadValue(r, bad, key(0))
+		if !errors.Is(err, encoding.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%d:0+%d", bad.Seg, bad.Len)) {
+			t.Errorf("read through a pointer into no segment = %v; want ErrCorrupt naming it", err)
 		}
 	})
 	clk.Wait()
@@ -243,7 +229,7 @@ func TestVLogTornTailRecoversLongestCheckedPrefix(t *testing.T) {
 
 // Recovery must honor the manifest's NextSeg allocator even when the
 // newest segments' files were entirely lost, so a restart never reuses a
-// punched or torn-away segment id for new data.
+// torn-away segment id for new data.
 func TestVLogRecoverHonorsNextSeg(t *testing.T) {
 	clk := vclock.New()
 	fsys := fs.New(&slowDev{pageSize: 4096, pages: 1 << 16})
