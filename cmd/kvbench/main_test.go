@@ -127,6 +127,35 @@ func TestShardedRunTracesAndInjects(t *testing.T) {
 	}
 }
 
+// TestDevLSMLine: a fill that stalls the Main-LSM redirects puts, and the
+// dev-lsm line counts them beside the device's flushes and the puts that
+// waited for the sealed buffer's flush; a run that redirects nothing
+// prints no such line.
+func TestDevLSMLine(t *testing.T) {
+	code, stdout, stderr := kvbench("-engine", "kvaccel", "-workload", "fillrandom", "-duration", "4s", "-value-threshold", "0")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	var redirected, puts, flushes, waits int64
+	var waitMS float64
+	for _, line := range strings.Split(stdout, "\n") {
+		switch {
+		case strings.HasPrefix(line, "kvaccel "):
+			fmt.Sscanf(line, "kvaccel     : redirected=%d", &redirected)
+		case strings.HasPrefix(line, "dev-lsm "):
+			fmt.Sscanf(line, "dev-lsm     : puts=%d flushes=%d buffer-waits=%d wait=%f ms", &puts, &flushes, &waits, &waitMS)
+		}
+	}
+	if redirected == 0 || puts < redirected || flushes == 0 || (waits == 0) != (waitMS == 0) {
+		t.Errorf("redirected=%d, dev-lsm puts=%d flushes=%d buffer-waits=%d wait=%.1f ms:\n%s",
+			redirected, puts, flushes, waits, waitMS, stdout)
+	}
+	_, stdout, _ = kvbench("-engine", "rocksdb", "-workload", "fillrandom", "-duration", "1s")
+	if strings.Contains(stdout, "dev-lsm") {
+		t.Errorf("a run with no Dev-LSM puts printed a dev-lsm line:\n%s", stdout)
+	}
+}
+
 func TestPowerCutTorturePasses(t *testing.T) {
 	code, stdout, stderr := kvbench("-power-cuts", "1")
 	if code != 0 || !strings.Contains(stdout, "all checks passed") {

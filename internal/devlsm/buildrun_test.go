@@ -80,6 +80,15 @@ func referenceBuildRun(d *DevLSM, r *vclock.Runner, it iterkit.Iterator, sizeHin
 	return ru, all
 }
 
+// runLPNs returns the LPNs of a run's pages, in page order.
+func runLPNs(ru *run) []int {
+	var lpns []int
+	for _, pm := range ru.pages {
+		lpns = append(lpns, pm.lpns...)
+	}
+	return lpns
+}
+
 // randomTable fills a memtable with records of seeded sizes: keys of
 // 1–40 bytes, values from empty to beyond a flash page, some tombstones
 // and some overwritten keys.
@@ -123,7 +132,11 @@ func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
 		}
 		got, want := newDev(DefaultConfig()), newDev(DefaultConfig())
 		runSim(t, func(r *vclock.Runner) {
-			ru, lpns := got.buildRun(r, mem.NewIterator(), hint)
+			ru, err := got.buildRun(r, mem.NewIterator(), hint)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			lpns := runLPNs(ru)
 			ref, refLPNs := referenceBuildRun(want, r, mem.NewIterator(), hint)
 			if !bytes.Equal(ru.data, ref.data) {
 				t.Fatalf("seed %d: run data differs (%d vs %d bytes)", seed, len(ru.data), len(ref.data))
@@ -156,7 +169,7 @@ func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
 			}
 			_ = append(ru.smallest, "scribble"...)
 			_ = append(ru.largest, "scribble"...)
-			if !bytes.Equal(ru.data, data) || fmt.Sprint(lpns) != fmt.Sprint(refLPNs) {
+			if !bytes.Equal(ru.data, data) || fmt.Sprint(runLPNs(ru)) != fmt.Sprint(refLPNs) {
 				t.Fatalf("seed %d: appending to a page's first key or LPNs wrote into the run", seed)
 			}
 		})
@@ -201,10 +214,12 @@ func TestAllocsFlushPerPage(t *testing.T) {
 	}
 }
 
-// TestAllocsBulkScanPerChunk: the rollback's scan copies each chunk's
-// keys and values into one buffer, so the host allocates a handful of
-// times per 512 KiB chunk, not twice per pair. The pairs sit in three
-// runs and the memtable, and every one comes back with its bytes.
+// TestAllocsBulkScanPerChunk: the rollback's scan hands out views of the
+// records where they lie, so the host allocates a handful of times per
+// 512 KiB chunk, not twice per pair, and fewer bytes than the pairs hold:
+// a chunk's entry slice, not a copy of its keys and values. The pairs sit
+// in three runs and the memtable, and every one comes back with its
+// bytes.
 func TestAllocsBulkScanPerChunk(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -216,7 +231,7 @@ func TestAllocsBulkScanPerChunk(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(i)
 	}
-	var mallocs uint64
+	var mallocs, allocated uint64
 	var chunks, got int
 	runSim(t, func(r *vclock.Runner) {
 		for i, k := range keys {
@@ -243,10 +258,15 @@ func TestAllocsBulkScanPerChunk(t *testing.T) {
 			}
 		})
 		runtime.ReadMemStats(&after)
-		mallocs = after.Mallocs - before.Mallocs
+		mallocs, allocated = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	})
 	if got != pairs {
 		t.Fatalf("the scan returned %d pairs, want %d", got, pairs)
+	}
+	pairBytes := uint64(pairs * (len(keys[0]) + len(value)))
+	t.Logf("%d bytes allocated to scan %d bytes of keys and values", allocated, pairBytes)
+	if allocated > pairBytes/2 {
+		t.Errorf("%d bytes allocated to scan %d bytes of keys and values, want at most half", allocated, pairBytes)
 	}
 	per := float64(mallocs) / float64(chunks)
 	t.Logf("%d allocations for %d pairs in %d chunks: %.1f per chunk", mallocs, pairs, chunks, per)

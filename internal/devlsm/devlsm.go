@@ -11,6 +11,14 @@
 // flash page, so a point read costs exactly one page), an optional
 // in-device merge when runs pile up, and — deliberately — no read cache,
 // which is why Dev-LSM range scans lag Main-LSM's (Table V).
+//
+// The write buffer is double-buffered, as RocksDB's
+// max_write_buffer_number=2: the put that fills the active memtable seals
+// it and returns, and one background controller runner builds the sealed
+// buffer's run and programs its pages in waves of one page per die as
+// they are built. A put waits only when the active buffer fills while the
+// sealed one is still flushing. Device DRAM is capacitor-backed, so the
+// sealed buffer is as durable as the active one.
 package devlsm
 
 import (
@@ -30,7 +38,8 @@ import (
 
 // Config tunes the Dev-LSM.
 type Config struct {
-	// MemtableBytes is the device-DRAM write buffer budget.
+	// MemtableBytes is the budget of each of the two device-DRAM write
+	// buffers: the active one and the sealed one being flushed.
 	MemtableBytes int64
 	// MaxRuns triggers an in-device merge when exceeded (if
 	// CompactionEnabled).
@@ -57,7 +66,7 @@ type Config struct {
 }
 
 // DefaultConfig models the Dev-LSM on the Cosmos+ board's one ARM
-// Cortex-A9 controller core at scale 1: a 4 MiB device-DRAM memtable and
+// Cortex-A9 controller core at scale 1: two 4 MiB device-DRAM buffers and
 // microseconds of ARM time per command (machine.DeviceConfig scales the
 // costs).
 func DefaultConfig() Config {
@@ -80,6 +89,27 @@ type Stats struct {
 	Resets      int64
 	Scans       int64
 	BytesIn     int64
+	// BufferWaits counts puts that filled the active buffer while the
+	// sealed one was still flushing, and BufferWaitNS the virtual time
+	// they waited for that flush.
+	BufferWaits  int64
+	BufferWaitNS int64
+}
+
+// Add returns the field-wise sum of s and o: the counters of several
+// Dev-LSM slices.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Puts:         s.Puts + o.Puts,
+		Gets:         s.Gets + o.Gets,
+		Flushes:      s.Flushes + o.Flushes,
+		Compactions:  s.Compactions + o.Compactions,
+		Resets:       s.Resets + o.Resets,
+		Scans:        s.Scans + o.Scans,
+		BytesIn:      s.BytesIn + o.BytesIn,
+		BufferWaits:  s.BufferWaits + o.BufferWaits,
+		BufferWaitNS: s.BufferWaitNS + o.BufferWaitNS,
+	}
 }
 
 // pageMeta describes one page-aligned slab of encoded records. firstKey
@@ -113,7 +143,14 @@ type DevLSM struct {
 	lpnOff   int
 	lpnCount int
 
-	mem      *memtable.Table
+	mem *memtable.Table // the active write buffer
+	// sealed is the full buffer the background flush is writing out, nil
+	// while no flush is in flight; flushed wakes the runners waiting for
+	// the flush to end, and flushErr keeps a NAND program fault of a
+	// background flush for the next Put or Flush to return.
+	sealed   *memtable.Table
+	flushed  *vclock.Cond
+	flushErr error
 	runs     []*run // oldest first; only ever appended to or replaced
 	seq      uint64
 	freeLPNs []int
@@ -153,7 +190,8 @@ func NewRegion(f *ftl.FTL, arm *cpu.Pool, cfg Config, offsetPages, pages int) *D
 		panic(fmt.Sprintf("devlsm: region slice [%d,%d) outside KV region of %d pages",
 			offsetPages, offsetPages+pages, total))
 	}
-	d := &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(cfg.MemtableBytes), lpnOff: offsetPages, lpnCount: pages}
+	d := &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(cfg.MemtableBytes), flushed: vclock.NewCond("devlsm.flushed"),
+		lpnOff: offsetPages, lpnCount: pages}
 	if cfg.ReadCacheBytes > 0 {
 		d.cacheCap = int(cfg.ReadCacheBytes / int64(f.PageSize()))
 		if d.cacheCap < 1 {
@@ -205,7 +243,10 @@ func (d *DevLSM) alloc(dst []int, n int) []int {
 }
 
 // Put buffers one record (value may be nil with kind KindDelete for
-// redirected tombstones), flushing the device memtable when full.
+// redirected tombstones). The put that fills the active buffer seals it
+// and starts its background flush, first waiting for the flush in flight
+// if there is one. It returns the program fault of a background flush
+// that ended since the last Put or Flush, if any.
 func (d *DevLSM) Put(r *vclock.Runner, kind memtable.Kind, key, value []byte) error {
 	sp := d.cfg.Trace.Begin(r, trace.PhaseDevLSM, "kv-put")
 	defer sp.EndArg(r, int64(len(key)+len(value)))
@@ -216,15 +257,43 @@ func (d *DevLSM) Put(r *vclock.Runner, kind memtable.Kind, key, value []byte) er
 	d.bytes += int64(len(key) + len(value))
 	d.stats.Puts++
 	d.stats.BytesIn += int64(len(key) + len(value))
-	needFlush := d.mem.ApproximateSize() >= d.cfg.MemtableBytes
-	if needFlush {
-		return d.Flush(r)
+	if d.mem.ApproximateSize() >= d.cfg.MemtableBytes {
+		if d.sealed != nil {
+			start := r.Now()
+			d.waitFlush(r)
+			d.stats.BufferWaits++
+			d.stats.BufferWaitNS += int64(r.Now().Sub(start))
+		}
+		// Another put may have sealed the buffer while this one waited.
+		if d.mem.ApproximateSize() >= d.cfg.MemtableBytes {
+			d.seal()
+			r.Clock().GoWith("devlsm.flush", runFlush, d)
+		}
 	}
-	return nil
+	return d.takeFlushErr()
 }
 
-// Get returns the newest buffered record for key. Each run probe costs
-// one NAND page read; there is no read cache.
+// seal makes the active buffer the sealed one, to be flushed, and opens a
+// new active buffer. No flush may be in flight.
+func (d *DevLSM) seal() {
+	d.sealed, d.mem = d.mem, memtable.New(d.cfg.MemtableBytes)
+}
+
+// waitFlush parks r until no flush is in flight.
+func (d *DevLSM) waitFlush(r *vclock.Runner) { d.flushed.WaitUntil(r, flushIdle, d) }
+
+func flushIdle(d any) bool { return d.(*DevLSM).sealed == nil }
+
+// takeFlushErr returns, and forgets, a background flush's program fault.
+func (d *DevLSM) takeFlushErr() error {
+	err := d.flushErr
+	d.flushErr = nil
+	return err
+}
+
+// Get returns the newest buffered record for key, looking in the active
+// buffer, then the sealed one, then the runs, newest first. Each run
+// probe costs one NAND page read; there is no read cache.
 func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, err error) {
 	sp := d.cfg.Trace.Begin(r, trace.PhaseDevLSM, "kv-get")
 	defer sp.End(r)
@@ -232,10 +301,15 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 	d.stats.Gets++
 	// d.runs is only ever appended to or replaced, never written in
 	// place, so the header taken here is a stable snapshot.
-	mem, runs := d.mem, d.runs
+	mem, sealed, runs := d.mem, d.sealed, d.runs
 
 	if v, k, ok := mem.Get(key); ok {
 		return v, k, true, nil
+	}
+	if sealed != nil {
+		if v, k, ok := sealed.Get(key); ok {
+			return v, k, true, nil
+		}
 	}
 	for i := len(runs) - 1; i >= 0; i-- {
 		ru := runs[i]
@@ -311,46 +385,71 @@ func (ru *run) pageFor(key []byte) int {
 	return res
 }
 
-// Flush persists the device memtable as a new sorted run. The run is
-// installed even when a NAND program reports a fault — the controller's
-// capacitor-backed buffer lets firmware retry the program out of band,
-// so the data is never lost device-side — but the error is surfaced so
-// the host command (KV_PUT) completes with a status.
+// Flush waits for the flush in flight, if any, then writes the active
+// buffer out as a new sorted run on r, and returns the first NAND program
+// fault either flush reported.
 func (d *DevLSM) Flush(r *vclock.Runner) error {
-	if d.mem.Count() == 0 {
-		return nil
+	d.waitFlush(r)
+	if d.mem.Count() > 0 {
+		d.seal()
+		d.flush(r)
 	}
-	mem := d.mem
-	d.mem = memtable.New(d.cfg.MemtableBytes)
-
-	fsp := d.cfg.Trace.Begin(r, trace.PhaseDevLSMFlush, "devlsm-flush")
-	defer func() { fsp.EndArg(r, int64(mem.Count())) }()
-
-	ru, lpns := d.buildRun(r, mem.NewIterator(), int(mem.ApproximateSize()))
-	if ru == nil {
-		return nil
-	}
-	err := d.f.WriteMany(r, ftl.KVRegion, lpns)
-
-	d.runs = append(d.runs, ru)
-	d.stats.Flushes++
-	needMerge := d.cfg.CompactionEnabled && len(d.runs) > d.cfg.MaxRuns
-	if needMerge {
-		d.compact(r)
-	}
-	return err
+	return d.takeFlushErr()
 }
 
+// runFlush is the body of a background flush's runner, started with
+// vclock.GoWith: a flush costs no closure.
+func runFlush(r *vclock.Runner, d any) { d.(*DevLSM).flush(r) }
+
+// flush writes the sealed buffer out as a new sorted run and ends the
+// flush. The run is installed even when a NAND program reports a fault —
+// the controller's capacitor-backed buffer lets firmware retry the
+// program out of band, so the data is never lost device-side — and the
+// fault waits in flushErr so a host command (KV_PUT) completes with a
+// status.
+func (d *DevLSM) flush(r *vclock.Runner) {
+	mem := d.sealed
+	fsp := d.cfg.Trace.Begin(r, trace.PhaseDevLSMFlush, "devlsm-flush")
+	ru, err := d.buildRun(r, mem.NewIterator(), int(mem.ApproximateSize()))
+	d.runs = append(d.runs, ru)
+	d.stats.Flushes++
+	if d.cfg.CompactionEnabled && len(d.runs) > d.cfg.MaxRuns {
+		d.compact(r)
+	}
+	if err != nil && d.flushErr == nil {
+		d.flushErr = err
+	}
+	d.sealed = nil
+	fsp.EndArg(r, int64(mem.Count()))
+	d.flushed.Broadcast()
+}
+
+// wavesInFlight bounds the program waves a run build keeps outstanding:
+// eight programs queued per die. Eight waves are a 4 MiB buffer at the
+// Cosmos+ geometry (32 dies, 16 KiB pages), so there the bound holds back
+// only a flush's last wave or two; on a small array it bounds the fan-out
+// tasks, one per page in flight, that a flush keeps.
+const wavesInFlight = 8
+
 // buildRun packs an iterator's records into page-aligned slabs, encoding
-// each straight into the run's data buffer, and returns the run and the
-// LPNs it occupies (already allocated, page by page, as each page
-// closes). sizeHint is the caller's upper estimate of the run's bytes;
-// the data buffer, and the page and LPN lists at its page count, are
-// allocated with the first record.
-func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (*run, []int) {
-	pageSize := d.f.PageSize()
-	ru := &run{}
+// each straight into the run's data buffer, and returns the run (nil if
+// the iterator is empty). Each page is allocated its LPNs as it closes,
+// and the pages are programmed in waves of one page per die, each set
+// going as soon as it is built, so the build overlaps the programs of the
+// waves before it; buildRun returns once every wave is programmed. err is
+// the first program fault; every page is still programmed. sizeHint is
+// the caller's upper estimate of the run's bytes; the data buffer, and
+// the page and LPN lists at its page count, are allocated with the first
+// record.
+func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (ru *run, err error) {
+	pageSize, wave := d.f.PageSize(), d.f.Dies()
+	ru = &run{}
 	var all []int
+	// The last waves set going, the oldest at waves[started%len(waves)]: a
+	// wave is set going once the one len(waves) back is programmed.
+	var waves [wavesInFlight]ftl.Programs
+	started := 0
+	programmed := 0          // all[:programmed] are in waves set going
 	pageOff, lastOff := 0, 0 // where the open page and the last record start in ru.data
 
 	closePage := func() {
@@ -362,6 +461,17 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 		ru.pages = append(ru.pages, pageMeta{off: pageOff, length: length})
 		pageOff = len(ru.data)
 	}
+	finish := func(w ftl.Programs) {
+		if werr := d.f.Finish(r, w); werr != nil && err == nil {
+			err = werr
+		}
+	}
+	program := func() {
+		w := &waves[started%len(waves)]
+		finish(*w)
+		*w = d.f.StartWrite(r, ftl.KVRegion, all[programmed:])
+		started, programmed = started+1, len(all)
+	}
 
 	cpuPending := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -369,6 +479,9 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 		recLen := encoding.RecordSize(len(e.Key), len(e.Value)) + 9
 		if len(ru.data) > pageOff && len(ru.data)-pageOff+recLen > pageSize {
 			closePage()
+			if len(all)-programmed >= wave {
+				program()
+			}
 		}
 		if ru.data == nil {
 			ru.data = make([]byte, 0, max(sizeHint, recLen))
@@ -386,6 +499,10 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 	}
 	d.chargeScanCPU(r, cpuPending)
 	closePage()
+	program()
+	for i := range waves {
+		finish(waves[(started+i)%len(waves)])
+	}
 	if ru.count == 0 {
 		return nil, nil
 	}
@@ -400,7 +517,7 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 	}
 	ru.smallest = ru.pages[0].firstKey
 	ru.largest = recordKey(ru.data[lastOff:])
-	return ru, all
+	return ru, err
 }
 
 // recordKey returns a clipped view of the key of the record b starts with.
@@ -481,7 +598,7 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 	}
 	merged := iterkit.NewMerge(children)
 	dedup := &dedupIter{in: merged}
-	ru, newLPNs := d.buildRun(r, dedup, inputBytes)
+	ru, _ := d.buildRun(r, dedup, inputBytes) // firmware-internal: faults retried out of band
 
 	// Free old pages.
 	for _, ru := range runs {
@@ -498,9 +615,6 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 		d.runs = nil
 	}
 	d.stats.Compactions++
-	if ru != nil {
-		_ = d.f.WriteMany(r, ftl.KVRegion, newLPNs) // firmware-internal: faults retried out of band
-	}
 }
 
 // dedupIter keeps only the newest version of each user key.
@@ -525,9 +639,12 @@ func (d *dedupIter) Next() {
 }
 
 // Reset wipes the Dev-LSM after a completed rollback (§V-E step 8): the
-// memtable, every run, and this instance's slice of the KV region
-// mapping (other slices of the same device are untouched).
-func (d *DevLSM) Reset() {
+// write buffers, every run, and this instance's slice of the KV region
+// mapping (other slices of the same device are untouched). It first waits
+// on r for the flush in flight, so no run of the wiped data is installed
+// after the wipe.
+func (d *DevLSM) Reset(r *vclock.Runner) {
+	d.waitFlush(r)
 	d.mem = memtable.New(d.cfg.MemtableBytes)
 	d.runs = nil
 	d.entries = 0

@@ -193,23 +193,6 @@ func TestBulkScanChunksAndCompleteness(t *testing.T) {
 	})
 }
 
-func TestKeyRange(t *testing.T) {
-	d := newDev(DefaultConfig())
-	runSim(t, func(r *vclock.Runner) {
-		if _, _, ok := d.KeyRange(); ok {
-			t.Fatal("empty Dev-LSM reported a key range")
-		}
-		d.Put(r, memtable.KindPut, key(50), value(1))
-		d.Flush(r)
-		d.Put(r, memtable.KindPut, key(10), value(1))
-		d.Put(r, memtable.KindPut, key(90), value(1))
-		s, l, ok := d.KeyRange()
-		if !ok || !bytes.Equal(s, key(10)) || !bytes.Equal(l, key(90)) {
-			t.Fatalf("range = %q..%q ok=%v", s, l, ok)
-		}
-	})
-}
-
 func TestResetClearsEverything(t *testing.T) {
 	d := newDev(DefaultConfig())
 	runSim(t, func(r *vclock.Runner) {
@@ -217,7 +200,7 @@ func TestResetClearsEverything(t *testing.T) {
 			d.Put(r, memtable.KindPut, key(i), value(i))
 		}
 		d.Flush(r)
-		d.Reset()
+		d.Reset(r)
 		if !d.Empty() || d.Bytes() != 0 {
 			t.Fatal("reset left data behind")
 		}

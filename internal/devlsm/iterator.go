@@ -94,9 +94,11 @@ type Iterator struct {
 	cursors []*runIter
 }
 
-// NewIterator snapshots the current memtable and runs. Page loads charge
-// NAND reads as the cursor crosses them.
+// NewIterator waits for the flush in flight, if any, then snapshots the
+// active buffer and the runs. Page loads charge NAND reads as the cursor
+// crosses them.
 func (d *DevLSM) NewIterator(r *vclock.Runner) *Iterator {
+	d.waitFlush(r)
 	mem := d.mem
 	runs := append([]*run(nil), d.runs...)
 	d.stats.Scans++
@@ -137,26 +139,29 @@ func (it *Iterator) Valid() bool { return it.merged.Valid() }
 // Entry returns the newest version of the current user key.
 func (it *Iterator) Entry() memtable.Entry { return it.merged.Entry() }
 
-// ScanChunk is one serialized slab of a bulky range scan: up to the DMA
-// chunk budget of encoded records (§V-E step 5-6: 512 KB DMA units).
+// ScanChunk is one slab of a bulky range scan: records of up to the DMA
+// chunk budget of encoded bytes (§V-E step 5-6: 512 KB DMA units). Its
+// entries are views of the Dev-LSM's write buffers and runs, whose bytes
+// are never written again once built: they must not be modified, and
+// they stay valid, and equal, after later puts and after Reset.
 type ScanChunk struct {
 	Entries []memtable.Entry
 	Bytes   int
 }
 
 // BulkScan runs the iterator-based bulky range scan the rollback uses:
-// it bulk-reads every run page up front (the fast path the paper builds
-// in hardware), merges on the controller core, and emits chunks of at
-// most chunkSize encoded bytes via emit.
+// it waits for the flush in flight, if any, bulk-reads every run page up
+// front (the fast path the paper builds in hardware), merges on the
+// controller core, and emits chunks of at most chunkSize encoded bytes
+// via emit.
 func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk)) {
-	mem := d.mem
-	runs := append([]*run(nil), d.runs...)
+	d.waitFlush(r)
+	mem, runs := d.mem, d.runs
 	d.stats.Scans++
 
 	// Step 4-5: read the entire Dev-LSM's pages with full die parallelism.
-	// left bounds the key and value bytes the scan has still to copy: the
-	// runs' records and the memtable's footprint count every version and
-	// more.
+	// left bounds the encoded bytes the scan has still to emit: the runs'
+	// records and the memtable's footprint count every version and more.
 	var lpns []int
 	left := int(mem.ApproximateSize())
 	for _, ru := range runs {
@@ -174,38 +179,22 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 	}
 	merged := &dedupIter{in: iterkit.NewMerge(children)}
 
-	// A chunk's keys and values are copied into one buffer, opened with
-	// the chunk at chunkSize bytes or, if less, the scan's bytes left, so
-	// the last chunk holds no more than it needs; its entry slice is sized
-	// to match by the mean record scanned so far. The buffer falls short
-	// only for the record that closes the chunk, or for puts that landed
-	// since the scan began; each further buffer is twice the last, at most
-	// what the chunk can still take.
+	// A chunk's entries are the merge's own views (see ScanChunk), so the
+	// scan copies no key or value. Each chunk's entry slice is sized by
+	// the mean record scanned so far, for chunkSize bytes or, if less, the
+	// scan's bytes left, so the last chunk holds no more than it needs.
 	var chunk ScanChunk
-	var buf []byte
 	cpuPending, scanned, scannedBytes := 0, 0, 0
 	for merged.SeekToFirst(); merged.Valid(); merged.Next() {
 		e := merged.Entry()
-		n := len(e.Key) + len(e.Value)
-		sz := n + 9
+		sz := len(e.Key) + len(e.Value) + 9
 		scanned, scannedBytes = scanned+1, scannedBytes+sz
 		if chunk.Entries == nil {
-			want := min(chunkSize, max(left, 0))
+			want := min(chunkSize, max(left, sz))
 			chunk.Entries = make([]memtable.Entry, 0, want*scanned/scannedBytes+1)
-			buf = make([]byte, 0, want)
 		}
-		if cap(buf)-len(buf) < n {
-			buf = make([]byte, 0, max(n, min(2*cap(buf), chunkSize-chunk.Bytes)))
-		}
-		left -= n
-		k, v := len(buf), len(buf)+len(e.Key)
-		buf = append(append(buf, e.Key...), e.Value...)
-		chunk.Entries = append(chunk.Entries, memtable.Entry{
-			Key:   buf[k:v:v],
-			Value: buf[v:len(buf):len(buf)],
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		})
+		left -= sz
+		chunk.Entries = append(chunk.Entries, e)
 		chunk.Bytes += sz
 		cpuPending += sz
 		if cpuPending >= 64<<10 {
@@ -221,37 +210,4 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 	if len(chunk.Entries) > 0 {
 		emit(chunk)
 	}
-}
-
-// KeyRange returns the smallest and largest buffered user keys (step 3 of
-// the rollback: "identify the range of the entire Dev-LSM"). ok is false
-// when empty.
-func (d *DevLSM) KeyRange() (smallest, largest []byte, ok bool) {
-	update := func(s, l []byte) {
-		if !ok {
-			smallest, largest, ok = s, l, true
-			return
-		}
-		if bytes.Compare(s, smallest) < 0 {
-			smallest = s
-		}
-		if bytes.Compare(l, largest) > 0 {
-			largest = l
-		}
-	}
-	if d.mem.Count() > 0 {
-		mit := d.mem.NewIterator()
-		mit.SeekToFirst()
-		first := append([]byte(nil), mit.Entry().Key...)
-		// Largest key requires a full walk of the memtable; it is small.
-		last := first
-		for ; mit.Valid(); mit.Next() {
-			last = mit.Entry().Key
-		}
-		update(first, append([]byte(nil), last...))
-	}
-	for _, ru := range d.runs {
-		update(ru.smallest, ru.largest)
-	}
-	return smallest, largest, ok
 }

@@ -156,6 +156,10 @@ func (f *FTL) RegionPages(rg Region) int { return len(f.regions[rg].mapping) }
 // PageSize returns the underlying NAND page size.
 func (f *FTL) PageSize() int { return f.geo.PageSize }
 
+// Dies returns the NAND array's die count: a batch of that many pages
+// programs in one page time on an idle array.
+func (f *FTL) Dies() int { return f.geo.Dies() }
+
 // Stats returns a snapshot of the cumulative counters.
 func (f *FTL) Stats() Stats {
 	return f.stats
@@ -275,6 +279,42 @@ func (f *FTL) WriteMany(r *vclock.Runner, rg Region, lpns []int) error {
 	return err
 }
 
+// Programs is a batch of page programs StartWrite set going, for Finish
+// to wait for. The zero value is an empty batch.
+type Programs struct {
+	job    *fanout
+	needGC bool
+}
+
+// StartWrite maps a batch of logical pages of region rg and sets their
+// NAND programs going, fanned out across dies as WriteMany's are, without
+// waiting for them: r goes on, and Finish parks it until they are done.
+// The fan-out's workers are kernel tasks, so a batch in flight holds no
+// goroutine. lpns is not kept.
+func (f *FTL) StartWrite(r *vclock.Runner, rg Region, lpns []int) Programs {
+	if len(lpns) == 0 {
+		return Programs{}
+	}
+	job, needGC := f.allocPages(rg, lpns)
+	f.spawn(r.Clock(), job)
+	return Programs{job: job, needGC: needGC}
+}
+
+// Finish parks r until p's programs are done, runs GC inline if their
+// allocations left the free pool low, as WriteMany does, and returns the
+// first program fault (every page is still programmed).
+func (f *FTL) Finish(r *vclock.Runner, p Programs) error {
+	if p.job == nil {
+		return nil
+	}
+	p.job.wg.Wait(r)
+	err := f.recycle(p.job)
+	if p.needGC {
+		f.collect(r)
+	}
+	return err
+}
+
 // allocPages maps a batch of logical pages onto the write frontier and
 // returns the fan-out over their physical pages.
 func (f *FTL) allocPages(rg Region, lpns []int) (job *fanout, needGC bool) {
@@ -386,24 +426,37 @@ func (f *FTL) takeFanout() *fanout {
 // attempted, so the batch's time model stays intact under faults). It
 // consumes job.
 func (f *FTL) run(r *vclock.Runner, job *fanout) error {
+	if min(f.cfg.MaxFanout, len(job.ppns)) == 1 {
+		job.workers = append(job.workers, fanoutWorker{job: job})
+		fw := &job.workers[0]
+		fw.start()
+		for !fw.next(r) {
+			r.Park()
+		}
+	} else {
+		f.spawn(r.Clock(), job)
+		job.wg.Wait(r)
+	}
+	return f.recycle(job)
+}
+
+// spawn sets up job's workers, at most MaxFanout, and starts each as a
+// kernel task; job.wg counts them down.
+func (f *FTL) spawn(clk *vclock.Clock, job *fanout) {
 	workers := min(f.cfg.MaxFanout, len(job.ppns))
 	for w := 0; w < workers; w++ {
 		job.workers = append(job.workers, fanoutWorker{job: job, page: w})
 		job.workers[w].start()
 	}
-	if workers == 1 {
-		fw := &job.workers[0]
-		for !fw.next(r) {
-			r.Park()
-		}
-	} else {
-		job.wg.Add(workers)
-		clk := r.Clock()
-		for w := range job.workers {
-			clk.GoTask("ftl.fanout", stepFanout, &job.workers[w])
-		}
-		job.wg.Wait(r)
+	job.wg.Add(workers)
+	for w := range job.workers {
+		clk.GoTask("ftl.fanout", stepFanout, &job.workers[w])
 	}
+}
+
+// recycle returns the first error job's workers hit and keeps job for a
+// later request.
+func (f *FTL) recycle(job *fanout) error {
 	err := job.first
 	job.ppns, job.from, job.workers, job.read, job.first = job.ppns[:0], job.from[:0], job.workers[:0], false, nil
 	f.fanouts = append(f.fanouts, job)

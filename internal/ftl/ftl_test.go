@@ -309,3 +309,46 @@ func TestWriteAmplificationIdle(t *testing.T) {
 		t.Fatal("idle WAF should be 1")
 	}
 }
+
+// TestStartWriteOverlapsTheCaller: StartWrite returns at once with the
+// programs in flight, the caller's own work overlaps them, and Finish
+// returns when they are done — at the instant WriteMany of the same pages
+// would have — with every page mapped and the first fault reported.
+func TestStartWriteOverlapsTheCaller(t *testing.T) {
+	lpns := []int{0, 1, 2, 3, 4, 5, 6, 7} // two programs per die: 200µs
+	writeMany := func() vclock.Time {
+		c := vclock.New()
+		f := New(testArray(), testCfg())
+		c.Go("io", func(r *vclock.Runner) { f.WriteMany(r, KVRegion, lpns) })
+		c.Wait()
+		return c.Now()
+	}()
+	c := vclock.New()
+	arr := testArray()
+	plan := faults.NewPlan(1)
+	plan.AddRule(faults.Rule{Op: "NAND_PROG", Class: faults.MediaError, Every: 3, Count: 1})
+	arr.SetFaultPlan(plan)
+	f := New(arr, testCfg())
+	c.Go("io", func(r *vclock.Runner) {
+		p := f.StartWrite(r, KVRegion, lpns)
+		if r.Now() != 0 {
+			t.Errorf("StartWrite returned at %v, want at once", r.Now())
+		}
+		r.Sleep(50 * time.Microsecond) // the caller's own work
+		if err := f.Finish(r, p); err == nil {
+			t.Error("Finish reported no fault; the plan failed the third program")
+		}
+		if r.Now() != writeMany {
+			t.Errorf("Finish returned at %v, WriteMany of the same pages at %v", r.Now(), writeMany)
+		}
+		for _, lpn := range lpns {
+			if err := f.Read(r, KVRegion, lpn); err != nil {
+				t.Errorf("page %d after Finish: %v", lpn, err)
+			}
+		}
+		if err := f.Finish(r, Programs{}); err != nil {
+			t.Errorf("Finish of the empty batch: %v", err)
+		}
+	})
+	c.Wait()
+}

@@ -6,6 +6,7 @@ import (
 
 	"kvaccel"
 	"kvaccel/internal/core"
+	"kvaccel/internal/devlsm"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/metrics"
 	"kvaccel/internal/nvme"
@@ -68,6 +69,9 @@ type RunResult struct {
 	Injected int64
 	// Queues snapshots every NVMe queue pair at the end of the run.
 	Queues []nvme.QueueStats
+	// DevStats is the Dev-LSM counters summed across the shards' KV
+	// slices; zero when nothing was redirected.
+	DevStats devlsm.Stats
 	// Kernel is the virtual clock's event counts for the whole run: what
 	// the simulation cost the host, in parks, wakes and runners started.
 	Kernel vclock.Stats
@@ -321,6 +325,9 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 		res.Levels = m.Main.LevelsString()
 	}
 	res.Queues = m.Dev.QueueStats()
+	for _, s := range m.Shards {
+		res.DevStats = res.DevStats.Add(s.KV.DevLSM().Stats())
+	}
 	if m.db != nil {
 		st := m.db.Stats()
 		res.KVStats = st.KVAccel

@@ -33,9 +33,9 @@
 //	1 µs, PCIe latency 2 µs                  NAND page (8 ms at scale 10)
 //	block/KV regions 6/2 GiB         no      capacity: a run writes 1/s² of the paper's
 //	                                         data, so FTL GC pressure is lower
-//	Dev-LSM memtable 4 MiB, 8 runs   no      the board's DRAM: it fills s times more slowly,
-//	                                         so Dev-LSM flushes are rarer; the run limit
-//	                                         acts only with device compaction, off here
+//	Dev-LSM write buffers 2 × 4 MiB, no      the board's DRAM: a buffer fills s times more
+//	8 runs                                   slowly, so Dev-LSM flushes are rarer; the run
+//	                                         limit acts only with device compaction, off here
 //
 // No test yet compares claims across scales: the unscaled rows are where
 // to look first if a ratio moves with s.

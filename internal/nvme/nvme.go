@@ -103,10 +103,11 @@ func (c Config) validate() {
 
 // Dispatcher is the device-side command processor: it arbitrates across
 // every registered queue pair (weighted round-robin) and executes
-// commands on up to Slots concurrent worker runners. The dispatcher
-// runner is transient — it is spawned when a command arrives at an idle
-// device and exits when all submission queues drain — so an idle device
-// holds no parked runner and the simulation can drain naturally.
+// commands on up to Slots concurrent worker runners. The dispatcher is a
+// transient kernel task — started when a command arrives at an idle
+// device, over when all submission queues drain — so an idle device holds
+// no parked runner and the simulation can drain naturally, and a submit
+// to an idle device hands the baton to no goroutine.
 type Dispatcher struct {
 	clk   *vclock.Clock
 	cfg   Config
@@ -239,40 +240,42 @@ func (d *Dispatcher) NewQueuePair(name string, weight int) *QueuePair {
 	return q
 }
 
-// ensureRunning spawns the dispatcher runner if it is not active, so a
+// ensureRunning starts the dispatcher task if it is not active, so a
 // command just appended is either seen by the live dispatcher's next pick
-// or serviced by the runner spawned now.
+// or serviced by the task started now.
 func (d *Dispatcher) ensureRunning() {
 	if d.running {
 		return
 	}
 	d.running = true
-	d.clk.GoWith("nvme.dispatcher", runDispatcher, d)
+	d.clk.GoTask("nvme.dispatcher", stepDispatcher, d)
 }
 
-// runDispatcher and runCommand are the bodies of the dispatcher's runners,
-// started with vclock.GoWith: neither a dispatcher start nor a command
-// costs a closure.
-func runDispatcher(r *vclock.Runner, d any) { d.(*Dispatcher).run(r) }
-
+// runCommand is the body of a command's worker runner, started with
+// vclock.GoWith: a command costs no closure.
 func runCommand(w *vclock.Runner, cmd any) {
 	c := cmd.(*Command)
 	c.qp.d.exec(w, c)
 }
 
-func (d *Dispatcher) run(r *vclock.Runner) {
+// stepDispatcher is the dispatcher's step (a kernel task): it hands each
+// command to a worker of its own until the queues are empty, parking only
+// to wait for a firmware slot. The task ends when a pick finds nothing.
+func stepDispatcher(r *vclock.Runner, arg any) (done bool) {
+	d := arg.(*Dispatcher)
 	for {
 		// Take a firmware slot first so the pick sees the freshest queue
 		// state; commands posted while we waited are eligible.
-		d.slots.Acquire(r, 1)
+		if !d.slots.AcquireStep(r, 1) {
+			return false
+		}
 		cmd := d.pick()
 		if cmd == nil {
 			d.running = false
 			d.slots.Release(1)
-			return
+			return true
 		}
-		name := d.workerName(cmd.Op)
-		d.clk.GoWith(name, runCommand, cmd)
+		d.clk.GoWith(d.workerName(cmd.Op), runCommand, cmd)
 	}
 }
 

@@ -140,7 +140,7 @@ func (c *kvCmd) run(w *vclock.Runner) error {
 		dev.Link.Transfer(w, pcie.DeviceToHost, ret)
 	case kvReset:
 		dev.receive(w, c.Bytes)
-		s.lsm.Reset()
+		s.lsm.Reset(w)
 	case kvScan:
 		dev.receive(w, c.Bytes)
 		s.lsm.BulkScan(w, dev.cfg.DMAChunkSize, func(ch devlsm.ScanChunk) {

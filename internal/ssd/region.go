@@ -33,8 +33,8 @@ func (d *Device) KVRegionFull() *KVRegion { return d.full }
 
 // KVRegionSlices partitions the KV region into n near-equal page slices,
 // each backed by its own Dev-LSM instance and its own queue pair. The
-// device DRAM budgets — the write buffer (DevLSM.MemtableBytes) and the
-// read cache (DevLSM.ReadCacheBytes) — are split evenly so total
+// device DRAM budgets — the two write buffers (DevLSM.MemtableBytes each)
+// and the read cache (DevLSM.ReadCacheBytes) — are split evenly so total
 // controller memory matches the unsharded configuration.
 // The slices share the single ARM core and NAND dies, preserving the
 // paper's device-resource model; callers must not mix slice views with

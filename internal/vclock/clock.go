@@ -45,11 +45,12 @@
 // registers, parks and is woken like any runner, and when the run-order
 // rule gives it its turn, the kernel calls its step on the goroutine that
 // is passing the baton on. The step runs until it parks, in a stepped
-// primitive that does not block (Runner.SleepStep, Resource.UseStep), and
-// returns false right after; or it returns true, and the task is over.
-// The kernel then goes on picking as the task's park, or its return,
-// would have — with the task as the runner whose timer may let it keep
-// the baton, in which case it is stepped again on the spot. So a task is
+// primitive that does not block (Runner.SleepStep, Semaphore.AcquireStep,
+// Resource.UseStep), and returns false right after; or it returns true,
+// and the task is over. The kernel then goes on picking as the task's
+// park, or its return, would have — with the task as the runner whose
+// timer may let it keep the baton, in which case it is stepped again on
+// the spot. So a task is
 // a runner whose goroutine switches are saved: the runs, the virtual times
 // and every count but Stats.Handoffs, Spawns and Reuses are those of a
 // goroutine running
@@ -169,7 +170,7 @@ type Stats struct {
 	// only at a Runner's first call, so Spawns bounds the goroutines too.
 	Spawns uint64
 	Reuses uint64
-	// SemWaits counts Semaphore.Acquire calls that found too few units and
+	// SemWaits counts Semaphore admissions that found too few units and
 	// had to park; SemParks counts the parks they took, so SemParks/SemWaits
 	// is what one contended admission costs (1 with no lost race).
 	SemWaits uint64
@@ -217,9 +218,9 @@ type Runner struct {
 	label      string
 	next, prev *Runner
 	// sem is the runner's place in the waiter list of the Semaphore it is
-	// acquiring, and use how far its Resource.UseStep has got.
-	sem semWait
-	use useStage
+	// acquiring, and held says its Resource.UseStep holds a unit.
+	sem  semWait
+	held bool
 	// until, untilArg and untilOn describe a Cond.WaitUntil park: the
 	// predicate pick checks when the runner's turn comes, and the Cond it
 	// re-parks on while the predicate is false. Nil outside such a park.
@@ -279,9 +280,10 @@ func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
 // calling step(r, arg) on whichever goroutine is passing the baton on (the
 // task rule, see the package comment). A step may do what any runner's
 // code between two parks may, and it may park r in a stepped primitive
-// (Runner.SleepStep, Resource.UseStep, or one built on them), or ask for
-// a blocking call (Runner.Call); it must return false right after that
-// park or call, and must never block or park any other way. It returns
+// (Runner.SleepStep, Semaphore.AcquireStep, Resource.UseStep, or one
+// built on them), or ask for a blocking call (Runner.Call); it must
+// return false right after that park or call, and must never block or
+// park any other way. It returns
 // true when the task is over, and r then serves a later Go or GoTask:
 // step must not keep it. Like GoWith, starting a task allocates nothing
 // once a runner has returned.

@@ -198,7 +198,7 @@ type Semaphore struct {
 	cap   int
 	label string
 
-	waiters Ring[*Runner] // parked in Acquire, in order of semWait.ticket
+	waiters Ring[*Runner] // parked in AcquireStep, in order of semWait.ticket
 	wide    int           // waiters, parked or woken, that want more than one unit
 	// oldestAwake counts waiters woken as the longest-waiting that have yet
 	// to run: the free units are theirs to take or pass on, and whoever
@@ -222,6 +222,7 @@ type semWait struct {
 	// list. Release writes it with every wake, so it never outlives the
 	// wake it describes.
 	oldest bool
+	queued bool // the runner is in an AcquireStep that has parked
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
@@ -244,24 +245,32 @@ func (s *Semaphore) Cap() int { return s.cap }
 // parks ahead of everyone who is in this one. Everybody else goes to the
 // back.
 func (s *Semaphore) Acquire(r *Runner, n int) {
-	if s.TryAcquire(n) {
-		return
-	}
-	s.enqueue(r, n)
-	for r.Park(); !s.woken(r, n); r.Park() {
-		s.wait(r)
+	for !s.AcquireStep(r, n) {
+		r.Park()
 	}
 }
 
-// enqueue starts a contended admission: r, wanting n units, waits for
-// the first time.
-func (s *Semaphore) enqueue(r *Runner, n int) {
-	if n > 1 {
-		s.wide++
+// AcquireStep is Acquire as a stepped primitive (see Clock.GoTask): it
+// takes the n units and reports true if they are free, and otherwise parks
+// r without blocking and reports false. The caller hands the baton on (a
+// task's step returns; Acquire calls Park) and calls again with the same n
+// when r's turn comes.
+func (s *Semaphore) AcquireStep(r *Runner, n int) (done bool) {
+	if !r.sem.queued {
+		if s.TryAcquire(n) {
+			return true
+		}
+		if n > 1 {
+			s.wide++
+		}
+		r.clock.stats.SemWaits++
+		r.sem.oldest, r.sem.queued = false, true
+	} else if s.woken(r, n) {
+		r.sem.queued = false
+		return true
 	}
-	r.clock.stats.SemWaits++
-	r.sem.oldest = false
 	s.wait(r)
+	return false
 }
 
 // wait parks r, without blocking, at its place in the waiter list (see
@@ -471,15 +480,6 @@ func (res *Resource) Use(r *Runner, d Duration) {
 	}
 }
 
-// useStage is how far a runner's Resource.UseStep has got.
-type useStage uint8
-
-const (
-	useIdle   useStage = iota // not using a resource
-	useQueued                 // waiting to be admitted
-	useHeld                   // holding a unit for its duration
-)
-
 // UseStep is Use as a stepped primitive (see Clock.GoTask): it takes r's
 // use of one unit for d as far as it goes without blocking, and reports
 // whether the use is over. Until it is, r is parked — waiting for a unit,
@@ -490,27 +490,17 @@ func (res *Resource) UseStep(r *Runner, d Duration) (done bool) {
 	if d <= 0 {
 		return true
 	}
-	s := res.sem
-	switch r.use {
-	case useIdle:
-		if !s.TryAcquire(1) {
-			s.enqueue(r, 1)
-			r.use = useQueued
-			return false
-		}
-	case useQueued:
-		if !s.woken(r, 1) {
-			s.wait(r)
-			return false
-		}
-	case useHeld:
-		r.use = useIdle
-		s.Release(1)
+	if r.held {
+		r.held = false
+		res.sem.Release(1)
 		res.busyNS += int64(d)
 		return true
 	}
+	if !res.sem.AcquireStep(r, 1) {
+		return false
+	}
 	// Park r for d: SleepStep's body, by hand, as in sleepUntil.
-	r.use = useHeld
+	r.held = true
 	c := r.clock
 	c.seq++
 	c.timers.push(timer{at: c.now.Add(d), seq: c.seq, r: r})

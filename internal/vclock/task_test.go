@@ -199,3 +199,117 @@ func TestTaskKeepsTheBaton(t *testing.T) {
 		}
 	}
 }
+
+// acquireUser is one user of an acquireRun as a task: Acquire(n), hold,
+// Release(n), think, over the Acquire rows of its admission script.
+type acquireUser struct {
+	sem   *Semaphore
+	i     int
+	ops   []admOp
+	log   *[]admEntry
+	pc    int
+	stage int // 0: not started; 1: acquiring; 2: holding; 3: thinking
+}
+
+// stepAcquireUser is the user as a task: the goroutine body in acquireRun,
+// cut at its parks.
+func stepAcquireUser(r *Runner, arg any) (done bool) {
+	u := arg.(*acquireUser)
+	for {
+		switch u.stage {
+		case 0:
+			u.stage = 1
+			r.SleepStep(Duration(1+u.i) * 37 * time.Nanosecond)
+			return false
+		case 1:
+			if u.pc == len(u.ops) {
+				return true
+			}
+			op := u.ops[u.pc]
+			if !u.sem.AcquireStep(r, op.n) {
+				return false
+			}
+			*u.log = append(*u.log, admEntry{now: r.Now(), runner: u.i, op: u.pc, ok: true})
+			u.stage = 2
+			r.SleepStep(op.hold)
+			return false
+		case 2:
+			op := u.ops[u.pc]
+			u.sem.Release(op.n)
+			u.stage = 3
+			r.SleepStep(op.think)
+			return false
+		default:
+			u.pc++
+			u.stage = 1
+		}
+	}
+}
+
+// acquireRun plays the Acquire rows of scripts — one unit, and several, so
+// Release's wake-everyone path is played too — over one semaphore, every
+// second user a task calling AcquireStep if tasks is set, and returns the
+// admissions, the instant the clock drained at and its counts.
+func acquireRun(t *testing.T, capacity int, scripts [][]admOp, tasks bool) ([]admEntry, Time, Stats) {
+	c := New()
+	deadlocked := trapDeadlock(c)
+	sem := NewSemaphore(capacity, "sem")
+	var log []admEntry
+	for i, script := range scripts {
+		var ops []admOp
+		for _, op := range script {
+			if op.kind == admAcquire || op.kind == admAcquireN {
+				ops = append(ops, op)
+			}
+		}
+		if tasks && i%2 == 1 {
+			c.GoTask(fmt.Sprintf("r%d", i), stepAcquireUser, &acquireUser{sem: sem, i: i, ops: ops, log: &log})
+			continue
+		}
+		c.Go(fmt.Sprintf("r%d", i), func(r *Runner) {
+			r.Sleep(Duration(1+i) * 37 * time.Nanosecond)
+			for pc, op := range ops {
+				sem.Acquire(r, op.n)
+				log = append(log, admEntry{now: r.Now(), runner: i, op: pc, ok: true})
+				r.Sleep(op.hold)
+				sem.Release(op.n)
+				r.Sleep(op.think)
+			}
+		})
+	}
+	join(t, c, deadlocked, fmt.Sprintf("capacity %d: a user was never admitted", capacity))
+	return log, c.Now(), c.Stats()
+}
+
+// TestAcquireStepMatchesAcquire: tasks contending through AcquireStep are
+// admitted in the order, and at the instants, of runners blocking in
+// Acquire, with the same end instant and every kernel count but
+// Handoffs, Spawns and Reuses.
+func TestAcquireStepMatchesAcquire(t *testing.T) {
+	var waits uint64
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, capacity := range []int{1, 2, 8} {
+			scripts := admScripts(seed, capacity)
+			want, wantEnd, runners := acquireRun(t, capacity, scripts, false)
+			got, gotEnd, mixed := acquireRun(t, capacity, scripts, true)
+			if diff := admDiff(got, want); diff != "" {
+				t.Fatalf("seed %d capacity %d, half the users tasks: %s", seed, capacity, diff)
+			}
+			if gotEnd != wantEnd {
+				t.Fatalf("seed %d capacity %d: drained at %v with tasks, %v without", seed, capacity, gotEnd, wantEnd)
+			}
+			a, b := runners, mixed
+			a.Handoffs, a.Spawns, a.Reuses, b.Handoffs, b.Spawns, b.Reuses = 0, 0, 0, 0, 0, 0
+			if a != b {
+				t.Fatalf("seed %d capacity %d: stats %+v with tasks, %+v without", seed, capacity, b, a)
+			}
+			if mixed.Handoffs >= runners.Handoffs {
+				t.Fatalf("seed %d capacity %d: %d hand-offs with tasks, not fewer than the %d without", seed, capacity, mixed.Handoffs, runners.Handoffs)
+			}
+			waits += mixed.SemWaits
+		}
+	}
+	if waits == 0 {
+		t.Error("no contended admission: the test does not reach the admission rules")
+	}
+}
