@@ -77,10 +77,3 @@ func main() {
 		os.Exit(2)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		readPct   = fs.Float64("read-pct", 0, "read fraction: overrides the mixed-workload preset; for readwhilewriting >= 0.15 picks the 8:2 mix, else 9:1")
 		zipfT     = fs.Float64("zipf-theta", 0, "zipfian skew override for mixed workloads (0 = YCSB default 0.99)")
 		frontMB   = fs.Int("front-cache-mb", -1, "hot-key front cache budget in MB (kvaccel engines; -1 = 32 for mixed workloads, else off)")
-		noBlock   = fs.Bool("no-block-cache", false, "disable the Main-LSM block cache (cold-cache baseline)")
 		tracePath = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's virtual timeline to this file")
 		traceSum  = fs.Bool("trace-summary", false, "print per-phase virtual-time attribution and the stall-window report")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the simulator itself (host real time, not virtual time) to this file")
@@ -106,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.ValueThreshold = *vthresh
 	p.ReadPct = *readPct
 	p.ZipfTheta = *zipfT
-	p.DisableBlockCache = *noBlock
 	tracing := *tracePath != "" || *traceSum
 	if tracing {
 		p.Trace = trace.New(traceDepth)

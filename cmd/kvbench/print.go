@@ -89,11 +89,6 @@ func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
 		fmt.Fprintf(w, "bloom       : consults=%d negatives=%d false-pos=%d\n",
 			m.BloomConsults, m.BloomNegatives, m.BloomFalsePositives)
 	}
-	if m.BlockCacheHits+m.BlockCacheMisses > 0 {
-		fmt.Fprintf(w, "block-cache : %.1f%% hit (%d/%d), evictions=%d\n",
-			m.BlockCacheHitRate()*100, m.BlockCacheHits,
-			m.BlockCacheHits+m.BlockCacheMisses, m.BlockCacheEvictions)
-	}
 	if m.VLogDerefs > 0 {
 		fmt.Fprintf(w, "vlog-reads  : derefs=%d\n", m.VLogDerefs)
 	}

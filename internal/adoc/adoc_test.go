@@ -46,7 +46,6 @@ func newEnv(perPage time.Duration) (*vclock.Clock, *lsm.DB) {
 	opt.L0StopTrigger = 8
 	opt.PendingCompactionSlowdownBytes = 64 << 20
 	opt.PendingCompactionStopBytes = 256 << 20
-	opt.BlockCacheBytes = 64 << 20
 	opt.WALChunkSize = 64 << 10
 	opt.WALQueueDepth = 32
 	opt.Cost.MergeCPUPerKB = 4 * time.Microsecond

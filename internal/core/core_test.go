@@ -48,7 +48,6 @@ func testLSMOptions() lsm.Options {
 	opt.PendingCompactionStopBytes = 256 << 20
 	opt.BaseLevelBytes = 64 << 20
 	opt.MaxFileSize = 8 << 20
-	opt.BlockCacheBytes = 64 << 20
 	opt.WALChunkSize = 64 << 10
 	opt.WALQueueDepth = 32
 	opt.Cost.MergeCPUPerKB = 4 * time.Microsecond
@@ -66,7 +65,6 @@ func newStack(opt Options, tune func(*lsm.Options)) (*vclock.Clock, *DB) {
 	lopt.L0CompactionTrigger = 2
 	lopt.L0SlowdownTrigger = 4
 	lopt.L0StopTrigger = 8
-	lopt.BlockCacheBytes = 4 << 20
 	if tune != nil {
 		tune(&lopt)
 	}

@@ -23,7 +23,6 @@ package devlsm
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"time"
 
@@ -47,13 +46,6 @@ type Config struct {
 	// CompactionEnabled turns the in-device merge on. The paper disables
 	// Dev-LSM compaction for the write-only workload A (§VI-C).
 	CompactionEnabled bool
-
-	// ReadCacheBytes sizes an optional controller-DRAM read cache in
-	// front of NAND page reads. The paper's prototype has none — that is
-	// exactly why its range queries trail Main-LSM's (Table V) — and
-	// names adding one as the fix; 0 reproduces the paper, >0 implements
-	// the extension (see TestReadCacheSkipsRepeatNANDReads).
-	ReadCacheBytes int64
 
 	// ARM CPU costs per operation on the controller core.
 	PutCPU       time.Duration
@@ -157,11 +149,6 @@ type DevLSM struct {
 	entries  int64
 	bytes    int64
 	stats    Stats
-
-	// Optional read cache over KV-region pages (Config.ReadCacheBytes).
-	cacheCap int // pages; 0 disables
-	cached   map[int]*list.Element
-	cacheLRU *list.List
 }
 
 // New builds a Dev-LSM over the FTL's whole KV region, running on the
@@ -192,23 +179,12 @@ func NewRegion(f *ftl.FTL, arm *cpu.Pool, cfg Config, offsetPages, pages int) *D
 	}
 	d := &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(cfg.MemtableBytes), flushed: vclock.NewCond("devlsm.flushed"),
 		lpnOff: offsetPages, lpnCount: pages}
-	if cfg.ReadCacheBytes > 0 {
-		d.cacheCap = int(cfg.ReadCacheBytes / int64(f.PageSize()))
-		if d.cacheCap < 1 {
-			d.cacheCap = 1
-		}
-		d.cached = make(map[int]*list.Element)
-		d.cacheLRU = list.New()
-	}
 	d.freeLPNs = make([]int, pages)
 	for i := range d.freeLPNs {
 		d.freeLPNs[i] = offsetPages + pages - 1 - i
 	}
 	return d
 }
-
-// CachePages returns the read cache's capacity in pages; 0 means no cache.
-func (d *DevLSM) CachePages() int { return d.cacheCap }
 
 // Region returns the slice of KV-region pages this instance owns.
 func (d *DevLSM) Region() (offsetPages, pages int) { return d.lpnOff, d.lpnCount }
@@ -322,7 +298,7 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 				break
 			}
 			pm := &ru.pages[pi]
-			if rerr := d.readPages(r, pm.lpns); rerr != nil {
+			if rerr := d.f.ReadMany(r, ftl.KVRegion, pm.lpns); rerr != nil {
 				return nil, 0, false, rerr
 			}
 			// Scan the page payload; records within a key are newest-first.
@@ -342,29 +318,6 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 		}
 	}
 	return nil, 0, false, nil
-}
-
-// readPages spends NAND time for the given pages, short-circuiting hits
-// in the optional controller read cache.
-func (d *DevLSM) readPages(r *vclock.Runner, lpns []int) error {
-	if d.cacheCap == 0 {
-		return d.f.ReadMany(r, ftl.KVRegion, lpns)
-	}
-	var misses []int
-	for _, lpn := range lpns {
-		if el, ok := d.cached[lpn]; ok {
-			d.cacheLRU.MoveToFront(el)
-			continue
-		}
-		misses = append(misses, lpn)
-		d.cached[lpn] = d.cacheLRU.PushFront(lpn)
-	}
-	for len(d.cached) > d.cacheCap {
-		back := d.cacheLRU.Back()
-		delete(d.cached, back.Value.(int))
-		d.cacheLRU.Remove(back)
-	}
-	return d.f.ReadMany(r, ftl.KVRegion, misses)
 }
 
 // pageFor returns the page where a forward scan for key must start: the
@@ -649,10 +602,6 @@ func (d *DevLSM) Reset(r *vclock.Runner) {
 	d.runs = nil
 	d.entries = 0
 	d.bytes = 0
-	if d.cacheCap > 0 {
-		d.cached = make(map[int]*list.Element)
-		d.cacheLRU = list.New()
-	}
 	d.stats.Resets++
 	d.freeLPNs = d.freeLPNs[:0]
 	for i := d.lpnOff + d.lpnCount - 1; i >= d.lpnOff; i-- {

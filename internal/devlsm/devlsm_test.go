@@ -310,40 +310,6 @@ func TestVersionsStraddlingPageBoundary(t *testing.T) {
 	})
 }
 
-func TestReadCacheSkipsRepeatNANDReads(t *testing.T) {
-	mkStats := func(cacheBytes int64) int64 {
-		geo := nand.Geometry{Channels: 2, Ways: 2, BlocksPerDie: 64, PagesPerBlock: 32, PageSize: 4096}
-		timing := nand.Timing{ReadPage: 50 * time.Microsecond, ProgramPage: 400 * time.Microsecond, ChannelMBps: 200}
-		arr := nand.New(geo, timing)
-		f := ftl.New(arr, ftl.Config{BlockRegionPages: 1024, KVRegionPages: 4096, GCFreeBlockLow: 4, GCFreeBlockHigh: 8})
-		cfg := DefaultConfig()
-		cfg.ReadCacheBytes = cacheBytes
-		d := New(f, cpu.NewPool(1, "arm"), cfg)
-		clk := vclock.New()
-		clk.Go("t", func(r *vclock.Runner) {
-			for i := 0; i < 200; i++ {
-				d.Put(r, memtable.KindPut, key(i), value(i))
-			}
-			d.Flush(r)
-			for rep := 0; rep < 5; rep++ {
-				for i := 0; i < 200; i += 5 {
-					d.Get(r, key(i))
-				}
-			}
-		})
-		clk.Wait()
-		return arr.Stats().PagesRead
-	}
-	uncached := mkStats(0)
-	cached := mkStats(8 << 20)
-	if uncached == 0 {
-		t.Fatal("uncached run performed no NAND reads")
-	}
-	if cached >= uncached {
-		t.Fatalf("read cache ineffective: cached=%d uncached=%d NAND reads", cached, uncached)
-	}
-}
-
 // TestNewRegionRejectsZeroBudgets: the memtable budget and the run limit
 // are used as given, so a zero one panics with the field's name.
 func TestNewRegionRejectsZeroBudgets(t *testing.T) {

@@ -34,7 +34,7 @@ func (it *runIter) loadPage(i int) bool {
 	}
 	pm := &it.ru.pages[i]
 	if it.chargeReads {
-		_ = it.d.readPages(it.r, pm.lpns) // iterator reads: faults surface at the command layer
+		_ = it.d.f.ReadMany(it.r, ftl.KVRegion, pm.lpns) // iterator reads: faults surface at the command layer
 	}
 	it.pi = i
 	it.payload = it.ru.data[pm.off : pm.off+pm.length]

@@ -256,37 +256,53 @@ func (p Params) TableV(w io.Writer) []TableVRow {
 
 // RecoveryResult is the §VI-D measurement.
 type RecoveryResult struct {
-	Pairs   int
+	Pairs   int // pairs Recover merged into the Main-LSM
 	Elapsed time.Duration
+	Err     error // the first error of a buffering put or of Recover
 }
 
 // Recovery reproduces §VI-D: after a simulated crash loses the metadata
 // hash table, all 10,000 Dev-LSM pairs are rolled back into the Main-LSM;
 // the paper measures 1.1 s.
-func (p Params) Recovery(w io.Writer) RecoveryResult {
+func (p Params) Recovery(w io.Writer) RecoveryResult { return p.recovery(w, nil) }
+
+// recovery is Recovery; after, when set, runs on the recovered engine
+// before it closes.
+func (p Params) recovery(w io.Writer, after func(*vclock.Runner, *Engine)) RecoveryResult {
 	fmt.Fprintln(w, "== Recovery (VI-D): restore 10,000 KV pairs after metadata loss ==")
 	tb := p.NewTestbed()
 	eng := p.BuildEngine(tb, EngineSpec{Kind: KindKVAccel, Threads: 4, Rollback: core.RollbackDisabled})
 	const pairs = 10000
-	var elapsed time.Duration
+	var res RecoveryResult
 	tb.Clk.Go("recovery", func(r *vclock.Runner) {
 		defer eng.Close()
 		// Buffer 10,000 pairs in the Dev-LSM via forced redirection.
 		eng.KV.Detector().SetOverride(true)
 		val := workload.MakeValue(0, p.ValueSize)
-		for i := 0; i < pairs; i++ {
-			_ = eng.KV.Put(r, workload.Key(i), val)
+		for i := 0; i < pairs && res.Err == nil; i++ {
+			res.Err = eng.KV.Put(r, workload.Key(i), val)
 		}
 		eng.KV.Detector().SetOverride(false)
+		if res.Err != nil {
+			return
+		}
 		// Crash: volatile metadata lost; recover from NAND.
 		eng.KV.SimulateCrash()
+		before := eng.KV.Stats().RollbackPairs
 		start := r.Now()
-		eng.KV.Recover(r)
-		elapsed = r.Now().Sub(start)
+		res.Err = eng.KV.Recover(r)
+		res.Elapsed = r.Now().Sub(start)
+		res.Pairs = int(eng.KV.Stats().RollbackPairs - before)
+		if after != nil {
+			after(r, eng)
+		}
 	})
 	tb.Clk.Wait()
-	fmt.Fprintf(w, "restored %d pairs in %v (paper: 1.1 s on real hardware)\n", pairs, elapsed)
-	return RecoveryResult{Pairs: pairs, Elapsed: elapsed}
+	fmt.Fprintf(w, "restored %d pairs in %v (paper: 1.1 s on real hardware)\n", res.Pairs, res.Elapsed)
+	if res.Err != nil {
+		fmt.Fprintf(w, "error: %v\n", res.Err)
+	}
+	return res
 }
 
 // TableVIResult holds the measured software-module overheads.

@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"kvaccel/internal/core"
+	"kvaccel/internal/vclock"
+	"kvaccel/internal/workload"
 )
 
 func TestTableVIOverheadsWithinOrderOfMagnitude(t *testing.T) {
@@ -31,15 +34,48 @@ func TestTableVIOverheadsWithinOrderOfMagnitude(t *testing.T) {
 func TestRecoveryExperimentRestoresPairs(t *testing.T) {
 	p := DefaultParams()
 	var buf strings.Builder
-	res := p.Recovery(&buf)
-	if res.Pairs != 10000 {
-		t.Fatalf("pairs = %d", res.Pairs)
+	missing := -1
+	res := p.recovery(&buf, func(r *vclock.Runner, eng *Engine) {
+		missing = 0
+		want := workload.MakeValue(0, p.ValueSize)
+		for i := 0; i < 10000; i++ {
+			v, ok, err := eng.KV.Get(r, workload.Key(i))
+			if err != nil || !ok || !bytes.Equal(v, want) {
+				missing++
+			}
+		}
+	})
+	if res.Err != nil || res.Pairs != 10000 {
+		t.Fatalf("recovered %d pairs, err %v; want 10000", res.Pairs, res.Err)
+	}
+	if missing != 0 {
+		t.Fatalf("%d of 10000 keys do not read back after recovery", missing)
 	}
 	if res.Elapsed <= 0 || res.Elapsed > 30*time.Second {
 		t.Fatalf("recovery elapsed = %v, want (0, 30s]", res.Elapsed)
 	}
 	if !strings.Contains(buf.String(), "restored 10000 pairs") {
 		t.Fatalf("report missing: %q", buf.String())
+	}
+}
+
+// TestTableVRangeQueriesTrailOnKVAccel pins Table V's ordering: both
+// host-only engines serve range queries from tables whose pages sit in
+// host memory, while KVACCEL's dual iterator also reads the Dev-LSM, each
+// of whose pages costs a NAND read.
+func TestTableVRangeQueriesTrailOnKVAccel(t *testing.T) {
+	p := DefaultParams()
+	p.Duration = 3 * time.Second
+	p.KeySpace = 20_000
+	rows := p.TableV(io.Discard)
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want RocksDB, ADOC and KVAccel", len(rows))
+	}
+	rocks, adoc, kv := rows[0], rows[1], rows[2]
+	t.Logf("%s %.1f, %s %.1f, %s %.1f Kops/s", rocks.Name, rocks.Kops, adoc.Name, adoc.Kops, kv.Name, kv.Kops)
+	if !(kv.Kops > 0 && rocks.Kops > kv.Kops && adoc.Kops > kv.Kops) {
+		t.Errorf("range Kops %s %.1f, %s %.1f, %s %.1f: want both above KVAccel's, and it above 0",
+			rocks.Name, rocks.Kops, adoc.Name, adoc.Kops, kv.Name, kv.Kops)
 	}
 }
 

@@ -68,9 +68,6 @@ type Params struct {
 	// FrontCacheBytes enables KVACCEL's hot-key front cache (0 = off,
 	// matching the paper's design).
 	FrontCacheBytes int64
-	// DisableBlockCache zeroes the Main-LSM's SST block cache — the
-	// cold-cache side of the mixed-workload A/B.
-	DisableBlockCache bool
 
 	// QueueDepth overrides the NVMe per-queue submission depth; 0 keeps
 	// the device default (32). The queue-depth sweep ablation varies it.
@@ -191,9 +188,6 @@ func (p Params) scale() int { return max(p.Scale, 1) }
 // what the run varies.
 func (p Params) lsmOptions(threads int, slowdown bool) lsm.Options {
 	opt := machine.LSMOptions(p.Scale)
-	if p.DisableBlockCache {
-		opt.BlockCacheBytes = 0
-	}
 	opt.CompactionThreads = threads
 	opt.EnableSlowdown = slowdown
 	opt.GroupLingerMicros = p.LingerMicros * int64(p.scale())

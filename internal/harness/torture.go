@@ -306,7 +306,6 @@ func RunTorture(p TortureParams) TortureReport {
 			lopt.PendingCompactionStopBytes = 256 << 20
 			lopt.BaseLevelBytes = 256 << 10
 			lopt.MaxFileSize = 128 << 10
-			lopt.BlockCacheBytes = 64 << 20
 			lopt.Cost.MergeCPUPerKB = 4 * time.Microsecond
 			// Small WAL chunks keep the write-back runner busy, so a
 			// seeded cut regularly lands mid-append and leaves a torn

@@ -209,7 +209,6 @@ func TestAllocsBatchPutAfterReset(t *testing.T) {
 func getOpts() Options {
 	opt := DefaultOptions(cpu.NewPool(8, "test-cpu"))
 	opt.MemtableSize = 8 << 20
-	opt.BlockCacheBytes = 32 << 20
 	return opt
 }
 
@@ -239,9 +238,9 @@ func loadForGet(r *vclock.Runner, db *DB, flush bool) error {
 // version by one counter — no copy of the level lists, no walk over the
 // files — reads the immutables into an array on its stack and visits
 // candidate files without collecting them, and the value it returns is a
-// view — of the memtable's slab, of a cached block, of the value log's
-// segment — so with warm caches a Get allocates nothing wherever it is
-// answered.
+// view — of the memtable's slab, of a block of the table's one extent,
+// of the value log's segment — so with the page cache warm a Get
+// allocates nothing wherever it is answered.
 func TestAllocsGet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -273,7 +272,7 @@ func TestAllocsGet(t *testing.T) {
 					}
 				}
 				for i := 0; i < getKeys; i++ {
-					get(i) // every block the measured stretch reads is cached
+					get(i) // every page the measured stretch reads is resident
 				}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

@@ -179,7 +179,7 @@ func (db *DB) writeTable(r *vclock.Runner, data []byte, meta sstable.Meta, level
 	if err != nil {
 		return nil, err
 	}
-	rd, err := sstable.Open(r, &fileSource{db: db, name: name, size: len(data)}, num, db.cache)
+	rd, err := sstable.Open(r, &fileSource{db: db, name: name, size: len(data)})
 	if err != nil {
 		return nil, err
 	}
@@ -251,10 +251,10 @@ func (s *readaheadSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, err
 
 func (s *readaheadSource) Size() int { return s.inner.Size() }
 
-// compactionIterator opens a cache-bypassing, readahead iterator over f.
+// compactionIterator opens a readahead iterator over f.
 func (db *DB) compactionIterator(r *vclock.Runner, f *FileMeta) (iterkit.Iterator, error) {
 	src := &readaheadSource{inner: &fileSource{db: db, name: f.Name(), size: int(f.Size), bg: true}, tr: db.opt.Trace}
-	rd, err := sstable.Open(r, src, f.Num, nil)
+	rd, err := sstable.Open(r, src)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +521,7 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 // deleted, the inputs unmarked, and the error made sticky (read-only).
 func (db *DB) abortCompaction(r *vclock.Runner, c *compaction, outputs []*FileMeta, err error) {
 	for _, f := range outputs {
-		db.deleteFile(r, f)
+		_ = db.fsys.Remove(r, f.Name())
 	}
 	markCompacting(c.allFiles(), false)
 	if c.level == 0 {
@@ -563,6 +563,6 @@ func (db *DB) installCompaction(r *vclock.Runner, c *compaction, outputs []*File
 		return
 	}
 	for _, f := range dead {
-		db.deleteFile(r, f)
+		_ = db.fsys.Remove(r, f.Name())
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"kvaccel/internal/fs"
 	"kvaccel/internal/linger"
 	"kvaccel/internal/memtable"
-	"kvaccel/internal/sstable"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 	"kvaccel/internal/vlog"
@@ -27,10 +26,9 @@ type flushJob struct {
 
 // DB is the Main-LSM engine.
 type DB struct {
-	clk   *vclock.Clock
-	fsys  *fs.FileSystem
-	opt   Options
-	cache *sstable.BlockCache
+	clk  *vclock.Clock
+	fsys *fs.FileSystem
+	opt  Options
 
 	writeCond *vclock.Cond // stalled writers wait here
 	bgCond    *vclock.Cond // background workers and WaitIdle wait here
@@ -129,7 +127,7 @@ func Open(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 }
 
 // newDB builds the DB Open and Reopen share — the first memtable and
-// version, the block cache, and the conditions, window and semaphore its
+// version, and the conditions, window and semaphore its
 // runners wait on — over a fresh namespace's counters. It starts no
 // runner: each caller starts its own, in its own order.
 func newDB(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
@@ -138,7 +136,6 @@ func newDB(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		clk:               clk,
 		fsys:              fsys,
 		opt:               opt,
-		cache:             opt.newBlockCache(),
 		memSize:           opt.MemtableSize,
 		mem:               memtable.New(opt.MemtableSize),
 		vers:              firstVersion(opt.MaxLevels),
@@ -411,7 +408,7 @@ func (db *DB) pinVersion() *version {
 func (db *DB) unpinVersion(r *vclock.Runner, v *version) {
 	dead := db.releaseVersion(v)
 	for _, f := range dead {
-		db.deleteFile(r, f)
+		_ = db.fsys.Remove(r, f.Name())
 	}
 }
 
@@ -449,14 +446,6 @@ func (db *DB) installVersion(nv *version) (dead []*FileMeta) {
 	old := db.vers
 	db.vers = nv
 	return db.releaseVersion(old)
-}
-
-// deleteFile removes an obsolete file's bytes and cached blocks. Every SST
-// removal goes through here or evicts the file itself: a cached block is a
-// view of the table's image and would pin all of it past the file.
-func (db *DB) deleteFile(r *vclock.Runner, f *FileMeta) {
-	_ = db.fsys.Remove(r, f.Name())
-	db.cache.EvictFile(f.Num)
 }
 
 // Flush forces the active memtable to L0 and parks r until the flush
@@ -534,11 +523,6 @@ func (db *DB) Stats() Stats {
 	for _, job := range db.imm {
 		s.WALBytesWritten += job.log.BytesWritten()
 	}
-	cs := db.cache.Stats()
-	s.BlockCacheHits = cs.Hits
-	s.BlockCacheMisses = cs.Misses
-	s.BlockCacheEvictions = cs.Evictions
-	s.ReadaheadBlocks = cs.Readahead
 	if db.vlog != nil {
 		vs := db.vlog.Stats()
 		s.VLogBytes = vs.BytesWritten

@@ -47,7 +47,6 @@ func smallOpts() Options {
 	opt.L0StopTrigger = 10
 	opt.PendingCompactionSlowdownBytes = 64 << 20
 	opt.PendingCompactionStopBytes = 256 << 20
-	opt.BlockCacheBytes = 1 << 20
 	opt.WALChunkSize = 64 << 10
 	opt.WALQueueDepth = 32
 	opt.Cost.MergeCPUPerKB = 4 * time.Microsecond

@@ -247,7 +247,7 @@ func Reopen(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Option
 		if err != nil {
 			return nil, fmt.Errorf("lsm: manifest references missing table %s: %w", name, err)
 		}
-		rd, err := sstable.Open(r, &fileSource{db: db, name: name, size: size}, mf.num, db.cache)
+		rd, err := sstable.Open(r, &fileSource{db: db, name: name, size: size})
 		if err != nil {
 			return nil, fmt.Errorf("lsm: reopening %s: %w", name, err)
 		}

@@ -92,7 +92,7 @@ func runMerge(t testing.TB, inputs []*memtable.Table, p mergeParams) []output {
 	var outs []output
 	p.builder = mergeBuilder
 	p.emit = func(data []byte, meta sstable.Meta) error {
-		rd, err := sstable.Open(nil, byteSource(data), uint64(len(outs)+1), nil)
+		rd, err := sstable.Open(nil, byteSource(data))
 		if err != nil {
 			return err
 		}

@@ -19,8 +19,8 @@ import (
 // Options configures a DB. DefaultOptions is the paper's Table III
 // configuration at scale 1; internal/machine renders it at other scales.
 // Open and Reopen panic, naming the field, on a value the engine cannot
-// run with: zero means "off" only for BlockCacheBytes, GroupLingerMicros
-// and ValueThreshold.
+// run with: zero means "off" only for GroupLingerMicros and
+// ValueThreshold.
 type Options struct {
 	// MemtableSize rotates the active memtable when it exceeds this many
 	// bytes (RocksDB write_buffer_size).
@@ -67,8 +67,6 @@ type Options struct {
 	// engages — the "1 ms" the paper quotes from RocksDB's wiki.
 	SlowdownSleep time.Duration
 
-	// BlockCacheBytes sizes the shared data-block cache.
-	BlockCacheBytes int64
 	// BlockSize and BloomBitsPerKey shape SST files.
 	BlockSize       int
 	BloomBitsPerKey int
@@ -207,7 +205,6 @@ func DefaultOptions(cpuPool *cpu.Pool) Options {
 		DelayedWriteBytesPerSec: 8 << 20, // RocksDB delayed_write_rate
 		SlowdownSleep:           time.Millisecond,
 
-		BlockCacheBytes: 512 << 20,
 		BlockSize:       4096,
 		BloomBitsPerKey: 10,
 
@@ -244,7 +241,6 @@ func (o *Options) sanitize() {
 		{o.CompactionThreads < 1, "CompactionThreads >= 1"},
 		{o.DelayedWriteBytesPerSec <= 0, "DelayedWriteBytesPerSec > 0"},
 		{o.SlowdownSleep <= 0, "SlowdownSleep > 0"},
-		{o.BlockCacheBytes < 0, "BlockCacheBytes >= 0"},
 		{o.BlockSize <= 0, "BlockSize > 0"},
 		{o.MaxWriteGroupBytes <= 0, "MaxWriteGroupBytes > 0"},
 		{o.GroupLingerMicros < 0, "GroupLingerMicros >= 0"},
@@ -265,11 +261,4 @@ func (o *Options) sanitize() {
 
 func (o *Options) builderOptions() sstable.BuilderOptions {
 	return sstable.BuilderOptions{BlockSize: o.BlockSize, BloomBits: o.BloomBitsPerKey}
-}
-
-// newBlockCache builds the one shared SST block cache. Open and Reopen
-// both construct theirs here so the reopen path can never diverge on
-// sizing from the cold-open path.
-func (o *Options) newBlockCache() *sstable.BlockCache {
-	return sstable.NewBlockCache(o.BlockCacheBytes)
 }

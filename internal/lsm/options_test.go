@@ -45,7 +45,7 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 			t.Errorf("Open with zero %s panicked with %q, want the field's name", field, msg)
 		}
 	}
-	for _, field := range []string{"BlockCacheBytes", "GroupLingerMicros", "ValueThreshold"} {
+	for _, field := range []string{"GroupLingerMicros", "ValueThreshold"} {
 		opt := smallOpts()
 		reflect.ValueOf(&opt).Elem().FieldByName(field).SetZero()
 		if msg := panicOf(func() { open(opt) }); msg != "" {

@@ -60,14 +60,10 @@ type Stats struct {
 	// gets and iterator values).
 	VLogDerefs int64
 
-	// Block-cache counters, folded in by Stats() from the live cache.
-	BlockCacheHits      int64
-	BlockCacheMisses    int64
+	// BlockCacheEvictions always reads 0, as does BlockCacheHitRate: the
+	// SST reader has no block cache any more. They stay only because the
+	// benchmark's per-layer table still reads them (bench/layers.go:196).
 	BlockCacheEvictions int64
-	// ReadaheadBlocks counts data blocks inserted by scan readahead: a
-	// sequential iterator walk prefetches upcoming blocks in one
-	// contiguous device read instead of per-block demand misses.
-	ReadaheadBlocks int64
 	// VLogReadCacheHits and VLogReadCacheMisses always read 0: the value
 	// log has no read cache any more. They stay only because the
 	// benchmark's per-layer table still reads them (bench/layers.go:191).
@@ -174,13 +170,8 @@ func (s Stats) ReadsAttributed() int64 {
 	return s.ReadsMemtable + s.ReadsImmutable + s.ReadsSST() + s.ReadMisses
 }
 
-// BlockCacheHitRate returns block-cache hits over lookups (0 when idle).
-func (s Stats) BlockCacheHitRate() float64 {
-	if s.BlockCacheHits+s.BlockCacheMisses == 0 {
-		return 0
-	}
-	return float64(s.BlockCacheHits) / float64(s.BlockCacheHits+s.BlockCacheMisses)
-}
+// BlockCacheHitRate always returns 0; see BlockCacheEvictions.
+func (s Stats) BlockCacheHitRate() float64 { return 0 }
 
 // TotalStalls sums stall events across reasons.
 func (s Stats) TotalStalls() int64 {
@@ -245,10 +236,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.BloomNegatives += o.BloomNegatives
 	s.BloomFalsePositives += o.BloomFalsePositives
 	s.VLogDerefs += o.VLogDerefs
-	s.BlockCacheHits += o.BlockCacheHits
-	s.BlockCacheMisses += o.BlockCacheMisses
-	s.BlockCacheEvictions += o.BlockCacheEvictions
-	s.ReadaheadBlocks += o.ReadaheadBlocks
 	s.Slowdowns += o.Slowdowns
 	for i := range s.StallEvents {
 		s.StallEvents[i] += o.StallEvents[i]

@@ -15,8 +15,8 @@
 //	constant                         scaled  why
 //	NAND page time; bus bandwidth    ×s; ÷s  dies and buses move 1/s of the bytes per second
 //	memtable, level and file sizes,  ÷s      buffers fill in 1/s of the time, so flushes,
-//	block cache, pending-compaction          compactions and stalls keep the paper's rhythm
-//	limits, delayed-write rate
+//	pending-compaction limits,               compactions and stalls keep the paper's rhythm
+//	delayed-write rate
 //	host and ARM CPU costs           ×s      CPU keeps its share of each op beside the device
 //	WAL chunk 256 KiB, queue 512     no      page-cache write-back: writers feel the device
 //	                                         through stalls, never through a log write
@@ -101,7 +101,6 @@ func LSMOptions(scale int) lsm.Options {
 	opt.MaxFileSize /= s
 	opt.PendingCompactionSlowdownBytes /= s
 	opt.PendingCompactionStopBytes /= s
-	opt.BlockCacheBytes /= s
 	opt.DelayedWriteBytesPerSec /= s
 	sd := time.Duration(s)
 	opt.Cost.WriteCPU *= sd
@@ -151,7 +150,6 @@ func (m *Machine) OpenLSM(i int, opt lsm.Options) *lsm.DB {
 	opt.MemtableSize /= n
 	opt.BaseLevelBytes /= n
 	opt.MaxFileSize /= n
-	opt.BlockCacheBytes /= n
 	opt.CPU = m.CPU
 	return lsm.Open(m.Clk, m.Shards[i].Fsys, opt)
 }

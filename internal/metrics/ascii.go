@@ -67,10 +67,3 @@ func (s *Series) ASCIIChart(width, height int) string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -33,9 +33,9 @@ func (d *Device) KVRegionFull() *KVRegion { return d.full }
 
 // KVRegionSlices partitions the KV region into n near-equal page slices,
 // each backed by its own Dev-LSM instance and its own queue pair. The
-// device DRAM budgets — the two write buffers (DevLSM.MemtableBytes each)
-// and the read cache (DevLSM.ReadCacheBytes) — are split evenly so total
-// controller memory matches the unsharded configuration.
+// device DRAM budget — the two write buffers, DevLSM.MemtableBytes each —
+// is split evenly so total controller memory matches the unsharded
+// configuration.
 // The slices share the single ARM core and NAND dies, preserving the
 // paper's device-resource model; callers must not mix slice views with
 // the full-region view on the same device. One slice is the full-region
@@ -54,7 +54,6 @@ func (d *Device) KVRegionSlices(n int) []*KVRegion {
 	if cfg.MemtableBytes < 64<<10 {
 		cfg.MemtableBytes = 64 << 10
 	}
-	cfg.ReadCacheBytes /= int64(n)
 	out := make([]*KVRegion, n)
 	for i := range out {
 		pages := per

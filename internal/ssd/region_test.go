@@ -67,22 +67,6 @@ func TestOneKVRegionSliceIsTheFullRegion(t *testing.T) {
 	}
 }
 
-// TestKVRegionSlicesSplitTheReadCache: slicing divides the controller's
-// DRAM, read cache included, so the slices of a 4-way device together
-// cache no more pages than the unsharded device does.
-func TestKVRegionSlicesSplitTheReadCache(t *testing.T) {
-	cfg := testConfig()
-	cfg.DevLSM.ReadCacheBytes = 64 << 10
-	whole := New(vclock.New(), cfg).KVRegionFull().DevLSM().CachePages()
-	sliced := 0
-	for _, s := range New(vclock.New(), cfg).KVRegionSlices(4) {
-		sliced += s.DevLSM().CachePages()
-	}
-	if whole == 0 || sliced > whole {
-		t.Errorf("4 slices cache %d pages, the unsharded device %d", sliced, whole)
-	}
-}
-
 // TestKVRegionSliceResetIsScoped checks the sharding safety property:
 // KVReset on one slice must not disturb pairs buffered in another.
 func TestKVRegionSliceResetIsScoped(t *testing.T) {

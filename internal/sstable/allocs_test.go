@@ -71,12 +71,12 @@ func TestAllocsOpen(t *testing.T) {
 	img, _ := benchTable(t, make([]byte, benchValueSize))
 	src := &memSource{data: img}
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, src, 1, nil)
+		rd, err := Open(r, src)
 		if err != nil || len(rd.index) != benchRecords {
 			t.Fatalf("Open: %d blocks, err %v", len(rd.index), err)
 		}
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := Open(r, src, 1, nil); err != nil {
+			if _, err := Open(r, src); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -104,7 +104,7 @@ func BenchmarkOpen(b *testing.B) {
 		b.SetBytes(int64(len(img)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Open(r, src, 1, nil); err != nil {
+			if _, err := Open(r, src); err != nil {
 				b.Error(err)
 				return
 			}
@@ -117,7 +117,7 @@ func BenchmarkGet(b *testing.B) {
 	img, _ := benchTable(b, make([]byte, benchValueSize))
 	c := vclock.New()
 	c.Go("bench", func(r *vclock.Runner) {
-		rd, err := Open(r, &memSource{data: img}, 1, NewBlockCache(int64(2*len(img))))
+		rd, err := Open(r, boundedSource(img)) // views, as fs.ReadAt gives
 		if err != nil {
 			b.Error(err)
 			return

@@ -51,14 +51,14 @@ func TestLengthOverflowIsCorrupt(t *testing.T) {
 		img = encoding.PutU32(img, x)
 	}
 	run(t, func(r *vclock.Runner) {
-		if _, err := Open(r, boundedSource(img), 1, nil); !errors.Is(err, ErrCorrupt) {
+		if _, err := Open(r, boundedSource(img)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("Open of a table whose index entry wraps: err = %v, want ErrCorrupt", err)
 		}
 	})
 }
 
 // TestIndexOutOfRangeIsCorrupt: blocks lie back to back below the index;
-// an entry pointing elsewhere would take the readahead span out of range.
+// an entry pointing elsewhere would send a block read out of range.
 func TestIndexOutOfRangeIsCorrupt(t *testing.T) {
 	entry := func(off, length uint32) []byte {
 		e := append([]byte{1, 'k'}, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -153,7 +153,7 @@ func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, image []byte) {
 		c := vclock.New()
 		c.Go("fuzz", func(r *vclock.Runner) {
-			rd, err := Open(r, boundedSource(image), 1, NewBlockCache(1<<20))
+			rd, err := Open(r, boundedSource(image))
 			if err != nil {
 				return
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // Iterator walks a table's records in internal-key order. Each block load
-// spends device read time through the reader's source/cache.
+// spends device read time through the reader's source.
 type Iterator struct {
 	rd    *Reader
 	r     *vclock.Runner
@@ -17,18 +17,11 @@ type Iterator struct {
 	cur   record
 	valid bool
 	err   error
-
-	// Scan-aware readahead state: lastBi/seqRun detect a sequential block
-	// walk (two consecutive loads), raNext marks where the next prefetch
-	// window starts so the same blocks are not fetched twice.
-	lastBi int
-	seqRun int
-	raNext int
 }
 
 // NewIterator returns an iterator bound to runner r for timed block loads.
 func (rd *Reader) NewIterator(r *vclock.Runner) *Iterator {
-	return &Iterator{rd: rd, r: r, bi: -1, lastBi: -2}
+	return &Iterator{rd: rd, r: r, bi: -1}
 }
 
 // Err returns the first I/O or corruption error the iterator hit.
@@ -46,24 +39,6 @@ func (it *Iterator) loadBlock(i int) bool {
 	if i < 0 || i >= len(it.rd.index) {
 		it.valid = false
 		return false
-	}
-	// Sequential-run detection: two consecutive block loads mark the scan
-	// as sequential, and from then on the next window of blocks is
-	// prefetched into the cache ahead of the cursor in one contiguous
-	// device read instead of per-block demand misses.
-	if i == it.lastBi+1 {
-		it.seqRun++
-	} else {
-		it.seqRun = 0
-		it.raNext = 0
-	}
-	it.lastBi = i
-	// Fire a window-sized prefetch whenever the cursor has consumed the
-	// previous window (raNext <= i+1), so the fixed per-command cost is
-	// paid once per window, not per block.
-	if it.seqRun >= 2 && it.raNext <= i+1 {
-		it.rd.prefetch(it.r, i+1, readaheadWindow)
-		it.raNext = i + 1 + readaheadWindow
 	}
 	blk, err := it.rd.loadBlock(it.r, i)
 	if err != nil {

@@ -201,21 +201,18 @@ type indexEntry struct {
 
 // Reader serves point and range reads from one table. The index and bloom
 // filter are pinned in memory at open (as RocksDB pins them by default);
-// data blocks go through the optional shared BlockCache. The index's keys,
-// the filter, cached blocks and the values Get returns alias the bytes the
-// Source returned for them, so a Source must not overwrite what it has
-// handed out.
+// each data block is read from the Source when a lookup needs it. The
+// index's keys, the filter, blocks and the values Get returns alias the
+// bytes the Source returned for them, so a Source must not overwrite what
+// it has handed out.
 type Reader struct {
 	src    Source
-	fileID uint64
 	index  []indexEntry
 	filter bloom.Filter
-	cache  *BlockCache
 }
 
-// Open reads a table's footer, index, and filter. fileID keys the block
-// cache and must be unique per file. cache may be nil.
-func Open(r *vclock.Runner, src Source, fileID uint64, cache *BlockCache) (*Reader, error) {
+// Open reads a table's footer, index, and filter.
+func Open(r *vclock.Runner, src Source) (*Reader, error) {
 	sz := src.Size()
 	if sz < footerSize {
 		return nil, ErrCorrupt
@@ -241,7 +238,7 @@ func Open(r *vclock.Runner, src Source, fileID uint64, cache *BlockCache) (*Read
 	if int(indexOff)+int(indexLen) > sz || int(bloomOff)+int(bloomLen) > sz {
 		return nil, ErrCorrupt
 	}
-	rd := &Reader{src: src, fileID: fileID, cache: cache}
+	rd := &Reader{src: src}
 	idx, err := src.ReadAt(r, int(indexOff), int(indexLen))
 	if err != nil {
 		return nil, err
@@ -262,8 +259,8 @@ func Open(r *vclock.Runner, src Source, fileID uint64, cache *BlockCache) (*Read
 // decodeIndex parses an index block: per data block uvarint(klen), first
 // key, u32 offset, u32 length. Data blocks lie back to back below
 // dataEnd, where the index starts; an entry that says otherwise is
-// corrupt (and would send a block read or the readahead span out of
-// range). The entries' firstKeys alias idx.
+// corrupt (and would send a block read out of range). The entries'
+// firstKeys alias idx.
 func decodeIndex(idx []byte, dataEnd uint32) ([]indexEntry, error) {
 	n := 0
 	for rest := idx; len(rest) > 0; n++ {
@@ -290,7 +287,7 @@ func decodeIndex(idx []byte, dataEnd uint32) ([]indexEntry, error) {
 }
 
 // VerifyChecksum re-reads the whole table body and validates the footer
-// CRC. It is used by tests and the recovery path.
+// CRC. Only tests call it: no open or recovery path verifies a table.
 func (rd *Reader) VerifyChecksum(r *vclock.Runner) error {
 	sz := rd.src.Size()
 	body, err := rd.src.ReadAt(r, 0, sz-footerSize)
@@ -328,68 +325,11 @@ func (rd *Reader) blockFor(key []byte) int {
 	return res
 }
 
-// loadBlock fetches block i through the cache.
+// loadBlock reads block i with one Source read; from an fs file that is
+// a view of the table's one extent.
 func (rd *Reader) loadBlock(r *vclock.Runner, i int) ([]byte, error) {
 	e := rd.index[i]
-	if rd.cache != nil {
-		if b, ok := rd.cache.Get(rd.fileID, e.off); ok {
-			return b, nil
-		}
-	}
-	b, err := rd.src.ReadAt(r, int(e.off), int(e.length))
-	if err != nil {
-		return nil, err
-	}
-	if rd.cache != nil {
-		rd.cache.Put(rd.fileID, e.off, b)
-	}
-	return b, nil
-}
-
-// readaheadWindow is how many upcoming data blocks a sequential scan
-// prefetches in one contiguous read once it has proven itself sequential.
-const readaheadWindow = 4
-
-// prefetch loads blocks [from, from+count) into the cache with a single
-// contiguous device read, skipping any prefix/suffix already resident.
-// Data blocks are laid out back to back, so one ReadAt spanning the run
-// replaces count individual block reads — the same fixed per-command
-// device cost is paid once. Returns how many blocks were inserted.
-func (rd *Reader) prefetch(r *vclock.Runner, from, count int) int {
-	if rd.cache == nil || count <= 0 {
-		return 0
-	}
-	if from+count > len(rd.index) {
-		count = len(rd.index) - from
-	}
-	// Trim blocks already resident at either end; a hole in the middle is
-	// re-read (still one command, and Put is idempotent).
-	for count > 0 && rd.cache.Contains(rd.fileID, rd.index[from].off) {
-		from, count = from+1, count-1
-	}
-	for count > 0 && rd.cache.Contains(rd.fileID, rd.index[from+count-1].off) {
-		count--
-	}
-	if count == 0 {
-		return 0
-	}
-	first, last := rd.index[from], rd.index[from+count-1]
-	span := int(last.off) + int(last.length) - int(first.off)
-	buf, err := rd.src.ReadAt(r, int(first.off), span)
-	if err != nil {
-		return 0 // readahead is best-effort; demand reads will surface the error
-	}
-	// Each block is cached as a clipped view of the span: a Source never
-	// overwrites what it has handed out.
-	inserted := 0
-	for i := from; i < from+count; i++ {
-		e := rd.index[i]
-		rel := int(e.off) - int(first.off)
-		end := rel + int(e.length)
-		rd.cache.PutReadahead(rd.fileID, e.off, buf[rel:end:end])
-		inserted++
-	}
-	return inserted
+	return rd.src.ReadAt(r, int(e.off), int(e.length))
 }
 
 // record is one decoded block entry.
@@ -402,7 +342,7 @@ type record struct {
 
 // decodeNext decodes one record from the front of b. Key and value are
 // views of b with their capacity clipped, so appending to one cannot
-// overwrite the next record of a cached block.
+// overwrite the next record of the block.
 func decodeNext(b []byte) (rec record, rest []byte, err error) {
 	klen, b, err := encoding.Uvarint(b)
 	if err != nil {

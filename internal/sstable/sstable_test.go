@@ -58,7 +58,7 @@ func TestBuildAndGet(t *testing.T) {
 		t.Fatalf("meta = %+v", meta)
 	}
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, src, 1, nil)
+		rd, err := Open(r, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestTombstoneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, &memSource{data: data}, 1, nil)
+		rd, err := Open(r, &memSource{data: data})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestNewestVersionFirstWithinKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, func(r *vclock.Runner) {
-		rd, _ := Open(r, &memSource{data: data}, 1, nil)
+		rd, _ := Open(r, &memSource{data: data})
 		v, _, found, _ := rd.Get(r, []byte("k"))
 		if !found || string(v) != "new" {
 			t.Fatalf("Get = %q, want new", v)
@@ -142,7 +142,7 @@ func TestEmptyTableRejected(t *testing.T) {
 func TestIteratorFullScan(t *testing.T) {
 	src, _ := buildTable(t, 500, BuilderOptions{BlockSize: 256, BloomBits: 10})
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, src, 1, nil)
+		rd, err := Open(r, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestIteratorFullScan(t *testing.T) {
 func TestIteratorSeek(t *testing.T) {
 	src, _ := buildTable(t, 200, BuilderOptions{BlockSize: 128, BloomBits: 10})
 	run(t, func(r *vclock.Runner) {
-		rd, _ := Open(r, src, 1, nil)
+		rd, _ := Open(r, src)
 		it := rd.NewIterator(r)
 		it.Seek([]byte("key00150"))
 		if !it.Valid() || string(it.Entry().Key) != "key00150" {
@@ -193,7 +193,7 @@ func TestIteratorSeek(t *testing.T) {
 func TestBloomSkipsBlockReads(t *testing.T) {
 	src, _ := buildTable(t, 1000, DefaultBuilderOptions())
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, src, 1, nil)
+		rd, err := Open(r, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,64 +215,16 @@ func TestBloomSkipsBlockReads(t *testing.T) {
 	})
 }
 
-func TestBlockCacheAvoidsRereads(t *testing.T) {
-	src, _ := buildTable(t, 100, DefaultBuilderOptions())
-	cache := NewBlockCache(1 << 20)
-	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, src, 42, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := []byte("key00050")
-		if _, _, found, _ := rd.Get(r, key); !found {
-			t.Fatal("key not found")
-		}
-		base := src.reads
-		for i := 0; i < 10; i++ {
-			if _, _, found, _ := rd.Get(r, key); !found {
-				t.Fatal("key not found on cached read")
-			}
-		}
-		if src.reads != base {
-			t.Fatalf("cached gets performed %d source reads", src.reads-base)
-		}
-		cs := cache.Stats()
-		if cs.Hits < 10 || cs.Used == 0 {
-			t.Fatalf("cache stats: %+v", cs)
-		}
-	})
-}
-
-func TestBlockCacheEviction(t *testing.T) {
-	c := NewBlockCache(100)
-	c.Put(1, 0, make([]byte, 60))
-	c.Put(1, 60, make([]byte, 60)) // evicts the first
-	if _, ok := c.Get(1, 0); ok {
-		t.Fatal("LRU entry not evicted")
-	}
-	if _, ok := c.Get(1, 60); !ok {
-		t.Fatal("recent entry evicted")
-	}
-	c.Put(2, 0, make([]byte, 200)) // larger than capacity: not stored
-	if _, ok := c.Get(2, 0); ok {
-		t.Fatal("oversized entry stored")
-	}
-	c.EvictFile(1)
-	if _, ok := c.Get(1, 60); ok {
-		t.Fatal("EvictFile left entries behind")
-	}
-}
-
 func TestCorruptFooterRejected(t *testing.T) {
 	src, _ := buildTable(t, 10, DefaultBuilderOptions())
 	src.data[len(src.data)-1] ^= 0xff // clobber magic
 	run(t, func(r *vclock.Runner) {
-		if _, err := Open(r, src, 1, nil); err == nil {
+		if _, err := Open(r, src); err == nil {
 			t.Fatal("corrupt magic accepted")
 		}
 	})
 	run(t, func(r *vclock.Runner) {
-		if _, err := Open(r, &memSource{data: []byte("tiny")}, 1, nil); err == nil {
+		if _, err := Open(r, &memSource{data: []byte("tiny")}); err == nil {
 			t.Fatal("truncated table accepted")
 		}
 	})
@@ -281,7 +233,7 @@ func TestCorruptFooterRejected(t *testing.T) {
 func TestVerifyChecksum(t *testing.T) {
 	src, _ := buildTable(t, 50, DefaultBuilderOptions())
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, src, 1, nil)
+		rd, err := Open(r, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +270,7 @@ func TestRoundTripProperty(t *testing.T) {
 		ok := true
 		c := vclock.New()
 		c.Go("check", func(r *vclock.Runner) {
-			rd, err := Open(r, &memSource{data: data}, 1, nil)
+			rd, err := Open(r, &memSource{data: data})
 			if err != nil {
 				ok = false
 				return
@@ -358,7 +310,7 @@ func TestVersionsStraddlingBlockBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, func(r *vclock.Runner) {
-		rd, err := Open(r, &memSource{data: data}, 1, nil)
+		rd, err := Open(r, &memSource{data: data})
 		if err != nil {
 			t.Fatal(err)
 		}

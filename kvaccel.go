@@ -65,9 +65,11 @@ const (
 	RollbackEager = core.RollbackEager
 )
 
-// Options configures a DB. Buffer budgets (memtable, levels, block cache,
-// device DRAM, front cache) are the whole machine's and are divided among
-// the shards, so a sharded store spends the memory of an unsharded one.
+// Options configures a DB. Buffer budgets (memtable, levels, device DRAM,
+// front cache) are the whole machine's and are divided among the shards,
+// so a sharded store spends the memory of an unsharded one. The host's
+// page cache holds every table block, and the Dev-LSM has no read cache:
+// each of its page reads costs a NAND read.
 type Options struct {
 	// Scale divides device bandwidth and engine buffer sizes and
 	// multiplies per-op CPU costs; 1 models the paper's Cosmos+ board,
@@ -98,10 +100,6 @@ type Options struct {
 	// flushes and compactions move pointers, not payloads. 0 (the
 	// default) disables separation.
 	ValueThreshold int
-	// DevReadCacheBytes enables a controller-DRAM read cache in front of
-	// Dev-LSM NAND reads — the extension the paper names as the fix for
-	// its Table V range-query deficit. 0 (default) reproduces the paper.
-	DevReadCacheBytes int64
 	// FrontCacheBytes enables a HotRing-style hot-key front cache in the
 	// controller's read path: skewed point reads are answered from host
 	// DRAM before either LSM is consulted. 0 (default) reproduces the
@@ -147,9 +145,7 @@ type DB struct {
 // Open builds one simulated machine and opt.Shards KVACCEL shards on it,
 // and starts their background runners.
 func Open(opt Options) *DB {
-	cfg := machine.DeviceConfig(opt.Scale)
-	cfg.DevLSM.ReadCacheBytes = opt.DevReadCacheBytes
-	m := machine.New(cfg, opt.Shards)
+	m := machine.New(machine.DeviceConfig(opt.Scale), opt.Shards)
 
 	lopt := machine.LSMOptions(opt.Scale)
 	lopt.CompactionThreads = opt.CompactionThreads

@@ -145,16 +145,3 @@ func TestPublicAPIWriteBatch(t *testing.T) {
 	})
 	db.Wait()
 }
-
-func TestPublicAPIDevReadCacheOption(t *testing.T) {
-	opt := DefaultOptions()
-	opt.DevReadCacheBytes = 8 << 20
-	db := Open(opt)
-	db.Run("main", func(r *Runner) {
-		defer db.Close()
-		if err := db.Put(r, []byte("k"), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	})
-	db.Wait()
-}
