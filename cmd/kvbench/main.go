@@ -57,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards    = fs.Int("shards", 1, "kvaccel hash partitions on the one machine (values below 1 run one)")
 		writers   = fs.Int("writers", 0, "concurrent writer/client threads (default: one per shard)")
 		seed      = fs.Int64("seed", 1, "workload RNG seed (writer i uses seed+i*101)")
-		lingerUS  = fs.Int64("linger-us", 30, "group leader adaptive linger window in unscaled virtual microseconds (multiplied by -scale; 0 disables)")
 		qd        = fs.Int("qd", 0, "NVMe submission-queue depth per queue pair (0 = device default, 32)")
 		ioqueues  = fs.Int("ioqueues", 0, "block-interface I/O queue pairs to stripe over (0 = default, 1)")
 		faultSeed = fs.Int64("faults-seed", 0, "seed a deterministic device fault plan (0 = no injection)")
@@ -101,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.FaultsSeed = *faultSeed
 	p.Seed = *seed
 	p.Writers = *writers
-	p.LingerMicros = *lingerUS
 	p.ValueThreshold = *vthresh
 	p.ReadPct = *readPct
 	p.ZipfTheta = *zipfT

@@ -13,6 +13,9 @@ import (
 func printResult(w io.Writer, res *harness.RunResult, faults bool) {
 	fmt.Fprintf(w, "\nwrites      : %d ops, %.2f Kops/s, %.1f MB/s\n", res.Rec.Writes(), res.WriteKops(), res.WriteMBps())
 	fmt.Fprintf(w, "write lat   : %s\n", res.Rec.WriteLatency)
+	if res.Rec.Writes() > 0 {
+		fmt.Fprintf(w, "zero-write buckets: %d of %d\n", res.ZeroWriteBuckets(), res.Rec.WriteSeries.Len())
+	}
 	if res.Rec.Reads() > 0 {
 		fmt.Fprintf(w, "reads       : %d ops, %.2f Kops/s\n", res.Rec.Reads(), res.ReadKops())
 		fmt.Fprintf(w, "read lat    : %s\n", res.Rec.ReadLatency)

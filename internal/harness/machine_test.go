@@ -78,7 +78,6 @@ var update = flag.Bool("update", false, "rewrite testdata/calibration from the r
 // benchEngine renders the machine of one of bench/engine.go's workloads.
 func benchEngine(spec EngineSpec, set func(*Params)) []string {
 	p := DefaultParams()
-	p.LingerMicros = 30
 	set(&p)
 	m := p.open(spec, 1)
 	defer m.shutdown()

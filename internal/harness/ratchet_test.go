@@ -59,8 +59,9 @@ func TestRatchet(t *testing.T) {
 		{
 			// 8 writers at QD 1 with inline values is the regime group
 			// commit exists for — per-commit latency dominant. Groups must
-			// form and the adaptive linger must keep them full: without it
-			// the mean group size is ~2.7 at identical throughput.
+			// form from the writers that queue while the pipelined WAL
+			// lane is full, with no leader waiting for more: this run
+			// commits 12 867 groups of mean size 4.39.
 			name: "group-commit", spec: kva, duration: 8 * time.Second,
 			a: func(p *Params) { p.Writers = 8; p.QueueDepth = 1 },
 			check: func(t *testing.T, res, _ *RunResult) {
@@ -121,7 +122,6 @@ func TestRatchet(t *testing.T) {
 				}
 				p := DefaultParams()
 				p.Duration = row.duration
-				p.LingerMicros = 30 // kvbench's default
 				set(&p)
 				return p.Run(row.spec, WorkloadA)
 			}

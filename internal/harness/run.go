@@ -117,6 +117,19 @@ func (res *RunResult) WriteMBps() float64 {
 	return float64(res.Rec.Writes()) * float64(res.valueSize) / 1e6 / res.Duration.Seconds()
 }
 
+// ZeroWriteBuckets returns how many buckets of Rec.WriteSeries completed
+// no write: the intervals every writer waited through, which the run's
+// mean throughput hides.
+func (res *RunResult) ZeroWriteBuckets() int {
+	n := 0
+	for i := 0; i < res.Rec.WriteSeries.Len(); i++ {
+		if _, v := res.Rec.WriteSeries.At(i); v == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Efficiency is the paper's Eq. 1: throughput (MB/s) over average CPU
 // utilization (percent).
 func (res *RunResult) Efficiency() float64 {

@@ -7,6 +7,9 @@ import (
 	"kvaccel/internal/core"
 )
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
 // TestHeadlineShape is the reproduction's self-check: the orderings the
 // paper's evaluation rests on must hold on a mid-length run. It asserts
 // ranks, not absolute numbers, with deliberate slack — the goal is to
@@ -18,9 +21,35 @@ func TestHeadlineShape(t *testing.T) {
 	p := DefaultParams()
 	p.Duration = 40 * time.Second
 
-	rocks := p.Run(EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: true}, WorkloadA)
-	adoc := p.Run(EngineSpec{Kind: KindADOC, Threads: 1, Slowdown: true}, WorkloadA)
-	kva := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}, WorkloadA)
+	// Each engine runs on its own machine and clock, so the four runs are
+	// parallel subtests; the group returns once all of them have. Under
+	// the race detector they run one at a time: a 40 vs run's heap grows
+	// several-fold there, and two at once outgrow an 8 GB machine.
+	arms := []struct {
+		name string
+		spec EngineSpec
+		res  *RunResult
+	}{
+		{name: "rocksdb", spec: EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: true}},
+		{name: "adoc", spec: EngineSpec{Kind: KindADOC, Threads: 1, Slowdown: true}},
+		{name: "kvaccel", spec: EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackDisabled}},
+		{name: "rocksdb-no-slowdown", spec: EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: false}},
+	}
+	t.Run("runs", func(t *testing.T) {
+		for i := range arms {
+			arm := &arms[i]
+			t.Run(arm.name, func(t *testing.T) {
+				if !raceEnabled {
+					t.Parallel()
+				}
+				arm.res = p.Run(arm.spec, WorkloadA)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	rocks, adoc, kva, noSD := arms[0].res, arms[1].res, arms[2].res, arms[3].res
 
 	t.Logf("workload A: rocksdb=%.2f adoc=%.2f kvaccel=%.2f Kops/s (redirects=%d)",
 		rocks.WriteKops(), adoc.WriteKops(), kva.WriteKops(), kva.KVStats.RedirectedPuts)
@@ -51,7 +80,6 @@ func TestHeadlineShape(t *testing.T) {
 	// Claim 6 (Fig 2): the slowdown floor replaces zero valleys — the
 	// with-slowdown baseline must stall for less time than a no-slowdown
 	// run of the same engine.
-	noSD := p.Run(EngineSpec{Kind: KindRocksDB, Threads: 1, Slowdown: false}, WorkloadA)
 	if rocks.MainStats.StallTime >= noSD.MainStats.StallTime {
 		t.Errorf("slowdown did not reduce hard-stall time: %v vs %v",
 			rocks.MainStats.StallTime, noSD.MainStats.StallTime)

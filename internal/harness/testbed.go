@@ -46,10 +46,9 @@ type Params struct {
 	// -writers flag); 0 or 1 keeps the single-writer setup. Each runs the
 	// full configured duration with its own derived seed.
 	Writers int
-	// LingerMicros is the group leader's adaptive linger window in
-	// unscaled virtual microseconds (kvbench's -linger-us flag); it is
-	// multiplied by Scale like the CPU costs, so -linger-us 30 at scale
-	// 10 opens a 300 µs window. 0 disables lingering.
+	// LingerMicros is read by nothing: a group leader no longer waits
+	// for followers. It stays only because the benchmark's engine setup
+	// still sets it (bench/engine.go:28).
 	LingerMicros int64
 	// ValueThreshold enables WiscKey-style value separation in the
 	// Main-LSM: values at least this long live in the value log and the
@@ -190,7 +189,6 @@ func (p Params) lsmOptions(threads int, slowdown bool) lsm.Options {
 	opt := machine.LSMOptions(p.Scale)
 	opt.CompactionThreads = threads
 	opt.EnableSlowdown = slowdown
-	opt.GroupLingerMicros = p.LingerMicros * int64(p.scale())
 	opt.ValueThreshold = p.ValueThreshold
 	opt.Trace = p.Trace
 	if p.TuneLSM != nil {

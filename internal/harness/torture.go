@@ -64,12 +64,6 @@ type TortureParams struct {
 	// (a stale cached value is a durability violation like any other).
 	// 0 disables; DefaultTortureParams enables a small one.
 	FrontCacheBytes int64
-	// LingerMicros opens the group leader's adaptive linger window in the
-	// Main-LSM (lsm.Options.GroupLingerMicros), so cuts can land inside
-	// an open window; DefaultTortureParams enables it. The pipelined WAL
-	// and the concurrent memtable are always on — they are the write
-	// path's defaults — so every phase exercises them.
-	LingerMicros int64
 	// BrokenRecovery deliberately replays WALs without checksum
 	// verification (lsm.Options.UncheckedWALReplay). A correct oracle
 	// must catch the resulting corruption; the negative test asserts
@@ -102,8 +96,6 @@ func DefaultTortureParams(seed int64) TortureParams {
 		ValueThreshold: 48,
 
 		FrontCacheBytes: 256 << 10,
-
-		LingerMicros: 200,
 	}
 }
 
@@ -285,13 +277,11 @@ func RunTorture(p TortureParams) TortureReport {
 		// does not depend on goroutine scheduling.
 		cutDelay := time.Duration(1 + rng.Int63n(int64(p.CutWindow)))
 		// Besides the timed cut — which stays armed as a fallback — a
-		// phase may sever power at the Nth group-commit hook hit: inside
-		// an open linger window ("in-linger") or between an overlapped
-		// WAL append and its predecessor's apply ("pre-append"), the two
-		// crash windows the deepened write pipeline added. If the chosen
-		// stage never reaches N hits (a futile-linger backoff, say), the
-		// timed cut still fires.
-		stages := []string{"", "in-linger", "pre-append"}
+		// phase may sever power at the Nth group-commit hook hit: between
+		// an overlapped WAL append and its predecessor's apply
+		// ("pre-append"), the crash window the pipelined WAL added. If
+		// the stage never reaches N hits, the timed cut still fires.
+		stages := []string{"", "pre-append"}
 		cutStage := stages[rng.Intn(len(stages))]
 		cutNth := int64(1 + rng.Int63n(4))
 		var hookArmed bool
@@ -318,11 +308,10 @@ func RunTorture(p TortureParams) TortureReport {
 			// within a phase, so cuts land mid-rotation.
 			lopt.ValueThreshold = p.ValueThreshold
 			lopt.VLogSegmentSize = 32 << 10
-			// The deepened write pipeline under torture: the linger window
-			// holds commit slots open, the pipelined WAL overlaps appends
-			// with applies, and replay reconstructs the memtable on every
-			// Reopen. The hook severs power inside the chosen window.
-			lopt.GroupLingerMicros = p.LingerMicros
+			// The write pipeline under torture: the pipelined WAL overlaps
+			// appends with applies, and replay reconstructs the memtable
+			// on every Reopen. The hook severs power inside the chosen
+			// window.
 			if cutPhase && cutStage != "" {
 				lopt.TestHook = func(stage string) {
 					if stage != cutStage || !hookArmed {

@@ -1,17 +1,15 @@
-// Package linger is the adaptive linger window that group commit (the
-// Main-LSM's write groups) and the serving tier's batchers (write
-// batches and multi-get chunks) share. A runner that has just claimed
-// the head of a queue may hold its claim open for a short window so
-// that more requests join it and share one costly step — a WAL append,
-// an engine crossing. Whether the wait is worth it is decided from what
-// recent claims did:
+// Package linger is the adaptive linger window of the serving tier's
+// batchers (write batches and multi-get chunks). A runner that has just
+// claimed the head of a queue may hold its claim open for a short window
+// so that more requests join it and share one engine crossing. Whether
+// the wait is worth it is decided from what recent claims did:
 //
 //   - none when the claim is already full: the caller says so;
 //   - none once an EWMA of recent claim sizes reaches the target:
-//     arrivals alone are forming groups, and the wait only adds latency;
+//     arrivals alone are forming batches, and the wait only adds latency;
 //   - none after futileLimit lingered claims in a row still went out
 //     alone, until a claim of two or more forms on its own: a lone
-//     writer stops paying the window after three claims.
+//     client stops paying the window after three claims.
 //
 // A producer that fills the queue past the caller's wake depth cuts an
 // open window short.

@@ -120,23 +120,23 @@ func BenchmarkPut4K(b *testing.B) {
 	clk.Wait()
 }
 
-// TestAllocsLingerCutShort: every leader opens a linger window and the
-// second writer to queue fills the group and cuts it short, commit after
-// commit. The window's event is lowered and waited on again, not
-// replaced, so four writers' puts allocate only what the log and the
-// memtable amortise over many puts.
-func TestAllocsLingerCutShort(t *testing.T) {
+// TestAllocsGroupCommit: four writers queue behind the WAL lane and
+// commit through groups of up to two, commit after commit. The queue
+// ring, the writers and their group slices are recycled, so grouped puts
+// allocate only what the log and the memtable amortise over many puts.
+func TestAllocsGroupCommit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const writers, warm, measured = 4, 100, 500
 	opt := fillOpts()
-	opt.GroupLingerMicros = 1000
-	// Two queued writers fill a group: a put stages key+value+16 bytes.
+	// The WAL lane is the bottleneck, so writers queue behind it, and two
+	// queued writers fill a group: a put stages key+value+16 bytes.
+	opt.Cost.WALAppendCPU = 4 * opt.Cost.WriteCPU
 	opt.MaxWriteGroupBytes = 2 * (16 + 2016 + 16)
 	clk, db := newTestDB(0, opt)
 	var before, after runtime.MemStats
-	var waitsBefore, microsBefore int64
+	var groupsBefore, recordsBefore int64
 	started, finished := 0, 0
 	for w := 0; w < writers; w++ {
 		w := w
@@ -147,7 +147,7 @@ func TestAllocsLingerCutShort(t *testing.T) {
 				if i == warm {
 					if started++; started == writers {
 						runtime.ReadMemStats(&before)
-						waitsBefore, microsBefore = db.stats.GroupLingerWaits, db.stats.GroupLingerMicros
+						groupsBefore, recordsBefore = db.stats.GroupCommits, db.stats.GroupedRecords
 					}
 				}
 				binary.BigEndian.PutUint64(key[8:], uint64(i))
@@ -164,14 +164,14 @@ func TestAllocsLingerCutShort(t *testing.T) {
 	}
 	clk.Wait()
 	s := db.Stats()
-	waits, micros := s.GroupLingerWaits-waitsBefore, s.GroupLingerMicros-microsBefore
+	groups, records := s.GroupCommits-groupsBefore, s.GroupedRecords-recordsBefore
 	perPut := float64(after.Mallocs-before.Mallocs) / (writers * measured)
-	t.Logf("%.4f allocations per put; %d linger windows, %d µs lingered in all", perPut, waits, micros)
-	if waits < measured || micros >= waits*opt.GroupLingerMicros/10 {
-		t.Fatalf("%d windows lingered %d µs in all: the windows were not cut short", waits, micros)
+	t.Logf("%.4f allocations per put; %d records in %d groups", perPut, records, groups)
+	if groups == 0 || records <= groups {
+		t.Fatalf("%d records in %d groups: the writers did not commit in groups", records, groups)
 	}
 	if perPut > 0.05 {
-		t.Errorf("%.4f allocations per put with every window cut short, want <= 0.05", perPut)
+		t.Errorf("%.4f allocations per grouped put, want <= 0.05", perPut)
 	}
 	if s.Flushes != 0 {
 		t.Errorf("the measured stretch crossed a flush")

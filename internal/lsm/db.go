@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"kvaccel/internal/fs"
-	"kvaccel/internal/linger"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
@@ -54,10 +53,6 @@ type DB struct {
 	// in flight" signal the pipelining-overlap counter reads.
 	applying   map[*memtable.Table]int
 	applyTotal int
-
-	// linger is the leader's adaptive linger window (group.go): joiners
-	// cut it short once the queue already holds a full group.
-	linger *linger.Window
 
 	// Pipelined-WAL ticket lane (group.go): each leader takes walTail++
 	// at claim time and may append only once walHead reaches its ticket,
@@ -146,7 +141,6 @@ func newDB(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		writeCond:         vclock.NewCond("lsm.writeStall"),
 		bgCond:            vclock.NewCond("lsm.background"),
 		groupCond:         vclock.NewCond("lsm.writeGroup"),
-		linger:            linger.New("lsm.groupLinger", time.Duration(opt.GroupLingerMicros)*time.Microsecond, lingerGroupTarget),
 		walCond:           vclock.NewCond("lsm.walTicket"),
 		persistSem:        vclock.NewSemaphore(1, "lsm.manifest"),
 	}
@@ -170,7 +164,6 @@ func (db *DB) Close() {
 		return
 	}
 	db.closed = true
-	db.linger.CutShort() // wake a lingering leader so it observes closed
 	logs := make([]*wal.Log, 0, len(db.imm)+1)
 	logs = append(logs, db.log)
 	for _, j := range db.imm {

@@ -152,11 +152,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	w.db = db
 	db.groupQueue.push(w)
 	db.groupBytes += int64(w.bytes)
-	// A queue that already holds a full group is exactly what an open
-	// linger window waits for — cut it short.
-	if db.groupFull() {
-		db.linger.CutShort()
-	}
 
 	db.groupCond.WaitUntil(r, groupTurn, w)
 	if w.done {
@@ -171,15 +166,11 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		return ErrClosed
 	}
 
-	// Leader: linger first (if the adaptive policy says a short wait will
-	// grow the group), then one write-controller pass admits everyone who
-	// joined — the gathered group pays a single admission check.
+	// Leader: one write-controller pass admits everyone queued — the
+	// group pays a single admission check. The leader never waits for
+	// followers to arrive (RocksDB's write thread does not either): the
+	// group is whoever queued while the previous group held the lane.
 	db.committing = true
-	lingered := false
-	if d := db.lingerDuration(); d > 0 {
-		lingered = true
-		db.lingerFor(r, d)
-	}
 	if err := db.makeRoomForWrite(r, w.noStall); err != nil {
 		// The queue behind us fails the same way on its own (each member
 		// re-elects and re-checks), except ErrWouldStall, where blocking
@@ -202,7 +193,6 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 
 	group, totalRecs, totalBytes := db.claimGroup(w)
-	db.linger.Note(len(group), lingered)
 	firstSeq := db.seq + 1
 	seq := firstSeq
 	for _, m := range group {
@@ -344,49 +334,6 @@ func walTurn(a any) bool {
 // overlap the pipeline needs — deeper lanes only let singleton groups
 // leapfrog each other instead of merging.
 const walPipelineDepth = 2
-
-// The group-commit constants of the adaptive linger window (package
-// linger).
-const (
-	// lingerGroupTarget: once the recent-group EWMA reaches this many
-	// members per commit, arrivals alone sustain grouping and a fresh
-	// leader skips the window.
-	lingerGroupTarget = 4.0
-	// lingerWakeMembers: a queue this deep is already a full group — an
-	// open window is cut short and a fresh leader does not wait.
-	lingerWakeMembers = 8
-)
-
-// groupFull reports whether the queue already holds a full group.
-func (db *DB) groupFull() bool {
-	return db.groupBytes >= db.opt.MaxWriteGroupBytes || db.groupQueue.len() >= lingerWakeMembers
-}
-
-// lingerDuration decides whether a fresh leader should hold the
-// commit open so followers can join, and for how long. Called after the
-// leader set committing.
-func (db *DB) lingerDuration() time.Duration {
-	d := db.linger.Len(db.groupFull())
-	if d > 0 && (db.stalledWriters > 0 || db.slowdownCondition()) {
-		return 0 // never delay the admission pass when a stall is brewing
-	}
-	return d
-}
-
-// lingerFor parks the leader for up to d on the virtual clock so
-// followers can join its group; joiners cut the window short once the
-// queue holds a full group, and Close wakes it immediately.
-func (db *DB) lingerFor(r *vclock.Runner, d time.Duration) {
-	db.stats.GroupLingerWaits++
-	if hook := db.opt.TestHook; hook != nil {
-		hook("in-linger") // inside an open window, before the timed wait
-	}
-	lsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "group-linger")
-	start := r.Now()
-	db.linger.Wait(r, d)
-	lsp.End(r)
-	db.stats.GroupLingerMicros += int64(r.Now().Sub(start) / time.Microsecond)
-}
 
 // applyOps inserts a committed member's records into the group's
 // memtable. Members apply their own records concurrently (RocksDB's

@@ -19,8 +19,7 @@ import (
 // Options configures a DB. DefaultOptions is the paper's Table III
 // configuration at scale 1; internal/machine renders it at other scales.
 // Open and Reopen panic, naming the field, on a value the engine cannot
-// run with: zero means "off" only for GroupLingerMicros and
-// ValueThreshold.
+// run with: zero means "off" only for ValueThreshold.
 type Options struct {
 	// MemtableSize rotates the active memtable when it exceeds this many
 	// bytes (RocksDB write_buffer_size).
@@ -76,14 +75,6 @@ type Options struct {
 	// max_write_batch_group_size_bytes). Writers beyond the bound wait
 	// for the next group.
 	MaxWriteGroupBytes int64
-	// GroupLingerMicros is the leader linger window in virtual
-	// microseconds: a group leader that finds recent groups small parks
-	// for up to this long before claiming, letting concurrent writers
-	// join its group. The wait adapts — it is skipped while the queue is
-	// already deep, while any stall condition holds, and after repeated
-	// windows that gathered nobody (so a single-writer workload stops
-	// paying it after three commits). Zero disables lingering.
-	GroupLingerMicros int64
 	// DisablePipelinedWAL keeps a group leader's commit critical section
 	// held across its WAL append, so group N+1 cannot form until group
 	// N's append returns. It exists for one caller: pipelined_test.go's
@@ -93,13 +84,11 @@ type Options struct {
 	// section after claiming sequence numbers and appends under a ticket
 	// that preserves WAL record order == sequence order.
 	DisablePipelinedWAL bool
-	// TestHook, when set, is called at named instants inside the write
-	// pipeline, so the crash-recovery torture suite can cut power at its
-	// in-between states deterministically:
-	//   - "in-linger": inside an open linger window, before the timed wait;
-	//   - "pre-append": a pipelined leader has handed leadership over but
-	//     not yet appended.
-	// Both are called on the group leader's runner.
+	// TestHook, when set, is called at a named instant inside the write
+	// pipeline, so the crash-recovery torture suite can cut power at an
+	// in-between state deterministically: "pre-append", where a pipelined
+	// leader has handed leadership over but not yet appended. It is
+	// called on the group leader's runner.
 	TestHook func(stage string)
 
 	// ValueThreshold enables WiscKey-style value separation: a Put whose
@@ -243,7 +232,6 @@ func (o *Options) sanitize() {
 		{o.SlowdownSleep <= 0, "SlowdownSleep > 0"},
 		{o.BlockSize <= 0, "BlockSize > 0"},
 		{o.MaxWriteGroupBytes <= 0, "MaxWriteGroupBytes > 0"},
-		{o.GroupLingerMicros < 0, "GroupLingerMicros >= 0"},
 		{o.ValueThreshold < 0, "ValueThreshold >= 0"},
 		{o.WALChunkSize <= 0, "WALChunkSize > 0"},
 		{o.WALQueueDepth <= 0, "WALQueueDepth > 0"},

@@ -98,15 +98,14 @@ type Stats struct {
 	WouldStalls    int64
 	WALErrors      int64
 
-	// Linger and pipelining counters. GroupLingerWaits counts leader
-	// linger windows actually taken and GroupLingerMicros the virtual
-	// microseconds spent in them (windows cut short by a full queue
-	// count their real wait). PipelinedAppends counts group WAL appends
-	// issued while a previous group's append or memtable apply was still
-	// in flight — the overlap the pipelined WAL exists to create.
-	GroupLingerWaits  int64
+	// PipelinedAppends counts group WAL appends issued while a previous
+	// group's append or memtable apply was still in flight — the overlap
+	// the pipelined WAL exists to create.
+	PipelinedAppends int64
+	// GroupLingerMicros always reads 0: a group leader no longer waits
+	// for followers. It stays only because the benchmark's per-layer
+	// table still reads it (bench/layers.go:175).
 	GroupLingerMicros int64
-	PipelinedAppends  int64
 
 	Flushes              int64
 	FlushBytes           int64
@@ -246,8 +245,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.WALAppends += o.WALAppends
 	s.WouldStalls += o.WouldStalls
 	s.WALErrors += o.WALErrors
-	s.GroupLingerWaits += o.GroupLingerWaits
-	s.GroupLingerMicros += o.GroupLingerMicros
 	s.PipelinedAppends += o.PipelinedAppends
 	s.Flushes += o.Flushes
 	s.FlushBytes += o.FlushBytes

@@ -25,8 +25,8 @@ const (
 // shardBatcher is the hot path of the serving tier: one runner per shard
 // that coalesces writes from every connection into a single engine
 // WriteBatch, plus a small reader pool that drains gets in multi-get
-// chunks. Both claim under the adaptive linger window the engine's group
-// commit uses (package linger); its point here is amortizing the
+// chunks. Both claim under an adaptive linger window (package linger);
+// its point here is amortizing the
 // per-commit costs — WAL append (one partial-page program per commit),
 // commit-queue entry, controller gate — across clients and tenants.
 type shardBatcher struct {
