@@ -40,6 +40,12 @@ type Command struct {
 	Op    string // opcode label (WRITE, READ, KV_PUT, DSM_TRIM, ...)
 	Bytes int
 	Exec  func(r *vclock.Runner) error
+	// Step, if set, is the body as a stepped primitive (see
+	// vclock.Clock.GoTask), used instead of Exec: it takes the body as far
+	// as it goes without blocking and reports whether it is over, with the
+	// status. The command's worker is then a kernel task, which holds no
+	// goroutine and costs no goroutine switch to start or to finish.
+	Step func(r *vclock.Runner) (done bool, err error)
 
 	// Background marks host-initiated maintenance I/O (compaction reads
 	// and writes, flush output) as opposed
@@ -56,6 +62,14 @@ type Command struct {
 	submitted vclock.Time
 	parent    uint64 // submitter's trace context, for causal linking
 	done      bool
+
+	// The worker's progress through execStep: its stage, the status so
+	// far, the body's span and start, then its service time.
+	stage   uint8
+	status  error
+	span    trace.Span
+	began   vclock.Time
+	service time.Duration
 }
 
 // Config sets the queueing model's constants.
@@ -255,7 +269,15 @@ func (d *Dispatcher) ensureRunning() {
 // vclock.GoWith: a command costs no closure.
 func runCommand(w *vclock.Runner, cmd any) {
 	c := cmd.(*Command)
-	c.qp.d.exec(w, c)
+	for !c.qp.d.execStep(w, c) {
+		w.Park()
+	}
+}
+
+// stepCommand is the step of a stepped command's worker, a kernel task.
+func stepCommand(w *vclock.Runner, cmd any) (done bool) {
+	c := cmd.(*Command)
+	return c.qp.d.execStep(w, c)
 }
 
 // stepDispatcher is the dispatcher's step (a kernel task): it hands each
@@ -275,54 +297,85 @@ func stepDispatcher(r *vclock.Runner, arg any) (done bool) {
 			d.slots.Release(1)
 			return true
 		}
-		d.clk.GoWith(d.workerName(cmd.Op), runCommand, cmd)
+		if cmd.Step != nil {
+			d.clk.GoTask(d.workerName(cmd.Op), stepCommand, cmd)
+		} else {
+			d.clk.GoWith(d.workerName(cmd.Op), runCommand, cmd)
+		}
 	}
 }
 
-// exec is a command's worker: it runs the command body on w, holding the
-// firmware slot the dispatcher took for it, and posts the completion.
-func (d *Dispatcher) exec(w *vclock.Runner, cmd *Command) {
-	plan, severed, tr := d.plan, d.severed, d.tracer
-	if tr != nil {
-		// Queue residency: doorbell ring to firmware dispatch.
-		tr.Complete(w, trace.PhaseNVMeQueue, cmd.Op,
-			cmd.submitted, w.Now().Sub(cmd.submitted), cmd.parent, int64(cmd.Bytes))
-	}
-	var err error
-	var service time.Duration
-	// Injected delay (latency spike or timeout) is queueing
-	// pathology, not useful work: it is spent on the worker but
-	// deliberately kept out of the busy/service accounting.
-	outcome := plan.Decide(cmd.Op, -1)
-	if outcome.Delay > 0 {
-		w.Sleep(outcome.Delay)
-	}
-	switch {
-	case severed:
-		err = faults.ErrDeviceGone
-	case outcome.Err != nil:
-		err = outcome.Err
-	default:
-		if cmd.Exec != nil {
-			xsp := tr.BeginLinked(w, trace.PhaseNVMeExec, cmd.Op, cmd.parent)
-			start := w.Now()
-			err = cmd.Exec(w)
-			service = w.Now().Sub(start)
-			xsp.EndArg(w, int64(cmd.Bytes))
+// execStep is a command's worker, stepped on w (see vclock.Clock.GoTask):
+// it runs the command body, holding the firmware slot the dispatcher took
+// for it, posts the completion, and reports whether all that is over. A
+// command with no Step runs its Exec inline, so its worker is a runner
+// with a goroutine (runCommand).
+func (d *Dispatcher) execStep(w *vclock.Runner, cmd *Command) (done bool) {
+	body := cmd.Exec != nil || cmd.Step != nil
+	if cmd.stage == 0 {
+		if tr := d.tracer; tr != nil {
+			// Queue residency: doorbell ring to firmware dispatch.
+			tr.Complete(w, trace.PhaseNVMeQueue, cmd.Op,
+				cmd.submitted, w.Now().Sub(cmd.submitted), cmd.parent, int64(cmd.Bytes))
 		}
-		// A cut that lands while the body runs drops the
-		// completion: the work may have partially happened, but
-		// the host never hears success.
-		if d.Severed() {
-			err = faults.ErrDeviceGone
+		// Injected delay (latency spike or timeout) is queueing
+		// pathology, not useful work: it is spent on the worker but
+		// deliberately kept out of the busy/service accounting.
+		outcome := d.plan.Decide(cmd.Op, -1)
+		cmd.status, cmd.stage = outcome.Err, 1
+		if d.severed {
+			cmd.status = faults.ErrDeviceGone
+		}
+		if outcome.Delay > 0 {
+			w.SleepStep(outcome.Delay)
+			return false
 		}
 	}
-	d.slots.Release(1)
-	if d.cfg.CompletionLatency > 0 {
-		w.Sleep(d.cfg.CompletionLatency)
+	if cmd.stage == 1 {
+		cmd.stage = 3 // a failed command runs no body
+		if cmd.status == nil {
+			if body {
+				cmd.span = d.tracer.BeginLinked(w, trace.PhaseNVMeExec, cmd.Op, cmd.parent)
+				cmd.began = w.Now()
+			}
+			cmd.stage = 2
+		}
 	}
-	d.busyNS += int64(service)
+	if cmd.stage == 2 {
+		if cmd.Step != nil {
+			done, err := cmd.Step(w)
+			if !done {
+				return false
+			}
+			cmd.status = err
+		} else if cmd.Exec != nil {
+			cmd.status = cmd.Exec(w)
+		}
+		if body {
+			cmd.service = w.Now().Sub(cmd.began)
+			cmd.span.EndArg(w, int64(cmd.Bytes))
+		}
+		// A cut that lands while the body runs drops the completion: the
+		// work may have partially happened, but the host never hears
+		// success.
+		if d.severed {
+			cmd.status = faults.ErrDeviceGone
+		}
+		cmd.stage = 3
+	}
+	if cmd.stage == 3 {
+		d.slots.Release(1)
+		cmd.stage = 4
+		if d.cfg.CompletionLatency > 0 {
+			w.SleepStep(d.cfg.CompletionLatency)
+			return false
+		}
+	}
+	d.busyNS += int64(cmd.service)
+	err := cmd.status
+	cmd.stage, cmd.status, cmd.span, cmd.service = 0, nil, trace.Span{}, 0
 	cmd.qp.complete(cmd, w.Now(), err)
+	return true
 }
 
 // pick implements weighted round-robin: each queue gets up to

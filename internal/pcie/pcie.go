@@ -69,16 +69,27 @@ func (l *Link) BandwidthMBps() float64 { return l.mbps }
 // latency + n/bandwidth of virtual time. With multiple lanes the
 // per-lane rate is scaled so aggregate throughput respects the cap.
 func (l *Link) Transfer(r *vclock.Runner, dir Direction, n int) {
-	if n < 0 {
-		n = 0
+	for !l.TransferStep(r, dir, n) {
+		r.Park()
 	}
+}
+
+// TransferStep is Transfer as a stepped primitive (see
+// vclock.Clock.GoTask): it reports whether the transfer is over; until it
+// is, r is parked and the caller calls again with the same dir and n when
+// r's turn comes.
+func (l *Link) TransferStep(r *vclock.Runner, dir Direction, n int) (done bool) {
+	n = max(n, 0)
 	d := l.latency
 	if l.mbps > 0 {
 		perLane := l.mbps / float64(l.res.Cap())
 		d += time.Duration(float64(n) / (perLane * 1e6) * float64(time.Second))
 	}
-	l.res.Use(r, d)
+	if !l.res.UseStep(r, d) {
+		return false
+	}
 	l.bytes[dir] += int64(n)
+	return true
 }
 
 // BytesTransferred returns cumulative bytes for a direction.
