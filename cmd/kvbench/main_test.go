@@ -137,18 +137,19 @@ func TestDevLSMLine(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
 	var redirected, puts, flushes, waits int64
-	var waitMS float64
+	var waitMS, flushMS float64
 	for _, line := range strings.Split(stdout, "\n") {
 		switch {
 		case strings.HasPrefix(line, "kvaccel "):
 			fmt.Sscanf(line, "kvaccel     : redirected=%d", &redirected)
 		case strings.HasPrefix(line, "dev-lsm "):
-			fmt.Sscanf(line, "dev-lsm     : puts=%d flushes=%d buffer-waits=%d wait=%f ms", &puts, &flushes, &waits, &waitMS)
+			fmt.Sscanf(line, "dev-lsm     : puts=%d flushes=%d buffer-waits=%d wait=%f ms flush-mean=%f ms",
+				&puts, &flushes, &waits, &waitMS, &flushMS)
 		}
 	}
-	if redirected == 0 || puts < redirected || flushes == 0 || (waits == 0) != (waitMS == 0) {
-		t.Errorf("redirected=%d, dev-lsm puts=%d flushes=%d buffer-waits=%d wait=%.1f ms:\n%s",
-			redirected, puts, flushes, waits, waitMS, stdout)
+	if redirected == 0 || puts < redirected || flushes == 0 || (waits == 0) != (waitMS == 0) || flushMS <= 0 {
+		t.Errorf("redirected=%d, dev-lsm puts=%d flushes=%d buffer-waits=%d wait=%.1f ms flush-mean=%.1f ms:\n%s",
+			redirected, puts, flushes, waits, waitMS, flushMS, stdout)
 	}
 	_, stdout, _ = kvbench("-engine", "rocksdb", "-workload", "fillrandom", "-duration", "1s")
 	if strings.Contains(stdout, "dev-lsm") {

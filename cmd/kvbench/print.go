@@ -36,8 +36,8 @@ func printResult(w io.Writer, res *harness.RunResult, faults bool) {
 		fmt.Fprintf(w, "kvaccel     : redirected=%d rollbacks=%d\n", kv.RedirectedPuts, kv.Rollbacks)
 	}
 	if d := res.DevStats; d.Puts > 0 {
-		fmt.Fprintf(w, "dev-lsm     : puts=%d flushes=%d buffer-waits=%d wait=%.1f ms\n",
-			d.Puts, d.Flushes, d.BufferWaits, float64(d.BufferWaitNS)/1e6)
+		fmt.Fprintf(w, "dev-lsm     : puts=%d flushes=%d buffer-waits=%d wait=%.1f ms flush-mean=%.1f ms\n",
+			d.Puts, d.Flushes, d.BufferWaits, float64(d.BufferWaitNS)/1e6, float64(d.MeanFlush())/1e6)
 	}
 	for i, s := range res.PerShard {
 		fmt.Fprintf(w, "shard %-6d: puts=%d redirected=%d rollbacks=%d stalls=%d stall-time=%v\n",

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"time"
 
+	"kvaccel/internal/faults"
 	"kvaccel/internal/hotring"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/memtable"
@@ -199,8 +200,13 @@ type DB struct {
 
 	rollingBack  bool
 	lastRedirect vclock.Time // the last redirected write
-	closed       bool
-	closeEv      *vclock.Event // signals the rollback runner to drain and exit
+	// devFull says the device refused a redirect with
+	// faults.ErrCapacityExceeded: writes take the Main-LSM path, and the
+	// Rollback Manager drains at its next chance, until a drain resets
+	// the device.
+	devFull bool
+	closed  bool
+	closeEv *vclock.Event // signals the rollback runner to drain and exit
 
 	// stats holds the counters Stats returns; the front cache's are
 	// filled in there.
@@ -295,7 +301,7 @@ func (db *DB) Close() {
 // on the broad predictive signal would only siphon near-stall traffic —
 // which group commit can still absorb — onto the slower device path.
 func (db *DB) shouldRedirect() bool {
-	if db.rollingBack {
+	if db.rollingBack || db.devFull {
 		return false
 	}
 	if db.opt.StallFailover {
@@ -407,7 +413,7 @@ func (db *DB) commit(r *vclock.Runner, w *write) (redirected bool, err error) {
 	if db.shouldRedirect() && db.redirect(r, w, w.spans.redirect) {
 		return true, nil
 	}
-	err = db.mainWrite(r, w, db.opt.StallFailover && !db.rollingBack)
+	err = db.mainWrite(r, w, db.opt.StallFailover && !db.rollingBack && !db.devFull)
 	if errors.Is(err, lsm.ErrWouldStall) {
 		if db.redirect(r, w, w.spans.failover) {
 			db.stats.WouldStallRedirects += w.n
@@ -448,6 +454,7 @@ func (db *DB) redirect(r *vclock.Runner, w *write, name string) bool {
 	err := db.devWrite(r, w)
 	rsp.End(r)
 	if err != nil {
+		db.devFull = db.devFull || errors.Is(err, faults.ErrCapacityExceeded)
 		return false
 	}
 	w.keys(func(key []byte) {

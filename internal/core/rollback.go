@@ -49,7 +49,12 @@ func (db *DB) shouldRollback(r *vclock.Runner) bool {
 	case RollbackLazy:
 		// Lazy: additionally require the engine to be quiet — no running
 		// compactions and no redirection for a while — so the rollback
-		// interferes with nothing.
+		// interferes with nothing. A full device cannot wait for that:
+		// under a steady load the quiet never comes, and until the drain
+		// every write takes the Main-LSM path.
+		if db.devFull {
+			return true
+		}
 		h := db.det.Health()
 		if h.ActiveCompactions > 0 || h.QueuedFlushes > 0 {
 			return false
@@ -181,6 +186,7 @@ func (db *DB) drain(r *vclock.Runner, p *drainPolicy) error {
 	if err := db.devReset(r); err != nil {
 		return err
 	}
+	db.devFull = false
 	db.stats.RollbackPairs += pairs
 	if !p.all {
 		from := 0

@@ -95,16 +95,14 @@ type Iterator struct {
 }
 
 // NewIterator waits for the flush in flight, if any, then snapshots the
-// active buffer and the runs. Page loads charge NAND reads as the cursor
+// write buffers and the runs. Page loads charge NAND reads as the cursor
 // crosses them.
 func (d *DevLSM) NewIterator(r *vclock.Runner) *Iterator {
 	d.waitFlush(r)
-	mem := d.mem
 	runs := append([]*run(nil), d.runs...)
 	d.stats.Scans++
 
-	children := make([]iterkit.Iterator, 0, len(runs)+1)
-	children = append(children, mem.NewIterator())
+	children := d.bufferIters(len(runs))
 	cursors := make([]*runIter, 0, len(runs))
 	for i := len(runs) - 1; i >= 0; i-- {
 		ri := newRunIter(d, r, runs[i], true)
@@ -149,6 +147,18 @@ type ScanChunk struct {
 	Bytes   int
 }
 
+// bufferIters returns iterators over the write buffers, newest first,
+// with room for n more: the active buffer, and the sealed one if a full
+// region left it unflushed. No flush may be in flight.
+func (d *DevLSM) bufferIters(n int) []iterkit.Iterator {
+	its := make([]iterkit.Iterator, 0, n+2)
+	its = append(its, d.mem.NewIterator())
+	if d.sealed != nil {
+		its = append(its, d.sealed.NewIterator())
+	}
+	return its
+}
+
 // BulkScan runs the iterator-based bulky range scan the rollback uses:
 // it waits for the flush in flight, if any, bulk-reads every run page up
 // front (the fast path the paper builds in hardware), merges on the
@@ -156,14 +166,17 @@ type ScanChunk struct {
 // via emit.
 func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk)) {
 	d.waitFlush(r)
-	mem, runs := d.mem, d.runs
+	runs := d.runs
 	d.stats.Scans++
 
 	// Step 4-5: read the entire Dev-LSM's pages with full die parallelism.
 	// left bounds the encoded bytes the scan has still to emit: the runs'
-	// records and the memtable's footprint count every version and more.
+	// records and the buffers' footprint count every version and more.
 	var lpns []int
-	left := int(mem.ApproximateSize())
+	left := int(d.mem.ApproximateSize())
+	if d.sealed != nil {
+		left += int(d.sealed.ApproximateSize())
+	}
 	for _, ru := range runs {
 		left += len(ru.data)
 		for _, pm := range ru.pages {
@@ -172,8 +185,7 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 	}
 	d.f.ReadMany(r, ftl.KVRegion, lpns)
 
-	children := make([]iterkit.Iterator, 0, len(runs)+1)
-	children = append(children, mem.NewIterator())
+	children := d.bufferIters(len(runs))
 	for i := len(runs) - 1; i >= 0; i-- {
 		children = append(children, newRunIter(d, r, runs[i], false))
 	}

@@ -31,6 +31,11 @@ var (
 	// ErrDeviceGone is returned for commands in flight or submitted after
 	// a power cut severed the device.
 	ErrDeviceGone = errors.New("faults: device gone (power cut)")
+	// ErrCapacityExceeded is the status of a write the device has no room
+	// for (NVMe status 0x81): a KV put refused while the key-value region
+	// is full. No Plan injects it; it is terminal until the host drains
+	// the region.
+	ErrCapacityExceeded = errors.New("faults: capacity exceeded")
 )
 
 // Transient reports whether err is worth retrying: injected media
