@@ -81,12 +81,9 @@
 // that takes in wall time. Go may be called from outside a runner only
 // before Wait; from then on, only runners start runners.
 //
-// Runners are cheap to start: a task that is over stays behind, invisible
-// to the clock, with the goroutine its calls ran on if it made any, and a
-// later Go or GoTask reuses both (see Clock.Go). Go takes a Runner that
-// has a goroutine first, GoTask one that has none, so goroutines are made
-// about as often as Go needs one. They all exit when the simulation
-// drains.
+// Runners are cheap to start: a later Go or GoTask reuses a finished
+// task's Runner, and the goroutine its calls ran on (see Clock.Go and
+// Clock.GoTask). Those goroutines all exit when the simulation drains.
 //
 // The contract runners must obey: only the baton holder — a runner, or
 // New's caller before Wait — may call into a Clock or the primitives of
@@ -283,10 +280,10 @@ func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
 // (Runner.SleepStep, Semaphore.AcquireStep, Resource.UseStep, or one
 // built on them), or ask for a blocking call (Runner.Call); it must
 // return false right after that park or call, and must never block or
-// park any other way. It returns
-// true when the task is over, and r then serves a later Go or GoTask:
-// step must not keep it. Like GoWith, starting a task allocates nothing
-// once a runner has returned.
+// park any other way. It returns true when the task is over, and r then
+// serves a later Go or GoTask: step must not keep it. Like GoWith,
+// starting a task allocates nothing once a runner has returned; GoTask
+// takes a Runner with no goroutine first, Go one that has a goroutine.
 func (c *Clock) GoTask(name string, step func(r *Runner, arg any) (done bool), arg any) {
 	r := c.enlist(name, &c.free, &c.callers)
 	r.step, r.arg = step, arg
@@ -503,13 +500,6 @@ func (c *Clock) sleepUntil(r *Runner, at Time) {
 	c.park(r)
 }
 
-// parkOn parks r on a condition described by label until wakeParked or
-// wakeParkedAt ends the park.
-func (c *Clock) parkOn(r *Runner, label string) {
-	c.markParked(r, label)
-	c.park(r)
-}
-
 // markParked books r as parked on a condition described by label.
 func (c *Clock) markParked(r *Runner, label string) {
 	r.gen++
@@ -517,14 +507,16 @@ func (c *Clock) markParked(r *Runner, label string) {
 	c.stats.Parks++
 }
 
-// parkOnTimed is parkOn with a timeout backstop: a conditional timer is
-// pushed alongside the condition park, and whichever fires first wins.
+// parkOnTimed parks r on a condition described by label, with a timeout
+// backstop: a conditional timer is pushed alongside the condition park,
+// and whichever fires first wins.
 // The runner is woken exactly once — the timer pop skips runners no
 // longer parked, and wakeParked skips runners the timer already woke.
 func (c *Clock) parkOnTimed(r *Runner, label string, d Duration) {
 	c.seq++
 	c.timers.push(timer{at: c.now.Add(max(d, 0)), seq: c.seq, r: r, cond: true, gen: r.gen + 1})
-	c.parkOn(r, label)
+	c.markParked(r, label)
+	c.park(r)
 }
 
 // wakeParked makes a runner parked on a condition runnable. A runner that

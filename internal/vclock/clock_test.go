@@ -268,8 +268,8 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 	if sem.TryAcquire(1) {
 		t.Fatal("second TryAcquire succeeded on full semaphore")
 	}
-	if sem.InUse() != 1 {
-		t.Fatalf("InUse = %d, want 1", sem.InUse())
+	if inUse := sem.cap - sem.avail; inUse != 1 {
+		t.Fatalf("%d units in use, want 1", inUse)
 	}
 	sem.Release(1)
 	if !sem.TryAcquire(1) {
@@ -445,8 +445,8 @@ func TestQueueTryPop(t *testing.T) {
 	if !ok || v != "a" {
 		t.Fatalf("TryPop = %q ok=%v, want a", v, ok)
 	}
-	if q.Len() != 2 {
-		t.Fatalf("len = %d", q.Len())
+	if q.items.n != 2 {
+		t.Fatalf("len = %d", q.items.n)
 	}
 	v, ok = q.TryPop()
 	if !ok || v != "b" {
@@ -478,8 +478,8 @@ func TestQueueTryPushFullAndClosed(t *testing.T) {
 	})
 	c.Go("closer", func(r *Runner) {
 		r.Sleep(time.Second)
-		if q.Len() != 1 {
-			t.Errorf("len = %d before Close, want 1: push into full queue landed", q.Len())
+		if q.items.n != 1 {
+			t.Errorf("len = %d before Close, want 1: push into full queue landed", q.items.n)
 		}
 		q.Close()
 	})

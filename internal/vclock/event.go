@@ -15,12 +15,7 @@ type Event struct {
 }
 
 // NewEvent returns an unset event. label appears in deadlock reports.
-func NewEvent(label string) *Event {
-	return &Event{label: label}
-}
-
-// IsSet reports whether the event has been raised.
-func (e *Event) IsSet() bool { return e.set }
+func NewEvent(label string) *Event { return &Event{label: label} }
 
 // Set raises the event and wakes every waiting runner. It is idempotent.
 // A waiter whose timeout fired first is runnable already and left alone.

@@ -140,7 +140,7 @@ func TestEventResetTimesAnotherWait(t *testing.T) {
 			t.Error("first wait missed the set")
 		}
 		ev.Reset()
-		if ev.IsSet() {
+		if ev.set {
 			t.Error("IsSet after Reset")
 		}
 		if ev.WaitFor(r, 5*time.Millisecond) {
