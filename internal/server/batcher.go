@@ -5,30 +5,32 @@ import (
 	"time"
 
 	"kvaccel"
-	"kvaccel/internal/linger"
 	"kvaccel/internal/rpc"
 	"kvaccel/internal/vclock"
 )
 
-// The batcher's constants of the adaptive linger window (package linger),
-// which write batches and multi-get chunks each keep one of.
+// The read claimer's window.
 const (
-	// batchLingerTarget: once the recent-batch EWMA reaches this many
-	// ops, batches are forming from queue depth alone and the extra
-	// linger latency buys nothing.
-	batchLingerTarget = 16.0
-	// batchWakeOps: a queue this deep is already a full batch — a
-	// producer reaching it cuts an open window short.
-	batchWakeOps = 32
+	// readWindow is how long a read claim that is not yet a full chunk may
+	// stay open for more gets to join it.
+	readWindow = 100 * time.Microsecond
+	// futileLimit is how many windows in a row may end with the chunk
+	// still alone before the claimer stops opening them: a lone client
+	// stops paying the window after three gets.
+	futileLimit = 3
 )
 
 // shardBatcher is the hot path of the serving tier: one runner per shard
 // that coalesces writes from every connection into a single engine
 // WriteBatch, plus a small reader pool that drains gets in multi-get
-// chunks. Both claim under an adaptive linger window (package linger);
-// its point here is amortizing the
-// per-commit costs — WAL append (one partial-page program per commit),
-// commit-queue entry, controller gate — across clients and tenants.
+// chunks. Its point is amortizing the per-commit costs — WAL append (one
+// partial-page program per commit), commit-queue entry, controller gate —
+// and the per-crossing dispatch charge across clients and tenants.
+//
+// A write batch forms behind the engine crossing: the batcher pays the
+// crossing for the first write it pops, and whatever queued meanwhile
+// joins the same WriteBatch. No timer holds a batch open. A read chunk
+// forms under a short window (readWindow) that a full chunk ends at once.
 type shardBatcher struct {
 	srv    *Server
 	shard  int
@@ -36,13 +38,11 @@ type shardBatcher struct {
 	readq  *mailbox[*pending]   // reads; bounded the same way
 	chunkq *mailbox[[]*pending] // claimed multi-get chunks awaiting a reader
 
-	// window is the write batches' linger window, readWindow the
-	// multi-get chunks'. Reads coalesce via a single claimer runner
-	// (readClaim) for the same reason writes do: a pool of workers parked
-	// on pop claims arrivals one at a time and no chunk ever forms, so
-	// every get pays a full engine crossing.
-	window     *linger.Window
-	readWindow *linger.Window
+	// The read claimer's window (readClaim).
+	windowEv  *vclock.Event // raised to end the open window
+	room      int           // gets that fill the open window's chunk; 0 with none open
+	futile    int           // windows in a row whose chunk went out alone
+	lastClaim vclock.Time   // when the last chunk left
 	// chunkSpare holds the chunk slices the readers are done with, for the
 	// claimer to fill again.
 	chunkSpare [][]*pending
@@ -50,14 +50,12 @@ type shardBatcher struct {
 
 func newShardBatcher(s *Server, shard int) *shardBatcher {
 	b := &shardBatcher{
-		srv:    s,
-		shard:  shard,
-		inbox:  newMailbox[*pending](batchQueue, fmt.Sprintf("server.batch.%d", shard)),
-		readq:  newMailbox[*pending](batchQueue, fmt.Sprintf("server.readq.%d", shard)),
-		chunkq: newMailbox[[]*pending](0, fmt.Sprintf("server.chunkq.%d", shard)),
-
-		window:     linger.New(fmt.Sprintf("server.linger.%d", shard), lingerMicros*time.Microsecond, batchLingerTarget),
-		readWindow: linger.New(fmt.Sprintf("server.readlinger.%d", shard), lingerMicros*time.Microsecond, batchLingerTarget),
+		srv:      s,
+		shard:    shard,
+		inbox:    newMailbox[*pending](batchQueue, fmt.Sprintf("server.batch.%d", shard)),
+		readq:    newMailbox[*pending](batchQueue, fmt.Sprintf("server.readq.%d", shard)),
+		chunkq:   newMailbox[[]*pending](0, fmt.Sprintf("server.chunkq.%d", shard)),
+		windowEv: vclock.NewEvent(fmt.Sprintf("server.readlinger.%d", shard)),
 	}
 	s.clk.Go(fmt.Sprintf("server.batcher.%d", shard), b.run)
 	s.clk.Go(fmt.Sprintf("server.readclaim.%d", shard), b.readClaim)
@@ -74,29 +72,21 @@ func (b *shardBatcher) close() {
 }
 
 // enqueueWrite hands p to the batcher; false means the inbox is full
-// (queue-depth shed). A producer that fills the inbox past the wake
-// threshold cuts an open linger window short.
+// (queue-depth shed).
 func (b *shardBatcher) enqueueWrite(p *pending) bool {
 	p.enq = p.decoded
-	if !b.inbox.tryPush(p) {
-		return false
-	}
-	if b.inbox.len() >= batchWakeOps {
-		b.window.CutShort()
-	}
-	return true
+	return b.inbox.tryPush(p)
 }
 
 // enqueueRead hands p to the read claimer; false means queue-depth shed.
-// Like writes, a producer that fills the queue past the wake threshold
-// cuts an open read-linger window short.
+// The get that completes the open window's chunk ends the window.
 func (b *shardBatcher) enqueueRead(p *pending) bool {
 	p.enq = p.decoded
 	if !b.readq.tryPush(p) {
 		return false
 	}
-	if b.readq.len() >= batchWakeOps {
-		b.readWindow.CutShort()
+	if b.room > 0 && b.readq.len() >= b.room {
+		b.windowEv.Set()
 	}
 	return true
 }
@@ -113,25 +103,12 @@ func drain(q *mailbox[*pending], dst []*pending, max int) []*pending {
 	return dst
 }
 
-// claim fills dst, which holds the request just popped, from q up to max:
-// with what is queued, then, if w finds the wait worth it, with what
-// arrives before its window ends or is cut short.
-func claim(r *vclock.Runner, w *linger.Window, q *mailbox[*pending], dst []*pending, max int) []*pending {
-	dst = drain(q, dst, max)
-	d := w.Len(len(dst) >= max || len(dst) >= batchWakeOps)
-	if d > 0 {
-		w.Wait(r, d)
-		dst = drain(q, dst, max)
-	}
-	w.Note(len(dst), d > 0)
-	return dst
-}
-
-// run is the write-batching loop: claim, linger, drain, commit as one
-// engine WriteBatch, complete every member. The member list and the
-// engine batch are the loop's own and are filled again every round; the
-// engine keeps nothing of a batch once WriteBatch has returned, and the
-// requests staged into it stay valid until their replies are encoded.
+// run is the write-batching loop: pop, pay the engine crossing, drain
+// what queued meanwhile, commit as one engine WriteBatch, complete every
+// member. The member list and the engine batch are the loop's own and
+// are filled again every round; the engine keeps nothing of a batch once
+// WriteBatch has returned, and the requests staged into it stay valid
+// until their replies are encoded.
 func (b *shardBatcher) run(r *vclock.Runner) {
 	shard := b.srv.db.Shard(b.shard)
 	var (
@@ -143,7 +120,11 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		if !ok {
 			return
 		}
-		batch = claim(r, b.window, b.inbox, append(batch[:0], first), maxBatchOps)
+		// One engine crossing for the whole batch — the amortization that
+		// per-connection dispatch pays per op. The writes that queue while
+		// it is paid join the batch.
+		b.srv.cpu.Run(r, dispatchCPU)
+		batch = drain(b.inbox, append(batch[:0], first), maxBatchOps)
 
 		claimed := r.Now()
 		wb.Reset()
@@ -155,9 +136,6 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 				wb.Put(p.req.Key, p.req.Value)
 			}
 		}
-		// One engine crossing for the whole batch — the amortization that
-		// per-connection dispatch pays per op.
-		b.srv.cpu.Run(r, dispatchCPU)
 		err := shard.WriteBatch(r, &wb)
 		b.srv.stats.Batches++
 		b.srv.stats.BatchedOps += int64(len(batch))
@@ -178,25 +156,62 @@ func (b *shardBatcher) newChunk() []*pending {
 }
 
 // readClaim is the single per-shard read claimer: it forms multi-get
-// chunks with the adaptive linger and hands each to the reader pool via
-// chunkq. One claimer exists precisely so arrivals can pile up behind it
-// — a pool parked directly on readq claims each get the instant it
-// lands and the mean chunk size collapses to 1, which puts a full
-// engine crossing back on every read.
+// chunks and hands each to the reader pool via chunkq. One claimer exists
+// precisely so arrivals can pile up behind it — a pool parked directly on
+// readq claims each get the instant it lands and the mean chunk size
+// collapses to 1, which puts a full engine crossing back on every read.
+//
+// A claim that is not a full chunk holds a window of readWindow open,
+// which the get that fills the chunk ends at once. An idle claimer opens
+// its claim with the first get to arrive; a busy one opens the next claim
+// as soon as a chunk leaves, before its first get, and goes idle when a
+// window ends with nothing to hand off. After futileLimit windows in a
+// row whose chunk still went out alone, no window opens until a get
+// arrives within readWindow of the last claim: one a window would have
+// put in the same chunk.
 func (b *shardBatcher) readClaim(r *vclock.Runner) {
+	var chunk []*pending
+	busy := false // a chunk has just left
 	for {
-		first, ok := b.readq.pop(r)
-		if !ok {
-			return
+		if chunk == nil {
+			chunk = b.newChunk()
 		}
-		chunk := claim(r, b.readWindow, b.readq, append(b.newChunk(), first), readChunk)
+		if !busy {
+			first, ok := b.readq.pop(r)
+			if !ok {
+				return
+			}
+			chunk = append(chunk, first)
+		}
+		chunk = drain(b.readq, chunk, readChunk)
+		lingered := len(chunk) < readChunk && b.futile < futileLimit
+		if lingered {
+			// One event times every window: lowered here, whether the last
+			// window was cut short or ran to its end.
+			b.room = readChunk - len(chunk)
+			b.windowEv.Reset()
+			b.windowEv.WaitFor(r, readWindow)
+			b.room = 0
+			chunk = drain(b.readq, chunk, readChunk)
+		}
+		if busy = len(chunk) > 0; !busy {
+			continue
+		}
 		claimed := r.Now()
+		switch {
+		case len(chunk) >= 2 || !lingered && chunk[0].enq.Sub(b.lastClaim) < readWindow:
+			b.futile = 0
+		case lingered:
+			b.futile++
+		}
+		b.lastClaim = claimed
 		for _, p := range chunk {
 			p.claimed = claimed
 		}
 		b.srv.stats.ReadChunks++
 		b.srv.stats.ReadOps += int64(len(chunk))
 		b.chunkq.push(chunk)
+		chunk = nil
 	}
 }
 

@@ -42,8 +42,9 @@ func (s *testReplies) next(r *vclock.Runner) (*rpc.Response, error) {
 // RPC boundary: a write the server acked is there to be read. Each
 // connection sends a burst of PUTs of distinct keys and self-identifying
 // values back to back, before reading any reply — so every request after
-// the first arrives while its predecessors still sit in the batcher's
-// linger window (or, unbatched, behind the handler's engine call) — then
+// the first arrives while its predecessors still wait in the batcher,
+// behind its engine crossing (or, unbatched, behind the handler's engine
+// call) — then
 // reads every key back. A request's key and value alias the frame it
 // arrived in; with the next frame decoded into the same memory, all 16
 // PUTs were acked and 15 of the 16 keys were NOT_FOUND, the last key
