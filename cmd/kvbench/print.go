@@ -102,11 +102,11 @@ func printEngineSummary(w io.Writer, m lsm.Stats, failover int64) {
 // Dev-LSM / Main-LSM). A zero-valued Stats (baselines) prints nothing.
 func printReadAttribution(w io.Writer, kv core.Stats) {
 	if kv.FrontCacheHits+kv.FrontCacheMisses > 0 {
-		fmt.Fprintf(w, "front-cache : %.1f%% hit (%d/%d), fills=%d rejected=%d declined=%d invalidations=%d evictions=%d entries=%d\n",
+		fmt.Fprintf(w, "front-cache : %.1f%% hit (%d/%d), fills=%d rejected=%d declined=%d updates=%d invalidations=%d evictions=%d entries=%d\n",
 			kv.FrontCacheHitRate()*100, kv.FrontCacheHits,
 			kv.FrontCacheHits+kv.FrontCacheMisses, kv.FrontCacheFills,
-			kv.FrontCacheRejected, kv.FrontCacheDeclined, kv.FrontCacheInvalidations,
-			kv.FrontCacheEvictions, kv.FrontCacheEntries)
+			kv.FrontCacheRejected, kv.FrontCacheDeclined, kv.FrontCacheUpdates,
+			kv.FrontCacheInvalidations, kv.FrontCacheEvictions, kv.FrontCacheEntries)
 	}
 	if kv.Gets > 0 {
 		fmt.Fprintf(w, "read-src    : front-cache=%d dev-lsm=%d main-lsm=%d (of %d gets)\n",

@@ -10,7 +10,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"time"
 
 	"kvaccel/internal/faults"
@@ -129,7 +131,8 @@ type Stats struct {
 	FrontCacheFills         int64
 	FrontCacheRejected      int64 // fills dropped by the generation guard
 	FrontCacheDeclined      int64 // fills the admission sketch turned away
-	FrontCacheInvalidations int64
+	FrontCacheUpdates       int64 // resident entries a write refreshed
+	FrontCacheInvalidations int64 // resident entries a write or crash dropped
 	FrontCacheEvictions     int64
 	FrontCacheHeadMoves     int64
 	FrontCacheUsed          int64
@@ -168,6 +171,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.FrontCacheFills += o.FrontCacheFills
 	s.FrontCacheRejected += o.FrontCacheRejected
 	s.FrontCacheDeclined += o.FrontCacheDeclined
+	s.FrontCacheUpdates += o.FrontCacheUpdates
 	s.FrontCacheInvalidations += o.FrontCacheInvalidations
 	s.FrontCacheEvictions += o.FrontCacheEvictions
 	s.FrontCacheHeadMoves += o.FrontCacheHeadMoves
@@ -187,10 +191,16 @@ type DB struct {
 	det  *Detector
 
 	// front is the hot-key front cache (nil when disabled). It caches
-	// found values only — never tombstones or misses — and is kept
-	// coherent by per-key invalidation on every write acknowledgment plus
-	// the generation guard on fills (see internal/hotring).
+	// found values only — never tombstones or misses — and every
+	// acknowledged write goes through it: a point put refreshes a resident
+	// entry, a delete, a batch or a failed write drops it, and the
+	// generation guard keeps reads that overlapped a write from filling
+	// (see internal/hotring).
 	front *hotring.Cache
+	// frontWriteEnd closes a point write's front-cache token: always
+	// (*hotring.Cache).EndWrite, a field only so that a test can swap in
+	// a write end that skips the token check and show the check is needed.
+	frontWriteEnd func(c *hotring.Cache, key, value []byte, token uint64)
 
 	// gate serializes rollback chunk merges against foreground writes:
 	// writers hold one unit, a rollback chunk holds all of them. This is
@@ -200,6 +210,12 @@ type DB struct {
 
 	rollingBack  bool
 	lastRedirect vclock.Time // the last redirected write
+	// superseding holds the keys whose supersede markers are on their way
+	// to the device: views of the writers' keys, which stay put while the
+	// writers wait. The device orders commands in flight as it likes, so a
+	// redirected pair of such a key could land before the marker and be
+	// hidden by it: redirect sends those writes to the Main-LSM.
+	superseding [][]byte
 	// devFull says the device refused a redirect with
 	// faults.ErrCapacityExceeded: writes take the Main-LSM path, and the
 	// Rollback Manager drains at its next chance, until a drain resets
@@ -224,14 +240,15 @@ func Open(clk *vclock.Clock, main MainEngine, dev KVDevice, opt Options) *DB {
 		panic("core: Options needs DetectorPeriod > 0")
 	}
 	db := &DB{
-		clk:     clk,
-		opt:     opt,
-		main:    main,
-		dev:     dev,
-		meta:    NewMetadataManager(),
-		gate:    vclock.NewSemaphore(gateUnits, "kvaccel.gate"),
-		closeEv: vclock.NewEvent("kvaccel.close"),
-		front:   hotring.New(opt.FrontCacheBytes, 0),
+		clk:           clk,
+		opt:           opt,
+		main:          main,
+		dev:           dev,
+		meta:          NewMetadataManager(),
+		gate:          vclock.NewSemaphore(gateUnits, "kvaccel.gate"),
+		closeEv:       vclock.NewEvent("kvaccel.close"),
+		front:         hotring.New(opt.FrontCacheBytes, 0),
+		frontWriteEnd: (*hotring.Cache).EndWrite,
 	}
 	db.det = NewDetector(main, opt.DetectorPeriod)
 	db.det.SetTracer(opt.Trace)
@@ -267,6 +284,7 @@ func (db *DB) Stats() Stats {
 	s.FrontCacheFills = fc.Fills
 	s.FrontCacheRejected = fc.Rejected
 	s.FrontCacheDeclined = fc.Declined
+	s.FrontCacheUpdates = fc.Updates
 	s.FrontCacheInvalidations = fc.Invalidations
 	s.FrontCacheEvictions = fc.Evictions
 	s.FrontCacheHeadMoves = fc.HeadMoves
@@ -333,14 +351,25 @@ func (db *DB) Delete(r *vclock.Runner, key []byte) error {
 }
 
 // writePoint commits one record under a put span, which opens before the
-// write gate so it covers the wait for a rollback chunk.
+// write gate so it covers the wait for a rollback chunk. The record goes
+// through the front cache: its token is taken before the commit, and the
+// write end after it refreshes a resident entry with the stored value —
+// whichever route the write took, since a Dev-LSM copy is the newest
+// version and a rollback merges the identical bytes — or drops it for a
+// delete or a failed write.
 func (db *DB) writePoint(r *vclock.Runner, kind memtable.Kind, key, value []byte) (redirected bool, err error) {
 	if db.closed {
 		return false, ErrClosed
 	}
 	sp := db.opt.Trace.Begin(r, trace.PhasePut, "put")
 	db.gate.Acquire(r, 1)
+	token := db.front.BeginWrite(key)
 	redirected, err = db.commit(r, &write{kind: kind, key: key, value: value, n: 1, spans: &pointSpans})
+	stored := value
+	if err != nil || kind == memtable.KindDelete {
+		stored = nil
+	}
+	db.frontWriteEnd(db.front, key, stored, token)
 	db.gate.Release(1)
 	var arg int64
 	if redirected {
@@ -366,6 +395,14 @@ func (db *DB) WriteBatch(r *vclock.Runner, b *lsm.Batch) error {
 	sp := db.opt.Trace.Begin(r, trace.PhaseBatch, "write-batch")
 	defer sp.End(r)
 	_, err := db.commit(r, &write{b: b, n: int64(b.Len()), spans: &batchSpans})
+	// A batch's keys leave the front cache: each takes a write token once
+	// the batch has landed and ends it storing nothing, which drops a
+	// resident entry and turns away any fill that overlapped the batch.
+	if db.front != nil {
+		b.Ops(func(_ memtable.Kind, key, _ []byte) {
+			db.front.EndWrite(key, nil, db.front.BeginWrite(key))
+		})
+	}
 	return err
 }
 
@@ -408,7 +445,9 @@ func (w *write) keys(fn func(key []byte)) {
 // never blocks a writer. A rollback in flight suspends the failover for
 // the same reason it suspends shouldRedirect. If the device refuses the
 // failover too, the Main-LSM is the only home left: the write takes the
-// blocking path and waits the stall out.
+// blocking path and waits the stall out. The front cache is the
+// caller's: writePoint and WriteBatch close their keys' write tokens
+// after commit returns.
 func (db *DB) commit(r *vclock.Runner, w *write) (redirected bool, err error) {
 	if db.shouldRedirect() && db.redirect(r, w, w.spans.redirect) {
 		return true, nil
@@ -432,7 +471,6 @@ func (db *DB) commit(r *vclock.Runner, w *write) (redirected bool, err error) {
 	// the fault model documents that hazard (DESIGN.md §9) — the
 	// guarantee for this key now follows the normal-path regime.
 	w.keys(func(key []byte) {
-		db.front.Invalidate(key)
 		if !db.meta.Remove(key) {
 			return
 		}
@@ -440,7 +478,10 @@ func (db *DB) commit(r *vclock.Runner, w *write) (redirected bool, err error) {
 		if w.spans.supersede != "" {
 			rsp = db.opt.Trace.Begin(r, trace.PhaseRedirect, w.spans.supersede)
 		}
+		db.superseding = append(db.superseding, key)
 		_ = db.devPut(r, memtable.KindSupersede, key, nil)
+		i := slices.IndexFunc(db.superseding, func(k []byte) bool { return bytes.Equal(k, key) })
+		db.superseding = slices.Delete(db.superseding, i, i+1)
 		rsp.End(r)
 	})
 	db.stats.NormalPuts += w.n
@@ -448,8 +489,19 @@ func (db *DB) commit(r *vclock.Runner, w *write) (redirected bool, err error) {
 }
 
 // redirect buffers w in the Dev-LSM under a span named name and, if the
-// device took it, records where its keys' newest versions now live.
+// device took it, records where its keys' newest versions now live. A
+// write with a key whose supersede marker is still on its way to the
+// device is not redirected.
 func (db *DB) redirect(r *vclock.Runner, w *write, name string) bool {
+	if len(db.superseding) > 0 {
+		pending := false
+		w.keys(func(key []byte) {
+			pending = pending || slices.ContainsFunc(db.superseding, func(k []byte) bool { return bytes.Equal(k, key) })
+		})
+		if pending {
+			return false
+		}
+	}
 	rsp := db.opt.Trace.Begin(r, trace.PhaseRedirect, name)
 	err := db.devWrite(r, w)
 	rsp.End(r)
@@ -457,10 +509,7 @@ func (db *DB) redirect(r *vclock.Runner, w *write, name string) bool {
 		db.devFull = db.devFull || errors.Is(err, faults.ErrCapacityExceeded)
 		return false
 	}
-	w.keys(func(key []byte) {
-		db.meta.Insert(key)
-		db.front.Invalidate(key)
-	})
+	w.keys(db.meta.Insert)
 	db.stats.RedirectedPuts += w.n
 	db.lastRedirect = r.Now()
 	return true
@@ -497,10 +546,11 @@ func (db *DB) mainWrite(r *vclock.Runner, w *write, noStall bool) error {
 
 // Get reads a key through the Controller (§V-C Read Path), layered:
 // the hot-key front cache answers first, then the Metadata Manager
-// picks the LSM holding the newest version. A miss in the front cache
-// snapshots its generation token before either LSM is consulted, so the
-// fill after the read cannot install a value a concurrent write has
-// already superseded.
+// picks the LSM holding the newest version. A hit is current: every
+// acknowledged write refreshed or dropped the key's entry. A miss
+// snapshots the cache's generation token before either LSM is
+// consulted, so the fill after the read cannot install a value a write
+// that overlapped the read has superseded.
 //
 // The value is read-only and may alias engine memory. Copy it to modify
 // it, or to keep it past its use, since it pins the buffer it points into.

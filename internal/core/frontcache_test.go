@@ -10,6 +10,8 @@ import (
 // These tests pin the front cache's coherence contract: a cached value
 // must never be served past a newer write, whichever path (normal,
 // redirect, failover, rollback merge, crash recovery) that write took.
+// A point put goes through the cache — a resident entry takes the new
+// value — and a delete drops it.
 
 func newFrontCacheStack() (*vclock.Clock, *DB) {
 	opt := DefaultOptions()
@@ -66,8 +68,46 @@ func TestFrontCacheInvalidatedByNormalWrite(t *testing.T) {
 		}
 	})
 	clk.Wait()
-	if s := db.Stats(); s.FrontCacheInvalidations == 0 {
-		t.Fatal("writes produced no front-cache invalidations")
+	// The overwrite refreshed the resident entry; the delete dropped it.
+	if s := db.Stats(); s.FrontCacheUpdates != 1 || s.FrontCacheInvalidations != 1 {
+		t.Fatalf("front cache updates %d, invalidations %d, want 1 and 1",
+			s.FrontCacheUpdates, s.FrontCacheInvalidations)
+	}
+}
+
+// TestFrontCacheWriteThrough: a put to a resident key leaves the new
+// bytes in the front cache, on the normal path and on the redirect path,
+// so the next Get is a hit.
+func TestFrontCacheWriteThrough(t *testing.T) {
+	clk, db := newFrontCacheStack()
+	clk.Go("test", func(r *vclock.Runner) {
+		defer db.Close()
+		_ = db.Put(r, key(1), []byte("v1"))
+		if v, _, _ := db.Get(r, key(1)); string(v) != "v1" {
+			t.Fatalf("warm read: %q", v)
+		}
+		for _, step := range []struct {
+			redirect bool
+			value    string
+		}{{false, "normal-v2"}, {true, "redirected-v3"}, {false, "normal-v4"}} {
+			db.det.SetOverride(step.redirect)
+			if red, err := db.PutEx(r, key(1), []byte(step.value)); err != nil || red != step.redirect {
+				t.Fatalf("put %s: redirected=%v err=%v", step.value, red, err)
+			}
+			hits := db.Stats().FrontCacheHits
+			v, ok, err := db.Get(r, key(1))
+			if err != nil || !ok || string(v) != step.value {
+				t.Fatalf("get after put %s: %q ok=%v err=%v", step.value, v, ok, err)
+			}
+			if got := db.Stats().FrontCacheHits - hits; got != 1 {
+				t.Fatalf("get after put %s: %d front-cache hits, want 1", step.value, got)
+			}
+		}
+	})
+	clk.Wait()
+	if s := db.Stats(); s.FrontCacheUpdates != 3 || s.FrontCacheInvalidations != 0 {
+		t.Fatalf("front cache updates %d, invalidations %d, want 3 and 0",
+			s.FrontCacheUpdates, s.FrontCacheInvalidations)
 	}
 }
 

@@ -21,7 +21,7 @@ func viewValue(i, ver int) []byte {
 // engine memory, from whichever layer answers. For each source, the test
 // appends to the view it got, which must not reach the engine: the key
 // and its neighbours read back unchanged. It then holds the view through
-// flushes, compactions, front-cache invalidation, InvalidateAll and
+// flushes, compactions, writes through the front cache, InvalidateAll and
 // eviction, and a Dev-LSM rollback, and the view's bytes must never
 // change.
 func TestGetViewsAreClippedAndStable(t *testing.T) {

@@ -111,16 +111,22 @@ func TestScanKeepsHotSet(t *testing.T) {
 	}
 }
 
-// FuzzCacheOps drives Get, BeginRead and FillIfUnchanged, Invalidate and
-// InvalidateAll from the fuzzed bytes over a few keys in a cache small
-// enough to evict and decline, and holds it to a model after every step:
-// a hit returns the newest value filled and not invalidated since, each
-// shard's used bytes are its entries' buffers and stay within capacity,
-// and every Get is a hit or a miss.
+// FuzzCacheOps drives Get, BeginRead and FillIfUnchanged, BeginWrite, a
+// write landing and EndWrite, and InvalidateAll from the fuzzed bytes over
+// a few keys in a cache small enough to evict, decline fills and turn away
+// oversize writes, and holds it to a model after every step. The model is
+// the engine: each key's history of values (nil for absent), a read that
+// takes the value current at its BeginRead, and writes that land in any
+// order, each at any point between its BeginWrite and its EndWrite. A hit on a key with
+// no write open returns the key's current value; with writes open, a
+// value the key held since the oldest of them began. Each shard's used
+// bytes are its entries' buffers and stay within capacity, and every Get
+// is a hit or a miss.
 func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{0x40, 1, 0, 1, 1, 1, 2, 1, 0, 1, 3, 1, 0, 1, 4, 0})
 	f.Add(bytes.Repeat([]byte{0x20, 0, 7, 1, 7, 2, 7, 0, 7}, 40))
 	f.Add(bytes.Repeat([]byte{0xff, 1, 3, 2, 3, 0, 3, 3, 9, 5, 3, 1, 9, 2, 9}, 30))
+	f.Add(bytes.Repeat([]byte{0x30, 2, 1, 0, 1, 3, 1, 3, 13, 4, 1, 0, 1, 5, 13, 5, 1, 0, 1}, 20))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -128,51 +134,90 @@ func FuzzCacheOps(f *testing.F) {
 		// The first byte picks the size: 64 to 1 KiB over one or two shards.
 		c := New(int64(ops[0]&0x3f+1)*16, 1+int(ops[0]>>7))
 		const keys = 12
-		type read struct{ token, version uint64 } // a BeginRead not yet filled
+		type read struct {
+			token uint64
+			value []byte // the engine's value at BeginRead
+		}
+		type pending struct {
+			token  uint64
+			value  []byte
+			since  int // index into history when the write began
+			landed bool
+		}
 		var (
-			version [keys]uint64       // bumped by each write, i.e. Invalidate
-			model   = map[int][]byte{} // newest value filled and not invalidated
-			pending = map[int]read{}
+			history [keys][][]byte // every value each key held; nil is absent
+			reads   = map[int]read{}
+			writes  [keys][]*pending // open writes, oldest first
+			made    int
 			gets    int64
 		)
-		value := func(k int, ver uint64, size int) []byte {
-			v := []byte(fmt.Sprintf("%d@%d:", k, ver))
-			return append(v, bytes.Repeat([]byte{'v'}, size)...)
+		for k := range history {
+			history[k] = [][]byte{nil}
 		}
+		current := func(k int) []byte { return history[k][len(history[k])-1] }
 		for i := 1; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%5, int(ops[i+1])
+			op, arg := ops[i]%6, int(ops[i+1])
 			k := arg % keys
 			switch op {
 			case 0:
 				gets++
 				v, hit := c.Get(key(k))
-				if want, ok := model[k]; hit && (!ok || !bytes.Equal(v, want)) {
-					t.Fatalf("op %d: key %d hit %q, want %q (in model: %v)", i, k, v, want, ok)
+				if !hit {
+					break
+				}
+				since := len(history[k]) - 1
+				if len(writes[k]) > 0 {
+					since = writes[k][0].since
+				}
+				ok := false
+				for _, h := range history[k][since:] {
+					ok = ok || (h != nil && bytes.Equal(v, h))
+				}
+				if !ok {
+					t.Fatalf("op %d: key %d hit %q, held since: %q", i, k, v, history[k][since:])
 				}
 			case 1:
-				pending[k] = read{c.BeginRead(key(k)), version[k]}
+				reads[k] = read{c.BeginRead(key(k)), current(k)}
 			case 2:
-				p, ok := pending[k]
+				rd, ok := reads[k]
 				if !ok {
-					p = read{c.BeginRead(key(k)), version[k]}
+					rd = read{c.BeginRead(key(k)), current(k)}
 				}
-				delete(pending, k)
-				want := value(k, p.version, arg/keys)
-				if v := c.FillIfUnchanged(key(k), want, p.token); v != nil {
-					if !bytes.Equal(v, want) {
-						t.Fatalf("op %d: fill of key %d returned %q, want %q", i, k, v, want)
-					}
-					if p.version != version[k] {
-						t.Fatalf("op %d: a fill read before a write to key %d was installed", i, k)
-					}
-					model[k] = want
+				delete(reads, k)
+				if rd.value == nil {
+					break // only found values are cached
+				}
+				if v := c.FillIfUnchanged(key(k), rd.value, rd.token); v != nil && !bytes.Equal(v, rd.value) {
+					t.Fatalf("op %d: fill of key %d returned %q, want %q", i, k, v, rd.value)
 				}
 			case 3:
-				version[k]++
-				delete(model, k)
-				c.Invalidate(key(k))
-			case 4:
-				clear(model)
+				made++
+				var v []byte
+				if size := arg / keys; size%5 != 4 { // else a delete
+					v = append([]byte(fmt.Sprintf("%d#%d:", k, made)), bytes.Repeat([]byte{'v'}, size*3)...)
+				}
+				writes[k] = append(writes[k], &pending{c.BeginWrite(key(k)), v, len(history[k]) - 1, false})
+			case 4: // an open write of k that has not landed lands
+				if n := len(writes[k]); n > 0 {
+					if w := writes[k][arg/keys%n]; !w.landed {
+						w.landed = true
+						history[k] = append(history[k], w.value)
+					}
+				}
+			case 5: // an open write of k ends, landing first if it had not
+				n := len(writes[k])
+				if n == 0 {
+					break
+				}
+				j := arg / keys % n
+				w := writes[k][j]
+				writes[k] = append(writes[k][:j], writes[k][j+1:]...)
+				if !w.landed {
+					history[k] = append(history[k], w.value)
+				}
+				c.EndWrite(key(k), w.value, w.token)
+			}
+			if arg == 0xff {
 				c.InvalidateAll()
 			}
 			checkShards(t, c)

@@ -7,16 +7,21 @@
 // paying the full chain walk a classic bucket list would.
 //
 // Correctness under concurrent writes uses a per-shard generation
-// counter: a reader snapshots the generation before reading the
-// underlying engine (BeginRead) and fills only if no write invalidated
-// the shard in between (FillIfUnchanged), so a stale value can never be
-// installed over a newer write. Writers invalidate through Invalidate /
-// InvalidateAll; both bump the generation first.
+// counter. A reader snapshots the generation before reading the
+// underlying engine (BeginRead) and fills only if no write touched the
+// shard in between (FillIfUnchanged), so a stale value can never be
+// installed over a newer write. A writer goes through the cache: it takes
+// a token before its write (BeginWrite) and hands the stored value to
+// EndWrite once the write committed. If no other write in the shard
+// overlapped it, a resident entry takes the new value and stays;
+// otherwise, and for a delete, the entry is dropped. Both calls bump the
+// generation, so no read that overlapped the write fills afterwards.
+// Absent keys are not admitted on write: only reads admit.
 //
 // Values are handed out, not copied: an entry keeps its key and value in
 // one buffer written once, when the entry is filled, and never again, and
-// Get returns a view of it. Re-fills, invalidations and evictions
-// replace or drop that buffer; none writes into it, so a view a
+// Get returns a view of it. Re-fills, write-throughs, invalidations and
+// evictions replace or drop that buffer; none writes into it, so a view a
 // caller holds never changes. An evicted entry's struct is reused by a
 // later fill, its buffer never.
 //
@@ -87,7 +92,7 @@ func (e *entry) fillKV(key, value []byte) {
 }
 
 type shard struct {
-	gen     uint64 // bumped by every invalidation touching this shard
+	gen     uint64 // bumped by every write begin and end, and InvalidateAll
 	heads   [bucketsPerShard]*entry
 	used    int64
 	entries int64
@@ -95,6 +100,7 @@ type shard struct {
 	hits, misses    int64
 	fills, rejected int64
 	declined        int64
+	updates         int64
 	invalidations   int64
 	evictions       int64
 	headMoves       int64
@@ -198,7 +204,7 @@ func less(aTag uint32, aKey []byte, bTag uint32, bKey []byte) bool {
 //
 // The value is a read-only view of the entry's buffer, which nothing
 // writes after the fill that made it: it stays valid and unchanged
-// through re-fills, invalidation and eviction.
+// through re-fills, write-throughs, invalidation and eviction.
 func (c *Cache) Get(key []byte) (value []byte, hit bool) {
 	if c == nil {
 		return nil, false
@@ -261,7 +267,7 @@ func (s *shard) find(bucket, tag uint32, key []byte) *entry {
 
 // BeginRead snapshots key's shard generation. Pass the token to
 // FillIfUnchanged after reading the underlying engine; any write that
-// invalidated the shard in between makes the fill a no-op.
+// began or ended in the shard in between makes the fill a no-op.
 func (c *Cache) BeginRead(key []byte) uint64 {
 	if c == nil {
 		return 0
@@ -392,19 +398,51 @@ func (s *shard) evictOver(cap int64) {
 	}
 }
 
-// Invalidate removes key and bumps its shard generation, so in-flight
-// readers that snapshotted before this write cannot fill a stale value.
-func (c *Cache) Invalidate(key []byte) {
+// BeginWrite opens a write of key and returns its token for EndWrite. It
+// bumps the shard generation, so a read that began before the write
+// cannot fill after it.
+func (c *Cache) BeginWrite(key []byte) uint64 {
+	if c == nil {
+		return 0
+	}
+	s, _, _, _ := c.locate(key)
+	s.gen++
+	return s.gen
+}
+
+// EndWrite closes the write BeginWrite opened, once it has committed or
+// failed; value is what it stored, nil for a delete or a failed write.
+// If key is resident and no other write in its shard began or ended since
+// BeginWrite, the entry takes a fresh copy of value and stays. Otherwise,
+// or when value is nil or larger than the shard, the entry is dropped. An
+// absent key is not admitted. A write that began earlier and is still
+// open may land after this one; its own end then finds the generation
+// moved and drops the entry. EndWrite bumps the generation too, so a read
+// that overlapped the write cannot fill afterwards what it read before
+// the write landed.
+func (c *Cache) EndWrite(key, value []byte, token uint64) {
 	if c == nil {
 		return
 	}
 	s, _, bucket, tag := c.locate(key)
+	alone := s.gen == token
 	s.gen++
-	s.invalidations++
-	if e := s.find(bucket, tag, key); e != nil {
-		s.remove(bucket, e)
-		s.recycle(e)
+	e := s.find(bucket, tag, key)
+	if e == nil {
+		return
 	}
+	if size := int64(len(key) + len(value)); alone && value != nil && size <= c.perShardCap {
+		// The entry gets a new buffer; views of the old one stay as they
+		// were.
+		s.used += size - int64(len(e.kv))
+		e.fillKV(key, value)
+		s.updates++
+		s.evictOver(c.perShardCap)
+		return
+	}
+	s.remove(bucket, e)
+	s.recycle(e)
+	s.invalidations++
 }
 
 // remove unlinks e from its bucket's ring.
@@ -435,7 +473,7 @@ func (c *Cache) InvalidateAll() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.gen++
-		s.invalidations++
+		s.invalidations += s.entries
 		for b := range s.heads {
 			s.heads[b] = nil
 		}
@@ -451,7 +489,8 @@ type Stats struct {
 	Fills         int64
 	Rejected      int64 // fills dropped by the generation check
 	Declined      int64 // fills the admission sketch turned away
-	Invalidations int64
+	Updates       int64 // resident entries a write refreshed
+	Invalidations int64 // resident entries a write or InvalidateAll dropped
 	Evictions     int64
 	HeadMoves     int64
 	Used          int64
@@ -471,6 +510,7 @@ func (c *Cache) Stats() Stats {
 		st.Fills += s.fills
 		st.Rejected += s.rejected
 		st.Declined += s.declined
+		st.Updates += s.updates
 		st.Invalidations += s.invalidations
 		st.Evictions += s.evictions
 		st.HeadMoves += s.headMoves

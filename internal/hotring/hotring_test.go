@@ -11,6 +11,12 @@ func fill(c *Cache, k, v []byte) {
 	c.FillIfUnchanged(k, v, c.BeginRead(k))
 }
 
+// write runs one write of k that no other write overlaps; a nil v is a
+// delete.
+func write(c *Cache, k, v []byte) {
+	c.EndWrite(k, v, c.BeginWrite(k))
+}
+
 // readTwiceAndFill reads k twice, so that the admission sketch lets it
 // into a full shard, and fills it.
 func readTwiceAndFill(c *Cache, k, v []byte) {
@@ -34,24 +40,31 @@ func TestBasicFillGetInvalidate(t *testing.T) {
 	if v, _ := c.Get(key(1)); string(v) != "v2" {
 		t.Fatalf("get after refill: %q", v)
 	}
-	c.Invalidate(key(1))
+	write(c, key(1), []byte("v3")) // through the resident entry
+	if v, _ := c.Get(key(1)); string(v) != "v3" {
+		t.Fatalf("get after a write: %q", v)
+	}
+	write(c, key(1), nil) // a delete
 	if _, ok := c.Get(key(1)); ok {
-		t.Fatal("hit after invalidate")
+		t.Fatal("hit after a delete")
+	}
+	write(c, key(1), []byte("v4")) // absent: not admitted
+	if _, ok := c.Get(key(1)); ok {
+		t.Fatal("a write admitted an absent key")
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Fills != 2 || st.Invalidations != 1 {
+	if st.Hits != 3 || st.Misses != 3 || st.Fills != 2 || st.Updates != 1 || st.Invalidations != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
 // TestGenerationGuard pins the write-vs-fill race rule: a fill whose
-// BeginRead token predates an Invalidate on the same shard must be
-// dropped, or a slow reader would resurrect a stale value over a newer
-// write.
+// BeginRead token predates a write on the same shard must be dropped, or
+// a slow reader would resurrect a stale value over a newer write.
 func TestGenerationGuard(t *testing.T) {
 	c := New(1<<20, 1) // one shard: every key shares the generation
 	tok := c.BeginRead(key(1))
-	c.Invalidate(key(1)) // the concurrent write
+	write(c, key(2), []byte("w")) // the concurrent write, to another key
 	c.FillIfUnchanged(key(1), []byte("stale"), tok)
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("stale fill installed past an invalidation")
@@ -183,7 +196,7 @@ func TestNilCacheIsDisabled(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.FillIfUnchanged(key(1), []byte("v"), c.BeginRead(key(1)))
-	c.Invalidate(key(1))
+	write(c, key(1), []byte("w"))
 	c.InvalidateAll()
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats: %+v", st)
@@ -192,9 +205,9 @@ func TestNilCacheIsDisabled(t *testing.T) {
 
 // TestLookupViewsNeverChange: Get hands out a view of the entry's buffer,
 // not a copy, so nothing the cache does afterwards may write into it —
-// re-filling the key, Invalidate, InvalidateAll, or evicting the entry and
-// reusing its struct for other keys' fills, whose buffers would fit in the
-// old one.
+// re-filling the key, a write through it, a delete, InvalidateAll, or
+// evicting the entry and reusing its struct for other keys' fills, whose
+// buffers would fit in the old one.
 func TestLookupViewsNeverChange(t *testing.T) {
 	c := New(256, 1) // one small shard: later fills evict everything held
 	type held struct {
@@ -216,9 +229,11 @@ func TestLookupViewsNeverChange(t *testing.T) {
 	look(key(1), "first-fill")
 	fill(c, key(1), []byte("refill"))
 	look(key(1), "refill")
+	write(c, key(1), []byte("write"))
+	look(key(1), "write")
 	fill(c, key(2), []byte("second"))
 	look(key(2), "second")
-	c.Invalidate(key(2))
+	write(c, key(2), nil)
 	fill(c, key(2), []byte("inv"))
 	look(key(2), "inv")
 	c.InvalidateAll()
@@ -278,5 +293,82 @@ func TestFillCopiesKeyAndValue(t *testing.T) {
 			t.Errorf("key %d B, value %d B: buffer len %d cap %d, want len %d cap <= %d",
 				kv[0], kv[1], len(e.kv), cap(e.kv), n, sizeClass)
 		}
+	}
+}
+
+// TestWriteThroughTokenRules pins when a write's end refreshes a resident
+// entry and when it drops it. Every case runs on one shard, so every key
+// shares the generation.
+func TestWriteThroughTokenRules(t *testing.T) {
+	k, other := key(1), key(2)
+	old, cur := []byte("old"), []byte("new")
+	cases := []struct {
+		name string
+		run  func(t *testing.T, c *Cache)
+		want []byte // what Get finds afterwards; nil is a miss
+	}{
+		{"a write no other write overlaps refreshes the entry", func(t *testing.T, c *Cache) {
+			fill(c, k, old)
+			tok := c.BeginWrite(k)
+			c.EndWrite(k, cur, tok)
+		}, cur},
+		{"a write that began and ended inside drops the entry", func(t *testing.T, c *Cache) {
+			fill(c, k, old)
+			tok := c.BeginWrite(k)
+			write(c, other, []byte("x"))
+			c.EndWrite(k, cur, tok)
+		}, nil},
+		{"a write open from before drops the entry when it ends", func(t *testing.T, c *Cache) {
+			fill(c, k, old)
+			earlier := c.BeginWrite(k)
+			tok := c.BeginWrite(k)
+			c.EndWrite(k, cur, tok)
+			c.EndWrite(k, []byte("landed-last"), earlier)
+		}, nil},
+		{"a read that began before the write cannot fill after it", func(t *testing.T, c *Cache) {
+			rt := c.BeginRead(k)
+			write(c, k, cur)
+			c.FillIfUnchanged(k, old, rt)
+		}, nil},
+		{"a read that began during the write cannot fill after it", func(t *testing.T, c *Cache) {
+			tok := c.BeginWrite(k)
+			rt := c.BeginRead(k)
+			c.EndWrite(k, cur, tok)
+			c.FillIfUnchanged(k, old, rt)
+		}, nil},
+		{"a fill during the write is refreshed by its end", func(t *testing.T, c *Cache) {
+			tok := c.BeginWrite(k)
+			fill(c, k, old)
+			c.EndWrite(k, cur, tok)
+		}, cur},
+		{"an oversize value drops the entry", func(t *testing.T, c *Cache) {
+			fill(c, k, old)
+			write(c, k, make([]byte, 512))
+		}, nil},
+		{"a nil value drops the entry", func(t *testing.T, c *Cache) {
+			fill(c, k, old)
+			write(c, k, nil)
+		}, nil},
+		{"an absent key is not admitted", func(t *testing.T, c *Cache) {
+			write(c, k, cur)
+		}, nil},
+		{"after InvalidateAll the write end installs nothing", func(t *testing.T, c *Cache) {
+			fill(c, k, old)
+			tok := c.BeginWrite(k)
+			c.InvalidateAll()
+			fill(c, k, old)
+			c.EndWrite(k, cur, tok)
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(256, 1)
+			tc.run(t, c)
+			v, hit := c.Get(k)
+			if hit != (tc.want != nil) || string(v) != string(tc.want) {
+				t.Fatalf("Get = %q hit=%v, want %q hit=%v", v, hit, tc.want, tc.want != nil)
+			}
+			checkShards(t, c)
+		})
 	}
 }
