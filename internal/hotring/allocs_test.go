@@ -22,7 +22,9 @@ func benchKeys(n int) [][]byte {
 // a view of the entry's buffer and allocates nothing, a fill admitted into
 // a full cache allocates the one buffer it keeps — the struct of the entry
 // it evicts is reused, and eviction relinks rings in place — and a fill
-// the admission sketch declines allocates nothing.
+// the admission sketch declines allocates nothing. A write through a
+// resident entry allocates the one buffer it keeps, and a write of an
+// absent key nothing.
 func TestAllocsLookupAndFill(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -62,6 +64,16 @@ func TestAllocsLookupAndFill(t *testing.T) {
 		}
 	}); hits != 0 {
 		t.Errorf("%v allocations per Lookup hit, want 0", hits)
+	}
+	updatesBefore := c.Stats().Updates
+	if writes := testing.AllocsPerRun(1000, func() { write(c, hot, val) }); writes > 1 {
+		t.Errorf("%v allocations per write through a resident entry, want <= 1", writes)
+	}
+	if c.Stats().Updates == updatesBefore {
+		t.Fatal("no write went through a resident entry")
+	}
+	if absent := testing.AllocsPerRun(1000, func() { write(c, coldKeys[0], val) }); absent != 0 {
+		t.Errorf("%v allocations per write of an absent key, want 0", absent)
 	}
 }
 
