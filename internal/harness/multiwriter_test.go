@@ -105,10 +105,15 @@ func TestShardedRunSharesTheDispatch(t *testing.T) {
 // lazy, 8 closed-loop YCSB-A clients over 100 000 keys of 128 B inline
 // values — for half a virtual second. A group leader claims whoever is
 // queued and never waits for followers, so a put costs about its own
-// CPU: the mean stays within 1.5x the WriteCPU + WALAppendCPU it pays
-// alone (45 µs at scale 10; a leader that lingered for followers made
-// it about 117 µs). Groups still form behind the pipelined WAL lane, one
-// append each.
+// CPU: the mean stays within 5/4 of the WriteCPU + WALAppendCPU it pays
+// alone, 37.5 µs at scale 10 (it measures 34.8 µs; 39.9 µs when the next
+// group could claim while the previous append was in flight, about
+// 117 µs when a leader lingered for followers). The leader holds the log
+// through its append,
+// so the next group is everyone who queued meanwhile: the window takes
+// at most 0.85 WAL appends per record (0.779; 0.903 with the overlapped
+// lane), and kernel parks per op, preload included, stay within 5 % of
+// the 12.119 measured when that lane went (13.120 with it).
 func TestMixedWritersCommitWithoutWaiting(t *testing.T) {
 	p := DefaultParams()
 	p.Duration = 500 * time.Millisecond
@@ -119,13 +124,17 @@ func TestMixedWritersCommitWithoutWaiting(t *testing.T) {
 	res := p.Run(EngineSpec{Kind: KindKVAccel, Threads: 1, Rollback: core.RollbackLazy}, WorkloadMixed)
 	s := res.MainStats
 	cost := machine.LSMOptions(p.Scale).Cost
-	bound := 3 * (cost.WriteCPU + cost.WALAppendCPU) / 2
+	bound := 5 * (cost.WriteCPU + cost.WALAppendCPU) / 4
 	mean := res.Rec.WriteLatency.Mean()
 	// The preload's one writer commits one group per key; the groups
 	// past those are the mixed window's.
 	groups, records := s.GroupCommits-int64(p.KeySpace), s.GroupedRecords-int64(p.KeySpace)
-	t.Logf("%d puts, mean %v (bound %v); window: %d records in %d groups (mean %.2f); %d WAL appends for %d groups in all",
-		res.Rec.Writes(), mean, bound, records, groups, float64(records)/float64(max(groups, 1)), s.WALAppends, s.GroupCommits)
+	perRecord := float64(groups) / float64(max(records, 1))
+	t.Logf("%d puts, mean %v (bound %v); window: %d records in %d groups (mean %.2f, %.3f WAL appends per record); %d WAL appends for %d groups in all",
+		res.Rec.Writes(), mean, bound, records, groups, float64(records)/float64(max(groups, 1)), perRecord, s.WALAppends, s.GroupCommits)
+	ops := res.Rec.Writes() + res.Rec.Reads()
+	parks := float64(res.Kernel.Parks) / float64(max(ops, 1))
+	t.Logf("%.3f kernel parks per op, preload included (%d ops)", parks, ops)
 	if res.Rec.Writes() == 0 || res.Rec.Reads() == 0 {
 		t.Fatalf("idle mixed run: reads=%d writes=%d", res.Rec.Reads(), res.Rec.Writes())
 	}
@@ -134,6 +143,12 @@ func TestMixedWritersCommitWithoutWaiting(t *testing.T) {
 	}
 	if s.WALAppends != s.GroupCommits {
 		t.Errorf("%d WAL appends for %d group commits, want one each", s.WALAppends, s.GroupCommits)
+	}
+	if perRecord > 0.85 {
+		t.Errorf("the window took %.3f WAL appends per record, want <= 0.85", perRecord)
+	}
+	if parks > 1.05*12.119 {
+		t.Errorf("%.3f kernel parks per op, want <= %.3f (12.119 + 5 %%)", parks, 1.05*12.119)
 	}
 	if groups <= 0 || records <= groups {
 		t.Errorf("the window committed %d records in %d groups, want a mean group > 1", records, groups)

@@ -277,10 +277,11 @@ func RunTorture(p TortureParams) TortureReport {
 		// does not depend on goroutine scheduling.
 		cutDelay := time.Duration(1 + rng.Int63n(int64(p.CutWindow)))
 		// Besides the timed cut — which stays armed as a fallback — a
-		// phase may sever power at the Nth group-commit hook hit: between
-		// an overlapped WAL append and its predecessor's apply
-		// ("pre-append"), the crash window the pipelined WAL added. If
-		// the stage never reaches N hits, the timed cut still fires.
+		// phase may sever power at the Nth group-commit hook hit
+		// ("pre-append"): a leader has claimed its group's sequence range
+		// and holds the commit section, earlier groups' members may still
+		// be applying, and nothing of this group is logged. If the stage
+		// never reaches N hits, the timed cut still fires.
 		stages := []string{"", "pre-append"}
 		cutStage := stages[rng.Intn(len(stages))]
 		cutNth := int64(1 + rng.Int63n(4))
@@ -308,10 +309,10 @@ func RunTorture(p TortureParams) TortureReport {
 			// within a phase, so cuts land mid-rotation.
 			lopt.ValueThreshold = p.ValueThreshold
 			lopt.VLogSegmentSize = 32 << 10
-			// The write pipeline under torture: the pipelined WAL overlaps
-			// appends with applies, and replay reconstructs the memtable
-			// on every Reopen. The hook severs power inside the chosen
-			// window.
+			// The write pipeline under torture: members apply after their
+			// leader has passed leadership on, and replay reconstructs the
+			// memtable on every Reopen. The hook severs power inside the
+			// chosen window.
 			if cutPhase && cutStage != "" {
 				lopt.TestHook = func(stage string) {
 					if stage != cutStage || !hookArmed {

@@ -35,7 +35,7 @@ type DB struct {
 
 	// Group-commit state (group.go): writers queued for the next group,
 	// their staged bytes, and whether a leader is mid-commit. The next
-	// group forms in groupQueue while the current leader is in the WAL.
+	// group queues in groupQueue while the current leader is in the WAL.
 	groupQueue writerRing
 	groupBytes int64
 	committing bool
@@ -49,18 +49,7 @@ type DB struct {
 	// inserts its own records after its group's append, so a flush of a
 	// rotated memtable must wait until its count drains or it would
 	// capture the table without records already committed to the WAL.
-	// applyTotal is the sum of applying's counts — the cheap "any apply
-	// in flight" signal the pipelining-overlap counter reads.
-	applying   map[*memtable.Table]int
-	applyTotal int
-
-	// Pipelined-WAL ticket lane (group.go): each leader takes walTail++
-	// at claim time and may append only once walHead reaches its ticket,
-	// so appends hit the log in sequence order even though the next group
-	// claims — and the previous group applies — concurrently.
-	walTail uint64
-	walHead uint64
-	walCond *vclock.Cond
+	applying map[*memtable.Table]int
 
 	seq     uint64
 	memSize int64 // runtime-adjustable memtable threshold
@@ -141,7 +130,6 @@ func newDB(clk *vclock.Clock, fsys *fs.FileSystem, opt Options) *DB {
 		writeCond:         vclock.NewCond("lsm.writeStall"),
 		bgCond:            vclock.NewCond("lsm.background"),
 		groupCond:         vclock.NewCond("lsm.writeGroup"),
-		walCond:           vclock.NewCond("lsm.walTicket"),
 		persistSem:        vclock.NewSemaphore(1, "lsm.manifest"),
 	}
 }
@@ -178,7 +166,6 @@ func (db *DB) Close() {
 	db.bgCond.Broadcast()
 	db.writeCond.Broadcast()
 	db.groupCond.Broadcast()
-	db.walCond.Broadcast()
 }
 
 // Put inserts or overwrites a key.
@@ -233,10 +220,10 @@ func (db *DB) commit(r *vclock.Runner, w *groupWriter) error {
 
 // beginApply registers in-flight memtable inserts on mt; the flush
 // worker will not capture mt until they drain. The leader calls it at
-// claim time, before any member inserts.
+// claim time: its members insert only after leadership has passed, by
+// when the next leader or a Flush may have rotated mt.
 func (db *DB) beginApply(mt *memtable.Table, n int) {
 	db.applying[mt] += n
-	db.applyTotal += n
 }
 
 // releaseApply retires n in-flight-insert registrations on mt,
@@ -245,7 +232,6 @@ func (db *DB) beginApply(mt *memtable.Table, n int) {
 // append failure means the group will never apply.
 func (db *DB) releaseApply(mt *memtable.Table, n int) {
 	db.applying[mt] -= n
-	db.applyTotal -= n
 	if db.applying[mt] <= 0 {
 		delete(db.applying, mt)
 		db.bgCond.Broadcast()

@@ -43,8 +43,6 @@ type groupWriter struct {
 	mt   *memtable.Table // memtable generation the group committed into
 	err  error
 	done bool
-	// ticket is the WAL-lane ticket of the group this writer leads.
-	ticket uint64
 	// logged is a view of this writer's records in the group's WAL
 	// payload, which its memtable entries alias (applyOps); logStart is
 	// where they begin in the payload, noted by appendGroupPayload.
@@ -134,10 +132,11 @@ func (q *writerRing) removeAt(i int) {
 // free becomes the group leader; it runs the write controller once,
 // claims a contiguous sequence range for every queued writer (bounded by
 // MaxWriteGroupBytes), issues one WAL append for the whole group, and
-// wakes the members. The next group forms behind it while the leader is
-// in the WAL, so groups pipeline back-to-back. Each member — leader included — then applies
-// its own records to the memtable concurrently and returns only after
-// they are visible (read-your-writes).
+// wakes the members. The leader holds the commit section across its
+// append, so the next group is whoever queued meanwhile (RocksDB's write
+// thread). Each member — leader included — then applies its own records
+// to the memtable concurrently and returns only after they are visible
+// (read-your-writes).
 func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	if db.closed {
 		return ErrClosed
@@ -169,7 +168,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	// Leader: one write-controller pass admits everyone queued — the
 	// group pays a single admission check. The leader never waits for
 	// followers to arrive (RocksDB's write thread does not either): the
-	// group is whoever queued while the previous group held the lane.
+	// group is whoever queued while the previous group held the log.
 	db.committing = true
 	if err := db.makeRoomForWrite(r, w.noStall); err != nil {
 		// The queue behind us fails the same way on its own (each member
@@ -182,62 +181,30 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		return err
 	}
 
-	// Bounded pipeline depth: if walPipelineDepth appends are already in
-	// flight, hold the commit slot until the lane drains one. This is the
-	// backpressure that makes groups form at all under pipelining — while
-	// the leader waits here, writers accumulate behind it and are claimed
-	// together below — and it bounds how far acknowledged-but-unappended
-	// work can run ahead of the log.
-	if !db.opt.DisablePipelinedWAL {
-		db.walCond.WaitUntil(r, walLaneOpen, db)
-	}
-
 	group, totalRecs, totalBytes := db.claimGroup(w)
-	firstSeq := db.seq + 1
-	seq := firstSeq
+	seq := db.seq + 1
 	for _, m := range group {
 		m.seq = seq
 		m.mt = db.mem
 		seq += uint64(len(m.ops))
 	}
 	db.seq = seq - 1
-	lastSeq := db.seq
 	lg := db.log
 	failInject := db.failNextAppend
 	db.failNextAppend = nil
-	// Register every member's pending memtable insert at claim time, not
-	// after the append: with pipelining, the next leader can rotate this
-	// memtable while our append is still in flight, and the refcount is
-	// what keeps the flush worker from capturing the table before the
-	// group's records — by then durable in the WAL — have landed in it.
+	// Register every member's pending memtable insert at claim time:
+	// members apply after leadership passes, so the next leader — or a
+	// Flush — can rotate this memtable before they land, and the refcount
+	// is what keeps the flush worker from capturing the table before the
+	// group's records, by then durable in the WAL, are in it.
 	db.beginApply(group[0].mt, len(group))
-	w.ticket = db.walTail
-	db.walTail++
-	pipelined := !db.opt.DisablePipelinedWAL
-	if pipelined {
-		if w.ticket != db.walHead || db.applyTotal > len(group) {
-			// A previous group's append or memtable apply is still in
-			// flight: this commit genuinely overlaps it.
-			db.stats.PipelinedAppends++
-		}
-		// Hand leadership over before the append: the next group claims
-		// and encodes behind our WAL ticket instead of behind our I/O.
-		db.committing = false
-	}
-	if pipelined {
-		db.groupCond.Broadcast()
-	}
 
 	gsp := db.opt.Trace.Begin(r, trace.PhaseWriteGroup, "write-group")
 	if hook := db.opt.TestHook; hook != nil {
-		hook("pre-append") // between leadership handoff and the append
+		hook("pre-append") // sequence range claimed, nothing logged yet
 	}
-	// The WAL lane: appends must hit the log in ticket (= sequence)
-	// order, or replay would reorder groups across a crash.
-	db.walCond.WaitUntil(r, walTurn, w)
 	wsp := db.opt.Trace.Begin(r, trace.PhaseWALAppend, "wal-append")
-	// The payload is encoded where it will lie, in the log buffer, in
-	// this group's turn on the lane.
+	// The payload is encoded where it will lie, in the log buffer.
 	var payload []byte
 	werr := failInject
 	if werr == nil {
@@ -247,18 +214,13 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 	}
 	wsp.EndArg(r, int64(len(payload)))
 
-	// Advance the lane whether the append succeeded or not: the next
-	// ticket holder orders behind the attempt, not the outcome.
-	db.walHead++
-	db.walCond.Broadcast()
-	if werr != nil && !db.closed {
-		// No record carrying the claimed range reached the log: release
-		// the range so recovery never sees a sequence gap — unless a
-		// pipelined successor already claimed past it, in which case the
-		// gap stands (recovery renumbers replayed records densely).
-		if db.seq == lastSeq {
-			db.seq -= uint64(totalRecs)
-		}
+	if werr != nil {
+		// No record carrying the claimed range reached the log, and no
+		// later group can have claimed past it: release the range so
+		// recovery never sees a sequence gap. A Close during the append
+		// fails the group like any other error — its records are not
+		// logged, so no member may be acknowledged.
+		db.seq -= uint64(totalRecs)
 		db.stats.WALErrors++
 		for _, m := range group {
 			m.done, m.err = true, werr
@@ -266,9 +228,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		// The group will never apply; hand its insert registrations back
 		// so a pending flush of this memtable can proceed.
 		db.releaseApply(group[0].mt, len(group))
-		if !pipelined {
-			db.committing = false
-		}
+		db.committing = false
 		db.groupCond.Broadcast()
 		gsp.EndArg(r, 0)
 		return werr
@@ -294,9 +254,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		db.stats.UserBytes += m.userBytes
 		m.done = true
 	}
-	if !pipelined {
-		db.committing = false
-	}
+	db.committing = false
 	db.groupCond.Broadcast()
 	gsp.EndArg(r, int64(totalRecs))
 
@@ -315,25 +273,6 @@ func groupTurn(a any) bool {
 	q := &db.groupQueue
 	return w.done || q.len() > 0 && q.at(0) == w && !db.committing || db.closed && db.groupQueueIndex(w) >= 0
 }
-
-// walLaneOpen: fewer than walPipelineDepth appends are in flight.
-func walLaneOpen(a any) bool {
-	db := a.(*DB)
-	return db.closed || db.walTail-db.walHead < walPipelineDepth
-}
-
-// walTurn: the leader w's ticket is at the head of the WAL lane.
-func walTurn(a any) bool {
-	w := a.(*groupWriter)
-	return w.db.walHead == w.ticket
-}
-
-// walPipelineDepth bounds outstanding group WAL appends (tickets taken
-// but not yet retired): depth 2 lets one group encode and queue behind
-// the lane while another's append is on the device, which is all the
-// overlap the pipeline needs — deeper lanes only let singleton groups
-// leapfrog each other instead of merging.
-const walPipelineDepth = 2
 
 // applyOps inserts a committed member's records into the group's
 // memtable. Members apply their own records concurrently (RocksDB's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,13 +97,21 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	clk2.Wait()
 }
 
-// TestGroupWALErrorReleasesSeq is the satellite regression: a WAL append
-// failure on an open DB must release the claimed sequence range, leave
-// the memtable untouched, and not perturb recovery of the writes around
-// it.
+// TestGroupWALErrorReleasesSeq: a WAL append failure on an open DB must
+// release the claimed sequence range, leave the memtable untouched, and
+// not perturb recovery of the writes around it — also when writers are
+// queued behind the failing group, who must then commit on a gap-free
+// sequence and recover.
 func TestGroupWALErrorReleasesSeq(t *testing.T) {
-	clk, fsys, db := crashableEnv()
+	opt := smallOpts()
+	// Every group is one writer, so a group's successors stay queued.
+	opt.MaxWriteGroupBytes = 1
+	clk := vclock.New()
+	fsys := fs.New(&testDev{pageSize: 4096, pages: 1 << 20})
+	db := Open(clk, fsys, opt)
 	boom := errors.New("injected append failure")
+	const queued = 5
+	failedKey := -1
 	clk.Go("writer", func(r *vclock.Runner) {
 		for i := 0; i < 100; i++ {
 			_ = db.Put(r, key(i), value(i))
@@ -134,6 +143,47 @@ func TestGroupWALErrorReleasesSeq(t *testing.T) {
 				t.Errorf("put %d after failed append: %v", i, err)
 			}
 		}
+
+		// ...and so do the writers queued behind a failing group. While
+		// the first group appends, the rest queue; its hook arms the
+		// failure of the second group, which leaves writers behind it.
+		seqBefore = db.seq
+		hooks, behind := 0, 0
+		db.opt.TestHook = func(string) {
+			switch hooks++; hooks {
+			case 1:
+				db.failNextAppend = boom
+			case 2:
+				behind = db.groupQueue.len()
+			}
+		}
+		done := make(chan struct{}, queued)
+		for i := 0; i < queued; i++ {
+			i := i
+			clk.Go(fmt.Sprintf("queued%d", i), func(r *vclock.Runner) {
+				err := db.Put(r, key(6000+i), value(i))
+				switch {
+				case errors.Is(err, boom) && failedKey < 0:
+					failedKey = i
+				case err != nil:
+					t.Errorf("queued writer %d: %v", i, err)
+				}
+				done <- struct{}{}
+			})
+		}
+		for len(done) < queued {
+			r.Sleep(10 * time.Microsecond)
+		}
+		db.opt.TestHook = nil
+		if failedKey < 0 || behind == 0 {
+			t.Errorf("failed writer %d with %d writers queued behind its group, want one with some", failedKey, behind)
+		}
+		if want := seqBefore + queued - 1; db.seq != want {
+			t.Errorf("sequence not gap-free after a failed group: seq=%d want %d", db.seq, want)
+		}
+		if s := db.Stats(); s.WALErrors != 2 {
+			t.Errorf("WALErrors = %d, want 2", s.WALErrors)
+		}
 		lg := db.log
 		lg.Sync(r)
 		db.Close()
@@ -143,7 +193,7 @@ func TestGroupWALErrorReleasesSeq(t *testing.T) {
 	// ...and recovery replays the surrounding writes with no gap effects.
 	clk2 := vclock.New()
 	clk2.Go("recover", func(r *vclock.Runner) {
-		db2, err := Reopen(r, clk2, fsys, smallOpts())
+		db2, err := Reopen(r, clk2, fsys, opt)
 		if err != nil {
 			t.Errorf("reopen: %v", err)
 			return
@@ -157,6 +207,58 @@ func TestGroupWALErrorReleasesSeq(t *testing.T) {
 		}
 		if _, ok, _ := db2.Get(r, key(5000)); ok {
 			t.Error("failed write resurrected by recovery")
+		}
+		for i := 0; i < queued; i++ {
+			v, ok, err := db2.Get(r, key(6000+i))
+			if i == failedKey {
+				if ok {
+					t.Errorf("queued writer %d's failed write resurrected by recovery", i)
+				}
+			} else if err != nil || !ok || !bytes.Equal(v, value(i)) {
+				t.Errorf("queued writer %d's write lost: ok=%v err=%v", i, ok, err)
+			}
+		}
+	})
+	clk2.Wait()
+}
+
+// TestPutRacingCloseFails: a Close that lands while a group leader is in
+// its WAL append fails the group. The Put returns an error rather than
+// being acknowledged with no record logged, nothing panics, and recovery
+// does not find the key.
+func TestPutRacingCloseFails(t *testing.T) {
+	clk, fsys, db := crashableEnv()
+	clk.Go("writer", func(r *vclock.Runner) {
+		for i := 0; i < 10; i++ {
+			_ = db.Put(r, key(i), value(i))
+		}
+		db.Flush(r)
+		db.WaitIdle(r)
+		clk.Go("closer", func(r *vclock.Runner) {
+			r.Sleep(time.Nanosecond)
+			db.Close()
+		})
+		if err := db.Put(r, key(5000), value(0)); err == nil {
+			t.Error("a Put whose append met Close was acknowledged")
+		}
+	})
+	clk.Wait()
+
+	clk2 := vclock.New()
+	clk2.Go("recover", func(r *vclock.Runner) {
+		db2, err := Reopen(r, clk2, fsys, smallOpts())
+		if err != nil {
+			t.Errorf("reopen: %v", err)
+			return
+		}
+		defer db2.Close()
+		if _, ok, _ := db2.Get(r, key(5000)); ok {
+			t.Error("the Put that raced Close recovered")
+		}
+		for i := 0; i < 10; i++ {
+			if _, ok, err := db2.Get(r, key(i)); err != nil || !ok {
+				t.Errorf("flushed key %d lost: ok=%v err=%v", i, ok, err)
+			}
 		}
 	})
 	clk2.Wait()
@@ -300,4 +402,22 @@ func TestBatchCommitsThroughGroup(t *testing.T) {
 	if s.Puts != 10 || s.Deletes != 1 {
 		t.Fatalf("op counts: puts=%d deletes=%d", s.Puts, s.Deletes)
 	}
+}
+
+// walFiles returns name -> content for every WAL file on fsys.
+func walFiles(fsys *fs.FileSystem) map[string][]byte {
+	out := map[string][]byte{}
+	clk := vclock.New()
+	clk.Go("read", func(r *vclock.Runner) {
+		for _, name := range fsys.List() {
+			if strings.HasSuffix(name, ".log") {
+				data, err := fsys.ReadFile(r, name)
+				if err == nil {
+					out[name] = data
+				}
+			}
+		}
+	})
+	clk.Wait()
+	return out
 }

@@ -75,20 +75,12 @@ type Options struct {
 	// max_write_batch_group_size_bytes). Writers beyond the bound wait
 	// for the next group.
 	MaxWriteGroupBytes int64
-	// DisablePipelinedWAL keeps a group leader's commit critical section
-	// held across its WAL append, so group N+1 cannot form until group
-	// N's append returns. It exists for one caller: pipelined_test.go's
-	// byte-equivalence suite runs this serial lane as the reference the
-	// pipelined lane's WAL bytes and recovered state are compared against.
-	// With pipelining on (the default), the leader releases the critical
-	// section after claiming sequence numbers and appends under a ticket
-	// that preserves WAL record order == sequence order.
-	DisablePipelinedWAL bool
 	// TestHook, when set, is called at a named instant inside the write
 	// pipeline, so the crash-recovery torture suite can cut power at an
-	// in-between state deterministically: "pre-append", where a pipelined
-	// leader has handed leadership over but not yet appended. It is
-	// called on the group leader's runner.
+	// in-between state deterministically: "pre-append", where a leader
+	// has claimed its group's sequence range, still holding the commit
+	// section, but not yet appended. It is called on the group leader's
+	// runner.
 	TestHook func(stage string)
 
 	// ValueThreshold enables WiscKey-style value separation: a Put whose

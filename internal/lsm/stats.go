@@ -89,18 +89,17 @@ type Stats struct {
 	// failed write, never per group: a stalling leader that ejects N
 	// queued NoStallWait followers accounts N (one each), and adds one
 	// more only if the leader itself was non-blocking and failed too.
-	// WALErrors counts write-path WAL append failures (on the group path
-	// the claimed sequence range is released when no later group claimed
-	// past it; otherwise the gap stands — recovery renumbers densely).
+	// WALErrors counts write-path WAL append failures; each releases its
+	// group's claimed sequence range, so the sequence stays gap-free.
 	GroupCommits   int64
 	GroupedRecords int64
 	WALAppends     int64
 	WouldStalls    int64
 	WALErrors      int64
 
-	// PipelinedAppends counts group WAL appends issued while a previous
-	// group's append or memtable apply was still in flight — the overlap
-	// the pipelined WAL exists to create.
+	// PipelinedAppends always reads 0: one group's append never overlaps
+	// the next's any more. It stays only because the benchmark's
+	// per-layer table still reads it (bench/layers.go:176).
 	PipelinedAppends int64
 	// GroupLingerMicros always reads 0: a group leader no longer waits
 	// for followers. It stays only because the benchmark's per-layer

@@ -137,7 +137,7 @@ type Manager struct {
 	// segment file ends up permuted against the pointers handed out, but
 	// Push can park, and another runner may cut chunks meanwhile. A caller
 	// that cuts chunks takes pushTail++ before it can park and pushes only
-	// once pushHead reaches its ticket (lsm's walHead/walTail idiom).
+	// once pushHead reaches its ticket.
 	pushTail uint64
 	pushHead uint64
 	pushTurn *vclock.Cond
