@@ -597,6 +597,46 @@ func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err erro
 	return value, ok, err
 }
 
+// Read is a point read a kernel task steps through DB.GetStep: Key is the
+// key to read, and once a step reports the read done, Value, OK and Err
+// are what Get would have returned.
+type Read struct {
+	lsm.Read
+	db   *DB  // the DB whose Get runs in the read's call (getCall)
+	main bool // the read is in the Main-LSM's stepped read
+}
+
+// GetStep is Get as a stepped primitive (see vclock.Clock.GoTask), as
+// lsm.DB.GetStep is lsm.DB.Get: a key the Main-LSM alone answers, with no
+// front cache and no tracer, takes the Main-LSM's stepped read; anything
+// else — a closed DB, a key the Dev-LSM holds — runs Get in a call.
+func (db *DB) GetStep(r *vclock.Runner, rd *Read) (done bool) {
+	switch {
+	case rd.db != nil: // the call has returned
+		rd.db = nil
+		return true
+	case rd.main: // stepping the Main-LSM's read
+	case db.closed || db.front != nil || db.opt.Trace != nil || db.meta.Contains(rd.Key):
+		rd.db = db
+		r.Call(getCall, rd)
+		return false
+	default:
+		db.stats.Gets++
+		db.stats.MainGets++
+		rd.main = true
+	}
+	if !db.main.GetStep(r, &rd.Read) {
+		return false
+	}
+	rd.main = false
+	return true
+}
+
+func getCall(r *vclock.Runner, rd any) {
+	g := rd.(*Read)
+	g.Value, g.OK, g.Err = g.db.Get(r, g.Key)
+}
+
 // fill offers a value read below the front cache to it and returns what
 // Get should hand out: the cache's copy when it took one, which pins only
 // itself, else v — the fill was rejected, declined or too large — which may

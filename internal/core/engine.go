@@ -24,8 +24,10 @@ type MainEngine interface {
 	PutWith(r *vclock.Runner, wo lsm.WriteOptions, key, value []byte) error
 	DeleteWith(r *vclock.Runner, wo lsm.WriteOptions, key []byte) error
 	WriteWith(r *vclock.Runner, wo lsm.WriteOptions, b *lsm.Batch) error
-	// Get is the normal-path point read.
+	// Get is the normal-path point read, and GetStep the same read as a
+	// stepped primitive, for a kernel task.
 	Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error)
+	GetStep(r *vclock.Runner, rd *lsm.Read) (done bool)
 	// NewIterator opens a range cursor over the engine's contents.
 	NewIterator(r *vclock.Runner) *lsm.Iterator
 	// Flush forces the active memtable to disk and returns the engine's

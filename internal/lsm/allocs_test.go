@@ -236,11 +236,12 @@ func loadForGet(r *vclock.Runner, db *DB, flush bool) error {
 
 // TestAllocsGet pins the read path's garbage. A Get pins the current
 // version by one counter — no copy of the level lists, no walk over the
-// files — reads the immutables into an array on its stack and visits
-// candidate files without collecting them, and the value it returns is a
-// view — of the memtable's slab, of a block of the table's one extent,
-// of the value log's segment — so with the page cache warm a Get
-// allocates nothing wherever it is answered.
+// files — probes the memtables where they stand and visits candidate
+// files without collecting them, and the value it returns is a view — of
+// the memtable's slab, of a block of the table's one extent, of the value
+// log's segment — so with the page cache warm a Get allocates nothing
+// wherever it is answered. So does the same read stepped by a task
+// (GetStep), answered in its step from the memtable, or in its call.
 func TestAllocsGet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -292,11 +293,56 @@ func TestAllocsGet(t *testing.T) {
 				if (tc.threshold > 0) != (st.VLogDerefs > 0) {
 					t.Errorf("%d value-log dereferences with ValueThreshold %d", st.VLogDerefs, tc.threshold)
 				}
+				g := &steppedGets{t: t, db: db, key: make([]byte, 16), n: 2000, done: vclock.NewCond("stepped-gets")}
+				switches := clk.Stats().Handoffs
+				clk.GoTask("stepped-reader", stepGets, g)
+				g.done.WaitUntil(r, steppedGetsDone, g)
+				if switches = clk.Stats().Handoffs - switches; !tc.flush && switches != 0 {
+					t.Errorf("stepped memtable reads took %d goroutine switches, want 0: a call", switches)
+				}
+				perStep := float64(g.after.Mallocs-g.before.Mallocs) / float64(g.n)
+				t.Logf("%.3f allocations per stepped Get", perStep)
+				if perStep > 0.01 {
+					t.Errorf("%.3f allocations per stepped Get, want 0", perStep)
+				}
 			})
 			clk.Wait()
 		})
 	}
 }
+
+// steppedGets is a task's run of n stepped Gets (stepGets), with the
+// allocation counts from its first step to its last.
+type steppedGets struct {
+	t             *testing.T
+	db            *DB
+	key           []byte
+	rd            Read
+	i, n          int
+	before, after runtime.MemStats
+	done          *vclock.Cond
+}
+
+func stepGets(r *vclock.Runner, arg any) (done bool) {
+	g := arg.(*steppedGets)
+	if g.i == 0 && g.rd.Key == nil { // the task's first step
+		runtime.ReadMemStats(&g.before)
+	}
+	for ; g.i < g.n; g.i++ {
+		g.rd.Key = getKey(g.key, g.i*7)
+		if !g.db.GetStep(r, &g.rd) {
+			return false
+		}
+		if g.rd.Err != nil || !g.rd.OK {
+			g.t.Errorf("stepped get %d: ok=%v err=%v", g.i, g.rd.OK, g.rd.Err)
+		}
+	}
+	runtime.ReadMemStats(&g.after)
+	g.done.Broadcast()
+	return true
+}
+
+func steppedGetsDone(arg any) bool { return arg.(*steppedGets).i == arg.(*steppedGets).n }
 
 func benchmarkGet(b *testing.B, flush bool) {
 	clk, db := newTestDB(0, getOpts())

@@ -16,20 +16,12 @@ import (
 // occupancy interleaves realistically with other work.
 const cpuChunk = 256 << 10 // bytes of merge work per CPU charge
 
-// chargeMergeCPU charges the compaction merge cost for n bytes.
-func (db *DB) chargeMergeCPU(r *vclock.Runner, n int) {
-	if n <= 0 {
-		return
+// chargeCPU charges n bytes of merge or memtable-dump work at perKB per
+// KiB.
+func (db *DB) chargeCPU(r *vclock.Runner, perKB vclock.Duration, n int) {
+	if n > 0 {
+		db.opt.CPU.Run(r, perKB*vclock.Duration(n)/1024)
 	}
-	db.opt.CPU.Run(r, db.opt.Cost.MergeCPUPerKB*vclock.Duration(n)/1024)
-}
-
-// chargeFlushCPU charges the memtable-dump cost for n bytes.
-func (db *DB) chargeFlushCPU(r *vclock.Runner, n int) {
-	if n <= 0 {
-		return
-	}
-	db.opt.CPU.Run(r, db.opt.Cost.FlushCPUPerKB*vclock.Duration(n)/1024)
 }
 
 // flushWorker drains the immutable-memtable queue.
@@ -148,11 +140,11 @@ func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (*FileMe
 		}
 		pendingCPU += len(e.Key) + len(e.Value) + 16
 		if pendingCPU >= cpuChunk {
-			db.chargeFlushCPU(r, pendingCPU)
+			db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, pendingCPU)
 			pendingCPU = 0
 		}
 	}
-	db.chargeFlushCPU(r, pendingCPU)
+	db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, pendingCPU)
 	if b.Entries() == 0 {
 		return nil, nil
 	}
@@ -498,7 +490,7 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 				}
 			}
 		},
-		charge: func(n int) { db.chargeMergeCPU(r, n) },
+		charge: func(n int) { db.chargeCPU(r, db.opt.Cost.MergeCPUPerKB, n) },
 		emit: func(data []byte, meta sstable.Meta) error {
 			out, err := db.writeTable(r, data, meta, c.target, trace.PhaseCompactionIO)
 			if err != nil {

@@ -36,7 +36,7 @@ type DB struct {
 	// Group-commit state (group.go): writers queued for the next group,
 	// their staged bytes, and whether a leader is mid-commit. The next
 	// group queues in groupQueue while the current leader is in the WAL.
-	groupQueue writerRing
+	groupQueue vclock.Ring[*groupWriter]
 	groupBytes int64
 	committing bool
 	// freeWriters recycles groupWriters (newWriter, releaseWriter).
@@ -353,6 +353,11 @@ func (db *DB) rotateMemtable() {
 // value pointers.
 func (db *DB) Get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
 	db.opt.CPU.Run(r, db.opt.Cost.ReadCPU)
+	return db.get(r, key)
+}
+
+// get is Get once the ReadCPU charge is paid.
+func (db *DB) get(r *vclock.Runner, key []byte) (value []byte, ok bool, err error) {
 	if db.closed {
 		return nil, false, ErrClosed
 	}

@@ -79,51 +79,13 @@ func (db *DB) releaseWriter(w *groupWriter) {
 	db.freeWriters = append(db.freeWriters, w)
 }
 
-// writerRing is the group queue: a FIFO of writers over a ring buffer
-// that grows by doubling and is allocated by the first push, so at a
-// steady depth joining and claiming allocate nothing. Vacated slots are
-// cleared.
-type writerRing struct {
-	buf  []*groupWriter // len is zero or a power of two
-	head int
-	n    int
-}
-
-func (q *writerRing) len() int { return q.n }
-
-// at returns the i-th oldest writer, 0 <= i < len.
-func (q *writerRing) at(i int) *groupWriter { return q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-func (q *writerRing) set(i int, w *groupWriter) { q.buf[(q.head+i)&(len(q.buf)-1)] = w }
-
-func (q *writerRing) push(w *groupWriter) {
-	if q.n == len(q.buf) {
-		grown := make([]*groupWriter, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.at(i)
-		}
-		q.buf, q.head = grown, 0
+// removeAt drops the i-th oldest writer of the group queue, keeping the
+// order of the rest.
+func removeAt(q *vclock.Ring[*groupWriter], i int) {
+	for ; i < q.Len()-1; i++ {
+		*q.At(i) = *q.At(i + 1)
 	}
-	q.n++
-	q.set(q.n-1, w)
-}
-
-// pop removes the oldest writer; the ring must not be empty.
-func (q *writerRing) pop() *groupWriter {
-	w := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return w
-}
-
-// removeAt drops the i-th oldest writer, preserving the order of the rest.
-func (q *writerRing) removeAt(i int) {
-	for ; i < q.n-1; i++ {
-		q.set(i, q.at(i+1))
-	}
-	q.set(q.n-1, nil)
-	q.n--
+	q.PopBack()
 }
 
 // commitThroughGroup is the single join point of the write pipeline:
@@ -149,7 +111,7 @@ func (db *DB) commitThroughGroup(r *vclock.Runner, w *groupWriter) error {
 		return ErrWouldStall
 	}
 	w.db = db
-	db.groupQueue.push(w)
+	db.groupQueue.Push(w)
 	db.groupBytes += int64(w.bytes)
 
 	db.groupCond.WaitUntil(r, groupTurn, w)
@@ -271,7 +233,7 @@ func groupTurn(a any) bool {
 	w := a.(*groupWriter)
 	db := w.db
 	q := &db.groupQueue
-	return w.done || q.len() > 0 && q.at(0) == w && !db.committing || db.closed && db.groupQueueIndex(w) >= 0
+	return w.done || q.Len() > 0 && *q.At(0) == w && !db.committing || db.closed && db.groupQueueIndex(w) >= 0
 }
 
 // applyOps inserts a committed member's records into the group's
@@ -302,12 +264,12 @@ func (db *DB) applyOps(r *vclock.Runner, w *groupWriter) {
 func (db *DB) claimGroup(leader *groupWriter) (group []*groupWriter, totalRecs int, totalBytes int) {
 	limit := db.opt.MaxWriteGroupBytes
 	group = leader.group[:0]
-	for db.groupQueue.len() > 0 {
-		m := db.groupQueue.at(0)
+	for db.groupQueue.Len() > 0 {
+		m := *db.groupQueue.At(0)
 		if len(group) > 0 && int64(totalBytes+m.bytes) > limit {
 			break
 		}
-		group = append(group, db.groupQueue.pop())
+		group = append(group, db.groupQueue.Pop())
 		totalRecs += len(m.ops)
 		totalBytes += m.bytes
 		db.groupBytes -= int64(m.bytes)
@@ -324,12 +286,12 @@ func (db *DB) claimGroup(leader *groupWriter) (group []*groupWriter, totalRecs i
 func (db *DB) ejectNoStall() {
 	q := &db.groupQueue
 	ejected := false
-	for i := q.len() - 1; i >= 1; i-- {
-		if m := q.at(i); m.noStall {
+	for i := q.Len() - 1; i >= 1; i-- {
+		if m := *q.At(i); m.noStall {
 			m.done, m.err = true, ErrWouldStall
 			db.groupBytes -= int64(m.bytes)
 			db.stats.WouldStalls++
-			q.removeAt(i)
+			removeAt(q, i)
 			ejected = true
 		}
 	}
@@ -346,7 +308,7 @@ func (db *DB) removeFromGroupQueue(w *groupWriter) bool {
 	if i < 0 {
 		return false
 	}
-	db.groupQueue.removeAt(i)
+	removeAt(&db.groupQueue, i)
 	db.groupBytes -= int64(w.bytes)
 	return true
 }
@@ -354,8 +316,8 @@ func (db *DB) removeFromGroupQueue(w *groupWriter) bool {
 // groupQueueIndex returns w's place in the group queue, or -1 if it is not
 // queued.
 func (db *DB) groupQueueIndex(w *groupWriter) int {
-	for i := 0; i < db.groupQueue.len(); i++ {
-		if db.groupQueue.at(i) == w {
+	for i := 0; i < db.groupQueue.Len(); i++ {
+		if *db.groupQueue.At(i) == w {
 			return i
 		}
 	}

@@ -47,7 +47,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 			}
 		}
 		seq := db.seq
-		queued := db.groupQueue.len()
+		queued := db.groupQueue.Len()
 		if want := uint64(writers * perWriter); seq != want {
 			t.Errorf("sequence not gap-free: seq=%d want %d", seq, want)
 		}
@@ -154,7 +154,7 @@ func TestGroupWALErrorReleasesSeq(t *testing.T) {
 			case 1:
 				db.failNextAppend = boom
 			case 2:
-				behind = db.groupQueue.len()
+				behind = db.groupQueue.Len()
 			}
 		}
 		done := make(chan struct{}, queued)

@@ -61,41 +61,32 @@ func (db *DB) recordRead(a readAttr) {
 
 // lookup runs the layered chain and reports where the key was found.
 func (db *DB) lookup(r *vclock.Runner, key []byte) (value []byte, kind memtable.Kind, found bool, attr readAttr, err error) {
-	if db.closed {
-		return nil, 0, false, attr, ErrClosed
+	if value, kind, found, attr = db.lookupMem(key); !found {
+		value, kind, found, err = db.lookupSST(r, key, &attr)
 	}
-	mem := db.mem
-	// A handful of immutables at most: the list is read into an array on
-	// the stack, not a slice on the heap.
-	var immBuf [8]*memtable.Table
-	imms := immBuf[:0]
-	for _, j := range db.imm {
-		imms = append(imms, j.mt)
-	}
-	v := db.pinVersion()
-	defer db.unpinVersion(r, v)
-
-	// Layer 1: the active memtable.
-	if v, kind, found := mem.Get(key); found {
-		attr.src = readSourceMemtable
-		return v, kind, true, attr, nil
-	}
-	// Layer 2: immutable memtables, newest first.
-	for i := len(imms) - 1; i >= 0; i-- {
-		if v, kind, found := imms[i].Get(key); found {
-			attr.src = readSourceImmutable
-			return v, kind, true, attr, nil
-		}
-	}
-	// Layer 3: the SST levels.
-	value, kind, found, err = db.lookupSST(r, v, key, &attr)
 	return value, kind, found, attr, err
 }
 
+// lookupMem probes the active memtable, then the immutables newest first.
+func (db *DB) lookupMem(key []byte) (value []byte, kind memtable.Kind, found bool, attr readAttr) {
+	if value, kind, found = db.mem.Get(key); found {
+		attr.src = readSourceMemtable
+	}
+	for i := len(db.imm) - 1; i >= 0 && !found; i-- {
+		if value, kind, found = db.imm[i].mt.Get(key); found {
+			attr.src = readSourceImmutable
+		}
+	}
+	return value, kind, found, attr
+}
+
 // lookupSST probes L0 newest-first, then one candidate file per deeper
-// level, accumulating bloom outcomes into attr.
-func (db *DB) lookupSST(r *vclock.Runner, v *version, key []byte, attr *readAttr) (value []byte, kind memtable.Kind, found bool, err error) {
+// level of the current version, which it pins while it reads, and
+// accumulates bloom outcomes into attr.
+func (db *DB) lookupSST(r *vclock.Runner, key []byte, attr *readAttr) (value []byte, kind memtable.Kind, found bool, err error) {
 	sp := db.opt.Trace.Begin(r, trace.PhaseSSTGet, "sst-get")
+	v := db.pinVersion()
+	defer db.unpinVersion(r, v)
 	defer sp.End(r)
 	for l := 0; l < len(v.levels) && !found && err == nil; l++ {
 		v.filesForKey(l, key, func(f *FileMeta) bool {
@@ -120,4 +111,47 @@ func (db *DB) lookupSST(r *vclock.Runner, v *version, key []byte, attr *readAttr
 		return nil, 0, false, err
 	}
 	return value, kind, true, nil
+}
+
+// Read is a point read a kernel task steps through DB.GetStep. Key is the
+// key to read; once a step reports the read done, Value, OK and Err are
+// what Get would have returned.
+type Read struct {
+	Key, Value []byte
+	OK         bool
+	Err        error
+	db         *DB // the DB whose get runs in the read's call (getCall)
+}
+
+// GetStep is Get as a stepped primitive (see vclock.Clock.GoTask): it
+// reports whether rd is done; until it is, r is parked or has asked for a
+// call (vclock.Runner.Call), and the caller calls again with the same rd
+// at r's next turn. The ReadCPU charge and a key the memtables resolve
+// take no call; a closed DB, an SST read and a value pointer run get, the
+// rest of Get, in one.
+func (db *DB) GetStep(r *vclock.Runner, rd *Read) (done bool) {
+	if rd.db != nil { // the call has returned
+		rd.db = nil
+		return true
+	}
+	if !db.opt.CPU.RunStep(r, db.opt.Cost.ReadCPU) {
+		return false
+	}
+	if v, kind, found, attr := db.lookupMem(rd.Key); !db.closed && found && kind != memtable.KindValuePtr {
+		db.stats.Gets++
+		db.recordRead(attr)
+		rd.OK, rd.Err = kind != memtable.KindDelete, nil
+		if rd.Value = nil; rd.OK {
+			rd.Value = v
+		}
+		return true
+	}
+	rd.db = db
+	r.Call(getCall, rd)
+	return false
+}
+
+func getCall(r *vclock.Runner, rd any) {
+	g := rd.(*Read)
+	g.Value, g.OK, g.Err = g.db.get(r, g.Key)
 }

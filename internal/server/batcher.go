@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kvaccel"
+	"kvaccel/internal/core"
 	"kvaccel/internal/rpc"
 	"kvaccel/internal/vclock"
 )
@@ -60,7 +61,7 @@ func newShardBatcher(s *Server, shard int) *shardBatcher {
 	s.clk.Go(fmt.Sprintf("server.batcher.%d", shard), b.run)
 	s.clk.Go(fmt.Sprintf("server.readclaim.%d", shard), b.readClaim)
 	for w := 0; w < readers; w++ {
-		s.clk.Go(fmt.Sprintf("server.reader.%d.%d", shard, w), b.readLoop)
+		s.clk.GoTask(fmt.Sprintf("server.reader.%d.%d", shard, w), stepRead, &reader{b: b})
 	}
 	return b
 }
@@ -85,7 +86,7 @@ func (b *shardBatcher) enqueueRead(p *pending) bool {
 	if !b.readq.tryPush(p) {
 		return false
 	}
-	if b.room > 0 && b.readq.len() >= b.room {
+	if b.room > 0 && b.readq.items.Len() >= b.room {
 		b.windowEv.Set()
 	}
 	return true
@@ -139,7 +140,10 @@ func (b *shardBatcher) run(r *vclock.Runner) {
 		err := shard.WriteBatch(r, &wb)
 		b.srv.stats.Batches++
 		b.srv.stats.BatchedOps += int64(len(batch))
-		b.srv.completeBatch(batch, r.Now(), err)
+		for _, p := range batch {
+			p.reply(rpc.StatusOK)
+			b.srv.finish(p, r.Now(), err)
+		}
 		clear(batch) // the members are their connections' again
 	}
 }
@@ -215,36 +219,51 @@ func (b *shardBatcher) readClaim(r *vclock.Runner) {
 	}
 }
 
-// readLoop is one reader worker: it takes a claimed chunk, pays one
+// reader is one reader task's state (stepRead): the claimed chunk in
+// hand (nil with none), the next of its gets, -1 while the chunk's engine
+// crossing is being paid, and the get in progress.
+type reader struct {
+	b     *shardBatcher
+	chunk []*pending
+	next  int
+	get   core.Read
+}
+
+// stepRead is one reader, a task: it takes a claimed chunk, pays one
 // engine crossing for the whole chunk, then resolves each get against
-// the shard, delivering as it goes. Execution stays parallel across the
-// pool even though chunk formation is serialized in readClaim.
-func (b *shardBatcher) readLoop(r *vclock.Runner) {
-	shard := b.srv.db.Shard(b.shard)
+// the shard (core.DB.GetStep), delivering as it goes. Execution stays
+// parallel across the pool even though chunk formation is serialized in
+// readClaim.
+func stepRead(r *vclock.Runner, arg any) (done bool) {
+	w := arg.(*reader)
+	b, g := w.b, &w.get
 	for {
-		chunk, ok := b.chunkq.pop(r)
-		if !ok {
-			return
-		}
-		// One engine crossing per multi-get chunk.
-		b.srv.cpu.Run(r, dispatchCPU)
-		for _, p := range chunk {
-			resp := p.reply(rpc.StatusOK)
-			value, found, err := shard.Get(r, p.req.Key)
-			switch {
-			case err != nil:
-				b.srv.stats.EngineErrors++
-				resp.Status = rpc.StatusErr
-			case !found:
-				resp.Status = rpc.StatusNotFound
-			default:
-				resp.Value = value
+		if w.chunk == nil {
+			chunk, ok, done := b.chunkq.popStep(r)
+			if !done || !ok {
+				return done // parked, or closed and drained
 			}
-			p.engDone = r.Now()
-			b.srv.tenant(p).Answered++
-			p.conn.deliver(p)
+			w.chunk, w.next = chunk, -1
 		}
-		clear(chunk)
-		b.chunkSpare = append(b.chunkSpare, chunk[:0])
+		if w.next < 0 {
+			if !b.srv.cpu.RunStep(r, dispatchCPU) {
+				return false
+			}
+			w.next = 0
+		}
+		for ; w.next < len(w.chunk); w.next++ {
+			p := w.chunk[w.next]
+			if g.Key = p.req.Key; !b.srv.db.Shard(b.shard).GetStep(r, g) {
+				return false
+			}
+			resp := p.reply(rpc.StatusOK)
+			if resp.Value, g.Value = g.Value, nil; g.Err == nil && !g.OK {
+				resp.Status = rpc.StatusNotFound
+			}
+			b.srv.finish(p, r.Now(), g.Err)
+		}
+		clear(w.chunk)
+		b.chunkSpare = append(b.chunkSpare, w.chunk[:0])
+		w.chunk = nil
 	}
 }

@@ -13,8 +13,7 @@ import (
 // ok=false; unlike vclock.Queue, nothing ever panics on a closed box, so
 // connection teardown races are safe by construction.
 type mailbox[T any] struct {
-	label string
-	cap   int // <= 0: unbounded
+	cap int // <= 0: unbounded
 
 	items    vclock.Ring[T] // popping moves nothing
 	closed   bool
@@ -22,9 +21,7 @@ type mailbox[T any] struct {
 }
 
 func newMailbox[T any](capacity int, label string) *mailbox[T] {
-	m := &mailbox[T]{label: label, cap: capacity}
-	m.notEmpty = vclock.NewCond(label)
-	return m
+	return &mailbox[T]{cap: capacity, notEmpty: vclock.NewCond(label)}
 }
 
 // tryPush enqueues v unless the box is closed or full.
@@ -83,10 +80,6 @@ func (m *mailbox[T]) tryPop() (v T, ok bool) {
 	}
 	v = m.items.Pop()
 	return v, true
-}
-
-func (m *mailbox[T]) len() int {
-	return m.items.Len()
 }
 
 // close marks the box closed and wakes every parked consumer.

@@ -348,13 +348,7 @@ func execDirect(r *vclock.Runner, arg any) {
 	default:
 		resp.Status = rpc.StatusErr
 	}
-	if err != nil {
-		s.stats.EngineErrors++
-		resp.Status = rpc.StatusErr
-	}
-	p.engDone = r.Now()
-	s.tenant(p).Answered++
-	p.conn.deliver(p)
+	s.finish(p, r.Now(), err)
 }
 
 // scan appends to out up to limit entries at and after key from the
@@ -375,22 +369,16 @@ func (s *Server) scan(r *vclock.Runner, out []rpc.ScanEntry, key []byte, limit i
 	return out
 }
 
-// completeBatch finalizes a slice of pendings that shared one engine
-// call: stamps, status, ordered delivery.
-func (s *Server) completeBatch(batch []*pending, done vclock.Time, err error) {
-	for _, p := range batch {
-		p.engDone = done
-		status := rpc.StatusOK
-		if err != nil {
-			status = rpc.StatusErr
-		}
-		p.reply(status)
-		s.tenant(p).Answered++
-		p.conn.deliver(p)
-	}
+// finish ends p's engine call at done, its response built: an error
+// answers StatusErr instead. The response goes on in per-client order.
+func (s *Server) finish(p *pending, done vclock.Time, err error) {
 	if err != nil {
-		s.stats.EngineErrors += int64(len(batch))
+		s.stats.EngineErrors++
+		p.resp.Status = rpc.StatusErr
 	}
+	p.engDone = done
+	s.tenant(p).Answered++
+	p.conn.deliver(p)
 }
 
 // tracePhases records p's serving phases once its reply is being written.

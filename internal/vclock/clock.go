@@ -100,6 +100,7 @@ package vclock
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -195,9 +196,11 @@ type Runner struct {
 	wake  chan struct{} // the baton, handed to r's call goroutine; nil until r's first call
 	// step and arg are the turns this life of the runner takes. step is nil
 	// while a call runs, and while the call is the life's one turn
-	// (Clock.Go); both are nil while the runner idles on a free list.
+	// (Clock.Go); both are nil while the runner idles on a free list. lent
+	// says a call lent them (Runner.Lend): a done step goes back to it.
 	step func(r *Runner, arg any) (done bool)
 	arg  any
+	lent bool
 	// call and callArg are the blocking call r asked for (Runner.Call),
 	// until r's call goroutine takes them up.
 	call    func(r *Runner, arg any)
@@ -456,17 +459,32 @@ func (c *Clock) Hold() (release func()) {
 	}
 }
 
+// Lend lends r's turns to step until it reports done, and then returns:
+// r runs the loop `for !step(r, arg) { r.Park() }` by the task rule, the
+// first step here and the rest at r's turns on whichever goroutine passes
+// the baton on, which hands it back to r's goroutine once a step is done.
+// r must be inside a call (Clock.Go, Runner.Call); step must not call.
+func (r *Runner) Lend(step func(r *Runner, arg any) (done bool), arg any) {
+	if !step(r, arg) {
+		r.step, r.arg, r.lent = step, arg, true
+		r.clock.park(r)
+		r.step, r.arg, r.lent = nil, nil, false
+	}
+}
+
 // Sleep parks r for virtual duration d. A non-positive d still yields a
 // full park at the current instant, which lets every runner runnable now
 // run first.
 func (r *Runner) Sleep(d Duration) {
-	r.clock.sleepUntil(r, r.clock.now.Add(max(d, 0)))
+	r.SleepStep(d)
+	r.clock.park(r)
 }
 
 // SleepUntil parks r until virtual time t (or, at or after t, for a
 // zero-length sleep).
 func (r *Runner) SleepUntil(t Time) {
-	r.clock.sleepUntil(r, max(t, r.clock.now))
+	r.SleepUntilStep(t)
+	r.clock.park(r)
 }
 
 // SleepStep is Sleep as a stepped primitive: it parks r for d without
@@ -489,16 +507,6 @@ func (r *Runner) SleepUntilStep(t Time) {
 // returns when r's turn comes again: the blocking half of Sleep, Use and
 // the like, for a runner with a goroutine. A task never calls it.
 func (r *Runner) Park() { r.clock.park(r) }
-
-// sleepUntil parks r on a plain timer due at at.
-func (c *Clock) sleepUntil(r *Runner, at Time) {
-	// SleepStep's body, by hand: the compiler does not inline SleepStep,
-	// and Sleep is the kernel's hottest park.
-	c.seq++
-	c.timers.push(timer{at: at, seq: c.seq, r: r})
-	c.stats.Parks++
-	c.park(r)
-}
 
 // markParked books r as parked on a condition described by label.
 func (c *Clock) markParked(r *Runner, label string) {
@@ -616,6 +624,9 @@ func (c *Clock) pick(self *Runner) *Runner {
 			// or its return, would — or hand r the baton for its call.
 			self = r
 			if r.step(r, r.arg) {
+				if r.lent {
+					return r // back to the call that lent the step
+				}
 				c.retire(r)
 				if c.total--; c.total == 0 {
 					return nil
@@ -677,10 +688,7 @@ func (c *Clock) deadlockReport() string {
 		}
 	}
 	sort.Strings(labels)
-	for _, l := range labels {
-		s += l
-	}
-	return s
+	return s + strings.Join(labels, "")
 }
 
 type timer struct {

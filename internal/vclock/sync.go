@@ -231,9 +231,6 @@ func NewSemaphore(capacity int, label string) *Semaphore {
 	return &Semaphore{avail: capacity, cap: capacity, label: label}
 }
 
-// Cap returns the semaphore's capacity.
-func (s *Semaphore) Cap() int { return s.cap }
-
 // Acquire takes n units, parking r until they are available.
 //
 // A waiter parks at the place it would have if Release woke every waiter:
@@ -519,17 +516,13 @@ func (res *Resource) UseClassStep(r *Runner, d Duration, first bool) (done bool)
 	if first && !res.sem.AcquireFirstStep(r) || !first && !res.sem.AcquireStep(r, 1) {
 		return false
 	}
-	// Park r for d: SleepStep's body, by hand, as in sleepUntil.
 	r.held = true
-	c := r.clock
-	c.seq++
-	c.timers.push(timer{at: c.now.Add(d), seq: c.seq, r: r})
-	c.stats.Parks++
+	r.SleepStep(d) // r holds the unit for d
 	return false
 }
 
 // Cap returns the resource's parallel capacity.
-func (res *Resource) Cap() int { return res.sem.Cap() }
+func (res *Resource) Cap() int { return res.sem.cap }
 
 // BusyNS returns cumulative busy unit-nanoseconds; sampling it at intervals
 // yields utilization: delta / (interval * capacity).

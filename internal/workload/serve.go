@@ -250,17 +250,24 @@ type ServeLoad struct {
 	cfg ServeConfig
 	gen *mixGen
 	Rec *ServeRecorder
+	// closed holds the closed-loop clients' states, made with the load so
+	// that a client's start allocates none.
+	closed []closedClient
 }
 
 // NewServeLoad builds the shared state for a run whose keyspace was
 // preloaded with `preloaded` sequential keys.
 func NewServeLoad(cfg ServeConfig, preloaded int) *ServeLoad {
 	cfg = cfg.normalize()
-	return &ServeLoad{
+	l := &ServeLoad{
 		cfg: cfg,
 		gen: newMixGen(cfg.Mix, cfg.KeySpace, NewMixedState(preloaded)),
 		Rec: NewServeRecorder(cfg.Tenants),
 	}
+	if !cfg.OpenLoop {
+		l.closed = make([]closedClient, cfg.Clients)
+	}
+	return l
 }
 
 // Config returns the normalized config the load was built with.
@@ -288,25 +295,39 @@ func (l *ServeLoad) buildRequest(req *rpc.Request, buf *scratch, q request, id u
 	return q.key
 }
 
-// Client runs one client (id) against the dialer until the duration
-// elapses, closed- or open-loop per the config. clk spawns the open-loop
-// receiver runner; the closed loop never uses it.
+// Client runs one client (id, 0 <= id < Clients) against the dialer until
+// the duration elapses, closed- or open-loop per the config. clk starts
+// the open-loop receiver task; the closed loop never uses it.
 func (l *ServeLoad) Client(r *vclock.Runner, clk *vclock.Clock, d Dialer, id int) {
-	if l.cfg.OpenLoop {
-		l.openLoop(r, clk, d, id)
-	} else {
-		l.closedLoop(r, d, id)
+	conn := d.Connect(r, fmt.Sprintf("client.%d", id))
+	if conn == nil {
+		l.Rec.stats.ConnFailed++
+		return
 	}
+	if l.cfg.OpenLoop {
+		l.openLoop(r, clk, conn, id)
+		return
+	}
+	c := &l.closed[id]
+	*c = closedClient{
+		l:        l,
+		id:       id,
+		tenant:   id % l.cfg.Tenants,
+		replies:  replyStream{conn: conn},
+		rng:      rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919)),
+		deadline: r.Now().Add(l.cfg.Duration),
+	}
+	r.Lend(stepClosed, c)
+	conn.Close()
 }
 
-// send frames req into a buffer of the connection's and transmits it,
-// booking it as sent. The connection owns the frame from here, which is
-// what lets a client send its next request before this one is answered.
-func (l *ServeLoad) send(r *vclock.Runner, conn *rpc.Conn, req *rpc.Request, tenant int) error {
-	frame := rpc.AppendRequest(conn.Buffer(), req)
+// frame frames req into a buffer of the connection's and books it as
+// sent. The connection owns the frame once it is sent, which is what lets
+// a client send its next request before this one is answered.
+func (l *ServeLoad) frame(conn *rpc.Conn, req *rpc.Request, tenant int) []byte {
 	l.Rec.stats.Sent++
 	l.Rec.stats.Tenants[tenant].Sent++
-	return conn.Send(r, frame)
+	return rpc.AppendRequest(conn.Buffer(), req)
 }
 
 // replyStream is a client's receive side: a decoder over the frames the
@@ -321,97 +342,129 @@ type replyStream struct {
 // errStreamEnded reports a reply stream that ended cleanly (peer closed).
 var errStreamEnded = errors.New("workload: reply stream ended")
 
-// next parks for the next reply. The response aliases the frame it came
-// in and is valid until the following call, which is where that frame
-// goes back to the connection — once the decoder has nothing left to read
-// in it. The error is errStreamEnded at EOF, anything else for a corrupt
-// stream.
-func (s *replyStream) next(r *vclock.Runner) (*rpc.Response, error) {
+// nextStep reads the next reply as a stepped primitive (see
+// vclock.Clock.GoTask): done once a reply has come or the stream has
+// ended, and otherwise r is parked until one may have. The response
+// aliases the frame it came in and is valid until the following call,
+// which is where that frame goes back to the connection — once the
+// decoder has nothing left to read in it. The error is errStreamEnded at
+// EOF, anything else for a corrupt stream.
+func (s *replyStream) nextStep(r *vclock.Runner) (resp *rpc.Response, done bool, err error) {
 	for {
 		payload, ok, err := s.dec.Next()
 		if err != nil {
-			return nil, err
+			return nil, true, err
 		}
 		if ok {
 			if err := rpc.DecodeResponse(payload, &s.resp); err != nil {
-				return nil, err
+				return nil, true, err
 			}
-			return &s.resp, nil
+			return &s.resp, true, nil
 		}
 		s.conn.Release(s.chunk)
 		s.chunk = nil
-		data, _, alive := s.conn.Recv(r)
+		data, _, alive, done := s.conn.RecvStep(r)
+		if !done {
+			return nil, false, nil
+		}
 		if !alive {
-			return nil, errStreamEnded
+			return nil, true, errStreamEnded
 		}
 		s.dec.Feed(data)
 		s.chunk = data
 	}
 }
 
-// call sends req and blocks for its response — the closed-loop inner
-// step — returning the response's status. ok is false when the
-// connection died.
-func (l *ServeLoad) call(r *vclock.Runner, replies *replyStream, req *rpc.Request, tenant int) (status byte, ok bool) {
-	t0 := r.Now()
-	if err := l.send(r, replies.conn, req, tenant); err != nil {
-		l.Rec.stats.Dropped++
-		return 0, false
-	}
-	resp, err := replies.next(r)
-	if err != nil {
-		if err != errStreamEnded {
-			l.Rec.stats.TornFrames++
-		}
-		l.Rec.stats.Dropped++
-		return 0, false
-	}
-	l.Rec.record(r.Now().Sub(t0), resp, tenant)
-	return resp.Status, true
+// closedClient is the capacity-probing client, lent its runner's turns
+// (stepClosed): one op in flight, the next issued when the reply lands.
+// Everything a request needs — the struct, its key and value, the reply —
+// is the client's own and built over again for each request; the frames
+// are the connection's.
+type closedClient struct {
+	l          *ServeLoad
+	id, tenant int
+	replies    replyStream
+	rng        *rand.Rand
+	deadline   vclock.Time
+	buf        scratch
+	req        rpc.Request
+	seq        uint64
+	// The request in flight: its frame until the connection takes it, when
+	// it was sent, the key number it PUTs (-1 for the rest), and whether
+	// its reply is awaited. With update set, rmw's update half is due once
+	// its read half is answered.
+	frame   []byte
+	t0      vclock.Time
+	put     int
+	waiting bool
+	update  bool
+	rmw     request
 }
 
-// closedLoop is the capacity-probing client: one op in flight, the next
-// issued when the reply lands. Everything a request needs — the struct,
-// its key and value, the reply — is the client's own and built over
-// again for each request; the frames are the connection's.
-func (l *ServeLoad) closedLoop(r *vclock.Runner, d Dialer, id int) {
-	conn := d.Connect(r, fmt.Sprintf("client.%d", id))
-	if conn == nil {
-		l.Rec.stats.ConnFailed++
-		return
-	}
-	defer conn.Close()
-	replies := &replyStream{conn: conn}
-	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919))
-	tenant := id % l.cfg.Tenants
-	deadline := r.Now().Add(l.cfg.Duration)
-	var (
-		buf scratch
-		req rpc.Request
-		seq uint64
-	)
-	for deadline.Sub(r.Now()) > 0 {
-		q := l.gen.next(rng)
-		if q.kind == opRMW {
-			// The read half first: a GET of the key the update half writes.
-			l.buildRequest(&req, &buf, request{kind: opRead, key: q.key}, reqID(id, seq), uint8(tenant))
-			seq++
-			if _, ok := l.call(r, replies, &req, tenant); !ok {
-				return
+// issue builds q as the client's next request and frames it.
+func (c *closedClient) issue(r *vclock.Runner, q request) {
+	c.put = c.l.buildRequest(&c.req, &c.buf, q, reqID(c.id, c.seq), uint8(c.tenant))
+	c.seq++
+	c.t0 = r.Now()
+	c.frame = c.l.frame(c.replies.conn, &c.req, c.tenant)
+}
+
+// stepClosed is the closed loop as a step: send the request in flight,
+// await and book its reply, then issue the next — an RMW's update half,
+// or, until the deadline, a fresh draw. It is done at the deadline or
+// when the connection dies.
+func stepClosed(r *vclock.Runner, arg any) (done bool) {
+	c := arg.(*closedClient)
+	rec := c.l.Rec
+	for {
+		switch {
+		case c.frame != nil:
+			sent, err := c.replies.conn.SendStep(r, c.frame)
+			if !sent {
+				return false
 			}
+			if c.frame = nil; err != nil {
+				rec.stats.Dropped++
+				return true
+			}
+			c.waiting = true
+		case c.waiting:
+			resp, got, err := c.replies.nextStep(r)
+			if !got {
+				return false
+			}
+			if c.waiting = false; err != nil {
+				if err != errStreamEnded {
+					rec.stats.TornFrames++
+				}
+				rec.stats.Dropped++
+				return true
+			}
+			rec.record(r.Now().Sub(c.t0), resp, c.tenant)
+			rec.noteAcked(c.put, resp.Status)
+		case c.update:
+			c.update = false
+			c.issue(r, c.rmw)
+		case c.deadline.Sub(r.Now()) <= 0:
+			return true
+		default:
+			q := c.l.gen.next(c.rng)
+			if q.kind == opRMW {
+				// The read half first: a GET of the key the update half writes.
+				c.rmw, c.update = q, true
+				q = request{kind: opRead, key: q.key}
+			}
+			c.issue(r, q)
 		}
-		put := l.buildRequest(&req, &buf, q, reqID(id, seq), uint8(tenant))
-		seq++
-		status, ok := l.call(r, replies, &req, tenant)
-		if !ok {
-			return
-		}
-		l.Rec.noteAcked(put, status)
 	}
 }
 
-// openState tracks an open-loop client's in-flight requests.
+// openState is an open-loop client's receive side, a task
+// (stepOpenRecv): its replies, and its requests in flight.
 type openState struct {
+	l           *ServeLoad
+	tenant      int
+	replies     replyStream
 	outstanding map[uint64]openRequest // by request ID
 }
 
@@ -422,37 +475,39 @@ type openRequest struct {
 	put int
 }
 
+// stepOpenRecv books replies as they arrive, in any order, until the
+// stream ends.
+func stepOpenRecv(r *vclock.Runner, arg any) (done bool) {
+	st := arg.(*openState)
+	rec := st.l.Rec
+	for {
+		resp, got, err := st.replies.nextStep(r)
+		if !got {
+			return false
+		}
+		if err != nil {
+			if err != errStreamEnded {
+				rec.stats.TornFrames++
+			}
+			return true
+		}
+		sent, known := st.outstanding[resp.ID]
+		delete(st.outstanding, resp.ID)
+		if known {
+			rec.record(r.Now().Sub(sent.t0), resp, st.tenant)
+			rec.noteAcked(sent.put, resp.Status)
+		}
+	}
+}
+
 // openLoop is the offered-load client: a sender issuing one request per
 // interval on schedule (with catch-up, so the offered rate holds through
-// server-side queueing) and a receiver runner booking replies as they
+// server-side queueing) and a receiver task booking replies as they
 // arrive, any order.
-func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id int) {
-	conn := d.Connect(r, fmt.Sprintf("client.%d", id))
-	if conn == nil {
-		l.Rec.stats.ConnFailed++
-		return
-	}
+func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, conn *rpc.Conn, id int) {
 	tenant := id % l.cfg.Tenants
-	st := &openState{outstanding: make(map[uint64]openRequest)}
-
-	clk.Go(fmt.Sprintf("client.%d.recv", id), func(rr *vclock.Runner) {
-		replies := &replyStream{conn: conn}
-		for {
-			resp, err := replies.next(rr)
-			if err != nil {
-				if err != errStreamEnded {
-					l.Rec.stats.TornFrames++
-				}
-				return
-			}
-			sent, known := st.outstanding[resp.ID]
-			delete(st.outstanding, resp.ID)
-			if known {
-				l.Rec.record(rr.Now().Sub(sent.t0), resp, tenant)
-				l.Rec.noteAcked(sent.put, resp.Status)
-			}
-		}
-	})
+	st := &openState{l: l, tenant: tenant, replies: replyStream{conn: conn}, outstanding: make(map[uint64]openRequest)}
+	clk.GoTask(fmt.Sprintf("client.%d.recv", id), stepOpenRecv, st)
 
 	rng := rand.New(rand.NewSource(l.cfg.Seed + int64(id)*7919))
 	start := r.Now()
@@ -480,7 +535,7 @@ func (l *ServeLoad) openLoop(r *vclock.Runner, clk *vclock.Clock, d Dialer, id i
 		// Requests pipeline: this frame may still be queued, or in the
 		// server's hands, when the next is built over the same scratch —
 		// the frame is a copy, and it is the connection's.
-		if err := l.send(r, conn, &req, tenant); err != nil {
+		if err := conn.Send(r, l.frame(conn, &req, tenant)); err != nil {
 			delete(st.outstanding, req.ID)
 			l.Rec.stats.Dropped++
 			return
