@@ -68,13 +68,15 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 			return
 		}
 
+		var flushedBytes int64
 		if meta != nil {
 			nv := db.vers.clone()
 			nv.addFile(meta)
 			db.installVersion(nv) // a flush retires no file
 			db.stats.Flushes++
-			db.stats.FlushBytes += meta.Size
+			flushedBytes = meta.Size
 		}
+		db.stats.FlushBytes += flushedBytes
 		db.imm = db.imm[1:]
 		db.flushing = false
 		db.stats.WALBytesWritten += job.log.BytesWritten()
@@ -84,10 +86,6 @@ func (db *DB) flushWorker(r *vclock.Runner) {
 		job.log.Close()
 		if perr == nil {
 			job.log.Delete(r)
-		}
-		var flushedBytes int64
-		if meta != nil {
-			flushedBytes = meta.Size
 		}
 		fsp.EndArg(r, flushedBytes)
 		db.writeCond.Broadcast()
@@ -120,39 +118,41 @@ func flushApplied(a any) bool {
 	return db.applying[db.imm[0].mt] <= 0
 }
 
-// buildSST encodes one memtable as an SST at the given level, spending
-// merge CPU and device write time. It returns nil for an empty memtable.
-// The device write traces as flush I/O (buildSST only runs for memtable
-// flushes — at startup recovery and in the flush worker).
-func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (*FileMeta, error) {
-	it := mt.NewIterator()
-	b := sstable.NewBuilder(db.opt.builderOptions())
-	// The memtable counts 32 bytes of node overhead per entry, a data
-	// block 11 or 12 of record header. Taking 20 back per entry sizes the
-	// table's buffer closely enough that the file system keeps it as the
-	// file's bytes instead of trading it for a tighter copy (fs.WriteFile).
-	b.SizeHint(int(mt.ApproximateSize()) - 20*mt.Count())
-	pendingCPU := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		e := it.Entry()
-		if err := b.Add(e.Key, e.Seq, e.Kind, e.Value); err != nil {
-			panic("lsm: memtable iteration out of order: " + err.Error())
+// buildSST writes one memtable as an SST at the given level through
+// merge, spending flush CPU and flush-I/O device time; it returns nil for
+// an empty memtable. The value-log bytes of the versions it drops count
+// as discarded.
+func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (meta *FileMeta, err error) {
+	var discard int64
+	err = merge(mt.NewIterator(), mergeParams{
+		builder: db.opt.builderOptions(),
+		// The memtable counts 32 bytes of node overhead per entry, a data
+		// block 11 or 12 of record header: taking 20 back per entry sizes
+		// the buffer so the file system keeps it as is (fs.WriteFile).
+		sizeHint: int(mt.ApproximateSize()) - 20*mt.Count(),
+		onDrop:   discardOf(&discard),
+		charge:   func(n int) { db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, n) },
+		emit: func(data []byte, m sstable.Meta) (err error) {
+			meta, err = db.writeTable(r, data, m, level, trace.PhaseFlushIO)
+			return err
+		},
+	})
+	if err == nil {
+		db.stats.VLogDiscardBytes += discard
+	}
+	return meta, err
+}
+
+// discardOf returns a merge's onDrop: it adds to *n the value-log bytes
+// each dropped pointer leaves dead in the log.
+func discardOf(n *int64) func(memtable.Entry) {
+	return func(e memtable.Entry) {
+		if e.Kind == memtable.KindValuePtr {
+			if ptr, err := encoding.DecodeValuePointer(e.Value); err == nil {
+				*n += int64(ptr.Len)
+			}
 		}
-		pendingCPU += len(e.Key) + len(e.Value) + 16
-		if pendingCPU >= cpuChunk {
-			db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, pendingCPU)
-			pendingCPU = 0
-		}
 	}
-	db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, pendingCPU)
-	if b.Entries() == 0 {
-		return nil, nil
-	}
-	data, meta, err := b.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return db.writeTable(r, data, meta, level, trace.PhaseFlushIO)
 }
 
 // writeTable persists encoded table bytes and opens its reader, tracing
@@ -476,21 +476,14 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 	}
 
 	var outputs []*FileMeta
-	// discard sums the value-log bytes this merge strands: every
-	// superseded pointer it drops leaves its value dead in the log.
 	var discard int64
 	mergeErr := merge(iterkit.NewMerge(iters), mergeParams{
 		builder:        db.opt.builderOptions(),
+		sizeHint:       int(db.opt.MaxFileSize), // a table is cut as its data blocks cross it
 		maxFileSize:    db.opt.MaxFileSize,
 		dropTombstones: c.dropTombstones,
-		onDrop: func(e memtable.Entry) {
-			if e.Kind == memtable.KindValuePtr {
-				if ptr, perr := encoding.DecodeValuePointer(e.Value); perr == nil {
-					discard += int64(ptr.Len)
-				}
-			}
-		},
-		charge: func(n int) { db.chargeCPU(r, db.opt.Cost.MergeCPUPerKB, n) },
+		onDrop:         discardOf(&discard),
+		charge:         func(n int) { db.chargeCPU(r, db.opt.Cost.MergeCPUPerKB, n) },
 		emit: func(data []byte, meta sstable.Meta) error {
 			out, err := db.writeTable(r, data, meta, c.target, trace.PhaseCompactionIO)
 			if err != nil {

@@ -9,10 +9,11 @@ import (
 	"kvaccel/internal/sstable"
 )
 
-// mergeParams parameterizes one compaction's merge-emit pass.
+// mergeParams parameterizes one flush's or compaction's merge-emit pass.
 type mergeParams struct {
 	builder        sstable.BuilderOptions
-	maxFileSize    int64
+	sizeHint       int   // each table's buffer (sstable.Builder.SizeHint)
+	maxFileSize    int64 // a table is cut as it crosses this; 0 never cuts
 	dropTombstones bool
 
 	// onDrop observes each dropped superseded version (value-log discard
@@ -25,15 +26,18 @@ type mergeParams struct {
 	emit func(data []byte, meta sstable.Meta) error
 }
 
-// merge runs the compaction merge-emit loop over it: keep the newest
-// version of each user key, elide droppable tombstones, cut a new table
-// whenever the builder crosses maxFileSize. The iterator must yield
+// merge runs the flush and compaction merge-emit loop over it: keep the
+// newest version of each user key, elide droppable tombstones, cut a new
+// table whenever the builder crosses maxFileSize. The iterator must yield
 // internal-key order (user key ascending, seq descending within a key),
-// so a table is only ever cut between user keys.
+// so a table is only ever cut between user keys. Older versions are safe
+// to drop: no reader reads at an older sequence number (there are no
+// snapshots; Get and iterators take a key's newest version), and an
+// iterator that pinned an immutable memtable reads it, not its flush.
 func merge(it iterkit.Iterator, p mergeParams) error {
 	newBuilder := func() *sstable.Builder {
 		b := sstable.NewBuilder(p.builder)
-		b.SizeHint(int(p.maxFileSize)) // a table is cut as its data blocks cross it
+		b.SizeHint(p.sizeHint)
 		return b
 	}
 	b := newBuilder()

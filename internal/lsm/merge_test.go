@@ -17,8 +17,7 @@ import (
 // few hundred records span many of them, and bloom filters on.
 var mergeBuilder = sstable.BuilderOptions{BlockSize: 512, BloomBits: 10}
 
-// unsplit is a split size above everything the inputs below hold (the
-// builder sizes its buffer by it, so it stays small).
+// unsplit is a split size above everything the inputs below hold.
 const unsplit = 1 << 20
 
 // overlapping returns n seeded inputs over one key space, each a sorted
@@ -293,7 +292,7 @@ func BenchmarkMerge(b *testing.B) {
 	for _, e := range records(inputs) {
 		in += len(e.Key) + len(e.Value)
 	}
-	p := mergeParams{builder: mergeBuilder, maxFileSize: 64 << 10, dropTombstones: true,
+	p := mergeParams{builder: mergeBuilder, sizeHint: 64 << 10, maxFileSize: 64 << 10, dropTombstones: true,
 		emit: func([]byte, sstable.Meta) error { return nil }}
 	b.SetBytes(int64(in))
 	b.ReportAllocs()

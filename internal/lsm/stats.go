@@ -122,9 +122,9 @@ type Stats struct {
 
 	// Value-log counters. VLogBytes is device bytes the vlog wrote
 	// (segment write-back); VLogSegments is the segment count;
-	// VLogDiscardBytes is the value-log bytes compaction left dead by
-	// dropping superseded pointers. Nothing reclaims them: a workload
-	// that grows this counter is one that would need value-log GC.
+	// VLogDiscardBytes is the value-log bytes flush or compaction left
+	// dead by dropping superseded pointers, which nothing reclaims: a
+	// workload that grows it is one that would need value-log GC.
 	VLogBytes        int64
 	VLogSegments     int64
 	VLogDiscardBytes int64

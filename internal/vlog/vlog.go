@@ -2,7 +2,8 @@
 // separates large values into: append-only segment files on the
 // simulated file system, CRC-framed records and head-segment rotation.
 // Nothing reclaims a segment: no workload produces dead value bytes, and
-// compaction only counts the ones it strands (lsm.Stats.VLogDiscardBytes).
+// flush and compaction only count the ones they strand
+// (lsm.Stats.VLogDiscardBytes).
 //
 // Like the WAL, an Append is a memory append plus checksummed encoding;
 // a dedicated writeback runner drains full chunks to the file system

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,14 +53,7 @@ func (e *fakeEngine) NewIterator(r *vclock.Runner) Iterator {
 	for k := range e.data {
 		it.keys = append(it.keys, []byte(k))
 	}
-	// Sorted order.
-	for i := range it.keys {
-		for j := i + 1; j < len(it.keys); j++ {
-			if bytes.Compare(it.keys[j], it.keys[i]) < 0 {
-				it.keys[i], it.keys[j] = it.keys[j], it.keys[i]
-			}
-		}
-	}
+	slices.SortFunc(it.keys, bytes.Compare)
 	return it
 }
 
