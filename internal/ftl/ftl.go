@@ -249,41 +249,26 @@ func (f *FTL) invalidate(ppn int32) {
 }
 
 // Write maps one logical page of region rg and spends the NAND program
-// time. It runs GC inline if the free pool is low — charging the
-// reclamation cost to the writer, as real FTLs do under pressure.
+// time, as a one-page WriteMany.
 func (f *FTL) Write(r *vclock.Runner, rg Region, lpn int) error {
-	ppn, needGC := f.allocPage(rg, lpn)
-	f.stats.HostPagesWritten++
-	err := f.arr.ProgramPage(r, f.addrOf(ppn))
-	if needGC {
-		f.collect(r)
-	}
-	return err
+	return f.WriteMany(r, rg, []int{lpn})
 }
 
 // WriteMany writes a batch of logical pages, fanning the NAND programs out
 // across dies up to MaxFanout in flight, which is how the controller
-// reaches the array's aggregate program bandwidth.
+// reaches the array's aggregate program bandwidth. It runs GC inline if
+// the free pool is low — charging the reclamation cost to the writer, as
+// real FTLs do under pressure.
 func (f *FTL) WriteMany(r *vclock.Runner, rg Region, lpns []int) error {
-	if len(lpns) == 0 {
-		return nil
-	}
-	if len(lpns) == 1 {
-		return f.Write(r, rg, lpns[0])
-	}
-	job, needGC := f.allocPages(rg, lpns)
-	err := f.run(r, job)
-	if needGC {
-		f.collect(r)
-	}
-	return err
+	return f.Finish(r, f.Begin(r.Clock(), rg, lpns, false))
 }
 
-// Programs is a batch of page programs StartWrite set going, for Finish
-// to wait for. The zero value is an empty batch.
+// Programs is a batch of page operations set going on the array, for
+// Finish or FinishStep to see through. The zero value is an empty batch.
 type Programs struct {
 	job    *fanout
 	needGC bool
+	err    error // FinishStep's status, once the pages are done
 }
 
 // StartWrite maps a batch of logical pages of region rg and sets their
@@ -291,29 +276,64 @@ type Programs struct {
 // waiting for them: r goes on, and Finish parks it until they are done.
 // The fan-out's workers are kernel tasks, so a batch in flight holds no
 // goroutine. lpns is not kept.
-func (f *FTL) StartWrite(r *vclock.Runner, rg Region, lpns []int) Programs {
-	if len(lpns) == 0 {
-		return Programs{}
+func (f *FTL) StartWrite(r *vclock.Runner, rg Region, lpns []int) (p Programs) {
+	if len(lpns) > 0 {
+		p.job, p.needGC = f.allocPages(rg, lpns)
+		f.spawn(r.Clock(), p.job, false)
 	}
-	job, needGC := f.allocPages(rg, lpns)
-	f.spawn(r.Clock(), job)
-	return Programs{job: job, needGC: needGC}
+	return p
 }
 
-// Finish parks r until p's programs are done, runs GC inline if their
-// allocations left the free pool low, as WriteMany does, and returns the
-// first program fault (every page is still programmed).
+// Begin sets going the batch of a caller that waits for it: WriteMany's
+// (lpns mapped and programmed) or, if read, ReadMany's (the mapped ones
+// among lpns read). One worker runs on the turns of Finish or FinishStep
+// when MaxFanout or the page count allows no more; more are kernel tasks.
+func (f *FTL) Begin(clk *vclock.Clock, rg Region, lpns []int, read bool) (p Programs) {
+	if read {
+		p.job = f.mappedPages(rg, lpns)
+	} else {
+		p.job, p.needGC = f.allocPages(rg, lpns)
+	}
+	f.spawn(clk, p.job, true)
+	return p
+}
+
+// Finish parks r until p's pages are done, runs GC inline if their
+// allocations left the free pool low, and returns the first fault (every
+// page is still done).
 func (f *FTL) Finish(r *vclock.Runner, p Programs) error {
 	if p.job == nil {
 		return nil
 	}
-	p.job.wg.Wait(r)
+	for !p.job.step(r) {
+		r.Park()
+	}
 	err := f.recycle(p.job)
 	if p.needGC {
 		f.collect(r)
 	}
 	return err
 }
+
+// FinishStep is Finish as a stepped primitive (see vclock.Clock.GoTask),
+// but for GC, which it runs in one vclock.Runner.Call: it reports whether
+// p is done, with its first fault, and reports the same until p is reused.
+func (f *FTL) FinishStep(r *vclock.Runner, p *Programs) (done bool, err error) {
+	if job := p.job; job != nil {
+		if !job.step(r) {
+			return false, nil
+		}
+		p.job, p.err = nil, f.recycle(job)
+		if p.needGC {
+			p.needGC = false
+			r.Call(collectCall, f)
+			return false, nil
+		}
+	}
+	return true, p.err
+}
+
+func collectCall(r *vclock.Runner, f any) { f.(*FTL).collect(r) }
 
 // allocPages maps a batch of logical pages onto the write frontier and
 // returns the fan-out over their physical pages.
@@ -329,10 +349,11 @@ func (f *FTL) allocPages(rg Region, lpns []int) (job *fanout, needGC bool) {
 	return job, needGC
 }
 
-// mappedPages returns the fan-out over the physical pages of the mapped
-// ones among lpns.
+// mappedPages returns the fan-out that reads the physical pages of the
+// mapped ones among lpns.
 func (f *FTL) mappedPages(rg Region, lpns []int) *fanout {
 	job := f.takeFanout()
+	job.read = true
 	rs := f.regions[rg]
 	for _, lpn := range lpns {
 		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != unmapped {
@@ -359,9 +380,7 @@ func (f *FTL) Read(r *vclock.Runner, rg Region, lpn int) error {
 // ReadMany reads a batch of logical pages with die-parallel fanout.
 // Unmapped pages are skipped (callers validate separately).
 func (f *FTL) ReadMany(r *vclock.Runner, rg Region, lpns []int) error {
-	job := f.mappedPages(rg, lpns)
-	job.read = true
-	return f.run(r, job)
+	return f.Finish(r, f.Begin(r.Clock(), rg, lpns, true))
 }
 
 // Trim invalidates a logical page without touching NAND.
@@ -397,9 +416,11 @@ type fanout struct {
 	// from holds, for a GC migration, the victim page each of ppns is
 	// copied from: a migration reads that copy, then programs the page.
 	// kv says the request programs key-value region pages, which go in
-	// the first admission class (nand.ProgramOp).
+	// the first admission class (nand.ProgramOp). inline says its one
+	// worker runs on the turns of whoever waits for it (spawn).
 	read    bool
 	kv      bool
+	inline  bool
 	from    []int32
 	workers []fanoutWorker
 	wg      vclock.WaitGroup
@@ -425,32 +446,25 @@ func (f *FTL) takeFanout() *fanout {
 	return &fanout{f: f}
 }
 
-// run does each page of job with at most MaxFanout concurrent workers
-// and returns the first error any of them hit (every page is still
-// attempted, so the batch's time model stays intact under faults). It
-// consumes job.
+// run does each page of job as Finish does a batch Begin set going, and
+// returns the first error any worker hit (every page is still attempted,
+// so the batch's time model stays intact under faults).
 func (f *FTL) run(r *vclock.Runner, job *fanout) error {
-	if min(f.cfg.MaxFanout, len(job.ppns)) == 1 {
-		job.workers = append(job.workers, fanoutWorker{job: job})
-		fw := &job.workers[0]
-		fw.start()
-		for !fw.next(r) {
-			r.Park()
-		}
-	} else {
-		f.spawn(r.Clock(), job)
-		job.wg.Wait(r)
-	}
-	return f.recycle(job)
+	f.spawn(r.Clock(), job, true)
+	return f.Finish(r, Programs{job: job})
 }
 
 // spawn sets up job's workers, at most MaxFanout, and starts each as a
-// kernel task; job.wg counts them down.
-func (f *FTL) spawn(clk *vclock.Clock, job *fanout) {
+// kernel task, job.wg counting them down — unless inline is set and there
+// is one: it then runs on the turns of whoever steps job.
+func (f *FTL) spawn(clk *vclock.Clock, job *fanout, inline bool) {
 	workers := min(f.cfg.MaxFanout, len(job.ppns))
 	for w := 0; w < workers; w++ {
 		job.workers = append(job.workers, fanoutWorker{job: job, page: w})
 		job.workers[w].start()
+	}
+	if job.inline = inline && workers == 1; job.inline {
+		return
 	}
 	job.wg.Add(workers)
 	for w := range job.workers {
@@ -458,11 +472,20 @@ func (f *FTL) spawn(clk *vclock.Clock, job *fanout) {
 	}
 }
 
+// step steps job's inline worker on r, or waits for its tasks, and reports
+// whether every page is done.
+func (job *fanout) step(r *vclock.Runner) (done bool) {
+	if job.inline {
+		return job.workers[0].next(r)
+	}
+	return job.wg.WaitStep(r)
+}
+
 // recycle returns the first error job's workers hit and keeps job for a
 // later request.
 func (f *FTL) recycle(job *fanout) error {
 	err := job.first
-	job.ppns, job.from, job.workers, job.read, job.kv, job.first = job.ppns[:0], job.from[:0], job.workers[:0], false, false, nil
+	job.ppns, job.from, job.workers, job.read, job.kv, job.inline, job.first = job.ppns[:0], job.from[:0], job.workers[:0], false, false, false, nil
 	f.fanouts = append(f.fanouts, job)
 	return err
 }
@@ -531,8 +554,10 @@ func (f *FTL) collect(r *vclock.Runner) {
 		b := &f.blocks[victim]
 		rg := b.owner
 		// Detach each surviving LPN from the victim and remap it to a fresh
-		// frontier page before the migration parks, so no write that lands
+		// frontier page, and take the victim off the candidates, before the
+		// migration parks, so no write and no other collect that lands
 		// meanwhile races it.
+		b.allocated = false
 		job := f.takeFanout()
 		for page, lpn := range b.lpns[:b.nextPage] {
 			if lpn == unmapped {
@@ -555,7 +580,6 @@ func (f *FTL) collect(r *vclock.Runner) {
 		eraseAddr := f.addrOf(ppnOf(victim, 0, f.geo.PagesPerBlock))
 		_ = f.arr.EraseBlock(r, eraseAddr)
 
-		f.blocks[victim].allocated = false
 		f.blocks[victim].owner = 0
 		f.blocks[victim].nextPage = 0
 		f.free = append(f.free, victim)

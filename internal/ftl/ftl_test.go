@@ -352,3 +352,39 @@ func TestStartWriteOverlapsTheCaller(t *testing.T) {
 	})
 	c.Wait()
 }
+
+// TestConcurrentCollectsReclaimEachVictimOnce: writers whose allocations
+// leave the free pool low each run GC, and their collections overlap
+// while migrations park. A victim in migration is no candidate for
+// another collection, so no block is reclaimed twice: the free list never
+// holds a block twice, and no block is both free and allocated.
+func TestConcurrentCollectsReclaimEachVictimOnce(t *testing.T) {
+	c := vclock.New()
+	f := New(testArray(), testCfg())
+	for w := 0; w < 4; w++ {
+		c.Go("io", func(r *vclock.Runner) {
+			lpns := make([]int, 8)
+			for round := 0; round < 40; round++ {
+				for i := range lpns {
+					lpns[i] = (8*w + 3*round + i) % 64
+				}
+				if err := f.WriteMany(r, BlockRegion, lpns); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	c.Wait()
+	if f.Stats().GCRuns == 0 {
+		t.Fatal("GC never ran")
+	}
+	free := map[int]bool{}
+	for _, bid := range f.free {
+		if free[bid] {
+			t.Fatalf("block %d is on the free list twice", bid)
+		}
+		if free[bid] = true; f.blocks[bid].allocated {
+			t.Fatalf("block %d is free and allocated", bid)
+		}
+	}
+}

@@ -21,11 +21,11 @@ func TestInjectedMediaErrorCompletesWithStatus(t *testing.T) {
 	ran := 0
 	clk.Go("submitter", func(r *vclock.Runner) {
 		for i := range errs {
-			errs[i] = q.Do(r, &Command{Op: "WRITE", Exec: func(w *vclock.Runner) error {
+			errs[i] = q.Do(r, blocking("WRITE", func(w *vclock.Runner) error {
 				ran++
 				w.Sleep(10 * time.Microsecond)
 				return nil
-			}})
+			}))
 		}
 	})
 	clk.Wait()
@@ -40,7 +40,7 @@ func TestInjectedMediaErrorCompletesWithStatus(t *testing.T) {
 		}
 	}
 	if ran != 2 {
-		t.Fatalf("Exec ran %d times; media-error commands must not execute", ran)
+		t.Fatalf("body ran %d times; media-error commands must not execute", ran)
 	}
 	st := q.Stats(clk.Now())
 	if st.Errors != 2 || st.Submitted != 4 || st.Completed != 4 {
@@ -84,11 +84,11 @@ func TestSeverDropsQueuedAndInFlightCommands(t *testing.T) {
 	q := d.NewQueuePair("t", 1)
 
 	var inflightErr, queuedErr, lateErr error
-	inflight := &Command{Op: "SLOW", Exec: func(w *vclock.Runner) error {
+	inflight := blocking("SLOW", func(w *vclock.Runner) error {
 		w.Sleep(time.Millisecond)
 		return nil
-	}}
-	queued := &Command{Op: "NEXT", Exec: func(w *vclock.Runner) error { return nil }}
+	})
+	queued := blocking("NEXT", func(w *vclock.Runner) error { return nil })
 
 	clk.Go("submitter", func(r *vclock.Runner) {
 		q.Submit(r, inflight)
@@ -130,10 +130,10 @@ func TestLatencySpikeSucceedsSlowly(t *testing.T) {
 	var elapsed time.Duration
 	clk.Go("submitter", func(r *vclock.Runner) {
 		start := r.Now()
-		err = q.Do(r, &Command{Op: "WRITE", Exec: func(w *vclock.Runner) error {
+		err = q.Do(r, blocking("WRITE", func(w *vclock.Runner) error {
 			w.Sleep(10 * time.Microsecond)
 			return nil
-		}})
+		}))
 		elapsed = r.Now().Sub(start)
 	})
 	clk.Wait()
@@ -145,6 +145,6 @@ func TestLatencySpikeSucceedsSlowly(t *testing.T) {
 		t.Fatalf("spike not applied: elapsed %v", elapsed)
 	}
 	if d.BusyNS() != int64(10*time.Microsecond) {
-		t.Fatalf("busy = %d, want only the Exec body's 10µs", d.BusyNS())
+		t.Fatalf("busy = %d, want only the body's 10µs", d.BusyNS())
 	}
 }

@@ -7,7 +7,7 @@
 // The point of the layer is overlap. A submitter posts a command (paying
 // only the doorbell write), keeps going, and awaits the completion later;
 // the dispatcher executes the command's device-side work — PCIe DMA, FTL
-// lookups, NAND operations, Dev-LSM processing — on its own runner, so
+// lookups, NAND operations, Dev-LSM processing — on a worker of its own, so
 // commands from one submitter proceed concurrently in virtual time up to
 // the queue depth, and commands from different queues share the device
 // under WRR arbitration. This is the mechanism the paper's host-SSD
@@ -26,11 +26,13 @@ import (
 	"kvaccel/internal/vclock"
 )
 
-// Command is one NVMe command. Exec is the device-side body: it runs on a
-// dispatcher worker runner, spends the command's virtual time (DMA,
-// controller CPU, NAND), and returns the command's status — nil for
-// success, an error for a failed completion. Bytes is the transfer size,
-// for accounting only.
+// Command is one NVMe command. Step is the device-side body, stepped on a
+// dispatcher worker that is a kernel task (see vclock.Clock.GoTask): it
+// spends the command's virtual time (DMA, controller CPU, NAND) as far as
+// it goes without blocking — parking in a stepped primitive, or asking
+// for a vclock.Runner.Call where it must block — and reports whether the
+// body is over, with the command's status: nil for success, an error for
+// a failed completion. Bytes is the transfer size, for accounting only.
 //
 // Once Await returns, the command is the submitter's again; the device
 // touches nothing of it after posting the completion. A submitter may
@@ -39,13 +41,7 @@ import (
 type Command struct {
 	Op    string // opcode label (WRITE, READ, KV_PUT, DSM_TRIM, ...)
 	Bytes int
-	Exec  func(r *vclock.Runner) error
-	// Step, if set, is the body as a stepped primitive (see
-	// vclock.Clock.GoTask), used instead of Exec: it takes the body as far
-	// as it goes without blocking and reports whether it is over, with the
-	// status. The command's worker is then a kernel task, which holds no
-	// goroutine and costs no goroutine switch to start or to finish.
-	Step func(r *vclock.Runner) (done bool, err error)
+	Step  func(r *vclock.Runner) (done bool, err error)
 
 	// Background marks host-initiated maintenance I/O (compaction reads
 	// and writes, flush output) as opposed
@@ -117,11 +113,12 @@ func (c Config) validate() {
 
 // Dispatcher is the device-side command processor: it arbitrates across
 // every registered queue pair (weighted round-robin) and executes
-// commands on up to Slots concurrent worker runners. The dispatcher is a
-// transient kernel task — started when a command arrives at an idle
-// device, over when all submission queues drain — so an idle device holds
-// no parked runner and the simulation can drain naturally, and a submit
-// to an idle device hands the baton to no goroutine.
+// commands on up to Slots concurrent workers. The dispatcher and every
+// worker are transient kernel tasks — the dispatcher started when a
+// command arrives at an idle device, over when all submission queues
+// drain — so an idle device holds no parked runner and the simulation can
+// drain naturally, and a command hands the baton to no goroutine unless
+// its body asks for a call.
 type Dispatcher struct {
 	clk   *vclock.Clock
 	cfg   Config
@@ -130,12 +127,12 @@ type Dispatcher struct {
 	queues  []*QueuePair
 	rrNext  int // arbitration scan position
 	running bool
-	busyNS  int64 // cumulative per-command service time (Exec only)
+	busyNS  int64 // cumulative service time of command bodies
 	plan    *faults.Plan
 	tracer  *trace.Tracer
 	severed bool // power cut: no command survives until re-Attach
 	// workerNames caches "nvme.cmd."+opcode, the name of a command's
-	// worker runner, so dispatching a command builds no string.
+	// worker, so dispatching a command builds no string.
 	workerNames map[string]string
 }
 
@@ -173,27 +170,11 @@ func (d *Dispatcher) SetTracer(tr *trace.Tracer) {
 func (d *Dispatcher) Sever() {
 	d.severed = true
 	now := d.clk.Now()
-	var drained []*QueuePair
 	for _, q := range d.queues {
 		for _, cmd := range q.sq {
-			cmd.done = true
-			cmd.Err = faults.ErrDeviceGone
-			q.account(now)
-			q.outstanding--
-			q.completed++
-			q.errors++
-			if cmd.Background {
-				q.bgOutstanding--
-				q.bgCompleted++
-				q.bgErrors++
-			}
+			q.post(cmd, now, faults.ErrDeviceGone)
 		}
-		if len(q.sq) > 0 {
-			q.sq = q.sq[:0]
-		}
-		drained = append(drained, q)
-	}
-	for _, q := range drained {
+		q.sq = q.sq[:0]
 		q.notFull.Broadcast()
 		q.cq.Broadcast()
 	}
@@ -265,21 +246,6 @@ func (d *Dispatcher) ensureRunning() {
 	d.clk.GoTask("nvme.dispatcher", stepDispatcher, d)
 }
 
-// runCommand is the body of a command's worker runner, started with
-// vclock.GoWith: a command costs no closure.
-func runCommand(w *vclock.Runner, cmd any) {
-	c := cmd.(*Command)
-	for !c.qp.d.execStep(w, c) {
-		w.Park()
-	}
-}
-
-// stepCommand is the step of a stepped command's worker, a kernel task.
-func stepCommand(w *vclock.Runner, cmd any) (done bool) {
-	c := cmd.(*Command)
-	return c.qp.d.execStep(w, c)
-}
-
 // stepDispatcher is the dispatcher's step (a kernel task): it hands each
 // command to a worker of its own until the queues are empty, parking only
 // to wait for a firmware slot. The task ends when a pick finds nothing.
@@ -297,21 +263,17 @@ func stepDispatcher(r *vclock.Runner, arg any) (done bool) {
 			d.slots.Release(1)
 			return true
 		}
-		if cmd.Step != nil {
-			d.clk.GoTask(d.workerName(cmd.Op), stepCommand, cmd)
-		} else {
-			d.clk.GoWith(d.workerName(cmd.Op), runCommand, cmd)
-		}
+		d.clk.GoTask(d.workerName(cmd.Op), execStep, cmd)
 	}
 }
 
-// execStep is a command's worker, stepped on w (see vclock.Clock.GoTask):
-// it runs the command body, holding the firmware slot the dispatcher took
-// for it, posts the completion, and reports whether all that is over. A
-// command with no Step runs its Exec inline, so its worker is a runner
-// with a goroutine (runCommand).
-func (d *Dispatcher) execStep(w *vclock.Runner, cmd *Command) (done bool) {
-	body := cmd.Exec != nil || cmd.Step != nil
+// execStep is the step of a command's worker, a kernel task (see
+// vclock.Clock.GoTask): it steps the command body, holding the firmware
+// slot the dispatcher took for it, posts the completion, and reports
+// whether all that is over.
+func execStep(w *vclock.Runner, arg any) (done bool) {
+	cmd := arg.(*Command)
+	d := cmd.qp.d
 	if cmd.stage == 0 {
 		if tr := d.tracer; tr != nil {
 			// Queue residency: doorbell ring to firmware dispatch.
@@ -334,27 +296,19 @@ func (d *Dispatcher) execStep(w *vclock.Runner, cmd *Command) (done bool) {
 	if cmd.stage == 1 {
 		cmd.stage = 3 // a failed command runs no body
 		if cmd.status == nil {
-			if body {
-				cmd.span = d.tracer.BeginLinked(w, trace.PhaseNVMeExec, cmd.Op, cmd.parent)
-				cmd.began = w.Now()
-			}
+			cmd.span = d.tracer.BeginLinked(w, trace.PhaseNVMeExec, cmd.Op, cmd.parent)
+			cmd.began = w.Now()
 			cmd.stage = 2
 		}
 	}
 	if cmd.stage == 2 {
-		if cmd.Step != nil {
-			done, err := cmd.Step(w)
-			if !done {
-				return false
-			}
-			cmd.status = err
-		} else if cmd.Exec != nil {
-			cmd.status = cmd.Exec(w)
+		done, err := cmd.Step(w)
+		if !done {
+			return false
 		}
-		if body {
-			cmd.service = w.Now().Sub(cmd.began)
-			cmd.span.EndArg(w, int64(cmd.Bytes))
-		}
+		cmd.status = err
+		cmd.service = w.Now().Sub(cmd.began)
+		cmd.span.EndArg(w, int64(cmd.Bytes))
 		// A cut that lands while the body runs drops the completion: the
 		// work may have partially happened, but the host never hears
 		// success.
@@ -476,39 +430,24 @@ func (q *QueuePair) Submit(r *vclock.Runner, cmd *Command) {
 	}
 	q.notFull.WaitUntil(r, sqHasRoom, q)
 	now := r.Now()
+	cmd.qp, cmd.submitted, cmd.done = q, now, false
+	q.account(now)
+	q.outstanding++
+	q.submitted++
+	if cmd.Background {
+		q.bgOutstanding++
+		q.bgSubmitted++
+	}
 	if q.d.severed {
 		// Severed device: the command never reaches hardware. Complete it
 		// immediately with ErrDeviceGone so submitters cannot deadlock on
 		// a queue nothing will ever drain.
-		cmd.qp = q
-		cmd.submitted = now
-		cmd.done = true
-		cmd.Err = faults.ErrDeviceGone
-		q.submitted++
-		q.completed++
-		q.errors++
-		if cmd.Background {
-			q.bgSubmitted++
-			q.bgCompleted++
-			q.bgErrors++
-		}
+		q.post(cmd, now, faults.ErrDeviceGone)
 		return
 	}
-	cmd.qp = q
-	cmd.submitted = now
-	cmd.done = false
-	q.account(now)
-	q.outstanding++
-	if q.outstanding > q.maxOutstanding {
-		q.maxOutstanding = q.outstanding
-	}
-	q.submitted++
+	q.maxOutstanding = max(q.maxOutstanding, q.outstanding)
 	if cmd.Background {
-		q.bgSubmitted++
-		q.bgOutstanding++
-		if q.bgOutstanding > q.bgMaxOutstanding {
-			q.bgMaxOutstanding = q.bgOutstanding
-		}
+		q.bgMaxOutstanding = max(q.bgMaxOutstanding, q.bgOutstanding)
 	}
 	q.sq = append(q.sq, cmd)
 	q.d.ensureRunning()
@@ -535,34 +474,38 @@ func (q *QueuePair) Do(r *vclock.Runner, cmd *Command) error {
 	return q.Await(r, cmd)
 }
 
-// complete posts cmd's completion: it frees a depth unit, records the
-// command latency and status, and wakes blocked submitters and awaiters.
-// Everything it needs of cmd is read before done is published: an
-// awaiter that finds done set may reuse the command at once.
+// complete posts cmd's completion: it records the command latency, posts
+// its status and wakes blocked submitters and awaiters.
 func (q *QueuePair) complete(cmd *Command, now vclock.Time, err error) {
-	bg, lat := cmd.Background, time.Duration(now.Sub(cmd.submitted))
-	cmd.Err = err
-	cmd.done = true
-	q.account(now)
-	q.outstanding--
-	q.completed++
-	if err != nil {
-		q.errors++
-	}
-	if bg {
-		q.bgOutstanding--
-		q.bgCompleted++
-		if err != nil {
-			q.bgErrors++
-		}
-	}
-	if bg {
+	if lat := time.Duration(now.Sub(cmd.submitted)); cmd.Background {
 		q.bgLatency.Observe(lat)
 	} else {
 		q.latency.Observe(lat)
 	}
+	q.post(cmd, now, err)
 	q.notFull.Signal()
 	q.cq.Broadcast()
+}
+
+// post books cmd's completion with status err — a depth unit freed, and a
+// failure if err is set — and then publishes it: an awaiter that finds
+// done set may reuse the command at once, so nothing of it is read after.
+func (q *QueuePair) post(cmd *Command, now vclock.Time, err error) {
+	bg := cmd.Background
+	q.account(now)
+	q.outstanding--
+	q.completed++
+	if bg {
+		q.bgOutstanding--
+		q.bgCompleted++
+	}
+	if err != nil {
+		q.errors++
+		if bg {
+			q.bgErrors++
+		}
+	}
+	cmd.Err, cmd.done = err, true
 }
 
 // QueueStats is a snapshot of one queue pair's counters.
@@ -653,9 +596,8 @@ func (q *QueuePair) Stats(now vclock.Time) QueueStats {
 // Stats snapshots every registered queue pair at virtual time now, in
 // registration order.
 func (d *Dispatcher) Stats(now vclock.Time) []QueueStats {
-	queues := append([]*QueuePair(nil), d.queues...)
-	out := make([]QueueStats, len(queues))
-	for i, q := range queues {
+	out := make([]QueueStats, len(d.queues))
+	for i, q := range d.queues {
 		out[i] = q.Stats(now)
 	}
 	return out

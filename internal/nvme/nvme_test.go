@@ -9,9 +9,31 @@ import (
 	"kvaccel/internal/vclock"
 )
 
+// callStep returns a command Step that runs body, blocking code, in one
+// vclock.Runner.Call: the worker runs it as a goroutine runner would run
+// it inline, park for park, which makes it the reference a stepped body
+// is held to.
+func callStep(body func(w *vclock.Runner) error) func(w *vclock.Runner) (bool, error) {
+	var called bool
+	var err error
+	call := func(w *vclock.Runner, _ any) { err = body(w) }
+	return func(w *vclock.Runner) (bool, error) {
+		if called = !called; called {
+			w.Call(call, nil)
+			return false, nil
+		}
+		return true, err
+	}
+}
+
+// blocking returns a command for op whose body is body, run by callStep.
+func blocking(op string, body func(w *vclock.Runner) error) *Command {
+	return &Command{Op: op, Step: callStep(body)}
+}
+
 // sleeper returns a command whose device-side body just spends d.
 func sleeper(op string, d time.Duration) *Command {
-	return &Command{Op: op, Exec: func(r *vclock.Runner) error { r.Sleep(d); return nil }}
+	return blocking(op, func(r *vclock.Runner) error { r.Sleep(d); return nil })
 }
 
 func TestDepthLimitBlocksSubmitter(t *testing.T) {
@@ -54,11 +76,11 @@ func TestWRRFairness(t *testing.T) {
 
 	var order []string
 	mark := func(name string) *Command {
-		return &Command{Op: name, Exec: func(r *vclock.Runner) error {
+		return blocking(name, func(r *vclock.Runner) error {
 			order = append(order, name)
 			r.Sleep(100 * time.Microsecond)
 			return nil
-		}}
+		})
 	}
 
 	const perQueue = 24

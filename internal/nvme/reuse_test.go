@@ -22,9 +22,9 @@ func TestReusedCommandsNeverRace(t *testing.T) {
 	d := NewDispatcher(clk, Config{QueueDepth: runners, Slots: runners})
 	q := d.NewQueuePair("q", 1)
 	for i := 0; i < runners; i++ {
-		cmd := &Command{Op: "NOP"}
+		cmd := &Command{Op: "NOP", Step: func(*vclock.Runner) (bool, error) { return true, nil }}
 		if i%2 == 1 {
-			cmd.Exec = func(*vclock.Runner) error { return nil }
+			cmd = blocking("NOP", func(*vclock.Runner) error { return nil })
 		}
 		clk.Go("submitter", func(r *vclock.Runner) {
 			for n := 0; n < rounds; n++ {
@@ -60,10 +60,10 @@ func TestReusedCommandsAcrossSever(t *testing.T) {
 	q := d.NewQueuePair("q", 1)
 	var ok, gone [runners]int
 	for i := 0; i < runners; i++ {
-		cmd := &Command{Op: "W", Exec: func(w *vclock.Runner) error {
+		cmd := blocking("W", func(w *vclock.Runner) error {
 			w.Sleep(time.Microsecond)
 			return nil
-		}}
+		})
 		clk.Go("submitter", func(r *vclock.Runner) {
 			for n := 0; n < rounds; n++ {
 				err := q.Do(r, cmd)

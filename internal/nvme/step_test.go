@@ -8,7 +8,7 @@ import (
 )
 
 // stepSleeper returns a command whose stepped body spends d in two
-// halves, parking twice as sleeper's Exec would if it slept twice.
+// halves, parking twice as a blocking body that slept twice would.
 func stepSleeper(op string, d time.Duration) *Command {
 	var half int
 	c := &Command{Op: op}
@@ -24,10 +24,10 @@ func stepSleeper(op string, d time.Duration) *Command {
 }
 
 // TestSteppedCommandRunsAsExec holds a stepped command body to the
-// blocking one it replaces: on the same queue shape, eight commands per
-// queue complete at the same instants after the same parks, and the
-// stepped workers, being kernel tasks, hand the baton to no goroutine of
-// their own.
+// blocking one it replaces, run in one call (blocking): on the same queue
+// shape, eight commands per queue complete at the same instants after the
+// same parks, and the stepped bodies, asking for no call, hand the baton
+// to no goroutine of their own.
 func TestSteppedCommandRunsAsExec(t *testing.T) {
 	run := func(stepped bool) ([]vclock.Time, vclock.Stats) {
 		clk := vclock.New()
@@ -38,11 +38,11 @@ func TestSteppedCommandRunsAsExec(t *testing.T) {
 			clk.Go("submitter", func(r *vclock.Runner) {
 				for i := 0; i < 8; i++ {
 					svc := time.Duration(10+i*qi) * time.Microsecond
-					c := &Command{Op: "X", Exec: func(r *vclock.Runner) error {
+					c := blocking("X", func(r *vclock.Runner) error {
 						r.Sleep(svc / 2)
 						r.Sleep(svc / 2)
 						return nil
-					}}
+					})
 					if stepped {
 						c = stepSleeper("X", svc)
 					}

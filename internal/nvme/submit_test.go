@@ -12,8 +12,8 @@ import (
 var raceEnabled bool
 
 // TestAllocsDo: a command through the queue pair — doorbell, dispatcher
-// start, worker runner, completion, await — allocates nothing beyond the
-// caller's own Command and Exec, which here are made once.
+// start, worker, the body's call, completion, await — allocates nothing
+// beyond the caller's own Command and body, which here are made once.
 func TestAllocsDo(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -53,13 +53,13 @@ func TestWorkerExecutesTheCommandItWasSpawnedFor(t *testing.T) {
 		for round := 0; round < 3; round++ { // later rounds run on reused runners
 			cmds := make([]*Command, len(ops))
 			for i, op := range ops {
-				cmds[i] = &Command{Op: op, Exec: func(w *vclock.Runner) error {
+				cmds[i] = blocking(op, func(w *vclock.Runner) error {
 					if want := "nvme.cmd." + op; w.Name() != want {
 						t.Errorf("round %d: command %s ran on runner %q", round, op, w.Name())
 					}
 					w.Sleep(time.Duration(len(ops)-i) * time.Microsecond) // later commands finish first
 					return nil
-				}}
+				})
 				q.Submit(r, cmds[i])
 			}
 			for _, c := range cmds {

@@ -12,7 +12,10 @@ import (
 
 // Every command this package issues is a typed command: a struct that
 // embeds nvme.Command, carries its operands (and results) as fields, and
-// binds Exec to its run method once, when the struct is first made. A
+// binds Step to its step method once, when the struct is first made. A
+// body steps natively where the device path is hot — a KV put, a scan
+// chunk's DMA, block I/O — and runs its blocking form in one
+// vclock.Runner.Call where it is cold. A
 // command goes back on its region's or namespace's free list only after
 // Await has returned — from then on the device touches nothing of it —
 // and with every reference into the caller's or the device's memory
@@ -92,14 +95,12 @@ type kvCmd struct {
 	chunks []devlsm.ScanChunk // KV_SCAN's result
 	dit    *devlsm.Iterator   // KV_ITER_OPEN's result
 
-	// A KV_PUT or KV_PUT_COMPOUND is stepped (putStep, bound once like
-	// Exec): its stage, the record it is on, that record's put and the
-	// first put's error.
-	putStep func(w *vclock.Runner) (done bool, err error)
-	stage   uint8
-	next    int
-	put     devlsm.PutState
-	first   error
+	// The body's progress: its stage, the record a put is on, that
+	// record's put, and the first put's error or a called body's status.
+	stage uint8
+	next  int
+	put   devlsm.PutState
+	first error
 }
 
 // cmd takes a command for op off the region's free list, or makes one.
@@ -109,12 +110,9 @@ func (s *KVRegion) cmd(op kvOp, bytes int) *kvCmd {
 	c := s.free.get()
 	if c == nil {
 		c = &kvCmd{s: s}
-		c.Exec, c.putStep = c.run, c.step
+		c.Step = c.step
 	}
-	c.op, c.Op, c.Bytes, c.Step = op, kvOpNames[op], bytes, nil
-	if op == kvPut || op == kvPutCompound {
-		c.Step = c.putStep
-	}
+	c.op, c.Op, c.Bytes = op, kvOpNames[op], bytes
 	return c
 }
 
@@ -124,24 +122,39 @@ func (s *KVRegion) release(c *kvCmd) {
 	s.free.put(c)
 }
 
-// step is the body of a KV_PUT or KV_PUT_COMPOUND as a stepped primitive
-// (nvme.Command.Step): the payload's DMA and the parse, as receive, then
-// the Dev-LSM put of each record in turn. It returns the first put's
-// error. While the Dev-LSM is full the command completes with
-// faults.ErrCapacityExceeded and puts nothing, unless it is a supersede
-// marker, which must land for a crash recovery not to replay the pair it
-// supersedes; a compound command is refused whole, so none of it lands.
+// step is a KV command's body (nvme.Command.Step). KV_PUT and
+// KV_PUT_COMPOUND step natively (putStep), and so does KV_SCAN_XFER's
+// DMA; the cold commands run their blocking body, run, in one
+// vclock.Runner.Call, as lsm.DB.GetStep runs a read the memtables cannot
+// answer.
 func (c *kvCmd) step(w *vclock.Runner) (done bool, err error) {
-	s, dev := c.s, c.s.dev
-	switch c.stage {
-	case 0:
-		if !dev.Link.TransferStep(w, pcie.HostToDevice, c.Bytes) {
-			return false, nil
-		}
+	switch {
+	case c.op == kvPut || c.op == kvPutCompound:
+		return c.putStep(w)
+	case c.op == kvScanXfer:
+		return c.s.dev.Link.TransferStep(w, pcie.DeviceToHost, c.Bytes), nil
+	case c.stage == 0:
 		c.stage = 1
-		fallthrough
-	case 1:
-		if !dev.ARM.RunStep(w, dev.cfg.KVCommandOverhead) {
+		w.Call(runKV, c)
+		return false, nil
+	}
+	err, c.stage, c.first = c.first, 0, nil
+	return true, err
+}
+
+func runKV(w *vclock.Runner, c any) { k := c.(*kvCmd); k.first = k.run(w) }
+
+// putStep is the body of a KV_PUT or KV_PUT_COMPOUND: the payload's DMA
+// and the parse, as receive, then the Dev-LSM put of each record in turn.
+// It returns the first put's error. While the Dev-LSM is full the command
+// completes with faults.ErrCapacityExceeded and puts nothing, unless it is
+// a supersede marker, which must land for a crash recovery not to replay
+// the pair it supersedes; a compound command is refused whole, so none of
+// it lands.
+func (c *kvCmd) putStep(w *vclock.Runner) (done bool, err error) {
+	s, dev := c.s, c.s.dev
+	if c.stage < 2 {
+		if !dev.receiveStep(w, &c.stage, c.Bytes) {
 			return false, nil
 		}
 		if s.lsm.Full() && (c.op == kvPutCompound || c.kind != memtable.KindSupersede) {
@@ -173,14 +186,22 @@ func (c *kvCmd) step(w *vclock.Runner) (done bool, err error) {
 	return true, err
 }
 
-func (c *kvCmd) run(w *vclock.Runner) error {
+// run is a cold command's blocking body: a cursor command points the
+// device-side cursor's NAND reads at w, and streams the record it lands
+// on back to the host.
+func (c *kvCmd) run(w *vclock.Runner) (err error) {
 	s, dev := c.s, c.s.dev
+	if c.it != nil {
+		c.it.it.SetRunner(w)
+	}
+	if c.op == kvNext {
+		dev.ARM.Run(w, dev.cfg.KVCommandOverhead/4) // NEXT is lighter than a full command parse
+	} else {
+		dev.receive(w, c.Bytes)
+	}
 	switch c.op {
 	case kvGet:
-		dev.receive(w, c.Bytes)
-		var err error
-		c.value, c.kind, c.found, err = s.lsm.Get(w, c.key)
-		if err != nil {
+		if c.value, c.kind, c.found, err = s.lsm.Get(w, c.key); err != nil {
 			return err
 		}
 		ret := 16
@@ -189,34 +210,21 @@ func (c *kvCmd) run(w *vclock.Runner) error {
 		}
 		dev.Link.Transfer(w, pcie.DeviceToHost, ret)
 	case kvReset:
-		dev.receive(w, c.Bytes)
 		s.lsm.Reset(w)
 	case kvScan:
-		dev.receive(w, c.Bytes)
 		s.lsm.BulkScan(w, dev.cfg.DMAChunkSize, func(ch devlsm.ScanChunk) {
 			c.chunks = append(c.chunks, ch)
 		})
-	case kvScanXfer:
-		dev.Link.Transfer(w, pcie.DeviceToHost, c.Bytes)
 	case kvIterOpen:
-		dev.receive(w, c.Bytes)
 		c.dit = s.lsm.NewIterator(w)
 	case kvSeek:
-		c.it.it.SetRunner(w)
-		dev.receive(w, c.Bytes)
 		c.it.it.Seek(c.key)
-		c.it.transferCurrent(w)
 	case kvSeekToFirst:
-		c.it.it.SetRunner(w)
-		dev.receive(w, c.Bytes)
 		c.it.it.SeekToFirst()
-		c.it.transferCurrent(w)
 	case kvNext:
-		c.it.it.SetRunner(w)
-		if d := dev.cfg.KVCommandOverhead; d > 0 {
-			dev.ARM.Run(w, d/4) // NEXT is lighter than a full command parse
-		}
 		c.it.it.Next()
+	}
+	if c.it != nil {
 		c.it.transferCurrent(w)
 	}
 	return nil
@@ -246,6 +254,10 @@ type blkCmd struct {
 	q  *nvme.QueuePair // the stripe's pair a read or write chunk went to
 
 	lpns []int // region LPNs: the command's own buffer, refilled by translate
+
+	// The body's progress: its stage and its pages through the FTL.
+	stage uint8
+	pages ftl.Programs
 }
 
 // cmd takes a command for op off the namespace's free list, or makes one.
@@ -253,7 +265,7 @@ func (ns *BlockNS) cmd(op blkOp) *blkCmd {
 	c := ns.free.get()
 	if c == nil {
 		c = &blkCmd{ns: ns}
-		c.Exec = c.run
+		c.Step = c.step
 	}
 	c.op, c.Op, c.Background = op, blkOpNames[op], false
 	return c
@@ -266,21 +278,38 @@ func (ns *BlockNS) release(c *blkCmd) {
 	ns.free.put(c)
 }
 
-func (c *blkCmd) run(w *vclock.Runner) error {
+// step is a block command's body (nvme.Command.Step): a WRITE's DMA in,
+// then its pages through the FTL; a READ's pages, then its DMA out; a
+// DSM_TRIM's range list received, then its mappings dropped. It asks for
+// a call only to run the FTL GC a write leaves due.
+func (c *blkCmd) step(w *vclock.Runner) (done bool, err error) {
 	dev := c.ns.dev
-	switch c.op {
-	case blkWrite:
-		dev.Link.Transfer(w, pcie.HostToDevice, c.Bytes)
-		return dev.FTL.WriteMany(w, ftl.BlockRegion, c.lpns)
-	case blkRead:
-		err := dev.FTL.ReadMany(w, ftl.BlockRegion, c.lpns)
-		dev.Link.Transfer(w, pcie.DeviceToHost, c.Bytes)
-		return err
-	default: // blkTrim
-		dev.receive(w, c.Bytes)
+	if c.op == blkTrim {
+		if !dev.receiveStep(w, &c.stage, c.Bytes) {
+			return false, nil
+		}
 		for _, l := range c.lpns {
 			dev.FTL.Trim(ftl.BlockRegion, l)
 		}
-		return nil
+		c.stage = 0
+		return true, nil
 	}
+	switch c.stage {
+	case 0:
+		if c.op == blkWrite && !dev.Link.TransferStep(w, pcie.HostToDevice, c.Bytes) {
+			return false, nil
+		}
+		c.pages, c.stage = dev.FTL.Begin(w.Clock(), ftl.BlockRegion, c.lpns, c.op == blkRead), 1
+		fallthrough
+	case 1:
+		if done, _ = dev.FTL.FinishStep(w, &c.pages); !done {
+			return false, nil
+		}
+		c.stage = 2
+	}
+	if c.op == blkRead && !dev.Link.TransferStep(w, pcie.DeviceToHost, c.Bytes) {
+		return false, nil
+	}
+	c.stage = 0
+	return dev.FTL.FinishStep(w, &c.pages) // done: the pages' status
 }

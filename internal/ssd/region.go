@@ -69,6 +69,13 @@ func (d *Device) KVRegionSlices(n int) []*KVRegion {
 	return out
 }
 
+// do issues c, waits for its completion and recycles it.
+func (s *KVRegion) do(r *vclock.Runner, c *kvCmd) error {
+	err := s.qp.Do(r, &c.Command)
+	s.release(c)
+	return err
+}
+
 // DevLSM exposes the slice's backing store (stats, tests).
 func (s *KVRegion) DevLSM() *devlsm.DevLSM { return s.lsm }
 
@@ -78,9 +85,7 @@ func (s *KVRegion) DevLSM() *devlsm.DevLSM { return s.lsm }
 func (s *KVRegion) KVPut(r *vclock.Runner, kind memtable.Kind, key, value []byte) error {
 	c := s.cmd(kvPut, kvHeader+len(key)+len(value))
 	c.kind, c.key, c.value = kind, key, value
-	err := s.qp.Do(r, &c.Command)
-	s.release(c)
-	return err
+	return s.do(r, c)
 }
 
 // KVPutCompound issues a compound command carrying several records (the
@@ -102,10 +107,7 @@ func (s *KVRegion) KVPutCompound(r *vclock.Runner, entries []memtable.Entry) err
 	chunkBudget := s.dev.cfg.DMAChunkSize
 	nChunks := (payload + chunkBudget - 1) / chunkBudget
 	if nChunks <= 1 {
-		c := s.compoundCmd(entries, payload)
-		err := s.qp.Do(r, &c.Command)
-		s.release(c)
-		return err
+		return s.do(r, s.compoundCmd(entries, payload))
 	}
 	parts := make([][]memtable.Entry, nChunks)
 	for _, e := range entries {
@@ -159,10 +161,7 @@ func (s *KVRegion) KVGet(r *vclock.Runner, key []byte) (value []byte, kind memta
 // KVReset clears this slice's Dev-LSM (§V-E step 8). Other slices of the
 // same device keep their pairs.
 func (s *KVRegion) KVReset(r *vclock.Runner) error {
-	c := s.cmd(kvReset, kvHeader)
-	err := s.qp.Do(r, &c.Command)
-	s.release(c)
-	return err
+	return s.do(r, s.cmd(kvReset, kvHeader))
 }
 
 // KVBulkScan performs the iterator-based bulky range scan used by the
@@ -184,10 +183,7 @@ func (s *KVRegion) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Ent
 		return err
 	}
 	for _, ch := range chunks {
-		xfer := s.cmd(kvScanXfer, ch.Bytes)
-		err := s.qp.Do(r, &xfer.Command)
-		s.release(xfer)
-		if err != nil {
+		if err := s.do(r, s.cmd(kvScanXfer, ch.Bytes)); err != nil {
 			return err
 		}
 		emit(ch.Entries)

@@ -9,7 +9,7 @@
 // Every host-visible operation crosses the boundary as an nvme.Command on
 // a queue pair: the submitter pays the doorbell, the device-side
 // dispatcher executes the command body (PCIe DMA, ARM processing, NAND)
-// on its own runner, and the submitter awaits the completion. Large block
+// on a worker of its own, and the submitter awaits the completion. Large block
 // I/O splits at the MDTS boundary into several commands, so with queue
 // depth > 1 one chunk's DMA overlaps another's NAND program — the overlap
 // the paper's redirected-write throughput rests on.
@@ -181,11 +181,7 @@ func (d *Device) Config() Config { return d.cfg }
 
 // maxTransferPages returns the MDTS in logical pages (at least 1).
 func (d *Device) maxTransferPages() int {
-	n := d.cfg.MaxTransferBytes / d.cfg.Geometry.PageSize
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(d.cfg.MaxTransferBytes/d.cfg.Geometry.PageSize, 1)
 }
 
 // QueueStats snapshots every queue pair on the device.
@@ -252,9 +248,6 @@ func (ns *BlockNS) Pages() int { return ns.pages }
 
 // pick returns the next queue pair in the namespace's round-robin stripe.
 func (ns *BlockNS) pick() *nvme.QueuePair {
-	if len(ns.qps) == 1 {
-		return ns.qps[0]
-	}
 	q := ns.qps[ns.next%len(ns.qps)]
 	ns.next++
 	return q
@@ -373,10 +366,22 @@ const kvHeader = 64 // command header bytes per KV command
 // receive DMAs a command's payload to the device and charges the
 // per-command firmware parse cost.
 func (d *Device) receive(r *vclock.Runner, bytes int) {
-	d.Link.Transfer(r, pcie.HostToDevice, bytes)
-	if d.cfg.KVCommandOverhead > 0 {
-		d.ARM.Run(r, d.cfg.KVCommandOverhead)
+	var stage uint8
+	for !d.receiveStep(r, &stage, bytes) {
+		r.Park()
 	}
+}
+
+// receiveStep is receive as a stepped primitive (see vclock.Clock.GoTask);
+// *stage, 0 at the start, says whether the DMA is done.
+func (d *Device) receiveStep(r *vclock.Runner, stage *uint8, bytes int) (done bool) {
+	if *stage == 0 {
+		if !d.Link.TransferStep(r, pcie.HostToDevice, bytes) {
+			return false
+		}
+		*stage = 1
+	}
+	return d.ARM.RunStep(r, d.cfg.KVCommandOverhead)
 }
 
 // KVIterator is the host-visible iterator over the KV interface (SEEK /
@@ -400,8 +405,7 @@ func (it *KVIterator) do(op kvOp, key []byte) {
 	c.it, c.key = it, key
 	// Iterator cursor faults invalidate the cursor rather than surface a
 	// status; a severed device simply leaves the cursor where it was.
-	_ = it.s.qp.Do(it.r, &c.Command)
-	it.s.release(c)
+	_ = it.s.do(it.r, c)
 }
 
 // Seek issues a SEEK command.

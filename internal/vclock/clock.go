@@ -268,10 +268,9 @@ func (c *Clock) Go(name string, fn func(r *Runner)) {
 
 func callFunc(r *Runner, fn any) { fn.(func(r *Runner))(r) }
 
-// GoWith is Go for a function that takes its state as an argument instead
-// of capturing it: with a package-level fn and a pointer for arg, starting
-// a runner allocates nothing once one started with Go has returned, where
-// Go costs its caller a closure.
+// GoWith is Go for a package-level fn that takes its state as arg: it
+// allocates nothing once a runner has returned, where Go costs a closure.
+// Beside Go, only the Dev-LSM's background flush starts a runner with it.
 func (c *Clock) GoWith(name string, fn func(r *Runner, arg any), arg any) {
 	c.enlist(name, &c.callers, &c.free).Call(fn, arg)
 }
@@ -443,11 +442,8 @@ func (c *Clock) Wait() {
 	<-c.done
 }
 
-// Hold pins virtual time until the returned release function is called.
-// Release is idempotent; both must be called with the baton. Nothing in
-// this module needs it, since New's caller pins time until Wait; it stays
-// only because the benchmark driver (bench/engine.go and
-// bench/bench_test.go) still calls it.
+// Hold pins virtual time until the returned, idempotent release is called,
+// both with the baton. Only bench/ calls it: New's caller pins until Wait.
 func (c *Clock) Hold() (release func()) {
 	c.holds++
 	held := true

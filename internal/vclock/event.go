@@ -3,11 +3,10 @@ package vclock
 import "slices"
 
 // Event is a clock-aware, level-triggered flag: once Set, it stays set
-// and every wait returns immediately until Reset lowers it. Its distinguishing
-// feature over Cond is the timed wait — WaitFor parks the runner until
-// the event is raised *or* a virtual-time timeout elapses, whichever
-// comes first — which is what periodic background loops need to both
-// keep their cadence and react promptly to shutdown.
+// and every wait returns immediately until Reset lowers it. Unlike a Cond
+// it has a timed wait — WaitFor parks the runner until the event is raised
+// or a virtual-time timeout elapses, whichever comes first — so a loop
+// can keep its cadence and still react at once to what it waits for.
 type Event struct {
 	label   string
 	set     bool
@@ -31,12 +30,11 @@ func (e *Event) Set() {
 	e.waiters = e.waiters[:0]
 }
 
-// Reset lowers the event, so that it can time one more wait: a runner
-// that waits on an event over and over (a linger window cut short, then
-// opened again) keeps one event instead of allocating a fresh one each
-// time. It panics if a runner is waiting. A runner Set has woken is no
-// longer waiting, but its WaitFor reports the event as it stands when the
-// runner resumes, so the runner that waits is the one to reset.
+// Reset lowers the event so that it can time one more wait: a runner that
+// waits over and over keeps one event instead of allocating one each time.
+// It panics if a runner is waiting. A runner Set has woken is no longer
+// waiting, but its WaitFor reports the event as it stands when the runner
+// resumes, so the runner that waits is the one to reset.
 func (e *Event) Reset() {
 	if len(e.waiters) > 0 {
 		panic("vclock: Reset of event " + e.label + " with a runner waiting")

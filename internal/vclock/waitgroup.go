@@ -1,8 +1,7 @@
 package vclock
 
 // WaitGroup is a clock-aware sync.WaitGroup: Wait parks the runner so
-// virtual time can advance while children run. Like everything in this
-// package it is for the baton holder: Done is called by a runner.
+// virtual time can advance while children run; Done is called by a runner.
 type WaitGroup struct {
 	n    int
 	cond Cond
@@ -23,8 +22,15 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait parks r until the counter reaches zero.
 func (wg *WaitGroup) Wait(r *Runner) {
+	for !wg.WaitStep(r) {
+		r.Park()
+	}
+}
+
+// WaitStep is Wait as a stepped primitive (see Cond.WaitUntilStep).
+func (wg *WaitGroup) WaitStep(r *Runner) (done bool) {
 	wg.cond.label = "waitgroup"
-	wg.cond.WaitUntil(r, waitGroupDone, wg)
+	return wg.cond.WaitUntilStep(r, waitGroupDone, wg)
 }
 
 func waitGroupDone(wg any) bool { return wg.(*WaitGroup).n == 0 }
