@@ -33,9 +33,7 @@ func referenceBuildRun(d *DevLSM, r *vclock.Runner, it iterkit.Iterator, sizeHin
 			return
 		}
 		n := (len(page) + pageSize - 1) / pageSize
-		lpns := make([]int, n)
-		copy(lpns, d.freeLPNs[len(d.freeLPNs)-n:])
-		d.freeLPNs = d.freeLPNs[:len(d.freeLPNs)-n]
+		lpns := d.freeLPNs.Take(make([]int, 0, n), n)
 		ru.pages = append(ru.pages, pageMeta{
 			firstKey: append([]byte(nil), pageFirst...),
 			off:      len(ru.data),

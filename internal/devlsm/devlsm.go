@@ -36,6 +36,7 @@ import (
 	"kvaccel/internal/cpu"
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/faults"
+	"kvaccel/internal/freelist"
 	"kvaccel/internal/ftl"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
@@ -170,7 +171,7 @@ type DevLSM struct {
 	full     bool
 	runs     []*run // oldest first; only ever appended to or replaced
 	seq      uint64
-	freeLPNs []int
+	freeLPNs freelist.Stack
 	entries  int64
 	bytes    int64
 	stats    Stats
@@ -202,13 +203,8 @@ func NewRegion(f *ftl.FTL, arm *cpu.Pool, cfg Config, offsetPages, pages int) *D
 		panic(fmt.Sprintf("devlsm: region slice [%d,%d) outside KV region of %d pages",
 			offsetPages, offsetPages+pages, total))
 	}
-	d := &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(cfg.MemtableBytes), flushed: vclock.NewCond("devlsm.flushed"),
-		lpnOff: offsetPages, lpnCount: pages}
-	d.freeLPNs = make([]int, pages)
-	for i := range d.freeLPNs {
-		d.freeLPNs[i] = offsetPages + pages - 1 - i
-	}
-	return d
+	return &DevLSM{cfg: cfg, f: f, arm: arm, mem: memtable.New(cfg.MemtableBytes), flushed: vclock.NewCond("devlsm.flushed"),
+		lpnOff: offsetPages, lpnCount: pages, freeLPNs: freelist.New(offsetPages, offsetPages+pages)}
 }
 
 // Region returns the slice of KV-region pages this instance owns.
@@ -241,12 +237,10 @@ func (d *DevLSM) Full() bool { return d.full }
 // alloc moves n free LPNs onto the end of dst, or reports
 // faults.ErrCapacityExceeded and moves none if fewer are free.
 func (d *DevLSM) alloc(dst []int, n int) ([]int, error) {
-	if n > len(d.freeLPNs) {
+	if n > d.freeLPNs.Len() {
 		return dst, faults.ErrCapacityExceeded
 	}
-	dst = append(dst, d.freeLPNs[len(d.freeLPNs)-n:]...)
-	d.freeLPNs = d.freeLPNs[:len(d.freeLPNs)-n]
-	return dst, nil
+	return d.freeLPNs.Take(dst, n), nil
 }
 
 // Put buffers one record (value may be nil with kind KindDelete for
@@ -551,7 +545,7 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 		for _, lpn := range all {
 			d.f.Trim(ftl.KVRegion, lpn)
 		}
-		d.freeLPNs = append(d.freeLPNs, all...)
+		d.freeLPNs.Push(all...)
 		return nil, full
 	}
 	if ru.count == 0 {
@@ -660,7 +654,7 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 			for _, lpn := range pm.lpns {
 				d.f.Trim(ftl.KVRegion, lpn)
 			}
-			d.freeLPNs = append(d.freeLPNs, pm.lpns...)
+			d.freeLPNs.Push(pm.lpns...)
 		}
 	}
 	if ru != nil {
@@ -705,10 +699,7 @@ func (d *DevLSM) Reset(r *vclock.Runner) {
 	d.entries = 0
 	d.bytes = 0
 	d.stats.Resets++
-	d.freeLPNs = d.freeLPNs[:0]
-	for i := d.lpnOff + d.lpnCount - 1; i >= d.lpnOff; i-- {
-		d.freeLPNs = append(d.freeLPNs, i)
-	}
+	d.freeLPNs.Reset(d.lpnOff, d.lpnOff+d.lpnCount)
 	if d.lpnOff == 0 && d.lpnCount == d.f.RegionPages(ftl.KVRegion) {
 		d.f.TrimRegion(ftl.KVRegion)
 		return

@@ -69,7 +69,7 @@ func TestFullRegionIsAStatus(t *testing.T) {
 		if d.sealed == nil {
 			t.Fatal("the full region's flush dropped its sealed buffer")
 		}
-		if free := len(d.freeLPNs); free+usedPages(d) != 48 {
+		if free := d.freeLPNs.Len(); free+usedPages(d) != 48 {
 			t.Errorf("%d free pages and %d in runs, want 48 together: the failed flush kept pages", free, usedPages(d))
 		}
 		if err := d.Flush(r); !errors.Is(err, faults.ErrCapacityExceeded) {
@@ -107,8 +107,8 @@ func TestFullRegionIsAStatus(t *testing.T) {
 		checkRecords(t, "Iterator", iterated, model)
 
 		d.Reset(r)
-		if d.Full() || !d.Empty() || len(d.freeLPNs) != 48 {
-			t.Fatalf("after Reset: full=%v empty=%v free=%d, want a clear 48-page region", d.Full(), d.Empty(), len(d.freeLPNs))
+		if d.Full() || !d.Empty() || d.freeLPNs.Len() != 48 {
+			t.Fatalf("after Reset: full=%v empty=%v free=%d, want a clear 48-page region", d.Full(), d.Empty(), d.freeLPNs.Len())
 		}
 		for i := 0; i < 200; i++ {
 			if err := d.Put(r, memtable.KindPut, key(i), value(i)); err != nil {

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"kvaccel/internal/faults"
+	"kvaccel/internal/freelist"
 	"kvaccel/internal/vclock"
 )
 
@@ -79,7 +80,7 @@ type FileSystem struct {
 	dev BlockDevice
 
 	files map[string]*file
-	free  []int // free page LPNs, LIFO
+	free  freelist.Stack // free page LPNs
 
 	// Page cache state. cacheCap <= 0 means unbounded (the default).
 	cacheCap int // pages
@@ -90,8 +91,8 @@ type FileSystem struct {
 // in what order they were last used. It is an intrusive doubly linked
 // list threaded through two slices indexed by LPN, most recent at the
 // head, so marking a page resident or touching it allocates nothing. A
-// link holds lpn+1, which makes zeroed slices the empty list; they are
-// allocated, sized to the device, by the first insert.
+// link holds lpn+1, which makes zeroed slices the empty list; they grow,
+// at least doubling, to cover the highest LPN cached.
 type pageLRU struct {
 	size       int // pages on the device
 	prev, next []int32
@@ -99,8 +100,12 @@ type pageLRU struct {
 	n          int // resident pages
 }
 
+// minLinks is the fewest pages the links cover once allocated, so a file
+// system's first few megabytes grow them once rather than a dozen times.
+const minLinks = 4096
+
 func (l *pageLRU) contains(lpn int) bool {
-	return l.n > 0 && (l.prev[lpn] != 0 || l.head == int32(lpn+1))
+	return l.n > 0 && lpn < len(l.prev) && (l.prev[lpn] != 0 || l.head == int32(lpn+1))
 }
 
 // touch makes a resident page the most recently used and reports whether
@@ -116,8 +121,10 @@ func (l *pageLRU) touch(lpn int) bool {
 
 // pushFront makes an absent page the most recently used.
 func (l *pageLRU) pushFront(lpn int) {
-	if l.next == nil {
-		l.prev, l.next = make([]int32, l.size), make([]int32, l.size)
+	if lpn >= len(l.next) {
+		n := min(max(lpn+1, 2*len(l.next), minLinks), l.size)
+		l.prev = append(l.prev, make([]int32, n-len(l.prev))...)
+		l.next = append(l.next, make([]int32, n-len(l.next))...)
 	}
 	id := int32(lpn + 1)
 	l.prev[lpn], l.next[lpn] = 0, l.head
@@ -212,12 +219,7 @@ func New(dev BlockDevice) *FileSystem {
 	if n > math.MaxInt32-1 {
 		panic(fmt.Sprintf("fs: %d pages: the page cache links LPNs as int32", n))
 	}
-	fs := &FileSystem{dev: dev, files: make(map[string]*file), cached: pageLRU{size: n}}
-	fs.free = make([]int, n)
-	for i := range fs.free {
-		fs.free[i] = n - 1 - i
-	}
-	return fs
+	return &FileSystem{dev: dev, files: make(map[string]*file), free: freelist.New(0, n), cached: pageLRU{size: n}}
 }
 
 // SetPageCacheBytes bounds the page cache; 0 or negative restores the
@@ -280,7 +282,7 @@ func (fs *FileSystem) CachedPages() int {
 
 // FreeBytes returns the unallocated capacity.
 func (fs *FileSystem) FreeBytes() int64 {
-	return int64(len(fs.free)) * int64(fs.dev.PageSize())
+	return int64(fs.free.Len()) * int64(fs.dev.PageSize())
 }
 
 // UsedBytes returns the total size of all files.
@@ -293,24 +295,20 @@ func (fs *FileSystem) UsedBytes() int64 {
 }
 
 func (fs *FileSystem) alloc(n int) ([]int, error) {
-	if n > len(fs.free) {
-		return nil, fmt.Errorf("fs: out of space: need %d pages, have %d", n, len(fs.free))
+	if n > fs.free.Len() {
+		return nil, fmt.Errorf("fs: out of space: need %d pages, have %d", n, fs.free.Len())
 	}
-	pages := make([]int, n)
-	copy(pages, fs.free[len(fs.free)-n:])
-	fs.free = fs.free[:len(fs.free)-n]
-	return pages, nil
+	return fs.free.Take(make([]int, 0, n), n), nil
 }
 
 // grow extends f to n pages, popping them one by one; when the
 // device cannot supply them all it leaves f and the free list untouched.
 func (fs *FileSystem) grow(f *file, n int) error {
-	if n-len(f.pages) > len(fs.free) {
-		return fmt.Errorf("fs: out of space: need %d pages, have %d", n-len(f.pages), len(fs.free))
+	if n-len(f.pages) > fs.free.Len() {
+		return fmt.Errorf("fs: out of space: need %d pages, have %d", n-len(f.pages), fs.free.Len())
 	}
 	for len(f.pages) < n {
-		f.pages = append(f.pages, fs.free[len(fs.free)-1])
-		fs.free = fs.free[:len(fs.free)-1]
+		f.pages = append(f.pages, fs.free.Pop())
 	}
 	return nil
 }
@@ -364,7 +362,7 @@ func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, back
 	ps := fs.dev.PageSize()
 	nPages := max(1, (len(data)+ps-1)/ps) // empty files still occupy a metadata page
 	old, replacing := fs.files[name]
-	if replacing && nPages <= len(fs.free)+len(old.pages) {
+	if replacing && nPages <= fs.free.Len()+len(old.pages) {
 		// The old image's pages go back first, so the new image lands on
 		// them as it always has, and leave the page cache with it; a replace
 		// that does not fit even so fails below with the old file whole.
@@ -528,7 +526,7 @@ func (fs *FileSystem) Remove(r *vclock.Runner, name string) error {
 // freeFile detaches f and returns its pages to the pool.
 func (fs *FileSystem) freeFile(f *file) []int {
 	delete(fs.files, f.name)
-	fs.free = append(fs.free, f.pages...)
+	fs.free.Push(f.pages...)
 	return f.pages
 }
 
@@ -613,7 +611,7 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 		f.exts, f.stable, f.torn = keep, keep, false
 		need := max(1, (f.size()+ps-1)/ps) // empty files still occupy a metadata page
 		if need < len(f.pages) {
-			fs.free = append(fs.free, f.pages[need:]...)
+			fs.free.Push(f.pages[need:]...)
 			f.pages = f.pages[:need]
 		}
 		if fs.grow(f, need) != nil {

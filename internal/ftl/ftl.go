@@ -15,6 +15,7 @@ package ftl
 import (
 	"fmt"
 
+	"kvaccel/internal/freelist"
 	"kvaccel/internal/nand"
 	"kvaccel/internal/vclock"
 )
@@ -77,11 +78,17 @@ type blockInfo struct {
 	allocated  bool
 	validCount int
 	nextPage   int     // write frontier within the block
-	lpns       []int32 // reverse map page -> region LPN (-1 invalid)
+	lpns       []int32 // reverse map page -> region LPN (-1 invalid); nil until its chunk is
 }
 
+// chunkBlocks is how many blocks' reverse maps one allocation holds: the
+// first block opened among them allocates the chunk, so a machine holds
+// maps for the blocks its run writes, and opening a block later in a
+// chunk allocates nothing.
+const chunkBlocks = 64
+
 type regionState struct {
-	mapping  []int32 // LPN -> PPN
+	mapping  []int32 // LPN -> PPN+1, 0 if unmapped, so a new table is all zero
 	frontier []int   // per-die active block id, -1 if none
 }
 
@@ -91,8 +98,11 @@ type FTL struct {
 	geo nand.Geometry
 	cfg Config
 
-	blocks  []blockInfo
-	free    []int // free block ids (LIFO)
+	blocks []blockInfo
+	// free holds each die's free block ids, LIFO, lowest first at the
+	// start; nfree is their sum.
+	free    []freelist.Stack
+	nfree   int
 	regions [numRegions]*regionState
 	nextDie int // round-robin die cursor for frontier allocation
 	// frontier marks the blocks some region is writing into, for the length
@@ -125,21 +135,15 @@ func New(arr *nand.Array, cfg Config) *FTL {
 		panic(fmt.Sprintf("ftl: regions need %d pages but device has %d usable",
 			needPages, (totalBlocks-reserve)*geo.PagesPerBlock))
 	}
-	f := &FTL{arr: arr, geo: geo, cfg: cfg}
+	f := &FTL{arr: arr, geo: geo, cfg: cfg, nfree: totalBlocks}
 	f.blocks = make([]blockInfo, totalBlocks)
 	f.frontier = make([]bool, totalBlocks)
-	for i := range f.blocks {
-		f.blocks[i].lpns = make([]int32, geo.PagesPerBlock)
-	}
-	f.free = make([]int, totalBlocks)
-	for i := range f.free {
-		f.free[i] = totalBlocks - 1 - i
+	f.free = make([]freelist.Stack, geo.Dies())
+	for die := range f.free {
+		f.free[die] = freelist.New(die*geo.BlocksPerDie, (die+1)*geo.BlocksPerDie)
 	}
 	mk := func(pages int) *regionState {
 		rs := &regionState{mapping: make([]int32, pages), frontier: make([]int, geo.Dies())}
-		for i := range rs.mapping {
-			rs.mapping[i] = unmapped
-		}
 		for i := range rs.frontier {
 			rs.frontier[i] = -1
 		}
@@ -161,14 +165,10 @@ func (f *FTL) PageSize() int { return f.geo.PageSize }
 func (f *FTL) Dies() int { return f.geo.Dies() }
 
 // Stats returns a snapshot of the cumulative counters.
-func (f *FTL) Stats() Stats {
-	return f.stats
-}
+func (f *FTL) Stats() Stats { return f.stats }
 
 // FreeBlocks returns the size of the shared free-block pool.
-func (f *FTL) FreeBlocks() int {
-	return len(f.free)
-}
+func (f *FTL) FreeBlocks() int { return f.nfree }
 
 func (f *FTL) addrOf(ppn int32) nand.Addr {
 	blockID := int(ppn) / f.geo.PagesPerBlock
@@ -195,8 +195,8 @@ func (f *FTL) allocPage(rg Region, lpn int) (ppn int32, needGC bool) {
 		panic(fmt.Sprintf("ftl: lpn %d out of range for %v region (%d pages)", lpn, rg, len(rs.mapping)))
 	}
 	// Invalidate any prior mapping.
-	if old := rs.mapping[lpn]; old != unmapped {
-		f.invalidate(old)
+	if old := rs.mapping[lpn]; old != 0 {
+		f.invalidate(old - 1)
 	}
 	// Find a frontier block with space, cycling dies for parallelism.
 	dies := f.geo.Dies()
@@ -205,9 +205,13 @@ func (f *FTL) allocPage(rg Region, lpn int) (ppn int32, needGC bool) {
 		f.nextDie = (f.nextDie + 1) % dies
 		bid := rs.frontier[die]
 		if bid == -1 || f.blocks[bid].nextPage >= f.geo.PagesPerBlock {
-			nb, ok := f.takeFreeBlock(die)
-			if !ok {
+			if f.free[die].Len() == 0 {
 				continue // this die has no free block; try next die
+			}
+			nb := f.free[die].Pop()
+			f.nfree--
+			if f.blocks[nb].lpns == nil {
+				f.mapChunk(nb)
 			}
 			f.blocks[nb].owner = rg
 			f.blocks[nb].allocated = true
@@ -220,22 +224,19 @@ func (f *FTL) allocPage(rg Region, lpn int) (ppn int32, needGC bool) {
 		b.validCount++
 		b.lpns[page] = int32(lpn)
 		ppn = ppnOf(bid, page, f.geo.PagesPerBlock)
-		rs.mapping[lpn] = ppn
-		return ppn, len(f.free) <= f.cfg.GCFreeBlockLow
+		rs.mapping[lpn] = ppn + 1
+		return ppn, f.nfree <= f.cfg.GCFreeBlockLow
 	}
 	panic("ftl: device out of space (no free block on any die); regions oversized for physical capacity")
 }
 
-// takeFreeBlock pops a free block belonging to the given die.
-func (f *FTL) takeFreeBlock(die int) (int, bool) {
-	for i := len(f.free) - 1; i >= 0; i-- {
-		bid := f.free[i]
-		if bid/f.geo.BlocksPerDie == die {
-			f.free = append(f.free[:i], f.free[i+1:]...)
-			return bid, true
-		}
+// mapChunk gives the blocks of bid's chunk their reverse maps.
+func (f *FTL) mapChunk(bid int) {
+	first, ppb := bid-bid%chunkBlocks, f.geo.PagesPerBlock
+	chunk := make([]int32, (min(first+chunkBlocks, len(f.blocks))-first)*ppb)
+	for i := 0; i < len(chunk); i += ppb {
+		f.blocks[first+i/ppb].lpns = chunk[i : i+ppb : i+ppb]
 	}
-	return 0, false
 }
 
 func (f *FTL) invalidate(ppn int32) {
@@ -356,8 +357,8 @@ func (f *FTL) mappedPages(rg Region, lpns []int) *fanout {
 	job.read = true
 	rs := f.regions[rg]
 	for _, lpn := range lpns {
-		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != unmapped {
-			job.ppns = append(job.ppns, rs.mapping[lpn])
+		if lpn >= 0 && lpn < len(rs.mapping) && rs.mapping[lpn] != 0 {
+			job.ppns = append(job.ppns, rs.mapping[lpn]-1)
 		}
 	}
 	return job
@@ -370,8 +371,8 @@ func (f *FTL) Read(r *vclock.Runner, rg Region, lpn int) error {
 	if lpn < 0 || lpn >= len(rs.mapping) {
 		return fmt.Errorf("ftl: read lpn %d out of range for %v region", lpn, rg)
 	}
-	ppn := rs.mapping[lpn]
-	if ppn == unmapped {
+	ppn := rs.mapping[lpn] - 1
+	if ppn < 0 {
 		return fmt.Errorf("ftl: read of unmapped lpn %d in %v region", lpn, rg)
 	}
 	return f.arr.ReadPage(r, f.addrOf(ppn))
@@ -389,9 +390,9 @@ func (f *FTL) Trim(rg Region, lpn int) {
 	if lpn < 0 || lpn >= len(rs.mapping) {
 		return
 	}
-	if ppn := rs.mapping[lpn]; ppn != unmapped {
-		f.invalidate(ppn)
-		rs.mapping[lpn] = unmapped
+	if ppn := rs.mapping[lpn]; ppn != 0 {
+		f.invalidate(ppn - 1)
+		rs.mapping[lpn] = 0
 	}
 }
 
@@ -400,9 +401,9 @@ func (f *FTL) Trim(rg Region, lpn int) {
 func (f *FTL) TrimRegion(rg Region) {
 	rs := f.regions[rg]
 	for lpn, ppn := range rs.mapping {
-		if ppn != unmapped {
-			f.invalidate(ppn)
-			rs.mapping[lpn] = unmapped
+		if ppn != 0 {
+			f.invalidate(ppn - 1)
+			rs.mapping[lpn] = 0
 		}
 	}
 }
@@ -532,9 +533,6 @@ func (fw *fanoutWorker) start() {
 }
 
 func (job *fanout) note(err error) {
-	if err == nil {
-		return
-	}
 	if job.first == nil {
 		job.first = err
 	}
@@ -544,7 +542,7 @@ func (job *fanout) note(err error) {
 // runner pays the migration time.
 func (f *FTL) collect(r *vclock.Runner) {
 	for {
-		if len(f.free) >= f.cfg.GCFreeBlockHigh {
+		if f.nfree >= f.cfg.GCFreeBlockHigh {
 			return
 		}
 		victim := f.pickVictim()
@@ -582,7 +580,8 @@ func (f *FTL) collect(r *vclock.Runner) {
 
 		f.blocks[victim].owner = 0
 		f.blocks[victim].nextPage = 0
-		f.free = append(f.free, victim)
+		f.free[victim/f.geo.BlocksPerDie].Push(victim)
+		f.nfree++
 	}
 }
 

@@ -234,7 +234,7 @@ func TestGCPreservesLiveData(t *testing.T) {
 			if !write(r) {
 				return
 			}
-			near := len(f.free) <= cfg.GCFreeBlockHigh
+			near := f.FreeBlocks() <= cfg.GCFreeBlockHigh
 			var ok bool
 			if near {
 				victim, survivors, ok = fits()
@@ -257,7 +257,7 @@ func TestGCPreservesLiveData(t *testing.T) {
 			}
 		}
 		// One victim reaches the high watermark.
-		f.cfg.GCFreeBlockHigh = len(f.free) + 1
+		f.cfg.GCFreeBlockHigh = f.FreeBlocks() + 1
 
 		plan := faults.NewPlan(1)
 		start := int64(victim * geo.PagesPerBlock)
@@ -379,12 +379,15 @@ func TestConcurrentCollectsReclaimEachVictimOnce(t *testing.T) {
 		t.Fatal("GC never ran")
 	}
 	free := map[int]bool{}
-	for _, bid := range f.free {
-		if free[bid] {
-			t.Fatalf("block %d is on the free list twice", bid)
-		}
-		if free[bid] = true; f.blocks[bid].allocated {
-			t.Fatalf("block %d is free and allocated", bid)
+	for _, die := range f.free {
+		for die.Len() > 0 {
+			bid := die.Pop()
+			if free[bid] {
+				t.Fatalf("block %d is on the free list twice", bid)
+			}
+			if free[bid] = true; f.blocks[bid].allocated {
+				t.Fatalf("block %d is free and allocated", bid)
+			}
 		}
 	}
 }

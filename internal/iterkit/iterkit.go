@@ -5,7 +5,6 @@ package iterkit
 
 import (
 	"bytes"
-	"container/heap"
 
 	"kvaccel/internal/memtable"
 )
@@ -51,23 +50,34 @@ type mergeItem struct {
 	idx int
 }
 
+// mergeHeap is a binary min-heap of the children's current records. The
+// merge only ever replaces or removes the top, so it needs only the
+// downward sift.
 type mergeHeap []mergeItem
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
+func (h mergeHeap) less(i, j int) bool {
 	if c := Compare(h[i].e, h[j].e); c != 0 {
 		return c < 0
 	}
 	return h[i].idx < h[j].idx
 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// down sifts item i down to its place.
+func (h mergeHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 func (m *Merge) rebuild() {
@@ -77,7 +87,9 @@ func (m *Merge) rebuild() {
 			m.h = append(m.h, mergeItem{it: it, e: it.Entry(), idx: i})
 		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.h.down(i)
+	}
 }
 
 // SeekToFirst positions every child at its start.
@@ -108,8 +120,9 @@ func (m *Merge) Next() {
 	top.it.Next()
 	if top.it.Valid() {
 		top.e = top.it.Entry()
-		heap.Fix(&m.h, 0)
 	} else {
-		heap.Pop(&m.h)
+		last := len(m.h) - 1
+		m.h[0], m.h = m.h[last], m.h[:last]
 	}
+	m.h.down(0)
 }

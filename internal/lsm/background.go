@@ -126,10 +126,10 @@ func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (meta *F
 	var discard int64
 	err = merge(mt.NewIterator(), mergeParams{
 		builder: db.opt.builderOptions(),
-		// The memtable counts 32 bytes of node overhead per entry, a data
-		// block 11 or 12 of record header: taking 20 back per entry sizes
-		// the buffer so the file system keeps it as is (fs.WriteFile).
-		sizeHint: int(mt.ApproximateSize()) - 20*mt.Count(),
+		// Each key's newest version is written. The memtable counts 32
+		// bytes of node overhead per entry, a data block 11 or 12 of record
+		// header: 20 back per entry sizes a buffer fs.WriteFile keeps.
+		sizeHint: int(mt.NewestSize()) - 20*mt.NewestCount(),
 		onDrop:   discardOf(&discard),
 		charge:   func(n int) { db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, n) },
 		emit: func(data []byte, m sstable.Meta) (err error) {

@@ -61,11 +61,11 @@ func fuzzSeed() []byte {
 
 // FuzzTableOps drives one table with Add, AddView (with gaps), Get, Seek
 // and Next steps, and bursts of inserts, decoded from the fuzzed bytes,
-// and holds every read to a sorted reference. One iterator stays open
-// throughout, so the inserts that split leaves and the root land between
-// its steps: its current entry must not change under them, and its next
-// step must go to the entry that follows the current one in the
-// reference as it is by then.
+// and holds every read, and the footprint of the newest versions, to a
+// sorted reference. One iterator stays open throughout, so the inserts
+// that split leaves and the root land between its steps: its current
+// entry must not change under them, and its next step must go to the
+// entry that follows the current one in the reference as it is by then.
 func FuzzTableOps(f *testing.F) {
 	f.Add(fuzzSeed())
 	// "k" and the newer "k\x00" tie on both words; Get tells them apart.
@@ -171,6 +171,17 @@ func FuzzTableOps(f *testing.F) {
 		}
 		if m.Count() != len(ref) || uint64(m.ApproximateSize()) != size {
 			t.Fatalf("Count %d, ApproximateSize %d; reference %d entries, %d bytes", m.Count(), m.ApproximateSize(), len(ref), size)
+		}
+		// A key's newest version is its first in the reference.
+		var newest, newestSize uint64
+		for i, e := range ref {
+			if i == 0 || !bytes.Equal(ref[i-1].key, e.key) {
+				newest++
+				newestSize += uint64(len(e.key) + len(e.value) + 32)
+			}
+		}
+		if uint64(m.NewestCount()) != newest || uint64(m.NewestSize()) != newestSize {
+			t.Fatalf("NewestCount %d, NewestSize %d; reference %d newest versions, %d bytes", m.NewestCount(), m.NewestSize(), newest, newestSize)
 		}
 		walk := m.NewIterator()
 		i := 0

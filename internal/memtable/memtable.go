@@ -205,6 +205,10 @@ type Table struct {
 	head   *leaf          // the first leaf: a split moves entries rightward only
 	size   int64
 	count  int // also the table's version: iterators re-seek when it moved
+	// hidden and hiddenCount are the footprint and number of the entries
+	// a newer version of their key hides.
+	hidden      int64
+	hiddenCount int
 
 	// The slab allocator. Each slice is the unused tail of the newest
 	// slab of its type; the tree keeps the used parts reachable. A slab
@@ -315,6 +319,10 @@ func (t *Table) AddView(seq uint64, kind Kind, kv []byte, klen, gap int) {
 	t.link(seq, kind, kv[:len(kv):len(kv)], klen, gap)
 }
 
+// entryOverhead is the footprint an entry counts beside its key and value
+// bytes, roughly its share of the tree's nodes.
+const entryOverhead = 32
+
 // link puts an entry for the record into the tree, growing a new root
 // when the old one splits. Both inserts end here, so the table's
 // footprint counts key and value bytes, never the gap.
@@ -335,7 +343,7 @@ func (t *Table) link(seq uint64, kind Kind, kv []byte, klen, gap int) {
 		t.root = unsafe.Pointer(root)
 		t.height++
 	}
-	t.size += int64(len(kv) - gap + 32) // 32 ~ per-entry overhead
+	t.size += int64(len(kv)-gap) + entryOverhead
 	t.count++
 }
 
@@ -346,6 +354,7 @@ func (t *Table) insert(p unsafe.Pointer, h int, e *entry, tg tag) (unsafe.Pointe
 	if h == 0 {
 		lf := (*leaf)(p)
 		i := lf.search(e)
+		t.hide(lf, i, e)
 		if lf.n < leafCap {
 			lf.put(i, e, tg)
 			return nil, nil
@@ -395,6 +404,31 @@ func (t *Table) insert(p unsafe.Pointer, h int, e *entry, tg tag) (unsafe.Pointe
 	return unsafe.Pointer(nr), &nr.keys[0]
 }
 
+// hide counts the version e, about to go in at lf's index i, hides or is
+// hidden by: the entry after it, if of its key, is older; one before it
+// newer. The entry before e is in lf: a leaf other than the first starts
+// with the separator that routes to it, and e sorts after that.
+func (t *Table) hide(lf *leaf, i int, e *entry) {
+	var o *entry
+	switch {
+	case i > 0 && lf.ents[i-1].sameKey(e):
+		o = e
+	case i < lf.n:
+		o = &lf.ents[i]
+	case lf.next != nil:
+		o = &lf.next.ents[0]
+	}
+	if o != nil && o.sameKey(e) {
+		t.hidden += int64(o.klen) + int64(o.vlen) + entryOverhead
+		t.hiddenCount++
+	}
+}
+
+// sameKey reports whether e and k have the same user key.
+func (e *entry) sameKey(k *entry) bool {
+	return e.w0 == k.w0 && e.w1 == k.w1 && e.klen == k.klen && (e.klen <= 16 || bytes.Equal(e.key(), k.key()))
+}
+
 // Get returns the newest entry for key. ok is false if the key has no
 // entry at all; a tombstone returns ok=true with kind KindDelete. The
 // returned value aliases the table's memory — its byte slab, or the
@@ -409,7 +443,7 @@ func (t *Table) Get(key []byte) (value []byte, kind Kind, ok bool) {
 		return nil, 0, false
 	}
 	e := &lf.ents[i]
-	if e.w0 != k.w0 || e.w1 != k.w1 || e.klen != k.klen || e.klen > 16 && !bytes.Equal(e.key(), key) {
+	if !e.sameKey(&k) {
 		return nil, 0, false
 	}
 	_, value = lf.record(i)
@@ -421,6 +455,15 @@ func (t *Table) ApproximateSize() int64 { return t.size }
 
 // Count returns the number of entries.
 func (t *Table) Count() int { return t.count }
+
+// NewestSize is ApproximateSize of the entries no newer version of their
+// key hides: the footprint of what a flush that keeps only each key's
+// newest version writes.
+func (t *Table) NewestSize() int64 { return t.size - t.hidden }
+
+// NewestCount is the number of entries no newer version of their key
+// hides.
+func (t *Table) NewestCount() int { return t.count - t.hiddenCount }
 
 // Entry is one internal-key record surfaced by an Iterator.
 type Entry struct {
