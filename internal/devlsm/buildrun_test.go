@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/vclock"
@@ -19,13 +20,13 @@ var raceEnabled bool
 
 // referenceBuildRun is the page-buffer builder buildRun replaced, kept as
 // the reference its output must equal: records are encoded into a page
-// buffer, each full page is copied into the run's data, and every page
-// gets its own first-key copy and LPN slice.
+// buffer, each full page is copied into the run's flat data, and every
+// page gets its own first-key copy and LPN slice.
 func referenceBuildRun(d *DevLSM, r *vclock.Runner, it iterkit.Iterator, sizeHint int) (*run, []int) {
 	pageSize := d.f.PageSize()
 	ru := &run{}
 	var all []int
-	var page []byte
+	var data, page []byte
 	var pageFirst []byte
 
 	flushPage := func() {
@@ -36,14 +37,14 @@ func referenceBuildRun(d *DevLSM, r *vclock.Runner, it iterkit.Iterator, sizeHin
 		lpns := d.freeLPNs.Take(make([]int, 0, n), n)
 		ru.pages = append(ru.pages, pageMeta{
 			firstKey: append([]byte(nil), pageFirst...),
-			off:      len(ru.data),
+			off:      len(data),
 			length:   len(page),
 			lpns:     lpns,
 		})
-		if ru.data == nil {
-			ru.data = make([]byte, 0, sizeHint)
+		if data == nil {
+			data = make([]byte, 0, sizeHint)
 		}
-		ru.data = append(ru.data, page...)
+		data = append(data, page...)
 		all = append(all, lpns...)
 		page = page[:0]
 	}
@@ -75,8 +76,12 @@ func referenceBuildRun(d *DevLSM, r *vclock.Runner, it iterkit.Iterator, sizeHin
 	if ru.count == 0 {
 		return nil, nil
 	}
+	ru.data = fold.Literal(data)
 	return ru, all
 }
+
+// flat is a run's data, its folds materialised.
+func flat(ru *run) []byte { return ru.data.Read(0, ru.data.Len()) }
 
 // runLPNs returns the LPNs of a run's pages, in page order.
 func runLPNs(ru *run) []int {
@@ -88,8 +93,9 @@ func runLPNs(ru *run) []int {
 }
 
 // randomTable fills a memtable with records of seeded sizes: keys of
-// 1–40 bytes, values from empty to beyond a flash page, some tombstones
-// and some overwritten keys.
+// 1–40 bytes, values from empty to beyond a flash page, half of the long
+// ones repeating a run of 1 to 80 bytes (so most of those fold), some
+// tombstones and some overwritten keys.
 func randomTable(rng *rand.Rand) *memtable.Table {
 	mem := memtable.New(64 << 20)
 	n := 1 + rng.Intn(600)
@@ -105,6 +111,11 @@ func randomTable(rng *rand.Rand) *memtable.Table {
 			value = make([]byte, rng.Intn(300))
 		}
 		rng.Read(value)
+		if len(value) >= 1000 && rng.Intn(2) == 0 {
+			for d := 1 + rng.Intn(80); d < len(value); d *= 2 {
+				copy(value[d:], value[:d])
+			}
+		}
 		kind := memtable.KindPut
 		if rng.Intn(12) == 0 {
 			kind, value = memtable.KindDelete, nil
@@ -115,11 +126,13 @@ func randomTable(rng *rand.Rand) *memtable.Table {
 }
 
 // TestBuildRunMatchesPageBufferBuilder: over 20 seeds of record sizes,
-// building a run in place gives byte-identical data and the same pages —
-// offsets, lengths, first keys and LPNs, in the same order — as the page
-// buffer builder, from the same free list. Each first key is clipped, so
-// appending to it cannot write into the run.
+// building a run in place, folding its repeating values, gives data whose
+// materialised bytes are the page buffer builder's and the same pages —
+// offsets, lengths, first keys and LPNs, in the same order — from the same
+// free list, and every page reads back as its flat bytes. Each first key
+// is clipped, so appending to it cannot write into the run.
 func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
+	folded := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		mem := randomTable(rand.New(rand.NewSource(seed)))
 		// Half the seeds pass no size hint, so the data buffer and the LPN
@@ -136,8 +149,11 @@ func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
 			}
 			lpns := runLPNs(ru)
 			ref, refLPNs := referenceBuildRun(want, r, mem.NewIterator(), hint)
-			if !bytes.Equal(ru.data, ref.data) {
-				t.Fatalf("seed %d: run data differs (%d vs %d bytes)", seed, len(ru.data), len(ref.data))
+			if !bytes.Equal(flat(ru), flat(ref)) {
+				t.Fatalf("seed %d: run data differs (%d vs %d bytes)", seed, ru.data.Len(), ref.data.Len())
+			}
+			if ru.data.Folded() {
+				folded++
 			}
 			if fmt.Sprint(lpns) != fmt.Sprint(refLPNs) {
 				t.Fatalf("seed %d: run LPNs %v, want %v", seed, lpns, refLPNs)
@@ -152,7 +168,7 @@ func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
 			for i, pm := range ru.pages {
 				rp := ref.pages[i]
 				if pm.off != rp.off || pm.length != rp.length || !bytes.Equal(pm.firstKey, rp.firstKey) ||
-					fmt.Sprint(pm.lpns) != fmt.Sprint(rp.lpns) {
+					fmt.Sprint(pm.lpns) != fmt.Sprint(rp.lpns) || !bytes.Equal(ru.page(&pm), flat(ref)[rp.off:rp.off+rp.length]) {
 					t.Fatalf("seed %d page %d: off %d len %d first %q lpns %v, want %d %d %q %v", seed, i,
 						pm.off, pm.length, pm.firstKey, pm.lpns, rp.off, rp.length, rp.firstKey, rp.lpns)
 				}
@@ -160,17 +176,20 @@ func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
 			if fmt.Sprint(got.freeLPNs) != fmt.Sprint(want.freeLPNs) {
 				t.Fatalf("seed %d: free lists differ after the build", seed)
 			}
-			data := bytes.Clone(ru.data)
+			data := bytes.Clone(flat(ru))
 			for _, pm := range ru.pages {
 				_ = append(pm.firstKey, "scribble"...)
 				_ = append(pm.lpns, -1)
 			}
 			_ = append(ru.smallest, "scribble"...)
 			_ = append(ru.largest, "scribble"...)
-			if !bytes.Equal(ru.data, data) || fmt.Sprint(runLPNs(ru)) != fmt.Sprint(refLPNs) {
+			if !bytes.Equal(flat(ru), data) || fmt.Sprint(runLPNs(ru)) != fmt.Sprint(refLPNs) {
 				t.Fatalf("seed %d: appending to a page's first key or LPNs wrote into the run", seed)
 			}
 		})
+	}
+	if folded < 10 {
+		t.Errorf("%d of 20 runs folded a value: the input tests little", folded)
 	}
 }
 

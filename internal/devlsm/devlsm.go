@@ -36,6 +36,7 @@ import (
 	"kvaccel/internal/cpu"
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/freelist"
 	"kvaccel/internal/ftl"
 	"kvaccel/internal/iterkit"
@@ -127,7 +128,8 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // pageMeta describes one page-aligned slab of encoded records. firstKey
-// and lpns are capacity-clipped views of the run's data and LPN list.
+// and lpns are capacity-clipped views of the run's literal bytes and LPN
+// list.
 type pageMeta struct {
 	firstKey []byte
 	off      int // into run.data
@@ -136,15 +138,21 @@ type pageMeta struct {
 }
 
 // run is one immutable sorted run on the KV region: nothing writes into
-// its buffers once buildRun returns, so the keys and values Get and the
-// iterators hand out are views of data.
+// its buffers once buildRun returns. data holds the encoded records with
+// each value that repeats its first bytes folded (package fold); a page
+// with no folded value is read as a view of it, any other materialised
+// (page), so the keys and values Get and the iterators hand out never
+// change.
 type run struct {
 	pages    []pageMeta
-	data     []byte
+	data     fold.Payload
 	smallest []byte
 	largest  []byte
 	count    int
 }
+
+// page returns the encoded records of page pm.
+func (ru *run) page(pm *pageMeta) []byte { return ru.data.Read(pm.off, pm.length) }
 
 // DevLSM is the in-device key-value store.
 type DevLSM struct {
@@ -367,7 +375,7 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 				return nil, 0, false, rerr
 			}
 			// Scan the page payload; records within a key are newest-first.
-			payload := ru.data[pm.off : pm.off+pm.length]
+			payload := ru.page(pm)
 			for len(payload) > 0 {
 				e, rest, err := decodeRecord(payload)
 				if err != nil {
@@ -458,32 +466,35 @@ func (d *DevLSM) flush(r *vclock.Runner) {
 const wavesInFlight = 8
 
 // buildRun packs an iterator's records into page-aligned slabs, encoding
-// each straight into the run's data buffer, and returns the run (nil if
-// the iterator is empty). Each page is allocated its LPNs as it closes,
-// and the pages are programmed in waves of one page per die, each set
-// going as soon as it is built, so the build overlaps the programs of the
-// waves before it; buildRun returns once every wave is programmed. err is
-// the first program fault; every page is still programmed. If the region
-// runs out of pages, buildRun waits for the waves it set going, gives
-// back every page it took and returns faults.ErrCapacityExceeded and no
-// run. sizeHint is
-// the caller's upper estimate of the run's bytes; the data buffer, and
-// the page and LPN lists at its page count, are allocated with the first
-// record.
+// each straight into the run's literal buffer and folding its value if it
+// repeats, and returns the run (nil if the iterator is empty). Each page
+// is allocated its LPNs as it closes, and the pages are programmed in
+// waves of one page per die, each set going as soon as it is built, so
+// the build overlaps the programs of the waves before it; buildRun
+// returns once every wave is programmed. err is the first program fault;
+// every page is still programmed. If the region runs out of pages,
+// buildRun waits for the waves it set going, gives back every page it
+// took and returns faults.ErrCapacityExceeded and no run. sizeHint is the
+// caller's upper estimate of the run's bytes; the literal buffer, and the
+// page and LPN lists at its page count, are allocated with the first
+// record (if its value folds, for what records like it keep, and the
+// fold list for two pieces a record).
 func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (ru *run, err error) {
 	pageSize, wave := d.f.PageSize(), d.f.Dies()
 	ru = &run{}
 	var all []int
+	var lit []byte // ru.data's literal bytes, folded as each record is encoded
 	// The last waves set going, the oldest at waves[started%len(waves)]: a
 	// wave is set going once the one len(waves) back is programmed.
 	var waves [wavesInFlight]ftl.Programs
 	started := 0
-	programmed := 0          // all[:programmed] are in waves set going
-	pageOff, lastOff := 0, 0 // where the open page and the last record start in ru.data
+	programmed := 0 // all[:programmed] are in waves set going
+	pageOff := 0    // where the open page starts in ru.data
+	lastLit := 0    // where the last record starts in lit
 
 	var full error
 	closePage := func() {
-		length := len(ru.data) - pageOff
+		length := ru.data.Logical(len(lit)) - pageOff
 		if length == 0 {
 			return
 		}
@@ -491,7 +502,7 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 			return
 		}
 		ru.pages = append(ru.pages, pageMeta{off: pageOff, length: length})
-		pageOff = len(ru.data)
+		pageOff += length
 	}
 	finish := func(w ftl.Programs) {
 		if werr := d.f.Finish(r, w); werr != nil && err == nil {
@@ -509,7 +520,7 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 	for it.SeekToFirst(); it.Valid() && full == nil; it.Next() {
 		e := it.Entry()
 		recLen := encoding.RecordSize(len(e.Key), len(e.Value)) + 9
-		if len(ru.data) > pageOff && len(ru.data)-pageOff+recLen > pageSize {
+		if open := ru.data.Logical(len(lit)) - pageOff; open > 0 && open+recLen > pageSize {
 			if closePage(); full != nil {
 				break
 			}
@@ -517,13 +528,18 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 				program()
 			}
 		}
-		if ru.data == nil {
-			ru.data = make([]byte, 0, max(sizeHint, recLen))
+		if lit == nil {
+			size := max(sizeHint, recLen)
+			if keep := ru.data.Presize(sizeHint, recLen, e.Value); keep > 0 {
+				size = keep + recLen
+			}
+			lit = make([]byte, 0, size)
 			all = make([]int, 0, sizeHint/pageSize+1)
 			ru.pages = make([]pageMeta, 0, sizeHint/pageSize+1)
 		}
-		lastOff = len(ru.data)
-		ru.data = appendRecord(ru.data, e)
+		lastLit = len(lit)
+		lit = appendRecord(lit, e)
+		lit = ru.data.Fold(lit, len(lit)-len(e.Value), len(lit))
 		ru.count++
 		cpuPending += recLen
 		if cpuPending >= 64<<10 {
@@ -551,27 +567,33 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 	if ru.count == 0 {
 		return nil, nil
 	}
-	// The views go in last: ru.data and all may have moved as they grew.
+	// The views go in last: lit and all may have moved as they grew. A
+	// record's header and key are literal: only values fold.
+	ru.data = ru.data.Seal(lit)
 	next := 0
 	for i := range ru.pages {
 		pm := &ru.pages[i]
-		pm.firstKey = recordKey(ru.data[pm.off:])
+		pm.firstKey = recordKey(ru.data.Span(pm.off))
 		n := (pm.length + pageSize - 1) / pageSize
 		pm.lpns = all[next : next+n : next+n]
 		next += n
 	}
 	ru.smallest = ru.pages[0].firstKey
-	ru.largest = recordKey(ru.data[lastOff:])
+	ru.largest = recordKey(lit[lastLit:])
 	return ru, err
 }
 
-// recordKey returns a clipped view of the key of the record b starts with.
+// recordKey returns a clipped view of the key of the record b starts
+// with; b need hold only the record's header and key.
 func recordKey(b []byte) []byte {
-	e, _, err := decodeRecord(b)
-	if err != nil {
-		panic("devlsm: corrupt run page: " + err.Error())
+	klen, b, err := encoding.Uvarint(b)
+	if err == nil {
+		_, b, err = encoding.Uvarint(b)
 	}
-	return e.Key
+	if err != nil || len(b) < 9 || klen > uint64(len(b)-9) {
+		panic("devlsm: corrupt run page")
+	}
+	return b[9 : 9+klen : 9+klen]
 }
 
 func (d *DevLSM) chargeScanCPU(r *vclock.Runner, n int) {
@@ -633,7 +655,7 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 		for _, pm := range ru.pages {
 			lpns = append(lpns, pm.lpns...)
 		}
-		inputBytes += len(ru.data)
+		inputBytes += ru.data.Len()
 	}
 	_ = d.f.ReadMany(r, ftl.KVRegion, lpns) // firmware-internal: faults retried out of band
 

@@ -37,7 +37,7 @@ func (it *runIter) loadPage(i int) bool {
 		_ = it.d.f.ReadMany(it.r, ftl.KVRegion, pm.lpns) // iterator reads: faults surface at the command layer
 	}
 	it.pi = i
-	it.payload = it.ru.data[pm.off : pm.off+pm.length]
+	it.payload = it.ru.page(pm)
 	return true
 }
 
@@ -178,7 +178,7 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 		left += int(d.sealed.ApproximateSize())
 	}
 	for _, ru := range runs {
-		left += len(ru.data)
+		left += ru.data.Len()
 		for _, pm := range ru.pages {
 			lpns = append(lpns, pm.lpns...)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/vclock"
 )
 
@@ -78,7 +79,7 @@ func TestPagesMatchSliceFreeList(t *testing.T) {
 					switch op := rng.Intn(10); {
 					case op < 3:
 						what = "replace"
-						_ = fsys.WriteFile(r, name, make([]byte, size))
+						_ = fsys.WriteFile(r, name, fold.Literal(make([]byte, size)))
 						old, replacing := want[name]
 						n := pagesOf(size)
 						if replacing && n <= len(ref)+len(old) {

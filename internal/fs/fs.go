@@ -1,10 +1,13 @@
 // Package fs is the host-side file layer KVACCEL's Main-LSM runs on — the
 // stand-in for ext4 on the block interface of the dual-interface SSD.
 //
-// Files are page-granular extents over a BlockDevice. The fs holds the
-// authoritative file bytes (the device layers below spend virtual time but
-// do not duplicate payload storage), so reads return real data while every
-// I/O is charged to the simulated block path: PCIe transfer + FTL + NAND.
+// Files are page-granular extents over a BlockDevice. The fs is the one
+// holder of the file bytes (the device layers below spend virtual time but
+// store no payload), each extent as the writer handed it over: a table's
+// folded payload (package fold) or a log's literal chunks. Reads return
+// the flat bytes — a view where they lie in one literal span, else
+// materialised — while every I/O is charged to the simulated block path
+// by logical length: PCIe transfer + FTL + NAND.
 package fs
 
 import (
@@ -15,6 +18,7 @@ import (
 	"sort"
 
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/freelist"
 	"kvaccel/internal/vclock"
 )
@@ -154,13 +158,16 @@ func (l *pageLRU) remove(lpn int) {
 	l.n--
 }
 
-// extent is one immutable run of a file's bytes — a buffer a writer handed
-// over, stored once and never copied, joined or modified afterwards — with
-// the file offset at which it ends. A file is a rope of them.
+// extent is one immutable run of a file's bytes — a payload a writer
+// handed over, stored once and never copied, joined or modified
+// afterwards — with the file offset at which it ends. A file is a rope of
+// them.
 type extent struct {
-	buf []byte
+	p   fold.Payload
 	end int
 }
+
+func (e *extent) start() int { return e.end - e.p.Len() }
 
 type file struct {
 	name  string
@@ -191,26 +198,44 @@ func ropeLen(exts []extent) int {
 func (f *file) size() int { return ropeLen(f.exts) }
 
 // readRope returns bytes [off, off+n) of a rope that holds them: a view of
-// the extent when one holds them all, capacity clipped so that nothing
-// that grows it can write into the extent, else a fresh buffer. Extents
-// are never written, so either way the bytes never change.
+// an extent's literal span when one holds them all, capacity clipped so
+// that nothing that grows it can write into the extent, else materialised
+// into a fresh buffer. Extents are never written, so a view's bytes never
+// change.
 func readRope(exts []extent, off, n int) []byte {
 	if n == 0 {
 		return nil
 	}
 	i := sort.Search(len(exts), func(i int) bool { return exts[i].end > off })
-	piece := exts[i].buf[off-(exts[i].end-len(exts[i].buf)):]
-	if len(piece) >= n {
-		return piece[:n:n]
+	at := off - exts[i].start()
+	piece, lit := exts[i].p.View(at, min(n, exts[i].p.Len()-at))
+	if lit && len(piece) == n {
+		return piece
 	}
-	// Across extents: bytes.Join, like append, clears nothing first.
+	// Across extents of literal bytes, as a log's are: bytes.Join, like
+	// append, clears nothing first.
 	parts := append(make([][]byte, 0, 8), piece)
-	for n -= len(piece); n > 0; n -= len(piece) {
+	for left := n - len(piece); lit && left > 0; left -= len(piece) {
 		i++
-		piece = exts[i].buf[:min(n, len(exts[i].buf))]
+		piece, lit = exts[i].p.View(0, min(left, exts[i].p.Len()))
 		parts = append(parts, piece)
 	}
-	return bytes.Join(parts, nil)
+	if lit {
+		return bytes.Join(parts, nil)
+	}
+	out := make([]byte, n)
+	fillRope(out, exts, off)
+	return out
+}
+
+// fillRope materialises bytes [off, off+len(dst)) of a rope into dst.
+func fillRope(dst []byte, exts []extent, off int) {
+	i := sort.Search(len(exts), func(i int) bool { return exts[i].end > off })
+	for ; len(dst) > 0; i++ {
+		n := min(len(dst), exts[i].end-off)
+		exts[i].p.Fill(dst[:n], off-exts[i].start())
+		dst, off = dst[n:], off+n
+	}
 }
 
 // New formats a file system over dev with an unbounded page cache.
@@ -313,40 +338,29 @@ func (fs *FileSystem) grow(f *file, n int) error {
 	return nil
 }
 
-// ownImage makes a buffer handed over by a caller — a whole image or an
-// appended chunk — the file system's own. The capacity is clipped, so
-// nothing that grows a slice of it can write into memory the caller can
-// still see; and a buffer with more than an eighth of slack — the short
-// last output of a merge, built in a buffer sized for a full table — is
-// copied into one of its own size, so files pin what they hold, no more.
-func ownImage(data []byte) []byte {
-	if cap(data)-len(data) > len(data)/8 {
-		tight := make([]byte, len(data))
-		copy(tight, data)
-		return tight
-	}
-	return data[:len(data):len(data)]
-}
-
 // newFile is a file over pages holding an image handed over whole, the
-// one-extent case of the rope.
-func newFile(name string, pages []int, data []byte) *file {
+// one-extent case of the rope. The image becomes the file system's own
+// (fold.Payload.Tight): files pin what they hold, no more, and nothing
+// that grows a slice of it can write into memory the caller can still
+// see.
+func newFile(name string, pages []int, data fold.Payload) *file {
 	f := &file{name: name, pages: pages}
 	f.exts = f.one[:0]
-	if len(data) > 0 {
-		f.exts = append(f.exts, extent{ownImage(data), len(data)})
+	if data.Len() > 0 {
+		f.exts = append(f.exts, extent{data.Tight(), data.Len()})
 	}
 	return f
 }
 
 // WriteFile creates (or replaces) a file with the given contents, spending
-// the block-path write time for every page it covers.
+// the block-path write time for every page of its length.
 //
 // The file system takes ownership of data: it becomes the file's bytes
 // without a copy, so the caller must not modify it after the call (reading
 // it is fine; nothing here ever writes to it). This holds for every
-// caller — tables, manifests, CURRENT, value-log rewrites.
-func (fs *FileSystem) WriteFile(r *vclock.Runner, name string, data []byte) error {
+// caller — tables, manifests, CURRENT, value-log rewrites; plain bytes
+// are passed as fold.Literal.
+func (fs *FileSystem) WriteFile(r *vclock.Runner, name string, data fold.Payload) error {
 	return fs.writeFile(r, name, data, false)
 }
 
@@ -354,13 +368,13 @@ func (fs *FileSystem) WriteFile(r *vclock.Runner, name string, data []byte) erro
 // background maintenance traffic (flush and compaction output); identical
 // semantics (ownership of data included) and timing, split accounting at
 // the queueing layer.
-func (fs *FileSystem) WriteFileBackground(r *vclock.Runner, name string, data []byte) error {
+func (fs *FileSystem) WriteFileBackground(r *vclock.Runner, name string, data fold.Payload) error {
 	return fs.writeFile(r, name, data, true)
 }
 
-func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data []byte, background bool) error {
+func (fs *FileSystem) writeFile(r *vclock.Runner, name string, data fold.Payload, background bool) error {
 	ps := fs.dev.PageSize()
-	nPages := max(1, (len(data)+ps-1)/ps) // empty files still occupy a metadata page
+	nPages := max(1, (data.Len()+ps-1)/ps) // empty files still occupy a metadata page
 	old, replacing := fs.files[name]
 	if replacing && nPages <= fs.free.Len()+len(old.pages) {
 		// The old image's pages go back first, so the new image lands on
@@ -399,8 +413,9 @@ const logExtents = 32
 // trailing pages are rewritten, as a page-granular device requires.
 //
 // As with WriteFile, the file system takes ownership of the chunks: each
-// becomes an extent of the file without a copy, so the caller must not
-// modify one after the call.
+// becomes a literal extent of the file without a copy, so the caller must
+// not modify one after the call. Logs are not folded: they die at the
+// next flush, and their readers take values one at a time.
 func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) error {
 	total := 0
 	for _, c := range chunks {
@@ -412,7 +427,7 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 	ps := fs.dev.PageSize()
 	f, ok := fs.files[name]
 	if !ok {
-		f = newFile(name, nil, nil)
+		f = newFile(name, nil, fold.Payload{})
 	}
 	// The page holding the previous tail is rewritten too if it was partial.
 	first, size := len(f.pages), f.size()
@@ -431,7 +446,7 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 	for _, c := range chunks {
 		if len(c) > 0 {
 			size += len(c)
-			f.exts = append(f.exts, extent{ownImage(c), size})
+			f.exts = append(f.exts, extent{fold.Literal(c).Tight(), size})
 		}
 	}
 	touch := append([]int(nil), f.pages[first:]...) // f.pages may grow while the device call parks
@@ -450,23 +465,51 @@ func (fs *FileSystem) Append(r *vclock.Runner, name string, chunks ...[]byte) er
 // covered page.
 //
 // The bytes are read-only and may alias the file system's memory: a range
-// inside one extent comes back as a view of it, which never changes and
-// stays valid after the file is replaced or removed. Copy them to modify
-// them, or to keep them past their use, since a view pins the buffer it
-// points into.
+// inside one literal span of an extent — an index, a filter, a footer, a
+// block of short values, a log record — comes back as a view of it, which
+// never changes and stays valid after the file is replaced or removed.
+// Copy them to modify them, or to keep them past their use, since a view
+// pins the buffer it points into. Any other range is materialised into a
+// fresh buffer.
 func (fs *FileSystem) ReadAt(r *vclock.Runner, name string, off, length int) ([]byte, error) {
-	return fs.readAt(r, name, off, length, false)
+	f, err := fs.span(name, off, length)
+	if err != nil {
+		return nil, err
+	}
+	misses := fs.charge(f, off, length)
+	out := readRope(f.exts, off, length)
+	if err := fs.readPages(r, misses, false); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// ReadAtBackground is ReadAt with the device reads tagged as background
-// maintenance traffic (compaction input scans); identical semantics and
-// timing, split accounting at the queueing layer.
-func (fs *FileSystem) ReadAtBackground(r *vclock.Runner, name string, off, length int) ([]byte, error) {
-	return fs.readAt(r, name, off, length, true)
+// ReadExtentBackground spends what ReadAt spends on [off, off+length),
+// with the device reads tagged as background maintenance traffic
+// (compaction input scans, split accounting at the queueing layer), and
+// returns instead of the bytes the payload of the extent that holds them
+// and the file offset it starts at: a reader that takes blocks of the
+// range one at a time views or materialises each itself. A table is one
+// extent; a range across extents is an error.
+func (fs *FileSystem) ReadExtentBackground(r *vclock.Runner, name string, off, length int) (fold.Payload, int, error) {
+	f, err := fs.span(name, off, length)
+	if err != nil {
+		return fold.Payload{}, 0, err
+	}
+	e := extent{end: off} // an empty range: an empty payload, at off
+	if length > 0 {
+		if e = f.exts[sort.Search(len(f.exts), func(i int) bool { return f.exts[i].end > off })]; off+length > e.end {
+			return fold.Payload{}, 0, fmt.Errorf("fs: %s: background read [%d,%d) crosses extents", name, off, off+length)
+		}
+	}
+	if err := fs.readPages(r, fs.charge(f, off, length), true); err != nil {
+		return fold.Payload{}, 0, err
+	}
+	return e.p, e.start(), nil
 }
 
-func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, background bool) ([]byte, error) {
-	ps := fs.dev.PageSize()
+// span returns the named file if [off, off+length) lies inside it.
+func (fs *FileSystem) span(name string, off, length int) (*file, error) {
 	f, ok := fs.files[name]
 	if !ok {
 		return nil, fmt.Errorf("fs: %s: no such file", name)
@@ -474,17 +517,18 @@ func (fs *FileSystem) readAt(r *vclock.Runner, name string, off, length int, bac
 	if off < 0 || length < 0 || off+length > f.size() {
 		return nil, fmt.Errorf("fs: %s: read [%d,%d) out of bounds (size %d)", name, off, off+length, f.size())
 	}
-	var misses []int
+	return f, nil
+}
+
+// charge makes the pages [off, off+length) of f covers resident and
+// returns those that were not, which the read pays device time for.
+func (fs *FileSystem) charge(f *file, off, length int) (misses []int) {
 	if length > 0 {
-		first, last := off/ps, (off+length-1)/ps
-		misses = fs.splitCached(f.pages[first : last+1])
+		ps := fs.dev.PageSize()
+		misses = fs.splitCached(f.pages[off/ps : (off+length-1)/ps+1])
 		fs.cacheInsert(misses)
 	}
-	out := readRope(f.exts, off, length)
-	if err := fs.readPages(r, misses, background); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return misses
 }
 
 // ReadFile reads a whole file; the bytes are read-only, as ReadAt's are.
@@ -542,8 +586,8 @@ func (fs *FileSystem) Extents(name string) ([]int, error) {
 }
 
 // MediaRead returns a file's device-acknowledged bytes, read-only as
-// ReadAt's are, without spending any device time: what a power cut would
-// leave on media. Tests use it to check what survives a crash; engine
+// ReadAt's are (a view, or materialised), without spending any device
+// time: what a power cut would leave on media. Tests use it to check what survives a crash; engine
 // code must use ReadAt/ReadFile, which pay the block path.
 func (fs *FileSystem) MediaRead(name string) ([]byte, error) {
 	f, ok := fs.files[name]
@@ -603,9 +647,10 @@ func (fs *FileSystem) Crash(plan *faults.Plan) {
 		if acked := ropeLen(keep); f.torn && f.size() > acked {
 			if frag := plan.TornLength(f.size() - acked); frag > 0 {
 				// A copy: the flipped bit must not reach the extent.
-				tail := append([]byte(nil), readRope(f.exts, acked, frag)...)
+				tail := make([]byte, frag)
+				fillRope(tail, f.exts, acked)
 				plan.CorruptByte(tail)
-				keep = append(keep, extent{tail, acked + frag})
+				keep = append(keep, extent{fold.Literal(tail), acked + frag})
 			}
 		}
 		f.exts, f.stable, f.torn = keep, keep, false

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/vclock"
 )
 
@@ -55,7 +56,7 @@ func TestWriteReadFile(t *testing.T) {
 	fsys, dev := newTestFS()
 	data := bytes.Repeat([]byte("abcd"), 3000) // 12000 bytes -> 3 pages
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "f1", data); err != nil {
+		if err := fsys.WriteFile(r, "f1", fold.Literal(data)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := fsys.ReadFile(r, "f1")
@@ -81,7 +82,7 @@ func TestReadAtTouchesOnlyCoveredPages(t *testing.T) {
 		data[i] = byte(i)
 	}
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "f", data); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(data)); err != nil {
 			t.Fatal(err)
 		}
 		// Bound the cache to two pages so reads outside it are cold.
@@ -103,7 +104,7 @@ func TestReadAtTouchesOnlyCoveredPages(t *testing.T) {
 func TestReadAtBounds(t *testing.T) {
 	fsys, _ := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "f", []byte("hello")); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal([]byte("hello"))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fsys.ReadAt(r, "f", 3, 10); err == nil {
@@ -155,7 +156,7 @@ func TestRemoveFreesPages(t *testing.T) {
 	var before int64
 	run(t, func(r *vclock.Runner) {
 		before = fsys.FreeBytes()
-		if err := fsys.WriteFile(r, "tmp", make([]byte, 4*4096)); err != nil {
+		if err := fsys.WriteFile(r, "tmp", fold.Literal(make([]byte, 4*4096))); err != nil {
 			t.Fatal(err)
 		}
 		if fsys.FreeBytes() != before-4*4096 {
@@ -179,11 +180,11 @@ func TestRemoveFreesPages(t *testing.T) {
 func TestOverwriteReplacesFile(t *testing.T) {
 	fsys, _ := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "f", make([]byte, 8*4096)); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(make([]byte, 8*4096))); err != nil {
 			t.Fatal(err)
 		}
 		free := fsys.FreeBytes()
-		if err := fsys.WriteFile(r, "f", make([]byte, 4096)); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(make([]byte, 4096))); err != nil {
 			t.Fatal(err)
 		}
 		if fsys.FreeBytes() != free+7*4096 {
@@ -196,10 +197,10 @@ func TestOutOfSpace(t *testing.T) {
 	dev := &fakeDev{pageSize: 4096, pages: 4}
 	fsys := New(dev)
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "big", make([]byte, 5*4096)); err == nil {
+		if err := fsys.WriteFile(r, "big", fold.Literal(make([]byte, 5*4096))); err == nil {
 			t.Error("oversized write succeeded")
 		}
-		if err := fsys.WriteFile(r, "ok", make([]byte, 4*4096)); err != nil {
+		if err := fsys.WriteFile(r, "ok", fold.Literal(make([]byte, 4*4096))); err != nil {
 			t.Errorf("exact-fit write failed: %v", err)
 		}
 	})
@@ -208,8 +209,8 @@ func TestOutOfSpace(t *testing.T) {
 func TestListAndExists(t *testing.T) {
 	fsys, _ := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		_ = fsys.WriteFile(r, "a", []byte("1"))
-		_ = fsys.WriteFile(r, "b", []byte("2"))
+		_ = fsys.WriteFile(r, "a", fold.Literal([]byte("1")))
+		_ = fsys.WriteFile(r, "b", fold.Literal([]byte("2")))
 	})
 	if !fsys.Exists("a") || !fsys.Exists("b") || fsys.Exists("c") {
 		t.Fatal("Exists wrong")
@@ -225,7 +226,7 @@ func TestListAndExists(t *testing.T) {
 func TestPageCacheUnboundedServesReadsFromMemory(t *testing.T) {
 	fsys, dev := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		_ = fsys.WriteFile(r, "f", make([]byte, 8*4096))
+		_ = fsys.WriteFile(r, "f", fold.Literal(make([]byte, 8*4096)))
 		for i := 0; i < 10; i++ {
 			if _, err := fsys.ReadFile(r, "f"); err != nil {
 				t.Fatal(err)
@@ -243,7 +244,7 @@ func TestPageCacheUnboundedServesReadsFromMemory(t *testing.T) {
 func TestPageCacheBoundedEvictsLRU(t *testing.T) {
 	fsys, dev := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		_ = fsys.WriteFile(r, "f", make([]byte, 8*4096))
+		_ = fsys.WriteFile(r, "f", fold.Literal(make([]byte, 8*4096)))
 		fsys.SetPageCacheBytes(4 * 4096) // half the file fits
 		if fsys.CachedPages() != 4 {
 			t.Fatalf("cached pages after shrink = %d, want 4", fsys.CachedPages())
@@ -262,7 +263,7 @@ func TestPageCacheBoundedEvictsLRU(t *testing.T) {
 func TestPageCacheDropsRemovedFiles(t *testing.T) {
 	fsys, _ := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		_ = fsys.WriteFile(r, "f", make([]byte, 4*4096))
+		_ = fsys.WriteFile(r, "f", fold.Literal(make([]byte, 4*4096)))
 		if err := fsys.Remove(r, "f"); err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +278,7 @@ func TestCrashDropsNeverDurableFiles(t *testing.T) {
 	free := fsys.FreeBytes()
 	run(t, func(r *vclock.Runner) {
 		dev.failWrites = true
-		if err := fsys.WriteFile(r, "lost", make([]byte, 4096)); err == nil {
+		if err := fsys.WriteFile(r, "lost", fold.Literal(make([]byte, 4096))); err == nil {
 			t.Fatal("write should have failed")
 		}
 	})
@@ -294,11 +295,11 @@ func TestCrashRevertsFailedReplaceToOldImage(t *testing.T) {
 	fsys, dev := newTestFS()
 	old := bytes.Repeat([]byte("old!"), 1024)
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "f", old); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(old)); err != nil {
 			t.Fatal(err)
 		}
 		dev.failWrites = true
-		if err := fsys.WriteFile(r, "f", bytes.Repeat([]byte("new!"), 4096)); err == nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(bytes.Repeat([]byte("new!"), 4096))); err == nil {
 			t.Fatal("replace should have failed")
 		}
 	})

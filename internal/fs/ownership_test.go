@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kvaccel/internal/fold"
 	"kvaccel/internal/vclock"
 )
 
@@ -175,16 +176,16 @@ func TestWriteFileOwnsImage(t *testing.T) {
 	fsys, _ := newTestFS()
 	run(t, func(r *vclock.Runner) {
 		tight := bytes.Repeat([]byte{7}, 9000)
-		if err := fsys.WriteFile(r, "tight", tight); err != nil {
+		if err := fsys.WriteFile(r, "tight", fold.Literal(tight)); err != nil {
 			t.Fatal(err)
 		}
-		if d := fsys.files["tight"].exts[0].buf; &d[0] != &tight[0] || cap(d) != len(tight) {
+		if d := fsys.files["tight"].exts[0].p.Lit(); &d[0] != &tight[0] || cap(d) != len(tight) {
 			t.Errorf("a tight image was copied or kept its capacity (cap %d)", cap(d))
 		}
 
 		buf := make([]byte, 9000, 10000) // a ninth of slack: kept, clipped
 		copy(buf[:cap(buf)], bytes.Repeat([]byte{1}, 10000))
-		if err := fsys.WriteFileBackground(r, "f", buf); err != nil {
+		if err := fsys.WriteFileBackground(r, "f", fold.Literal(buf)); err != nil {
 			t.Fatal(err)
 		}
 		if err := fsys.Append(r, "f", []byte("tail")); err != nil {
@@ -199,10 +200,10 @@ func TestWriteFileOwnsImage(t *testing.T) {
 		}
 
 		loose := make([]byte, 100, 1<<20)
-		if err := fsys.WriteFile(r, "loose", loose); err != nil {
+		if err := fsys.WriteFile(r, "loose", fold.Literal(loose)); err != nil {
 			t.Fatal(err)
 		}
-		if d := fsys.files["loose"].exts[0].buf; cap(d) != 100 {
+		if d := fsys.files["loose"].exts[0].p.Lit(); cap(d) != 100 {
 			t.Errorf("a 100-byte file pins a buffer of %d bytes", cap(d))
 		}
 	})
@@ -254,10 +255,10 @@ func TestAppendChunksIsOneWrite(t *testing.T) {
 		if len(exts) != 2 || exts[0].end != 9000 || exts[1].end != 9100 {
 			t.Fatalf("extents %d, want the two non-empty chunks ending at 9000 and 9100", len(exts))
 		}
-		if d := exts[0].buf; &d[0] != &buf[0] || cap(d) != len(buf) {
+		if d := exts[0].p.Lit(); &d[0] != &buf[0] || cap(d) != len(buf) {
 			t.Errorf("a tight chunk was copied or kept its capacity (cap %d)", cap(d))
 		}
-		if d := exts[1].buf; &d[0] == &loose[0] || cap(d) != 100 {
+		if d := exts[1].p.Lit(); &d[0] == &loose[0] || cap(d) != 100 {
 			t.Errorf("a 100-byte chunk pins a buffer of %d bytes", cap(d))
 		}
 		if err := fsys.Append(r, "x", []byte("tail")); err != nil {

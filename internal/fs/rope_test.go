@@ -7,10 +7,12 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/vclock"
 )
 
@@ -56,10 +58,10 @@ func TestAppendOnFullDeviceChangesNothing(t *testing.T) {
 func TestReplaceOnFullDeviceKeepsOldFile(t *testing.T) {
 	fsys := New(&fakeDev{pageSize: 4096, pages: 4})
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "CURRENT", []byte("MANIFEST-000001")); err != nil {
+		if err := fsys.WriteFile(r, "CURRENT", fold.Literal([]byte("MANIFEST-000001"))); err != nil {
 			t.Fatal(err)
 		}
-		if err := fsys.WriteFile(r, "CURRENT", make([]byte, 5*4096)); err == nil {
+		if err := fsys.WriteFile(r, "CURRENT", fold.Literal(make([]byte, 5*4096))); err == nil {
 			t.Fatal("a 5-page image replaced a file on a 4-page device")
 		}
 		if got, err := fsys.ReadFile(r, "CURRENT"); err != nil || string(got) != "MANIFEST-000001" {
@@ -80,10 +82,10 @@ func TestReplaceOnFullDeviceKeepsOldFile(t *testing.T) {
 func TestReplaceDropsOldPagesFromCache(t *testing.T) {
 	fsys, _ := newTestFS()
 	run(t, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "f", make([]byte, 3*4096)); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(make([]byte, 3*4096))); err != nil {
 			t.Fatal(err)
 		}
-		if err := fsys.WriteFile(r, "f", make([]byte, 4096)); err != nil {
+		if err := fsys.WriteFile(r, "f", fold.Literal(make([]byte, 4096))); err != nil {
 			t.Fatal(err)
 		}
 		if got := fsys.CachedPages(); got != 1 {
@@ -149,6 +151,37 @@ func (o *opStream) chunk(fill byte) []byte {
 		copy(buf[done:n], buf[:done])
 	}
 	return buf[:n]
+}
+
+// image draws one replace image: o.chunk's bytes, or — every other time
+// — a table-like image whose values fold, built as the table builder
+// builds one: literal runs between values of 1 KiB to 64 KiB that repeat
+// a run of 1 to 64 bytes, each folded as it is appended. It returns the
+// payload to hand over, the buffer it holds (to check that nothing
+// writes to it) and the flat bytes.
+func (o *opStream) image(fill byte) (fold.Payload, []byte, []byte) {
+	if o.byte()%2 == 0 {
+		b := o.chunk(fill)
+		return fold.Literal(b), b, b
+	}
+	var p fold.Payload
+	var lit, flat []byte
+	for k := 1 + o.byte()%4; k > 0; k-- {
+		for i := o.byte(); i > 0; i-- {
+			lit, flat = append(lit, fill+byte(i)), append(flat, fill+byte(i))
+		}
+		d := 1 + o.byte()%fold.MaxPeriod
+		v := make([]byte, fold.MinLen+(o.byte()<<8|o.byte())%(63<<10))
+		for i := 0; i < d; i++ {
+			v[i] = fill ^ byte(o.byte())
+		}
+		for f := d; f < len(v); f *= 2 {
+			copy(v[f:], v[:f])
+		}
+		lit, flat = append(lit, v...), append(flat, v...)
+		lit = p.Fold(lit, len(lit)-len(v), len(lit))
+	}
+	return p.Seal(lit), lit, flat
 }
 
 // readBackBudget bounds the bytes of read-backs driveFileOps keeps to
@@ -290,9 +323,10 @@ func driveFileOps(t *testing.T, ops []byte) {
 						f.torn = true
 					}
 				}
-			case op < 8: // replace
-				img := give(o.chunk(byte(step)))
-				err := fsys.WriteFile(r, name, img)
+			case op < 8: // replace, by plain bytes or a folded image
+				p, held, img := o.image(byte(step))
+				give(held)
+				err := fsys.WriteFile(r, name, p)
 				room := freePages()
 				if f != nil {
 					room += pagesOf(len(f.data)) // the new image may take the old one's pages
@@ -323,13 +357,34 @@ func driveFileOps(t *testing.T, ops []byte) {
 				}
 				off := (o.byte()<<16 | o.byte()<<8 | o.byte()) % (len(f.data) + 1)
 				n := o.size()
-				got, err := fsys.ReadAt(r, name, off, n)
+				// Every other read is compaction's: the payload of the extent
+				// holding the range, which the reader views or materialises;
+				// a range across extents is refused.
+				read := func() ([]byte, error) { return fsys.ReadAt(r, name, off, n) }
+				if o.byte()%2 == 0 {
+					read = func() ([]byte, error) {
+						p, base, err := fsys.ReadExtentBackground(r, name, off, n)
+						if exts := fsys.files[name].exts; err == nil && n > 0 && (base < 0 || off-base+n > p.Len()) {
+							fail("extent read [%d,%d) returned a payload of %d bytes at %d", off, off+n, p.Len(), base)
+						} else if i := sort.Search(len(exts), func(i int) bool { return exts[i].end > off }); n > 0 && off+n <= len(f.data) &&
+							(err != nil) != (off+n > exts[i].end) {
+							fail("extent read [%d,%d) across extents ending at %d: %v", off, off+n, exts[i].end, err)
+						} else if err != nil && strings.Contains(err.Error(), "crosses extents") {
+							return fsys.ReadAt(r, name, off, n)
+						}
+						if err != nil {
+							return nil, err
+						}
+						return p.Read(off-base, n), nil
+					}
+				}
+				got, err := read()
 				if off+n > len(f.data) {
 					if err == nil {
 						fail("read [%d,%d) of %d bytes succeeded", off, off+n, len(f.data))
 					}
 					n = len(f.data) - off
-					got, err = fsys.ReadAt(r, name, off, n)
+					got, err = read()
 				}
 				if err != nil || !bytes.Equal(keep(got), f.data[off:off+n]) {
 					fail("read [%d,%d) of %d bytes: %d bytes, %v", off, off+n, len(f.data), len(got), err)
@@ -419,8 +474,9 @@ func fileOpsSeed(seed int64, n int) []byte {
 }
 
 // TestFileOpsMatchFlatModel: seeded random sequences of appends (chunks
-// of 1 B to 1 MiB, empty ones, slack under and over an eighth), replaces,
-// reads inside and across extents, media reads, removes, injected write
+// of 1 B to 1 MiB, empty ones, slack under and over an eighth), replaces
+// (by plain bytes or a folded image), reads inside and across extents
+// (of bytes, or of an extent's payload), media reads, removes, injected write
 // failures and power cuts leave the rope byte for byte where a flat slice
 // with a durable image would be, and no buffer handed in or read back
 // ever changes.

@@ -6,13 +6,14 @@ import (
 )
 
 // Building the default machine costs what a run touches, not what the
-// device could hold: no table grows with the device's 16 384 blocks or
-// its page counts until a write reaches it (DESIGN.md, "What a machine
-// costs before it runs"). Materialised up front, the same machine took
-// 16 558 allocations and 24.3 MB.
+// device could hold (DESIGN.md, "What a machine costs before it runs"):
+// of the tables that grow with the device, only the FTL's L2P tables
+// (2.0 MB) and block records (0.9 MB) are built before a write reaches
+// them. Materialised up front, the same machine took 16 558 allocations
+// and 24.3 MB. The bytes bound is the 3.18 MB measured, plus 10 %.
 const (
 	newTestbedAllocs = 200
-	newTestbedBytes  = 4 << 20
+	newTestbedBytes  = 3_500_000
 )
 
 // TestAllocsNewTestbed holds DefaultParams().NewTestbed() to

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/sstable"
@@ -132,7 +133,7 @@ func (db *DB) buildSST(r *vclock.Runner, mt *memtable.Table, level int) (meta *F
 		sizeHint: int(mt.NewestSize()) - 20*mt.NewestCount(),
 		onDrop:   discardOf(&discard),
 		charge:   func(n int) { db.chargeCPU(r, db.opt.Cost.FlushCPUPerKB, n) },
-		emit: func(data []byte, m sstable.Meta) (err error) {
+		emit: func(data fold.Payload, m sstable.Meta) (err error) {
 			meta, err = db.writeTable(r, data, m, level, trace.PhaseFlushIO)
 			return err
 		},
@@ -158,7 +159,7 @@ func discardOf(n *int64) func(memtable.Entry) {
 // writeTable persists encoded table bytes and opens its reader, tracing
 // the device write under ioPh (flush-io vs compaction-io). A write
 // failure (device full) surfaces as a sticky background error.
-func (db *DB) writeTable(r *vclock.Runner, data []byte, meta sstable.Meta, level int, ioPh trace.Phase) (*FileMeta, error) {
+func (db *DB) writeTable(r *vclock.Runner, data fold.Payload, meta sstable.Meta, level int, ioPh trace.Phase) (*FileMeta, error) {
 	num := db.nextFileNum
 	db.nextFileNum++
 
@@ -167,11 +168,11 @@ func (db *DB) writeTable(r *vclock.Runner, data []byte, meta sstable.Meta, level
 	// Flush and compaction output is maintenance traffic: tag it so the
 	// queue stats keep it out of the foreground admission numbers.
 	err := db.fsys.WriteFileBackground(r, name, data)
-	wsp.EndArg(r, int64(len(data)))
+	wsp.EndArg(r, int64(meta.Size))
 	if err != nil {
 		return nil, err
 	}
-	rd, err := sstable.Open(r, &fileSource{db: db, name: name, size: len(data)})
+	rd, err := sstable.Open(r, &fileSource{db: db, name: name, size: meta.Size})
 	if err != nil {
 		return nil, err
 	}
@@ -186,20 +187,15 @@ func (db *DB) writeTable(r *vclock.Runner, data []byte, meta sstable.Meta, level
 	}, nil
 }
 
-// fileSource adapts an fs file to sstable.Source. bg tags its device
-// reads as background maintenance traffic — set for sources that serve
-// compaction merges, clear for long-lived readers serving foreground Gets.
+// fileSource adapts an fs file to sstable.Source for the long-lived
+// readers serving foreground Gets.
 type fileSource struct {
 	db   *DB
 	name string
 	size int
-	bg   bool
 }
 
 func (s *fileSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, error) {
-	if s.bg {
-		return s.db.fsys.ReadAtBackground(r, s.name, off, length)
-	}
 	return s.db.fsys.ReadAt(r, s.name, off, length)
 }
 func (s *fileSource) Size() int { return s.size }
@@ -209,43 +205,45 @@ func (s *fileSource) Size() int { return s.size }
 // window instead of one per block, reaching the array's die parallelism.
 const compactionReadahead = 2 << 20
 
-// readaheadSource serves sequential reads from a sliding prefetched
-// window over an inner source. A table is written whole, as one extent,
-// so the window is a view of the file's bytes, not a copy of them.
+// readaheadSource serves a compaction's sequential reads of one table
+// from a sliding prefetched window, its device reads tagged background.
+// A block in one literal span of the payload (short values; the index,
+// filter and footer) is a view; any other is materialised into own, so
+// nothing read may outlive the next read: the merge copies what it keeps.
 type readaheadSource struct {
-	inner sstable.Source
-	tr    *trace.Tracer
-	buf   []byte
-	off   int
+	inner           fileSource
+	tr              *trace.Tracer
+	win             fold.Payload // the table's payload, from file offset base
+	base, off, size int          // and the window
+	own             []byte
 }
 
 func (s *readaheadSource) ReadAt(r *vclock.Runner, off, length int) ([]byte, error) {
-	if off >= s.off && off+length <= s.off+len(s.buf) {
-		end := off - s.off + length
-		return s.buf[off-s.off : end : end], nil
+	if off < s.off || off+length > s.off+s.size {
+		want := min(max(compactionReadahead, length), s.inner.size-off)
+		rsp := s.tr.Begin(r, trace.PhaseCompactionIO, "sst-read")
+		win, base, err := s.inner.db.fsys.ReadExtentBackground(r, s.inner.name, off, want)
+		rsp.EndArg(r, int64(want))
+		if err != nil {
+			return nil, err
+		}
+		s.win, s.base, s.off, s.size = win, base, off, want
 	}
-	want := compactionReadahead
-	if want < length {
-		want = length
+	if v, ok := s.win.View(off-s.base, length); ok {
+		return v, nil
 	}
-	if off+want > s.inner.Size() {
-		want = s.inner.Size() - off
+	if cap(s.own) < length {
+		s.own = make([]byte, length)
 	}
-	rsp := s.tr.Begin(r, trace.PhaseCompactionIO, "sst-read")
-	buf, err := s.inner.ReadAt(r, off, want)
-	rsp.EndArg(r, int64(want))
-	if err != nil {
-		return nil, err
-	}
-	s.buf, s.off = buf, off
-	return s.buf[:length:length], nil
+	s.win.Fill(s.own[:length], off-s.base)
+	return s.own[:length], nil
 }
 
-func (s *readaheadSource) Size() int { return s.inner.Size() }
+func (s *readaheadSource) Size() int { return s.inner.size }
 
 // compactionIterator opens a readahead iterator over f.
 func (db *DB) compactionIterator(r *vclock.Runner, f *FileMeta) (iterkit.Iterator, error) {
-	src := &readaheadSource{inner: &fileSource{db: db, name: f.Name(), size: int(f.Size), bg: true}, tr: db.opt.Trace}
+	src := &readaheadSource{inner: fileSource{db: db, name: f.Name(), size: int(f.Size)}, tr: db.opt.Trace}
 	rd, err := sstable.Open(r, src)
 	if err != nil {
 		return nil, err
@@ -484,7 +482,7 @@ func (db *DB) doCompaction(r *vclock.Runner, c *compaction) {
 		dropTombstones: c.dropTombstones,
 		onDrop:         discardOf(&discard),
 		charge:         func(n int) { db.chargeCPU(r, db.opt.Cost.MergeCPUPerKB, n) },
-		emit: func(data []byte, meta sstable.Meta) error {
+		emit: func(data fold.Payload, meta sstable.Meta) error {
 			out, err := db.writeTable(r, data, meta, c.target, trace.PhaseCompactionIO)
 			if err != nil {
 				return err

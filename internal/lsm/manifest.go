@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/sstable"
@@ -198,10 +199,10 @@ func (db *DB) persistManifest(r *vclock.Runner) error {
 	n := db.manifest.counter
 
 	name := fmt.Sprintf("MANIFEST-%06d", n)
-	if err := db.fsys.WriteFile(r, name, encodeManifest(snap)); err != nil {
+	if err := db.fsys.WriteFile(r, name, fold.Literal(encodeManifest(snap))); err != nil {
 		return err
 	}
-	if err := db.fsys.WriteFile(r, currentName, []byte(name)); err != nil {
+	if err := db.fsys.WriteFile(r, currentName, fold.Literal([]byte(name))); err != nil {
 		return err
 	}
 	if n > 1 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"kvaccel/internal/fold"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/sstable"
@@ -23,7 +24,7 @@ type mergeParams struct {
 	// bytes, about every cpuChunk and once at the end. May be nil.
 	charge func(n int)
 	// emit receives each finished table. A non-nil error aborts the merge.
-	emit func(data []byte, meta sstable.Meta) error
+	emit func(data fold.Payload, meta sstable.Meta) error
 }
 
 // merge runs the flush and compaction merge-emit loop over it: keep the

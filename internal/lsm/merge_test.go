@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/sstable"
@@ -90,7 +91,8 @@ func runMerge(t testing.TB, inputs []*memtable.Table, p mergeParams) []output {
 	t.Helper()
 	var outs []output
 	p.builder = mergeBuilder
-	p.emit = func(data []byte, meta sstable.Meta) error {
+	p.emit = func(img fold.Payload, meta sstable.Meta) error {
+		data := img.Read(0, img.Len())
 		rd, err := sstable.Open(nil, byteSource(data))
 		if err != nil {
 			return err
@@ -293,7 +295,7 @@ func BenchmarkMerge(b *testing.B) {
 		in += len(e.Key) + len(e.Value)
 	}
 	p := mergeParams{builder: mergeBuilder, sizeHint: 64 << 10, maxFileSize: 64 << 10, dropTombstones: true,
-		emit: func([]byte, sstable.Meta) error { return nil }}
+		emit: func(fold.Payload, sstable.Meta) error { return nil }}
 	b.SetBytes(int64(in))
 	b.ReportAllocs()
 	b.ResetTimer()

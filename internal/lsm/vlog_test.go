@@ -8,6 +8,7 @@ import (
 
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 	"kvaccel/internal/vlog"
@@ -275,7 +276,7 @@ func TestVLogManifestRoundTrip(t *testing.T) {
 	clk2.Go("phase2", func(r *vclock.Runner) {
 		// Tear the newest segment away whole: Recover drops a file
 		// without a single checked frame.
-		if err := fsys.WriteFile(r, vlog.SegmentName(newest), []byte{0xff}); err != nil {
+		if err := fsys.WriteFile(r, vlog.SegmentName(newest), fold.Literal([]byte{0xff})); err != nil {
 			t.Error(err)
 			return
 		}

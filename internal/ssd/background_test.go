@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"kvaccel/internal/fold"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 )
 
 // TestBackgroundTaggingThroughFS pins the whole maintenance-I/O path:
-// fs.WriteFileBackground / fs.ReadAtBackground discover the namespace's
+// fs.WriteFileBackground / fs.ReadExtentBackground discover the namespace's
 // background capability and the commands land in the queue pair's Bg*
 // counters, while foreground fs calls stay out of them.
 func TestBackgroundTaggingThroughFS(t *testing.T) {
@@ -19,10 +20,10 @@ func TestBackgroundTaggingThroughFS(t *testing.T) {
 
 	payload := bytes.Repeat([]byte("x"), 3*ns.PageSize())
 	runOn(t, clk, func(r *vclock.Runner) {
-		if err := fsys.WriteFile(r, "fg.sst", payload); err != nil {
+		if err := fsys.WriteFile(r, "fg.sst", fold.Literal(payload)); err != nil {
 			t.Errorf("fg write: %v", err)
 		}
-		if err := fsys.WriteFileBackground(r, "bg.sst", payload); err != nil {
+		if err := fsys.WriteFileBackground(r, "bg.sst", fold.Literal(payload)); err != nil {
 			t.Errorf("bg write: %v", err)
 		}
 		// Cold reads: cap the page cache so the reads pay device commands.
@@ -30,7 +31,7 @@ func TestBackgroundTaggingThroughFS(t *testing.T) {
 		if _, err := fsys.ReadAt(r, "fg.sst", 0, len(payload)); err != nil {
 			t.Errorf("fg read: %v", err)
 		}
-		if _, err := fsys.ReadAtBackground(r, "bg.sst", 0, len(payload)); err != nil {
+		if _, _, err := fsys.ReadExtentBackground(r, "bg.sst", 0, len(payload)); err != nil {
 			t.Errorf("bg read: %v", err)
 		}
 	})

@@ -31,10 +31,11 @@ func benchTable(tb testing.TB, value []byte) ([]byte, Meta) {
 			tb.Fatal(err)
 		}
 	}
-	img, meta, err := b.Finish()
+	imgPayload, meta, err := b.Finish()
 	if err != nil {
 		tb.Fatal(err)
 	}
+	img := flat(imgPayload)
 	return img, meta
 }
 

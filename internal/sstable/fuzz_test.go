@@ -98,10 +98,11 @@ func fuzzTable(tb testing.TB) []byte {
 		}
 		seq--
 	}
-	img, _, err := b.Finish()
+	imgPayload, _, err := b.Finish()
 	if err != nil {
 		tb.Fatal(err)
 	}
+	img := flat(imgPayload)
 	return img
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"kvaccel/internal/bloom"
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/vclock"
 )
@@ -48,15 +49,20 @@ func DefaultBuilderOptions() BuilderOptions {
 
 // Builder accumulates internal-key records in sorted order and encodes the
 // table. Records are encoded straight into the file image; a data block is
-// a range of it, closed by noting its offsets in the index.
+// a range of it, closed by noting its offsets in the index. A closed
+// block's values that repeat their first bytes to their end are folded
+// (package fold), so the image holds at most one block of unfolded bytes.
 type Builder struct {
 	opt        BuilderOptions
-	buf        []byte // the file image so far: closed data blocks, then the open one
-	sizeHint   int    // expected bytes of data blocks; see SizeHint
-	blockStart int    // offset in buf of the open data block
-	blockFirst span   // first key of the open block
-	lastKey    span   // key of the newest record
+	buf        []byte       // the image's literal bytes: closed data blocks, folded, then the open one
+	folds      fold.Payload // the closed blocks' folds; table offsets are its logical ones
+	sizeHint   int          // expected bytes of data blocks; see SizeHint
+	blockStart int          // offset in buf of the open data block
+	blockFirst span         // first key of the open block
+	lastKey    span         // key of the newest record
 	lastSeq    uint64
+	long       []span // the open block's values of at least fold.MinLen bytes
+	longRoom   [4]span
 	index      []byte   // index block under construction
 	crc        uint32   // CRC32C of the closed data blocks
 	hashes     []uint32 // bloom hash of every distinct user key
@@ -64,7 +70,7 @@ type Builder struct {
 	entries    int
 }
 
-// span locates a key inside Builder.buf, which append may move.
+// span locates a key or value inside Builder.buf, which append may move.
 type span struct{ off, end int }
 
 // NewBuilder returns an empty builder.
@@ -72,15 +78,59 @@ func NewBuilder(opt BuilderOptions) *Builder {
 	if opt.BlockSize <= 0 {
 		opt.BlockSize = 4096
 	}
-	return &Builder{opt: opt}
+	b := &Builder{opt: opt}
+	b.long = b.longRoom[:0]
+	return b
 }
 
 // SizeHint tells the builder how many bytes of data blocks (records with
-// their headers) to expect, so the file buffer is allocated once, by the
-// first Add, instead of growing by doubling. The builder adds room for
-// index, filter and footer. A low or missing hint only costs the
-// regrowth.
+// their headers) to expect, so the file buffer, the index and the
+// filter's hash list are allocated once, by the first Add, instead of
+// growing by doubling. The builder sizes them by the first record and
+// adds room for index, filter and footer to the file buffer. If the
+// first record's value folds, the builder expects every record to fold as
+// it does: the file buffer is sized for what each keeps, and one open
+// block, and the fold list for two pieces a record. At hashCheck keys the
+// hash list is sized again by the keys per byte seen, if the first
+// record misjudged it by more than a factor of two. A low or missing hint
+// only costs the regrowth.
 func (b *Builder) SizeHint(n int) { b.sizeHint = n }
+
+// hashCheck is the key count at which a hinted builder checks its hash
+// list's size against the keys per byte it has seen.
+const hashCheck = 256
+
+// presize allocates the builder's buffers for the size hint, sized by the
+// first record.
+func (b *Builder) presize(key, value []byte) {
+	rec := encoding.RecordSize(len(key), len(value)) + 9
+	n := b.sizeHint/rec + 1 // records, so filter keys, and at least the blocks
+	b.index = make([]byte, 0, min(n, b.sizeHint/b.opt.BlockSize+1)*(encoding.UvarintLen(uint64(len(key)))+len(key)+8))
+	filter := 0
+	if b.opt.BloomBits > 0 {
+		b.hashes = make([]uint32, 0, n)
+		filter = max(n*b.opt.BloomBits, 64)/8 + 2
+	}
+	keep := b.folds.Presize(b.sizeHint, rec, value)
+	if keep == 0 {
+		// Index and filter: about 25 bytes per block and BloomBits per key,
+		// under a sixteenth of the data even for 20-byte records.
+		b.buf = make([]byte, 0, b.sizeHint+b.sizeHint/16+footerSize)
+		return
+	}
+	b.buf = make([]byte, 0, keep+cap(b.index)+filter+b.opt.BlockSize+rec+footerSize)
+}
+
+// resizeHashes sizes the hash list for the size hint at the keys per byte
+// seen so far if the first record's estimate is off by more than a factor
+// of two: a tombstone first in a table of long values would otherwise
+// keep a list sized for the hint in tombstones.
+func (b *Builder) resizeHashes() {
+	n := len(b.hashes) * (b.sizeHint/b.EstimatedSize() + 1)
+	if c := cap(b.hashes); n < c/2 || n > 2*c {
+		b.hashes = append(make([]uint32, 0, n), b.hashes...)
+	}
+}
 
 // Add appends one record, copying key and value into the file image.
 // Records must arrive in strictly increasing internal-key order (user key
@@ -97,9 +147,7 @@ func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) 
 		newKey = c != 0
 	}
 	if b.buf == nil && b.sizeHint > 0 {
-		// Index and filter: about 25 bytes per block and BloomBits per key,
-		// under a sixteenth of the data even for 20-byte records.
-		b.buf = make([]byte, 0, b.sizeHint+b.sizeHint/16+footerSize)
+		b.presize(key, value)
 	}
 	opensBlock := len(b.buf) == b.blockStart
 	b.buf = encoding.PutUvarint(b.buf, uint64(len(key)))
@@ -110,6 +158,9 @@ func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) 
 	b.lastSeq = seq
 	b.buf = append(b.buf, key...)
 	b.buf = append(b.buf, value...)
+	if len(value) >= fold.MinLen {
+		b.long = append(b.long, span{len(b.buf) - len(value), len(b.buf)})
+	}
 
 	if first {
 		b.smallest = append([]byte(nil), key...)
@@ -120,6 +171,9 @@ func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) 
 	b.entries++
 	// Only distinct user keys feed the bloom filter.
 	if b.opt.BloomBits > 0 && newKey {
+		if len(b.hashes) == hashCheck && b.sizeHint > 0 {
+			b.resizeHashes()
+		}
 		b.hashes = append(b.hashes, bloom.Hash(key))
 	}
 	if len(b.buf)-b.blockStart >= b.opt.BlockSize {
@@ -130,7 +184,8 @@ func (b *Builder) Add(key []byte, seq uint64, kind memtable.Kind, value []byte) 
 
 // closeBlock ends the open data block where the image ends, indexes it
 // and folds it into the table's checksum while its bytes are still in
-// cache.
+// cache; then it folds the block's long values that repeat, moving the
+// newest record's key down with the bytes after them.
 func (b *Builder) closeBlock() {
 	if len(b.buf) == b.blockStart {
 		return
@@ -139,49 +194,60 @@ func (b *Builder) closeBlock() {
 	first := b.buf[b.blockFirst.off:b.blockFirst.end]
 	b.index = encoding.PutUvarint(b.index, uint64(len(first)))
 	b.index = append(b.index, first...)
-	b.index = encoding.PutU32(b.index, uint32(b.blockStart))
+	b.index = encoding.PutU32(b.index, uint32(b.folds.Logical(b.blockStart)))
 	b.index = encoding.PutU32(b.index, uint32(len(b.buf)-b.blockStart))
+	cut, before := 0, 0 // bytes cut, and cut before the newest record's key
+	for _, v := range b.long {
+		n := len(b.buf)
+		b.buf = b.folds.Fold(b.buf, v.off-cut, v.end-cut)
+		if cut += n - len(b.buf); v.end <= b.lastKey.off {
+			before = cut
+		}
+	}
+	b.lastKey = span{b.lastKey.off - before, b.lastKey.end - before}
+	b.long = b.long[:0]
 	b.blockStart = len(b.buf)
 }
 
 // EstimatedSize returns the bytes accumulated so far.
-func (b *Builder) EstimatedSize() int { return len(b.buf) }
+func (b *Builder) EstimatedSize() int { return b.folds.Logical(len(b.buf)) }
 
 // Entries returns the number of records added so far.
 func (b *Builder) Entries() int { return b.entries }
 
-// Finish encodes the table and returns the file bytes plus its Meta. The
-// image is the builder's own buffer, handed over: the builder must not be
-// used again, and the caller may pass the image on to an owner such as
-// fs.WriteFile without copying it.
-func (b *Builder) Finish() ([]byte, Meta, error) {
+// Finish encodes the table and returns the file's payload plus its Meta.
+// Index, filter and footer are literal. The payload holds the builder's
+// own buffer, handed over: the builder must not be used again, and the
+// caller may pass the payload on to an owner such as fs.WriteFile without
+// copying it.
+func (b *Builder) Finish() (fold.Payload, Meta, error) {
 	if b.entries == 0 {
-		return nil, Meta{}, errors.New("sstable: empty table")
+		return fold.Payload{}, Meta{}, errors.New("sstable: empty table")
 	}
+	b.closeBlock()
 	meta := Meta{
 		Smallest: b.smallest,
 		Largest:  append([]byte(nil), b.buf[b.lastKey.off:b.lastKey.end]...),
 		Entries:  b.entries,
 	}
-	b.closeBlock()
-	indexOff := len(b.buf)
+	tail := len(b.buf)
+	indexOff := b.folds.Logical(tail)
 	b.buf = append(b.buf, b.index...)
-	bloomOff := len(b.buf)
 	var filter bloom.Filter
 	if b.opt.BloomBits > 0 {
 		filter = bloom.BuildFromHashes(b.hashes, b.opt.BloomBits)
 		b.buf = append(b.buf, filter...)
 	}
-	crc := encoding.ChecksumUpdate(b.crc, b.buf[indexOff:])
+	crc := encoding.ChecksumUpdate(b.crc, b.buf[tail:])
 	b.buf = encoding.PutU32(b.buf, uint32(indexOff))
 	b.buf = encoding.PutU32(b.buf, uint32(len(b.index)))
-	b.buf = encoding.PutU32(b.buf, uint32(bloomOff))
+	b.buf = encoding.PutU32(b.buf, uint32(indexOff+len(b.index)))
 	b.buf = encoding.PutU32(b.buf, uint32(len(filter)))
 	b.buf = encoding.PutU32(b.buf, uint32(b.entries))
 	b.buf = encoding.PutU32(b.buf, crc)
 	b.buf = encoding.PutU32(b.buf, Magic)
-	meta.Size = len(b.buf)
-	return b.buf, meta, nil
+	meta.Size = b.folds.Logical(len(b.buf))
+	return b.folds.Seal(b.buf), meta, nil
 }
 
 // Source supplies timed reads of a table's bytes — internal/fs files and

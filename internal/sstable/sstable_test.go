@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/vclock"
 )
@@ -45,10 +47,11 @@ func buildTable(t *testing.T, n int, opt BuilderOptions) (*memSource, Meta) {
 			t.Fatal(err)
 		}
 	}
-	data, meta, err := b.Finish()
+	dataPayload, meta, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := flat(dataPayload)
 	return &memSource{data: data}, meta
 }
 
@@ -85,10 +88,11 @@ func TestTombstoneRoundTrip(t *testing.T) {
 	b := NewBuilder(DefaultBuilderOptions())
 	_ = b.Add([]byte("dead"), 9, memtable.KindDelete, nil)
 	_ = b.Add([]byte("live"), 8, memtable.KindPut, []byte("v"))
-	data, _, err := b.Finish()
+	dataPayload, _, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := flat(dataPayload)
 	run(t, func(r *vclock.Runner) {
 		rd, err := Open(r, &memSource{data: data})
 		if err != nil {
@@ -105,10 +109,11 @@ func TestNewestVersionFirstWithinKey(t *testing.T) {
 	b := NewBuilder(DefaultBuilderOptions())
 	_ = b.Add([]byte("k"), 9, memtable.KindPut, []byte("new"))
 	_ = b.Add([]byte("k"), 3, memtable.KindPut, []byte("old"))
-	data, _, err := b.Finish()
+	dataPayload, _, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := flat(dataPayload)
 	run(t, func(r *vclock.Runner) {
 		rd, _ := Open(r, &memSource{data: data})
 		v, _, found, _ := rd.Get(r, []byte("k"))
@@ -263,10 +268,11 @@ func TestRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		data, _, err := b.Finish()
+		dataPayload, _, err := b.Finish()
 		if err != nil {
 			return false
 		}
+		data := flat(dataPayload)
 		ok := true
 		c := vclock.New()
 		c.Go("check", func(r *vclock.Runner) {
@@ -305,10 +311,11 @@ func TestVersionsStraddlingBlockBoundary(t *testing.T) {
 		}
 	}
 	_ = b.Add([]byte("zzz"), 70, memtable.KindPut, []byte("tail"))
-	data, _, err := b.Finish()
+	dataPayload, _, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := flat(dataPayload)
 	run(t, func(r *vclock.Runner) {
 		rd, err := Open(r, &memSource{data: data})
 		if err != nil {
@@ -334,35 +341,106 @@ func TestVersionsStraddlingBlockBoundary(t *testing.T) {
 // buffer's allocation: the same bytes come out with no hint, a hint far
 // too low and a sufficient one, and with the sufficient one the buffer
 // allocated up front is the one returned (index, filter and footer fit
-// in the room the builder adds).
+// in the room the builder adds). A table whose values do not fold gets
+// the room it always got; one whose values fold, the room for what it
+// keeps of them, and one allocation more than the other: its piece list,
+// which is not regrown either.
 func TestSizeHintOnlyPresizes(t *testing.T) {
-	build := func(hint int) []byte {
-		b := NewBuilder(DefaultBuilderOptions())
-		if hint > 0 {
-			b.SizeHint(hint)
+	keys := make([][]byte, 2000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%05d", i))
+	}
+	var allocs [2]float64
+	for k, tc := range []struct {
+		name  string
+		value func(i int) []byte
+	}{
+		{"short values", func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 100) }},
+		{"folding values", func(i int) []byte {
+			return bytes.Repeat([]byte(fmt.Sprintf("%016x", uint64(i+1)*0x9e3779b97f4a7c15)), 256)
+		}},
+	} {
+		values := make([][]byte, len(keys))
+		for i := range values {
+			values[i] = tc.value(i)
 		}
-		for i := 0; i < 2000; i++ {
-			key := []byte(fmt.Sprintf("key%05d", i))
-			if err := b.Add(key, uint64(i+1), memtable.KindPut, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+		// build returns the table and the capacity of the buffer the
+		// first Add allocated.
+		build := func(hint int) (fold.Payload, int) {
+			b := NewBuilder(DefaultBuilderOptions())
+			if hint > 0 {
+				b.SizeHint(hint)
+			}
+			first := 0
+			for i, key := range keys {
+				if err := b.Add(key, uint64(i+1), memtable.KindPut, values[i]); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = cap(b.buf)
+				}
+			}
+			p, _, err := b.Finish()
+			if err != nil {
 				t.Fatal(err)
 			}
+			return p, first
 		}
-		data, _, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
+		plain, _ := build(0)
+		if low, _ := build(64); !bytes.Equal(flat(low), flat(plain)) {
+			t.Errorf("%s: a low size hint changed the table's bytes", tc.name)
 		}
-		return data
+		hint := len(keys) * (encoding.RecordSize(len(keys[0]), len(values[0])) + 9)
+		sized, first := build(hint)
+		if !bytes.Equal(flat(sized), flat(plain)) {
+			t.Errorf("%s: a size hint changed the table's bytes", tc.name)
+		}
+		if folds := k == 1; sized.Folded() != folds {
+			t.Errorf("%s: table folded %v, want %v", tc.name, sized.Folded(), folds)
+		}
+		if got := cap(sized.Lit()); got != first {
+			t.Errorf("%s: table buffer has capacity %d, want the %d allocated up front (it was regrown)", tc.name, got, first)
+		}
+		if want := hint + hint/16 + footerSize; k == 0 && first != want {
+			t.Errorf("%s: table buffer of %d bytes, want %d", tc.name, first, want)
+		}
+		if k == 1 && first > len(flat(sized))/16 {
+			t.Errorf("%s: a folded table of %d bytes was given a %d-byte buffer", tc.name, len(flat(sized)), first)
+		}
+		if !raceEnabled {
+			allocs[k] = testing.AllocsPerRun(3, func() { build(hint) })
+		}
 	}
-	plain := build(0)
-	if low := build(64); !bytes.Equal(low, plain) {
-		t.Error("a low size hint changed the table's bytes")
-	}
-	const hint = 256 << 10
-	sized := build(hint)
-	if !bytes.Equal(sized, plain) {
-		t.Error("a size hint changed the table's bytes")
-	}
-	if want := hint + hint/16 + footerSize; cap(sized) != want {
-		t.Errorf("table buffer has capacity %d, want the %d allocated up front (it was regrown)", cap(sized), want)
+	if !raceEnabled && allocs[1] != allocs[0]+1 {
+		t.Errorf("a folding table's build allocates %v times, a short-valued one's %v: want one more, its piece list", allocs[1], allocs[0])
 	}
 }
+
+// TestHashListSizedByKeysSeen: a hinted builder sizes the filter's hash
+// list again by the keys per byte it has seen, so a short first record (a
+// tombstone) ahead of long values does not leave it sized for the hint in
+// tombstones.
+func TestHashListSizedByKeysSeen(t *testing.T) {
+	const n = 2000
+	value := make([]byte, 4000)
+	b := NewBuilder(DefaultBuilderOptions())
+	b.SizeHint(n * (encoding.RecordSize(8, len(value)) + 9))
+	for i := 0; i < n; i++ {
+		kind, v := memtable.KindPut, value
+		if i == 0 {
+			kind, v = memtable.KindDelete, nil
+		}
+		if err := b.Add([]byte(fmt.Sprintf("key%05d", i)), 1, kind, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.hashes) != n || cap(b.hashes) > 2*n {
+		t.Errorf("%d hashes in a list of %d, want at most %d", len(b.hashes), cap(b.hashes), 2*n)
+	}
+}
+
+// flat is a built table's bytes, its folds materialised.
+func flat(p fold.Payload) []byte { return p.Read(0, p.Len()) }

@@ -33,6 +33,7 @@ import (
 
 	"kvaccel/internal/cpu"
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 )
@@ -183,7 +184,7 @@ func Recover(r *vclock.Runner, clk *vclock.Clock, fsys *fs.FileSystem, opt Optio
 			continue
 		}
 		if valid < int64(len(data)) {
-			if err := fsys.WriteFile(r, name, data[:valid]); err != nil {
+			if err := fsys.WriteFile(r, name, fold.Literal(data[:valid])); err != nil {
 				return nil, fmt.Errorf("vlog: truncating torn tail of %s: %w", name, err)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 
 	"kvaccel/internal/encoding"
 	"kvaccel/internal/faults"
+	"kvaccel/internal/fold"
 	"kvaccel/internal/fs"
 	"kvaccel/internal/vclock"
 )
@@ -175,7 +176,7 @@ func TestReplayStopsAtCorruption(t *testing.T) {
 		// Corrupt the second record's payload on "disk".
 		data, _ := fsys.ReadFile(r, "wal-3")
 		data[8+len("first-record-payload")+8+2] ^= 0xff
-		_ = fsys.WriteFile(r, "wal-3", data)
+		_ = fsys.WriteFile(r, "wal-3", fold.Literal(data))
 		var got []string
 		_ = Replay(r, fsys, "wal-3", func(p []byte) error {
 			got = append(got, string(p))
@@ -382,7 +383,7 @@ func FuzzReplay(f *testing.F) {
 		want := checkedPrefix(data)
 		clk, fsys := newEnv(0)
 		clk.Go("replayer", func(r *vclock.Runner) {
-			if err := fsys.WriteFile(r, "fuzz.log", data); err != nil {
+			if err := fsys.WriteFile(r, "fuzz.log", fold.Literal(data)); err != nil {
 				t.Error(err)
 				return
 			}
