@@ -65,8 +65,10 @@ type KVDevice interface {
 	// KVReset wipes the device's buffered pairs (§V-E step 8).
 	KVReset(r *vclock.Runner) error
 	// KVBulkScan streams every buffered pair in key order, in DMA-sized
-	// chunks (§V-E steps 3-6). A non-nil error means the emitted chunks
-	// are a prefix of the device's contents, not all of it.
+	// chunks (§V-E steps 3-6). A chunk's entries are the caller's only
+	// until emit returns: the drain copies what it keeps. A non-nil error
+	// means the emitted chunks are a prefix of the device's contents, not
+	// all of it.
 	KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Entry)) error
 	// NewKVIterator opens a host-visible cursor (SEEK/NEXT commands).
 	NewKVIterator(r *vclock.Runner) iterkit.Iterator

@@ -168,7 +168,7 @@ func TestBuildRunMatchesPageBufferBuilder(t *testing.T) {
 			for i, pm := range ru.pages {
 				rp := ref.pages[i]
 				if pm.off != rp.off || pm.length != rp.length || !bytes.Equal(pm.firstKey, rp.firstKey) ||
-					fmt.Sprint(pm.lpns) != fmt.Sprint(rp.lpns) || !bytes.Equal(ru.page(&pm), flat(ref)[rp.off:rp.off+rp.length]) {
+					fmt.Sprint(pm.lpns) != fmt.Sprint(rp.lpns) || !bytes.Equal(ru.data.Read(pm.off, pm.length), flat(ref)[rp.off:rp.off+rp.length]) {
 					t.Fatalf("seed %d page %d: off %d len %d first %q lpns %v, want %d %d %q %v", seed, i,
 						pm.off, pm.length, pm.firstKey, pm.lpns, rp.off, rp.length, rp.firstKey, rp.lpns)
 				}
@@ -267,7 +267,7 @@ func TestAllocsBulkScanPerChunk(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		d.BulkScan(r, chunkSize, func(c ScanChunk) {
 			chunks++
-			for _, e := range c.Entries {
+			for _, e := range c.Entries() {
 				if got >= pairs || !bytes.Equal(e.Key, keys[got]) || !bytes.Equal(e.Value, value) {
 					t.Errorf("pair %d came back as %q = %d bytes", got, e.Key, len(e.Value))
 				}
@@ -314,7 +314,7 @@ func TestBulkScanOfAFewPairsAllocatesAFewBytes(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		d.BulkScan(r, chunkSize, func(c ScanChunk) {
-			for _, e := range c.Entries {
+			for _, e := range c.Entries() {
 				if !bytes.Equal(e.Key, key(got)) || !bytes.Equal(e.Value, value) {
 					t.Errorf("pair %d came back as %q = %d bytes", got, e.Key, len(e.Value))
 				}

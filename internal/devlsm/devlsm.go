@@ -139,10 +139,9 @@ type pageMeta struct {
 
 // run is one immutable sorted run on the KV region: nothing writes into
 // its buffers once buildRun returns. data holds the encoded records with
-// each value that repeats its first bytes folded (package fold); a page
-// with no folded value is read as a view of it, any other materialised
-// (page), so the keys and values Get and the iterators hand out never
-// change.
+// each value that repeats its first bytes folded (package fold). Records
+// are read where they lie (record), so the keys and values Get and the
+// iterators hand out never change.
 type run struct {
 	pages    []pageMeta
 	data     fold.Payload
@@ -151,8 +150,23 @@ type run struct {
 	count    int
 }
 
-// page returns the encoded records of page pm.
-func (ru *run) page(pm *pageMeta) []byte { return ru.data.Read(pm.off, pm.length) }
+// record decodes the record at logical offset off of the run's data in
+// place. buildRun folds only values, so the header and key are literal
+// and e.Key is a view of them; e.Value is a view too when the value lies
+// in one literal span, and nil when it is folded: its vlen bytes start at
+// logical offset voff either way, and len(e.Value) != vlen says which.
+// next is where the record after it starts.
+func (ru *run) record(off int) (e memtable.Entry, voff, vlen, next int) {
+	b := ru.data.Span(off)
+	e, n, rest, err := decodeHeader(b)
+	if voff = off + len(b) - len(rest); err != nil || n > uint64(ru.data.Len()-voff) {
+		panic("devlsm: corrupt run page")
+	}
+	if vlen = int(n); vlen <= len(rest) {
+		e.Value = rest[:vlen:vlen]
+	}
+	return e, voff, vlen, voff + vlen
+}
 
 // DevLSM is the in-device key-value store.
 type DevLSM struct {
@@ -374,19 +388,19 @@ func (d *DevLSM) Get(r *vclock.Runner, key []byte) (value []byte, kind memtable.
 			if rerr := d.f.ReadMany(r, ftl.KVRegion, pm.lpns); rerr != nil {
 				return nil, 0, false, rerr
 			}
-			// Scan the page payload; records within a key are newest-first.
-			payload := ru.page(pm)
-			for len(payload) > 0 {
-				e, rest, err := decodeRecord(payload)
-				if err != nil {
-					panic("devlsm: corrupt run page: " + err.Error())
-				}
+			// Scan the page's records where they lie, newest first within
+			// a key; only a folded value found is materialised.
+			for off := pm.off; off < pm.off+pm.length; {
+				e, voff, vlen, next := ru.record(off)
 				if c := bytes.Compare(e.Key, key); c == 0 {
+					if len(e.Value) != vlen {
+						e.Value = ru.data.Read(voff, vlen)
+					}
 					return e.Value, e.Kind, true, nil
 				} else if c > 0 {
 					break scan
 				}
-				payload = rest
+				off = next
 			}
 		}
 	}
@@ -586,14 +600,11 @@ func (d *DevLSM) buildRun(r *vclock.Runner, it iterkit.Iterator, sizeHint int) (
 // recordKey returns a clipped view of the key of the record b starts
 // with; b need hold only the record's header and key.
 func recordKey(b []byte) []byte {
-	klen, b, err := encoding.Uvarint(b)
-	if err == nil {
-		_, b, err = encoding.Uvarint(b)
-	}
-	if err != nil || len(b) < 9 || klen > uint64(len(b)-9) {
+	e, _, _, err := decodeHeader(b)
+	if err != nil {
 		panic("devlsm: corrupt run page")
 	}
-	return b[9 : 9+klen : 9+klen]
+	return e.Key
 }
 
 func (d *DevLSM) chargeScanCPU(r *vclock.Runner, n int) {
@@ -613,32 +624,25 @@ func appendRecord(dst []byte, e memtable.Entry) []byte {
 	return dst
 }
 
-func decodeRecord(b []byte) (e memtable.Entry, rest []byte, err error) {
+// decodeHeader decodes the header and key of the record b starts with;
+// b need hold no more. e has the record's kind, sequence number and key,
+// a clipped view (appending to it cannot overwrite what follows), but no
+// value: the value's vlen bytes start at rest, b past the key.
+func decodeHeader(b []byte) (e memtable.Entry, vlen uint64, rest []byte, err error) {
 	klen, b, err := encoding.Uvarint(b)
-	if err != nil {
-		return e, nil, err
+	if err == nil {
+		vlen, b, err = encoding.Uvarint(b)
 	}
-	vlen, b, err := encoding.Uvarint(b)
-	if err != nil {
-		return e, nil, err
+	if err == nil && (len(b) < 9 || klen > uint64(len(b)-9)) {
+		err = encoding.ErrCorrupt
 	}
-	if len(b) < 9 {
-		return e, nil, encoding.ErrCorrupt
+	if err != nil {
+		return e, 0, nil, err
 	}
 	e.Kind = memtable.Kind(b[0])
-	seq, b, err := encoding.U64(b[1:])
-	if err != nil {
-		return e, nil, err
-	}
-	e.Seq = seq
-	if klen > uint64(len(b)) || vlen > uint64(len(b))-klen { // klen+vlen can wrap
-		return e, nil, encoding.ErrCorrupt
-	}
-	// Clipped views: appending to one cannot overwrite the next record.
-	end := klen + vlen
-	e.Key = b[:klen:klen]
-	e.Value = b[klen:end:end]
-	return e, b[end:], nil
+	e.Seq, _, _ = encoding.U64(b[1:9])
+	e.Key = b[9 : 9+klen : 9+klen]
+	return e, vlen, b[9+klen:], nil
 }
 
 // compact merges every run into one, deduplicating versions. The single
@@ -663,9 +667,10 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 	for i := len(runs) - 1; i >= 0; i-- { // newest run first for tie-break
 		children = append(children, newRunIter(d, r, runs[i], false))
 	}
-	merged := iterkit.NewMerge(children)
-	dedup := &dedupIter{in: merged}
-	ru, err := d.buildRun(r, dedup, inputBytes) // firmware-internal: program faults retried out of band
+	// Through an Iterator, buildRun gets each folded value it copies
+	// materialised, and folds it again.
+	merged := &Iterator{merged: &dedupIter{in: iterkit.NewMerge(children)}}
+	ru, err := d.buildRun(r, merged, inputBytes) // firmware-internal: program faults retried out of band
 	if errors.Is(err, faults.ErrCapacityExceeded) {
 		return // no room for the merged run beside its inputs: keep the inputs
 	}
@@ -689,13 +694,22 @@ func (d *DevLSM) compact(r *vclock.Runner) {
 
 // dedupIter keeps only the newest version of each user key.
 type dedupIter struct {
-	in      iterkit.Iterator
-	started bool
-	prev    []byte
+	in   *iterkit.Merge
+	prev []byte
 }
 
-func (d *dedupIter) SeekToFirst()          { d.in.SeekToFirst(); d.prev = nil; d.started = true }
-func (d *dedupIter) Seek(k []byte)         { d.in.Seek(k); d.prev = nil; d.started = true }
+// folded says where the current record's value lies when a run folded
+// it: Entry's Value is then nil, and the value is n bytes of *p from
+// logical offset off. p is nil when Entry holds the value.
+func (d *dedupIter) folded() (p *fold.Payload, off, n int) {
+	if ri, ok := d.in.Top().(*runIter); ok && len(ri.cur.Value) != ri.vlen {
+		return &ri.ru.data, ri.voff, ri.vlen
+	}
+	return nil, 0, 0
+}
+
+func (d *dedupIter) SeekToFirst()          { d.in.SeekToFirst(); d.prev = nil }
+func (d *dedupIter) Seek(k []byte)         { d.in.Seek(k); d.prev = nil }
 func (d *dedupIter) Valid() bool           { return d.in.Valid() }
 func (d *dedupIter) Entry() memtable.Entry { return d.in.Entry() }
 func (d *dedupIter) Next() {

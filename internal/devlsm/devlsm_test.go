@@ -176,7 +176,7 @@ func TestBulkScanChunksAndCompleteness(t *testing.T) {
 			if c.Bytes > 16<<10 {
 				t.Errorf("chunk of %d bytes exceeds bound", c.Bytes)
 			}
-			for _, e := range c.Entries {
+			for _, e := range c.Entries() {
 				if prev != nil && bytes.Compare(prev, e.Key) >= 0 {
 					t.Fatalf("bulk scan out of order: %q then %q", prev, e.Key)
 				}

@@ -94,15 +94,20 @@ func TestGetReadsTheSealedBuffer(t *testing.T) {
 // midFlush leaves d with a run, a sealed buffer in flight and an active
 // buffer, where the sealed buffer deletes some of the run's keys and the
 // active one overwrites and deletes others, and returns every key's
-// newest record: its value, or "" for a tombstone.
+// newest record: its value, or "" for a tombstone. The run folds the
+// 2 KiB values of ten keys, one of which the active buffer overwrites.
 func midFlush(t *testing.T, r *vclock.Runner, d *DevLSM) map[string]string {
 	t.Helper()
 	model := map[string]string{}
-	for i := 0; i < 100; i++ {
-		if err := d.Put(r, memtable.KindPut, key(i), []byte("run")); err != nil {
+	for i := 0; i < 110; i++ {
+		v := []byte("run")
+		if i >= 100 {
+			v = bytes.Repeat([]byte(fmt.Sprintf("<%d>", i)), 2048/5)
+		}
+		if err := d.Put(r, memtable.KindPut, key(i), v); err != nil {
 			t.Fatal(err)
 		}
-		model[string(key(i))] = "run"
+		model[string(key(i))] = string(v)
 	}
 	if err := d.Flush(r); err != nil {
 		t.Fatal(err)
@@ -114,7 +119,7 @@ func midFlush(t *testing.T, r *vclock.Runner, d *DevLSM) map[string]string {
 		model[string(key(i))] = ""
 	}
 	next := fillUntilSealed(t, r, d, 1000, model)
-	for i := 30; i < 40; i++ {
+	for _, i := range []int{30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 104} {
 		kind, v := memtable.KindPut, []byte("active")
 		if i%2 == 1 {
 			kind, v = memtable.KindDelete, nil
@@ -128,8 +133,8 @@ func midFlush(t *testing.T, r *vclock.Runner, d *DevLSM) map[string]string {
 		t.Fatal(err)
 	}
 	model[string(key(next))] = string(value(next))
-	if d.sealed == nil {
-		t.Fatal("the flush ended before the command under test was issued")
+	if d.sealed == nil || !d.runs[0].data.Folded() {
+		t.Fatal("the flush ended before the command under test was issued, or the run folded nothing")
 	}
 	return model
 }
@@ -167,7 +172,7 @@ func TestScansIssuedMidFlushMissNothing(t *testing.T) {
 		runSim(t, func(r *vclock.Runner) {
 			model := midFlush(t, r, d)
 			var got []memtable.Entry
-			d.BulkScan(r, 8<<10, func(c ScanChunk) { got = append(got, c.Entries...) })
+			d.BulkScan(r, 8<<10, func(c ScanChunk) { got = append(got, c.Entries()...) })
 			checkRecords(t, "BulkScan", got, model)
 		})
 	})
@@ -228,7 +233,7 @@ func TestBulkScanViewsOutliveResetAndPuts(t *testing.T) {
 	runSim(t, func(r *vclock.Runner) {
 		model := midFlush(t, r, d)
 		var got []memtable.Entry
-		d.BulkScan(r, 8<<10, func(c ScanChunk) { got = append(got, c.Entries...) })
+		d.BulkScan(r, 8<<10, func(c ScanChunk) { got = append(got, c.Entries()...) })
 		saved := make([]memtable.Entry, len(got))
 		for i, e := range got {
 			saved[i] = memtable.Entry{Key: bytes.Clone(e.Key), Value: bytes.Clone(e.Value), Seq: e.Seq, Kind: e.Kind}

@@ -97,7 +97,7 @@ func TestFullRegionIsAStatus(t *testing.T) {
 			}
 		}
 		var scanned []memtable.Entry
-		d.BulkScan(r, 16<<10, func(ch ScanChunk) { scanned = append(scanned, ch.Entries...) })
+		d.BulkScan(r, 16<<10, func(ch ScanChunk) { scanned = append(scanned, ch.Entries()...) })
 		checkRecords(t, "BulkScan", scanned, model)
 		it := d.NewIterator(r)
 		var iterated []memtable.Entry

@@ -4,8 +4,25 @@ import (
 	"bytes"
 	"testing"
 
+	"kvaccel/internal/encoding"
 	"kvaccel/internal/memtable"
 )
+
+// decodeRecord is the flat decoder: it decodes the record b starts with,
+// value included, from flat bytes, as a run page was read before runs
+// were read in place; rest is b past the record. The in-place reader
+// (run.record) must agree with it on every record.
+func decodeRecord(b []byte) (e memtable.Entry, rest []byte, err error) {
+	e, vlen, b, err := decodeHeader(b)
+	if err != nil {
+		return e, nil, err
+	}
+	if vlen > uint64(len(b)) {
+		return e, nil, encoding.ErrCorrupt
+	}
+	e.Value = b[:vlen:vlen]
+	return e, b[vlen:], nil
+}
 
 // FuzzDecodeRecord: a run page is whatever its NAND pages hand back, so
 // any input decodes to an error or to a record whose key and value are

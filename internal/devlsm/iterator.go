@@ -3,24 +3,29 @@ package devlsm
 import (
 	"bytes"
 
+	"kvaccel/internal/fold"
 	"kvaccel/internal/ftl"
 	"kvaccel/internal/iterkit"
 	"kvaccel/internal/memtable"
 	"kvaccel/internal/vclock"
 )
 
-// runIter walks one run page by page, charging a NAND read per page load
-// when chargeReads is set (the no-read-cache property of the Dev-LSM).
+// runIter walks one run page by page, decoding each record where it lies
+// (run.record), and charging a NAND read per page it enters when
+// chargeReads is set (the no-read-cache property of the Dev-LSM). A
+// folded value is left where it is: cur.Value is nil, and dedupIter.folded
+// says where the value lies.
 type runIter struct {
 	d           *DevLSM
 	r           *vclock.Runner
 	ru          *run
 	chargeReads bool
 
-	pi      int
-	payload []byte
-	cur     memtable.Entry
-	valid   bool
+	pi         int
+	off, end   int // the next record's offset in ru.data, and page pi's end
+	cur        memtable.Entry
+	voff, vlen int // where cur's value lies in ru.data
+	valid      bool
 }
 
 func newRunIter(d *DevLSM, r *vclock.Runner, ru *run, chargeReads bool) *runIter {
@@ -36,39 +41,30 @@ func (it *runIter) loadPage(i int) bool {
 	if it.chargeReads {
 		_ = it.d.f.ReadMany(it.r, ftl.KVRegion, pm.lpns) // iterator reads: faults surface at the command layer
 	}
-	it.pi = i
-	it.payload = it.ru.page(pm)
+	it.pi, it.off, it.end = i, pm.off, pm.off+pm.length
 	return true
 }
 
+// step decodes the next record, entering the next page if this one is
+// done (pages are never empty).
 func (it *runIter) step() {
-	for {
-		if len(it.payload) == 0 {
-			if !it.loadPage(it.pi + 1) {
-				return
-			}
-		}
-		e, rest, err := decodeRecord(it.payload)
-		if err != nil {
-			panic("devlsm: corrupt run page during scan: " + err.Error())
-		}
-		it.payload = rest
-		it.cur = e
-		it.valid = true
+	if it.off == it.end && !it.loadPage(it.pi+1) {
 		return
 	}
+	it.cur, it.voff, it.vlen, it.off = it.ru.record(it.off)
+	it.valid = true
 }
 
 func (it *runIter) SeekToFirst() {
 	it.valid = false
-	it.payload = nil
+	it.off, it.end = 0, 0
 	it.pi = -1
 	it.step()
 }
 
 func (it *runIter) Seek(key []byte) {
 	it.valid = false
-	it.payload = nil
+	it.off, it.end = 0, 0
 	pi := it.ru.pageFor(key)
 	if pi < 0 {
 		pi = 0
@@ -87,11 +83,13 @@ func (it *runIter) Entry() memtable.Entry { return it.cur }
 // Iterator is the Dev-LSM's range cursor (§V-F): a merge over the device
 // memtable and every run, deduplicated to the newest version per user
 // key. Tombstones are surfaced (kind KindDelete) so the host comparator
-// and the rollback can propagate deletes.
+// and the rollback can propagate deletes. Only the values it returns are
+// materialised, each the first time Entry is called on it.
 type Iterator struct {
 	d       *DevLSM
 	merged  *dedupIter
 	cursors []*runIter
+	value   []byte // the current record's folded value, once materialised
 }
 
 // NewIterator waits for the flush in flight, if any, then snapshots the
@@ -123,28 +121,66 @@ func (it *Iterator) SetRunner(r *vclock.Runner) {
 }
 
 // SeekToFirst positions at the smallest buffered key.
-func (it *Iterator) SeekToFirst() { it.merged.SeekToFirst() }
+func (it *Iterator) SeekToFirst() { it.value = nil; it.merged.SeekToFirst() }
 
 // Seek positions at the first buffered key >= key.
-func (it *Iterator) Seek(key []byte) { it.merged.Seek(key) }
+func (it *Iterator) Seek(key []byte) { it.value = nil; it.merged.Seek(key) }
 
 // Next advances to the next distinct user key.
-func (it *Iterator) Next() { it.merged.Next() }
+func (it *Iterator) Next() { it.value = nil; it.merged.Next() }
 
 // Valid reports whether the cursor is on an entry.
 func (it *Iterator) Valid() bool { return it.merged.Valid() }
 
-// Entry returns the newest version of the current user key.
-func (it *Iterator) Entry() memtable.Entry { return it.merged.Entry() }
+// Entry returns the newest version of the current user key. A folded
+// value is materialised into a buffer of its own on the first call.
+func (it *Iterator) Entry() memtable.Entry {
+	e := it.merged.Entry()
+	if p, off, n := it.merged.folded(); p != nil {
+		if it.value == nil {
+			it.value = p.Read(off, n)
+		}
+		e.Value = it.value
+	}
+	return e
+}
 
 // ScanChunk is one slab of a bulky range scan: records of up to the DMA
-// chunk budget of encoded bytes (§V-E step 5-6: 512 KB DMA units). Its
-// entries are views of the Dev-LSM's write buffers and runs, whose bytes
-// are never written again once built: they must not be modified, and
-// they stay valid, and equal, after later puts and after Reset.
+// chunk budget of encoded bytes (§V-E step 5-6: 512 KB DMA units), Bytes
+// of them. Until the chunk lands (Entries), a value a run folded stays
+// where it lies, so a scan makes no value flat; landing materialises them
+// all into one buffer of the chunk's own. Every other key and value is a
+// view of the Dev-LSM's write buffers and runs, whose bytes are never
+// written again once built. None may be modified, and all stay valid,
+// and equal, after later puts and after Reset.
 type ScanChunk struct {
-	Entries []memtable.Entry
+	entries []memtable.Entry
+	folded  []foldedValue // entries whose value is still folded
 	Bytes   int
+}
+
+// foldedValue is entry i's value, n bytes of *p from logical offset off.
+type foldedValue struct {
+	p         *fold.Payload
+	i, off, n int
+}
+
+// Entries returns the chunk's records, landing the chunk on the first
+// call: its folded values are filled into one fresh buffer.
+func (c *ScanChunk) Entries() []memtable.Entry {
+	if len(c.folded) > 0 {
+		n := 0
+		for _, f := range c.folded {
+			n += f.n
+		}
+		buf := make([]byte, n)
+		for _, f := range c.folded {
+			f.p.Fill(buf[:f.n], f.off)
+			c.entries[f.i].Value, buf = buf[:f.n:f.n], buf[f.n:]
+		}
+		c.folded = nil
+	}
+	return c.entries
 }
 
 // bufferIters returns iterators over the write buffers, newest first,
@@ -162,8 +198,10 @@ func (d *DevLSM) bufferIters(n int) []iterkit.Iterator {
 // BulkScan runs the iterator-based bulky range scan the rollback uses:
 // it waits for the flush in flight, if any, bulk-reads every run page up
 // front (the fast path the paper builds in hardware), merges on the
-// controller core, and emits chunks of at most chunkSize encoded bytes
-// via emit.
+// controller core, and emits chunks of about chunkSize encoded bytes via
+// emit. The merge compares keys only and materialises no value: a chunk
+// makes its folded values flat when it lands (ScanChunk.Entries), so the
+// caller decides how many are flat at once.
 func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk)) {
 	d.waitFlush(r)
 	runs := d.runs
@@ -194,19 +232,30 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 	// A chunk's entries are the merge's own views (see ScanChunk), so the
 	// scan copies no key or value. Each chunk's entry slice is sized by
 	// the mean record scanned so far, for chunkSize bytes or, if less, the
-	// scan's bytes left, so the last chunk holds no more than it needs.
+	// scan's bytes left, so the last chunk holds no more than it needs;
+	// its folded list, at its first folded value, for the entries left.
 	var chunk ScanChunk
 	cpuPending, scanned, scannedBytes := 0, 0, 0
 	for merged.SeekToFirst(); merged.Valid(); merged.Next() {
 		e := merged.Entry()
-		sz := len(e.Key) + len(e.Value) + 9
+		p, off, n := merged.folded()
+		if p == nil {
+			n = len(e.Value)
+		}
+		sz := len(e.Key) + n + 9
 		scanned, scannedBytes = scanned+1, scannedBytes+sz
-		if chunk.Entries == nil {
+		if chunk.entries == nil {
 			want := min(chunkSize, max(left, sz))
-			chunk.Entries = make([]memtable.Entry, 0, want*scanned/scannedBytes+1)
+			chunk.entries = make([]memtable.Entry, 0, want*scanned/scannedBytes+1)
+		}
+		if p != nil {
+			if chunk.folded == nil {
+				chunk.folded = make([]foldedValue, 0, cap(chunk.entries)-len(chunk.entries))
+			}
+			chunk.folded = append(chunk.folded, foldedValue{p, len(chunk.entries), off, n})
 		}
 		left -= sz
-		chunk.Entries = append(chunk.Entries, e)
+		chunk.entries = append(chunk.entries, e)
 		chunk.Bytes += sz
 		cpuPending += sz
 		if cpuPending >= 64<<10 {
@@ -219,7 +268,7 @@ func (d *DevLSM) BulkScan(r *vclock.Runner, chunkSize int, emit func(ScanChunk))
 		}
 	}
 	d.chargeScanCPU(r, cpuPending)
-	if len(chunk.Entries) > 0 {
+	if len(chunk.entries) > 0 {
 		emit(chunk)
 	}
 }

@@ -114,6 +114,10 @@ func (m *Merge) Valid() bool { return len(m.h) > 0 }
 // Entry returns the smallest current record.
 func (m *Merge) Entry() memtable.Entry { return m.h[0].e }
 
+// Top returns the child that owns the current record: it is positioned
+// on that record until the next Next, Seek or SeekToFirst.
+func (m *Merge) Top() Iterator { return m.h[0].it }
+
 // Next advances the child owning the current record.
 func (m *Merge) Next() {
 	top := &m.h[0]

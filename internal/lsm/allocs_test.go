@@ -25,13 +25,16 @@ func fillOpts() Options {
 	return opt
 }
 
-// putCost4K measures a steady single-writer Put of a 4 KiB inline value
-// with 16-byte keys, WAL on, one append per put, over 1 000 puts that stay
+// putCost4K measures a steady single-writer Put of a 4 KiB value with
+// 16-byte keys, WAL on, one append per put, over 1 000 puts that stay
 // inside one memtable (4 MB of a 12.8 MB buffer): the path between
-// flushes. It returns the heap allocations and the bytes allocated per
-// put.
-func putCost4K(t *testing.T) (allocs, bytes float64) {
-	clk, db := newTestDB(0, fillOpts())
+// flushes. The value is inline, or, for a threshold > 0, moved to the
+// value log (opt.ValueThreshold). It returns the heap allocations and the
+// bytes allocated per put.
+func putCost4K(t *testing.T, threshold int) (allocs, bytes float64) {
+	opt := fillOpts()
+	opt.ValueThreshold = threshold
+	clk, db := newTestDB(0, opt)
 	clk.Go("writer", func(r *vclock.Runner) {
 		defer db.Close()
 		key, val := make([]byte, 16), make([]byte, 4096)
@@ -73,7 +76,7 @@ func TestAllocsPut4K(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	perPut, _ := putCost4K(t)
+	perPut, _ := putCost4K(t, 0)
 	t.Logf("%.3f allocations per 4 KiB Put", perPut)
 	if perPut > 2 {
 		t.Errorf("%.3f allocations per 4 KiB Put between flushes, want <= 2", perPut)
@@ -89,11 +92,27 @@ func TestAllocsPutBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	_, perPut := putCost4K(t)
+	_, perPut := putCost4K(t, 0)
 	const record = 16 + 4096
 	t.Logf("%.0f bytes allocated per 4 KiB Put (%.3fx the key and value)", perPut, perPut/record)
 	if perPut > 1.15*record {
 		t.Errorf("%.0f bytes allocated per 4 KiB Put between flushes (%.3fx the key and value), want <= 1.15x", perPut, perPut/record)
+	}
+}
+
+// TestAllocsSeparatedPut: a put whose value goes to the value log keeps
+// the pointer it logs in place of the value in storage its writer owns
+// and reuses, so it allocates no more than an inline put: only what the
+// log, the value log and the memtable amortise over many puts.
+func TestAllocsSeparatedPut(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	inline, _ := putCost4K(t, 0)
+	separated, _ := putCost4K(t, 1024)
+	t.Logf("%.3f allocations per separated 4 KiB Put, %.3f per inline one", separated, inline)
+	if separated > inline+0.05 {
+		t.Errorf("%.3f allocations per separated 4 KiB Put, want at most the inline put's %.3f + 0.05", separated, inline)
 	}
 }
 

@@ -30,13 +30,11 @@ type WriteOptions struct {
 // the staged records it wants committed, and the outcome slot its group
 // leader fills in.
 type groupWriter struct {
-	db      *DB // the DB it commits to, for its waits' predicates
-	ops     []batchOp
-	bytes   int
-	noStall bool
-	// userBytes is the pre-separation key+value byte count this writer
-	// represents (write-amp's denominator).
-	userBytes int64
+	db        *DB // the DB it commits to, for its waits' predicates
+	ops       []batchOp
+	bytes     int
+	noStall   bool
+	userBytes int64 // pre-separation key+value bytes: write-amp's denominator
 
 	// Leader-assigned outcome, valid once done is true.
 	seq  uint64          // first sequence number of this writer's records
@@ -50,16 +48,17 @@ type groupWriter struct {
 	logStart int
 
 	single [1]batchOp // backing store for the 1-op (Put/Delete) case
+	ptrs   []byte     // the value pointers separateOps encoded, reused
 	// group is the backing store for the members this writer claims when
 	// it leads; it is what a recycled writer brings back with it.
 	group []*groupWriter
 }
 
 // newWriter returns a writer from db's free list, or a new one, with
-// every field zero but the reusable group slice. A writer is taken by
-// whoever stages a commit and handed back by commit itself, after the
-// group protocol is done with it: by then its leader has filled in the
-// outcome and holds no reference it will follow again.
+// every field zero but the reusable group and pointer slices. A writer
+// is taken by whoever stages a commit and handed back by commit itself,
+// after the group protocol is done with it: by then its leader has
+// filled in the outcome and holds no reference it will follow again.
 func (db *DB) newWriter() *groupWriter {
 	n := len(db.freeWriters)
 	if n == 0 {
@@ -75,7 +74,7 @@ func (db *DB) newWriter() *groupWriter {
 // nothing.
 func (db *DB) releaseWriter(w *groupWriter) {
 	clear(w.group)
-	*w = groupWriter{group: w.group[:0]}
+	*w = groupWriter{group: w.group[:0], ptrs: w.ptrs[:0]}
 	db.freeWriters = append(db.freeWriters, w)
 }
 

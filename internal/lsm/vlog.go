@@ -28,10 +28,10 @@ func (db *DB) separates(op batchOp) bool {
 }
 
 // separateOps sets w.bytes and swaps each qualifying op of w for a
-// pointer to its value-log copy. A Batch's op slice belongs to the caller
-// — KVACCEL's failover path replays the same Batch against the Dev-LSM,
-// which needs the original values — so it is copied before the first
-// swap; a point write's single-op store is the writer's own.
+// pointer to its value-log copy, encoded into w.ptrs (the group's WAL
+// append copies it). A Batch's op slice belongs to the caller — KVACCEL's
+// failover path replays the same Batch against the Dev-LSM, which needs
+// the original values — so it is copied before the first swap.
 func (db *DB) separateOps(r *vclock.Runner, w *groupWriter) error {
 	w.bytes = 0
 	moved := 0
@@ -51,8 +51,8 @@ func (db *DB) separateOps(r *vclock.Runner, w *groupWriter) error {
 			if err != nil {
 				return err
 			}
-			enc := encoding.AppendValuePointer(make([]byte, 0, encoding.ValuePointerSize), ptr)
-			op.kind, op.value = memtable.KindValuePtr, enc
+			w.ptrs = encoding.AppendValuePointer(w.ptrs, ptr)
+			op.kind, op.value = memtable.KindValuePtr, w.ptrs[len(w.ptrs)-encoding.ValuePointerSize:]
 			moved++
 		}
 		w.bytes += len(op.key) + len(op.value) + 16

@@ -168,12 +168,11 @@ func (s *KVRegion) KVReset(r *vclock.Runner) error {
 // rollback (§V-E steps 3-6) in two phases: one SCAN command under which
 // the device bulk-reads and merges this slice's contents into
 // DMAChunkSize chunks, then one transfer command per chunk DMA'd back to
-// the host. emit runs on the caller's runner between transfers, so host
-// work between chunks (gate acquisition, Main-LSM inserts) never blocks a
-// device firmware slot.
-// A scan or transfer command that completes with an error aborts the
-// remaining chunks and surfaces the error; the caller must not treat
-// the emitted prefix as the slice's full contents.
+// the host, after which the chunk lands (its folded values made flat),
+// emit runs on the caller's runner and the chunk is dropped: host work
+// between chunks never blocks a firmware slot, and one chunk is flat at
+// a time. A scan or transfer error aborts the remaining chunks and is
+// returned; the emitted prefix is not the slice's full contents.
 func (s *KVRegion) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Entry)) error {
 	scan := s.cmd(kvScan, kvHeader)
 	err := s.qp.Do(r, &scan.Command)
@@ -182,11 +181,12 @@ func (s *KVRegion) KVBulkScan(r *vclock.Runner, emit func(entries []memtable.Ent
 	if err != nil {
 		return err
 	}
-	for _, ch := range chunks {
-		if err := s.do(r, s.cmd(kvScanXfer, ch.Bytes)); err != nil {
+	for i := range chunks {
+		if err := s.do(r, s.cmd(kvScanXfer, chunks[i].Bytes)); err != nil {
 			return err
 		}
-		emit(ch.Entries)
+		emit(chunks[i].Entries())
+		chunks[i] = devlsm.ScanChunk{}
 	}
 	return nil
 }
