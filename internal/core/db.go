@@ -19,6 +19,7 @@ import (
 	"kvaccel/internal/hotring"
 	"kvaccel/internal/lsm"
 	"kvaccel/internal/memtable"
+	"kvaccel/internal/metrics"
 	"kvaccel/internal/trace"
 	"kvaccel/internal/vclock"
 )
@@ -124,61 +125,14 @@ type Stats struct {
 	DevErrors  int64
 	DevRetries int64
 	DevFailed  int64
-	// FrontCache mirrors the hot-key front cache's counters (all zero
-	// when the cache is disabled).
-	FrontCacheHits          int64
-	FrontCacheMisses        int64
-	FrontCacheFills         int64
-	FrontCacheRejected      int64 // fills dropped by the generation guard
-	FrontCacheDeclined      int64 // fills the admission sketch turned away
-	FrontCacheUpdates       int64 // resident entries a write refreshed
-	FrontCacheInvalidations int64 // resident entries a write or crash dropped
-	FrontCacheEvictions     int64
-	FrontCacheHeadMoves     int64
-	FrontCacheUsed          int64
-	FrontCacheEntries       int64
-}
-
-// FrontCacheHitRate returns the front cache's hit ratio over all
-// Controller reads issued while it was enabled.
-func (s Stats) FrontCacheHitRate() float64 {
-	if s.FrontCacheHits+s.FrontCacheMisses == 0 {
-		return 0
-	}
-	return float64(s.FrontCacheHits) / float64(s.FrontCacheHits+s.FrontCacheMisses)
+	// The front cache's counters (all zero when the cache is disabled),
+	// read under their own names: FrontCacheHits, FrontCacheHitRate() ….
+	hotring.Stats
 }
 
 // Add returns the field-wise sum of s and o. The sharded front-end uses
 // it to aggregate per-shard counters into one system-wide view.
-func (s Stats) Add(o Stats) Stats {
-	s.NormalPuts += o.NormalPuts
-	s.RedirectedPuts += o.RedirectedPuts
-	s.WouldStallRedirects += o.WouldStallRedirects
-	s.Gets += o.Gets
-	s.MainGets += o.MainGets
-	s.DevGets += o.DevGets
-	s.DevServed += o.DevServed
-	s.Rollbacks += o.Rollbacks
-	s.RollbackPairs += o.RollbackPairs
-	s.RollbackTime += o.RollbackTime
-	s.Recoveries += o.Recoveries
-	s.RecoveryTime += o.RecoveryTime
-	s.DevErrors += o.DevErrors
-	s.DevRetries += o.DevRetries
-	s.DevFailed += o.DevFailed
-	s.FrontCacheHits += o.FrontCacheHits
-	s.FrontCacheMisses += o.FrontCacheMisses
-	s.FrontCacheFills += o.FrontCacheFills
-	s.FrontCacheRejected += o.FrontCacheRejected
-	s.FrontCacheDeclined += o.FrontCacheDeclined
-	s.FrontCacheUpdates += o.FrontCacheUpdates
-	s.FrontCacheInvalidations += o.FrontCacheInvalidations
-	s.FrontCacheEvictions += o.FrontCacheEvictions
-	s.FrontCacheHeadMoves += o.FrontCacheHeadMoves
-	s.FrontCacheUsed += o.FrontCacheUsed
-	s.FrontCacheEntries += o.FrontCacheEntries
-	return s
-}
+func (s Stats) Add(o Stats) Stats { return metrics.Sum(s, o) }
 
 // DB is a KVACCEL instance: a Main-LSM on the block interface plus a
 // Dev-LSM on the KV interface of the same dual-interface SSD.
@@ -224,8 +178,8 @@ type DB struct {
 	closed  bool
 	closeEv *vclock.Event // signals the rollback runner to drain and exit
 
-	// stats holds the counters Stats returns; the front cache's are
-	// filled in there.
+	// stats holds the counters Stats returns, but for the front cache's,
+	// which Stats reads from the cache.
 	stats Stats
 }
 
@@ -278,18 +232,7 @@ func (db *DB) FrontCache() *hotring.Cache { return db.front }
 // Stats returns a snapshot of KVACCEL's counters.
 func (db *DB) Stats() Stats {
 	s := db.stats
-	fc := db.front.Stats()
-	s.FrontCacheHits = fc.Hits
-	s.FrontCacheMisses = fc.Misses
-	s.FrontCacheFills = fc.Fills
-	s.FrontCacheRejected = fc.Rejected
-	s.FrontCacheDeclined = fc.Declined
-	s.FrontCacheUpdates = fc.Updates
-	s.FrontCacheInvalidations = fc.Invalidations
-	s.FrontCacheEvictions = fc.Evictions
-	s.FrontCacheHeadMoves = fc.HeadMoves
-	s.FrontCacheUsed = fc.Used
-	s.FrontCacheEntries = fc.Entries
+	s.Stats = db.front.Stats()
 	return s
 }
 

@@ -158,7 +158,7 @@ func TestFrontCacheDroppedByCrashRecovery(t *testing.T) {
 		}
 		db.det.SetOverride(false)
 		db.SimulateCrash()
-		if got := db.FrontCache().Stats().Entries; got != 0 {
+		if got := db.FrontCache().Stats().FrontCacheEntries; got != 0 {
 			t.Fatalf("front cache holds %d entries past a crash", got)
 		}
 		if err := db.Recover(r); err != nil {

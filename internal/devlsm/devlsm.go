@@ -110,23 +110,6 @@ func (s Stats) MeanFlush() time.Duration {
 	return time.Duration(s.FlushNS / s.Flushes)
 }
 
-// Add returns the field-wise sum of s and o: the counters of several
-// Dev-LSM slices.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Puts:         s.Puts + o.Puts,
-		Gets:         s.Gets + o.Gets,
-		Flushes:      s.Flushes + o.Flushes,
-		Compactions:  s.Compactions + o.Compactions,
-		Resets:       s.Resets + o.Resets,
-		Scans:        s.Scans + o.Scans,
-		BytesIn:      s.BytesIn + o.BytesIn,
-		BufferWaits:  s.BufferWaits + o.BufferWaits,
-		BufferWaitNS: s.BufferWaitNS + o.BufferWaitNS,
-		FlushNS:      s.FlushNS + o.FlushNS,
-	}
-}
-
 // pageMeta describes one page-aligned slab of encoded records. firstKey
 // and lpns are capacity-clipped views of the run's literal bytes and LPN
 // list.

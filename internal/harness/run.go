@@ -339,7 +339,7 @@ func (p Params) drive(m *rig, spec EngineSpec, kind WorkloadKind) *RunResult {
 	}
 	res.Queues = m.Dev.QueueStats()
 	for _, s := range m.Shards {
-		res.DevStats = res.DevStats.Add(s.KV.DevLSM().Stats())
+		res.DevStats = metrics.Sum(res.DevStats, s.KV.DevLSM().Stats())
 	}
 	if m.db != nil {
 		st := m.db.Stats()

@@ -39,6 +39,7 @@ func TestServeClosedLoopBatched(t *testing.T) {
 	if s.Dropped != 0 {
 		t.Errorf("closed-loop clients dropped %d requests", s.Dropped)
 	}
+	checkTenantCounts(t, res, false)
 	if res.Server.Accepted != int64(res.Clients) {
 		t.Errorf("accepted %d connections, want %d", res.Server.Accepted, res.Clients)
 	}
@@ -116,6 +117,7 @@ func TestServeOpenLoopOverloadSheds(t *testing.T) {
 	if s.Dropped != 0 {
 		t.Errorf("%d requests silently dropped; sheds must be RETRY_LATER responses", s.Dropped)
 	}
+	checkTenantCounts(t, res, true)
 	if got := s.Answered() + s.Dropped; got != s.Sent {
 		t.Errorf("conservation: sent=%d answered+dropped=%d", s.Sent, got)
 	}
@@ -145,5 +147,36 @@ func TestServeOpenLoopOverloadSheds(t *testing.T) {
 		if ten.OK == 0 {
 			t.Errorf("tenant %d was never admitted", i)
 		}
+	}
+}
+
+// checkTenantCounts checks the server's per-tenant rows against its own
+// totals and the clients': each shed is counted once, in its tenant's row,
+// and is a RETRY_LATER the clients got; every request is admitted or shed
+// by the admission gate, and every admitted one is answered or shed by a
+// batcher inbox. With no AdmitRate (gated false) the gate admits every
+// request.
+func checkTenantCounts(t *testing.T, res *ServeResult, gated bool) {
+	t.Helper()
+	srv := res.Server
+	var admitted, answered, shed int64
+	for _, ten := range srv.Tenants {
+		admitted += ten.Admitted
+		answered += ten.Answered
+		shed += ten.Shed
+	}
+	t.Logf("tenants: requests=%d admitted=%d answered=%d shed=%d; server shed=%d; clients' RETRY_LATER=%d",
+		srv.Requests, admitted, answered, shed, srv.Shed, res.Load.Retry)
+	if shed != srv.Shed || shed != res.Load.Retry {
+		t.Errorf("tenants shed %d, server shed %d, clients got %d RETRY_LATER: want all equal",
+			shed, srv.Shed, res.Load.Retry)
+	}
+	gateShed, inboxShed := srv.Requests-admitted, admitted-answered
+	if gateShed < 0 || inboxShed < 0 || gateShed+inboxShed != srv.Shed {
+		t.Errorf("%d requests, %d admitted, %d answered: the gate shed %d and the inboxes %d, want >= 0 each and %d together",
+			srv.Requests, admitted, answered, gateShed, inboxShed, srv.Shed)
+	}
+	if gated != (gateShed > 0) {
+		t.Errorf("admission gate shed %d requests with gated=%v", gateShed, gated)
 	}
 }

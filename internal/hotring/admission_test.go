@@ -15,7 +15,7 @@ func fullShard(t *testing.T, entries int) *Cache {
 	for i := 0; i < entries; i++ {
 		fill(c, key(i), val)
 	}
-	if st := c.Stats(); st.Entries != int64(entries) || st.Used != int64(32*entries) {
+	if st := c.Stats(); st.FrontCacheEntries != int64(entries) || st.FrontCacheUsed != int64(32*entries) {
 		t.Fatalf("set-up: %+v, want %d entries of 32 bytes", st, entries)
 	}
 	return c
@@ -34,17 +34,17 @@ func TestAdmissionDeclinesOneTimeReads(t *testing.T) {
 		v := c.FillIfUnchanged(k, val, c.BeginRead(k))
 		st := c.Stats()
 		switch {
-		case read == 1 && (v != nil || st.Declined != 1 || st.Evictions != 0 || st.Entries != 64):
+		case read == 1 && (v != nil || st.FrontCacheDeclined != 1 || st.FrontCacheEvictions != 0 || st.FrontCacheEntries != 64):
 			t.Fatalf("first read: fill returned %q, %+v; want nil, 1 declined, nothing evicted", v, st)
-		case read == 2 && (!bytes.Equal(v, val) || st.Declined != 1 || st.Evictions == 0):
+		case read == 2 && (!bytes.Equal(v, val) || st.FrontCacheDeclined != 1 || st.FrontCacheEvictions == 0):
 			t.Fatalf("second read: fill returned %q, %+v; want the value, admitted over an eviction", v, st)
 		}
 	}
 	if v, hit := c.Get(k); !hit || !bytes.Equal(v, val) {
 		t.Fatalf("after admission: %q hit=%v", v, hit)
 	}
-	if st := c.Stats(); st.Used > 32*64 {
-		t.Fatalf("used %d exceeds the shard's capacity", st.Used)
+	if st := c.Stats(); st.FrontCacheUsed > 32*64 {
+		t.Fatalf("used %d exceeds the shard's capacity", st.FrontCacheUsed)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestSketchAges(t *testing.T) {
 	if v := c.FillIfUnchanged(old, val, c.BeginRead(old)); v == nil {
 		t.Fatal("a key read twice since aging was declined")
 	}
-	if st := c.Stats(); st.Declined != 2 {
-		t.Fatalf("declined %d, want 2", st.Declined)
+	if st := c.Stats(); st.FrontCacheDeclined != 2 {
+		t.Fatalf("declined %d, want 2", st.FrontCacheDeclined)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestScanKeepsHotSet(t *testing.T) {
 			t.Errorf("hot key %d evicted by the scan", i)
 		}
 	}
-	if st := c.Stats(); st.Declined < cold*95/100 {
+	if st := c.Stats(); st.FrontCacheDeclined < cold*95/100 {
 		t.Fatalf("%+v: want at least 95%% of %d cold fills declined", st, cold)
 	}
 }
@@ -222,8 +222,8 @@ func FuzzCacheOps(f *testing.F) {
 			}
 			checkShards(t, c)
 		}
-		if st := c.Stats(); st.Hits+st.Misses != gets {
-			t.Fatalf("%d hits + %d misses != %d gets", st.Hits, st.Misses, gets)
+		if st := c.Stats(); st.FrontCacheHits+st.FrontCacheMisses != gets {
+			t.Fatalf("%d hits + %d misses != %d gets", st.FrontCacheHits, st.FrontCacheMisses, gets)
 		}
 	})
 }
@@ -244,9 +244,9 @@ func checkShards(t *testing.T, c *Cache) {
 				}
 			}
 		}
-		if used != s.used || entries != s.entries || s.used > c.perShardCap {
+		if used != s.FrontCacheUsed || entries != s.FrontCacheEntries || s.FrontCacheUsed > c.perShardCap {
 			t.Fatalf("shard %d: used %d entries %d, rings hold %d bytes in %d entries, capacity %d",
-				i, s.used, s.entries, used, entries, c.perShardCap)
+				i, s.FrontCacheUsed, s.FrontCacheEntries, used, entries, c.perShardCap)
 		}
 	}
 }

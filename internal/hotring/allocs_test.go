@@ -35,7 +35,7 @@ func TestAllocsLookupAndFill(t *testing.T) {
 	for _, k := range hotKeys {
 		readTwiceAndFill(c, k, val) // fills far past capacity: evictions free structs
 	}
-	if c.Stats().Evictions == 0 {
+	if c.Stats().FrontCacheEvictions == 0 {
 		t.Fatal("warm-up evicted nothing")
 	}
 	i := 0
@@ -46,12 +46,12 @@ func TestAllocsLookupAndFill(t *testing.T) {
 	if fills > 1 {
 		t.Errorf("%v allocations per fill into a full cache, want <= 1", fills)
 	}
-	declinedBefore, j := c.Stats().Declined, 0
+	declinedBefore, j := c.Stats().FrontCacheDeclined, 0
 	declines := testing.AllocsPerRun(1000, func() {
 		j++
 		fill(c, coldKeys[j%len(coldKeys)], val)
 	})
-	if c.Stats().Declined == declinedBefore {
+	if c.Stats().FrontCacheDeclined == declinedBefore {
 		t.Fatal("the sketch declined none of the keys never read")
 	}
 	if declines != 0 {
@@ -65,11 +65,11 @@ func TestAllocsLookupAndFill(t *testing.T) {
 	}); hits != 0 {
 		t.Errorf("%v allocations per Lookup hit, want 0", hits)
 	}
-	updatesBefore := c.Stats().Updates
+	updatesBefore := c.Stats().FrontCacheUpdates
 	if writes := testing.AllocsPerRun(1000, func() { write(c, hot, val) }); writes > 1 {
 		t.Errorf("%v allocations per write through a resident entry, want <= 1", writes)
 	}
-	if c.Stats().Updates == updatesBefore {
+	if c.Stats().FrontCacheUpdates == updatesBefore {
 		t.Fatal("no write went through a resident entry")
 	}
 	if absent := testing.AllocsPerRun(1000, func() { write(c, coldKeys[0], val) }); absent != 0 {

@@ -36,6 +36,7 @@ import (
 	"bytes"
 
 	"kvaccel/internal/encoding"
+	"kvaccel/internal/metrics"
 )
 
 // defaultShards sets how many rings the cache has: each gets an equal
@@ -92,18 +93,11 @@ func (e *entry) fillKV(key, value []byte) {
 }
 
 type shard struct {
-	gen     uint64 // bumped by every write begin and end, and InvalidateAll
-	heads   [bucketsPerShard]*entry
-	used    int64
-	entries int64
+	gen   uint64 // bumped by every write begin and end, and InvalidateAll
+	heads [bucketsPerShard]*entry
 
-	hits, misses    int64
-	fills, rejected int64
-	declined        int64
-	updates         int64
-	invalidations   int64
-	evictions       int64
-	headMoves       int64
+	// Stats holds the shard's counters and its bytes and entries in use.
+	Stats
 
 	freq sketch
 
@@ -213,17 +207,17 @@ func (c *Cache) Get(key []byte) (value []byte, hit bool) {
 	s.freq.record(h)
 	e := s.find(bucket, tag, key)
 	if e == nil {
-		s.misses++
+		s.FrontCacheMisses++
 		return nil, false
 	}
-	s.hits++
+	s.FrontCacheHits++
 	e.count++
 	// Hotness-aware head migration: once an entry clearly out-accesses
 	// the current head within this sample window, lookups should start
 	// at it. Counts reset so a cooled-down key yields the head back.
 	if head := s.heads[bucket]; e != head && e.count > head.count+headBoost {
 		s.heads[bucket] = e
-		s.headMoves++
+		s.FrontCacheHeadMoves++
 		for it := e.next; ; it = it.next {
 			it.count = 0
 			if it == e {
@@ -288,7 +282,7 @@ func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	}
 	s, h, bucket, tag := c.locate(key)
 	if s.gen != token {
-		s.rejected++
+		s.FrontCacheRejected++
 		return nil
 	}
 	size := int64(len(key) + len(value))
@@ -299,22 +293,22 @@ func (c *Cache) FillIfUnchanged(key, value []byte, token uint64) []byte {
 	if e != nil {
 		// A re-fill gives the entry a new buffer; views of the old one stay
 		// as they were.
-		s.used += size - int64(len(e.kv))
+		s.FrontCacheUsed += size - int64(len(e.kv))
 		e.fillKV(key, value)
 	} else {
-		if s.used+size > c.perShardCap && s.freq.estimate(h) < admitMin {
-			s.declined++
+		if s.FrontCacheUsed+size > c.perShardCap && s.freq.estimate(h) < admitMin {
+			s.FrontCacheDeclined++
 			return nil
 		}
 		e = s.newEntry()
 		e.fillKV(key, value)
 		e.tag = tag
 		s.insert(bucket, e)
-		s.used += size
-		s.entries++
-		s.freq.fit(s.entries)
+		s.FrontCacheUsed += size
+		s.FrontCacheEntries++
+		s.freq.fit(s.FrontCacheEntries)
 	}
-	s.fills++
+	s.FrontCacheFills++
 	v := e.value()
 	s.evictOver(c.perShardCap)
 	return v
@@ -357,7 +351,7 @@ func (s *shard) insert(bucket uint32, e *entry) {
 // until the shard is back under cap. Repeated halving guarantees every
 // entry eventually goes cold, so the loop always converges.
 func (s *shard) evictOver(cap int64) {
-	for pass := 0; s.used > cap && pass < 64*bucketsPerShard && s.entries > 0; pass++ {
+	for pass := 0; s.FrontCacheUsed > cap && pass < 64*bucketsPerShard && s.FrontCacheEntries > 0; pass++ {
 		b := s.evictCursor % bucketsPerShard
 		s.evictCursor++
 		head := s.heads[b]
@@ -370,10 +364,10 @@ func (s *shard) evictOver(cap int64) {
 		for cur, stop := head, false; !stop; {
 			next := cur.next
 			stop = next == head
-			if cur.count == 0 && s.used > cap {
-				s.used -= int64(len(cur.kv))
-				s.entries--
-				s.evictions++
+			if cur.count == 0 && s.FrontCacheUsed > cap {
+				s.FrontCacheUsed -= int64(len(cur.kv))
+				s.FrontCacheEntries--
+				s.FrontCacheEvictions++
 				s.recycle(cur)
 			} else {
 				cur.count /= 2
@@ -434,15 +428,15 @@ func (c *Cache) EndWrite(key, value []byte, token uint64) {
 	if size := int64(len(key) + len(value)); alone && value != nil && size <= c.perShardCap {
 		// The entry gets a new buffer; views of the old one stay as they
 		// were.
-		s.used += size - int64(len(e.kv))
+		s.FrontCacheUsed += size - int64(len(e.kv))
 		e.fillKV(key, value)
-		s.updates++
+		s.FrontCacheUpdates++
 		s.evictOver(c.perShardCap)
 		return
 	}
 	s.remove(bucket, e)
 	s.recycle(e)
-	s.invalidations++
+	s.FrontCacheInvalidations++
 }
 
 // remove unlinks e from its bucket's ring.
@@ -459,8 +453,8 @@ func (s *shard) remove(bucket uint32, e *entry) {
 			s.heads[bucket] = e.next
 		}
 	}
-	s.used -= int64(len(e.kv))
-	s.entries--
+	s.FrontCacheUsed -= int64(len(e.kv))
+	s.FrontCacheEntries--
 }
 
 // InvalidateAll empties the cache, clears the admission sketches and bumps
@@ -473,49 +467,49 @@ func (c *Cache) InvalidateAll() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.gen++
-		s.invalidations += s.entries
+		s.FrontCacheInvalidations += s.FrontCacheEntries
 		for b := range s.heads {
 			s.heads[b] = nil
 		}
-		s.used, s.entries = 0, 0
+		s.FrontCacheUsed, s.FrontCacheEntries = 0, 0
 		s.freq.reset()
 	}
 }
 
-// Stats is a point-in-time aggregate across shards.
+// Stats are the front cache's counters, and the bytes and entries it
+// holds, under the names a KVACCEL controller's stats carry them by
+// (core.Stats embeds this struct). One value lives in each shard; Cache.Stats
+// sums them.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	Fills         int64
-	Rejected      int64 // fills dropped by the generation check
-	Declined      int64 // fills the admission sketch turned away
-	Updates       int64 // resident entries a write refreshed
-	Invalidations int64 // resident entries a write or InvalidateAll dropped
-	Evictions     int64
-	HeadMoves     int64
-	Used          int64
-	Entries       int64
+	FrontCacheHits          int64
+	FrontCacheMisses        int64
+	FrontCacheFills         int64
+	FrontCacheRejected      int64 // fills dropped by the generation check
+	FrontCacheDeclined      int64 // fills the admission sketch turned away
+	FrontCacheUpdates       int64 // resident entries a write refreshed
+	FrontCacheInvalidations int64 // resident entries a write or InvalidateAll dropped
+	FrontCacheEvictions     int64
+	FrontCacheHeadMoves     int64
+	FrontCacheUsed          int64
+	FrontCacheEntries       int64
 }
 
-// Stats sums the per-shard counters.
+// FrontCacheHitRate returns the share of Gets that hit.
+func (s Stats) FrontCacheHitRate() float64 {
+	if s.FrontCacheHits+s.FrontCacheMisses == 0 {
+		return 0
+	}
+	return float64(s.FrontCacheHits) / float64(s.FrontCacheHits+s.FrontCacheMisses)
+}
+
+// Stats sums the shards' counters; a nil (disabled) cache reads all zero.
 func (c *Cache) Stats() Stats {
 	var st Stats
 	if c == nil {
 		return st
 	}
 	for i := range c.shards {
-		s := &c.shards[i]
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Fills += s.fills
-		st.Rejected += s.rejected
-		st.Declined += s.declined
-		st.Updates += s.updates
-		st.Invalidations += s.invalidations
-		st.Evictions += s.evictions
-		st.HeadMoves += s.headMoves
-		st.Used += s.used
-		st.Entries += s.entries
+		st = metrics.Sum(st, c.shards[i].Stats)
 	}
 	return st
 }

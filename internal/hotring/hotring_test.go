@@ -53,7 +53,7 @@ func TestBasicFillGetInvalidate(t *testing.T) {
 		t.Fatal("a write admitted an absent key")
 	}
 	st := c.Stats()
-	if st.Hits != 3 || st.Misses != 3 || st.Fills != 2 || st.Updates != 1 || st.Invalidations != 1 {
+	if st.FrontCacheHits != 3 || st.FrontCacheMisses != 3 || st.FrontCacheFills != 2 || st.FrontCacheUpdates != 1 || st.FrontCacheInvalidations != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -69,8 +69,8 @@ func TestGenerationGuard(t *testing.T) {
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("stale fill installed past an invalidation")
 	}
-	if st := c.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Rejected)
+	if st := c.Stats(); st.FrontCacheRejected != 1 {
+		t.Fatalf("rejected = %d, want 1", st.FrontCacheRejected)
 	}
 	// A fresh token after the write fills normally.
 	fill(c, key(1), []byte("fresh"))
@@ -95,7 +95,7 @@ func TestInvalidateAll(t *testing.T) {
 	if _, ok := c.Get(key(7)); ok {
 		t.Fatal("stale fill installed past InvalidateAll")
 	}
-	if st := c.Stats(); st.Entries != 0 || st.Used != 0 {
+	if st := c.Stats(); st.FrontCacheEntries != 0 || st.FrontCacheUsed != 0 {
 		t.Fatalf("occupancy after InvalidateAll: %+v", st)
 	}
 }
@@ -110,13 +110,13 @@ func TestCapacityEviction(t *testing.T) {
 		readTwiceAndFill(c, key(i), val)
 	}
 	st := c.Stats()
-	if st.Used > capacity {
-		t.Fatalf("used %d exceeds capacity %d", st.Used, capacity)
+	if st.FrontCacheUsed > capacity {
+		t.Fatalf("used %d exceeds capacity %d", st.FrontCacheUsed, capacity)
 	}
-	if st.Evictions == 0 {
+	if st.FrontCacheEvictions == 0 {
 		t.Fatal("no evictions despite overfill")
 	}
-	if st.Entries == 0 {
+	if st.FrontCacheEntries == 0 {
 		t.Fatal("cache emptied itself")
 	}
 }
@@ -137,7 +137,7 @@ func TestHotKeyStaysResident(t *testing.T) {
 		}
 		readTwiceAndFill(c, key(i), val)
 	}
-	if st := c.Stats(); st.Evictions == 0 {
+	if st := c.Stats(); st.FrontCacheEvictions == 0 {
 		t.Fatal("cold churn produced no evictions")
 	}
 }
@@ -160,7 +160,7 @@ func TestHeadMigratesToHotEntry(t *testing.T) {
 			}
 		}
 	}
-	if st := c.Stats(); st.HeadMoves == 0 {
+	if st := c.Stats(); st.FrontCacheHeadMoves == 0 {
 		t.Fatal("head pointer never migrated to a hot entry")
 	}
 }
@@ -241,11 +241,11 @@ func TestLookupViewsNeverChange(t *testing.T) {
 	look(key(3), "after-all")
 	fill(c, key(4), []byte("evicted"))
 	look(key(4), "evicted")
-	before := c.Stats().Evictions
+	before := c.Stats().FrontCacheEvictions
 	for i := 100; i < 2100; i++ {
 		readTwiceAndFill(c, key(i), []byte("zz"))
 	}
-	if c.Stats().Evictions == before {
+	if c.Stats().FrontCacheEvictions == before {
 		t.Fatal("no evictions: the test no longer reuses the held entries")
 	}
 	for _, k := range [][]byte{key(1), key(2), key(3), key(4)} {

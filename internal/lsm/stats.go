@@ -1,6 +1,10 @@
 package lsm
 
-import "time"
+import (
+	"time"
+
+	"kvaccel/internal/metrics"
+)
 
 // StallReason classifies a write stall, matching the paper's taxonomy
 // (§II-A): flush backlog, L0 file count, pending compaction bytes.
@@ -63,10 +67,12 @@ type Stats struct {
 	// BlockCacheEvictions always reads 0, as does BlockCacheHitRate: the
 	// SST reader has no block cache any more. They stay only because the
 	// benchmark's per-layer table still reads them (bench/layers.go:196).
+	// Add sums it with every other field, so a total stays 0.
 	BlockCacheEvictions int64
 	// VLogReadCacheHits and VLogReadCacheMisses always read 0: the value
 	// log has no read cache any more. They stay only because the
 	// benchmark's per-layer table still reads them (bench/layers.go:191).
+	// Add sums them with every other field, so totals stay 0.
 	VLogReadCacheHits   int64
 	VLogReadCacheMisses int64
 
@@ -103,7 +109,8 @@ type Stats struct {
 	PipelinedAppends int64
 	// GroupLingerMicros always reads 0: a group leader no longer waits
 	// for followers. It stays only because the benchmark's per-layer
-	// table still reads it (bench/layers.go:175).
+	// table still reads it (bench/layers.go:175). Add sums it with every
+	// other field, so a total stays 0.
 	GroupLingerMicros int64
 
 	Flushes              int64
@@ -219,45 +226,9 @@ type Health struct {
 
 // Add returns the field-wise sum of two stats snapshots — the
 // aggregation the sharded front-end uses to report one engine-shaped
-// counter set across N independent shards.
-func (s Stats) Add(o Stats) Stats {
-	s.Puts += o.Puts
-	s.Gets += o.Gets
-	s.Deletes += o.Deletes
-	s.ReadsMemtable += o.ReadsMemtable
-	s.ReadsImmutable += o.ReadsImmutable
-	for i := range s.ReadsLevel {
-		s.ReadsLevel[i] += o.ReadsLevel[i]
-	}
-	s.ReadMisses += o.ReadMisses
-	s.BloomConsults += o.BloomConsults
-	s.BloomNegatives += o.BloomNegatives
-	s.BloomFalsePositives += o.BloomFalsePositives
-	s.VLogDerefs += o.VLogDerefs
-	s.Slowdowns += o.Slowdowns
-	for i := range s.StallEvents {
-		s.StallEvents[i] += o.StallEvents[i]
-	}
-	s.StallTime += o.StallTime
-	s.GroupCommits += o.GroupCommits
-	s.GroupedRecords += o.GroupedRecords
-	s.WALAppends += o.WALAppends
-	s.WouldStalls += o.WouldStalls
-	s.WALErrors += o.WALErrors
-	s.PipelinedAppends += o.PipelinedAppends
-	s.Flushes += o.Flushes
-	s.FlushBytes += o.FlushBytes
-	s.Compactions += o.Compactions
-	s.CompactionReadBytes += o.CompactionReadBytes
-	s.CompactionWriteBytes += o.CompactionWriteBytes
-	s.WALBytesWritten += o.WALBytesWritten
-	s.UserBytes += o.UserBytes
-	s.VLogBytes += o.VLogBytes
-	s.VLogSegments += o.VLogSegments
-	s.VLogDiscardBytes += o.VLogDiscardBytes
-	s.VLogGCRewrites += o.VLogGCRewrites
-	return s
-}
+// counter set across N independent shards. Every field is summed, the
+// always-zero ones included.
+func (s Stats) Add(o Stats) Stats { return metrics.Sum(s, o) }
 
 // MemtablePressure reports the anticipatory stall signal: the active
 // memtable is filling (>= 60%) while the flush backlog is at its limit,

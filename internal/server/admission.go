@@ -32,9 +32,6 @@ type admission struct {
 	windowStart vclock.Time
 	windowAdm   []float64 // per-tenant admissions in the current window
 	windowTotal float64
-
-	admitted []int64 // per-tenant lifetime admissions
-	shed     []int64 // per-tenant lifetime sheds (this gate only)
 }
 
 // admissionWindow is the fairness accounting window (virtual time).
@@ -51,8 +48,6 @@ func newAdmission(rate float64, tenants int) *admission {
 		tenants:   tenants,
 		tokens:    burst,
 		windowAdm: make([]float64, tenants),
-		admitted:  make([]int64, tenants),
-		shed:      make([]int64, tenants),
 	}
 }
 
@@ -80,20 +75,17 @@ func (a *admission) admit(now vclock.Time, tenant int) bool {
 		a.windowStart = now
 	}
 	if a.tokens < 1 {
-		a.shed[t]++
 		return false
 	}
 	// Scarcity: tenants over twice their fair share yield first.
 	if a.tokens < a.lowWater && a.tenants > 1 && a.windowTotal >= float64(a.tenants) {
 		fair := a.windowTotal / float64(a.tenants)
 		if a.windowAdm[t] > 2*fair {
-			a.shed[t]++
 			return false
 		}
 	}
 	a.tokens--
 	a.windowAdm[t]++
 	a.windowTotal++
-	a.admitted[t]++
 	return true
 }

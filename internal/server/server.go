@@ -132,9 +132,8 @@ type Server struct {
 	connSeq   int64
 	closed    bool
 
-	// stats holds the counters Stats returns; the admission gate's
-	// per-tenant counts and the front cores' busy time are filled in
-	// there.
+	// stats holds the counters Stats returns; the front cores' busy time
+	// is filled in there.
 	stats Stats
 }
 
@@ -265,6 +264,7 @@ func (s *Server) dispatchStep(r *vclock.Runner, c *connState, p *pending) bool {
 			s.shed(r, p)
 			return true
 		}
+		s.tenant(p).Admitted++
 		c.stage = dispatchDecode
 		fallthrough
 	case dispatchDecode:
@@ -412,9 +412,5 @@ func (s *Server) Stats() Stats {
 	st := s.stats
 	st.FrontCPUBusy = time.Duration(s.cpu.BusyNS())
 	st.Tenants = slices.Clone(s.stats.Tenants)
-	for i := range st.Tenants {
-		st.Tenants[i].Admitted = s.adm.admitted[i]
-		st.Tenants[i].Shed += s.adm.shed[i]
-	}
 	return st
 }

@@ -17,7 +17,7 @@ func (a *PhaseTotals) add(p *pending, sendStart vclock.Time) {
 
 // TenantStats is one tenant's externally visible accounting.
 type TenantStats struct {
-	Admitted int64 // admission-gate passes
+	Admitted int64 // requests past the admission gate (all, with no AdmitRate)
 	Answered int64 // responses with an engine-backed status
 	Shed     int64 // RETRY_LATER responses (both gates)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kvaccel/internal/machine"
+	"kvaccel/internal/metrics"
 )
 
 // TestShardRouterUniformity checks that FNV-1a spreads a realistic key
@@ -226,37 +227,55 @@ func TestShardedRedirectionAndRecovery(t *testing.T) {
 	}
 }
 
-// TestShardedStatsAggregation checks Stats() returns the exact sum of
-// the per-shard breakdowns.
+// TestShardedStatsAggregation checks Stats() returns the exact field-wise
+// sum of the per-shard breakdowns, on four shards with redirected writes
+// and a front cache, so that the redirect and front-cache counters have
+// something to sum.
 func TestShardedStatsAggregation(t *testing.T) {
-	db := shardedTestDB(t, 3)
+	opt := DefaultOptions()
+	opt.Shards = 4
+	opt.Rollback = RollbackDisabled
+	opt.FrontCacheBytes = 64 << 10
+	db := Open(opt)
 	db.Run("main", func(r *Runner) {
 		defer db.Close()
-		for i := 0; i < 150; i++ {
+		for i := 0; i < 200; i++ {
+			if i == 100 {
+				for j := 0; j < db.NumShards(); j++ {
+					db.Shard(j).Detector().SetOverride(true)
+				}
+			}
 			_ = db.Put(r, []byte(fmt.Sprintf("key%05d", i)), []byte("v"))
 		}
-		for i := 0; i < 150; i += 3 {
-			_, _, _ = db.Get(r, []byte(fmt.Sprintf("key%05d", i)))
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i < 200; i += 4 {
+				_, _, _ = db.Get(r, []byte(fmt.Sprintf("key%05d", i)))
+			}
 		}
 	})
 	db.Wait()
 	st := db.Stats()
-	if len(st.PerShard) != 3 {
-		t.Fatalf("PerShard has %d entries, want 3", len(st.PerShard))
+	if len(st.PerShard) != 4 {
+		t.Fatalf("PerShard has %d entries, want 4", len(st.PerShard))
 	}
-	var puts, gets int64
+	var sum Stats
 	for _, s := range st.PerShard {
-		puts += s.KVAccel.NormalPuts + s.KVAccel.RedirectedPuts
-		gets += s.KVAccel.MainGets + s.KVAccel.DevGets
+		sum.KVAccel = metrics.Sum(sum.KVAccel, s.KVAccel)
+		sum.Main = metrics.Sum(sum.Main, s.Main)
 	}
-	if agg := st.KVAccel.NormalPuts + st.KVAccel.RedirectedPuts; agg != puts {
-		t.Errorf("aggregate puts %d != per-shard sum %d", agg, puts)
+	if st.KVAccel != sum.KVAccel {
+		t.Errorf("KVACCEL totals %+v\nper-shard sum %+v", st.KVAccel, sum.KVAccel)
 	}
-	if agg := st.KVAccel.MainGets + st.KVAccel.DevGets; agg != gets {
-		t.Errorf("aggregate gets %d != per-shard sum %d", agg, gets)
+	if st.Main != sum.Main {
+		t.Errorf("Main-LSM totals %+v\nper-shard sum %+v", st.Main, sum.Main)
 	}
-	if puts != 150 || gets != 50 {
-		t.Errorf("per-shard sums: puts=%d gets=%d, want 150/50", puts, gets)
+	k := st.KVAccel
+	if puts := k.NormalPuts + k.RedirectedPuts; puts != 200 || k.RedirectedPuts != 100 {
+		t.Errorf("puts %d, redirected %d: want 200 and 100", puts, k.RedirectedPuts)
+	}
+	if k.Gets != 100 || k.FrontCacheHits == 0 || k.FrontCacheHits+k.DevServed+k.MainGets != k.Gets {
+		t.Errorf("gets %d = front cache %d + Dev-LSM %d + Main-LSM %d: want 100 with front-cache hits",
+			k.Gets, k.FrontCacheHits, k.DevServed, k.MainGets)
 	}
 }
 
